@@ -5,8 +5,8 @@
 //	                 leaks in the elastic control plane (e16's
 //	                 bit-identical-metrics contract)
 //	nogob            encoding/gob only in the e15 lockstep ablation
-//	rpcretry         coordinator paths classify ErrFenced/unreachable
-//	                 through the shared retry budgets
+//	rpcretry         the router reaches the transport only through
+//	                 the request-execution primitive
 //	panicdiscipline  panic on non-constant data only in Must* funcs
 //	locksafety       no copied locks; no Lock() without an Unlock path
 //

@@ -37,10 +37,9 @@ var (
 	GobAllowedPackages = []string{"scads/cmd/scads-bench"}
 
 	// RetryCheckedPackages are the coordinator packages bound by the
-	// fence/unreachable retry contract (write.go, read.go,
-	// rebalance.go live in the root package; router and scan paths in
-	// internal/partition).
-	RetryCheckedPackages = []string{"scads", "scads/internal/partition"}
+	// request-execution contract: the router is the only one that
+	// touches the transport on a request path.
+	RetryCheckedPackages = []string{"scads/internal/partition"}
 )
 
 // Analyzers returns the production-configured scads-vet suite.

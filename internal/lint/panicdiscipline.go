@@ -96,3 +96,16 @@ func checkPanics(pass *analysis.Pass, fd *ast.FuncDecl) {
 		return true
 	})
 }
+
+// assignedObject resolves the object an assignment LHS binds or
+// writes (Defs for :=, Uses for =; blank gives nil).
+func assignedObject(pass *analysis.Pass, e ast.Expr) types.Object {
+	id, ok := e.(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	if obj := pass.TypesInfo.Defs[id]; obj != nil {
+		return obj
+	}
+	return pass.TypesInfo.Uses[id]
+}

@@ -2,74 +2,33 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 
 	"scads/internal/lint/analysis"
 )
 
-// rpcPkgPath is the transport package whose Request/Response/error
-// taxonomy the retry contract is written against.
+// rpcPkgPath is the transport package whose Request/Response types the
+// retry contract is written against.
 const rpcPkgPath = "scads/internal/rpc"
 
-// fenceCapableMethods are the RPC methods a storage node may answer
-// with ErrFenced (writes, applies, scans, and the migration verbs) or
-// whose failure the coordinator must wait out under the shared
-// down-retry budget. Point gets are never fenced (fences gate writes
-// and range scans only), so read-only helpers may surface a node's
-// semantic error verbatim.
-var fenceCapableMethods = map[string]bool{
-	"put": true, "delete": true, "apply": true, "scan": true,
-	"droprange": true, "rangesnap": true, "rangedelta": true, "rangefence": true,
-}
-
-// classifierNames are the shared helpers that consume or classify a
-// transport error (fence/unreachable taxonomy + retry budgets). A
-// function that tests its transport error with one of these is
-// considered to route the error through the shared contract.
-var classifierNames = map[string]bool{
-	"IsFenced":      true,
-	"IsUnreachable": true,
-	"IsUnavailable": true,
-	"Is":            true, // errors.Is(err, rpc.ErrFenced) etc.
-}
-
-// overloadClassifierNames are the helpers that classify backpressure
-// (rpc.ErrOverloaded with its retry-after hint). Wherever ErrFenced
-// classification is required — node response errors on fence-capable
-// paths — the overload taxonomy is required too: a node that sheds
-// under its handler bound answers exactly where a fence would, and an
-// unclassified shed turns backpressure into a client-visible failure.
-var overloadClassifierNames = map[string]bool{
-	"IsOverloaded": true,
-	"Is":           true, // errors.Is(err, rpc.ErrOverloaded)
-}
-
 // NewRPCRetry builds the rpcretry analyzer for the coordinator
-// packages in packages. The invariant (PRs 2–3): coordinator
-// write/read/scan paths must never surface a raw transport error —
-// ErrFenced means "wait out the handoff under rpc.FenceRetryLimit",
-// unreachable means "wait out failure detection + failover under
-// rpc.DownRetryBudget". A call site that can observe those errors and
-// returns them unclassified turns a delay-only contract into a
-// client-visible failure.
+// packages in packages. The invariant: a fence, a dead node and an
+// overloaded node delay a request, they never fail it — and one
+// primitive (partition's retry.go) implements that, so the analyzer
+// only has to keep every round trip inside it. Within the scoped
+// packages a transport Call (signature func(string, rpc.Request)
+// (rpc.Response, error)) may appear only in an attempt — a function
+// literal passed where a parameter of the named type `attempt` is
+// expected — and Response.Error() only there or in the primitive
+// itself, a function that takes an attempt. Anything else is a
+// coordinator path reading transport or node errors for itself.
 //
-// Mechanically: inside the scoped packages, an error born from a
-// transport Call (signature func(string, rpc.Request) (rpc.Response,
-// error)) — or from Response.Error() in a function that builds
-// fence-capable requests — must be passed to one of the shared
-// classifiers (rpc.IsFenced / rpc.IsUnreachable /
-// partition.IsUnavailable / errors.Is) somewhere in the same function
-// before it may escape through a return statement or a struct field.
-//
-// Suppression key: "rpcretry" (for delivery primitives whose callers
-// own the budget — say so in the reason).
+// Suppression key: "rpcretry".
 func NewRPCRetry(packages []string) *analysis.Analyzer {
 	pkgSet := stringSet(packages)
 	a := &analysis.Analyzer{
 		Name: "rpcretry",
-		Doc: "coordinator paths must classify transport errors (ErrFenced/unreachable/ErrOverloaded) through " +
-			"the shared retry-budget helpers instead of returning them raw",
+		Doc:  "coordinator packages reach the transport only through attempts handed to the request-execution primitive",
 		Keys: []string{"rpcretry"},
 	}
 	a.Run = func(pass *analysis.Pass) error {
@@ -77,14 +36,7 @@ func NewRPCRetry(packages []string) *analysis.Analyzer {
 			return nil
 		}
 		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				fd, ok := n.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					return true
-				}
-				checkRetryFunc(pass, fd)
-				return true
-			})
+			checkRetryFile(pass, f)
 		}
 		pass.CheckUnusedSuppressions(pass.Files)
 		return nil
@@ -92,150 +44,75 @@ func NewRPCRetry(packages []string) *analysis.Analyzer {
 	return a
 }
 
-func checkRetryFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
-	fenceCapable := buildsFenceCapableRequest(pass, fd.Body)
-
-	// Pass 1: find the tracked error variables — transport-call errors
-	// always, Response.Error() results only where fence-capable
-	// requests are built in this function.
-	tracked := make(map[types.Object]string) // object -> birth description
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch {
-		case isTransportCall(pass, call) && len(as.Lhs) == 2:
-			if obj := assignedObject(pass, as.Lhs[1]); obj != nil {
-				tracked[obj] = "transport Call error"
-			}
-		case fenceCapable && isResponseError(pass, call) && len(as.Lhs) == 1:
-			if obj := assignedObject(pass, as.Lhs[0]); obj != nil {
-				tracked[obj] = trackedRespError
+func checkRetryFile(pass *analysis.Pass, f *ast.File) {
+	attempts := make(map[*ast.FuncLit]bool)
+	var stack []ast.Node // ancestors of the node being visited, outermost first
+	// within reports whether the visited node sits inside an attempt
+	// literal or, when primitiveToo, inside a function taking one.
+	within := func(primitiveToo bool) bool {
+		for _, n := range stack {
+			switch fn := n.(type) {
+			case *ast.FuncLit:
+				if attempts[fn] {
+					return true
+				}
+			case *ast.FuncDecl:
+				if primitiveToo && takesAttempt(pass, fn) {
+					return true
+				}
 			}
 		}
-		return true
-	})
-
-	// Pass 2: a classifier call anywhere in the function absolves the
-	// variable it inspects (the retry-loop idiom tests the error and
-	// loops; the default branch may then return it raw). Fence and
-	// overload are separate families: node response errors on
-	// fence-capable paths must be routed through both.
-	classified := make(map[types.Object]bool)
-	overloadClassified := make(map[types.Object]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		return false
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		legacy := isClassifierCall(pass, call, classifierNames)
-		overload := isClassifierCall(pass, call, overloadClassifierNames)
-		if !legacy && !overload {
-			return true
-		}
-		for _, arg := range call.Args {
-			if id, ok := arg.(*ast.Ident); ok {
-				if obj := pass.TypesInfo.Uses[id]; obj != nil && tracked[obj] != "" {
-					if legacy {
-						classified[obj] = true
-					}
-					if overload {
-						overloadClassified[obj] = true
-					}
+		// Inspect visits a call before its arguments, so literals are
+		// marked before the calls inside them are judged.
+		if sig, ok := pass.TypesInfo.TypeOf(call.Fun).(*types.Signature); ok {
+			for i, arg := range call.Args {
+				if lit, ok := arg.(*ast.FuncLit); ok && i < sig.Params().Len() && isAttempt(sig.Params().At(i).Type()) {
+					attempts[lit] = true
 				}
 			}
 		}
-		return true
-	})
-
-	// Pass 3: report escapes of unclassified tracked errors. Overload
-	// classification is demanded only of node response errors on
-	// fence-capable paths — that is where ErrOverloaded arrives
-	// (transport-level failures are the unreachable taxonomy).
-	escape := func(id *ast.Ident, obj types.Object, how string) {
-		needsOverload := tracked[obj] == trackedRespError
 		switch {
-		case classified[obj] && (!needsOverload || overloadClassified[obj]):
-			return
-		case classified[obj]:
-			pass.Report(id.Pos(), "rpcretry",
-				"%s %q escapes %s without overload classification: fence-capable paths must also route it through rpc.IsOverloaded and honor the retry-after hint (or suppress with the reason callers own the budget)",
-				tracked[obj], obj.Name(), how)
-		default:
-			pass.Report(id.Pos(), "rpcretry",
-				"%s %q escapes %s without fence/unreachable classification: route it through rpc.IsFenced/rpc.IsUnreachable/rpc.IsOverloaded/partition.IsUnavailable and the shared retry budgets (or suppress with the reason callers own the budget)",
-				tracked[obj], obj.Name(), how)
-		}
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.ReturnStmt:
-			for _, res := range v.Results {
-				if id, ok := res.(*ast.Ident); ok {
-					if obj := pass.TypesInfo.Uses[id]; obj != nil && tracked[obj] != "" {
-						escape(id, obj, "via return")
-					}
-				}
-				// `return resp.Error()` in a fence-capable function:
-				// the raw node error goes straight out.
-				if call, ok := res.(*ast.CallExpr); ok && fenceCapable && isResponseError(pass, call) {
-					pass.Report(call.Pos(), "rpcretry",
-						"raw Response.Error() returned from a fence-capable path: classify it (rpc.IsFenced/rpc.IsOverloaded/partition.IsUnavailable) before surfacing (or suppress with the reason callers own the budget)")
-				}
-			}
-		case *ast.KeyValueExpr:
-			// GetResult{Err: e} and friends: the raw error escapes
-			// through a result struct.
-			if id, ok := v.Value.(*ast.Ident); ok {
-				if obj := pass.TypesInfo.Uses[id]; obj != nil && tracked[obj] != "" {
-					escape(id, obj, "via a struct field")
-				}
-			}
+		case isTransportCall(pass, call) && !within(false):
+			pass.Report(call.Pos(), "rpcretry",
+				"transport Call outside an attempt: hand the round trip to the request-execution primitive so its errors are classified and retried under the shared budget")
+		case isResponseError(pass, call) && !within(true):
+			pass.Report(call.Pos(), "rpcretry",
+				"Response.Error() outside the request-execution primitive: a node's error is classified there, once; callers get the answer or the give-up error")
 		}
 		return true
 	})
 }
 
-// buildsFenceCapableRequest reports whether the function constructs
-// an rpc.Request whose Method is (or may be) fence-capable. A
-// non-constant Method is treated as fence-capable: helpers
-// parameterised over the method (router.write) carry writes.
-func buildsFenceCapableRequest(pass *analysis.Pass, body *ast.BlockStmt) bool {
-	capable := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if capable {
-			return false
-		}
-		cl, ok := n.(*ast.CompositeLit)
-		if !ok || !isRPCNamed(pass.TypesInfo.TypeOf(cl), "Request") {
+// isAttempt reports whether t is the named type attempt.
+func isAttempt(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "attempt"
+}
+
+func takesAttempt(pass *analysis.Pass, fd *ast.FuncDecl) bool {
+	fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return false
+	}
+	params := fn.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		if isAttempt(params.At(i).Type()) {
 			return true
 		}
-		for _, el := range cl.Elts {
-			kv, ok := el.(*ast.KeyValueExpr)
-			if !ok {
-				continue
-			}
-			if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Method" {
-				continue
-			}
-			tv, ok := pass.TypesInfo.Types[kv.Value]
-			if !ok || tv.Value == nil {
-				capable = true // dynamic method: assume the worst
-				return false
-			}
-			if tv.Value.Kind() == constant.String && fenceCapableMethods[constant.StringVal(tv.Value)] {
-				capable = true
-				return false
-			}
-		}
-		return true
-	})
-	return capable
+	}
+	return false
 }
 
 // isTransportCall reports whether call invokes a method named Call
@@ -276,21 +153,6 @@ func isResponseError(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return isRPCNamed(t, "Response")
 }
 
-// trackedRespError is the birth description of a node response error
-// on a fence-capable path — the tracked kind that must pass both the
-// fence/unreachable and the overload classifier families.
-const trackedRespError = "node response error from a fence-capable method"
-
-func isClassifierCall(pass *analysis.Pass, call *ast.CallExpr, names map[string]bool) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		return names[fun.Sel.Name]
-	case *ast.Ident:
-		return names[fun.Name]
-	}
-	return false
-}
-
 func isRPCNamed(t types.Type, name string) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
@@ -298,17 +160,4 @@ func isRPCNamed(t types.Type, name string) bool {
 	}
 	obj := named.Obj()
 	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == rpcPkgPath
-}
-
-// assignedObject resolves the object an assignment LHS binds or
-// writes (Defs for :=, Uses for =; blank gives nil).
-func assignedObject(pass *analysis.Pass, e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if obj := pass.TypesInfo.Defs[id]; obj != nil {
-		return obj
-	}
-	return pass.TypesInfo.Uses[id]
 }

@@ -1,100 +1,59 @@
 // Package retry exercises the rpcretry analyzer against the real
-// scads/internal/rpc types: transport errors and fence-capable node
-// errors must flow through the shared classifiers before escaping.
+// scads/internal/rpc types: round trips belong in attempts handed to
+// the request-execution primitive, and node errors are read only
+// there.
 package retry
 
-import (
-	"errors"
+import "scads/internal/rpc"
 
-	"scads/internal/rpc"
-)
+// attempt mirrors partition's: one round trip, answer verbatim.
+type attempt func(addr string) (rpc.Response, error)
 
-// Result mimics a coordinator result struct carrying an error field.
-type Result struct {
-	Err error
-}
-
-// rawReturn surfaces a transport error unclassified.
-func rawReturn(t rpc.Transport, addr string) error {
-	_, err := t.Call(addr, rpc.Request{Method: rpc.MethodGet})
-	return err // want `transport Call error "err" escapes via return`
-}
-
-// classifiedReturn tests the error through the shared taxonomy; the
-// default branch may then surface it raw (the retry-loop idiom).
-func classifiedReturn(t rpc.Transport, addr string) error {
-	for i := 0; i < 3; i++ {
-		_, err := t.Call(addr, rpc.Request{Method: rpc.MethodPut})
-		if err == nil {
-			return nil
-		}
-		if !rpc.IsUnreachable(err) {
-			return err
-		}
+// execute stands in for the primitive: it takes an attempt, so it may
+// read the node's error.
+func execute(addr string, try attempt) error {
+	resp, err := try(addr)
+	if err != nil {
+		return err
 	}
-	return errors.New("out of retries")
-}
-
-// structEscape leaks the raw transport error through a result field.
-func structEscape(t rpc.Transport, addr string) Result {
-	_, err := t.Call(addr, rpc.Request{Method: rpc.MethodPut})
-	return Result{Err: err} // want `transport Call error "err" escapes via a struct field`
-}
-
-// respErrorFenced returns a fence-capable node error verbatim: the
-// caller sees ErrFenced instead of the handoff being waited out.
-func respErrorFenced(t rpc.Transport, addr string, key, val []byte) error {
-	resp, _ := t.Call(addr, rpc.Request{Method: rpc.MethodPut, Key: key, Value: val})
-	return resp.Error() // want `raw Response\.Error\(\) returned from a fence-capable path`
-}
-
-// assignedRespError binds the node error first; still an escape.
-func assignedRespError(t rpc.Transport, addr string, key []byte) error {
-	resp, _ := t.Call(addr, rpc.Request{Method: rpc.MethodDelete, Key: key})
-	nerr := resp.Error()
-	return nerr // want `node response error from a fence-capable method "nerr" escapes via return`
-}
-
-// dynamicMethod carries a caller-chosen method: assumed the worst,
-// fence-capable.
-func dynamicMethod(t rpc.Transport, addr, method string) error {
-	resp, _ := t.Call(addr, rpc.Request{Method: method})
-	return resp.Error() // want `raw Response\.Error\(\) returned from a fence-capable path`
-}
-
-// fenceOnlyClassified routes the node error through the fence family
-// but never the overload family: a node shedding under its handler
-// bound would surface as a raw failure instead of a retry-after wait.
-func fenceOnlyClassified(t rpc.Transport, addr string, key []byte) error {
-	resp, _ := t.Call(addr, rpc.Request{Method: rpc.MethodPut, Key: key})
-	nerr := resp.Error()
-	if nerr == nil || rpc.IsFenced(nerr) {
-		return nil
-	}
-	return nerr // want `node response error from a fence-capable method "nerr" escapes via return without overload classification`
-}
-
-// fullyClassified tests the node error through both families; the
-// default branch may then surface it raw (the retry-loop idiom).
-func fullyClassified(t rpc.Transport, addr string, key []byte) error {
-	resp, _ := t.Call(addr, rpc.Request{Method: rpc.MethodPut, Key: key})
-	nerr := resp.Error()
-	if nerr == nil || rpc.IsFenced(nerr) || rpc.IsOverloaded(nerr) {
-		return nil
-	}
-	return nerr
-}
-
-// respErrorGet surfaces a point-get's semantic error verbatim: point
-// gets are never fenced, so the node error is the real answer.
-func respErrorGet(t rpc.Transport, addr string, key []byte) error {
-	resp, _ := t.Call(addr, rpc.Request{Method: rpc.MethodGet, Key: key})
 	return resp.Error()
 }
 
-// suppressedPrimitive is a delivery primitive whose callers own the
-// retry budget; the suppression says so.
-func suppressedPrimitive(t rpc.Transport, addr string) error {
-	_, err := t.Call(addr, rpc.Request{Method: rpc.MethodPut})
-	return err //lint:rpcretry-ok fixture: the caller owns the retry budget
+// viaPrimitive is the sanctioned shape.
+func viaPrimitive(t rpc.Transport, addr string, req rpc.Request) error {
+	return execute(addr, func(addr string) (rpc.Response, error) {
+		return t.Call(addr, req)
+	})
+}
+
+// direct makes its own round trip and surfaces the error raw.
+func direct(t rpc.Transport, addr string) error {
+	_, err := t.Call(addr, rpc.Request{Method: rpc.MethodPut}) // want `transport Call outside an attempt`
+	return err
+}
+
+// plainClosure is a function literal, but not one handed to the
+// primitive.
+func plainClosure(t rpc.Transport, addr string) error {
+	f := func() (rpc.Response, error) {
+		return t.Call(addr, rpc.Request{Method: rpc.MethodGet}) // want `transport Call outside an attempt`
+	}
+	_, err := f()
+	return err
+}
+
+// readsNodeError classifies a node's reply for itself.
+func readsNodeError(resp rpc.Response) error {
+	return resp.Error() // want `Response\.Error\(\) outside the request-execution primitive`
+}
+
+// insideAttempt may look at the reply: the literal is an attempt.
+func insideAttempt(t rpc.Transport, addr string) error {
+	return execute(addr, func(addr string) (rpc.Response, error) {
+		resp, err := t.Call(addr, rpc.Request{Method: rpc.MethodScan})
+		if err == nil && resp.Error() != nil {
+			resp.Records = nil
+		}
+		return resp, err
+	})
 }

@@ -1,6 +1,8 @@
-// Package partition implements range partitioning of a namespace's
-// keyspace across storage nodes, and the router that sends each
-// operation to the right replica group.
+// Package partition maps each namespace's keyspace onto storage nodes
+// by range (Map) and executes coordinator requests against those maps
+// (Router). The Router owns the request-execution contract — a fence,
+// a dead node and an overloaded node delay a request instead of
+// failing it (retry.go) — so nothing above it reads a transport error.
 //
 // SCADS queries are bounded contiguous index scans (§3.1), so range
 // partitioning guarantees any query touches at most a small constant

@@ -271,6 +271,8 @@ func TestRouterApplyPropagates(t *testing.T) {
 
 func TestRouterFailover(t *testing.T) {
 	tc := newTestCluster(t, "n1", "n2")
+	// Three of the requests below spend a whole down-retry budget.
+	tc.router.clk = &skipClock{Virtual: clock.NewVirtual(time.Unix(0, 0))}
 	m, _ := NewMap([]string{"n1", "n2"})
 	tc.router.SetMap("users", m)
 	ver, _, _ := tc.router.Put("users", []byte("k"), []byte("v"))
@@ -352,18 +354,20 @@ func TestReplicaOrderRotates(t *testing.T) {
 	replicas := []string{"n1", "n2", "n3"}
 	seenFirst := map[string]bool{}
 	for i := 0; i < 20; i++ {
-		order := tc.router.replicaOrder(replicas, ReadAny)
+		order, first := tc.router.order(replicas, ReadAny)
 		if len(order) != 3 {
 			t.Fatal("order lost replicas")
 		}
-		seenFirst[order[0]] = true
+		seenFirst[order[first]] = true
 	}
 	if len(seenFirst) != 3 {
 		t.Fatalf("ReadAny never rotated: %v", seenFirst)
 	}
-	order := tc.router.replicaOrder(replicas, ReadPrimary)
-	if order[0] != "n1" {
-		t.Fatal("ReadPrimary does not start at primary")
+	if order, first := tc.router.order(replicas, ReadPrimary); order[first] != "n1" || len(order) != 3 {
+		t.Fatal("ReadPrimary does not start at primary with the rest to fail over to")
+	}
+	if order, first := tc.router.order(replicas, writePrimary); order[first] != "n1" || len(order) != 1 {
+		t.Fatal("writePrimary offers more than the primary")
 	}
 }
 

@@ -1,0 +1,262 @@
+package partition
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"scads/internal/clock"
+	"scads/internal/cluster"
+	"scads/internal/record"
+	"scads/internal/rpc"
+)
+
+// skipClock is a virtual clock whose Sleep advances it. The retry loop
+// under test is the only sleeper, so pauses cost no wall time and the
+// elapsed time is exact.
+type skipClock struct {
+	*clock.Virtual
+	sleeps []time.Duration
+}
+
+func (c *skipClock) Sleep(d time.Duration) {
+	c.sleeps = append(c.sleeps, d)
+	c.Advance(d)
+}
+
+// scriptTransport answers every call from a script and counts calls
+// per address.
+type scriptTransport struct {
+	script func(addr string, req rpc.Request) (rpc.Response, error)
+	calls  map[string]int
+}
+
+func (s *scriptTransport) Call(addr string, req rpc.Request) (rpc.Response, error) {
+	s.calls[addr]++
+	return s.script(addr, req)
+}
+
+// retryRig is a router over a scripted transport and a skip clock, with
+// nodes n1 and n2 (addresses "n1", "n2") up in the directory and one
+// range replicated on both.
+type retryRig struct {
+	router *Router
+	clk    *skipClock
+	start  time.Time
+	tr     *scriptTransport
+	dir    *cluster.Directory
+	m      *Map
+}
+
+func newRetryRig(t *testing.T, script func(addr string, req rpc.Request) (rpc.Response, error)) *retryRig {
+	t.Helper()
+	start := time.Unix(1000, 0)
+	rig := &retryRig{
+		clk:   &skipClock{Virtual: clock.NewVirtual(start)},
+		start: start,
+		tr:    &scriptTransport{script: script, calls: make(map[string]int)},
+	}
+	rig.dir = cluster.NewDirectory(rig.clk)
+	for _, id := range []string{"n1", "n2"} {
+		rig.dir.Join(id, id)
+		rig.dir.MarkUp(id)
+	}
+	rig.router = NewRouter(rig.tr, rig.dir)
+	rig.router.clk = rig.clk
+	rig.m, _ = NewMap([]string{"n1", "n2"})
+	rig.router.SetMap("ns", rig.m)
+	return rig
+}
+
+func (rig *retryRig) elapsed() time.Duration { return rig.clk.Now().Sub(rig.start) }
+
+func wireErr(err error) (rpc.Response, error) {
+	return rpc.Response{Err: rpc.ErrString(err)}, nil
+}
+
+// The four coordinator paths, each as "run it and give me the error".
+var retryOps = []struct {
+	name string
+	run  func(r *Router) error
+}{
+	{"get", func(r *Router) error { _, _, _, err := r.Get("ns", []byte("k"), ReadAny); return err }},
+	{"put", func(r *Router) error { _, _, err := r.Put("ns", []byte("k"), []byte("v")); return err }},
+	{"apply", func(r *Router) error {
+		_, err := r.ApplyToPrimary("ns", []byte("k"), []record.Record{{Key: []byte("k"), Version: 1}})
+		return err
+	}},
+	{"scan", func(r *Router) error {
+		_, err := r.ScanOpts("ns", nil, nil, ScanOptions{Limit: 10, Policy: ReadAny})
+		return err
+	}},
+}
+
+// TestGiveUpReportsLastFault: whatever fault a request is still meeting
+// when its allowance runs out, every path waits the same pauses for the
+// same total and reports the same classified error.
+func TestGiveUpReportsLastFault(t *testing.T) {
+	const hint = 7 * time.Millisecond
+	faults := []struct {
+		name   string
+		answer func() (rpc.Response, error)
+		pause  time.Duration
+		spent  time.Duration
+		check  func(error) bool
+	}{
+		{
+			name:   "every replica sheds",
+			answer: func() (rpc.Response, error) { return wireErr(rpc.Overloaded(hint, "test shed")) },
+			pause:  hint, spent: rpc.DownRetryBudget,
+			check: func(err error) bool { return rpc.IsOverloaded(err) && rpc.RetryAfter(err) == hint },
+		},
+		{
+			name:   "every replica unreachable",
+			answer: func() (rpc.Response, error) { return rpc.Response{}, rpc.ErrUnreachable },
+			pause:  rpc.DownRetryPause, spent: rpc.DownRetryBudget,
+			check: func(err error) bool { return errors.Is(err, ErrNoReplicaAvailable) },
+		},
+		{
+			// Not in the unreachable taxonomy, but a transport that
+			// failed still means the replica could not answer.
+			name:   "transport fails unclassified",
+			answer: func() (rpc.Response, error) { return rpc.Response{}, errors.New("rpc: transport closed") },
+			pause:  rpc.DownRetryPause, spent: rpc.DownRetryBudget,
+			check: func(err error) bool { return errors.Is(err, ErrNoReplicaAvailable) },
+		},
+		{
+			name:   "range stays fenced",
+			answer: func() (rpc.Response, error) { return wireErr(rpc.ErrFenced) },
+			pause:  rpc.FenceRetryPause, spent: rpc.FenceRetryLimit * rpc.FenceRetryPause,
+			check: func(err error) bool { return errors.Is(err, rpc.ErrFenced) },
+		},
+	}
+	for _, f := range faults {
+		for _, op := range retryOps {
+			t.Run(f.name+"/"+op.name, func(t *testing.T) {
+				rig := newRetryRig(t, func(string, rpc.Request) (rpc.Response, error) { return f.answer() })
+				err := op.run(rig.router)
+				if !f.check(err) {
+					t.Fatalf("gave up with %v", err)
+				}
+				if got := rig.elapsed(); got != f.spent {
+					t.Fatalf("gave up after %v, want exactly %v", got, f.spent)
+				}
+				// Every pause is the fault's own, bar a last one cut
+				// to what the budget had left.
+				for i, d := range rig.clk.sleeps[:len(rig.clk.sleeps)-1] {
+					if d != f.pause {
+						t.Fatalf("pause %d was %v, want %v", i, d, f.pause)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestNodeSemanticErrorIsTheAnswer: an error outside the fault taxonomy
+// that a node itself reports ends the request at once, verbatim.
+func TestNodeSemanticErrorIsTheAnswer(t *testing.T) {
+	for _, op := range retryOps {
+		rig := newRetryRig(t, func(string, rpc.Request) (rpc.Response, error) {
+			return wireErr(errors.New("storage: engine closed"))
+		})
+		err := op.run(rig.router)
+		if err == nil || err.Error() != "storage: engine closed" {
+			t.Fatalf("%s: got %v", op.name, err)
+		}
+		if n := rig.tr.calls["n1"] + rig.tr.calls["n2"]; n != 1 || rig.elapsed() != 0 {
+			t.Fatalf("%s: %d attempts over %v, want one and no wait", op.name, n, rig.elapsed())
+		}
+	}
+}
+
+// TestFenceAllowanceSurvivesSpentDownBudget is the PR 3 invariant: a
+// write that waited out a crash failover to the last pause of its down
+// budget still gets the whole fence allowance when the promoted primary
+// is then fenced by the RF-repair handoff.
+func TestFenceAllowanceSurvivesSpentDownBudget(t *testing.T) {
+	var rig *retryRig
+	fences := 0
+	rig = newRetryRig(t, func(string, rpc.Request) (rpc.Response, error) {
+		switch {
+		case rig.elapsed() < rpc.DownRetryBudget-rpc.DownRetryPause:
+			return rpc.Response{}, rpc.ErrUnreachable
+		case fences < rpc.FenceRetryLimit:
+			fences++
+			return wireErr(rpc.ErrFenced)
+		}
+		return rpc.Response{Version: 9}, nil
+	})
+	ver, _, err := rig.router.Put("ns", []byte("k"), []byte("v"))
+	if err != nil || ver != 9 {
+		t.Fatalf("put after failover then handoff: ver=%d err=%v", ver, err)
+	}
+	if want := rpc.DownRetryBudget - rpc.DownRetryPause + rpc.FenceRetryLimit*rpc.FenceRetryPause; rig.elapsed() != want {
+		t.Fatalf("waited %v, want %v", rig.elapsed(), want)
+	}
+}
+
+// TestGetBatchFallbackSharesOneBudget: a batch whose keys have no
+// serving replica costs one down-retry budget, not one per key.
+func TestGetBatchFallbackSharesOneBudget(t *testing.T) {
+	rig := newRetryRig(t, func(string, rpc.Request) (rpc.Response, error) {
+		t.Error("a node marked down was called")
+		return rpc.Response{}, rpc.ErrUnreachable
+	})
+	rig.dir.MarkDown("n1")
+	rig.dir.MarkDown("n2")
+	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d"), []byte("e")}
+	res, err := rig.router.GetBatch("ns", keys, ReadAny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if !errors.Is(r.Err, ErrNoReplicaAvailable) {
+			t.Fatalf("key %d: %v", i, r.Err)
+		}
+	}
+	if rig.elapsed() != rpc.DownRetryBudget {
+		t.Fatalf("%d unrouted keys waited %v, want one budget of %v", len(keys), rig.elapsed(), rpc.DownRetryBudget)
+	}
+}
+
+// TestRetryRereadsMap: the attempt after a routing flip lands on the
+// new primary, because every round resolves the range afresh.
+func TestRetryRereadsMap(t *testing.T) {
+	var rig *retryRig
+	rig = newRetryRig(t, func(addr string, _ rpc.Request) (rpc.Response, error) {
+		if addr == "n1" {
+			// The donor is fenced and, by the time it says so, the
+			// migration has flipped the range to n2.
+			rig.m.SetReplicas([]byte("k"), []string{"n2"})
+			return wireErr(rpc.ErrFenced)
+		}
+		return rpc.Response{Version: 3}, nil
+	})
+	_, replicas, err := rig.router.Put("ns", []byte("k"), []byte("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rig.tr.calls["n1"] != 1 || rig.tr.calls["n2"] != 1 || len(replicas) != 1 || replicas[0] != "n2" {
+		t.Fatalf("calls=%v accepted by %v, want one bounce off n1 then n2", rig.tr.calls, replicas)
+	}
+}
+
+// TestFirstAttemptAllocs pins the success path's allocations over
+// LocalTransport at the counts measured before the request-execution
+// core existed: the attempt closure and the budget stay on the stack.
+func TestFirstAttemptAllocs(t *testing.T) {
+	tc := newTestCluster(t, "n1", "n2")
+	m, _ := NewMap([]string{"n1", "n2"})
+	tc.router.SetMap("ns", m)
+	key, val := []byte("k"), []byte("v")
+	if _, _, err := tc.router.Put("ns", key, val); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() { tc.router.Get("ns", key, ReadPrimary) }); n > 1 {
+		t.Errorf("Get allocates %v per call, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { tc.router.Put("ns", key, val) }); n > 4 {
+		t.Errorf("Put allocates %v per call, want <= 4", n)
+	}
+}

@@ -1,12 +1,11 @@
 package partition
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"scads/internal/clock"
 	"scads/internal/cluster"
 	"scads/internal/record"
 	"scads/internal/rpc"
@@ -23,26 +22,17 @@ const (
 	// consistency spec demands read-your-writes without session state
 	// or serializable access.
 	ReadPrimary
+	// writePrimary offers a request to the primary alone: a write has
+	// nowhere to fail over to until the map says so.
+	writePrimary
 )
-
-// ErrNoReplicaAvailable is returned when every replica of the target
-// range is down or unreachable.
-var ErrNoReplicaAvailable = errors.New("partition: no replica available")
-
-// IsUnavailable reports whether err means the operation's target nodes
-// could not be reached (as opposed to a semantic failure from a node
-// that answered). Coordinator write paths treat these like fence
-// rejections: re-read the partition map and retry, so a crash-failover
-// flip by the repair manager un-sticks the writer.
-func IsUnavailable(err error) bool {
-	return err != nil && (errors.Is(err, ErrNoReplicaAvailable) || rpc.IsUnreachable(err))
-}
 
 // Router maps (namespace, key) to replica groups and performs the
 // client-side request fan-out. Safe for concurrent use.
 type Router struct {
 	transport rpc.Transport
 	dir       *cluster.Directory
+	clk       clock.Clock // paces retries (retry.go); real outside this package's tests
 
 	mu   sync.RWMutex
 	maps map[string]*Map
@@ -54,7 +44,7 @@ type Router struct {
 // NewRouter returns a Router resolving node addresses through dir and
 // calling through transport.
 func NewRouter(transport rpc.Transport, dir *cluster.Directory) *Router {
-	return &Router{transport: transport, dir: dir, maps: make(map[string]*Map)}
+	return &Router{transport: transport, dir: dir, clk: clock.NewReal(), maps: make(map[string]*Map)}
 }
 
 // SetMap installs the partition map for a namespace.
@@ -101,55 +91,21 @@ func (r *Router) addrOf(nodeID string) (string, bool) {
 }
 
 // Get reads key, trying replicas according to policy with failover.
-// It returns the value, its version, and whether it was found. When no
-// replica at all is reachable the lookup is retried against a freshly
-// read partition map (up to the shared down-retry budget), so reads —
+// It returns the value, its version, and whether it was found. Reads —
 // including the primary reads the write path depends on — ride through
-// a crash window that the repair manager resolves with a failover
-// flip.
+// a crash window or an overloaded replica set under the shared
+// request-execution contract (retry.go).
 func (r *Router) Get(namespace string, key []byte, policy ReadPolicy) ([]byte, uint64, bool, error) {
-	m, err := r.mapFor(namespace)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return r.getUntil(m, namespace, key, policy, time.Now().Add(rpc.DownRetryBudget))
+	var b budget
+	g := r.get(namespace, key, policy, &b)
+	return g.Value, g.Version, g.Found, g.Err
 }
 
-// getUntil is Get with an explicit retry deadline, so batched
-// fallbacks can share one budget across many keys instead of paying
-// it per key.
-func (r *Router) getUntil(m *Map, namespace string, key []byte, policy ReadPolicy, deadline time.Time) ([]byte, uint64, bool, error) {
-	req := rpc.Request{Method: rpc.MethodGet, Namespace: namespace, Key: key}
-	for {
-		rng := m.Lookup(key)
-		for _, id := range r.replicaOrder(rng.Replicas, policy) {
-			addr, ok := r.addrOf(id)
-			if !ok {
-				continue
-			}
-			resp, err := r.transport.Call(addr, req)
-			if err != nil {
-				continue // failover to the next replica
-			}
-			if e := resp.Error(); e != nil {
-				if rpc.IsOverloaded(e) {
-					// The replica shed the read under its handler
-					// bound: fail over to the next replica; if every
-					// replica sheds, the outer loop backs off for the
-					// hinted interval under the shared budget.
-					continue
-				}
-				return nil, 0, false, e
-			}
-			return resp.Value, resp.Version, resp.Found, nil
-		}
-		// The budget is wall-clock, not attempt-counted: over TCP one
-		// attempt can burn a whole dial timeout.
-		if time.Now().After(deadline) {
-			return nil, 0, false, ErrNoReplicaAvailable
-		}
-		time.Sleep(rpc.DownRetryPause)
-	}
+// get is Get under a caller-supplied budget, so a batch's fallback
+// keys share one.
+func (r *Router) get(namespace string, key []byte, policy ReadPolicy, b *budget) GetResult {
+	resp, _, err := r.send(key, policy, b, rpc.Request{Method: rpc.MethodGet, Namespace: namespace, Key: key})
+	return GetResult{Value: resp.Value, Version: resp.Version, Found: resp.Found, Err: err}
 }
 
 // GetResult is one key's outcome from GetBatch.
@@ -164,9 +120,10 @@ type GetResult struct {
 // keys are grouped by the replica the policy selects and fetched
 // through one MethodBatch envelope per node, so a coordinator-side
 // multi-get costs a handful of round-trips instead of one per key.
-// Keys whose batched read fails (node unreachable, malformed reply)
-// fall back to the single-key path with its usual replica failover.
-// The returned slice matches keys positionally; per-key failures are
+// Keys the envelope did not answer cleanly (node unreachable or
+// shedding, malformed reply, per-key error) fall back to the single-key
+// path with its usual failover, one retry budget per node group. The
+// returned slice matches keys positionally; per-key failures are
 // reported in GetResult.Err rather than aborting the batch.
 func (r *Router) GetBatch(namespace string, keys [][]byte, policy ReadPolicy) ([]GetResult, error) {
 	m, err := r.mapFor(namespace)
@@ -174,33 +131,31 @@ func (r *Router) GetBatch(namespace string, keys [][]byte, policy ReadPolicy) ([
 		return nil, err
 	}
 	out := make([]GetResult, len(keys))
-	groups := make(map[string][]int) // addr -> indices into keys
-	var unrouted []int               // keys with no reachable replica right now
+	// node -> indices into keys. Keys with no serving replica at this
+	// instant (likely a crash window the repair manager is about to
+	// resolve) group under "": their envelope attempt fails at once and
+	// the fallback waits out the failover under one budget for all of
+	// them — they typically share the crashed range, and a permanent
+	// configuration error must cost one budget per batch, not per key.
+	groups := make(map[string][]int)
 	for i, key := range keys {
-		rng := m.Lookup(key)
-		addr := ""
-		for _, id := range r.replicaOrder(rng.Replicas, policy) {
-			if a, ok := r.addrOf(id); ok {
-				addr = a
+		replicas, first := r.order(m.Lookup(key).Replicas, policy)
+		node := ""
+		for j := range replicas {
+			id := replicas[(first+j)%len(replicas)]
+			if _, ok := r.addrOf(id); ok {
+				node = id
 				break
 			}
 		}
-		if addr == "" {
-			// No replica is reachable at this instant — likely a crash
-			// window the repair manager is about to resolve. Fall back
-			// to the single-key path, which re-reads the map and waits
-			// out the failover.
-			unrouted = append(unrouted, i)
-			continue
-		}
-		groups[addr] = append(groups[addr], i)
+		groups[node] = append(groups[node], i)
 	}
 	// One flight per node, all in parallel; each goroutine writes a
 	// disjoint set of out indices.
 	var wg sync.WaitGroup
-	for addr, idxs := range groups {
+	for node, idxs := range groups {
 		wg.Add(1)
-		go func(addr string, idxs []int) {
+		go func(node string, idxs []int) {
 			defer wg.Done()
 			subs := make([]rpc.Request, len(idxs))
 			for j, i := range idxs {
@@ -208,46 +163,21 @@ func (r *Router) GetBatch(namespace string, keys [][]byte, policy ReadPolicy) ([
 			}
 			var resps []rpc.Response
 			if len(subs) == 1 {
-				if resp, err := r.transport.Call(addr, subs[0]); err == nil {
+				if resp, err := r.sendTo(node, subs[0]); err == nil {
 					resps = []rpc.Response{resp}
 				}
-			} else {
-				resp, err := r.transport.Call(addr, rpc.Request{Method: rpc.MethodBatch, Batch: subs})
-				if err == nil && len(resp.Batch) == len(subs) {
-					resps = resp.Batch
-				}
+			} else if resp, err := r.sendTo(node, rpc.Request{Method: rpc.MethodBatch, Batch: subs}); err == nil && len(resp.Batch) == len(subs) {
+				resps = resp.Batch
 			}
-			if resps == nil {
-				for _, i := range idxs {
-					v, ver, found, err := r.Get(namespace, keys[i], policy)
-					out[i] = GetResult{Value: v, Version: ver, Found: found, Err: err}
-				}
-				return
-			}
+			var b budget
 			for j, i := range idxs {
-				resp := resps[j]
-				if e := resp.Error(); e != nil {
-					out[i] = GetResult{Err: e}
+				if resps == nil || resps[j].Err != "" {
+					out[i] = r.get(namespace, keys[i], policy, &b)
 					continue
 				}
-				out[i] = GetResult{Value: resp.Value, Version: resp.Version, Found: resp.Found}
+				out[i] = GetResult{Value: resps[j].Value, Version: resps[j].Version, Found: resps[j].Found}
 			}
-		}(addr, idxs)
-	}
-	if len(unrouted) > 0 {
-		// One goroutine and one shared down-retry budget for ALL
-		// unrouted keys: they typically share the same crashed range,
-		// and a permanent configuration error must cost one budget per
-		// batch, not one per key.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			deadline := time.Now().Add(rpc.DownRetryBudget)
-			for _, i := range unrouted {
-				v, ver, found, err := r.getUntil(m, namespace, keys[i], policy, deadline)
-				out[i] = GetResult{Value: v, Version: ver, Found: found, Err: err}
-			}
-		}()
+		}(node, idxs)
 	}
 	wg.Wait()
 	return out, nil
@@ -255,123 +185,50 @@ func (r *Router) GetBatch(namespace string, keys [][]byte, policy ReadPolicy) ([
 
 // GetFrom reads key from one specific replica (used by session
 // guarantees to pin reads and by experiments that measure staleness).
-// Failing over to another replica would break the pinning, so an
-// unreachable node is classified as ErrNoReplicaAvailable — exactly
-// like a node the directory already marked down — and the caller
-// decides whether its session floor lets it try elsewhere.
+// Failing over to another replica would break the pinning, so the read
+// is a single attempt: a down, unreachable or shedding node reports its
+// classified give-up error and the caller decides whether its session
+// floor lets it try elsewhere.
 func (r *Router) GetFrom(namespace, nodeID string, key []byte) ([]byte, uint64, bool, error) {
-	addr, ok := r.addrOf(nodeID)
-	if !ok {
-		return nil, 0, false, ErrNoReplicaAvailable
-	}
-	resp, err := r.transport.Call(addr, rpc.Request{Method: rpc.MethodGet, Namespace: namespace, Key: key})
-	if err != nil {
-		if rpc.IsUnreachable(err) {
-			return nil, 0, false, fmt.Errorf("%w: %s: %v", ErrNoReplicaAvailable, nodeID, err)
-		}
-		return nil, 0, false, err
-	}
-	if e := resp.Error(); e != nil {
-		if rpc.IsOverloaded(e) {
-			// The pinned replica shed the read: classify like a down
-			// node so the session read path fails over to the next
-			// replica instead of surfacing raw backpressure.
-			return nil, 0, false, fmt.Errorf("%w: %s shed the read: %v", ErrNoReplicaAvailable, nodeID, e)
-		}
-		return nil, 0, false, e
-	}
-	return resp.Value, resp.Version, resp.Found, nil
+	resp, err := r.sendTo(nodeID, rpc.Request{Method: rpc.MethodGet, Namespace: namespace, Key: key})
+	return resp.Value, resp.Version, resp.Found, err
 }
 
 // Put writes to the primary replica of key's range and returns the
 // assigned version together with the replica group, so the caller can
 // schedule asynchronous propagation to the remaining replicas.
 func (r *Router) Put(namespace string, key, value []byte) (version uint64, replicas []string, err error) {
-	return r.write(namespace, key, value, rpc.MethodPut)
+	return r.write(key, rpc.Request{Method: rpc.MethodPut, Namespace: namespace, Key: key, Value: value})
 }
 
 // Delete tombstones key on the primary replica.
 func (r *Router) Delete(namespace string, key []byte) (version uint64, replicas []string, err error) {
-	return r.write(namespace, key, nil, rpc.MethodDelete)
+	return r.write(key, rpc.Request{Method: rpc.MethodDelete, Namespace: namespace, Key: key})
 }
 
-func (r *Router) write(namespace string, key, value []byte, method string) (uint64, []string, error) {
-	m, err := r.mapFor(namespace)
-	if err != nil {
-		return 0, nil, err
-	}
-	// Fence retries are counted separately from the wall-clock down
-	// budget: a write that waited out a crash failover must still get
-	// its full fence allowance when the promoted primary is briefly
-	// fenced by the ensuing RF-repair handoff.
-	downDeadline := time.Now().Add(rpc.DownRetryBudget)
-	fenceAttempts := 0
-	for {
-		rng := m.Lookup(key)
-		primary := rng.Replicas[0]
-		addr, ok := r.addrOf(primary)
-		if !ok {
-			// The primary is marked down. Each retry re-reads the
-			// partition map, so the first attempt after the repair
-			// manager's failover flip lands on the promoted replica.
-			// The budget is wall-clock (over TCP one attempt can burn
-			// a whole dial timeout).
-			if time.Now().Before(downDeadline) {
-				time.Sleep(rpc.DownRetryPause)
-				continue
-			}
-			return 0, nil, fmt.Errorf("%w: primary %s down", ErrNoReplicaAvailable, primary)
-		}
-		resp, err := r.transport.Call(addr, rpc.Request{Method: method, Namespace: namespace, Key: key, Value: value})
-		if err != nil {
-			// Unreachable before the directory noticed: same failover
-			// wait as a down primary.
-			if rpc.IsUnreachable(err) && time.Now().Before(downDeadline) {
-				time.Sleep(rpc.DownRetryPause)
-				continue
-			}
-			return 0, nil, err
-		}
-		if e := resp.Error(); e != nil {
-			if rpc.IsFenced(e) && fenceAttempts < rpc.FenceRetryLimit {
-				// The range is mid-handoff: each retry re-reads the
-				// partition map, so the first attempt after the flip
-				// lands on the new primary.
-				fenceAttempts++
-				time.Sleep(rpc.FenceRetryPause)
-				continue
-			}
-			if rpc.IsOverloaded(e) && time.Now().Before(downDeadline) {
-				// The primary shed the write under its handler bound:
-				// honor the retry-after hint under the shared
-				// wall-clock budget — backpressure delays the write,
-				// it does not fail it.
-				time.Sleep(rpc.RetryAfter(e))
-				continue
-			}
-			return 0, nil, e
-		}
-		return resp.Version, rng.Replicas, nil
-	}
+func (r *Router) write(key []byte, req rpc.Request) (uint64, []string, error) {
+	var b budget
+	resp, rng, err := r.send(key, writePrimary, &b, req)
+	return resp.Version, rng.Replicas, err
 }
 
-// Apply delivers pre-versioned records to one specific node — the
-// delivery primitive under the replication pump and the coordinator
-// retry loops. It deliberately returns transport and node errors
-// unclassified: the callers own the retry budgets (applyToPrimary
-// waits out fences and failovers under rpc.FenceRetryLimit /
-// rpc.DownRetryBudget; the pump reparks undelivered records), and
-// classifying here would double-charge a budget per attempt.
+// ApplyToPrimary delivers pre-versioned records to the primary of
+// key's range, waiting out fences, failovers and overload like any
+// other write. It returns the range that accepted the write, so callers
+// enqueue replication to the replica set that is actually serving it.
+func (r *Router) ApplyToPrimary(namespace string, key []byte, recs []record.Record) (Range, error) {
+	var b budget
+	_, rng, err := r.send(key, writePrimary, &b, rpc.Request{Method: rpc.MethodApply, Namespace: namespace, Records: recs})
+	return rng, err
+}
+
+// Apply delivers pre-versioned records to one specific node in a
+// single attempt — the delivery primitive under the replication pump,
+// which reparks what it could not deliver — and reports the classified
+// give-up error.
 func (r *Router) Apply(namespace, nodeID string, recs []record.Record) error {
-	addr, ok := r.addrOf(nodeID)
-	if !ok {
-		return ErrNoReplicaAvailable
-	}
-	resp, err := r.transport.Call(addr, rpc.Request{Method: rpc.MethodApply, Namespace: namespace, Records: recs})
-	if err != nil {
-		return err //lint:rpcretry-ok delivery primitive: applyToPrimary/write-path loops and the pump classify this and own the retry budgets
-	}
-	return resp.Error() //lint:rpcretry-ok delivery primitive: callers classify fence/unreachable and own the retry budgets
+	_, err := r.sendTo(nodeID, rpc.Request{Method: rpc.MethodApply, Namespace: namespace, Records: recs})
+	return err
 }
 
 // SetScanParallelism bounds how many per-range sub-scans one scan fans
@@ -389,21 +246,6 @@ func (r *Router) scanParallelism() int {
 		return int(n)
 	}
 	return DefaultScanParallelism
-}
-
-// replicaOrder returns the replica IDs in the order reads should try
-// them.
-func (r *Router) replicaOrder(replicas []string, policy ReadPolicy) []string {
-	if policy == ReadPrimary || len(replicas) == 1 {
-		return replicas
-	}
-	n := len(replicas)
-	off := int(r.rr.Add(1)) % n
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, replicas[(off+i)%n])
-	}
-	return out
 }
 
 func maxKey(a, b []byte) []byte {

@@ -3,7 +3,6 @@ package partition
 import (
 	"errors"
 	"sync/atomic"
-	"time"
 
 	"scads/internal/record"
 	"scads/internal/rpc"
@@ -72,10 +71,9 @@ func (r *Router) Scan(namespace string, start, end []byte, limit int, policy Rea
 //     concurrent sub-scans, each with a proportional share of the
 //     limit pushed down (plus slack for skew);
 //   - per-range resilience: a sub-scan that hits a write fence
-//     (mid-migration handoff) or an unreachable replica retries
-//     against a freshly read partition map under the same shared
-//     wall-clock budgets the write path uses, failing over across
-//     replicas via the read policy's replica order;
+//     (mid-migration handoff), an unreachable or a shedding replica
+//     is retried under the same request-execution contract as every
+//     other path (retry.go), all sub-scans sharing one budget;
 //   - gather: sub-results are merged in keyspace order — the
 //     sub-intervals partition [start, end), so the k-way merge
 //     degenerates to ordered concatenation — and the merge cuts off
@@ -94,11 +92,11 @@ func (r *Router) ScanOpts(namespace string, start, end []byte, o ScanOptions) ([
 		return nil, err
 	}
 	ranges := m.Overlapping(start, end)
-	deadline := time.Now().Add(rpc.DownRetryBudget)
 
 	if len(ranges) <= 1 {
 		// Single-range fast path: no fan-out machinery.
-		return r.gatherInterval(namespace, start, end, o, deadline, nil)
+		var b budget
+		return r.gatherInterval(namespace, start, end, o, &b, nil)
 	}
 
 	subs := make([]*scanSub, len(ranges))
@@ -131,8 +129,13 @@ func (r *Router) ScanOpts(namespace string, start, end []byte, o ScanOptions) ([
 	// Workers claim sub-intervals in keyspace order, so the gather
 	// loop's next-needed interval is always the earliest one in
 	// flight; cutoff marks the rest skipped without paying for them.
-	var next atomic.Int64
-	var cutoff atomic.Bool
+	// The whole scan shares one retry budget.
+	var shared struct {
+		next   atomic.Int64
+		cutoff atomic.Bool
+		budget budget
+	}
+	next, cutoff, b := &shared.next, &shared.cutoff, &shared.budget
 	for w := 0; w < par; w++ {
 		go func() {
 			for {
@@ -148,7 +151,7 @@ func (r *Router) ScanOpts(namespace string, start, end []byte, o ScanOptions) ([
 					close(sub.done)
 					continue
 				}
-				sub.page = r.scanInterval(namespace, sub.start, sub.end, perLimit, o, deadline)
+				sub.page = r.scanInterval(namespace, sub.start, sub.end, perLimit, o, b)
 				close(sub.done)
 			}
 		}()
@@ -165,7 +168,7 @@ func (r *Router) ScanOpts(namespace string, start, end []byte, o ScanOptions) ([
 			cutoff.Store(true)
 			return nil, sub.page.err
 		}
-		out, err = r.gatherPages(namespace, sub, o, deadline, out)
+		out, err = r.gatherPages(namespace, sub, o, b, out)
 		if err != nil {
 			cutoff.Store(true)
 			return nil, err
@@ -178,7 +181,7 @@ func (r *Router) ScanOpts(namespace string, start, end []byte, o ScanOptions) ([
 // gatherPages drains one sub-interval into out: the prefetched first
 // page, then adaptive re-fetches from the node's resume cursor while
 // the global limit still has room.
-func (r *Router) gatherPages(namespace string, sub *scanSub, o ScanOptions, deadline time.Time, out []record.Record) ([]record.Record, error) {
+func (r *Router) gatherPages(namespace string, sub *scanSub, o ScanOptions, b *budget, out []record.Record) ([]record.Record, error) {
 	page := sub.page
 	for {
 		need := o.Limit - len(out)
@@ -192,7 +195,7 @@ func (r *Router) gatherPages(namespace string, sub *scanSub, o ScanOptions, dead
 		if !page.more || len(out) >= o.Limit {
 			return out, nil
 		}
-		page = r.scanInterval(namespace, page.resume, sub.end, o.Limit-len(out), o, deadline)
+		page = r.scanInterval(namespace, page.resume, sub.end, o.Limit-len(out), o, b)
 		if page.err != nil {
 			return nil, page.err
 		}
@@ -201,106 +204,45 @@ func (r *Router) gatherPages(namespace string, sub *scanSub, o ScanOptions, dead
 
 // gatherInterval runs a whole interval through scanInterval pages
 // sequentially (the single-range fast path).
-func (r *Router) gatherInterval(namespace string, start, end []byte, o ScanOptions, deadline time.Time, out []record.Record) ([]record.Record, error) {
+func (r *Router) gatherInterval(namespace string, start, end []byte, o ScanOptions, b *budget, out []record.Record) ([]record.Record, error) {
 	sub := &scanSub{start: start, end: end}
-	sub.page = r.scanInterval(namespace, start, end, o.Limit, o, deadline)
+	sub.page = r.scanInterval(namespace, start, end, o.Limit, o, b)
 	if sub.page.err != nil {
 		return nil, sub.page.err
 	}
-	return r.gatherPages(namespace, sub, o, deadline, out)
+	return r.gatherPages(namespace, sub, o, b, out)
 }
 
 // scanInterval fetches one page of [start, end) from whichever range
-// currently serves its first key, with the shared resilience contract:
-// replica failover within an attempt, and map re-read plus retry on
-// fences (rpc.FenceRetryLimit attempts) and unreachable replica sets
-// (wall-clock deadline), exactly like the write path. When a
-// concurrent split means the serving range covers only a prefix of the
-// interval, the page reports a resume cursor at the range boundary so
-// the caller continues into the successor range.
-func (r *Router) scanInterval(namespace string, start, end []byte, limit int, o ScanOptions, deadline time.Time) scanPage {
+// currently serves its first key, under the shared request-execution
+// contract (retry.go). When a concurrent split means the serving range
+// covers only a prefix of the interval, the page reports a resume
+// cursor at the range boundary so the caller continues into the
+// successor range.
+func (r *Router) scanInterval(namespace string, start, end []byte, limit int, o ScanOptions, b *budget) scanPage {
 	if limit <= 0 {
 		return scanPage{}
 	}
-	fenceAttempts := 0
-	for {
-		m, err := r.mapFor(namespace)
-		if err != nil {
-			return scanPage{err: err}
-		}
-		rng := m.Lookup(start)
-		subEnd := minKey(end, rng.End)
-		req := rpc.Request{
-			Method: rpc.MethodScan, Namespace: namespace, Tenant: o.Tenant,
-			Start: start, End: subEnd, Limit: limit,
-			Projection: o.Projection, Preds: o.Preds,
-		}
-		var fenced, overloaded bool
-		var retryAfter time.Duration
-		for _, id := range r.replicaOrder(rng.Replicas, o.Policy) {
-			addr, ok := r.addrOf(id)
-			if !ok {
-				continue
-			}
-			resp, err := r.transport.Call(addr, req)
-			if err != nil {
-				continue // failover to the next replica
-			}
-			if e := resp.Error(); e != nil {
-				if rpc.IsFenced(e) {
-					// Mid-handoff: every replica of this range is about
-					// to flip, so re-read the map rather than trying the
-					// others.
-					fenced = true
-					break
-				}
-				if rpc.IsOverloaded(e) {
-					// The replica shed this sub-scan under its handler
-					// bound: honor its retry-after hint, but first give
-					// the remaining replicas a chance — they may have
-					// headroom.
-					overloaded = true
-					retryAfter = rpc.RetryAfter(e)
-					continue
-				}
-				return scanPage{err: e}
-			}
-			page := scanPage{recs: resp.Records, more: resp.More, resume: resp.Resume}
-			if !page.more && !boundsEqual(subEnd, end) {
-				// The serving range ended before the interval does (a
-				// split landed between fan-out and now): continue from
-				// the boundary.
-				page.more = true
-				page.resume = subEnd
-			}
-			return page
-		}
-		if fenced {
-			fenceAttempts++
-			if fenceAttempts > rpc.FenceRetryLimit {
-				return scanPage{err: rpc.ErrFenced}
-			}
-			time.Sleep(rpc.FenceRetryPause)
-			continue
-		}
-		if overloaded {
-			// Every reachable replica shed the sub-scan: back off for
-			// the hinted interval under the scan's shared wall-clock
-			// budget instead of hammering a saturated node.
-			if time.Now().After(deadline) {
-				return scanPage{err: rpc.Overloaded(retryAfter, "scan retry budget exhausted")}
-			}
-			time.Sleep(retryAfter)
-			continue
-		}
-		// Every replica unreachable: likely a crash window the repair
-		// manager is resolving with a failover flip. The budget is
-		// wall-clock, shared across the whole scan.
-		if time.Now().After(deadline) {
-			return scanPage{err: ErrNoReplicaAvailable}
-		}
-		time.Sleep(rpc.DownRetryPause)
+	req := rpc.Request{
+		Method: rpc.MethodScan, Namespace: namespace, Tenant: o.Tenant,
+		Start: start, Limit: limit,
+		Projection: o.Projection, Preds: o.Preds,
 	}
+	resp, rng, err := r.execute(namespace, start, o.Policy, b, func(rng Range, addr string) (rpc.Response, error) {
+		req.End = minKey(end, rng.End)
+		return r.transport.Call(addr, req)
+	})
+	if err != nil {
+		return scanPage{err: err}
+	}
+	page := scanPage{recs: resp.Records, more: resp.More, resume: resp.Resume}
+	if subEnd := minKey(end, rng.End); !page.more && !boundsEqual(subEnd, end) {
+		// The serving range ended before the interval does (a split
+		// landed between fan-out and now): continue from the boundary.
+		page.more = true
+		page.resume = subEnd
+	}
+	return page
 }
 
 func boundsEqual(a, b []byte) bool {

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"scads/internal/keycodec"
 	"scads/internal/record"
+	"scads/internal/row"
 	"scads/internal/rpc"
 )
 
@@ -258,20 +260,73 @@ func TestScanPushdownReachesNodes(t *testing.T) {
 	router := NewRouter(rec, tc.dir)
 	router.SetMap("ns", m)
 	tc.router.SetMap("ns", m)
-	loadScanData(t, tc, "ns", 30) // via the plain router path
-
-	opts := ScanOptions{
+	// Real encoded rows, so the nodes can evaluate the pushdown and
+	// both sub-scans succeed.
+	for i := 0; i < 30; i++ {
+		val, err := row.Encode(row.Row{"name": fmt.Sprintf("u%d", i), "age": int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := tc.router.Put("ns", []byte(fmt.Sprintf("k-%04d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ge, err := keycodec.Append(nil, int64(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := router.ScanOpts("ns", nil, nil, ScanOptions{
 		Limit:      100,
 		Policy:     ReadPrimary,
 		Projection: []string{"name"},
-		Preds:      []rpc.ScanPred{{Column: "age", Op: rpc.PredGe, Value: []byte{0x10}}},
+		Preds:      []rpc.ScanPred{{Column: "age", Op: rpc.PredGe, Value: ge}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Values are opaque bytes (not encoded rows), so the nodes will
-	// fail to decode them — the point here is only the request shape;
-	// error content is checked at the cluster layer.
-	_, _ = router.ScanOpts("ns", nil, nil, opts)
+	if len(recs) != 20 {
+		t.Fatalf("pushed-down scan returned %d rows, want the 20 with age >= 10", len(recs))
+	}
 	if scans.Load() < 2 {
 		t.Fatalf("expected >=2 sub-scans, saw %d", scans.Load())
+	}
+}
+
+// TestScanFirstErrorAbandonsUnstartedSiblings pins what ScanOpts does
+// when a sub-scan fails for good: the scan returns that error and
+// sub-intervals no worker has claimed yet are never issued. The single
+// worker may claim the second sub-interval before the gather loop sees
+// the first one's error; the transport holds that request until the
+// scan has returned, so the third claim is certain to see the cutoff.
+func TestScanFirstErrorAbandonsUnstartedSiblings(t *testing.T) {
+	tc := newTestCluster(t, "n1")
+	m, _ := NewMap([]string{"n1"})
+	for _, at := range []string{"k-0010", "k-0020", "k-0030"} {
+		m.Split([]byte(at))
+	}
+	var scans atomic.Int64
+	returned := make(chan struct{})
+	router := NewRouter(&recordingTransport{next: tc.transport, onScan: func(rpc.Request) {
+		if scans.Add(1) > 1 {
+			<-returned
+		}
+	}}, tc.dir)
+	router.SetMap("ns", m)
+	tc.router.SetMap("ns", m)
+	loadScanData(t, tc, "ns", 40) // opaque values: a projecting node cannot decode them
+
+	_, err := router.ScanOpts("ns", nil, nil, ScanOptions{
+		Limit: 100, Policy: ReadPrimary, Parallelism: 1, Projection: []string{"name"},
+	})
+	if err == nil {
+		t.Fatal("scan over undecodable rows succeeded")
+	}
+	close(returned)
+	// Give the worker time to run off the end of its claims; a slow
+	// scheduler can only make this check vacuous, never fail it.
+	time.Sleep(20 * time.Millisecond)
+	if n := scans.Load(); n > 2 {
+		t.Fatalf("%d of 4 sub-scans issued though the first failed, want at most 2", n)
 	}
 }
 

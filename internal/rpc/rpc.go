@@ -221,30 +221,28 @@ func IsFenced(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "range fenced for migration")
 }
 
-// FenceRetryLimit and FenceRetryPause are the shared policy for
-// writers that hit a fence: re-read the partition map and retry, up to
-// this many attempts with this pause between them. A fence pause
-// covers one final delta drain plus the routing flip, so the bound is
-// generous; every fenced write path (coordinator applies, router
-// put/delete) uses the same policy so migration-time write behavior is
-// uniform.
+// FenceRetryLimit and FenceRetryPause bound how long a request that
+// hits a fence is delayed: re-read the partition map and retry, up to
+// this many times with this pause between. A fence pause covers one
+// final delta drain plus the routing flip, so the bound is generous.
+// (The policy itself lives in partition's request-execution core.)
 const (
 	FenceRetryLimit = 400
 	FenceRetryPause = time.Millisecond
 )
 
-// DownRetryPause and DownRetryBudget are the shared policy for writers
-// whose target node is unreachable or marked down: re-read the
-// partition map and retry, so a write stalls through a crash-failover
-// window (failure detection plus the repair manager's primary flip)
-// instead of failing. The budget is a wall-clock bound, not an attempt
-// count — over TCP a single attempt against a half-dead node can burn
-// a full dial timeout, so attempt-counting alone would stretch the
-// stall to minutes. The 4s budget deliberately covers the repair
-// loop's *default* detection window (3s heartbeat timeout + one 500ms
-// sweep) with margin, so an out-of-the-box cluster keeps the "writes
-// stall through failover, never fail" contract; tune both together if
-// you lengthen the heartbeat timeout.
+// DownRetryPause and DownRetryBudget bound how long a request whose
+// replicas are unreachable, marked down or shedding is delayed, so it
+// stalls through a crash-failover window (failure detection plus the
+// repair manager's primary flip) instead of failing. The budget is a
+// wall-clock bound, not an attempt count — over TCP a single attempt
+// against a half-dead node can burn a full dial timeout, so
+// attempt-counting alone would stretch the stall to minutes. The 4s
+// budget deliberately covers the repair loop's *default* detection
+// window (3s heartbeat timeout + one 500ms sweep) with margin, so an
+// out-of-the-box cluster keeps the "writes stall through failover,
+// never fail" contract; tune both together if you lengthen the
+// heartbeat timeout.
 const (
 	DownRetryPause  = 5 * time.Millisecond
 	DownRetryBudget = 4 * time.Second

@@ -13,7 +13,6 @@ import (
 	"scads/internal/query"
 	"scads/internal/record"
 	"scads/internal/row"
-	"scads/internal/rpc"
 )
 
 // Insert stores a new row (or fully replaces an existing one) in a
@@ -199,22 +198,15 @@ func (c *Cluster) insertBatch(table string, rows []row.Row) error {
 			for i, u := range ups {
 				recs[i] = u.rec
 			}
-			if err := c.router.Apply(ns, node, recs); err != nil {
-				if !rpc.IsFenced(err) && !partition.IsUnavailable(err) {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				// The group hit a range mid-handoff or a crashed
-				// primary: fall back to per-record routing, which
-				// re-reads the map and waits out the fence or the
-				// failover. Replicas are re-captured from the
-				// post-flip ranges so replication follows the writes.
+			if c.router.Apply(ns, node, recs) != nil {
+				// The group's one-shot delivery failed: route each
+				// record through the request-execution core, which
+				// re-reads the map and waits out a handoff, failover
+				// or overload — or reports why it cannot. Replicas are
+				// re-captured from the ranges that accepted the writes
+				// so replication follows them.
 				for i := range ups {
-					rng, err := c.applyToPrimary(ns, m, ups[i].rec.Key, []record.Record{ups[i].rec})
+					rng, err := c.router.ApplyToPrimary(ns, ups[i].rec.Key, []record.Record{ups[i].rec})
 					if err != nil {
 						errMu.Lock()
 						if firstErr == nil {
@@ -431,51 +423,6 @@ func (c *Cluster) mergeRows(mergeName string, old, new row.Row) (row.Row, error)
 	return merged, nil
 }
 
-// applyToPrimary delivers pre-versioned records to the primary of
-// key's range, re-reading the partition map and retrying when the
-// primary is write-fenced for migration handoff (shared rpc.FenceRetry
-// policy) or unreachable/down (shared rpc.DownRetry policy — the
-// repair manager's failover flip re-routes the retry to the promoted
-// replica). It returns the range that accepted the write, so callers
-// enqueue replication to the replica set that is actually serving it.
-func (c *Cluster) applyToPrimary(ns string, m *partition.Map, key []byte, recs []record.Record) (partition.Range, error) {
-	// Fence retries are counted separately from the wall-clock down
-	// budget: a write that waited out a crash failover must still get
-	// its full fence allowance when the promoted primary is briefly
-	// fenced by the ensuing RF-repair handoff.
-	downDeadline := time.Now().Add(rpc.DownRetryBudget)
-	fenceAttempts := 0
-	for {
-		rng := m.Lookup(key)
-		err := c.router.Apply(ns, rng.Replicas[0], recs)
-		if err == nil {
-			return rng, nil
-		}
-		switch {
-		case rpc.IsFenced(err) && fenceAttempts < rpc.FenceRetryLimit:
-			// The fence lifts (or routing flips away from it) shortly;
-			// real sleep rather than the virtual clock, since the fence
-			// is held by a concurrent migration goroutine, not by time.
-			fenceAttempts++
-			time.Sleep(rpc.FenceRetryPause)
-		case partition.IsUnavailable(err) && time.Now().Before(downDeadline):
-			// The primary crashed; wait out failure detection plus the
-			// failover flip (wall-clock budget: one TCP attempt can
-			// burn a whole dial timeout). Real sleep for the same
-			// reason: recovery is driven by the repair goroutine, not
-			// by clock time.
-			time.Sleep(rpc.DownRetryPause)
-		case rpc.IsOverloaded(err) && time.Now().Before(downDeadline):
-			// The node shed the apply under its handler bound: honor
-			// the retry-after hint under the same wall-clock budget,
-			// so backpressure slows writes instead of failing them.
-			time.Sleep(rpc.RetryAfter(err))
-		default:
-			return rng, err
-		}
-	}
-}
-
 // enqueueReplication schedules rec for delivery to the secondaries of
 // the range that acknowledged it, then re-reads the partition map and
 // also covers any member a racing reconfiguration added in between. A
@@ -534,7 +481,7 @@ func (c *Cluster) applyWrite(t *query.TableDef, key []byte, oldRow, newRow row.R
 		return 0, fmt.Errorf("scads: no partition map for %s", ns)
 	}
 	c.loads.Record(ns, m.Lookup(key).Start, key)
-	rng, err := c.applyToPrimary(ns, m, key, []record.Record{rec})
+	rng, err := c.router.ApplyToPrimary(ns, key, []record.Record{rec})
 	if err != nil {
 		return 0, err
 	}
@@ -611,7 +558,7 @@ func (c *Cluster) applyIndexMutation(ns string, key []byte, val row.Row) error {
 	if !ok {
 		return fmt.Errorf("scads: no partition map for %s", ns)
 	}
-	rng, err := c.applyToPrimary(ns, m, key, []record.Record{rec})
+	rng, err := c.router.ApplyToPrimary(ns, key, []record.Record{rec})
 	if err != nil {
 		return err
 	}
