@@ -87,6 +87,12 @@ var (
 // Map is the partition map of one namespace: an ordered list of
 // contiguous ranges covering the whole keyspace. Safe for concurrent
 // use.
+//
+// Invariant: a published slice is never written. Every mutation
+// installs fresh Start, End and Replicas slices instead of writing
+// through the ones a reader may hold, which is what lets Lookup hand
+// out the map's own Range without copying it. Readers owe the same: a
+// Range from Lookup is read-only.
 type Map struct {
 	mu     sync.RWMutex
 	ranges []Range
@@ -109,11 +115,13 @@ func (m *Map) Version() uint64 {
 	return m.ver
 }
 
-// Lookup returns the range containing key.
+// Lookup returns the range containing key. The result shares the
+// map's slices (see the invariant on Map): it stays valid and unchanged
+// across later mutations, and must not be written through.
 func (m *Map) Lookup(key []byte) Range {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.ranges[m.indexOf(key)].clone()
+	return m.ranges[m.indexOf(key)]
 }
 
 // indexOf returns the index of the range containing key. Caller holds
@@ -263,7 +271,9 @@ func (m *Map) ReplaceNode(oldID, newID string) int {
 	for i := range m.ranges {
 		for j, id := range m.ranges[i].Replicas {
 			if id == oldID {
-				m.ranges[i].Replicas[j] = newID
+				replicas := append([]string(nil), m.ranges[i].Replicas...)
+				replicas[j] = newID
+				m.ranges[i].Replicas = replicas
 				changed++
 				break
 			}

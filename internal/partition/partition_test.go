@@ -112,6 +112,99 @@ func TestSetReplicasAndReplaceNode(t *testing.T) {
 	}
 }
 
+// TestLookupAllocs: Lookup is on every routed request and hands out
+// the map's own range.
+func TestLookupAllocs(t *testing.T) {
+	m, _ := NewMap([]string{"n1", "n2"})
+	if err := m.Split([]byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("q")
+	if n := testing.AllocsPerRun(200, func() {
+		if rng := m.Lookup(key); len(rng.Replicas) != 2 {
+			t.Fatalf("Lookup = %v", rng)
+		}
+	}); n != 0 {
+		t.Errorf("Lookup allocates %.0f times, want 0", n)
+	}
+}
+
+// TestLookupRangeSurvivesMutations is the aliasing-safety test for the
+// clone-free Lookup: a Range a reader holds is unchanged after every
+// kind of mutation of its map (a published slice is never written),
+// also while a concurrent mutator churns the map — which is what the
+// race detector checks here.
+func TestLookupRangeSurvivesMutations(t *testing.T) {
+	m, _ := NewMap([]string{"n1", "n2"})
+	if err := m.Split([]byte("h")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Split([]byte("p")); err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("k") // in [h, p)
+	held := m.Lookup(key)
+	want := held.clone()
+	same := func(after string) {
+		t.Helper()
+		if !bytes.Equal(held.Start, want.Start) || !bytes.Equal(held.End, want.End) || !EqualIDs(held.Replicas, want.Replicas) {
+			t.Fatalf("range held since before %s changed under its reader: %v, was %v", after, held, want)
+		}
+	}
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() { // churns the same range the reader holds
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m.ReplaceNode("n2", "n9")
+			m.ReplaceNode("n9", "n2")
+			m.SetReplicas(key, []string{"n1", "n2"})
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if rng := m.Lookup(key); len(rng.Replicas) != 2 || rng.Replicas[0] != "n1" {
+			t.Fatalf("Lookup under churn = %v", rng)
+		}
+		same("concurrent ReplaceNode/SetReplicas")
+	}
+	close(stop)
+	<-done
+
+	if err := m.Split([]byte("l")); err != nil {
+		t.Fatal(err)
+	}
+	same("Split")
+	if err := m.Merge([]byte("k")); err != nil {
+		t.Fatal(err)
+	}
+	same("Merge")
+	if err := m.SetReplicas(key, []string{"n3", "n4"}); err != nil {
+		t.Fatal(err)
+	}
+	same("SetReplicas")
+	if err := m.CompareAndSetReplicas(key, []string{"n3", "n4"}, []string{"n1", "n2"}); err != nil {
+		t.Fatal(err)
+	}
+	same("CompareAndSetReplicas")
+	now := m.Lookup(key) // the range ReplaceNode is about to rewrite
+	if n := m.ReplaceNode("n2", "n7"); n == 0 {
+		t.Fatal("ReplaceNode changed nothing")
+	}
+	same("ReplaceNode")
+	if !EqualIDs(now.Replicas, []string{"n1", "n2"}) {
+		t.Fatalf("ReplaceNode wrote through a published replica slice: reader sees %v", now.Replicas)
+	}
+	if got := m.Lookup(key).Replicas; !EqualIDs(got, []string{"n1", "n7"}) {
+		t.Fatalf("after ReplaceNode the map says %v", got)
+	}
+}
+
 func TestOverlapping(t *testing.T) {
 	m, _ := NewMap([]string{"n1"})
 	m.Split([]byte("g"))

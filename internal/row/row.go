@@ -217,6 +217,12 @@ func appendZigzag(dst []byte, v int64) []byte {
 // count is validated against the bytes present before use, so corrupt
 // or truncated input returns ErrCorrupt rather than panicking or
 // over-allocating.
+//
+// The row does not alias b: column names and string values are
+// substrings of one private copy of the payload, so a row costs one
+// string allocation however many columns it has (plus the map and the
+// boxing of its values), and keeping any one column alive keeps the
+// whole encoded row alive.
 func Decode(b []byte) (Row, error) {
 	count, n := binary.Uvarint(b)
 	// A column costs at least two bytes (name length + type tag), so a
@@ -226,6 +232,8 @@ func Decode(b []byte) (Row, error) {
 		return nil, fmt.Errorf("row: decode: bad column count: %w", ErrCorrupt)
 	}
 	b = b[n:]
+	// text mirrors b; text[len(text)-len(b):] is always what b has left.
+	text := string(b)
 	hint := count
 	if hint > 4096 {
 		hint = 4096
@@ -237,7 +245,8 @@ func Decode(b []byte) (Row, error) {
 			return nil, fmt.Errorf("row: decode: bad column name length: %w", ErrCorrupt)
 		}
 		b = b[n:]
-		name := string(b[:nameLen])
+		at := len(text) - len(b)
+		name := text[at : at+int(nameLen)]
 		b = b[nameLen:]
 		if len(b) == 0 {
 			return nil, fmt.Errorf("row: decode: missing value tag for %q: %w", name, ErrCorrupt)
@@ -251,7 +260,8 @@ func Decode(b []byte) (Row, error) {
 				return nil, fmt.Errorf("row: decode: bad string length for %q: %w", name, ErrCorrupt)
 			}
 			b = b[n:]
-			r[name] = string(b[:slen])
+			at := len(text) - len(b)
+			r[name] = text[at : at+int(slen)]
 			b = b[slen:]
 		case valInt:
 			v, n, err := readZigzag(b)
@@ -300,17 +310,22 @@ func readZigzag(b []byte) (int64, int, error) {
 	return int64(u>>1) ^ -int64(u&1), n, nil
 }
 
-// EncodeKey builds an order-preserving key from the named columns of r.
+// EncodeKey builds an order-preserving key from the named columns of
+// r, widening each value as Normalize does. The key is built in one
+// buffer, sized for the common short key and grown only by a long one.
 func EncodeKey(r Row, cols []string) ([]byte, error) {
-	vals := make([]any, len(cols))
-	for i, c := range cols {
+	key := make([]byte, 0, 48)
+	for _, c := range cols {
 		v, ok := r[c]
 		if !ok {
 			return nil, fmt.Errorf("row: key column %q missing from row", c)
 		}
-		vals[i] = v
+		var err error
+		if key, err = keycodec.Append(key, Normalize(v)); err != nil {
+			return nil, err
+		}
 	}
-	return keycodec.Encode(vals...)
+	return key, nil
 }
 
 // Project returns a new row with only the named columns (all columns

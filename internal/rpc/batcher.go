@@ -14,12 +14,13 @@ const DefaultMaxBatch = 128
 // same (address, method) pair into a single MethodBatch round-trip.
 //
 // It uses the leader/follower discipline of group commit rather than a
-// timer: the first caller to find no flush in progress for its key
-// becomes the leader and sends immediately, and every call that
-// arrives while that flight is outstanding is packed into the next
-// envelope. A call that finds nothing to share travels unwrapped, so
-// sequential traffic has zero added latency and an unchanged wire
-// shape; batching kicks in exactly when concurrency makes it pay.
+// timer: a call that finds no flight outstanding for its key goes
+// straight through to the next transport — unwrapped, with nothing
+// allocated for it — and every call that arrives while that flight is
+// outstanding is packed into the next envelope, which the first caller
+// sends before it returns. Sequential traffic therefore has zero added
+// latency and an unchanged wire shape; batching kicks in exactly when
+// concurrency makes it pay.
 //
 // Batches are homogeneous per method so transport-level failure
 // modelling (for example LocalTransport.SetApplyDown severing only
@@ -44,9 +45,18 @@ type batchKey struct {
 	method string
 }
 
+// maxIdleBatchQueues bounds how many keys keep their queue while idle.
+// Past it an idle key's queue is dropped, as addresses of nodes that
+// restarted elsewhere or were decommissioned would otherwise stay for
+// the Batcher's lifetime.
+const maxIdleBatchQueues = 1024
+
+// batchQueue is one key's coalescing state. Queues are made on a key's
+// first call and kept while there are few of them: there is one per
+// (node, method), and the solo path must not allocate.
 type batchQueue struct {
-	calls  []*batchCall
-	leader bool
+	calls  []*batchCall // followers waiting for the leader's next envelope
+	leader bool         // a caller is in flight on this key and will pick up calls
 }
 
 type batchCall struct {
@@ -100,17 +110,16 @@ func (b *Batcher) Call(addr string, req Request) (Response, error) {
 		return b.next.Call(addr, req)
 	}
 	key := batchKey{addr: addr, method: req.Method}
-	c := &batchCall{req: req, done: make(chan struct{})}
-
 	b.mu.Lock()
 	q := b.pending[key]
 	if q == nil {
 		q = &batchQueue{}
 		b.pending[key] = q
 	}
-	q.calls = append(q.calls, c)
 	if q.leader {
-		// A leader is flushing this key; it will pick us up.
+		// A leader is in flight on this key; it will pick us up.
+		c := &batchCall{req: req, done: make(chan struct{})}
+		q.calls = append(q.calls, c)
 		b.mu.Unlock()
 		<-c.done
 		return c.resp, c.err
@@ -118,15 +127,18 @@ func (b *Batcher) Call(addr string, req Request) (Response, error) {
 	q.leader = true
 	b.mu.Unlock()
 
+	resp, err := b.next.Call(addr, req)
 	for {
 		b.mu.Lock()
 		batch := q.calls
 		q.calls = nil
 		if len(batch) == 0 {
 			q.leader = false
-			delete(b.pending, key)
+			if len(b.pending) > maxIdleBatchQueues {
+				delete(b.pending, key)
+			}
 			b.mu.Unlock()
-			break
+			return resp, err
 		}
 		if max := b.maxBatch(); len(batch) > max {
 			q.calls = batch[max:]
@@ -135,8 +147,6 @@ func (b *Batcher) Call(addr string, req Request) (Response, error) {
 		b.mu.Unlock()
 		b.flush(addr, batch)
 	}
-	<-c.done
-	return c.resp, c.err
 }
 
 func (b *Batcher) flush(addr string, batch []*batchCall) {

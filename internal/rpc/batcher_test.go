@@ -142,6 +142,47 @@ func TestBatcherSequentialUnwrapped(t *testing.T) {
 	}
 }
 
+// nullTransport answers at once and allocates nothing.
+type nullTransport struct{}
+
+func (nullTransport) Call(string, Request) (Response, error) { return Response{Found: true}, nil }
+
+// TestBatcherSoloCallAllocs: a call that finds no flight on its key —
+// every call of a sequential workload, and all of point_read_hot's —
+// goes straight through: the Batcher adds no allocation to what the
+// transport under it makes.
+func TestBatcherSoloCallAllocs(t *testing.T) {
+	var next nullTransport
+	b := NewBatcher(next)
+	req := Request{Method: MethodGet, Namespace: "tbl.users", Key: []byte("k")}
+	b.Call("n1", req) // the key's queue is made once
+	direct := testing.AllocsPerRun(200, func() { next.Call("n1", req) })
+	through := testing.AllocsPerRun(200, func() {
+		if resp, err := b.Call("n1", req); err != nil || !resp.Found {
+			t.Fatalf("solo call = %+v, %v", resp, err)
+		}
+	})
+	if through != direct {
+		t.Errorf("solo Batcher.Call allocates %.0f times over the transport's %.0f, want 0 more", through-direct, direct)
+	}
+	if st := b.Stats(); st.Envelopes != 0 || st.Batched != 0 || st.Calls != 202 {
+		t.Errorf("solo calls counted as %+v, want 202 calls and no envelope", st)
+	}
+}
+
+// TestBatcherIdleQueuesBounded: addresses that are called once and
+// never again (nodes restarted elsewhere, decommissioned) do not each
+// leave a queue behind for the Batcher's lifetime.
+func TestBatcherIdleQueuesBounded(t *testing.T) {
+	b := NewBatcher(nullTransport{})
+	for i := 0; i < 3*maxIdleBatchQueues; i++ {
+		b.Call(fmt.Sprintf("node-%d", i), Request{Method: MethodGet})
+	}
+	if n := len(b.pending); n > maxIdleBatchQueues {
+		t.Errorf("%d idle queues kept, bound %d", n, maxIdleBatchQueues)
+	}
+}
+
 type failingTransport struct{ err error }
 
 func (t *failingTransport) Call(addr string, req Request) (Response, error) {

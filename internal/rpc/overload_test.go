@@ -18,7 +18,7 @@ func TestControlHeadroomUnderScanFlood(t *testing.T) {
 	dataSlots := maxConnHandlers - controlHandlerReserve
 	flood := dataSlots + 52
 
-	var blocked atomic.Int64
+	var blocked, returned atomic.Int64
 	release := make(chan struct{})
 	handler := HandlerFunc(func(req Request) Response {
 		switch req.Method {
@@ -50,6 +50,7 @@ func TestControlHeadroomUnderScanFlood(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			defer returned.Add(1)
 			resp, err := tr.Call(addr, Request{Method: MethodScan, Namespace: "ns"})
 			if err != nil {
 				errs[i] = err
@@ -59,12 +60,15 @@ func TestControlHeadroomUnderScanFlood(t *testing.T) {
 		}(i)
 	}
 
-	// Wait for the flood to occupy every data slot; everything past
-	// the bound is shed as it arrives, never parked.
+	// Wait for the flood to occupy every data slot and for the rest of
+	// it to come back: everything past the bound is shed as it arrives,
+	// never parked. (Waiting for the slots alone would let a caller the
+	// scheduler has not run yet send after release and find a slot.)
 	deadline := time.Now().Add(10 * time.Second)
-	for blocked.Load() < int64(dataSlots) {
+	for blocked.Load() < int64(dataSlots) || returned.Load() < int64(flood-dataSlots) {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d data handlers blocked", blocked.Load(), dataSlots)
+			t.Fatalf("only %d/%d data handlers blocked, %d/%d calls shed",
+				blocked.Load(), dataSlots, returned.Load(), flood-dataSlots)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -29,24 +29,36 @@ const controlHandlerReserve = 8
 // in-flight handler, which is ~ms for everything but bulk scans.
 const shedRetryAfter = 5 * time.Millisecond
 
-// serverWriteTimeout bounds one response write. It exists for the
-// half-open case — a client host that vanished without FIN/RST would
-// otherwise block handler goroutines in conn.Write forever once the
-// kernel send buffer fills, pinning up to maxConnHandlers goroutines
-// (plus the read loop) per dead connection until Server.Close. It is
-// deliberately generous: a live-but-slow client hitting it merely
-// loses the connection and redials.
+// serverWriteTimeout bounds how long a connection's response writes
+// may make no progress. It exists for the half-open case — a client
+// host that vanished without FIN/RST would otherwise block a handler
+// goroutine in conn.Write forever once the kernel send buffer fills,
+// and park the rest behind serverQueueLimit, pinning up to
+// maxConnHandlers goroutines (plus the read loop) per dead connection
+// until Server.Close. It is deliberately generous: a live-but-slow
+// client hitting it merely loses the connection and redials.
 const serverWriteTimeout = 2 * time.Minute
+
+// serverQueueLimit is how many response bytes may wait behind a write
+// in flight before further handlers park until it completes, so a peer
+// that pipelines requests without reading responses is backpressured
+// through the handler bound and TCP instead of growing the queue.
+const serverQueueLimit = 4 << 20
 
 // Server serves a Handler over TCP. Frames are dispatched to
 // concurrent handler goroutines as they arrive, so a connection with
 // many pipelined requests in flight — the normal state under the
 // multiplexed TCPTransport — is serviced in parallel and one slow
-// scan never head-of-line-blocks the calls behind it. Responses are
-// written as handlers complete, in completion order; the correlation
-// ID ties each one back to its request.
+// scan never head-of-line-blocks the calls behind it. Each handler
+// goroutine hands its response frame to the connection's framedConn as
+// it completes — writing it itself when the socket is free, combining
+// it into the next write otherwise — so responses leave in completion
+// order; the correlation ID ties each one back to its request.
 type Server struct {
 	handler Handler
+	// Each connection's writer takes these; only tests change them.
+	writeTimeout time.Duration
+	queueLimit   int
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -60,7 +72,13 @@ type Server struct {
 
 // NewServer returns a Server dispatching to handler.
 func NewServer(handler Handler) *Server {
-	return &Server{handler: handler, conns: make(map[net.Conn]struct{})}
+	return &Server{
+		handler: handler,
+		// The total stall allowance is four writeTimeouts (see framedConn).
+		writeTimeout: serverWriteTimeout / 4,
+		queueLimit:   serverQueueLimit,
+		conns:        make(map[net.Conn]struct{}),
+	}
 }
 
 // Listen starts accepting connections on addr ("host:port"; use
@@ -106,6 +124,10 @@ func (s *Server) acceptLoop(ln net.Listener) {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
+	// A failed or wedged write closes the socket, which unblocks the
+	// read loop; remaining handlers drain against the dead connection.
+	fc := newFramedConn(conn, s.writeTimeout, func(error) { conn.Close() })
+	fc.queueLimit = s.queueLimit
 	var handlers sync.WaitGroup
 	defer func() {
 		// Join in-flight handlers before releasing the connection so
@@ -113,12 +135,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		// returns, no handler goroutine is left running.
 		handlers.Wait()
 		conn.Close()
+		fc.finisher.Wait()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
 
-	var wmu sync.Mutex // serialises response frames onto the socket
 	// Two pools: data-plane handlers take from dataSem and are shed
 	// (never queued) when it is empty; control-plane probes take from
 	// ctrlSem, a reserve the data plane cannot consume. The blocking
@@ -127,24 +149,20 @@ func (s *Server) serveConn(conn net.Conn) {
 	ctrlSem := make(chan struct{}, controlHandlerReserve)
 	writeResp := func(resp *Response) {
 		bp := encodeResponseFrame(resp)
-		wmu.Lock()
-		conn.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
-		_, werr := conn.Write(*bp)
-		wmu.Unlock()
+		fc.send(*bp, time.Now())
 		putFrameBuf(bp)
-		if werr != nil {
-			// Unblock the read loop; remaining handlers drain
-			// against the closed socket.
-			conn.Close()
-		}
 	}
-	var scratch []byte // reusable: request decode detaches every retained byte
+	// A connection carries a handful of namespaces and tenants; their
+	// strings are made once, not per request.
+	names := make(map[string]string)
 	for {
-		payload, err := readFrameInto(conn, &scratch)
+		// Request decode detaches every retained byte, so the payload
+		// is only borrowed from the read buffer.
+		payload, err := fc.readBorrowed()
 		if err != nil {
 			return // EOF or broken peer
 		}
-		req, err := decodeRequest(payload)
+		req, err := decodeRequestInterning(payload, names)
 		if err != nil {
 			// A desynchronised or hostile byte stream cannot be
 			// recovered; drop the connection.
@@ -211,13 +229,13 @@ var errBrokenConn = errors.New("rpc: connection broken")
 
 // TCPTransport is a Transport over real sockets: one multiplexed
 // connection per address, with pipelined calls correlated by
-// transport-internal IDs. A single writer goroutine serialises frames
-// onto the socket and a single reader goroutine dispatches response
-// frames to the waiting callers, so any number of calls can be in
-// flight on one connection at once and responses may return in any
-// order. Per-call deadlines are enforced at the caller; a broken
-// connection fails every in-flight call with ErrUnreachable and the
-// next call redials.
+// transport-internal IDs. The calling goroutine writes its own frame
+// (or leaves it to the write already in progress: see framedConn) and
+// a single reader goroutine dispatches response frames to the waiting
+// callers, so any number of calls can be in flight on one connection
+// at once and responses may return in any order. Per-call deadlines
+// are enforced by a per-connection sweeper; a broken connection fails
+// every in-flight call with ErrUnreachable and the next call redials.
 type TCPTransport struct {
 	// Timeout bounds each call (dial + send + server processing +
 	// receive). Default 5s.
@@ -254,21 +272,22 @@ type pendingCall struct {
 	deadline time.Time
 }
 
-// muxConn is one multiplexed connection: correlation state, a write
-// queue drained by the writer goroutine, the reader goroutine matching
-// response frames to pending calls, and a deadline sweeper enforcing
-// per-call timeouts (one ticker per connection instead of one timer
-// per call keeps the per-call allocation count down).
+// muxConn is one multiplexed connection: correlation state, the framed
+// connection callers write their frames through, the reader goroutine
+// matching response frames to pending calls, and a deadline sweeper
+// enforcing per-call timeouts (one ticker per connection instead of one
+// timer per call keeps the per-call allocation count down).
 //
 // Delivery invariant: every registered pendingCall receives exactly
 // one callResult, sent by whichever of the reader (response arrived),
-// the sweeper (deadline passed), or fail (connection died) removes it
-// from the pending map under pmu. Callers therefore block on a single
-// receive, and the channel is safely poolable afterwards.
+// the sweeper (deadline passed), or fail (connection died — a write
+// error included) removes it from the pending map under pmu. Callers
+// therefore block on a single receive, and the channel is safely
+// poolable afterwards.
 type muxConn struct {
 	t    *TCPTransport
 	addr string
-	conn net.Conn
+	fc   *framedConn
 
 	nextID atomic.Uint64
 
@@ -277,8 +296,7 @@ type muxConn struct {
 	broken  bool
 	err     error // terminal error; set under pmu before closed is closed
 
-	writeCh chan *[]byte
-	closed  chan struct{}
+	closed chan struct{}
 }
 
 func (t *TCPTransport) timeout() time.Duration {
@@ -336,14 +354,24 @@ func (t *TCPTransport) dial(addr string) (*muxConn, error) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
+	return t.adopt(addr, conn)
+}
+
+// adopt pools an established connection to addr and starts its reader
+// and sweeper. A caller's own write is cut short at the call timeout;
+// a write stalled four times that long is a wedged socket and fails
+// the connection. The allowance is deliberately a multiple of the call
+// timeout: a peer that is slow to drain its socket is not dead, and
+// tearing the shared multiplexed connection down would spuriously fail
+// every in-flight call on it.
+func (t *TCPTransport) adopt(addr string, conn net.Conn) (*muxConn, error) {
 	c := &muxConn{
 		t:       t,
 		addr:    addr,
-		conn:    conn,
 		pending: make(map[uint64]pendingCall),
-		writeCh: make(chan *[]byte, 256),
 		closed:  make(chan struct{}),
 	}
+	c.fc = newFramedConn(conn, t.timeout(), func(err error) { c.fail(fmt.Errorf("send: %v", err)) })
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -359,7 +387,6 @@ func (t *TCPTransport) dial(addr string) (*muxConn, error) {
 	t.conns[addr] = c
 	t.mu.Unlock()
 	go c.readLoop()
-	go c.writeLoop(t.timeout())
 	go c.sweepLoop(sweepInterval(t.timeout()))
 	return c, nil
 }
@@ -378,60 +405,34 @@ func sweepInterval(timeout time.Duration) time.Duration {
 	return iv
 }
 
-// do runs one call on this connection: register a correlation ID,
-// enqueue the encoded frame, await the single result the delivery
-// invariant guarantees.
+// do runs one call on this connection: encode the frame under a fresh
+// correlation ID, register the call, send the frame, await the single
+// result the delivery invariant guarantees. The sweeper bounds the
+// wait: if the response never arrives, or the frame never leaves
+// because the peer stopped reading, the call's deadline expires and
+// the sweeper delivers the timeout.
 func (c *muxConn) do(req *Request, timeout time.Duration) (Response, error) {
-	id := c.nextID.Add(1)
+	wireReq := *req
+	wireReq.ID = c.nextID.Add(1)
+	bp, err := encodeRequestFrame(&wireReq)
+	if err != nil {
+		return Response{}, err // semantic failure: payload too big for the wire
+	}
+	now := time.Now()
 	ch := resultChanPool.Get().(chan callResult)
 	c.pmu.Lock()
 	if c.broken {
 		err := c.err
 		c.pmu.Unlock()
 		resultChanPool.Put(ch)
+		putFrameBuf(bp)
 		return Response{}, err
 	}
-	c.pending[id] = pendingCall{ch: ch, deadline: time.Now().Add(timeout)}
+	c.pending[wireReq.ID] = pendingCall{ch: ch, deadline: now.Add(timeout)}
 	c.pmu.Unlock()
 
-	wireReq := *req
-	wireReq.ID = id
-	bp, err := encodeRequestFrame(&wireReq)
-	if err != nil {
-		// Semantic failure (payload too big for the wire): resolve our
-		// own pending entry if nothing else already has.
-		c.pmu.Lock()
-		_, mine := c.pending[id]
-		if mine {
-			delete(c.pending, id)
-		}
-		c.pmu.Unlock()
-		if !mine {
-			// fail() raced us and delivered; drain so the channel is
-			// empty before pooling.
-			<-ch
-		}
-		resultChanPool.Put(ch)
-		return Response{}, err
-	}
-
-	select {
-	case c.writeCh <- bp:
-	case <-c.closed:
-		// fail() already delivered (or is delivering) this call's
-		// result; fall through to the receive.
-		putFrameBuf(bp)
-	case res := <-ch:
-		// The write queue stayed full past this call's deadline (peer
-		// backpressure) and the sweeper delivered the timeout while we
-		// were still parked on the enqueue — without this arm the call
-		// would overstay its Timeout for as long as the queue is full.
-		putFrameBuf(bp)
-		resultChanPool.Put(ch)
-		return res.resp, res.err
-	}
-	// The sweeper bounds this wait: if the response never arrives the
-	// call's deadline expires and the sweeper delivers the timeout.
+	c.fc.send(*bp, now)
+	putFrameBuf(bp)
 	res := <-ch
 	resultChanPool.Put(ch)
 	return res.resp, res.err
@@ -462,7 +463,7 @@ func (c *muxConn) fail(cause error) {
 		pc.ch <- callResult{err: err}
 	}
 	close(c.closed)
-	c.conn.Close()
+	c.fc.conn.Close()
 	c.t.remove(c.addr, c)
 }
 
@@ -505,38 +506,13 @@ func (t *TCPTransport) remove(addr string, c *muxConn) {
 	t.mu.Unlock()
 }
 
-// writeLoop is the connection's single writer: it drains the frame
-// queue onto the socket. The write deadline is deliberately a
-// multiple of the call timeout: a peer whose read loop is briefly
-// saturated (maxConnHandlers slow handlers — the server's intended
-// TCP backpressure) stalls writes without being dead, and tearing the
-// shared multiplexed connection down would spuriously fail every
-// in-flight call on it. Only a stall long past any call's deadline is
-// treated as a wedged socket.
-func (c *muxConn) writeLoop(timeout time.Duration) {
-	for {
-		select {
-		case bp := <-c.writeCh:
-			c.conn.SetWriteDeadline(time.Now().Add(4 * timeout))
-			_, err := c.conn.Write(*bp)
-			putFrameBuf(bp)
-			if err != nil {
-				c.fail(fmt.Errorf("send: %v", err))
-				return
-			}
-		case <-c.closed:
-			return
-		}
-	}
-}
-
 // readLoop is the connection's single reader: it decodes response
 // frames and hands each to the caller registered under its
 // correlation ID. Responses without a waiter (the caller timed out)
 // are dropped.
 func (c *muxConn) readLoop() {
 	for {
-		payload, err := readFrame(c.conn)
+		payload, err := c.fc.readOwned()
 		if err != nil {
 			c.fail(fmt.Errorf("receive: %v", err))
 			return

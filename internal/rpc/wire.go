@@ -26,27 +26,31 @@ package rpc
 //     is copied into one per-request arena sized from the frame, so
 //     handlers — and the storage engine behind them, which retains
 //     applied records in the memtable and apply log — own what they
-//     keep, and the server can reuse a single per-connection read
-//     buffer across frames. Cost: one arena allocation per request,
-//     regardless of how many records it carries.
+//     keep, and the server decodes each frame in place in its
+//     connection's read buffer, which the next read overwrites. Cost:
+//     one arena allocation per request that carries any bytes,
+//     regardless of how many records; namespace and tenant strings
+//     come from a per-connection intern table.
 //
 //   - Responses (decoded by the client) ALIAS their frame buffer (one
-//     exactly-sized allocation per frame, never pooled), so a scan
-//     page of N records costs O(1) allocations. Coordinator-side
-//     consumers are transient: anything retained beyond the call is
-//     copied at a higher layer (rows decode into fresh maps,
-//     migration re-encodes records onward, caches clone).
+//     exactly-sized allocation per frame, copied out of the read
+//     buffer and never pooled), so a scan page of N records costs O(1)
+//     allocations. Coordinator-side consumers are transient: anything
+//     retained beyond the call is copied at a higher layer (rows
+//     decode into fresh maps, migration re-encodes records onward,
+//     caches clone).
 //
 // Encoding buffers are pooled: an encoded frame is built — length
 // prefix included — in a single reusable buffer and handed to the
-// socket in one write. Oversized buffers are dropped instead of
-// pooled so one huge frame cannot pin its capacity forever.
+// connection's writer (framed.go), which puts it on the socket alone
+// or together with the frames queued behind a write in flight.
+// Oversized buffers are dropped instead of pooled so one huge frame
+// cannot pin its capacity forever.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"scads/internal/record"
@@ -165,20 +169,33 @@ func appendVarint(dst []byte, v int64) []byte {
 }
 
 // wireReader walks a frame buffer. Every accessor validates lengths
-// against the bytes remaining before touching them. With a non-nil
-// arena, byte fields are copied into it (detached from b); otherwise
-// they alias b. The arena is pre-sized to the frame, and the total
-// copied can never exceed the frame, so it never reallocates.
+// against the bytes remaining before touching them. When detaching,
+// byte fields are copied into an arena; otherwise they alias b. The
+// arena is made at the first field that needs it (a ping never does),
+// sized to that field plus everything still unread, and the total
+// copied after that point can never exceed it, so it never
+// reallocates.
 type wireReader struct {
-	b     []byte
-	arena []byte
+	b         []byte
+	detaching bool
+	arena     []byte
+	// names, when non-nil, interns namespace and tenant strings: the
+	// server's per-connection table of the few it keeps seeing.
+	names map[string]string
 }
 
-// detach copies v into the arena when one is set; otherwise returns v
+// maxInternedNames bounds a connection's intern table, so a peer
+// cycling through names cannot grow it.
+const maxInternedNames = 64
+
+// detach copies v into the arena when detaching; otherwise returns v
 // (an alias of the frame) unchanged.
 func (r *wireReader) detach(v []byte) []byte {
-	if r.arena == nil || v == nil {
+	if !r.detaching || v == nil {
 		return v
+	}
+	if r.arena == nil {
+		r.arena = make([]byte, 0, len(v)+len(r.b))
 	}
 	start := len(r.arena)
 	r.arena = append(r.arena, v...)
@@ -246,6 +263,23 @@ func (r *wireReader) blob() ([]byte, error) {
 func (r *wireReader) str() (string, error) {
 	b, err := r.rawBlob()
 	return string(b), err
+}
+
+// name is str for the fields that repeat from request to request: with
+// an intern table, a string seen before is returned without a copy.
+func (r *wireReader) name() (string, error) {
+	b, err := r.rawBlob()
+	if r.names == nil || err != nil {
+		return string(b), err
+	}
+	if s, ok := r.names[string(b)]; ok {
+		return s, nil
+	}
+	s := string(b)
+	if len(r.names) < maxInternedNames {
+		r.names[s] = s
+	}
+	return s, nil
 }
 
 // Minimum encoded size per element type: what each costs on the wire
@@ -358,10 +392,10 @@ func readRequest(r *wireReader, depth int, req *Request) error {
 	if req.Method, err = readMethod(r); err != nil {
 		return err
 	}
-	if req.Namespace, err = r.str(); err != nil {
+	if req.Namespace, err = r.name(); err != nil {
 		return err
 	}
-	if req.Tenant, err = r.str(); err != nil {
+	if req.Tenant, err = r.name(); err != nil {
 		return err
 	}
 	if req.Key, err = r.blob(); err != nil {
@@ -461,9 +495,11 @@ func readRecords(r *wireReader) ([]record.Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: record %d: %v", errCorruptFrame, i, err)
 		}
-		r.b = rest
+		// Detach before advancing: a first-use arena is sized from
+		// r.b, which must still cover this record's value.
 		rec.Key = r.detach(rec.Key)
 		rec.Value = r.detach(rec.Value)
+		r.b = rest
 		recs = append(recs, rec)
 	}
 	return recs, nil
@@ -577,16 +613,19 @@ func checkFramePayload(b []byte) ([]byte, error) {
 	return b[1:], nil
 }
 
-// decodeRequest decodes one frame payload (version byte included)
-// into a Request. Byte fields are detached into a per-request arena
-// (see the package ownership rules above): handlers retain what they
-// like and the caller may reuse b for the next frame.
-func decodeRequest(b []byte) (Request, error) {
+// decodeRequestInterning decodes one frame payload (version byte
+// included) into a Request. Byte fields are detached into a
+// per-request arena (see the package ownership rules above): handlers
+// retain what they like and the caller may reuse b for the next frame.
+// Namespace and tenant strings are taken from (and added to) names
+// when it is non-nil; the caller owns it and must not share it between
+// goroutines.
+func decodeRequestInterning(b []byte, names map[string]string) (Request, error) {
 	msg, err := checkFramePayload(b)
 	if err != nil {
 		return Request{}, err
 	}
-	r := wireReader{b: msg, arena: make([]byte, 0, len(msg))}
+	r := wireReader{b: msg, detaching: true, names: names}
 	var req Request
 	if err := readRequest(&r, 0, &req); err != nil {
 		return Request{}, err
@@ -667,53 +706,4 @@ func encodeResponseFrameLimit(resp *Response, limit int) *[]byte {
 		*bp = b
 	}
 	return bp
-}
-
-// readFrame reads one length-prefixed frame payload from rd. The
-// returned buffer is exactly sized and owned by the caller (decoded
-// responses alias it), so it is never pooled.
-func readFrame(rd io.Reader) ([]byte, error) {
-	n, err := readFrameLen(rd)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(rd, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// readFrameInto is readFrame against a reusable buffer, for the
-// server side where request decode detaches every retained byte: buf
-// grows to the largest frame the connection has carried and is reused
-// for the next one.
-func readFrameInto(rd io.Reader, buf *[]byte) ([]byte, error) {
-	n, err := readFrameLen(rd)
-	if err != nil {
-		return nil, err
-	}
-	if cap(*buf) < n {
-		*buf = make([]byte, n)
-	}
-	b := (*buf)[:n]
-	if _, err := io.ReadFull(rd, b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-func readFrameLen(rd io.Reader) (int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-		return 0, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 {
-		return 0, fmt.Errorf("%w: zero-length frame", errCorruptFrame)
-	}
-	if n > maxFrameSize {
-		return 0, fmt.Errorf("%w: frame length %d exceeds limit %d", errCorruptFrame, n, maxFrameSize)
-	}
-	return int(n), nil
 }

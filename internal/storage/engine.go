@@ -171,11 +171,10 @@ func Open(opts Options) (*Engine, error) {
 }
 
 // Namespace returns the named namespace, creating (or recovering) it on
-// first use.
+// first use. The name is validated only on that first use: every
+// data-plane request to the node comes through here, and an open
+// namespace's name has passed the check already.
 func (e *Engine) Namespace(name string) (*Namespace, error) {
-	if !namespaceNameRE.MatchString(name) {
-		return nil, fmt.Errorf("storage: invalid namespace name %q", name)
-	}
 	e.mu.RLock()
 	ns, ok := e.namespaces[name]
 	closed := e.closed
@@ -187,6 +186,9 @@ func (e *Engine) Namespace(name string) (*Namespace, error) {
 		return ns, nil
 	}
 
+	if !namespaceNameRE.MatchString(name) {
+		return nil, fmt.Errorf("storage: invalid namespace name %q", name)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"regexp"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -60,6 +61,34 @@ func TestInvalidNamespaceName(t *testing.T) {
 		if _, err := e.Namespace(good); err != nil {
 			t.Errorf("Namespace(%q) rejected: %v", good, err)
 		}
+	}
+}
+
+// TestNamespaceHitSkipsNameCheck: every data-plane request resolves
+// its namespace, so a hit on an open one must cost a map lookup and no
+// more. With the name pattern swapped for one nothing matches, a hit
+// still succeeds — the check is not on that path — and allocates
+// nothing, while a first use is still validated.
+func TestNamespaceHitSkipsNameCheck(t *testing.T) {
+	e := openTest(t, "")
+	defer e.Close()
+	want, err := e.Namespace("users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := namespaceNameRE
+	namespaceNameRE = regexp.MustCompile(`^\z.`)
+	defer func() { namespaceNameRE = saved }()
+
+	if allocs := testing.AllocsPerRun(100, func() {
+		if ns, err := e.Namespace("users"); err != nil || ns != want {
+			t.Fatalf("hit on an open namespace = %p, %v; want %p", ns, err, want)
+		}
+	}); allocs != 0 {
+		t.Errorf("hit on an open namespace allocates %.1f times, want 0", allocs)
+	}
+	if _, err := e.Namespace("friends"); err == nil {
+		t.Error("first use of a namespace skipped the name check")
 	}
 }
 

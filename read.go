@@ -36,7 +36,7 @@ func (c *Cluster) GetSession(table string, pk row.Row, sess *session.Session) (r
 }
 
 func (c *Cluster) getSession(table string, pk row.Row, sess *session.Session) (row.Row, bool, error) {
-	t, err := c.tableDef(table)
+	t, ns, err := c.tableDef(table)
 	if err != nil {
 		return nil, false, err
 	}
@@ -44,7 +44,6 @@ func (c *Cluster) getSession(table string, pk row.Row, sess *session.Session) (r
 	if err != nil {
 		return nil, false, err
 	}
-	ns := planner.TableNamespace(table)
 	m, ok := c.router.Map(ns)
 	if !ok {
 		return nil, false, fmt.Errorf("scads: no partition map for %s", ns)
@@ -146,11 +145,10 @@ func (c *Cluster) getMulti(table string, pks []row.Row) ([]row.Row, []bool, erro
 	if len(pks) == 0 {
 		return nil, nil, nil
 	}
-	t, err := c.tableDef(table)
+	t, ns, err := c.tableDef(table)
 	if err != nil {
 		return nil, nil, err
 	}
-	ns := planner.TableNamespace(table)
 	m, ok := c.router.Map(ns)
 	if !ok {
 		return nil, nil, fmt.Errorf("scads: no partition map for %s", ns)
@@ -243,7 +241,7 @@ func (c *Cluster) observeOwnWrite(table string, pk row.Row, sess *session.Sessio
 	if sess == nil || version == 0 {
 		return
 	}
-	t, err := c.tableDef(table)
+	t, _, err := c.tableDef(table)
 	if err != nil {
 		return
 	}

@@ -281,7 +281,7 @@ func TestRepairHammerCrashRecovery(t *testing.T) {
 					m, _ := lc.Router().Map(ns)
 					key := []byte(nil)
 					{
-						tdef, _ := lc.tableDef("users")
+						tdef, _, _ := lc.tableDef("users")
 						key, _ = pkKey(tdef, Row{"id": id})
 					}
 					rng := m.Lookup(key)
@@ -429,7 +429,7 @@ func TestGetAllReplicasStale(t *testing.T) {
 // given id (tracker staleness bookkeeping needs a real enqueue).
 func recordFor(t *testing.T, lc *LocalCluster, id string) record.Record {
 	t.Helper()
-	tdef, err := lc.tableDef("users")
+	tdef, _, err := lc.tableDef("users")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,6 +164,7 @@ type Cluster struct {
 
 	mu       sync.RWMutex
 	schema   *query.Schema
+	tableNS  map[string]string // table name -> storage namespace, set with schema
 	analysis map[string]*analyzer.Result
 	plans    *planner.Output
 	views    *view.Engine

@@ -45,8 +45,10 @@ func (c *Cluster) DefineSchema(ddl string) error {
 		nodeIDs[i] = m.ID
 	}
 	namespaces := make([]string, 0, len(schema.TableOrder)+len(plans.Indexes))
+	tableNS := make(map[string]string, len(schema.TableOrder))
 	for _, t := range schema.TableOrder {
-		namespaces = append(namespaces, planner.TableNamespace(t))
+		tableNS[t] = planner.TableNamespace(t)
+		namespaces = append(namespaces, tableNS[t])
 	}
 	for _, def := range plans.Indexes {
 		namespaces = append(namespaces, def.Namespace)
@@ -74,6 +76,7 @@ func (c *Cluster) DefineSchema(ddl string) error {
 	}
 
 	c.schema = schema
+	c.tableNS = tableNS
 	c.analysis = results
 	c.plans = plans
 	c.views = view.NewEngine(schema, plans.Indexes, &coordStore{c})
@@ -185,7 +188,7 @@ func (c *Cluster) SplitTable(table string, values ...any) error {
 		return fmt.Errorf("scads: no partition map for %s", ns)
 	}
 	for _, v := range values {
-		key, err := row.EncodeKey(row.Row{"_": row.Normalize(v)}, []string{"_"})
+		key, err := row.EncodeKey(row.Row{"_": v}, []string{"_"})
 		if err != nil {
 			return err
 		}
@@ -204,7 +207,7 @@ func (c *Cluster) AssignRange(table string, value any, replicas []string) error 
 	if !ok {
 		return fmt.Errorf("scads: no partition map for %s", ns)
 	}
-	key, err := row.EncodeKey(row.Row{"_": row.Normalize(value)}, []string{"_"})
+	key, err := row.EncodeKey(row.Row{"_": value}, []string{"_"})
 	if err != nil {
 		return err
 	}

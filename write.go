@@ -48,9 +48,8 @@ func (c *Cluster) admitWrite(table string, pk row.Row, tenant string, cost float
 	if err == nil {
 		return release, nil
 	}
-	if t, terr := c.tableDef(table); terr == nil {
+	if t, ns, terr := c.tableDef(table); terr == nil {
 		if key, kerr := pkKey(t, pk); kerr == nil {
-			ns := planner.TableNamespace(table)
 			if m, ok := c.router.Map(ns); ok {
 				c.loads.Record(ns, m.Lookup(key).Start, key)
 			}
@@ -90,8 +89,7 @@ func (c *Cluster) insertBatch(table string, rows []row.Row) error {
 	// (not Insert), so the batch is never double-charged.
 	release, err := c.admit("", admission.OpWrite, float64(len(rows)))
 	if err != nil {
-		if t, terr := c.tableDef(table); terr == nil {
-			ns := planner.TableNamespace(table)
+		if t, ns, terr := c.tableDef(table); terr == nil {
 			if m, ok := c.router.Map(ns); ok {
 				for _, r := range rows {
 					if key, kerr := pkKey(t, r); kerr == nil {
@@ -103,7 +101,7 @@ func (c *Cluster) insertBatch(table string, rows []row.Row) error {
 		return err
 	}
 	defer release()
-	t, err := c.tableDef(table)
+	t, ns, err := c.tableDef(table)
 	if err != nil {
 		return err
 	}
@@ -118,7 +116,6 @@ func (c *Cluster) insertBatch(table string, rows []row.Row) error {
 		}
 		return nil
 	}
-	ns := planner.TableNamespace(table)
 	m, ok := c.router.Map(ns)
 	if !ok {
 		return fmt.Errorf("scads: no partition map for %s", ns)
@@ -253,7 +250,7 @@ func (c *Cluster) updateFunc(table string, pk row.Row, fn func(cur row.Row) (row
 		return err
 	}
 	defer release()
-	t, err := c.tableDef(table)
+	t, ns, err := c.tableDef(table)
 	if err != nil {
 		return err
 	}
@@ -261,7 +258,6 @@ func (c *Cluster) updateFunc(table string, pk row.Row, fn func(cur row.Row) (row
 	if err != nil {
 		return err
 	}
-	ns := planner.TableNamespace(table)
 	return c.serializer.Do(ns, key, func() error {
 		cur, _, err := c.readRow(ns, key)
 		if err != nil {
@@ -309,7 +305,7 @@ func (c *Cluster) deleteAs(table string, pk row.Row, tenant string) (uint64, err
 }
 
 func (c *Cluster) delete(table string, pk row.Row) (uint64, error) {
-	t, err := c.tableDef(table)
+	t, ns, err := c.tableDef(table)
 	if err != nil {
 		return 0, err
 	}
@@ -317,7 +313,6 @@ func (c *Cluster) delete(table string, pk row.Row) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ns := planner.TableNamespace(table)
 	var ver uint64
 	err = c.serializer.Do(ns, key, func() error {
 		cur, _, err := c.readRow(ns, key)
@@ -343,7 +338,7 @@ const (
 // then the common apply path. It returns the version assigned to the
 // write.
 func (c *Cluster) write(table string, r row.Row, _ writeKind) (uint64, error) {
-	t, err := c.tableDef(table)
+	t, ns, err := c.tableDef(table)
 	if err != nil {
 		return 0, err
 	}
@@ -355,7 +350,6 @@ func (c *Cluster) write(table string, r row.Row, _ writeKind) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ns := planner.TableNamespace(table)
 	spec := c.specFor(table)
 
 	switch spec.Write {
@@ -662,18 +656,19 @@ func (h *maintHeap) Pop() any {
 	return t
 }
 
-// tableDef resolves a table by name.
-func (c *Cluster) tableDef(table string) (*query.TableDef, error) {
+// tableDef resolves a table by name to its definition and its storage
+// namespace (the string DefineSchema built once, not a fresh one).
+func (c *Cluster) tableDef(table string) (*query.TableDef, string, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.schema == nil {
-		return nil, ErrNoSchema
+		return nil, "", ErrNoSchema
 	}
 	t, ok := c.schema.Tables[table]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownTable, table)
+		return nil, "", fmt.Errorf("%w: %q", ErrUnknownTable, table)
 	}
-	return t, nil
+	return t, c.tableNS[table], nil
 }
 
 // normalizeRow widens literal types and validates against the table's
@@ -703,13 +698,5 @@ func (c *Cluster) normalizeRow(t *query.TableDef, r row.Row) (row.Row, error) {
 // pkKey builds the storage key from a row containing the primary key
 // columns.
 func pkKey(t *query.TableDef, r row.Row) ([]byte, error) {
-	norm := make(row.Row, len(t.PrimaryKey))
-	for _, pk := range t.PrimaryKey {
-		v, ok := r[pk]
-		if !ok {
-			return nil, fmt.Errorf("scads: primary key column %q missing", pk)
-		}
-		norm[pk] = row.Normalize(v)
-	}
-	return row.EncodeKey(norm, t.PrimaryKey)
+	return row.EncodeKey(r, t.PrimaryKey)
 }
