@@ -1,7 +1,8 @@
 // bench_test.go regenerates every figure and table of the paper as Go
 // benchmarks. Each BenchmarkE<n> corresponds to one row of the
-// EXPERIMENTS.md index; key measured quantities are emitted through
-// b.ReportMetric so `go test -bench` output records the reproduction.
+// cmd/scads-bench/README.md index; key measured quantities are emitted
+// through b.ReportMetric so `go test -bench` output records the
+// reproduction.
 //
 //	Figure 1  -> BenchmarkE1AnimotoScaleUp
 //	Figure 2  -> BenchmarkE2FeedbackLoop (+ reactive ablation)
@@ -75,7 +76,7 @@ func BenchmarkE1AnimotoScaleUp(b *testing.B) {
 
 // BenchmarkE2FeedbackLoop measures the Figure 2 loop's reaction to a
 // 4x load step: the model-driven director versus the reactive
-// baseline (ablation for design decision #2 in DESIGN.md).
+// baseline (the ablation of the director described in ARCHITECTURE.md).
 func BenchmarkE2FeedbackLoop(b *testing.B) {
 	svc := paperService()
 	stepAt := t0.Add(2 * time.Hour)

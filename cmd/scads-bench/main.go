@@ -1,5 +1,5 @@
 // Command scads-bench regenerates every figure and table of the SCADS
-// paper (see EXPERIMENTS.md). Each experiment prints the series or
+// paper (see README.md beside this file). Each experiment prints the series or
 // table the paper reports, produced by the real system components.
 //
 // Usage:

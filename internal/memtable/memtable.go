@@ -147,22 +147,6 @@ func (m *Memtable) Scan(start, end []byte, fn func(record.Record) bool) {
 	}
 }
 
-// ScanReverse visits records with start <= key < end in descending
-// order. The skiplist is singly linked, so this materialises the range
-// first; it is used only by bounded (LIMIT-constrained) plans.
-func (m *Memtable) ScanReverse(start, end []byte, fn func(record.Record) bool) {
-	var recs []record.Record
-	m.Scan(start, end, func(r record.Record) bool {
-		recs = append(recs, r)
-		return true
-	})
-	for i := len(recs) - 1; i >= 0; i-- {
-		if !fn(recs[i]) {
-			return
-		}
-	}
-}
-
 // All returns every record in ascending key order. Used when flushing
 // to an SSTable.
 func (m *Memtable) All() []record.Record {

@@ -109,21 +109,6 @@ func TestScanEarlyStop(t *testing.T) {
 	}
 }
 
-func TestScanReverse(t *testing.T) {
-	m := New(1)
-	for i := 0; i < 5; i++ {
-		m.Put(rec(fmt.Sprintf("k%d", i), "v", 1))
-	}
-	var got []string
-	m.ScanReverse([]byte("k1"), []byte("k4"), func(r record.Record) bool {
-		got = append(got, string(r.Key))
-		return true
-	})
-	if fmt.Sprint(got) != fmt.Sprint([]string{"k3", "k2", "k1"}) {
-		t.Fatalf("ScanReverse = %v", got)
-	}
-}
-
 func TestLenAndBytes(t *testing.T) {
 	m := New(1)
 	if m.Len() != 0 || m.Bytes() != 0 {

@@ -10,21 +10,22 @@ import (
 	"scads/internal/record"
 )
 
-// ErrMergeCanceled is returned by Merge when MergeOptions.Cancel
-// reported cancellation; the partially written output is removed.
+// ErrMergeCanceled is the error of a merge whose MergeOptions.Cancel
+// reported cancellation; Merge removes the partially written output.
 var ErrMergeCanceled = errors.New("sstable: merge canceled")
 
-// MergeOptions configure a compaction.
+// MergeOptions configure a merge: a scan or a compaction.
 type MergeOptions struct {
-	// DropTombstones removes deletion markers from the output. Only
-	// safe for a full (major) compaction where no older table could
-	// still hold a value the tombstone shadows.
+	// DropTombstones removes deletion markers from the output. In a
+	// compaction it is only safe for a full (major) one, where no older
+	// table could still hold a value the tombstone shadows; a scan of
+	// the whole stack sets it to see live records only.
 	DropTombstones bool
 	// Drop, when set, excludes a source record from the merge entirely
-	// (before conflict resolution, as if the source table never held
-	// it). src is the index into the sources slice. The storage engine
-	// uses this to resolve pending range truncations at compaction
-	// time.
+	// (before conflict resolution, as if the source never held it). src
+	// is the index into the sources slice. The storage engine uses this
+	// to hide pending range truncations from scans and to resolve them
+	// at compaction time.
 	Drop func(src int, rec record.Record) bool
 	// RateLimitBytesPerSec throttles the merge's input byte rate so a
 	// background compaction cannot monopolise the disk while
@@ -41,100 +42,206 @@ type MergeOptions struct {
 	Cancel func() bool
 }
 
-// Merge compacts the given tables into a single new table at outPath.
-// When the same key appears in multiple inputs, the record from the
-// lower-numbered (newer) source wins ties after last-write-wins
-// version comparison. Inputs must each be internally sorted; sources
-// are ordered newest first, matching the storage engine's table stack.
-func Merge(outPath string, opts MergeOptions, sources ...*Reader) (*Reader, error) {
+// Source is one sorted input of a MergeIter: a key range of a table,
+// read one block at a time, or a sorted slice held in memory.
+type Source struct {
+	recs []record.Record // the in-range records of the current block, or the slice
+	pos  int
+	idx  int // position among the merge's sources; lower is newer
+
+	r          *Reader // nil for a slice
+	block      int     // next block to read
+	start, end []byte
+	cached     bool
+}
+
+// Slice returns a Source over recs, which must be in ascending key
+// order.
+func Slice(recs []record.Record) Source { return Source{recs: recs} }
+
+// Range returns a Source over the records of r with start <= key < end
+// (a nil bound is open). cached reads go through the attached block
+// cache, for foreground scans; a compaction is a one-shot sequential
+// sweep and passes false so that it cannot wash hot blocks out of the
+// shared cache. No block is read until the source is merged.
+func (r *Reader) Range(start, end []byte, cached bool) Source {
+	s := Source{r: r, start: start, end: end, cached: cached}
+	if start != nil {
+		s.block = r.blockFor(start)
+	}
+	return s
+}
+
+// fill makes recs[pos] the source's next record, reading blocks as
+// needed, and reports false once the source is exhausted.
+func (s *Source) fill() (bool, error) {
+	for s.pos >= len(s.recs) {
+		if s.r == nil || s.block >= len(s.r.index) {
+			return false, nil
+		}
+		recs, err := s.r.readBlock(s.block, s.cached)
+		if err != nil {
+			return false, err
+		}
+		s.block++
+		if s.start != nil {
+			recs = recs[keyIndex(recs, s.start):]
+			s.start = nil // later blocks lie past the lower bound
+		}
+		if n := len(recs); s.end != nil && n > 0 && bytes.Compare(recs[n-1].Key, s.end) >= 0 {
+			recs = recs[:keyIndex(recs, s.end)]
+			s.block = len(s.r.index)
+		}
+		s.recs, s.pos = recs, 0
+	}
+	return true, nil
+}
+
+// MergeIter is the engine's one k-way merge: it yields the records of
+// its sources in ascending key order, one per key. When a key appears in
+// several sources the last-write-wins version comparison picks the
+// record, and equal records resolve to the lower-numbered source —
+// sources are ordered newest first, matching the storage engine's
+// memtable-then-table stack. Blocks are read only as the iterator
+// advances, so a consumer that stops early pays for what it consumed.
+type MergeIter struct {
+	opts        MergeOptions
+	limiter     rateLimiter
+	heap        sourceHeap // sources with a current record, least (key, idx) first
+	pending     record.Record
+	havePending bool
+	err         error
+}
+
+// NewMergeIter returns the merge of sources, which it keeps and
+// advances in place.
+func NewMergeIter(opts MergeOptions, sources ...Source) *MergeIter {
+	m := &MergeIter{
+		opts:    opts,
+		limiter: newRateLimiter(opts.RateLimitBytesPerSec, opts.Clock),
+		heap:    make(sourceHeap, 0, len(sources)),
+	}
+	for i := range sources {
+		s := &sources[i]
+		s.idx = i
+		ok, err := s.fill()
+		if err != nil {
+			m.err = err
+			return m
+		}
+		if ok {
+			m.heap = append(m.heap, s)
+		}
+	}
+	heap.Init(&m.heap)
+	return m
+}
+
+// Next returns the next merged record, or false at the end of the
+// merge or on an error, which Err then reports.
+func (m *MergeIter) Next() (record.Record, bool) {
+	for {
+		rec, ok := m.winner()
+		if !ok || !(m.opts.DropTombstones && rec.Tombstone) {
+			return rec, ok
+		}
+	}
+}
+
+// winner returns the surviving record of the next key, tombstones
+// included.
+func (m *MergeIter) winner() (record.Record, bool) {
+	for m.err == nil && len(m.heap) > 0 {
+		if m.opts.Cancel != nil && m.opts.Cancel() {
+			m.err = ErrMergeCanceled
+			break
+		}
+		s := m.heap[0]
+		rec := s.recs[s.pos]
+		s.pos++
+		if m.limiter.rate > 0 {
+			m.limiter.wait(rec.EncodedSize(), m.opts.Cancel)
+		}
+		if ok, err := s.fill(); err != nil {
+			m.err = err
+			break
+		} else if ok {
+			heap.Fix(&m.heap, 0)
+		} else {
+			heap.Pop(&m.heap)
+		}
+		if m.opts.Drop != nil && m.opts.Drop(s.idx, rec) {
+			continue
+		}
+		if m.havePending && bytes.Equal(rec.Key, m.pending.Key) {
+			// Equal keys arrive newest source first, so a later one
+			// replaces the pending record only by superseding it.
+			if rec.Supersedes(m.pending) {
+				m.pending = rec
+			}
+			continue
+		}
+		out, emit := m.pending, m.havePending
+		m.pending, m.havePending = rec, true
+		if emit {
+			return out, true
+		}
+	}
+	if m.err == nil && m.havePending {
+		m.havePending = false
+		return m.pending, true
+	}
+	return record.Record{}, false
+}
+
+// Err returns the error that ended the merge early: a block read
+// failure or ErrMergeCanceled.
+func (m *MergeIter) Err() error { return m.err }
+
+type sourceHeap []*Source
+
+func (h sourceHeap) Len() int { return len(h) }
+func (h sourceHeap) Less(i, j int) bool {
+	c := bytes.Compare(h[i].recs[h[i].pos].Key, h[j].recs[h[j].pos].Key)
+	if c != 0 {
+		return c < 0
+	}
+	return h[i].idx < h[j].idx
+}
+func (h sourceHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *sourceHeap) Push(x any)   { *h = append(*h, x.(*Source)) }
+func (h *sourceHeap) Pop() any {
+	old := *h
+	n := len(old)
+	s := old[n-1]
+	*h = old[:n-1]
+	return s
+}
+
+// Merge writes the merge of sources as a new table at outPath and opens
+// it: the one way a table file comes into being, for a memtable flush
+// (one Slice) as for a compaction (the uncached Range of each input
+// table, newest first).
+func Merge(outPath string, opts MergeOptions, sources ...Source) (*Reader, error) {
 	w, err := NewWriter(outPath)
 	if err != nil {
 		return nil, err
 	}
-	limiter := newRateLimiter(opts.RateLimitBytesPerSec, opts.Clock)
-
-	h := &mergeHeap{}
-	iters := make([]*tableIter, len(sources))
-	for i, src := range sources {
-		it := &tableIter{r: src}
-		iters[i] = it
-		if it.next() {
-			heap.Push(h, mergeItem{rec: it.rec, src: i, it: it})
-		} else if it.err != nil {
-			w.Abort()
-			return nil, it.err
-		}
-	}
-
-	var pendingValid bool
-	var pending record.Record
-	var pendingSrc int
-
-	emit := func(rec record.Record, src int) error {
-		if !pendingValid {
-			pending, pendingSrc, pendingValid = rec, src, true
-			return nil
-		}
-		if bytes.Equal(rec.Key, pending.Key) {
-			// Same key from another table: resolve.
-			if rec.Supersedes(pending) || (!pending.Supersedes(rec) && src < pendingSrc) {
-				pending, pendingSrc = rec, src
-			}
-			return nil
-		}
-		if err := flushPending(w, pending, opts); err != nil {
-			return err
-		}
-		pending, pendingSrc = rec, src
-		return nil
-	}
-
-	for h.Len() > 0 {
-		if opts.Cancel != nil && opts.Cancel() {
-			w.Abort()
-			return nil, ErrMergeCanceled
-		}
-		item := heap.Pop(h).(mergeItem)
-		limiter.wait(item.rec.EncodedSize(), opts.Cancel)
-		if opts.Drop != nil && opts.Drop(item.src, item.rec) {
-			// Excluded from this source: advance its iterator without
-			// letting the record contend.
-			if item.it.next() {
-				heap.Push(h, mergeItem{rec: item.it.rec, src: item.src, it: item.it})
-			} else if item.it.err != nil {
-				w.Abort()
-				return nil, item.it.err
-			}
-			continue
-		}
-		if err := emit(item.rec, item.src); err != nil {
+	it := NewMergeIter(opts, sources...)
+	for rec, ok := it.Next(); ok; rec, ok = it.Next() {
+		if err := w.Add(rec); err != nil {
 			w.Abort()
 			return nil, err
 		}
-		if item.it.next() {
-			heap.Push(h, mergeItem{rec: item.it.rec, src: item.src, it: item.it})
-		} else if item.it.err != nil {
-			w.Abort()
-			return nil, item.it.err
-		}
 	}
-	if pendingValid {
-		if err := flushPending(w, pending, opts); err != nil {
-			w.Abort()
-			return nil, err
-		}
+	if err := it.Err(); err != nil {
+		w.Abort()
+		return nil, err
 	}
 	if err := w.Finish(); err != nil {
 		return nil, err
 	}
 	return Open(outPath)
-}
-
-func flushPending(w *Writer, rec record.Record, opts MergeOptions) error {
-	if opts.DropTombstones && rec.Tombstone {
-		return nil
-	}
-	return w.Add(rec)
 }
 
 // rateLimiter paces a merge to a target byte rate by sleeping whenever
@@ -148,8 +255,8 @@ type rateLimiter struct {
 	bytes int64
 }
 
-func newRateLimiter(rate int64, clk clock.Clock) *rateLimiter {
-	rl := &rateLimiter{rate: rate, clk: clk}
+func newRateLimiter(rate int64, clk clock.Clock) rateLimiter {
+	rl := rateLimiter{rate: rate, clk: clk}
 	if rate > 0 {
 		if rl.clk == nil {
 			rl.clk = clock.NewReal()
@@ -181,62 +288,4 @@ func (rl *rateLimiter) wait(n int, cancel func() bool) {
 			return // the caller's next poll aborts the merge
 		}
 	}
-}
-
-// tableIter pulls records from a Reader one block at a time. Block
-// reads bypass the cache: a compaction is a one-shot sequential sweep
-// and must not wash hot read blocks out of the shared cache.
-type tableIter struct {
-	r     *Reader
-	block int
-	recs  []record.Record
-	pos   int
-	rec   record.Record
-	err   error
-}
-
-func (it *tableIter) next() bool {
-	for {
-		if it.pos < len(it.recs) {
-			it.rec = it.recs[it.pos]
-			it.pos++
-			return true
-		}
-		if it.block >= it.r.NumBlocks() {
-			return false
-		}
-		recs, err := it.r.readBlockUncached(it.block)
-		if err != nil {
-			it.err = err
-			return false
-		}
-		it.block++
-		it.recs, it.pos = recs, 0
-	}
-}
-
-type mergeItem struct {
-	rec record.Record
-	src int
-	it  *tableIter
-}
-
-type mergeHeap []mergeItem
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	c := bytes.Compare(h[i].rec.Key, h[j].rec.Key)
-	if c != 0 {
-		return c < 0
-	}
-	return h[i].src < h[j].src
-}
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

@@ -62,9 +62,13 @@ type BlockCache interface {
 	DropTable(path string)
 }
 
-// Writer builds a table file record by record.
+// Writer builds a table file record by record. The bytes go to
+// path+TmpSuffix and Finish renames the finished, synced file to path,
+// so a crash at any point leaves no file at path that Open would
+// reject; whoever owns the directory deletes leftover TmpSuffix files.
 type Writer struct {
 	f          *os.File
+	path       string
 	buf        []byte
 	lastKey    []byte
 	index      []indexEntry
@@ -74,6 +78,9 @@ type Writer struct {
 	offset     uint64
 	done       bool
 }
+
+// TmpSuffix is appended to a table's path while it is being written.
+const TmpSuffix = ".tmp"
 
 type indexEntry struct {
 	key    []byte
@@ -87,14 +94,14 @@ type bloomSeed struct {
 	h1, h2 uint64
 }
 
-// NewWriter creates the table file at path (truncating any existing
-// file).
+// NewWriter starts a table that Finish will publish at path (replacing
+// any existing file).
 func NewWriter(path string) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(path+TmpSuffix, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("sstable: create: %w", err)
 	}
-	return &Writer{f: f}, nil
+	return &Writer{f: f, path: path}, nil
 }
 
 // Add appends rec. Keys must arrive in strictly ascending order.
@@ -123,43 +130,44 @@ func (w *Writer) Add(rec record.Record) error {
 	return nil
 }
 
-// Finish writes the index, bloom filter and footer, syncs, and closes
-// the file.
+// Finish writes the index, bloom filter and footer, syncs and closes
+// the file, and renames it into place. On failure nothing is left
+// behind.
 func (w *Writer) Finish() error {
 	if w.done {
 		return errors.New("sstable: writer already finished")
 	}
 	w.done = true
-	defer w.f.Close()
 
-	var idx []byte
-	idx = binary.AppendUvarint(idx, uint64(len(w.index)))
+	var tail []byte
+	tail = binary.AppendUvarint(tail, uint64(len(w.index)))
 	for _, e := range w.index {
-		idx = binary.AppendUvarint(idx, uint64(len(e.key)))
-		idx = append(idx, e.key...)
-		idx = binary.AppendUvarint(idx, e.offset)
+		tail = binary.AppendUvarint(tail, uint64(len(e.key)))
+		tail = append(tail, e.key...)
+		tail = binary.AppendUvarint(tail, e.offset)
 	}
-	if _, err := w.f.Write(idx); err != nil {
-		return err
-	}
+	idxLen := len(tail)
+	tail = buildBloom(w.bloomSeeds).appendTo(tail)
+	blLen := len(tail) - idxLen
+	tail = binary.BigEndian.AppendUint64(tail, w.offset)
+	tail = binary.BigEndian.AppendUint64(tail, uint64(idxLen))
+	tail = binary.BigEndian.AppendUint64(tail, uint64(blLen))
+	tail = binary.BigEndian.AppendUint64(tail, w.count)
+	tail = binary.BigEndian.AppendUint64(tail, magic)
 
-	bloom := buildBloom(w.bloomSeeds)
-	bl := bloom.marshal()
-	if _, err := w.f.Write(bl); err != nil {
-		return err
+	_, err := w.f.Write(tail)
+	if err == nil {
+		err = w.f.Sync()
 	}
-
-	var footer [footerSize]byte
-	binary.BigEndian.PutUint64(footer[0:8], w.offset)
-	binary.BigEndian.PutUint64(footer[8:16], uint64(len(idx)))
-	binary.BigEndian.PutUint64(footer[16:24], uint64(len(bl)))
-	binary.BigEndian.PutUint64(footer[24:32], w.count)
-	binary.BigEndian.PutUint64(footer[32:40], magic)
-	if _, err := w.f.Write(footer[:]); err != nil {
-		return err
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
 	}
-	if err := w.f.Sync(); err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(w.f.Name(), w.path)
+	}
+	if err != nil {
+		os.Remove(w.f.Name())
+		return fmt.Errorf("sstable: finish: %w", err)
 	}
 	return nil
 }
@@ -167,9 +175,8 @@ func (w *Writer) Finish() error {
 // Abort closes and removes a partially written table.
 func (w *Writer) Abort() error {
 	w.done = true
-	name := w.f.Name()
 	w.f.Close()
-	return os.Remove(name)
+	return os.Remove(w.f.Name())
 }
 
 // Reader provides random and sequential access to a finished table.
@@ -298,7 +305,7 @@ func (r *Reader) loadBounds() error {
 	if r.count == 0 {
 		return nil
 	}
-	firstBlock, err := r.readBlockUncached(0)
+	firstBlock, err := r.readBlock(0, false)
 	if err != nil {
 		return err
 	}
@@ -307,7 +314,7 @@ func (r *Reader) loadBounds() error {
 	}
 	lastBlock := firstBlock
 	if n := r.NumBlocks(); n > 1 {
-		if lastBlock, err = r.readBlockUncached(n - 1); err != nil {
+		if lastBlock, err = r.readBlock(n-1, false); err != nil {
 			return err
 		}
 		if len(lastBlock) == 0 {
@@ -382,11 +389,17 @@ func (r *Reader) blockExtent(i int) (off, length uint64) {
 	return off, end - off
 }
 
-// ReadBlock returns the decoded records of block i, consulting the
-// attached block cache first. The returned slice and the records'
-// Key/Value bytes are shared and immutable.
-func (r *Reader) ReadBlock(i int) ([]record.Record, error) {
-	if c := r.cache; c != nil {
+// readBlock returns the decoded records of block i. A cached read
+// consults the attached block cache first and fills it; an uncached one
+// (compaction, bounds loading) never touches it, so one-shot sequential
+// sweeps cannot wash the cache of hot read blocks. The returned slice
+// and the records' Key/Value bytes are shared and immutable.
+func (r *Reader) readBlock(i int, cached bool) ([]record.Record, error) {
+	c := r.cache
+	if !cached {
+		c = nil
+	}
+	if c != nil {
 		if recs, ok := c.Get(r.path, i); ok {
 			return recs, nil
 		}
@@ -396,7 +409,7 @@ func (r *Reader) ReadBlock(i int) ([]record.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c := r.cache; c != nil {
+	if c != nil {
 		c.Put(r.path, i, recs, int(length)+len(recs)*recordOverhead)
 	}
 	return recs, nil
@@ -405,14 +418,6 @@ func (r *Reader) ReadBlock(i int) ([]record.Record, error) {
 // recordOverhead approximates the in-memory record.Record header cost
 // charged to the block cache on top of the raw block bytes.
 const recordOverhead = 56
-
-// readBlockUncached decodes block i without touching the cache: the
-// path compaction and bounds loading use, so one-shot sequential sweeps
-// never wash the cache of hot read blocks.
-func (r *Reader) readBlockUncached(i int) ([]record.Record, error) {
-	off, length := r.blockExtent(i)
-	return r.decodeBlock(off, length)
-}
 
 func (r *Reader) decodeBlock(off, length uint64) ([]record.Record, error) {
 	buf := make([]byte, length)
@@ -451,19 +456,25 @@ func (r *Reader) blockFor(key []byte) int {
 	return lo - 1
 }
 
+// keyIndex returns the index of the first record of recs whose key is
+// >= key.
+func keyIndex(recs []record.Record, key []byte) int {
+	return sort.Search(len(recs), func(i int) bool {
+		return bytes.Compare(recs[i].Key, key) >= 0
+	})
+}
+
 // Get returns the record stored under key. One bloom probe, one block
 // read (cached or a single ~4 KiB pread), one binary search.
 func (r *Reader) Get(key []byte) (record.Record, bool, error) {
 	if r.count == 0 || !r.bloom.mayContain(key) {
 		return record.Record{}, false, nil
 	}
-	recs, err := r.ReadBlock(r.blockFor(key))
+	recs, err := r.readBlock(r.blockFor(key), true)
 	if err != nil {
 		return record.Record{}, false, err
 	}
-	i := sort.Search(len(recs), func(i int) bool {
-		return bytes.Compare(recs[i].Key, key) >= 0
-	})
+	i := keyIndex(recs, key)
 	if i < len(recs) && bytes.Equal(recs[i].Key, key) {
 		return recs[i], true, nil
 	}
@@ -473,35 +484,19 @@ func (r *Reader) Get(key []byte) (record.Record, bool, error) {
 // Scan visits records with start <= key < end in ascending order until
 // fn returns false. A nil end means unbounded.
 func (r *Reader) Scan(start, end []byte, fn func(record.Record) bool) error {
-	if r.count == 0 {
-		return nil
-	}
-	b := 0
-	if start != nil {
-		b = r.blockFor(start)
-	}
-	for ; b < len(r.index); b++ {
-		recs, err := r.ReadBlock(b)
-		if err != nil {
+	s := r.Range(start, end, true)
+	for {
+		ok, err := s.fill()
+		if !ok {
 			return err
 		}
-		i := 0
-		if start != nil {
-			i = sort.Search(len(recs), func(i int) bool {
-				return bytes.Compare(recs[i].Key, start) >= 0
-			})
-		}
-		for ; i < len(recs); i++ {
-			if end != nil && bytes.Compare(recs[i].Key, end) >= 0 {
-				return nil
-			}
-			if !fn(recs[i]) {
+		for _, rec := range s.recs {
+			if !fn(rec) {
 				return nil
 			}
 		}
-		start = nil // later blocks start past the lower bound
+		s.pos = len(s.recs)
 	}
-	return nil
 }
 
 // --- bloom filter ---
@@ -548,8 +543,7 @@ func bloomHash(key []byte) (uint64, uint64) {
 	return h1, h2
 }
 
-func (bf *bloomFilter) marshal() []byte {
-	var out []byte
+func (bf *bloomFilter) appendTo(out []byte) []byte {
 	out = binary.AppendUvarint(out, bf.nBits)
 	out = binary.AppendUvarint(out, bf.hashes)
 	return append(out, bf.bits...)

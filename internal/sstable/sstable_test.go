@@ -32,6 +32,9 @@ func buildTable(t testing.TB, path string, recs []record.Record) *Reader {
 	return r
 }
 
+// whole is the source a compaction reads a table through.
+func whole(r *Reader) Source { return r.Range(nil, nil, false) }
+
 func seqRecords(n int) []record.Record {
 	recs := make([]record.Record, n)
 	for i := range recs {
@@ -205,111 +208,6 @@ func TestTombstonesSurviveRoundTrip(t *testing.T) {
 	got, ok, err := r.Get([]byte("b"))
 	if err != nil || !ok || !got.Tombstone {
 		t.Fatalf("tombstone lost: %+v ok=%v err=%v", got, ok, err)
-	}
-}
-
-func TestMergeTwoTables(t *testing.T) {
-	dir := t.TempDir()
-	// Newer table: keys 0..9 at version 100; older: keys 5..14 at version 1.
-	var newer, older []record.Record
-	for i := 0; i < 10; i++ {
-		newer = append(newer, record.Record{Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte("new"), Version: 100})
-	}
-	for i := 5; i < 15; i++ {
-		older = append(older, record.Record{Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte("old"), Version: 1})
-	}
-	rNew := buildTable(t, filepath.Join(dir, "new.sst"), newer)
-	rOld := buildTable(t, filepath.Join(dir, "old.sst"), older)
-	defer rNew.Close()
-	defer rOld.Close()
-
-	merged, err := Merge(filepath.Join(dir, "merged.sst"), MergeOptions{}, rNew, rOld)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer merged.Close()
-	if merged.Count() != 15 {
-		t.Fatalf("merged Count = %d, want 15", merged.Count())
-	}
-	for i := 0; i < 15; i++ {
-		key := []byte(fmt.Sprintf("k%02d", i))
-		got, ok, err := merged.Get(key)
-		if err != nil || !ok {
-			t.Fatalf("Get(%q): ok=%v err=%v", key, ok, err)
-		}
-		want := "old"
-		if i < 10 {
-			want = "new"
-		}
-		if string(got.Value) != want {
-			t.Fatalf("Get(%q) = %q, want %q", key, got.Value, want)
-		}
-	}
-}
-
-func TestMergeDropsTombstones(t *testing.T) {
-	dir := t.TempDir()
-	live := buildTable(t, filepath.Join(dir, "live.sst"), []record.Record{
-		{Key: []byte("a"), Value: []byte("v"), Version: 1},
-		{Key: []byte("b"), Version: 5, Tombstone: true},
-	})
-	old := buildTable(t, filepath.Join(dir, "old.sst"), []record.Record{
-		{Key: []byte("b"), Value: []byte("shadowed"), Version: 1},
-		{Key: []byte("c"), Value: []byte("w"), Version: 1},
-	})
-	defer live.Close()
-	defer old.Close()
-
-	merged, err := Merge(filepath.Join(dir, "m.sst"), MergeOptions{DropTombstones: true}, live, old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer merged.Close()
-	if merged.Count() != 2 {
-		t.Fatalf("Count = %d, want 2 (a and c)", merged.Count())
-	}
-	if _, ok, _ := merged.Get([]byte("b")); ok {
-		t.Fatal("tombstoned key survived major compaction")
-	}
-}
-
-func TestMergeLWWAcrossTables(t *testing.T) {
-	dir := t.TempDir()
-	// The "older" table holds a *newer version* (replication can
-	// deliver out of order); LWW must pick it regardless of stack
-	// position.
-	a := buildTable(t, filepath.Join(dir, "a.sst"), []record.Record{
-		{Key: []byte("k"), Value: []byte("stale"), Version: 1},
-	})
-	b := buildTable(t, filepath.Join(dir, "b.sst"), []record.Record{
-		{Key: []byte("k"), Value: []byte("fresh"), Version: 9},
-	})
-	defer a.Close()
-	defer b.Close()
-	merged, err := Merge(filepath.Join(dir, "m.sst"), MergeOptions{}, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer merged.Close()
-	got, ok, _ := merged.Get([]byte("k"))
-	if !ok || string(got.Value) != "fresh" {
-		t.Fatalf("LWW merge picked %q", got.Value)
-	}
-}
-
-func TestMergeEmptyInputs(t *testing.T) {
-	dir := t.TempDir()
-	e1 := buildTable(t, filepath.Join(dir, "e1.sst"), nil)
-	e2 := buildTable(t, filepath.Join(dir, "e2.sst"), nil)
-	defer e1.Close()
-	defer e2.Close()
-	merged, err := Merge(filepath.Join(dir, "m.sst"), MergeOptions{}, e1, e2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer merged.Close()
-	if merged.Count() != 0 {
-		t.Fatalf("Count = %d", merged.Count())
 	}
 }
 

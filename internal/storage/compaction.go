@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 
-	"scads/internal/record"
 	"scads/internal/sstable"
 )
 
@@ -18,11 +17,12 @@ import (
 // the stack order is the last-write-wins tie-break between equal
 // versions, and merging non-adjacent tables would reorder it.
 //
-// Foreground paths that need the table set to themselves — explicit
-// Compact, TruncateRange, close — cancel in-flight tier merges (the
-// merge polls a stop channel between records, even while rate-limited)
-// and wait them out before proceeding, so a background merge can never
-// stall a fence handoff for longer than one cancellation poll.
+// Foreground paths that need the table set to themselves — TruncateRange
+// (its major compaction rewrites the whole stack) and close — cancel
+// in-flight tier merges (the merge polls a stop channel between records,
+// even while rate-limited) and wait them out before proceeding, so a
+// background merge can never stall a fence handoff for longer than one
+// cancellation poll.
 
 const (
 	// tierSizeRatio bounds how dissimilar table sizes within one
@@ -38,7 +38,6 @@ type tierJob struct {
 	ns             *Namespace
 	tables         []*sstable.Reader // contiguous run, newest first
 	seq            uint64
-	exclByIdx      map[int][]keyRange
 	dropTombstones bool
 	stop           chan struct{}
 }
@@ -101,17 +100,11 @@ func (ns *Namespace) pickTierJob() *tierJob {
 		dropTombstones: len(tables) == len(ns.tables),
 	}
 	ns.tableSeq++
-	for i, t := range tables {
+	for _, t := range tables {
 		if ns.compacting == nil {
 			ns.compacting = make(map[*sstable.Reader]bool)
 		}
 		ns.compacting[t] = true
-		if rs := ns.excluded[t]; len(rs) > 0 {
-			if job.exclByIdx == nil {
-				job.exclByIdx = make(map[int][]keyRange)
-			}
-			job.exclByIdx[i] = append([]keyRange(nil), rs...)
-		}
 	}
 	if ns.tierStops == nil {
 		ns.tierStops = make(map[chan struct{}]struct{})
@@ -184,92 +177,36 @@ func (j *tierJob) run() {
 	select {
 	case ns.engine.compactSem <- struct{}{}:
 	case <-j.stop:
-		j.abort(nil)
+		j.finish(nil)
 		return
 	}
 	defer func() { <-ns.engine.compactSem }()
 
-	cancelled := func() bool {
-		select {
-		case <-j.stop:
-			return true
-		default:
-			return false
-		}
-	}
-	opts := sstable.MergeOptions{
+	j.finish(ns.installTable(j.seq, sstable.MergeOptions{
 		DropTombstones:       j.dropTombstones,
 		RateLimitBytesPerSec: ns.engine.opts.CompactionRateBytes,
 		Clock:                ns.engine.opts.Clock,
-		Cancel:               cancelled,
-	}
-	if len(j.exclByIdx) > 0 {
-		excl := j.exclByIdx
-		opts.Drop = func(src int, rec record.Record) bool {
-			for _, r := range excl[src] {
-				if r.contains(rec.Key) {
-					return true
-				}
+		Cancel: func() bool {
+			select {
+			case <-j.stop:
+				return true
+			default:
+				return false
 			}
-			return false
-		}
-	}
-	merged, err := sstable.Merge(ns.tablePath(j.seq), opts, j.tables...)
-	if err != nil {
-		j.abort(err)
-		return
-	}
-	if bc := ns.engine.blockCache; bc != nil {
-		merged.SetBlockCache(bc)
-	}
-
-	ns.mu.Lock()
-	i := tableIndex(ns.tables, j.tables[0])
-	if i < 0 || i+len(j.tables) > len(ns.tables) {
-		// The run vanished from the stack — cannot happen while the
-		// tables are marked, but fail safe rather than corrupt the
-		// stack: drop the merge output and walk away.
-		ns.mu.Unlock()
-		j.abort(nil)
-		merged.Remove()
-		return
-	}
-	newTables := make([]*sstable.Reader, 0, len(ns.tables)-len(j.tables)+1)
-	newTables = append(newTables, ns.tables[:i]...)
-	newTables = append(newTables, merged)
-	newTables = append(newTables, ns.tables[i+len(j.tables):]...)
-	ns.tables = newTables
-	for _, t := range j.tables {
-		delete(ns.compacting, t)
-		delete(ns.excluded, t)
-	}
-	delete(ns.tierStops, j.stop)
-	ns.mu.Unlock()
-
-	for _, t := range j.tables {
-		if rerr := t.Remove(); rerr != nil {
-			ns.recordBgErr(rerr)
-		}
-	}
+		},
+	}, j.tables, nil))
 }
 
-// abort releases the job's claims without touching the table stack.
-func (j *tierJob) abort(err error) {
+// finish releases the job's claims and records a failure of the merge
+// other than its cancellation.
+func (j *tierJob) finish(err error) {
 	ns := j.ns
 	ns.mu.Lock()
 	for _, t := range j.tables {
 		delete(ns.compacting, t)
 	}
 	delete(ns.tierStops, j.stop)
-	ns.mu.Unlock()
-	if err != nil && !errors.Is(err, sstable.ErrMergeCanceled) {
-		ns.recordBgErr(err)
-	}
-}
-
-func (ns *Namespace) recordBgErr(err error) {
-	ns.mu.Lock()
-	if ns.bgErr == nil {
+	if err != nil && !errors.Is(err, sstable.ErrMergeCanceled) && ns.bgErr == nil {
 		ns.bgErr = err
 	}
 	ns.mu.Unlock()

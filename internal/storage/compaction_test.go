@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"scads/internal/record"
+	"scads/internal/sstable"
 )
 
 // Engine-level block cache: with the exact-key cache disabled, repeated
@@ -399,5 +400,182 @@ func TestCompactionTruncateRaceHammer(t *testing.T) {
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Scale independence at the storage layer: what a bounded scan costs
+// depends on what it returns, not on how much the tables hold. Cost is
+// counted in table blocks fetched (block-cache hits + misses).
+func TestScanCostIndependentOfTableSize(t *testing.T) {
+	const tables, limit, page = 3, 100, 10000
+	type cost struct{ limited, full, walk, pages int64 }
+	measure := func(t *testing.T, rows int) cost {
+		e, err := Open(Options{
+			Dir:             t.TempDir(),
+			MemtableBytes:   256 << 20, // flushes happen only where the test asks
+			MaxTables:       2 * tables,
+			NodeID:          1,
+			BlockCacheBytes: 256 << 20,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		ns, _ := e.Namespace("s")
+		key := func(i int) []byte { return []byte(fmt.Sprintf("k-%07d", i)) }
+		// Every table spans the whole key range: row i lives in table i%3.
+		for tbl := 0; tbl < tables; tbl++ {
+			var batch []record.Record
+			for i := tbl; i < rows; i += tables {
+				batch = append(batch, record.Record{Key: key(i), Value: bytes.Repeat([]byte("v"), 32), Version: uint64(i + 1)})
+			}
+			if err := ns.ApplyBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			if err := ns.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := ns.TableCount(); got != tables {
+			t.Fatalf("TableCount = %d, want %d", got, tables)
+		}
+		blocks := func(fn func()) int64 {
+			before := e.BlockCache().Stats()
+			fn()
+			after := e.BlockCache().Stats()
+			return after.Hits + after.Misses - before.Hits - before.Misses
+		}
+		var c cost
+		c.limited = blocks(func() {
+			n := 0
+			if err := ns.ScanLive(key(rows/2), nil, func(record.Record) bool { n++; return n < limit }); err != nil || n != limit {
+				t.Fatalf("limited scan: %d rows, err %v", n, err)
+			}
+		})
+		c.full = blocks(func() {
+			n := 0
+			if err := ns.ScanAll(nil, nil, func(record.Record) bool { n++; return true }); err != nil || n != rows {
+				t.Fatalf("full scan: %d rows, err %v", n, err)
+			}
+		})
+		c.walk = blocks(func() {
+			var start []byte
+			seen := 0
+			for seen < rows {
+				n := 0
+				if err := ns.ScanAll(start, nil, func(r record.Record) bool {
+					start = append(append(start[:0], r.Key...), 0)
+					n++
+					return n < page
+				}); err != nil || n == 0 {
+					t.Fatalf("page %d: %d rows, err %v", c.pages, n, err)
+				}
+				seen += n
+				c.pages++
+			}
+		})
+		return c
+	}
+
+	var costs []cost
+	for _, rows := range []int{10000, 160000} {
+		t.Run(strconv.Itoa(rows), func(t *testing.T) {
+			c := measure(t, rows)
+			t.Logf("%d rows: LIMIT-%d scan %d blocks; full scan %d blocks; %d-page walk %d blocks", rows, limit, c.limited, c.full, c.pages, c.walk)
+			// A page re-reads the block its start key falls in and reads
+			// one block ahead, per table; the rest it reads once.
+			if bound := c.full + 2*tables*c.pages; c.walk > bound {
+				t.Errorf("paged walk of %d rows fetched %d blocks, want <= %d (the %d a full scan reads + 2 per table per page)", rows, c.walk, bound, c.full)
+			}
+			costs = append(costs, c)
+		})
+	}
+	if len(costs) == 2 {
+		if d := costs[1].limited - costs[0].limited; d > tables || d < -tables {
+			t.Errorf("LIMIT-%d scan fetched %d blocks at 10k rows and %d at 160k: cost grows with table size", limit, costs[0].limited, costs[1].limited)
+		}
+	}
+}
+
+// A crash while a flush or a merge is writing its output leaves an
+// unfinished table behind. The next Open must discard it and serve
+// every key from what the crash left whole: the WAL and the finished
+// tables.
+func TestReopenAfterTornTable(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		flushes int // finished tables before the crash
+	}{
+		{"torn flush", 1},
+		{"torn merge output", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e := openTest(t, dir)
+			ns, err := e.Namespace("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]string{}
+			put := func(round int) {
+				for i := 0; i < 40; i++ {
+					k, v := fmt.Sprintf("k-%02d-%03d", round, i), fmt.Sprintf("v-%02d-%03d", round, i)
+					if _, err := ns.Put([]byte(k), []byte(v)); err != nil {
+						t.Fatal(err)
+					}
+					want[k] = v
+				}
+			}
+			for round := 0; round < tc.flushes; round++ {
+				put(round)
+				if err := ns.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ns.WaitCompaction()
+			put(tc.flushes) // these stay in the memtable and the WAL
+
+			// The crash: the table the next flush or merge would write
+			// has some records and no footer. Producing it with the real
+			// Writer keeps the test honest about where such a file lands.
+			// The engine is abandoned without Close, as a crash would.
+			ns.mu.RLock()
+			torn := ns.tablePath(ns.tableSeq)
+			ns.mu.RUnlock()
+			w, err := sstable.NewWriter(torn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ns.ScanAll(nil, nil, func(r record.Record) bool { return w.Add(r) == nil }); err != nil {
+				t.Fatal(err)
+			}
+
+			e2, err := Open(Options{Dir: dir, MemtableBytes: 16 << 10, MaxTables: 3, NodeID: 1})
+			if err != nil {
+				t.Fatalf("reopen after %s: %v", tc.name, err)
+			}
+			defer e2.Close()
+			ns2, err := e2.Namespace("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, v := range want {
+				if got, ok, err := ns2.Get([]byte(k)); err != nil || !ok || string(got) != v {
+					t.Fatalf("after %s, Get(%q) = %q,%v,%v, want %q", tc.name, k, got, ok, err, v)
+				}
+			}
+			// The next flush reuses the torn table's sequence number.
+			if err := ns2.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			leftovers, err := filepath.Glob(filepath.Join(dir, "t", "*"+sstable.TmpSuffix))
+			if err != nil || len(leftovers) != 0 {
+				t.Fatalf("unfinished tables survive reopen: %v (err %v)", leftovers, err)
+			}
+			n := 0
+			if err := ns2.ScanLive(nil, nil, func(record.Record) bool { n++; return true }); err != nil || n != len(want) {
+				t.Fatalf("scan after reopen and flush: %d rows, err %v, want %d", n, err, len(want))
+			}
+		})
 	}
 }

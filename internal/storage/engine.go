@@ -43,6 +43,7 @@ import (
 
 	"scads/internal/clock"
 	"scads/internal/memtable"
+	"scads/internal/sstable"
 	"scads/internal/wal"
 )
 
@@ -54,8 +55,8 @@ type Options struct {
 	Dir string
 	// MemtableBytes is the flush threshold per namespace. Default 4 MiB.
 	MemtableBytes int64
-	// MaxTables triggers a major compaction when a namespace
-	// accumulates more SSTables than this. Default 4.
+	// MaxTables triggers background size-tiered compaction when a
+	// namespace accumulates more SSTables than this. Default 4.
 	MaxTables int
 	// Clock supplies version timestamps. Default: the real clock.
 	Clock clock.Clock
@@ -78,9 +79,9 @@ type Options struct {
 	CompactionParallelism int
 	// CompactionRateBytes throttles each background tier merge to this
 	// many input bytes per second so compaction can never monopolise
-	// the disk during a fence handoff. 0 means unlimited. Major
-	// compactions (explicit Compact, TruncateRange) are never
-	// throttled: they sit on the critical path of migration teardown.
+	// the disk during a fence handoff. 0 means unlimited. The major
+	// compaction of a TruncateRange is never throttled: it sits on the
+	// critical path of migration teardown.
 	CompactionRateBytes int64
 	// SyncWrites makes every accepted mutation durable before it is
 	// acknowledged, using the WAL's group commit so concurrent writers
@@ -279,6 +280,14 @@ func (e *Engine) openNamespace(name string) (*Namespace, error) {
 	var tableSeqs []uint64
 	for _, ent := range entries {
 		n := ent.Name()
+		if strings.HasSuffix(n, ".sst"+sstable.TmpSuffix) {
+			// A table the crash caught unfinished: its records are
+			// still in the WAL (a flush) or in its inputs (a merge).
+			if err := os.Remove(filepath.Join(ns.dir, n)); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		if !strings.HasSuffix(n, ".sst") {
 			continue
 		}

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"container/heap"
 	"fmt"
 	"sync"
 
@@ -22,7 +21,7 @@ type Namespace struct {
 	mu       sync.RWMutex
 	mem      *memtable.Memtable
 	flushing *memtable.Memtable // read-only during flush, else nil
-	tables   []*sstable.Reader  // newest first
+	tables   []*sstable.Reader  // newest first; replaced, never modified in place
 	log      *wal.Log           // nil when in-memory
 	tableSeq uint64
 	closed   bool
@@ -77,6 +76,16 @@ func (r keyRange) contains(key []byte) bool {
 		return false
 	}
 	return true
+}
+
+// inAny reports whether key falls in one of ranges.
+func inAny(ranges []keyRange, key []byte) bool {
+	for _, r := range ranges {
+		if r.contains(key) {
+			return true
+		}
+	}
+	return false
 }
 
 type applyEntry struct {
@@ -252,8 +261,8 @@ func (ns *Namespace) getLocked(key []byte) (record.Record, bool) {
 		consider(ns.flushing.Get(key))
 	}
 	for _, t := range ns.tables {
-		if ns.excludedFrom(t, key) {
-			continue
+		if inAny(ns.excluded[t], key) {
+			continue // pending truncation of t
 		}
 		r, ok, err := t.Get(key)
 		if err == nil {
@@ -263,35 +272,19 @@ func (ns *Namespace) getLocked(key []byte) (record.Record, bool) {
 	return best, found
 }
 
-// excludedFrom reports whether key falls in a pending truncation of
-// table t. Caller holds ns.mu.
-func (ns *Namespace) excludedFrom(t *sstable.Reader, key []byte) bool {
-	for _, r := range ns.excluded[t] {
-		if r.contains(key) {
-			return true
-		}
-	}
-	return false
-}
-
 // ScanLive visits live (non-tombstone) records with start <= key < end
 // in ascending key order until fn returns false or the range is
 // exhausted. This is the engine's only read path besides point gets —
 // callers are responsible for bounding the range (the analyzer
 // guarantees every query plan does).
 func (ns *Namespace) ScanLive(start, end []byte, fn func(record.Record) bool) error {
-	return ns.scan(start, end, func(r record.Record) bool {
-		if r.Tombstone {
-			return true
-		}
-		return fn(r)
-	})
+	return ns.scan(start, end, true, fn)
 }
 
 // ScanAll visits records including tombstones; used by replication
 // catch-up and partition moves.
 func (ns *Namespace) ScanAll(start, end []byte, fn func(record.Record) bool) error {
-	return ns.scan(start, end, fn)
+	return ns.scan(start, end, false, fn)
 }
 
 // ApplyWatermark returns the namespace's apply epoch and the sequence
@@ -377,59 +370,65 @@ func (ns *Namespace) ScanSince(epoch, since uint64, start, end []byte, limit int
 // let a page of large values exceed the RPC frame cap.
 const scanSinceByteBudget = 4 << 20
 
-func (ns *Namespace) scan(start, end []byte, fn func(record.Record) bool) error {
+// scan streams the last-write-wins merge of the whole stack over
+// [start, end) to fn. The memtables are copied and the tables pinned
+// under the read lock; table blocks are read after it is released, one
+// at a time as the merge advances, so a scan that fn stops early reads
+// no further.
+func (ns *Namespace) scan(start, end []byte, live bool, fn func(record.Record) bool) error {
 	ns.mu.RLock()
 	if ns.closed {
 		ns.mu.RUnlock()
 		return ErrClosed
 	}
-	// Snapshot the memtable range(s) and pin the table set. Tables are
-	// immutable, so after the snapshot we can release the lock.
-	var sources [][]record.Record
-	memSnap := snapshotRange(ns.mem, start, end)
-	sources = append(sources, memSnap)
+	sources := make([]sstable.Source, 0, 2+len(ns.tables))
+	sources = append(sources, sstable.Slice(snapshotRange(ns.mem, start, end)))
 	if ns.flushing != nil {
-		sources = append(sources, snapshotRange(ns.flushing, start, end))
+		sources = append(sources, sstable.Slice(snapshotRange(ns.flushing, start, end)))
 	}
-	tables := append([]*sstable.Reader(nil), ns.tables...)
-	// Pin the snapshot: a background tier merge may splice these
-	// tables out and unlink their files while we stream blocks below.
-	// The references keep the files open (and on disk) until released.
+	tables := ns.tables
+	opts := sstable.MergeOptions{DropTombstones: live, Drop: ns.dropExcluded(tables, len(sources))}
+	// Pin the tables: a background tier merge may splice them out and
+	// unlink their files while we stream blocks below. The references
+	// keep the files open (and on disk) until released.
 	for _, t := range tables {
 		t.Retain()
+		sources = append(sources, t.Range(start, end, true))
 	}
+	ns.mu.RUnlock()
 	defer func() {
 		for _, t := range tables {
 			t.Release()
 		}
 	}()
-	var exclusions map[*sstable.Reader][]keyRange
-	if len(ns.excluded) > 0 {
-		exclusions = make(map[*sstable.Reader][]keyRange, len(ns.excluded))
-		for t, rs := range ns.excluded {
-			exclusions[t] = append([]keyRange(nil), rs...)
-		}
-	}
-	ns.mu.RUnlock()
 
-	for _, t := range tables {
-		excl := exclusions[t]
-		var recs []record.Record
-		if err := t.Scan(start, end, func(r record.Record) bool {
-			for _, x := range excl {
-				if x.contains(r.Key) {
-					return true
-				}
-			}
-			recs = append(recs, r)
-			return true
-		}); err != nil {
-			return fmt.Errorf("storage: scan table: %w", err)
-		}
-		sources = append(sources, recs)
+	it := sstable.NewMergeIter(opts, sources...)
+	for rec, ok := it.Next(); ok && fn(rec); rec, ok = it.Next() {
 	}
-	mergeSources(sources, fn)
+	if err := it.Err(); err != nil {
+		return fmt.Errorf("storage: scan table: %w", err)
+	}
 	return nil
+}
+
+// dropExcluded returns the merge Drop hook that hides the pending
+// truncations of tables, where tables[i] is merge source first+i; nil
+// when there are none. Caller holds ns.mu; the hook may outlive it
+// (exclusion lists are only ever appended to).
+func (ns *Namespace) dropExcluded(tables []*sstable.Reader, first int) func(int, record.Record) bool {
+	var excl [][]keyRange
+	for i, t := range tables {
+		if rs := ns.excluded[t]; len(rs) > 0 {
+			if excl == nil {
+				excl = make([][]keyRange, first+len(tables))
+			}
+			excl[first+i] = rs
+		}
+	}
+	if excl == nil {
+		return nil
+	}
+	return func(src int, rec record.Record) bool { return inAny(excl[src], rec.Key) }
 }
 
 func snapshotRange(m *memtable.Memtable, start, end []byte) []record.Record {
@@ -439,73 +438,6 @@ func snapshotRange(m *memtable.Memtable, start, end []byte) []record.Record {
 		return true
 	})
 	return out
-}
-
-// mergeSources performs a k-way merge over the sorted sources,
-// resolving duplicate keys by last-write-wins (ties to the earlier,
-// newer, source), and streams the winners to fn.
-func mergeSources(sources [][]record.Record, fn func(record.Record) bool) {
-	h := make(srcHeap, 0, len(sources))
-	for i, src := range sources {
-		if len(src) > 0 {
-			h = append(h, srcCursor{recs: src, src: i})
-		}
-	}
-	heap.Init(&h)
-
-	var pending record.Record
-	var pendingSrc int
-	havePending := false
-	for h.Len() > 0 {
-		cur := &h[0]
-		rec := cur.recs[cur.pos]
-		cur.pos++
-		if cur.pos == len(cur.recs) {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
-		}
-
-		if havePending && bytes.Equal(rec.Key, pending.Key) {
-			if rec.Supersedes(pending) || (!pending.Supersedes(rec) && cur.src < pendingSrc) {
-				pending, pendingSrc = rec, cur.src
-			}
-			continue
-		}
-		if havePending && !fn(pending) {
-			return
-		}
-		pending, pendingSrc, havePending = rec, cur.src, true
-	}
-	if havePending {
-		fn(pending)
-	}
-}
-
-type srcCursor struct {
-	recs []record.Record
-	pos  int
-	src  int
-}
-
-type srcHeap []srcCursor
-
-func (h srcHeap) Len() int { return len(h) }
-func (h srcHeap) Less(i, j int) bool {
-	c := bytes.Compare(h[i].recs[h[i].pos].Key, h[j].recs[h[j].pos].Key)
-	if c != 0 {
-		return c < 0
-	}
-	return h[i].src < h[j].src
-}
-func (h srcHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *srcHeap) Push(x any)   { *h = append(*h, x.(srcCursor)) }
-func (h *srcHeap) Pop() any {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	*h = old[:n-1]
-	return c
 }
 
 // Flush persists the current memtable to a new SSTable and truncates
@@ -549,40 +481,15 @@ func (ns *Namespace) flushLocked() error {
 	ns.tableSeq++
 	ns.mu.Unlock()
 
-	path := ns.tablePath(seq)
-	w, err := sstable.NewWriter(path)
-	if err != nil {
+	if err := ns.installTable(seq, sstable.MergeOptions{}, nil, frozen); err != nil {
 		ns.clearFlushing()
 		return err
 	}
-	for _, rec := range frozen.All() {
-		if err := w.Add(rec); err != nil {
-			w.Abort()
-			ns.clearFlushing()
-			return err
-		}
-	}
-	if err := w.Finish(); err != nil {
-		ns.clearFlushing()
-		return err
-	}
-	rd, err := ns.openTable(path)
-	if err != nil {
-		ns.clearFlushing()
-		return err
-	}
-
-	ns.mu.Lock()
-	ns.tables = append([]*sstable.Reader{rd}, ns.tables...)
-	ns.flushing = nil
-	nTables := len(ns.tables)
-	ns.mu.Unlock()
-
 	// The flushed data is durable; older WAL segments are obsolete.
 	if err := ns.log.Truncate(); err != nil {
 		return err
 	}
-	if nTables > ns.engine.opts.MaxTables {
+	if ns.TableCount() > ns.engine.opts.MaxTables {
 		// Size-tiered compaction drains the pressure in the background;
 		// the write that triggered the flush is not stalled behind a
 		// whole-stack merge.
@@ -591,9 +498,66 @@ func (ns *Namespace) flushLocked() error {
 	return nil
 }
 
-// openTable opens a finished SSTable and attaches the engine's shared
-// block cache. Every table the namespace serves reads from must be
-// opened through here.
+// installTable writes table seq as the merge of the frozen memtable (a
+// flush) or of old, a contiguous run of the stack (a compaction), and
+// splices it in where its inputs were: on top, retiring the frozen
+// memtable, or in place of the run, whose pending truncations the merge
+// applied and whose files it removes. Every table the namespace creates
+// comes from here. The caller holds compactMu or has claimed old, so
+// nothing else consumes the inputs meanwhile.
+func (ns *Namespace) installTable(seq uint64, opts sstable.MergeOptions, old []*sstable.Reader, frozen *memtable.Memtable) error {
+	sources := make([]sstable.Source, 0, 1+len(old))
+	if frozen != nil {
+		sources = append(sources, sstable.Slice(frozen.All()))
+	}
+	ns.mu.RLock()
+	opts.Drop = ns.dropExcluded(old, len(sources))
+	ns.mu.RUnlock()
+	for _, t := range old {
+		sources = append(sources, t.Range(nil, nil, false))
+	}
+	rd, err := sstable.Merge(ns.tablePath(seq), opts, sources...)
+	if err != nil {
+		return err
+	}
+	if bc := ns.engine.blockCache; bc != nil {
+		rd.SetBlockCache(bc)
+	}
+
+	ns.mu.Lock()
+	i := 0
+	if len(old) > 0 {
+		i = tableIndex(ns.tables, old[0])
+	}
+	if i < 0 || i+len(old) > len(ns.tables) {
+		// The run vanished from the stack — cannot happen while it is
+		// claimed, but fail safe rather than corrupt the stack: drop the
+		// merge output and walk away.
+		ns.mu.Unlock()
+		return rd.Remove()
+	}
+	stack := make([]*sstable.Reader, 0, len(ns.tables)-len(old)+1)
+	stack = append(append(append(stack, ns.tables[:i]...), rd), ns.tables[i+len(old):]...)
+	ns.tables = stack
+	if frozen != nil {
+		ns.flushing = nil
+	}
+	for _, t := range old {
+		delete(ns.excluded, t)
+	}
+	ns.mu.Unlock()
+
+	var firstErr error
+	for _, t := range old {
+		if err := t.Remove(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// openTable opens a recovered SSTable and attaches the engine's shared
+// block cache.
 func (ns *Namespace) openTable(path string) (*sstable.Reader, error) {
 	rd, err := sstable.Open(path)
 	if err != nil {
@@ -704,74 +668,30 @@ func cloneBound(b []byte) []byte {
 	return append([]byte(nil), b...)
 }
 
-// Compact merges all SSTables into one, dropping tombstones.
-func (ns *Namespace) Compact() error {
-	ns.compactMu.Lock()
-	defer ns.compactMu.Unlock()
-	return ns.compactLocked()
-}
-
+// compactLocked is the major compaction: it merges the whole stack into
+// one table without tombstones or truncated records, unthrottled (it
+// sits on the critical path of migration teardown). Caller holds
+// compactMu.
 func (ns *Namespace) compactLocked() error {
-	// A major compaction consumes the whole stack; in-flight background
-	// tier merges would race the snapshot below, so stop and drain them
-	// first (they poll for cancellation between records, so this is
-	// bounded by one poll interval, not by a merge's full runtime).
+	// In-flight background tier merges have claimed parts of the stack;
+	// stop and drain them first (they poll for cancellation between
+	// records, so this is bounded by one poll interval, not by a merge's
+	// full runtime).
 	ns.cancelTierMerges()
-	ns.mu.RLock()
-	tables := append([]*sstable.Reader(nil), ns.tables...)
+	ns.mu.Lock()
+	tables := ns.tables
 	seq := ns.tableSeq
-	exclByIdx := make(map[int][]keyRange)
-	for i, t := range tables {
-		if rs := ns.excluded[t]; len(rs) > 0 {
-			exclByIdx[i] = append([]keyRange(nil), rs...)
-		}
+	// A lone table with nothing truncated is already compact.
+	idle := len(tables) == 0 || (len(tables) == 1 && len(ns.excluded[tables[0]]) == 0)
+	if !idle {
+		ns.tableSeq++
 	}
-	ns.mu.RUnlock()
-	if len(tables) < 2 && len(exclByIdx) == 0 {
-		return nil
-	}
-	if len(tables) == 0 {
-		return nil
-	}
-
-	ns.mu.Lock()
-	ns.tableSeq++
 	ns.mu.Unlock()
-
-	opts := sstable.MergeOptions{DropTombstones: true}
-	if len(exclByIdx) > 0 {
-		opts.Drop = func(src int, rec record.Record) bool {
-			for _, r := range exclByIdx[src] {
-				if r.contains(rec.Key) {
-					return true
-				}
-			}
-			return false
-		}
+	if idle {
+		return nil
 	}
-	merged, err := sstable.Merge(ns.tablePath(seq), opts, tables...)
-	if err != nil {
+	if err := ns.installTable(seq, sstable.MergeOptions{DropTombstones: true}, tables, nil); err != nil {
 		return fmt.Errorf("storage: compact %s: %w", ns.name, err)
-	}
-	if bc := ns.engine.blockCache; bc != nil {
-		merged.SetBlockCache(bc)
-	}
-
-	ns.mu.Lock()
-	// Tables flushed while we merged sit in front of the ones we
-	// consumed; keep them, replace the rest. The consumed tables'
-	// pending truncations were applied by the merge filter.
-	keep := len(ns.tables) - len(tables)
-	ns.tables = append(ns.tables[:keep:keep], merged)
-	for _, t := range tables {
-		delete(ns.excluded, t)
-	}
-	ns.mu.Unlock()
-
-	for _, t := range tables {
-		if err := t.Remove(); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -781,13 +701,6 @@ func (ns *Namespace) TableCount() int {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
 	return len(ns.tables)
-}
-
-// MemLen reports the number of entries in the active memtable.
-func (ns *Namespace) MemLen() int {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	return ns.mem.Len()
 }
 
 func (ns *Namespace) tablePath(seq uint64) string {

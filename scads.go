@@ -18,8 +18,9 @@
 //     models and director (internal/director) grow and shrink the
 //     cluster to meet the declared SLA at minimum cost.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// reproduction of every figure in the paper.
+// See ARCHITECTURE.md for the system inventory and
+// cmd/scads-bench/README.md for the reproduction of every figure in the
+// paper.
 package scads
 
 import (
