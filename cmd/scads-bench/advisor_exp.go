@@ -7,6 +7,7 @@ import (
 	"scads"
 	"scads/internal/advisor"
 	"scads/internal/analyzer"
+	"scads/internal/expgrid"
 )
 
 // runE9 regenerates the §2.2/§3.3.1 guidance flow: the developer
@@ -15,7 +16,7 @@ import (
 // storage, cluster sizing with a monthly bill, and the expected
 // downtime-vs-cost curve — including the rejection reasons for
 // templates that are not scale-independent.
-func runE9() {
+func runE9(expgrid.Params) (expgrid.Metrics, error) {
 	ddl := `
 ENTITY profiles (
     id string PRIMARY KEY,
@@ -82,4 +83,11 @@ WHERE f.followee = ?user LIMIT 100
 		}
 	}
 	fmt.Println()
+	return expgrid.Metrics{
+		"servers":                    float64(rep.Cluster.Servers),
+		"write_amplification_x":      rep.Cluster.WriteAmplification,
+		"storage_gib":                float64(rep.Cluster.StorageBytes) / (1 << 30),
+		"monthly_usd":                rep.Cluster.MonthlyTotalUSD,
+		"rf2_downtime_min_per_month": rep.Curve[1].DowntimeMinutesPerMonth,
+	}, nil
 }

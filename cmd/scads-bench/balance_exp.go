@@ -2,9 +2,11 @@ package main
 
 import (
 	"fmt"
+	"sort"
 
 	"scads"
 	"scads/internal/balancer"
+	"scads/internal/expgrid"
 	"scads/internal/planner"
 )
 
@@ -13,8 +15,28 @@ import (
 // configure system parameters such as partitioning"): a skewed
 // social workload concentrates on one primary; successive rebalance
 // rounds split the hot range at the tracker's median observed key and
-// move ranges until primaries spread across the cluster.
-func runE11() {
+// move ranges until primaries spread across the cluster. The ablation
+// reruns it with splitting disabled: moves alone cannot spread one
+// range's load, so the hotspot keeps its single primary.
+func runE11(expgrid.Params) (expgrid.Metrics, error) {
+	ranges, primaries, actions := e11Rebalance(scads.BalanceConfig{})
+	fmt.Println("\nthe hot range is split at the tracker's median observed key, then")
+	fmt.Println("whole ranges move until no node exceeds 1.5x the mean load — all 200")
+	fmt.Println("rows stay readable throughout (verified by the test suite).")
+	fmt.Println("\nablation, splitting disabled:")
+	nsRanges, nsPrimaries, _ := e11Rebalance(scads.BalanceConfig{SplitFraction: 1e9})
+	return expgrid.Metrics{
+		"final_ranges":          float64(ranges),
+		"primary_nodes":         float64(primaries),
+		"plan_actions":          float64(actions),
+		"nosplit_final_ranges":  float64(nsRanges),
+		"nosplit_primary_nodes": float64(nsPrimaries),
+	}, nil
+}
+
+// e11Rebalance loads 200 users on a 4-node cluster, then runs three
+// rounds of (skewed reads, Rebalance), printing the layout after each.
+func e11Rebalance(cfg scads.BalanceConfig) (ranges, primaryNodes, actions int) {
 	lc, err := scads.NewLocalCluster(4, scads.Config{})
 	must(err)
 	defer lc.Close()
@@ -52,7 +74,7 @@ func runE11() {
 	fmt.Printf("%-8s %8d %10d %8s %8s\n", "start", r0, len(p0), "-", "-")
 	for round := 1; round <= 3; round++ {
 		skew()
-		plan, err := lc.Rebalance(scads.BalanceConfig{})
+		plan, err := lc.Rebalance(cfg)
 		must(err)
 		splits, moves := 0, 0
 		for _, a := range plan {
@@ -63,16 +85,20 @@ func runE11() {
 				moves++
 			}
 		}
+		actions += len(plan)
 		r, p := layout()
 		fmt.Printf("round-%d  %8d %10d %8d %8d\n", round, r, len(p), splits, moves)
 	}
 
-	_, p := layout()
-	fmt.Println("\nprimary ranges per node after rebalancing:")
-	for node, n := range p {
-		fmt.Printf("  %-10s %d\n", node, n)
+	ranges, p := layout()
+	nodes := make([]string, 0, len(p))
+	for node := range p {
+		nodes = append(nodes, node)
 	}
-	fmt.Println("\nthe hot range is split at the tracker's median observed key, then")
-	fmt.Println("whole ranges move until no node exceeds 1.5x the mean load — all 200")
-	fmt.Println("rows stay readable throughout (verified by the test suite).")
+	sort.Strings(nodes)
+	fmt.Println("\nprimary ranges per node after rebalancing:")
+	for _, node := range nodes {
+		fmt.Printf("  %-10s %d\n", node, p[node])
+	}
+	return ranges, len(p), actions
 }

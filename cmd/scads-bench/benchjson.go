@@ -15,7 +15,10 @@ import (
 // committed baseline file, Direction and Tolerance are the regression
 // policy: "higher" means bigger is better and a run fails when its
 // value drops below baseline*(1-tolerance); "lower" means smaller is
-// better and a run fails when its value exceeds baseline*(1+tolerance).
+// better and a run fails when its value exceeds baseline*(1+tolerance);
+// "exact" means a reproduced number with no better side and a run
+// fails when it is off by more than baseline*tolerance either way
+// (tolerance 0 pins the deterministic paper figures bit for bit).
 // A zero-valued lower-is-better baseline with zero tolerance is a hard
 // gate: any non-zero run value fails (the lost-updates / scan-errors
 // invariants).
@@ -31,52 +34,22 @@ type BenchMetric struct {
 	Tolerance float64 `json:"tolerance,omitempty"`
 }
 
-// BenchSummary is the machine-readable result of one experiment (or
-// one grid row), written as BENCH_<exp>.json next to the
-// human-readable series. Repeats records how many independent repeats
-// the grouped metrics aggregate (0/absent = a single legacy run).
+// BenchSummary is the machine-readable result of one grid row,
+// written as BENCH_<row>.json. Repeats records how many independent
+// repeats the grouped metrics aggregate (absent in baseline files).
 type BenchSummary struct {
 	Experiment string                 `json:"experiment"`
 	Repeats    int                    `json:"repeats,omitempty"`
 	Metrics    map[string]BenchMetric `json:"metrics"`
 }
 
-// benchJSONDir receives BENCH_<exp>.json summaries when the
-// -bench-json flag is set; empty disables emission.
-var benchJSONDir string
-
-// writeBenchSummary persists an experiment's gated metric values. Run
-// summaries carry values only — direction and tolerance live solely
-// in the committed baselines, so refreshing a baseline from a run
-// file can never silently loosen the policy. A write failure is
-// fatal: a CI run that silently skips the summary would also silently
-// skip the regression gate.
-func writeBenchSummary(exp string, values map[string]float64) {
-	if benchJSONDir == "" {
-		return
-	}
-	if err := os.MkdirAll(benchJSONDir, 0o755); err != nil {
-		log.Fatalf("scads-bench: %v", err)
-	}
-	metrics := make(map[string]BenchMetric, len(values))
-	for name, v := range values {
-		metrics[name] = BenchMetric{Value: v}
-	}
-	b, err := json.MarshalIndent(BenchSummary{Experiment: exp, Metrics: metrics}, "", "  ")
-	if err != nil {
-		log.Fatalf("scads-bench: %v", err)
-	}
-	path := filepath.Join(benchJSONDir, "BENCH_"+exp+".json")
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		log.Fatalf("scads-bench: %v", err)
-	}
-	log.Printf("%s: wrote %s", exp, path)
-}
-
 // writeGroupedBenchSummary persists a grid row's aggregated metrics
 // as BENCH_<row>.json: mean as the gated value, std and the repeat
-// count alongside. Like writeBenchSummary, run files never carry
-// direction/tolerance — policy lives only in committed baselines.
+// count alongside. Run files carry values only — direction and
+// tolerance live solely in the committed baselines, so refreshing a
+// baseline from a run file can never silently loosen the policy. A
+// write failure is fatal: a CI run that silently skips the summary
+// would also silently skip the regression gate.
 func writeGroupedBenchSummary(dir string, row expgrid.RowResult) {
 	metrics := make(map[string]BenchMetric, len(row.Grouped))
 	for name, a := range row.Grouped {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"scads/internal/clock"
 	"scads/internal/cloudsim"
 	"scads/internal/consistency"
+	"scads/internal/expgrid"
 	"scads/internal/planner"
 	"scads/internal/query"
 	"scads/internal/record"
@@ -54,7 +56,7 @@ WHERE f.f1 = ?user ORDER BY p.birthday LIMIT 50
 
 // --- E1: Figure 1 ---
 
-func runE1() {
+func runE1(expgrid.Params) (expgrid.Metrics, error) {
 	svc := paperService()
 	trace := workload.AnimotoTrace(t0, svc.CapacityPerServer)
 	res := sim.Run(sim.Config{
@@ -83,11 +85,17 @@ func runE1() {
 	fmt.Printf("measured:         %d servers -> %d servers (peak %d), SLA violations %.2f%%, %.0f machine-hours\n",
 		res.Ticks[0].Running, res.FinalServers, res.PeakServers,
 		100*res.ViolationRate(), res.MachineHours)
+	return expgrid.Metrics{
+		"peak_servers":  float64(res.PeakServers),
+		"final_servers": float64(res.FinalServers),
+		"violation_pct": 100 * res.ViolationRate(),
+		"machine_hours": res.MachineHours,
+	}, nil
 }
 
 // --- E2: Figure 2 ---
 
-func runE2() {
+func runE2(expgrid.Params) (expgrid.Metrics, error) {
 	svc := paperService()
 	stepAt := t0.Add(2 * time.Hour)
 	trace := workload.Spike{
@@ -124,11 +132,19 @@ func runE2() {
 	fmt.Println("\nthe model-driven loop provisions at the forecast horizon (boot delay +")
 	fmt.Println("2 ticks), so it absorbs the step with fewer violated intervals and")
 	fmt.Println("recovers sooner than the reactive threshold rule.")
+	return expgrid.Metrics{
+		"model_violated_intervals":    float64(md.Violations),
+		"reactive_violated_intervals": float64(re.Violations),
+		"model_violation_pct":         100 * md.ViolationRate(),
+		"reactive_violation_pct":      100 * re.ViolationRate(),
+		"model_recovery_min":          mdR.Recovery.Minutes(),
+		"reactive_recovery_min":       reR.Recovery.Minutes(),
+	}, nil
 }
 
 // --- E3: Figure 3 ---
 
-func runE3() {
+func runE3(expgrid.Params) (expgrid.Metrics, error) {
 	ddl := `
 ENTITY profiles (
     id string PRIMARY KEY,
@@ -179,11 +195,15 @@ WHERE f.f1 = ?user ORDER BY p.birthday LIMIT 50
 		r := results[name]
 		fmt.Printf("  %-28s %-12s %10d %12d\n", name, r.Shape, r.Fanout, r.UpdateWork)
 	}
+	return expgrid.Metrics{
+		"maintenance_rows": float64(len(out2.Maintenance)),
+		"indexes":          float64(len(out2.Indexes)),
+	}, nil
 }
 
 // --- E4a ---
 
-func runE4a() {
+func runE4a(expgrid.Params) (expgrid.Metrics, error) {
 	lc, err := scads.NewLocalCluster(4, scads.Config{ReplicationFactor: 2, SLA: paperSLA()})
 	must(err)
 	defer lc.Close()
@@ -212,20 +232,31 @@ func runE4a() {
 		met = "VIOLATED"
 	}
 	fmt.Printf("  SLA:               %s\n", met)
+	return expgrid.Metrics{
+		"sla_met":     b2f(iv.Met),
+		"p999_us":     float64(iv.Latency.Microseconds()),
+		"success_pct": iv.SuccessRate,
+	}, nil
 }
 
 // --- E4b ---
 
-func runE4b() {
+func runE4b(expgrid.Params) (expgrid.Metrics, error) {
 	fmt.Println("the same contended counter (8 writers x 50 increments) under each")
 	fmt.Println("write-consistency mode, plus 32 concurrent wall posts under merge:")
 	fmt.Printf("\n  %-22s %14s\n", "write mode", "lost updates")
-	fmt.Printf("  %-22s %14.0f\n", "last-write-wins", counterLoss("last-write-wins"))
-	fmt.Printf("  %-22s %14.0f\n", "serializable", counterLoss("serializable"))
-	fmt.Printf("  %-22s %14.0f   (union of posts; lost posts)\n", "merge(union)", mergeLoss())
+	lww, ser, merge := counterLoss("last-write-wins"), counterLoss("serializable"), mergeLoss()
+	fmt.Printf("  %-22s %14.0f\n", "last-write-wins", lww)
+	fmt.Printf("  %-22s %14.0f\n", "serializable", ser)
+	fmt.Printf("  %-22s %14.0f   (union of posts; lost posts)\n", "merge(union)", merge)
 	fmt.Println("\nthe spectrum of §3.3.1: LWW silently drops concurrent increments,")
 	fmt.Println("serializable recovers RDBMS behaviour, and merge converges without locks")
 	fmt.Println("when the developer supplies a commutative resolution function.")
+	return expgrid.Metrics{
+		"lww_lost_updates":          lww,
+		"serializable_lost_updates": ser,
+		"merge_lost_entries":        merge,
+	}, nil
 }
 
 func counterLoss(mode string) float64 {
@@ -304,7 +335,7 @@ func mergeLoss() float64 {
 
 // --- E4c ---
 
-func runE4c() {
+func runE4c(expgrid.Params) (expgrid.Metrics, error) {
 	vc := clock.NewVirtual(t0)
 	q := replication.NewQueue(replication.ByDeadline)
 	pump := replication.NewPump(q, func(ns, node string, recs []record.Record) error { return nil }, vc)
@@ -340,11 +371,17 @@ func runE4c() {
 	fmt.Println("older than the bound is skipped (or the read fails/stalls, per the")
 	fmt.Println("namespace's declared priority order — see experiment e4d and the")
 	fmt.Println("TestStalenessBoundArbitration integration test).")
+	return expgrid.Metrics{
+		"max_staleness_s":  worst.Seconds(),
+		"bound_s":          bound.Seconds(),
+		"bound_violations": float64(stats.Violations),
+		"deliveries":       float64(stats.Delivered),
+	}, nil
 }
 
 // --- E4d ---
 
-func runE4d() {
+func runE4d(expgrid.Params) (expgrid.Metrics, error) {
 	frac := func(useSession bool) float64 {
 		lc, err := scads.NewLocalCluster(2, scads.Config{ReplicationFactor: 2})
 		must(err)
@@ -374,18 +411,21 @@ func runE4d() {
 	fmt.Println("write, then immediately read, while replication to the second replica")
 	fmt.Println("is still in flight (RF=2, reads rotate across replicas):")
 	fmt.Printf("\n  %-28s %22s\n", "mode", "saw own write")
-	fmt.Printf("  %-28s %21.1f%%\n", "no session", frac(false))
-	fmt.Printf("  %-28s %21.1f%%\n", "read-your-writes session", frac(true))
+	without, with := frac(false), frac(true)
+	fmt.Printf("  %-28s %21.1f%%\n", "no session", without)
+	fmt.Printf("  %-28s %21.1f%%\n", "read-your-writes session", with)
 	fmt.Println("\n\"I must read my own writes\" (Figure 4): the session floor forces the")
 	fmt.Println("read to fail over from the stale replica to one that has the write.")
+	return expgrid.Metrics{"with_session_pct": with, "without_session_pct": without}, nil
 }
 
 // --- E4e ---
 
-func runE4e() {
+func runE4e(expgrid.Params) (expgrid.Metrics, error) {
 	fmt.Println("durability SLA: replicas required so committed writes persist, given the")
 	fmt.Println("probability a node dies within one repair window (analytic + Monte Carlo):")
 	fmt.Printf("\n  %10s %14s %10s %18s %16s\n", "p(fail)", "target", "replicas", "analytic-survival", "monte-carlo")
+	var m expgrid.Metrics
 	for _, pFail := range []float64{0.01, 0.05} {
 		for _, target := range []float64{0.99, 0.999, 0.99999} {
 			r, err := consistency.RequiredReplicas(pFail, target)
@@ -393,25 +433,34 @@ func runE4e() {
 			an := consistency.SurvivalProbability(pFail, r)
 			mc := consistency.MonteCarloSurvival(pFail, r, 400000, 7)
 			fmt.Printf("  %10.2f %13.3f%% %10d %18.6f %16.6f\n", pFail, 100*target, r, an, mc)
+			if pFail == 0.01 && target == 0.99999 {
+				m = expgrid.Metrics{"replicas_for_5_nines": float64(r), "analytic_survival": an, "mc_survival": mc}
+			}
 		}
 	}
 	fmt.Println("\n\"for high volume but less-important data, such as old comments, relaxing")
 	fmt.Println("this probability could save on replication costs\" (§3.3.1): dropping from")
 	fmt.Println("five nines to two nines saves a replica at p=0.01.")
+	return m, nil
 }
 
 // --- E5 ---
 
-func runE5() {
+func runE5(expgrid.Params) (expgrid.Metrics, error) {
 	fmt.Println("the birthday query against a probe user with exactly 20 friends, as the")
 	fmt.Println("background population grows 100x (the §1.1 scale-independence claim):")
 	fmt.Printf("\n  %12s %14s %16s %14s\n", "users", "median-us", "p99-us", "rows")
+	m := expgrid.Metrics{}
 	for _, users := range []int{1000, 10000, 100000} {
 		med, p99, rows := e5Probe(users)
 		fmt.Printf("  %12d %14.0f %16.0f %14d\n", users, med, p99, rows)
+		m[fmt.Sprintf("rows_at_%d_users", users)] = float64(rows)
+		m[fmt.Sprintf("median_us_at_%d_users", users)] = med
+		m[fmt.Sprintf("p99_us_at_%d_users", users)] = p99
 	}
 	fmt.Println("\nresponse time is flat in the number of users: every execution is one")
 	fmt.Println("bounded contiguous index scan regardless of total data volume.")
+	return m, nil
 }
 
 func e5Probe(users int) (medianUS, p99US float64, rows int) {
@@ -440,21 +489,13 @@ func e5Probe(users int) (medianUS, p99US float64, rows int) {
 		lats = append(lats, float64(time.Since(start).Microseconds()))
 		rows = len(rs)
 	}
-	sortFloats(lats)
+	sort.Float64s(lats)
 	return lats[len(lats)/2], lats[len(lats)*99/100], rows
-}
-
-func sortFloats(x []float64) {
-	for i := 1; i < len(x); i++ {
-		for j := i; j > 0 && x[j] < x[j-1]; j-- {
-			x[j], x[j-1] = x[j-1], x[j]
-		}
-	}
 }
 
 // --- E6 ---
 
-func runE6() {
+func runE6(expgrid.Params) (expgrid.Metrics, error) {
 	facebook := `
 ENTITY users ( id string PRIMARY KEY, name string )
 ENTITY friendships ( f1 string, f2 string, PRIMARY KEY (f1, f2), CARDINALITY f1 5000, CARDINALITY f2 5000 )
@@ -488,11 +529,12 @@ QUERY followersOf SELECT u.* FROM follows f JOIN users u ON f.follower = u.id WH
 	} else {
 		fmt.Printf("    unexpectedly accepted\n")
 	}
+	return expgrid.Metrics{"facebook_accepted": b2f(errF == nil), "twitter_rejected": b2f(errT != nil)}, nil
 }
 
 // --- E7 ---
 
-func runE7() {
+func runE7(expgrid.Params) (expgrid.Metrics, error) {
 	svc := paperService()
 	trace := workload.Diurnal{Base: 3000, Amplitude: 2500, PeakHour: 14}
 	common := sim.Config{
@@ -521,11 +563,20 @@ func runE7() {
 		100*(1-elastic.CostUSD/static.CostUSD))
 	fmt.Println("  \"rapid scale-down is a new goal for massive storage systems, as there")
 	fmt.Println("  is now an economic benefit to doing so\" (§1).")
+	return expgrid.Metrics{
+		"elastic_machine_hours": elastic.MachineHours,
+		"static_machine_hours":  static.MachineHours,
+		"elastic_usd":           elastic.CostUSD,
+		"static_peak_usd":       static.CostUSD,
+		"elastic_violation_pct": 100 * elastic.ViolationRate(),
+		"static_violation_pct":  100 * static.ViolationRate(),
+		"savings_pct":           100 * (1 - elastic.CostUSD/static.CostUSD),
+	}, nil
 }
 
 // --- E8 ---
 
-func runE8() {
+func runE8(expgrid.Params) (expgrid.Metrics, error) {
 	dl := sim.RunE8(replication.ByDeadline, t0)
 	ff := sim.RunE8(replication.FIFO, t0)
 	fmt.Println("mixed staleness bounds (1s and 60s), 100 writes/s against 80/s of")
@@ -537,6 +588,12 @@ func runE8() {
 	fmt.Println("first [and] easily detect when it is in danger of getting behind")
 	fmt.Println("schedule\" (§3.3.2): the deadline order spends the scarce bandwidth on")
 	fmt.Println("tight bounds; FIFO blows through them while loose bounds had slack.")
+	return expgrid.Metrics{
+		"deadline_tight_violations": float64(dl.TightViolations),
+		"fifo_tight_violations":     float64(ff.TightViolations),
+		"deadline_loose_violations": float64(dl.LooseViolations),
+		"fifo_loose_violations":     float64(ff.LooseViolations),
+	}, nil
 }
 
 // --- helpers ---
@@ -549,6 +606,14 @@ func must(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// b2f reports a held/violated invariant as a gateable 1/0 metric.
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func indent(s, prefix string) string {

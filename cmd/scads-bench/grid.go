@@ -1,11 +1,12 @@
 package main
 
-// The experiment grid: e12–e18 register with internal/expgrid as
-// parameterized experiments (params in, typed metrics out), and the
-// committed experiments.json at the repository root declares which
-// rows — base configurations plus workload variants (value sizes,
-// skew, mixes, repeats) — one `scads-bench -grid` invocation runs.
-// CI's bench-gate is exactly that invocation followed by `-compare`.
+// The experiment grid: every experiment — the paper's figures e1–e11
+// and the system experiments e12–e18 — registers with internal/expgrid
+// (params in, typed metrics out), and the committed experiments.json
+// at the repository root declares which rows — base configurations
+// plus workload variants (value sizes, skew, mixes, repeats) — one
+// `scads-bench -grid` invocation runs. CI's bench-gate is exactly
+// that invocation followed by `-compare`.
 
 import (
 	"fmt"
@@ -17,12 +18,31 @@ import (
 	"scads/internal/expgrid"
 )
 
-// gridRegistry declares every grid-runnable experiment. Parameter
-// defaults reproduce the historical single-shot behavior of each
-// `-exp` run, so a grid row with no overrides is the same experiment
-// CI has always gated.
+// gridRegistry declares every experiment. The paper figures take no
+// parameters: each reproduces one fixed configuration whose numbers
+// the committed baselines pin. For e12–e18 a grid row with no
+// overrides runs the declared defaults.
 func gridRegistry() *expgrid.Registry {
 	reg := expgrid.NewRegistry()
+	for _, e := range []expgrid.Experiment{
+		{ID: "e1", Name: "Figure 1: Animoto viral scale-up (50 -> 3400 servers)", Run: runE1},
+		{ID: "e2", Name: "Figure 2: provisioning feedback loop reaction", Run: runE2},
+		{ID: "e3", Name: "Figure 3: index-maintenance table", Run: runE3},
+		{ID: "e4a", Name: "Figure 4 row 1: performance SLA", Run: runE4a},
+		{ID: "e4b", Name: "Figure 4 row 2: write consistency spectrum", Run: runE4b},
+		{ID: "e4c", Name: "Figure 4 row 3: read-consistency staleness bound", Run: runE4c},
+		{ID: "e4d", Name: "Figure 4 row 4: session guarantees", Run: runE4d},
+		{ID: "e4e", Name: "Figure 4 row 5: durability SLA", Run: runE4e},
+		{ID: "e5", Name: "Scale independence: latency flat in user count", Run: runE5},
+		{ID: "e6", Name: "O(K) update bound: Facebook accepted, Twitter rejected", Run: runE6},
+		{ID: "e7", Name: "Scale-down economics: diurnal day, elastic vs static", Run: runE7},
+		{ID: "e8", Name: "Deadline priority queue vs FIFO (ablation)", Run: runE8},
+		{ID: "e9", Name: "Advisor: pre-deployment cost & downtime-vs-cost guidance", Run: runE9},
+		{ID: "e10", Name: "Partition contention: priority order arbitration (§3.3.1)", Run: runE10},
+		{ID: "e11", Name: "Workload-driven repartitioning: hot-range split & move", Run: runE11},
+	} {
+		reg.Register(e)
+	}
 	reg.Register(expgrid.Experiment{
 		ID:   "e12",
 		Name: "Writes during migration: lossless online range handoff",
@@ -103,12 +123,6 @@ func gridRegistry() *expgrid.Registry {
 	return reg
 }
 
-// defaultParams resolves an experiment's declared defaults with no
-// overrides — the legacy `-exp` path.
-func defaultParams(exp expgrid.Experiment, seed int64) expgrid.Params {
-	return expgrid.NewParams(exp.Params, nil, seed, 0)
-}
-
 // runGridCmd is the `-grid` entrypoint: parse and validate the
 // committed grid, execute every row (or just -grid-row) with repeats,
 // write BENCH_<row>.json grouped summaries plus the schema-validated
@@ -178,15 +192,11 @@ func loadRowBaselines(baselineDir string, res *expgrid.GridResult) map[string]ma
 	return out
 }
 
-// listExperiments prints the catalogue: legacy figure experiments
-// first, then every grid-registered experiment with its overridable
-// parameters — the reference for writing experiments.json rows.
+// listExperiments prints the catalogue: every experiment with its
+// overridable parameters — the reference for writing experiments.json
+// rows.
 func listExperiments() {
-	fmt.Println("legacy figure experiments (-exp only, not grid-runnable):")
-	for _, e := range legacyExperiments {
-		fmt.Printf("  %-5s %s\n", e.id, e.name)
-	}
-	fmt.Println("\ngrid-runnable experiments (-exp, or rows in experiments.json):")
+	fmt.Println("experiments (run as rows of experiments.json):")
 	for _, exp := range gridRegistry().List() {
 		fmt.Printf("  %-5s %s\n", exp.ID, exp.Name)
 		if len(exp.Params) == 0 {

@@ -2,16 +2,21 @@ package main
 
 import (
 	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"scads/internal/expgrid"
 )
 
-// TestCommittedGridParses pins the committed experiments.json to the
+// committedGrid parses the committed experiments.json against the
 // registry: every row must name a registered experiment and override
 // only declared parameters. A rename or a typo in either place fails
 // here, not in CI's bench-gate.
-func TestCommittedGridParses(t *testing.T) {
+func committedGrid(t *testing.T) *expgrid.Grid {
+	t.Helper()
 	data, err := os.ReadFile("../../experiments.json")
 	if err != nil {
 		t.Fatalf("read committed grid: %v", err)
@@ -20,8 +25,13 @@ func TestCommittedGridParses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("committed experiments.json invalid: %v", err)
 	}
-	if len(g.Rows) < 8 {
-		t.Fatalf("committed grid has %d rows, want >= 8 (e12..e17 plus workload variants)", len(g.Rows))
+	return g
+}
+
+func TestCommittedGridParses(t *testing.T) {
+	g := committedGrid(t)
+	if len(g.Rows) < 24 {
+		t.Fatalf("committed grid has %d rows, want >= 24 (e1..e18 with e4a..e4e, plus workload variants)", len(g.Rows))
 	}
 	variants := 0
 	for _, row := range g.Rows {
@@ -34,17 +44,84 @@ func TestCommittedGridParses(t *testing.T) {
 	}
 }
 
-// TestGridRegistryDefaultsValidate runs every registered experiment's
-// parameter validation (not its workload) at declared defaults by
-// constructing the same Params the legacy -exp path uses. Defaults
-// that an experiment would reject are caught here.
-func TestGridRegistryDefaultsValidate(t *testing.T) {
+// TestEveryRowIsGated closes the hole `-compare` leaves open (a row
+// without a baseline file is skipped with a message, not failed):
+// every committed row has a baseline that gates at least one metric,
+// every baseline file names a committed row, and every registered
+// experiment has a row — so no paper figure can drop out of the gate.
+func TestEveryRowIsGated(t *testing.T) {
+	rows := make(map[string]bool)
+	ran := make(map[string]bool)
+	for _, row := range committedGrid(t).Rows {
+		rows[row.ID] = true
+		ran[row.Experiment] = true
+		s, err := readSummary("baselines/BENCH_" + row.ID + ".json")
+		if err != nil {
+			t.Errorf("row %s is ungated: %v", row.ID, err)
+		} else if len(s.Metrics) == 0 || s.Experiment != row.ID {
+			t.Errorf("baseline of row %s gates %d metrics and names %q", row.ID, len(s.Metrics), s.Experiment)
+		}
+	}
+	files, err := filepath.Glob("baselines/BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		id := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json")
+		if !rows[id] {
+			t.Errorf("%s gates no committed row", f)
+		}
+	}
 	for _, exp := range gridRegistry().List() {
-		p := defaultParams(exp, 1)
-		for _, spec := range exp.Params {
-			if got := p.Get(spec.Name); got != spec.Default {
-				t.Errorf("%s: default %s = %g, want %g", exp.ID, spec.Name, got, spec.Default)
+		if !ran[exp.ID] {
+			t.Errorf("experiment %s has no row in experiments.json", exp.ID)
+		}
+	}
+}
+
+// TestRegistryMatchesREADME pins the one catalogue to its
+// documentation: the registry lists exactly the ids of the README's
+// experiment table, in the same order.
+func TestRegistryMatchesREADME(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented []string
+	for _, m := range regexp.MustCompile(`(?m)^\| (e[0-9]+[a-e]?) +\|`).FindAllStringSubmatch(string(readme), -1) {
+		documented = append(documented, m[1])
+	}
+	var registered []string
+	for _, exp := range gridRegistry().List() {
+		registered = append(registered, exp.ID)
+	}
+	if len(registered) != 22 || !reflect.DeepEqual(registered, documented) {
+		t.Fatalf("registry lists %d experiments %v; README table documents %v", len(registered), registered, documented)
+	}
+}
+
+// TestDeterministicHooksReplay is what makes the tolerance-0 baselines
+// legitimate: each cheap virtual-clock or pure-analysis experiment,
+// run twice in this process, returns identical metrics. e1 and e7 are
+// too slow for go test; their `repeats: 2` grid rows prove the same
+// through a grouped std of exactly 0.
+func TestDeterministicHooksReplay(t *testing.T) {
+	reg := gridRegistry()
+	for _, id := range []string{"e2", "e3", "e4c", "e4d", "e4e", "e6", "e8", "e9", "e10", "e11"} {
+		exp, ok := reg.Lookup(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		var runs [2]expgrid.Metrics
+		for i := range runs {
+			m, err := exp.Run(expgrid.NewParams(exp.Params, nil, int64(1+i), i))
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
 			}
+			runs[i] = m
+		}
+		if len(runs[0]) == 0 || !reflect.DeepEqual(runs[0], runs[1]) {
+			t.Errorf("%s does not replay:\n first %v\nsecond %v", id, runs[0], runs[1])
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"scads"
 	"scads/internal/clock"
+	"scads/internal/expgrid"
 	"scads/internal/planner"
 )
 
@@ -16,7 +17,7 @@ import (
 // bound unsatisfiable at once. The namespace's declared priority order
 // decides the outcome; the contention is noted for the
 // director/operators either way.
-func runE10() {
+func runE10(expgrid.Params) (expgrid.Metrics, error) {
 	run := func(priority string) (served, failed, stale int, noted scads.ContentionStats) {
 		vc := clock.NewVirtual(t0)
 		lc, err := scads.NewLocalCluster(2, scads.Config{Clock: vc, ReplicationFactor: 2})
@@ -56,14 +57,22 @@ func runE10() {
 
 	fmt.Printf("%-36s %8s %8s %8s %14s\n",
 		"priority order", "served", "failed", "stale", "noted-events")
-	for _, prio := range []string{
-		"availability > read-consistency",
-		"read-consistency > availability",
+	m := expgrid.Metrics{}
+	for _, o := range []struct{ key, prio string }{
+		{"avail_first", "availability > read-consistency"},
+		{"consistency_first", "read-consistency > availability"},
 	} {
-		served, failed, stale, noted := run(prio)
-		fmt.Printf("%-36s %8d %8d %8d %14d\n", prio, served, failed, stale, noted.Total)
+		served, failed, stale, noted := run(o.prio)
+		fmt.Printf("%-36s %8d %8d %8d %14d\n", o.prio, served, failed, stale, noted.Total)
+		m[o.key+"_served"] = float64(served)
+		m[o.key+"_failed"] = float64(failed)
+		m[o.key+"_stale"] = float64(stale)
+		m[o.key+"_noted"] = float64(noted.Total)
+		m[o.key+"_noted_stale"] = float64(noted.StaleServed)
+		m[o.key+"_noted_failed"] = float64(noted.ReadsFailed)
 	}
 	fmt.Println("\navailability-first keeps serving (every answer is the stale v1);")
 	fmt.Println("read-consistency-first fails every read instead. Both orders note the")
 	fmt.Println("contention so the director/operators can re-provision (§3.3.1).")
+	return m, nil
 }

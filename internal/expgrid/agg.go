@@ -66,6 +66,12 @@ func aggregate(vals []float64) Agg {
 		}
 	}
 	a.Mean = sum / float64(a.N)
+	if a.Min == a.Max {
+		// Identical repeats: sum/N can be off by an ulp — (0.1+0.1+0.1)/3
+		// != 0.1 — which would fail a tolerance-0 gate and report a
+		// non-zero std for a bit-identical row.
+		a.Mean = a.Min
+	}
 	if a.N > 1 {
 		ss := 0.0
 		for _, v := range vals {

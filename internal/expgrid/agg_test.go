@@ -34,6 +34,16 @@ func TestAggregateSingleRepeat(t *testing.T) {
 	}
 }
 
+// TestAggregateIdenticalRepeats: three bit-identical repeats group to
+// that value with std exactly 0 — (0.1+0.1+0.1)/3 is an ulp above 0.1,
+// which a tolerance-0 baseline at nightly's 3 repeats would fail on.
+func TestAggregateIdenticalRepeats(t *testing.T) {
+	got := Aggregate([]Metrics{{"x": 0.1}, {"x": 0.1}, {"x": 0.1}})
+	if a := got["x"]; a.Mean != 0.1 || a.Std != 0 {
+		t.Fatalf("identical repeats: %+v", a)
+	}
+}
+
 func TestAggregateMissingMetricInSomeRepeats(t *testing.T) {
 	got := Aggregate([]Metrics{{"x": 1, "y": 5}, {"x": 3}})
 	if a := got["x"]; a.N != 2 || a.Mean != 2 {
@@ -93,6 +103,11 @@ func TestBaselineWithin(t *testing.T) {
 		// Hard gate: zero-valued lower-is-better with zero tolerance.
 		{Baseline{Value: 0, Direction: "lower"}, 0, true, 0},
 		{Baseline{Value: 0, Direction: "lower"}, 0.5, false, 0},
+		// Exact: a pinned reproduction fails off either side.
+		{Baseline{Value: 4237, Direction: "exact"}, 4237, true, 4237},
+		{Baseline{Value: 4237, Direction: "exact"}, 4236, false, 4237},
+		{Baseline{Value: 4237, Direction: "exact"}, 4238, false, 4237},
+		{Baseline{Value: 100, Direction: "exact", Tolerance: 0.1}, 91, true, 100},
 		// Unset direction reads as higher-is-better.
 		{Baseline{Value: 10}, 10, true, 10},
 		{Baseline{Value: 10}, 9, false, 10},

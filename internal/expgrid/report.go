@@ -3,6 +3,7 @@ package expgrid
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -10,9 +11,11 @@ import (
 // Baseline is one metric's committed regression policy, mirrored from
 // the BENCH_*.json baseline files: a reference value, a direction
 // ("higher" = bigger is better, anything else conservative-higher;
-// "lower" = smaller is better) and a fractional tolerance. A
-// zero-valued lower-is-better baseline with zero tolerance is a hard
-// gate.
+// "lower" = smaller is better; "exact" = a reproduced number with no
+// better side, off by more than the tolerance either way fails) and
+// a fractional tolerance. A zero-valued lower-is-better baseline with
+// zero tolerance is a hard gate; an exact baseline with zero
+// tolerance pins a deterministic result bit for bit.
 type Baseline struct {
 	Value     float64
 	Direction string
@@ -23,6 +26,8 @@ type Baseline struct {
 // verdict and the bound that was enforced.
 func (b Baseline) Within(got float64) (bool, float64) {
 	switch b.Direction {
+	case "exact":
+		return math.Abs(got-b.Value) <= math.Abs(b.Value)*b.Tolerance, b.Value
 	case "lower":
 		bound := b.Value * (1 + b.Tolerance)
 		return got <= bound, bound
