@@ -77,14 +77,20 @@ func (c *CapacityModel) fitLocked() bool {
 	}
 	bestErr := math.Inf(1)
 	found := false
+	// One feature column, refilled per candidate capacity; xs[i] is the
+	// one-element row over feat[i].
+	feat := make([]float64, len(c.rate))
+	xs := make([][]float64, len(c.rate))
+	for i := range xs {
+		xs[i] = feat[i : i+1]
+	}
 	// Capacity must exceed every observed rate; profile a grid above
 	// the max observed rate.
 	for mult := 1.02; mult <= 4.0; mult *= 1.06 {
 		cap := maxRate * mult
-		xs := make([][]float64, len(c.rate))
 		for i, r := range c.rate {
 			rho := r / cap
-			xs[i] = []float64{rho / (1 - rho)}
+			feat[i] = rho / (1 - rho)
 		}
 		m, err := FitLinear(xs, c.lat)
 		if err != nil {

@@ -52,10 +52,9 @@ func FitLinear(xs [][]float64, ys []float64) (*LinearRegression, error) {
 		xtx[i] = make([]float64, dim)
 	}
 	xty := make([]float64, dim)
+	row := make([]float64, dim) // augmented row [1, x...], refilled per sample
+	row[0] = 1
 	for r := 0; r < n; r++ {
-		// augmented row: [1, x...]
-		row := make([]float64, dim)
-		row[0] = 1
 		copy(row[1:], xs[r])
 		for i := 0; i < dim; i++ {
 			for j := 0; j < dim; j++ {

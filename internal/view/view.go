@@ -38,7 +38,12 @@ type Mutation struct {
 // broken the contract the analyzer's O(K) proof relied on.
 var ErrCardinalityViolated = fmt.Errorf("view: declared cardinality bound exceeded")
 
-// Engine computes index maintenance for one compiled schema.
+// Engine computes index maintenance for one compiled schema. NewEngine
+// sorts the index set once into per-table lookup tables; the write path
+// then asks it two things: Maintains (does anything derive from this
+// table, so is the old row worth reading?) at write time, and Mutations
+// (which index entries does this base change imply?) when the queued
+// change is drained.
 type Engine struct {
 	schema  *query.Schema
 	indexes []*planner.IndexDef
@@ -73,6 +78,14 @@ func NewEngine(schema *query.Schema, indexes []*planner.IndexDef, store Store) *
 
 // Indexes returns the maintained index definitions.
 func (e *Engine) Indexes() []*planner.IndexDef { return e.indexes }
+
+// Maintains reports whether any index or view is derived from table —
+// as the driving table or the joined one. When it is false, Mutations
+// for that table is always empty, so a write to it needs neither the
+// row's old image nor a maintenance task.
+func (e *Engine) Maintains(table string) bool {
+	return len(e.byDriving[table]) > 0 || len(e.byLooked[table]) > 0
+}
 
 // Mutations computes every index-entry change implied by a base-table
 // change. oldRow is nil for inserts, newRow nil for deletes; for

@@ -16,34 +16,33 @@ import (
 	"scads/internal/storage"
 )
 
-// TestWarmGetAllocsOverTCP pins what one hot point read allocates end
-// to end — coordinator, transport, server dispatch and the node's
-// cached read, both sides of the socket being in this process — on the
-// ledger's five-column users row. testing.AllocsPerRun runs under
-// GOMAXPROCS(1), which makes the count deterministic.
-func TestWarmGetAllocsOverTCP(t *testing.T) {
+// openUsersOverTCP opens a Cluster over one in-memory node behind a real
+// TCP server — both sides of the socket in this process — holding the
+// ledger's five-column users table, from which nothing is derived.
+func openUsersOverTCP(t *testing.T) *Cluster {
+	t.Helper()
 	clk := clock.NewReal()
 	engine, err := storage.Open(storage.Options{NodeID: 1, CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer engine.Close()
+	t.Cleanup(func() { engine.Close() })
 	srv := rpc.NewServer(cluster.NewNode("tcp-node-1", engine))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
 	dir := cluster.NewDirectory(clk)
 	dir.Join("tcp-node-1", addr)
 	dir.MarkUp("tcp-node-1")
 	transport := rpc.NewTCPTransport()
-	defer transport.Close()
+	t.Cleanup(func() { transport.Close() })
 	c, err := Open(Config{Clock: clk, Transport: transport, Directory: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
 	if err := c.DefineSchema(`
 ENTITY users (
     id string PRIMARY KEY,
@@ -55,6 +54,16 @@ ENTITY users (
 `); err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// TestWarmGetAllocsOverTCP pins what one hot point read allocates end
+// to end — coordinator, transport, server dispatch and the node's
+// cached read, both sides of the socket being in this process — on the
+// ledger's five-column users row. testing.AllocsPerRun runs under
+// GOMAXPROCS(1), which makes the count deterministic.
+func TestWarmGetAllocsOverTCP(t *testing.T) {
+	c := openUsersOverTCP(t)
 	if err := c.Insert("users", Row{
 		"id": "user000001", "name": "User One", "birthday": 42,
 		"bio": strings.Repeat("b", 150), "counter": 7,
@@ -71,5 +80,27 @@ ENTITY users (
 	get() // dial, fill the record cache
 	if allocs := testing.AllocsPerRun(200, get); allocs > 20 {
 		t.Errorf("warm Cluster.Get over TCP allocates %.1f times per call, want <= 20", allocs)
+	}
+}
+
+// TestInsertAllocsOverTCP pins what one last-write-wins insert into a
+// table nothing is derived from allocates end to end: one apply, no old
+// image, no maintenance task — so the solo commit path cannot quietly
+// grow a map or a goroutine.
+func TestInsertAllocsOverTCP(t *testing.T) {
+	c := openUsersOverTCP(t)
+	r := Row{
+		"id": "user000001", "name": "User One", "birthday": 42,
+		"bio": strings.Repeat("b", 150), "counter": 7,
+	}
+	insert := func() {
+		if err := c.Insert("users", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert() // dial
+	// Measured 14.
+	if allocs := testing.AllocsPerRun(200, insert); allocs > 16 {
+		t.Errorf("Cluster.Insert over TCP allocates %.1f times per call, want <= 16", allocs)
 	}
 }

@@ -3,21 +3,36 @@ package scads
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"scads/internal/admission"
 	"scads/internal/consistency"
 	"scads/internal/partition"
-	"scads/internal/planner"
 	"scads/internal/query"
 	"scads/internal/record"
 	"scads/internal/row"
 )
 
+// Every write runs one pipeline. Stage: resolve the table, normalize
+// the row, encode its key. Old image: read the stored row from its
+// primary (oldImage, oldImages) — only when something consumes it: an index or
+// view derived from the table, a serializable or merge write mode, a
+// caller's function (UpdateFunc), or Delete's "was there a row?". A
+// single-row write that reads holds the key's serializer lock from the
+// read to the commit. Commit: deliver the versioned records to their
+// primaries, schedule replication, and queue the base change for
+// asynchronous index upkeep (§3.2) — all of it in commit, which index
+// upkeep itself goes back through.
+
 // Insert stores a new row (or fully replaces an existing one) in a
-// table, honouring the table's declared write-consistency mode, and
-// schedules asynchronous index maintenance and replication.
+// table under the table's declared write mode. A last-write-wins
+// insert into a table nothing is derived from is one round trip to the
+// primary; otherwise the old row is read first, under the key's lock,
+// and the change is queued for asynchronous index maintenance.
+// Replication to the secondaries is asynchronous under the table's
+// staleness bound either way.
 func (c *Cluster) Insert(table string, r row.Row) error {
 	_, err := c.insertAs(table, r, "")
 	return err
@@ -25,37 +40,40 @@ func (c *Cluster) Insert(table string, r row.Row) error {
 
 // insertAs is Insert accounted to a tenant (InsertSession routes the
 // session's bound tenant here; plain Insert uses the default tenant).
-// It returns the version assigned to the write, the session floor for
-// read-your-writes.
+// It returns the version assigned to the write — the exact session
+// floor for read-your-writes (an upper bound like the coordinator's
+// current HLC would overshoot under concurrent writers and make the
+// session reject even the primary's answer).
 func (c *Cluster) insertAs(table string, r row.Row, tenant string) (uint64, error) {
-	start := c.clk.Now()
-	var ver uint64
-	release, err := c.admitWrite(table, r, tenant, 1)
-	if err == nil {
-		ver, err = c.write(table, r, writeUpsert)
-	}
-	release()
-	c.record(start, err)
-	return ver, err
+	return c.admitted(table, tenant, func(t *query.TableDef, ns string) (uint64, error) {
+		return c.upsert(t, ns, r)
+	}, r)
 }
 
-// admitWrite gates one keyed write through the admission controller.
-// Shed writes still record their load against the balancer's tracker
-// so sustained skew triggers rebalancing instead of vanishing behind
-// the front door. The returned release is always safe to call.
-func (c *Cluster) admitWrite(table string, pk row.Row, tenant string, cost float64) (func(), error) {
-	release, err := c.admit(tenant, admission.OpWrite, cost)
+// admitted runs one write of the given rows (or primary keys) as one
+// operation under SLA accounting and admission control — one admission
+// at its row-count cost — handing it the resolved table. Shed writes
+// still record their load against the balancer's tracker so sustained
+// skew triggers rebalancing instead of vanishing behind the front door.
+func (c *Cluster) admitted(table, tenant string, write func(t *query.TableDef, ns string) (uint64, error), rows ...row.Row) (uint64, error) {
+	start := c.clk.Now()
+	var ver uint64
+	t, ns, terr := c.tableDef(table)
+	release, err := c.admit(tenant, admission.OpWrite, float64(len(rows)))
 	if err == nil {
-		return release, nil
-	}
-	if t, ns, terr := c.tableDef(table); terr == nil {
-		if key, kerr := pkKey(t, pk); kerr == nil {
-			if m, ok := c.router.Map(ns); ok {
+		if err = terr; err == nil {
+			ver, err = write(t, ns)
+		}
+	} else if m, ok := c.router.Map(ns); ok && terr == nil {
+		for _, r := range rows {
+			if key, kerr := pkKey(t, r); kerr == nil {
 				c.loads.Record(ns, m.Lookup(key).Start, key)
 			}
 		}
 	}
-	return release, err
+	release()
+	c.record(start, err)
+	return ver, err
 }
 
 // Update applies a full-row write with the same semantics as Insert
@@ -64,170 +82,103 @@ func (c *Cluster) Update(table string, r row.Row) error {
 	return c.Insert(table, r)
 }
 
-// InsertBatch stores many rows in one coordinator pass: rows are
-// normalized and versioned together, current row images are fetched
-// with one batched read per node, and the new records are delivered
-// as one multi-record apply per primary (one RPC, one WAL write, and
-// — on engines with synchronous writes — one shared group-commit
-// fsync). Replication and asynchronous index maintenance are enqueued
-// per row exactly as Insert does, so consistency semantics are
-// unchanged; tables whose spec declares serializable or merge write
-// modes fall back to the per-row conflict-aware path.
-func (c *Cluster) InsertBatch(table string, rows []row.Row) error {
-	start := c.clk.Now()
-	err := c.insertBatch(table, rows)
-	c.record(start, err)
-	return err
+// upsert stages one full-row write and sends it down the pipeline under
+// the table's write mode: serializable and merge writes always read
+// the old image (merge folds it into the new row), last-write-wins
+// ones only when something is derived from the table.
+func (c *Cluster) upsert(t *query.TableDef, ns string, r row.Row) (uint64, error) {
+	nr, err := c.normalizeRow(t, r)
+	if err != nil {
+		return 0, err
+	}
+	key, err := pkKey(t, nr)
+	if err != nil {
+		return 0, err
+	}
+	spec := c.specFor(t.Name)
+	return c.writeKey(t, ns, key, spec.Write == consistency.LastWriteWins, func(old row.Row) (row.Row, error) {
+		if spec.Write == consistency.MergeFunction && old != nil {
+			return c.mergeRows(spec.MergeName, old, nr)
+		}
+		return nr, nil
+	})
 }
 
-func (c *Cluster) insertBatch(table string, rows []row.Row) error {
+// InsertBatch stores many rows in one coordinator pass: rows are
+// normalized and versioned together, the old images index maintenance
+// needs are fetched with one batched read per node (none when nothing
+// is derived from the table), and the new records are delivered as one
+// multi-record apply per primary (one RPC, one WAL write, and — on
+// engines with synchronous writes — one shared group-commit fsync).
+// Replication and asynchronous index maintenance are enqueued per row
+// exactly as Insert does. The batch takes no per-key locks (it would
+// need many serializer stripes at once): a batch racing another writer
+// of the same key may queue index maintenance against an old image
+// that writer has already replaced, so keep concurrent writers of one
+// key on Insert. Tables whose spec declares serializable or merge
+// write modes fall back to the per-row conflict-aware path.
+func (c *Cluster) InsertBatch(table string, rows []row.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
 	// One admission for the whole batch at its row-count cost; the
-	// conflict-aware fallback below goes through c.write directly
-	// (not Insert), so the batch is never double-charged.
-	release, err := c.admit("", admission.OpWrite, float64(len(rows)))
-	if err != nil {
-		if t, ns, terr := c.tableDef(table); terr == nil {
-			if m, ok := c.router.Map(ns); ok {
-				for _, r := range rows {
-					if key, kerr := pkKey(t, r); kerr == nil {
-						c.loads.Record(ns, m.Lookup(key).Start, key)
-					}
-				}
-			}
-		}
-		return err
-	}
-	defer release()
-	t, ns, err := c.tableDef(table)
-	if err != nil {
-		return err
-	}
-	spec := c.specFor(table)
-	if spec.Write == consistency.Serializable || spec.Write == consistency.MergeFunction {
+	// conflict-aware fallback goes through c.upsert directly (not
+	// Insert), so the batch is never double-charged.
+	_, err := c.admitted(table, "", func(t *query.TableDef, ns string) (uint64, error) {
+		return 0, c.insertBatch(t, ns, rows)
+	}, rows...)
+	return err
+}
+
+func (c *Cluster) insertBatch(t *query.TableDef, ns string, rows []row.Row) (err error) {
+	if c.specFor(t.Name).Write != consistency.LastWriteWins {
 		// Conflict-aware modes need an atomic read-modify-write per
 		// row; the transport-level batcher still coalesces their RPCs.
 		for _, r := range rows {
-			if _, err := c.write(table, r, writeUpsert); err != nil {
+			if _, err := c.upsert(t, ns, r); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	m, ok := c.router.Map(ns)
-	if !ok {
-		return fmt.Errorf("scads: no partition map for %s", ns)
 	}
 
 	normalized := make([]row.Row, len(rows))
 	keys := make([][]byte, len(rows))
 	for i, r := range rows {
-		nr, err := c.normalizeRow(t, r)
+		if normalized[i], err = c.normalizeRow(t, r); err != nil {
+			return err
+		}
+		if keys[i], err = pkKey(t, normalized[i]); err != nil {
+			return err
+		}
+	}
+	var tasks []maintTask
+	if c.maintained(t.Name) {
+		olds, err := c.oldImages(ns, keys)
 		if err != nil {
 			return err
 		}
-		key, err := pkKey(t, nr)
-		if err != nil {
-			return err
+		// Later duplicates of a key within the batch must see the earlier
+		// row as their old image, or index maintenance would never retire
+		// the entries the earlier write created.
+		prevInBatch := make(map[string]row.Row)
+		tasks = make([]maintTask, len(rows))
+		for i, nr := range normalized {
+			old, dup := prevInBatch[string(keys[i])]
+			if !dup {
+				old = olds[i]
+			}
+			prevInBatch[string(keys[i])] = nr
+			tasks[i] = maintTask{table: t.Name, oldRow: old, newRow: nr}
 		}
-		normalized[i], keys[i] = nr, key
 	}
-
-	// Index maintenance needs each row's old image to retire stale
-	// index entries; fetch them all with one batched read per node.
-	curs, err := c.router.GetBatch(ns, keys, partition.ReadPrimary)
-	if err != nil {
-		return err
-	}
-
-	bound := c.stalenessBound(t.Name)
-	type followUp struct {
-		rec      record.Record
-		replicas []string
-		oldRow   row.Row
-		newRow   row.Row
-	}
-	groups := make(map[string][]followUp) // primary node -> its rows
-	// Later duplicates of a key within the batch must see the earlier
-	// row as their old image, or index maintenance would never retire
-	// the entries the earlier write created.
-	prevInBatch := make(map[string]row.Row)
+	recs := make([]record.Record, len(rows))
 	for i, nr := range normalized {
-		if curs[i].Err != nil {
-			return curs[i].Err
-		}
-		var oldRow row.Row
-		if curs[i].Found {
-			if oldRow, err = row.Decode(curs[i].Value); err != nil {
-				return err
-			}
-		}
-		if prev, ok := prevInBatch[string(keys[i])]; ok {
-			oldRow = prev
-		}
-		prevInBatch[string(keys[i])] = nr
-		val, err := row.Encode(nr)
-		if err != nil {
+		if recs[i], err = c.newRecord(keys[i], nr); err != nil {
 			return err
 		}
-		rec := record.Record{Key: keys[i], Value: val, Version: c.nextVersion()}
-		rng := m.Lookup(keys[i])
-		c.loads.Record(ns, rng.Start, keys[i])
-		groups[rng.Replicas[0]] = append(groups[rng.Replicas[0]],
-			followUp{rec: rec, replicas: rng.Replicas, oldRow: oldRow, newRow: nr})
 	}
-	// Apply the node groups concurrently. Replication and index
-	// maintenance for a group are enqueued as soon as that group's
-	// primary write lands — a failure of one node's group never
-	// strands another group's applied records without follow-up.
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for node, ups := range groups {
-		wg.Add(1)
-		go func(node string, ups []followUp) {
-			defer wg.Done()
-			recs := make([]record.Record, len(ups))
-			for i, u := range ups {
-				recs[i] = u.rec
-			}
-			if c.router.Apply(ns, node, recs) != nil {
-				// The group's one-shot delivery failed: route each
-				// record through the request-execution core, which
-				// re-reads the map and waits out a handoff, failover
-				// or overload — or reports why it cannot. Replicas are
-				// re-captured from the ranges that accepted the writes
-				// so replication follows them.
-				for i := range ups {
-					rng, err := c.router.ApplyToPrimary(ns, ups[i].rec.Key, []record.Record{ups[i].rec})
-					if err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						return
-					}
-					ups[i].replicas = rng.Replicas
-				}
-			}
-			for _, u := range ups {
-				c.enqueueReplication(ns, m, u.rec.Key, u.rec, partition.Range{Replicas: u.replicas}, bound)
-				c.maint.push(maintTask{
-					table:    t.Name,
-					oldRow:   u.oldRow,
-					newRow:   u.newRow,
-					deadline: c.clk.Now().Add(bound),
-				})
-			}
-		}(node, ups)
-	}
-	wg.Wait()
-	return firstErr
+	return c.commit(ns, recs, c.stalenessBound(t.Name), tasks)
 }
 
 // UpdateFunc performs an atomic read-modify-write of the row with the
@@ -235,52 +186,23 @@ func (c *Cluster) insertBatch(table string, rows []row.Row) error {
 // returns the replacement (nil means delete). Under the Serializable
 // write mode this is the paper's "writes must be serializable, as in a
 // traditional RDBMS"; under other modes it is still atomic with
-// respect to other UpdateFunc calls through this coordinator.
+// respect to every other write through this coordinator that reads the
+// row first.
 func (c *Cluster) UpdateFunc(table string, pk row.Row, fn func(cur row.Row) (row.Row, error)) error {
-	start := c.clk.Now()
-	err := c.updateFunc(table, pk, fn)
-	c.record(start, err)
-	return err
-}
-
-func (c *Cluster) updateFunc(table string, pk row.Row, fn func(cur row.Row) (row.Row, error)) error {
-	release, err := c.admitWrite(table, pk, "", 1)
-	if err != nil {
-		release()
-		return err
-	}
-	defer release()
-	t, ns, err := c.tableDef(table)
-	if err != nil {
-		return err
-	}
-	key, err := pkKey(t, pk)
-	if err != nil {
-		return err
-	}
-	return c.serializer.Do(ns, key, func() error {
-		cur, _, err := c.readRow(ns, key)
+	_, err := c.admitted(table, "", func(t *query.TableDef, ns string) (uint64, error) {
+		key, err := pkKey(t, pk)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		next, err := fn(cur)
-		if err != nil {
-			return err
-		}
-		if next == nil {
-			if cur == nil {
-				return nil
+		return c.writeKey(t, ns, key, false, func(old row.Row) (row.Row, error) {
+			next, err := fn(old)
+			if err != nil || next == nil {
+				return nil, err
 			}
-			_, err := c.applyWrite(t, key, cur, nil)
-			return err
-		}
-		normalized, err := c.normalizeRow(t, next)
-		if err != nil {
-			return err
-		}
-		_, err = c.applyWrite(t, key, cur, normalized)
-		return err
-	})
+			return c.normalizeRow(t, next)
+		})
+	}, pk)
+	return err
 }
 
 // Delete tombstones the row with the given primary key.
@@ -291,95 +213,65 @@ func (c *Cluster) Delete(table string, pk row.Row) error {
 
 // deleteAs is Delete accounted to a tenant (DeleteSession routes the
 // session's bound tenant here). It returns the tombstone's version (0
-// when the row did not exist and nothing was written).
+// when the row did not exist and nothing was written) — which is why a
+// delete always reads the old image, even from a table nothing is
+// derived from.
 func (c *Cluster) deleteAs(table string, pk row.Row, tenant string) (uint64, error) {
-	start := c.clk.Now()
-	var ver uint64
-	release, err := c.admitWrite(table, pk, tenant, 1)
-	if err == nil {
-		ver, err = c.delete(table, pk)
-	}
-	release()
-	c.record(start, err)
-	return ver, err
+	return c.admitted(table, tenant, func(t *query.TableDef, ns string) (uint64, error) {
+		key, err := pkKey(t, pk)
+		if err != nil {
+			return 0, err
+		}
+		return c.writeKey(t, ns, key, false, func(row.Row) (row.Row, error) { return nil, nil })
+	}, pk)
 }
 
-func (c *Cluster) delete(table string, pk row.Row) (uint64, error) {
-	t, ns, err := c.tableDef(table)
-	if err != nil {
-		return 0, err
+// writeKey is the old-image and commit stages for one staged key. next
+// maps the row's old image (nil when absent) to its replacement; a nil
+// replacement deletes, and deleting an absent row writes nothing and
+// reports version 0. blind says next ignores its argument: the old
+// image is then read only if something is derived from the table, and
+// otherwise the write is a single round trip. Every path that does read
+// holds the key's lock from the read to the commit, so two writers of
+// one key cannot both hand index maintenance the same old image (the
+// loser's index entries would never be retired).
+func (c *Cluster) writeKey(t *query.TableDef, ns string, key []byte, blind bool, next func(old row.Row) (row.Row, error)) (uint64, error) {
+	maintained := c.maintained(t.Name)
+	put := func(old row.Row) (uint64, error) {
+		nr, err := next(old)
+		if err != nil || (old == nil && nr == nil) {
+			return 0, err
+		}
+		rec, err := c.newRecord(key, nr)
+		if err != nil {
+			return 0, err
+		}
+		var tasks []maintTask
+		if maintained {
+			tasks = []maintTask{{table: t.Name, oldRow: old, newRow: nr}}
+		}
+		return rec.Version, c.commit(ns, []record.Record{rec}, c.stalenessBound(t.Name), tasks)
 	}
-	key, err := pkKey(t, pk)
-	if err != nil {
-		return 0, err
+	if blind && !maintained {
+		return put(nil)
 	}
 	var ver uint64
-	err = c.serializer.Do(ns, key, func() error {
-		cur, _, err := c.readRow(ns, key)
-		if err != nil {
-			return err
+	err := c.serializer.Do(ns, key, func() error {
+		old, err := c.oldImage(ns, key)
+		if err == nil {
+			ver, err = put(old)
 		}
-		if cur == nil {
-			return nil
-		}
-		ver, err = c.applyWrite(t, key, cur, nil)
 		return err
 	})
 	return ver, err
 }
 
-type writeKind int
-
-const (
-	writeUpsert writeKind = iota
-)
-
-// write implements Insert/Update: mode-dependent conflict handling,
-// then the common apply path. It returns the version assigned to the
-// write.
-func (c *Cluster) write(table string, r row.Row, _ writeKind) (uint64, error) {
-	t, ns, err := c.tableDef(table)
-	if err != nil {
-		return 0, err
-	}
-	normalized, err := c.normalizeRow(t, r)
-	if err != nil {
-		return 0, err
-	}
-	key, err := pkKey(t, normalized)
-	if err != nil {
-		return 0, err
-	}
-	spec := c.specFor(table)
-
-	switch spec.Write {
-	case consistency.Serializable, consistency.MergeFunction:
-		// Both modes need the current value atomically.
-		var ver uint64
-		err := c.serializer.Do(ns, key, func() error {
-			cur, _, err := c.readRow(ns, key)
-			if err != nil {
-				return err
-			}
-			next := normalized
-			if spec.Write == consistency.MergeFunction && cur != nil {
-				merged, err := c.mergeRows(spec.MergeName, cur, normalized)
-				if err != nil {
-					return err
-				}
-				next = merged
-			}
-			ver, err = c.applyWrite(t, key, cur, next)
-			return err
-		})
-		return ver, err
-	default: // last-write-wins
-		cur, _, err := c.readRow(ns, key)
-		if err != nil {
-			return 0, err
-		}
-		return c.applyWrite(t, key, cur, normalized)
-	}
+// maintained reports whether any index or view is derived from table,
+// which the compiled schema decided at DefineSchema time.
+func (c *Cluster) maintained(table string) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.views.Maintains(table)
 }
 
 // mergeRows resolves a write conflict through the registered merge
@@ -417,6 +309,130 @@ func (c *Cluster) mergeRows(mergeName string, old, new row.Row) (row.Row, error)
 	return merged, nil
 }
 
+// The old-image stage, the pipeline's only reads: oldImage for one
+// key, oldImages for a batch.
+
+// oldImage fetches the row stored under key from its primary (nil when
+// absent).
+func (c *Cluster) oldImage(ns string, key []byte) (row.Row, error) {
+	val, _, found, err := c.router.Get(ns, key, partition.ReadPrimary)
+	if err != nil || !found {
+		return nil, err
+	}
+	return row.Decode(val)
+}
+
+// oldImages is oldImage for many keys, with one batched read per node.
+func (c *Cluster) oldImages(ns string, keys [][]byte) ([]row.Row, error) {
+	got, err := c.router.GetBatch(ns, keys, partition.ReadPrimary)
+	if err != nil {
+		return nil, err
+	}
+	olds := make([]row.Row, len(keys))
+	for i, g := range got {
+		if g.Err != nil {
+			return nil, g.Err
+		}
+		if g.Found {
+			if olds[i], err = row.Decode(g.Value); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return olds, nil
+}
+
+// newRecord versions one write of key: val encoded, or a tombstone when
+// val is nil.
+func (c *Cluster) newRecord(key []byte, val row.Row) (record.Record, error) {
+	rec := record.Record{Key: key, Tombstone: val == nil}
+	if val != nil {
+		enc, err := row.Encode(val)
+		if err != nil {
+			return rec, err
+		}
+		rec.Value = enc
+	}
+	rec.Version = c.nextVersion()
+	return rec, nil
+}
+
+// commit is the one way records reach storage: base-table writes and
+// the index mutations derived from them alike. recs are in version
+// order and stay so within each primary's group. All of them usually
+// share a primary; that group goes out inline as one multi-record
+// apply (one RPC, one WAL write). Records spanning several primaries
+// are split per primary and the groups committed concurrently, so a
+// failure of one node's group never strands another group's applied
+// records without follow-up. Each record, once its primary has it, is
+// scheduled for replication under bound and — when tasks (parallel to
+// recs, or nil) says the table has dependents — its base change is
+// queued for index maintenance with bound as the deadline.
+func (c *Cluster) commit(ns string, recs []record.Record, bound time.Duration, tasks []maintTask) error {
+	m, ok := c.router.Map(ns)
+	if !ok {
+		return fmt.Errorf("scads: no partition map for %s", ns)
+	}
+	var solo [1]partition.Range
+	acked := solo[:]
+	if len(recs) > 1 {
+		acked = make([]partition.Range, len(recs))
+	}
+	single := true
+	for i, rec := range recs {
+		acked[i] = m.Lookup(rec.Key)
+		single = single && acked[i].Replicas[0] == acked[0].Replicas[0]
+	}
+	if !single {
+		// Split off the records that share the first one's primary and
+		// commit them here while the rest, split the same way, commit
+		// concurrently.
+		var mine, rest struct {
+			recs  []record.Record
+			tasks []maintTask
+		}
+		for i, rec := range recs {
+			g := &rest
+			if acked[i].Replicas[0] == acked[0].Replicas[0] {
+				g = &mine
+			}
+			g.recs = append(g.recs, rec)
+			if tasks != nil {
+				g.tasks = append(g.tasks, tasks[i])
+			}
+		}
+		restErr := make(chan error, 1)
+		go func() { restErr <- c.commit(ns, rest.recs, bound, rest.tasks) }()
+		err := c.commit(ns, mine.recs, bound, mine.tasks)
+		if rerr := <-restErr; err == nil {
+			err = rerr
+		}
+		return err
+	}
+
+	// When the group's one-shot delivery fails, each record goes through
+	// the request-execution core, which re-reads the map and waits out a
+	// handoff, failover or overload — or reports why it cannot. Replicas
+	// are re-captured from the ranges that accepted the writes so
+	// replication follows them.
+	err := c.router.Apply(ns, acked[0].Replicas[0], recs)
+	for i, rec := range recs {
+		c.loads.Record(ns, acked[i].Start, rec.Key)
+		if err != nil {
+			var ferr error
+			if acked[i], ferr = c.router.ApplyToPrimary(ns, rec.Key, recs[i:i+1]); ferr != nil {
+				return ferr
+			}
+		}
+		c.enqueueReplication(ns, m, rec, acked[i], bound)
+		if tasks != nil {
+			tasks[i].deadline = c.clk.Now().Add(bound)
+			c.maint.push(tasks[i])
+		}
+	}
+	return nil
+}
+
 // enqueueReplication schedules rec for delivery to the secondaries of
 // the range that acknowledged it, then re-reads the partition map and
 // also covers any member a racing reconfiguration added in between. A
@@ -427,21 +443,14 @@ func (c *Cluster) mergeRows(mergeName string, old, new row.Row) (row.Row, error)
 // closes that window from the other side (duplicates are harmless:
 // applies are last-write-wins by version, and a delivery to a node
 // that lost the range bounces off its residual fence).
-func (c *Cluster) enqueueReplication(ns string, m *partition.Map, key []byte, rec record.Record, acked partition.Range, bound time.Duration) {
+func (c *Cluster) enqueueReplication(ns string, m *partition.Map, rec record.Record, acked partition.Range, bound time.Duration) {
 	if len(acked.Replicas) > 1 {
 		c.pump.Enqueue(ns, rec, acked.Replicas[1:], bound)
 	}
-	cur := m.Lookup(key)
+	cur := m.Lookup(rec.Key)
 	var added []string
 	for _, id := range cur.Replicas {
-		seen := false
-		for _, old := range acked.Replicas {
-			if old == id {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if !slices.Contains(acked.Replicas, id) {
 			added = append(added, id)
 		}
 	}
@@ -450,113 +459,63 @@ func (c *Cluster) enqueueReplication(ns string, m *partition.Map, key []byte, re
 	}
 }
 
-// applyWrite is the common write path: version the record, write the
-// table primary, enqueue replication to secondaries, and enqueue
-// asynchronous index maintenance with the namespace's staleness
-// deadline. It returns the version assigned to the record — the exact
-// session floor for read-your-writes (an upper bound like the
-// coordinator's current HLC would overshoot under concurrent writers
-// and make the session reject even the primary's answer).
-func (c *Cluster) applyWrite(t *query.TableDef, key []byte, oldRow, newRow row.Row) (uint64, error) {
-	ns := planner.TableNamespace(t.Name)
-	rec := record.Record{Key: key, Version: c.nextVersion()}
-	if newRow == nil {
-		rec.Tombstone = true
-	} else {
-		val, err := row.Encode(newRow)
-		if err != nil {
-			return 0, err
-		}
-		rec.Value = val
-	}
-
-	m, ok := c.router.Map(ns)
-	if !ok {
-		return 0, fmt.Errorf("scads: no partition map for %s", ns)
-	}
-	c.loads.Record(ns, m.Lookup(key).Start, key)
-	rng, err := c.router.ApplyToPrimary(ns, key, []record.Record{rec})
-	if err != nil {
-		return 0, err
-	}
-	bound := c.stalenessBound(t.Name)
-	c.enqueueReplication(ns, m, key, rec, rng, bound)
-
-	// Asynchronous index maintenance (§3.2): enqueue the base change;
-	// DrainMaintenance (or the background pump) computes and applies
-	// the bounded index updates before the staleness deadline.
-	c.maint.push(maintTask{
-		table:    t.Name,
-		oldRow:   oldRow,
-		newRow:   newRow,
-		deadline: c.clk.Now().Add(bound),
-	})
-	return rec.Version, nil
-}
-
-// readRow fetches the current row from the primary (nil when absent).
-func (c *Cluster) readRow(ns string, key []byte) (row.Row, uint64, error) {
-	val, ver, found, err := c.router.Get(ns, key, partition.ReadPrimary)
-	if err != nil || !found {
-		return nil, 0, err
-	}
-	r, err := row.Decode(val)
-	if err != nil {
-		return nil, 0, err
-	}
-	return r, ver, nil
-}
-
 // DrainMaintenance synchronously runs up to budget pending index
-// maintenance tasks in deadline order, returning how many ran.
-// Simulations call this each tick; FlushAll drains everything.
+// maintenance tasks in deadline order, returning how many completed.
+// A task's index mutations go through commit, one call per index
+// namespace, so mutations bound for the same primary share an apply,
+// and they replicate under the staleness bound of the table whose
+// change they derive from. A task that fails — a lookup or an apply
+// outlasting its retry budget during a failover, say — goes back on
+// the queue with its deadline and place kept, and the error is
+// returned: the index is late, never silently divergent (re-running a
+// half-applied task is harmless, index entries are overwritten by
+// version). Simulations call this each tick; FlushAll drains
+// everything.
 func (c *Cluster) DrainMaintenance(budget int) (int, error) {
-	c.mu.RLock()
-	views := c.views
-	c.mu.RUnlock()
-	if views == nil {
-		return 0, nil
-	}
-	n := 0
-	for n < budget {
+	for n := 0; n < budget; n++ {
 		task, ok := c.maint.pop()
 		if !ok {
 			return n, nil
 		}
-		n++
-		muts, err := views.Mutations(task.table, task.oldRow, task.newRow)
-		if err != nil {
-			return n, fmt.Errorf("scads: maintenance for %s: %w", task.table, err)
-		}
-		for _, mut := range muts {
-			if err := c.applyIndexMutation(mut.Namespace, mut.Key, mut.Value); err != nil {
-				return n, err
-			}
+		if err := c.maintain(task); err != nil {
+			c.maint.requeue(task)
+			return n, err
 		}
 	}
-	return n, nil
+	return budget, nil
 }
 
-func (c *Cluster) applyIndexMutation(ns string, key []byte, val row.Row) error {
-	rec := record.Record{Key: key, Version: c.nextVersion()}
-	if val == nil {
-		rec.Tombstone = true
-	} else {
-		enc, err := row.Encode(val)
-		if err != nil {
+// maintain computes one base change's index mutations and commits them.
+// (A queued task implies a defined schema, so c.views is set.)
+func (c *Cluster) maintain(task maintTask) error {
+	c.mu.RLock()
+	views := c.views
+	c.mu.RUnlock()
+	muts, err := views.Mutations(task.table, task.oldRow, task.newRow)
+	if err != nil {
+		return fmt.Errorf("scads: maintenance for %s: %w", task.table, err)
+	}
+	bound := c.stalenessBound(task.table)
+	for len(muts) > 0 {
+		ns := muts[0].Namespace
+		recs := make([]record.Record, 0, len(muts))
+		rest := muts[:0]
+		for _, mut := range muts {
+			if mut.Namespace != ns {
+				rest = append(rest, mut)
+				continue
+			}
+			rec, err := c.newRecord(mut.Key, mut.Value)
+			if err != nil {
+				return err
+			}
+			recs = append(recs, rec)
+		}
+		if err := c.commit(ns, recs, bound, nil); err != nil {
 			return err
 		}
-		rec.Value = enc
+		muts = rest
 	}
-	m, ok := c.router.Map(ns)
-	if !ok {
-		return fmt.Errorf("scads: no partition map for %s", ns)
-	}
-	rng, err := c.router.ApplyToPrimary(ns, key, []record.Record{rec})
-	if err != nil {
-		return err
-	}
-	c.enqueueReplication(ns, m, key, rec, rng, c.cfg.DefaultStaleness)
 	return nil
 }
 
@@ -604,6 +563,14 @@ func (q *maintQueue) push(t maintTask) {
 	defer q.mu.Unlock()
 	q.seq++
 	t.seq = q.seq
+	heap.Push(&q.h, t)
+}
+
+// requeue puts back a popped task that could not be completed, keeping
+// its deadline and seq so it runs next in its original order.
+func (q *maintQueue) requeue(t maintTask) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	heap.Push(&q.h, t)
 }
 
