@@ -11,6 +11,7 @@ package memtable
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -30,6 +31,7 @@ type Memtable struct {
 	height int
 	count  int
 	bytes  int64
+	minVer uint64 // lowest version Put has stored
 	rnd    *rand.Rand
 }
 
@@ -45,6 +47,7 @@ func New(seed int64) *Memtable {
 	return &Memtable{
 		head:   &node{},
 		height: 1,
+		minVer: math.MaxUint64,
 		rnd:    rand.New(rand.NewSource(seed)),
 	}
 }
@@ -62,6 +65,7 @@ func (m *Memtable) Put(rec record.Record) bool {
 		if n.rec.Supersedes(rec) {
 			return false
 		}
+		m.minVer = min(m.minVer, rec.Version)
 		m.bytes += int64(rec.MemSize() - n.rec.MemSize())
 		n.rec = rec
 		return true
@@ -81,7 +85,17 @@ func (m *Memtable) Put(rec record.Record) bool {
 	}
 	m.count++
 	m.bytes += int64(rec.MemSize())
+	m.minVer = min(m.minVer, rec.Version)
 	return true
+}
+
+// MinVersion returns a lower bound on the versions the table holds: the
+// lowest version Put has ever stored (replaced and range-deleted records
+// still count), math.MaxUint64 before the first.
+func (m *Memtable) MinVersion() uint64 {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.minVer
 }
 
 // DeleteRange physically unlinks every entry with start <= key < end

@@ -3,6 +3,7 @@ package memtable
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -45,6 +46,28 @@ func TestLastWriteWins(t *testing.T) {
 	got, _ = m.Get([]byte("k"))
 	if string(got.Value) != "new" || got.Version != 9 {
 		t.Fatalf("newer write not applied: %+v", got)
+	}
+}
+
+// MinVersion is a floor under everything the table holds: it follows
+// the lowest version stored, replaced records included, and ignores
+// what Put refused.
+func TestMinVersion(t *testing.T) {
+	m := New(1)
+	if got := m.MinVersion(); got != math.MaxUint64 {
+		t.Fatalf("empty table: MinVersion = %d", got)
+	}
+	m.Put(rec("a", "v", 7))
+	m.Put(rec("b", "v", 5))
+	m.Put(rec("b", "refused", 2))
+	if got := m.MinVersion(); got != 5 {
+		t.Fatalf("MinVersion = %d, want 5 (version 2 was not stored)", got)
+	}
+	m.Put(rec("b", "replaces", 9))
+	m.Put(rec("c", "v", 3))
+	m.DeleteRange([]byte("c"), nil)
+	if got := m.MinVersion(); got != 3 {
+		t.Fatalf("MinVersion = %d, want 3", got)
 	}
 }
 

@@ -20,14 +20,26 @@ type Stats struct {
 	Enqueued   int64
 	Delivered  int64
 	Violations int64 // delivered after their deadline
-	Failures   int64 // delivery attempts that errored
+	Failures   int64 // delivery attempts that errored, per update (a failed group apply is retried per member first)
 	Dropped    int64 // gave up after MaxAttempts
 	Pending    int
 }
 
 // Pump drains the update queue, delivering each update to its target
 // replica. It can run as a background goroutine pool (Run) or be
-// driven synchronously by a simulation loop (Drain).
+// driven synchronously by a simulation loop (Drain); both work in
+// rounds. A round pops up to maxRound updates, the most urgent first —
+// so which updates leave per unit of budget is the queue's order, as
+// if they were popped one by one — groups them by destination
+// (namespace, target) and sends each group as one apply: an applied
+// record costs a share of a call, not a call. A group whose apply
+// fails is retried one update at a time, after every other group of
+// the round has had its turn and before anything is charged: a node
+// rejects a whole request when one record of it is fenced, and one
+// such record must not cost its neighbours an attempt, and a dead
+// target must not hold up the other destinations. Attempts, backoff,
+// drops, deadline violations and the staleness tracker are all
+// accounted per update.
 type Pump struct {
 	queue   *Queue
 	apply   ApplyFunc
@@ -49,9 +61,8 @@ type Pump struct {
 	mu          sync.Mutex
 	parked      []parkedUpdate // failed deliveries awaiting retry
 	violationNS map[string]int64
-	inflight    map[int64]Update // popped, delivery in progress
-	inflightSeq int64
-	droppedBy   map[string]int64 // per-target gave-up deliveries
+	inflight    map[*Update]struct{} // popped, delivery in progress; keys point into a roundBuf
+	droppedBy   map[string]int64     // per-target gave-up deliveries
 	stopped     bool
 	wg          sync.WaitGroup
 	stopCh      chan struct{}
@@ -72,7 +83,7 @@ func NewPump(queue *Queue, apply ApplyFunc, clk clock.Clock) *Pump {
 		MaxAttempts:  5,
 		RetryBackoff: 100 * time.Millisecond,
 		violationNS:  make(map[string]int64),
-		inflight:     make(map[int64]Update),
+		inflight:     make(map[*Update]struct{}),
 		droppedBy:    make(map[string]int64),
 		stopCh:       make(chan struct{}),
 	}
@@ -91,69 +102,147 @@ func (p *Pump) Enqueue(namespace string, rec record.Record, targets []string, bo
 	now := p.clk.Now()
 	deadline := now.Add(bound)
 	for _, target := range targets {
-		u := Update{
+		// Register with the tracker before the update can be popped: a
+		// worker that delivered it first would find nothing to mark
+		// done, and the late registration would then never be removed.
+		p.tracker.pending(namespace, target, now)
+		p.queue.Push(Update{
 			Namespace:  namespace,
 			Rec:        rec,
 			Target:     target,
 			Deadline:   deadline,
 			EnqueuedAt: now,
-		}
-		p.queue.Push(u)
-		p.tracker.pending(namespace, target, u.EnqueuedAt)
+		})
 		p.enqueued.Add(1)
 	}
 }
 
-// Drain synchronously processes up to maxOps updates and returns how
-// many it attempted. Simulation loops call this once per tick with the
-// tick's delivery budget, which models the replication bandwidth of
-// the cluster.
+const (
+	// maxRound bounds how many updates one round pops, and so how many
+	// records one apply can carry.
+	maxRound = 64
+	// maxRoundBytes ends a round's popping early once the encoded
+	// records reach it, which keeps every group's request far below the
+	// RPC frame limit whatever the record size.
+	maxRoundBytes = 1 << 20
+)
+
+// roundBuf is the scratch one driver of rounds (a Drain call, a Run
+// worker) reuses from round to round.
+type roundBuf struct {
+	batch []Update
+	recs  []record.Record
+}
+
+// Drain synchronously processes up to maxOps updates — records, however
+// few applies carry them — and returns how many it attempted.
+// Simulation loops call this once per tick with the tick's delivery
+// budget, which models the replication bandwidth of the cluster.
 func (p *Pump) Drain(maxOps int) int {
-	p.unparkReady()
+	var buf roundBuf
 	n := 0
 	for n < maxOps {
-		u, id, ok := p.popTracked()
-		if !ok {
-			return n
+		k := p.round(maxOps-n, &buf)
+		if k == 0 {
+			break
 		}
-		p.deliver(u, id)
-		n++
+		n += k
 	}
 	return n
 }
 
-// popTracked pops the next update while registering it as in flight,
-// atomically with respect to Rebind: under p.mu every pending update
-// is in exactly one of queue, parked, or inflight, so a flip-time
-// Rebind scan can never miss one mid-transition.
-func (p *Pump) popTracked() (Update, int64, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	u, ok := p.queue.Pop()
-	if !ok {
-		return Update{}, 0, false
+// round pops up to budget updates, delivers them grouped by destination
+// and returns how many it popped.
+func (p *Pump) round(budget int, buf *roundBuf) int {
+	batch := p.popTracked(budget, buf)
+	if len(batch) == 0 {
+		return 0
 	}
-	p.inflightSeq++
-	p.inflight[p.inflightSeq] = u
-	return u, p.inflightSeq, true
-}
-
-// unparkReady moves parked retries whose backoff has elapsed back into
-// the queue. The queue push happens under p.mu so the update is never
-// invisible to a concurrent Rebind scan.
-func (p *Pump) unparkReady() {
-	now := p.clk.Now()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var still []parkedUpdate
-	for _, pu := range p.parked {
-		if pu.retryAt.After(now) {
-			still = append(still, pu)
-		} else {
-			p.queue.Push(pu.u)
+	recs := buf.recs[:0]
+	for i := range batch {
+		recs = append(recs, batch[i].Rec)
+	}
+	buf.recs = recs
+	// popTracked left each destination's updates adjacent. Groups that
+	// fail are set aside; their members go one by one afterwards.
+	var failed [][2]int
+	for i := 0; i < len(batch); {
+		j := i + 1
+		for j < len(batch) && sameDestination(&batch[j], &batch[i]) {
+			j++
+		}
+		if !p.deliver(batch[i:j], recs[i:j]) {
+			failed = append(failed, [2]int{i, j})
+		}
+		i = j
+	}
+	for _, g := range failed {
+		for i := g[0]; i < g[1]; i++ {
+			p.deliver(batch[i:i+1], recs[i:i+1])
 		}
 	}
-	p.parked = still
+	return len(batch)
+}
+
+func sameDestination(a, b *Update) bool {
+	return a.Target == b.Target && a.Namespace == b.Namespace
+}
+
+// popTracked moves parked retries whose backoff has elapsed back into
+// the queue, then pops up to max updates in queue order (fewer when
+// their records reach maxRoundBytes), gathers each destination's
+// updates next to one another and registers them as in flight — all
+// under one hold of p.mu, atomically with respect to Rebind: under
+// p.mu every pending update is in exactly one of queue, parked, or
+// inflight, so a flip-time Rebind scan can never miss one
+// mid-transition.
+func (p *Pump) popTracked(max int, buf *roundBuf) []Update {
+	if max > maxRound {
+		max = maxRound
+	}
+	batch := buf.batch[:0]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.parked) > 0 {
+		now := p.clk.Now()
+		still := p.parked[:0]
+		for _, pu := range p.parked {
+			if pu.retryAt.After(now) {
+				still = append(still, pu)
+			} else {
+				p.queue.Push(pu.u)
+			}
+		}
+		clear(p.parked[len(still):])
+		p.parked = still
+	}
+	for size := 0; len(batch) < max && size < maxRoundBytes; {
+		u, ok := p.queue.Pop()
+		if !ok {
+			break
+		}
+		size += u.Rec.MarshaledSize()
+		batch = append(batch, u)
+	}
+	// Gather each destination's updates behind the first of them. Swaps
+	// disturb the order of what is yet to be gathered, which nothing
+	// depends on: the whole batch leaves in this round, and applies are
+	// last-write-wins by version.
+	for i := 0; i < len(batch); {
+		j := i + 1
+		for k := j; k < len(batch); k++ {
+			if sameDestination(&batch[k], &batch[i]) {
+				batch[j], batch[k] = batch[k], batch[j]
+				j++
+			}
+		}
+		i = j
+	}
+	for i := range batch {
+		p.inflight[&batch[i]] = struct{}{}
+	}
+	buf.batch = batch
+	return batch
 }
 
 // Run starts workers background goroutines that drain the queue until
@@ -163,23 +252,21 @@ func (p *Pump) Run(workers int) {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
+			var buf roundBuf
 			for {
 				select {
 				case <-p.stopCh:
 					return
 				default:
 				}
-				p.unparkReady()
-				u, id, ok := p.popTracked()
-				if !ok {
-					select {
-					case <-p.stopCh:
-						return
-					case <-p.clk.After(5 * time.Millisecond):
-					}
+				if p.round(maxRound, &buf) > 0 {
 					continue
 				}
-				p.deliver(u, id)
+				select {
+				case <-p.stopCh:
+					return
+				case <-p.clk.After(5 * time.Millisecond):
+				}
 			}
 		}()
 	}
@@ -196,41 +283,50 @@ func (p *Pump) Stop() {
 	p.wg.Wait()
 }
 
-// deliver attempts one update; id is its inflight-registry token from
-// popTracked. The post-delivery bookkeeping (deregister, park, drop)
-// happens under p.mu in one step, so the update transitions atomically
+// deliver sends one destination's group (recs[i] is group[i]'s record)
+// as one apply and settles every member by its outcome. It reports
+// false, with nothing settled or charged, when the apply of a group of
+// several failed: the caller then delivers the members one at a time,
+// and a group of one is where an error is final. The post-delivery
+// bookkeeping (deregister, park, drop) of the whole group happens
+// under p.mu in one step, so every update transitions atomically
 // between the states a Rebind scan observes.
-func (p *Pump) deliver(u Update, id int64) {
-	u.Attempts++
-	err := p.apply(u.Namespace, u.Target, []record.Record{u.Rec})
-	if err != nil {
-		p.failures.Add(1)
-		p.mu.Lock()
-		delete(p.inflight, id)
-		if u.Attempts >= p.MaxAttempts {
-			p.dropped.Add(1)
-			p.droppedBy[u.Target]++
-			p.mu.Unlock()
-			p.tracker.done(u.Namespace, u.Target, u.EnqueuedAt)
-			return
-		}
-		// Park the update until its backoff elapses so a dead target
-		// cannot monopolise the queue head and starve deliverable
-		// updates.
-		backoff := p.RetryBackoff * time.Duration(u.Attempts)
-		p.parked = append(p.parked, parkedUpdate{u: u, retryAt: p.clk.Now().Add(backoff)})
-		p.mu.Unlock()
-		return
+func (p *Pump) deliver(group []Update, recs []record.Record) bool {
+	namespace, target := group[0].Namespace, group[0].Target
+	err := p.apply(namespace, target, recs)
+	if err != nil && len(group) > 1 {
+		return false
 	}
-	p.delivered.Add(1)
+	if n := int64(len(group)); err != nil {
+		p.failures.Add(n)
+	} else {
+		p.delivered.Add(n)
+	}
 	p.mu.Lock()
-	delete(p.inflight, id)
-	if p.clk.Now().After(u.Deadline) {
-		p.violations.Add(1)
-		p.violationNS[u.Namespace]++
+	now := p.clk.Now()
+	for i := range group {
+		u := &group[i]
+		delete(p.inflight, u)
+		u.Attempts++
+		if err != nil && u.Attempts < p.MaxAttempts {
+			// Park the update until its backoff elapses so a dead target
+			// cannot monopolise the queue head and starve deliverable
+			// updates.
+			backoff := p.RetryBackoff * time.Duration(u.Attempts)
+			p.parked = append(p.parked, parkedUpdate{u: *u, retryAt: now.Add(backoff)})
+			continue
+		}
+		if err != nil {
+			p.dropped.Add(1)
+			p.droppedBy[target]++
+		} else if now.After(u.Deadline) {
+			p.violations.Add(1)
+			p.violationNS[namespace]++
+		}
+		p.tracker.done(namespace, target, u.EnqueuedAt)
 	}
 	p.mu.Unlock()
-	p.tracker.done(u.Namespace, u.Target, u.EnqueuedAt)
+	return true
 }
 
 // DroppedTo reports how many deliveries to node the pump has given up
@@ -290,8 +386,8 @@ func (p *Pump) Rebind(namespace string, start, end []byte, added []string) int {
 	for _, pu := range p.parked {
 		collect(pu.u)
 	}
-	for _, u := range p.inflight {
-		collect(u)
+	for u := range p.inflight {
+		collect(*u)
 	}
 	n := 0
 	for _, u := range matches {

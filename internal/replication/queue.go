@@ -9,7 +9,6 @@
 package replication
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 
@@ -17,6 +16,10 @@ import (
 )
 
 // Update is one pending propagation of a record to one target replica.
+// It is the unit of the queue's order, of a Drain budget and of all
+// accounting (attempts, violations, staleness), but not of delivery:
+// the pump sends the updates of one round that share a (Namespace,
+// Target) in one apply.
 type Update struct {
 	Namespace string
 	Rec       record.Record
@@ -28,6 +31,9 @@ type Update struct {
 	// from here.
 	EnqueuedAt time.Time
 
+	// Attempts counts the deliveries of this update that failed on their
+	// own; the failed apply of a group of several is not charged to its
+	// members.
 	Attempts int
 }
 
@@ -46,7 +52,7 @@ type Queue struct {
 	order Order
 
 	mu   sync.Mutex
-	h    updateHeap
+	h    []queued // a heap under queuedLess
 	seq  int64
 	size int
 }
@@ -61,7 +67,7 @@ func (q *Queue) Push(u Update) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.seq++
-	heap.Push(&q.h, queued{u: u, seq: q.seq, byDeadline: q.order == ByDeadline})
+	q.h = heapPush(q.h, queued{u: u, seq: q.seq, byDeadline: q.order == ByDeadline}, queuedLess)
 	q.size++
 }
 
@@ -73,7 +79,8 @@ func (q *Queue) Pop() (Update, bool) {
 	if q.size == 0 {
 		return Update{}, false
 	}
-	it := heap.Pop(&q.h).(queued)
+	var it queued
+	it, q.h = heapPop(q.h, queuedLess)
 	q.size--
 	return it.u, true
 }
@@ -134,23 +141,50 @@ type queued struct {
 	byDeadline bool
 }
 
-type updateHeap []queued
-
-func (h updateHeap) Len() int { return len(h) }
-func (h updateHeap) Less(i, j int) bool {
-	if h[i].byDeadline {
-		if !h[i].u.Deadline.Equal(h[j].u.Deadline) {
-			return h[i].u.Deadline.Before(h[j].u.Deadline)
-		}
+// queuedLess orders the heap: by deadline under ByDeadline, arrival
+// order otherwise and among equal deadlines.
+func queuedLess(a, b *queued) bool {
+	if a.byDeadline && !a.u.Deadline.Equal(b.u.Deadline) {
+		return a.u.Deadline.Before(b.u.Deadline)
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h updateHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *updateHeap) Push(x any)   { *h = append(*h, x.(queued)) }
-func (h *updateHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// heapPush and heapPop are container/heap's Push and Pop on a typed
+// slice — the same sift steps, so the same layout and pop order — minus
+// the boxing of every element through `any` on the way in and out.
+func heapPush[T any](h []T, x T, less func(a, b *T) bool) []T {
+	h = append(h, x)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !less(&h[j], &h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	return h
+}
+
+func heapPop[T any](h []T, less func(a, b *T) bool) (T, []T) {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && less(&h[r], &h[j]) {
+			j = r
+		}
+		if !less(&h[j], &h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	top := h[n]
+	var zero T
+	h[n] = zero // drop the popped element's references
+	return top, h[:n]
 }

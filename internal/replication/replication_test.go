@@ -3,6 +3,7 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -492,5 +493,271 @@ func TestDroppedToCountsAbandonedDeliveries(t *testing.T) {
 	}
 	if got := p.DroppedTo("n3"); got != 0 {
 		t.Fatalf("DroppedTo(n3) = %d", got)
+	}
+}
+
+// TestEnqueueRegistersBeforePoppable: an update must be in the
+// staleness tracker before a worker can pop it. Were it pushed first, a
+// worker could pop, deliver and mark it done while the tracker still
+// knew nothing of it, and the registration that followed would never be
+// removed: the replica would look stale for good. The test holds the
+// tracker's lock, so Enqueue stalls at the registration, and watches for
+// the update to turn up in the queue meanwhile.
+func TestEnqueueRegistersBeforePoppable(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	sink := newApplySink()
+	p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
+
+	p.tracker.mu.Lock()
+	enqueued := make(chan struct{})
+	go func() {
+		defer close(enqueued)
+		p.Enqueue("ns", record.Record{Key: []byte("k"), Version: 1}, []string{"n2"}, time.Minute)
+	}()
+	poppable := false
+	for wait := time.Now().Add(50 * time.Millisecond); !poppable && time.Now().Before(wait); {
+		poppable = p.queue.Len() > 0
+		time.Sleep(time.Millisecond)
+	}
+	p.tracker.mu.Unlock()
+	<-enqueued
+	if poppable {
+		t.Fatal("update was poppable before the tracker knew of it")
+	}
+
+	vc.Advance(10 * time.Second)
+	if d := p.Tracker().Staleness("ns", "n2"); d != 10*time.Second {
+		t.Fatalf("staleness while pending = %v, want 10s", d)
+	}
+	p.Drain(1)
+	vc.Advance(time.Hour)
+	if d := p.Tracker().Staleness("ns", "n2"); d != 0 {
+		t.Fatalf("staleness after delivery = %v, want 0", d)
+	}
+}
+
+// TestPendingSetHeapStaysBounded: the tracker of a (namespace, node)
+// pair nobody asks about must not grow with the records replicated
+// through it.
+func TestPendingSetHeapStaysBounded(t *testing.T) {
+	ps := &pendingSet{live: make(map[int64]int)}
+	const outstanding = 8
+	for i := 0; i < 100000; i++ {
+		ps.add(t0.Add(time.Duration(i) * time.Microsecond))
+		if i >= outstanding {
+			ps.remove(t0.Add(time.Duration(i-outstanding) * time.Microsecond))
+		}
+		if len(ps.h) > outstanding+1 {
+			t.Fatalf("after %d cycles the heap holds %d times for %d outstanding", i, len(ps.h), len(ps.live))
+		}
+	}
+	if oldest, ok := ps.min(); !ok || !oldest.Equal(t0.Add((100000-outstanding)*time.Microsecond)) {
+		t.Fatalf("min = %v, %v", oldest, ok)
+	}
+}
+
+// TestEnqueueDeliverAllocs pins the steady-state cost of one update's
+// trip through the pump: Enqueue, pop, apply, done.
+func TestEnqueueDeliverAllocs(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	p := NewPump(NewQueue(ByDeadline), func(ns, node string, recs []record.Record) error { return nil }, vc)
+	rec := record.Record{Key: []byte("k"), Value: []byte("v"), Version: 1}
+	targets := []string{"n"}
+	var buf roundBuf
+	cycle := func() {
+		p.Enqueue("ns", rec, targets, time.Minute)
+		if p.round(1, &buf) != 1 {
+			t.Fatal("nothing to deliver")
+		}
+	}
+	cycle()
+	if got := testing.AllocsPerRun(200, cycle); got != 0 {
+		t.Fatalf("Enqueue + deliver = %v allocs, want 0", got)
+	}
+}
+
+// fenceSink stands in for a node: like Node.apply it rejects a whole
+// request when one record of it is refused, and it logs every call.
+type fenceSink struct {
+	mu      sync.Mutex
+	refused map[string]bool // by key
+	down    map[string]bool // by node
+	calls   []string        // "node:key,key"
+	applied map[string][]string
+}
+
+func newFenceSink() *fenceSink {
+	return &fenceSink{refused: map[string]bool{}, down: map[string]bool{}, applied: map[string][]string{}}
+}
+
+func (s *fenceSink) apply(ns, node string, recs []record.Record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	call := node + ":"
+	refused := s.down[node]
+	for i, r := range recs {
+		if i > 0 {
+			call += ","
+		}
+		call += string(r.Key)
+		refused = refused || s.refused[string(r.Key)]
+	}
+	s.calls = append(s.calls, call)
+	if refused {
+		return errors.New("range fenced for migration")
+	}
+	for _, r := range recs {
+		s.applied[node] = append(s.applied[node], string(r.Key))
+	}
+	return nil
+}
+
+// TestGroupFailureChargesOnlyTheCulprit: one refused record fails the
+// apply of its whole group; the group is then retried one update at a
+// time, and only the refused update pays — with an attempt, a parking
+// or, at MaxAttempts, the drop.
+func TestGroupFailureChargesOnlyTheCulprit(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	sink := newFenceSink()
+	sink.refused["c"] = true
+	p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
+	p.MaxAttempts = 2
+	for i, k := range []string{"a", "b", "c", "d"} {
+		p.Enqueue("ns", record.Record{Key: []byte(k), Version: uint64(i + 1)}, []string{"n"}, time.Minute)
+	}
+	if n := p.Drain(10); n != 4 {
+		t.Fatalf("Drain attempted %d updates, want 4", n)
+	}
+	want := []string{"n:a,b,c,d", "n:a", "n:b", "n:c", "n:d"}
+	if fmt.Sprint(sink.calls) != fmt.Sprint(want) {
+		t.Fatalf("calls = %v, want %v", sink.calls, want)
+	}
+	if st := p.Stats(); st.Delivered != 3 || st.Failures != 1 || st.Dropped != 0 || st.Pending != 1 {
+		t.Fatalf("after the first round: %+v", st)
+	}
+	if len(p.parked) != 1 || string(p.parked[0].u.Rec.Key) != "c" || p.parked[0].u.Attempts != 1 {
+		t.Fatalf("parked = %+v, want c with one attempt", p.parked)
+	}
+	vc.Advance(time.Second)
+	if d := p.Tracker().Staleness("ns", "n"); d != time.Second {
+		t.Fatalf("staleness = %v, want 1s: c is still owed", d)
+	}
+	// The second failure is c's last; nothing else was ever charged.
+	p.Drain(10)
+	if st := p.Stats(); st.Delivered != 3 || st.Failures != 2 || st.Dropped != 1 || st.Pending != 0 {
+		t.Fatalf("after the second round: %+v", st)
+	}
+	if p.DroppedTo("n") != 1 || p.Tracker().Staleness("ns", "n") != 0 {
+		t.Fatalf("DroppedTo = %d, staleness = %v", p.DroppedTo("n"), p.Tracker().Staleness("ns", "n"))
+	}
+}
+
+// TestDeadTargetDoesNotDelayOtherDestinations: the one-by-one retry of
+// a failed group waits until every other destination popped in the same
+// round has had its apply, however urgent the dead target's updates.
+func TestDeadTargetDoesNotDelayOtherDestinations(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	sink := newFenceSink()
+	sink.down["dead"] = true
+	p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
+	p.Enqueue("ns", record.Record{Key: []byte("a"), Version: 1}, []string{"dead"}, time.Millisecond)
+	p.Enqueue("ns", record.Record{Key: []byte("b"), Version: 2}, []string{"dead"}, time.Millisecond)
+	p.Enqueue("ns", record.Record{Key: []byte("c"), Version: 3}, []string{"live"}, time.Hour)
+	p.Enqueue("other", record.Record{Key: []byte("d"), Version: 4}, []string{"live"}, time.Hour)
+	p.Drain(10)
+	want := []string{"dead:a,b", "live:c", "live:d", "dead:a", "dead:b"}
+	if fmt.Sprint(sink.calls) != fmt.Sprint(want) {
+		t.Fatalf("calls = %v, want %v", sink.calls, want)
+	}
+	if st := p.Stats(); st.Delivered != 2 || st.Failures != 2 || st.Pending != 2 {
+		t.Fatalf("Stats = %+v", st)
+	}
+}
+
+// TestGroupAccountsPerUpdate: the members of one apply keep their own
+// deadlines and their own tracker entries.
+func TestGroupAccountsPerUpdate(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	sink := newFenceSink()
+	p := NewPump(NewQueue(FIFO), sink.apply, vc)
+	p.Enqueue("ns", record.Record{Key: []byte("late1"), Version: 1}, []string{"n"}, time.Second)
+	p.Enqueue("ns", record.Record{Key: []byte("intime"), Version: 2}, []string{"n"}, time.Hour)
+	vc.Advance(2 * time.Second)
+	p.Enqueue("ns", record.Record{Key: []byte("late2"), Version: 3}, []string{"n"}, -time.Second)
+	p.Enqueue("ns", record.Record{Key: []byte("left"), Version: 4}, []string{"n"}, time.Hour)
+	vc.Advance(3 * time.Second)
+	if n := p.Drain(3); n != 3 {
+		t.Fatalf("Drain(3) attempted %d", n)
+	}
+	if len(sink.calls) != 1 || sink.calls[0] != "n:late1,intime,late2" {
+		t.Fatalf("calls = %v, want the budget's three records in one apply", sink.calls)
+	}
+	if st := p.Stats(); st.Delivered != 3 || st.Violations != 2 || st.Pending != 1 {
+		t.Fatalf("Stats = %+v", st)
+	}
+	if got := p.ViolationsFor("ns"); got != 2 {
+		t.Fatalf("ViolationsFor = %d", got)
+	}
+	// Only "left", enqueued 3s ago, is still owed.
+	if d := p.Tracker().Staleness("ns", "n"); d != 3*time.Second {
+		t.Fatalf("staleness = %v, want 3s", d)
+	}
+}
+
+// TestRebindClonesEveryMemberOfInflightBatch: every update of a round
+// is registered as in flight before the round's first apply goes out.
+func TestRebindClonesEveryMemberOfInflightBatch(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var mu sync.Mutex
+	delivered := map[string][]string{}
+	first := true
+	apply := func(ns, node string, recs []record.Record) error {
+		mu.Lock()
+		block := first
+		first = false
+		mu.Unlock()
+		if block {
+			close(entered)
+			<-release
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, r := range recs {
+			delivered[node] = append(delivered[node], string(r.Key))
+		}
+		return nil
+	}
+	p := NewPump(NewQueue(ByDeadline), apply, vc)
+	for i, k := range []string{"a", "b", "c"} {
+		p.Enqueue("ns", record.Record{Key: []byte(k), Version: uint64(i + 1)}, []string{"n1"}, time.Minute)
+	}
+	p.Enqueue("ns", record.Record{Key: []byte("d"), Version: 4}, []string{"n2"}, time.Minute)
+	p.Enqueue("ns", record.Record{Key: []byte("z"), Version: 5}, []string{"n2"}, time.Minute) // outside [a, e)
+	done := make(chan struct{})
+	go func() {
+		p.Drain(5)
+		close(done)
+	}()
+	<-entered // n1's group is on the wire, n2's has not been sent yet
+	if st := p.Stats(); st.Pending != 5 {
+		t.Fatalf("pending mid-round = %d, want all 5 in flight", st.Pending)
+	}
+	if n := p.Rebind("ns", []byte("a"), []byte("e"), []string{"n3"}); n != 4 {
+		t.Fatalf("Rebind cloned %d, want a, b, c and d", n)
+	}
+	close(release)
+	<-done
+	p.Drain(10)
+	mu.Lock()
+	defer mu.Unlock()
+	got := append([]string(nil), delivered["n3"]...)
+	sort.Strings(got)
+	if fmt.Sprint(got) != "[a b c d]" {
+		t.Fatalf("n3 deliveries = %v", got)
+	}
+	if p.Stats().Pending != 0 {
+		t.Fatalf("pending = %d after drain", p.Stats().Pending)
 	}
 }

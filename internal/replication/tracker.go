@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 
@@ -92,17 +91,22 @@ func (t *Tracker) MaxStaleness(namespace string) time.Duration {
 	return worst
 }
 
-// pendingSet is a multiset of enqueue times with O(log n) min via a
-// lazily pruned heap.
+// pendingSet is a multiset of enqueue times with O(log n) min: a heap
+// that may hold times no longer outstanding below its top, never at it
+// — remove prunes from the top, so the heap is bounded by what was
+// added since the oldest outstanding time, whether or not anybody asks
+// for the minimum.
 type pendingSet struct {
-	h    timeHeap
+	h    []int64       // a min-heap of unixNano
 	live map[int64]int // unixNano -> outstanding count
 }
+
+func int64Less(a, b *int64) bool { return *a < *b }
 
 func (ps *pendingSet) add(t time.Time) {
 	n := t.UnixNano()
 	ps.live[n]++
-	heap.Push(&ps.h, n)
+	ps.h = heapPush(ps.h, n, int64Less)
 }
 
 func (ps *pendingSet) remove(t time.Time) {
@@ -112,29 +116,14 @@ func (ps *pendingSet) remove(t time.Time) {
 	} else {
 		delete(ps.live, n)
 	}
+	for len(ps.h) > 0 && ps.live[ps.h[0]] == 0 {
+		_, ps.h = heapPop(ps.h, int64Less)
+	}
 }
 
 func (ps *pendingSet) min() (time.Time, bool) {
-	for ps.h.Len() > 0 {
-		top := ps.h[0]
-		if ps.live[top] > 0 {
-			return time.Unix(0, top), true
-		}
-		heap.Pop(&ps.h)
+	if len(ps.h) == 0 {
+		return time.Time{}, false
 	}
-	return time.Time{}, false
-}
-
-type timeHeap []int64
-
-func (h timeHeap) Len() int           { return len(h) }
-func (h timeHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h timeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *timeHeap) Push(x any)        { *h = append(*h, x.(int64)) }
-func (h *timeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+	return time.Unix(0, ps.h[0]), true
 }

@@ -21,6 +21,11 @@ type MergeOptions struct {
 	// table could still hold a value the tombstone shadows; a scan of
 	// the whole stack sets it to see live records only.
 	DropTombstones bool
+	// KeepTombstone, when set, is asked once about each tombstone
+	// DropTombstones is about to remove, and one it returns true for
+	// stays in the output: the storage engine keeps the tombstones that
+	// a record outside the merge might still be shadowed by.
+	KeepTombstone func(record.Record) bool
 	// Drop, when set, excludes a source record from the merge entirely
 	// (before conflict resolution, as if the source never held it). src
 	// is the index into the sources slice. The storage engine uses this
@@ -144,6 +149,9 @@ func (m *MergeIter) Next() (record.Record, bool) {
 		rec, ok := m.winner()
 		if !ok || !(m.opts.DropTombstones && rec.Tombstone) {
 			return rec, ok
+		}
+		if m.opts.KeepTombstone != nil && m.opts.KeepTombstone(rec) {
+			return rec, true
 		}
 	}
 }

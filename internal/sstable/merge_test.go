@@ -21,7 +21,16 @@ type mergeCase struct {
 	excluded       map[int][][2]string // source -> [start, end) key ranges hidden from it
 	start, end     []byte
 	dropTombstones bool
+	keepFrom       uint64 // with dropTombstones: tombstones from this version up stay (0: none)
 	stopAfter      int
+}
+
+// keepTombstone is the case's MergeOptions.KeepTombstone.
+func (c mergeCase) keepTombstone() func(record.Record) bool {
+	if c.keepFrom == 0 {
+		return nil
+	}
+	return func(rec record.Record) bool { return rec.Version >= c.keepFrom }
 }
 
 func (c mergeCase) drop(src int, rec record.Record) bool {
@@ -49,7 +58,8 @@ func (c mergeCase) reference() []record.Record {
 	var out []record.Record
 	for _, r := range best {
 		inRange := bytes.Compare(r.Key, c.start) >= 0 && (c.end == nil || bytes.Compare(r.Key, c.end) < 0)
-		if inRange && !(c.dropTombstones && r.Tombstone) {
+		kept := c.keepFrom > 0 && r.Version >= c.keepFrom
+		if inRange && !(c.dropTombstones && r.Tombstone && !kept) {
 			out = append(out, r)
 		}
 	}
@@ -92,6 +102,10 @@ func fixedMergeCases() []mergeCase {
 			{kv("a", "v", 1), tomb("b", 5)},
 			{kv("b", "shadowed", 1), kv("c", "w", 1)},
 		}},
+		{name: "a kept tombstone outlives the merge that drops the older one", dropTombstones: true, keepFrom: 5, sources: [][]record.Record{
+			{tomb("a", 4), tomb("b", 5)},
+			{kv("a", "shadowed", 1), kv("b", "shadowed", 1)},
+		}},
 		{name: "older table holds the newer version", sources: [][]record.Record{
 			{kv("k", "stale", 1)},
 			{kv("k", "fresh", 9)},
@@ -118,6 +132,7 @@ func randomMergeCase(rng *rand.Rand) mergeCase {
 		sources:        make([][]record.Record, 1+rng.Intn(5)),
 		excluded:       map[int][][2]string{},
 		dropTombstones: rng.Intn(2) == 0,
+		keepFrom:       uint64(rng.Intn(5)),
 	}
 	for i := range c.sources {
 		byKey := map[string]record.Record{}
@@ -194,7 +209,7 @@ func TestMergeMatchesReference(t *testing.T) {
 					scanSrcs[i] = Slice(recs[lo:hi])
 				}
 			}
-			opts := MergeOptions{DropTombstones: c.dropTombstones, Drop: c.drop}
+			opts := MergeOptions{DropTombstones: c.dropTombstones, KeepTombstone: c.keepTombstone(), Drop: c.drop}
 			var scanned []record.Record
 			it := NewMergeIter(opts, scanSrcs...)
 			emit := collect(&scanned)

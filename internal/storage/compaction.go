@@ -94,9 +94,12 @@ func (ns *Namespace) pickTierJob() *tierJob {
 		seq:    ns.tableSeq,
 		stop:   make(chan struct{}),
 		// Consuming the entire stack makes this a de-facto major merge:
-		// no older table can hold a value a dropped tombstone shadows
-		// (records flushed while we merge are strictly newer — a stale
-		// arrival loses the LWW check against the still-visible stack).
+		// no older table can hold a value a dropped tombstone shadows.
+		// A memtable, or a table flushed meanwhile, can — Apply stores a
+		// put older than a tombstone unread — and installTable keeps the
+		// tombstones that could be shadowing one. A put that arrives after
+		// its tombstone was dropped still comes back to life, as it always
+		// did: tombstones have no grace period here.
 		dropTombstones: len(tables) == len(ns.tables),
 	}
 	ns.tableSeq++

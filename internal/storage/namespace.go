@@ -51,6 +51,11 @@ type Namespace struct {
 	// rewrites the tables without them (see TruncateRange).
 	excluded map[*sstable.Reader][]keyRange
 
+	// flushedFloor is, per table flushed this process lifetime, the
+	// lowest version its memtable took in (see unmergedFloor); a table
+	// that is not in it may hold any version.
+	flushedFloor map[*sstable.Reader]uint64
+
 	// Background size-tiered compaction state (see compaction.go).
 	// compacting marks tables claimed by an in-flight tier merge;
 	// tierStops holds the stop channel of each in-flight merge so
@@ -132,21 +137,33 @@ func (ns *Namespace) Delete(key []byte) (uint64, error) {
 	return ver, nil
 }
 
-// Apply merges an externally versioned record (for example one arriving
-// through replication) with last-write-wins semantics across the whole
-// LSM stack: a record older than what any layer already holds is
-// dropped.
+// Apply lands an externally versioned record (for example one arriving
+// through replication); see ApplyBatch.
 func (ns *Namespace) Apply(rec record.Record) error {
 	return ns.ApplyBatch([]record.Record{rec})
 }
 
-// ApplyBatch applies a group of externally versioned records with the
-// same last-write-wins semantics as Apply, but amortised: one lock
+// ApplyBatch lands a group of externally versioned records: one lock
 // acquisition, one WAL write for the whole group, and — when the
 // engine runs with SyncWrites — one group-commit fsync shared with
 // every other writer committing concurrently. This is the landing
 // point of the batched RPC apply path (rpc.MethodBatch envelopes and
 // multi-record MethodApply requests).
+//
+// The apply is blind: it reads nothing below the memtable. A record
+// counts as accepted — it gets an apply-log entry and watermark step,
+// raises MaxVersion and invalidates the record cache — when
+// memtable.Put stores it, that is unless the memtable itself already
+// holds a superseding version of the key. A record older than one
+// already flushed is stored all the same and loses wherever it is read:
+// point gets compare every layer by version, and scans, flushes and
+// compactions go through sstable.MergeIter, which keeps the superseding
+// record of each key whichever table holds it. Last-write-wins is
+// resolved by readers and merges, never by Apply. What keeps that true
+// of a put stored above the tombstone that deletes it is the merge
+// that drops tombstones: it leaves in every tombstone a record outside
+// it might be older than (see installTable), so the tombstone is there
+// to lose to until the put has been merged with it.
 func (ns *Namespace) ApplyBatch(recs []record.Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -157,27 +174,16 @@ func (ns *Namespace) ApplyBatch(recs []record.Record) error {
 		ns.mu.Unlock()
 		return ErrClosed
 	}
-	// Check deeper layers: the memtable's own LWW check only covers
-	// itself, but a newer version may already have been flushed.
-	accepted := make([]record.Record, 0, len(recs))
-	for _, rec := range recs {
-		if cur, ok := ns.getLocked(rec.Key); ok && cur.Supersedes(rec) {
-			continue
-		}
-		accepted = append(accepted, rec)
-	}
-	if len(accepted) == 0 {
-		ns.mu.Unlock()
-		return nil
-	}
 	if ns.log != nil {
-		if err := ns.log.AppendBatch(accepted); err != nil {
+		if err := ns.log.AppendBatch(recs); err != nil {
 			ns.mu.Unlock()
 			return err
 		}
 	}
-	for _, rec := range accepted {
-		ns.mem.Put(rec)
+	for _, rec := range recs {
+		if !ns.mem.Put(rec) {
+			continue
+		}
 		ns.applySeq++
 		ns.applyLog = append(ns.applyLog, applyEntry{seq: ns.applySeq, key: rec.Key})
 		if rec.Version > ns.maxVersion {
@@ -505,13 +511,34 @@ func (ns *Namespace) flushLocked() error {
 // applied and whose files it removes. Every table the namespace creates
 // comes from here. The caller holds compactMu or has claimed old, so
 // nothing else consumes the inputs meanwhile.
+//
+// With opts.DropTombstones, old is the whole table stack, but not all
+// the namespace holds: applies are blind, so a memtable — or a table
+// flushed while the merge runs — may hold a put older than a tombstone
+// in old, which would come back to life once the tombstone is gone. The
+// merge therefore drops only the tombstones below unmergedFloor, and if
+// by the time it is done something at or below a tombstone it dropped
+// has arrived after all, the table is written again with its tombstones
+// left in.
 func (ns *Namespace) installTable(seq uint64, opts sstable.MergeOptions, old []*sstable.Reader, frozen *memtable.Memtable) error {
 	sources := make([]sstable.Source, 0, 1+len(old))
 	if frozen != nil {
 		sources = append(sources, sstable.Slice(frozen.All()))
 	}
+	var dropped, maxDropped uint64 // tombstones left out, and the highest version among them
 	ns.mu.RLock()
 	opts.Drop = ns.dropExcluded(old, len(sources))
+	if opts.DropTombstones {
+		floor := ns.unmergedFloor(0)
+		opts.KeepTombstone = func(rec record.Record) bool {
+			if rec.Version >= floor {
+				return true
+			}
+			dropped++
+			maxDropped = max(maxDropped, rec.Version)
+			return false
+		}
+	}
 	ns.mu.RUnlock()
 	for _, t := range old {
 		sources = append(sources, t.Range(nil, nil, false))
@@ -536,14 +563,27 @@ func (ns *Namespace) installTable(seq uint64, opts sstable.MergeOptions, old []*
 		ns.mu.Unlock()
 		return rd.Remove()
 	}
+	if dropped > 0 && ns.unmergedFloor(i) <= maxDropped {
+		ns.mu.Unlock()
+		if err := rd.Remove(); err != nil {
+			return err
+		}
+		opts.DropTombstones, opts.KeepTombstone = false, nil
+		return ns.installTable(seq, opts, old, frozen)
+	}
 	stack := make([]*sstable.Reader, 0, len(ns.tables)-len(old)+1)
 	stack = append(append(append(stack, ns.tables[:i]...), rd), ns.tables[i+len(old):]...)
 	ns.tables = stack
 	if frozen != nil {
 		ns.flushing = nil
+		if ns.flushedFloor == nil {
+			ns.flushedFloor = make(map[*sstable.Reader]uint64)
+		}
+		ns.flushedFloor[rd] = frozen.MinVersion()
 	}
 	for _, t := range old {
 		delete(ns.excluded, t)
+		delete(ns.flushedFloor, t)
 	}
 	ns.mu.Unlock()
 
@@ -554,6 +594,20 @@ func (ns *Namespace) installTable(seq uint64, opts sstable.MergeOptions, old []*
 		}
 	}
 	return firstErr
+}
+
+// unmergedFloor returns a lower bound on the version of every record
+// held above ns.tables[above:]: in the memtable, in the one being
+// flushed and in the tables before index above. Caller holds ns.mu.
+func (ns *Namespace) unmergedFloor(above int) uint64 {
+	floor := ns.mem.MinVersion()
+	if ns.flushing != nil {
+		floor = min(floor, ns.flushing.MinVersion())
+	}
+	for _, t := range ns.tables[:above] {
+		floor = min(floor, ns.flushedFloor[t])
+	}
+	return floor
 }
 
 // openTable opens a recovered SSTable and attaches the engine's shared

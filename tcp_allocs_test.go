@@ -7,6 +7,7 @@ package scads
 // and the count below does not hold; the pin runs in the plain build.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -16,29 +17,33 @@ import (
 	"scads/internal/storage"
 )
 
-// openUsersOverTCP opens a Cluster over one in-memory node behind a real
-// TCP server — both sides of the socket in this process — holding the
-// ledger's five-column users table, from which nothing is derived.
-func openUsersOverTCP(t *testing.T) *Cluster {
+// openUsersOverTCP opens a Cluster over nodes in-memory nodes, each
+// behind a real TCP server — both sides of every socket in this process
+// — holding the ledger's five-column users table, from which nothing is
+// derived, replicated on all of them.
+func openUsersOverTCP(t *testing.T, nodes int) *Cluster {
 	t.Helper()
 	clk := clock.NewReal()
-	engine, err := storage.Open(storage.Options{NodeID: 1, CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { engine.Close() })
-	srv := rpc.NewServer(cluster.NewNode("tcp-node-1", engine))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
 	dir := cluster.NewDirectory(clk)
-	dir.Join("tcp-node-1", addr)
-	dir.MarkUp("tcp-node-1")
+	for i := 1; i <= nodes; i++ {
+		engine, err := storage.Open(storage.Options{NodeID: uint16(i), CacheBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { engine.Close() })
+		id := fmt.Sprintf("tcp-node-%d", i)
+		srv := rpc.NewServer(cluster.NewNode(id, engine))
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		dir.Join(id, addr)
+		dir.MarkUp(id)
+	}
 	transport := rpc.NewTCPTransport()
 	t.Cleanup(func() { transport.Close() })
-	c, err := Open(Config{Clock: clk, Transport: transport, Directory: dir})
+	c, err := Open(Config{Clock: clk, Transport: transport, Directory: dir, ReplicationFactor: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +68,7 @@ ENTITY users (
 // ledger's five-column users row. testing.AllocsPerRun runs under
 // GOMAXPROCS(1), which makes the count deterministic.
 func TestWarmGetAllocsOverTCP(t *testing.T) {
-	c := openUsersOverTCP(t)
+	c := openUsersOverTCP(t, 1)
 	if err := c.Insert("users", Row{
 		"id": "user000001", "name": "User One", "birthday": 42,
 		"bio": strings.Repeat("b", 150), "counter": 7,
@@ -88,7 +93,7 @@ func TestWarmGetAllocsOverTCP(t *testing.T) {
 // image, no maintenance task — so the solo commit path cannot quietly
 // grow a map or a goroutine.
 func TestInsertAllocsOverTCP(t *testing.T) {
-	c := openUsersOverTCP(t)
+	c := openUsersOverTCP(t, 1)
 	r := Row{
 		"id": "user000001", "name": "User One", "birthday": 42,
 		"bio": strings.Repeat("b", 150), "counter": 7,
@@ -102,5 +107,29 @@ func TestInsertAllocsOverTCP(t *testing.T) {
 	// Measured 14.
 	if allocs := testing.AllocsPerRun(200, insert); allocs > 16 {
 		t.Errorf("Cluster.Insert over TCP allocates %.1f times per call, want <= 16", allocs)
+	}
+}
+
+// TestReplicatedInsertAllocsOverTCP pins the same insert at RF=2
+// together with its background half: the update's trip through the
+// replication queue and the apply that carries it to the secondary.
+func TestReplicatedInsertAllocsOverTCP(t *testing.T) {
+	c := openUsersOverTCP(t, 2)
+	r := Row{
+		"id": "user000001", "name": "User One", "birthday": 42,
+		"bio": strings.Repeat("b", 150), "counter": 7,
+	}
+	insert := func() {
+		if err := c.Insert("users", r); err != nil {
+			t.Fatal(err)
+		}
+		if n := c.Pump().Drain(16); n != 1 {
+			t.Fatalf("replication drained %d records, want 1", n)
+		}
+	}
+	insert() // dial both nodes
+	// Measured 20.
+	if allocs := testing.AllocsPerRun(200, insert); allocs > 22 {
+		t.Errorf("replicated Cluster.Insert over TCP allocates %.1f times per call, want <= 22", allocs)
 	}
 }

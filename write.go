@@ -520,7 +520,13 @@ func (c *Cluster) maintain(task maintTask) error {
 }
 
 // FlushAll drains all pending maintenance and replication — the "wait
-// for quiescence" helper used by tests and examples.
+// for quiescence" helper used by tests and examples. Under
+// StartBackground it also waits for what it cannot drain itself: the
+// rounds the replication workers have in flight, and the failed
+// deliveries waiting out a retry backoff, which the workers deliver or
+// give up on within MaxAttempts backoffs. Without it (a simulation's
+// clock only moves when the caller moves it) such retries stay parked
+// and show in Pump().Stats().Pending.
 func (c *Cluster) FlushAll() error {
 	for {
 		n, err := c.DrainMaintenance(1024)
@@ -528,9 +534,16 @@ func (c *Cluster) FlushAll() error {
 			return err
 		}
 		r := c.pump.Drain(4096)
-		if n == 0 && r == 0 {
+		if n != 0 || r != 0 {
+			continue
+		}
+		c.bgMu.Lock()
+		background := c.bgStop != nil
+		c.bgMu.Unlock()
+		if !background || c.pump.Stats().Pending == 0 {
 			return nil
 		}
+		c.clk.Sleep(time.Millisecond)
 	}
 }
 

@@ -28,9 +28,10 @@ QUERY findUser
 SELECT * FROM users WHERE id = ?user LIMIT 1
 `
 
-// newWrappedCluster opens a Cluster over n in-memory nodes with
-// wrap(transport) between the coordinator and the nodes. Batching is
-// off so the wrapper sees one call per request, not envelopes.
+// newWrappedCluster opens a Cluster over n in-memory nodes, every range
+// replicated on all of them, with wrap(transport) between the
+// coordinator and the nodes. Batching is off so the wrapper sees one
+// call per request, not envelopes.
 func newWrappedCluster(t *testing.T, n int, ddl string, wrap func(rpc.Transport) rpc.Transport) *Cluster {
 	t.Helper()
 	clk := clock.NewVirtual(t0)
@@ -47,7 +48,7 @@ func newWrappedCluster(t *testing.T, n int, ddl string, wrap func(rpc.Transport)
 		dir.Join(id, "local://"+id)
 		dir.MarkUp(id)
 	}
-	c, err := Open(Config{Clock: clk, Transport: wrap(lt), Directory: dir, DisableBatching: true})
+	c, err := Open(Config{Clock: clk, Transport: wrap(lt), Directory: dir, DisableBatching: true, ReplicationFactor: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +97,9 @@ func (ct *countingTransport) total(method, ns string) int {
 }
 
 // TestWriteRoundTrips pins the round trips each kind of write makes:
-// the old image is read exactly when something consumes it, and index
-// mutations share an apply per (namespace, primary).
+// the old image is read exactly when something consumes it, index
+// mutations share an apply per (namespace, primary), and the replication
+// pump sends a destination's pending records in one apply, not one each.
 func TestWriteRoundTrips(t *testing.T) {
 	alice := Row{"id": "alice", "name": "Alice", "birthday": 42}
 	cases := []struct {
@@ -148,9 +150,35 @@ func TestWriteRoundTrips(t *testing.T) {
 		})
 	}
 
+	t.Run("replica applies carry a batch", func(t *testing.T) {
+		ct := &countingTransport{n: make(map[call]int)}
+		c := newWrappedCluster(t, 2, noIndexDDL, func(next rpc.Transport) rpc.Transport {
+			ct.next = next
+			return ct
+		})
+		for i := 0; i < 32; i++ {
+			if err := c.Insert("users", Row{"id": fmt.Sprintf("user%02d", i), "name": "U", "birthday": i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := ct.total(rpc.MethodApply, ""); n != 32 {
+			t.Fatalf("%d applies for 32 inserts before replication ran, want one each", n)
+		}
+		ct.reset()
+		if n := c.Pump().Drain(4096); n != 32 {
+			t.Fatalf("Drain attempted %d records, want 32", n)
+		}
+		if n := ct.total(rpc.MethodApply, ""); n > 2 {
+			t.Errorf("%d applies carried 32 records to the secondary, want <= 2", n)
+		}
+		if st := c.Pump().Stats(); st.Delivered != 32 || st.Pending != 0 {
+			t.Errorf("pump after the drain: %+v", st)
+		}
+	})
+
 	t.Run("index mutations share an apply", func(t *testing.T) {
 		ct := &countingTransport{n: make(map[call]int)}
-		c := newWrappedCluster(t, 1, socialDDL, func(next rpc.Transport) rpc.Transport {
+		c := newWrappedCluster(t, 2, socialDDL, func(next rpc.Transport) rpc.Transport {
 			ct.next = next
 			return ct
 		})
@@ -174,13 +202,23 @@ func TestWriteRoundTrips(t *testing.T) {
 		if n, err := c.DrainMaintenance(10); n != 1 || err != nil {
 			t.Fatalf("DrainMaintenance = %d, %v, want 1 task", n, err)
 		}
-		ct.mu.Lock()
-		defer ct.mu.Unlock()
-		for k, n := range ct.n {
-			if k.method == rpc.MethodApply && n > 1 {
-				t.Errorf("%d applies to %s on %s for one base change, want <= 1", n, k.namespace, k.addr)
+		// The base change and its six index mutations then replicate in
+		// one apply per (namespace, secondary) too.
+		atMostOneApplyEach := func(stage string) {
+			ct.mu.Lock()
+			defer ct.mu.Unlock()
+			for k, n := range ct.n {
+				if k.method == rpc.MethodApply && n > 1 {
+					t.Errorf("%s: %d applies to %s on %s for one base change, want <= 1", stage, n, k.namespace, k.addr)
+				}
 			}
 		}
+		atMostOneApplyEach("maintenance")
+		ct.reset()
+		if n := c.Pump().Drain(4096); n != 7 {
+			t.Fatalf("Drain attempted %d records, want the row and its 6 index mutations", n)
+		}
+		atMostOneApplyEach("replication")
 	})
 }
 
