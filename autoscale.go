@@ -10,7 +10,6 @@ import (
 
 	"scads/internal/clock"
 	"scads/internal/cloudsim"
-	"scads/internal/consistency"
 	"scads/internal/director"
 	"scads/internal/sla"
 	"scads/internal/workload"
@@ -55,79 +54,52 @@ type ElasticScenario struct {
 	Duration time.Duration
 	// Tick is the control interval (default 1m).
 	Tick time.Duration
-	// Trace is the total offered rate (req/s) over time.
+	// Trace is the total offered rate (req/s) over time;
+	// elasticWriteFraction of it is writes, the rest reads.
 	Trace workload.Trace
-	// WriteFraction splits Trace into the write class; the rest is
-	// reads (default 0.1).
-	WriteFraction float64
 	// Keys picks which user the background writer touches — the
 	// hotspot-shift scenario moves this window across ranges while
 	// scale events are in flight.
 	Keys workload.Hotspot
-	// Service is the synthetic per-class service curve (default:
-	// reads 2ms, writes 8ms of server time, 5ms base latency).
-	Service cloudsim.ClassServiceModel
-	// SLA is the per-class SLO being defended (default: the paper's
-	// 99.9% < 100ms, 99.99% availability).
-	SLA consistency.PerformanceSLA
-	// BootDelay models instance provisioning lag on the virtual
-	// clock (default 90s): requested capacity serves only after it.
-	BootDelay time.Duration
-	// OpsPerTick is how many real cluster operations the control loop
-	// drives synchronously each tick (default 6) — guaranteed ledger
-	// coverage across every tick; the concurrent writer adds
-	// interleaving on top.
-	OpsPerTick int
 	// InitialServers is the starting fleet (default 3).
 	InitialServers int
-	// MinServers / MaxServers bound the director (defaults: the
-	// replication factor / 16).
-	MinServers, MaxServers int
-	// ReplicationFactor for the real cluster (default 2).
-	ReplicationFactor int
-	// PricePerHour prices server-hours (default $0.10).
-	PricePerHour float64
+}
+
+// What every scenario shares. The per-class SLO defended is paperSLA.
+const (
+	// elasticWriteFraction splits Trace into the write class.
+	elasticWriteFraction = 0.1
+	// elasticBootDelay models instance provisioning lag on the virtual
+	// clock: requested capacity serves only after it.
+	elasticBootDelay = 90 * time.Second
+	// elasticOpsPerTick is how many real cluster operations the control
+	// loop drives synchronously each tick — guaranteed ledger coverage
+	// across every tick; the concurrent writer adds interleaving on top.
+	elasticOpsPerTick = 6
+	// elasticRF is the real cluster's replication factor, and with it
+	// the director's floor; elasticMaxServers is its cap.
+	elasticRF         = 2
+	elasticMaxServers = 16
+	// elasticPricePerHour prices server-hours.
+	elasticPricePerHour = 0.10
+)
+
+// elasticService is the synthetic per-class service curve: reads 2ms,
+// writes 8ms of server time, 5ms base latency.
+var elasticService = cloudsim.ClassServiceModel{
+	Demand: map[string]float64{"read": 0.002, "write": 0.008},
+	Base:   5 * time.Millisecond,
 }
 
 func (sc ElasticScenario) withDefaults() ElasticScenario {
 	if sc.Tick <= 0 {
 		sc.Tick = time.Minute
 	}
-	if sc.WriteFraction <= 0 {
-		sc.WriteFraction = 0.1
-	}
 	if sc.Keys.Users <= 0 {
 		sc.Keys.Users = 240
 	}
-	if sc.Service.Demand == nil {
-		sc.Service.Demand = map[string]float64{"read": 0.002, "write": 0.008}
-		sc.Service.Base = 5 * time.Millisecond
-	}
-	if sc.SLA.Zero() {
-		sc.SLA = consistency.PerformanceSLA{
-			Percentile: 99.9, LatencyBound: 100 * time.Millisecond, SuccessRate: 99.99,
-		}
-	}
-	if sc.BootDelay <= 0 {
-		sc.BootDelay = 90 * time.Second
-	}
-	if sc.OpsPerTick <= 0 {
-		sc.OpsPerTick = 6
-	}
-	if sc.ReplicationFactor <= 0 {
-		sc.ReplicationFactor = 2
-	}
 	if sc.InitialServers <= 0 {
 		sc.InitialServers = 3
-	}
-	if sc.MinServers <= 0 {
-		sc.MinServers = sc.ReplicationFactor
-	}
-	if sc.MaxServers <= 0 {
-		sc.MaxServers = 16
-	}
-	if sc.PricePerHour <= 0 {
-		sc.PricePerHour = 0.10
 	}
 	return sc
 }
@@ -222,20 +194,20 @@ func (a *bootDelayActuator) Poll() {
 // production deployment would arrive with models fit offline from
 // history (§4's "use of machine learning models"). Two interleaved
 // mixes make the per-class regression well-posed.
-func warmElasticModels(d *director.Director, sc ElasticScenario) {
+func warmElasticModels(d *director.Director) {
 	for i := 1; i <= 12; i++ {
 		u := 0.07 * float64(i) // utilisation 0.07..0.84
-		wf := sc.WriteFraction
+		wf := elasticWriteFraction
 		if i%2 == 0 {
-			wf = sc.WriteFraction / 2
+			wf = elasticWriteFraction / 2
 		}
-		mean := wf*sc.Service.Demand["write"] + (1-wf)*sc.Service.Demand["read"]
+		mean := wf*elasticService.Demand["write"] + (1-wf)*elasticService.Demand["read"]
 		rate := u / mean // per-server rate hitting utilisation u
 		classRates := map[string]float64{
 			"read":  rate * (1 - wf),
 			"write": rate * wf,
 		}
-		lat := sc.Service.Latency(classRates, 1)
+		lat := elasticService.Latency(classRates, 1)
 		d.Fleet.Observe(classRates, lat.Seconds())
 		d.Capacity.Observe(rate, lat.Seconds())
 	}
@@ -252,8 +224,7 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 	vc := clock.NewVirtual(sc.Start)
 	lc, err := NewLocalCluster(sc.InitialServers, Config{
 		Clock:             vc,
-		ReplicationFactor: sc.ReplicationFactor,
-		SLA:               sc.SLA,
+		ReplicationFactor: elasticRF,
 	})
 	if err != nil {
 		return res, err
@@ -295,17 +266,17 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 		actErrs = append(actErrs, err)
 		actMu.Unlock()
 	}
-	act := &bootDelayActuator{clk: vc, delay: sc.BootDelay, inner: base}
+	act := &bootDelayActuator{clk: vc, delay: elasticBootDelay, inner: base}
 
-	classes := sla.NewClasses(vc, sc.SLA, 1024)
+	classes := sla.NewClasses(vc, paperSLA, 1024)
 	d := director.New(vc, act, director.Config{
-		SLALatency:      sc.SLA.LatencyBound,
-		ForecastHorizon: sc.BootDelay + 2*sc.Tick,
-		MinServers:      sc.MinServers,
-		MaxServers:      sc.MaxServers,
+		SLALatency:      paperSLA.LatencyBound,
+		ForecastHorizon: elasticBootDelay + 2*sc.Tick,
+		MinServers:      elasticRF,
+		MaxServers:      elasticMaxServers,
 		Policy:          director.ModelDriven,
 	})
-	warmElasticModels(d, sc)
+	warmElasticModels(d)
 
 	// Two real-op drivers share a last-acked ledger: a synchronous
 	// per-tick driver guarantees coverage of every control interval,
@@ -373,18 +344,18 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 		if running > res.PeakServers {
 			res.PeakServers = running
 		}
-		for i := 0; i < sc.OpsPerTick; i++ {
+		for i := 0; i < elasticOpsPerTick; i++ {
 			syncRound++
 			doOp(syncRnd, syncRound, 0)
 		}
 
 		total := sc.Trace.Rate(vc.Now())
 		classRates := map[string]float64{
-			"read":  total * (1 - sc.WriteFraction),
-			"write": total * sc.WriteFraction,
+			"read":  total * (1 - elasticWriteFraction),
+			"write": total * elasticWriteFraction,
 		}
-		lat := sc.Service.Latency(classRates, running)
-		succ := sc.Service.SuccessRate(classRates, running)
+		lat := elasticService.Latency(classRates, running)
+		succ := elasticService.SuccessRate(classRates, running)
 		for class, r := range classRates {
 			n := int64(r * sc.Tick.Seconds())
 			if n <= 0 {
@@ -407,7 +378,7 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 			Latency:          up.Latency,
 			SuccessRate:      up.SuccessRate,
 			SLAMet:           up.Met,
-			CommittedServers: sc.ReplicationFactor,
+			CommittedServers: elasticRF,
 		})
 		if dec.Added > 0 {
 			res.ScaleUps++
@@ -425,7 +396,7 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 	act.Poll()
 	base.Wait()
 	res.FinalServers = base.Running()
-	res.CostUSD = res.ServerHours * sc.PricePerHour
+	res.CostUSD = res.ServerHours * elasticPricePerHour
 
 	// Verify the ledger: every acked write must read back its last
 	// acked value after replication drains.

@@ -166,18 +166,10 @@ type Config struct {
 	MaxInFlight int
 
 	// Tenants seeds per-tenant configs; SetTenant adds or replaces
-	// them later. Tenants never configured run with the zero config
-	// at the DefaultPriority.
+	// them later. Tenants never configured — including the default
+	// (empty-name) tenant that plain, sessionless API calls belong to
+	// — run with the zero config: no quota, BestEffort.
 	Tenants map[string]TenantConfig
-
-	// DefaultPriority is the class for tenants with no explicit
-	// config — including the default (empty-name) tenant that plain,
-	// sessionless API calls belong to. The zero value is BestEffort,
-	// matching TenantConfig.Priority; set Committed to shield
-	// unconfigured traffic until the hard ceiling. Priority only
-	// matters once MaxInFlight is set, so a zero-config cluster is
-	// unaffected either way.
-	DefaultPriority Priority
 
 	// HotWindow is the demand-rate measurement window for hot-tenant
 	// detection (default 1s).
@@ -281,7 +273,6 @@ type Controller struct {
 	admitted    uint64
 	shedQuota   uint64
 	shedByClass [NumShedClasses]uint64
-	defPriority Priority
 }
 
 // New builds a Controller from cfg.
@@ -296,7 +287,6 @@ func New(cfg Config) *Controller {
 		hotWindow:   cfg.HotWindow,
 		hotFactor:   cfg.HotFactor,
 		tenants:     make(map[string]*tenantState),
-		defPriority: cfg.DefaultPriority,
 	}
 	if c.hotWindow <= 0 {
 		c.hotWindow = time.Second
@@ -334,7 +324,7 @@ func (c *Controller) SetMaxInFlight(n int) {
 func (c *Controller) tenantLocked(name string, now time.Time) *tenantState {
 	t := c.tenants[name]
 	if t == nil {
-		t = newTenantState(TenantConfig{Priority: c.defPriority}, now)
+		t = newTenantState(TenantConfig{}, now)
 		c.tenants[name] = t
 	}
 	return t

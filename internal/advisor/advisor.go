@@ -162,34 +162,22 @@ type Config struct {
 	Capacity Capacity
 	// SLALatency is the latency bound sizing targets (default 100ms).
 	SLALatency time.Duration
-	// Headroom is the target utilisation fraction (default 0.8).
-	Headroom float64
 	// ReplicationFactor multiplies serving nodes and storage
 	// (default 1; the durability curve explores alternatives).
 	ReplicationFactor int
-	// NodeMTBF and NodeMTTR parameterise the availability model used
-	// by the downtime/cost curve (defaults 30 days / 10 minutes —
-	// commodity-node failure rates with automated replacement).
-	NodeMTBF time.Duration
-	NodeMTTR time.Duration
 }
+
+// targetUtilisation is the fraction of a server's usable capacity sizing
+// aims for, passed as Capacity.ServersNeeded's headroom argument.
+const targetUtilisation = 0.8
 
 func (c Config) withDefaults() Config {
 	c.Pricing = c.Pricing.withDefaults()
 	if c.SLALatency <= 0 {
 		c.SLALatency = 100 * time.Millisecond
 	}
-	if c.Headroom <= 0 || c.Headroom > 1 {
-		c.Headroom = 0.8
-	}
 	if c.ReplicationFactor < 1 {
 		c.ReplicationFactor = 1
-	}
-	if c.NodeMTBF <= 0 {
-		c.NodeMTBF = 30 * 24 * time.Hour
-	}
-	if c.NodeMTTR <= 0 {
-		c.NodeMTTR = 10 * time.Minute
 	}
 	return c
 }
@@ -321,7 +309,7 @@ func Advise(s *query.Schema, results map[string]*analyzer.Result,
 	readRate := w.TotalQueryRate()
 	writeRate := w.TotalUpdateRate()
 	totalRate := readRate + writeRate + maintRate
-	servers := cfg.Capacity.ServersNeeded(totalRate, cfg.SLALatency.Seconds(), cfg.Headroom, 1)
+	servers := cfg.Capacity.ServersNeeded(totalRate, cfg.SLALatency.Seconds(), targetUtilisation, 1)
 	perServer := totalRate / float64(servers)
 
 	for _, name := range s.QueryOrder {
@@ -379,8 +367,6 @@ func Advise(s *query.Schema, results map[string]*analyzer.Result,
 		StorageBytes: storage,
 		MaxReplicas:  5,
 		Pricing:      cfg.Pricing,
-		NodeMTBF:     cfg.NodeMTBF,
-		NodeMTTR:     cfg.NodeMTTR,
 	})
 	return rep, nil
 }

@@ -21,7 +21,9 @@ type CurveInput struct {
 	Pricing Pricing
 	// NodeMTBF and NodeMTTR describe individual node failures. A node
 	// is down MTTR/(MTBF+MTTR) of the time; data is unavailable when
-	// all replicas of a range are down simultaneously.
+	// all replicas of a range are down simultaneously. Defaults 30
+	// days / 10 minutes: commodity-node failure rates with automated
+	// replacement.
 	NodeMTBF time.Duration
 	NodeMTTR time.Duration
 }

@@ -20,18 +20,17 @@ import (
 
 // Config bounds what the analyzer will accept.
 type Config struct {
-	// MaxLimit caps any query's LIMIT. Default 10000.
-	MaxLimit int
 	// MaxUpdateWork is K in the paper's O(K) update requirement: the
 	// largest number of index-entry mutations one base-table update
 	// may trigger. Default 10000.
 	MaxUpdateWork int
 }
 
+// maxLimit caps any query's LIMIT and the rows a residual filter may
+// visit.
+const maxLimit = 10000
+
 func (c Config) withDefaults() Config {
-	if c.MaxLimit <= 0 {
-		c.MaxLimit = 10000
-	}
 	if c.MaxUpdateWork <= 0 {
 		c.MaxUpdateWork = 10000
 	}
@@ -129,9 +128,9 @@ func Analyze(s *query.Schema, cfg Config) (map[string]*Result, error) {
 // AnalyzeQuery checks a single query template against the schema.
 func AnalyzeQuery(s *query.Schema, q *query.QueryDef, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if q.Limit > cfg.MaxLimit {
+	if q.Limit > maxLimit {
 		return nil, fmt.Errorf("%w: query %s: LIMIT %d exceeds maximum %d",
-			ErrUnbounded, q.Name, q.Limit, cfg.MaxLimit)
+			ErrUnbounded, q.Name, q.Limit, maxLimit)
 	}
 	if q.Join == nil {
 		return analyzeSingle(s, q, cfg)
@@ -200,9 +199,9 @@ func checkResiduals(q *query.QueryDef, driving *query.TableDef, res *Result, cfg
 			"declare a CARDINALITY for %s (LIMIT caps returned rows, not rows a filtered scan must visit)",
 			ErrUnbounded, q.Name, driving.Name)
 	}
-	if bound > cfg.MaxLimit {
+	if bound > maxLimit {
 		return fmt.Errorf("%w: query %s: residual filter may visit %d rows, exceeding the %d-row scan bound",
-			ErrUnbounded, q.Name, bound, cfg.MaxLimit)
+			ErrUnbounded, q.Name, bound, maxLimit)
 	}
 	return nil
 }

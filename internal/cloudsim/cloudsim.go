@@ -61,8 +61,6 @@ type Options struct {
 	// PricePerHour is the cost of one machine-hour. Default $0.10
 	// (2008 EC2 m1.small).
 	PricePerHour float64
-	// MaxInstances caps the pool (0 = unlimited).
-	MaxInstances int
 	// BillingGranularity rounds each instance's billed time up to a
 	// multiple of this. Default one hour (EC2's 2008 model); the
 	// paper's "hours to minutes" granularity is configurable.
@@ -97,17 +95,13 @@ func New(clk clock.Clock, opts Options) *Cloud {
 	return &Cloud{clk: clk, opts: opts.withDefaults(), instances: make(map[string]*Instance)}
 }
 
-// Request asks for n new instances. It returns the instances actually
-// granted (fewer than n when MaxInstances caps the pool).
+// Request starts n new instances and returns them.
 func (c *Cloud) Request(n int) []*Instance {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.clk.Now()
 	var granted []*Instance
 	for i := 0; i < n; i++ {
-		if c.opts.MaxInstances > 0 && c.activeLocked() >= c.opts.MaxInstances {
-			break
-		}
 		c.seq++
 		inst := &Instance{
 			ID:          fmt.Sprintf("i-%06d", c.seq),
@@ -212,16 +206,6 @@ func (c *Cloud) Counts() (booting, running, stopped int) {
 		}
 	}
 	return
-}
-
-func (c *Cloud) activeLocked() int {
-	n := 0
-	for _, inst := range c.instances {
-		if inst.State == StateBooting || inst.State == StateRunning {
-			n++
-		}
-	}
-	return n
 }
 
 // MachineHours returns total billed machine-hours so far: each

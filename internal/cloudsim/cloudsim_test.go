@@ -53,24 +53,6 @@ func TestInstanceLifecycle(t *testing.T) {
 	}
 }
 
-func TestMaxInstancesCap(t *testing.T) {
-	vc := clock.NewVirtual(t0)
-	c := New(vc, Options{MaxInstances: 5})
-	if got := len(c.Request(10)); got != 5 {
-		t.Fatalf("granted %d with cap 5", got)
-	}
-	if got := len(c.Request(1)); got != 0 {
-		t.Fatalf("granted %d above cap", got)
-	}
-	// Terminating frees capacity.
-	c.Poll()
-	ids := c.Booting()
-	c.Terminate(ids[0])
-	if got := len(c.Request(2)); got != 1 {
-		t.Fatalf("granted %d after freeing 1", got)
-	}
-}
-
 func TestBillingGranularity(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	c := New(vc, Options{BootDelay: time.Second, PricePerHour: 0.10, BillingGranularity: time.Hour})

@@ -104,9 +104,6 @@ type Decision struct {
 type Config struct {
 	// SLALatency is the latency bound being defended.
 	SLALatency time.Duration
-	// Headroom is spare capacity fraction kept when sizing (default
-	// 0.2).
-	Headroom float64
 	// ForecastHorizon is how far ahead demand is predicted; it should
 	// cover instance boot delay plus a control interval (default 5m).
 	ForecastHorizon time.Duration
@@ -117,19 +114,19 @@ type Config struct {
 	// ScaleDownCooldown is the minimum time between scale-down steps,
 	// preventing thrash (default 10m).
 	ScaleDownCooldown time.Duration
-	// ScaleDownThreshold only releases servers when the target is
-	// below running by at least this fraction (default 0.1).
-	ScaleDownThreshold float64
 	// Policy selects model-driven or reactive control.
 	Policy Policy
-	// Periodic enables the time-of-day forecast component.
-	Periodic bool
 }
 
+const (
+	// headroom is the spare capacity fraction kept when sizing.
+	headroom = 0.2
+	// scaleDownSlack is the hysteresis on release: servers go only
+	// when the target is below running by at least this fraction.
+	scaleDownSlack = 0.1
+)
+
 func (c Config) withDefaults() Config {
-	if c.Headroom <= 0 {
-		c.Headroom = 0.2
-	}
 	if c.ForecastHorizon <= 0 {
 		c.ForecastHorizon = 5 * time.Minute
 	}
@@ -138,9 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ScaleDownCooldown <= 0 {
 		c.ScaleDownCooldown = 10 * time.Minute
-	}
-	if c.ScaleDownThreshold <= 0 {
-		c.ScaleDownThreshold = 0.1
 	}
 	return c
 }
@@ -170,7 +164,7 @@ func New(clk clock.Clock, actuator Actuator, cfg Config) *Director {
 		actuator:   actuator,
 		Capacity:   &mlmodel.CapacityModel{},
 		Fleet:      &mlmodel.FleetModel{},
-		Forecaster: mlmodel.NewForecaster(cfg.Periodic),
+		Forecaster: mlmodel.NewForecaster(),
 	}
 }
 
@@ -263,7 +257,7 @@ func (d *Director) Step(obs Observation) Decision {
 			break
 		}
 		slack := float64(running-target) / float64(running)
-		if slack < d.cfg.ScaleDownThreshold {
+		if slack < scaleDownSlack {
 			dec.Reason += "+hysteresis-hold"
 			break
 		}
@@ -298,10 +292,10 @@ func (d *Director) modelTarget(obs Observation, running int) (int, float64, stri
 		if floor < 1 {
 			floor = 1
 		}
-		target := d.Fleet.ServersNeeded(demand, obs.ClassRates, d.cfg.SLALatency.Seconds(), d.cfg.Headroom, floor)
+		target := d.Fleet.ServersNeeded(demand, obs.ClassRates, d.cfg.SLALatency.Seconds(), headroom, floor)
 		return target, forecast, "fleet:" + horizon
 	}
-	target := d.Capacity.ServersNeeded(demand, d.cfg.SLALatency.Seconds(), d.cfg.Headroom, running)
+	target := d.Capacity.ServersNeeded(demand, d.cfg.SLALatency.Seconds(), headroom, running)
 	if _, _, _, ok := d.Capacity.Params(); !ok {
 		t, r := d.reactiveTarget(obs, running)
 		return t, forecast, "unfit:" + r

@@ -93,13 +93,6 @@ type Manager struct {
 	// a larger value would make the server's clamped reply look like
 	// a final short page and silently truncate the snapshot.
 	PageSize int
-	// DeltaRounds bounds unfenced catch-up rounds before the fence is
-	// taken regardless of delta size. Default 4.
-	DeltaRounds int
-	// DeltaThreshold fences as soon as an unfenced round returns this
-	// many records or fewer — the targets are close enough that the
-	// fenced drain is short. Default 64.
-	DeltaThreshold int
 	// OnPhase, when set, receives one Event per phase transition
 	// (synchronously, on the migrating goroutine).
 	OnPhase func(Event)
@@ -150,20 +143,14 @@ type cleanup struct {
 
 // NewManager returns a manager calling through transport and resolving
 // node addresses through dir. parallelism bounds concurrently running
-// migrations (default 4).
+// migrations and must be at least 1.
 func NewManager(transport rpc.Transport, dir *cluster.Directory, parallelism int) *Manager {
-	if parallelism <= 0 {
-		parallelism = 4
-	}
 	return &Manager{
-		transport:      transport,
-		dir:            dir,
-		PageSize:       1024,
-		DeltaRounds:    4,
-		DeltaThreshold: 64,
-		sem:            make(chan struct{}, parallelism),
-		inflight:       make(map[string]*rangeLock),
-		pending:        make(map[string]*cleanup),
+		transport: transport,
+		dir:       dir,
+		sem:       make(chan struct{}, parallelism),
+		inflight:  make(map[string]*rangeLock),
+		pending:   make(map[string]*cleanup),
 	}
 }
 
@@ -333,9 +320,18 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 		// Resnapshots are bounded too — a namespace written faster
 		// than a full snapshot can complete would otherwise loop here
 		// forever, never fencing and never surfacing an error.
-		const maxResnapshots = 3
+		const (
+			maxResnapshots = 3
+			// maxDeltaRounds bounds the unfenced rounds: after them
+			// the fence is taken whatever the delta's size.
+			maxDeltaRounds = 4
+			// deltaThreshold fences as soon as a round returns this
+			// many records or fewer — the targets are close enough
+			// that the fenced drain is short.
+			deltaThreshold = 64
+		)
 		rounds, resnapshots := 0, 0
-		for rounds < m.deltaRounds() {
+		for rounds < maxDeltaRounds {
 			n, wm, err := m.deltaOnce(namespace, rng, donorAddr, catchupTargets, epoch, watermark)
 			if rpc.IsSnapshotGap(err) {
 				// The baseline aged out of the donor's delta log
@@ -355,7 +351,7 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 			}
 			watermark = wm
 			rounds++
-			if n <= m.deltaThreshold() {
+			if n <= deltaThreshold {
 				break
 			}
 		}
@@ -759,20 +755,6 @@ func (m *Manager) pageSize() int {
 		return min(m.PageSize, nodePageLimit)
 	}
 	return 1024
-}
-
-func (m *Manager) deltaRounds() int {
-	if m.DeltaRounds > 0 {
-		return m.DeltaRounds
-	}
-	return 4
-}
-
-func (m *Manager) deltaThreshold() int {
-	if m.DeltaThreshold >= 0 {
-		return m.DeltaThreshold
-	}
-	return 64
 }
 
 // --- small set helpers ---

@@ -9,22 +9,14 @@ import (
 // Forecaster predicts near-future workload from its recent history so
 // the director can start instances *before* load arrives (boot delay
 // makes purely reactive scaling violate SLAs — §2.1, §3.3.2). It
-// combines a linear trend over a sliding window with an optional
-// time-of-day periodic profile learned from longer history.
+// extrapolates a linear trend fitted over a sliding window.
 type Forecaster struct {
 	// TrendWindow is how much history feeds the linear trend.
-	// Default 30 minutes.
+	// NewForecaster sets 30 minutes.
 	TrendWindow time.Duration
-	// Periodic enables the time-of-day component once at least one
-	// full day of history exists.
-	Periodic bool
-	// BucketSize is the time-of-day resolution. Default 30 minutes.
-	BucketSize time.Duration
 
 	mu      sync.Mutex
 	samples []loadSample
-	daySum  []float64
-	dayCnt  []int
 }
 
 type loadSample struct {
@@ -32,13 +24,9 @@ type loadSample struct {
 	load float64
 }
 
-// NewForecaster returns a forecaster with default windows.
-func NewForecaster(periodic bool) *Forecaster {
-	return &Forecaster{
-		TrendWindow: 30 * time.Minute,
-		Periodic:    periodic,
-		BucketSize:  30 * time.Minute,
-	}
+// NewForecaster returns a forecaster with the default trend window.
+func NewForecaster() *Forecaster {
+	return &Forecaster{TrendWindow: 30 * time.Minute}
 }
 
 // Observe records the workload level at time t.
@@ -53,34 +41,6 @@ func (f *Forecaster) Observe(t time.Time, load float64) {
 		i++
 	}
 	f.samples = f.samples[i:]
-
-	if f.Periodic {
-		if f.daySum == nil {
-			n := int(24 * time.Hour / f.bucket())
-			f.daySum = make([]float64, n)
-			f.dayCnt = make([]int, n)
-		}
-		b := f.bucketOf(t)
-		f.daySum[b] += load
-		f.dayCnt[b]++
-	}
-}
-
-func (f *Forecaster) bucket() time.Duration {
-	if f.BucketSize > 0 {
-		return f.BucketSize
-	}
-	return 30 * time.Minute
-}
-
-func (f *Forecaster) bucketOf(t time.Time) int {
-	n := int(24 * time.Hour / f.bucket())
-	secs := t.Hour()*3600 + t.Minute()*60 + t.Second()
-	b := secs / int(f.bucket().Seconds())
-	if b >= n {
-		b = n - 1
-	}
-	return b
 }
 
 // Forecast predicts the load at now+horizon. Falls back to the latest
@@ -91,54 +51,18 @@ func (f *Forecaster) Forecast(now time.Time, horizon time.Duration) float64 {
 	if len(f.samples) == 0 {
 		return 0
 	}
-	last := f.samples[len(f.samples)-1]
-
 	trend := f.trendForecast(now, horizon)
 	if math.IsNaN(trend) {
-		trend = last.load
+		trend = f.samples[len(f.samples)-1].load
 	}
 	if trend < 0 {
 		trend = 0
 	}
-
-	if !f.Periodic {
-		return trend
-	}
-	periodic, ok := f.periodicForecast(now.Add(horizon))
-	if !ok {
-		return trend
-	}
-	// Blend: periodic knows the daily shape, trend knows the current
-	// deviation; scale the periodic profile by the current deviation
-	// ratio.
-	curPeriodic, okCur := f.periodicForecast(now)
-	if okCur && curPeriodic > 0 {
-		ratio := last.load / curPeriodic
-		if ratio < 0.1 {
-			ratio = 0.1
-		}
-		if ratio > 10 {
-			ratio = 10
-		}
-		scaled := periodic * ratio
-		// Never forecast below the short-term trend during a spike.
-		if trend > scaled {
-			return trend
-		}
-		return scaled
-	}
-	if trend > periodic {
-		return trend
-	}
-	return periodic
+	return trend
 }
 
 func (f *Forecaster) trendForecast(now time.Time, horizon time.Duration) float64 {
-	window := f.TrendWindow
-	if window <= 0 {
-		window = 30 * time.Minute
-	}
-	cutoff := now.Add(-window)
+	cutoff := now.Add(-f.TrendWindow)
 	var xs [][]float64
 	var ys []float64
 	for _, s := range f.samples {
@@ -156,17 +80,6 @@ func (f *Forecaster) trendForecast(now time.Time, horizon time.Duration) float64
 		return math.NaN()
 	}
 	return m.Predict([]float64{now.Add(horizon).Sub(cutoff).Seconds()})
-}
-
-func (f *Forecaster) periodicForecast(at time.Time) (float64, bool) {
-	if f.daySum == nil {
-		return 0, false
-	}
-	b := f.bucketOf(at)
-	if f.dayCnt[b] == 0 {
-		return 0, false
-	}
-	return f.daySum[b] / float64(f.dayCnt[b]), true
 }
 
 // HistoryLen reports the number of retained samples.

@@ -3,7 +3,6 @@ package mlmodel
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -67,44 +66,6 @@ func TestFitLinearErrors(t *testing.T) {
 	// Ragged rows.
 	if _, err := FitLinear([][]float64{{1}, {1, 2}}, []float64{1, 2}); err == nil {
 		t.Fatal("ragged rows accepted")
-	}
-}
-
-func TestP2MatchesExactQuantile(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	p99 := NewP2(0.99)
-	var all []float64
-	for i := 0; i < 20000; i++ {
-		// Long-tailed latency-like distribution.
-		x := math.Exp(r.NormFloat64())
-		p99.Add(x)
-		all = append(all, x)
-	}
-	sort.Float64s(all)
-	exact := all[int(0.99*float64(len(all)))]
-	got := p99.Quantile()
-	if math.Abs(got-exact)/exact > 0.15 {
-		t.Fatalf("P2 p99 = %v, exact = %v", got, exact)
-	}
-	if p99.Count() != 20000 {
-		t.Fatalf("Count = %d", p99.Count())
-	}
-}
-
-func TestP2SmallSamples(t *testing.T) {
-	p := NewP2(0.5)
-	if !math.IsNaN(p.Quantile()) {
-		t.Fatal("empty estimator should return NaN")
-	}
-	p.Add(5)
-	if p.Quantile() != 5 {
-		t.Fatalf("1-sample quantile = %v", p.Quantile())
-	}
-	p.Add(1)
-	p.Add(9)
-	q := p.Quantile()
-	if q != 5 {
-		t.Fatalf("3-sample median = %v", q)
 	}
 }
 
@@ -249,7 +210,7 @@ func TestCapacityModelFallbacks(t *testing.T) {
 }
 
 func TestForecasterTrend(t *testing.T) {
-	f := NewForecaster(false)
+	f := NewForecaster()
 	t0 := time.Date(2009, 1, 4, 12, 0, 0, 0, time.UTC)
 	// Load ramps 100 req/s per minute.
 	for i := 0; i <= 30; i++ {
@@ -264,7 +225,7 @@ func TestForecasterTrend(t *testing.T) {
 }
 
 func TestForecasterEmptyAndThin(t *testing.T) {
-	f := NewForecaster(false)
+	f := NewForecaster()
 	if got := f.Forecast(time.Now(), time.Minute); got != 0 {
 		t.Fatalf("empty forecast = %v", got)
 	}
@@ -276,7 +237,7 @@ func TestForecasterEmptyAndThin(t *testing.T) {
 }
 
 func TestForecasterNeverNegative(t *testing.T) {
-	f := NewForecaster(false)
+	f := NewForecaster()
 	t0 := time.Date(2009, 1, 4, 12, 0, 0, 0, time.UTC)
 	// Steeply falling load.
 	for i := 0; i <= 10; i++ {
@@ -287,50 +248,14 @@ func TestForecasterNeverNegative(t *testing.T) {
 	}
 }
 
-func TestForecasterPeriodic(t *testing.T) {
-	f := NewForecaster(true)
-	f.TrendWindow = 20 * time.Minute
-	t0 := time.Date(2009, 1, 4, 0, 0, 0, 0, time.UTC)
-	// Two days of a diurnal pattern: peak at noon, trough at midnight.
-	diurnal := func(tm time.Time) float64 {
-		h := float64(tm.Hour()) + float64(tm.Minute())/60
-		return 1000 + 800*math.Sin((h-6)/24*2*math.Pi)
-	}
-	for m := 0; m < 2*24*60; m += 10 {
-		tm := t0.Add(time.Duration(m) * time.Minute)
-		f.Observe(tm, diurnal(tm))
-	}
-	// At 9am on day 3, forecast 3 hours ahead (noon): the periodic
-	// component should anticipate the rise toward the peak.
-	now := t0.Add(48*time.Hour + 9*time.Hour)
-	f.Observe(now, diurnal(now))
-	got := f.Forecast(now, 3*time.Hour)
-	want := diurnal(now.Add(3 * time.Hour))
-	if math.Abs(got-want)/want > 0.25 {
-		t.Fatalf("periodic forecast = %v, want ~%v", got, want)
-	}
-	if f.HistoryLen() == 0 {
-		t.Fatal("history empty")
-	}
-}
-
 func TestForecasterHistoryTrimmed(t *testing.T) {
-	f := NewForecaster(false)
+	f := NewForecaster()
 	t0 := time.Date(2009, 1, 4, 0, 0, 0, 0, time.UTC)
 	for h := 0; h < 100; h++ {
 		f.Observe(t0.Add(time.Duration(h)*time.Hour), 100)
 	}
 	if f.HistoryLen() > 49 {
 		t.Fatalf("history not trimmed: %d", f.HistoryLen())
-	}
-}
-
-func BenchmarkP2Add(b *testing.B) {
-	p := NewP2(0.999)
-	r := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Add(r.Float64())
 	}
 }
 

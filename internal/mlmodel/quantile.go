@@ -5,113 +5,6 @@ import (
 	"sort"
 )
 
-// P2Estimator tracks one quantile of a stream in O(1) memory using the
-// P² algorithm (Jain & Chlamtac 1985). SCADS uses it for long-horizon
-// latency percentiles where storing samples would be unbounded.
-type P2Estimator struct {
-	q       float64
-	n       int
-	heights [5]float64
-	pos     [5]float64
-	want    [5]float64
-	inc     [5]float64
-	initBuf []float64
-}
-
-// NewP2 returns an estimator for quantile q in (0,1), e.g. 0.999.
-func NewP2(q float64) *P2Estimator {
-	p := &P2Estimator{q: q}
-	p.want = [5]float64{1, 1 + 2*q, 1 + 4*q, 3 + 2*q, 5}
-	p.inc = [5]float64{0, q / 2, q, (1 + q) / 2, 1}
-	return p
-}
-
-// Add observes one sample.
-func (p *P2Estimator) Add(x float64) {
-	if p.n < 5 {
-		p.initBuf = append(p.initBuf, x)
-		p.n++
-		if p.n == 5 {
-			sort.Float64s(p.initBuf)
-			copy(p.heights[:], p.initBuf)
-			p.pos = [5]float64{1, 2, 3, 4, 5}
-			p.initBuf = nil
-		}
-		return
-	}
-	p.n++
-
-	// Find cell k.
-	var k int
-	switch {
-	case x < p.heights[0]:
-		p.heights[0] = x
-		k = 0
-	case x >= p.heights[4]:
-		p.heights[4] = x
-		k = 3
-	default:
-		for k = 0; k < 4; k++ {
-			if x < p.heights[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		p.pos[i]++
-	}
-	for i := 0; i < 5; i++ {
-		p.want[i] += p.inc[i]
-	}
-	// Adjust interior markers.
-	for i := 1; i <= 3; i++ {
-		d := p.want[i] - p.pos[i]
-		if (d >= 1 && p.pos[i+1]-p.pos[i] > 1) || (d <= -1 && p.pos[i-1]-p.pos[i] < -1) {
-			sign := 1.0
-			if d < 0 {
-				sign = -1
-			}
-			h := p.parabolic(i, sign)
-			if p.heights[i-1] < h && h < p.heights[i+1] {
-				p.heights[i] = h
-			} else {
-				p.heights[i] = p.linear(i, sign)
-			}
-			p.pos[i] += sign
-		}
-	}
-}
-
-func (p *P2Estimator) parabolic(i int, d float64) float64 {
-	return p.heights[i] + d/(p.pos[i+1]-p.pos[i-1])*
-		((p.pos[i]-p.pos[i-1]+d)*(p.heights[i+1]-p.heights[i])/(p.pos[i+1]-p.pos[i])+
-			(p.pos[i+1]-p.pos[i]-d)*(p.heights[i]-p.heights[i-1])/(p.pos[i]-p.pos[i-1]))
-}
-
-func (p *P2Estimator) linear(i int, d float64) float64 {
-	return p.heights[i] + d*(p.heights[i+int(d)]-p.heights[i])/(p.pos[i+int(d)]-p.pos[i])
-}
-
-// Quantile returns the current estimate (exact until 5 samples).
-func (p *P2Estimator) Quantile() float64 {
-	if p.n == 0 {
-		return math.NaN()
-	}
-	if p.n < 5 {
-		buf := append([]float64(nil), p.initBuf...)
-		sort.Float64s(buf)
-		idx := int(p.q * float64(len(buf)))
-		if idx >= len(buf) {
-			idx = len(buf) - 1
-		}
-		return buf[idx]
-	}
-	return p.heights[2]
-}
-
-// Count returns the number of samples observed.
-func (p *P2Estimator) Count() int { return p.n }
-
 // WindowQuantile keeps the last N samples in a ring buffer and
 // computes exact quantiles over them — the SLA monitor's sliding
 // window.

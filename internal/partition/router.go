@@ -15,8 +15,13 @@ import (
 type ReadPolicy int
 
 const (
-	// ReadAny rotates across replicas — the default relaxed-consistency
-	// read path (stale reads possible within the declared bound).
+	// ReadAny rotates across replicas — the relaxed-consistency read
+	// path. The router knows no staleness bound and no session floor:
+	// a replica answers with whatever it has applied. The coordinator's
+	// Get/GetSession/GetStall enforce both themselves, replica by
+	// replica (GetFrom); Query's gets and scans use ReadAny as is, so
+	// their staleness is bounded only by the replication pump's
+	// deadline order, not per read.
 	ReadAny ReadPolicy = iota
 	// ReadPrimary always reads the primary — used when the
 	// consistency spec demands read-your-writes without session state
@@ -37,8 +42,7 @@ type Router struct {
 	mu   sync.RWMutex
 	maps map[string]*Map
 
-	rr      atomic.Uint64 // round-robin counter for ReadAny
-	scanPar atomic.Int64  // scatter-gather fan-out bound (0 = default)
+	rr atomic.Uint64 // round-robin counter for ReadAny
 }
 
 // NewRouter returns a Router resolving node addresses through dir and
@@ -229,23 +233,6 @@ func (r *Router) ApplyToPrimary(namespace string, key []byte, recs []record.Reco
 func (r *Router) Apply(namespace, nodeID string, recs []record.Record) error {
 	_, err := r.sendTo(nodeID, rpc.Request{Method: rpc.MethodApply, Namespace: namespace, Records: recs})
 	return err
-}
-
-// SetScanParallelism bounds how many per-range sub-scans one scan fans
-// out concurrently (see ScanOpts). n <= 0 restores the default;
-// n == 1 makes every scan sequential.
-func (r *Router) SetScanParallelism(n int) {
-	if n <= 0 {
-		n = DefaultScanParallelism
-	}
-	r.scanPar.Store(int64(n))
-}
-
-func (r *Router) scanParallelism() int {
-	if n := r.scanPar.Load(); n > 0 {
-		return int(n)
-	}
-	return DefaultScanParallelism
 }
 
 func maxKey(a, b []byte) []byte {

@@ -8,10 +8,9 @@ import (
 	"scads/internal/rpc"
 )
 
-// DefaultScanParallelism bounds how many per-range sub-scans one scan
-// fans out concurrently when neither the router nor the caller says
-// otherwise.
-const DefaultScanParallelism = 8
+// defaultScanParallelism bounds how many per-range sub-scans one scan
+// fans out concurrently unless ScanOptions.Parallelism says otherwise.
+const defaultScanParallelism = 8
 
 // ScanOptions tunes one scatter-gather scan.
 type ScanOptions struct {
@@ -26,8 +25,8 @@ type ScanOptions struct {
 	// Preds are conjunctive filters evaluated node-side; rows failing
 	// them never cross the wire and do not count against Limit.
 	Preds []rpc.ScanPred
-	// Parallelism bounds concurrent per-range sub-scans. 0 uses the
-	// router's configured default; 1 degenerates to the sequential
+	// Parallelism bounds concurrent per-range sub-scans. 0 means
+	// defaultScanParallelism; 1 degenerates to the sequential
 	// range-at-a-time path (the ablation baseline).
 	Parallelism int
 	// Tenant is the admission-control identity the scan is accounted
@@ -117,7 +116,7 @@ func (r *Router) ScanOpts(namespace string, start, end []byte, o ScanOptions) ([
 
 	par := o.Parallelism
 	if par == 0 {
-		par = r.scanParallelism()
+		par = defaultScanParallelism
 	}
 	if par < 1 {
 		par = 1

@@ -77,14 +77,12 @@ type Config struct {
 	// former member that returns within the grace rejoins instead.
 	// Default 10s.
 	ReplaceAfter time.Duration
-	// Parallelism bounds concurrently running repair re-replications
-	// (each is additionally bounded by the migration manager's own
-	// semaphore). Default 2.
-	Parallelism int
-	// Disabled turns the background loop off (Cluster.StartBackground
-	// will not start it); Sweep can still be driven manually.
-	Disabled bool
 }
+
+// repairParallelism bounds concurrently running repair re-replications
+// (each is additionally bounded by the migration manager's own
+// semaphore).
+const repairParallelism = 2
 
 func (c Config) withDefaults() Config {
 	if c.HeartbeatTimeout <= 0 {
@@ -95,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReplaceAfter <= 0 {
 		c.ReplaceAfter = 10 * time.Second
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 2
 	}
 	return c
 }
@@ -218,7 +213,7 @@ func NewManager(cfg Config, clk clock.Clock, dir *cluster.Directory, transport r
 		jobs:       make(map[string]bool),
 		jobTargets: make(map[string][]string),
 		unavail:    make(map[string]bool),
-		sem:        make(chan struct{}, cfg.Parallelism),
+		sem:        make(chan struct{}, repairParallelism),
 	}
 }
 

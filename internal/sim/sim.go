@@ -261,19 +261,6 @@ func MeasureReaction(res Result, stepAt time.Time) ReactionStats {
 	return rs
 }
 
-// ServerSeries renders (hours-from-start, servers) pairs — the Figure 1
-// reproduction series.
-func ServerSeries(res Result, start time.Time) [][2]float64 {
-	out := make([][2]float64, 0, len(res.Ticks))
-	for _, tk := range res.Ticks {
-		out = append(out, [2]float64{tk.T.Sub(start).Hours(), float64(tk.Running)})
-	}
-	return out
-}
-
-// MaxServers returns the peak of the server series.
-func MaxServers(res Result) int { return res.PeakServers }
-
 // RequiredServers computes the ideal (oracle) server count for a rate
 // under the service model at the SLA bound — the ground-truth curve
 // experiments compare against.

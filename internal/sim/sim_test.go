@@ -156,23 +156,6 @@ func TestMeasureReaction(t *testing.T) {
 	}
 }
 
-func TestServerSeries(t *testing.T) {
-	cfg := baseConfig(workload.Constant(1000), ModeStatic)
-	cfg.StaticServers = 2
-	cfg.Duration = time.Hour
-	res := Run(cfg)
-	series := ServerSeries(res, t0)
-	if len(series) != len(res.Ticks) {
-		t.Fatal("series length mismatch")
-	}
-	if series[0][0] < 0 || series[len(series)-1][0] > 1.01 {
-		t.Fatalf("series time range wrong: %v..%v", series[0][0], series[len(series)-1][0])
-	}
-	if MaxServers(res) != 2 {
-		t.Fatalf("MaxServers = %d", MaxServers(res))
-	}
-}
-
 func TestRequiredServers(t *testing.T) {
 	s := svc()
 	if RequiredServers(s, 100*time.Millisecond, 0) != 1 {

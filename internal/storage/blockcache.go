@@ -1,14 +1,6 @@
 package storage
 
-import (
-	"container/list"
-	"hash/fnv"
-	"strconv"
-	"sync"
-	"sync/atomic"
-
-	"scads/internal/record"
-)
+import "scads/internal/record"
 
 // BlockCache is a sharded LRU of decoded SSTable blocks, shared across
 // every namespace of an engine and keyed (table path, block index). It
@@ -24,19 +16,7 @@ import (
 //
 // BlockCache implements sstable.BlockCache.
 type BlockCache struct {
-	shards []blockShard
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-}
-
-type blockShard struct {
-	mu       sync.Mutex
-	lru      *list.List // front = most recently used
-	entries  map[blockKey]*list.Element
-	bytes    int64
-	maxBytes int64
+	lru *lru[blockKey, []record.Record]
 }
 
 type blockKey struct {
@@ -44,11 +24,7 @@ type blockKey struct {
 	block int
 }
 
-type blockEntry struct {
-	key  blockKey
-	recs []record.Record
-	size int64
-}
+func (k blockKey) hash() uint32 { return fnvInt(fnvString(fnvOffset32, k.path), k.block) }
 
 // blockEntryOverhead approximates per-entry bookkeeping (map slot,
 // list element, entry struct) charged on top of the caller-reported
@@ -59,127 +35,31 @@ const blockEntryOverhead = 128
 // blocks across shards (shard count rounded up to a power of two,
 // minimum 1).
 func NewBlockCache(totalBytes int64, shards int) *BlockCache {
-	if shards < 1 {
-		shards = 1
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	perShard := totalBytes / int64(n)
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &BlockCache{shards: make([]blockShard, n)}
-	for i := range c.shards {
-		c.shards[i] = blockShard{
-			lru:      list.New(),
-			entries:  make(map[blockKey]*list.Element),
-			maxBytes: perShard,
-		}
-	}
-	return c
-}
-
-func (c *BlockCache) shardFor(k blockKey) *blockShard {
-	h := fnv.New32a()
-	h.Write([]byte(k.path))
-	h.Write([]byte(strconv.Itoa(k.block)))
-	return &c.shards[h.Sum32()&uint32(len(c.shards)-1)]
+	return &BlockCache{lru: newLRU[blockKey, []record.Record](totalBytes, shards)}
 }
 
 // Get returns the cached decoded block, if present.
 func (c *BlockCache) Get(path string, block int) ([]record.Record, bool) {
-	k := blockKey{path: path, block: block}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	el, ok := s.entries[k]
-	var recs []record.Record
-	if ok {
-		s.lru.MoveToFront(el)
-		recs = el.Value.(*blockEntry).recs
-	}
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-		return recs, true
-	}
-	c.misses.Add(1)
-	return nil, false
+	k := blockKey{path, block}
+	return c.lru.get(k.hash(), k)
 }
 
 // Put stores a decoded block. The slice and its records are shared
 // with every future Get and must be treated as immutable.
 func (c *BlockCache) Put(path string, block int, recs []record.Record, sizeBytes int) {
-	k := blockKey{path: path, block: block}
-	e := &blockEntry{key: k, recs: recs, size: int64(len(k.path)+sizeBytes) + blockEntryOverhead}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	if el, ok := s.entries[k]; ok {
-		old := el.Value.(*blockEntry)
-		s.bytes += e.size - old.size
-		el.Value = e
-		s.lru.MoveToFront(el)
-	} else {
-		s.entries[k] = s.lru.PushFront(e)
-		s.bytes += e.size
-	}
-	evicted := int64(0)
-	for s.bytes > s.maxBytes && s.lru.Len() > 1 {
-		back := s.lru.Back()
-		old := back.Value.(*blockEntry)
-		s.lru.Remove(back)
-		delete(s.entries, old.key)
-		s.bytes -= old.size
-		evicted++
-	}
-	s.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(evicted)
-	}
+	k := blockKey{path, block}
+	c.lru.put(k.hash(), k, recs, int64(len(path)+sizeBytes)+blockEntryOverhead)
 }
 
 // DropTable evicts every cached block of the named table. Called when
 // a compaction unlinks the table file; entries for the dead path would
 // otherwise linger until LRU pressure finds them.
 func (c *BlockCache) DropTable(path string) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k, el := range s.entries {
-			if k.path == path {
-				e := el.Value.(*blockEntry)
-				s.lru.Remove(el)
-				delete(s.entries, k)
-				s.bytes -= e.size
-			}
-		}
-		s.mu.Unlock()
-	}
+	c.lru.removeIf(func(k blockKey) bool { return k.path == path })
 }
 
 // BlockCacheStats summarises block-cache effectiveness.
-type BlockCacheStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Entries   int
-	Bytes     int64
-}
+type BlockCacheStats CacheStats
 
 // Stats returns a snapshot across all shards.
-func (c *BlockCache) Stats() BlockCacheStats {
-	st := BlockCacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Entries += s.lru.Len()
-		st.Bytes += s.bytes
-		s.mu.Unlock()
-	}
-	return st
-}
+func (c *BlockCache) Stats() BlockCacheStats { return BlockCacheStats(c.lru.stats()) }

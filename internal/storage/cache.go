@@ -1,49 +1,30 @@
 package storage
 
 import (
-	"container/list"
-	"hash/fnv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"scads/internal/record"
 )
 
 // Cache is a sharded, invalidation-aware read cache sitting in front
-// of the LSM stack. Entries are keyed (namespace, key) and striped
-// across shards by key hash so concurrent readers on different keys
-// rarely contend on the same lock. Each shard is an LRU bounded by
-// bytes; the engine invalidates a key whenever a write for it lands
-// (under the namespace write lock, so a racing fill can never
-// resurrect a stale value — fills happen under the read lock, which
-// excludes the writer holding the invalidation).
+// of the LSM stack. Entries are keyed (namespace, key) in one lru; the
+// engine invalidates a key whenever a write for it lands (under the
+// namespace write lock, so a racing fill can never resurrect a stale
+// value — fills happen under the read lock, which excludes the writer
+// holding the invalidation).
 //
 // Both positive and negative lookups are cached: absent keys are the
 // common case for social workloads (checking friendship pairs), and a
 // negative entry is invalidated by the insert that makes it stale just
 // like a positive one.
 type Cache struct {
-	shards []cacheShard
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
+	lru *lru[string, resolution] // keyed namespace + "\x00" + record key
 }
 
-type cacheShard struct {
-	mu       sync.Mutex
-	lru      *list.List // front = most recently used
-	entries  map[string]*list.Element
-	bytes    int64
-	maxBytes int64
-}
-
-type cacheEntry struct {
-	key   string // namespace + "\x00" + record key
+// resolution is what a point read of one key found.
+type resolution struct {
 	rec   record.Record
 	found bool
-	size  int64
 }
 
 // entryOverhead approximates per-entry bookkeeping (map slot, list
@@ -54,36 +35,12 @@ const entryOverhead = 96
 // NewCache returns a cache holding at most totalBytes across shards
 // (shard count rounded up to a power of two, minimum 1).
 func NewCache(totalBytes int64, shards int) *Cache {
-	if shards < 1 {
-		shards = 1
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	perShard := totalBytes / int64(n)
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &Cache{shards: make([]cacheShard, n)}
-	for i := range c.shards {
-		c.shards[i] = cacheShard{
-			lru:      list.New(),
-			entries:  make(map[string]*list.Element),
-			maxBytes: perShard,
-		}
-	}
-	return c
+	return &Cache{lru: newLRU[string, resolution](totalBytes, shards)}
 }
 
-func cacheKey(namespace string, key []byte) string {
-	return namespace + "\x00" + string(key)
-}
-
-func (c *Cache) shardFor(k string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(k))
-	return &c.shards[h.Sum32()&uint32(len(c.shards)-1)]
+func cacheKey(namespace string, key []byte) (string, uint32) {
+	k := namespace + "\x00" + string(key)
+	return k, fnvString(fnvOffset32, k)
 }
 
 // Get returns the cached resolution for (namespace, key): the record,
@@ -91,74 +48,24 @@ func (c *Cache) shardFor(k string) *cacheShard {
 // an answer at all (hit). A hit with found=false is a cached negative
 // lookup.
 func (c *Cache) Get(namespace string, key []byte) (rec record.Record, found, hit bool) {
-	k := cacheKey(namespace, key)
-	s := c.shardFor(k)
-	s.mu.Lock()
-	el, ok := s.entries[k]
-	if ok {
-		s.lru.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		rec, found = e.rec, e.found
-	}
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-		return rec, found, true
-	}
-	c.misses.Add(1)
-	return record.Record{}, false, false
+	k, h := cacheKey(namespace, key)
+	r, hit := c.lru.get(h, k)
+	return r.rec, r.found, hit
 }
 
 // Put stores the resolution of (namespace, key). The record is stored
 // as-is; callers must treat cached records as immutable (the engine's
 // records already are).
 func (c *Cache) Put(namespace string, key []byte, rec record.Record, found bool) {
-	k := cacheKey(namespace, key)
-	e := &cacheEntry{
-		key:   k,
-		rec:   rec,
-		found: found,
-		size:  int64(len(k)+len(rec.Value)) + entryOverhead,
-	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	if el, ok := s.entries[k]; ok {
-		old := el.Value.(*cacheEntry)
-		s.bytes += e.size - old.size
-		el.Value = e
-		s.lru.MoveToFront(el)
-	} else {
-		s.entries[k] = s.lru.PushFront(e)
-		s.bytes += e.size
-	}
-	evicted := int64(0)
-	for s.bytes > s.maxBytes && s.lru.Len() > 1 {
-		back := s.lru.Back()
-		old := back.Value.(*cacheEntry)
-		s.lru.Remove(back)
-		delete(s.entries, old.key)
-		s.bytes -= old.size
-		evicted++
-	}
-	s.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(evicted)
-	}
+	k, h := cacheKey(namespace, key)
+	c.lru.put(h, k, resolution{rec, found}, int64(len(k)+len(rec.Value))+entryOverhead)
 }
 
 // Invalidate drops any cached resolution for (namespace, key). Called
 // under the namespace write lock by every mutation path.
 func (c *Cache) Invalidate(namespace string, key []byte) {
-	k := cacheKey(namespace, key)
-	s := c.shardFor(k)
-	s.mu.Lock()
-	if el, ok := s.entries[k]; ok {
-		e := el.Value.(*cacheEntry)
-		s.lru.Remove(el)
-		delete(s.entries, k)
-		s.bytes -= e.size
-	}
-	s.mu.Unlock()
+	k, h := cacheKey(namespace, key)
+	c.lru.remove(h, k)
 }
 
 // InvalidateNamespace drops every cached resolution for the
@@ -167,43 +74,8 @@ func (c *Cache) Invalidate(namespace string, key []byte) {
 // cache refills on the next reads.
 func (c *Cache) InvalidateNamespace(namespace string) {
 	prefix := namespace + "\x00"
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k, el := range s.entries {
-			if strings.HasPrefix(k, prefix) {
-				e := el.Value.(*cacheEntry)
-				s.lru.Remove(el)
-				delete(s.entries, k)
-				s.bytes -= e.size
-			}
-		}
-		s.mu.Unlock()
-	}
-}
-
-// CacheStats summarises cache effectiveness.
-type CacheStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Entries   int
-	Bytes     int64
+	c.lru.removeIf(func(k string) bool { return strings.HasPrefix(k, prefix) })
 }
 
 // Stats returns a snapshot across all shards.
-func (c *Cache) Stats() CacheStats {
-	st := CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Entries += s.lru.Len()
-		st.Bytes += s.bytes
-		s.mu.Unlock()
-	}
-	return st
-}
+func (c *Cache) Stats() CacheStats { return c.lru.stats() }

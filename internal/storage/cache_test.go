@@ -103,24 +103,6 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestCacheEvictionBounded(t *testing.T) {
-	c := NewCache(4<<10, 4)
-	for i := 0; i < 1000; i++ {
-		key := []byte(fmt.Sprintf("key-%04d", i))
-		c.Put("ns", key, record.Record{Key: key, Value: make([]byte, 64), Version: uint64(i + 1)}, true)
-	}
-	st := c.Stats()
-	if st.Bytes > 4<<10 {
-		t.Fatalf("cache bytes %d exceed budget %d", st.Bytes, 4<<10)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("expected evictions under pressure")
-	}
-	if st.Entries == 0 {
-		t.Fatal("cache emptied itself")
-	}
-}
-
 func TestCacheNamespacesIsolated(t *testing.T) {
 	c := NewCache(1<<20, 4)
 	key := []byte("k")

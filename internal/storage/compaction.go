@@ -12,8 +12,8 @@ import (
 // merges the whole stack inline: it kicks a background pass that picks
 // contiguous runs of similar-sized tables ("tiers") and merges each
 // run into one table, concurrently across independent runs, bounded by
-// the engine-wide Options.CompactionParallelism semaphore and throttled
-// by Options.CompactionRateBytes. Runs must be contiguous in the stack:
+// the engine-wide compactionParallelism semaphore and throttled by
+// Options.CompactionRateBytes. Runs must be contiguous in the stack:
 // the stack order is the last-write-wins tie-break between equal
 // versions, and merging non-adjacent tables would reorder it.
 //

@@ -66,17 +66,11 @@ type Options struct {
 	// CacheBytes sizes the engine-wide sharded read cache. 0 selects
 	// the default (32 MiB); negative disables caching entirely.
 	CacheBytes int64
-	// CacheShards stripes the read cache (rounded up to a power of
-	// two). Default 16.
-	CacheShards int
 	// BlockCacheBytes sizes the engine-wide decoded-block cache shared
 	// by every namespace's SSTables (see BlockCache). 0 disables it —
 	// the raw block-read path, used by the e17 ablation — so callers
 	// that want it (the cluster layer, scads-server) opt in explicitly.
 	BlockCacheBytes int64
-	// CompactionParallelism bounds how many background tier merges run
-	// concurrently across the whole engine. Default 2.
-	CompactionParallelism int
 	// CompactionRateBytes throttles each background tier merge to this
 	// many input bytes per second so compaction can never monopolise
 	// the disk during a fence handoff. 0 means unlimited. The major
@@ -90,7 +84,12 @@ type Options struct {
 	SyncWrites bool
 }
 
-const defaultCacheBytes = 32 << 20
+const (
+	defaultCacheBytes = 32 << 20
+	// compactionParallelism bounds how many background tier merges run
+	// concurrently across the whole engine.
+	compactionParallelism = 2
+)
 
 func (o Options) withDefaults() Options {
 	if o.MemtableBytes <= 0 {
@@ -104,12 +103,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = defaultCacheBytes
-	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
-	}
-	if o.CompactionParallelism <= 0 {
-		o.CompactionParallelism = 2
 	}
 	return o
 }
@@ -142,13 +135,13 @@ func Open(opts Options) (*Engine, error) {
 	e := &Engine{
 		opts:       opts,
 		namespaces: make(map[string]*Namespace),
-		compactSem: make(chan struct{}, opts.CompactionParallelism),
+		compactSem: make(chan struct{}, compactionParallelism),
 	}
 	if opts.CacheBytes > 0 {
-		e.cache = NewCache(opts.CacheBytes, opts.CacheShards)
+		e.cache = NewCache(opts.CacheBytes, cacheShards)
 	}
 	if opts.BlockCacheBytes > 0 {
-		e.blockCache = NewBlockCache(opts.BlockCacheBytes, opts.CacheShards)
+		e.blockCache = NewBlockCache(opts.BlockCacheBytes, cacheShards)
 	}
 	if opts.Dir == "" {
 		return e, nil

@@ -260,7 +260,10 @@ func (c *Cluster) observeOwnWrite(table string, pk row.Row, sess *session.Sessio
 
 // Query executes a declared query template with the given parameters,
 // returning at most its LIMIT rows in index order. Every execution is
-// a single bounded contiguous range read (§3.1).
+// a single bounded contiguous range read (§3.1). It reads whichever
+// replica the router's rotation picks (partition.ReadAny): the table's
+// staleness bound and session guarantees, which Get/GetSession/GetStall
+// check replica by replica, are not applied to queries.
 func (c *Cluster) Query(name string, params map[string]any) ([]row.Row, error) {
 	return c.QuerySession(name, params, nil)
 }

@@ -112,8 +112,7 @@ func (c *Cluster) LoadSnapshot() []balancer.RangeObservation {
 // migrating data online as needed. The director calls this after
 // adding or removing capacity so new machines actually take load —
 // the data-movement half of "scaling up and down" (§1.1). Per-range
-// migrations run concurrently, bounded by the migration manager's
-// parallelism (Config.MigrationParallelism).
+// migrations run concurrently, bounded by migrationParallelism.
 func (c *Cluster) SpreadNamespace(namespace string) error {
 	m, ok := c.router.Map(namespace)
 	if !ok {

@@ -60,14 +60,6 @@ type Config struct {
 	Directory *cluster.Directory
 	// ReplicationFactor is the number of replicas per range (default 1).
 	ReplicationFactor int
-	// DefaultStaleness bounds replication lag for namespaces whose
-	// spec does not declare one (default 30s).
-	DefaultStaleness time.Duration
-	// Analyzer bounds what queries are accepted.
-	Analyzer analyzer.Config
-	// ReplicationOrder selects the queue discipline (ByDeadline is
-	// the paper's design; FIFO exists for the E8 ablation).
-	ReplicationOrder replication.Order
 	// CoordinatorID disambiguates version stamps from this
 	// coordinator (16 bits).
 	CoordinatorID uint16
@@ -83,21 +75,10 @@ type Config struct {
 	// data directory, ...). Clock and NodeID are filled in per node.
 	// Ignored for clusters over remote nodes.
 	NodeStorage storage.Options
-	// MigrationParallelism bounds how many range migrations run
-	// concurrently (default 4). Spreads and decommissions queue their
-	// per-range migrations against this bound.
-	MigrationParallelism int
-	// ScanParallelism bounds how many per-range sub-scans one query
-	// fans out concurrently in the scatter-gather scan pipeline
-	// (default partition.DefaultScanParallelism). 1 makes scans visit
-	// overlapping ranges sequentially — the ablation baseline the
-	// scan benchmark compares against.
-	ScanParallelism int
 	// Repair tunes the self-healing crash-recovery loop (failure
 	// detector, primary failover, replication-factor repair). The loop
-	// runs whenever StartBackground is active unless Repair.Disabled;
-	// RepairNow drives one sweep synchronously for deterministic tests
-	// and operator tooling.
+	// runs whenever StartBackground is active; RepairNow drives one
+	// sweep synchronously for deterministic tests and operator tooling.
 	Repair repair.Config
 	// Admission configures the front-door admission controller:
 	// per-tenant token-bucket quotas, priority-aware overload
@@ -115,15 +96,26 @@ func (c Config) withDefaults() Config {
 	if c.ReplicationFactor < 1 {
 		c.ReplicationFactor = 1
 	}
-	if c.DefaultStaleness <= 0 {
-		c.DefaultStaleness = 30 * time.Second
-	}
 	if c.SLA.Zero() {
-		c.SLA = consistency.PerformanceSLA{
-			Percentile: 99.9, LatencyBound: 100 * time.Millisecond, SuccessRate: 99.99,
-		}
+		c.SLA = paperSLA
 	}
 	return c
+}
+
+const (
+	// defaultStaleness bounds replication lag for tables whose spec
+	// declares no staleness bound.
+	defaultStaleness = 30 * time.Second
+	// migrationParallelism bounds how many range migrations run at
+	// once; spreads and decommissions queue their per-range migrations
+	// against it.
+	migrationParallelism = 4
+)
+
+// paperSLA is the SLA of the paper's running example: 99.9% of requests
+// under 100ms, 99.99% availability. Clusters that declare none get it.
+var paperSLA = consistency.PerformanceSLA{
+	Percentile: 99.9, LatencyBound: 100 * time.Millisecond, SuccessRate: 99.99,
 }
 
 // Errors surfaced by the public API.
@@ -212,18 +204,13 @@ func Open(cfg Config) (*Cluster, error) {
 	admCfg := cfg.Admission
 	admCfg.Clock = cfg.Clock
 	c.admission = admission.New(admCfg)
-	if cfg.ScanParallelism > 0 {
-		c.router.SetScanParallelism(cfg.ScanParallelism)
-	}
 	// Online range migrations share the (possibly batching) transport
-	// with the router; MigrationParallelism bounds how many ranges move
-	// concurrently during spreads and decommissions. The router's maps
-	// back the manager's ownership checks, so a journaled teardown can
-	// never truncate a range its node has since regained.
-	c.migrations = migration.NewManager(transport, cfg.Directory, cfg.MigrationParallelism)
+	// with the router. The router's maps back the manager's ownership
+	// checks, so a journaled teardown can never truncate a range its
+	// node has since regained.
+	c.migrations = migration.NewManager(transport, cfg.Directory, migrationParallelism)
 	c.migrations.Resolver = c.router.Map
-	queue := replication.NewQueue(cfg.ReplicationOrder)
-	c.pump = replication.NewPump(queue, c.router.Apply, cfg.Clock)
+	c.pump = replication.NewPump(replication.NewQueue(replication.ByDeadline), c.router.Apply, cfg.Clock)
 	// Flip-time rebind: while the donor's fence is still held, clone
 	// any replication update the fenced drain provably could not have
 	// shipped (still queued/parked/in-flight at this coordinator) to
@@ -289,9 +276,7 @@ func (c *Cluster) StartBackground(replicationWorkers int) {
 		replicationWorkers = 2
 	}
 	c.pump.Run(replicationWorkers)
-	if !c.cfg.Repair.Disabled {
-		c.repairs.Run()
-	}
+	c.repairs.Run()
 	c.bgDone.Add(1)
 	go func() {
 		defer c.bgDone.Done()
@@ -464,7 +449,7 @@ func (c *Cluster) stalenessBound(table string) time.Duration {
 	if s := c.specFor(table).Staleness; s > 0 {
 		return s
 	}
-	return c.cfg.DefaultStaleness
+	return defaultStaleness
 }
 
 // record wraps an operation with SLA accounting.

@@ -25,7 +25,7 @@ func (c *Cluster) DefineSchema(ddl string) error {
 	if err != nil {
 		return err
 	}
-	results, err := analyzer.Analyze(schema, c.cfg.Analyzer)
+	results, err := analyzer.Analyze(schema, analyzer.Config{})
 	if err != nil {
 		return fmt.Errorf("scads: schema rejected: %w", err)
 	}
