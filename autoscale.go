@@ -11,25 +11,26 @@ import (
 	"scads/internal/clock"
 	"scads/internal/cloudsim"
 	"scads/internal/director"
-	"scads/internal/sla"
+	"scads/internal/sim"
 	"scads/internal/workload"
 )
 
 // This file closes the paper's Figure 2 loop end to end against a real
-// LocalCluster: a workload trace drives per-class telemetry, the
-// director observes SLO attainment through sla.Classes and sizes the
-// fleet with the learned per-op cost curves (mlmodel.FleetModel), and
-// every scale action moves real data through the lossless migration
-// path (ElasticActuator → AddStorageNode/SpreadAll/DecommissionNode).
-// A background writer hammers acknowledged writes throughout, so the
-// run proves the paper's central elasticity claim: capacity follows
-// demand and no acked write is ever lost across scale events.
+// LocalCluster. The loop itself is sim.Run — trace, per-class
+// telemetry, SLA monitor, director, boot-delay fleet, all on a virtual
+// clock — and a scenario is one of its configurations; what this file
+// adds is the data plane behind it. Every tick the cluster is resized
+// to the simulated fleet through ElasticActuator, so every scale
+// action moves real data through the lossless migration path
+// (AddStorageNode/SpreadAll/DecommissionNode), while a background
+// writer hammers acknowledged writes throughout. The run proves the
+// paper's central elasticity claim: capacity follows demand and no
+// acked write is ever lost across scale events.
 //
-// Telemetry is synthetic (cloudsim.ClassServiceModel on a virtual
-// clock), so the control-plane metrics — SLO-violation minutes,
-// server-hours, cost — are bit-for-bit deterministic per scenario and
-// gateable in CI; the data-plane writer runs on the wall clock against
-// the real cluster and is gated only on its hard zero (lost writes).
+// The control-plane metrics — SLO-violation minutes, server-hours —
+// are bit-for-bit deterministic per scenario and gateable in CI; the
+// writer runs on the wall clock against the real cluster and is gated
+// only on its hard zeros (lost and corrupted writes).
 
 // elasticDDL is the schema the autoscaling scenarios run against —
 // the paper's users entity, enough to exercise real range splits,
@@ -44,173 +45,103 @@ QUERY findUser
 SELECT * FROM users WHERE id = ?user LIMIT 1
 `
 
-// ElasticScenario parameterises one end-to-end autoscaling run.
+// ElasticScenario is one end-to-end autoscaling run: a configuration
+// of the control loop plus what the real cluster behind it needs.
 type ElasticScenario struct {
 	Name string
 	// Seed drives the background writer's key/op choices.
 	Seed int64
-	// Start anchors the virtual clock; Duration is simulated time.
-	Start    time.Time
-	Duration time.Duration
-	// Tick is the control interval (default 1m).
-	Tick time.Duration
-	// Trace is the total offered rate (req/s) over time;
-	// elasticWriteFraction of it is writes, the rest reads.
-	Trace workload.Trace
-	// Keys picks which user the background writer touches — the
-	// hotspot-shift scenario moves this window across ranges while
-	// scale events are in flight.
-	Keys workload.Hotspot
-	// InitialServers is the starting fleet (default 3).
-	InitialServers int
+	// ShiftPeriod is how often the hot tenth of the keyspace the
+	// writers touch moves on — across ranges, while scale events are in
+	// flight. Zero pins it.
+	ShiftPeriod time.Duration
+	// Config is the loop: Start is when the trace begins (the cluster
+	// is up by then) and InitialServers the cluster's starting size.
+	// RunElasticScenario owns OnTick.
+	sim.Config
 }
 
-// What every scenario shares. The per-class SLO defended is paperSLA.
+// What every scenario shares. The per-class SLO defended is the
+// loop's (the paper's running example).
 const (
-	// elasticWriteFraction splits Trace into the write class.
+	// elasticWriteFraction is the write class's share of the trace.
 	elasticWriteFraction = 0.1
-	// elasticBootDelay models instance provisioning lag on the virtual
-	// clock: requested capacity serves only after it.
-	elasticBootDelay = 90 * time.Second
 	// elasticOpsPerTick is how many real cluster operations the control
 	// loop drives synchronously each tick — guaranteed ledger coverage
 	// across every tick; the concurrent writer adds interleaving on top.
 	elasticOpsPerTick = 6
 	// elasticRF is the real cluster's replication factor, and with it
-	// the director's floor; elasticMaxServers is its cap.
-	elasticRF         = 2
-	elasticMaxServers = 16
-	// elasticPricePerHour prices server-hours.
-	elasticPricePerHour = 0.10
+	// the director's floor.
+	elasticRF = 2
+	// elasticUsers is the size of the keyspace.
+	elasticUsers = 240
 )
 
-// elasticService is the synthetic per-class service curve: reads 2ms,
-// writes 8ms of server time, 5ms base latency.
-var elasticService = cloudsim.ClassServiceModel{
+// elasticService is the scenarios' telemetry source: the per-class
+// service curve — reads cost 2ms and writes 8ms of server time over a
+// 5ms base latency — under a fixed mix, elasticWriteFraction of the
+// trace's rate being writes.
+type elasticService struct{ cloudsim.ClassServiceModel }
+
+var elasticTelemetry = elasticService{cloudsim.ClassServiceModel{
 	Demand: map[string]float64{"read": 0.002, "write": 0.008},
 	Base:   5 * time.Millisecond,
+}}
+
+func (s elasticService) Serve(rate float64, servers int) cloudsim.Load {
+	return s.serve(rate, elasticWriteFraction, servers)
 }
 
-func (sc ElasticScenario) withDefaults() ElasticScenario {
-	if sc.Tick <= 0 {
-		sc.Tick = time.Minute
+func (s elasticService) serve(rate, writeFraction float64, servers int) cloudsim.Load {
+	classRates := map[string]float64{"read": rate * (1 - writeFraction), "write": rate * writeFraction}
+	return cloudsim.Load{
+		Rate: rate, ClassRates: classRates,
+		Latency: s.Latency(classRates, servers), SuccessPct: s.SuccessRate(classRates, servers),
 	}
-	if sc.Keys.Users <= 0 {
-		sc.Keys.Users = 240
-	}
-	if sc.InitialServers <= 0 {
-		sc.InitialServers = 3
-	}
-	return sc
 }
 
-// ElasticResult summarises one scenario run. The control-plane
-// metrics (violation minutes, server-hours, cost, scale counts) are
-// deterministic for a given scenario; the write-ledger counts depend
-// on wall-clock interleaving but LostWrites and CorruptReads must be
-// zero on every run — that is the lossless-migration guarantee.
-type ElasticResult struct {
-	Name  string
-	Ticks int
-	// SLOViolationMinutes is simulated minutes in violation of any
-	// class's SLO.
-	SLOViolationMinutes float64
-	// ServerHours is the integral of fleet size over simulated time;
-	// CostUSD prices it.
-	ServerHours  float64
-	CostUSD      float64
-	PeakServers  int
-	FinalServers int
-	// ScaleUps/ScaleDowns count control decisions that acted;
-	// NodesAdded/NodesRemoved count the nodes they moved.
-	ScaleUps, ScaleDowns     int
-	NodesAdded, NodesRemoved int
-	// AckedWrites is how many background writes were acknowledged;
-	// LostWrites how many of those later read back missing, and
-	// CorruptReads how many read back a stale value.
-	AckedWrites  int64
-	LostWrites   int
-	CorruptReads int
-}
-
-// bootDelayActuator defers ElasticActuator.Request by a modelled boot
-// delay on the virtual clock: the director sees requested capacity as
-// Booting until the delay elapses and Poll releases it into the real
-// cluster. Scale-down is immediate (terminating runs at API speed).
-type bootDelayActuator struct {
-	clk   clock.Clock
-	delay time.Duration
-	inner *ElasticActuator
-
-	mu      sync.Mutex
-	pending []time.Time // ready-times of requested-but-unbooted nodes
-}
-
-var _ director.Actuator = (*bootDelayActuator)(nil)
-
-func (a *bootDelayActuator) Running() int { return a.inner.Running() }
-
-func (a *bootDelayActuator) Booting() int {
-	a.mu.Lock()
-	n := len(a.pending)
-	a.mu.Unlock()
-	return n + a.inner.Booting()
-}
-
-func (a *bootDelayActuator) Request(n int) {
-	if n <= 0 {
-		return
-	}
-	ready := a.clk.Now().Add(a.delay)
-	a.mu.Lock()
-	for i := 0; i < n; i++ {
-		a.pending = append(a.pending, ready)
-	}
-	a.mu.Unlock()
-}
-
-func (a *bootDelayActuator) Release(n int) { a.inner.Release(n) }
-
-// Poll boots every pending node whose delay has elapsed.
-func (a *bootDelayActuator) Poll() {
-	now := a.clk.Now()
-	due := 0
-	a.mu.Lock()
-	rest := a.pending[:0]
-	for _, t := range a.pending {
-		if t.After(now) {
-			rest = append(rest, t)
-		} else {
-			due++
-		}
-	}
-	a.pending = rest
-	a.mu.Unlock()
-	a.inner.Request(due)
-}
-
-// warmElasticModels pre-trains the director's fleet and capacity
-// models from the scenario's analytic service curve, the same way a
-// production deployment would arrive with models fit offline from
-// history (§4's "use of machine learning models"). Two interleaved
-// mixes make the per-class regression well-posed.
-func warmElasticModels(d *director.Director) {
+// Profile is the history the director's models arrive fit on, the way
+// a production deployment would fit them offline (§4's "use of machine
+// learning models"): one server from 7% to 84% utilisation. Two
+// interleaved mixes make the per-class regression well-posed.
+func (s elasticService) Profile() []cloudsim.Load {
+	var history []cloudsim.Load
 	for i := 1; i <= 12; i++ {
-		u := 0.07 * float64(i) // utilisation 0.07..0.84
 		wf := elasticWriteFraction
 		if i%2 == 0 {
 			wf = elasticWriteFraction / 2
 		}
-		mean := wf*elasticService.Demand["write"] + (1-wf)*elasticService.Demand["read"]
-		rate := u / mean // per-server rate hitting utilisation u
-		classRates := map[string]float64{
-			"read":  rate * (1 - wf),
-			"write": rate * wf,
-		}
-		lat := elasticService.Latency(classRates, 1)
-		d.Fleet.Observe(classRates, lat.Seconds())
-		d.Capacity.Observe(rate, lat.Seconds())
+		mean := wf*s.Demand["write"] + (1-wf)*s.Demand["read"]
+		history = append(history, s.serve(0.07*float64(i)/mean, wf, 1)) // the rate that loads one server to 0.07·i
 	}
+	return history
+}
+
+// elasticConfig is the loop configuration the scenarios share: capacity
+// serves 90s after it is requested, and the model-driven director sizes
+// between the replication factor and sixteen servers.
+func elasticConfig(d time.Duration, trace workload.Trace, initial int) sim.Config {
+	return sim.Config{
+		Start: elasticStart, Duration: d, Tick: time.Minute, Trace: trace, InitialServers: initial,
+		Service:  elasticTelemetry,
+		Cloud:    cloudsim.Options{BootDelay: 90 * time.Second, PricePerHour: 0.10},
+		Director: &director.Config{MinServers: elasticRF, MaxServers: 16},
+	}
+}
+
+// ElasticResult is a scenario's outcome: the loop's deterministic
+// control-plane result plus the write ledger's verdict. The ledger
+// counts depend on wall-clock interleaving, but LostWrites and
+// CorruptReads must be zero on every run — that is the
+// lossless-migration guarantee.
+type ElasticResult struct {
+	sim.Result
+	// AckedWrites is how many writes were acknowledged; LostWrites how
+	// many of those later read back missing, and CorruptReads how many
+	// read back a stale value.
+	AckedWrites  int64
+	LostWrites   int
+	CorruptReads int
 }
 
 // RunElasticScenario executes one autoscaling scenario end to end and
@@ -218,9 +149,8 @@ func warmElasticModels(d *director.Director) {
 // scale action; lost or corrupted acked writes are reported in the
 // result, not as an error, so callers can gate on them explicitly.
 func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
-	sc = sc.withDefaults()
-	res := ElasticResult{Name: sc.Name}
-
+	var res ElasticResult
+	keys := workload.Hotspot{Users: elasticUsers, ShiftPeriod: sc.ShiftPeriod, Start: sc.Start}
 	vc := clock.NewVirtual(sc.Start)
 	lc, err := NewLocalCluster(sc.InitialServers, Config{
 		Clock:             vc,
@@ -235,7 +165,7 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 	}
 
 	// Seed the keyspace and split it so scale events move real ranges.
-	for i := 0; i < sc.Keys.Users; i++ {
+	for i := 0; i < keys.Users; i++ {
 		if err := lc.Insert("users", Row{
 			"id":       workload.UserID(i),
 			"name":     "seed",
@@ -247,7 +177,7 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 	if err := lc.FlushAll(); err != nil {
 		return res, err
 	}
-	q := sc.Keys.Users / 4
+	q := keys.Users / 4
 	if err := lc.SplitTable("users",
 		workload.UserID(q), workload.UserID(2*q), workload.UserID(3*q)); err != nil {
 		return res, err
@@ -260,23 +190,12 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 		actMu   sync.Mutex
 		actErrs []error
 	)
-	base := NewElasticActuator(lc)
-	base.OnError = func(err error) {
+	act := NewElasticActuator(lc)
+	act.OnError = func(err error) {
 		actMu.Lock()
 		actErrs = append(actErrs, err)
 		actMu.Unlock()
 	}
-	act := &bootDelayActuator{clk: vc, delay: elasticBootDelay, inner: base}
-
-	classes := sla.NewClasses(vc, paperSLA, 1024)
-	d := director.New(vc, act, director.Config{
-		SLALatency:      paperSLA.LatencyBound,
-		ForecastHorizon: elasticBootDelay + 2*sc.Tick,
-		MinServers:      elasticRF,
-		MaxServers:      elasticMaxServers,
-		Policy:          director.ModelDriven,
-	})
-	warmElasticModels(d)
 
 	// Two real-op drivers share a last-acked ledger: a synchronous
 	// per-tick driver guarantees coverage of every control interval,
@@ -291,8 +210,8 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 	}
 	led := &ledger{last: make(map[string]string)}
 	doOp := func(rnd *rand.Rand, round int64, parity int) {
-		k := sc.Keys.Key(rnd, vc.Now())&^1 | parity
-		if k >= sc.Keys.Users {
+		k := keys.Key(rnd, vc.Now())&^1 | parity
+		if k >= keys.Users {
 			k = parity
 		}
 		id := workload.UserID(k)
@@ -334,69 +253,32 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 	syncRnd := rand.New(rand.NewSource(sc.Seed + 1))
 	var syncRound int64
 
-	end := sc.Start.Add(sc.Duration)
-	for vc.Now().Before(end) {
-		// Release matured boots, then let adds/spreads settle so the
-		// fleet size this tick is deterministic.
-		act.Poll()
-		base.Wait()
-		running := base.Running()
-		if running > res.PeakServers {
-			res.PeakServers = running
+	cfg := sc.Config
+	// The loop spends its first BootDelay booting the seed fleet; the
+	// cluster is already up, so the loop starts that much early and the
+	// trace begins at sc.Start.
+	cfg.Start = sc.Start.Add(-cfg.Cloud.BootDelay)
+	cfg.Duration += cfg.Cloud.BootDelay
+	cfg.OnTick = func(now time.Time, running int) {
+		vc.AdvanceTo(now)
+		// The cluster follows the simulated fleet: booted capacity joins
+		// and takes its share of every namespace, released nodes drain
+		// to the survivors. Settled before the tick's telemetry, so the
+		// fleet size a tick is served with is deterministic.
+		if grow := running - act.Running(); grow > 0 {
+			act.Request(grow)
+			act.Wait()
+		} else if grow < 0 {
+			act.Release(-grow)
 		}
 		for i := 0; i < elasticOpsPerTick; i++ {
 			syncRound++
 			doOp(syncRnd, syncRound, 0)
 		}
-
-		total := sc.Trace.Rate(vc.Now())
-		classRates := map[string]float64{
-			"read":  total * (1 - elasticWriteFraction),
-			"write": total * elasticWriteFraction,
-		}
-		lat := elasticService.Latency(classRates, running)
-		succ := elasticService.SuccessRate(classRates, running)
-		for class, r := range classRates {
-			n := int64(r * sc.Tick.Seconds())
-			if n <= 0 {
-				continue
-			}
-			ok := int64(float64(n) * succ / 100)
-			classes.RecordBatch(class, ok, lat, true)
-			classes.RecordBatch(class, n-ok, lat, false)
-		}
-		res.ServerHours += float64(running) * sc.Tick.Hours()
-
-		vc.Advance(sc.Tick)
-		up := classes.Roll()
-		if !up.Met {
-			res.SLOViolationMinutes += sc.Tick.Minutes()
-		}
-		dec := d.Step(director.Observation{
-			Rate:             up.Rate,
-			ClassRates:       up.ClassRates,
-			Latency:          up.Latency,
-			SuccessRate:      up.SuccessRate,
-			SLAMet:           up.Met,
-			CommittedServers: elasticRF,
-		})
-		if dec.Added > 0 {
-			res.ScaleUps++
-			res.NodesAdded += dec.Added
-		}
-		if dec.Removed > 0 {
-			res.ScaleDowns++
-			res.NodesRemoved += dec.Removed
-		}
-		res.Ticks++
 	}
-
+	res.Result = sim.Run(cfg)
 	close(stop)
 	wg.Wait()
-	act.Poll()
-	base.Wait()
-	res.FinalServers = base.Running()
-	res.CostUSD = res.ServerHours * elasticPricePerHour
 
 	// Verify the ledger: every acked write must read back its last
 	// acked value after replication drains.
@@ -422,20 +304,17 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 	return res, errors.Join(actErrs...)
 }
 
+// elasticStart is 8am: the scenarios ride the diurnal rising edge
+// through the peak into the evening decline.
+var elasticStart = time.Date(2009, 1, 4, 8, 0, 0, 0, time.UTC)
+
 // ElasticDiurnalScenario is the daily cycle: demand triples from
 // morning trough to afternoon peak and the fleet must follow it up
-// and back down. Starts at 8am so the run rides the rising edge
-// through the peak into the evening decline.
+// and back down.
 func ElasticDiurnalScenario() ElasticScenario {
-	start := time.Date(2009, 1, 4, 8, 0, 0, 0, time.UTC)
 	return ElasticScenario{
-		Name:           "diurnal",
-		Seed:           1,
-		Start:          start,
-		Duration:       12 * time.Hour,
-		Trace:          workload.Diurnal{Base: 900, Amplitude: 600},
-		Keys:           workload.Hotspot{Users: 240, Start: start},
-		InitialServers: 4,
+		Name: "diurnal", Seed: 1,
+		Config: elasticConfig(12*time.Hour, workload.Diurnal{Base: 900, Amplitude: 600}, 4),
 	}
 }
 
@@ -444,21 +323,15 @@ func ElasticDiurnalScenario() ElasticScenario {
 // director must ride it up fast enough to bound SLO-violation minutes
 // and come back down after.
 func ElasticFlashCrowdScenario() ElasticScenario {
-	start := time.Date(2009, 1, 4, 8, 0, 0, 0, time.UTC)
 	return ElasticScenario{
-		Name:     "flash-crowd",
-		Seed:     2,
-		Start:    start,
-		Duration: 6 * time.Hour,
-		Trace: workload.Spike{
+		Name: "flash-crowd", Seed: 2,
+		Config: elasticConfig(6*time.Hour, workload.Spike{
 			Baseline:  workload.Constant(600),
-			At:        start.Add(2 * time.Hour),
+			At:        elasticStart.Add(2 * time.Hour),
 			Rise:      10 * time.Minute,
 			Duration:  time.Hour,
 			Magnitude: 5,
-		},
-		Keys:           workload.Hotspot{Users: 240, Start: start},
-		InitialServers: 3,
+		}, 3),
 	}
 }
 
@@ -468,18 +341,8 @@ func ElasticFlashCrowdScenario() ElasticScenario {
 // migrate them, which is exactly the window in which a lossy
 // migration would drop acked writes.
 func ElasticHotspotShiftScenario() ElasticScenario {
-	start := time.Date(2009, 1, 4, 8, 0, 0, 0, time.UTC)
 	return ElasticScenario{
-		Name:     "hotspot-shift",
-		Seed:     3,
-		Start:    start,
-		Duration: 6 * time.Hour,
-		Trace:    workload.Diurnal{Base: 800, Amplitude: 500},
-		Keys: workload.Hotspot{
-			Users:       240,
-			ShiftPeriod: 45 * time.Minute,
-			Start:       start,
-		},
-		InitialServers: 4,
+		Name: "hotspot-shift", Seed: 3, ShiftPeriod: 45 * time.Minute,
+		Config: elasticConfig(6*time.Hour, workload.Diurnal{Base: 800, Amplitude: 500}, 4),
 	}
 }

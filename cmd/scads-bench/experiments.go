@@ -13,6 +13,7 @@ import (
 	"scads/internal/clock"
 	"scads/internal/cloudsim"
 	"scads/internal/consistency"
+	"scads/internal/director"
 	"scads/internal/expgrid"
 	"scads/internal/planner"
 	"scads/internal/query"
@@ -61,11 +62,10 @@ func runE1(expgrid.Params) (expgrid.Metrics, error) {
 	trace := workload.AnimotoTrace(t0, svc.CapacityPerServer)
 	res := sim.Run(sim.Config{
 		Start: t0, Duration: 72 * time.Hour, Tick: time.Minute,
-		Trace: trace, Service: svc, SLA: paperSLA(),
+		Trace: trace, Service: svc,
 		Cloud:          cloudsim.Options{BootDelay: 90 * time.Second, PricePerHour: 0.10},
-		Mode:           sim.ModeModelDriven,
 		InitialServers: 50,
-		Warmup:         true,
+		Director:       &director.Config{},
 	})
 	fmt.Println("servers over the three-day viral ramp (model-driven director):")
 	fmt.Printf("%8s %14s %10s %10s\n", "hour", "load(req/s)", "servers", "sla")
@@ -102,19 +102,18 @@ func runE2(expgrid.Params) (expgrid.Metrics, error) {
 		Baseline: workload.Constant(2000), At: stepAt,
 		Rise: time.Minute, Duration: 3 * time.Hour, Magnitude: 4,
 	}
-	run := func(mode sim.Mode) (sim.Result, sim.ReactionStats) {
+	run := func(policy director.Policy) (sim.Result, sim.ReactionStats) {
 		res := sim.Run(sim.Config{
 			Start: t0, Duration: 6 * time.Hour, Tick: time.Minute,
-			Trace: trace, Service: svc, SLA: paperSLA(),
+			Trace: trace, Service: svc,
 			Cloud:          cloudsim.Options{BootDelay: 90 * time.Second, PricePerHour: 0.10},
-			Mode:           mode,
 			InitialServers: 4,
-			Warmup:         true,
+			Director:       &director.Config{Policy: policy},
 		})
 		return res, sim.MeasureReaction(res, stepAt)
 	}
-	md, mdR := run(sim.ModeModelDriven)
-	re, reR := run(sim.ModeReactive)
+	md, mdR := run(director.ModelDriven)
+	re, reR := run(director.Reactive)
 
 	fmt.Println("4x load step at hour 2; how the Figure 2 loop reacts:")
 	fmt.Printf("%-22s %16s %16s %14s\n", "policy", "violations", "violation-rate", "recovery")
@@ -537,20 +536,18 @@ QUERY followersOf SELECT u.* FROM follows f JOIN users u ON f.follower = u.id WH
 func runE7(expgrid.Params) (expgrid.Metrics, error) {
 	svc := paperService()
 	trace := workload.Diurnal{Base: 3000, Amplitude: 2500, PeakHour: 14}
-	common := sim.Config{
+	cfg := sim.Config{
 		Start: t0, Duration: 24 * time.Hour, Tick: time.Minute,
-		Trace: trace, Service: svc, SLA: paperSLA(),
-		Cloud:  cloudsim.Options{BootDelay: 90 * time.Second, PricePerHour: 0.10, BillingGranularity: time.Hour},
-		Warmup: true,
+		Trace: trace, Service: svc,
+		Cloud:    cloudsim.Options{BootDelay: 90 * time.Second, PricePerHour: 0.10, BillingGranularity: time.Hour},
+		Director: &director.Config{},
 	}
-	e := common
-	e.Mode = sim.ModeModelDriven
-	elastic := sim.Run(e)
+	elastic := sim.Run(cfg)
 
-	s := common
-	s.Mode = sim.ModeStatic
-	s.StaticServers = sim.RequiredServers(svc, paperSLA().LatencyBound, 5500)
-	static := sim.Run(s)
+	// The static baseline: no director, a fleet sized for the peak.
+	cfg.Director = nil
+	cfg.InitialServers = sim.RequiredServers(svc, 5500)
+	static := sim.Run(cfg)
 
 	fmt.Println("one diurnal day (peak 5500 req/s at 2pm, trough 500 req/s at 2am),")
 	fmt.Println("$0.10 per machine-hour, hourly billing:")
@@ -576,9 +573,54 @@ func runE7(expgrid.Params) (expgrid.Metrics, error) {
 
 // --- E8 ---
 
+// e8Result carries the per-staleness-class violation counts of one
+// run of the §3.3.2 deadline-queue experiment.
+type e8Result struct {
+	TightViolations int64 // 1s-bound updates delivered late
+	LooseViolations int64 // 60s-bound updates delivered late
+	Delivered       int64
+	MaxTightStale   time.Duration
+}
+
+// simulateE8 drives 100 writes/s for 60 seconds — half with a 1s
+// staleness bound, half with 60s — against a pump that can deliver
+// only 80/s. Demand exceeds capacity during the burst, so something
+// must be late: the deadline discipline sacrifices loose bounds to
+// protect tight ones, while FIFO treats them alike and violates both.
+func simulateE8(order replication.Order) e8Result {
+	vc := clock.NewVirtual(t0)
+	q := replication.NewQueue(order)
+	pump := replication.NewPump(q, func(ns, node string, recs []record.Record) error {
+		return nil
+	}, vc)
+	var res e8Result
+	ver := uint64(0)
+	for tick := 0; tick < 180; tick++ {
+		if tick < 60 {
+			for w := 0; w < 50; w++ {
+				ver++
+				pump.Enqueue("tight", record.Record{Key: []byte{1}, Version: ver}, []string{"r"}, time.Second)
+				ver++
+				pump.Enqueue("loose", record.Record{Key: []byte{2}, Version: ver}, []string{"r"}, time.Minute)
+			}
+		}
+		pump.Drain(80)
+		if st := pump.Tracker().Staleness("tight", "r"); st > res.MaxTightStale {
+			res.MaxTightStale = st
+		}
+		vc.Advance(time.Second)
+	}
+	for pump.Drain(1000) > 0 {
+	}
+	res.TightViolations = pump.ViolationsFor("tight")
+	res.LooseViolations = pump.ViolationsFor("loose")
+	res.Delivered = pump.Stats().Delivered
+	return res
+}
+
 func runE8(expgrid.Params) (expgrid.Metrics, error) {
-	dl := sim.RunE8(replication.ByDeadline, t0)
-	ff := sim.RunE8(replication.FIFO, t0)
+	dl := simulateE8(replication.ByDeadline)
+	ff := simulateE8(replication.FIFO)
 	fmt.Println("mixed staleness bounds (1s and 60s), 100 writes/s against 80/s of")
 	fmt.Println("propagation bandwidth for 60s — something must be late; what is?")
 	fmt.Printf("\n  %-22s %18s %18s %16s\n", "queue discipline", "1s-bound late", "60s-bound late", "max 1s-staleness")

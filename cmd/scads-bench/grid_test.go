@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"scads/internal/expgrid"
+	"scads/internal/replication"
 )
 
 // committedGrid parses the committed experiments.json against the
@@ -102,12 +103,12 @@ func TestRegistryMatchesREADME(t *testing.T) {
 
 // TestDeterministicHooksReplay is what makes the tolerance-0 baselines
 // legitimate: each cheap virtual-clock or pure-analysis experiment,
-// run twice in this process, returns identical metrics. e1 and e7 are
-// too slow for go test; their `repeats: 2` grid rows prove the same
-// through a grouped std of exactly 0.
+// run twice in this process, returns identical metrics. e1 is too slow
+// for go test; its `repeats: 2` grid row proves the same through a
+// grouped std of exactly 0.
 func TestDeterministicHooksReplay(t *testing.T) {
 	reg := gridRegistry()
-	for _, id := range []string{"e2", "e3", "e4c", "e4d", "e4e", "e6", "e8", "e9", "e10", "e11"} {
+	for _, id := range []string{"e2", "e3", "e4c", "e4d", "e4e", "e6", "e7", "e8", "e9", "e10", "e11"} {
 		exp, ok := reg.Lookup(id)
 		if !ok {
 			t.Fatalf("%s not registered", id)
@@ -123,6 +124,64 @@ func TestDeterministicHooksReplay(t *testing.T) {
 		if len(runs[0]) == 0 || !reflect.DeepEqual(runs[0], runs[1]) {
 			t.Errorf("%s does not replay:\n first %v\nsecond %v", id, runs[0], runs[1])
 		}
+	}
+}
+
+// TestElasticRowsHoldBaselines is the control loop's safety net inside
+// go test: the rows that run sim.Run and fit in a second each — e2
+// (both director policies), e7 (a director against none) and e16 (the
+// per-class loop with a real cluster behind it) — run once and must
+// hold their committed baselines under the policy -compare applies.
+func TestElasticRowsHoldBaselines(t *testing.T) {
+	reg := gridRegistry()
+	for _, id := range []string{"e2", "e7", "e16"} {
+		exp, ok := reg.Lookup(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		got, err := exp.Run(expgrid.NewParams(exp.Params, nil, 1, 0))
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		base, err := readSummary("baselines/BENCH_" + id + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, bm := range base.Metrics {
+			v, measured := got[name]
+			if !measured {
+				t.Errorf("%s: gated metric %s missing from the run", id, name)
+			} else if ok, bound := withinTolerance(bm, v); !ok {
+				t.Errorf("%s: %s = %g, baseline %g (%s bound %g)", id, name, v, bm.Value, bm.Direction, bound)
+			}
+		}
+	}
+}
+
+func TestE8DeadlineProtectsTightBounds(t *testing.T) {
+	dl := simulateE8(replication.ByDeadline)
+	ff := simulateE8(replication.FIFO)
+
+	// Both disciplines deliver the same volume; only lateness differs.
+	if dl.Delivered == 0 || dl.Delivered != ff.Delivered {
+		t.Fatalf("delivered: deadline=%d fifo=%d", dl.Delivered, ff.Delivered)
+	}
+	// The deadline queue protects the tight class entirely; FIFO,
+	// blind to deadlines, burns thousands of tight-bound deadlines.
+	if dl.TightViolations != 0 {
+		t.Fatalf("deadline discipline violated %d tight bounds", dl.TightViolations)
+	}
+	if ff.TightViolations == 0 {
+		t.Fatal("FIFO should violate tight bounds under overload")
+	}
+	// Neither class's 60s bound is violated: the burst backlog drains
+	// well within a minute.
+	if dl.LooseViolations != 0 || ff.LooseViolations != 0 {
+		t.Fatalf("loose violations: deadline=%d fifo=%d", dl.LooseViolations, ff.LooseViolations)
+	}
+	if ff.MaxTightStale <= dl.MaxTightStale {
+		t.Fatalf("max tight staleness: fifo %v should exceed deadline %v",
+			ff.MaxTightStale, dl.MaxTightStale)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"scads/internal/cloudsim"
-	"scads/internal/consistency"
+	"scads/internal/director"
 	"scads/internal/sim"
 	"scads/internal/workload"
 )
@@ -63,41 +63,41 @@ func main() {
 		log.Fatalf("unknown trace %q", *traceName)
 	}
 
-	var mode sim.Mode
+	// A static run is the loop with no director, its fleet fixed at
+	// -static-servers.
+	var dcfg *director.Config
+	policyName := "static"
+	initial := 3
+	if *traceName == "animoto" {
+		initial = 50
+	}
 	switch *policy {
 	case "model":
-		mode = sim.ModeModelDriven
+		dcfg = &director.Config{Policy: director.ModelDriven}
 	case "reactive":
-		mode = sim.ModeReactive
+		dcfg = &director.Config{Policy: director.Reactive}
 	case "static":
-		mode = sim.ModeStatic
+		initial = *static
 	default:
 		log.Fatalf("unknown policy %q", *policy)
 	}
+	if dcfg != nil {
+		policyName = dcfg.Policy.String()
+	}
 
 	cfg := sim.Config{
-		Start:    start,
-		Duration: *duration,
-		Tick:     *tick,
-		Trace:    trace,
-		Service:  svc,
-		SLA: consistency.PerformanceSLA{
-			Percentile: 99.9, LatencyBound: 100 * time.Millisecond, SuccessRate: 99.9,
-		},
-		Cloud:         cloudsim.Options{BootDelay: *boot, PricePerHour: *price},
-		Mode:          mode,
-		StaticServers: *static,
-		InitialServers: func() int {
-			if *traceName == "animoto" {
-				return 50
-			}
-			return 3
-		}(),
-		Warmup: mode == sim.ModeModelDriven,
+		Start:          start,
+		Duration:       *duration,
+		Tick:           *tick,
+		Trace:          trace,
+		Service:        svc,
+		Cloud:          cloudsim.Options{BootDelay: *boot, PricePerHour: *price},
+		InitialServers: initial,
+		Director:       dcfg,
 	}
 
 	fmt.Printf("# scads-director: trace=%s policy=%s duration=%v tick=%v boot=%v\n",
-		*traceName, mode, *duration, *tick, *boot)
+		*traceName, policyName, *duration, *tick, *boot)
 	fmt.Printf("# %-8s %12s %8s %8s %8s %12s %9s %s\n",
 		"hour", "rate(req/s)", "running", "booting", "target", "p-latency", "success%", "sla")
 
@@ -115,6 +115,6 @@ func main() {
 			tk.Latency.Truncate(time.Microsecond), tk.SuccessRate, status)
 	}
 	fmt.Printf("\nsummary: peak=%d servers, final=%d, violations=%d/%d (%.2f%%), machine-hours=%.1f, cost=$%.2f\n",
-		res.PeakServers, res.FinalServers, res.Violations, res.Intervals,
+		res.PeakServers, res.FinalServers, res.Violations, len(res.Ticks),
 		100*res.ViolationRate(), res.MachineHours, res.CostUSD)
 }

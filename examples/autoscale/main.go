@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"scads/internal/cloudsim"
-	"scads/internal/consistency"
+	"scads/internal/director"
 	"scads/internal/sim"
 	"scads/internal/workload"
 )
@@ -23,9 +23,6 @@ func main() {
 		CapacityPerServer: 1000,
 		Base:              5 * time.Millisecond,
 		K:                 30 * time.Millisecond,
-	}
-	sla := consistency.PerformanceSLA{
-		Percentile: 99.9, LatencyBound: 100 * time.Millisecond, SuccessRate: 99.9,
 	}
 
 	// A day of viral growth (doubling every 4 hours = 64x), then the
@@ -39,11 +36,9 @@ func main() {
 		Tick:           time.Minute,
 		Trace:          trace,
 		Service:        svc,
-		SLA:            sla,
 		Cloud:          cloudsim.Options{BootDelay: 90 * time.Second, PricePerHour: 0.10},
-		Mode:           sim.ModeModelDriven,
 		InitialServers: 4,
-		Warmup:         true,
+		Director:       &director.Config{},
 	})
 
 	fmt.Println("hour   load(req/s)  servers  sla      (one day up, one day down)")
@@ -66,7 +61,7 @@ func main() {
 
 	// What would the bill have been without scale-down? A static
 	// cluster sized for the peak, for the same 48 hours.
-	staticNeed := sim.RequiredServers(svc, sla.LatencyBound, 128000)
+	staticNeed := sim.RequiredServers(svc, 128000)
 	staticCost := float64(staticNeed) * 48 * 0.10
 	fmt.Printf("statically peak-provisioned (%d servers x 48h): $%.2f  ->  elasticity saved %.0f%%\n",
 		staticNeed, staticCost, 100*(1-res.CostUSD/staticCost))

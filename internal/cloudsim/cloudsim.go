@@ -1,57 +1,19 @@
 // Package cloudsim simulates the utility-computing substrate the paper
 // builds on (§1, §2.1): an elastic pool of instances with realistic
-// boot delay, per-machine-hour billing, capacity limits, and failure
-// injection, all driven by a virtual clock. Every economics experiment
-// (Animoto scale-up, diurnal scale-down) runs against this simulator
-// with the identical director logic that would drive a real cloud API.
+// boot delay and per-machine-hour billing, driven by a virtual clock,
+// plus the synthetic service curves that turn an offered rate into the
+// latency and success the SLA monitor sees. Every economics experiment
+// (Animoto scale-up, diurnal scale-down) and the end-to-end elastic
+// scenarios run against this one boot-delay and billing model.
 package cloudsim
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
 	"scads/internal/clock"
 )
-
-// InstanceState is the lifecycle state of one simulated machine.
-type InstanceState int
-
-// Lifecycle: requested instances boot for BootDelay, then run until
-// terminated (or failed).
-const (
-	StateBooting InstanceState = iota
-	StateRunning
-	StateTerminated
-	StateFailed
-)
-
-// String implements fmt.Stringer.
-func (s InstanceState) String() string {
-	switch s {
-	case StateBooting:
-		return "booting"
-	case StateRunning:
-		return "running"
-	case StateTerminated:
-		return "terminated"
-	case StateFailed:
-		return "failed"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
-
-// Instance is one simulated machine.
-type Instance struct {
-	ID          string
-	State       InstanceState
-	RequestedAt time.Time
-	ReadyAt     time.Time // when boot completes
-	StoppedAt   time.Time // termination or failure time
-}
 
 // Options configure the simulated cloud.
 type Options struct {
@@ -80,132 +42,87 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Cloud is the simulated provider. Safe for concurrent use.
+// instance is one simulated machine: requested instances boot until
+// readyAt, serve once a Poll has seen them ready, and stop when
+// released.
+type instance struct {
+	requestedAt, readyAt, stoppedAt time.Time
+	running, stopped                bool
+}
+
+// Cloud is the simulated provider and the director's lever on it (it
+// implements director.Actuator): Request starts instances that count as
+// Booting until a Poll after their boot delay, Release stops the newest
+// running ones. Safe for concurrent use.
 type Cloud struct {
 	clk  clock.Clock
 	opts Options
 
 	mu        sync.Mutex
-	instances map[string]*Instance
-	seq       int
+	instances []instance // in request order
 }
 
 // New returns a Cloud on the given clock.
 func New(clk clock.Clock, opts Options) *Cloud {
-	return &Cloud{clk: clk, opts: opts.withDefaults(), instances: make(map[string]*Instance)}
+	return &Cloud{clk: clk, opts: opts.withDefaults()}
 }
 
-// Request starts n new instances and returns them.
-func (c *Cloud) Request(n int) []*Instance {
+// Request starts n new instances.
+func (c *Cloud) Request(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.clk.Now()
-	var granted []*Instance
 	for i := 0; i < n; i++ {
-		c.seq++
-		inst := &Instance{
-			ID:          fmt.Sprintf("i-%06d", c.seq),
-			State:       StateBooting,
-			RequestedAt: now,
-			ReadyAt:     now.Add(c.opts.BootDelay),
-		}
-		c.instances[inst.ID] = inst
-		granted = append(granted, inst)
+		c.instances = append(c.instances, instance{requestedAt: now, readyAt: now.Add(c.opts.BootDelay)})
 	}
-	return granted
 }
 
-// Poll transitions booting instances whose boot delay has elapsed to
-// running, returning the newly running IDs (sorted).
-func (c *Cloud) Poll() []string {
+// Poll puts into service every booting instance whose boot delay has
+// elapsed. Between polls the fleet does not change under the director:
+// a control step sees the counts its interval was served with.
+func (c *Cloud) Poll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.clk.Now()
-	var ready []string
-	for _, inst := range c.instances {
-		if inst.State == StateBooting && !inst.ReadyAt.After(now) {
-			inst.State = StateRunning
-			ready = append(ready, inst.ID)
+	for i := range c.instances {
+		if inst := &c.instances[i]; !inst.stopped && !inst.readyAt.After(now) {
+			inst.running = true
 		}
 	}
-	sort.Strings(ready)
-	return ready
 }
 
-// Terminate stops an instance (no-op if already stopped).
-func (c *Cloud) Terminate(id string) {
+// Release stops n running instances, newest first: under hourly
+// billing they have the least sunk partial hour, and the oldest,
+// warmest nodes keep serving.
+func (c *Cloud) Release(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	inst, ok := c.instances[id]
-	if !ok || inst.State == StateTerminated || inst.State == StateFailed {
-		return
-	}
-	inst.State = StateTerminated
-	inst.StoppedAt = c.clk.Now()
-}
-
-// Fail crashes an instance (failure injection for durability and
-// availability experiments).
-func (c *Cloud) Fail(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	inst, ok := c.instances[id]
-	if !ok || inst.State == StateTerminated || inst.State == StateFailed {
-		return
-	}
-	inst.State = StateFailed
-	inst.StoppedAt = c.clk.Now()
-}
-
-// Get returns a copy of the instance.
-func (c *Cloud) Get(id string) (Instance, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	inst, ok := c.instances[id]
-	if !ok {
-		return Instance{}, false
-	}
-	return *inst, true
-}
-
-// Running returns the IDs of running instances, sorted.
-func (c *Cloud) Running() []string {
-	return c.byState(StateRunning)
-}
-
-// Booting returns the IDs of booting instances, sorted.
-func (c *Cloud) Booting() []string {
-	return c.byState(StateBooting)
-}
-
-func (c *Cloud) byState(s InstanceState) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []string
-	for id, inst := range c.instances {
-		if inst.State == s {
-			out = append(out, id)
+	now := c.clk.Now()
+	for i := len(c.instances) - 1; i >= 0 && n > 0; i-- {
+		if inst := &c.instances[i]; inst.running {
+			inst.running, inst.stopped, inst.stoppedAt = false, true, now
+			n--
 		}
 	}
-	sort.Strings(out)
-	return out
 }
 
-// Counts returns (booting, running, stopped) instance counts.
-func (c *Cloud) Counts() (booting, running, stopped int) {
+// Running returns the number of serving instances.
+func (c *Cloud) Running() int { return c.count(true) }
+
+// Booting returns the number of instances requested but not yet put
+// into service.
+func (c *Cloud) Booting() int { return c.count(false) }
+
+func (c *Cloud) count(running bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, inst := range c.instances {
-		switch inst.State {
-		case StateBooting:
-			booting++
-		case StateRunning:
-			running++
-		default:
-			stopped++
+	n := 0
+	for i := range c.instances {
+		if inst := &c.instances[i]; !inst.stopped && inst.running == running {
+			n++
 		}
 	}
-	return
+	return n
 }
 
 // MachineHours returns total billed machine-hours so far: each
@@ -215,19 +132,16 @@ func (c *Cloud) MachineHours() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.clk.Now()
+	g := c.opts.BillingGranularity
 	var total time.Duration
-	for _, inst := range c.instances {
+	for i := range c.instances {
+		inst := &c.instances[i]
 		end := now
-		if inst.State == StateTerminated || inst.State == StateFailed {
-			end = inst.StoppedAt
+		if inst.stopped {
+			end = inst.stoppedAt
 		}
-		d := end.Sub(inst.RequestedAt)
-		if d < 0 {
-			d = 0
-		}
-		g := c.opts.BillingGranularity
-		billed := time.Duration(math.Ceil(float64(d)/float64(g))) * g
-		total += billed
+		d := end.Sub(inst.requestedAt)
+		total += time.Duration(math.Ceil(float64(d)/float64(g))) * g
 	}
 	return total.Hours()
 }
@@ -235,6 +149,20 @@ func (c *Cloud) MachineHours() float64 {
 // CostUSD returns the total bill.
 func (c *Cloud) CostUSD() float64 {
 	return c.MachineHours() * c.opts.PricePerHour
+}
+
+// Load is what an offered rate looks like from the SLA monitor's side:
+// one interval's synthetic telemetry.
+type Load struct {
+	// Rate is the offered request rate (req/s).
+	Rate float64
+	// ClassRates splits Rate by request class; nil from a model with
+	// one undifferentiated class.
+	ClassRates map[string]float64
+	// Latency is the SLA-percentile latency every request saw.
+	Latency time.Duration
+	// SuccessPct is the percentage of requests that succeeded.
+	SuccessPct float64
 }
 
 // ServiceModel converts per-server load into latency/success — the
@@ -279,4 +207,20 @@ func (s ServiceModel) SuccessRate(totalRate float64, servers int) float64 {
 		return 100
 	}
 	return 100 * capacity / totalRate
+}
+
+// Serve returns the telemetry of rate req/s spread over n servers.
+func (s ServiceModel) Serve(rate float64, servers int) Load {
+	return Load{Rate: rate, Latency: s.Latency(rate, servers), SuccessPct: s.SuccessRate(rate, servers)}
+}
+
+// Profile returns one server's telemetry across its utilisation range
+// in 5% steps: the "models of past performance" (§2.2) a deployment's
+// capacity model is trained on before it takes live load.
+func (s ServiceModel) Profile() []Load {
+	var out []Load
+	for frac := 0.05; frac < 0.95; frac += 0.05 {
+		out = append(out, s.Serve(s.CapacityPerServer*frac, 1))
+	}
+	return out
 }

@@ -14,51 +14,72 @@ func TestInstanceLifecycle(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	c := New(vc, Options{BootDelay: 90 * time.Second})
 
-	granted := c.Request(3)
-	if len(granted) != 3 {
-		t.Fatalf("granted %d", len(granted))
-	}
-	if b, r, s := c.Counts(); b != 3 || r != 0 || s != 0 {
-		t.Fatalf("counts = %d %d %d", b, r, s)
+	c.Request(3)
+	if c.Booting() != 3 || c.Running() != 0 {
+		t.Fatalf("after request: booting %d running %d", c.Booting(), c.Running())
 	}
 	// Nothing ready before boot delay.
 	vc.Advance(60 * time.Second)
-	if ready := c.Poll(); len(ready) != 0 {
-		t.Fatalf("ready early: %v", ready)
+	c.Poll()
+	if c.Running() != 0 {
+		t.Fatalf("%d running early", c.Running())
 	}
+	// Past the delay an instance serves only once a Poll has seen it.
 	vc.Advance(31 * time.Second)
-	ready := c.Poll()
-	if len(ready) != 3 {
-		t.Fatalf("ready = %v", ready)
+	if c.Booting() != 3 {
+		t.Fatalf("booting = %d before the poll", c.Booting())
 	}
-	if len(c.Running()) != 3 || len(c.Booting()) != 0 {
-		t.Fatal("state transition failed")
+	c.Poll()
+	if c.Running() != 3 || c.Booting() != 0 {
+		t.Fatalf("after boot: booting %d running %d", c.Booting(), c.Running())
 	}
 
-	c.Terminate(ready[0])
-	inst, ok := c.Get(ready[0])
-	if !ok || inst.State != StateTerminated {
-		t.Fatalf("terminated instance = %+v", inst)
+	// Release stops running instances only, newest first, and never
+	// more than there are.
+	c.Request(1)
+	c.Release(2)
+	if c.Running() != 1 || c.Booting() != 1 {
+		t.Fatalf("after release: booting %d running %d", c.Booting(), c.Running())
 	}
-	// Double terminate is a no-op.
-	c.Terminate(ready[0])
-	c.Fail(ready[1])
-	if inst, _ := c.Get(ready[1]); inst.State != StateFailed {
-		t.Fatal("Fail did not mark instance")
+	c.Release(5)
+	if c.Running() != 0 || c.Booting() != 1 {
+		t.Fatalf("after over-release: booting %d running %d", c.Booting(), c.Running())
 	}
-	// Fail after terminate is a no-op.
-	c.Fail(ready[0])
-	if inst, _ := c.Get(ready[0]); inst.State != StateTerminated {
-		t.Fatal("Fail overwrote terminated state")
+	// A stopped instance does not come back.
+	vc.Advance(time.Hour)
+	c.Poll()
+	if c.Running() != 1 {
+		t.Fatalf("running = %d, want only the late request", c.Running())
+	}
+}
+
+// TestReleaseStopsNewestFirst tells which instance Release stopped by
+// what each goes on to cost.
+func TestReleaseStopsNewestFirst(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	c := New(vc, Options{BootDelay: time.Second, BillingGranularity: time.Hour})
+	c.Request(1)
+	vc.Advance(50 * time.Minute)
+	c.Request(1)
+	vc.Advance(5 * time.Minute)
+	c.Poll()
+	c.Release(1)
+	vc.Advance(30 * time.Minute)
+	// The old instance runs on, 85 min -> 2h; the new one stopped after
+	// 5 min -> 1h. Had the old one stopped, both would bill 1h.
+	if got := c.MachineHours(); got != 3 {
+		t.Fatalf("MachineHours = %v, want 3", got)
 	}
 }
 
 func TestBillingGranularity(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	c := New(vc, Options{BootDelay: time.Second, PricePerHour: 0.10, BillingGranularity: time.Hour})
-	insts := c.Request(1)
+	c.Request(1)
 	vc.Advance(90 * time.Minute) // 1.5h -> billed 2h
-	c.Terminate(insts[0].ID)
+	c.Poll()
+	c.Release(1)
+	vc.Advance(3 * time.Hour) // a stopped instance accrues nothing
 	if got := c.MachineHours(); got != 2 {
 		t.Fatalf("MachineHours = %v, want 2 (ceil to hour)", got)
 	}
@@ -73,9 +94,10 @@ func TestFineGrainedBillingSavesMoney(t *testing.T) {
 	run := func(gran time.Duration) float64 {
 		vc := clock.NewVirtual(t0)
 		c := New(vc, Options{BillingGranularity: gran, PricePerHour: 0.10})
-		insts := c.Request(1)
+		c.Request(1)
 		vc.Advance(61 * time.Minute)
-		c.Terminate(insts[0].ID)
+		c.Poll()
+		c.Release(1)
 		return c.CostUSD()
 	}
 	hourly := run(time.Hour)
@@ -131,13 +153,25 @@ func TestServiceModelSuccessRate(t *testing.T) {
 	}
 }
 
-func TestInstanceStateString(t *testing.T) {
-	for s, want := range map[InstanceState]string{
-		StateBooting: "booting", StateRunning: "running",
-		StateTerminated: "terminated", StateFailed: "failed",
-	} {
-		if s.String() != want {
-			t.Errorf("%v.String() = %q", s, s.String())
+// TestServeAndProfile: Serve is the curve at one point, with no class
+// breakdown from the single-curve model, and Profile walks one server
+// up its utilisation range without reaching saturation.
+func TestServeAndProfile(t *testing.T) {
+	sm := ServiceModel{CapacityPerServer: 1000, Base: 5 * time.Millisecond, K: 20 * time.Millisecond}
+	l := sm.Serve(1500, 3)
+	if l.Rate != 1500 || l.ClassRates != nil || l.Latency != sm.Latency(1500, 3) || l.SuccessPct != 100 {
+		t.Fatalf("Serve = %+v", l)
+	}
+	profile := sm.Profile()
+	if len(profile) < 8 {
+		t.Fatalf("profile has %d points", len(profile))
+	}
+	for i, p := range profile {
+		if p.Rate <= 0 || p.Rate >= sm.CapacityPerServer || p.Latency != sm.Latency(p.Rate, 1) {
+			t.Fatalf("profile[%d] = %+v", i, p)
+		}
+		if i > 0 && p.Rate <= profile[i-1].Rate {
+			t.Fatalf("profile not increasing at %d", i)
 		}
 	}
 }

@@ -40,9 +40,10 @@ func (p Policy) String() string {
 	}
 }
 
-// Actuator is the director's lever on cluster size. The cloud
-// simulator (plus node bootstrap glue) implements it; a real
-// deployment would call a cloud API.
+// Actuator is the director's lever on cluster size. The simulated
+// cloud (cloudsim.Cloud) implements it, as does the root package's
+// ElasticActuator over real storage nodes; a production deployment
+// would call a cloud API.
 type Actuator interface {
 	// Running returns the number of serving instances.
 	Running() int

@@ -12,7 +12,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestDeterminismFileScope checks the "pkgpath:basename" scoping used
-// for the root package's elastic control-loop files: only scoped.go
+// for the root package's elastic actuator file: only scoped.go
 // is examined.
 func TestDeterminismFileScope(t *testing.T) {
 	analysistest.Run(t, NewDeterminism(nil, []string{"determfiles:scoped.go"}), "determfiles")

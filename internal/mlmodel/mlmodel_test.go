@@ -23,9 +23,6 @@ func TestFitLinearExact(t *testing.T) {
 	if math.Abs(m.Coef[0]-2) > 1e-9 || math.Abs(m.Intercept-3) > 1e-9 {
 		t.Fatalf("fit = %+v", m)
 	}
-	if m.R2 < 0.9999 {
-		t.Fatalf("R2 = %v", m.R2)
-	}
 	if got := m.Predict([]float64{100}); math.Abs(got-203) > 1e-6 {
 		t.Fatalf("Predict(100) = %v", got)
 	}

@@ -24,8 +24,6 @@ var ErrNoData = errors.New("mlmodel: not enough observations")
 type LinearRegression struct {
 	Coef      []float64 // feature coefficients
 	Intercept float64
-	R2        float64
-	N         int
 }
 
 // FitLinear fits OLS on rows of features xs with targets ys, solving
@@ -68,26 +66,7 @@ func FitLinear(xs [][]float64, ys []float64) (*LinearRegression, error) {
 		return nil, err
 	}
 
-	m := &LinearRegression{Intercept: beta[0], Coef: beta[1:], N: n}
-
-	// R².
-	var meanY float64
-	for _, y := range ys {
-		meanY += y
-	}
-	meanY /= float64(n)
-	var ssRes, ssTot float64
-	for r := 0; r < n; r++ {
-		pred := m.Predict(xs[r])
-		ssRes += (ys[r] - pred) * (ys[r] - pred)
-		ssTot += (ys[r] - meanY) * (ys[r] - meanY)
-	}
-	if ssTot > 0 {
-		m.R2 = 1 - ssRes/ssTot
-	} else {
-		m.R2 = 1
-	}
-	return m, nil
+	return &LinearRegression{Intercept: beta[0], Coef: beta[1:]}, nil
 }
 
 // Predict evaluates the model at feature vector x.

@@ -1,13 +1,14 @@
-// Package sim is the experiment harness for the paper's elasticity
-// story: it wires a workload trace, the utility-computing simulator,
-// the SLA monitor, and the director's feedback loop (Figure 2) into a
-// deterministic virtual-time simulation. Experiments E1 (Animoto
-// scale-up), E2 (feedback-loop reaction), and E7 (diurnal scale-down
-// economics) are parameterisations of this harness.
+// Package sim is the one elastic control loop (the paper's Figure 2):
+// a workload trace drives synthetic telemetry through the SLA monitor,
+// the director observes each interval and sizes the fleet, and the
+// simulated cloud charges boot delay and machine-hours for what it
+// decides — all on a virtual clock, so a run replays bit for bit.
+// Experiments e1 (Animoto scale-up), e2 (reaction to a load step), e7
+// (diurnal scale-down economics) and e16 (the same loop with a real
+// cluster following the fleet) are parameterisations of Run.
 package sim
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -19,53 +20,50 @@ import (
 	"scads/internal/workload"
 )
 
-// Mode selects the provisioning strategy under test.
-type Mode int
+// paperSLA is the requirement every run defends: the paper's running
+// example, 99.9% of requests under 100ms at 99.9% availability.
+var paperSLA = consistency.PerformanceSLA{Percentile: 99.9, LatencyBound: 100 * time.Millisecond, SuccessRate: 99.9}
 
-// Modes: the SCADS director (model-driven), the reactive ablation, or
-// a fixed-size baseline.
-const (
-	ModeModelDriven Mode = iota
-	ModeReactive
-	ModeStatic
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ModeModelDriven:
-		return "model-driven"
-	case ModeReactive:
-		return "reactive"
-	case ModeStatic:
-		return "static"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
+// Service is the telemetry source: the synthetic service curve that
+// stands in for measuring real requests. cloudsim.ServiceModel (one
+// aggregate curve) implements it, as does the elastic scenarios'
+// cloudsim.ClassServiceModel under their read/write mix; a Load with
+// ClassRates is what puts the director's fleet model in charge instead
+// of its single-curve capacity model.
+type Service interface {
+	// Serve returns the telemetry of rate req/s over n servers.
+	Serve(rate float64, servers int) cloudsim.Load
+	// Profile returns the one-server history the director's models are
+	// trained on before the run.
+	Profile() []cloudsim.Load
 }
 
 // Config parameterises one run.
 type Config struct {
+	// Start is when the seed fleet is requested: it boots for
+	// Cloud.BootDelay, so the first control interval begins that much
+	// later. The run ends at Start+Duration.
 	Start    time.Time
 	Duration time.Duration
 	// Tick is the control interval (default 1m).
 	Tick time.Duration
 
 	Trace   workload.Trace
-	Service cloudsim.ServiceModel
-	SLA     consistency.PerformanceSLA
+	Service Service
 	Cloud   cloudsim.Options
 
-	Mode Mode
-	// StaticServers sizes the fixed cluster in ModeStatic.
-	StaticServers int
-	// InitialServers seeds the elastic modes (default 2).
+	// InitialServers is the seed fleet (default 2) — and the whole
+	// fleet of a run with no director.
 	InitialServers int
-	// Director tunes the controller (SLALatency etc. filled from SLA).
-	Director director.Config
-	// Warmup pre-trains the capacity model from the service curve
-	// before the run, modelling "models of past performance" (§2.2).
-	Warmup bool
+	// Director is the controller's policy and bounds; the loop fills in
+	// the SLA bound and a forecast horizon of one boot delay plus two
+	// ticks. nil runs no director: the statically provisioned baseline.
+	Director *director.Config
+	// OnTick, if set, runs at the start of every control interval with
+	// the serving fleet size, after booted instances joined it: the
+	// place a caller with real nodes behind the simulated fleet resizes
+	// them to match and does its per-interval work.
+	OnTick func(now time.Time, running int)
 }
 
 // TickStat is one control interval's record.
@@ -82,25 +80,29 @@ type TickStat struct {
 
 // Result summarises one run.
 type Result struct {
-	Mode         Mode
-	Ticks        []TickStat
+	Ticks []TickStat
+	// Decisions is the director's log, one per tick (nil without one).
+	Decisions []director.Decision
+	// MachineHours and CostUSD are what the cloud bills: request to
+	// release, rounded up to the billing granularity. ServerHours is
+	// the serving fleet integrated over the run.
 	MachineHours float64
 	CostUSD      float64
+	ServerHours  float64
 	Violations   int
-	Intervals    int
 	PeakServers  int
 	FinalServers int
 }
 
 // ViolationRate is the fraction of intervals that missed the SLA.
 func (r Result) ViolationRate() float64 {
-	if r.Intervals == 0 {
+	if len(r.Ticks) == 0 {
 		return 0
 	}
-	return float64(r.Violations) / float64(r.Intervals)
+	return float64(r.Violations) / float64(len(r.Ticks))
 }
 
-// Run executes the simulation.
+// Run executes the loop.
 func Run(cfg Config) Result {
 	if cfg.Tick <= 0 {
 		cfg.Tick = time.Minute
@@ -110,123 +112,84 @@ func Run(cfg Config) Result {
 	}
 	clk := clock.NewVirtual(cfg.Start)
 	cloud := cloudsim.New(clk, cfg.Cloud)
-	// The latency window covers exactly one tick's batched samples
-	// (RecordBatch feeds ≤64 per call, two calls per tick), so each
-	// interval's percentile reflects that interval, not stale
-	// overload samples from minutes ago.
-	monitor := sla.NewMonitor(clk, cfg.SLA, 128)
-
-	// Seed capacity.
-	initial := cfg.InitialServers
-	if cfg.Mode == ModeStatic {
-		initial = cfg.StaticServers
+	// The latency window is pinned by the exact baselines: a batch feeds
+	// at most 64 samples, so a single curve's percentile covers the last
+	// two intervals and a per-class one the last sixteen.
+	perClass := cfg.Service.Serve(0, 1).ClassRates != nil
+	window := 128
+	if perClass {
+		window = 1024
 	}
-	cloud.Request(initial)
+	monitor := sla.NewClasses(clk, paperSLA, window)
+
+	cloud.Request(cfg.InitialServers)
 	clk.Advance(cfg.Cloud.BootDelay)
-	cloud.Poll()
-	monitor.Roll() // discard the boot period so interval rates are true
 
 	var dir *director.Director
-	if cfg.Mode != ModeStatic {
-		dcfg := cfg.Director
-		dcfg.SLALatency = cfg.SLA.LatencyBound
-		if cfg.Mode == ModeReactive {
-			dcfg.Policy = director.Reactive
-		} else {
-			dcfg.Policy = director.ModelDriven
-		}
-		if dcfg.ForecastHorizon <= 0 {
-			// Provision ahead by boot delay plus two control ticks.
-			dcfg.ForecastHorizon = cfg.Cloud.BootDelay + 2*cfg.Tick
-		}
-		dir = director.New(clk, &cloudActuator{cloud: cloud}, dcfg)
-		if cfg.Warmup && cfg.Mode == ModeModelDriven {
-			warmCapacityModel(dir, cfg.Service)
+	if cfg.Director != nil {
+		dcfg := *cfg.Director
+		dcfg.SLALatency = paperSLA.LatencyBound
+		dcfg.ForecastHorizon = cfg.Cloud.BootDelay + 2*cfg.Tick
+		dir = director.New(clk, cloud, dcfg)
+		for _, past := range cfg.Service.Profile() {
+			dir.Capacity.Observe(past.Rate, past.Latency.Seconds())
+			if perClass {
+				dir.Fleet.Observe(past.ClassRates, past.Latency.Seconds())
+			}
 		}
 	}
 
-	res := Result{Mode: cfg.Mode}
-	end := cfg.Start.Add(cfg.Duration)
-	for clk.Now().Before(end) {
+	var res Result
+	for end := cfg.Start.Add(cfg.Duration); clk.Now().Before(end); {
 		now := clk.Now()
 		cloud.Poll()
-		booting, running, _ := cloud.Counts()
-		rate := cfg.Trace.Rate(now)
-
-		latency := cfg.Service.Latency(rate, running)
-		successPct := cfg.Service.SuccessRate(rate, running)
-		total := int64(rate * cfg.Tick.Seconds())
-		succeeded := int64(float64(total) * successPct / 100)
-		monitor.RecordBatch(succeeded, latency, true)
-		monitor.RecordBatch(total-succeeded, latency, false)
-
-		clk.Advance(cfg.Tick)
-		iv := monitor.Roll()
-
-		stat := TickStat{
-			T: now, Rate: rate, Running: running,
-			Booting: booting,
-			Latency: iv.Latency, SuccessRate: iv.SuccessRate, Met: iv.Met,
+		running := cloud.Running()
+		stat := TickStat{T: now, Rate: cfg.Trace.Rate(now), Running: running, Booting: cloud.Booting(), Target: running}
+		if cfg.OnTick != nil {
+			cfg.OnTick(now, running)
 		}
+
+		load := cfg.Service.Serve(stat.Rate, running)
+		classRates := load.ClassRates
+		if !perClass {
+			classRates = map[string]float64{"": load.Rate}
+		}
+		for class, rate := range classRates {
+			total := int64(rate * cfg.Tick.Seconds())
+			succeeded := int64(float64(total) * load.SuccessPct / 100)
+			monitor.RecordBatch(class, succeeded, load.Latency, true)
+			monitor.RecordBatch(class, total-succeeded, load.Latency, false)
+		}
+		clk.Advance(cfg.Tick)
+		up := monitor.Roll()
+		stat.Latency, stat.SuccessRate, stat.Met = up.Latency, up.SuccessRate, up.Met
+
 		if dir != nil {
-			dec := dir.Step(director.Observation{
-				Rate:        iv.Rate,
-				Latency:     iv.Latency,
-				SuccessRate: iv.SuccessRate,
-				SLAMet:      iv.Met,
-			})
-			stat.Target = dec.Target
-		} else {
-			stat.Target = running
+			obs := director.Observation{Rate: up.Rate, Latency: up.Latency, SuccessRate: up.SuccessRate, SLAMet: up.Met}
+			if perClass {
+				// Only a per-class source reports a mix: class rates from
+				// a single curve would fit the fleet model eight ticks in
+				// and silently take sizing away from the capacity model.
+				obs.ClassRates = up.ClassRates
+			}
+			stat.Target = dir.Step(obs).Target
 		}
 		res.Ticks = append(res.Ticks, stat)
-		res.Intervals++
-		if !iv.Met {
+		if !up.Met {
 			res.Violations++
 		}
 		if running > res.PeakServers {
 			res.PeakServers = running
 		}
 		res.FinalServers = running
+		res.ServerHours += float64(running) * cfg.Tick.Hours()
+	}
+	if dir != nil {
+		res.Decisions = dir.Decisions()
 	}
 	res.MachineHours = cloud.MachineHours()
 	res.CostUSD = cloud.CostUSD()
 	return res
-}
-
-// warmCapacityModel feeds the director's capacity model observations
-// drawn from the service curve — the "past workload" the paper's
-// models train on.
-func warmCapacityModel(d *director.Director, svc cloudsim.ServiceModel) {
-	for frac := 0.05; frac < 0.95; frac += 0.05 {
-		rate := svc.CapacityPerServer * frac
-		lat := svc.Latency(rate, 1)
-		d.Capacity.Observe(rate, lat.Seconds())
-	}
-	d.Capacity.Fit()
-}
-
-// cloudActuator adapts the simulated cloud to the director's Actuator.
-type cloudActuator struct {
-	cloud *cloudsim.Cloud
-}
-
-// Running and Booting are asked several times a tick and need only
-// counts; Cloud.Running/Booting would build and sort the id slice
-// (4237 strings at Figure 1's peak) each time.
-func (a *cloudActuator) Running() int { _, n, _ := a.cloud.Counts(); return n }
-func (a *cloudActuator) Booting() int { n, _, _ := a.cloud.Counts(); return n }
-func (a *cloudActuator) Request(n int) {
-	a.cloud.Request(n)
-}
-func (a *cloudActuator) Release(n int) {
-	running := a.cloud.Running()
-	// Terminate the newest instances first (cheapest under hourly
-	// billing: they have the least sunk partial hour — and it keeps
-	// the oldest, warmest nodes serving).
-	for i := 0; i < n && i < len(running); i++ {
-		a.cloud.Terminate(running[len(running)-1-i])
-	}
 }
 
 // ReactionStats measures how the loop responds to a load step: when
@@ -262,14 +225,14 @@ func MeasureReaction(res Result, stepAt time.Time) ReactionStats {
 }
 
 // RequiredServers computes the ideal (oracle) server count for a rate
-// under the service model at the SLA bound — the ground-truth curve
-// experiments compare against.
-func RequiredServers(svc cloudsim.ServiceModel, slaBound time.Duration, rate float64) int {
+// under the service model at the SLA's latency bound — the ground-truth
+// curve experiments compare against.
+func RequiredServers(svc cloudsim.ServiceModel, rate float64) int {
 	if rate <= 0 {
 		return 1
 	}
 	// Invert latency(ρ) = base + k·ρ/(1-ρ) at the SLA bound.
-	d := slaBound.Seconds() - svc.Base.Seconds()
+	d := paperSLA.LatencyBound.Seconds() - svc.Base.Seconds()
 	if d <= 0 {
 		return math.MaxInt32
 	}
