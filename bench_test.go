@@ -1,80 +1,19 @@
 // bench_test.go holds the pipeline benchmarks of this repo's scaling
-// work beyond the paper's figures, which CI smoke-runs: the batched
-// group-commit write pipeline, the sharded read cache and the batched
-// coordinator insert path. The paper's figures themselves are rows of
-// experiments.json, run and gated by cmd/scads-bench.
+// work beyond the paper's figures: the sharded read cache and the
+// batched coordinator insert path. The paper's figures themselves are
+// rows of experiments.json, run and gated by cmd/scads-bench; the
+// group-commit write pipeline is measured by the ledger
+// (benchmark/, wal.group_commit_us_p50 / syncs_per_append /
+// group_size_mean).
 package scads
 
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
-	"scads/internal/record"
 	"scads/internal/storage"
-	"scads/internal/wal"
 )
-
-// BenchmarkGroupCommitWAL is the acceptance benchmark for the batched
-// group-commit write pipeline: concurrent durable writers through
-// wal.AppendGroup (shared fsync per commit group) versus the unbatched
-// baseline (one private fsync per append, Options.SyncEveryAppend).
-// The batched path must win at >= 4 concurrent writers; fsyncs/op
-// reports how much durability work each configuration actually paid.
-func BenchmarkGroupCommitWAL(b *testing.B) {
-	payload := strings.Repeat("x", 128)
-	for _, writers := range []int{1, 4, 16} {
-		for _, mode := range []string{"unbatched", "group-commit"} {
-			b.Run(fmt.Sprintf("%s/writers=%d", mode, writers), func(b *testing.B) {
-				var opts *wal.Options
-				if mode == "unbatched" {
-					opts = &wal.Options{SyncEveryAppend: true}
-				}
-				l, _, err := wal.Open(b.TempDir(), opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer l.Close()
-				b.ResetTimer()
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				for w := 0; w < writers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for {
-							i := next.Add(1)
-							if i > int64(b.N) {
-								return
-							}
-							rec := record.Record{
-								Key:     []byte(fmt.Sprintf("w%02d-%09d", w, i)),
-								Value:   []byte(payload),
-								Version: uint64(i),
-							}
-							var appendErr error
-							if mode == "unbatched" {
-								appendErr = l.Append(rec)
-							} else {
-								appendErr = l.AppendGroup(rec)
-							}
-							if appendErr != nil {
-								b.Error(appendErr)
-								return
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-				b.StopTimer()
-				st := l.Stats()
-				b.ReportMetric(float64(st.Syncs)/float64(b.N), "fsyncs/op")
-			})
-		}
-	}
-}
 
 // BenchmarkReadCache measures the sharded read cache on a namespace
 // whose working set lives in SSTables: cached point gets skip the

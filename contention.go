@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"scads/internal/clock"
 	"scads/internal/consistency"
 )
 
@@ -19,7 +20,8 @@ import (
 type ContentionEvent struct {
 	// At is the cluster-clock time of the contention.
 	At time.Time
-	// Table whose read hit the contention.
+	// Table whose spec the contended read was under (the read itself
+	// may have been of an index the table drives).
 	Table string
 	// Won is the axis the declared priority order preserved; Sacrificed
 	// is the axis given up. With read-consistency prioritised the read
@@ -66,6 +68,58 @@ func (l *contentionLog) record(ev ContentionEvent) {
 		cb(ev)
 	}
 }
+
+// bounds is what the router asks the coordinator about the declared
+// staleness bounds (partition.Bounds): the replication tracker against
+// the governing spec's bound, the spec's priority order when only
+// replicas over it can answer a read, and the note that choice leaves
+// for the director and the operators either way.
+type bounds struct{ c *Cluster }
+
+// governing returns the spec a storage namespace is read under: its
+// table's, or for an index its driving table's — the table whose bound
+// index maintenance replicates it under. It reads the snapshot
+// publishBounds left, so the router's question costs a read one map
+// lookup and no lock.
+func (b bounds) governing(ns string) consistency.Spec {
+	return (*b.c.governed.Load())[ns]
+}
+
+// publishBounds republishes which spec each storage namespace is read
+// under. DefineSchema and ApplyConsistency call it, holding c.mu, after
+// changing either side of that mapping.
+func (c *Cluster) publishBounds() {
+	g := make(map[string]consistency.Spec)
+	for _, def := range c.plans.Indexes {
+		g[def.Namespace] = c.specs[def.Driving]
+	}
+	for t, spec := range c.specs {
+		g[c.tableNS[t]] = spec
+	}
+	c.governed.Store(&g)
+}
+
+func (b bounds) Stale(ns, nodeID string) bool {
+	bound := b.governing(ns).Staleness
+	return bound > 0 && b.c.pump.Tracker().Staleness(ns, nodeID) > bound
+}
+
+func (b bounds) ServeStale(ns string) bool {
+	return !b.governing(ns).Prefers(consistency.AxisReadConsistency, consistency.AxisAvailability)
+}
+
+func (b bounds) Contended(ns string, served bool) {
+	ev := ContentionEvent{
+		At: b.c.clk.Now(), Table: b.governing(ns).Namespace,
+		Won: consistency.AxisReadConsistency, Sacrificed: consistency.AxisAvailability,
+	}
+	if served {
+		ev.Won, ev.Sacrificed, ev.StaleServed = consistency.AxisAvailability, consistency.AxisReadConsistency, true
+	}
+	b.c.contention.record(ev)
+}
+
+func (b bounds) Clock() clock.Clock { return b.c.clk }
 
 // ContentionStats aggregates requirement contentions since the cluster
 // opened. The director reads these to learn that declared requirements

@@ -95,8 +95,10 @@ type Capacity interface {
 	// the given per-server request rate.
 	PredictLatency(ratePerServer float64) float64
 	// ServersNeeded returns how many servers keep the predicted
-	// latency under slaLatencySeconds at the given total rate, with
-	// the given headroom fraction (e.g. 0.8 targets 80% utilisation).
+	// latency under slaLatencySeconds at the given total rate, keeping
+	// the headroom fraction of each server's usable capacity free
+	// (0.2 sizes for servers 80% busy) — the director's meaning, and
+	// mlmodel's.
 	ServersNeeded(totalRate, slaLatencySeconds, headroom float64, fallback int) int
 }
 
@@ -128,8 +130,8 @@ func (a AnalyticCapacity) ServersNeeded(totalRate, slaLatencySeconds, headroom f
 	if a.PerServer <= 0 {
 		return fallback
 	}
-	if headroom <= 0 || headroom > 1 {
-		headroom = 0.8
+	if headroom < 0 || headroom >= 1 {
+		headroom = sizingHeadroom
 	}
 	// Largest per-server rate whose predicted latency meets the SLA.
 	usable := a.PerServer * 0.99
@@ -140,7 +142,7 @@ func (a AnalyticCapacity) ServersNeeded(totalRate, slaLatencySeconds, headroom f
 			usable = r
 		}
 	}
-	usable *= headroom
+	usable *= 1 - headroom
 	if usable <= 0 {
 		return fallback
 	}
@@ -167,9 +169,9 @@ type Config struct {
 	ReplicationFactor int
 }
 
-// targetUtilisation is the fraction of a server's usable capacity sizing
-// aims for, passed as Capacity.ServersNeeded's headroom argument.
-const targetUtilisation = 0.8
+// sizingHeadroom is the fraction of a server's usable capacity sizing
+// keeps free, as the director does.
+const sizingHeadroom = 0.2
 
 func (c Config) withDefaults() Config {
 	c.Pricing = c.Pricing.withDefaults()
@@ -309,7 +311,7 @@ func Advise(s *query.Schema, results map[string]*analyzer.Result,
 	readRate := w.TotalQueryRate()
 	writeRate := w.TotalUpdateRate()
 	totalRate := readRate + writeRate + maintRate
-	servers := cfg.Capacity.ServersNeeded(totalRate, cfg.SLALatency.Seconds(), targetUtilisation, 1)
+	servers := cfg.Capacity.ServersNeeded(totalRate, cfg.SLALatency.Seconds(), sizingHeadroom, 1)
 	perServer := totalRate / float64(servers)
 
 	for _, name := range s.QueryOrder {

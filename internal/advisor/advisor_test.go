@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"scads/internal/analyzer"
+	"scads/internal/mlmodel"
 	"scads/internal/planner"
 	"scads/internal/query"
 )
@@ -233,8 +234,8 @@ func TestAnalyticCapacityLatencyMonotone(t *testing.T) {
 
 func TestAnalyticCapacityServersNeeded(t *testing.T) {
 	c := analytic()
-	n1 := c.ServersNeeded(100, 0.1, 0.8, 1)
-	n2 := c.ServersNeeded(10_000, 0.1, 0.8, 1)
+	n1 := c.ServersNeeded(100, 0.1, 0.2, 1)
+	n2 := c.ServersNeeded(10_000, 0.1, 0.2, 1)
 	if n1 < 1 {
 		t.Fatalf("ServersNeeded(100) = %d", n1)
 	}
@@ -242,10 +243,31 @@ func TestAnalyticCapacityServersNeeded(t *testing.T) {
 		t.Errorf("100x load needs %d servers vs %d — not increasing", n2, n1)
 	}
 	// A tighter SLA can never need fewer servers.
-	loose := c.ServersNeeded(10_000, 1.0, 0.8, 1)
-	tight := c.ServersNeeded(10_000, 0.01, 0.8, 1)
+	loose := c.ServersNeeded(10_000, 1.0, 0.2, 1)
+	tight := c.ServersNeeded(10_000, 0.01, 0.2, 1)
 	if tight < loose {
 		t.Errorf("tighter SLA needs %d < %d servers", tight, loose)
+	}
+}
+
+// TestFittedModelSizesLikeItsCurve: the two Capacity implementations
+// read headroom the same way. A CapacityModel fitted on samples of
+// AnalyticCapacity's own latency curve sizes within a server of it.
+func TestFittedModelSizesLikeItsCurve(t *testing.T) {
+	c := analytic()
+	var fitted mlmodel.CapacityModel
+	for rate := 25.0; rate < 0.95*c.PerServer; rate += 25 {
+		fitted.Observe(rate, c.PredictLatency(rate))
+	}
+	if !fitted.Fit() {
+		t.Fatal("model did not fit the analytic curve")
+	}
+	for _, total := range []float64{1_000, 5_000, 10_000} {
+		want := c.ServersNeeded(total, 0.1, sizingHeadroom, 1)
+		got := fitted.ServersNeeded(total, 0.1, sizingHeadroom, 1)
+		if d := got - want; d < -1 || d > 1 {
+			t.Errorf("at %v req/s the fitted model sizes %d servers, the curve it was fitted on %d", total, got, want)
+		}
 	}
 }
 
@@ -253,7 +275,7 @@ func TestServersNeededMonotoneInLoadQuick(t *testing.T) {
 	c := analytic()
 	f := func(a, b uint16) bool {
 		lo, hi := float64(a), float64(a)+float64(b)
-		return c.ServersNeeded(lo, 0.1, 0.8, 1) <= c.ServersNeeded(hi, 0.1, 0.8, 1)
+		return c.ServersNeeded(lo, 0.1, 0.2, 1) <= c.ServersNeeded(hi, 0.1, 0.2, 1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -519,7 +519,7 @@ func TestGetBatchFallbackUnderCrashedNode(t *testing.T) {
 	// batch envelope to n1 errors and the fallback must recover every
 	// key from n2.
 	tc.transport.SetDown("addr-n1", true)
-	res, err := tc.router.GetBatch("ns", keys, ReadPrimary)
+	res, err := tc.router.GetBatch("ns", keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +546,7 @@ func TestGetBatchUnroutedKeysRetryThroughGet(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		tc.dir.MarkUp("n1")
 	}()
-	res, err := tc.router.GetBatch("ns", [][]byte{[]byte("a")}, ReadAny)
+	res, err := tc.router.GetBatch("ns", [][]byte{[]byte("a")})
 	if err != nil {
 		t.Fatal(err)
 	}

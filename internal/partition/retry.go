@@ -11,21 +11,53 @@ import (
 )
 
 // This file is the request-execution core: the one place that decides
-// what a failed attempt means and how long a request may be delayed by
-// it. The contract (ARCHITECTURE.md, "Request execution"): a write
-// fence, a dead node and an overloaded node delay a request, they never
-// fail it until its budget is spent; anything else a node says is the
-// request's answer. Every coordinator path — get, put, delete, apply,
-// scan — hands execute an attempt and gets back the answer or the
-// uniform give-up error of the last fault it met.
+// which replica a request is offered to, what a failed attempt means and
+// how long a request may be delayed by it. The contract
+// (ARCHITECTURE.md, "Request execution"): a write fence, a dead node and
+// an overloaded node delay a request, they never fail it until its
+// budget is spent; a replica over its namespace's declared staleness
+// bound is asked only when the namespace puts availability first;
+// anything else a node says is the request's answer. Every coordinator
+// path — get, put, delete, apply, scan — hands execute an attempt and
+// gets back the answer or the uniform give-up error of the last fault it
+// met.
 
 // ErrNoReplicaAvailable is returned when every replica of the target
 // range is down or unreachable.
 var ErrNoReplicaAvailable = errors.New("partition: no replica available")
 
+// ErrStaleReplicas is returned when only replicas over the namespace's
+// staleness bound could answer a read and the namespace ranks read
+// consistency above availability (§3.3.1).
+var ErrStaleReplicas = errors.New("partition: staleness bound unsatisfiable and read-consistency prioritised over availability")
+
+// errRefused is the fault of a replica whose answer the read's caller
+// would not accept (GetIf): it fails over like a replica that is down.
+var errRefused = errors.New("answer below the session's floor")
+
+// Bounds is the coordinator's side of the declared staleness bounds,
+// handed to the router once (HoldBack): the replication tracker, the
+// namespaces' specs and the contention log behind one question each.
+type Bounds interface {
+	// Stale reports whether nodeID's copy of namespace is over the
+	// namespace's declared bound right now.
+	Stale(namespace, nodeID string) bool
+	// ServeStale is the namespace's priority order: whether a read that
+	// only stale replicas could answer is served by them (availability
+	// first) or refused.
+	ServeStale(namespace string) bool
+	// Contended notes that a read of namespace met that choice, and
+	// which way it went.
+	Contended(namespace string, served bool)
+	// Clock is the clock staleness is measured on; a read stalling for
+	// a fresh replica waits on it.
+	Clock() clock.Clock
+}
+
 // An attempt performs one round trip of a request against the node at
 // addr, which currently serves rng, and returns the transport's answer
-// verbatim. Attempts are the only code in this package that touches the
+// verbatim (GetIf's turns an answer its caller refuses into the
+// replica's fault). Attempts are the only code in this package that touches the
 // transport (scads-vet's rpcretry rule); what the answer means is
 // decided here, once.
 type attempt func(rng Range, addr string) (rpc.Response, error)
@@ -36,6 +68,7 @@ type class uint8
 const (
 	classOK         class = iota
 	classDown             // the replica could not answer: fail over, then wait out the failover flip
+	classStale            // only replicas held back as stale are left and the namespace refuses them: stall for a fresh one, then give up
 	classOverloaded       // the replica shed the request: fail over, then wait its retry-after hint
 	classFenced           // the range is mid-handoff: re-read the map after the fence pause
 	classFatal            // the node answered with a semantic error: the request's result
@@ -77,6 +110,8 @@ func (o outcome) giveUp() error {
 		return rpc.Overloaded(o.hint, "retry budget exhausted")
 	case classFenced:
 		return rpc.ErrFenced
+	case classStale:
+		return ErrStaleReplicas
 	case classDown:
 		if o.err == nil {
 			return ErrNoReplicaAvailable
@@ -102,9 +137,19 @@ func (o outcome) giveUp() error {
 // per call, so a write that waited out a crash failover still gets its
 // full fence allowance when the promoted primary is briefly fenced by
 // the RF-repair handoff that follows.
+//
+// Rounds lost to staleness have their own allowance, stall, and their
+// own deadline on the bounds' clock (replication, unlike recovery, runs
+// on the cluster's clock). Only GetIf sets it, on a budget nothing
+// shares.
 type budget struct {
 	deadline atomic.Int64 // give-up time in Unix nanoseconds; 0 until the first lost round
+	stall    time.Duration
+	staleBy  atomic.Int64 // give-up time of a stalling read; 0 until the first stale round
 }
+
+// stalePoll is how often a stalling read asks again for a fresh replica.
+const stalePoll = 5 * time.Millisecond
 
 // wait sleeps the pause a lost round calls for, cut to what is left of
 // the budget, and reports false once nothing is left.
@@ -113,9 +158,17 @@ func (b *budget) wait(clk clock.Clock, round outcome) bool {
 	if round.class == classOverloaded {
 		pause = round.hint
 	}
+	return lapse(clk, &b.deadline, rpc.DownRetryBudget, pause)
+}
+
+// lapse sleeps pause, cut to what is left until deadline — which it sets
+// to allowance from now at a request's first lost round, so the time the
+// rounds' attempts take is charged like the sleeps — and reports false
+// once nothing is left.
+func lapse(clk clock.Clock, deadline *atomic.Int64, allowance, pause time.Duration) bool {
 	now := clk.Now().UnixNano()
-	b.deadline.CompareAndSwap(0, now+int64(rpc.DownRetryBudget))
-	left := time.Duration(b.deadline.Load() - now)
+	deadline.CompareAndSwap(0, now+int64(allowance))
+	left := time.Duration(deadline.Load() - now)
 	if left <= 0 {
 		return false
 	}
@@ -137,10 +190,15 @@ func (r *Router) execute(namespace string, key []byte, policy ReadPolicy, b *bud
 			return rpc.Response{}, Range{}, err
 		}
 		rng := m.Lookup(key)
-		resp, round := r.offer(rng, policy, try)
+		resp, round := r.offer(namespace, rng, policy, try)
 		switch round.class {
 		case classOK:
 			return resp, rng, nil
+		case classStale:
+			if lapse(r.bounds.Clock(), &b.staleBy, b.stall, stalePoll) {
+				continue
+			}
+			r.bounds.Contended(namespace, false)
 		case classFenced:
 			if fences++; fences <= rpc.FenceRetryLimit {
 				r.clk.Sleep(rpc.FenceRetryPause)
@@ -161,23 +219,47 @@ func (r *Router) execute(namespace string, key []byte, policy ReadPolicy, b *bud
 // re-reading and the siblings are not worth asking. Otherwise the round
 // is lost to overload if any live replica shed it (its hint outranks a
 // dead sibling's fixed pause), else to the replicas being down.
-func (r *Router) offer(rng Range, policy ReadPolicy, try attempt) (rpc.Response, outcome) {
+//
+// A ReadAny round first passes over the replicas that are over the
+// namespace's staleness bound. If nothing else answered and nothing
+// shed, the namespace's priority order arbitrates (§3.3.1) before any
+// pause: availability first offers the request to the held-back
+// replicas in the same order, read consistency first loses the round
+// to staleness.
+func (r *Router) offer(namespace string, rng Range, policy ReadPolicy, try attempt) (rpc.Response, outcome) {
 	replicas, first := r.order(rng.Replicas, policy)
+	bounded := policy == ReadAny && r.bounds != nil
 	round := outcome{class: classDown}
-	for i := range replicas {
-		resp, o := r.tryNode(replicas[(first+i)%len(replicas)], rng, try)
-		switch o.class {
-		case classOverloaded:
-			round = o
-		case classDown:
-			if round.class == classDown {
-				round = o
+	for stale := false; ; stale = true {
+		held := false
+		for i := range replicas {
+			id := replicas[(first+i)%len(replicas)]
+			if bounded && r.bounds.Stale(namespace, id) != stale {
+				held = true
+				continue
 			}
-		default:
-			return resp, o
+			resp, o := r.tryNode(id, rng, try)
+			switch o.class {
+			case classOverloaded:
+				round = o
+			case classDown:
+				if round.class == classDown {
+					round = o
+				}
+			default:
+				if stale && o.class == classOK {
+					r.bounds.Contended(namespace, true)
+				}
+				return resp, o
+			}
+		}
+		if stale || !held || round.class != classDown {
+			return rpc.Response{}, round
+		}
+		if !r.bounds.ServeStale(namespace) {
+			return rpc.Response{}, outcome{class: classStale}
 		}
 	}
-	return rpc.Response{}, round
 }
 
 // order returns the replicas a request under policy may be offered to
@@ -210,10 +292,11 @@ func (r *Router) tryNode(nodeID string, rng Range, try attempt) (rpc.Response, o
 	return resp, outcome{}
 }
 
-// send executes a request that is the same whichever replica serves it
-// (everything but scans).
-func (r *Router) send(key []byte, policy ReadPolicy, b *budget, req rpc.Request) (rpc.Response, Range, error) {
-	return r.execute(req.Namespace, key, policy, b, func(_ Range, addr string) (rpc.Response, error) {
+// send executes a write: req goes to the primary of key's range,
+// whichever node that turns out to be.
+func (r *Router) send(key []byte, req rpc.Request) (rpc.Response, Range, error) {
+	var b budget
+	return r.execute(req.Namespace, key, writePrimary, &b, func(_ Range, addr string) (rpc.Response, error) {
 		return r.transport.Call(addr, req)
 	})
 }

@@ -170,6 +170,169 @@ func TestNodeSemanticErrorIsTheAnswer(t *testing.T) {
 	}
 }
 
+// scriptBounds is the coordinator's side of the staleness bounds as a
+// test sets it: which nodes are over the bound (by time elapsed on the
+// rig's clock), what the priority order says, and what was noted.
+type scriptBounds struct {
+	rig             *retryRig
+	stale           func(node string, elapsed time.Duration) bool
+	serve           bool
+	served, refused int
+}
+
+func (b *scriptBounds) Stale(_, node string) bool { return b.stale(node, b.rig.elapsed()) }
+func (b *scriptBounds) ServeStale(string) bool    { return b.serve }
+func (b *scriptBounds) Clock() clock.Clock        { return b.rig.clk }
+func (b *scriptBounds) Contended(_ string, served bool) {
+	if served {
+		b.served++
+	} else {
+		b.refused++
+	}
+}
+
+// TestStaleAndRefusedRounds drives every transition of the stale class
+// and of a refused answer. Replicas are n1 (primary) and n2; the rig's
+// first ReadAny rotation starts at n2. n2 answers version 2, n1 what
+// the row scripts.
+func TestStaleAndRefusedRounds(t *testing.T) {
+	const hint = 7 * time.Millisecond
+	down := func(time.Duration, int) (rpc.Response, error) { return rpc.Response{}, rpc.ErrUnreachable }
+	n2Stale := func(node string, _ time.Duration) bool { return node == "n2" }
+	atLeast := func(floor uint64) func(uint64, bool) bool {
+		return func(ver uint64, _ bool) bool { return ver >= floor }
+	}
+	rows := []struct {
+		name   string
+		n1     func(elapsed time.Duration, call int) (rpc.Response, error)
+		n1Took time.Duration // on the rig's clock, per attempt
+		stale  func(node string, elapsed time.Duration) bool
+		serve  bool
+		policy ReadPolicy
+		stall  time.Duration
+		accept func(uint64, bool) bool
+
+		wantVer         uint64 // of the answer; 0 when the read fails
+		wantErr         error
+		wantElapsed     time.Duration
+		served, refused int
+		calls           map[string]int
+	}{
+		{
+			// Stale outranks down: the verdict comes before any pause.
+			name: "stale, availability first: the held-back replica serves at once",
+			n1:   down, stale: n2Stale, serve: true,
+			wantVer: 2, served: 1, calls: map[string]int{"n1": 1, "n2": 1},
+		},
+		{
+			name: "stale, read consistency first: gives up at once, the stale replica unasked",
+			n1:   down, stale: n2Stale,
+			wantErr: ErrStaleReplicas, refused: 1, calls: map[string]int{"n1": 1},
+		},
+		{
+			name: "stale with a stall allowance: polls until a replica is back inside the bound",
+			n1:   down, stall: time.Minute,
+			stale:   func(node string, elapsed time.Duration) bool { return node == "n2" && elapsed < 4*stalePoll },
+			wantVer: 2, wantElapsed: 4 * stalePoll, calls: map[string]int{"n1": 4, "n2": 1},
+		},
+		{
+			name: "stall allowance spent: gives up, noted once",
+			n1:   down, stale: n2Stale, stall: 10 * stalePoll,
+			wantErr: ErrStaleReplicas, wantElapsed: 10 * stalePoll, refused: 1, calls: map[string]int{"n1": 11},
+		},
+		{
+			// A fresh replica that burns a dial timeout per round: the
+			// third round ends at the deadline set after the first.
+			name: "time spent in attempts is charged to the stall allowance",
+			n1:   down, n1Took: 4 * stalePoll, stale: n2Stale, stall: 10 * stalePoll,
+			wantErr: ErrStaleReplicas, wantElapsed: 14 * stalePoll, refused: 1, calls: map[string]int{"n1": 3},
+		},
+		{
+			name: "availability first never stalls",
+			n1:   down, stale: n2Stale, serve: true, stall: time.Minute,
+			wantVer: 2, served: 1, calls: map[string]int{"n1": 1, "n2": 1},
+		},
+		{
+			// A fresh replica that shed the read will answer after its
+			// hint: worth waiting for under either priority order.
+			name: "overload outranks stale",
+			n1: func(_ time.Duration, call int) (rpc.Response, error) {
+				if call == 1 {
+					return wireErr(rpc.Overloaded(hint, "test shed"))
+				}
+				return rpc.Response{Found: true, Version: 1}, nil
+			},
+			stale: n2Stale, serve: true,
+			wantVer: 1, wantElapsed: hint, calls: map[string]int{"n1": 2},
+		},
+		{
+			name: "every replica stale: asked in rotation order",
+			n1:   down, stale: func(string, time.Duration) bool { return true }, serve: true,
+			wantVer: 2, served: 1, calls: map[string]int{"n2": 1},
+		},
+		{
+			name:    "ReadPrimary holds nothing back",
+			n1:      func(time.Duration, int) (rpc.Response, error) { return rpc.Response{Found: true, Version: 1}, nil },
+			stale:   func(string, time.Duration) bool { return true },
+			policy:  ReadPrimary,
+			wantVer: 1, calls: map[string]int{"n1": 1},
+		},
+		{
+			name:    "a refused answer fails over to the primary",
+			n1:      func(time.Duration, int) (rpc.Response, error) { return rpc.Response{Found: true, Version: 3}, nil },
+			accept:  atLeast(3),
+			wantVer: 3, calls: map[string]int{"n1": 1, "n2": 1},
+		},
+		{
+			name:    "every answer refused: waits like every replica down",
+			n1:      func(time.Duration, int) (rpc.Response, error) { return rpc.Response{Found: true, Version: 3}, nil },
+			accept:  atLeast(4),
+			wantErr: ErrNoReplicaAvailable, wantElapsed: rpc.DownRetryBudget,
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var rig *retryRig
+			rig = newRetryRig(t, func(addr string, _ rpc.Request) (rpc.Response, error) {
+				if addr == "n1" {
+					rig.clk.Advance(row.n1Took)
+					return row.n1(rig.elapsed(), rig.tr.calls["n1"])
+				}
+				return rpc.Response{Found: true, Version: 2}, nil
+			})
+			b := &scriptBounds{rig: rig, stale: row.stale, serve: row.serve}
+			if row.stale != nil {
+				rig.router.HoldBack(b)
+			}
+			var ver uint64
+			var err error
+			if row.policy == ReadPrimary {
+				_, ver, _, err = rig.router.Get("ns", []byte("k"), ReadPrimary)
+			} else {
+				_, ver, _, err = rig.router.GetIf("ns", []byte("k"), row.stall, row.accept)
+			}
+			if !errors.Is(err, row.wantErr) || ver != row.wantVer {
+				t.Fatalf("read = version %d, %v; want version %d, %v", ver, err, row.wantVer, row.wantErr)
+			}
+			if rig.elapsed() != row.wantElapsed {
+				t.Errorf("took %v, want exactly %v", rig.elapsed(), row.wantElapsed)
+			}
+			if b.served != row.served || b.refused != row.refused {
+				t.Errorf("noted %d served, %d refused; want %d, %d", b.served, b.refused, row.served, row.refused)
+			}
+			for addr, want := range row.calls {
+				if rig.tr.calls[addr] != want {
+					t.Errorf("calls = %v, want %v", rig.tr.calls, row.calls)
+					break
+				}
+			}
+			if _, asked := row.calls["n2"]; row.calls != nil && !asked && rig.tr.calls["n2"] != 0 {
+				t.Errorf("n2 was asked %d times, want never", rig.tr.calls["n2"])
+			}
+		})
+	}
+}
+
 // TestFenceAllowanceSurvivesSpentDownBudget is the PR 3 invariant: a
 // write that waited out a crash failover to the last pause of its down
 // budget still gets the whole fence allowance when the promoted primary
@@ -206,7 +369,7 @@ func TestGetBatchFallbackSharesOneBudget(t *testing.T) {
 	rig.dir.MarkDown("n1")
 	rig.dir.MarkDown("n2")
 	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d"), []byte("e")}
-	res, err := rig.router.GetBatch("ns", keys, ReadAny)
+	res, err := rig.router.GetBatch("ns", keys)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,11 @@ package partition
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"scads/internal/clock"
 	"scads/internal/cluster"
@@ -16,12 +19,11 @@ type ReadPolicy int
 
 const (
 	// ReadAny rotates across replicas — the relaxed-consistency read
-	// path. The router knows no staleness bound and no session floor:
-	// a replica answers with whatever it has applied. The coordinator's
-	// Get/GetSession/GetStall enforce both themselves, replica by
-	// replica (GetFrom); Query's gets and scans use ReadAny as is, so
-	// their staleness is bounded only by the replication pump's
-	// deadline order, not per read.
+	// path of every coordinator read: Get, Query's gets and scans. A
+	// replica over its namespace's declared staleness bound (HoldBack)
+	// is passed over while any other can answer; when none can, the
+	// namespace's priority order decides between serving from it and
+	// ErrStaleReplicas (offer, retry.go).
 	ReadAny ReadPolicy = iota
 	// ReadPrimary always reads the primary — used when the
 	// consistency spec demands read-your-writes without session state
@@ -38,9 +40,10 @@ type Router struct {
 	transport rpc.Transport
 	dir       *cluster.Directory
 	clk       clock.Clock // paces retries (retry.go); real outside this package's tests
+	bounds    Bounds      // nil: no replica is ever held back as stale
 
-	mu   sync.RWMutex
-	maps map[string]*Map
+	mu   sync.Mutex                      // serialises SetMap
+	maps atomic.Pointer[map[string]*Map] // copy-on-write: a request reads it twice (staging, execute), SetMap is a schema or placement event
 
 	rr atomic.Uint64 // round-robin counter for ReadAny
 }
@@ -48,33 +51,33 @@ type Router struct {
 // NewRouter returns a Router resolving node addresses through dir and
 // calling through transport.
 func NewRouter(transport rpc.Transport, dir *cluster.Directory) *Router {
-	return &Router{transport: transport, dir: dir, clk: clock.NewReal(), maps: make(map[string]*Map)}
+	r := &Router{transport: transport, dir: dir, clk: clock.NewReal()}
+	r.maps.Store(&map[string]*Map{})
+	return r
 }
+
+// HoldBack hands the router the coordinator's staleness bounds. Call it
+// before the first request.
+func (r *Router) HoldBack(b Bounds) { r.bounds = b }
 
 // SetMap installs the partition map for a namespace.
 func (r *Router) SetMap(namespace string, m *Map) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.maps[namespace] = m
+	next := maps.Clone(*r.maps.Load())
+	next[namespace] = m
+	r.maps.Store(&next)
 }
 
 // Map returns the partition map for a namespace.
 func (r *Router) Map(namespace string) (*Map, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	m, ok := r.maps[namespace]
+	m, ok := (*r.maps.Load())[namespace]
 	return m, ok
 }
 
 // Namespaces lists namespaces with installed maps.
 func (r *Router) Namespaces() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.maps))
-	for ns := range r.maps {
-		out = append(out, ns)
-	}
-	return out
+	return slices.Collect(maps.Keys(*r.maps.Load()))
 }
 
 func (r *Router) mapFor(namespace string) (*Map, error) {
@@ -101,14 +104,35 @@ func (r *Router) addrOf(nodeID string) (string, bool) {
 // request-execution contract (retry.go).
 func (r *Router) Get(namespace string, key []byte, policy ReadPolicy) ([]byte, uint64, bool, error) {
 	var b budget
-	g := r.get(namespace, key, policy, &b)
+	g := r.get(namespace, key, policy, &b, nil)
+	return g.Value, g.Version, g.Found, g.Err
+}
+
+// GetIf is the coordinator's point read: Get under ReadAny with the
+// read's own two conditions. A replica whose answer accept refuses (a
+// session's floor; nil accepts any) fails over like one that is down,
+// so the read ends at the primary or waits out the budget for an
+// acceptable answer. stall is how long the read may wait for a replica
+// inside the staleness bound before ErrStaleReplicas, where the
+// namespace refuses the stale ones (§3.3.1's "a client query would
+// stall until the updates can be confirmed").
+func (r *Router) GetIf(namespace string, key []byte, stall time.Duration, accept func(version uint64, found bool) bool) ([]byte, uint64, bool, error) {
+	b := budget{stall: stall}
+	g := r.get(namespace, key, ReadAny, &b, accept)
 	return g.Value, g.Version, g.Found, g.Err
 }
 
 // get is Get under a caller-supplied budget, so a batch's fallback
-// keys share one.
-func (r *Router) get(namespace string, key []byte, policy ReadPolicy, b *budget) GetResult {
-	resp, _, err := r.send(key, policy, b, rpc.Request{Method: rpc.MethodGet, Namespace: namespace, Key: key})
+// keys share one, and acceptance test.
+func (r *Router) get(namespace string, key []byte, policy ReadPolicy, b *budget, accept func(uint64, bool) bool) GetResult {
+	req := rpc.Request{Method: rpc.MethodGet, Namespace: namespace, Key: key}
+	resp, _, err := r.execute(namespace, key, policy, b, func(_ Range, addr string) (rpc.Response, error) {
+		resp, err := r.transport.Call(addr, req)
+		if err == nil && resp.Err == "" && accept != nil && !accept(resp.Version, resp.Found) {
+			err = errRefused
+		}
+		return resp, err
+	})
 	return GetResult{Value: resp.Value, Version: resp.Version, Found: resp.Found, Err: err}
 }
 
@@ -120,39 +144,33 @@ type GetResult struct {
 	Err     error
 }
 
-// GetBatch reads many keys with at most one request per storage node:
-// keys are grouped by the replica the policy selects and fetched
+// GetBatch reads many keys from their ranges' primaries with at most
+// one request per storage node: keys are grouped by primary and fetched
 // through one MethodBatch envelope per node, so a coordinator-side
 // multi-get costs a handful of round-trips instead of one per key.
-// Keys the envelope did not answer cleanly (node unreachable or
+// Keys the envelope did not answer cleanly (node down, unreachable or
 // shedding, malformed reply, per-key error) fall back to the single-key
-// path with its usual failover, one retry budget per node group. The
-// returned slice matches keys positionally; per-key failures are
-// reported in GetResult.Err rather than aborting the batch.
-func (r *Router) GetBatch(namespace string, keys [][]byte, policy ReadPolicy) ([]GetResult, error) {
+// path with its usual failover, one retry budget per node group — the
+// keys of a crashed primary typically share its range, and a permanent
+// fault must cost one budget per group, not per key. So between a
+// primary's crash and the failover that flips the map its keys cost one
+// round trip each, to the next replica, instead of one envelope: the
+// envelope is not failed over, because the group shares a primary, not
+// a replica list. The returned slice
+// matches keys positionally; per-key failures are reported in
+// GetResult.Err rather than aborting the batch.
+func (r *Router) GetBatch(namespace string, keys [][]byte) ([]GetResult, error) {
 	m, err := r.mapFor(namespace)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]GetResult, len(keys))
-	// node -> indices into keys. Keys with no serving replica at this
-	// instant (likely a crash window the repair manager is about to
-	// resolve) group under "": their envelope attempt fails at once and
-	// the fallback waits out the failover under one budget for all of
-	// them — they typically share the crashed range, and a permanent
-	// configuration error must cost one budget per batch, not per key.
-	groups := make(map[string][]int)
+	groups := make(map[string][]int) // node -> indices into keys
 	for i, key := range keys {
-		replicas, first := r.order(m.Lookup(key).Replicas, policy)
-		node := ""
-		for j := range replicas {
-			id := replicas[(first+j)%len(replicas)]
-			if _, ok := r.addrOf(id); ok {
-				node = id
-				break
-			}
-		}
-		groups[node] = append(groups[node], i)
+		// Never empty: every Map constructor and mutator refuses an
+		// empty replica list (ErrNeedReplicas).
+		replicas, first := r.order(m.Lookup(key).Replicas, ReadPrimary)
+		groups[replicas[first]] = append(groups[replicas[first]], i)
 	}
 	// One flight per node, all in parallel; each goroutine writes a
 	// disjoint set of out indices.
@@ -176,7 +194,7 @@ func (r *Router) GetBatch(namespace string, keys [][]byte, policy ReadPolicy) ([
 			var b budget
 			for j, i := range idxs {
 				if resps == nil || resps[j].Err != "" {
-					out[i] = r.get(namespace, keys[i], policy, &b)
+					out[i] = r.get(namespace, keys[i], ReadPrimary, &b, nil)
 					continue
 				}
 				out[i] = GetResult{Value: resps[j].Value, Version: resps[j].Version, Found: resps[j].Found}
@@ -187,12 +205,11 @@ func (r *Router) GetBatch(namespace string, keys [][]byte, policy ReadPolicy) ([
 	return out, nil
 }
 
-// GetFrom reads key from one specific replica (used by session
-// guarantees to pin reads and by experiments that measure staleness).
+// GetFrom reads key from one specific replica — what a replica
+// verifier or a staleness measurement wants, never a client read.
 // Failing over to another replica would break the pinning, so the read
 // is a single attempt: a down, unreachable or shedding node reports its
-// classified give-up error and the caller decides whether its session
-// floor lets it try elsewhere.
+// classified give-up error.
 func (r *Router) GetFrom(namespace, nodeID string, key []byte) ([]byte, uint64, bool, error) {
 	resp, err := r.sendTo(nodeID, rpc.Request{Method: rpc.MethodGet, Namespace: namespace, Key: key})
 	return resp.Value, resp.Version, resp.Found, err
@@ -211,8 +228,7 @@ func (r *Router) Delete(namespace string, key []byte) (version uint64, replicas 
 }
 
 func (r *Router) write(key []byte, req rpc.Request) (uint64, []string, error) {
-	var b budget
-	resp, rng, err := r.send(key, writePrimary, &b, req)
+	resp, rng, err := r.send(key, req)
 	return resp.Version, rng.Replicas, err
 }
 
@@ -221,8 +237,7 @@ func (r *Router) write(key []byte, req rpc.Request) (uint64, []string, error) {
 // other write. It returns the range that accepted the write, so callers
 // enqueue replication to the replica set that is actually serving it.
 func (r *Router) ApplyToPrimary(namespace string, key []byte, recs []record.Record) (Range, error) {
-	var b budget
-	_, rng, err := r.send(key, writePrimary, &b, rpc.Request{Method: rpc.MethodApply, Namespace: namespace, Records: recs})
+	_, rng, err := r.send(key, rpc.Request{Method: rpc.MethodApply, Namespace: namespace, Records: recs})
 	return rng, err
 }
 

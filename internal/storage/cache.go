@@ -1,7 +1,7 @@
 package storage
 
 import (
-	"strings"
+	"unsafe"
 
 	"scads/internal/record"
 )
@@ -18,8 +18,10 @@ import (
 // negative entry is invalidated by the insert that makes it stale just
 // like a positive one.
 type Cache struct {
-	lru *lru[string, resolution] // keyed namespace + "\x00" + record key
+	lru *lru[recordKey, resolution]
 }
+
+type recordKey struct{ namespace, key string }
 
 // resolution is what a point read of one key found.
 type resolution struct {
@@ -35,12 +37,15 @@ const entryOverhead = 96
 // NewCache returns a cache holding at most totalBytes across shards
 // (shard count rounded up to a power of two, minimum 1).
 func NewCache(totalBytes int64, shards int) *Cache {
-	return &Cache{lru: newLRU[string, resolution](totalBytes, shards)}
+	return &Cache{lru: newLRU[recordKey, resolution](totalBytes, shards)}
 }
 
-func cacheKey(namespace string, key []byte) (string, uint32) {
-	k := namespace + "\x00" + string(key)
-	return k, fnvString(fnvOffset32, k)
+// probe returns (namespace, key)'s place in the LRU and its shard hash
+// (of the two parts in sequence) without copying either: the result
+// aliases key, so it is good for a lookup and must be cloned to be kept.
+func probe(namespace string, key []byte) (recordKey, uint32) {
+	k := recordKey{namespace, unsafe.String(unsafe.SliceData(key), len(key))}
+	return k, fnvString(fnvString(fnvString(fnvOffset32, namespace), "\x00"), k.key)
 }
 
 // Get returns the cached resolution for (namespace, key): the record,
@@ -48,7 +53,7 @@ func cacheKey(namespace string, key []byte) (string, uint32) {
 // an answer at all (hit). A hit with found=false is a cached negative
 // lookup.
 func (c *Cache) Get(namespace string, key []byte) (rec record.Record, found, hit bool) {
-	k, h := cacheKey(namespace, key)
+	k, h := probe(namespace, key)
 	r, hit := c.lru.get(h, k)
 	return r.rec, r.found, hit
 }
@@ -57,14 +62,15 @@ func (c *Cache) Get(namespace string, key []byte) (rec record.Record, found, hit
 // as-is; callers must treat cached records as immutable (the engine's
 // records already are).
 func (c *Cache) Put(namespace string, key []byte, rec record.Record, found bool) {
-	k, h := cacheKey(namespace, key)
-	c.lru.put(h, k, resolution{rec, found}, int64(len(k)+len(rec.Value))+entryOverhead)
+	k, h := probe(namespace, key)
+	k.key = string(key)
+	c.lru.put(h, k, resolution{rec, found}, int64(len(namespace)+len(key)+len(rec.Value))+entryOverhead)
 }
 
 // Invalidate drops any cached resolution for (namespace, key). Called
 // under the namespace write lock by every mutation path.
 func (c *Cache) Invalidate(namespace string, key []byte) {
-	k, h := cacheKey(namespace, key)
+	k, h := probe(namespace, key)
 	c.lru.remove(h, k)
 }
 
@@ -73,8 +79,7 @@ func (c *Cache) Invalidate(namespace string, key []byte) {
 // the affected keys cheaply, so it sheds the whole namespace; the
 // cache refills on the next reads.
 func (c *Cache) InvalidateNamespace(namespace string) {
-	prefix := namespace + "\x00"
-	c.lru.removeIf(func(k string) bool { return strings.HasPrefix(k, prefix) })
+	c.lru.removeIf(func(k recordKey) bool { return k.namespace == namespace })
 }
 
 // Stats returns a snapshot across all shards.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"scads/internal/admission"
-	"scads/internal/consistency"
 	"scads/internal/partition"
 	"scads/internal/planner"
 	"scads/internal/query"
@@ -18,24 +17,43 @@ import (
 // Get reads one row by primary key with the table's declared
 // consistency (no session guarantees).
 func (c *Cluster) Get(table string, pk row.Row) (row.Row, bool, error) {
-	return c.GetSession(table, pk, nil)
+	return c.GetStall(table, pk, nil, 0)
 }
 
 // GetSession reads one row by primary key, honouring the session's
 // guarantees (read-your-writes / monotonic reads) and the namespace's
-// staleness bound. Replicas whose pending replication exceeds the
-// bound are skipped; if that leaves no acceptable replica, the
-// namespace's declared priority order decides between serving stale
-// data (availability first) and failing the read (read-consistency
-// first) — exactly the §3.3.1 contention example.
+// staleness bound. Both are applied where the replica is chosen
+// (partition.Router.GetIf): replicas rotate; one whose pending
+// replication exceeds the bound is held back, one whose answer is under
+// the session's floor fails over to the next, ultimately the primary.
+// If only held-back replicas can answer, the namespace's declared
+// priority order decides between serving stale data (availability
+// first) and failing the read with ErrStaleReplicas (read-consistency
+// first) — exactly the §3.3.1 contention example, noted in the
+// contention log either way. Replicas that are down or shedding delay
+// the read under the same contract as every other request; they do not
+// fail it until its budget is spent.
 func (c *Cluster) GetSession(table string, pk row.Row, sess *session.Session) (row.Row, bool, error) {
+	return c.GetStall(table, pk, sess, 0)
+}
+
+// GetStall reads like GetSession but implements §3.3.1's stalling
+// semantics: "if an update takes longer than the bound, a client query
+// would stall until the updates can be confirmed". When the staleness
+// bound is unsatisfiable and read-consistency is prioritised over
+// availability, the read waits up to timeout on the cluster clock for
+// replication to catch up — in the router's one retry loop, as the
+// allowance for rounds lost to staleness — and fails with
+// ErrStaleReplicas only after it. Namespaces that prioritise
+// availability never stall — they serve stale data at once.
+func (c *Cluster) GetStall(table string, pk row.Row, sess *session.Session, timeout time.Duration) (row.Row, bool, error) {
 	start := c.clk.Now()
-	r, found, err := c.getSession(table, pk, sess)
+	r, found, err := c.getSession(table, pk, sess, timeout)
 	c.record(start, err)
 	return r, found, err
 }
 
-func (c *Cluster) getSession(table string, pk row.Row, sess *session.Session) (row.Row, bool, error) {
+func (c *Cluster) getSession(table string, pk row.Row, sess *session.Session, stall time.Duration) (row.Row, bool, error) {
 	t, ns, err := c.tableDef(table)
 	if err != nil {
 		return nil, false, err
@@ -44,96 +62,82 @@ func (c *Cluster) getSession(table string, pk row.Row, sess *session.Session) (r
 	if err != nil {
 		return nil, false, err
 	}
-	m, ok := c.router.Map(ns)
-	if !ok {
-		return nil, false, fmt.Errorf("scads: no partition map for %s", ns)
-	}
-	rng := m.Lookup(key)
-	// Load is recorded before admission so shed demand stays visible
-	// to the balancer: sustained skew should trigger rebalancing, not
-	// vanish behind the front door.
-	c.loads.Record(ns, rng.Start, key)
-	release, err := c.admit(sess.Tenant(), admission.OpRead, 1)
+	val, ver, found, err := c.pointRead(ns, key, sess.Tenant(), stall, func(ver uint64, found bool) bool {
+		return sess.Acceptable(table, key, ver, found)
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	defer release()
-	spec := c.specFor(table)
-	bound := spec.Staleness
-	tracker := c.pump.Tracker()
+	sess.ObserveRead(table, key, ver, found)
+	r, err := decodeRow(val, found, nil)
+	return r, found, err
+}
 
-	var staleSkipped []string
-	try := func(nodeID string) (row.Row, uint64, bool, bool) {
-		val, ver, found, err := c.router.GetFrom(ns, nodeID, key)
-		if err != nil {
-			return nil, 0, false, false
-		}
-		if !sess.Acceptable(table, key, ver, found) {
-			return nil, 0, false, false
-		}
-		if !found {
-			return nil, ver, false, true
-		}
-		r, err := row.Decode(val)
-		if err != nil {
-			return nil, 0, false, false
-		}
-		return r, ver, true, true
+// staged is the read side's twin of write.go's admitted: every read
+// records its load against each range it touches and then passes the
+// front door at cost. keys are the keys of a point read or, for a scan,
+// the two ends of its interval: a scan's load lands on every range it
+// overlaps, not just the first — otherwise a hot multi-range scan is
+// invisible to the balancer on all but its leading range and the
+// planner never splits or spreads the tail. Load is recorded before
+// admission so shed demand stays visible to the balancer: sustained skew
+// should trigger rebalancing, not vanish behind the front door. The
+// returned release ends the operation's in-flight accounting.
+func (c *Cluster) staged(ns, tenant string, op admission.Op, cost float64, keys ...[]byte) (func(), error) {
+	m, ok := c.router.Map(ns)
+	if !ok {
+		return nil, fmt.Errorf("scads: no partition map for %s", ns)
 	}
-
-	// Rotate across replicas — reads spread load like the paper's
-	// relaxed-consistency read path; unacceptable answers (session
-	// floor, staleness) fall through to the next replica and
-	// ultimately the primary.
-	n := len(rng.Replicas)
-	off := int(c.readRR.Add(1)) % n
-	for i := 0; i < n; i++ {
-		nodeID := rng.Replicas[(off+i)%n]
-		if bound > 0 && tracker.Staleness(ns, nodeID) > bound {
-			staleSkipped = append(staleSkipped, nodeID)
-			continue
-		}
-		if r, ver, found, ok := try(nodeID); ok {
-			sess.ObserveRead(table, key, ver, found)
-			return r, found, nil
-		}
-	}
-
-	// No fresh replica answered acceptably. Stale replicas remain:
-	// the declared priority order arbitrates (§3.3.1), and the outcome
-	// is noted for the director/operators either way.
-	if len(staleSkipped) > 0 {
-		if spec.Prefers(consistency.AxisReadConsistency, consistency.AxisAvailability) {
-			c.contention.record(ContentionEvent{
-				At: c.clk.Now(), Table: table,
-				Won:        consistency.AxisReadConsistency,
-				Sacrificed: consistency.AxisAvailability,
-			})
-			return nil, false, ErrStaleReplicas
-		}
-		for _, nodeID := range staleSkipped {
-			if r, ver, found, ok := try(nodeID); ok {
-				sess.ObserveRead(table, key, ver, found)
-				c.contention.record(ContentionEvent{
-					At: c.clk.Now(), Table: table,
-					Won:         consistency.AxisAvailability,
-					Sacrificed:  consistency.AxisReadConsistency,
-					StaleServed: true,
-				})
-				return r, found, nil
+	if op == admission.OpScan {
+		for _, rng := range m.Overlapping(keys[0], keys[1]) {
+			k := keys[0]
+			if bytes.Compare(rng.Start, k) > 0 { // a nil end is the open one: it sorts first
+				k = rng.Start
 			}
+			c.loads.Record(ns, rng.Start, k)
+		}
+	} else {
+		for _, key := range keys {
+			c.loads.Record(ns, m.Lookup(key).Start, key)
 		}
 	}
-	return nil, false, partition.ErrNoReplicaAvailable
+	return c.admit(tenant, op, cost)
+}
+
+// pointRead is the one point read, behind Get, GetSession, GetStall and
+// the queries planned as a primary-key get: staged, then executed by
+// the router's chooser under the read's acceptance test and stall
+// allowance.
+func (c *Cluster) pointRead(ns string, key []byte, tenant string, stall time.Duration, accept func(version uint64, found bool) bool) ([]byte, uint64, bool, error) {
+	release, err := c.staged(ns, tenant, admission.OpRead, 1, key)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	defer release()
+	return c.router.GetIf(ns, key, stall, accept)
+}
+
+// decodeRow is the one decode step: a found stored value becomes a row,
+// narrowed to the plan's projected columns when it has any (index
+// accesses store pre-projected rows, so they have none).
+func decodeRow(val []byte, found bool, cols []string) (row.Row, error) {
+	if !found {
+		return nil, nil
+	}
+	r, err := row.Decode(val)
+	if err != nil || len(cols) == 0 {
+		return r, err
+	}
+	return row.Project(r, cols), nil
 }
 
 // GetMulti reads many rows by primary key in one coordinator pass:
 // keys are grouped by node and fetched through one batched request
 // per node (partition.Router.GetBatch), so a page assembling N rows
 // costs a handful of round-trips instead of N. Reads go to each
-// range's primary, so every result is at least as fresh as Get's;
-// no session bookkeeping is applied. Results are positional: rows[i]
-// and found[i] answer pks[i].
+// range's primary, so neither the staleness bound nor a session floor
+// has anything to hold back: every result is at least as fresh as
+// Get's. Results are positional: rows[i] and found[i] answer pks[i].
 func (c *Cluster) GetMulti(table string, pks []row.Row) (rows []row.Row, found []bool, err error) {
 	start := c.clk.Now()
 	rows, found, err = c.getMulti(table, pks)
@@ -149,25 +153,18 @@ func (c *Cluster) getMulti(table string, pks []row.Row) ([]row.Row, []bool, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	m, ok := c.router.Map(ns)
-	if !ok {
-		return nil, nil, fmt.Errorf("scads: no partition map for %s", ns)
-	}
 	keys := make([][]byte, len(pks))
 	for i, pk := range pks {
-		key, err := pkKey(t, pk)
-		if err != nil {
+		if keys[i], err = pkKey(t, pk); err != nil {
 			return nil, nil, err
 		}
-		keys[i] = key
-		c.loads.Record(ns, m.Lookup(key).Start, key)
 	}
-	release, err := c.admit("", admission.OpRead, float64(len(pks)))
+	release, err := c.staged(ns, "", admission.OpRead, float64(len(keys)), keys...)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer release()
-	res, err := c.router.GetBatch(ns, keys, partition.ReadPrimary)
+	res, err := c.router.GetBatch(ns, keys)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -177,42 +174,12 @@ func (c *Cluster) getMulti(table string, pks []row.Row) ([]row.Row, []bool, erro
 		if gr.Err != nil {
 			return nil, nil, gr.Err
 		}
-		if !gr.Found {
-			continue
-		}
-		r, err := row.Decode(gr.Value)
-		if err != nil {
+		if rows[i], err = decodeRow(gr.Value, gr.Found, nil); err != nil {
 			return nil, nil, err
 		}
-		rows[i], found[i] = r, true
+		found[i] = gr.Found
 	}
 	return rows, found, nil
-}
-
-// GetStall reads like GetSession but implements §3.3.1's stalling
-// semantics: "if an update takes longer than the bound, a client query
-// would stall until the updates can be confirmed". When the staleness
-// bound is unsatisfiable and read-consistency is prioritised over
-// availability, the read waits (polling on the cluster clock) for
-// replication to catch up instead of failing immediately; it gives up
-// with ErrStaleReplicas only after timeout. Namespaces that prioritise
-// availability never stall — they serve stale data at once.
-func (c *Cluster) GetStall(table string, pk row.Row, sess *session.Session, timeout time.Duration) (row.Row, bool, error) {
-	start := c.clk.Now()
-	deadline := start.Add(timeout)
-	const pollEvery = 5 * time.Millisecond
-	for {
-		r, found, err := c.getSession(table, pk, sess)
-		if err == nil || err != ErrStaleReplicas {
-			c.record(start, err)
-			return r, found, err
-		}
-		if !c.clk.Now().Add(pollEvery).Before(deadline) {
-			c.record(start, err)
-			return nil, false, err
-		}
-		<-c.clk.After(pollEvery)
-	}
 }
 
 // InsertSession is Insert plus read-your-writes bookkeeping: the
@@ -260,10 +227,12 @@ func (c *Cluster) observeOwnWrite(table string, pk row.Row, sess *session.Sessio
 
 // Query executes a declared query template with the given parameters,
 // returning at most its LIMIT rows in index order. Every execution is
-// a single bounded contiguous range read (§3.1). It reads whichever
-// replica the router's rotation picks (partition.ReadAny): the table's
-// staleness bound and session guarantees, which Get/GetSession/GetStall
-// check replica by replica, are not applied to queries.
+// a single bounded contiguous range read (§3.1), served by whichever
+// replica the router's rotation picks (partition.ReadAny) under the
+// staleness bound of the table the plan's namespace derives from — an
+// index inherits its driving table's — with the same §3.3.1 arbitration
+// as Get when only stale replicas can answer. Session floors are per
+// key and are not applied to queries.
 func (c *Cluster) Query(name string, params map[string]any) ([]row.Row, error) {
 	return c.QuerySession(name, params, nil)
 }
@@ -292,41 +261,24 @@ func (c *Cluster) query(name string, params map[string]any, tenant string) ([]ro
 		return nil, err
 	}
 
+	var cols []string
+	for _, pc := range plan.Project {
+		cols = append(cols, pc.Column)
+	}
+
 	if plan.Access == planner.AccessPKGet {
-		if m, ok := c.router.Map(plan.Namespace); ok {
-			c.loads.Record(plan.Namespace, m.Lookup(startKey).Start, startKey)
-		}
-		release, err := c.admit(tenant, admission.OpRead, 1)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		val, _, found, err := c.router.Get(plan.Namespace, startKey, partition.ReadAny)
+		val, _, found, err := c.pointRead(plan.Namespace, startKey, tenant, 0, nil)
 		if err != nil || !found {
 			return nil, err
 		}
-		r, err := row.Decode(val)
+		r, err := decodeRow(val, found, cols)
 		if err != nil {
 			return nil, err
 		}
-		return []row.Row{projectRow(r, plan.Project)}, nil
+		return []row.Row{r}, nil
 	}
 
-	// A scan's load lands on every range it overlaps, not just the
-	// first — otherwise a hot multi-range scan is invisible to the
-	// balancer on all but its leading range and the planner never
-	// splits or spreads the tail.
-	if m, ok := c.router.Map(plan.Namespace); ok {
-		for _, rng := range m.Overlapping(startKey, endKey) {
-			k := startKey
-			if rng.Start != nil && (k == nil || bytes.Compare(rng.Start, k) > 0) {
-				k = rng.Start
-			}
-			c.loads.Record(plan.Namespace, rng.Start, k)
-		}
-	}
-
-	release, err := c.admit(tenant, admission.OpScan, 1)
+	release, err := c.staged(plan.Namespace, tenant, admission.OpScan, 1, startKey, endKey)
 	if err != nil {
 		return nil, err
 	}
@@ -336,20 +288,14 @@ func (c *Cluster) query(name string, params map[string]any, tenant string) ([]ro
 	// plan narrows stored rows) the projection travel with the request,
 	// so storage nodes return pre-filtered, pre-projected rows instead
 	// of the coordinator decoding every base row.
-	opts := partition.ScanOptions{Limit: plan.Limit, Policy: partition.ReadAny, Tenant: tenant}
 	filters, err := planner.ComputeFilters(plan, norm)
 	if err != nil {
 		return nil, err
 	}
-	opts.Preds = scanPreds(filters)
-	if len(plan.Project) > 0 {
-		cols := make([]string, len(plan.Project))
-		for i, pc := range plan.Project {
-			cols[i] = pc.Column
-		}
-		opts.Projection = cols
-	}
-	recs, err := c.router.ScanOpts(plan.Namespace, startKey, endKey, opts)
+	recs, err := c.router.ScanOpts(plan.Namespace, startKey, endKey, partition.ScanOptions{
+		Limit: plan.Limit, Policy: partition.ReadAny, Tenant: tenant,
+		Preds: scanPreds(filters), Projection: cols,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -357,21 +303,14 @@ func (c *Cluster) query(name string, params map[string]any, tenant string) ([]ro
 	// until the fan-out returns, so the tenant's bucket is debited
 	// after the fact and an overdraw blocks the *next* scan.
 	var scanBytes int64
-	for _, rec := range recs {
+	out := make([]row.Row, len(recs))
+	for i, rec := range recs {
 		scanBytes += int64(len(rec.Value))
-	}
-	c.admission.DebitScanBytes(tenant, scanBytes)
-	out := make([]row.Row, 0, len(recs))
-	for _, rec := range recs {
-		r, err := row.Decode(rec.Value)
-		if err != nil {
+		if out[i], err = decodeRow(rec.Value, true, cols); err != nil {
 			return nil, err
 		}
-		if len(plan.Project) > 0 {
-			r = projectRow(r, plan.Project)
-		}
-		out = append(out, r)
 	}
+	c.admission.DebitScanBytes(tenant, scanBytes)
 	return out, nil
 }
 
@@ -400,17 +339,4 @@ func predOp(op query.CompareOp) rpc.ScanPredOp {
 	default:
 		return rpc.PredEq
 	}
-}
-
-// projectRow narrows a stored base row to the plan's projection (index
-// accesses store pre-projected rows, so they skip this).
-func projectRow(r row.Row, project []planner.ProjectCol) row.Row {
-	if len(project) == 0 {
-		return r
-	}
-	cols := make([]string, len(project))
-	for i, pc := range project {
-		cols[i] = pc.Column
-	}
-	return row.Project(r, cols)
 }

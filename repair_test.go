@@ -368,6 +368,75 @@ func TestRepairRestoresWritesAfterPrimaryCrash(t *testing.T) {
 	}
 }
 
+// getGate answers every get with the fault the test sets, in place of
+// the node, until the fault is cleared.
+type getGate struct {
+	next  rpc.Transport
+	fault atomic.Pointer[func() (rpc.Response, error)]
+}
+
+func (g *getGate) Call(addr string, req rpc.Request) (rpc.Response, error) {
+	if f := g.fault.Load(); f != nil && req.Method == rpc.MethodGet {
+		return (*f)()
+	}
+	return g.next.Call(addr, req)
+}
+
+// TestRepairGetRidesThroughFailover: the public Get is under the same
+// contract as every other request — replicas that are all down or all
+// shedding delay it, and it fails only once the budget is spent, with
+// the classified error of the fault it was still meeting.
+func TestRepairGetRidesThroughFailover(t *testing.T) {
+	open := func(t *testing.T) (*Cluster, *getGate) {
+		gate := &getGate{}
+		c := newWrappedCluster(t, 2, socialDDL, func(next rpc.Transport) rpc.Transport {
+			gate.next = next
+			return gate
+		})
+		if err := c.Insert("users", Row{"id": "a", "name": "A", "birthday": 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		return c, gate
+	}
+
+	t.Run("every replica down, one comes back", func(t *testing.T) {
+		t.Parallel()
+		c, gate := open(t)
+		down := func() (rpc.Response, error) { return rpc.Response{}, rpc.ErrUnreachable }
+		gate.fault.Store(&down)
+		time.AfterFunc(10*rpc.DownRetryPause, func() { gate.fault.Store(nil) })
+		start := time.Now()
+		r, found, err := c.Get("users", Row{"id": "a"})
+		if err != nil || !found || r["name"] != "A" {
+			t.Fatalf("Get across the outage = %v, %v, %v", r, found, err)
+		}
+		if waited := time.Since(start); waited < 10*rpc.DownRetryPause {
+			t.Fatalf("Get returned after %v, before a replica was back", waited)
+		}
+	})
+
+	t.Run("every replica sheds", func(t *testing.T) {
+		t.Parallel()
+		const hint = 3 * time.Millisecond
+		c, gate := open(t)
+		shed := func() (rpc.Response, error) {
+			return rpc.Response{Err: rpc.ErrString(rpc.Overloaded(hint, "test shed"))}, nil
+		}
+		gate.fault.Store(&shed)
+		start := time.Now()
+		_, _, err := c.Get("users", Row{"id": "a"})
+		if !rpc.IsOverloaded(err) || rpc.RetryAfter(err) != hint {
+			t.Fatalf("Get against shedding replicas = %v, want overloaded with the node's %v hint", err, hint)
+		}
+		if waited := time.Since(start); waited < rpc.DownRetryBudget {
+			t.Fatalf("Get gave up after %v, before its %v budget", waited, rpc.DownRetryBudget)
+		}
+	})
+}
+
 // TestGetAllReplicasStale covers replica ordering on the read path
 // when the tracker reports every replica over the staleness bound:
 // with availability prioritised the read falls through the stale set

@@ -123,7 +123,7 @@ var (
 	ErrNoSchema      = errors.New("scads: no schema defined")
 	ErrUnknownTable  = errors.New("scads: unknown table")
 	ErrUnknownQuery  = errors.New("scads: unknown query")
-	ErrStaleReplicas = errors.New("scads: staleness bound unsatisfiable and read-consistency prioritised over availability")
+	ErrStaleReplicas = partition.ErrStaleReplicas
 )
 
 // Cluster is the client- and coordinator-side handle on a SCADS
@@ -150,10 +150,13 @@ type Cluster struct {
 	admission *admission.Controller
 
 	lastVersion atomic.Uint64
-	readRR      atomic.Uint64
 	// lastObservedContention is the contention total already reported
 	// through Observe, so each observation carries only the delta.
 	lastObservedContention atomic.Int64
+	// governed is storage namespace -> the spec it is read under
+	// (publishBounds): what the router's replica chooser asks about on
+	// every ReadAny read, so it is a snapshot read without c.mu.
+	governed atomic.Pointer[map[string]consistency.Spec]
 
 	mu       sync.RWMutex
 	schema   *query.Schema
@@ -201,6 +204,11 @@ func Open(cfg Config) (*Cluster, error) {
 		maint:      newMaintQueue(),
 		loads:      balancer.NewTracker(),
 	}
+	// Every ReadAny read holds back replicas over their namespace's
+	// declared staleness bound: the router asks the coordinator, here
+	// (none is declared until ApplyConsistency publishes one).
+	c.governed.Store(&map[string]consistency.Spec{})
+	c.router.HoldBack(bounds{c})
 	admCfg := cfg.Admission
 	admCfg.Clock = cfg.Clock
 	c.admission = admission.New(admCfg)

@@ -10,6 +10,8 @@ import (
 	"scads/internal/clock"
 	"scads/internal/consistency"
 	"scads/internal/planner"
+	"scads/internal/record"
+	"scads/internal/rpc"
 )
 
 var t0 = time.Date(2009, 1, 4, 0, 0, 0, 0, time.UTC)
@@ -464,6 +466,64 @@ namespace users {
 			t.Fatalf("err = %v, want stale read served", err)
 		}
 	})
+}
+
+// TestQueryHonoursStalenessBound: a query is read under the declared
+// bound like a Get. With the secondary's pending replication aged past
+// it, a point-get query, a table scan and an index scan (the index
+// inherits its driving table's bound) all go to the primary; with no
+// bound declared they rotate over both replicas as before.
+func TestQueryHonoursStalenessBound(t *testing.T) {
+	for _, declared := range []bool{true, false} {
+		t.Run(fmt.Sprintf("bound declared=%v", declared), func(t *testing.T) {
+			ct := &countingTransport{n: make(map[call]int)}
+			c := newWrappedCluster(t, 2, socialDDL, func(next rpc.Transport) rpc.Transport {
+				ct.next = next
+				return ct
+			})
+			if declared {
+				if err := c.ApplyConsistency(`
+namespace users { staleness: 5s; }
+namespace friendships { staleness: 5s; }`); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reads := []struct {
+				query, method, ns string
+			}{
+				{"findUser", rpc.MethodGet, planner.TableNamespace("users")},
+				{"friends", rpc.MethodScan, planner.TableNamespace("friendships")},
+				{"friendsWithUpcomingBirthdays", rpc.MethodScan, c.Plan("friendsWithUpcomingBirthdays").Namespace},
+			}
+			// One undelivered update per namespace, pending to the
+			// secondary for ten seconds.
+			for _, rd := range reads {
+				m, _ := c.Router().Map(rd.ns)
+				c.Pump().Enqueue(rd.ns, record.Record{Key: []byte("k"), Value: []byte("v"), Version: 1},
+					m.Ranges()[0].Replicas[1:], time.Hour)
+			}
+			c.Clock().(*clock.Virtual).Advance(10 * time.Second)
+
+			for _, rd := range reads {
+				ct.reset()
+				for i := 0; i < 4; i++ {
+					if _, err := c.Query(rd.query, map[string]any{"user": "a"}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				m, _ := c.Router().Map(rd.ns)
+				replicas := m.Ranges()[0].Replicas
+				primary := ct.n[call{rd.method, rd.ns, "local://" + replicas[0]}]
+				secondary := ct.n[call{rd.method, rd.ns, "local://" + replicas[1]}]
+				if want := map[bool][2]int{true: {4, 0}, false: {2, 2}}[declared]; [2]int{primary, secondary} != want {
+					t.Errorf("%s: %d reads at the primary, %d at the stale secondary, want %v", rd.query, primary, secondary, want)
+				}
+			}
+			if st := c.Contention(); st.Total != 0 {
+				t.Errorf("contention noted with a fresh replica answering: %+v", st)
+			}
+		})
+	}
 }
 
 func TestMaintenanceTableExposed(t *testing.T) {

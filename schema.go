@@ -80,6 +80,7 @@ func (c *Cluster) DefineSchema(ddl string) error {
 	c.analysis = results
 	c.plans = plans
 	c.views = view.NewEngine(schema, plans.Indexes, &coordStore{c})
+	c.publishBounds()
 	return nil
 }
 
@@ -97,6 +98,7 @@ func (c *Cluster) ApplyConsistency(src string) error {
 	if c.schema == nil {
 		return ErrNoSchema
 	}
+	defer c.publishBounds() // also the specs bound before one is rejected
 	for _, spec := range specs {
 		if _, ok := c.schema.Tables[spec.Namespace]; !ok {
 			return fmt.Errorf("%w: consistency spec names %q", ErrUnknownTable, spec.Namespace)

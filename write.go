@@ -324,7 +324,7 @@ func (c *Cluster) oldImage(ns string, key []byte) (row.Row, error) {
 
 // oldImages is oldImage for many keys, with one batched read per node.
 func (c *Cluster) oldImages(ns string, keys [][]byte) ([]row.Row, error) {
-	got, err := c.router.GetBatch(ns, keys, partition.ReadPrimary)
+	got, err := c.router.GetBatch(ns, keys)
 	if err != nil {
 		return nil, err
 	}
