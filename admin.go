@@ -53,8 +53,6 @@ func (c *Cluster) AdminHandler() rpc.Handler {
 				QueueDepth:  st.InFlight,
 				RecordCount: int64(st.ShedQuota + st.ShedOverload()),
 			}
-		case rpc.MethodBatch:
-			return rpc.ServeBatch(c.AdminHandler(), req)
 		default:
 			return rpc.Unimplemented(req)
 		}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"scads/internal/rpc"
 )
 
 // TestInsertBatchAndGetMulti exercises the batched public hot path
@@ -144,76 +146,81 @@ func TestInsertBatchRetiresOldIndexEntries(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalescesUnderConcurrency: concurrent ordinary reads
-// through the coordinator should produce at least some shared
-// round-trips via the transport batcher, with every answer correct.
-func TestBatchingCoalescesUnderConcurrency(t *testing.T) {
-	lc, err := NewLocalCluster(2, Config{})
-	if err != nil {
-		t.Fatal(err)
+// heldTransport records the requests it sees once armed and holds the
+// first until want of them have entered Call (or patience runs out).
+type heldTransport struct {
+	next rpc.Transport
+	want int
+
+	mu      sync.Mutex
+	armed   bool
+	seen    []rpc.Request
+	entered chan struct{} // closed when want requests are in Call
+}
+
+func (h *heldTransport) Call(addr string, req rpc.Request) (rpc.Response, error) {
+	h.mu.Lock()
+	first := false
+	if h.armed {
+		h.seen = append(h.seen, req)
+		first = len(h.seen) == 1
+		if len(h.seen) == h.want {
+			close(h.entered)
+		}
 	}
-	defer lc.Close()
-	if err := lc.DefineSchema(socialDDL); err != nil {
-		t.Fatal(err)
+	h.mu.Unlock()
+	if first {
+		select {
+		case <-h.entered:
+		case <-time.After(2 * time.Second):
+		}
 	}
-	// Give each transport call a realistic service time so concurrent
-	// requests actually overlap and the coalescing window opens.
-	lc.Transport.Clock = lc.Clock()
-	lc.Transport.Latency = 200 * time.Microsecond
-	const n = 50
+	return h.next.Call(addr, req)
+}
+
+// TestConcurrentGetsTravelUnwrapped: concurrent gets to one node reach
+// the transport as the gets they are, each its own call — nothing
+// between the coordinator and the transport packs them into envelopes
+// — and the coordinator reports no batching.
+func TestConcurrentGetsTravelUnwrapped(t *testing.T) {
+	const n = 8
+	held := &heldTransport{want: n, entered: make(chan struct{})}
+	c := newWrappedCluster(t, 1, noIndexDDL, func(next rpc.Transport) rpc.Transport {
+		held.next = next
+		return held
+	})
 	for i := 0; i < n; i++ {
-		if err := lc.Insert("users", Row{"id": fmt.Sprintf("u%03d", i), "name": "N", "birthday": 1}); err != nil {
+		if err := c.Insert("users", Row{"id": fmt.Sprintf("u%d", i), "name": "N", "birthday": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := lc.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
+	held.mu.Lock()
+	held.armed = true
+	held.mu.Unlock()
 
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(id string) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				id := fmt.Sprintf("u%03d", (w*37+i)%n)
-				r, found, err := lc.Get("users", Row{"id": id})
-				if err != nil || !found || r["id"] != id {
-					t.Errorf("get %s: %v found=%v", id, err, found)
-					return
-				}
+			if r, found, err := c.Get("users", Row{"id": id}); err != nil || !found || r["id"] != id {
+				t.Errorf("get %s = %v, %v, %v", id, r, found, err)
 			}
-		}(w)
+		}(fmt.Sprintf("u%d", i))
 	}
 	wg.Wait()
-	st := lc.Stats()
-	if st.Batching.Calls == 0 {
-		t.Fatal("batcher saw no traffic")
-	}
-	if st.Batching.Envelopes == 0 {
-		t.Fatal("no requests coalesced despite 8 concurrent readers over a slow transport")
-	}
-	t.Logf("batching: %d calls, %d envelopes, %d coalesced",
-		st.Batching.Calls, st.Batching.Envelopes, st.Batching.Batched)
-}
 
-// TestDisableBatching keeps the opt-out honest.
-func TestDisableBatching(t *testing.T) {
-	lc, err := NewLocalCluster(2, Config{DisableBatching: true})
-	if err != nil {
-		t.Fatal(err)
+	held.mu.Lock()
+	defer held.mu.Unlock()
+	if len(held.seen) != n {
+		t.Errorf("transport saw %d calls for %d concurrent gets, want %d", len(held.seen), n, n)
 	}
-	defer lc.Close()
-	if err := lc.DefineSchema(socialDDL); err != nil {
-		t.Fatal(err)
+	for _, req := range held.seen {
+		if req.Method != rpc.MethodGet {
+			t.Errorf("transport saw a %q call carrying %d sub-requests, want only gets", req.Method, len(req.Batch))
+		}
 	}
-	if err := lc.Insert("users", Row{"id": "u1", "name": "N", "birthday": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, found, err := lc.Get("users", Row{"id": "u1"}); err != nil || !found {
-		t.Fatalf("get: %v found=%v", err, found)
-	}
-	if st := lc.Stats(); st.Batching.Calls != 0 {
-		t.Fatalf("batching stats nonzero with batching disabled: %+v", st.Batching)
+	if st := c.Stats().Batching; st != (rpc.BatcherStats{}) {
+		t.Errorf("Stats().Batching = %+v, want zero", st)
 	}
 }

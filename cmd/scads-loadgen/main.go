@@ -148,8 +148,6 @@ func main() {
 	st := c.Stats()
 	fmt.Printf("replication: delivered=%d violations=%d pending=%d; maintenance pending=%d\n",
 		st.Replication.Delivered, st.Replication.Violations, st.Replication.Pending, st.Maintenance)
-	fmt.Printf("batching: calls=%d envelopes=%d coalesced=%d\n",
-		st.Batching.Calls, st.Batching.Envelopes, st.Batching.Batched)
 }
 
 func issue(c *scads.Cluster, op workload.Op) {

@@ -131,20 +131,24 @@ func (fs *fenceSet) covers(ns string, key []byte) bool {
 	return false
 }
 
-// intersects reports whether any fence of the namespace overlaps
-// [start, end) (nil bounds are infinite). Range scans check this: a
-// fence means the span is mid-handoff (or already lost and about to be
-// truncated), so a scan must bounce and re-route off the fresh
-// partition map rather than risk reading a partially torn-down range.
-func (fs *fenceSet) intersects(ns string, start, end []byte) bool {
+// whileClear runs read unless a fence of the namespace overlaps
+// [start, end) (nil bounds are infinite), and reports whether it ran.
+// Range scans read through it: a fence means the span is mid-handoff
+// (or already lost and about to be truncated), so a scan must bounce
+// and re-route off the fresh partition map rather than risk reading a
+// partially torn-down range. The fences hold still while read runs, so
+// a fence — and the teardown that follows one — cannot land between
+// the check and the read.
+func (fs *fenceSet) whileClear(ns string, start, end []byte, read func()) bool {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	for _, f := range fs.byNS[ns] {
 		if f.overlaps(start, end) {
-			return true
+			return false
 		}
 	}
-	return false
+	read()
+	return true
 }
 
 // anyCovered reports whether any record of the group falls inside a

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"scads/internal/record"
 	"scads/internal/rpc"
@@ -80,6 +81,38 @@ func TestFenceRejectsWritesInRangeOnly(t *testing.T) {
 	}
 	if st := n.Serve(rpc.Request{Method: rpc.MethodStats}); st.Fenced != 0 {
 		t.Fatal("fence count nonzero after lift")
+	}
+}
+
+// TestFenceWaitsForScanInFlight: a scan reads while the fences hold
+// still, so a fence — and the teardown a migration runs behind one —
+// cannot land between a scan's fence check and its read; once the scan
+// is done the fence goes up and later scans bounce.
+func TestFenceWaitsForScanInFlight(t *testing.T) {
+	var fs fenceSet
+	reading, release := make(chan struct{}), make(chan struct{})
+	go fs.whileClear("ns", nil, nil, func() {
+		close(reading)
+		<-release
+	})
+	<-reading
+	fenced := make(chan struct{})
+	go func() {
+		fs.add("ns", []byte("b"), []byte("d"))
+		close(fenced)
+	}()
+	select {
+	case <-fenced:
+		t.Fatal("fence installed while a scan of the span was reading")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-fenced
+	if fs.whileClear("ns", []byte("c"), nil, func() { t.Error("scan of a fenced span ran") }) {
+		t.Fatal("scan of a fenced span reported clear")
+	}
+	if !fs.whileClear("ns", []byte("d"), nil, func() {}) {
+		t.Fatal("scan beside the fence bounced")
 	}
 }
 

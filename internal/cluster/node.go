@@ -150,14 +150,6 @@ const pageByteBudget = 4 << 20
 
 func (n *Node) scan(req rpc.Request) rpc.Response {
 	n.reads.Add(1)
-	if n.fences.intersects(req.Namespace, req.Start, req.End) {
-		// The span is mid-migration handoff — or this node already lost
-		// it and teardown may have begun truncating. Serving the scan
-		// could silently return a partial range; bounce instead so the
-		// coordinator re-reads the partition map and retries against
-		// the current holder.
-		return rpc.Response{Err: rpc.ErrString(rpc.ErrFenced)}
-	}
 	ns, errResp, ok := n.namespace(req.Namespace)
 	if !ok {
 		return errResp
@@ -172,27 +164,38 @@ func (n *Node) scan(req rpc.Request) rpc.Response {
 		bytes    int
 		resume   []byte
 		xformErr error
+		err      error
 	)
-	err := ns.ScanLive(req.Start, req.End, func(r record.Record) bool {
-		if len(recs) >= limit || visited >= scanRawCap || bytes >= pageByteBudget {
-			// This record proves data remains beyond the page, so More
-			// is exact: it is set only when a continuation will find
-			// something, and the record itself is the resume point.
-			resume = append([]byte(nil), r.Key...)
-			return false
-		}
-		visited++
-		out, match, err := scanTransform(r, req.Projection, req.Preds)
-		if err != nil {
-			xformErr = err
-			return false
-		}
-		if match {
-			recs = append(recs, out)
-			bytes += out.MarshaledSize()
-		}
-		return true
-	})
+	read := func() {
+		err = ns.ScanLive(req.Start, req.End, func(r record.Record) bool {
+			if len(recs) >= limit || visited >= scanRawCap || bytes >= pageByteBudget {
+				// This record proves data remains beyond the page, so More
+				// is exact: it is set only when a continuation will find
+				// something, and the record itself is the resume point.
+				resume = append([]byte(nil), r.Key...)
+				return false
+			}
+			visited++
+			out, match, err := scanTransform(r, req.Projection, req.Preds)
+			if err != nil {
+				xformErr = err
+				return false
+			}
+			if match {
+				recs = append(recs, out)
+				bytes += out.MarshaledSize()
+			}
+			return true
+		})
+	}
+	if !n.fences.whileClear(req.Namespace, req.Start, req.End, read) {
+		// The span is mid-migration handoff — or this node already lost
+		// it and teardown may have begun truncating. Serving the scan
+		// could silently return a partial range; bounce instead so the
+		// coordinator re-reads the partition map and retries against
+		// the current holder.
+		return rpc.Response{Err: rpc.ErrString(rpc.ErrFenced)}
+	}
 	if err == nil {
 		err = xformErr
 	}

@@ -460,14 +460,7 @@ type interceptor struct {
 }
 
 func (i *interceptor) Serve(req rpc.Request) rpc.Response {
-	resp := i.next.Serve(req)
-	if req.Method == rpc.MethodBatch {
-		for j := range resp.Batch {
-			resp.Batch[j] = i.hook(req.Batch[j], resp.Batch[j])
-		}
-		return resp
-	}
-	return i.hook(req, resp)
+	return i.hook(req, i.next.Serve(req))
 }
 
 // TestDeltaSnapshotGapTriggersResnapshot: a donor whose delta log aged

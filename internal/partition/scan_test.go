@@ -339,13 +339,6 @@ func (r *recordingTransport) Call(addr string, req rpc.Request) (rpc.Response, e
 	if req.Method == rpc.MethodScan {
 		r.onScan(req)
 	}
-	if req.Method == rpc.MethodBatch {
-		for _, sub := range req.Batch {
-			if sub.Method == rpc.MethodScan {
-				r.onScan(sub)
-			}
-		}
-	}
 	return r.next.Call(addr, req)
 }
 

@@ -143,6 +143,19 @@ func BenchmarkAppendBinary(b *testing.B) {
 	}
 }
 
+// TestDecodeBinaryAllocs pins the decode's two allocations: the
+// record's key and value, copied out of the input.
+func TestDecodeBinaryAllocs(t *testing.T) {
+	enc := Record{Key: []byte("user:12345:profile"), Value: bytes.Repeat([]byte("x"), 256), Version: 99}.AppendBinary(nil)
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, _, err := DecodeBinary(enc); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("DecodeBinary allocates %.0f times, want <= 2", allocs)
+	}
+}
+
 func BenchmarkDecodeBinary(b *testing.B) {
 	r := Record{Key: []byte("user:12345:profile"), Value: bytes.Repeat([]byte("x"), 256), Version: 99}
 	enc := r.AppendBinary(nil)

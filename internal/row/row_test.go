@@ -271,6 +271,41 @@ func TestDecodeProperty(t *testing.T) {
 	}
 }
 
+// TestCodecAllocs pins the row codec's allocations at their counts:
+// Encode of a 4-column row, and Decode of it and of the ledger's users
+// row (see BenchmarkDecode).
+func TestCodecAllocs(t *testing.T) {
+	mixed4 := Row{"id": "user:12345", "name": "Alice Smith", "birthday": int64(19840105), "active": true}
+	users5 := Row{"id": "user00001234", "name": "User Number 1234", "birthday": int64(19840105),
+		"bio": strings.Repeat("b", 150), "counter": int64(123456)}
+	encode := testing.AllocsPerRun(200, func() {
+		if _, err := Encode(mixed4); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if encode > 2 {
+		t.Errorf("Encode(mixed4) allocates %.0f times, want <= 2", encode)
+	}
+	for _, tc := range []struct {
+		name string
+		row  Row
+		max  float64
+	}{{"mixed4", mixed4, 6}, {"users5", users5, 8}} {
+		enc, err := Encode(tc.row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := testing.AllocsPerRun(200, func() {
+			if _, err := Decode(enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if decode > tc.max {
+			t.Errorf("Decode(%s) allocates %.0f times, want <= %.0f", tc.name, decode, tc.max)
+		}
+	}
+}
+
 // BenchmarkDecode: run with -benchmem. users5 is the ledger's row (the
 // benchmark's users table: id, name, birthday, a 150-byte bio, counter).
 func BenchmarkDecode(b *testing.B) {

@@ -84,7 +84,7 @@ func (t *LocalTransport) Addrs() []string {
 func (t *LocalTransport) Call(addr string, req Request) (Response, error) {
 	t.mu.RLock()
 	h, ok := t.handlers[addr]
-	down := t.down[addr] || (t.applyDown[addr] && carriesApply(req))
+	down := t.down[addr] || (t.applyDown[addr] && req.Method == MethodApply)
 	t.mu.RUnlock()
 	if !ok || down {
 		return Response{}, ErrUnreachable
@@ -95,22 +95,4 @@ func (t *LocalTransport) Call(addr string, req Request) (Response, error) {
 	resp := h.Serve(req)
 	resp.ID = req.ID
 	return resp, nil
-}
-
-// carriesApply reports whether req is replication traffic, looking
-// through a MethodBatch envelope so a severed apply link (SetApplyDown)
-// also stops batched applies.
-func carriesApply(req Request) bool {
-	if req.Method == MethodApply {
-		return true
-	}
-	if req.Method != MethodBatch {
-		return false
-	}
-	for _, sub := range req.Batch {
-		if carriesApply(sub) {
-			return true
-		}
-	}
-	return false
 }

@@ -10,15 +10,13 @@
 // through the Transport interface, so experiments can swap real sockets
 // for simulated ones without touching any other layer.
 //
-// Request coalescing: MethodBatch is an envelope carrying independent
-// sub-requests (Request.Batch) answered positionally (Response.Batch).
-// Handlers support it by delegating to ServeBatch. The Batcher type
-// wraps any Transport and transparently coalesces concurrent calls to
-// the same address into one batch round-trip, so the per-call network
-// and dispatch overhead is amortised across however many coordinator
-// goroutines are in flight — the request-aggregation lever that turns
-// per-node capacity into fleet throughput. A lone call passes through
-// unwrapped, so sequential workloads pay nothing.
+// Envelopes: MethodBatch carries independent sub-requests
+// (Request.Batch) answered positionally (Response.Batch). Handlers
+// support it by delegating to ServeBatch. Callers that hold several
+// requests for one node at once build the envelope themselves (the
+// router's GetBatch sends one per node); every other call travels
+// alone, and concurrent calls to one address share a connection whose
+// writer packs their frames into one socket write.
 package rpc
 
 import (
@@ -47,8 +45,7 @@ const (
 	// MethodRangeSnapshot pages a range's records (tombstones included)
 	// together with the donor's apply watermark; MethodRangeDelta
 	// returns the records modified after a watermark; MethodRangeFence
-	// installs or lifts a write fence over a range. All three travel
-	// through MethodBatch envelopes like any other method.
+	// installs or lifts a write fence over a range.
 	MethodRangeSnapshot = "rangesnap"
 	MethodRangeDelta    = "rangedelta"
 	MethodRangeFence    = "rangefence"
@@ -68,7 +65,7 @@ const (
 // controlMethods are the cheap control-plane probes (failure
 // detection, operator tooling) that must never queue behind bulk
 // data-plane work: the server keeps dedicated handler headroom for
-// them, and the Batcher never coalesces them into data batches.
+// them.
 var controlMethods = map[string]bool{
 	MethodPing:    true,
 	MethodStats:   true,
@@ -401,4 +398,13 @@ func ServeBatch(h Handler, req Request) Response {
 		out.Batch[i] = resp
 	}
 	return out
+}
+
+// BatcherStats is always zero: no transport coalesces calls. It keeps
+// its name and fields because the benchmark module reads them through
+// scads.Stats.Batching.
+type BatcherStats struct {
+	Calls     int64
+	Envelopes int64
+	Batched   int64
 }

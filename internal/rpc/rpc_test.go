@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -236,6 +237,40 @@ func TestLocalTransportSimulatedLatency(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("latency-charged call never completed")
+	}
+}
+
+// TestLocalTransportApplyDown: a severed replication link stops applies
+// while reads still reach the node.
+func TestLocalTransportApplyDown(t *testing.T) {
+	lt := NewLocalTransport()
+	lt.Register("node", newEchoHandler())
+	lt.SetApplyDown("node", true)
+	if _, err := lt.Call("node", Request{Method: MethodApply, Namespace: "ns"}); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("apply crossed a severed link: %v", err)
+	}
+	if _, err := lt.Call("node", Request{Method: MethodGet, Key: []byte("a")}); err != nil {
+		t.Fatalf("read blocked: %v", err)
+	}
+}
+
+func TestServeBatchPositional(t *testing.T) {
+	h := HandlerFunc(func(req Request) Response {
+		return Response{Found: true, Value: append([]byte("v:"), req.Key...)}
+	})
+	req := Request{ID: 9, Method: MethodBatch, Batch: []Request{
+		{ID: 1, Method: MethodGet, Key: []byte("a")},
+		{ID: 2, Method: MethodGet, Key: []byte("b")},
+	}}
+	resp := ServeBatch(h, req)
+	if resp.ID != 9 || len(resp.Batch) != 2 {
+		t.Fatalf("resp = %+v", resp)
+	}
+	if resp.Batch[0].ID != 1 || string(resp.Batch[0].Value) != "v:a" {
+		t.Fatalf("sub 0 = %+v", resp.Batch[0])
+	}
+	if resp.Batch[1].ID != 2 || string(resp.Batch[1].Value) != "v:b" {
+		t.Fatalf("sub 1 = %+v", resp.Batch[1])
 	}
 }
 

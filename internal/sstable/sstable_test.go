@@ -261,6 +261,36 @@ func sortRecords(recs []record.Record) {
 	}
 }
 
+// TestReadAllocs pins what the uncached read path allocates over a
+// 10 000-record table: a point get 3 times, a 100-record scan 6.
+func TestReadAllocs(t *testing.T) {
+	r := buildTable(t, filepath.Join(t.TempDir(), "t.sst"), seqRecords(10000))
+	defer r.Close()
+	keys := make([][]byte, 100)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%06d", i*97))
+	}
+	i := 0
+	get := testing.AllocsPerRun(200, func() {
+		if _, ok, err := r.Get(keys[i%len(keys)]); !ok || err != nil {
+			t.Fatalf("miss on %q: %v", keys[i%len(keys)], err)
+		}
+		i++
+	})
+	scan := testing.AllocsPerRun(200, func() {
+		n := 0
+		if err := r.Scan([]byte("key-005000"), nil, func(record.Record) bool {
+			n++
+			return n < 100
+		}); err != nil || n != 100 {
+			t.Fatalf("scan = %d records, %v", n, err)
+		}
+	})
+	if get > 3 || scan > 6 {
+		t.Errorf("get allocates %.0f times, want <= 3; scan of 100 %.0f, want <= 6", get, scan)
+	}
+}
+
 func BenchmarkGet(b *testing.B) {
 	r := buildTable(b, filepath.Join(b.TempDir(), "t.sst"), seqRecords(10000))
 	defer r.Close()

@@ -24,9 +24,9 @@
 //     one lock acquisition and one WAL write, and with
 //     Options.SyncWrites the WAL's group commit (wal.AppendGroup /
 //     SyncGroup) shares a single fsync across concurrent writers.
-//     This is the storage half of the RPC-to-WAL batching pipeline —
-//     rpc.Batcher coalesces requests per node, cluster.Node feeds them
-//     here as batches.
+//     Replication and index upkeep ship a node's records in one
+//     multi-record MethodApply, which cluster.Node lands here as one
+//     batch.
 package storage
 
 import (

@@ -147,8 +147,7 @@ func (ns *Namespace) Apply(rec record.Record) error {
 // acquisition, one WAL write for the whole group, and — when the
 // engine runs with SyncWrites — one group-commit fsync shared with
 // every other writer committing concurrently. This is the landing
-// point of the batched RPC apply path (rpc.MethodBatch envelopes and
-// multi-record MethodApply requests).
+// point of multi-record MethodApply requests.
 //
 // The apply is blind: it reads nothing below the memtable. A record
 // counts as accepted — it gets an apply-log entry and watermark step,

@@ -26,9 +26,8 @@
 //     commits through.
 //
 // AppendBatch writes a whole record group as one buffered write, which
-// the batched RPC apply path (rpc.MethodBatch, storage ApplyBatch)
-// uses so a replication batch costs one syscall instead of one per
-// record.
+// storage ApplyBatch uses so a multi-record apply costs one syscall
+// instead of one per record.
 package wal
 
 import (

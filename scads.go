@@ -65,11 +65,6 @@ type Config struct {
 	CoordinatorID uint16
 	// SLA is the performance SLA the cluster-wide monitor checks.
 	SLA consistency.PerformanceSLA
-	// DisableBatching turns off transparent request coalescing. By
-	// default the coordinator wraps Transport in an rpc.Batcher, so
-	// concurrent requests to the same node share one round-trip
-	// (sequential requests pass through unwrapped and unchanged).
-	DisableBatching bool
 	// NodeStorage configures the storage engines of in-process nodes
 	// created by LocalCluster (read-cache size, synchronous writes,
 	// data directory, ...). Clock and NodeID are filled in per node.
@@ -134,7 +129,6 @@ type Cluster struct {
 	router     *partition.Router
 	dir        *cluster.Directory
 	pump       *replication.Pump
-	batcher    *rpc.Batcher // nil when batching disabled
 	migrations *migration.Manager
 	repairs    *repair.Manager
 
@@ -181,22 +175,11 @@ func Open(cfg Config) (*Cluster, error) {
 		return nil, errors.New("scads: Config needs Transport and Directory")
 	}
 	cfg = cfg.withDefaults()
-	// The router's transport is the request-coalescing seam: every
-	// hot-path read, write, and replication apply below this point
-	// shares round-trips with whatever else is in flight to the same
-	// node.
-	transport := cfg.Transport
-	var batcher *rpc.Batcher
-	if !cfg.DisableBatching {
-		batcher = rpc.NewBatcher(transport)
-		transport = batcher
-	}
 	c := &Cluster{
 		cfg:        cfg,
 		clk:        cfg.Clock,
 		dir:        cfg.Directory,
-		batcher:    batcher,
-		router:     partition.NewRouter(transport, cfg.Directory),
+		router:     partition.NewRouter(cfg.Transport, cfg.Directory),
 		merges:     consistency.NewMergeRegistry(),
 		serializer: consistency.NewSerializer(1024),
 		monitor:    sla.NewMonitor(cfg.Clock, cfg.SLA, 0),
@@ -212,11 +195,10 @@ func Open(cfg Config) (*Cluster, error) {
 	admCfg := cfg.Admission
 	admCfg.Clock = cfg.Clock
 	c.admission = admission.New(admCfg)
-	// Online range migrations share the (possibly batching) transport
-	// with the router. The router's maps back the manager's ownership
-	// checks, so a journaled teardown can never truncate a range its
-	// node has since regained.
-	c.migrations = migration.NewManager(transport, cfg.Directory, migrationParallelism)
+	// Online range migrations share the transport with the router. The
+	// router's maps back the manager's ownership checks, so a journaled
+	// teardown can never truncate a range its node has since regained.
+	c.migrations = migration.NewManager(cfg.Transport, cfg.Directory, migrationParallelism)
 	c.migrations.Resolver = c.router.Map
 	c.pump = replication.NewPump(replication.NewQueue(replication.ByDeadline), c.router.Apply, cfg.Clock)
 	// Flip-time rebind: while the donor's fence is still held, clone
@@ -248,7 +230,7 @@ func Open(cfg Config) (*Cluster, error) {
 	// Directory.ExpireStale, primary failover, and RF repair through
 	// the migration manager. Runs under StartBackground; Sweep/
 	// RepairNow drives it deterministically.
-	c.repairs = repair.NewManager(cfg.Repair, cfg.Clock, cfg.Directory, transport,
+	c.repairs = repair.NewManager(cfg.Repair, cfg.Clock, cfg.Directory, cfg.Transport,
 		c.router, c.migrations, c.pump, cfg.ReplicationFactor)
 	return c, nil
 }
@@ -470,7 +452,7 @@ type Stats struct {
 	Replication replication.Stats
 	Maintenance int // pending asynchronous index-maintenance tasks
 	SLA         sla.Summary
-	Batching    rpc.BatcherStats // request coalescing (zero when disabled)
+	Batching    rpc.BatcherStats // always zero; the benchmark module reads it
 	Migration   migration.Stats  // online range-migration activity
 	Repair      repair.Stats     // self-healing crash-recovery activity
 	Admission   admission.Stats  // front-door quotas / overload shedding
@@ -478,7 +460,7 @@ type Stats struct {
 
 // Stats returns a snapshot.
 func (c *Cluster) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Replication: c.pump.Stats(),
 		Maintenance: c.maint.Len(),
 		SLA:         c.monitor.Summary(),
@@ -486,10 +468,6 @@ func (c *Cluster) Stats() Stats {
 		Repair:      c.repairs.Stats(),
 		Admission:   c.admission.Stats(),
 	}
-	if c.batcher != nil {
-		s.Batching = c.batcher.Stats()
-	}
-	return s
 }
 
 // Row is the public alias for a typed tuple.

@@ -133,7 +133,7 @@ func (c *Cluster) InsertBatch(table string, rows []row.Row) error {
 func (c *Cluster) insertBatch(t *query.TableDef, ns string, rows []row.Row) (err error) {
 	if c.specFor(t.Name).Write != consistency.LastWriteWins {
 		// Conflict-aware modes need an atomic read-modify-write per
-		// row; the transport-level batcher still coalesces their RPCs.
+		// row.
 		for _, r := range rows {
 			if _, err := c.upsert(t, ns, r); err != nil {
 				return err

@@ -30,8 +30,7 @@ SELECT * FROM users WHERE id = ?user LIMIT 1
 
 // newWrappedCluster opens a Cluster over n in-memory nodes, every range
 // replicated on all of them, with wrap(transport) between the
-// coordinator and the nodes. Batching is off so the wrapper sees one
-// call per request, not envelopes.
+// coordinator and the nodes.
 func newWrappedCluster(t *testing.T, n int, ddl string, wrap func(rpc.Transport) rpc.Transport) *Cluster {
 	t.Helper()
 	clk := clock.NewVirtual(t0)
@@ -48,7 +47,7 @@ func newWrappedCluster(t *testing.T, n int, ddl string, wrap func(rpc.Transport)
 		dir.Join(id, "local://"+id)
 		dir.MarkUp(id)
 	}
-	c, err := Open(Config{Clock: clk, Transport: wrap(lt), Directory: dir, DisableBatching: true, ReplicationFactor: n})
+	c, err := Open(Config{Clock: clk, Transport: wrap(lt), Directory: dir, ReplicationFactor: n})
 	if err != nil {
 		t.Fatal(err)
 	}
