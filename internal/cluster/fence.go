@@ -20,6 +20,9 @@ import (
 // range scans overlapping a fenced span (a fenced loser may already be
 // mid-truncation, so a scan served there could silently miss data);
 // point reads, snapshots, deltas and droprange cleanup pass through.
+// A gated write or scan runs while the fences hold still
+// (whileKeysClear, whileClear), so installing a fence waits for the
+// ones in flight.
 type fenceSet struct {
 	mu   sync.RWMutex
 	byNS map[string][]fenceRange
@@ -119,18 +122,6 @@ func cloneFenceBound(b []byte) []byte {
 	return append([]byte(nil), b...)
 }
 
-// covers reports whether key falls inside any fence of the namespace.
-func (fs *fenceSet) covers(ns string, key []byte) bool {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	for _, f := range fs.byNS[ns] {
-		if f.contains(key) {
-			return true
-		}
-	}
-	return false
-}
-
 // whileClear runs read unless a fence of the namespace overlaps
 // [start, end) (nil bounds are infinite), and reports whether it ran.
 // Range scans read through it: a fence means the span is mid-handoff
@@ -151,24 +142,26 @@ func (fs *fenceSet) whileClear(ns string, start, end []byte, read func()) bool {
 	return true
 }
 
-// anyCovered reports whether any record of the group falls inside a
-// fence of the namespace; a fenced group is rejected whole and the
-// coordinator falls back to per-record routing.
-func (fs *fenceSet) anyCovered(ns string, recs []record.Record) bool {
+// whileKeysClear runs write unless a fence of the namespace contains
+// one of the records' keys, and reports whether it ran. Put, delete and
+// apply write through it; a fenced group is rejected whole and the
+// coordinator falls back to per-record routing. As in whileClear, the
+// fences hold still while write runs, so a write cannot pass the check
+// just before a fence goes up and land after the migration's final
+// delta drain, to be lost at teardown.
+func (fs *fenceSet) whileKeysClear(ns string, recs []record.Record, write func()) bool {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	fences := fs.byNS[ns]
-	if len(fences) == 0 {
-		return false
-	}
 	for _, rec := range recs {
 		for _, f := range fences {
 			if f.contains(rec.Key) {
-				return true
+				return false
 			}
 		}
 	}
-	return false
+	write()
+	return true
 }
 
 // count reports the number of installed fences across namespaces.

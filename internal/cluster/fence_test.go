@@ -116,6 +116,40 @@ func TestFenceWaitsForScanInFlight(t *testing.T) {
 	}
 }
 
+// TestFenceWaitsForWriteInFlight: a put, delete or apply writes while
+// the fences hold still, so a write that passed the check cannot land
+// after a fence went up — behind the migration's final delta drain,
+// where teardown would lose it; once the write is done the fence goes
+// up and later writes into the span bounce.
+func TestFenceWaitsForWriteInFlight(t *testing.T) {
+	var fs fenceSet
+	writing, release := make(chan struct{}), make(chan struct{})
+	go fs.whileKeysClear("ns", []record.Record{{Key: []byte("c")}}, func() {
+		close(writing)
+		<-release
+	})
+	<-writing
+	fenced := make(chan struct{})
+	go func() {
+		fs.add("ns", []byte("b"), []byte("d"))
+		close(fenced)
+	}()
+	select {
+	case <-fenced:
+		t.Fatal("fence installed while a write into the span was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-fenced
+	group := []record.Record{{Key: []byte("a")}, {Key: []byte("c")}}
+	if fs.whileKeysClear("ns", group, func() { t.Error("write group touching a fence ran") }) {
+		t.Fatal("write group touching a fence reported clear")
+	}
+	if !fs.whileKeysClear("ns", []record.Record{{Key: []byte("d")}}, func() {}) {
+		t.Fatal("write beside the fence bounced")
+	}
+}
+
 func TestRangeSnapshotAndDelta(t *testing.T) {
 	n := newTestNode(t, "n1")
 	const ns = "tbl_users"

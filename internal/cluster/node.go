@@ -101,30 +101,37 @@ func (n *Node) get(req rpc.Request) rpc.Response {
 
 func (n *Node) put(req rpc.Request) rpc.Response {
 	n.writes.Add(1)
-	if n.fences.covers(req.Namespace, req.Key) {
-		return rpc.Response{Err: rpc.ErrString(rpc.ErrFenced)}
-	}
-	ns, errResp, ok := n.namespace(req.Namespace)
-	if !ok {
-		return errResp
-	}
-	ver, err := ns.Put(req.Key, req.Value)
-	if err != nil {
-		return rpc.Response{Err: rpc.ErrString(err)}
-	}
-	return rpc.Response{Found: true, Version: ver}
+	return n.writeUnfenced(req.Namespace, []record.Record{{Key: req.Key}}, func(ns *storage.Namespace) rpc.Response {
+		return versioned(ns.Put(req.Key, req.Value))
+	})
 }
 
 func (n *Node) del(req rpc.Request) rpc.Response {
 	n.writes.Add(1)
-	if n.fences.covers(req.Namespace, req.Key) {
+	return n.writeUnfenced(req.Namespace, []record.Record{{Key: req.Key}}, func(ns *storage.Namespace) rpc.Response {
+		return versioned(ns.Delete(req.Key))
+	})
+}
+
+// writeUnfenced runs write on the namespace named nsName unless a fence
+// of it contains one of recs' keys, in which case the write bounces.
+// The fences hold still while write runs (see whileKeysClear).
+func (n *Node) writeUnfenced(nsName string, recs []record.Record, write func(*storage.Namespace) rpc.Response) rpc.Response {
+	var resp rpc.Response
+	if !n.fences.whileKeysClear(nsName, recs, func() {
+		ns, errResp, ok := n.namespace(nsName)
+		if !ok {
+			resp = errResp
+			return
+		}
+		resp = write(ns)
+	}) {
 		return rpc.Response{Err: rpc.ErrString(rpc.ErrFenced)}
 	}
-	ns, errResp, ok := n.namespace(req.Namespace)
-	if !ok {
-		return errResp
-	}
-	ver, err := ns.Delete(req.Key)
+	return resp
+}
+
+func versioned(ver uint64, err error) rpc.Response {
 	if err != nil {
 		return rpc.Response{Err: rpc.ErrString(err)}
 	}
@@ -244,20 +251,15 @@ func scanTransform(r record.Record, projection []string, preds []rpc.ScanPred) (
 
 func (n *Node) apply(req rpc.Request) rpc.Response {
 	n.writes.Add(1)
-	if n.fences.anyCovered(req.Namespace, req.Records) {
-		return rpc.Response{Err: rpc.ErrString(rpc.ErrFenced)}
-	}
-	ns, errResp, ok := n.namespace(req.Namespace)
-	if !ok {
-		return errResp
-	}
-	// The whole record group goes down the batched path: one lock
-	// acquisition and one WAL write (one shared fsync when the engine
-	// runs with synchronous writes).
-	if err := ns.ApplyBatch(req.Records); err != nil {
-		return rpc.Response{Err: rpc.ErrString(err)}
-	}
-	return rpc.Response{Found: true}
+	return n.writeUnfenced(req.Namespace, req.Records, func(ns *storage.Namespace) rpc.Response {
+		// The whole record group goes down the batched path: one lock
+		// acquisition and one WAL write (one shared fsync when the
+		// engine runs with synchronous writes).
+		if err := ns.ApplyBatch(req.Records); err != nil {
+			return rpc.Response{Err: rpc.ErrString(err)}
+		}
+		return rpc.Response{Found: true}
+	})
 }
 
 // dropRange physically truncates [Start, End) — one memtable range

@@ -37,6 +37,30 @@ func TestPingRoundTripAllocs(t *testing.T) {
 	}
 }
 
+// TestGetRoundTripAllocs pins the same for a get, which the server
+// serves on the connection's read loop: no handler closure, and the
+// response frame is appended to the connection's buffer. What is left
+// is the client's response buffer and the request's arena (its key).
+func TestGetRoundTripAllocs(t *testing.T) {
+	s := NewServer(HandlerFunc(func(Request) Response { return Response{Found: true} }))
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tr := NewTCPTransport()
+	defer tr.Close()
+	get := func() {
+		if resp, err := tr.Call(addr, Request{Method: MethodGet, Key: []byte("user:0000000001")}); err != nil || !resp.Found {
+			t.Fatalf("get = %+v, %v", resp, err)
+		}
+	}
+	get() // dial
+	if allocs := testing.AllocsPerRun(200, get); allocs > 2 {
+		t.Errorf("get round trip allocates %.1f times, want <= 2", allocs)
+	}
+}
+
 // TestCodecAllocs pins the wire codec: encoding a request that sets
 // every field reuses a pooled frame and allocates nothing, and decoding
 // a 64-record scan page allocates once (the records slice; the byte

@@ -103,6 +103,18 @@ func (f *framedConn) frameLen() (int, error) {
 	return int(n), nil
 }
 
+// frameBuffered reports whether the read buffer already holds the whole
+// next frame, so reading it cannot block. It peeks the length prefix
+// and reads nothing from the socket.
+func (f *framedConn) frameBuffered() bool {
+	avail := f.br.Buffered() - f.skip
+	if avail < 4 {
+		return false
+	}
+	hdr, _ := f.br.Peek(f.skip + 4) // already buffered: no fill
+	return avail-4 >= int(binary.LittleEndian.Uint32(hdr[f.skip:]))
+}
+
 // readOwned reads one frame payload into a buffer of exactly its size
 // that the caller owns: decoded responses alias it, so it is never
 // pooled.

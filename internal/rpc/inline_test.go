@@ -1,0 +1,247 @@
+package rpc
+
+// Tests for the server's inline dispatch: point reads are served on the
+// connection's read loop and their responses leave together once no
+// complete frame is left to read; every other method keeps its handler
+// goroutine.
+
+import (
+	"fmt"
+	"net"
+	"sync"
+	"testing"
+	"time"
+)
+
+// keyEcho answers a get (alone or in a batch) with its key as the value.
+func keyEcho(req Request) Response {
+	if req.Method == MethodBatch {
+		return ServeBatch(HandlerFunc(keyEcho), req)
+	}
+	return Response{Found: true, Value: req.Key}
+}
+
+func getFrame(t *testing.T, id int) []byte {
+	t.Helper()
+	bp, err := encodeRequestFrame(&Request{ID: uint64(id), Method: MethodGet, Key: []byte(fmt.Sprintf("key-%d", id))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer putFrameBuf(bp)
+	return append([]byte(nil), *bp...)
+}
+
+// readGetResponse reads one response and checks it answers get id.
+func readGetResponse(t *testing.T, peer *framedConn, id int) {
+	t.Helper()
+	payload, err := peer.readOwned()
+	if err != nil {
+		t.Fatalf("reading the response to get %d: %v", id, err)
+	}
+	resp, err := decodeResponse(payload)
+	if err != nil || resp.ID != uint64(id) || string(resp.Value) != fmt.Sprintf("key-%d", id) {
+		t.Fatalf("response = %+v, %v; want get %d's key", resp, err, id)
+	}
+}
+
+func TestInlinePointReadRule(t *testing.T) {
+	get := Request{Method: MethodGet}
+	for _, c := range []struct {
+		req  Request
+		want bool
+	}{
+		{get, true},
+		{Request{Method: MethodBatch, Batch: []Request{get, get}}, true},
+		{Request{Method: MethodBatch, Batch: []Request{get, {Method: MethodPut}}}, false},
+		{Request{Method: MethodBatch, Batch: []Request{{Method: MethodBatch, Batch: []Request{get}}}}, false},
+		{Request{Method: MethodPut}, false},
+		{Request{Method: MethodScan}, false},
+		{Request{Method: MethodApply}, false},
+		{Request{Method: MethodPing}, false},
+	} {
+		if got := isPointRead(&c.req); got != c.want {
+			t.Errorf("isPointRead(%s %v) = %v, want %v", c.req.Method, c.req.Batch, got, c.want)
+		}
+	}
+}
+
+// TestInlineGetsFlushBeforePartialFrame: a get frame followed by the
+// first bytes of the next is answered before the rest of that frame is
+// sent — the held responses never wait on a read that could block —
+// whether the cut falls inside the length prefix or inside the payload.
+func TestInlineGetsFlushBeforePartialFrame(t *testing.T) {
+	s := NewServer(HandlerFunc(keyEcho))
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	peer := newFramedConn(conn, time.Minute, nil)
+
+	cuts := []int{1, 2, 4, 7} // inside the length prefix, at its end, inside the payload
+	unsent := getFrame(t, 1)
+	for i, cut := range cuts {
+		next := getFrame(t, i+2)
+		if _, err := conn.Write(append(unsent, next[:cut]...)); err != nil {
+			t.Fatal(err)
+		}
+		readGetResponse(t, peer, i+1)
+		unsent = next[cut:]
+	}
+	if _, err := conn.Write(unsent); err != nil {
+		t.Fatal(err)
+	}
+	readGetResponse(t, peer, len(cuts)+1)
+}
+
+// TestInlineGetsOneWriteForBurst: N get frames that arrive in one read
+// are answered with N correct responses in one server write.
+func TestInlineGetsOneWriteForBurst(t *testing.T) {
+	s := NewServer(HandlerFunc(keyEcho))
+	client, server := net.Pipe() // one client Write is one server read
+	counted := &gatedConn{Conn: server, entered: make(chan struct{}), release: make(chan struct{})}
+	close(counted.release)
+	s.wg.Add(1)
+	go s.serveConn(counted)
+
+	const n = 32
+	var burst []byte
+	for id := 1; id <= n; id++ {
+		burst = append(burst, getFrame(t, id)...)
+	}
+	client.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := client.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	peer := newFramedConn(client, time.Minute, nil)
+	for id := 1; id <= n; id++ {
+		readGetResponse(t, peer, id)
+	}
+	client.Close()
+	s.Close() // joins serveConn, which returns on the closed pipe
+	if w := counted.writes.Load(); w != 1 {
+		t.Errorf("%d pipelined gets were answered in %d writes, want 1", n, w)
+	}
+}
+
+// TestInlineGetsOvertakeParkedScan: with a scan parked in its handler,
+// gets and an all-get batch behind it on the same connection are
+// answered — the scan holds a goroutine, not the read loop.
+func TestInlineGetsOvertakeParkedScan(t *testing.T) {
+	h := &slowHandler{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	s := NewServer(h)
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	release := sync.OnceFunc(func() { close(h.release) })
+	defer release() // a failure below must not leave Close waiting on the scan
+	tr := NewTCPTransport()
+	defer tr.Close()
+
+	slowDone := make(chan Response, 1)
+	go func() {
+		resp, _ := tr.Call(addr, Request{Method: MethodScan})
+		slowDone <- resp
+	}()
+	<-h.entered
+	for i := 0; i < 20; i++ {
+		if resp, err := tr.Call(addr, Request{Method: MethodGet, Key: []byte("k")}); err != nil || !resp.Found {
+			t.Fatalf("get %d behind a parked scan = %+v, %v", i, resp, err)
+		}
+	}
+	batch := Request{Method: MethodBatch, Batch: []Request{{Method: MethodGet}, {Method: MethodGet}}}
+	if resp, err := tr.Call(addr, batch); err != nil || !resp.Found {
+		t.Fatalf("get batch behind a parked scan = %+v, %v", resp, err)
+	}
+	if n := tr.numConns(); n != 1 {
+		t.Fatalf("calls escaped to %d conns; want overtaking on the 1 shared conn", n)
+	}
+	select {
+	case <-slowDone:
+		t.Fatal("parked scan completed before release")
+	default:
+	}
+	release()
+	if resp := <-slowDone; string(resp.Value) != "slow" {
+		t.Fatalf("parked scan resp = %+v", resp)
+	}
+}
+
+// TestInlineMixedBatchGoesToHandlerGoroutine: a batch with a put in it
+// is not a point read; parked in its handler, it leaves the read loop
+// free to answer a get sent after it.
+func TestInlineMixedBatchGoesToHandlerGoroutine(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	s := NewServer(HandlerFunc(func(req Request) Response {
+		if req.Method == MethodBatch {
+			close(entered)
+			<-release
+		}
+		return Response{Found: true}
+	}))
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tr := NewTCPTransport()
+	tr.Timeout = 5 * time.Second
+	defer tr.Close()
+
+	mixed := Request{Method: MethodBatch, Batch: []Request{{Method: MethodGet}, {Method: MethodPut}}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := tr.Call(addr, mixed)
+		done <- err
+	}()
+	<-entered
+	resp, err := tr.Call(addr, Request{Method: MethodGet})
+	close(release)
+	if err != nil || !resp.Found {
+		t.Fatalf("get behind a parked get+put batch = %+v, %v (batch served on the read loop?)", resp, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("get+put batch: %v", err)
+	}
+}
+
+// TestServerCloseJoinsInlineServe: Close does not return while a read
+// loop is inside an inline Serve, and returns once it finishes.
+func TestServerCloseJoinsInlineServe(t *testing.T) {
+	h := &blockingHandler{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	s := NewServer(h)
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTCPTransport()
+	defer tr.Close()
+
+	go tr.Call(addr, Request{Method: MethodGet}) //nolint:errcheck // the call dies with the server
+	<-h.entered
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Server.Close returned while a read loop was inside an inline Serve")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(h.release)
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Server.Close never returned after the inline Serve finished")
+	}
+}

@@ -77,6 +77,25 @@ var controlMethods = map[string]bool{
 // entitled to the server's reserved handler headroom.
 func IsControlMethod(method string) bool { return controlMethods[method] }
 
+// isPointRead reports whether req is a point read: a MethodGet, or a
+// MethodBatch whose every sub-request is one (the router's GetBatch
+// envelope). The server serves point reads on the connection's read
+// loop instead of on a handler goroutine of their own.
+func isPointRead(req *Request) bool {
+	switch req.Method {
+	case MethodGet:
+		return true
+	case MethodBatch:
+		for i := range req.Batch {
+			if req.Batch[i].Method != MethodGet {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
 // Request is the single request envelope for all methods. Unused
 // fields stay at their zero values; the wire codec encodes a zero
 // field as a single byte.

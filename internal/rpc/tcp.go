@@ -9,12 +9,13 @@ import (
 	"time"
 )
 
-// maxConnHandlers bounds concurrently dispatched handlers per server
-// connection. Data-plane requests past the bound are shed with an
-// ErrOverloaded response carrying a retry-after hint — explicit
-// backpressure the caller's retry budget understands — instead of
-// blocking the read loop, which would silently queue every method
-// (including failure-detection pings) behind bulk work via TCP.
+// maxConnHandlers bounds the handler goroutines per server connection;
+// point reads are served on the read loop and take no slot. Data-plane
+// requests past the bound are shed with an ErrOverloaded response
+// carrying a retry-after hint — explicit backpressure the caller's
+// retry budget understands — instead of blocking the read loop, which
+// would silently queue every method (including failure-detection
+// pings) behind bulk work via TCP.
 const maxConnHandlers = 256
 
 // controlHandlerReserve is the slice of maxConnHandlers held back for
@@ -45,15 +46,26 @@ const serverWriteTimeout = 2 * time.Minute
 // through the handler bound and TCP instead of growing the queue.
 const serverQueueLimit = 4 << 20
 
-// Server serves a Handler over TCP. Frames are dispatched to
-// concurrent handler goroutines as they arrive, so a connection with
-// many pipelined requests in flight — the normal state under the
-// multiplexed TCPTransport — is serviced in parallel and one slow
-// scan never head-of-line-blocks the calls behind it. Each handler
-// goroutine hands its response frame to the connection's framedConn as
-// it completes — writing it itself when the socket is free, combining
-// it into the next write otherwise — so responses leave in completion
-// order; the correlation ID ties each one back to its request.
+// inlineFlushBytes caps the point-read responses a connection's read
+// loop holds before it writes them, however many more frames are
+// buffered behind them.
+const inlineFlushBytes = 64 << 10
+
+// Server serves a Handler over TCP. A point read (see isPointRead) is
+// served on the connection's read loop: a memtable or cache lookup
+// costs less than the goroutine a hand-off would spawn. Its response
+// joins the ones before it in a per-connection buffer, which goes to
+// the socket in one write once the read buffer holds no complete next
+// frame (or past inlineFlushBytes), so a pipelined burst of gets is
+// answered with one write(2) and no response waits on a read that could
+// block. Every other frame is dispatched to a handler goroutine of its
+// own, so one slow scan never head-of-line-blocks the calls behind it;
+// the handler hands its response frame to the connection's framedConn
+// as it completes — writing it itself when the socket is free,
+// combining it into the next write otherwise. Responses leave in
+// completion order; the correlation ID ties each one back to its
+// request. The cost of inline service: a get waiting on its
+// namespace's lock delays the frames behind it on that connection.
 type Server struct {
 	handler Handler
 	// Each connection's writer takes these; only tests change them.
@@ -155,7 +167,20 @@ func (s *Server) serveConn(conn net.Conn) {
 	// A connection carries a handful of namespaces and tenants; their
 	// strings are made once, not per request.
 	names := make(map[string]string)
+	// inline holds the frames of point reads served on this loop until
+	// the loop might block: in the next read, or on the control reserve.
+	var inline []byte
+	flushInline := func() {
+		fc.send(inline, time.Now())
+		inline = inline[:0]
+		if cap(inline) > maxPooledFrame {
+			inline = nil // the rule putFrameBuf applies to encode buffers
+		}
+	}
 	for {
+		if len(inline) > 0 && (len(inline) >= inlineFlushBytes || !fc.frameBuffered()) {
+			flushInline()
+		}
 		// Request decode detaches every retained byte, so the payload
 		// is only borrowed from the read buffer.
 		payload, err := fc.readBorrowed()
@@ -168,9 +193,18 @@ func (s *Server) serveConn(conn net.Conn) {
 			// recovered; drop the connection.
 			return
 		}
+		if isPointRead(&req) {
+			resp := s.handler.Serve(req)
+			resp.ID = req.ID
+			inline = appendResponseFrame(inline, &resp, maxFrameSize)
+			continue
+		}
 		sem := dataSem
 		if IsControlMethod(req.Method) {
 			sem = ctrlSem
+			if len(inline) > 0 {
+				flushInline()
+			}
 			sem <- struct{}{}
 		} else {
 			select {
@@ -185,13 +219,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 		handlers.Add(1)
+		// The handler's own copy: were the loop's req captured, it would
+		// live on the heap for the inline path too.
+		own := req
 		go func() {
 			defer func() {
 				<-sem
 				handlers.Done()
 			}()
-			resp := s.handler.Serve(req)
-			resp.ID = req.ID
+			resp := s.handler.Serve(own)
+			resp.ID = own.ID
 			writeResp(&resp)
 		}()
 	}

@@ -682,28 +682,30 @@ func encodeRequestFrameLimit(req *Request, limit int) (*[]byte, error) {
 	return bp, nil
 }
 
-// encodeResponseFrame is encodeRequestFrame for the reply direction.
-// An overflowing response is replaced by an error response carrying
-// the same correlation ID, so the caller gets a clear semantic error
-// instead of a torn connection and an unreachable misclassification.
+// encodeResponseFrame is encodeRequestFrame for the reply direction,
+// built by appendResponseFrame.
 func encodeResponseFrame(resp *Response) *[]byte {
-	return encodeResponseFrameLimit(resp, maxFrameSize)
+	bp := getFrameBuf()
+	*bp = appendResponseFrame((*bp)[:0], resp, maxFrameSize)
+	return bp
 }
 
-func encodeResponseFrameLimit(resp *Response, limit int) *[]byte {
-	bp := getFrameBuf()
-	b := append((*bp)[:0], 0, 0, 0, 0, wireVersion)
+// appendResponseFrame appends resp's complete frame (length prefix,
+// version, message) to dst. A message past limit is replaced by an
+// error response carrying the same correlation ID, so the caller gets a
+// clear semantic error instead of a torn connection and an unreachable
+// misclassification.
+func appendResponseFrame(dst []byte, resp *Response, limit int) []byte {
+	start := len(dst)
+	b := append(dst, 0, 0, 0, 0, wireVersion)
 	b = appendResponse(b, resp)
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(b)-4))
-	*bp = b
-	if len(b)-4 > limit {
-		errResp := Response{ID: resp.ID, Err: fmt.Sprintf("%v (%d bytes)", errFrameOverflow, len(b)-4)}
+	if n := len(b) - start - 4; n > limit {
+		errResp := Response{ID: resp.ID, Err: fmt.Sprintf("%v (%d bytes)", errFrameOverflow, n)}
 		// Rebuild unconditionally — the substitute is inherently tiny,
 		// so no second size check (which could recurse) is needed.
-		b = append((*bp)[:0], 0, 0, 0, 0, wireVersion)
+		b = append(b[:start], 0, 0, 0, 0, wireVersion)
 		b = appendResponse(b, &errResp)
-		binary.LittleEndian.PutUint32(b[:4], uint32(len(b)-4))
-		*bp = b
 	}
-	return bp
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(b)-start-4))
+	return b
 }

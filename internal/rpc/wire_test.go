@@ -463,11 +463,15 @@ func TestWireEncodeOverflow(t *testing.T) {
 		t.Fatalf("overflow misclassified as unreachable: %v", err)
 	}
 
+	// Appended behind a frame already in the buffer, as the server's
+	// read loop does.
 	resp := Response{ID: 77, Found: true, Value: bytes.Repeat([]byte("y"), 4096)}
-	bp := encodeResponseFrameLimit(&resp, 1024)
-	payload := append([]byte(nil), (*bp)[4:]...)
-	putFrameBuf(bp)
-	got, err := decodeResponse(payload)
+	b := appendResponseFrame(appendResponseFrame(nil, &Response{ID: 1}, 1024), &resp, 1024)
+	first := 4 + int(binary.LittleEndian.Uint32(b))
+	if n := int(binary.LittleEndian.Uint32(b[first:])); first+4+n != len(b) {
+		t.Fatalf("second frame's prefix says %d bytes, %d follow it", n, len(b)-first-4)
+	}
+	got, err := decodeResponse(b[first+4:])
 	if err != nil {
 		t.Fatalf("substituted error response did not decode: %v", err)
 	}
