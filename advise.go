@@ -5,6 +5,7 @@ import (
 
 	"scads/internal/advisor"
 	"scads/internal/analyzer"
+	"scads/internal/mlmodel"
 	"scads/internal/planner"
 	"scads/internal/query"
 )
@@ -19,8 +20,9 @@ type (
 	AdviceReport = advisor.Report
 	// AdvicePricing prices compute and storage.
 	AdvicePricing = advisor.Pricing
-	// AnalyticCapacity is the closed-form day-one capacity model.
-	AnalyticCapacity = advisor.AnalyticCapacity
+	// CapacityCurve is one server's latency curve (seconds), which
+	// sizing inverts at the SLA bound.
+	CapacityCurve = mlmodel.Curve
 )
 
 // Advise predicts, for the cluster's installed schema, what the

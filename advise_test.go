@@ -3,7 +3,6 @@ package scads
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"scads/internal/analyzer"
 )
@@ -20,9 +19,7 @@ func adviceWorkload() AdviceWorkload {
 
 func adviceConfig() AdviceConfig {
 	return AdviceConfig{
-		Capacity: AnalyticCapacity{
-			PerServer: 400, Base: 2 * time.Millisecond, K: 40 * time.Millisecond,
-		},
+		Capacity: CapacityCurve{Capacity: 400, Base: 0.002, K: 0.040},
 	}
 }
 

@@ -57,11 +57,7 @@ WHERE f.followee = ?user LIMIT 100
 		},
 	}
 	cfg := scads.AdviceConfig{
-		Capacity: scads.AnalyticCapacity{
-			PerServer: paperService().CapacityPerServer,
-			Base:      paperService().Base,
-			K:         paperService().K,
-		},
+		Capacity:          paperService().Curve(),
 		SLALatency:        100 * time.Millisecond,
 		ReplicationFactor: 2,
 	}

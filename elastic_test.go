@@ -320,8 +320,8 @@ func TestObserveFeedsDirector(t *testing.T) {
 	if !strings.Contains(dec.Reason, "contention(1)") {
 		t.Fatalf("Reason = %q, want the contention noted", dec.Reason)
 	}
-	if d.ContentionsNoted() != 1 {
-		t.Fatalf("ContentionsNoted = %d", d.ContentionsNoted())
+	if got := lc.Contention().Total; got != 1 {
+		t.Fatalf("contention log total = %d, want 1", got)
 	}
 }
 

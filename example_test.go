@@ -3,7 +3,6 @@ package scads_test
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"scads"
 	"scads/internal/analyzer"
@@ -120,9 +119,7 @@ SELECT * FROM users WHERE id = ?u LIMIT 1
 		UpdateRates: map[string]float64{"users": 10},
 		TableRows:   map[string]int{"users": 100_000},
 	}, scads.AdviceConfig{
-		Capacity: scads.AnalyticCapacity{
-			PerServer: 1000, Base: 5 * time.Millisecond, K: 30 * time.Millisecond,
-		},
+		Capacity: scads.CapacityCurve{Capacity: 1000, Base: 0.005, K: 0.030},
 	})
 	if err != nil {
 		panic(err)

@@ -68,14 +68,11 @@ WHERE f.followee = ?user LIMIT 100
 	}
 
 	cfg := scads.AdviceConfig{
-		// Day one: no fitted models yet, so the analytic capacity curve
-		// stands in. Once the cluster runs, the director's fitted
-		// mlmodel.CapacityModel plugs into the same slot.
-		Capacity: scads.AnalyticCapacity{
-			PerServer: 1000,
-			Base:      5 * time.Millisecond,
-			K:         30 * time.Millisecond,
-		},
+		// Day one: no fitted model yet, so a closed-form curve stands in
+		// (1000 req/s per server, 5ms idle, 30ms queueing scale). Once
+		// the cluster runs, the curve the director's CapacityModel fits
+		// takes its place.
+		Capacity:          scads.CapacityCurve{Capacity: 1000, Base: 0.005, K: 0.030},
 		SLALatency:        100 * time.Millisecond,
 		ReplicationFactor: 2,
 		Pricing: scads.AdvicePricing{

@@ -314,13 +314,6 @@ func (c *Controller) SetTenant(name string, cfg TenantConfig) {
 	c.tenants[name] = newTenantState(cfg, c.clk.Now())
 }
 
-// SetMaxInFlight changes the overload watermark at runtime.
-func (c *Controller) SetMaxInFlight(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxInFlight = n
-}
-
 func (c *Controller) tenantLocked(name string, now time.Time) *tenantState {
 	t := c.tenants[name]
 	if t == nil {

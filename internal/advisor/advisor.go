@@ -17,7 +17,6 @@ package advisor
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"scads/internal/analyzer"
@@ -85,83 +84,14 @@ func (p Pricing) withDefaults() Pricing {
 	return p
 }
 
-// Capacity abstracts the performance model that predicts latency and
-// sizing. The fitted mlmodel.CapacityModel satisfies it once trained;
-// AnalyticCapacity supplies a closed-form fallback for day one, when
-// no history exists yet ("based on machine learning models of past
-// performance" needs a past).
-type Capacity interface {
-	// PredictLatency returns the SLA-percentile latency in seconds at
-	// the given per-server request rate.
-	PredictLatency(ratePerServer float64) float64
-	// ServersNeeded returns how many servers keep the predicted
-	// latency under slaLatencySeconds at the given total rate, keeping
-	// the headroom fraction of each server's usable capacity free
-	// (0.2 sizes for servers 80% busy) — the director's meaning, and
-	// mlmodel's.
-	ServersNeeded(totalRate, slaLatencySeconds, headroom float64, fallback int) int
-}
-
-// AnalyticCapacity is an M/M/1-flavoured closed-form capacity model
-// used before any observations exist.
-type AnalyticCapacity struct {
-	// PerServer is the saturation rate of one server (req/s).
-	PerServer float64
-	// Base is the idle service latency.
-	Base time.Duration
-	// K scales the queueing term.
-	K time.Duration
-}
-
-// PredictLatency implements Capacity.
-func (a AnalyticCapacity) PredictLatency(ratePerServer float64) float64 {
-	rho := ratePerServer / a.PerServer
-	if rho >= 0.99 {
-		return 10 // saturated: effectively a timeout
-	}
-	if rho < 0 {
-		rho = 0
-	}
-	return a.Base.Seconds() + a.K.Seconds()*rho/(1-rho)
-}
-
-// ServersNeeded implements Capacity.
-func (a AnalyticCapacity) ServersNeeded(totalRate, slaLatencySeconds, headroom float64, fallback int) int {
-	if a.PerServer <= 0 {
-		return fallback
-	}
-	if headroom < 0 || headroom >= 1 {
-		headroom = sizingHeadroom
-	}
-	// Largest per-server rate whose predicted latency meets the SLA.
-	usable := a.PerServer * 0.99
-	if extra := slaLatencySeconds - a.Base.Seconds(); extra > 0 && a.K > 0 {
-		// Base + K*rho/(1-rho) = SLA  =>  rho = extra/(K+extra).
-		rho := extra / (a.K.Seconds() + extra)
-		if r := a.PerServer * rho; r < usable {
-			usable = r
-		}
-	}
-	usable *= 1 - headroom
-	if usable <= 0 {
-		return fallback
-	}
-	n := int(math.Ceil(totalRate / usable))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-var _ Capacity = (*mlmodel.CapacityModel)(nil)
-var _ Capacity = AnalyticCapacity{}
-
 // Config parameterises an advisory run.
 type Config struct {
 	// Pricing for $ estimates.
 	Pricing Pricing
-	// Capacity predicts latency and sizing. Required.
-	Capacity Capacity
+	// Capacity is the per-server latency curve that predicts latency
+	// and sizing: a fitted mlmodel.CapacityModel's once the cluster has
+	// run, a closed-form one on day one. Required.
+	Capacity mlmodel.Curve
 	// SLALatency is the latency bound sizing targets (default 100ms).
 	SLALatency time.Duration
 	// ReplicationFactor multiplies serving nodes and storage
@@ -280,7 +210,7 @@ func Advise(s *query.Schema, results map[string]*analyzer.Result,
 	if s == nil || out == nil {
 		return nil, fmt.Errorf("advisor: schema and plans are required")
 	}
-	if cfg.Capacity == nil {
+	if cfg.Capacity.Capacity <= 0 {
 		return nil, fmt.Errorf("advisor: Config.Capacity is required")
 	}
 	cfg = cfg.withDefaults()
@@ -323,8 +253,11 @@ func Advise(s *query.Schema, results map[string]*analyzer.Result,
 				ServersTouched: res.ServersTouched,
 				UpdateWork:     res.UpdateWork,
 			}
-			lat := cfg.Capacity.PredictLatency(perServer)
-			qa.PredictedLatency = time.Duration(lat * float64(time.Second))
+			// A saturated server predicts +Inf: the longest duration.
+			qa.PredictedLatency = time.Duration(math.MaxInt64)
+			if lat := cfg.Capacity.Latency(perServer); !math.IsInf(lat, 1) {
+				qa.PredictedLatency = time.Duration(lat * float64(time.Second))
+			}
 			qa.MeetsSLA = qa.PredictedLatency <= cfg.SLALatency
 			if plan := out.Plans[name]; plan != nil && plan.Index != nil {
 				qa.Indexes = append(qa.Indexes, plan.Index.Name)
@@ -503,9 +436,4 @@ func rowBytes(t *query.TableDef, cols []string, w Workload) int {
 		}
 	}
 	return bytes
-}
-
-// SortIndexes orders index advice alphabetically for stable output.
-func SortIndexes(ia []IndexAdvice) {
-	sort.Slice(ia, func(i, j int) bool { return ia[i].Name < ia[j].Name })
 }

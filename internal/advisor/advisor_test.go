@@ -60,8 +60,10 @@ func socialWorkload() Workload {
 	}
 }
 
-func analytic() AnalyticCapacity {
-	return AnalyticCapacity{PerServer: 500, Base: 2 * time.Millisecond, K: 30 * time.Millisecond}
+// analytic is the closed-form capacity curve a deployment sizes with
+// on day one, before a CapacityModel has history to fit.
+func analytic() mlmodel.Curve {
+	return mlmodel.Curve{Capacity: 500, Base: 0.002, K: 0.030}
 }
 
 func TestAdviseSocialNetwork(t *testing.T) {
@@ -213,21 +215,21 @@ WHERE f.followee = ?user LIMIT 100
 func TestAdviseRequiresCapacity(t *testing.T) {
 	s, results, out := compileSocial(t)
 	if _, err := Advise(s, results, nil, out, socialWorkload(), Config{}); err == nil {
-		t.Fatal("want error when Config.Capacity is nil")
+		t.Fatal("want error when Config.Capacity is unset")
 	}
 }
 
 func TestAnalyticCapacityLatencyMonotone(t *testing.T) {
 	c := analytic()
 	prev := -1.0
-	for rate := 0.0; rate < c.PerServer; rate += 25 {
-		l := c.PredictLatency(rate)
+	for rate := 0.0; rate < c.Capacity; rate += 25 {
+		l := c.Latency(rate)
 		if l < prev {
 			t.Fatalf("latency decreased at rate %v: %v < %v", rate, l, prev)
 		}
 		prev = l
 	}
-	if sat := c.PredictLatency(c.PerServer * 2); sat < 1 {
+	if sat := c.Latency(c.Capacity * 2); sat < 1 {
 		t.Errorf("saturated latency %v should be large", sat)
 	}
 }
@@ -250,16 +252,16 @@ func TestAnalyticCapacityServersNeeded(t *testing.T) {
 	}
 }
 
-// TestFittedModelSizesLikeItsCurve: the two Capacity implementations
-// read headroom the same way. A CapacityModel fitted on samples of
-// AnalyticCapacity's own latency curve sizes within a server of it.
+// TestFittedModelSizesLikeItsCurve: a CapacityModel fitted on samples
+// of the analytic curve sizes within a server of the curve itself.
 func TestFittedModelSizesLikeItsCurve(t *testing.T) {
 	c := analytic()
-	var fitted mlmodel.CapacityModel
-	for rate := 25.0; rate < 0.95*c.PerServer; rate += 25 {
-		fitted.Observe(rate, c.PredictLatency(rate))
+	var model mlmodel.CapacityModel
+	for rate := 25.0; rate < 0.95*c.Capacity; rate += 25 {
+		model.Observe(rate, c.Latency(rate))
 	}
-	if !fitted.Fit() {
+	fitted, ok := model.Curve()
+	if !ok {
 		t.Fatal("model did not fit the analytic curve")
 	}
 	for _, total := range []float64{1_000, 5_000, 10_000} {
@@ -267,6 +269,42 @@ func TestFittedModelSizesLikeItsCurve(t *testing.T) {
 		got := fitted.ServersNeeded(total, 0.1, sizingHeadroom, 1)
 		if d := got - want; d < -1 || d > 1 {
 			t.Errorf("at %v req/s the fitted model sizes %d servers, the curve it was fitted on %d", total, got, want)
+		}
+	}
+}
+
+// TestSLABelowIdleLatencySizesLikeTheFittedModel: an SLA the idle
+// latency already misses has no usable rate on any curve, analytic or
+// fitted, so sizing returns the caller's fallback and every accepted
+// query misses the SLA.
+func TestSLABelowIdleLatencySizesLikeTheFittedModel(t *testing.T) {
+	c := mlmodel.Curve{Capacity: 1000, Base: 0.050, K: 0.030}
+	if n := c.ServersNeeded(10000, 0.020, 0.2, 1); n != 1 {
+		t.Fatalf("ServersNeeded = %d, want the fallback 1", n)
+	}
+	var model mlmodel.CapacityModel
+	for rate := 25.0; rate < 950; rate += 25 {
+		model.Observe(rate, c.Latency(rate))
+	}
+	fitted, ok := model.Curve()
+	if !ok {
+		t.Fatal("model did not fit the curve")
+	}
+	if n := fitted.ServersNeeded(10000, 0.020, 0.2, 1); n != 1 {
+		t.Fatalf("fitted ServersNeeded = %d, want the fallback 1", n)
+	}
+
+	s, results, out := compileSocial(t)
+	rep, err := Advise(s, results, nil, out, socialWorkload(), Config{Capacity: c, SLALatency: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cluster.Servers != 1 {
+		t.Errorf("Servers = %d, want the fallback 1", rep.Cluster.Servers)
+	}
+	for _, q := range rep.Queries {
+		if q.Accepted && q.MeetsSLA {
+			t.Errorf("%s meets a 20ms SLA at %v", q.Query, q.PredictedLatency)
 		}
 	}
 }

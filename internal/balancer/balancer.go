@@ -11,6 +11,7 @@ package balancer
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -237,7 +238,7 @@ func extremes(load map[string]float64, nodes []string) (hot, cold string) {
 	// node as the move source.
 	var extra []string
 	for n := range load {
-		if !contains(sorted, n) {
+		if _, ok := slices.BinarySearch(sorted, n); !ok {
 			extra = append(extra, n)
 		}
 	}
@@ -279,9 +280,4 @@ func retarget(replicas []string, from, to string) []string {
 		out = append([]string{to}, out[1:]...)
 	}
 	return out
-}
-
-func contains(sorted []string, n string) bool {
-	i := sort.SearchStrings(sorted, n)
-	return i < len(sorted) && sorted[i] == n
 }

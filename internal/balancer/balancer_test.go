@@ -281,7 +281,7 @@ func TestTrackerReset(t *testing.T) {
 	tr := NewTracker()
 	tr.Record("t", nil, []byte("a"))
 	tr.Reset()
-	if tr.Len() != 0 || len(tr.Snapshot()) != 0 {
+	if len(tr.ranges) != 0 || len(tr.Snapshot()) != 0 {
 		t.Fatal("reset did not clear the window")
 	}
 }

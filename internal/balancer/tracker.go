@@ -102,13 +102,6 @@ func (t *Tracker) Reset() {
 	t.ranges = make(map[rangeKey]*rangeStats)
 }
 
-// Len returns how many distinct ranges have been observed.
-func (t *Tracker) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ranges)
-}
-
 // medianKey returns the median distinct sampled key, provided it falls
 // strictly inside the range (splitting at the range start would create
 // an empty left half).

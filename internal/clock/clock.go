@@ -137,17 +137,6 @@ func (v *Virtual) PendingTimers() int {
 	return len(v.waiters)
 }
 
-// NextDeadline returns the earliest pending timer deadline and true,
-// or the zero time and false when no timers are pending.
-func (v *Virtual) NextDeadline() (time.Time, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if len(v.waiters) == 0 {
-		return time.Time{}, false
-	}
-	return v.waiters[0].at, true
-}
-
 type waiter struct {
 	at  time.Time
 	ch  chan time.Time

@@ -101,19 +101,6 @@ func TestVirtualSameDeadlineFIFO(t *testing.T) {
 	}
 }
 
-func TestVirtualNextDeadline(t *testing.T) {
-	v := NewVirtual(epoch)
-	if _, ok := v.NextDeadline(); ok {
-		t.Fatal("NextDeadline should report none pending")
-	}
-	v.After(5 * time.Second)
-	v.After(2 * time.Second)
-	dl, ok := v.NextDeadline()
-	if !ok || !dl.Equal(epoch.Add(2*time.Second)) {
-		t.Fatalf("NextDeadline = %v,%v; want %v,true", dl, ok, epoch.Add(2*time.Second))
-	}
-}
-
 func TestVirtualConcurrentAfter(t *testing.T) {
 	v := NewVirtual(epoch)
 	const n = 64

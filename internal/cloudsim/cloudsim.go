@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"scads/internal/clock"
+	"scads/internal/mlmodel"
 )
 
 // Options configure the simulated cloud.
@@ -168,7 +169,8 @@ type Load struct {
 // ServiceModel converts per-server load into latency/success — the
 // synthetic service curve experiments use when they do not run a real
 // storage cluster. Parameters follow the open queueing form latency =
-// Base + K·ρ/(1-ρ).
+// Base + K·ρ/(1-ρ). Latency is the simulator's ground truth; Curve is
+// the same curve in the units the models size with.
 type ServiceModel struct {
 	// CapacityPerServer is the saturation rate of one server (req/s).
 	CapacityPerServer float64
@@ -193,6 +195,11 @@ func (s ServiceModel) Latency(totalRate float64, servers int) time.Duration {
 		rho = 0
 	}
 	return s.Base + time.Duration(float64(s.K)*rho/(1-rho))
+}
+
+// Curve returns the service's curve as an mlmodel.Curve.
+func (s ServiceModel) Curve() mlmodel.Curve {
+	return mlmodel.Curve{Capacity: s.CapacityPerServer, Base: s.Base.Seconds(), K: s.K.Seconds()}
 }
 
 // SuccessRate returns the fraction (in percent) of requests that

@@ -163,8 +163,10 @@ func TestDirectoryLifecycle(t *testing.T) {
 	d.Join("n1", "addr1")
 	d.Join("n2", "addr2")
 
-	if b, u, dn := d.CountByStatus(); b != 2 || u != 0 || dn != 0 {
-		t.Fatalf("counts after join = %d %d %d", b, u, dn)
+	for _, id := range []string{"n1", "n2"} {
+		if m, _ := d.Get(id); m.Status != StatusBooting {
+			t.Fatalf("%s after join = %v, want booting", id, m.Status)
+		}
 	}
 	d.MarkUp("n1")
 	d.MarkUp("n2")

@@ -161,20 +161,3 @@ func (d *Directory) Up() []Member {
 	}
 	return out
 }
-
-// CountByStatus reports how many members are in each state.
-func (d *Directory) CountByStatus() (booting, up, down int) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for _, m := range d.members {
-		switch m.Status {
-		case StatusBooting:
-			booting++
-		case StatusUp:
-			up++
-		case StatusDown:
-			down++
-		}
-	}
-	return
-}

@@ -32,9 +32,6 @@ func NewNode(id string, engine *storage.Engine) *Node {
 	return &Node{id: id, engine: engine}
 }
 
-// ID returns the node identifier.
-func (n *Node) ID() string { return n.id }
-
 // Engine exposes the underlying storage engine (used by local tooling
 // and tests; remote callers go through Serve).
 func (n *Node) Engine() *storage.Engine { return n.engine }

@@ -110,7 +110,10 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestSpecRoundTripThroughString(t *testing.T) {
-	specs := MustParse(fullSpec)
+	specs, err := Parse(fullSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	re, err := Parse(specs[0].String())
 	if err != nil {
 		t.Fatalf("re-parse of String() failed: %v\n%s", err, specs[0].String())

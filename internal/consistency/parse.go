@@ -44,17 +44,6 @@ func Parse(src string) ([]Spec, error) {
 	return specs, nil
 }
 
-// MustParse is Parse for statically known specs; it panics on error —
-// the regexp.MustCompile convention. Specs arriving from operators or
-// config files must go through Parse; no library code calls MustParse.
-func MustParse(src string) []Spec {
-	specs, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return specs
-}
-
 type token struct {
 	text string
 	line int

@@ -153,7 +153,6 @@ type Director struct {
 	mu            sync.Mutex
 	lastScaleDown time.Time
 	decisions     []Decision
-	contentions   int64
 }
 
 // New returns a director driving actuator under cfg.
@@ -223,12 +222,11 @@ func (d *Director) Step(obs Observation) Decision {
 		dec.Reason += fmt.Sprintf("+repl-backlog(%d)", obs.ReplicationAtRisk)
 	}
 
-	// Requirement contentions (§3.3.1) are noted and answered with
-	// extra capacity: more replicas/bandwidth shortens the window in
-	// which requirements are unsatisfiable. The cumulative count is an
-	// operator-facing alarm either way.
+	// Requirement contentions (§3.3.1) are answered with extra
+	// capacity: more replicas/bandwidth shortens the window in which
+	// requirements are unsatisfiable. The operator-facing count is the
+	// cluster's contention log.
 	if obs.Contentions > 0 {
-		d.contentions += int64(obs.Contentions)
 		target++
 		dec.Reason += fmt.Sprintf("+contention(%d)", obs.Contentions)
 	}
@@ -296,12 +294,12 @@ func (d *Director) modelTarget(obs Observation, running int) (int, float64, stri
 		target := d.Fleet.ServersNeeded(demand, obs.ClassRates, d.cfg.SLALatency.Seconds(), headroom, floor)
 		return target, forecast, "fleet:" + horizon
 	}
-	target := d.Capacity.ServersNeeded(demand, d.cfg.SLALatency.Seconds(), headroom, running)
-	if _, _, _, ok := d.Capacity.Params(); !ok {
+	curve, ok := d.Capacity.Curve()
+	if !ok {
 		t, r := d.reactiveTarget(obs, running)
 		return t, forecast, "unfit:" + r
 	}
-	return target, forecast, "model:" + horizon
+	return curve.ServersNeeded(demand, d.cfg.SLALatency.Seconds(), headroom, running), forecast, "model:" + horizon
 }
 
 // reactiveTarget is the threshold baseline: scale up 25% on a
@@ -320,15 +318,6 @@ func (d *Director) reactiveTarget(obs Observation, running int) (int, string) {
 	default:
 		return running, "reactive:steady"
 	}
-}
-
-// ContentionsNoted returns the cumulative count of §3.3.1 requirement
-// contentions reported to the director — the operator-notification
-// side of "noted and used as input to the manager functions".
-func (d *Director) ContentionsNoted() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.contentions
 }
 
 // Decisions returns a copy of the decision log.

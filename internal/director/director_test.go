@@ -150,7 +150,7 @@ func trainModel(t *testing.T, d *Director, act *fakeActuator, vc *clock.Virtual)
 		act.finishBoot()
 		vc.Advance(30 * time.Second)
 	}
-	if _, _, _, ok := d.Capacity.Params(); !ok {
+	if _, ok := d.Capacity.Curve(); !ok {
 		t.Fatal("capacity model did not fit during training")
 	}
 }
@@ -182,7 +182,8 @@ func TestModelDrivenProvisionsAheadOfRamp(t *testing.T) {
 	}
 	// Target must cover the forecast at the learned per-server
 	// capacity, not just current load.
-	perServer := d.Capacity.UsableCapacity(0.1, 0.2)
+	curve, _ := d.Capacity.Curve()
+	perServer := curve.UsableRate(0.1, 0.2)
 	needCurrent := int(lastDec.Observed.Rate/perServer) + 1
 	if lastDec.Target <= needCurrent {
 		t.Fatalf("target %d does not provision ahead (current need %d)", lastDec.Target, needCurrent)
@@ -237,9 +238,9 @@ func TestContentionSignalBoostsTargetAndIsNoted(t *testing.T) {
 	if dec.Target <= 4 {
 		t.Fatalf("Target = %d, want boost above running", dec.Target)
 	}
-	d.Step(Observation{Rate: 10, Latency: time.Millisecond, SLAMet: true, Contentions: 2})
-	if got := d.ContentionsNoted(); got != 5 {
-		t.Fatalf("ContentionsNoted = %d, want 5", got)
+	dec = d.Step(Observation{Rate: 10, Latency: time.Millisecond, SLAMet: true, Contentions: 2})
+	if !strings.Contains(dec.Reason, "contention(2)") {
+		t.Fatalf("Reason = %q, want the second interval's contentions", dec.Reason)
 	}
 }
 
@@ -250,8 +251,5 @@ func TestNoContentionNoAnnotation(t *testing.T) {
 	dec := d.Step(Observation{Rate: 10, Latency: time.Millisecond, SuccessRate: 100, SLAMet: true})
 	if strings.Contains(dec.Reason, "contention") {
 		t.Fatalf("Reason = %q, want no contention annotation", dec.Reason)
-	}
-	if d.ContentionsNoted() != 0 {
-		t.Fatal("noted contentions without any observed")
 	}
 }

@@ -13,10 +13,9 @@ import (
 // data — a panic is legal only when its argument is a compile-time
 // constant (programmer-error assertions like "unreachable") or inside
 // a Must* function, the regexp.MustCompile convention for statically
-// known inputs (keycodec.MustEncode, consistency.MustParse,
-// query.MustParse). Everything reached by caller- or wire-supplied
-// values must return an error. Re-panicking a recovered value is
-// allowed (the goroutine-join idiom).
+// known inputs (keycodec.MustEncode, query.MustParse). Everything
+// reached by caller- or wire-supplied values must return an error.
+// Re-panicking a recovered value is allowed (the goroutine-join idiom).
 //
 // Suppression key: "panic".
 func NewPanicDiscipline() *analysis.Analyzer {

@@ -137,12 +137,6 @@ func (m *Memtable) Get(key []byte) (record.Record, bool) {
 	return record.Record{}, false
 }
 
-// Delete inserts a tombstone for key at the given version. It reports
-// whether the tombstone took effect under last-write-wins.
-func (m *Memtable) Delete(key []byte, version uint64) bool {
-	return m.Put(record.Record{Key: append([]byte(nil), key...), Version: version, Tombstone: true})
-}
-
 // Scan visits records with start <= key < end in ascending key order,
 // including tombstones, until fn returns false. A nil end means
 // unbounded.

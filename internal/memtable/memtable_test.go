@@ -74,7 +74,7 @@ func TestMinVersion(t *testing.T) {
 func TestDeleteTombstone(t *testing.T) {
 	m := New(1)
 	m.Put(rec("k", "v", 1))
-	if !m.Delete([]byte("k"), 2) {
+	if !m.Put(record.Record{Key: []byte("k"), Version: 2, Tombstone: true}) {
 		t.Fatal("delete rejected")
 	}
 	got, ok := m.Get([]byte("k"))

@@ -30,6 +30,7 @@ package migration
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -253,7 +254,7 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 	// Idempotent re-entry: the routing already points at the target —
 	// nothing to move, but a previous attempt may have left teardown
 	// pending.
-	if sameReplicas(old, target) {
+	if slices.Equal(old, target) {
 		m.retryPendingFor(namespace, rng)
 		return nil
 	}
@@ -264,7 +265,7 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 	// up too — after the handoff the new primary serves every
 	// acknowledged write, not just the replicated prefix.
 	catchup := diff(target, old)
-	if target[0] != old[0] && !contains(catchup, target[0]) && contains(old, target[0]) {
+	if target[0] != old[0] && !slices.Contains(catchup, target[0]) && slices.Contains(old, target[0]) {
 		catchup = append([]string{target[0]}, catchup...)
 	}
 
@@ -280,7 +281,7 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 		// The donor itself never catches up from itself (it can end up
 		// in the catch-up set when the primary is down and a promoted
 		// secondary is the best remaining source).
-		catchupTargets, err = m.resolveAll(diffOne(catchup, donorID))
+		catchupTargets, err = m.resolveAll(diff(catchup, []string{donorID}))
 		if err != nil {
 			return fmt.Errorf("migration: %s %s: %w", namespace, rng, err)
 		}
@@ -297,7 +298,7 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 			// teardown) left behind, so the snapshot lands on clean
 			// state. A current replica being promoted is serving reads
 			// and is left intact; the snapshot merges over it.
-			if !contains(old, t.id) {
+			if !slices.Contains(old, t.id) {
 				resp, err := m.transport.Call(t.addr, rpc.Request{
 					Method: rpc.MethodDropRange, Namespace: namespace,
 					Start: rng.Start, End: rng.End,
@@ -413,7 +414,7 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 		m.OnFlip(namespace, rng.Start, rng.End, old, target)
 	}
 
-	if contains(target, old[0]) {
+	if slices.Contains(target, old[0]) {
 		// The old primary keeps the range: writes may flow to it again
 		// (possibly as a secondary via replication).
 		unfencePrimary()
@@ -646,7 +647,7 @@ func (m *Manager) ownsPartOf(namespace string, start, end []byte, node string) b
 		return false
 	}
 	for _, r := range pm.Overlapping(start, end) {
-		if contains(r.Replicas, node) {
+		if slices.Contains(r.Replicas, node) {
 			return true
 		}
 	}
@@ -757,47 +758,7 @@ func (m *Manager) pageSize() int {
 	return 1024
 }
 
-// --- small set helpers ---
-
-func sameReplicas(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func contains(ids []string, id string) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
-// diff returns the members of a not present in b, in a's order.
+// diff returns the members of a not in b, in a's order.
 func diff(a, b []string) []string {
-	var out []string
-	for _, x := range a {
-		if !contains(b, x) {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// diffOne returns ids without the given member.
-func diffOne(ids []string, drop string) []string {
-	var out []string
-	for _, x := range ids {
-		if x != drop {
-			out = append(out, x)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(a), func(x string) bool { return slices.Contains(b, x) })
 }

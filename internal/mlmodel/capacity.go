@@ -5,28 +5,70 @@ import (
 	"sync"
 )
 
-// CapacityModel learns how many requests per second one server can
-// sustain while meeting the latency SLA, from (per-server rate,
-// observed latency) pairs. It fits the open-queueing curve
+// Curve is one server's open-queueing latency curve,
 //
-//	latency(ρ) = base + k · ρ/(1-ρ),   ρ = rate/capacity
+//	latency(ρ) = Base + K·ρ/(1-ρ),   ρ = rate/Capacity,
 //
-// by profiling over candidate capacities, then inverts it: the highest
-// per-server rate whose predicted latency stays under the SLA bound is
-// the usable capacity. This is the "models of past performance"
-// machinery §2.2 asks for, in its simplest defensible form.
+// with latencies in seconds. It is the model side of every sizing
+// decision: CapacityModel fits one from telemetry,
+// cloudsim.ServiceModel hands out the one it simulates, and the
+// director, the simulator's oracle and the advisor size fleets by
+// inverting one.
+type Curve struct {
+	Capacity float64 // saturation rate of one server (req/s)
+	Base     float64 // idle latency (s)
+	K        float64 // scale of the queueing term (s)
+}
+
+// Latency returns the modelled latency in seconds at a per-server
+// rate; +Inf once the rate saturates the server.
+func (c Curve) Latency(ratePerServer float64) float64 {
+	rho := ratePerServer / c.Capacity
+	if rho >= 1 {
+		return math.Inf(1)
+	}
+	return c.Base + c.K*rho/(1-rho)
+}
+
+// UsableRate returns the highest per-server rate whose latency stays
+// at or below slaSeconds, less the headroom fraction (0.2 keeps a
+// fifth of it spare); 0 when even an idle server misses the SLA.
+func (c Curve) UsableRate(slaSeconds, headroom float64) float64 {
+	d := slaSeconds - c.Base
+	if d <= 0 {
+		return 0
+	}
+	// Invert: sla = base + k·ρ/(1-ρ)  =>  ρ = d/(k+d).
+	rho := d / (c.K + d)
+	return rho * c.Capacity * (1 - headroom)
+}
+
+// ServersNeeded returns how many servers serve totalRate under the SLA
+// with the headroom fraction spare, at least 1. When the SLA is
+// unachievable it returns the caller's fallback (at least 1).
+func (c Curve) ServersNeeded(totalRate, slaSeconds, headroom float64, fallback int) int {
+	per := c.UsableRate(slaSeconds, headroom)
+	if per <= 0 {
+		return max(fallback, 1)
+	}
+	return max(int(math.Ceil(totalRate/per)), 1)
+}
+
+// CapacityModel learns one server's Curve from (per-server rate,
+// observed latency) pairs, by profiling over candidate capacities and
+// fitting base and k by least squares at each — the "models of past
+// performance" machinery §2.2 asks for, in its simplest defensible
+// form.
 type CapacityModel struct {
 	mu   sync.Mutex
 	rate []float64 // per-server request rate
 	lat  []float64 // observed latency (seconds) at the SLA percentile
 
-	fitted   bool
-	capacity float64 // fitted saturation rate
-	base     float64
-	k        float64
+	fitted bool
+	curve  Curve
 }
 
-// MinObservations before Fit will produce a model.
+// MinObservations before a model fits.
 const MinObservations = 8
 
 // Observe records one (per-server rate, latency) sample. Latency is
@@ -47,27 +89,13 @@ func (c *CapacityModel) Observe(ratePerServer, latencySeconds float64) {
 	c.fitted = false
 }
 
-// Observations reports the sample count.
-func (c *CapacityModel) Observations() int {
+// Curve returns the curve fitted to the samples, refitting if any
+// arrived since the last call; false until the samples admit a fit.
+func (c *CapacityModel) Curve() (Curve, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.rate)
-}
-
-// Fit profiles candidate capacities and fits base and k by OLS on the
-// transformed feature ρ/(1-ρ). Returns false until enough data.
-func (c *CapacityModel) Fit() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fitLocked()
-}
-
-func (c *CapacityModel) fitLocked() bool {
-	if c.fitted {
-		return true
-	}
-	if len(c.rate) < MinObservations {
-		return false
+	if c.fitted || len(c.rate) < MinObservations {
+		return c.curve, c.fitted
 	}
 	maxRate := 0.0
 	for _, r := range c.rate {
@@ -76,9 +104,8 @@ func (c *CapacityModel) fitLocked() bool {
 		}
 	}
 	bestErr := math.Inf(1)
-	found := false
-	// One feature column, refilled per candidate capacity; xs[i] is the
-	// one-element row over feat[i].
+	// One feature column, ρ/(1-ρ), refilled per candidate capacity;
+	// xs[i] is the one-element row over feat[i].
 	feat := make([]float64, len(c.rate))
 	xs := make([][]float64, len(c.rate))
 	for i := range xs {
@@ -103,81 +130,9 @@ func (c *CapacityModel) fitLocked() bool {
 		}
 		if sse < bestErr && m.Coef[0] > 0 {
 			bestErr = sse
-			c.capacity = cap
-			c.base = m.Intercept
-			c.k = m.Coef[0]
-			found = true
+			c.curve = Curve{Capacity: cap, Base: m.Intercept, K: m.Coef[0]}
+			c.fitted = true
 		}
 	}
-	c.fitted = found
-	return found
-}
-
-// PredictLatency returns the modelled latency at a per-server rate.
-// NaN when the model is not fit or the rate saturates the server.
-func (c *CapacityModel) PredictLatency(ratePerServer float64) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.fitLocked() {
-		return math.NaN()
-	}
-	rho := ratePerServer / c.capacity
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	if rho < 0 {
-		return math.NaN()
-	}
-	return c.base + c.k*rho/(1-rho)
-}
-
-// UsableCapacity returns the highest per-server rate whose predicted
-// latency stays at or below slaLatencySeconds, with the given headroom
-// fraction (0.2 = keep 20% slack). Returns 0 until the model is fit.
-func (c *CapacityModel) UsableCapacity(slaLatencySeconds, headroom float64) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.fitLocked() {
-		return 0
-	}
-	if slaLatencySeconds <= c.base {
-		return 0 // SLA unachievable even when idle
-	}
-	// Invert: lat = base + k·ρ/(1-ρ)  =>  ρ = d/(k+d), d = lat-base.
-	d := slaLatencySeconds - c.base
-	rho := d / (c.k + d)
-	usable := rho * c.capacity * (1 - headroom)
-	if usable < 0 {
-		return 0
-	}
-	return usable
-}
-
-// ServersNeeded returns the number of servers required to serve
-// totalRate under the SLA. Returns min 1; returns fallback when the
-// model is not yet fit.
-func (c *CapacityModel) ServersNeeded(totalRate, slaLatencySeconds, headroom float64, fallback int) int {
-	per := c.UsableCapacity(slaLatencySeconds, headroom)
-	if per <= 0 {
-		if fallback < 1 {
-			return 1
-		}
-		return fallback
-	}
-	n := int(math.Ceil(totalRate / per))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Params returns the fitted parameters (capacity, base, k) and whether
-// the model is fit.
-func (c *CapacityModel) Params() (capacity, base, k float64, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.fitLocked() {
-		return 0, 0, 0, false
-	}
-	return c.capacity, c.base, c.k, true
+	return c.curve, c.fitted
 }

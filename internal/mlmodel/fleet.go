@@ -37,9 +37,8 @@ type FleetModel struct {
 	mu  sync.Mutex
 	obs []fleetSample
 
-	fitted  bool
-	classes []string           // stable sorted feature order at fit time
-	demand  map[string]float64 // fitted D_c (server-seconds per op)
+	fitted bool
+	demand map[string]float64 // fitted D_c (server-seconds per op)
 }
 
 type fleetSample struct {
@@ -76,13 +75,6 @@ func (f *FleetModel) Observe(classRates map[string]float64, latencySeconds float
 		f.obs = f.obs[len(f.obs)-4096:]
 	}
 	f.fitted = false
-}
-
-// Observations reports the sample count.
-func (f *FleetModel) Observations() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.obs)
 }
 
 // Fit solves the no-intercept least-squares system for the per-class
@@ -153,22 +145,9 @@ func (f *FleetModel) fitLocked() bool {
 	if !positive {
 		return false
 	}
-	f.classes = classes
 	f.demand = demand
 	f.fitted = true
 	return true
-}
-
-// Demand returns the fitted service demand for one class in
-// server-seconds per op, and whether the model is fit.
-func (f *FleetModel) Demand(class string) (float64, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.fitLocked() {
-		return 0, false
-	}
-	d, ok := f.demand[class]
-	return d, ok
 }
 
 // meanDemandLocked computes D̄ = Σ f_c·D_c for a mix given as relative
@@ -207,36 +186,6 @@ func (f *FleetModel) meanDemandLocked(mix map[string]float64) float64 {
 		mean += w / total * d
 	}
 	return mean
-}
-
-// PredictLatency returns the modelled latency for per-class per-server
-// rates. NaN when unfit; +Inf when the implied utilisation saturates.
-func (f *FleetModel) PredictLatency(classRates map[string]float64) float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.fitLocked() {
-		return math.NaN()
-	}
-	var rho, x float64
-	for _, c := range sortedKeys(classRates) {
-		r := classRates[c]
-		if r <= 0 {
-			continue
-		}
-		d, ok := f.demand[c]
-		if !ok {
-			d = f.meanDemandLocked(map[string]float64{c: 1})
-		}
-		rho += r * d
-		x += r
-	}
-	if x <= 0 {
-		return 0
-	}
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	return (rho / x) / (1 - rho)
 }
 
 // UsablePerServer returns the highest total per-server request rate of
@@ -298,19 +247,4 @@ func sortedKeys(m map[string]float64) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Params returns the fitted per-class demands and whether the model is
-// fit. The map is a copy.
-func (f *FleetModel) Params() (map[string]float64, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.fitLocked() {
-		return nil, false
-	}
-	out := make(map[string]float64, len(f.demand))
-	for c, d := range f.demand {
-		out[c] = d
-	}
-	return out, true
 }

@@ -41,19 +41,10 @@ func TestFleetModelRecoversPerClassDemand(t *testing.T) {
 	if !f.Fit() {
 		t.Fatal("Fit failed")
 	}
-	got, ok := f.Params()
-	if !ok {
-		t.Fatal("Params not fit")
-	}
 	for c, want := range demand {
-		if math.Abs(got[c]-want)/want > 0.05 {
-			t.Fatalf("demand[%s] = %v, want ~%v", c, got[c], want)
+		if got := f.demand[c]; math.Abs(got-want)/want > 0.05 {
+			t.Fatalf("demand[%s] = %v, want ~%v", c, got, want)
 		}
-	}
-	// Latency prediction matches the generating curve.
-	rates := map[string]float64{"read": 200, "write": 25}
-	if gotL, wantL := f.PredictLatency(rates), synthFleetLatency(rates, demand); math.Abs(gotL-wantL)/wantL > 0.05 {
-		t.Fatalf("PredictLatency = %v, want ~%v", gotL, wantL)
 	}
 }
 
@@ -131,14 +122,11 @@ func TestFleetModelRejectsBadSamples(t *testing.T) {
 	f.Observe(map[string]float64{"read": -5}, 0.01)
 	f.Observe(map[string]float64{"read": 5}, -1)
 	f.Observe(map[string]float64{"read": 5}, math.NaN())
-	if f.Observations() != 0 {
-		t.Fatalf("bad samples recorded: %d", f.Observations())
+	if len(f.obs) != 0 {
+		t.Fatalf("bad samples recorded: %d", len(f.obs))
 	}
 	if f.Fit() {
 		t.Fatal("Fit succeeded with no data")
-	}
-	if !math.IsNaN(f.PredictLatency(map[string]float64{"read": 5})) {
-		t.Fatal("unfit PredictLatency should be NaN")
 	}
 }
 

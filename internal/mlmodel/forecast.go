@@ -81,10 +81,3 @@ func (f *Forecaster) trendForecast(now time.Time, horizon time.Duration) float64
 	}
 	return m.Predict([]float64{now.Add(horizon).Sub(cutoff).Seconds()})
 }
-
-// HistoryLen reports the number of retained samples.
-func (f *Forecaster) HistoryLen() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.samples)
-}

@@ -68,7 +68,7 @@ func TestFitLinearErrors(t *testing.T) {
 
 func TestWindowQuantile(t *testing.T) {
 	w := NewWindow(100)
-	if !math.IsNaN(w.Quantile(0.5)) || !math.IsNaN(w.Max()) || !math.IsNaN(w.Mean()) {
+	if !math.IsNaN(w.Quantile(0.5)) {
 		t.Fatal("empty window should be NaN")
 	}
 	for i := 1; i <= 100; i++ {
@@ -82,12 +82,6 @@ func TestWindowQuantile(t *testing.T) {
 	}
 	if got := w.Quantile(1.0); got != 100 {
 		t.Fatalf("p100 = %v", got)
-	}
-	if got := w.Max(); got != 100 {
-		t.Fatalf("Max = %v", got)
-	}
-	if got := w.Mean(); math.Abs(got-50.5) > 1e-9 {
-		t.Fatalf("Mean = %v", got)
 	}
 	// Ring behaviour: adding 100 more evicts the old ones.
 	for i := 101; i <= 200; i++ {
@@ -140,69 +134,65 @@ func TestCapacityModelRecoversCurve(t *testing.T) {
 		lat := synthLatency(rate, capacity, base, k) * (1 + r.NormFloat64()*0.02)
 		m.Observe(rate, lat)
 	}
-	if !m.Fit() {
-		t.Fatal("Fit failed")
-	}
-	gotCap, gotBase, _, ok := m.Params()
+	c, ok := m.Curve()
 	if !ok {
-		t.Fatal("Params not fit")
+		t.Fatal("fit failed")
 	}
-	if math.Abs(gotCap-capacity)/capacity > 0.25 {
-		t.Fatalf("capacity = %v, want ~%v", gotCap, capacity)
+	if math.Abs(c.Capacity-capacity)/capacity > 0.25 {
+		t.Fatalf("capacity = %v, want ~%v", c.Capacity, capacity)
 	}
-	if math.Abs(gotBase-base) > 0.01 {
-		t.Fatalf("base = %v, want ~%v", gotBase, base)
+	if math.Abs(c.Base-base) > 0.01 {
+		t.Fatalf("base = %v, want ~%v", c.Base, base)
 	}
 
 	// Predicted latency increases with rate and blows up near capacity.
-	l200 := m.PredictLatency(200)
-	l800 := m.PredictLatency(800)
-	if !(l200 < l800) {
+	if l200, l800 := c.Latency(200), c.Latency(800); !(l200 < l800) {
 		t.Fatalf("latency not increasing: %v vs %v", l200, l800)
 	}
-	if !math.IsInf(m.PredictLatency(gotCap*1.1), 1) {
+	if !math.IsInf(c.Latency(c.Capacity*1.1), 1) {
 		t.Fatal("saturated rate should predict +Inf")
 	}
 
-	// UsableCapacity at 100ms SLA should be below raw capacity but
+	// The usable rate at a 100ms SLA is below raw capacity but
 	// positive; ServersNeeded scales linearly.
-	usable := m.UsableCapacity(0.100, 0.2)
+	usable := c.UsableRate(0.100, 0.2)
 	if usable <= 0 || usable >= capacity {
 		t.Fatalf("usable = %v", usable)
 	}
-	n1 := m.ServersNeeded(usable*3, 0.100, 0.2, 1)
-	if n1 != 3 {
-		t.Fatalf("ServersNeeded = %d, want 3", n1)
+	if n := c.ServersNeeded(usable*3, 0.100, 0.2, 1); n != 3 {
+		t.Fatalf("ServersNeeded = %d, want 3", n)
 	}
 }
 
 func TestCapacityModelFallbacks(t *testing.T) {
 	m := &CapacityModel{}
-	if m.Fit() {
-		t.Fatal("Fit with no data succeeded")
-	}
-	if !math.IsNaN(m.PredictLatency(10)) {
-		t.Fatal("unfit PredictLatency should be NaN")
-	}
-	if got := m.ServersNeeded(1000, 0.1, 0.2, 7); got != 7 {
-		t.Fatalf("fallback ServersNeeded = %d", got)
-	}
-	if got := m.ServersNeeded(1000, 0.1, 0.2, 0); got != 1 {
-		t.Fatalf("fallback floor = %d", got)
+	if _, ok := m.Curve(); ok {
+		t.Fatal("fit with no data succeeded")
 	}
 	// Bad samples are ignored.
 	m.Observe(-5, 1)
 	m.Observe(5, -1)
 	m.Observe(5, math.NaN())
-	if m.Observations() != 0 {
+	if len(m.rate) != 0 {
 		t.Fatal("bad samples recorded")
 	}
-	// Unachievable SLA.
+	// Unachievable SLA: no usable rate, so sizing returns the caller's
+	// fallback, floored at one server.
 	for i := 0; i < 50; i++ {
 		m.Observe(float64(i+1)*10, synthLatency(float64(i+1)*10, 1000, 0.5, 0.1))
 	}
-	if m.UsableCapacity(0.001, 0) != 0 {
+	c, ok := m.Curve()
+	if !ok {
+		t.Fatal("fit failed")
+	}
+	if c.UsableRate(0.001, 0) != 0 {
 		t.Fatal("unachievable SLA returned capacity")
+	}
+	if got := c.ServersNeeded(1000, 0.001, 0.2, 7); got != 7 {
+		t.Fatalf("fallback ServersNeeded = %d", got)
+	}
+	if got := c.ServersNeeded(1000, 0.001, 0.2, 0); got != 1 {
+		t.Fatalf("fallback floor = %d", got)
 	}
 }
 
@@ -251,8 +241,8 @@ func TestForecasterHistoryTrimmed(t *testing.T) {
 	for h := 0; h < 100; h++ {
 		f.Observe(t0.Add(time.Duration(h)*time.Hour), 100)
 	}
-	if f.HistoryLen() > 49 {
-		t.Fatalf("history not trimmed: %d", f.HistoryLen())
+	if len(f.samples) > 49 {
+		t.Fatalf("history not trimmed: %d", len(f.samples))
 	}
 }
 
@@ -281,7 +271,7 @@ func BenchmarkCapacityFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Observe(500, 0.01) // invalidate
-		if !m.Fit() {
+		if _, ok := m.Curve(); !ok {
 			b.Fatal("fit failed")
 		}
 	}

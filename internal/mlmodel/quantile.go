@@ -59,31 +59,3 @@ func (w *WindowQuantile) Quantile(q float64) float64 {
 	}
 	return tmp[rank]
 }
-
-// Max returns the window maximum (NaN when empty).
-func (w *WindowQuantile) Max() float64 {
-	n := w.Len()
-	if n == 0 {
-		return math.NaN()
-	}
-	max := w.buf[0]
-	for _, v := range w.buf[1:n] {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Mean returns the window mean (NaN when empty).
-func (w *WindowQuantile) Mean() float64 {
-	n := w.Len()
-	if n == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, v := range w.buf[:n] {
-		s += v
-	}
-	return s / float64(n)
-}

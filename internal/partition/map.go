@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -24,17 +25,6 @@ type Range struct {
 	Start    []byte
 	End      []byte
 	Replicas []string // node IDs; Replicas[0] is the primary
-}
-
-// Contains reports whether key falls inside r.
-func (r Range) Contains(key []byte) bool {
-	if r.Start != nil && bytes.Compare(key, r.Start) < 0 {
-		return false
-	}
-	if r.End != nil && bytes.Compare(key, r.End) >= 0 {
-		return false
-	}
-	return true
 }
 
 // Overlaps reports whether r intersects [start, end) (nil bounds are
@@ -74,7 +64,6 @@ func (r Range) String() string {
 
 // Errors returned by map mutations.
 var (
-	ErrNoSuchRange  = errors.New("partition: no range contains that key")
 	ErrBadSplit     = errors.New("partition: split point at range boundary")
 	ErrNeedReplicas = errors.New("partition: replica set must be non-empty")
 	// ErrReplicasChanged is returned by CompareAndSetReplicas when the
@@ -96,7 +85,6 @@ var (
 type Map struct {
 	mu     sync.RWMutex
 	ranges []Range
-	ver    uint64 // bumped on every mutation, for cache invalidation
 }
 
 // NewMap returns a map with a single range covering everything,
@@ -105,14 +93,7 @@ func NewMap(replicas []string) (*Map, error) {
 	if len(replicas) == 0 {
 		return nil, ErrNeedReplicas
 	}
-	return &Map{ranges: []Range{{Replicas: append([]string(nil), replicas...)}}, ver: 1}, nil
-}
-
-// Version returns the mutation counter.
-func (m *Map) Version() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.ver
+	return &Map{ranges: []Range{{Replicas: append([]string(nil), replicas...)}}}, nil
 }
 
 // Lookup returns the range containing key. The result shares the
@@ -192,22 +173,6 @@ func (m *Map) Split(at []byte) error {
 	left.End = append([]byte(nil), at...)
 	right.Start = append([]byte(nil), at...)
 	m.ranges = append(m.ranges[:i:i], append([]Range{left, right}, m.ranges[i+1:]...)...)
-	m.ver++
-	return nil
-}
-
-// Merge joins the range containing at with its successor.
-func (m *Map) Merge(at []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	i := m.indexOf(at)
-	if i+1 >= len(m.ranges) {
-		return ErrNoSuchRange
-	}
-	merged := m.ranges[i].clone()
-	merged.End = m.ranges[i+1].End
-	m.ranges = append(m.ranges[:i:i], append([]Range{merged}, m.ranges[i+2:]...)...)
-	m.ver++
 	return nil
 }
 
@@ -220,7 +185,6 @@ func (m *Map) SetReplicas(key []byte, replicas []string) error {
 	defer m.mu.Unlock()
 	i := m.indexOf(key)
 	m.ranges[i].Replicas = append([]string(nil), replicas...)
-	m.ver++
 	return nil
 }
 
@@ -237,52 +201,12 @@ func (m *Map) CompareAndSetReplicas(key []byte, expect, replicas []string) error
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	i := m.indexOf(key)
-	if !EqualIDs(m.ranges[i].Replicas, expect) {
+	// Order is part of the group: Replicas[0] is the primary.
+	if !slices.Equal(m.ranges[i].Replicas, expect) {
 		return ErrReplicasChanged
 	}
 	m.ranges[i].Replicas = append([]string(nil), replicas...)
-	m.ver++
 	return nil
-}
-
-// EqualIDs reports whether two replica sets are identical (same nodes,
-// same order — order is meaningful: Replicas[0] is the primary). This
-// is the comparison CompareAndSetReplicas uses, exported so callers
-// deciding whether a reconfiguration is a no-op agree with the CAS.
-func EqualIDs(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ReplaceNode substitutes newID for oldID in every replica group that
-// contains oldID, returning how many ranges changed. Used when the
-// director replaces a failed or decommissioned node.
-func (m *Map) ReplaceNode(oldID, newID string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	changed := 0
-	for i := range m.ranges {
-		for j, id := range m.ranges[i].Replicas {
-			if id == oldID {
-				replicas := append([]string(nil), m.ranges[i].Replicas...)
-				replicas[j] = newID
-				m.ranges[i].Replicas = replicas
-				changed++
-				break
-			}
-		}
-	}
-	if changed > 0 {
-		m.ver++
-	}
-	return changed
 }
 
 // NodesInUse returns the set of node IDs referenced by any range.

@@ -3,6 +3,7 @@ package partition
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -14,6 +15,13 @@ import (
 	"scads/internal/storage"
 )
 
+// contains reports whether key falls inside r: the reference Lookup's
+// binary search is checked against.
+func contains(r Range, key []byte) bool {
+	return (r.Start == nil || bytes.Compare(key, r.Start) >= 0) &&
+		(r.End == nil || bytes.Compare(key, r.End) < 0)
+}
+
 func TestNewMapCoversEverything(t *testing.T) {
 	m, err := NewMap([]string{"n1", "n2"})
 	if err != nil {
@@ -24,7 +32,7 @@ func TestNewMapCoversEverything(t *testing.T) {
 	}
 	for _, k := range []string{"", "a", "zzz", "\xff\xff"} {
 		rng := m.Lookup([]byte(k))
-		if !rng.Contains([]byte(k)) {
+		if !contains(rng, []byte(k)) {
 			t.Fatalf("Lookup(%q) returned non-containing range %v", k, rng)
 		}
 	}
@@ -65,28 +73,6 @@ func TestSplitAndLookup(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	m, _ := NewMap([]string{"n1"})
-	m.Split([]byte("g"))
-	m.Split([]byte("p"))
-	if m.Len() != 3 {
-		t.Fatal("setup failed")
-	}
-	if err := m.Merge([]byte("g")); err != nil { // merges [g,p) with [p,inf)
-		t.Fatal(err)
-	}
-	if m.Len() != 2 {
-		t.Fatalf("Len after merge = %d", m.Len())
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Merging the last range fails.
-	if err := m.Merge([]byte("z")); err != ErrNoSuchRange {
-		t.Fatalf("merge last = %v", err)
-	}
-}
-
 func TestSetReplicasAndReplaceNode(t *testing.T) {
 	m, _ := NewMap([]string{"n1", "n2"})
 	m.Split([]byte("m"))
@@ -99,9 +85,9 @@ func TestSetReplicasAndReplaceNode(t *testing.T) {
 	if err := m.SetReplicas([]byte("z"), nil); err != ErrNeedReplicas {
 		t.Fatal("empty replica set accepted")
 	}
-	changed := m.ReplaceNode("n1", "n9")
-	if changed != 1 {
-		t.Fatalf("ReplaceNode changed %d ranges, want 1", changed)
+	// Replacing a node is a compare-and-set of its range's group.
+	if err := m.CompareAndSetReplicas([]byte("a"), []string{"n1", "n2"}, []string{"n9", "n2"}); err != nil {
+		t.Fatal(err)
 	}
 	if got := m.Lookup([]byte("a")).Replicas[0]; got != "n9" {
 		t.Fatalf("primary after replace = %q", got)
@@ -147,7 +133,7 @@ func TestLookupRangeSurvivesMutations(t *testing.T) {
 	want := held.clone()
 	same := func(after string) {
 		t.Helper()
-		if !bytes.Equal(held.Start, want.Start) || !bytes.Equal(held.End, want.End) || !EqualIDs(held.Replicas, want.Replicas) {
+		if !bytes.Equal(held.Start, want.Start) || !bytes.Equal(held.End, want.End) || !slices.Equal(held.Replicas, want.Replicas) {
 			t.Fatalf("range held since before %s changed under its reader: %v, was %v", after, held, want)
 		}
 	}
@@ -162,8 +148,8 @@ func TestLookupRangeSurvivesMutations(t *testing.T) {
 				return
 			default:
 			}
-			m.ReplaceNode("n2", "n9")
-			m.ReplaceNode("n9", "n2")
+			m.SetReplicas(key, []string{"n1", "n9"})
+			m.CompareAndSetReplicas(key, []string{"n1", "n9"}, []string{"n1", "n2"})
 			m.SetReplicas(key, []string{"n1", "n2"})
 		}
 	}()
@@ -171,7 +157,7 @@ func TestLookupRangeSurvivesMutations(t *testing.T) {
 		if rng := m.Lookup(key); len(rng.Replicas) != 2 || rng.Replicas[0] != "n1" {
 			t.Fatalf("Lookup under churn = %v", rng)
 		}
-		same("concurrent ReplaceNode/SetReplicas")
+		same("concurrent SetReplicas/CompareAndSetReplicas")
 	}
 	close(stop)
 	<-done
@@ -180,10 +166,6 @@ func TestLookupRangeSurvivesMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("Split")
-	if err := m.Merge([]byte("k")); err != nil {
-		t.Fatal(err)
-	}
-	same("Merge")
 	if err := m.SetReplicas(key, []string{"n3", "n4"}); err != nil {
 		t.Fatal(err)
 	}
@@ -192,17 +174,6 @@ func TestLookupRangeSurvivesMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("CompareAndSetReplicas")
-	now := m.Lookup(key) // the range ReplaceNode is about to rewrite
-	if n := m.ReplaceNode("n2", "n7"); n == 0 {
-		t.Fatal("ReplaceNode changed nothing")
-	}
-	same("ReplaceNode")
-	if !EqualIDs(now.Replicas, []string{"n1", "n2"}) {
-		t.Fatalf("ReplaceNode wrote through a published replica slice: reader sees %v", now.Replicas)
-	}
-	if got := m.Lookup(key).Replicas; !EqualIDs(got, []string{"n1", "n7"}) {
-		t.Fatalf("after ReplaceNode the map says %v", got)
-	}
 }
 
 func TestOverlapping(t *testing.T) {
@@ -232,20 +203,6 @@ func TestOverlapping(t *testing.T) {
 	}
 }
 
-func TestVersionBumpsOnMutation(t *testing.T) {
-	m, _ := NewMap([]string{"n1"})
-	v0 := m.Version()
-	m.Split([]byte("m"))
-	if m.Version() <= v0 {
-		t.Fatal("Split did not bump version")
-	}
-	v1 := m.Version()
-	m.SetReplicas([]byte("a"), []string{"n2"})
-	if m.Version() <= v1 {
-		t.Fatal("SetReplicas did not bump version")
-	}
-}
-
 // Property: after any sequence of splits, the map stays valid and
 // every key maps to exactly one range that contains it.
 func TestQuickSplitsPreserveInvariants(t *testing.T) {
@@ -262,13 +219,13 @@ func TestQuickSplitsPreserveInvariants(t *testing.T) {
 		}
 		for _, k := range probes {
 			rng := m.Lookup(k)
-			if !rng.Contains(k) {
+			if !contains(rng, k) {
 				return false
 			}
 			// Exactly one range must contain k.
 			n := 0
 			for _, r := range m.Ranges() {
-				if r.Contains(k) {
+				if contains(r, k) {
 					n++
 				}
 			}
@@ -473,17 +430,13 @@ func TestCompareAndSetReplicas(t *testing.T) {
 	if got := m.Lookup([]byte("k")).Replicas; got[0] != "n1" {
 		t.Fatalf("stale CAS mutated the map: %v", got)
 	}
-	// Matching expectation: applied, version bumped.
-	v := m.Version()
+	// Matching expectation: applied.
 	if err := m.CompareAndSetReplicas([]byte("k"), []string{"n1", "n2"}, []string{"n3", "n1"}); err != nil {
 		t.Fatal(err)
 	}
 	got := m.Lookup([]byte("k")).Replicas
 	if len(got) != 2 || got[0] != "n3" || got[1] != "n1" {
 		t.Fatalf("replicas after CAS = %v", got)
-	}
-	if m.Version() <= v {
-		t.Fatal("CAS did not bump the map version")
 	}
 	// Empty replica set still rejected.
 	if err := m.CompareAndSetReplicas([]byte("k"), []string{"n3", "n1"}, nil); err != ErrNeedReplicas {

@@ -222,11 +222,6 @@ func (r *Router) Put(namespace string, key, value []byte) (version uint64, repli
 	return r.write(key, rpc.Request{Method: rpc.MethodPut, Namespace: namespace, Key: key, Value: value})
 }
 
-// Delete tombstones key on the primary replica.
-func (r *Router) Delete(namespace string, key []byte) (version uint64, replicas []string, err error) {
-	return r.write(key, rpc.Request{Method: rpc.MethodDelete, Namespace: namespace, Key: key})
-}
-
 func (r *Router) write(key []byte, req rpc.Request) (uint64, []string, error) {
 	resp, rng, err := r.send(key, req)
 	return resp.Version, rng.Replicas, err

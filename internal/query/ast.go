@@ -179,19 +179,6 @@ type QueryDef struct {
 	Limit   int
 }
 
-// Params returns the template's parameter names in WHERE order.
-func (q *QueryDef) Params() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, p := range q.Where {
-		if p.IsParam && !seen[p.Param] {
-			out = append(out, p.Param)
-			seen[p.Param] = true
-		}
-	}
-	return out
-}
-
 // String renders the query template in parseable form.
 func (q *QueryDef) String() string {
 	var b strings.Builder

@@ -83,9 +83,6 @@ func TestParseSocialSchema(t *testing.T) {
 	if q.Limit != 50 {
 		t.Fatalf("Limit = %d", q.Limit)
 	}
-	if got := q.Params(); len(got) != 1 || got[0] != "user" {
-		t.Fatalf("Params = %v", got)
-	}
 }
 
 func TestParsePredicatesAndLiterals(t *testing.T) {

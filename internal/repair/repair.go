@@ -50,6 +50,7 @@ package repair
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -216,9 +217,6 @@ func NewManager(cfg Config, clk clock.Clock, dir *cluster.Directory, transport r
 		sem:        make(chan struct{}, repairParallelism),
 	}
 }
-
-// Config returns the effective (defaulted) configuration.
-func (m *Manager) Config() Config { return m.cfg }
 
 // Run starts the background sweep loop on the manager's clock. Safe to
 // call once per Stop; redundant calls are no-ops.
@@ -512,11 +510,11 @@ func (m *Manager) demoteStale(node string) {
 			continue
 		}
 		for _, rng := range pm.Ranges() {
-			idx := indexOf(rng.Replicas, node)
+			idx := slices.Index(rng.Replicas, node)
 			if idx <= 0 {
 				continue
 			}
-			target := without(rng.Replicas, node)
+			target := slices.Delete(slices.Clone(rng.Replicas), idx, idx+1)
 			if !m.anyUp(target) {
 				// Never leave a range with no live member: serving
 				// stale data beats serving nothing (§3.3.1's
@@ -756,7 +754,7 @@ func (m *Manager) runJob(ns string, pm *partition.Map, rk string, key []byte) {
 
 	rng := pm.Lookup(key)
 	target, rejoined := m.reconcileTarget(ns, rk, rng)
-	if target == nil || partition.EqualIDs(target, rng.Replicas) {
+	if target == nil || slices.Equal(target, rng.Replicas) {
 		return
 	}
 	m.mu.Lock()
@@ -823,7 +821,7 @@ func (m *Manager) reconcileTarget(ns, rk string, rng partition.Range) (target, r
 		if len(target) >= rf {
 			break
 		}
-		if m.isUp(id) && indexOf(target, id) < 0 {
+		if m.isUp(id) && !slices.Contains(target, id) {
 			target = append(target, id)
 			rejoined = append(rejoined, id)
 		}
@@ -845,7 +843,7 @@ func (m *Manager) reconcileTarget(ns, rk string, rng partition.Range) (target, r
 		if len(target) >= m.rf {
 			break
 		}
-		if indexOf(target, id) < 0 && !m.isUp(id) {
+		if !slices.Contains(target, id) && !m.isUp(id) {
 			target = append(target, id)
 		}
 	}
@@ -867,7 +865,7 @@ func (m *Manager) sparesByLoad(exclude []string) []string {
 	}
 	var out []string
 	for _, mem := range m.dir.Up() {
-		if indexOf(exclude, mem.ID) < 0 {
+		if !slices.Contains(exclude, mem.ID) {
 			out = append(out, mem.ID)
 		}
 	}
@@ -884,7 +882,7 @@ func (m *Manager) sparesByLoad(exclude []string) []string {
 
 func (m *Manager) hasRejoinCandidateLocked(rk string, current []string) bool {
 	for id := range m.lost[rk] {
-		if indexOf(current, id) < 0 && m.isUp(id) {
+		if !slices.Contains(current, id) && m.isUp(id) {
 			return true
 		}
 	}
@@ -936,23 +934,4 @@ func keyFor(rng partition.Range) []byte {
 		return []byte{}
 	}
 	return rng.Start
-}
-
-func indexOf(ids []string, id string) int {
-	for i, x := range ids {
-		if x == id {
-			return i
-		}
-	}
-	return -1
-}
-
-func without(ids []string, drop string) []string {
-	out := make([]string, 0, len(ids))
-	for _, x := range ids {
-		if x != drop {
-			out = append(out, x)
-		}
-	}
-	return out
 }

@@ -85,16 +85,6 @@ func (q *Queue) Pop() (Update, bool) {
 	return it.u, true
 }
 
-// Peek returns the most urgent update without removing it.
-func (q *Queue) Peek() (Update, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.size == 0 {
-		return Update{}, false
-	}
-	return q.h[0].u, true
-}
-
 // Len returns the number of pending updates.
 func (q *Queue) Len() int {
 	q.mu.Lock()
@@ -116,11 +106,6 @@ func (q *Queue) AtRisk(now time.Time, margin time.Duration) int {
 		}
 	}
 	return n
-}
-
-// Overdue counts pending updates whose deadline has already passed.
-func (q *Queue) Overdue(now time.Time) int {
-	return q.AtRisk(now, 0)
 }
 
 // ForEach visits every pending update under the queue lock (heap

@@ -74,16 +74,19 @@ func TestQueueTiesAreFIFO(t *testing.T) {
 
 func TestQueuePeekAndLen(t *testing.T) {
 	q := NewQueue(ByDeadline)
-	if _, ok := q.Peek(); ok {
-		t.Fatal("Peek on empty queue")
+	if _, ok := q.Pop(); ok {
+		t.Fatal("Pop on empty queue")
 	}
 	q.Push(upd("ns", "x", t0.Add(time.Second)))
 	q.Push(upd("ns", "y", t0.Add(time.Minute)))
-	if u, ok := q.Peek(); !ok || u.Target != "x" {
-		t.Fatalf("Peek = %+v %v", u, ok)
-	}
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d", q.Len())
+	}
+	if u, ok := q.Pop(); !ok || u.Target != "x" {
+		t.Fatalf("Pop = %+v %v, want the most urgent", u, ok)
+	}
+	if q.Len() != 1 {
+		t.Fatalf("Len after Pop = %d", q.Len())
 	}
 }
 
@@ -92,8 +95,8 @@ func TestQueueAtRiskAndOverdue(t *testing.T) {
 	q.Push(upd("ns", "overdue", t0.Add(-time.Second)))
 	q.Push(upd("ns", "soon", t0.Add(2*time.Second)))
 	q.Push(upd("ns", "later", t0.Add(time.Hour)))
-	if got := q.Overdue(t0); got != 1 {
-		t.Fatalf("Overdue = %d", got)
+	if got := q.AtRisk(t0, 0); got != 1 {
+		t.Fatalf("overdue = %d", got)
 	}
 	if got := q.AtRisk(t0, 5*time.Second); got != 2 {
 		t.Fatalf("AtRisk = %d", got)
@@ -232,9 +235,6 @@ func TestTrackerStaleness(t *testing.T) {
 	if d := p.Tracker().Staleness("ns", "n2"); d != 10*time.Second {
 		t.Fatalf("staleness = %v, want 10s", d)
 	}
-	if d := p.Tracker().MaxStaleness("ns"); d != 10*time.Second {
-		t.Fatalf("MaxStaleness = %v", d)
-	}
 	p.Drain(1)
 	if d := p.Tracker().Staleness("ns", "n2"); d != 0 {
 		t.Fatalf("staleness after delivery = %v", d)
@@ -313,17 +313,23 @@ func TestQuickTrackerBalance(t *testing.T) {
 		sink := newApplySink()
 		p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
 		targets := []string{"a", "b", "c"}[:nTargets%3+1]
+		worst := func() (w time.Duration) {
+			for _, target := range targets {
+				w = max(w, p.Tracker().Staleness("ns", target))
+			}
+			return w
+		}
 		for i, b := range bounds {
 			p.Enqueue("ns", record.Record{Key: []byte{byte(i)}, Version: uint64(i + 1)},
 				targets, time.Duration(b)*time.Second)
 		}
 		vc.Advance(time.Second)
-		if len(bounds) > 0 && p.Tracker().MaxStaleness("ns") == 0 {
+		if len(bounds) > 0 && worst() == 0 {
 			return false
 		}
 		for p.Drain(100) > 0 {
 		}
-		return p.Tracker().MaxStaleness("ns") == 0
+		return worst() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -71,26 +71,6 @@ func (t *Tracker) Staleness(namespace, node string) time.Duration {
 	return d
 }
 
-// MaxStaleness returns the worst staleness across all replicas of the
-// namespace.
-func (t *Tracker) MaxStaleness(namespace string) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var worst time.Duration
-	now := t.clk.Now()
-	for k, ps := range t.keys {
-		if k.namespace != namespace {
-			continue
-		}
-		if oldest, ok := ps.min(); ok {
-			if d := now.Sub(oldest); d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
-}
-
 // pendingSet is a multiset of enqueue times with O(log n) min: a heap
 // that may hold times no longer outstanding below its top, never at it
 // — remove prunes from the top, so the heap is bounded by what was

@@ -69,17 +69,6 @@ func (t *LocalTransport) SetApplyDown(addr string, down bool) {
 	t.applyDown[addr] = down
 }
 
-// Addrs returns all registered addresses.
-func (t *LocalTransport) Addrs() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.handlers))
-	for a := range t.handlers {
-		out = append(out, a)
-	}
-	return out
-}
-
 // Call implements Transport.
 func (t *LocalTransport) Call(addr string, req Request) (Response, error) {
 	t.mu.RLock()

@@ -274,15 +274,6 @@ func TestServeBatchPositional(t *testing.T) {
 	}
 }
 
-func TestLocalTransportAddrs(t *testing.T) {
-	lt := NewLocalTransport()
-	lt.Register("a", newEchoHandler())
-	lt.Register("b", newEchoHandler())
-	if got := len(lt.Addrs()); got != 2 {
-		t.Fatalf("Addrs = %d, want 2", got)
-	}
-}
-
 func BenchmarkTCPPing(b *testing.B) {
 	h := newEchoHandler()
 	s := NewServer(h)

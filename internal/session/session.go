@@ -115,33 +115,3 @@ func (s *Session) Acceptable(namespace string, key []byte, version uint64, found
 	}
 	return version >= f.version
 }
-
-// Floor returns the current version floor for key (0 when none).
-func (s *Session) Floor(namespace string, key []byte) uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.floors[floorKey{namespace, string(key)}].version
-}
-
-// Reset clears all floors (e.g. on logout).
-func (s *Session) Reset() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.floors = make(map[floorKey]floor)
-}
-
-// Len reports how many floors the session is tracking.
-func (s *Session) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.floors)
-}

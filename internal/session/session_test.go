@@ -26,8 +26,8 @@ func TestReadYourWritesFloor(t *testing.T) {
 	if !s.Acceptable("posts", key, 100, true) || !s.Acceptable("posts", key, 101, true) {
 		t.Fatal("fresh version rejected")
 	}
-	if s.Floor("posts", key) != 100 {
-		t.Fatalf("Floor = %d", s.Floor("posts", key))
+	if floorOf(s, "posts", key) != 100 {
+		t.Fatalf("Floor = %d", floorOf(s, "posts", key))
 	}
 }
 
@@ -76,7 +76,7 @@ func TestSessionNoneAcceptsEverything(t *testing.T) {
 	if !s.Acceptable("ns", []byte("k"), 1, true) || !s.Acceptable("ns", []byte("k"), 0, false) {
 		t.Fatal("SessionNone rejected a read")
 	}
-	if s.Len() != 0 {
+	if len(s.floors) != 0 {
 		t.Fatal("SessionNone tracked floors")
 	}
 }
@@ -88,10 +88,6 @@ func TestNilSessionSafe(t *testing.T) {
 	if !s.Acceptable("ns", []byte("k"), 0, false) {
 		t.Fatal("nil session rejected")
 	}
-	if s.Floor("ns", []byte("k")) != 0 || s.Len() != 0 {
-		t.Fatal("nil session has state")
-	}
-	s.Reset()
 }
 
 func TestFloorsArekeyAndNamespaceScoped(t *testing.T) {
@@ -102,18 +98,6 @@ func TestFloorsArekeyAndNamespaceScoped(t *testing.T) {
 	}
 	if !s.Acceptable("ns1", []byte("other"), 1, true) {
 		t.Fatal("floor leaked across keys")
-	}
-}
-
-func TestReset(t *testing.T) {
-	s := New(consistency.ReadYourWrites)
-	s.ObserveWrite("ns", []byte("k"), 100, false)
-	if s.Len() != 1 {
-		t.Fatal("floor not tracked")
-	}
-	s.Reset()
-	if s.Len() != 0 || !s.Acceptable("ns", []byte("k"), 1, true) {
-		t.Fatal("Reset did not clear floors")
 	}
 }
 
@@ -135,8 +119,8 @@ func TestConcurrentSessionUse(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if s.Len() != 8 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.floors) != 8 {
+		t.Fatalf("Len = %d", len(s.floors))
 	}
 }
 
@@ -155,13 +139,21 @@ func TestQuickFloorIsMaxWrite(t *testing.T) {
 			}
 		}
 		if len(versions) == 0 {
-			return s.Floor("ns", []byte("k")) == 0
+			return floorOf(s, "ns", []byte("k")) == 0
 		}
-		return s.Floor("ns", []byte("k")) == max &&
+		return floorOf(s, "ns", []byte("k")) == max &&
 			s.Acceptable("ns", []byte("k"), max, true) &&
 			!s.Acceptable("ns", []byte("k"), max-1, true)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// floorOf reads the version floor the session holds for key (0 when
+// none).
+func floorOf(s *Session, namespace string, key []byte) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.floors[floorKey{namespace, string(key)}].version
 }

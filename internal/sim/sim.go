@@ -226,22 +226,8 @@ func MeasureReaction(res Result, stepAt time.Time) ReactionStats {
 
 // RequiredServers computes the ideal (oracle) server count for a rate
 // under the service model at the SLA's latency bound — the ground-truth
-// curve experiments compare against.
+// curve experiments compare against. An SLA the idle latency already
+// misses needs more servers than any fleet has.
 func RequiredServers(svc cloudsim.ServiceModel, rate float64) int {
-	if rate <= 0 {
-		return 1
-	}
-	// Invert latency(ρ) = base + k·ρ/(1-ρ) at the SLA bound.
-	d := paperSLA.LatencyBound.Seconds() - svc.Base.Seconds()
-	if d <= 0 {
-		return math.MaxInt32
-	}
-	k := svc.K.Seconds()
-	rho := d / (k + d)
-	per := rho * svc.CapacityPerServer
-	n := int(math.Ceil(rate / per))
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return svc.Curve().ServersNeeded(rate, paperSLA.LatencyBound.Seconds(), 0, math.MaxInt32)
 }

@@ -18,12 +18,11 @@ import (
 // latency (the loop defends the weakest query, not the average), and
 // whether every class met its bound.
 type Classes struct {
-	clk         clock.Clock
-	defaultSpec consistency.PerformanceSLA
-	window      int
+	clk    clock.Clock
+	spec   consistency.PerformanceSLA
+	window int
 
 	mu       sync.Mutex
-	specs    map[string]consistency.PerformanceSLA
 	monitors map[string]*Monitor
 }
 
@@ -45,30 +44,14 @@ type RollUp struct {
 	Met bool
 }
 
-// NewClasses returns a per-class tracker. Every class defaults to
-// defaultSpec; override individual classes with SetSpec. windowSize
-// bounds each class's latency sample window (default 4096).
-func NewClasses(clk clock.Clock, defaultSpec consistency.PerformanceSLA, windowSize int) *Classes {
+// NewClasses returns a per-class tracker holding every class to spec.
+// windowSize bounds each class's latency sample window (default 4096).
+func NewClasses(clk clock.Clock, spec consistency.PerformanceSLA, windowSize int) *Classes {
 	return &Classes{
-		clk:         clk,
-		defaultSpec: defaultSpec,
-		window:      windowSize,
-		specs:       make(map[string]consistency.PerformanceSLA),
-		monitors:    make(map[string]*Monitor),
-	}
-}
-
-// SetSpec pins a per-class SLA, overriding the default for requests
-// recorded after the call. It must be set before the class's first
-// sample to take effect from the start.
-func (c *Classes) SetSpec(class string, spec consistency.PerformanceSLA) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.specs[class] = spec
-	if m, ok := c.monitors[class]; ok {
-		m.mu.Lock()
-		m.spec = spec
-		m.mu.Unlock()
+		clk:      clk,
+		spec:     spec,
+		window:   windowSize,
+		monitors: make(map[string]*Monitor),
 	}
 }
 
@@ -77,19 +60,10 @@ func (c *Classes) monitor(class string) *Monitor {
 	defer c.mu.Unlock()
 	m, ok := c.monitors[class]
 	if !ok {
-		spec, has := c.specs[class]
-		if !has {
-			spec = c.defaultSpec
-		}
-		m = NewMonitor(c.clk, spec, c.window)
+		m = NewMonitor(c.clk, c.spec, c.window)
 		c.monitors[class] = m
 	}
 	return m
-}
-
-// Record ingests one request outcome for a class.
-func (c *Classes) Record(class string, latency time.Duration, success bool) {
-	c.monitor(class).Record(latency, success)
 }
 
 // RecordBatch ingests n requests of one class sharing a latency and
@@ -147,19 +121,4 @@ func (c *Classes) Roll() RollUp {
 		up.SuccessRate = 100
 	}
 	return up
-}
-
-// Summaries returns lifetime statistics per class.
-func (c *Classes) Summaries() map[string]Summary {
-	c.mu.Lock()
-	monitors := make(map[string]*Monitor, len(c.monitors))
-	for class, m := range c.monitors {
-		monitors[class] = m
-	}
-	c.mu.Unlock()
-	out := make(map[string]Summary, len(monitors))
-	for class, m := range monitors {
-		out[class] = m.Summary()
-	}
-	return out
 }

@@ -6,18 +6,13 @@ import (
 	"time"
 
 	"scads/internal/clock"
-	"scads/internal/consistency"
 )
 
 func TestClassesRollAggregates(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	c := NewClasses(vc, paperSLA(), 0)
-	for i := 0; i < 900; i++ {
-		c.Record("read", 10*time.Millisecond, true)
-	}
-	for i := 0; i < 100; i++ {
-		c.Record("write", 30*time.Millisecond, true)
-	}
+	c.RecordBatch("read", 900, 10*time.Millisecond, true)
+	c.RecordBatch("write", 100, 30*time.Millisecond, true)
 	vc.Advance(10 * time.Second)
 	up := c.Roll()
 	if !up.Met {
@@ -41,10 +36,8 @@ func TestClassesRollAggregates(t *testing.T) {
 func TestClassesOneClassViolationFailsRollUp(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	c := NewClasses(vc, paperSLA(), 0)
-	for i := 0; i < 1000; i++ {
-		c.Record("read", 10*time.Millisecond, true)
-		c.Record("write", 250*time.Millisecond, true) // breaches 100ms bound
-	}
+	c.RecordBatch("read", 1000, 10*time.Millisecond, true)
+	c.RecordBatch("write", 1000, 250*time.Millisecond, true) // breaches 100ms bound
 	vc.Advance(10 * time.Second)
 	up := c.Roll()
 	if up.Met {
@@ -52,42 +45,6 @@ func TestClassesOneClassViolationFailsRollUp(t *testing.T) {
 	}
 	if !up.ByClass["read"].Met || up.ByClass["write"].Met {
 		t.Fatalf("per-class attainment wrong: %+v", up.ByClass)
-	}
-}
-
-func TestClassesPerClassSpec(t *testing.T) {
-	vc := clock.NewVirtual(t0)
-	c := NewClasses(vc, paperSLA(), 0)
-	// Analytics scans tolerate a looser bound.
-	c.SetSpec("scan", consistency.PerformanceSLA{Percentile: 99, LatencyBound: time.Second})
-	for i := 0; i < 1000; i++ {
-		c.Record("scan", 400*time.Millisecond, true)
-	}
-	vc.Advance(10 * time.Second)
-	if up := c.Roll(); !up.Met {
-		t.Fatalf("scan class should meet its looser SLA: %+v", up.ByClass["scan"])
-	}
-	// Same latency under the default spec violates.
-	for i := 0; i < 1000; i++ {
-		c.Record("read", 400*time.Millisecond, true)
-	}
-	vc.Advance(10 * time.Second)
-	if up := c.Roll(); up.Met {
-		t.Fatal("default-spec class should violate at 400ms")
-	}
-}
-
-func TestClassesSetSpecRetunesLiveMonitor(t *testing.T) {
-	vc := clock.NewVirtual(t0)
-	c := NewClasses(vc, paperSLA(), 0)
-	c.Record("read", 400*time.Millisecond, true)
-	c.SetSpec("read", consistency.PerformanceSLA{Percentile: 99, LatencyBound: time.Second})
-	for i := 0; i < 100; i++ {
-		c.Record("read", 400*time.Millisecond, true)
-	}
-	vc.Advance(10 * time.Second)
-	if up := c.Roll(); !up.Met {
-		t.Fatal("SetSpec after first sample did not retune the monitor")
 	}
 }
 
@@ -101,9 +58,8 @@ func TestClassesBatchAndSummaries(t *testing.T) {
 	if up.SuccessRate >= 100 {
 		t.Fatalf("failures not weighted in: %v", up.SuccessRate)
 	}
-	s := c.Summaries()
-	if s["read"].TotalRequests != 5000 || s["write"].TotalFailures != 100 {
-		t.Fatalf("summaries = %+v", s)
+	if r, w := up.ByClass["read"], up.ByClass["write"]; r.Requests != 5000 || w.Failures != 100 {
+		t.Fatalf("per-class intervals = %+v", up.ByClass)
 	}
 }
 

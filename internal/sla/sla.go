@@ -76,9 +76,6 @@ func NewMonitor(clk clock.Clock, spec consistency.PerformanceSLA, windowSize int
 	}
 }
 
-// Spec returns the monitored SLA.
-func (m *Monitor) Spec() consistency.PerformanceSLA { return m.spec }
-
 // Record ingests one request outcome.
 func (m *Monitor) Record(latency time.Duration, success bool) {
 	m.mu.Lock()
@@ -176,14 +173,6 @@ type Summary struct {
 	ViolatedIntervals int64
 }
 
-// ViolationRate is the fraction of intervals that missed the SLA.
-func (s Summary) ViolationRate() float64 {
-	if s.Intervals == 0 {
-		return 0
-	}
-	return float64(s.ViolatedIntervals) / float64(s.Intervals)
-}
-
 // Summary returns lifetime statistics.
 func (m *Monitor) Summary() Summary {
 	m.mu.Lock()
@@ -194,20 +183,4 @@ func (m *Monitor) Summary() Summary {
 		Intervals:         m.intervals,
 		ViolatedIntervals: m.violatedIntervals,
 	}
-}
-
-// CurrentPercentile returns the present latency estimate at the SLA
-// percentile (NaN seconds → 0).
-func (m *Monitor) CurrentPercentile() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	q := m.spec.Percentile / 100
-	if q <= 0 {
-		q = 0.999
-	}
-	lat := m.window.Quantile(q)
-	if math.IsNaN(lat) {
-		return 0
-	}
-	return time.Duration(lat * float64(time.Second))
 }

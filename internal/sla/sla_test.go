@@ -131,29 +131,6 @@ func TestSummaryViolationRate(t *testing.T) {
 	if s.Intervals != 2 || s.ViolatedIntervals != 1 {
 		t.Fatalf("summary = %+v", s)
 	}
-	if s.ViolationRate() != 0.5 {
-		t.Fatalf("ViolationRate = %v", s.ViolationRate())
-	}
-	if (Summary{}).ViolationRate() != 0 {
-		t.Fatal("empty summary rate")
-	}
-}
-
-func TestCurrentPercentile(t *testing.T) {
-	vc := clock.NewVirtual(t0)
-	m := NewMonitor(vc, paperSLA(), 0)
-	if m.CurrentPercentile() != 0 {
-		t.Fatal("empty percentile not zero")
-	}
-	for i := 0; i < 100; i++ {
-		m.Record(7*time.Millisecond, true)
-	}
-	if got := m.CurrentPercentile(); got != 7*time.Millisecond {
-		t.Fatalf("CurrentPercentile = %v", got)
-	}
-	if m.Spec().Percentile != 99.9 {
-		t.Fatal("Spec lost")
-	}
 }
 
 func TestDefaultPercentileWhenUnset(t *testing.T) {

@@ -61,37 +61,6 @@ func (c *countingCache) DropTable(path string) {
 	}
 }
 
-// Regression test: Bounds must survive arbitrary later block reads. The
-// bounds used to be captured from a scan whose scratch buffer was
-// reused, so reading the last block again corrupted the retained keys.
-func TestBoundsSurviveFullScan(t *testing.T) {
-	recs := seqRecords(2000) // well past one block
-	r := buildTable(t, filepath.Join(t.TempDir(), "t.sst"), recs)
-	defer r.Close()
-	if r.NumBlocks() < 2 {
-		t.Fatalf("want a multi-block table, got %d blocks", r.NumBlocks())
-	}
-	first, last := r.Bounds()
-	wantFirst, wantLast := string(first), string(last)
-	if wantFirst != "key-000000" || wantLast != "key-001999" {
-		t.Fatalf("initial Bounds = %q..%q", wantFirst, wantLast)
-	}
-	// Full scan re-reads every block, including the one the last bound
-	// was decoded from.
-	n := 0
-	if err := r.Scan(nil, nil, func(record.Record) bool { n++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if n != len(recs) {
-		t.Fatalf("scan visited %d, want %d", n, len(recs))
-	}
-	first, last = r.Bounds()
-	if string(first) != wantFirst || string(last) != wantLast {
-		t.Fatalf("Bounds changed after full scan: %q..%q, want %q..%q",
-			first, last, wantFirst, wantLast)
-	}
-}
-
 func TestBlockCacheServesGets(t *testing.T) {
 	r := buildTable(t, filepath.Join(t.TempDir(), "t.sst"), seqRecords(2000))
 	defer r.Close()

@@ -193,8 +193,6 @@ type Reader struct {
 	count   uint64
 	index   []indexEntry // one entry per block: first key + offset
 	bloom   *bloomFilter
-	first   []byte
-	last    []byte
 
 	cache BlockCache // nil = uncached; set once before concurrent use
 
@@ -264,7 +262,7 @@ func Open(path string) (*Reader, error) {
 	}
 	r.bloom = bloom
 
-	if err := r.loadBounds(); err != nil {
+	if err := r.checkEdgeBlocks(); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -301,7 +299,9 @@ func (r *Reader) parseIndex(buf []byte) error {
 	return nil
 }
 
-func (r *Reader) loadBounds() error {
+// checkEdgeBlocks decodes the first and last data blocks, so a table
+// torn at either end fails at Open rather than at a later read.
+func (r *Reader) checkEdgeBlocks() error {
 	if r.count == 0 {
 		return nil
 	}
@@ -321,19 +321,11 @@ func (r *Reader) loadBounds() error {
 			return ErrCorrupt
 		}
 	}
-	// Clone both bounds: the decoded records alias the block's read
-	// buffer, and retaining two keys must not pin whole blocks (or
-	// trust their buffers' lifetimes) for the lifetime of the reader.
-	r.first = append([]byte(nil), firstBlock[0].Key...)
-	r.last = append([]byte(nil), lastBlock[len(lastBlock)-1].Key...)
 	return nil
 }
 
 // Count returns the number of records in the table.
 func (r *Reader) Count() uint64 { return r.count }
-
-// Path returns the file path of the table.
-func (r *Reader) Path() string { return r.path }
 
 // SizeBytes returns the table's file size, used by the storage
 // engine's tier-selection policy.
@@ -341,9 +333,6 @@ func (r *Reader) SizeBytes() int64 { return r.size }
 
 // NumBlocks returns the number of data blocks in the table.
 func (r *Reader) NumBlocks() int { return len(r.index) }
-
-// Bounds returns the smallest and largest keys in the table.
-func (r *Reader) Bounds() (first, last []byte) { return r.first, r.last }
 
 // Retain pins the reader: the underlying file stays open (and, after
 // Remove, on disk) until a matching Release.

@@ -55,10 +55,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if r.Count() != 100 {
 		t.Fatalf("Count = %d", r.Count())
 	}
-	first, last := r.Bounds()
-	if string(first) != "key-000000" || string(last) != "key-000099" {
-		t.Fatalf("Bounds = %q..%q", first, last)
-	}
 	for _, want := range recs {
 		got, ok, err := r.Get(want.Key)
 		if err != nil {

@@ -34,10 +34,9 @@ type resolution struct {
 // and value payloads.
 const entryOverhead = 96
 
-// NewCache returns a cache holding at most totalBytes across shards
-// (shard count rounded up to a power of two, minimum 1).
-func NewCache(totalBytes int64, shards int) *Cache {
-	return &Cache{lru: newLRU[recordKey, resolution](totalBytes, shards)}
+// NewCache returns a cache holding at most totalBytes.
+func NewCache(totalBytes int64) *Cache {
+	return &Cache{lru: newLRU[recordKey, resolution](totalBytes, cacheShards)}
 }
 
 // probe returns (namespace, key)'s place in the LRU and its shard hash

@@ -26,11 +26,11 @@ func TestCacheHitAndInvalidateOnWrite(t *testing.T) {
 	if v, ok, _ := ns.Get([]byte("alice")); !ok || string(v) != "v1" {
 		t.Fatalf("Get = %q,%v", v, ok)
 	}
-	before := e.Cache().Stats()
+	before := e.cache.Stats()
 	if v, ok, _ := ns.Get([]byte("alice")); !ok || string(v) != "v1" {
 		t.Fatalf("Get = %q,%v", v, ok)
 	}
-	after := e.Cache().Stats()
+	after := e.cache.Stats()
 	if after.Hits != before.Hits+1 {
 		t.Fatalf("expected a cache hit: before=%+v after=%+v", before, after)
 	}
@@ -66,11 +66,11 @@ func TestCacheNegativeLookupInvalidated(t *testing.T) {
 	if _, ok, _ := ns.Get([]byte("bob")); ok {
 		t.Fatal("phantom key")
 	}
-	before := e.Cache().Stats()
+	before := e.cache.Stats()
 	if _, ok, _ := ns.Get([]byte("bob")); ok {
 		t.Fatal("phantom key")
 	}
-	if after := e.Cache().Stats(); after.Hits != before.Hits+1 {
+	if after := e.cache.Stats(); after.Hits != before.Hits+1 {
 		t.Fatalf("negative lookup not cached: before=%+v after=%+v", before, after)
 	}
 	// The insert must invalidate the negative entry.
@@ -88,7 +88,7 @@ func TestCacheDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.Cache() != nil {
+	if e.cache != nil {
 		t.Fatal("cache should be disabled")
 	}
 	ns, err := e.Namespace("users")
@@ -104,7 +104,7 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 func TestCacheNamespacesIsolated(t *testing.T) {
-	c := NewCache(1<<20, 4)
+	c := NewCache(1 << 20)
 	key := []byte("k")
 	c.Put("a", key, record.Record{Key: key, Value: []byte("va")}, true)
 	c.Put("b", key, record.Record{Key: key, Value: []byte("vb")}, true)

@@ -39,7 +39,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"scads/internal/clock"
 	"scads/internal/memtable"
@@ -125,7 +124,7 @@ type Engine struct {
 	namespaces map[string]*Namespace
 	closed     bool
 
-	lastVersion atomic.Uint64 // hybrid logical clock state
+	hlc *clock.HLC
 }
 
 // Open creates an Engine, recovering any namespaces present in the
@@ -136,9 +135,10 @@ func Open(opts Options) (*Engine, error) {
 		opts:       opts,
 		namespaces: make(map[string]*Namespace),
 		compactSem: make(chan struct{}, compactionParallelism),
+		hlc:        clock.NewHLC(opts.Clock, opts.NodeID),
 	}
 	if opts.CacheBytes > 0 {
-		e.cache = NewCache(opts.CacheBytes, cacheShards)
+		e.cache = NewCache(opts.CacheBytes)
 	}
 	if opts.BlockCacheBytes > 0 {
 		e.blockCache = NewBlockCache(opts.BlockCacheBytes, cacheShards)
@@ -211,23 +211,9 @@ func (e *Engine) Namespaces() []string {
 	return names
 }
 
-// NextVersion returns a monotonically increasing version: the node's
-// clock in nanoseconds shifted left 16 bits, OR the node ID, bumped if
-// the clock has not advanced since the previous call (a hybrid logical
-// clock).
-func (e *Engine) NextVersion() uint64 {
-	for {
-		now := uint64(e.opts.Clock.Now().UnixNano()) << 16
-		candidate := now | uint64(e.opts.NodeID)
-		last := e.lastVersion.Load()
-		if candidate <= last {
-			candidate = last + 1<<16 | uint64(e.opts.NodeID)
-		}
-		if e.lastVersion.CompareAndSwap(last, candidate) {
-			return candidate
-		}
-	}
-}
+// NextVersion returns the next stamp of the node's hybrid logical
+// clock: strictly increasing, and never equal to another node's.
+func (e *Engine) NextVersion() uint64 { return e.hlc.Next() }
 
 // Close flushes and closes every namespace.
 func (e *Engine) Close() error {
@@ -313,10 +299,6 @@ func (e *Engine) openNamespace(name string) (*Namespace, error) {
 	}
 	return ns, nil
 }
-
-// Cache exposes the engine's read cache (nil when disabled) for
-// metrics and tests.
-func (e *Engine) Cache() *Cache { return e.cache }
 
 // BlockCache exposes the engine's decoded-block cache (nil when
 // disabled) for metrics and tests.

@@ -28,7 +28,7 @@ var lruInstantiations = []struct {
 	new  func(totalBytes int64, shards int) cacheOps
 }{
 	{"Cache", func(totalBytes int64, shards int) cacheOps {
-		c := NewCache(totalBytes, shards)
+		c := &Cache{lru: newLRU[recordKey, resolution](totalBytes, shards)}
 		key := func(id int) []byte { return []byte(fmt.Sprintf("%04d", id)) }
 		return cacheOps{
 			put: func(ns string, id, n int, version uint64) {
@@ -251,7 +251,7 @@ func TestShardHashMatchesFNV(t *testing.T) {
 // strconv.Itoa and hash.Hash32 cost one allocation from block 100 up).
 func TestCacheHitAllocs(t *testing.T) {
 	key := []byte("user-00001234")
-	c := NewCache(1<<20, cacheShards)
+	c := NewCache(1 << 20)
 	for _, key := range [][]byte{key, bytes.Repeat([]byte("k"), 45)} {
 		c.Put("idx.friendsWithUpcomingBirthdays", key, record.Record{Key: key, Value: []byte("v"), Version: 1}, true)
 		if n := testing.AllocsPerRun(200, func() {

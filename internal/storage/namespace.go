@@ -104,9 +104,6 @@ type applyEntry struct {
 // caller must restart from a fresh snapshot.
 const maxApplyLog = 1 << 16
 
-// Name returns the namespace name.
-func (ns *Namespace) Name() string { return ns.name }
-
 // Put stores value under key with a freshly generated version and
 // returns that version.
 func (ns *Namespace) Put(key, value []byte) (uint64, error) {

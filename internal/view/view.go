@@ -76,9 +76,6 @@ func NewEngine(schema *query.Schema, indexes []*planner.IndexDef, store Store) *
 	return e
 }
 
-// Indexes returns the maintained index definitions.
-func (e *Engine) Indexes() []*planner.IndexDef { return e.indexes }
-
 // Maintains reports whether any index or view is derived from table —
 // as the driving table or the joined one. When it is false, Mutations
 // for that table is always empty, so a write to it needs neither the

@@ -340,11 +340,11 @@ func TestMutationsForUnindexedTable(t *testing.T) {
 func TestIndexesAccessor(t *testing.T) {
 	store := newMapStore()
 	_, out, e := buildEngine(t, store)
-	if len(e.Indexes()) != len(out.Indexes) {
-		t.Fatal("Indexes() mismatch")
+	if len(e.indexes) != len(out.Indexes) {
+		t.Fatal("engine does not hold every planned index")
 	}
 	names := make([]string, 0)
-	for _, d := range e.Indexes() {
+	for _, d := range e.indexes {
 		names = append(names, d.Name)
 	}
 	joined := strings.Join(names, ",")

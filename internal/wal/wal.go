@@ -10,12 +10,12 @@
 // in order and stops at the first torn frame, which a crashed append
 // can legitimately leave behind.
 //
-// The log offers three append disciplines, from cheapest to most
+// The log offers two append disciplines, from cheapest to most
 // durable:
 //
-//   - Append / AppendBatch: buffered append, fsync'd only at flush
-//     boundaries (or per call when Options.SyncEveryAppend is set —
-//     the unbatched baseline).
+//   - AppendBatch: buffered append, fsync'd only at flush boundaries
+//     (or per call when Options.SyncEveryAppend is set — the unbatched
+//     baseline).
 //   - AppendGroup: group commit. The record is appended without its
 //     own fsync, then the writer joins the current commit group via
 //     SyncGroup; one leader issues a single fsync on behalf of every
@@ -159,13 +159,6 @@ func Open(dir string, opts *Options) (*Log, []record.Record, error) {
 		return nil, nil, err
 	}
 	return l, recovered, nil
-}
-
-// Append writes rec to the log, rolling segments as needed. With
-// Options.SyncEveryAppend it issues a private fsync per call — the
-// unbatched durable baseline; prefer AppendGroup under concurrency.
-func (l *Log) Append(rec record.Record) error {
-	return l.appendRecords([]record.Record{rec}, l.opts.SyncEveryAppend)
 }
 
 // AppendBatch writes recs as a single buffered write (one syscall for
@@ -355,18 +348,6 @@ func (l *Log) Close() error {
 		return err
 	}
 	return l.active.Close()
-}
-
-// SegmentCount reports how many segment files exist (for tests and
-// metrics).
-func (l *Log) SegmentCount() (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ids, err := l.segmentIDs()
-	if err != nil {
-		return 0, err
-	}
-	return len(ids), nil
 }
 
 func (l *Log) roll() error {

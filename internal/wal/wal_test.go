@@ -16,6 +16,24 @@ func rec(k, v string, ver uint64) record.Record {
 	return record.Record{Key: []byte(k), Value: []byte(v), Version: ver}
 }
 
+// appendOne appends rec as a batch of one.
+func appendOne(l *Log, rec record.Record) error {
+	return l.AppendBatch([]record.Record{rec})
+}
+
+// segmentCount reports how many segment files the log's directory
+// holds.
+func segmentCount(t *testing.T, l *Log) int {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ids, err := l.segmentIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(ids)
+}
+
 // validTail returns the byte offset just past the last decodable frame
 // in a segment image. Segments are preallocated, so the file extends
 // past the logical tail with zero padding.
@@ -45,7 +63,7 @@ func TestAppendAndRecover(t *testing.T) {
 		{Key: []byte("a"), Version: 3, Tombstone: true},
 	}
 	for _, r := range want {
-		if err := l.Append(r); err != nil {
+		if err := appendOne(l, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,15 +92,11 @@ func TestSegmentRolling(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := l.Append(rec(fmt.Sprintf("key-%03d", i), "some-payload-data", uint64(i+1))); err != nil {
+		if err := appendOne(l, rec(fmt.Sprintf("key-%03d", i), "some-payload-data", uint64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n, err := l.SegmentCount()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 2 {
+	if n := segmentCount(t, l); n < 2 {
 		t.Fatalf("expected multiple segments, got %d", n)
 	}
 	l.Close()
@@ -108,7 +122,7 @@ func TestTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := l.Append(rec(fmt.Sprintf("k%d", i), "v", uint64(i+1))); err != nil {
+		if err := appendOne(l, rec(fmt.Sprintf("k%d", i), "v", uint64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,7 +160,7 @@ func TestRotateAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := l.Append(rec(fmt.Sprintf("k%d", i), "v", uint64(i+1))); err != nil {
+		if err := appendOne(l, rec(fmt.Sprintf("k%d", i), "v", uint64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,8 +170,7 @@ func TestRotateAndTruncate(t *testing.T) {
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	n, _ := l.SegmentCount()
-	if n != 1 {
+	if n := segmentCount(t, l); n != 1 {
 		t.Fatalf("after truncate: %d segments, want 1", n)
 	}
 	l.Close()
@@ -178,7 +191,7 @@ func TestClosedLogErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	if err := l.Append(rec("k", "v", 1)); err != ErrClosed {
+	if err := appendOne(l, rec("k", "v", 1)); err != ErrClosed {
 		t.Fatalf("Append on closed log: %v, want ErrClosed", err)
 	}
 	if err := l.Sync(); err != ErrClosed {
@@ -220,7 +233,7 @@ func TestConcurrentAppend(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := l.Append(rec(fmt.Sprintf("w%d-%03d", w, i), "v", uint64(i+1))); err != nil {
+				if err := appendOne(l, rec(fmt.Sprintf("w%d-%03d", w, i), "v", uint64(i+1))); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -245,7 +258,7 @@ func TestSyncEveryAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append(rec("k", "v", 1)); err != nil {
+	if err := appendOne(l, rec("k", "v", 1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -433,7 +446,7 @@ func BenchmarkAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Version = uint64(i + 1)
-		if err := l.Append(r); err != nil {
+		if err := appendOne(l, r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -455,7 +468,7 @@ func TestDirectoryFsyncOnSegmentLifecycle(t *testing.T) {
 	if base < 1 {
 		t.Fatalf("Open created segment 1 with no directory fsync (DirSyncs = %d)", base)
 	}
-	if err := l.Append(rec("a", "1", 1)); err != nil {
+	if err := appendOne(l, rec("a", "1", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Rotate(); err != nil {
@@ -490,7 +503,7 @@ func TestPreallocatedSegmentRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := l.Append(rec(fmt.Sprintf("k%02d", i), "v", uint64(i+1))); err != nil {
+		if err := appendOne(l, rec(fmt.Sprintf("k%02d", i), "v", uint64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}

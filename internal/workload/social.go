@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"scads/internal/row"
 )
@@ -92,15 +91,6 @@ func (m Mix) total() int {
 		m.AddFriend + m.RemoveFriend + m.UpdateProfile + m.NewUser
 }
 
-// WriteFraction reports the fraction of operations that mutate data.
-func (m Mix) WriteFraction() float64 {
-	t := m.total()
-	if t == 0 {
-		return 0
-	}
-	return float64(m.AddFriend+m.RemoveFriend+m.UpdateProfile+m.NewUser) / float64(t)
-}
-
 // Social generates a deterministic synthetic social graph and request
 // stream over it. Degrees are bounded by MaxFriends — the Facebook
 // 5000-friend cap the paper leans on for the O(K) argument.
@@ -135,9 +125,6 @@ func NewSocial(seed int64, users, maxFriends int, mix Mix) *Social {
 		nextID:     users,
 	}
 }
-
-// Users returns the current user count.
-func (s *Social) Users() int { return s.users }
 
 // UserID formats the i-th user's ID.
 func UserID(i int) string { return fmt.Sprintf("user%08d", i) }
@@ -243,10 +230,4 @@ func (s *Social) Next() Op {
 			"birthday": int64(id%365 + 1),
 		}}
 	}
-}
-
-// OpsForTick converts a trace rate into an op count for a tick of the
-// given length.
-func OpsForTick(tr Trace, at time.Time, tick time.Duration) int {
-	return int(tr.Rate(at) * tick.Seconds())
 }

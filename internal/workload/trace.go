@@ -112,12 +112,3 @@ func AnimotoTrace(start time.Time, capacityPerServer float64) Viral {
 		Saturation:   3400 * capacityPerServer * 0.7,
 	}
 }
-
-// Scaled multiplies a trace by a constant factor.
-type Scaled struct {
-	T Trace
-	F float64
-}
-
-// Rate implements Trace.
-func (s Scaled) Rate(t time.Time) float64 { return s.T.Rate(t) * s.F }

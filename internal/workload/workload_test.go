@@ -104,31 +104,6 @@ func TestAnimotoTraceMatchesFigure1(t *testing.T) {
 	}
 }
 
-func TestScaled(t *testing.T) {
-	s := Scaled{T: Constant(100), F: 2.5}
-	if s.Rate(t0) != 250 {
-		t.Fatal("Scaled wrong")
-	}
-}
-
-func TestOpsForTick(t *testing.T) {
-	if got := OpsForTick(Constant(100), t0, 30*time.Second); got != 3000 {
-		t.Fatalf("OpsForTick = %d", got)
-	}
-}
-
-func TestMixWriteFraction(t *testing.T) {
-	if f := ReadHeavyMix.WriteFraction(); f > 0.15 {
-		t.Fatalf("read-heavy write fraction = %v", f)
-	}
-	if f := WriteHeavyMix.WriteFraction(); f < 0.4 {
-		t.Fatalf("write-heavy write fraction = %v", f)
-	}
-	if (Mix{}).WriteFraction() != 0 {
-		t.Fatal("empty mix")
-	}
-}
-
 func TestSocialDeterministic(t *testing.T) {
 	a := NewSocial(42, 100, 50, ReadHeavyMix)
 	b := NewSocial(42, 100, 50, ReadHeavyMix)
@@ -182,15 +157,17 @@ func TestSocialOpDistribution(t *testing.T) {
 	if f := frac(OpViewProfile); math.Abs(f-0.45) > 0.05 {
 		t.Fatalf("view-profile fraction = %v", f)
 	}
+	m := ReadHeavyMix
+	want := float64(m.AddFriend+m.RemoveFriend+m.UpdateProfile+m.NewUser) / float64(m.total())
 	writes := frac(OpAddFriend) + frac(OpRemoveFriend) + frac(OpUpdateProfile) + frac(OpNewUser)
-	if math.Abs(writes-ReadHeavyMix.WriteFraction()) > 0.05 {
-		t.Fatalf("write fraction = %v, want ~%v", writes, ReadHeavyMix.WriteFraction())
+	if math.Abs(writes-want) > 0.05 {
+		t.Fatalf("write fraction = %v, want ~%v", writes, want)
 	}
 }
 
 func TestSocialNewUserGrowsPopulation(t *testing.T) {
 	s := NewSocial(9, 10, 100, Mix{NewUser: 1})
-	before := s.Users()
+	before := s.users
 	for i := 0; i < 50; i++ {
 		op := s.Next()
 		if op.Kind != OpNewUser {
@@ -200,8 +177,8 @@ func TestSocialNewUserGrowsPopulation(t *testing.T) {
 			t.Fatal("row id mismatch")
 		}
 	}
-	if s.Users() != before+50 {
-		t.Fatalf("users = %d", s.Users())
+	if s.users != before+50 {
+		t.Fatalf("users = %d", s.users)
 	}
 }
 

@@ -2,6 +2,7 @@ package scads
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"scads/internal/balancer"
@@ -141,7 +142,7 @@ func (c *Cluster) SpreadNamespace(namespace string) error {
 		for j := 0; j < rf; j++ {
 			want[j] = ids[(i+j)%len(ids)]
 		}
-		if sameReplicas(rng.Replicas, want) {
+		if slices.Equal(rng.Replicas, want) {
 			continue
 		}
 		key := rng.Start
@@ -252,16 +253,4 @@ func pickReplacement(current, candidates []string, dir *cluster.Directory) (stri
 		return cand, nil
 	}
 	return "", nil
-}
-
-func sameReplicas(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -25,6 +25,7 @@ package scads
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,7 +144,8 @@ type Cluster struct {
 	loads     *balancer.Tracker
 	admission *admission.Controller
 
-	lastVersion atomic.Uint64
+	// versions stamps every write this coordinator commits.
+	versions *clock.HLC
 	// lastObservedContention is the contention total already reported
 	// through Observe, so each observation carries only the delta.
 	lastObservedContention atomic.Int64
@@ -178,6 +180,7 @@ func Open(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:        cfg,
 		clk:        cfg.Clock,
+		versions:   clock.NewHLC(cfg.Clock, cfg.CoordinatorID),
 		dir:        cfg.Directory,
 		router:     partition.NewRouter(cfg.Transport, cfg.Directory),
 		merges:     consistency.NewMergeRegistry(),
@@ -209,19 +212,7 @@ func Open(cfg Config) (*Cluster, error) {
 	// members — and surface as data loss after a later failover onto
 	// one of them.
 	c.migrations.OnFlip = func(ns string, start, end []byte, old, target []string) {
-		var added []string
-		for _, id := range target {
-			found := false
-			for _, o := range old {
-				if o == id {
-					found = true
-					break
-				}
-			}
-			if !found {
-				added = append(added, id)
-			}
-		}
+		added := slices.DeleteFunc(slices.Clone(target), func(id string) bool { return slices.Contains(old, id) })
 		if len(added) > 0 {
 			c.pump.Rebind(ns, start, end, added)
 		}
@@ -409,21 +400,6 @@ func (c *Cluster) NewSession(table string) *session.Session {
 	spec := c.specs[table]
 	c.mu.RUnlock()
 	return session.New(spec.Session)
-}
-
-// nextVersion is the coordinator's hybrid logical clock.
-func (c *Cluster) nextVersion() uint64 {
-	for {
-		now := uint64(c.clk.Now().UnixNano()) << 16
-		candidate := now | uint64(c.cfg.CoordinatorID)
-		last := c.lastVersion.Load()
-		if candidate <= last {
-			candidate = (last + 1<<16) | uint64(c.cfg.CoordinatorID)
-		}
-		if c.lastVersion.CompareAndSwap(last, candidate) {
-			return candidate
-		}
-	}
 }
 
 // specFor returns the consistency spec governing a table (zero spec

@@ -353,7 +353,7 @@ func (c *Cluster) newRecord(key []byte, val row.Row) (record.Record, error) {
 		}
 		rec.Value = enc
 	}
-	rec.Version = c.nextVersion()
+	rec.Version = c.versions.Next()
 	return rec, nil
 }
 
