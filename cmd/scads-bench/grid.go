@@ -67,7 +67,7 @@ func gridRegistry() *expgrid.Registry {
 	})
 	reg.Register(expgrid.Experiment{
 		ID:   "e14",
-		Name: "Scan pipeline: parallel scatter-gather vs sequential; scans under migration + crash",
+		Name: "Scan pipeline: parallel scatter-gather throughput; scans under migration + crash",
 		Params: []expgrid.ParamSpec{
 			{Name: "users", Default: 2400, Doc: "dataset size (multiple of range_size, 1000-9999)"},
 			{Name: "range_size", Default: 200, Doc: "rows per partition"},
@@ -77,17 +77,6 @@ func gridRegistry() *expgrid.Registry {
 		Run: runE14,
 	})
 	reg.Register(expgrid.Experiment{
-		ID:   "e15",
-		Name: "RPC wire: binary multiplexed transport vs gob lockstep (throughput under RTT, allocs/op)",
-		Params: []expgrid.ParamSpec{
-			{Name: "pipelines", Default: 64, Doc: "concurrent callers sharing the one pipelined conn"},
-			{Name: "window_ms", Default: 1500, Doc: "throughput measurement window, milliseconds"},
-			{Name: "value_size", Default: 128, Doc: "bytes per record value in the apply payload"},
-			{Name: "alloc_calls", Default: 20000, Doc: "round trips per allocation measurement"},
-		},
-		Run: runE15,
-	})
-	reg.Register(expgrid.Experiment{
 		ID:     "e16",
 		Name:   "Elastic autoscaling end-to-end: diurnal / flash-crowd / hotspot-shift, SLO minutes & cost",
 		Params: nil, // scenarios are fully declared in code; the row proves bit-identical repeats
@@ -95,7 +84,7 @@ func gridRegistry() *expgrid.Registry {
 	})
 	reg.Register(expgrid.Experiment{
 		ID:   "e17",
-		Name: "Storage-engine raw speed: block cache hit ratio & speedup, churn correctness, fence pause under compaction",
+		Name: "Storage-engine raw speed: block cache hit ratio & read latency, churn correctness, fence pause under compaction",
 		Params: []expgrid.ParamSpec{
 			{Name: "keys", Default: 20000, Doc: "keys loaded into the namespace"},
 			{Name: "value_size", Default: 64, Doc: "bytes per value"},

@@ -31,8 +31,8 @@ func committedGrid(t *testing.T) *expgrid.Grid {
 
 func TestCommittedGridParses(t *testing.T) {
 	g := committedGrid(t)
-	if len(g.Rows) < 24 {
-		t.Fatalf("committed grid has %d rows, want >= 24 (e1..e18 with e4a..e4e, plus workload variants)", len(g.Rows))
+	if len(g.Rows) < 23 {
+		t.Fatalf("committed grid has %d rows, want >= 23 (every experiment, plus workload variants)", len(g.Rows))
 	}
 	variants := 0
 	for _, row := range g.Rows {
@@ -96,7 +96,7 @@ func TestRegistryMatchesREADME(t *testing.T) {
 	for _, exp := range gridRegistry().List() {
 		registered = append(registered, exp.ID)
 	}
-	if len(registered) != 22 || !reflect.DeepEqual(registered, documented) {
+	if len(registered) != 21 || !reflect.DeepEqual(registered, documented) {
 		t.Fatalf("registry lists %d experiments %v; README table documents %v", len(registered), registered, documented)
 	}
 }

@@ -23,10 +23,9 @@ import (
 // block cache and background size-tiered compaction. Three phases:
 //
 //  1. Cache effectiveness: zipfian point reads plus range scans over a
-//     flushed multi-table namespace under concurrent writes, with the
-//     decoded-block cache warm versus the uncached ablation
-//     (BlockCacheBytes: 0). Gates the hit ratio, the warm p99 read
-//     latency, and the warm-vs-ablation speedup.
+//     flushed multi-table namespace under concurrent writes, through a
+//     warm decoded-block cache. Gates the hit ratio and the p99 read
+//     latency.
 //  2. Correctness under churn: acknowledged-write verification while
 //     background tier compaction and range truncation race the
 //     readers. Wrong or missing reads are hard-zero gates.
@@ -64,19 +63,18 @@ func runE17(p expgrid.Params) (expgrid.Metrics, error) {
 		return nil, fmt.Errorf("e17: block_cache_mb must be >= 1")
 	}
 
-	hitRatio, warmP99, scanP99, speedup, stallP99 := e17CacheEffectiveness(cfg)
+	hitRatio, pointP99, scanP99, stallP99 := e17CacheEffectiveness(cfg)
 	wrong, missing := e17CorrectnessChurn(cfg.seed)
 	fenceP50 := e17FenceUnderCompaction()
 
 	metrics := expgrid.Metrics{
-		"block_cache_hit_ratio":    hitRatio,
-		"point_read_p99_us":        float64(warmP99.Microseconds()),
-		"scan100_p99_us":           float64(scanP99.Microseconds()),
-		"warm_speedup_vs_uncached": speedup,
-		"write_stall_p99_us":       float64(stallP99.Microseconds()),
-		"wrong_reads":              float64(wrong),
-		"missing_reads":            float64(missing),
-		"fence_pause_p50_us":       float64(fenceP50.Microseconds()),
+		"block_cache_hit_ratio": hitRatio,
+		"point_read_p99_us":     float64(pointP99.Microseconds()),
+		"scan100_p99_us":        float64(scanP99.Microseconds()),
+		"write_stall_p99_us":    float64(stallP99.Microseconds()),
+		"wrong_reads":           float64(wrong),
+		"missing_reads":         float64(missing),
+		"fence_pause_p50_us":    float64(fenceP50.Microseconds()),
 	}
 	if wrong > 0 || missing > 0 {
 		log.Fatalf("e17: STORAGE ENGINE RETURNED BAD DATA UNDER CHURN: wrong=%d missing=%d", wrong, missing)
@@ -104,11 +102,17 @@ func e17Value(i, valueSize int) []byte {
 	return v
 }
 
-// e17Workload loads a multi-table namespace and runs the zipfian
-// read+scan mix (plus write_fraction in-line writes) against it under
-// a concurrent writer, returning point read, scan and put latencies
-// plus the block-cache hit ratio (0 for the ablation).
-func e17Workload(cfg e17Config, blockCacheBytes int64) (pointLat, scanLat, putLat []time.Duration, hitRatio float64) {
+// e17CacheEffectiveness loads a multi-table namespace and runs the
+// zipfian read+scan mix (plus write_fraction in-line writes) against it
+// under a concurrent writer, returning the block-cache hit ratio and
+// the point read, scan and put p99 latencies.
+func e17CacheEffectiveness(cfg e17Config) (hitRatio float64, pointP99, scanP99, stallP99 time.Duration) {
+	if cfg.writeFraction > 0 {
+		fmt.Printf("phase 1: %d zipfian ops (%.0f%% writes) over %d keys, warm block cache\n\n",
+			cfg.reads, cfg.writeFraction*100, cfg.keys)
+	} else {
+		fmt.Printf("phase 1: %d zipfian reads + scans over %d keys, warm block cache\n\n", cfg.reads, cfg.keys)
+	}
 	dir, err := os.MkdirTemp("", "scads-e17-*")
 	must(err)
 	defer os.RemoveAll(dir)
@@ -118,7 +122,7 @@ func e17Workload(cfg e17Config, blockCacheBytes int64) (pointLat, scanLat, putLa
 		MaxTables:       6,
 		NodeID:          1,
 		CacheBytes:      -1, // isolate the block cache: no exact-key layer
-		BlockCacheBytes: blockCacheBytes,
+		BlockCacheBytes: cfg.cacheBytes,
 	})
 	must(err)
 	defer e.Close()
@@ -138,6 +142,7 @@ func e17Workload(cfg e17Config, blockCacheBytes int64) (pointLat, scanLat, putLa
 		time.Sleep(time.Millisecond)
 	}
 
+	var scanLat, putLat []time.Duration
 	// Concurrent writer: keeps flush/compaction churn alive during the
 	// read measurement and times each put for the stall metric.
 	stop := make(chan struct{})
@@ -171,12 +176,12 @@ func e17Workload(cfg e17Config, blockCacheBytes int64) (pointLat, scanLat, putLa
 	// separate stream so write_fraction=0 replays the historical
 	// read-only key sequence exactly.
 	mixRng := rand.New(rand.NewSource(cfg.seed*1000 + 43))
-	// Warm pass: populate whatever cache is configured.
+	// Warm pass: populate the block cache.
 	for i := 0; i < cfg.reads/4; i++ {
 		_, _, err := ns.Get(e17Key(int(zipf.Uint64())))
 		must(err)
 	}
-	pointLat = make([]time.Duration, 0, cfg.reads)
+	pointLat := make([]time.Duration, 0, cfg.reads)
 	for i := 0; i < cfg.reads; i++ {
 		if i%50 == 49 {
 			// A bounded contiguous scan rides along every 50th op.
@@ -222,38 +227,16 @@ func e17Workload(cfg e17Config, blockCacheBytes int64) (pointLat, scanLat, putLa
 			hitRatio = float64(st.Hits) / float64(total)
 		}
 	}
-	return pointLat, scanLat, putLat, hitRatio
-}
+	pointMean, pointP99 := latSummary(pointLat)
+	scanMean, scanP99 := latSummary(scanLat)
+	_, stallP99 = latSummary(putLat)
 
-func e17CacheEffectiveness(cfg e17Config) (hitRatio float64, warmP99, scanP99 time.Duration, speedup float64, stallP99 time.Duration) {
-	if cfg.writeFraction > 0 {
-		fmt.Printf("phase 1: %d zipfian ops (%.0f%% writes) over %d keys, warm block cache vs uncached ablation\n\n",
-			cfg.reads, cfg.writeFraction*100, cfg.keys)
-	} else {
-		fmt.Printf("phase 1: %d zipfian reads + scans over %d keys, warm block cache vs uncached ablation\n\n", cfg.reads, cfg.keys)
-	}
-	warmPoint, warmScan, warmPut, warmRatio := e17Workload(cfg, cfg.cacheBytes)
-	ablPoint, ablScan, _, _ := e17Workload(cfg, 0)
-
-	warmMean, warmP99v := latSummary(warmPoint)
-	ablMean, ablP99 := latSummary(ablPoint)
-	warmScanMean, warmScanP99 := latSummary(warmScan)
-	ablScanMean, _ := latSummary(ablScan)
-	_, stall := latSummary(warmPut)
-	// The ≥5x acceptance gate is on point reads: a warm hit replaces a
-	// pread + CRC-checked decode with a map lookup and a binary search.
-	speedup = float64(ablMean) / float64(warmMean)
-
-	fmt.Printf("  %-34s %12.3f\n", "block-cache hit ratio (warm)", warmRatio)
-	fmt.Printf("  %-34s %12v\n", "warm point read mean", warmMean.Round(time.Nanosecond))
-	fmt.Printf("  %-34s %12v\n", "warm point read p99", warmP99v.Round(time.Nanosecond))
-	fmt.Printf("  %-34s %12v\n", "uncached point read mean", ablMean.Round(time.Nanosecond))
-	fmt.Printf("  %-34s %12v\n", "uncached point read p99", ablP99.Round(time.Nanosecond))
-	fmt.Printf("  %-34s %12.2fx\n", "warm point speedup vs uncached", speedup)
-	fmt.Printf("  %-34s %12v\n", "warm 100-key scan mean", warmScanMean.Round(time.Nanosecond))
-	fmt.Printf("  %-34s %12v\n", "uncached 100-key scan mean", ablScanMean.Round(time.Nanosecond))
-	fmt.Printf("  %-34s %12v\n", "write stall p99 (warm run)", stall.Round(time.Microsecond))
-	return warmRatio, warmP99v, warmScanP99, speedup, stall
+	fmt.Printf("  %-34s %12.3f\n", "block-cache hit ratio", hitRatio)
+	fmt.Printf("  %-34s %12v\n", "point read mean", pointMean.Round(time.Nanosecond))
+	fmt.Printf("  %-34s %12v\n", "point read p99", pointP99.Round(time.Nanosecond))
+	fmt.Printf("  %-34s %12v\n", "100-key scan mean", scanMean.Round(time.Nanosecond))
+	fmt.Printf("  %-34s %12v\n", "write stall p99", stallP99.Round(time.Microsecond))
+	return hitRatio, pointP99, scanP99, stallP99
 }
 
 func latSummary(lat []time.Duration) (mean, p99 time.Duration) {

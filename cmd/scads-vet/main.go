@@ -4,7 +4,6 @@
 //	determinism      no wall clock / ambient randomness / map-order
 //	                 leaks in the elastic control plane (e16's
 //	                 bit-identical-metrics contract)
-//	nogob            encoding/gob only in the e15 lockstep ablation
 //	rpcretry         the router reaches the transport only through
 //	                 the request-execution primitive
 //	panicdiscipline  panic on non-constant data only in Must* funcs

@@ -103,7 +103,7 @@ func newPass(a *Analyzer, pkg *Package) *Pass {
 				}
 				reason := strings.TrimSpace(m[2])
 				// A trailing line comment after the suppression (the
-				// fixture idiom `//lint:gob-ok x // want "..."`)
+				// fixture idiom `//lint:wallclock-ok x // want "..."`)
 				// belongs to the next reader, not to the reason.
 				if i := strings.Index(reason, "//"); i >= 0 {
 					reason = strings.TrimSpace(reason[:i])

@@ -32,10 +32,6 @@ var (
 		"scads:elastic.go",
 	}
 
-	// GobAllowedPackages is where encoding/gob survives: the e15
-	// lockstep ablation that measures what the binary wire replaced.
-	GobAllowedPackages = []string{"scads/cmd/scads-bench"}
-
 	// RetryCheckedPackages are the coordinator packages bound by the
 	// request-execution contract: the router is the only one that
 	// touches the transport on a request path.
@@ -46,7 +42,6 @@ var (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		NewDeterminism(DeterminismPackages, DeterminismFiles),
-		NewNoGob(GobAllowedPackages),
 		NewRPCRetry(RetryCheckedPackages),
 		NewPanicDiscipline(),
 		NewLockSafety(),

@@ -18,10 +18,6 @@ func TestDeterminismFileScope(t *testing.T) {
 	analysistest.Run(t, NewDeterminism(nil, []string{"determfiles:scoped.go"}), "determfiles")
 }
 
-func TestNoGob(t *testing.T) {
-	analysistest.Run(t, NewNoGob([]string{"goballowed"}), "gobuser", "goballowed")
-}
-
 func TestRPCRetry(t *testing.T) {
 	analysistest.Run(t, NewRPCRetry([]string{"retry"}), "retry")
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // defaultScanParallelism bounds how many per-range sub-scans one scan
-// fans out concurrently unless ScanOptions.Parallelism says otherwise.
+// fans out concurrently (tests narrow it through ScanOptions.parallelism).
 const defaultScanParallelism = 8
 
 // ScanOptions tunes one scatter-gather scan.
@@ -25,14 +25,14 @@ type ScanOptions struct {
 	// Preds are conjunctive filters evaluated node-side; rows failing
 	// them never cross the wire and do not count against Limit.
 	Preds []rpc.ScanPred
-	// Parallelism bounds concurrent per-range sub-scans. 0 means
-	// defaultScanParallelism; 1 degenerates to the sequential
-	// range-at-a-time path (the ablation baseline).
-	Parallelism int
 	// Tenant is the admission-control identity the scan is accounted
 	// to; it rides each sub-scan's request envelope so node-side
 	// accounting can attribute the bytes.
 	Tenant string
+
+	// parallelism overrides defaultScanParallelism when non-zero; 1
+	// runs the sub-scans one range at a time.
+	parallelism int
 }
 
 // scanSub is one fixed sub-interval of the scan, assigned to a worker.
@@ -66,9 +66,10 @@ func (r *Router) Scan(namespace string, start, end []byte, limit int, policy Rea
 // scatter-gather pipeline:
 //
 //   - scatter: the overlapping ranges of the partition map become
-//     fixed sub-intervals, fanned out to at most Parallelism
-//     concurrent sub-scans, each with a proportional share of the
-//     limit pushed down (plus slack for skew);
+//     fixed sub-intervals, fanned out to at most
+//     defaultScanParallelism concurrent sub-scans, each with a
+//     proportional share of the limit pushed down (plus slack for
+//     skew);
 //   - per-range resilience: a sub-scan that hits a write fence
 //     (mid-migration handoff), an unreachable or a shedding replica
 //     is retried under the same request-execution contract as every
@@ -114,12 +115,9 @@ func (r *Router) ScanOpts(namespace string, start, end []byte, o ScanOptions) ([
 		perLimit = o.Limit
 	}
 
-	par := o.Parallelism
+	par := o.parallelism
 	if par == 0 {
 		par = defaultScanParallelism
-	}
-	if par < 1 {
-		par = 1
 	}
 	if par > len(subs) {
 		par = len(subs)

@@ -57,11 +57,11 @@ func TestScanParallelMatchesSequential(t *testing.T) {
 	loadScanData(t, tc, "ns", 800)
 
 	for _, limit := range []int{1, 37, 100, 101, 799, 800, 4000} {
-		seq, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: limit, Policy: ReadPrimary, Parallelism: 1})
+		seq, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: limit, Policy: ReadPrimary, parallelism: 1})
 		if err != nil {
 			t.Fatalf("sequential limit=%d: %v", limit, err)
 		}
-		par, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: limit, Policy: ReadPrimary, Parallelism: 8})
+		par, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: limit, Policy: ReadPrimary, parallelism: 8})
 		if err != nil {
 			t.Fatalf("parallel limit=%d: %v", limit, err)
 		}
@@ -122,7 +122,7 @@ func TestScanAdaptiveRefetchOnSkew(t *testing.T) {
 	tc.router.SetMap("ns", m)
 	loadScanData(t, tc, "ns", 600) // 500 rows in range 1, 100 in range 2
 
-	recs, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: 550, Policy: ReadPrimary, Parallelism: 2})
+	recs, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: 550, Policy: ReadPrimary, parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestScanFirstErrorAbandonsUnstartedSiblings(t *testing.T) {
 	loadScanData(t, tc, "ns", 40) // opaque values: a projecting node cannot decode them
 
 	_, err := router.ScanOpts("ns", nil, nil, ScanOptions{
-		Limit: 100, Policy: ReadPrimary, Parallelism: 1, Projection: []string{"name"},
+		Limit: 100, Policy: ReadPrimary, parallelism: 1, Projection: []string{"name"},
 	})
 	if err == nil {
 		t.Fatal("scan over undecodable rows succeeded")

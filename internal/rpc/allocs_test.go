@@ -13,11 +13,10 @@ import (
 	"scads/internal/record"
 )
 
-// TestPingRoundTripAllocs pins what the transport and the server's
-// dispatch themselves allocate per call, both ends being in this
-// process: the client's exactly-sized response buffer and the handler
-// goroutine's closure. (A request that carries bytes adds its arena.)
-func TestPingRoundTripAllocs(t *testing.T) {
+// roundTripAllocs serves req with a no-op handler over a real socket
+// and returns what one round trip allocates, both ends being in this
+// process.
+func roundTripAllocs(t *testing.T, req Request) float64 {
 	s := NewServer(HandlerFunc(func(Request) Response { return Response{Found: true} }))
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
@@ -26,13 +25,21 @@ func TestPingRoundTripAllocs(t *testing.T) {
 	defer s.Close()
 	tr := NewTCPTransport()
 	defer tr.Close()
-	ping := func() {
-		if resp, err := tr.Call(addr, Request{Method: MethodPing}); err != nil || !resp.Found {
-			t.Fatalf("ping = %+v, %v", resp, err)
+	call := func() {
+		if resp, err := tr.Call(addr, req); err != nil || !resp.Found {
+			t.Fatalf("round trip = %+v, %v", resp, err)
 		}
 	}
-	ping() // dial
-	if allocs := testing.AllocsPerRun(200, ping); allocs > 3 {
+	call() // dial
+	return testing.AllocsPerRun(200, call)
+}
+
+// TestPingRoundTripAllocs pins what the transport and the server's
+// dispatch themselves allocate per call: the client's exactly-sized
+// response buffer and the handler goroutine's closure. (A request that
+// carries bytes adds its arena.)
+func TestPingRoundTripAllocs(t *testing.T) {
+	if allocs := roundTripAllocs(t, Request{Method: MethodPing}); allocs > 3 {
 		t.Errorf("ping round trip allocates %.1f times, want <= 3", allocs)
 	}
 }
@@ -42,22 +49,17 @@ func TestPingRoundTripAllocs(t *testing.T) {
 // response frame is appended to the connection's buffer. What is left
 // is the client's response buffer and the request's arena (its key).
 func TestGetRoundTripAllocs(t *testing.T) {
-	s := NewServer(HandlerFunc(func(Request) Response { return Response{Found: true} }))
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	tr := NewTCPTransport()
-	defer tr.Close()
-	get := func() {
-		if resp, err := tr.Call(addr, Request{Method: MethodGet, Key: []byte("user:0000000001")}); err != nil || !resp.Found {
-			t.Fatalf("get = %+v, %v", resp, err)
-		}
-	}
-	get() // dial
-	if allocs := testing.AllocsPerRun(200, get); allocs > 2 {
+	if allocs := roundTripAllocs(t, Request{Method: MethodGet, Key: []byte("user:0000000001")}); allocs > 2 {
 		t.Errorf("get round trip allocates %.1f times, want <= 2", allocs)
+	}
+}
+
+// TestApplyRoundTripAllocs pins the replication shape: an apply of two
+// versioned records with 128-byte values, served on a handler
+// goroutine.
+func TestApplyRoundTripAllocs(t *testing.T) {
+	if allocs := roundTripAllocs(t, benchPayloadRequest()); allocs > 5 {
+		t.Errorf("apply round trip allocates %.1f times, want <= 5", allocs)
 	}
 }
 

@@ -3,16 +3,12 @@ package rpc
 // Tests for the multiplexed pipelined transport: interleaving
 // correctness on one connection, per-call deadlines, transparent
 // redial after a peer restart, and clean server shutdown. The
-// benchmarks at the bottom compare the binary wire against the gob
-// lockstep protocol it replaced (gob survives only here and in the
-// e15 experiment, as the measured baseline).
+// benchmarks at the bottom time an apply round trip, alone and with
+// many callers sharing the connection.
 
 import (
 	"bytes"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -328,80 +324,6 @@ func TestMuxBrokenConnFailsInFlight(t *testing.T) {
 	}
 }
 
-// --- gob lockstep baseline (the protocol this change removed) -------
-
-// gobServe serves the old one-request-at-a-time gob protocol on conn.
-func gobServe(conn net.Conn, h Handler) {
-	defer conn.Close()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		resp := h.Serve(req)
-		resp.ID = req.ID
-		if err := enc.Encode(&resp); err != nil {
-			return
-		}
-	}
-}
-
-// gobBaseline is a minimal reconstruction of the removed transport:
-// gob encoding, one connection, strictly serial calls.
-type gobBaseline struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	id   uint64
-}
-
-func dialGobBaseline(addr string) (*gobBaseline, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	return &gobBaseline{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
-}
-
-func (c *gobBaseline) call(req Request) (Response, error) {
-	c.id++
-	req.ID = c.id
-	if err := c.enc.Encode(&req); err != nil {
-		return Response{}, err
-	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		return Response{}, err
-	}
-	if resp.ID != req.ID {
-		return Response{}, errors.New("rpc: response ID mismatch")
-	}
-	return resp, nil
-}
-
-func startGobServer(tb testing.TB, h Handler) (addr string, cleanup func()) {
-	tb.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go gobServe(conn, h)
-		}
-	}()
-	return ln.Addr().String(), func() { ln.Close() }
-}
-
 func benchPayloadRequest() Request {
 	return Request{
 		Method:    MethodApply,
@@ -413,9 +335,7 @@ func benchPayloadRequest() Request {
 	}
 }
 
-// BenchmarkRPCRoundTrip measures the binary multiplexed wire: run
-// with -benchmem and compare allocs/op against
-// BenchmarkRPCRoundTripGob, the removed protocol.
+// BenchmarkRPCRoundTrip measures one apply round trip at a time.
 func BenchmarkRPCRoundTrip(b *testing.B) {
 	s := NewServer(newEchoHandler())
 	addr, err := s.Listen("127.0.0.1:0")
@@ -430,26 +350,6 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tr.Call(addr, req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRPCRoundTripGob is the gob lockstep baseline on the same
-// payload.
-func BenchmarkRPCRoundTripGob(b *testing.B) {
-	addr, cleanup := startGobServer(b, newEchoHandler())
-	defer cleanup()
-	c, err := dialGobBaseline(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.conn.Close()
-	req := benchPayloadRequest()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.call(req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -156,10 +156,9 @@ func TestMergeCancel(t *testing.T) {
 	a := buildTable(t, filepath.Join(dir, "a.sst"), seqRecords(1000))
 	defer a.Close()
 	out := filepath.Join(dir, "m.sst")
-	polls := 0
-	_, err := Merge(out, MergeOptions{
-		Cancel: func() bool { polls++; return polls > 10 },
-	}, whole(a))
+	cancel := make(chan struct{})
+	close(cancel)
+	_, err := Merge(out, MergeOptions{Cancel: cancel}, whole(a))
 	if !errors.Is(err, ErrMergeCanceled) {
 		t.Fatalf("Merge err = %v, want ErrMergeCanceled", err)
 	}
@@ -169,7 +168,7 @@ func TestMergeCancel(t *testing.T) {
 }
 
 // The rate limiter must pace the merge to roughly inputBytes/rate of
-// (virtual) time, in bounded sleep slices a canceller can interrupt.
+// (virtual) time.
 func TestMergeRateLimitPacing(t *testing.T) {
 	dir := t.TempDir()
 	recs := make([]record.Record, 200)
@@ -198,8 +197,8 @@ func TestMergeRateLimitPacing(t *testing.T) {
 		done <- err
 	}()
 
-	// Drive the virtual clock: whenever the merge parks in a sleep
-	// slice, advance past it.
+	// Drive the virtual clock in millisecond steps while the merge
+	// sleeps.
 	for {
 		select {
 		case err := <-done:
@@ -220,60 +219,40 @@ func TestMergeRateLimitPacing(t *testing.T) {
 		default:
 		}
 		if vc.PendingTimers() > 0 {
-			vc.Advance(rateLimitSliceMax)
+			vc.Advance(time.Millisecond)
 		} else {
 			runtime.Gosched()
 		}
 	}
 }
 
-// A canceller must not wait for the full sleep backlog: sleeps are
-// sliced, and wait returns as soon as cancel flips.
+// A canceller must not wait for the sleep to end: nobody advances the
+// virtual clock here, so only the cancellation can wake the merge.
 func TestMergeRateLimitCancelDuringSleep(t *testing.T) {
 	dir := t.TempDir()
 	src := buildTable(t, filepath.Join(dir, "src.sst"), seqRecords(500))
 	defer src.Close()
 
 	vc := clock.NewVirtual(time.Unix(0, 0))
-	var canceled bool
-	var mu sync.Mutex
+	cancel := make(chan struct{})
 	out := filepath.Join(dir, "m.sst")
 	done := make(chan error, 1)
 	go func() {
 		_, err := Merge(out, MergeOptions{
 			RateLimitBytesPerSec: 1, // one byte per second: parks immediately
 			Clock:                vc,
-			Cancel: func() bool {
-				mu.Lock()
-				defer mu.Unlock()
-				return canceled
-			},
+			Cancel:               cancel,
 		}, whole(src))
 		done <- err
 	}()
 
-	vc.BlockUntilWaiters(1) // merge is parked in its first sleep slice
-	mu.Lock()
-	canceled = true
-	mu.Unlock()
-	// One slice is all it should take to notice.
-	for {
-		select {
-		case err := <-done:
-			if !errors.Is(err, ErrMergeCanceled) {
-				t.Fatalf("Merge err = %v, want ErrMergeCanceled", err)
-			}
-			if _, err := os.Stat(out); !os.IsNotExist(err) {
-				t.Fatalf("canceled merge left output behind: %v", err)
-			}
-			return
-		default:
-		}
-		if vc.PendingTimers() > 0 {
-			vc.Advance(rateLimitSliceMax)
-		} else {
-			runtime.Gosched()
-		}
+	vc.BlockUntilWaiters(1) // the merge is asleep in its limiter
+	close(cancel)
+	if err := <-done; !errors.Is(err, ErrMergeCanceled) {
+		t.Fatalf("Merge err = %v, want ErrMergeCanceled", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("canceled merge left output behind: %v", err)
 	}
 }
 

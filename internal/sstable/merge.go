@@ -11,7 +11,7 @@ import (
 )
 
 // ErrMergeCanceled is the error of a merge whose MergeOptions.Cancel
-// reported cancellation; Merge removes the partially written output.
+// was closed; Merge removes the partially written output.
 var ErrMergeCanceled = errors.New("sstable: merge canceled")
 
 // MergeOptions configure a merge: a scan or a compaction.
@@ -40,11 +40,11 @@ type MergeOptions struct {
 	// Clock paces the rate limiter; nil selects the real clock. Tests
 	// inject a virtual clock to assert pacing deterministically.
 	Clock clock.Clock
-	// Cancel, when set, is polled between records; once it returns
-	// true the merge aborts with ErrMergeCanceled. The storage engine
-	// cancels background tier merges when a major compaction or
-	// teardown needs the table set to itself.
-	Cancel func() bool
+	// Cancel, once closed, aborts the merge with ErrMergeCanceled: it is
+	// polled between records and wakes the rate limiter's sleep. The
+	// storage engine cancels background tier merges when a major
+	// compaction or teardown needs the table set to itself.
+	Cancel <-chan struct{}
 }
 
 // Source is one sorted input of a MergeIter: a key range of a table,
@@ -160,7 +160,7 @@ func (m *MergeIter) Next() (record.Record, bool) {
 // included.
 func (m *MergeIter) winner() (record.Record, bool) {
 	for m.err == nil && len(m.heap) > 0 {
-		if m.opts.Cancel != nil && m.opts.Cancel() {
+		if m.opts.Cancel != nil && closed(m.opts.Cancel) {
 			m.err = ErrMergeCanceled
 			break
 		}
@@ -252,10 +252,18 @@ func Merge(outPath string, opts MergeOptions, sources ...Source) (*Reader, error
 	return Open(outPath)
 }
 
+func closed(c <-chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
+}
+
 // rateLimiter paces a merge to a target byte rate by sleeping whenever
-// consumed bytes run ahead of elapsed time. Sleeps are chopped into
-// small slices so a cancellation is noticed within ~5ms even while the
-// limiter is the bottleneck.
+// consumed bytes run ahead of elapsed time. A cancellation ends the
+// sleep at once.
 type rateLimiter struct {
 	rate  int64
 	clk   clock.Clock
@@ -274,26 +282,15 @@ func newRateLimiter(rate int64, clk clock.Clock) rateLimiter {
 	return rl
 }
 
-const rateLimitSliceMax = 5 * time.Millisecond
-
-func (rl *rateLimiter) wait(n int, cancel func() bool) {
-	if rl.rate <= 0 {
+func (rl *rateLimiter) wait(n int, cancel <-chan struct{}) {
+	rl.bytes += int64(n)
+	elapsed := rl.clk.Since(rl.start)
+	expected := time.Duration(float64(rl.bytes) / float64(rl.rate) * float64(time.Second))
+	if expected <= elapsed+time.Millisecond {
 		return
 	}
-	rl.bytes += int64(n)
-	for {
-		elapsed := rl.clk.Since(rl.start)
-		expected := time.Duration(float64(rl.bytes) / float64(rl.rate) * float64(time.Second))
-		if expected <= elapsed+time.Millisecond {
-			return
-		}
-		d := expected - elapsed
-		if d > rateLimitSliceMax {
-			d = rateLimitSliceMax
-		}
-		rl.clk.Sleep(d)
-		if cancel != nil && cancel() {
-			return // the caller's next poll aborts the merge
-		}
+	select {
+	case <-rl.clk.After(expected - elapsed):
+	case <-cancel: // the caller's next poll aborts the merge
 	}
 }

@@ -20,9 +20,9 @@ import (
 // Foreground paths that need the table set to themselves — TruncateRange
 // (its major compaction rewrites the whole stack) and close — cancel
 // in-flight tier merges (the merge polls a stop channel between records,
-// even while rate-limited) and wait them out before proceeding, so a
-// background merge can never stall a fence handoff for longer than one
-// cancellation poll.
+// and the channel wakes a rate-limited merge's sleep) and wait them out
+// before proceeding, so a background merge can never stall a fence
+// handoff for longer than one record's merge.
 
 const (
 	// tierSizeRatio bounds how dissimilar table sizes within one
@@ -189,14 +189,7 @@ func (j *tierJob) run() {
 		DropTombstones:       j.dropTombstones,
 		RateLimitBytesPerSec: ns.engine.opts.CompactionRateBytes,
 		Clock:                ns.engine.opts.Clock,
-		Cancel: func() bool {
-			select {
-			case <-j.stop:
-				return true
-			default:
-				return false
-			}
-		},
+		Cancel:               j.stop,
 	}, j.tables, nil))
 }
 
