@@ -164,6 +164,7 @@ func (n *Node) scan(req rpc.Request) rpc.Response {
 	}
 	var (
 		recs     []record.Record
+		page     = pageBuf{first: min(limit, 16)}
 		visited  int
 		bytes    int
 		resume   []byte
@@ -180,7 +181,7 @@ func (n *Node) scan(req rpc.Request) rpc.Response {
 				return false
 			}
 			visited++
-			out, match, err := scanTransform(r, req.Projection, req.Preds)
+			out, match, err := scanTransform(r, req.Projection, req.Preds, &page)
 			if err != nil {
 				xformErr = err
 				return false
@@ -209,15 +210,56 @@ func (n *Node) scan(req rpc.Request) rpc.Response {
 	return rpc.Response{Found: true, Records: recs, More: resume != nil, Resume: resume}
 }
 
+// pageBuf holds the bytes of one scan page: every record the page
+// returns is copied into it, so the page aliases no engine memory and
+// costs a few allocations instead of two per record. It is only ever
+// appended to, or replaced by a fresh array when full, so bytes a
+// record already points at are never written again.
+type pageBuf struct {
+	buf   []byte
+	first int // records the first array is sized for
+}
+
+// reserve makes room for n more bytes in the current array. No array is
+// sized past the page's byte budget unless one record needs it.
+func (p *pageBuf) reserve(n int) {
+	if cap(p.buf)-len(p.buf) >= n {
+		return
+	}
+	size := 2 * cap(p.buf)
+	if size == 0 {
+		size = n * p.first
+	}
+	p.buf = make([]byte, 0, max(min(size, pageByteBudget), n))
+}
+
+// copy appends b to the page and returns the copy, capped so that an
+// append to it cannot write into the page.
+func (p *pageBuf) copy(b []byte) []byte {
+	if b == nil {
+		return nil
+	}
+	start := len(p.buf)
+	p.buf = append(p.buf, b...)
+	return p.buf[start:len(p.buf):len(p.buf)]
+}
+
+// record returns r with its key and value copied into the page.
+func (p *pageBuf) record(r record.Record) record.Record {
+	p.reserve(len(r.Key) + len(r.Value))
+	return record.Record{Key: p.copy(r.Key), Value: p.copy(r.Value), Version: r.Version, Tombstone: r.Tombstone}
+}
+
 // scanTransform applies the pushed-down filter conjuncts and projection
-// to one live record. Filters compare keycodec encodings (byte order
-// equals value order); a row lacking a filtered column never matches.
-// With a projection, the returned record carries the narrowed row
-// re-encoded under the original version; without one the stored value
-// passes through untouched.
-func scanTransform(r record.Record, projection []string, preds []rpc.ScanPred) (record.Record, bool, error) {
+// to one live record, copying what it returns into page. Filters
+// compare keycodec encodings (byte order equals value order); a row
+// lacking a filtered column never matches. With a projection, the
+// returned record carries the narrowed row, encoded straight into the
+// page under the original version; without one the stored value passes
+// through untouched.
+func scanTransform(r record.Record, projection []string, preds []rpc.ScanPred, page *pageBuf) (record.Record, bool, error) {
 	if len(projection) == 0 && len(preds) == 0 {
-		return r.Clone(), true, nil
+		return page.record(r), true, nil
 	}
 	decoded, err := row.Decode(r.Value)
 	if err != nil {
@@ -237,13 +279,18 @@ func scanTransform(r record.Record, projection []string, preds []rpc.ScanPred) (
 		}
 	}
 	if len(projection) == 0 {
-		return r.Clone(), true, nil
+		return page.record(r), true, nil
 	}
-	val, err := row.Encode(row.Project(decoded, projection))
+	// A narrowed row encodes to no more bytes than the stored one.
+	page.reserve(len(r.Key) + len(r.Value))
+	key := page.copy(r.Key)
+	start := len(page.buf)
+	buf, err := row.AppendEncode(page.buf, row.Project(decoded, projection))
 	if err != nil {
 		return record.Record{}, false, err
 	}
-	return record.Record{Key: append([]byte(nil), r.Key...), Value: val, Version: r.Version}, true, nil
+	page.buf = buf
+	return record.Record{Key: key, Value: buf[start:len(buf):len(buf)], Version: r.Version}, true, nil
 }
 
 func (n *Node) apply(req rpc.Request) rpc.Response {

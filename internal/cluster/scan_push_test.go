@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scads/internal/keycodec"
+	"scads/internal/record"
 	"scads/internal/row"
 	"scads/internal/rpc"
 )
@@ -189,5 +190,103 @@ func TestNodeScanBouncesOffFence(t *testing.T) {
 	resp = n.Serve(rpc.Request{Method: rpc.MethodScan, Namespace: "tbl", Limit: 100})
 	if resp.Error() != nil || len(resp.Records) != 10 {
 		t.Fatalf("scan after unfence: %v / %d records", resp.Error(), len(resp.Records))
+	}
+}
+
+// TestNodeScanPageOwnsItsBytes: a scan page's records are copies in a
+// buffer the page owns, not views of engine memory. Overwriting every
+// returned byte leaves the stored records as they were, for a plain, a
+// projected and a filtered scan alike; 200 records over a buffer first
+// sized for 16 make the page span several buffer replacements.
+func TestNodeScanPageOwnsItsBytes(t *testing.T) {
+	n := newTestNode(t, "n1")
+	const count = 200
+	keys := seedRows(t, n, "tbl", count)
+	ge, err := keycodec.Append(nil, int64(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := n.Engine().Namespace("tbl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := func(i int) row.Row {
+		t.Helper()
+		rec, found, err := ns.GetRecord(keys[i])
+		if err != nil || !found {
+			t.Fatalf("engine read of row %d: found=%v err=%v", i, found, err)
+		}
+		r, err := row.Decode(rec.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for _, c := range []struct {
+		name string
+		req  rpc.Request
+		cols int
+	}{
+		{"plain", rpc.Request{}, 3},
+		{"projected", rpc.Request{Projection: []string{"id", "age"}}, 2},
+		{"filtered", rpc.Request{Preds: []rpc.ScanPred{{Column: "age", Op: rpc.PredGe, Value: ge}}}, 3},
+	} {
+		req := c.req
+		req.Method, req.Namespace, req.Limit = rpc.MethodScan, "tbl", 1000
+		resp := n.Serve(req)
+		if resp.Error() != nil || len(resp.Records) != count {
+			t.Fatalf("%s scan: %v / %d records", c.name, resp.Error(), len(resp.Records))
+		}
+		for i, rec := range resp.Records {
+			r, err := row.Decode(rec.Value)
+			if err != nil {
+				t.Fatalf("%s record %d: %v", c.name, i, err)
+			}
+			if string(rec.Key) != string(keys[i]) || len(r) != c.cols || r["id"] != fmt.Sprintf("u%03d", i) || r["age"] != int64(i) {
+				t.Fatalf("%s record %d = %q %v", c.name, i, rec.Key, r)
+			}
+		}
+		for _, rec := range resp.Records {
+			for j := range rec.Key {
+				rec.Key[j] = 0xff
+			}
+			for j := range rec.Value {
+				rec.Value[j] = 0xff
+			}
+		}
+		for i := 0; i < count; i++ {
+			if r := stored(i); r["name"] != fmt.Sprintf("name-%03d", i) || r["age"] != int64(i) {
+				t.Fatalf("after overwriting the %s page, stored row %d = %v", c.name, i, r)
+			}
+		}
+	}
+}
+
+// TestPageBufReplacementKeepsEarlierRecords: a page buffer that runs
+// out of room moves on to a fresh array, and every record copied before
+// the move still reads back intact.
+func TestPageBufReplacementKeepsEarlierRecords(t *testing.T) {
+	page := pageBuf{first: 2}
+	var got []record.Record
+	arrays := 0
+	for i := 0; i < 100; i++ {
+		before := cap(page.buf)
+		got = append(got, page.record(record.Record{
+			Key: []byte(fmt.Sprintf("key-%03d", i)), Value: []byte(fmt.Sprintf("value-%03d", i)), Version: uint64(i),
+		}))
+		if cap(page.buf) != before {
+			arrays++
+		}
+	}
+	if arrays < 3 {
+		t.Fatalf("100 records used %d arrays; the test needs a page that spans replacements", arrays)
+	}
+	for i, rec := range got {
+		if string(rec.Key) != fmt.Sprintf("key-%03d", i) || string(rec.Value) != fmt.Sprintf("value-%03d", i) || rec.Version != uint64(i) {
+			t.Fatalf("record %d = %q %q v%d", i, rec.Key, rec.Value, rec.Version)
+		}
+		if cap(rec.Key) != len(rec.Key) || cap(rec.Value) != len(rec.Value) {
+			t.Fatalf("record %d's slices reach into the page past their own bytes", i)
+		}
 	}
 }

@@ -81,7 +81,7 @@ var (
 // installs fresh Start, End and Replicas slices instead of writing
 // through the ones a reader may hold, which is what lets Lookup hand
 // out the map's own Range without copying it. Readers owe the same: a
-// Range from Lookup is read-only.
+// Range from Lookup or Overlapping is read-only.
 type Map struct {
 	mu     sync.RWMutex
 	ranges []Range
@@ -124,14 +124,16 @@ func (m *Map) indexOf(key []byte) int {
 }
 
 // Overlapping returns the ranges intersecting [start, end) in keyspace
-// order.
+// order. Like Lookup's, the ranges share the map's slices (see the
+// invariant on Map): they stay unchanged across later mutations, and
+// are read-only.
 func (m *Map) Overlapping(start, end []byte) []Range {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var out []Range
 	for _, r := range m.ranges {
 		if r.Overlaps(start, end) {
-			out = append(out, r.clone())
+			out = append(out, r)
 		}
 	}
 	return out

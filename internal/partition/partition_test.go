@@ -203,6 +203,50 @@ func TestOverlapping(t *testing.T) {
 	}
 }
 
+// TestOverlappingRangesSurviveMutations: ranges taken from Overlapping
+// share the map's slices, and a split of one of them or a replica move
+// of it (the migration flip) leaves what the reader holds unchanged.
+func TestOverlappingRangesSurviveMutations(t *testing.T) {
+	m, _ := NewMap([]string{"n1", "n2"})
+	if err := m.Split([]byte("h")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Split([]byte("p")); err != nil {
+		t.Fatal(err)
+	}
+	held := m.Overlapping([]byte("a"), []byte("z"))
+	if len(held) != 3 {
+		t.Fatalf("Overlapping = %v, want 3 ranges", held)
+	}
+	want := make([]Range, len(held))
+	for i, r := range held {
+		want[i] = r.clone()
+	}
+	same := func(after string) {
+		t.Helper()
+		for i, r := range held {
+			if !bytes.Equal(r.Start, want[i].Start) || !bytes.Equal(r.End, want[i].End) || !slices.Equal(r.Replicas, want[i].Replicas) {
+				t.Fatalf("range %d held since before %s changed under its reader: %v, was %v", i, after, r, want[i])
+			}
+		}
+	}
+	if err := m.CompareAndSetReplicas([]byte("k"), []string{"n1", "n2"}, []string{"n3", "n4"}); err != nil { // held[1], [h, p)
+		t.Fatal(err)
+	}
+	same("CompareAndSetReplicas")
+	if err := m.SetReplicas([]byte("q"), []string{"n5"}); err != nil { // held[2], [p, +inf)
+		t.Fatal(err)
+	}
+	same("SetReplicas")
+	if err := m.Split([]byte("l")); err != nil { // [h, p) again
+		t.Fatal(err)
+	}
+	same("Split")
+	if got := m.Overlapping([]byte("k"), []byte("k\x00")); len(got) != 1 || !slices.Equal(got[0].Replicas, []string{"n3", "n4"}) {
+		t.Fatalf("Overlapping after the move = %v", got)
+	}
+}
+
 // Property: after any sequence of splits, the map stays valid and
 // every key maps to exactly one range that contains it.
 func TestQuickSplitsPreserveInvariants(t *testing.T) {

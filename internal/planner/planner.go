@@ -124,11 +124,12 @@ type Plan struct {
 	Range      *RangeBinding
 
 	Limit int
-	// Project applies to the stored row at read time (base accesses
-	// store the full base row; index accesses store the pre-projected
-	// output row, so Project is empty for them — unless residual
-	// filter columns widened the stored row, in which case Project
-	// narrows it back to the declared output).
+	// Project applies to the stored row at read time. Base accesses
+	// store the full base row, so Project is empty for them when the
+	// SELECT list names every column. Index accesses store the
+	// pre-projected output row, so Project is empty for them too —
+	// unless residual filter columns widened the stored row, in which
+	// case Project narrows it back to the declared output.
 	Project []ProjectCol
 	// Residual holds the inequality conjuncts the key range cannot
 	// express. The executor resolves them (ComputeFilters) and pushes
@@ -225,7 +226,7 @@ func compilePKLookup(res *analyzer.Result) (*Plan, []*IndexDef, error) {
 		Namespace: TableNamespace(t.Name),
 		Table:     t,
 		Limit:     q.Limit,
-		Project:   projectFor(q, q.From.Name(), t),
+		Project:   baseProject(q, q.From.Name(), t),
 	}
 	// Bind PK columns in PK order.
 	byCol := predsByColumn(res.EqPreds)
@@ -493,7 +494,7 @@ func tryBaseScan(res *analyzer.Result) (*Plan, bool) {
 		EqBindings: eq,
 		Range:      rng,
 		Limit:      q.Limit,
-		Project:    projectFor(q, eff, t),
+		Project:    baseProject(q, eff, t),
 		Residual:   residualFilters(res),
 	}, true
 }
@@ -575,6 +576,29 @@ func projectFor(q *query.QueryDef, eff string, t *query.TableDef) []ProjectCol {
 		out = append(out, ProjectCol{Source: src, Column: c.Column})
 	}
 	return out
+}
+
+// baseProject is the read-time projection of a base-table access: the
+// SELECT list, or nil when it names every column of the table. The
+// write path rejects undeclared columns, so a base row holds only
+// declared ones and such a projection is the stored row itself; nil
+// lets the row pass through the node untouched and the coordinator
+// decode it without narrowing it again.
+func baseProject(q *query.QueryDef, eff string, t *query.TableDef) []ProjectCol {
+	out := projectFor(q, eff, t)
+	named := make(map[string]bool, len(out))
+	for _, pc := range out {
+		named[pc.Column] = true
+	}
+	if len(named) != len(t.Columns) {
+		return out
+	}
+	for _, c := range t.Columns {
+		if !named[c.Name] {
+			return out
+		}
+	}
+	return nil
 }
 
 // joinProject expands a join SELECT list, checking for output-name

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -562,5 +563,73 @@ func TestComputeFiltersEncodesComparably(t *testing.T) {
 
 	if _, err := ComputeFilters(hot, map[string]any{"a": "ann", "since": int64(3)}); err == nil {
 		t.Fatal("missing filter parameter accepted")
+	}
+}
+
+const projectionSchema = `
+ENTITY users (
+    id string PRIMARY KEY,
+    name string,
+    birthday int
+)
+ENTITY friendships (
+    f1 string,
+    f2 string,
+    since int,
+    PRIMARY KEY (f1, f2),
+    CARDINALITY f1 5000,
+    CARDINALITY f2 5000
+)
+QUERY getStar
+SELECT * FROM users WHERE id = ?u LIMIT 1
+QUERY getEvery
+SELECT birthday, id, name FROM users WHERE id = ?u LIMIT 1
+QUERY getName
+SELECT name FROM users WHERE id = ?u LIMIT 1
+QUERY scanStar
+SELECT * FROM friendships WHERE f1 = ?u LIMIT 100
+QUERY scanEvery
+SELECT f2, since, f1 FROM friendships WHERE f1 = ?u LIMIT 100
+QUERY scanF2
+SELECT f2 FROM friendships WHERE f1 = ?u LIMIT 100
+`
+
+// TestWholeRowSelectHasNoProjection: a base-table access whose SELECT
+// list names every column of the table reads the stored row as it is,
+// so its plan carries no projection; a narrowing list keeps one.
+func TestWholeRowSelectHasNoProjection(t *testing.T) {
+	s := query.MustParse(projectionSchema)
+	results, err := analyzer.Analyze(s, analyzer.Config{MaxUpdateWork: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Compile(s, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		query  string
+		access AccessKind
+		want   []string // nil: no projection
+	}{
+		{"getStar", AccessPKGet, nil},
+		{"getEvery", AccessPKGet, nil},
+		{"getName", AccessPKGet, []string{"name"}},
+		{"scanStar", AccessTableScan, nil},
+		{"scanEvery", AccessTableScan, nil},
+		{"scanF2", AccessTableScan, []string{"f2"}},
+	}
+	for _, c := range cases {
+		p := out.Plans[c.query]
+		if p == nil || p.Access != c.access {
+			t.Fatalf("%s: plan = %+v, want access %v", c.query, p, c.access)
+		}
+		var got []string
+		for _, pc := range p.Project {
+			got = append(got, pc.Column)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: Project = %v, want %v", c.query, got, c.want)
+		}
 	}
 }

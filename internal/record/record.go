@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Record is a single versioned key-value entry.
@@ -65,22 +66,29 @@ const (
 //	crc32(payload) uint32 | payloadLen uint32 | payload
 //	payload = flags byte | version uint64 | keyLen uvarint | key |
 //	          valLen uvarint | value
+//
+// The frame is built in place: the header is reserved, the payload
+// appended after it, and the header filled in last, so a dst with room
+// for EncodedSize more bytes costs no allocation.
 func (r Record) AppendBinary(dst []byte) []byte {
-	payload := make([]byte, 0, 1+8+2*binary.MaxVarintLen64+len(r.Key)+len(r.Value))
+	dst = slices.Grow(dst, r.EncodedSize())
+	head := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 	var flags byte
 	if r.Tombstone {
 		flags |= flagTombstone
 	}
-	payload = append(payload, flags)
-	payload = binary.BigEndian.AppendUint64(payload, r.Version)
-	payload = binary.AppendUvarint(payload, uint64(len(r.Key)))
-	payload = append(payload, r.Key...)
-	payload = binary.AppendUvarint(payload, uint64(len(r.Value)))
-	payload = append(payload, r.Value...)
+	dst = append(dst, flags)
+	dst = binary.BigEndian.AppendUint64(dst, r.Version)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Key)))
+	dst = append(dst, r.Key...)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Value)))
+	dst = append(dst, r.Value...)
 
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	return append(dst, payload...)
+	payload := dst[head+8:]
+	binary.BigEndian.PutUint32(dst[head:], crc32.ChecksumIEEE(payload))
+	binary.BigEndian.PutUint32(dst[head+4:], uint32(len(payload)))
+	return dst
 }
 
 // DecodeBinary decodes one framed record from b, returning the record

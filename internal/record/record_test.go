@@ -156,6 +156,27 @@ func TestDecodeBinaryAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendBinaryAllocs pins the in-place frame: into a buffer with
+// room for the record, AppendBinary allocates nothing (it used to build
+// the payload in a buffer of its own, one allocation per record).
+func TestAppendBinaryAllocs(t *testing.T) {
+	r := Record{Key: []byte("user:12345:profile"), Value: bytes.Repeat([]byte("x"), 256), Version: 99}
+	buf := make([]byte, 0, r.EncodedSize())
+	var enc []byte
+	if allocs := testing.AllocsPerRun(200, func() {
+		enc = r.AppendBinary(buf[:0])
+	}); allocs != 0 {
+		t.Errorf("AppendBinary into a sized buffer allocates %.0f times, want 0", allocs)
+	}
+	if len(enc) != r.EncodedSize() {
+		t.Fatalf("frame is %d bytes, EncodedSize says %d", len(enc), r.EncodedSize())
+	}
+	got, rest, err := DecodeBinary(enc)
+	if err != nil || len(rest) != 0 || !bytes.Equal(got.Key, r.Key) || !bytes.Equal(got.Value, r.Value) || got.Version != r.Version {
+		t.Fatalf("round trip = %+v, %d left, %v", got, len(rest), err)
+	}
+}
+
 func BenchmarkDecodeBinary(b *testing.B) {
 	r := Record{Key: []byte("user:12345:profile"), Value: bytes.Repeat([]byte("x"), 256), Version: 99}
 	enc := r.AppendBinary(nil)

@@ -1,6 +1,7 @@
 package scads
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -118,6 +119,83 @@ func TestQueryDemotedInequalityWithOrderBy(t *testing.T) {
 	for _, r := range rows {
 		if r["ts"] == topTS {
 			t.Fatalf("updated row still matches the filter: %v", r)
+		}
+	}
+}
+
+const projectionDDL = `
+ENTITY people (
+    id string PRIMARY KEY,
+    name string,
+    age int
+)
+ENTITY posts (
+    author string,
+    ts int,
+    score int,
+    PRIMARY KEY (author, ts),
+    CARDINALITY author 1000
+)
+QUERY person
+SELECT * FROM people WHERE id = ?id LIMIT 1
+QUERY personName
+SELECT name FROM people WHERE id = ?id LIMIT 1
+QUERY posts
+SELECT * FROM posts WHERE author = ?a LIMIT 10
+QUERY postTimes
+SELECT ts FROM posts WHERE author = ?a LIMIT 10
+`
+
+// TestQueryProjectionNarrowsRows: a SELECT of the whole row returns
+// every stored column, and a narrowing SELECT returns only the columns
+// it declares, on a primary-key get and on a table scan alike.
+func TestQueryProjectionNarrowsRows(t *testing.T) {
+	lc, err := NewLocalCluster(2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	if err := lc.DefineSchema(projectionDDL); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.Insert("people", Row{"id": "ann", "name": "Ann", "age": 41}); err != nil {
+		t.Fatal(err)
+	}
+	for ts := 0; ts < 5; ts++ {
+		if err := lc.Insert("posts", Row{"author": "ann", "ts": ts, "score": ts * 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lc.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		query  string
+		params map[string]any
+		rows   int
+		cols   []string
+	}{
+		{"person", map[string]any{"id": "ann"}, 1, []string{"age", "id", "name"}},
+		{"personName", map[string]any{"id": "ann"}, 1, []string{"name"}},
+		{"posts", map[string]any{"a": "ann"}, 5, []string{"author", "score", "ts"}},
+		{"postTimes", map[string]any{"a": "ann"}, 5, []string{"ts"}},
+	} {
+		rows, err := lc.Query(c.query, c.params)
+		if err != nil {
+			t.Fatalf("%s: %v", c.query, err)
+		}
+		if len(rows) != c.rows {
+			t.Fatalf("%s = %d rows, want %d", c.query, len(rows), c.rows)
+		}
+		for i, r := range rows {
+			got := make([]string, 0, len(r))
+			for col := range r {
+				got = append(got, col)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, c.cols) {
+				t.Errorf("%s row %d has columns %v, want %v", c.query, i, got, c.cols)
+			}
 		}
 	}
 }

@@ -117,9 +117,10 @@ func (c *Cluster) pointRead(ns string, key []byte, tenant string, stall time.Dur
 	return c.router.GetIf(ns, key, stall, accept)
 }
 
-// decodeRow is the one decode step: a found stored value becomes a row,
-// narrowed to the plan's projected columns when it has any (index
-// accesses store pre-projected rows, so they have none).
+// decodeRow is the one decode step of a point read: a found stored
+// value becomes a row, narrowed to the plan's projected columns when it
+// has any (a SELECT of the whole row has none). Scanned rows arrive
+// already narrowed by the node and are decoded as they are.
 func decodeRow(val []byte, found bool, cols []string) (row.Row, error) {
 	if !found {
 		return nil, nil
@@ -306,7 +307,7 @@ func (c *Cluster) query(name string, params map[string]any, tenant string) ([]ro
 	out := make([]row.Row, len(recs))
 	for i, rec := range recs {
 		scanBytes += int64(len(rec.Value))
-		if out[i], err = decodeRow(rec.Value, true, cols); err != nil {
+		if out[i], err = row.Decode(rec.Value); err != nil {
 			return nil, err
 		}
 	}

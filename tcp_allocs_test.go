@@ -17,11 +17,22 @@ import (
 	"scads/internal/storage"
 )
 
-// openUsersOverTCP opens a Cluster over nodes in-memory nodes, each
-// behind a real TCP server — both sides of every socket in this process
-// — holding the ledger's five-column users table, from which nothing is
-// derived, replicated on all of them.
-func openUsersOverTCP(t *testing.T, nodes int) *Cluster {
+// ledgerUsersDDL is the ledger's five-column users table, from which
+// nothing is derived.
+const ledgerUsersDDL = `
+ENTITY users (
+    id string PRIMARY KEY,
+    name string,
+    birthday int,
+    bio string,
+    counter int
+)
+`
+
+// openOverTCP opens a Cluster over nodes in-memory nodes, each behind a
+// real TCP server — both sides of every socket in this process — with
+// the schema ddl, replicated on all of them.
+func openOverTCP(t *testing.T, nodes int, ddl string) *Cluster {
 	t.Helper()
 	clk := clock.NewReal()
 	dir := cluster.NewDirectory(clk)
@@ -48,15 +59,7 @@ func openUsersOverTCP(t *testing.T, nodes int) *Cluster {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if err := c.DefineSchema(`
-ENTITY users (
-    id string PRIMARY KEY,
-    name string,
-    birthday int,
-    bio string,
-    counter int
-)
-`); err != nil {
+	if err := c.DefineSchema(ddl); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -68,7 +71,7 @@ ENTITY users (
 // ledger's five-column users row. testing.AllocsPerRun runs under
 // GOMAXPROCS(1), which makes the count deterministic.
 func TestWarmGetAllocsOverTCP(t *testing.T) {
-	c := openUsersOverTCP(t, 1)
+	c := openOverTCP(t, 1, ledgerUsersDDL)
 	if err := c.Insert("users", Row{
 		"id": "user000001", "name": "User One", "birthday": 42,
 		"bio": strings.Repeat("b", 150), "counter": 7,
@@ -95,7 +98,7 @@ func TestWarmGetAllocsOverTCP(t *testing.T) {
 // image, no maintenance task — so the solo commit path cannot quietly
 // grow a map or a goroutine.
 func TestInsertAllocsOverTCP(t *testing.T) {
-	c := openUsersOverTCP(t, 1)
+	c := openOverTCP(t, 1, ledgerUsersDDL)
 	r := Row{
 		"id": "user000001", "name": "User One", "birthday": 42,
 		"bio": strings.Repeat("b", 150), "counter": 7,
@@ -116,7 +119,7 @@ func TestInsertAllocsOverTCP(t *testing.T) {
 // together with its background half: the update's trip through the
 // replication queue and the apply that carries it to the secondary.
 func TestReplicatedInsertAllocsOverTCP(t *testing.T) {
-	c := openUsersOverTCP(t, 2)
+	c := openOverTCP(t, 2, ledgerUsersDDL)
 	r := Row{
 		"id": "user000001", "name": "User One", "birthday": 42,
 		"bio": strings.Repeat("b", 150), "counter": 7,
@@ -133,5 +136,51 @@ func TestReplicatedInsertAllocsOverTCP(t *testing.T) {
 	// Measured 20.
 	if allocs := testing.AllocsPerRun(200, insert); allocs > 22 {
 		t.Errorf("replicated Cluster.Insert over TCP allocates %.1f times per call, want <= 22", allocs)
+	}
+}
+
+// TestQueryAllocsOverTCP pins what each of the paper's three queries
+// allocates end to end over a TCP node, on the social schema with one
+// user who has ten friends: a primary-key get (findUser), a base-table
+// scan (friends) and a join-view scan (friendsWithUpcomingBirthdays).
+// Each is pinned at its measured count. The trailing comments give the
+// counts when a whole-row SELECT still carried a projection, the
+// coordinator narrowed scanned rows again and a scan copied each record
+// in two allocations of its own.
+func TestQueryAllocsOverTCP(t *testing.T) {
+	c := openOverTCP(t, 1, socialDDL)
+	for i := 0; i <= 10; i++ {
+		if err := c.Insert("users", Row{"id": fmt.Sprintf("user%03d", i), "name": fmt.Sprintf("U%d", i), "birthday": i + 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 10; i++ {
+		if err := c.Insert("friendships", Row{"f1": "user000", "f2": fmt.Sprintf("user%03d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]any{"user": "user000"}
+	for _, q := range []struct {
+		name  string
+		rows  int
+		limit float64
+	}{
+		{"findUser", 1, 13},                      // was 18
+		{"friends", 10, 78},                      // was 184
+		{"friendsWithUpcomingBirthdays", 10, 78}, // was 99
+	} {
+		run := func() {
+			rows, err := c.Query(q.name, params)
+			if err != nil || len(rows) != q.rows {
+				t.Fatalf("%s = %d rows, %v; want %d", q.name, len(rows), err, q.rows)
+			}
+		}
+		run() // dial, warm the caches
+		if allocs := testing.AllocsPerRun(200, run); allocs > q.limit {
+			t.Errorf("%s over TCP allocates %.1f times per call, want <= %.0f", q.name, allocs, q.limit)
+		}
 	}
 }
