@@ -293,10 +293,31 @@ func TestTrackerSampleBounded(t *testing.T) {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	for _, st := range tr.ranges {
-		if len(st.sample) > sampleSize {
-			t.Fatalf("sample grew to %d > %d", len(st.sample), sampleSize)
+	for _, byStart := range tr.ranges {
+		for _, st := range byStart {
+			if len(st.sample) > sampleSize {
+				t.Fatalf("sample grew to %d > %d", len(st.sample), sampleSize)
+			}
 		}
+	}
+}
+
+// TestTrackerRecordAllocs pins that recording into a range already seen
+// allocates nothing: the coordinator records every routed read and write.
+func TestTrackerRecordAllocs(t *testing.T) {
+	tr := NewTracker()
+	start := []byte("range-start")
+	keys := make([][]byte, 2*sampleSize)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key%05d", i))
+		tr.Record("tbl.users", start, keys[i])
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		tr.Record("tbl.users", start, keys[i%len(keys)])
+		i++
+	}); n != 0 {
+		t.Fatalf("Record into a seen range allocates %.1f times, want 0", n)
 	}
 }
 

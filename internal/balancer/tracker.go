@@ -12,13 +12,12 @@ import (
 // records every routed read and write; Snapshot drains a consistent
 // view for planning and Reset starts the next window.
 type Tracker struct {
-	mu     sync.Mutex
-	ranges map[rangeKey]*rangeStats
-}
-
-type rangeKey struct {
-	namespace string
-	start     string // range lower bound (raw bytes as string map key)
+	mu sync.Mutex
+	// ranges maps namespace, then range lower bound (raw bytes as a
+	// string), to the range's window. Two levels rather than one struct
+	// key let Record find a range it has seen with m[string(start)],
+	// which does not allocate.
+	ranges map[string]map[string]*rangeStats
 }
 
 // sampleSize bounds the per-range key reservoir. Deterministic
@@ -35,19 +34,23 @@ type rangeStats struct {
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{ranges: make(map[rangeKey]*rangeStats)}
+	return &Tracker{ranges: make(map[string]map[string]*rangeStats)}
 }
 
 // Record notes one request against the range identified by
 // (namespace, rangeStart) touching key.
 func (t *Tracker) Record(namespace string, rangeStart, key []byte) {
-	rk := rangeKey{namespace: namespace, start: string(rangeStart)}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.ranges[rk]
+	byStart := t.ranges[namespace]
+	if byStart == nil {
+		byStart = make(map[string]*rangeStats)
+		t.ranges[namespace] = byStart
+	}
+	st := byStart[string(rangeStart)]
 	if st == nil {
 		st = &rangeStats{}
-		t.ranges[rk] = st
+		byStart[string(rangeStart)] = st
 	}
 	st.ops++
 	st.seen++
@@ -55,8 +58,10 @@ func (t *Tracker) Record(namespace string, rangeStart, key []byte) {
 		st.sample = append(st.sample, append([]byte(nil), key...))
 	} else if st.seen%(st.seen/sampleSize+1) == 0 {
 		// Overwrite a deterministic slot so long windows still reflect
-		// recent keys.
-		st.sample[st.seen%sampleSize] = append([]byte(nil), key...)
+		// recent keys. The sample never leaves the tracker, so the slot's
+		// buffer is reused.
+		slot := st.seen % sampleSize
+		st.sample[slot] = append(st.sample[slot][:0], key...)
 	}
 }
 
@@ -77,14 +82,15 @@ func (t *Tracker) Snapshot() []RangeObservation {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]RangeObservation, 0, len(t.ranges))
-	for rk, st := range t.ranges {
-		obs := RangeObservation{
-			Namespace: rk.namespace,
-			Start:     []byte(rk.start),
-			Ops:       st.ops,
-			MedianKey: medianKey(st.sample, []byte(rk.start)),
+	for ns, byStart := range t.ranges {
+		for start, st := range byStart {
+			out = append(out, RangeObservation{
+				Namespace: ns,
+				Start:     []byte(start),
+				Ops:       st.ops,
+				MedianKey: medianKey(st.sample, []byte(start)),
+			})
 		}
-		out = append(out, obs)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Namespace != out[j].Namespace {
@@ -99,7 +105,7 @@ func (t *Tracker) Snapshot() []RangeObservation {
 func (t *Tracker) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.ranges = make(map[rangeKey]*rangeStats)
+	t.ranges = make(map[string]map[string]*rangeStats)
 }
 
 // medianKey returns the median distinct sampled key, provided it falls

@@ -160,6 +160,19 @@ func DecodeBinaryAlias(b []byte) (Record, []byte, error) {
 	return r, rest, nil
 }
 
+// CountFrames counts the framed records in b from their length fields
+// alone, without checking them, so a decoder can size its output
+// exactly before it decodes. The count stops at b's end: a corrupt
+// length can only miscount, never read past b, and DecodeBinaryAlias
+// still reports the corruption.
+func CountFrames(b []byte) int {
+	n := 0
+	for off := uint64(0); off+8 <= uint64(len(b)); n++ {
+		off += 8 + uint64(binary.BigEndian.Uint32(b[off+4:]))
+	}
+	return n
+}
+
 // MarshalTo appends the unframed wire encoding of r to dst and
 // returns the extended slice:
 //

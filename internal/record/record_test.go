@@ -44,6 +44,9 @@ func TestDecodeMultiple(t *testing.T) {
 	for _, r := range recs {
 		buf = r.AppendBinary(buf)
 	}
+	if n := CountFrames(buf); n != len(recs) {
+		t.Fatalf("CountFrames = %d, want %d", n, len(recs))
+	}
 	for i := 0; len(buf) > 0; i++ {
 		r, rest, err := DecodeBinary(buf)
 		if err != nil {
@@ -128,7 +131,8 @@ func TestQuickRoundTrip(t *testing.T) {
 func TestQuickDecodeNeverPanics(t *testing.T) {
 	f := func(junk []byte) bool {
 		_, _, _ = DecodeBinary(junk) // must not panic
-		return true
+		// Every frame CountFrames counts starts a header inside junk.
+		return CountFrames(junk)*8 <= len(junk)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,9 @@
 // lookups. Reads are block-granular: a point get touches exactly one
 // block, and blocks can be served from a shared decoded-block cache
 // (see BlockCache) so repeated reads skip both the disk and the decode.
+// A decoded block is one read buffer plus a records slice sized to its
+// record count, nothing spare. A Writer gathers the file in a 64 KiB
+// buffer: one write per 64 KiB of table, not one per record.
 //
 // File layout:
 //
@@ -37,8 +40,11 @@ const (
 	// 4 KiB matches the I/O granularity of the underlying device: a
 	// point read costs one aligned-ish pread instead of a 64 KiB chunk.
 	blockTargetBytes = 4 << 10
-	bloomBitsPer     = 10 // bits per key ≈ 1% false positives
-	bloomHashes      = 7
+	// writeBufBytes is what a Writer gathers before it writes: one
+	// write(2) per 64 KiB of table rather than one per record.
+	writeBufBytes = 64 << 10
+	bloomBitsPer  = 10 // bits per key ≈ 1% false positives
+	bloomHashes   = 7
 )
 
 // ErrCorrupt is returned when a table fails validation.
@@ -50,7 +56,10 @@ var ErrOutOfOrder = errors.New("sstable: keys must be strictly ascending")
 // BlockCache caches decoded data blocks across tables. Implementations
 // must be safe for concurrent use; cached record slices are shared and
 // must be treated as immutable by all parties. The storage engine
-// provides a sharded LRU implementation shared across namespaces.
+// provides a sharded LRU implementation shared across namespaces. A
+// block's charge is its raw bytes plus recordOverhead per record, and
+// since a decoded records slice has no spare capacity, that is what the
+// cache holds.
 type BlockCache interface {
 	// Get returns the cached decoded block, if present.
 	Get(path string, block int) ([]record.Record, bool)
@@ -69,13 +78,13 @@ type BlockCache interface {
 type Writer struct {
 	f          *os.File
 	path       string
-	buf        []byte
+	buf        []byte // encoded bytes not yet written, at most writeBufBytes unless one record is larger
 	lastKey    []byte
 	index      []indexEntry
 	bloomSeeds []bloomSeed // two FNV hashes per key, accumulated incrementally
 	blockBytes uint64      // bytes written into the current block
 	count      uint64
-	offset     uint64
+	offset     uint64 // bytes appended so far: the next record's file offset
 	done       bool
 }
 
@@ -101,10 +110,12 @@ func NewWriter(path string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sstable: create: %w", err)
 	}
-	return &Writer{f: f, path: path}, nil
+	return &Writer{f: f, path: path, buf: make([]byte, 0, writeBufBytes)}, nil
 }
 
-// Add appends rec. Keys must arrive in strictly ascending order.
+// Add appends rec. Keys must arrive in strictly ascending order. Add
+// buffers: a write error may surface at a later Add or at Finish, and
+// either way the table is lost, so the caller Aborts.
 func (w *Writer) Add(rec record.Record) error {
 	if w.done {
 		return errors.New("sstable: writer already finished")
@@ -119,43 +130,48 @@ func (w *Writer) Add(rec record.Record) error {
 	}
 	h1, h2 := bloomHash(rec.Key)
 	w.bloomSeeds = append(w.bloomSeeds, bloomSeed{h1, h2})
-	w.buf = rec.AppendBinary(w.buf[:0])
-	if _, err := w.f.Write(w.buf); err != nil {
-		return fmt.Errorf("sstable: write: %w", err)
+	size := rec.EncodedSize()
+	if len(w.buf) > 0 && len(w.buf)+size > writeBufBytes {
+		if _, err := w.f.Write(w.buf); err != nil {
+			return fmt.Errorf("sstable: write: %w", err)
+		}
+		w.buf = w.buf[:0]
 	}
-	w.offset += uint64(len(w.buf))
-	w.blockBytes += uint64(len(w.buf))
+	w.buf = rec.AppendBinary(w.buf)
+	w.offset += uint64(size)
+	w.blockBytes += uint64(size)
 	w.lastKey = append(w.lastKey[:0], rec.Key...)
 	w.count++
 	return nil
 }
 
-// Finish writes the index, bloom filter and footer, syncs and closes
-// the file, and renames it into place. On failure nothing is left
-// behind.
+// Finish writes the buffered records, the index, bloom filter and
+// footer, syncs and closes the file, and renames it into place. On
+// failure nothing is left behind.
 func (w *Writer) Finish() error {
 	if w.done {
 		return errors.New("sstable: writer already finished")
 	}
 	w.done = true
 
-	var tail []byte
-	tail = binary.AppendUvarint(tail, uint64(len(w.index)))
+	out := w.buf
+	dataEnd := len(out)
+	out = binary.AppendUvarint(out, uint64(len(w.index)))
 	for _, e := range w.index {
-		tail = binary.AppendUvarint(tail, uint64(len(e.key)))
-		tail = append(tail, e.key...)
-		tail = binary.AppendUvarint(tail, e.offset)
+		out = binary.AppendUvarint(out, uint64(len(e.key)))
+		out = append(out, e.key...)
+		out = binary.AppendUvarint(out, e.offset)
 	}
-	idxLen := len(tail)
-	tail = buildBloom(w.bloomSeeds).appendTo(tail)
-	blLen := len(tail) - idxLen
-	tail = binary.BigEndian.AppendUint64(tail, w.offset)
-	tail = binary.BigEndian.AppendUint64(tail, uint64(idxLen))
-	tail = binary.BigEndian.AppendUint64(tail, uint64(blLen))
-	tail = binary.BigEndian.AppendUint64(tail, w.count)
-	tail = binary.BigEndian.AppendUint64(tail, magic)
+	idxLen := len(out) - dataEnd
+	out = buildBloom(w.bloomSeeds).appendTo(out)
+	blLen := len(out) - dataEnd - idxLen
+	out = binary.BigEndian.AppendUint64(out, w.offset)
+	out = binary.BigEndian.AppendUint64(out, uint64(idxLen))
+	out = binary.BigEndian.AppendUint64(out, uint64(blLen))
+	out = binary.BigEndian.AppendUint64(out, w.count)
+	out = binary.BigEndian.AppendUint64(out, magic)
 
-	_, err := w.f.Write(tail)
+	_, err := w.f.Write(out)
 	if err == nil {
 		err = w.f.Sync()
 	}
@@ -413,7 +429,7 @@ func (r *Reader) decodeBlock(off, length uint64) ([]record.Record, error) {
 	if _, err := r.f.ReadAt(buf, int64(off)); err != nil {
 		return nil, fmt.Errorf("sstable: read block: %w", err)
 	}
-	recs := make([]record.Record, 0, length/48+1)
+	recs := make([]record.Record, 0, record.CountFrames(buf))
 	rest := buf
 	for len(rest) > 0 {
 		rec, rem, err := record.DecodeBinaryAlias(rest)

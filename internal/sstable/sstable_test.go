@@ -2,6 +2,10 @@ package sstable
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -310,6 +314,138 @@ func BenchmarkScan100(b *testing.B) {
 		_ = r.Scan([]byte("key-005000"), nil, func(record.Record) bool {
 			n++
 			return n < 100
+		})
+	}
+}
+
+// pinnedRecords is a deterministic ~540 KiB table: 2 000 records with
+// values of 0–399 bytes, a tombstone every 50th, and one 96 KiB value —
+// larger than the writer's buffer — in the middle.
+func pinnedRecords() []record.Record {
+	recs := make([]record.Record, 2000)
+	for i := range recs {
+		rec := record.Record{Key: []byte(fmt.Sprintf("row-%06d", i)), Version: uint64(i)*7 + 3}
+		switch {
+		case i == 1000:
+			rec.Value = bytes.Repeat([]byte("0123456789abcdef"), 6<<10)
+		case i%50 == 49:
+			rec.Tombstone = true
+		default:
+			rec.Value = make([]byte, i*37%400)
+			for j := range rec.Value {
+				rec.Value[j] = byte(i*31 + j*7)
+			}
+		}
+		recs[i] = rec
+	}
+	return recs
+}
+
+// pinnedTableSHA256 is the digest of pinnedRecords' table file. The
+// on-disk format is fixed: a change to how the writer buffers its
+// output must not change one byte of it.
+const pinnedTableSHA256 = "2b58479c6acd190d1182e02597664b1838955908277d734922f8cdb2d1d0e302"
+
+func TestTableBytesPinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.sst")
+	recs := pinnedRecords()
+	r := buildTable(t, path, recs)
+	defer r.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 300<<10 {
+		t.Fatalf("table is %d bytes, want >= 300 KiB", len(data))
+	}
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != pinnedTableSHA256 {
+		t.Fatalf("table SHA-256 = %x, want %s", sum, pinnedTableSHA256)
+	}
+	for _, want := range recs {
+		got, ok, err := r.Get(want.Key)
+		if err != nil || !ok {
+			t.Fatalf("Get(%q): ok=%v err=%v", want.Key, ok, err)
+		}
+		if !bytes.Equal(got.Value, want.Value) || got.Version != want.Version || got.Tombstone != want.Tombstone {
+			t.Fatalf("Get(%q) = %d-byte value v%d tomb=%v", want.Key, len(got.Value), got.Version, got.Tombstone)
+		}
+	}
+	i := 0
+	if err := r.Scan(nil, nil, func(got record.Record) bool {
+		want := recs[i]
+		if !bytes.Equal(got.Key, want.Key) || !bytes.Equal(got.Value, want.Value) || got.Version != want.Version {
+			t.Fatalf("scan record %d = %q, want %q", i, got.Key, want.Key)
+		}
+		i++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if i != len(recs) {
+		t.Fatalf("scan visited %d records, want %d", i, len(recs))
+	}
+}
+
+// TestDecodedBlockIsExact pins that a decoded block's records slice has
+// no spare capacity, whatever the record size: the block cache charges
+// len(recs) records, so spare capacity is memory it never counts.
+func TestDecodedBlockIsExact(t *testing.T) {
+	for _, size := range []int{16, 230, 3 << 10} {
+		recs := make([]record.Record, 200)
+		for i := range recs {
+			recs[i] = record.Record{Key: []byte(fmt.Sprintf("k-%06d", i)), Value: bytes.Repeat([]byte{'v'}, size), Version: 1}
+		}
+		r := buildTable(t, filepath.Join(t.TempDir(), "t.sst"), recs)
+		total := 0
+		for b := 0; b < r.NumBlocks(); b++ {
+			got, err := r.readBlock(b, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += len(got)
+			if cap(got) != len(got) {
+				t.Fatalf("%d-byte values, block %d: %d records in a slice of capacity %d", size, b, len(got), cap(got))
+			}
+		}
+		if total != len(recs) {
+			t.Errorf("%d-byte values: blocks hold %d records, want %d", size, total, len(recs))
+		}
+		r.Close()
+	}
+}
+
+// A frame length field that runs past the block, or lands mid-frame,
+// fails the read with ErrCorrupt; it never panics.
+func TestCorruptFrameLengthRejected(t *testing.T) {
+	for name, length := range map[string]uint32{"too large": 0xFFFFFFF0, "mid-frame": 10} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "t.sst")
+			recs := seqRecords(1000)
+			r := buildTable(t, path, recs)
+			if r.NumBlocks() < 3 {
+				t.Fatalf("%d blocks, want >= 3", r.NumBlocks())
+			}
+			// Corrupt the first frame of block 1: Open checks only the edge
+			// blocks, so the damage surfaces at the read.
+			off, _ := r.blockExtent(1)
+			key := r.index[1].key
+			r.Close()
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.BigEndian.PutUint32(data[off+4:], length)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err = Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if _, _, err := r.Get(key); !errors.Is(err, record.ErrCorrupt) {
+				t.Fatalf("Get on a corrupt block = %v, want ErrCorrupt", err)
+			}
 		})
 	}
 }
