@@ -22,6 +22,9 @@ type Node struct {
 	// fences rejects writes into ranges mid-handoff (see fenceSet).
 	fences fenceSet
 
+	// swaps remembers what recent swaps displaced (see swapMemory).
+	swaps *swapMemory
+
 	// Request counters for capacity modelling.
 	reads  atomic.Int64
 	writes atomic.Int64
@@ -29,7 +32,7 @@ type Node struct {
 
 // NewNode wraps engine as a servable storage node.
 func NewNode(id string, engine *storage.Engine) *Node {
-	return &Node{id: id, engine: engine}
+	return &Node{id: id, engine: engine, swaps: newSwapMemory()}
 }
 
 // Engine exposes the underlying storage engine (used by local tooling
@@ -55,6 +58,8 @@ func (n *Node) Serve(req rpc.Request) rpc.Response {
 		return n.scan(req)
 	case rpc.MethodApply:
 		return n.apply(req)
+	case rpc.MethodSwap:
+		return n.swap(req)
 	case rpc.MethodDropRange:
 		return n.dropRange(req)
 	case rpc.MethodRangeSnapshot:
@@ -303,6 +308,19 @@ func (n *Node) apply(req rpc.Request) rpc.Response {
 			return rpc.Response{Err: rpc.ErrString(err)}
 		}
 		return rpc.Response{Found: true}
+	})
+}
+
+// swap applies one pre-versioned record at its key's primary and
+// answers the live record it displaced (Found, Value, Version): the old
+// image a write with dependents needs, inside the apply's round trip.
+func (n *Node) swap(req rpc.Request) rpc.Response {
+	n.writes.Add(1)
+	if len(req.Records) != 1 {
+		return rpc.Response{Err: "cluster: swap takes exactly one record"}
+	}
+	return n.writeUnfenced(req.Namespace, req.Records, func(ns *storage.Namespace) rpc.Response {
+		return n.swaps.swap(ns, req.Namespace, req.Records, n.engine.Clock().Now())
 	})
 }
 

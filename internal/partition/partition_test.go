@@ -460,8 +460,8 @@ func TestReplicaOrderRotates(t *testing.T) {
 	if order, first := tc.router.order(replicas, ReadPrimary); order[first] != "n1" || len(order) != 3 {
 		t.Fatal("ReadPrimary does not start at primary with the rest to fail over to")
 	}
-	if order, first := tc.router.order(replicas, writePrimary); order[first] != "n1" || len(order) != 1 {
-		t.Fatal("writePrimary offers more than the primary")
+	if order, first := tc.router.order(replicas, WritePrimary); order[first] != "n1" || len(order) != 1 {
+		t.Fatal("WritePrimary offers more than the primary")
 	}
 }
 

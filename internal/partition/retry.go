@@ -266,7 +266,7 @@ func (r *Router) offer(namespace string, rng Range, policy ReadPolicy, try attem
 // and the index to start from.
 func (r *Router) order(replicas []string, policy ReadPolicy) ([]string, int) {
 	switch {
-	case policy == writePrimary:
+	case policy == WritePrimary:
 		return replicas[:1], 0
 	case policy == ReadAny && len(replicas) > 1:
 		return replicas, int(r.rr.Add(1) % uint64(len(replicas)))
@@ -296,7 +296,7 @@ func (r *Router) tryNode(nodeID string, rng Range, try attempt) (rpc.Response, o
 // whichever node that turns out to be.
 func (r *Router) send(key []byte, req rpc.Request) (rpc.Response, Range, error) {
 	var b budget
-	return r.execute(req.Namespace, key, writePrimary, &b, func(_ Range, addr string) (rpc.Response, error) {
+	return r.execute(req.Namespace, key, WritePrimary, &b, func(_ Range, addr string) (rpc.Response, error) {
 		return r.transport.Call(addr, req)
 	})
 }

@@ -29,9 +29,12 @@ const (
 	// consistency spec demands read-your-writes without session state
 	// or serializable access.
 	ReadPrimary
-	// writePrimary offers a request to the primary alone: a write has
-	// nowhere to fail over to until the map says so.
-	writePrimary
+	// WritePrimary offers a request to the primary alone, waiting out a
+	// failover rather than failing over: a write has nowhere else to go
+	// until the map says so, and neither has the read a
+	// read-modify-write computes its new row from (a secondary's older
+	// image would make the write lose an update).
+	WritePrimary
 )
 
 // Router maps (namespace, key) to replica groups and performs the
@@ -234,6 +237,17 @@ func (r *Router) write(key []byte, req rpc.Request) (uint64, []string, error) {
 func (r *Router) ApplyToPrimary(namespace string, key []byte, recs []record.Record) (Range, error) {
 	_, rng, err := r.send(key, rpc.Request{Method: rpc.MethodApply, Namespace: namespace, Records: recs})
 	return rng, err
+}
+
+// Swap delivers one pre-versioned record to the primary of its key's
+// range, waiting out fences, failovers and overload like any other
+// write, and returns the live record the record displaced there (found
+// false when there was none) with the range that accepted it. A
+// re-delivery whose answer the primary has forgotten fails with
+// rpc.ErrSwapAnswerLost.
+func (r *Router) Swap(namespace string, rec record.Record) (old []byte, version uint64, found bool, acked Range, err error) {
+	resp, rng, err := r.send(rec.Key, rpc.Request{Method: rpc.MethodSwap, Namespace: namespace, Records: []record.Record{rec}})
+	return resp.Value, resp.Version, resp.Found, rng, err
 }
 
 // Apply delivers pre-versioned records to one specific node in a

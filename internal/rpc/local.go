@@ -58,8 +58,8 @@ func (t *LocalTransport) SetDown(addr string, down bool) {
 	t.down[addr] = down
 }
 
-// SetApplyDown severs only the replication link to addr: MethodApply
-// calls fail while reads still reach the node. This models the §3.3.1
+// SetApplyDown severs only the update link to addr: MethodApply and
+// MethodSwap calls fail while reads still reach the node. This models the §3.3.1
 // datacenter disconnect, where a replica keeps serving clients on its
 // side of the partition but no longer receives updates — so its data
 // grows stale.
@@ -73,7 +73,7 @@ func (t *LocalTransport) SetApplyDown(addr string, down bool) {
 func (t *LocalTransport) Call(addr string, req Request) (Response, error) {
 	t.mu.RLock()
 	h, ok := t.handlers[addr]
-	down := t.down[addr] || (t.applyDown[addr] && req.Method == MethodApply)
+	down := t.down[addr] || (t.applyDown[addr] && (req.Method == MethodApply || req.Method == MethodSwap))
 	t.mu.RUnlock()
 	if !ok || down {
 		return Response{}, ErrUnreachable

@@ -37,6 +37,7 @@ const (
 	MethodDelete    = "delete"
 	MethodScan      = "scan"
 	MethodApply     = "apply"     // replication: apply pre-versioned records
+	MethodSwap      = "swap"      // apply one pre-versioned record at its primary, answer the record it displaced
 	MethodDropRange = "droprange" // partition move cleanup
 	MethodStats     = "stats"
 	MethodBatch     = "batch" // envelope: independent sub-requests answered positionally
@@ -230,6 +231,12 @@ var ErrFenced = errors.New("rpc: range fenced for migration")
 // a previous process lifetime). The migration must restart from a
 // fresh snapshot.
 var ErrSnapshotGap = errors.New("rpc: delta watermark outside retained apply log")
+
+// ErrSwapAnswerLost is the wire error MethodSwap returns for a
+// re-delivered swap whose first delivery landed but whose answer the
+// node no longer remembers (it restarted, or the range migrated, since).
+// The record it displaced is gone, so the caller must not guess it.
+var ErrSwapAnswerLost = errors.New("rpc: swap re-delivered after its answer was forgotten")
 
 // IsFenced reports whether err is a fence rejection, across the wire
 // boundary (errors arrive re-materialised from strings).

@@ -240,14 +240,16 @@ func TestLocalTransportSimulatedLatency(t *testing.T) {
 	}
 }
 
-// TestLocalTransportApplyDown: a severed replication link stops applies
-// while reads still reach the node.
+// TestLocalTransportApplyDown: a severed update link stops applies and
+// swaps while reads still reach the node.
 func TestLocalTransportApplyDown(t *testing.T) {
 	lt := NewLocalTransport()
 	lt.Register("node", newEchoHandler())
 	lt.SetApplyDown("node", true)
-	if _, err := lt.Call("node", Request{Method: MethodApply, Namespace: "ns"}); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("apply crossed a severed link: %v", err)
+	for _, method := range []string{MethodApply, MethodSwap} {
+		if _, err := lt.Call("node", Request{Method: method, Namespace: "ns"}); !errors.Is(err, ErrUnreachable) {
+			t.Fatalf("%s crossed a severed link: %v", method, err)
+		}
 	}
 	if _, err := lt.Call("node", Request{Method: MethodGet, Key: []byte("a")}); err != nil {
 		t.Fatalf("read blocked: %v", err)

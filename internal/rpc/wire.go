@@ -114,6 +114,7 @@ var methodCodes = map[string]byte{
 	MethodRangeDelta:    11,
 	MethodRangeFence:    12,
 	MethodRepairs:       13,
+	MethodSwap:          14,
 }
 
 var methodNames = [...]string{
@@ -130,6 +131,7 @@ var methodNames = [...]string{
 	11: MethodRangeDelta,
 	12: MethodRangeFence,
 	13: MethodRepairs,
+	14: MethodSwap,
 }
 
 // framePool recycles encode buffers, so steady-state encoding

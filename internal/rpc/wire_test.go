@@ -133,6 +133,22 @@ func TestWireUnknownMethodString(t *testing.T) {
 	}
 }
 
+// TestWireMethodCodes: every method in the table travels as its one-byte
+// code and decodes to itself; the codes are stable wire layout.
+func TestWireMethodCodes(t *testing.T) {
+	if methodCodes[MethodSwap] != 14 {
+		t.Fatalf("swap's wire code = %d, want 14", methodCodes[MethodSwap])
+	}
+	for method, code := range methodCodes {
+		if methodNames[code] != method {
+			t.Errorf("code %d decodes to %q, want %q", code, methodNames[code], method)
+		}
+		if got := roundTripRequest(t, Request{Method: method}); got.Method != method {
+			t.Errorf("method = %q, want %q", got.Method, method)
+		}
+	}
+}
+
 // randomRequest builds a randomized request; depth bounds batch
 // nesting.
 func randomRequest(rng *rand.Rand, depth int) Request {

@@ -215,6 +215,9 @@ func (e *Engine) Namespaces() []string {
 // clock: strictly increasing, and never equal to another node's.
 func (e *Engine) NextVersion() uint64 { return e.hlc.Next() }
 
+// Clock is the clock the engine was opened with (Options.Clock).
+func (e *Engine) Clock() clock.Clock { return e.opts.Clock }
+
 // Close flushes and closes every namespace.
 func (e *Engine) Close() error {
 	e.mu.Lock()

@@ -139,6 +139,27 @@ func TestReplicatedInsertAllocsOverTCP(t *testing.T) {
 	}
 }
 
+// TestMaintainedInsertAllocsOverTCP pins the same insert into the social
+// schema's users table, from which the join view is derived: one swap,
+// which answers the displaced row index maintenance needs, and the
+// maintenance task it queues. The swapping node copies the displaced
+// value into its memory of recent swaps, never the key.
+func TestMaintainedInsertAllocsOverTCP(t *testing.T) {
+	c := openOverTCP(t, 1, socialDDL)
+	r := Row{"id": "user000001", "name": "User One", "birthday": 42}
+	insert := func() {
+		if err := c.Insert("users", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert() // dial
+	// Measured 23; 24 when the old row was a get of its own before the
+	// apply.
+	if allocs := testing.AllocsPerRun(200, insert); allocs > 24 {
+		t.Errorf("maintained Cluster.Insert over TCP allocates %.1f times per call, want <= 24", allocs)
+	}
+}
+
 // TestQueryAllocsOverTCP pins what each of the paper's three queries
 // allocates end to end over a TCP node, on the social schema with one
 // user who has ten friends: a primary-key get (findUser), a base-table

@@ -16,21 +16,26 @@ import (
 )
 
 // Every write runs one pipeline. Stage: resolve the table, normalize
-// the row, encode its key. Old image: read the stored row from its
-// primary (oldImage, oldImages) — only when something consumes it: an index or
-// view derived from the table, a serializable or merge write mode, a
-// caller's function (UpdateFunc), or Delete's "was there a row?". A
-// single-row write that reads holds the key's serializer lock from the
-// read to the commit. Commit: deliver the versioned records to their
-// primaries, schedule replication, and queue the base change for
-// asynchronous index upkeep (§3.2) — all of it in commit, which index
-// upkeep itself goes back through.
+// the row, encode its key. Old image: only when something consumes it
+// — an index or view derived from the table, a serializable or merge
+// write mode, a caller's function (UpdateFunc), or Delete's "was there
+// a row?". A write whose new row depends on the old one reads it from
+// the primary first (oldImage, oldImages); a single-row write whose new
+// row does not has the primary swap it in and answer the image it
+// displaced (swap), one round trip. A single-row write that consumes
+// the old image holds the key's serializer lock from the read to the
+// commit. Commit: deliver the versioned records to their primaries,
+// schedule replication, and queue the base change for asynchronous
+// index upkeep (§3.2) — in commit, which index upkeep itself goes back
+// through, or in swap.
 
 // Insert stores a new row (or fully replaces an existing one) in a
 // table under the table's declared write mode. A last-write-wins
-// insert into a table nothing is derived from is one round trip to the
-// primary; otherwise the old row is read first, under the key's lock,
-// and the change is queued for asynchronous index maintenance.
+// insert is one round trip to the primary: an apply into a table
+// nothing is derived from, otherwise a swap under the key's lock whose
+// displaced row queues the change for asynchronous index maintenance.
+// Serializable and merge inserts read the old row first, under the
+// key's lock.
 // Replication to the secondaries is asynchronous under the table's
 // staleness bound either way.
 func (c *Cluster) Insert(table string, r row.Row) error {
@@ -85,7 +90,8 @@ func (c *Cluster) Update(table string, r row.Row) error {
 // upsert stages one full-row write and sends it down the pipeline under
 // the table's write mode: serializable and merge writes always read
 // the old image (merge folds it into the new row), last-write-wins
-// ones only when something is derived from the table.
+// ones swap it in the apply's round trip when something is derived
+// from the table.
 func (c *Cluster) upsert(t *query.TableDef, ns string, r row.Row) (uint64, error) {
 	nr, err := c.normalizeRow(t, r)
 	if err != nil {
@@ -205,7 +211,8 @@ func (c *Cluster) UpdateFunc(table string, pk row.Row, fn func(cur row.Row) (row
 	return err
 }
 
-// Delete tombstones the row with the given primary key.
+// Delete tombstones the row with the given primary key: one swap under
+// the key's lock, which answers whether there was a row.
 func (c *Cluster) Delete(table string, pk row.Row) error {
 	_, err := c.deleteAs(table, pk, "")
 	return err
@@ -214,56 +221,100 @@ func (c *Cluster) Delete(table string, pk row.Row) error {
 // deleteAs is Delete accounted to a tenant (DeleteSession routes the
 // session's bound tenant here). It returns the tombstone's version (0
 // when the row did not exist and nothing was written) — which is why a
-// delete always reads the old image, even from a table nothing is
-// derived from.
+// delete always swaps, even in a table nothing is derived from.
 func (c *Cluster) deleteAs(table string, pk row.Row, tenant string) (uint64, error) {
 	return c.admitted(table, tenant, func(t *query.TableDef, ns string) (uint64, error) {
 		key, err := pkKey(t, pk)
 		if err != nil {
 			return 0, err
 		}
-		return c.writeKey(t, ns, key, false, func(row.Row) (row.Row, error) { return nil, nil })
+		return c.writeKey(t, ns, key, true, func(row.Row) (row.Row, error) { return nil, nil })
 	}, pk)
 }
 
 // writeKey is the old-image and commit stages for one staged key. next
 // maps the row's old image (nil when absent) to its replacement; a nil
 // replacement deletes, and deleting an absent row writes nothing and
-// reports version 0. blind says next ignores its argument: the old
-// image is then read only if something is derived from the table, and
-// otherwise the write is a single round trip. Every path that does read
-// holds the key's lock from the read to the commit, so two writers of
-// one key cannot both hand index maintenance the same old image (the
-// loser's index entries would never be retired).
+// reports version 0. blind says next ignores its argument, so the write
+// is one round trip: an apply when nothing consumes the old image, a
+// swap when index upkeep or a delete does. Any other write reads the old
+// image, then applies. Every path that consumes the old image holds the
+// key's lock from the read to the commit and versions its record inside
+// it, so two writers of one key cannot both hand index maintenance the
+// same old image (the loser's index entries would never be retired).
 func (c *Cluster) writeKey(t *query.TableDef, ns string, key []byte, blind bool, next func(old row.Row) (row.Row, error)) (uint64, error) {
 	maintained := c.maintained(t.Name)
-	put := func(old row.Row) (uint64, error) {
-		nr, err := next(old)
-		if err != nil || (old == nil && nr == nil) {
+	bound := c.stalenessBound(t.Name)
+	var nr row.Row
+	if blind {
+		var err error
+		if nr, err = next(nil); err != nil {
 			return 0, err
+		}
+		if nr != nil && !maintained {
+			rec, err := c.newRecord(key, nr)
+			if err != nil {
+				return 0, err
+			}
+			return rec.Version, c.commit(ns, []record.Record{rec}, bound, nil)
+		}
+	}
+	var ver uint64
+	err := c.serializer.Do(ns, key, func() error {
+		if blind {
+			var err error
+			ver, err = c.swap(t.Name, ns, key, nr, maintained, bound)
+			return err
+		}
+		old, err := c.oldImage(ns, key)
+		if err != nil {
+			return err
+		}
+		if nr, err = next(old); err != nil || (old == nil && nr == nil) {
+			return err
 		}
 		rec, err := c.newRecord(key, nr)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		var tasks []maintTask
 		if maintained {
 			tasks = []maintTask{{table: t.Name, oldRow: old, newRow: nr}}
 		}
-		return rec.Version, c.commit(ns, []record.Record{rec}, c.stalenessBound(t.Name), tasks)
-	}
-	if blind && !maintained {
-		return put(nil)
-	}
-	var ver uint64
-	err := c.serializer.Do(ns, key, func() error {
-		old, err := c.oldImage(ns, key)
-		if err == nil {
-			ver, err = put(old)
-		}
-		return err
+		ver = rec.Version
+		return c.commit(ns, []record.Record{rec}, bound, tasks)
 	})
 	return ver, err
+}
+
+// swap is the old-image stage and the commit of a blind write in one
+// round trip: key's primary stores nr (a tombstone when nil) and answers
+// the row it displaced, which becomes the base change's old image when
+// maintained says the table has dependents. The caller holds key's
+// lock.
+func (c *Cluster) swap(table, ns string, key []byte, nr row.Row, maintained bool, bound time.Duration) (uint64, error) {
+	rec, err := c.newRecord(key, nr)
+	if err != nil {
+		return 0, err
+	}
+	val, _, found, acked, err := c.router.Swap(ns, rec)
+	if err != nil || (!found && nr == nil) {
+		return 0, err
+	}
+	var task *maintTask
+	if maintained {
+		task = &maintTask{table: table, newRow: nr}
+		// A displaced row that does not decode leaves index upkeep
+		// nothing to go on; the stored record replicates all the same.
+		if found {
+			if task.oldRow, err = row.Decode(val); err != nil {
+				task = nil
+			}
+		}
+	}
+	m, _ := c.router.Map(ns)
+	c.accepted(ns, m, rec, acked, bound, task)
+	return rec.Version, err
 }
 
 // maintained reports whether any index or view is derived from table,
@@ -309,13 +360,15 @@ func (c *Cluster) mergeRows(mergeName string, old, new row.Row) (row.Row, error)
 	return merged, nil
 }
 
-// The old-image stage, the pipeline's only reads: oldImage for one
-// key, oldImages for a batch.
+// The old-image stage's reads, the pipeline's only ones: oldImage for
+// one key, oldImages for a batch.
 
 // oldImage fetches the row stored under key from its primary (nil when
-// absent).
+// absent). It reads the primary alone, waiting out a failover as the
+// write that follows does: a secondary's older image would make a
+// read-modify-write overwrite an update it never saw.
 func (c *Cluster) oldImage(ns string, key []byte) (row.Row, error) {
-	val, _, found, err := c.router.Get(ns, key, partition.ReadPrimary)
+	val, _, found, err := c.router.Get(ns, key, partition.WritePrimary)
 	if err != nil || !found {
 		return nil, err
 	}
@@ -417,20 +470,32 @@ func (c *Cluster) commit(ns string, recs []record.Record, bound time.Duration, t
 	// replication follows them.
 	err := c.router.Apply(ns, acked[0].Replicas[0], recs)
 	for i, rec := range recs {
-		c.loads.Record(ns, acked[i].Start, rec.Key)
 		if err != nil {
 			var ferr error
 			if acked[i], ferr = c.router.ApplyToPrimary(ns, rec.Key, recs[i:i+1]); ferr != nil {
 				return ferr
 			}
 		}
-		c.enqueueReplication(ns, m, rec, acked[i], bound)
+		var task *maintTask
 		if tasks != nil {
-			tasks[i].deadline = c.clk.Now().Add(bound)
-			c.maint.push(tasks[i])
+			task = &tasks[i]
 		}
+		c.accepted(ns, m, rec, acked[i], bound, task)
 	}
 	return nil
+}
+
+// accepted schedules what follows once rec's primary has it: the load
+// sample of the range that accepted it, replication to that range's
+// secondaries under bound and — when task is non-nil — the base
+// change's index maintenance, with bound as its deadline.
+func (c *Cluster) accepted(ns string, m *partition.Map, rec record.Record, acked partition.Range, bound time.Duration, task *maintTask) {
+	c.loads.Record(ns, acked.Start, rec.Key)
+	c.enqueueReplication(ns, m, rec, acked, bound)
+	if task != nil {
+		task.deadline = c.clk.Now().Add(bound)
+		c.maint.push(*task)
+	}
 }
 
 // enqueueReplication schedules rec for delivery to the secondaries of

@@ -4,6 +4,7 @@ package scads
 // in round trips, and the three faults the single pipeline closes.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"scads/internal/clock"
 	"scads/internal/cluster"
 	"scads/internal/planner"
+	"scads/internal/row"
 	"scads/internal/rpc"
 	"scads/internal/storage"
 )
@@ -96,31 +98,56 @@ func (ct *countingTransport) total(method, ns string) int {
 }
 
 // TestWriteRoundTrips pins the round trips each kind of write makes:
-// the old image is read exactly when something consumes it, index
-// mutations share an apply per (namespace, primary), and the replication
-// pump sends a destination's pending records in one apply, not one each.
+// the old image is read or swapped exactly when something consumes it,
+// a write whose new row does not depend on the old one is one round
+// trip, index mutations share an apply per (namespace, primary), and the
+// replication pump sends a destination's pending records in one apply,
+// not one each.
 func TestWriteRoundTrips(t *testing.T) {
 	alice := Row{"id": "alice", "name": "Alice", "birthday": 42}
+	insertAlice := func(c *Cluster) error { return c.Insert("users", alice) }
 	cases := []struct {
 		name, ddl, consistency string
-		write                  func(c *Cluster) error
-		gets, applies          int
+		setup, write           func(c *Cluster) error
+		gets, applies, swaps   int
 	}{
 		{name: "LWW insert, nothing derived", ddl: noIndexDDL,
-			write: func(c *Cluster) error { return c.Insert("users", alice) }, gets: 0, applies: 1},
+			write: insertAlice, gets: 0, applies: 1, swaps: 0},
 		{name: "serializable insert, nothing derived", ddl: noIndexDDL,
 			consistency: `namespace users { write: serializable; }`,
-			write:       func(c *Cluster) error { return c.Insert("users", alice) }, gets: 1, applies: 1},
+			write:       insertAlice, gets: 1, applies: 1, swaps: 0},
 		{name: "LWW insert, view derived", ddl: socialDDL,
-			write: func(c *Cluster) error { return c.Insert("users", alice) }, gets: 1, applies: 1},
+			write: insertAlice, gets: 0, applies: 0, swaps: 1},
 		{name: "delete of an absent row", ddl: noIndexDDL,
 			write: func(c *Cluster) error {
 				ver, err := c.deleteAs("users", Row{"id": "nobody"}, "")
 				if ver != 0 {
 					return fmt.Errorf("deleting an absent row reported version %d, want 0", ver)
 				}
+				// A snapshot page lists tombstones too.
+				snap, serr := c.cfg.Transport.Call("local://node-001", rpc.Request{Method: rpc.MethodRangeSnapshot, Namespace: planner.TableNamespace("users")})
+				if serr == nil && len(snap.Records) != 0 {
+					return fmt.Errorf("the node holds %v after deleting an absent row, want nothing", snap.Records)
+				}
+				return errors.Join(err, serr)
+			}, gets: 0, applies: 0, swaps: 1},
+		{name: "delete, nothing derived", ddl: noIndexDDL, setup: insertAlice,
+			write: func(c *Cluster) error {
+				ver, err := c.deleteAs("users", Row{"id": "alice"}, "")
+				if ver == 0 && err == nil {
+					return fmt.Errorf("deleting a stored row reported version 0")
+				}
 				return err
-			}, gets: 1, applies: 0},
+			}, gets: 0, applies: 0, swaps: 1},
+		{name: "UpdateFunc of a new row", ddl: noIndexDDL,
+			write: func(c *Cluster) error {
+				return c.UpdateFunc("users", Row{"id": "alice"}, func(cur Row) (Row, error) {
+					if cur != nil {
+						return nil, fmt.Errorf("UpdateFunc saw %v for a new row", cur)
+					}
+					return alice, nil
+				})
+			}, gets: 1, applies: 1, swaps: 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,17 +161,22 @@ func TestWriteRoundTrips(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if tc.setup != nil {
+				if err := tc.setup(c); err != nil {
+					t.Fatal(err)
+				}
+			}
 			ct.reset()
 			if err := tc.write(c); err != nil {
 				t.Fatal(err)
 			}
 			ns := planner.TableNamespace("users")
-			gets, applies := ct.total(rpc.MethodGet, ns), ct.total(rpc.MethodApply, ns)
-			if gets != tc.gets || applies != tc.applies {
-				t.Errorf("%d gets and %d applies to %s, want %d and %d", gets, applies, ns, tc.gets, tc.applies)
+			gets, applies, swaps := ct.total(rpc.MethodGet, ns), ct.total(rpc.MethodApply, ns), ct.total(rpc.MethodSwap, ns)
+			if gets != tc.gets || applies != tc.applies || swaps != tc.swaps {
+				t.Errorf("%d gets, %d applies and %d swaps to %s, want %d, %d and %d", gets, applies, swaps, ns, tc.gets, tc.applies, tc.swaps)
 			}
-			if other := ct.total(rpc.MethodGet, "") + ct.total(rpc.MethodApply, "") - gets - applies; other != 0 {
-				t.Errorf("%d gets/applies outside %s at write time, want 0", other, ns)
+			if other := ct.total(rpc.MethodGet, "") + ct.total(rpc.MethodApply, "") + ct.total(rpc.MethodSwap, "") - gets - applies - swaps; other != 0 {
+				t.Errorf("%d gets/applies/swaps outside %s at write time, want 0", other, ns)
 			}
 		})
 	}
@@ -221,10 +253,10 @@ func TestWriteRoundTrips(t *testing.T) {
 	})
 }
 
-// gateTransport parks the first apply to one namespace until a second
-// get of that namespace arrives (or patience runs out), which lines two
-// concurrent writers up so both read before either writes — if nothing
-// stops them.
+// gateTransport parks the first write (apply or swap) to one namespace
+// until a second read (get or swap) of that namespace arrives (or
+// patience runs out), which lines two concurrent writers up so both read
+// before either writes — if nothing stops them.
 type gateTransport struct {
 	next      rpc.Transport
 	namespace string
@@ -240,12 +272,12 @@ func (g *gateTransport) Call(addr string, req rpc.Request) (rpc.Response, error)
 	g.mu.Lock()
 	park := false
 	if g.armed && req.Namespace == g.namespace {
-		switch req.Method {
-		case rpc.MethodGet:
+		if req.Method == rpc.MethodGet || req.Method == rpc.MethodSwap {
 			if g.gets++; g.gets == 2 {
 				close(g.second)
 			}
-		case rpc.MethodApply:
+		}
+		if req.Method == rpc.MethodApply || req.Method == rpc.MethodSwap {
 			park = !g.parked
 			g.parked = true
 		}
@@ -375,5 +407,139 @@ func TestIndexReplicasFollowTableBound(t *testing.T) {
 	// which does not exist).
 	if got := lc.Pump().AtRisk(2 * time.Second); got != 1 {
 		t.Fatalf("%d index updates due within 2s, want 1 (the table's bound is 1s)", got)
+	}
+}
+
+// TestUpdateFuncReadsThePrimaryThroughAFailover: a read-modify-write
+// whose primary is down waits for it, as its write does, rather than
+// computing its row from a secondary's older image and overwriting the
+// updates that secondary never received.
+func TestUpdateFuncReadsThePrimaryThroughAFailover(t *testing.T) {
+	lc, err := NewLocalCluster(2, Config{Clock: clock.NewVirtual(t0), ReplicationFactor: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	if err := lc.DefineSchema(noIndexDDL); err != nil {
+		t.Fatal(err)
+	}
+	pk := Row{"id": "counter"}
+	if err := lc.Insert("users", Row{"id": "counter", "birthday": 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	ns := planner.TableNamespace("users")
+	key, err := row.EncodeKey(pk, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := lc.Router().Map(ns)
+	replicas := m.Lookup(key).Replicas
+	primary, secondary := replicas[0], replicas[1]
+	lc.PartitionReplica(secondary) // it keeps answering reads at 0
+
+	increment := func() error {
+		return lc.UpdateFunc("users", pk, func(cur Row) (Row, error) {
+			cur["birthday"] = cur["birthday"].(int64) + 1
+			return cur, nil
+		})
+	}
+	for i := 0; i < 2; i++ {
+		if err := increment(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lc.CrashNode(primary)
+	done := make(chan error, 1)
+	go func() { done <- increment() }()
+	time.Sleep(50 * time.Millisecond)
+	lc.RecoverNode(primary)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	val, _, found, err := lc.Router().GetFrom(ns, primary, key)
+	if err != nil || !found {
+		t.Fatalf("primary read = %v, %v", found, err)
+	}
+	got, err := row.Decode(val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got["birthday"] != int64(3) {
+		t.Fatalf("the primary holds %v after three increments, want 3", got["birthday"])
+	}
+}
+
+// swapShimTransport delivers the first swap to one namespace and then
+// loses its answer, as a call timeout or a torn connection does, so the
+// router re-sends it.
+type swapShimTransport struct {
+	next      rpc.Transport
+	namespace string
+
+	mu    sync.Mutex
+	armed bool
+	swaps int
+}
+
+func (s *swapShimTransport) Call(addr string, req rpc.Request) (rpc.Response, error) {
+	s.mu.Lock()
+	lose := false
+	if s.armed && req.Method == rpc.MethodSwap && req.Namespace == s.namespace {
+		s.swaps++
+		lose = s.swaps == 1
+	}
+	s.mu.Unlock()
+	resp, err := s.next.Call(addr, req)
+	if lose {
+		return rpc.Response{}, rpc.ErrUnreachable
+	}
+	return resp, err
+}
+
+// TestSwapRedeliveryKeepsIndexExact: a swap whose answer is lost is
+// re-sent, finds its own record stored, and must still hand index
+// maintenance the row it displaced the first time — else the old row's
+// view entries would never be retired.
+func TestSwapRedeliveryKeepsIndexExact(t *testing.T) {
+	shim := &swapShimTransport{namespace: planner.TableNamespace("users")}
+	c := newWrappedCluster(t, 1, socialDDL, func(next rpc.Transport) rpc.Transport {
+		shim.next = next
+		return shim
+	})
+	if err := c.Insert("users", Row{"id": "bob", "name": "Bob", "birthday": 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert("friendships", Row{"f1": "alice", "f2": "bob"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	shim.mu.Lock()
+	shim.armed = true
+	shim.mu.Unlock()
+
+	if err := c.Insert("users", Row{"id": "bob", "name": "Bob", "birthday": 20}); err != nil {
+		t.Fatal(err)
+	}
+	shim.mu.Lock()
+	swaps := shim.swaps
+	shim.mu.Unlock()
+	if swaps != 2 {
+		t.Fatalf("%d swaps reached the transport, want the lost one and its re-delivery", swaps)
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := c.Query("friendsWithUpcomingBirthdays", map[string]any{"user": "alice"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0]["birthday"] != int64(20) {
+		t.Fatalf("view holds %v, want bob's new birthday (20) only", rows)
 	}
 }
