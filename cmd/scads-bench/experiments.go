@@ -271,21 +271,22 @@ func counterLoss(mode string) float64 {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < iters; i++ {
 				if mode == "serializable" {
-					lc.UpdateFunc("users", scads.Row{"id": "ctr"}, func(cur scads.Row) (scads.Row, error) {
+					must(lc.UpdateFunc("users", scads.Row{"id": "ctr"}, func(cur scads.Row) (scads.Row, error) {
 						n := int64(0)
 						if cur != nil {
 							n = cur["birthday"].(int64)
 						}
 						return scads.Row{"id": "ctr", "birthday": n + 1}, nil
-					})
+					}))
 				} else {
-					cur, _, _ := lc.Get("users", scads.Row{"id": "ctr"})
+					cur, _, err := lc.Get("users", scads.Row{"id": "ctr"})
+					must(err)
 					n := int64(0)
 					if cur != nil {
 						n = cur["birthday"].(int64)
 					}
 					runtime.Gosched() // app think time between read and write
-					lc.Insert("users", scads.Row{"id": "ctr", "birthday": n + 1})
+					must(lc.Insert("users", scads.Row{"id": "ctr", "birthday": n + 1}))
 				}
 			}
 		}()
@@ -293,7 +294,8 @@ func counterLoss(mode string) float64 {
 	for w := 0; w < workers; w++ {
 		<-done
 	}
-	cur, _, _ := lc.Get("users", scads.Row{"id": "ctr"})
+	cur, _, err := lc.Get("users", scads.Row{"id": "ctr"})
+	must(err)
 	got := int64(0)
 	if cur != nil {
 		got = cur["birthday"].(int64)
@@ -312,13 +314,14 @@ func mergeLoss() float64 {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
-			lc.Insert("users", scads.Row{"id": "wall", "name": fmt.Sprintf("post-%02d", w), "birthday": 1})
+			must(lc.Insert("users", scads.Row{"id": "wall", "name": fmt.Sprintf("post-%02d", w), "birthday": 1}))
 		}(w)
 	}
 	for w := 0; w < workers; w++ {
 		<-done
 	}
-	cur, _, _ := lc.Get("users", scads.Row{"id": "wall"})
+	cur, _, err := lc.Get("users", scads.Row{"id": "wall"})
+	must(err)
 	missing := 0
 	posts := ""
 	if cur != nil {

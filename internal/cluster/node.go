@@ -311,16 +311,14 @@ func (n *Node) apply(req rpc.Request) rpc.Response {
 	})
 }
 
-// swap applies one pre-versioned record at its key's primary and
-// answers the live record it displaced (Found, Value, Version): the old
-// image a write with dependents needs, inside the apply's round trip.
+// swap applies pre-versioned records at their keys' primary and
+// answers, in Response.Records, the record each displaced: the old row
+// a write with dependents needs, inside the apply's round trip (see
+// swapMemory.swap).
 func (n *Node) swap(req rpc.Request) rpc.Response {
 	n.writes.Add(1)
-	if len(req.Records) != 1 {
-		return rpc.Response{Err: "cluster: swap takes exactly one record"}
-	}
 	return n.writeUnfenced(req.Namespace, req.Records, func(ns *storage.Namespace) rpc.Response {
-		return n.swaps.swap(ns, req.Namespace, req.Records, n.engine.Clock().Now())
+		return n.swaps.swap(ns, req.Namespace, req.Records, req.Since, n.engine.Clock().Now())
 	})
 }
 

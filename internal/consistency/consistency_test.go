@@ -3,7 +3,6 @@ package consistency
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -246,52 +245,6 @@ func TestQuickUnionMergeConvergence(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestSerializerExcludesConcurrentRMW(t *testing.T) {
-	s := NewSerializer(8)
-	counter := 0
-	var wg sync.WaitGroup
-	const workers, iters = 8, 200
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				s.Do("counters", []byte("hits"), func() error {
-					counter++ // data race unless serialized
-					return nil
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != workers*iters {
-		t.Fatalf("counter = %d, want %d (lost updates)", counter, workers*iters)
-	}
-}
-
-func TestSerializerDifferentKeysDontBlock(t *testing.T) {
-	s := NewSerializer(1024)
-	release := make(chan struct{})
-	holding := make(chan struct{})
-	go s.Do("ns", []byte("key-a"), func() error {
-		close(holding)
-		<-release
-		return nil
-	})
-	<-holding
-	done := make(chan struct{})
-	go func() {
-		s.Do("ns", []byte("key-b"), func() error { return nil })
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("different key blocked (and not by stripe collision at 1024 stripes... unlucky hash?)")
-	}
-	close(release)
 }
 
 func TestWriteModeAndSessionStrings(t *testing.T) {

@@ -27,8 +27,9 @@ const (
 	// MergeFunction resolves conflicting writes through a
 	// developer-supplied merge function.
 	MergeFunction
-	// Serializable forces writes to a key through an exclusive
-	// critical section on the primary, as in a traditional RDBMS.
+	// Serializable makes each write of a key apply only on top of the
+	// row it read, as in a traditional RDBMS: the primary refuses it
+	// otherwise, and the write runs again on the row that landed.
 	Serializable
 )
 

@@ -516,7 +516,7 @@ func TestGetBatchFallbackUnderCrashedNode(t *testing.T) {
 	// batch envelope to n1 errors and the fallback must recover every
 	// key from n2.
 	tc.transport.SetDown("addr-n1", true)
-	res, err := tc.router.GetBatch("ns", keys)
+	res, err := tc.router.GetBatch("ns", keys, ReadPrimary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +543,7 @@ func TestGetBatchUnroutedKeysRetryThroughGet(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		tc.dir.MarkUp("n1")
 	}()
-	res, err := tc.router.GetBatch("ns", [][]byte{[]byte("a")})
+	res, err := tc.router.GetBatch("ns", [][]byte{[]byte("a")}, ReadPrimary)
 	if err != nil {
 		t.Fatal(err)
 	}

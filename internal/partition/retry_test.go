@@ -369,7 +369,7 @@ func TestGetBatchFallbackSharesOneBudget(t *testing.T) {
 	rig.dir.MarkDown("n1")
 	rig.dir.MarkDown("n2")
 	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d"), []byte("e")}
-	res, err := rig.router.GetBatch("ns", keys)
+	res, err := rig.router.GetBatch("ns", keys, ReadPrimary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,6 +380,56 @@ func TestGetBatchFallbackSharesOneBudget(t *testing.T) {
 	}
 	if rig.elapsed() != rpc.DownRetryBudget {
 		t.Fatalf("%d unrouted keys waited %v, want one budget of %v", len(keys), rig.elapsed(), rpc.DownRetryBudget)
+	}
+}
+
+// TestGetBatchWritePrimaryNeverReadsASecondary: under WritePrimary a
+// batch whose primary is unreachable waits for it, or gives up after one
+// budget, and never answers from the secondary as ReadPrimary would.
+func TestGetBatchWritePrimaryNeverReadsASecondary(t *testing.T) {
+	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	for _, tc := range []struct {
+		name    string
+		downFor time.Duration // how long n1 stays unreachable
+		wantOK  bool
+	}{
+		{name: "the primary comes back: the batch waits", downFor: 3 * rpc.DownRetryPause, wantOK: true},
+		{name: "the primary stays down: the batch gives up", downFor: time.Hour},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rig *retryRig
+			rig = newRetryRig(t, func(addr string, req rpc.Request) (rpc.Response, error) {
+				if addr != "n1" {
+					t.Errorf("%s was asked under WritePrimary", addr)
+				}
+				if rig.elapsed() < tc.downFor {
+					return rpc.Response{}, rpc.ErrUnreachable
+				}
+				if req.Method == rpc.MethodBatch {
+					out := make([]rpc.Response, len(req.Batch))
+					for i := range out {
+						out[i] = rpc.Response{Found: true, Value: []byte("v"), Version: 1}
+					}
+					return rpc.Response{Batch: out}, nil
+				}
+				return rpc.Response{Found: true, Value: []byte("v"), Version: 1}, nil
+			})
+			res, err := rig.router.GetBatch("ns", keys, WritePrimary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range res {
+				if tc.wantOK && (r.Err != nil || !r.Found) {
+					t.Fatalf("key %d: %+v, want the primary's row", i, r)
+				}
+				if !tc.wantOK && !errors.Is(r.Err, ErrNoReplicaAvailable) {
+					t.Fatalf("key %d: %+v, want %v", i, r, ErrNoReplicaAvailable)
+				}
+			}
+			if !tc.wantOK && rig.elapsed() != rpc.DownRetryBudget {
+				t.Fatalf("gave up after %v, want one budget of %v", rig.elapsed(), rpc.DownRetryBudget)
+			}
+		})
 	}
 }
 

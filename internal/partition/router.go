@@ -153,16 +153,16 @@ type GetResult struct {
 // multi-get costs a handful of round-trips instead of one per key.
 // Keys the envelope did not answer cleanly (node down, unreachable or
 // shedding, malformed reply, per-key error) fall back to the single-key
-// path with its usual failover, one retry budget per node group — the
-// keys of a crashed primary typically share its range, and a permanent
-// fault must cost one budget per group, not per key. So between a
+// path under policy, one retry budget per node group — the keys of a
+// crashed primary typically share its range, and a permanent fault must
+// cost one budget per group, not per key. Under ReadPrimary, between a
 // primary's crash and the failover that flips the map its keys cost one
 // round trip each, to the next replica, instead of one envelope: the
 // envelope is not failed over, because the group shares a primary, not
-// a replica list. The returned slice
-// matches keys positionally; per-key failures are reported in
-// GetResult.Err rather than aborting the batch.
-func (r *Router) GetBatch(namespace string, keys [][]byte) ([]GetResult, error) {
+// a replica list. Under WritePrimary they wait for the primary instead.
+// The returned slice matches keys positionally; per-key failures are
+// reported in GetResult.Err rather than aborting the batch.
+func (r *Router) GetBatch(namespace string, keys [][]byte, policy ReadPolicy) ([]GetResult, error) {
 	m, err := r.mapFor(namespace)
 	if err != nil {
 		return nil, err
@@ -172,7 +172,7 @@ func (r *Router) GetBatch(namespace string, keys [][]byte) ([]GetResult, error) 
 	for i, key := range keys {
 		// Never empty: every Map constructor and mutator refuses an
 		// empty replica list (ErrNeedReplicas).
-		replicas, first := r.order(m.Lookup(key).Replicas, ReadPrimary)
+		replicas, first := r.order(m.Lookup(key).Replicas, policy)
 		groups[replicas[first]] = append(groups[replicas[first]], i)
 	}
 	// One flight per node, all in parallel; each goroutine writes a
@@ -197,7 +197,7 @@ func (r *Router) GetBatch(namespace string, keys [][]byte) ([]GetResult, error) 
 			var b budget
 			for j, i := range idxs {
 				if resps == nil || resps[j].Err != "" {
-					out[i] = r.get(namespace, keys[i], ReadPrimary, &b, nil)
+					out[i] = r.get(namespace, keys[i], policy, &b, nil)
 					continue
 				}
 				out[i] = GetResult{Value: resps[j].Value, Version: resps[j].Version, Found: resps[j].Found}
@@ -239,15 +239,26 @@ func (r *Router) ApplyToPrimary(namespace string, key []byte, recs []record.Reco
 	return rng, err
 }
 
-// Swap delivers one pre-versioned record to the primary of its key's
-// range, waiting out fences, failovers and overload like any other
-// write, and returns the live record the record displaced there (found
-// false when there was none) with the range that accepted it. A
-// re-delivery whose answer the primary has forgotten fails with
-// rpc.ErrSwapAnswerLost.
-func (r *Router) Swap(namespace string, rec record.Record) (old []byte, version uint64, found bool, acked Range, err error) {
-	resp, rng, err := r.send(rec.Key, rpc.Request{Method: rpc.MethodSwap, Namespace: namespace, Records: []record.Record{rec}})
-	return resp.Value, resp.Version, resp.Found, rng, err
+// Swap delivers recs, which share a primary, and answers in order the
+// record each displaced there (cluster.Node's swap); since, when
+// non-zero, bounds the stored versions. With nodeID set the envelope
+// makes one attempt against that node, like Apply. With nodeID empty it
+// goes to the primary of recs[0]'s range, waiting out fences, failovers
+// and overload like any other write, and the range that accepted it is
+// returned. A re-delivery whose answer the primary has forgotten fails
+// with rpc.ErrSwapAnswerLost.
+func (r *Router) Swap(namespace, nodeID string, recs []record.Record, since uint64) (displaced []record.Record, acked Range, err error) {
+	req := rpc.Request{Method: rpc.MethodSwap, Namespace: namespace, Records: recs, Since: since}
+	var resp rpc.Response
+	if nodeID != "" {
+		resp, err = r.sendTo(nodeID, req)
+	} else {
+		resp, acked, err = r.send(recs[0].Key, req)
+	}
+	if err == nil && len(resp.Records) != len(recs) {
+		err = fmt.Errorf("partition: a swap of %d records answered %d", len(recs), len(resp.Records))
+	}
+	return resp.Records, acked, err
 }
 
 // Apply delivers pre-versioned records to one specific node in a

@@ -37,7 +37,7 @@ const (
 	MethodDelete    = "delete"
 	MethodScan      = "scan"
 	MethodApply     = "apply"     // replication: apply pre-versioned records
-	MethodSwap      = "swap"      // apply one pre-versioned record at its primary, answer the record it displaced
+	MethodSwap      = "swap"      // apply pre-versioned records at their primary, answer the record each displaced
 	MethodDropRange = "droprange" // partition move cleanup
 	MethodStats     = "stats"
 	MethodBatch     = "batch" // envelope: independent sub-requests answered positionally
@@ -130,11 +130,14 @@ type Request struct {
 	Projection []string
 	Preds      []ScanPred
 
-	// Records carries pre-versioned writes for MethodApply.
+	// Records carries pre-versioned writes for MethodApply and
+	// MethodSwap.
 	Records []record.Record
 
 	// Since and Epoch carry the delta baseline for MethodRangeDelta:
-	// "everything applied after sequence Since of epoch Epoch".
+	// "everything applied after sequence Since of epoch Epoch". On a
+	// MethodSwap, Since is an exclusive bound on each key's stored
+	// version (0: none).
 	Since uint64
 	Epoch uint64
 

@@ -165,7 +165,7 @@ func (c *Cluster) getMulti(table string, pks []row.Row) ([]row.Row, []bool, erro
 		return nil, nil, err
 	}
 	defer release()
-	res, err := c.router.GetBatch(ns, keys)
+	res, err := c.router.GetBatch(ns, keys, partition.ReadPrimary)
 	if err != nil {
 		return nil, nil, err
 	}

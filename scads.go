@@ -120,6 +120,11 @@ var (
 	ErrUnknownTable  = errors.New("scads: unknown table")
 	ErrUnknownQuery  = errors.New("scads: unknown query")
 	ErrStaleReplicas = partition.ErrStaleReplicas
+	// ErrWriteConflict is returned by a write that computes its row
+	// from the stored one (UpdateFunc, serializable and merge writes)
+	// when other writers of the key kept landing first for
+	// rpc.DownRetryBudget.
+	ErrWriteConflict = errors.New("scads: other writers of the key kept landing first")
 )
 
 // Cluster is the client- and coordinator-side handle on a SCADS
@@ -134,7 +139,6 @@ type Cluster struct {
 	repairs    *repair.Manager
 
 	merges     *consistency.MergeRegistry
-	serializer *consistency.Serializer
 	monitor    *sla.Monitor
 	contention contentionLog
 
@@ -178,17 +182,16 @@ func Open(cfg Config) (*Cluster, error) {
 	}
 	cfg = cfg.withDefaults()
 	c := &Cluster{
-		cfg:        cfg,
-		clk:        cfg.Clock,
-		versions:   clock.NewHLC(cfg.Clock, cfg.CoordinatorID),
-		dir:        cfg.Directory,
-		router:     partition.NewRouter(cfg.Transport, cfg.Directory),
-		merges:     consistency.NewMergeRegistry(),
-		serializer: consistency.NewSerializer(1024),
-		monitor:    sla.NewMonitor(cfg.Clock, cfg.SLA, 0),
-		specs:      make(map[string]consistency.Spec),
-		maint:      newMaintQueue(),
-		loads:      balancer.NewTracker(),
+		cfg:      cfg,
+		clk:      cfg.Clock,
+		versions: clock.NewHLC(cfg.Clock, cfg.CoordinatorID),
+		dir:      cfg.Directory,
+		router:   partition.NewRouter(cfg.Transport, cfg.Directory),
+		merges:   consistency.NewMergeRegistry(),
+		monitor:  sla.NewMonitor(cfg.Clock, cfg.SLA, 0),
+		specs:    make(map[string]consistency.Spec),
+		maint:    &maintQueue{},
+		loads:    balancer.NewTracker(),
 	}
 	// Every ReadAny read holds back replicas over their namespace's
 	// declared staleness bound: the router asks the coordinator, here
@@ -267,8 +270,11 @@ func (c *Cluster) StartBackground(replicationWorkers int) {
 				return
 			default:
 			}
+			// A round reads its tasks' current rows in one batch, so a
+			// round that did not fill its budget waits for more tasks
+			// to share the next round's read.
 			n, err := c.DrainMaintenance(256)
-			if err != nil || n == 0 {
+			if err != nil || n < 256 {
 				select {
 				case <-stop:
 					return

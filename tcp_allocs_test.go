@@ -153,7 +153,7 @@ func TestMaintainedInsertAllocsOverTCP(t *testing.T) {
 		}
 	}
 	insert() // dial
-	// Measured 23; 24 when the old row was a get of its own before the
+	// Measured 21; 24 when the old row was a get of its own before the
 	// apply.
 	if allocs := testing.AllocsPerRun(200, insert); allocs > 24 {
 		t.Errorf("maintained Cluster.Insert over TCP allocates %.1f times per call, want <= 24", allocs)

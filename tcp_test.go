@@ -105,10 +105,38 @@ namespace users { session: read-your-writes; staleness: 10m; }
 		}
 	}
 
-	// Kill one server process: reads fail over.
+	// Read-modify-writes meet only at the primary's bounded swap, whose
+	// bound and answers cross the wire: concurrent increments lose none.
+	const incrementers, increments = 4, 10
+	errs := make(chan error, incrementers)
+	for w := 0; w < incrementers; w++ {
+		go func() {
+			var err error
+			for i := 0; i < increments && err == nil; i++ {
+				err = c.UpdateFunc("users", Row{"id": "ctr"}, func(cur Row) (Row, error) {
+					n := int64(0)
+					if cur != nil {
+						n = cur["birthday"].(int64)
+					}
+					return Row{"id": "ctr", "birthday": n + 1}, nil
+				})
+			}
+			errs <- err
+		}()
+	}
+	for w := 0; w < incrementers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := c.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
+	if ctr, _, err := c.Get("users", Row{"id": "ctr"}); err != nil || ctr["birthday"] != int64(incrementers*increments) {
+		t.Fatalf("counter over TCP = %v (%v), want %d", ctr, err, incrementers*increments)
+	}
+
+	// Kill one server process: reads fail over.
 	servers[1].Close()
 	ok := 0
 	for i := 0; i < 50; i++ {

@@ -13,31 +13,30 @@ import (
 	"scads/internal/query"
 	"scads/internal/record"
 	"scads/internal/row"
+	"scads/internal/rpc"
 )
 
 // Every write runs one pipeline. Stage: resolve the table, normalize
-// the row, encode its key. Old image: only when something consumes it
-// — an index or view derived from the table, a serializable or merge
-// write mode, a caller's function (UpdateFunc), or Delete's "was there
-// a row?". A write whose new row depends on the old one reads it from
-// the primary first (oldImage, oldImages); a single-row write whose new
-// row does not has the primary swap it in and answer the image it
-// displaced (swap), one round trip. A single-row write that consumes
-// the old image holds the key's serializer lock from the read to the
-// commit. Commit: deliver the versioned records to their primaries,
-// schedule replication, and queue the base change for asynchronous
-// index upkeep (§3.2) — in commit, which index upkeep itself goes back
-// through, or in swap.
+// the row, encode its key. Old row: read from the primary only when the
+// new row is computed from it (UpdateFunc, serializable and merge
+// writes). Commit: deliver the versioned records to their primaries as
+// a swap, which answers the record each displaced, whenever something
+// consumes that answer (a bound on the version read, index upkeep,
+// Delete's "was there a row?"), else as an apply; then schedule
+// replication and, for a table with dependents, queue each displaced
+// row for asynchronous index upkeep (§3.2), which reads the key's
+// current row when it runs and goes back through commit. The primary's
+// swap is the only place writers of one key meet: nothing here locks a
+// key.
 
 // Insert stores a new row (or fully replaces an existing one) in a
 // table under the table's declared write mode. A last-write-wins
 // insert is one round trip to the primary: an apply into a table
-// nothing is derived from, otherwise a swap under the key's lock whose
-// displaced row queues the change for asynchronous index maintenance.
-// Serializable and merge inserts read the old row first, under the
-// key's lock.
-// Replication to the secondaries is asynchronous under the table's
-// staleness bound either way.
+// nothing is derived from, otherwise a swap whose displaced row queues
+// the change for asynchronous index maintenance. Serializable and
+// merge inserts read the old row first and swap bounded by its
+// version. Replication to the secondaries is asynchronous under the
+// table's staleness bound either way.
 func (c *Cluster) Insert(table string, r row.Row) error {
 	_, err := c.insertAs(table, r, "")
 	return err
@@ -88,10 +87,8 @@ func (c *Cluster) Update(table string, r row.Row) error {
 }
 
 // upsert stages one full-row write and sends it down the pipeline under
-// the table's write mode: serializable and merge writes always read
-// the old image (merge folds it into the new row), last-write-wins
-// ones swap it in the apply's round trip when something is derived
-// from the table.
+// the table's write mode: serializable and merge writes read the old
+// row (merge folds it into the new row), last-write-wins ones do not.
 func (c *Cluster) upsert(t *query.TableDef, ns string, r row.Row) (uint64, error) {
 	nr, err := c.normalizeRow(t, r)
 	if err != nil {
@@ -102,7 +99,7 @@ func (c *Cluster) upsert(t *query.TableDef, ns string, r row.Row) (uint64, error
 		return 0, err
 	}
 	spec := c.specFor(t.Name)
-	return c.writeKey(t, ns, key, spec.Write == consistency.LastWriteWins, func(old row.Row) (row.Row, error) {
+	return c.writeKey(t, ns, key, spec.Write != consistency.LastWriteWins, func(old row.Row) (row.Row, error) {
 		if spec.Write == consistency.MergeFunction && old != nil {
 			return c.mergeRows(spec.MergeName, old, nr)
 		}
@@ -111,35 +108,29 @@ func (c *Cluster) upsert(t *query.TableDef, ns string, r row.Row) (uint64, error
 }
 
 // InsertBatch stores many rows in one coordinator pass: rows are
-// normalized and versioned together, the old images index maintenance
-// needs are fetched with one batched read per node (none when nothing
-// is derived from the table), and the new records are delivered as one
-// multi-record apply per primary (one RPC, one WAL write, and — on
-// engines with synchronous writes — one shared group-commit fsync).
-// Replication and asynchronous index maintenance are enqueued per row
-// exactly as Insert does. The batch takes no per-key locks (it would
-// need many serializer stripes at once): a batch racing another writer
-// of the same key may queue index maintenance against an old image
-// that writer has already replaced, so keep concurrent writers of one
-// key on Insert. Tables whose spec declares serializable or merge
-// write modes fall back to the per-row conflict-aware path.
+// normalized and versioned together and delivered as one multi-record
+// write per primary (one RPC, one WAL write, and — on engines with
+// synchronous writes — one shared group-commit fsync). Into a table
+// something is derived from that write is a swap, whose displaced rows
+// queue index maintenance exactly as Insert's do; a later row of a key
+// displaces an earlier one of the same batch. Replication is enqueued
+// per row. Tables whose spec declares serializable or merge write
+// modes fall back to the per-row path.
 func (c *Cluster) InsertBatch(table string, rows []row.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
 	// One admission for the whole batch at its row-count cost; the
-	// conflict-aware fallback goes through c.upsert directly (not
-	// Insert), so the batch is never double-charged.
+	// per-row fallback goes through c.upsert directly (not Insert), so
+	// the batch is never double-charged.
 	_, err := c.admitted(table, "", func(t *query.TableDef, ns string) (uint64, error) {
 		return 0, c.insertBatch(t, ns, rows)
 	}, rows...)
 	return err
 }
 
-func (c *Cluster) insertBatch(t *query.TableDef, ns string, rows []row.Row) (err error) {
+func (c *Cluster) insertBatch(t *query.TableDef, ns string, rows []row.Row) error {
 	if c.specFor(t.Name).Write != consistency.LastWriteWins {
-		// Conflict-aware modes need an atomic read-modify-write per
-		// row.
 		for _, r := range rows {
 			if _, err := c.upsert(t, ns, r); err != nil {
 				return err
@@ -147,60 +138,40 @@ func (c *Cluster) insertBatch(t *query.TableDef, ns string, rows []row.Row) (err
 		}
 		return nil
 	}
-
-	normalized := make([]row.Row, len(rows))
-	keys := make([][]byte, len(rows))
+	recs := make([]record.Record, len(rows))
 	for i, r := range rows {
-		if normalized[i], err = c.normalizeRow(t, r); err != nil {
-			return err
-		}
-		if keys[i], err = pkKey(t, normalized[i]); err != nil {
-			return err
-		}
-	}
-	var tasks []maintTask
-	if c.maintained(t.Name) {
-		olds, err := c.oldImages(ns, keys)
+		nr, err := c.normalizeRow(t, r)
 		if err != nil {
 			return err
 		}
-		// Later duplicates of a key within the batch must see the earlier
-		// row as their old image, or index maintenance would never retire
-		// the entries the earlier write created.
-		prevInBatch := make(map[string]row.Row)
-		tasks = make([]maintTask, len(rows))
-		for i, nr := range normalized {
-			old, dup := prevInBatch[string(keys[i])]
-			if !dup {
-				old = olds[i]
-			}
-			prevInBatch[string(keys[i])] = nr
-			tasks[i] = maintTask{table: t.Name, oldRow: old, newRow: nr}
+		key, err := pkKey(t, nr)
+		if err != nil {
+			return err
 		}
-	}
-	recs := make([]record.Record, len(rows))
-	for i, nr := range normalized {
-		if recs[i], err = c.newRecord(keys[i], nr); err != nil {
+		if recs[i], err = c.newRecord(key, nr); err != nil {
 			return err
 		}
 	}
-	return c.commit(ns, recs, c.stalenessBound(t.Name), tasks)
+	_, err := c.commit(ns, recs, c.stalenessBound(t.Name), c.deliveryFor(t.Name))
+	return err
 }
 
 // UpdateFunc performs an atomic read-modify-write of the row with the
 // given primary key: fn receives the current row (nil if absent) and
 // returns the replacement (nil means delete). Under the Serializable
 // write mode this is the paper's "writes must be serializable, as in a
-// traditional RDBMS"; under other modes it is still atomic with
-// respect to every other write through this coordinator that reads the
-// row first.
+// traditional RDBMS"; under every mode it is atomic with respect to
+// every other write of the row, because the primary applies the
+// replacement only if the row is still the one fn saw. fn may run more
+// than once; the write fails with ErrWriteConflict when other writers
+// keep landing first.
 func (c *Cluster) UpdateFunc(table string, pk row.Row, fn func(cur row.Row) (row.Row, error)) error {
 	_, err := c.admitted(table, "", func(t *query.TableDef, ns string) (uint64, error) {
 		key, err := pkKey(t, pk)
 		if err != nil {
 			return 0, err
 		}
-		return c.writeKey(t, ns, key, false, func(old row.Row) (row.Row, error) {
+		return c.writeKey(t, ns, key, true, func(old row.Row) (row.Row, error) {
 			next, err := fn(old)
 			if err != nil || next == nil {
 				return nil, err
@@ -211,8 +182,8 @@ func (c *Cluster) UpdateFunc(table string, pk row.Row, fn func(cur row.Row) (row
 	return err
 }
 
-// Delete tombstones the row with the given primary key: one swap under
-// the key's lock, which answers whether there was a row.
+// Delete tombstones the row with the given primary key: one swap, which
+// answers whether there was a row.
 func (c *Cluster) Delete(table string, pk row.Row) error {
 	_, err := c.deleteAs(table, pk, "")
 	return err
@@ -228,101 +199,80 @@ func (c *Cluster) deleteAs(table string, pk row.Row, tenant string) (uint64, err
 		if err != nil {
 			return 0, err
 		}
-		return c.writeKey(t, ns, key, true, func(row.Row) (row.Row, error) { return nil, nil })
+		return c.writeKey(t, ns, key, false, func(row.Row) (row.Row, error) { return nil, nil })
 	}, pk)
 }
 
-// writeKey is the old-image and commit stages for one staged key. next
-// maps the row's old image (nil when absent) to its replacement; a nil
-// replacement deletes, and deleting an absent row writes nothing and
-// reports version 0. blind says next ignores its argument, so the write
-// is one round trip: an apply when nothing consumes the old image, a
-// swap when index upkeep or a delete does. Any other write reads the old
-// image, then applies. Every path that consumes the old image holds the
-// key's lock from the read to the commit and versions its record inside
-// it, so two writers of one key cannot both hand index maintenance the
-// same old image (the loser's index entries would never be retired).
-func (c *Cluster) writeKey(t *query.TableDef, ns string, key []byte, blind bool, next func(old row.Row) (row.Row, error)) (uint64, error) {
-	maintained := c.maintained(t.Name)
-	bound := c.stalenessBound(t.Name)
-	var nr row.Row
-	if blind {
-		var err error
-		if nr, err = next(nil); err != nil {
+// writeKey writes one staged key. next maps the key's row (nil when
+// absent) to its replacement; a nil replacement deletes, and deleting
+// an absent row writes nothing and reports version 0. reads says next
+// reads its argument: the row is then read from the primary first, with
+// a get that waits out a failover (a secondary's older row would lose
+// an update), and the swap is bounded by the version read, so the
+// primary applies it only if no other write of the key landed since. A
+// refused swap answers the record that did land, and next runs again on
+// it, until rpc.DownRetryBudget has passed on the cluster clock; then
+// the write fails with ErrWriteConflict. A write that does not read its
+// row is one round trip: an apply when nothing consumes the displaced
+// row, else a swap.
+func (c *Cluster) writeKey(t *query.TableDef, ns string, key []byte, reads bool, next func(old row.Row) (row.Row, error)) (uint64, error) {
+	how := c.deliveryFor(t.Name)
+	var old row.Row
+	var giveUp time.Time
+	if reads {
+		val, ver, found, err := c.router.Get(ns, key, partition.WritePrimary)
+		if err != nil {
 			return 0, err
 		}
-		if nr != nil && !maintained {
-			rec, err := c.newRecord(key, nr)
-			if err != nil {
-				return 0, err
-			}
-			return rec.Version, c.commit(ns, []record.Record{rec}, bound, nil)
+		if old, err = decodeRow(val, found, nil); err != nil {
+			return 0, err
 		}
+		how.since = ver + 1
+		giveUp = c.clk.Now().Add(rpc.DownRetryBudget)
 	}
-	var ver uint64
-	err := c.serializer.Do(ns, key, func() error {
-		if blind {
-			var err error
-			ver, err = c.swap(t.Name, ns, key, nr, maintained, bound)
-			return err
-		}
-		old, err := c.oldImage(ns, key)
-		if err != nil {
-			return err
-		}
-		if nr, err = next(old); err != nil || (old == nil && nr == nil) {
-			return err
+	for {
+		nr, err := next(old)
+		if err != nil || (reads && old == nil && nr == nil) {
+			return 0, err
 		}
 		rec, err := c.newRecord(key, nr)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		var tasks []maintTask
-		if maintained {
-			tasks = []maintTask{{table: t.Name, oldRow: old, newRow: nr}}
+		how.swap = reads || nr == nil || how.upkeep != ""
+		displaced, err := c.commit(ns, []record.Record{rec}, c.stalenessBound(t.Name), how)
+		if err != nil || !how.swap {
+			return rec.Version, err
 		}
-		ver = rec.Version
-		return c.commit(ns, []record.Record{rec}, bound, tasks)
-	})
-	return ver, err
-}
-
-// swap is the old-image stage and the commit of a blind write in one
-// round trip: key's primary stores nr (a tombstone when nil) and answers
-// the row it displaced, which becomes the base change's old image when
-// maintained says the table has dependents. The caller holds key's
-// lock.
-func (c *Cluster) swap(table, ns string, key []byte, nr row.Row, maintained bool, bound time.Duration) (uint64, error) {
-	rec, err := c.newRecord(key, nr)
-	if err != nil {
-		return 0, err
-	}
-	val, _, found, acked, err := c.router.Swap(ns, rec)
-	if err != nil || (!found && nr == nil) {
-		return 0, err
-	}
-	var task *maintTask
-	if maintained {
-		task = &maintTask{table: table, newRow: nr}
-		// A displaced row that does not decode leaves index upkeep
-		// nothing to go on; the stored record replicates all the same.
-		if found {
-			if task.oldRow, err = row.Decode(val); err != nil {
-				task = nil
+		d := displaced[0]
+		if !how.refuses(d) {
+			if nr == nil && d.Tombstone {
+				return 0, nil // there was no row to delete
 			}
+			return rec.Version, nil
 		}
+		if !c.clk.Now().Before(giveUp) {
+			return 0, ErrWriteConflict
+		}
+		if old, err = decodeRow(d.Value, !d.Tombstone, nil); err != nil {
+			return 0, err
+		}
+		how.since = d.Version + 1
 	}
-	m, _ := c.router.Map(ns)
-	c.accepted(ns, m, rec, acked, bound, task)
-	return rec.Version, err
 }
 
-// maintained reports whether any index or view is derived from table,
-// which the compiled schema decided at DefineSchema time.
-func (c *Cluster) maintained(table string) bool {
+// deliveryFor is how a last-write-wins write of table that consumes
+// nothing of the row it displaces reaches storage: a swap queueing that
+// row's index upkeep when any index or view is derived from table
+// (which the compiled schema decided at DefineSchema time), else an
+// apply.
+func (c *Cluster) deliveryFor(table string) delivery {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.views.Maintains(table)
+	if c.views.Maintains(table) {
+		return delivery{swap: true, upkeep: table}
+	}
+	return delivery{}
 }
 
 // mergeRows resolves a write conflict through the registered merge
@@ -360,41 +310,6 @@ func (c *Cluster) mergeRows(mergeName string, old, new row.Row) (row.Row, error)
 	return merged, nil
 }
 
-// The old-image stage's reads, the pipeline's only ones: oldImage for
-// one key, oldImages for a batch.
-
-// oldImage fetches the row stored under key from its primary (nil when
-// absent). It reads the primary alone, waiting out a failover as the
-// write that follows does: a secondary's older image would make a
-// read-modify-write overwrite an update it never saw.
-func (c *Cluster) oldImage(ns string, key []byte) (row.Row, error) {
-	val, _, found, err := c.router.Get(ns, key, partition.WritePrimary)
-	if err != nil || !found {
-		return nil, err
-	}
-	return row.Decode(val)
-}
-
-// oldImages is oldImage for many keys, with one batched read per node.
-func (c *Cluster) oldImages(ns string, keys [][]byte) ([]row.Row, error) {
-	got, err := c.router.GetBatch(ns, keys)
-	if err != nil {
-		return nil, err
-	}
-	olds := make([]row.Row, len(keys))
-	for i, g := range got {
-		if g.Err != nil {
-			return nil, g.Err
-		}
-		if g.Found {
-			if olds[i], err = row.Decode(g.Value); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return olds, nil
-}
-
 // newRecord versions one write of key: val encoded, or a tombstone when
 // val is nil.
 func (c *Cluster) newRecord(key []byte, val row.Row) (record.Record, error) {
@@ -410,21 +325,41 @@ func (c *Cluster) newRecord(key []byte, val row.Row) (record.Record, error) {
 	return rec, nil
 }
 
+// delivery is how commit hands records to their primaries.
+type delivery struct {
+	// swap asks each primary for the record each record displaced;
+	// otherwise the records go as an apply.
+	swap bool
+	// since bounds a swap's stored versions (0: none).
+	since uint64
+	// upkeep names the table whose index upkeep each displaced row is
+	// queued for ("": none; only with swap).
+	upkeep string
+}
+
+// refuses reports whether a swap under how was refused, having found
+// displaced stored: a record over the bound applies nothing.
+func (how delivery) refuses(displaced record.Record) bool {
+	return how.since != 0 && displaced.Version >= how.since
+}
+
 // commit is the one way records reach storage: base-table writes and
 // the index mutations derived from them alike. recs are in version
 // order and stay so within each primary's group. All of them usually
 // share a primary; that group goes out inline as one multi-record
-// apply (one RPC, one WAL write). Records spanning several primaries
-// are split per primary and the groups committed concurrently, so a
-// failure of one node's group never strands another group's applied
-// records without follow-up. Each record, once its primary has it, is
-// scheduled for replication under bound and — when tasks (parallel to
-// recs, or nil) says the table has dependents — its base change is
-// queued for index maintenance with bound as the deadline.
-func (c *Cluster) commit(ns string, recs []record.Record, bound time.Duration, tasks []maintTask) error {
+// apply or swap (one RPC, one WAL write). Records spanning several
+// primaries are split per primary and the groups committed
+// concurrently, so a failure of one node's group never strands another
+// group's records without follow-up. When recs share a primary, a
+// swap's answers, the records each of recs displaced, are returned in
+// recs' order; a split commit (only a batch's, which consumes none)
+// returns none. Each record its primary applied is scheduled for
+// replication under bound and, under how.upkeep, the row it displaced
+// is queued for index maintenance with bound as the deadline.
+func (c *Cluster) commit(ns string, recs []record.Record, bound time.Duration, how delivery) ([]record.Record, error) {
 	m, ok := c.router.Map(ns)
 	if !ok {
-		return fmt.Errorf("scads: no partition map for %s", ns)
+		return nil, fmt.Errorf("scads: no partition map for %s", ns)
 	}
 	var solo [1]partition.Range
 	acked := solo[:]
@@ -440,62 +375,66 @@ func (c *Cluster) commit(ns string, recs []record.Record, bound time.Duration, t
 		// Split off the records that share the first one's primary and
 		// commit them here while the rest, split the same way, commit
 		// concurrently.
-		var mine, rest struct {
-			recs  []record.Record
-			tasks []maintTask
-		}
+		var mine, rest []record.Record
 		for i, rec := range recs {
-			g := &rest
 			if acked[i].Replicas[0] == acked[0].Replicas[0] {
-				g = &mine
-			}
-			g.recs = append(g.recs, rec)
-			if tasks != nil {
-				g.tasks = append(g.tasks, tasks[i])
+				mine = append(mine, rec)
+			} else {
+				rest = append(rest, rec)
 			}
 		}
 		restErr := make(chan error, 1)
-		go func() { restErr <- c.commit(ns, rest.recs, bound, rest.tasks) }()
-		err := c.commit(ns, mine.recs, bound, mine.tasks)
+		go func() {
+			_, err := c.commit(ns, rest, bound, how)
+			restErr <- err
+		}()
+		_, err := c.commit(ns, mine, bound, how)
 		if rerr := <-restErr; err == nil {
 			err = rerr
 		}
-		return err
+		return nil, err
 	}
 
 	// When the group's one-shot delivery fails, each record goes through
 	// the request-execution core, which re-reads the map and waits out a
-	// handoff, failover or overload — or reports why it cannot. Replicas
-	// are re-captured from the ranges that accepted the writes so
-	// replication follows them.
-	err := c.router.Apply(ns, acked[0].Replicas[0], recs)
+	// handoff, failover or overload — or reports why it cannot; a record
+	// the group did land is answered from the primary's swap memory.
+	// Replicas are re-captured from the ranges that accepted the writes
+	// so replication follows them.
+	var displaced []record.Record
+	var err error
+	if how.swap {
+		if displaced, _, err = c.router.Swap(ns, acked[0].Replicas[0], recs, how.since); err != nil {
+			displaced = make([]record.Record, len(recs))
+		}
+	} else {
+		err = c.router.Apply(ns, acked[0].Replicas[0], recs)
+	}
 	for i, rec := range recs {
 		if err != nil {
 			var ferr error
-			if acked[i], ferr = c.router.ApplyToPrimary(ns, rec.Key, recs[i:i+1]); ferr != nil {
-				return ferr
+			if how.swap {
+				var one []record.Record
+				if one, acked[i], ferr = c.router.Swap(ns, "", recs[i:i+1], how.since); ferr == nil {
+					displaced[i] = one[0]
+				}
+			} else {
+				acked[i], ferr = c.router.ApplyToPrimary(ns, rec.Key, recs[i:i+1])
+			}
+			if ferr != nil {
+				return nil, ferr
 			}
 		}
-		var task *maintTask
-		if tasks != nil {
-			task = &tasks[i]
+		if how.swap && (how.refuses(displaced[i]) || rec.Tombstone && displaced[i].Tombstone) {
+			continue // the primary applied nothing
 		}
-		c.accepted(ns, m, rec, acked[i], bound, task)
+		c.loads.Record(ns, acked[i].Start, rec.Key)
+		c.enqueueReplication(ns, m, rec, acked[i], bound)
+		if how.upkeep != "" {
+			c.maint.push(maintTask{table: how.upkeep, ns: ns, key: rec.Key, old: displaced[i], deadline: c.clk.Now().Add(bound)})
+		}
 	}
-	return nil
-}
-
-// accepted schedules what follows once rec's primary has it: the load
-// sample of the range that accepted it, replication to that range's
-// secondaries under bound and — when task is non-nil — the base
-// change's index maintenance, with bound as its deadline.
-func (c *Cluster) accepted(ns string, m *partition.Map, rec record.Record, acked partition.Range, bound time.Duration, task *maintTask) {
-	c.loads.Record(ns, acked.Start, rec.Key)
-	c.enqueueReplication(ns, m, rec, acked, bound)
-	if task != nil {
-		task.deadline = c.clk.Now().Add(bound)
-		c.maint.push(*task)
-	}
+	return displaced, nil
 }
 
 // enqueueReplication schedules rec for delivery to the secondaries of
@@ -526,37 +465,88 @@ func (c *Cluster) enqueueReplication(ns string, m *partition.Map, rec record.Rec
 
 // DrainMaintenance synchronously runs up to budget pending index
 // maintenance tasks in deadline order, returning how many completed.
-// A task's index mutations go through commit, one call per index
-// namespace, so mutations bound for the same primary share an apply,
-// and they replicate under the staleness bound of the table whose
-// change they derive from. A task that fails — a lookup or an apply
-// outlasting its retry budget during a failover, say — goes back on
-// the queue with its deadline and place kept, and the error is
-// returned: the index is late, never silently divergent (re-running a
-// half-applied task is harmless, index entries are overwritten by
-// version). Simulations call this each tick; FlushAll drains
-// everything.
+// A task is a key and the row a write displaced there; the rows the
+// popped tasks' keys hold now are read from their primaries first, with
+// one batched read per base namespace, so upkeep retires every
+// displaced row's entries and installs the current row's whatever order
+// the tasks were queued in. A task's index mutations go through commit,
+// one call per index namespace, so mutations bound for the same primary
+// share an apply, and they replicate under the staleness bound of the
+// table whose change they derive from. A task that fails — a read or an
+// apply outlasting its retry budget during a failover, say — goes back
+// on the queue with the tasks after it, deadlines and places kept, and
+// the error is returned: the index is late, never silently divergent
+// (re-running a half-applied task is harmless, index entries are
+// overwritten by version). Rounds run one at a time: two rounds holding
+// tasks of one key could otherwise commit a row the other has already
+// retired. Simulations call this each tick; FlushAll drains everything.
 func (c *Cluster) DrainMaintenance(budget int) (int, error) {
-	for n := 0; n < budget; n++ {
-		task, ok := c.maint.pop()
-		if !ok {
-			return n, nil
+	c.maint.draining.Lock()
+	defer c.maint.draining.Unlock()
+	tasks := c.maint.popN(budget)
+	cur, err := c.currentRows(tasks)
+	for i, task := range tasks {
+		if err == nil {
+			err = c.maintain(task, cur[i])
 		}
-		if err := c.maintain(task); err != nil {
-			c.maint.requeue(task)
-			return n, err
+		if err != nil {
+			c.maint.requeue(tasks[i:]...)
+			return i, err
 		}
 	}
-	return budget, nil
+	return len(tasks), nil
 }
 
-// maintain computes one base change's index mutations and commits them.
-// (A queued task implies a defined schema, so c.views is set.)
-func (c *Cluster) maintain(task maintTask) error {
+// currentRows reads the row each task's key holds now (nil when none)
+// from its primary, with one batched read per base namespace that
+// waits out a failover like a write does: a secondary's older row would
+// leave upkeep a row behind.
+func (c *Cluster) currentRows(tasks []maintTask) ([]row.Row, error) {
+	cur := make([]row.Row, len(tasks))
+	var read []string // the namespaces read so far
+	for _, task := range tasks {
+		if slices.Contains(read, task.ns) {
+			continue
+		}
+		read = append(read, task.ns)
+		var idx []int
+		var keys [][]byte
+		for i := range tasks {
+			if tasks[i].ns == task.ns {
+				idx, keys = append(idx, i), append(keys, tasks[i].key)
+			}
+		}
+		got, err := c.router.GetBatch(task.ns, keys, partition.WritePrimary)
+		if err != nil {
+			return nil, err
+		}
+		for j, g := range got {
+			if g.Err == nil {
+				cur[idx[j]], g.Err = decodeRow(g.Value, g.Found, nil)
+			}
+			if g.Err != nil {
+				return nil, g.Err
+			}
+		}
+	}
+	return cur, nil
+}
+
+// maintain computes the index mutations of one task, whose key now
+// holds cur, and commits them. (A queued task implies a defined schema,
+// so c.views is set.)
+func (c *Cluster) maintain(task maintTask, cur row.Row) error {
+	old, err := decodeRow(task.old.Value, !task.old.Tombstone, nil)
+	if err != nil {
+		return fmt.Errorf("scads: maintenance for %s: %w", task.table, err)
+	}
+	if old == nil && cur == nil {
+		return nil
+	}
 	c.mu.RLock()
 	views := c.views
 	c.mu.RUnlock()
-	muts, err := views.Mutations(task.table, task.oldRow, task.newRow)
+	muts, err := views.Mutations(task.table, old, cur)
 	if err != nil {
 		return fmt.Errorf("scads: maintenance for %s: %w", task.table, err)
 	}
@@ -576,7 +566,7 @@ func (c *Cluster) maintain(task maintTask) error {
 			}
 			recs = append(recs, rec)
 		}
-		if err := c.commit(ns, recs, bound, nil); err != nil {
+		if _, err := c.commit(ns, recs, bound, delivery{}); err != nil {
 			return err
 		}
 		muts = rest
@@ -620,21 +610,23 @@ func (c *Cluster) MaintenanceBacklog(margin time.Duration) (pending, atRisk int)
 
 // --- deadline-ordered maintenance queue ---
 
+// maintTask is one base change awaiting index upkeep: key of table
+// (stored in namespace ns) and the row a write displaced there.
 type maintTask struct {
-	table    string
-	oldRow   row.Row
-	newRow   row.Row
-	deadline time.Time
-	seq      int64
+	table, ns string
+	key       []byte
+	old       record.Record // what a write displaced there: a tombstone when no row
+	deadline  time.Time
+	seq       int64
 }
 
 type maintQueue struct {
+	draining sync.Mutex // held by a DrainMaintenance round
+
 	mu  sync.Mutex
 	h   maintHeap
 	seq int64
 }
-
-func newMaintQueue() *maintQueue { return &maintQueue{} }
 
 func (q *maintQueue) push(t maintTask) {
 	q.mu.Lock()
@@ -644,21 +636,25 @@ func (q *maintQueue) push(t maintTask) {
 	heap.Push(&q.h, t)
 }
 
-// requeue puts back a popped task that could not be completed, keeping
-// its deadline and seq so it runs next in its original order.
-func (q *maintQueue) requeue(t maintTask) {
+// requeue puts back popped tasks that could not be completed, keeping
+// their deadlines and seqs so they run next in their original order.
+func (q *maintQueue) requeue(ts ...maintTask) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	heap.Push(&q.h, t)
+	for _, t := range ts {
+		heap.Push(&q.h, t)
+	}
 }
 
-func (q *maintQueue) pop() (maintTask, bool) {
+// popN pops up to n tasks in deadline order.
+func (q *maintQueue) popN(n int) []maintTask {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.h) == 0 {
-		return maintTask{}, false
+	var out []maintTask
+	for len(q.h) > 0 && len(out) < n {
+		out = append(out, heap.Pop(&q.h).(maintTask))
 	}
-	return heap.Pop(&q.h).(maintTask), true
+	return out
 }
 
 // Len reports queue depth.

@@ -98,11 +98,11 @@ func (ct *countingTransport) total(method, ns string) int {
 }
 
 // TestWriteRoundTrips pins the round trips each kind of write makes:
-// the old image is read or swapped exactly when something consumes it,
-// a write whose new row does not depend on the old one is one round
-// trip, index mutations share an apply per (namespace, primary), and the
-// replication pump sends a destination's pending records in one apply,
-// not one each.
+// the old row is read only when the new row is computed from it, the
+// write is a swap exactly when something consumes what it displaced, a
+// batch is one write per primary, index mutations share an apply per
+// (namespace, primary), and the replication pump sends a destination's
+// pending records in one apply, not one each.
 func TestWriteRoundTrips(t *testing.T) {
 	alice := Row{"id": "alice", "name": "Alice", "birthday": 42}
 	insertAlice := func(c *Cluster) error { return c.Insert("users", alice) }
@@ -115,7 +115,10 @@ func TestWriteRoundTrips(t *testing.T) {
 			write: insertAlice, gets: 0, applies: 1, swaps: 0},
 		{name: "serializable insert, nothing derived", ddl: noIndexDDL,
 			consistency: `namespace users { write: serializable; }`,
-			write:       insertAlice, gets: 1, applies: 1, swaps: 0},
+			write:       insertAlice, gets: 1, applies: 0, swaps: 1},
+		{name: "merge insert of a new row", ddl: noIndexDDL,
+			consistency: `namespace users { write: merge(union); }`,
+			write:       insertAlice, gets: 1, applies: 0, swaps: 1},
 		{name: "LWW insert, view derived", ddl: socialDDL,
 			write: insertAlice, gets: 0, applies: 0, swaps: 1},
 		{name: "delete of an absent row", ddl: noIndexDDL,
@@ -147,7 +150,15 @@ func TestWriteRoundTrips(t *testing.T) {
 					}
 					return alice, nil
 				})
-			}, gets: 1, applies: 1, swaps: 0},
+			}, gets: 1, applies: 0, swaps: 1},
+		{name: "maintained InsertBatch on one primary", ddl: socialDDL,
+			write: func(c *Cluster) error {
+				return c.InsertBatch("users", []Row{alice, {"id": "bob", "birthday": 7}, {"id": "alice", "birthday": 43}})
+			}, gets: 0, applies: 0, swaps: 1},
+		{name: "unmaintained InsertBatch", ddl: noIndexDDL,
+			write: func(c *Cluster) error {
+				return c.InsertBatch("users", []Row{alice, {"id": "bob", "birthday": 7}})
+			}, gets: 0, applies: 1, swaps: 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
