@@ -6,16 +6,19 @@ package scads
 // must lose no update.
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"scads/internal/clock"
 	"scads/internal/partition"
 	"scads/internal/planner"
+	"scads/internal/record"
 	"scads/internal/row"
 	"scads/internal/rpc"
 )
@@ -248,5 +251,60 @@ func TestLockFreeWritersHammer(t *testing.T) {
 	}
 	if ctr["birthday"] != acked.Load() {
 		t.Fatalf("counter = %v after %d acked increments", ctr["birthday"], acked.Load())
+	}
+}
+
+// rivalTransport lands a rival write of the key just before each
+// bounded swap, so that every such swap is refused, and moves the
+// cluster clock a second each time.
+type rivalTransport struct {
+	next   rpc.Transport
+	clk    *clock.Virtual
+	rivals int64
+}
+
+func (r *rivalTransport) Call(addr string, req rpc.Request) (rpc.Response, error) {
+	if req.Method == rpc.MethodSwap && req.Since != 0 {
+		r.rivals++
+		val, err := row.Encode(Row{"id": "ctr", "birthday": r.rivals})
+		if err != nil {
+			return rpc.Response{}, err
+		}
+		rival := record.Record{Key: req.Records[0].Key, Value: val, Version: req.Since + 1<<20}
+		if resp, err := r.next.Call(addr, rpc.Request{Method: rpc.MethodApply, Namespace: req.Namespace, Records: []record.Record{rival}}); err != nil || resp.Err != "" {
+			return resp, err
+		}
+		r.clk.Advance(time.Second)
+	}
+	return r.next.Call(addr, req)
+}
+
+// TestUpdateFuncGivesUpWithWriteConflict: a read-modify-write whose
+// every swap is refused runs again on each record that landed, and
+// gives up with ErrWriteConflict once rpc.DownRetryBudget has passed on
+// the cluster clock, having stored nothing of its own.
+func TestUpdateFuncGivesUpWithWriteConflict(t *testing.T) {
+	rival := &rivalTransport{}
+	c := newWrappedCluster(t, 1, noIndexDDL, func(next rpc.Transport) rpc.Transport {
+		rival.next = next
+		return rival
+	})
+	rival.clk = c.clk.(*clock.Virtual)
+	var seen []any
+	err := c.UpdateFunc("users", Row{"id": "ctr"}, func(cur Row) (Row, error) {
+		if cur != nil {
+			seen = append(seen, cur["birthday"])
+		}
+		return Row{"id": "ctr", "birthday": 0}, nil
+	})
+	if !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("UpdateFunc = %v, want %v", err, ErrWriteConflict)
+	}
+	if want := int64(rpc.DownRetryBudget / time.Second); rival.rivals != want || len(seen) != int(want)-1 {
+		t.Errorf("%d refused swaps, fn saw %v; want %d swaps, fn run again on each rival but the last", rival.rivals, seen, want)
+	}
+	got, _, err := c.Get("users", Row{"id": "ctr"})
+	if err != nil || got["birthday"] != rival.rivals {
+		t.Fatalf("ctr holds %v (%v), want the last rival's %d", got, err, rival.rivals)
 	}
 }
