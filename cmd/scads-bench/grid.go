@@ -91,7 +91,7 @@ func gridRegistry() *expgrid.Registry {
 			{Name: "reads", Default: 40000, Doc: "measured operations in the zipfian mix"},
 			{Name: "zipf_s", Default: 1.2, Doc: "zipf skew exponent (> 1; lower = flatter)"},
 			{Name: "write_fraction", Default: 0, Doc: "fraction of measured ops that are writes (YCSB-style mix, 0-0.9)"},
-			{Name: "block_cache_mb", Default: 64, Doc: "decoded-block cache size for the warm run, MiB"},
+			{Name: "block_cache_mb", Default: 64, Doc: "block cache size for the warm run, MiB"},
 		},
 		Run: runE17,
 	})

@@ -24,7 +24,7 @@ import (
 //
 //  1. Cache effectiveness: zipfian point reads plus range scans over a
 //     flushed multi-table namespace under concurrent writes, through a
-//     warm decoded-block cache. Gates the hit ratio and the p99 read
+//     warm block cache. Gates the hit ratio and the p99 read
 //     latency.
 //  2. Correctness under churn: acknowledged-write verification while
 //     background tier compaction and range truncation race the
@@ -79,7 +79,7 @@ func runE17(p expgrid.Params) (expgrid.Metrics, error) {
 	if wrong > 0 || missing > 0 {
 		log.Fatalf("e17: STORAGE ENGINE RETURNED BAD DATA UNDER CHURN: wrong=%d missing=%d", wrong, missing)
 	}
-	fmt.Println("\nthe decoded-block cache turns the repeated-read hot path into a map")
+	fmt.Println("\nthe block cache turns the repeated-read hot path into a map")
 	fmt.Println("lookup, size-tiered background compaction keeps write stalls and")
 	fmt.Println("fence pauses bounded, and the churn phase shows the fast path never")
 	fmt.Println("trades away read-your-acknowledged-writes correctness.")

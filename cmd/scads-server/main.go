@@ -35,7 +35,7 @@ func main() {
 		numID      = flag.Uint("numeric-id", 1, "numeric node ID mixed into record versions (16 bits)")
 		memLimit   = flag.Int64("memtable-bytes", 4<<20, "memtable flush threshold")
 		cacheBytes = flag.Int64("cache-bytes", 0, "read-cache capacity (0 = default 32 MiB, negative disables)")
-		blockCache = flag.Int64("block-cache-bytes", 32<<20, "decoded SSTable block cache capacity (0 disables)")
+		blockCache = flag.Int64("block-cache-bytes", 32<<20, "SSTable block cache capacity (0 disables)")
 		compRate   = flag.Int64("compaction-rate", 0, "background compaction throttle in input bytes/sec (0 = unlimited)")
 		syncWrites = flag.Bool("sync-writes", false, "fsync (group-committed) before acknowledging each write")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")

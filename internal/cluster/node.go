@@ -96,7 +96,9 @@ func (n *Node) get(req rpc.Request) rpc.Response {
 		return rpc.Response{Err: rpc.ErrString(err)}
 	}
 	if !found || rec.Tombstone {
-		return rpc.Response{Found: false}
+		// A deleted row answers its tombstone's version, so a
+		// read-modify-write bounds its swap above the delete.
+		return rpc.Response{Found: false, Version: rec.Version}
 	}
 	return rpc.Response{Found: true, Value: rec.Value, Version: rec.Version}
 }

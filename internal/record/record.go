@@ -110,61 +110,109 @@ func DecodeBinary(b []byte) (Record, []byte, error) {
 
 // DecodeBinaryAlias decodes one framed record from b without copying:
 // Key and Value alias b, so callers that retain the record beyond the
-// buffer's lifetime must Clone it. This is the SSTable block decoder —
-// a block is decoded once into a buffer owned by the decoded records,
-// so the per-record copy DecodeBinary pays would be pure waste there.
+// buffer's lifetime must Clone it.
 func DecodeBinaryAlias(b []byte) (Record, []byte, error) {
+	n, err := CheckFrame(b)
+	if err != nil {
+		return Record{}, nil, err
+	}
+	return DecodeFrame(b), b[n:], nil
+}
+
+// CheckFrame verifies the framed record at the head of b — its CRC and
+// every length in it — and returns the frame's size. A frame it accepts
+// decodes with DecodeFrame and FrameKey, which check nothing again: an
+// SSTable block is checked once when it is read, and a read decodes
+// only the records it visits.
+func CheckFrame(b []byte) (int, error) {
 	if len(b) < 8 {
-		return Record{}, nil, fmt.Errorf("record: short frame header (%d bytes): %w", len(b), ErrCorrupt)
+		return 0, fmt.Errorf("record: short frame header (%d bytes): %w", len(b), ErrCorrupt)
 	}
 	wantCRC := binary.BigEndian.Uint32(b[:4])
 	n := binary.BigEndian.Uint32(b[4:8])
 	if uint32(len(b)-8) < n {
-		return Record{}, nil, fmt.Errorf("record: truncated payload (want %d have %d): %w", n, len(b)-8, ErrCorrupt)
+		return 0, fmt.Errorf("record: truncated payload (want %d have %d): %w", n, len(b)-8, ErrCorrupt)
 	}
 	payload := b[8 : 8+n]
 	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return Record{}, nil, fmt.Errorf("record: checksum mismatch: %w", ErrCorrupt)
+		return 0, fmt.Errorf("record: checksum mismatch: %w", ErrCorrupt)
 	}
-	rest := b[8+n:]
-
 	if len(payload) < 9 {
-		return Record{}, nil, ErrCorrupt
+		return 0, ErrCorrupt
 	}
-	var r Record
-	r.Tombstone = payload[0]&flagTombstone != 0
-	r.Version = binary.BigEndian.Uint64(payload[1:9])
 	p := payload[9:]
-
 	klen, m := binary.Uvarint(p)
 	if m <= 0 || uint64(len(p)-m) < klen {
-		return Record{}, nil, ErrCorrupt
+		return 0, ErrCorrupt
 	}
-	p = p[m:]
-	if klen > 0 {
-		r.Key = p[:klen:klen]
-	}
-	p = p[klen:]
-
+	p = p[uint64(m)+klen:]
 	vlen, m := binary.Uvarint(p)
-	if m <= 0 || uint64(len(p)-m) < vlen {
-		return Record{}, nil, ErrCorrupt
+	if m <= 0 || uint64(len(p)-m) != vlen {
+		return 0, ErrCorrupt
 	}
-	p = p[m:]
-	if uint64(len(p)) != vlen {
-		return Record{}, nil, ErrCorrupt
+	return 8 + int(n), nil
+}
+
+// frameKeyAt is the offset of a frame's key length: CRC, payload
+// length, flags and version come first.
+const frameKeyAt = 8 + 1 + 8
+
+// DecodeFrame decodes the framed record at the head of b, which
+// CheckFrame has accepted, without checking it again. Key and Value
+// alias b.
+func DecodeFrame(b []byte) (r Record) {
+	r.Key, r.Value, r.Version, r.Tombstone = frameFields(b)
+	return r
+}
+
+// frameFields is DecodeFrame's body. It returns the fields one by one,
+// in registers, and DecodeFrame inlines (written as it is, it costs the
+// inliner less than a composite literal would), so a caller's Record is
+// built in place, not copied out of a stack slot. Keys and values
+// shorter than 128 bytes, the common case, have one-byte lengths, read
+// without binary.Uvarint's loop.
+func frameFields(b []byte) (key, value []byte, version uint64, tombstone bool) {
+	_ = b[frameKeyAt]
+	klen, p := int(b[frameKeyAt]), frameKeyAt+1
+	if klen >= 0x80 {
+		klen, p = lengthAt(b, frameKeyAt)
+	}
+	if klen > 0 {
+		key = b[p : p+klen : p+klen]
+	}
+	p += klen
+	vlen := int(b[p])
+	if p++; vlen >= 0x80 {
+		vlen, p = lengthAt(b, p-1)
 	}
 	if vlen > 0 {
-		r.Value = p[:vlen:vlen]
+		value = b[p : p+vlen : p+vlen]
 	}
-	return r, rest, nil
+	return key, value, binary.BigEndian.Uint64(b[9:frameKeyAt]), b[8]&flagTombstone != 0
+}
+
+// FrameKey returns the key of the framed record at the head of b, which
+// CheckFrame has accepted, aliasing b.
+func FrameKey(b []byte) []byte {
+	klen, p := int(b[frameKeyAt]), frameKeyAt+1
+	if klen >= 0x80 {
+		klen, p = lengthAt(b, frameKeyAt)
+	}
+	return b[p : p+klen : p+klen]
+}
+
+// lengthAt decodes the checked uvarint length at b[i:] and returns it
+// with the offset just past it.
+func lengthAt(b []byte, i int) (n, next int) {
+	u, m := binary.Uvarint(b[i:])
+	return int(u), i + m
 }
 
 // CountFrames counts the framed records in b from their length fields
 // alone, without checking them, so a decoder can size its output
 // exactly before it decodes. The count stops at b's end: a corrupt
-// length can only miscount, never read past b, and DecodeBinaryAlias
-// still reports the corruption.
+// length can only miscount, never read past b, and CheckFrame still
+// reports the corruption.
 func CountFrames(b []byte) int {
 	n := 0
 	for off := uint64(0); off+8 <= uint64(len(b)); n++ {

@@ -31,6 +31,12 @@ func TestAppendDecodeRoundTrip(t *testing.T) {
 			got.Version != r.Version || got.Tombstone != r.Tombstone {
 			t.Errorf("case %d: round trip mismatch: got %+v want %+v", i, got, r)
 		}
+		if n, err := CheckFrame(enc); err != nil || n != len(enc) {
+			t.Errorf("case %d: CheckFrame = %d, %v, want %d", i, n, err, len(enc))
+		}
+		if k := FrameKey(enc); !bytes.Equal(k, r.Key) {
+			t.Errorf("case %d: FrameKey = %q, want %q", i, k, r.Key)
+		}
 	}
 }
 

@@ -19,35 +19,35 @@ import (
 // path: an unbounded map plus hit/put/drop counters.
 type countingCache struct {
 	mu      sync.Mutex
-	blocks  map[string][]record.Record
+	blocks  map[string]Block
 	hits    int
 	puts    int
 	dropped []string
 }
 
 func newCountingCache() *countingCache {
-	return &countingCache{blocks: map[string][]record.Record{}}
+	return &countingCache{blocks: map[string]Block{}}
 }
 
 func (c *countingCache) key(path string, block int) string {
 	return fmt.Sprintf("%s#%d", path, block)
 }
 
-func (c *countingCache) Get(path string, block int) ([]record.Record, bool) {
+func (c *countingCache) Get(path string, block int) (Block, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	recs, ok := c.blocks[c.key(path, block)]
+	b, ok := c.blocks[c.key(path, block)]
 	if ok {
 		c.hits++
 	}
-	return recs, ok
+	return b, ok
 }
 
-func (c *countingCache) Put(path string, block int, recs []record.Record, sizeBytes int) {
+func (c *countingCache) Put(path string, block int, b Block) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.puts++
-	c.blocks[c.key(path, block)] = recs
+	c.blocks[c.key(path, block)] = b
 }
 
 func (c *countingCache) DropTable(path string) {

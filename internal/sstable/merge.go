@@ -50,9 +50,12 @@ type MergeOptions struct {
 // Source is one sorted input of a MergeIter: a key range of a table,
 // read one block at a time, or a sorted slice held in memory.
 type Source struct {
-	recs []record.Record // the in-range records of the current block, or the slice
-	pos  int
-	idx  int // position among the merge's sources; lower is newer
+	cur  record.Record   // the current record, once next has reported true
+	recs []record.Record // a slice source's records
+	blk  Block           // a table source's current block
+	pos  int             // the next record of recs or blk
+	lim  int             // the end of recs, or of blk's in-range records
+	idx  int             // position among the merge's sources; lower is newer
 
 	r          *Reader // nil for a slice
 	block      int     // next block to read
@@ -62,7 +65,7 @@ type Source struct {
 
 // Slice returns a Source over recs, which must be in ascending key
 // order.
-func Slice(recs []record.Record) Source { return Source{recs: recs} }
+func Slice(recs []record.Record) Source { return Source{recs: recs, lim: len(recs)} }
 
 // Range returns a Source over the records of r with start <= key < end
 // (a nil bound is open). cached reads go through the attached block
@@ -77,28 +80,46 @@ func (r *Reader) Range(start, end []byte, cached bool) Source {
 	return s
 }
 
-// fill makes recs[pos] the source's next record, reading blocks as
-// needed, and reports false once the source is exhausted.
-func (s *Source) fill() (bool, error) {
-	for s.pos >= len(s.recs) {
+// load makes pos the source's next record, reading blocks as needed,
+// and reports false once the source is exhausted.
+func (s *Source) load() (bool, error) {
+	for s.pos >= s.lim {
 		if s.r == nil || s.block >= len(s.r.index) {
 			return false, nil
 		}
-		recs, err := s.r.readBlock(s.block, s.cached)
+		b, err := s.r.readBlock(s.block, s.cached)
 		if err != nil {
 			return false, err
 		}
 		s.block++
+		s.blk, s.pos, s.lim = b, 0, b.Len()
 		if s.start != nil {
-			recs = recs[keyIndex(recs, s.start):]
+			s.pos = b.search(s.start)
 			s.start = nil // later blocks lie past the lower bound
 		}
-		if n := len(recs); s.end != nil && n > 0 && bytes.Compare(recs[n-1].Key, s.end) >= 0 {
-			recs = recs[:keyIndex(recs, s.end)]
+		if s.end != nil && s.lim > 0 && bytes.Compare(b.key(s.lim-1), s.end) >= 0 {
+			s.lim = b.search(s.end)
 			s.block = len(s.r.index)
 		}
-		s.recs, s.pos = recs, 0
 	}
+	return true, nil
+}
+
+// next makes cur the source's next record and reports false once the
+// source is exhausted. A table source decodes each record it visits
+// from its block's checked bytes.
+func (s *Source) next() (bool, error) {
+	if s.pos >= s.lim {
+		if ok, err := s.load(); !ok {
+			return false, err
+		}
+	}
+	if s.r == nil {
+		s.cur = s.recs[s.pos]
+	} else {
+		s.cur = record.DecodeFrame(s.blk.frame(s.pos))
+	}
+	s.pos++
 	return true, nil
 }
 
@@ -129,7 +150,7 @@ func NewMergeIter(opts MergeOptions, sources ...Source) *MergeIter {
 	for i := range sources {
 		s := &sources[i]
 		s.idx = i
-		ok, err := s.fill()
+		ok, err := s.next()
 		if err != nil {
 			m.err = err
 			return m
@@ -165,12 +186,11 @@ func (m *MergeIter) winner() (record.Record, bool) {
 			break
 		}
 		s := m.heap[0]
-		rec := s.recs[s.pos]
-		s.pos++
+		rec := s.cur
 		if m.limiter.rate > 0 {
 			m.limiter.wait(rec.EncodedSize(), m.opts.Cancel)
 		}
-		if ok, err := s.fill(); err != nil {
+		if ok, err := s.next(); err != nil {
 			m.err = err
 			break
 		} else if ok {
@@ -210,7 +230,7 @@ type sourceHeap []*Source
 
 func (h sourceHeap) Len() int { return len(h) }
 func (h sourceHeap) Less(i, j int) bool {
-	c := bytes.Compare(h[i].recs[h[i].pos].Key, h[j].recs[h[j].pos].Key)
+	c := bytes.Compare(h[i].cur.Key, h[j].cur.Key)
 	if c != 0 {
 		return c < 0
 	}

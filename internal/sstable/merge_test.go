@@ -320,3 +320,10 @@ func dirNames(t *testing.T, dir string) []string {
 	sort.Strings(matches)
 	return matches
 }
+
+// keyIndex returns the index of the first of recs whose key is >= key.
+func keyIndex(recs []record.Record, key []byte) int {
+	return sort.Search(len(recs), func(i int) bool {
+		return bytes.Compare(recs[i].Key, key) >= 0
+	})
+}

@@ -3,11 +3,12 @@
 // ascending key order, carved into ~4 KiB blocks with a per-block
 // sparse index and a table-level bloom filter for fast negative
 // lookups. Reads are block-granular: a point get touches exactly one
-// block, and blocks can be served from a shared decoded-block cache
-// (see BlockCache) so repeated reads skip both the disk and the decode.
-// A decoded block is one read buffer plus a records slice sized to its
-// record count, nothing spare. A Writer gathers the file in a 64 KiB
-// buffer: one write per 64 KiB of table, not one per record.
+// block, and blocks can be served from a shared block cache (see
+// BlockCache) so repeated reads skip the disk and the checksums. A
+// block in memory is its bytes, every frame checked once when it was
+// read, plus one offset per record (see Block): a read decodes only the
+// records it visits. A Writer gathers the file in a 64 KiB buffer: one
+// write per 64 KiB of table, not one per record.
 //
 // File layout:
 //
@@ -26,8 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
-	"sort"
 	"sync/atomic"
 
 	"scads/internal/record"
@@ -53,22 +54,79 @@ var ErrCorrupt = errors.New("sstable: corrupt table")
 // ErrOutOfOrder is returned when Writer.Add receives a non-increasing key.
 var ErrOutOfOrder = errors.New("sstable: keys must be strictly ascending")
 
-// BlockCache caches decoded data blocks across tables. Implementations
-// must be safe for concurrent use; cached record slices are shared and
-// must be treated as immutable by all parties. The storage engine
-// provides a sharded LRU implementation shared across namespaces. A
-// block's charge is its raw bytes plus recordOverhead per record, and
-// since a decoded records slice has no spare capacity, that is what the
-// cache holds.
+// BlockCache caches checked data blocks across tables. Implementations
+// must be safe for concurrent use; a cached Block is shared and
+// immutable. The storage engine provides a sharded LRU implementation
+// shared across namespaces, which charges a block its Size: a block
+// has no spare capacity, so that is what the cache holds.
 type BlockCache interface {
-	// Get returns the cached decoded block, if present.
-	Get(path string, block int) ([]record.Record, bool)
-	// Put stores a decoded block. sizeBytes is the caller's estimate of
-	// the block's memory footprint (raw bytes plus record headers).
-	Put(path string, block int, recs []record.Record, sizeBytes int)
+	// Get returns the cached block, if present.
+	Get(path string, block int) (Block, bool)
+	// Put stores a block.
+	Put(path string, block int, b Block)
 	// DropTable evicts every block of the named table, called when the
 	// table file is removed after compaction.
 	DropTable(path string)
+}
+
+// Block is one data block of a table: its bytes, whose every frame's
+// CRC and lengths were checked when the block was read, and the offset
+// each frame starts at. A read binary-searches the offsets and decodes
+// only the records it visits, straight from the checked bytes. A Block
+// is immutable, and the records it yields alias its bytes.
+type Block struct {
+	data []byte
+	offs []uint32
+}
+
+// NewBlock checks every frame of data and returns the block over it,
+// which aliases data. A corrupt frame fails it with record.ErrCorrupt.
+func NewBlock(data []byte) (Block, error) {
+	if uint64(len(data)) > math.MaxUint32 {
+		return Block{}, fmt.Errorf("sstable: %d-byte block: %w", len(data), ErrCorrupt)
+	}
+	offs := make([]uint32, 0, record.CountFrames(data))
+	for off := 0; off < len(data); {
+		n, err := record.CheckFrame(data[off:])
+		if err != nil {
+			return Block{}, fmt.Errorf("sstable: %w", err)
+		}
+		offs = append(offs, uint32(off))
+		off += n
+	}
+	return Block{data: data, offs: offs}, nil
+}
+
+// Len returns the number of records in the block.
+func (b Block) Len() int { return len(b.offs) }
+
+// Record decodes the block's i-th record.
+func (b Block) Record(i int) record.Record { return record.DecodeFrame(b.frame(i)) }
+
+// frame returns the bytes from the block's i-th frame on. Loops decode
+// record.DecodeFrame(b.frame(i)) themselves: it inlines, Record does
+// not, and a Record returned from a call costs a copy through memory.
+func (b Block) frame(i int) []byte { return b.data[b.offs[i]:] }
+
+// Size is the memory the block holds, which is what a cache of it is
+// charged: its bytes and four per record.
+func (b Block) Size() int { return len(b.data) + 4*len(b.offs) }
+
+func (b Block) key(i int) []byte { return record.FrameKey(b.frame(i)) }
+
+// search returns the index of the block's first record whose key is >=
+// key.
+func (b Block) search(key []byte) int {
+	lo, hi := 0, len(b.offs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(b.key(mid), key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Writer builds a table file record by record. The bytes go to
@@ -285,7 +343,7 @@ func Open(path string) (*Reader, error) {
 	return r, nil
 }
 
-// SetBlockCache attaches a shared decoded-block cache. Must be called
+// SetBlockCache attaches a shared block cache. Must be called
 // before the reader is used concurrently (the storage engine does so
 // immediately after Open).
 func (r *Reader) SetBlockCache(c BlockCache) { r.cache = c }
@@ -325,15 +383,15 @@ func (r *Reader) checkEdgeBlocks() error {
 	if err != nil {
 		return err
 	}
-	if len(firstBlock) == 0 {
+	if firstBlock.Len() == 0 {
 		return ErrCorrupt
 	}
-	lastBlock := firstBlock
 	if n := r.NumBlocks(); n > 1 {
-		if lastBlock, err = r.readBlock(n-1, false); err != nil {
+		lastBlock, err := r.readBlock(n-1, false)
+		if err != nil {
 			return err
 		}
-		if len(lastBlock) == 0 {
+		if lastBlock.Len() == 0 {
 			return ErrCorrupt
 		}
 	}
@@ -394,52 +452,39 @@ func (r *Reader) blockExtent(i int) (off, length uint64) {
 	return off, end - off
 }
 
-// readBlock returns the decoded records of block i. A cached read
-// consults the attached block cache first and fills it; an uncached one
-// (compaction, bounds loading) never touches it, so one-shot sequential
-// sweeps cannot wash the cache of hot read blocks. The returned slice
-// and the records' Key/Value bytes are shared and immutable.
-func (r *Reader) readBlock(i int, cached bool) ([]record.Record, error) {
+// readBlock returns block i, checked. A cached read consults the
+// attached block cache first and fills it; an uncached one (compaction,
+// the edge check) never touches it, so one-shot sequential sweeps
+// cannot wash the cache of hot read blocks.
+func (r *Reader) readBlock(i int, cached bool) (Block, error) {
 	c := r.cache
 	if !cached {
 		c = nil
 	}
 	if c != nil {
-		if recs, ok := c.Get(r.path, i); ok {
-			return recs, nil
+		if b, ok := c.Get(r.path, i); ok {
+			return b, nil
 		}
 	}
 	off, length := r.blockExtent(i)
-	recs, err := r.decodeBlock(off, length)
+	b, err := r.decodeBlock(off, length)
 	if err != nil {
-		return nil, err
+		return Block{}, err
 	}
 	if c != nil {
-		c.Put(r.path, i, recs, int(length)+len(recs)*recordOverhead)
+		c.Put(r.path, i, b)
 	}
-	return recs, nil
+	return b, nil
 }
 
-// recordOverhead approximates the in-memory record.Record header cost
-// charged to the block cache on top of the raw block bytes.
-const recordOverhead = 56
-
-func (r *Reader) decodeBlock(off, length uint64) ([]record.Record, error) {
+// decodeBlock reads the block at [off, off+length) and checks its
+// frames: the only allocations are its bytes and its offsets.
+func (r *Reader) decodeBlock(off, length uint64) (Block, error) {
 	buf := make([]byte, length)
 	if _, err := r.f.ReadAt(buf, int64(off)); err != nil {
-		return nil, fmt.Errorf("sstable: read block: %w", err)
+		return Block{}, fmt.Errorf("sstable: read block: %w", err)
 	}
-	recs := make([]record.Record, 0, record.CountFrames(buf))
-	rest := buf
-	for len(rest) > 0 {
-		rec, rem, err := record.DecodeBinaryAlias(rest)
-		if err != nil {
-			return nil, fmt.Errorf("sstable: %w", err)
-		}
-		recs = append(recs, rec)
-		rest = rem
-	}
-	return recs, nil
+	return NewBlock(buf)
 }
 
 // blockFor returns the index of the block that may contain key: the
@@ -461,27 +506,19 @@ func (r *Reader) blockFor(key []byte) int {
 	return lo - 1
 }
 
-// keyIndex returns the index of the first record of recs whose key is
-// >= key.
-func keyIndex(recs []record.Record, key []byte) int {
-	return sort.Search(len(recs), func(i int) bool {
-		return bytes.Compare(recs[i].Key, key) >= 0
-	})
-}
-
 // Get returns the record stored under key. One bloom probe, one block
-// read (cached or a single ~4 KiB pread), one binary search.
+// read (cached or a single ~4 KiB pread), one binary search, one
+// record decoded.
 func (r *Reader) Get(key []byte) (record.Record, bool, error) {
 	if r.count == 0 || !r.bloom.mayContain(key) {
 		return record.Record{}, false, nil
 	}
-	recs, err := r.readBlock(r.blockFor(key), true)
+	b, err := r.readBlock(r.blockFor(key), true)
 	if err != nil {
 		return record.Record{}, false, err
 	}
-	i := keyIndex(recs, key)
-	if i < len(recs) && bytes.Equal(recs[i].Key, key) {
-		return recs[i], true, nil
+	if i := b.search(key); i < b.Len() && bytes.Equal(b.key(i), key) {
+		return b.Record(i), true, nil
 	}
 	return record.Record{}, false, nil
 }
@@ -491,16 +528,16 @@ func (r *Reader) Get(key []byte) (record.Record, bool, error) {
 func (r *Reader) Scan(start, end []byte, fn func(record.Record) bool) error {
 	s := r.Range(start, end, true)
 	for {
-		ok, err := s.fill()
-		if !ok {
+		if ok, err := s.load(); !ok {
 			return err
 		}
-		for _, rec := range s.recs {
-			if !fn(rec) {
+		b, lim := s.blk, s.lim
+		for i := s.pos; i < lim; i++ {
+			if !fn(record.DecodeFrame(b.frame(i))) {
 				return nil
 			}
 		}
-		s.pos = len(s.recs)
+		s.pos = lim
 	}
 }
 

@@ -262,7 +262,8 @@ func sortRecords(recs []record.Record) {
 }
 
 // TestReadAllocs pins what the uncached read path allocates over a
-// 10 000-record table: a point get 3 times, a 100-record scan 6.
+// 10 000-record table: a point get 2 times (the block's bytes and its
+// offsets), a 100-record scan 5 (two blocks, and its start key).
 func TestReadAllocs(t *testing.T) {
 	r := buildTable(t, filepath.Join(t.TempDir(), "t.sst"), seqRecords(10000))
 	defer r.Close()
@@ -286,8 +287,8 @@ func TestReadAllocs(t *testing.T) {
 			t.Fatalf("scan = %d records, %v", n, err)
 		}
 	})
-	if get > 3 || scan > 6 {
-		t.Errorf("get allocates %.0f times, want <= 3; scan of 100 %.0f, want <= 6", get, scan)
+	if get > 2 || scan > 5 {
+		t.Errorf("get allocates %.0f times, want <= 2; scan of 100 %.0f, want <= 5", get, scan)
 	}
 }
 
@@ -386,9 +387,9 @@ func TestTableBytesPinned(t *testing.T) {
 	}
 }
 
-// TestDecodedBlockIsExact pins that a decoded block's records slice has
-// no spare capacity, whatever the record size: the block cache charges
-// len(recs) records, so spare capacity is memory it never counts.
+// TestDecodedBlockIsExact pins that a block in memory holds exactly its
+// bytes and one offset per record, whatever the record size: the block
+// cache charges Size, so spare capacity is memory it never counts.
 func TestDecodedBlockIsExact(t *testing.T) {
 	for _, size := range []int{16, 230, 3 << 10} {
 		recs := make([]record.Record, 200)
@@ -402,13 +403,69 @@ func TestDecodedBlockIsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			total += len(got)
-			if cap(got) != len(got) {
-				t.Fatalf("%d-byte values, block %d: %d records in a slice of capacity %d", size, b, len(got), cap(got))
+			_, length := r.blockExtent(b)
+			total += got.Len()
+			if cap(got.data) != len(got.data) || uint64(len(got.data)) != length || cap(got.offs) != len(got.offs) {
+				t.Fatalf("%d-byte values, block %d: %d of %d bytes (extent %d), %d of %d offsets",
+					size, b, len(got.data), cap(got.data), length, len(got.offs), cap(got.offs))
+			}
+			if want := cap(got.data) + 4*cap(got.offs); got.Size() != want {
+				t.Fatalf("%d-byte values, block %d: Size = %d, holds %d", size, b, got.Size(), want)
+			}
+			for i := 0; i < got.Len(); i++ {
+				if rec := got.Record(i); !bytes.Equal(rec.Key, recs[total-got.Len()+i].Key) || len(rec.Value) != size {
+					t.Fatalf("%d-byte values, block %d record %d = %q with %d-byte value", size, b, i, rec.Key, len(rec.Value))
+				}
 			}
 		}
 		if total != len(recs) {
 			t.Errorf("%d-byte values: blocks hold %d records, want %d", size, total, len(recs))
+		}
+		r.Close()
+	}
+}
+
+// A block is checked whole when it is read: a bad CRC in its last frame
+// fails a get of its first key and a scan that stops after one record,
+// through a block cache or not.
+func TestBlockVerifiedAtLoad(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.sst")
+	r := buildTable(t, path, seqRecords(1000))
+	if r.NumBlocks() < 3 {
+		t.Fatalf("%d blocks, want >= 3", r.NumBlocks())
+	}
+	// Block 1: Open checks only the edge blocks.
+	off, length := r.blockExtent(1)
+	b, err := r.readBlock(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := b.Record(0).Key
+	last := off + uint64(b.offs[b.Len()-1])
+	if last >= off+length || last <= off {
+		t.Fatalf("last frame at %d, outside block 1 [%d, %d) or at its start", last, off, off+length)
+	}
+	r.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[last] ^= 0xFF // the last frame's CRC
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, cache := range []BlockCache{nil, newCountingCache()} {
+		r, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetBlockCache(cache)
+		if _, _, err := r.Get(first); !errors.Is(err, record.ErrCorrupt) {
+			t.Errorf("cache %T: Get(%q) = %v, want ErrCorrupt", cache, first, err)
+		}
+		n := 0
+		if err := r.Scan(first, nil, func(record.Record) bool { n++; return false }); !errors.Is(err, record.ErrCorrupt) || n != 0 {
+			t.Errorf("cache %T: a one-record scan from %q visited %d, err %v, want ErrCorrupt", cache, first, n, err)
 		}
 		r.Close()
 	}

@@ -1,12 +1,13 @@
 package storage
 
-import "scads/internal/record"
+import "scads/internal/sstable"
 
-// BlockCache is a sharded LRU of decoded SSTable blocks, shared across
-// every namespace of an engine and keyed (table path, block index). It
-// caches the *decoded* records rather than raw bytes, so a hit skips
-// both the pread and the per-record CRC check and decode — the two
-// costs that dominate an uncached point read.
+// BlockCache is a sharded LRU of SSTable blocks, shared across every
+// namespace of an engine and keyed (table path, block index). It caches
+// a block as its bytes, every frame's checksum already checked, plus one
+// offset per record (sstable.Block), so a hit skips the pread and the
+// CRC pass — the two costs that dominate an uncached point read — and a
+// block is charged what it holds, its Size.
 //
 // Invalidation contract: SSTables are immutable, so cached blocks can
 // never go stale; entries only leave by LRU eviction or by DropTable
@@ -16,7 +17,7 @@ import "scads/internal/record"
 //
 // BlockCache implements sstable.BlockCache.
 type BlockCache struct {
-	lru *lru[blockKey, []record.Record]
+	lru *lru[blockKey, sstable.Block]
 }
 
 type blockKey struct {
@@ -27,28 +28,26 @@ type blockKey struct {
 func (k blockKey) hash() uint32 { return fnvInt(fnvString(fnvOffset32, k.path), k.block) }
 
 // blockEntryOverhead approximates per-entry bookkeeping (map slot,
-// list element, entry struct) charged on top of the caller-reported
-// block footprint.
+// list element, entry struct) charged on top of the block's Size.
 const blockEntryOverhead = 128
 
-// NewBlockCache returns a cache holding at most totalBytes of decoded
-// blocks across shards (shard count rounded up to a power of two,
-// minimum 1).
+// NewBlockCache returns a cache holding at most totalBytes of blocks
+// across shards (shard count rounded up to a power of two, minimum 1).
 func NewBlockCache(totalBytes int64, shards int) *BlockCache {
-	return &BlockCache{lru: newLRU[blockKey, []record.Record](totalBytes, shards)}
+	return &BlockCache{lru: newLRU[blockKey, sstable.Block](totalBytes, shards)}
 }
 
-// Get returns the cached decoded block, if present.
-func (c *BlockCache) Get(path string, block int) ([]record.Record, bool) {
+// Get returns the cached block, if present.
+func (c *BlockCache) Get(path string, block int) (sstable.Block, bool) {
 	k := blockKey{path, block}
 	return c.lru.get(k.hash(), k)
 }
 
-// Put stores a decoded block. The slice and its records are shared
-// with every future Get and must be treated as immutable.
-func (c *BlockCache) Put(path string, block int, recs []record.Record, sizeBytes int) {
+// Put stores a block, charged its Size. The block is shared with every
+// future Get.
+func (c *BlockCache) Put(path string, block int, b sstable.Block) {
 	k := blockKey{path, block}
-	c.lru.put(k.hash(), k, recs, int64(len(path)+sizeBytes)+blockEntryOverhead)
+	c.lru.put(k.hash(), k, b, int64(len(path)+b.Size())+blockEntryOverhead)
 }
 
 // DropTable evicts every cached block of the named table. Called when

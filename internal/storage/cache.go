@@ -57,12 +57,22 @@ func (c *Cache) Get(namespace string, key []byte) (rec record.Record, found, hit
 	return r.rec, r.found, hit
 }
 
-// Put stores the resolution of (namespace, key). The record is stored
-// as-is; callers must treat cached records as immutable (the engine's
-// records already are).
+// Put stores the resolution of (namespace, key): rec is key's record
+// when found. The entry owns its bytes: the key and the record's value
+// are copied into one allocation, which the record's key shares, so an
+// entry never pins the table block a record was decoded from. Callers
+// must treat cached records as immutable.
 func (c *Cache) Put(namespace string, key []byte, rec record.Record, found bool) {
 	k, h := probe(namespace, key)
-	k.key = string(key)
+	buf := make([]byte, len(key)+len(rec.Value))
+	copy(buf[copy(buf, key):], rec.Value)
+	k.key = unsafe.String(unsafe.SliceData(buf), len(key))
+	if rec.Key != nil {
+		rec.Key = buf[:len(key):len(key)]
+	}
+	if rec.Value != nil {
+		rec.Value = buf[len(key):]
+	}
 	c.lru.put(h, k, resolution{rec, found}, int64(len(namespace)+len(key)+len(rec.Value))+entryOverhead)
 }
 

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"scads/internal/record"
+	"scads/internal/sstable"
 )
 
 func TestCacheHitAndInvalidateOnWrite(t *testing.T) {
@@ -243,4 +245,31 @@ func TestCacheConcurrentReadWrite(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// A record-cache entry owns its bytes: a record decoded from a table
+// block aliases the block, and caching it must not keep the block's
+// array alive (nor see a later write to it).
+func TestCacheEntryOwnsItsBytes(t *testing.T) {
+	rec := record.Record{Key: []byte("user-00001234"), Value: []byte("a row of about eighty bytes"), Version: 7}
+	data := rec.AppendBinary(nil)
+	b, err := sstable.NewBlock(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(1 << 20)
+	c.Put("tbl.users", rec.Key, b.Record(0), true)
+	got, found, hit := c.Get("tbl.users", rec.Key)
+	if !hit || !found || got.Version != 7 || string(got.Key) != string(rec.Key) || string(got.Value) != string(rec.Value) {
+		t.Fatalf("Get = %+v, found=%v hit=%v", got, found, hit)
+	}
+	for _, s := range [][]byte{got.Key, got.Value} {
+		if p := unsafe.Pointer(unsafe.SliceData(s)); uintptr(p) >= uintptr(unsafe.Pointer(&data[0])) && uintptr(p) < uintptr(unsafe.Pointer(&data[0]))+uintptr(len(data)) {
+			t.Fatalf("cached %q shares the block's array", s)
+		}
+	}
+	clear(data)
+	if got, _, _ := c.Get("tbl.users", rec.Key); string(got.Value) != string(rec.Value) {
+		t.Fatalf("a write to the block changed the cached value to %q", got.Value)
+	}
 }

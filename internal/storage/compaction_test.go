@@ -17,7 +17,7 @@ import (
 )
 
 // Engine-level block cache: with the exact-key cache disabled, repeated
-// point reads of flushed data are served from cached decoded blocks.
+// point reads of flushed data are served from cached blocks.
 func TestEngineBlockCacheHits(t *testing.T) {
 	e, err := Open(Options{
 		Dir:             t.TempDir(),

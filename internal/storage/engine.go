@@ -65,7 +65,7 @@ type Options struct {
 	// CacheBytes sizes the engine-wide sharded read cache. 0 selects
 	// the default (32 MiB); negative disables caching entirely.
 	CacheBytes int64
-	// BlockCacheBytes sizes the engine-wide decoded-block cache shared
+	// BlockCacheBytes sizes the engine-wide block cache shared
 	// by every namespace's SSTables (see BlockCache). 0 disables it —
 	// the raw block-read path, used by the e17 ablation — so callers
 	// that want it (the cluster layer, scads-server) opt in explicitly.
@@ -303,7 +303,7 @@ func (e *Engine) openNamespace(name string) (*Namespace, error) {
 	return ns, nil
 }
 
-// BlockCache exposes the engine's decoded-block cache (nil when
+// BlockCache exposes the engine's block cache (nil when
 // disabled) for metrics and tests.
 func (e *Engine) BlockCache() *BlockCache { return e.blockCache }
 

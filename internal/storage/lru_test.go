@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"scads/internal/record"
+	"scads/internal/sstable"
 )
 
 // cacheOps drives Cache and BlockCache through what they share. An
@@ -49,23 +50,37 @@ var lruInstantiations = []struct {
 		c := NewBlockCache(totalBytes, shards)
 		return cacheOps{
 			put: func(path string, block, n int, version uint64) {
-				var recs []record.Record
-				if version != 0 {
-					recs = []record.Record{{Key: []byte("k"), Version: version}}
-				}
-				c.Put(path, block, recs, n)
+				c.Put(path, block, blockOfSize(n, version))
 			},
 			get: func(path string, block int) (uint64, bool) {
-				recs, ok := c.Get(path, block)
-				if len(recs) == 0 {
+				b, ok := c.Get(path, block)
+				if b.Len() == 0 {
 					return 0, ok
 				}
-				return recs[0].Version, ok
+				return b.Record(0).Version, ok
 			},
 			dropGroup: c.DropTable,
 			stats:     func() CacheStats { return CacheStats(c.Stats()) },
 		}
 	}},
+}
+
+// blockOfSize returns a block of one record tagged version whose Size
+// is n bytes, or an empty block for version 0.
+func blockOfSize(n int, version uint64) sstable.Block {
+	if version == 0 {
+		return sstable.Block{}
+	}
+	rec := record.Record{Key: []byte("k"), Version: version}
+	rec.Value = make([]byte, n-4-rec.EncodedSize())
+	for rec.EncodedSize()+4 > n { // a longer value's length takes more bytes
+		rec.Value = rec.Value[1:]
+	}
+	b, err := sstable.NewBlock(rec.AppendBinary(nil))
+	if err != nil || b.Size() != n {
+		panic(fmt.Sprintf("block of %d bytes: Size %d, %v", n, b.Size(), err))
+	}
+	return b
 }
 
 func TestLRU(t *testing.T) {
@@ -267,7 +282,7 @@ func TestCacheHitAllocs(t *testing.T) {
 	bc := NewBlockCache(1<<20, cacheShards)
 	for _, path := range []string{"n1/000000007.sst", "/var/lib/scads/node-1/tbl.users/000000007.sst"} {
 		for _, block := range []int{3, 1234} {
-			bc.Put(path, block, []record.Record{{Key: key, Version: 1}}, 4096)
+			bc.Put(path, block, blockOfSize(4096, 1))
 			if n := testing.AllocsPerRun(200, func() {
 				if _, ok := bc.Get(path, block); !ok {
 					t.Fatal("miss")
@@ -276,5 +291,16 @@ func TestCacheHitAllocs(t *testing.T) {
 				t.Errorf("BlockCache.Get(%q, %d) hit: %v allocs, want 0", path, block, n)
 			}
 		}
+	}
+}
+
+// A block is charged what it holds: its Size, plus its path and the
+// entry's bookkeeping.
+func TestBlockCacheChargesSize(t *testing.T) {
+	c := NewBlockCache(1<<20, 1)
+	b := blockOfSize(4096, 1)
+	c.Put("t.sst", 0, b)
+	if got, want := c.Stats().Bytes, int64(len("t.sst")+b.Size()+blockEntryOverhead); got != want {
+		t.Fatalf("a %d-byte block is charged %d bytes, want %d", b.Size(), got, want)
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"scads/internal/record"
 )
@@ -184,6 +185,36 @@ func TestScanSinceRejectsUnusableBaselines(t *testing.T) {
 	_, cur := ns.ApplyWatermark()
 	if _, _, _, ok, err := ns.ScanSince(epoch, cur, nil, nil, 0); !ok || err != nil {
 		t.Fatalf("current watermark rejected: ok=%v err=%v", ok, err)
+	}
+}
+
+// The apply log shifts in place when it overflows: its array, once
+// grown, is kept, however often the log overflows.
+func TestApplyLogKeepsItsArray(t *testing.T) {
+	ns := openMemNS(t)
+	batch := make([]record.Record, 1024)
+	var array *applyEntry
+	overflows := 0
+	for v := uint64(1); overflows < 3; {
+		for i := range batch {
+			batch[i] = record.Record{Key: []byte(fmt.Sprintf("k%05d", i)), Value: []byte("v"), Version: v}
+			v++
+		}
+		floor := ns.applyFloor
+		if err := ns.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if ns.applyFloor == floor {
+			continue
+		}
+		if overflows++; overflows == 1 {
+			array = unsafe.SliceData(ns.applyLog)
+		} else if unsafe.SliceData(ns.applyLog) != array {
+			t.Fatalf("overflow %d moved the apply log to a new array", overflows)
+		}
+		if len(ns.applyLog) > maxApplyLog || cap(ns.applyLog) > 2*maxApplyLog {
+			t.Fatalf("overflow %d: apply log len %d cap %d", overflows, len(ns.applyLog), cap(ns.applyLog))
+		}
 	}
 }
 

@@ -192,7 +192,10 @@ func (ns *Namespace) ApplyBatch(recs []record.Record) error {
 	if len(ns.applyLog) > maxApplyLog {
 		half := len(ns.applyLog) / 2
 		ns.applyFloor = ns.applyLog[half-1].seq
-		ns.applyLog = append([]applyEntry(nil), ns.applyLog[half:]...)
+		// Shift in place: a fresh array would be regrown by append.
+		n := copy(ns.applyLog, ns.applyLog[half:])
+		clear(ns.applyLog[n:]) // the moved-out entries' keys, for the GC
+		ns.applyLog = ns.applyLog[:n]
 	}
 	needFlush := ns.dir != "" && ns.mem.Bytes() >= ns.engine.opts.MemtableBytes && ns.flushing == nil
 	ns.mu.Unlock()

@@ -9,7 +9,7 @@ import (
 	"scads/internal/storage"
 )
 
-// defaultNodeBlockCacheBytes sizes the per-node decoded-block cache a
+// defaultNodeBlockCacheBytes sizes the per-node block cache a
 // disk-backed LocalCluster node gets unless Config.NodeStorage says
 // otherwise (negative = disabled). In-memory nodes have no SSTables
 // and never build one.
@@ -73,7 +73,7 @@ func (lc *LocalCluster) AddStorageNode() (string, error) {
 		// root never collide.
 		sopts.Dir = fmt.Sprintf("%s/%s", sopts.Dir, id)
 		if sopts.BlockCacheBytes == 0 {
-			// Disk-backed nodes default the decoded-block cache on;
+			// Disk-backed nodes default the block cache on;
 			// pass a negative value to keep it off (ablations).
 			sopts.BlockCacheBytes = defaultNodeBlockCacheBytes
 		}

@@ -151,6 +151,18 @@ func TestWriteRoundTrips(t *testing.T) {
 					return alice, nil
 				})
 			}, gets: 1, applies: 0, swaps: 1},
+		{name: "UpdateFunc onto a deleted row", ddl: noIndexDDL,
+			setup: func(c *Cluster) error {
+				return errors.Join(insertAlice(c), c.Delete("users", Row{"id": "alice"}))
+			},
+			write: func(c *Cluster) error {
+				return c.UpdateFunc("users", Row{"id": "alice"}, func(cur Row) (Row, error) {
+					if cur != nil {
+						return nil, fmt.Errorf("UpdateFunc saw %v for a deleted row", cur)
+					}
+					return alice, nil
+				})
+			}, gets: 1, applies: 0, swaps: 1},
 		{name: "maintained InsertBatch on one primary", ddl: socialDDL,
 			write: func(c *Cluster) error {
 				return c.InsertBatch("users", []Row{alice, {"id": "bob", "birthday": 7}, {"id": "alice", "birthday": 43}})
