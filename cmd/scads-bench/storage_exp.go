@@ -121,7 +121,7 @@ func e17CacheEffectiveness(cfg e17Config) (hitRatio float64, pointP99, scanP99, 
 		MemtableBytes:   256 << 10,
 		MaxTables:       6,
 		NodeID:          1,
-		CacheBytes:      -1, // isolate the block cache: no exact-key layer
+		CacheBytes:      -1, // the cache is cfg.cacheBytes alone
 		BlockCacheBytes: cfg.cacheBytes,
 	})
 	must(err)
@@ -197,8 +197,8 @@ func e17CacheEffectiveness(cfg e17Config) (hitRatio float64, pointP99, scanP99, 
 		}
 		if cfg.writeFraction > 0 && mixRng.Float64() < cfg.writeFraction {
 			// In-line write to a zipfian key: the mixed workload hits
-			// the same hot set the reads do, so cache invalidation and
-			// memtable pressure land where they hurt.
+			// the same hot set the reads do, so reads resolved above
+			// cached blocks and memtable pressure land where they hurt.
 			k := int(zipf.Uint64())
 			t := time.Now()
 			_, err := ns.Put(e17Key(k), e17Value(k, cfg.valueSize))

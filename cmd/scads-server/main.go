@@ -34,8 +34,7 @@ func main() {
 		nodeID     = flag.String("id", "", "node ID (default: derived from address)")
 		numID      = flag.Uint("numeric-id", 1, "numeric node ID mixed into record versions (16 bits)")
 		memLimit   = flag.Int64("memtable-bytes", 4<<20, "memtable flush threshold")
-		cacheBytes = flag.Int64("cache-bytes", 0, "read-cache capacity (0 = default 32 MiB, negative disables)")
-		blockCache = flag.Int64("block-cache-bytes", 32<<20, "SSTable block cache capacity (0 disables)")
+		blockCache = flag.Int64("block-cache-bytes", 64<<20, "SSTable block cache capacity, the node's one read cache (0 disables)")
 		compRate   = flag.Int64("compaction-rate", 0, "background compaction throttle in input bytes/sec (0 = unlimited)")
 		syncWrites = flag.Bool("sync-writes", false, "fsync (group-committed) before acknowledging each write")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
@@ -59,7 +58,7 @@ func main() {
 		Dir:                 *dataDir,
 		NodeID:              uint16(*numID),
 		MemtableBytes:       *memLimit,
-		CacheBytes:          *cacheBytes,
+		CacheBytes:          -1, // the flag is the whole cache budget
 		BlockCacheBytes:     *blockCache,
 		CompactionRateBytes: *compRate,
 		SyncWrites:          *syncWrites,

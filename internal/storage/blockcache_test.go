@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"strconv"
@@ -12,57 +11,25 @@ import (
 	"scads/internal/sstable"
 )
 
-// cacheOps drives Cache and BlockCache through what they share. An
-// entry belongs to a group (a namespace; a table path) and has a number
-// within it (a key; a block index); version tags the stored value so a
-// get can tell which put it sees. The zero value of either cache's
-// payload — a cached negative lookup, an empty block — is version 0.
-type cacheOps struct {
-	put       func(group string, id, payloadBytes int, version uint64)
-	get       func(group string, id int) (version uint64, ok bool)
-	dropGroup func(group string)
-	stats     func() CacheStats
+// blockCacheOps drives a BlockCache by version: version tags the
+// one-record block stored under (path, block) so a get can tell which
+// put it sees, and version 0 is an empty block.
+type blockCacheOps struct{ *BlockCache }
+
+func newBlockCacheOps(totalBytes int64, shards int) blockCacheOps {
+	return blockCacheOps{NewBlockCache(totalBytes, shards)}
 }
 
-var lruInstantiations = []struct {
-	name string
-	new  func(totalBytes int64, shards int) cacheOps
-}{
-	{"Cache", func(totalBytes int64, shards int) cacheOps {
-		c := &Cache{lru: newLRU[recordKey, resolution](totalBytes, shards)}
-		key := func(id int) []byte { return []byte(fmt.Sprintf("%04d", id)) }
-		return cacheOps{
-			put: func(ns string, id, n int, version uint64) {
-				c.Put(ns, key(id), record.Record{Key: key(id), Value: make([]byte, n), Version: version}, version != 0)
-			},
-			get: func(ns string, id int) (uint64, bool) {
-				rec, found, hit := c.Get(ns, key(id))
-				if found != (rec.Version != 0) {
-					panic("found flag does not match the stored record")
-				}
-				return rec.Version, hit
-			},
-			dropGroup: c.InvalidateNamespace,
-			stats:     c.Stats,
-		}
-	}},
-	{"BlockCache", func(totalBytes int64, shards int) cacheOps {
-		c := NewBlockCache(totalBytes, shards)
-		return cacheOps{
-			put: func(path string, block, n int, version uint64) {
-				c.Put(path, block, blockOfSize(n, version))
-			},
-			get: func(path string, block int) (uint64, bool) {
-				b, ok := c.Get(path, block)
-				if b.Len() == 0 {
-					return 0, ok
-				}
-				return b.Record(0).Version, ok
-			},
-			dropGroup: c.DropTable,
-			stats:     func() CacheStats { return CacheStats(c.Stats()) },
-		}
-	}},
+func (c blockCacheOps) put(path string, block, size int, version uint64) {
+	c.Put(path, block, blockOfSize(size, version))
+}
+
+func (c blockCacheOps) get(path string, block int) (version uint64, ok bool) {
+	b, ok := c.Get(path, block)
+	if b.Len() == 0 {
+		return 0, ok
+	}
+	return b.Record(0).Version, ok
 }
 
 // blockOfSize returns a block of one record tagged version whose Size
@@ -86,10 +53,10 @@ func blockOfSize(n int, version uint64) sstable.Block {
 func TestLRU(t *testing.T) {
 	cases := []struct {
 		name string
-		run  func(t *testing.T, newCache func(totalBytes int64, shards int) cacheOps)
+		run  func(t *testing.T)
 	}{
-		{"hit, miss and stats", func(t *testing.T, newCache func(int64, int) cacheOps) {
-			c := newCache(1<<20, 4)
+		{"hit, miss and stats", func(t *testing.T) {
+			c := newBlockCacheOps(1<<20, 4)
 			if _, ok := c.get("a.sst", 0); ok {
 				t.Fatal("hit on empty cache")
 			}
@@ -100,7 +67,7 @@ func TestLRU(t *testing.T) {
 			if _, ok := c.get("a.sst", 1); ok {
 				t.Fatal("hit on an entry never put")
 			}
-			st := c.stats()
+			st := c.Stats()
 			if st.Hits != 1 || st.Misses != 2 || st.Entries != 1 {
 				t.Fatalf("stats = %+v", st)
 			}
@@ -108,18 +75,18 @@ func TestLRU(t *testing.T) {
 				t.Fatalf("Bytes = %d, want > payload (key and overhead charged)", st.Bytes)
 			}
 		}},
-		{"zero value is a hit", func(t *testing.T, newCache func(int64, int) cacheOps) {
-			c := newCache(1<<20, 4)
+		{"zero value is a hit", func(t *testing.T) {
+			c := newBlockCacheOps(1<<20, 4)
 			c.put("a.sst", 0, 0, 0)
 			if v, ok := c.get("a.sst", 0); !ok || v != 0 {
-				t.Fatalf("negative entry: version %d, ok=%v", v, ok)
+				t.Fatalf("empty block: version %d, ok=%v", v, ok)
 			}
 		}},
-		{"evicts least recently used", func(t *testing.T, newCache func(int64, int) cacheOps) {
+		{"evicts least recently used", func(t *testing.T) {
 			// Single shard so eviction order is globally observable. Each
 			// entry charges payload+key+overhead; the budget fits two of
 			// the three.
-			c := newCache(1200, 1)
+			c := newBlockCacheOps(1200, 1)
 			c.put("t.sst", 0, 300, 1)
 			c.put("t.sst", 1, 300, 1)
 			// Touch entry 0 so entry 1 is the LRU victim.
@@ -136,23 +103,23 @@ func TestLRU(t *testing.T) {
 			if _, ok := c.get("t.sst", 2); !ok {
 				t.Fatal("newly inserted entry 2 missing")
 			}
-			if st := c.stats(); st.Evictions != 1 {
+			if st := c.Stats(); st.Evictions != 1 {
 				t.Fatalf("Evictions = %d, want 1", st.Evictions)
 			}
 		}},
-		{"never evicts a shard's sole entry", func(t *testing.T, newCache func(int64, int) cacheOps) {
-			c := newCache(64, 1)
+		{"never evicts a shard's sole entry", func(t *testing.T) {
+			c := newBlockCacheOps(64, 1)
 			c.put("t.sst", 0, 4096, 1)
 			if _, ok := c.get("t.sst", 0); !ok {
 				t.Fatal("oversized sole entry was rejected")
 			}
 		}},
-		{"re-put replaces and charges the delta", func(t *testing.T, newCache func(int64, int) cacheOps) {
-			c := newCache(1<<20, 1)
+		{"re-put replaces and charges the delta", func(t *testing.T) {
+			c := newBlockCacheOps(1<<20, 1)
 			c.put("t.sst", 0, 100, 1)
-			before := c.stats().Bytes
+			before := c.Stats().Bytes
 			c.put("t.sst", 0, 200, 2)
-			st := c.stats()
+			st := c.Stats()
 			if st.Entries != 1 {
 				t.Fatalf("Entries = %d after re-put, want 1", st.Entries)
 			}
@@ -163,12 +130,12 @@ func TestLRU(t *testing.T) {
 				t.Fatalf("re-put not visible: version %d, ok=%v", v, ok)
 			}
 		}},
-		{"stays within its byte budget", func(t *testing.T, newCache func(int64, int) cacheOps) {
-			c := newCache(4<<10, 4)
+		{"stays within its byte budget", func(t *testing.T) {
+			c := newBlockCacheOps(4<<10, 4)
 			for i := 0; i < 1000; i++ {
 				c.put("ns", i, 64, 1)
 			}
-			st := c.stats()
+			st := c.Stats()
 			if st.Bytes > 4<<10 {
 				t.Fatalf("cache bytes %d exceed budget %d", st.Bytes, 4<<10)
 			}
@@ -179,16 +146,16 @@ func TestLRU(t *testing.T) {
 				t.Fatal("cache emptied itself")
 			}
 		}},
-		{"dropping a group leaves the others", func(t *testing.T, newCache func(int64, int) cacheOps) {
-			// InvalidateNamespace / DropTable. "dead.sst2" extends the
-			// dropped group's name: a prefix match must not take it.
-			c := newCache(1<<20, 4)
+		{"dropping a group leaves the others", func(t *testing.T) {
+			// "dead.sst2" extends the dropped table's name: a prefix
+			// match must not take it.
+			c := newBlockCacheOps(1<<20, 4)
 			for i := 0; i < 8; i++ {
 				c.put("dead.sst", i, 64, 1)
 				c.put("dead.sst2", i, 64, 1)
 				c.put("live.sst", i, 64, 1)
 			}
-			c.dropGroup("dead.sst")
+			c.DropTable("dead.sst")
 			for i := 0; i < 8; i++ {
 				if _, ok := c.get("dead.sst", i); ok {
 					t.Fatalf("dead.sst entry %d survived the drop", i)
@@ -199,12 +166,12 @@ func TestLRU(t *testing.T) {
 					}
 				}
 			}
-			if st := c.stats(); st.Entries != 16 {
+			if st := c.Stats(); st.Entries != 16 {
 				t.Fatalf("Entries = %d after the drop, want 16", st.Entries)
 			}
 		}},
-		{"concurrent churn keeps the accounts", func(t *testing.T, newCache func(int64, int) cacheOps) {
-			c := newCache(64<<10, 8)
+		{"concurrent churn keeps the accounts", func(t *testing.T) {
+			c := newBlockCacheOps(64<<10, 8)
 			var wg sync.WaitGroup
 			for g := 0; g < 8; g++ {
 				wg.Add(1)
@@ -219,24 +186,24 @@ func TestLRU(t *testing.T) {
 							c.get(group, i%16)
 						case 2:
 							if i%100 == 0 {
-								c.dropGroup(group)
+								c.DropTable(group)
 							}
 						}
 					}
 				}(g)
 			}
 			wg.Wait()
-			st := c.stats()
+			st := c.Stats()
 			if st.Bytes < 0 || st.Entries < 0 || (st.Entries == 0) != (st.Bytes == 0) {
 				t.Fatalf("byte accounting adrift after concurrent churn: %+v", st)
 			}
 		}},
 	}
-	for _, inst := range lruInstantiations {
+	t.Run("BlockCache", func(t *testing.T) {
 		for _, tc := range cases {
-			t.Run(inst.name+"/"+tc.name, func(t *testing.T) { tc.run(t, inst.new) })
+			t.Run(tc.name, tc.run)
 		}
-	}
+	})
 }
 
 // The written-out FNV-1a is hash/fnv's, and a block index is hashed as
@@ -249,36 +216,13 @@ func TestShardHashMatchesFNV(t *testing.T) {
 			t.Errorf("hash(%q, %d) = %#x, hash/fnv says %#x", k.path, k.block, got, want)
 		}
 	}
-	// The record cache hashes its key's two parts in sequence, to the
-	// shard their concatenation hashed to.
-	ref := fnv.New32a()
-	ref.Write([]byte("tbl.users\x00user-00001234"))
-	if _, got := probe("tbl.users", []byte("user-00001234")); got != ref.Sum32() {
-		t.Errorf("probe hash = %#x, hash/fnv says %#x", got, ref.Sum32())
-	}
 }
 
-// A cache hit allocates nothing: the probe key is a struct built and
-// hashed on the caller's stack, free at any key length (the record
-// cache's was a concatenation once, which the compiler keeps on the
-// stack only up to 32 bytes — short of every index key of the social
-// schema), path length and block index (hashing the index through
-// strconv.Itoa and hash.Hash32 cost one allocation from block 100 up).
+// A cache hit allocates nothing: the key is a struct built and hashed
+// on the caller's stack, free at any path length and block index
+// (hashing the index through strconv.Itoa and hash.Hash32 cost one
+// allocation from block 100 up).
 func TestCacheHitAllocs(t *testing.T) {
-	key := []byte("user-00001234")
-	c := NewCache(1 << 20)
-	for _, key := range [][]byte{key, bytes.Repeat([]byte("k"), 45)} {
-		c.Put("idx.friendsWithUpcomingBirthdays", key, record.Record{Key: key, Value: []byte("v"), Version: 1}, true)
-		if n := testing.AllocsPerRun(200, func() {
-			if _, _, hit := c.Get("idx.friendsWithUpcomingBirthdays", key); !hit {
-				t.Fatal("miss")
-			}
-			c.Invalidate("idx.friends", key)
-		}); n != 0 {
-			t.Errorf("Cache.Get hit and Invalidate of a %d-byte key: %v allocs, want 0", len(key), n)
-		}
-	}
-
 	bc := NewBlockCache(1<<20, cacheShards)
 	for _, path := range []string{"n1/000000007.sst", "/var/lib/scads/node-1/tbl.users/000000007.sst"} {
 		for _, block := range []int{3, 1234} {

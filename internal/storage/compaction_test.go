@@ -16,15 +16,15 @@ import (
 	"scads/internal/sstable"
 )
 
-// Engine-level block cache: with the exact-key cache disabled, repeated
-// point reads of flushed data are served from cached blocks.
+// Engine-level block cache: repeated point reads of flushed data are
+// served from cached blocks.
 func TestEngineBlockCacheHits(t *testing.T) {
 	e, err := Open(Options{
 		Dir:             t.TempDir(),
 		MemtableBytes:   1 << 20,
 		MaxTables:       8,
 		NodeID:          1,
-		CacheBytes:      -1, // isolate the block cache from the exact-key cache
+		CacheBytes:      -1, // the cache is BlockCacheBytes alone
 		BlockCacheBytes: 1 << 20,
 	})
 	if err != nil {
@@ -66,16 +66,16 @@ func TestEngineBlockCacheHits(t *testing.T) {
 	}
 }
 
-// BlockCacheBytes: 0 is the ablation: no cache is constructed and reads
-// take the raw block path.
+// CacheBytes -1 with BlockCacheBytes 0 is the ablation: no cache is
+// constructed and reads take the raw block path.
 func TestEngineBlockCacheAblation(t *testing.T) {
-	e, err := Open(Options{Dir: t.TempDir(), MemtableBytes: 1 << 20, NodeID: 1})
+	e, err := Open(Options{Dir: t.TempDir(), MemtableBytes: 1 << 20, NodeID: 1, CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	if e.BlockCache() != nil {
-		t.Fatal("BlockCacheBytes=0 still built a block cache")
+		t.Fatal("an empty budget still built a block cache")
 	}
 	ns, _ := e.Namespace("b")
 	if _, err := ns.Put([]byte("k"), []byte("v")); err != nil {

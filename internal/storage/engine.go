@@ -12,13 +12,12 @@
 //
 // Two cross-cutting layers wrap the per-namespace LSM stacks:
 //
-//   - A sharded, invalidation-aware read cache (Cache) in front of
-//     every namespace, keyed (namespace, key) and striped to avoid
-//     lock contention. Point reads consult it before touching the
-//     memtable or any SSTable; every mutation invalidates its key
-//     under the namespace write lock, so readers can never observe a
-//     value older than the latest applied write. Sized by
-//     Options.CacheBytes.
+//   - One read cache, BlockCache, shared by every namespace's SSTables
+//     and keyed (table path, block index). Tables are immutable, so a
+//     cached block never goes stale and no write touches the cache; a
+//     point read resolves the memtables and every table by version, and
+//     a block hit only spares the table read its pread and checksum
+//     pass.
 //
 //   - A batched write path: ApplyBatch lands a whole record group with
 //     one lock acquisition and one WAL write, and with
@@ -62,13 +61,17 @@ type Options struct {
 	// NodeID is mixed into generated versions so writes from different
 	// nodes never collide exactly. 16 bits are used.
 	NodeID uint16
-	// CacheBytes sizes the engine-wide sharded read cache. 0 selects
-	// the default (32 MiB); negative disables caching entirely.
+	// CacheBytes is deprecated and adds to the block cache's budget:
+	// 0 adds the default (32 MiB), negative adds nothing. It remains
+	// because the benchmark module sets it; size the one read cache
+	// with BlockCacheBytes and set CacheBytes negative.
 	CacheBytes int64
-	// BlockCacheBytes sizes the engine-wide block cache shared
-	// by every namespace's SSTables (see BlockCache). 0 disables it —
-	// the raw block-read path, used by the e17 ablation — so callers
-	// that want it (the cluster layer, scads-server) opt in explicitly.
+	// BlockCacheBytes adds to the budget of the engine-wide block cache
+	// shared by every namespace's SSTables (see BlockCache); 0 or
+	// negative adds nothing. The cache holds CacheBytes' share plus
+	// this, and with neither there is none: the raw block-read path,
+	// CacheBytes -1 and BlockCacheBytes 0, used by the e17 ablation.
+	// An in-memory engine has no tables and builds no cache.
 	BlockCacheBytes int64
 	// CompactionRateBytes throttles each background tier merge to this
 	// many input bytes per second so compaction can never monopolise
@@ -114,7 +117,6 @@ var namespaceNameRE = regexp.MustCompile(`^[a-zA-Z][a-zA-Z0-9_.-]*$`)
 // Engine owns a set of namespaces.
 type Engine struct {
 	opts       Options
-	cache      *Cache      // nil when disabled
 	blockCache *BlockCache // nil when disabled
 
 	// compactSem bounds concurrent background tier merges engine-wide.
@@ -137,14 +139,11 @@ func Open(opts Options) (*Engine, error) {
 		compactSem: make(chan struct{}, compactionParallelism),
 		hlc:        clock.NewHLC(opts.Clock, opts.NodeID),
 	}
-	if opts.CacheBytes > 0 {
-		e.cache = NewCache(opts.CacheBytes)
-	}
-	if opts.BlockCacheBytes > 0 {
-		e.blockCache = NewBlockCache(opts.BlockCacheBytes, cacheShards)
-	}
 	if opts.Dir == "" {
 		return e, nil
+	}
+	if n := max(opts.CacheBytes, 0) + max(opts.BlockCacheBytes, 0); n > 0 {
+		e.blockCache = NewBlockCache(n, cacheShards)
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create dir: %w", err)
@@ -313,8 +312,11 @@ type Stats struct {
 	MemtableBytes int64
 	TableCount    int
 	RecordCount   int64
-	Cache         CacheStats
-	BlockCache    BlockCacheStats
+	// Cache is always zero: the engine's one read cache is BlockCache.
+	// It keeps its name and fields because the benchmark module reads
+	// them.
+	Cache      CacheStats
+	BlockCache BlockCacheStats
 }
 
 // Stats returns aggregate statistics across namespaces.
@@ -323,9 +325,6 @@ func (e *Engine) Stats() Stats {
 	defer e.mu.RUnlock()
 	var s Stats
 	s.Namespaces = len(e.namespaces)
-	if e.cache != nil {
-		s.Cache = e.cache.Stats()
-	}
 	if e.blockCache != nil {
 		s.BlockCache = e.blockCache.Stats()
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"regexp"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -633,5 +634,291 @@ func TestMaxVersionTracksFreshness(t *testing.T) {
 	}
 	if got := ns.MaxVersion(); got != 900 {
 		t.Fatalf("MaxVersion after tombstone = %d, want 900", got)
+	}
+}
+
+func TestApplyBatchLWWAndRecovery(t *testing.T) {
+	dir := t.TempDir()
+	e := openTest(t, dir)
+	ns, err := e.Namespace("users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pre-existing newer version must survive a batch carrying an
+	// older record for the same key.
+	if err := ns.Apply(record.Record{Key: []byte("a"), Value: []byte("new"), Version: 100}); err != nil {
+		t.Fatal(err)
+	}
+	batch := []record.Record{
+		{Key: []byte("a"), Value: []byte("old"), Version: 50},
+		{Key: []byte("b"), Value: []byte("b1"), Version: 60},
+		{Key: []byte("c"), Value: []byte("c1"), Version: 70},
+	}
+	if err := ns.ApplyBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, _ := ns.Get([]byte("a")); !ok || string(v) != "new" {
+		t.Fatalf("LWW violated by batch: a=%q,%v", v, ok)
+	}
+	if v, ok, _ := ns.Get([]byte("b")); !ok || string(v) != "b1" {
+		t.Fatalf("b=%q,%v", v, ok)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Batch-applied records must be recoverable like any other write.
+	e2, err := Open(Options{Dir: dir, NodeID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	ns2, err := e2.Namespace("users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]string{"a": "new", "b": "b1", "c": "c1"} {
+		if v, ok, _ := ns2.Get([]byte(key)); !ok || string(v) != want {
+			t.Fatalf("after recovery %s=%q,%v want %q", key, v, ok, want)
+		}
+	}
+}
+
+func TestSyncWritesGroupCommit(t *testing.T) {
+	e, err := Open(Options{Dir: t.TempDir(), NodeID: 1, SyncWrites: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ns, err := e.Namespace("users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				key := []byte(fmt.Sprintf("w%d-%03d", w, i))
+				if _, err := ns.Put(key, []byte("v")); err != nil {
+					t.Errorf("put: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			key := []byte(fmt.Sprintf("w%d-%03d", w, i))
+			if _, ok, _ := ns.Get(key); !ok {
+				t.Fatalf("missing durable write %s", key)
+			}
+		}
+	}
+}
+
+// openCached opens a disk-backed engine whose one read cache is a 1 MiB
+// block cache, and a namespace in it.
+func openCached(t *testing.T) (*Engine, *Namespace) {
+	t.Helper()
+	e, err := Open(Options{Dir: t.TempDir(), NodeID: 1, CacheBytes: -1, BlockCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	ns, err := e.Namespace("users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, ns
+}
+
+func mustGet(t *testing.T, ns *Namespace, key, want string) {
+	t.Helper()
+	v, ok, err := ns.Get([]byte(key))
+	if err != nil || !ok || string(v) != want {
+		t.Fatalf("Get(%s) = %q,%v,%v, want %q", key, v, ok, err, want)
+	}
+}
+
+func mustMiss(t *testing.T, ns *Namespace, key string) {
+	t.Helper()
+	if v, ok, err := ns.Get([]byte(key)); err != nil || ok {
+		t.Fatalf("Get(%s) = %q,%v,%v, want absent", key, v, ok, err)
+	}
+}
+
+// A read served from a cached block still sees every later write: the
+// put and the delete land above the table, and a read resolves them by
+// version before the block.
+func TestReadAfterWriteOverCachedBlock(t *testing.T) {
+	e, ns := openCached(t)
+	if _, err := ns.Put([]byte("alice"), []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mustGet(t, ns, "alice", "v1") // fills the block
+	before := e.BlockCache().Stats()
+	mustGet(t, ns, "alice", "v1")
+	if after := e.BlockCache().Stats(); after.Hits != before.Hits+1 {
+		t.Fatalf("expected a block-cache hit: before=%+v after=%+v", before, after)
+	}
+
+	if _, err := ns.Put([]byte("alice"), []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	mustGet(t, ns, "alice", "v2")
+	if _, err := ns.Delete([]byte("alice")); err != nil {
+		t.Fatal(err)
+	}
+	mustMiss(t, ns, "alice")
+	// Flushed, the tombstone and the cached put are two tables apart.
+	if err := ns.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mustMiss(t, ns, "alice")
+}
+
+// A key missed in a table whose block is cached is found once it is
+// inserted, before and after the insert is flushed.
+func TestInsertAfterMissOverCachedBlock(t *testing.T) {
+	_, ns := openCached(t)
+	for _, k := range []string{"alice", "carol"} {
+		if _, err := ns.Put([]byte(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ns.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mustGet(t, ns, "alice", "v") // caches the block bob would be in
+	mustMiss(t, ns, "bob")
+	if _, err := ns.Put([]byte("bob"), []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	mustGet(t, ns, "bob", "v1")
+	if err := ns.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mustGet(t, ns, "bob", "v1")
+}
+
+// Readers racing a writer over cached blocks, flushes and memtables
+// never see a key's value go back, and the writer reads its own write
+// at once.
+func TestCacheConcurrentReadWrite(t *testing.T) {
+	_, ns := openCached(t)
+	const keys = 32
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%02d", i%keys)) }
+	for i := 0; i < keys; i++ {
+		if _, err := ns.Put(key(i), []byte(strconv.Itoa(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ns.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last [keys]int
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v, ok, err := ns.Get(key(i))
+				if err != nil || !ok {
+					t.Errorf("Get(%s) = %q,%v,%v", key(i), v, ok, err)
+					return
+				}
+				n, _ := strconv.Atoi(string(v))
+				if n < last[i%keys] {
+					t.Errorf("%s went back from %d to %d", key(i), last[i%keys], n)
+					return
+				}
+				last[i%keys] = n
+			}
+		}()
+	}
+	for i := keys; i < 2000; i++ {
+		if _, err := ns.Put(key(i), []byte(strconv.Itoa(i))); err != nil {
+			t.Fatal(err)
+		}
+		mustGet(t, ns, string(key(i)), strconv.Itoa(i))
+		if i%250 == 0 {
+			if err := ns.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// The engine's one read cache is sized CacheBytes (0 = 32 MiB,
+// negative = nothing) plus BlockCacheBytes (<= 0 = nothing), so a
+// configuration that sized two caches keeps their memory in one.
+func TestOneCacheBudget(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want int64
+	}{
+		{"two caches of 2 MiB", Options{Dir: dir, CacheBytes: 2 << 20, BlockCacheBytes: 2 << 20}, 4 << 20},
+		{"defaults", Options{Dir: dir}, 32 << 20},
+		{"raw block path", Options{Dir: dir, CacheBytes: -1}, 0},
+		{"in memory", Options{BlockCacheBytes: 2 << 20}, 0},
+	} {
+		e, err := Open(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got int64
+		if c := e.BlockCache(); c != nil {
+			for i := range c.shards {
+				got += c.shards[i].maxBytes
+			}
+		}
+		e.Close()
+		if got != tc.want {
+			t.Errorf("%s: a %d-byte block cache, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// A point read of a flushed key whose block is cached allocates
+// nothing: the record aliases the cached block.
+func TestCachedGetRecordAllocs(t *testing.T) {
+	_, ns := openCached(t)
+	for i := 0; i < 100; i++ {
+		if _, err := ns.Put([]byte(fmt.Sprintf("user-%08d", i)), bytes.Repeat([]byte("v"), 80)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ns.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("user-00000042")
+	get := func() {
+		if rec, ok, err := ns.GetRecord(key); !ok || err != nil || len(rec.Value) != 80 {
+			t.Fatalf("GetRecord = %+v,%v,%v", rec, ok, err)
+		}
+	}
+	get() // fill the block
+	if n := testing.AllocsPerRun(200, get); n != 0 {
+		t.Errorf("GetRecord of a cached block's key: %v allocs, want 0", n)
 	}
 }

@@ -60,7 +60,7 @@ const (
 // flushed, after a tier merge, after a major compaction that runs while
 // more stale records sit in the memtable, after those are flushed, after
 // a reopen and after the major compaction of everything, with the
-// record cache on and off.
+// block cache on and off.
 func TestBlindApplyLWWMatrix(t *testing.T) {
 	for _, cacheBytes := range []int64{-1, 1 << 20} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -73,7 +73,7 @@ func TestBlindApplyLWWMatrix(t *testing.T) {
 
 func lwwMatrix(t *testing.T, cacheBytes int64, rng *rand.Rand) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, MemtableBytes: 64 << 20, MaxTables: 2, NodeID: 1, CacheBytes: cacheBytes}
+	opts := Options{Dir: dir, MemtableBytes: 64 << 20, MaxTables: 2, NodeID: 1, CacheBytes: -1, BlockCacheBytes: cacheBytes}
 	e, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +143,8 @@ func lwwMatrix(t *testing.T, cacheBytes int64, rng *rand.Rand) {
 			}
 		}
 		for _, want := range ref.records(false) {
-			// A dropped tombstone may live on in the record cache, which
-			// is as good as its absence.
+			// A merge may have dropped a tombstone, whose absence reads
+			// the same.
 			got, ok, err := ns.GetRecord(want.Key)
 			mayBeGone := tombs != tombstonesKept && want.Tombstone
 			if err != nil || (!ok && !mayBeGone) || (ok && !reflect.DeepEqual(got, want)) {

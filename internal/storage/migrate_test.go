@@ -10,7 +10,7 @@ import (
 
 func openMemNS(t *testing.T) *Namespace {
 	t.Helper()
-	e, err := Open(Options{CacheBytes: -1})
+	e, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

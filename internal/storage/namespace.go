@@ -147,14 +147,14 @@ func (ns *Namespace) Apply(rec record.Record) error {
 // point of multi-record MethodApply requests.
 //
 // The apply is blind: it reads nothing below the memtable. A record
-// counts as accepted — it gets an apply-log entry and watermark step,
-// raises MaxVersion and invalidates the record cache — when
-// memtable.Put stores it, that is unless the memtable itself already
-// holds a superseding version of the key. A record older than one
-// already flushed is stored all the same and loses wherever it is read:
-// point gets compare every layer by version, and scans, flushes and
-// compactions go through sstable.MergeIter, which keeps the superseding
-// record of each key whichever table holds it. Last-write-wins is
+// counts as accepted — it gets an apply-log entry and watermark step
+// and raises MaxVersion — when memtable.Put stores it, that is unless
+// the memtable itself already holds a superseding version of the key.
+// A record older than one already flushed is stored all the same and
+// loses wherever it is read: point gets compare every layer by version,
+// and scans, flushes and compactions go through sstable.MergeIter,
+// which keeps the superseding record of each key whichever table holds
+// it. Last-write-wins is
 // resolved by readers and merges, never by Apply. What keeps that true
 // of a put stored above the tombstone that deletes it is the merge
 // that drops tombstones: it leaves in every tombstone a record outside
@@ -164,7 +164,6 @@ func (ns *Namespace) ApplyBatch(recs []record.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	cache := ns.engine.cache
 	ns.mu.Lock()
 	if ns.closed {
 		ns.mu.Unlock()
@@ -184,9 +183,6 @@ func (ns *Namespace) ApplyBatch(recs []record.Record) error {
 		ns.applyLog = append(ns.applyLog, applyEntry{seq: ns.applySeq, key: rec.Key})
 		if rec.Version > ns.maxVersion {
 			ns.maxVersion = rec.Version
-		}
-		if cache != nil {
-			cache.Invalidate(ns.name, rec.Key)
 		}
 	}
 	if len(ns.applyLog) > maxApplyLog {
@@ -215,26 +211,15 @@ func (ns *Namespace) ApplyBatch(recs []record.Record) error {
 }
 
 // GetRecord returns the current record for key, including tombstones.
-// The engine's read cache answers repeat lookups without touching the
-// memtable or SSTables; fills happen under the namespace read lock so
-// a concurrent write's invalidation (under the write lock) can never
-// be overwritten by a stale fill.
+// The record shares the engine's memory (a memtable entry or a table
+// block); callers must not modify it.
 func (ns *Namespace) GetRecord(key []byte) (record.Record, bool, error) {
-	cache := ns.engine.cache
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
 	if ns.closed {
 		return record.Record{}, false, ErrClosed
 	}
-	if cache != nil {
-		if rec, found, hit := cache.Get(ns.name, key); hit {
-			return rec, found, nil
-		}
-	}
 	rec, ok := ns.getLocked(key)
-	if cache != nil {
-		cache.Put(ns.name, key, rec, ok)
-	}
 	return rec, ok, nil
 }
 
@@ -651,7 +636,6 @@ func (ns *Namespace) TruncateRange(start, end []byte) (int, error) {
 	// that still contains the truncated records while deleting the
 	// consumed tables' exclusion entries — resurrecting the range.
 	ns.cancelTierMerges()
-	cache := ns.engine.cache
 	ns.mu.Lock()
 	if ns.closed {
 		ns.mu.Unlock()
@@ -667,11 +651,6 @@ func (ns *Namespace) TruncateRange(start, end []byte) (int, error) {
 			ns.excluded = make(map[*sstable.Reader][]keyRange)
 		}
 		ns.excluded[t] = append(ns.excluded[t], excl)
-	}
-	if cache != nil {
-		// Truncation cannot enumerate affected keys cheaply; shed the
-		// namespace's cache entries wholesale.
-		cache.InvalidateNamespace(ns.name)
 	}
 	ns.mu.Unlock()
 

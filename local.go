@@ -9,10 +9,10 @@ import (
 	"scads/internal/storage"
 )
 
-// defaultNodeBlockCacheBytes sizes the per-node block cache a
-// disk-backed LocalCluster node gets unless Config.NodeStorage says
-// otherwise (negative = disabled). In-memory nodes have no SSTables
-// and never build one.
+// defaultNodeBlockCacheBytes is the BlockCacheBytes a disk-backed
+// LocalCluster node gets unless Config.NodeStorage says otherwise
+// (negative = none beyond CacheBytes' share). In-memory nodes have no
+// SSTables and never build a cache.
 const defaultNodeBlockCacheBytes = 16 << 20
 
 // LocalCluster bundles a Cluster with in-process storage nodes — the
@@ -73,8 +73,8 @@ func (lc *LocalCluster) AddStorageNode() (string, error) {
 		// root never collide.
 		sopts.Dir = fmt.Sprintf("%s/%s", sopts.Dir, id)
 		if sopts.BlockCacheBytes == 0 {
-			// Disk-backed nodes default the block cache on;
-			// pass a negative value to keep it off (ablations).
+			// Disk-backed nodes add to the cache's default share;
+			// pass a negative value to add nothing.
 			sopts.BlockCacheBytes = defaultNodeBlockCacheBytes
 		}
 	}

@@ -37,7 +37,7 @@ func openOverTCP(t *testing.T, nodes int, ddl string) *Cluster {
 	clk := clock.NewReal()
 	dir := cluster.NewDirectory(clk)
 	for i := 1; i <= nodes; i++ {
-		engine, err := storage.Open(storage.Options{NodeID: uint16(i), CacheBytes: 1 << 20})
+		engine, err := storage.Open(storage.Options{NodeID: uint16(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func openOverTCP(t *testing.T, nodes int, ddl string) *Cluster {
 
 // TestWarmGetAllocsOverTCP pins what one hot point read allocates end
 // to end — coordinator, transport, server dispatch and the node's
-// cached read, both sides of the socket being in this process — on the
+// memtable read, both sides of the socket being in this process — on the
 // ledger's five-column users row. testing.AllocsPerRun runs under
 // GOMAXPROCS(1), which makes the count deterministic.
 func TestWarmGetAllocsOverTCP(t *testing.T) {
@@ -85,7 +85,7 @@ func TestWarmGetAllocsOverTCP(t *testing.T) {
 			t.Fatalf("warm get = %v, %v, %v", r, found, err)
 		}
 	}
-	get() // dial, fill the record cache
+	get() // dial
 	// Measured 11: the server serves the get on its read loop, so no
 	// handler closure and no heap copy of the request.
 	if allocs := testing.AllocsPerRun(200, get); allocs > 12 {
