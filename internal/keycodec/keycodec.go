@@ -268,6 +268,42 @@ func AppendDesc(dst []byte, elem any) ([]byte, error) {
 	return dst, nil
 }
 
+// ElemLen returns the length of the element encoded at the start of
+// key; desc says AppendDesc encoded it.
+func ElemLen(key []byte, desc bool) (int, error) {
+	var flip byte
+	if desc {
+		flip = 0xFF
+	}
+	if len(key) == 0 {
+		return 0, ErrCorrupt
+	}
+	switch key[0] ^ flip {
+	case tagNull, tagFalse, tagTrue:
+		return 1, nil
+	case tagInt, tagFloat, tagTime:
+		if len(key) < 9 {
+			return 0, ErrCorrupt
+		}
+		return 9, nil
+	case tagString, tagBytes:
+		for i := 1; i+1 < len(key); i++ {
+			if key[i]^flip != 0x00 {
+				continue
+			}
+			switch key[i+1] ^ flip {
+			case 0xFF:
+				i++
+			case 0x01:
+				return i + 2, nil
+			default:
+				return 0, ErrCorrupt
+			}
+		}
+	}
+	return 0, ErrCorrupt
+}
+
 // PrefixEnd returns the smallest key greater than every key having the
 // given prefix, suitable as an exclusive upper bound for a range scan.
 // It returns nil when no such bound exists (prefix is all 0xFF).

@@ -361,3 +361,38 @@ func TestAppendDescUnsupported(t *testing.T) {
 		t.Fatal("AppendDesc accepted unsupported type")
 	}
 }
+
+// TestElemLenSplitsMixedKeys: ElemLen walks a key whose elements were
+// appended ascending and descending, escaped zero bytes included, and
+// rejects a truncated element.
+func TestElemLenSplitsMixedKeys(t *testing.T) {
+	elems := []any{"a\x00b", int64(-3), "", nil, true, 2.5, []byte{0, 0xFF, 1}, time.Unix(7, 0)}
+	for _, desc := range []bool{false, true} {
+		var key []byte
+		var lens []int
+		for _, e := range elems {
+			before := len(key)
+			var err error
+			if desc {
+				key, err = AppendDesc(key, e)
+			} else {
+				key, err = Append(key, e)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			lens = append(lens, len(key)-before)
+		}
+		rest := key
+		for i, want := range lens {
+			n, err := ElemLen(rest, desc)
+			if err != nil || n != want {
+				t.Fatalf("desc=%v element %d (%v): ElemLen = %d, %v, want %d", desc, i, elems[i], n, err, want)
+			}
+			if _, err := ElemLen(rest[:n-1], desc); n > 1 && err == nil {
+				t.Errorf("desc=%v element %d: a truncated element was accepted", desc, i)
+			}
+			rest = rest[n:]
+		}
+	}
+}

@@ -9,7 +9,9 @@
 package view
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"scads/internal/keycodec"
 	"scads/internal/planner"
@@ -24,6 +26,18 @@ type Store interface {
 	GetRow(namespace string, key []byte) (row.Row, bool, error)
 	// ScanRows returns up to limit live rows with start <= key < end.
 	ScanRows(namespace string, start, end []byte, limit int) ([]row.Row, error)
+}
+
+// KeyScanner is a Store that also lists the keys of a range. Retiring
+// a driving row's join-view entries needs them: an entry's key holds
+// the looked row it was built with, which its value may not carry.
+// Against a Store without it, the engine derives those keys from the
+// looked rows' current images, which misses an entry whose looked row
+// has changed since.
+type KeyScanner interface {
+	// ScanKeys returns the keys of up to limit live rows with
+	// start <= key < end.
+	ScanKeys(namespace string, start, end []byte, limit int) ([][]byte, error)
 }
 
 // Mutation is one index-entry change. A nil Value deletes the entry.
@@ -74,6 +88,13 @@ func NewEngine(schema *query.Schema, indexes []*planner.IndexDef, store Store) *
 		}
 	}
 	return e
+}
+
+// With returns a copy of e that reads through store.
+func (e *Engine) With(store Store) *Engine {
+	cp := *e
+	cp.store = store
+	return &cp
 }
 
 // Maintains reports whether any index or view is derived from table —
@@ -136,16 +157,8 @@ func (e *Engine) singleTable(def *planner.IndexDef, oldRow, newRow row.Row, acc 
 // and rewrite the affected entries.
 func (e *Engine) drivingSide(def *planner.IndexDef, oldRow, newRow row.Row, acc *mutationSet) error {
 	if oldRow != nil {
-		joined, err := e.lookupJoined(def, oldRow)
-		if err != nil {
+		if err := e.retireDriving(def, oldRow, acc); err != nil {
 			return err
-		}
-		for _, lr := range joined {
-			key, err := planner.EncodeEntryKey(def, map[string]row.Row{def.DrivingEff: oldRow, def.LookedEff: lr})
-			if err != nil {
-				return err
-			}
-			acc.delete(def.Namespace, key)
 		}
 	}
 	if newRow != nil {
@@ -166,6 +179,108 @@ func (e *Engine) drivingSide(def *planner.IndexDef, oldRow, newRow row.Row, acc 
 		}
 	}
 	return nil
+}
+
+// retireDriving deletes the entries of join view def that the driving
+// row old built. Their keys hold the looked rows they were built with,
+// and a looked row may have changed since: its own upkeep finds no
+// driving row to rewrite once old's reverse-index entry is gone. So
+// they are found by a bounded scan of the view under the leading key
+// columns old fixes, and deleted when their driving primary-key
+// columns are old's.
+func (e *Engine) retireDriving(def *planner.IndexDef, old row.Row, acc *mutationSet) error {
+	ks, ok := e.store.(KeyScanner)
+	if !ok {
+		joined, err := e.lookupJoined(def, old)
+		if err != nil {
+			return err
+		}
+		for _, lr := range joined {
+			key, err := planner.EncodeEntryKey(def, map[string]row.Row{def.DrivingEff: old, def.LookedEff: lr})
+			if err != nil {
+				return err
+			}
+			acc.delete(def.Namespace, key)
+		}
+		return nil
+	}
+	driving := e.schema.Tables[def.Driving]
+	// want[i] is key column i's encoding under old when it is one of the
+	// driving table's primary-key columns.
+	want := make([][]byte, len(def.KeyCols))
+	var prefix []byte
+	var prefixCols []string
+	lead := true
+	for i, kc := range def.KeyCols {
+		if kc.Source != def.DrivingEff {
+			lead = false
+			continue
+		}
+		v, ok := old[kc.Column]
+		if !ok {
+			return nil // no entry was built without its key column
+		}
+		var enc []byte
+		var err error
+		if kc.Desc {
+			enc, err = keycodec.AppendDesc(nil, v)
+		} else {
+			enc, err = keycodec.Append(nil, v)
+		}
+		if err != nil {
+			return err
+		}
+		if lead {
+			prefix = append(prefix, enc...)
+			prefixCols = append(prefixCols, kc.Column)
+		}
+		if slices.Contains(driving.PrimaryKey, kc.Column) {
+			want[i] = enc
+		}
+	}
+	bound := drivingRowsBound(driving, prefixCols) * max(def.LookedFanout, 1)
+	if bound <= 0 {
+		return fmt.Errorf("view: %s: no cardinality bound for the entries under %s's key prefix", def.Name, def.Driving)
+	}
+	keys, err := ks.ScanKeys(def.Namespace, prefix, keycodec.PrefixEnd(prefix), bound+1)
+	if err != nil {
+		return err
+	}
+	if len(keys) > bound {
+		return fmt.Errorf("%w: %s: more than %d entries match prefix in %s",
+			ErrCardinalityViolated, def.Name, bound, def.Namespace)
+	}
+	for _, key := range keys {
+		rest, match := key, true
+		for i, kc := range def.KeyCols {
+			n, err := keycodec.ElemLen(rest, kc.Desc)
+			if err != nil {
+				return fmt.Errorf("view: %s: entry key: %w", def.Name, err)
+			}
+			match = match && (want[i] == nil || bytes.Equal(rest[:n], want[i]))
+			rest = rest[n:]
+		}
+		if match {
+			acc.delete(def.Namespace, key)
+		}
+	}
+	return nil
+}
+
+// drivingRowsBound is the most rows of t that agree on cols: one when
+// cols hold t's primary key, else the least cardinality declared on
+// one of them (0: none declared).
+func drivingRowsBound(t *query.TableDef, cols []string) int {
+	if len(t.PrimaryKey) > 0 && !slices.ContainsFunc(t.PrimaryKey, func(pk string) bool { return !slices.Contains(cols, pk) }) {
+		return 1
+	}
+	best := 0
+	for _, c := range cols {
+		if card, ok := t.Cardinality[c]; ok && (best == 0 || card < best) {
+			best = card
+		}
+	}
+	return best
 }
 
 // lookedSide maintains a join view when the looked-up (joined) table

@@ -29,6 +29,15 @@ func (s *mapStore) GetRow(ns string, key []byte) (row.Row, bool, error) {
 }
 
 func (s *mapStore) ScanRows(ns string, start, end []byte, limit int) ([]row.Row, error) {
+	keys, _ := s.ScanKeys(ns, start, end, limit)
+	out := make([]row.Row, len(keys))
+	for i, k := range keys {
+		out[i] = s.data[ns][string(k)]
+	}
+	return out, nil
+}
+
+func (s *mapStore) ScanKeys(ns string, start, end []byte, limit int) ([][]byte, error) {
 	keys := make([]string, 0)
 	for k := range s.data[ns] {
 		if k >= string(start) && (end == nil || k < string(end)) {
@@ -36,12 +45,12 @@ func (s *mapStore) ScanRows(ns string, start, end []byte, limit int) ([]row.Row,
 		}
 	}
 	sort.Strings(keys)
-	var out []row.Row
+	var out [][]byte
 	for _, k := range keys {
 		if len(out) >= limit {
 			break
 		}
-		out = append(out, s.data[ns][k])
+		out = append(out, []byte(k))
 	}
 	return out, nil
 }
@@ -462,5 +471,54 @@ func TestReverseLookupPKPrefixDelete(t *testing.T) {
 	ns := viewNS(out, "messageTopics")
 	if got := len(store.data[ns]); got != 0 {
 		t.Fatalf("view entries after room delete = %d, want 0", got)
+	}
+}
+
+// TestDrivingDeleteRetiresEntryOfAChangedLookedRow: bob's birthday
+// changes before the upkeep of a deleted friendship runs. The entry the
+// friendship built holds the old birthday in its key, so it is found by
+// scanning the view under alice's prefix, not derived from bob's
+// current row; alice's other entry stays. Through a Store that lists
+// no keys, an entry whose looked row is unchanged still retires.
+func TestDrivingDeleteRetiresEntryOfAChangedLookedRow(t *testing.T) {
+	store := newMapStore()
+	s, out, e := buildEngine(t, store)
+	users, friendships := s.Tables["users"], s.Tables["friendships"]
+	store.putBase(t, e, users, nil, row.Row{"id": "bob", "name": "Bob", "birthday": int64(10)})
+	store.putBase(t, e, users, nil, row.Row{"id": "carol", "name": "Carol", "birthday": int64(15)})
+	edge := row.Row{"f1": "alice", "f2": "bob"}
+	store.putBase(t, e, friendships, nil, edge)
+	store.putBase(t, e, friendships, nil, row.Row{"f1": "alice", "f2": "carol"})
+	bdNS := viewNS(out, "friendsWithUpcomingBirthdays")
+	if len(store.data[bdNS]) != 2 {
+		t.Fatalf("birthday view has %d entries, want 2", len(store.data[bdNS]))
+	}
+
+	// bob's new row is stored; its upkeep has not run yet.
+	bobKey, err := row.EncodeKey(row.Row{"id": "bob"}, users.PrimaryKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.data[planner.TableNamespace("users")][string(bobKey)] = row.Row{"id": "bob", "name": "Bob", "birthday": int64(20)}
+	muts, err := e.Mutations("friendships", edge, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.apply(muts)
+	if len(store.data[bdNS]) != 1 {
+		t.Fatalf("birthday view has %d entries after the delete, want carol's only", len(store.data[bdNS]))
+	}
+	for _, v := range store.data[bdNS] {
+		if v["id"] != "carol" {
+			t.Fatalf("view holds %v, want carol's entry", v)
+		}
+	}
+
+	// Without keys listed, an unchanged looked row still retires.
+	rowsOnly := e.With(struct{ Store }{store})
+	store.putBase(t, rowsOnly, friendships, nil, edge)
+	store.putBase(t, rowsOnly, friendships, edge, nil)
+	if len(store.data[bdNS]) != 1 {
+		t.Fatalf("birthday view has %d entries after a re-insert and delete, want carol's only", len(store.data[bdNS]))
 	}
 }

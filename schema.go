@@ -247,3 +247,15 @@ func (s *coordStore) ScanRows(namespace string, start, end []byte, limit int) ([
 	}
 	return out, nil
 }
+
+func (s *coordStore) ScanKeys(namespace string, start, end []byte, limit int) ([][]byte, error) {
+	recs, err := s.c.router.Scan(namespace, start, end, limit, partition.ReadPrimary)
+	if err != nil {
+		return nil, err
+	}
+	keys := make([][]byte, len(recs))
+	for i := range recs {
+		keys[i] = recs[i].Key
+	}
+	return keys, nil
+}

@@ -14,6 +14,7 @@ import (
 	"scads/internal/record"
 	"scads/internal/row"
 	"scads/internal/rpc"
+	"scads/internal/view"
 )
 
 // Every write runs one pipeline. Stage: resolve the table, normalize
@@ -469,32 +470,34 @@ func (c *Cluster) enqueueReplication(ns string, m *partition.Map, rec record.Rec
 // popped tasks' keys hold now are read from their primaries first, with
 // one batched read per base namespace, so upkeep retires every
 // displaced row's entries and installs the current row's whatever order
-// the tasks were queued in. A task's index mutations go through commit,
-// one call per index namespace, so mutations bound for the same primary
-// share an apply, and they replicate under the staleness bound of the
-// table whose change they derive from. A task that fails — a read or an
-// apply outlasting its retry budget during a failover, say — goes back
-// on the queue with the tasks after it, deadlines and places kept, and
-// the error is returned: the index is late, never silently divergent
-// (re-running a half-applied task is harmless, index entries are
-// overwritten by version). Rounds run one at a time: two rounds holding
-// tasks of one key could otherwise commit a row the other has already
-// retired. Simulations call this each tick; FlushAll drains everything.
+// the tasks were queued in. The round holds its tasks' index mutations,
+// versioned in task order, in groups by index namespace and by the
+// staleness bound of the table each derives from, and goes through
+// commit once per group: one apply per index namespace and primary.
+// Before upkeep reads an index namespace the round commits what it
+// holds for it, so every task reads what the tasks before it wrote. A
+// failed commit, or a task that fails — a read or an apply outlasting
+// its retry budget during a failover, say — puts back on the queue
+// every task from the earliest one with a mutation not yet committed,
+// deadlines and places kept; that index is returned with the error.
+// The index is late, never silently divergent (re-running a
+// half-applied task is harmless, index entries are overwritten by
+// version). Rounds run one at a time: two rounds holding tasks of one
+// key could otherwise commit a row the other has already retired.
+// Simulations call this each tick; FlushAll drains everything.
 func (c *Cluster) DrainMaintenance(budget int) (int, error) {
 	c.maint.draining.Lock()
 	defer c.maint.draining.Unlock()
 	tasks := c.maint.popN(budget)
-	cur, err := c.currentRows(tasks)
-	for i, task := range tasks {
-		if err == nil {
-			err = c.maintain(task, cur[i])
-		}
-		if err != nil {
-			c.maint.requeue(tasks[i:]...)
-			return i, err
-		}
+	if len(tasks) == 0 {
+		return 0, nil
 	}
-	return len(tasks), nil
+	r := &upkeepRound{c: c, store: coordStore{c}}
+	done, err := r.run(tasks)
+	if err != nil {
+		c.maint.requeue(tasks[done:]...)
+	}
+	return done, err
 }
 
 // currentRows reads the row each task's key holds now (nil when none)
@@ -532,10 +535,50 @@ func (c *Cluster) currentRows(tasks []maintTask) ([]row.Row, error) {
 	return cur, nil
 }
 
-// maintain computes the index mutations of one task, whose key now
-// holds cur, and commits them. (A queued task implies a defined schema,
-// so c.views is set.)
-func (c *Cluster) maintain(task maintTask, cur row.Row) error {
+// upkeepRound is one DrainMaintenance round: the index mutations its
+// tasks derived and has not committed yet. It is the view engine's
+// Store for the round, so that a read of an index namespace first
+// commits what the round holds for it.
+type upkeepRound struct {
+	c      *Cluster
+	store  coordStore
+	groups []upkeepGroup
+}
+
+// upkeepGroup is the records a round holds for one index namespace
+// under one staleness bound, in version order.
+type upkeepGroup struct {
+	ns    string
+	bound time.Duration
+	first int // the earliest task with a record here
+	recs  []record.Record
+}
+
+// run maintains tasks, whose keys are read first, and reports how many
+// from the first completed. (A queued task implies a defined schema, so
+// c.views is set.)
+func (r *upkeepRound) run(tasks []maintTask) (int, error) {
+	cur, err := r.c.currentRows(tasks)
+	if err != nil {
+		return 0, err
+	}
+	r.c.mu.RLock()
+	views := r.c.views.With(r)
+	r.c.mu.RUnlock()
+	for i, task := range tasks {
+		if err := r.maintain(views, i, task, cur[i]); err != nil {
+			return r.earliest(i), err
+		}
+	}
+	if err := r.flush(""); err != nil {
+		return r.earliest(len(tasks)), err
+	}
+	return len(tasks), nil
+}
+
+// maintain computes the index mutations of task i, whose key now holds
+// cur, and adds them to the round's groups.
+func (r *upkeepRound) maintain(views *view.Engine, i int, task maintTask, cur row.Row) error {
 	old, err := decodeRow(task.old.Value, !task.old.Tombstone, nil)
 	if err != nil {
 		return fmt.Errorf("scads: maintenance for %s: %w", task.table, err)
@@ -543,35 +586,72 @@ func (c *Cluster) maintain(task maintTask, cur row.Row) error {
 	if old == nil && cur == nil {
 		return nil
 	}
-	c.mu.RLock()
-	views := c.views
-	c.mu.RUnlock()
 	muts, err := views.Mutations(task.table, old, cur)
 	if err != nil {
 		return fmt.Errorf("scads: maintenance for %s: %w", task.table, err)
 	}
-	bound := c.stalenessBound(task.table)
-	for len(muts) > 0 {
-		ns := muts[0].Namespace
-		recs := make([]record.Record, 0, len(muts))
-		rest := muts[:0]
-		for _, mut := range muts {
-			if mut.Namespace != ns {
-				rest = append(rest, mut)
-				continue
-			}
-			rec, err := c.newRecord(mut.Key, mut.Value)
-			if err != nil {
-				return err
-			}
-			recs = append(recs, rec)
-		}
-		if _, err := c.commit(ns, recs, bound, delivery{}); err != nil {
+	bound := r.c.stalenessBound(task.table)
+	for _, mut := range muts {
+		rec, err := r.c.newRecord(mut.Key, mut.Value)
+		if err != nil {
 			return err
 		}
-		muts = rest
+		g := slices.IndexFunc(r.groups, func(g upkeepGroup) bool { return g.ns == mut.Namespace && g.bound == bound })
+		if g < 0 {
+			g = len(r.groups)
+			r.groups = append(r.groups, upkeepGroup{ns: mut.Namespace, bound: bound, first: i})
+		}
+		r.groups[g].recs = append(r.groups[g].recs, rec)
 	}
 	return nil
+}
+
+// flush commits the groups held for ns (every group when ns is ""),
+// each in one commit. A group that fails stays held, with the groups
+// not reached yet.
+func (r *upkeepRound) flush(ns string) error {
+	kept := r.groups[:0]
+	var err error
+	for _, g := range r.groups {
+		if err == nil && (ns == "" || g.ns == ns) {
+			if _, err = r.c.commit(g.ns, g.recs, g.bound, delivery{}); err == nil {
+				continue
+			}
+		}
+		kept = append(kept, g)
+	}
+	r.groups = kept
+	return err
+}
+
+// earliest is the least of i and the first task of each group the
+// round still holds.
+func (r *upkeepRound) earliest(i int) int {
+	for _, g := range r.groups {
+		i = min(i, g.first)
+	}
+	return i
+}
+
+func (r *upkeepRound) GetRow(namespace string, key []byte) (row.Row, bool, error) {
+	if err := r.flush(namespace); err != nil {
+		return nil, false, err
+	}
+	return r.store.GetRow(namespace, key)
+}
+
+func (r *upkeepRound) ScanRows(namespace string, start, end []byte, limit int) ([]row.Row, error) {
+	if err := r.flush(namespace); err != nil {
+		return nil, err
+	}
+	return r.store.ScanRows(namespace, start, end, limit)
+}
+
+func (r *upkeepRound) ScanKeys(namespace string, start, end []byte, limit int) ([][]byte, error) {
+	if err := r.flush(namespace); err != nil {
+		return nil, err
+	}
+	return r.store.ScanKeys(namespace, start, end, limit)
 }
 
 // FlushAll drains all pending maintenance and replication — the "wait

@@ -365,9 +365,9 @@ func TestConcurrentInsertsRetireLoserIndexEntry(t *testing.T) {
 	}
 }
 
-// TestFailedMaintenanceIsRequeued: a maintenance task whose index apply
-// fails goes back on the queue, and completes once the index range's
-// primary is back.
+// TestFailedMaintenanceIsRequeued: a round whose index apply fails puts
+// every task back on the queue, and they complete once the index
+// range's primary is back.
 func TestFailedMaintenanceIsRequeued(t *testing.T) {
 	lc, _ := newSocialCluster(t, 2, 1)
 	ids := lc.NodeIDs()
@@ -382,34 +382,40 @@ func TestFailedMaintenanceIsRequeued(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := lc.Insert("users", Row{"id": "bob", "name": "Bob", "birthday": 10}); err != nil {
-		t.Fatal(err)
+	for _, u := range []string{"bob", "carol"} {
+		if err := lc.Insert("users", Row{"id": u, "name": u, "birthday": 10}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := lc.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 
 	lc.CrashNode(ids[1])
-	if err := lc.Insert("friendships", Row{"f1": "alice", "f2": "bob"}); err != nil {
-		t.Fatal(err)
+	edges := [][2]string{{"alice", "bob"}, {"alice", "carol"}, {"carol", "bob"}}
+	for _, e := range edges {
+		if err := lc.Insert("friendships", Row{"f1": e[0], "f2": e[1]}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := lc.DrainMaintenance(10); err == nil {
-		t.Fatal("DrainMaintenance succeeded with the index primary down")
+	if n, err := lc.DrainMaintenance(10); n != 0 || err == nil {
+		t.Fatalf("DrainMaintenance with the index primary down = %d, %v, want 0 and an error", n, err)
 	}
-	if pending, _ := lc.MaintenanceBacklog(0); pending != 1 {
-		t.Fatalf("%d tasks pending after the failed drain, want the failed task back (1)", pending)
+	if pending, _ := lc.MaintenanceBacklog(0); pending != len(edges) {
+		t.Fatalf("%d tasks pending after the failed drain, want every task back (%d)", pending, len(edges))
 	}
 
 	lc.RecoverNode(ids[1])
-	if n, err := lc.DrainMaintenance(10); n != 1 || err != nil {
-		t.Fatalf("DrainMaintenance after recovery = %d, %v, want 1 task", n, err)
+	if n, err := lc.DrainMaintenance(10); n != len(edges) || err != nil {
+		t.Fatalf("DrainMaintenance after recovery = %d, %v, want %d tasks", n, err, len(edges))
 	}
 	// (The friends query reads the friendships table itself; the join
 	// view is the query that depends on maintenance.)
 	rows, err := lc.Query("friendsWithUpcomingBirthdays", map[string]any{"user": "alice"})
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("view after recovery = %v, %v, want bob", rows, err)
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("view after recovery = %v, %v, want bob and carol", rows, err)
 	}
+	checkIndexesMatchRebuild(t, lc.Cluster, socialDDL)
 }
 
 // TestIndexReplicasFollowTableBound: index updates replicate under the
