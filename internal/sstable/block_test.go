@@ -16,11 +16,14 @@ import (
 )
 
 // countingCache is a minimal BlockCache for exercising the cached read
-// path: an unbounded map plus hit/put/drop counters.
+// path: an unbounded map plus hit/put/drop counters. One made to refuse
+// admits nothing.
 type countingCache struct {
 	mu      sync.Mutex
 	blocks  map[string]Block
+	refuse  bool
 	hits    int
+	refused int
 	puts    int
 	dropped []string
 }
@@ -43,6 +46,15 @@ func (c *countingCache) Get(path string, block int) (Block, bool) {
 	return b, ok
 }
 
+func (c *countingCache) Admit(path string, block, size int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.refuse {
+		c.refused++
+	}
+	return !c.refuse
+}
+
 func (c *countingCache) Put(path string, block int, b Block) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -60,6 +72,14 @@ func (c *countingCache) DropTable(path string) {
 		}
 	}
 }
+
+// missCache holds nothing: every Get misses, and Admit answers admit.
+type missCache struct{ admit bool }
+
+func (c missCache) Get(string, int) (Block, bool) { return Block{}, false }
+func (c missCache) Admit(string, int, int) bool   { return c.admit }
+func (c missCache) Put(string, int, Block)        {}
+func (c missCache) DropTable(string)              {}
 
 func TestBlockCacheServesGets(t *testing.T) {
 	r := buildTable(t, filepath.Join(t.TempDir(), "t.sst"), seqRecords(2000))
@@ -266,6 +286,101 @@ func BenchmarkGetBlockCache(b *testing.B) {
 		key := []byte(fmt.Sprintf("key-%06d", i%10000))
 		if _, ok, err := r.Get(key); !ok || err != nil {
 			b.Fatalf("miss on %q: %v", key, err)
+		}
+	}
+}
+
+// BenchmarkGetMissRefused is a point read of a block the cache misses:
+// refused, it is read into a pooled buffer and only the record found
+// is copied out; admitted, the block is read, indexed and handed to Put.
+func BenchmarkGetMissRefused(b *testing.B) {
+	r := buildTable(b, filepath.Join(b.TempDir(), "t.sst"), seqRecords(10000))
+	defer r.Close()
+	keys := make([][]byte, 10000)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%06d", i))
+	}
+	for _, tc := range []struct {
+		name  string
+		admit bool
+	}{{"refused", false}, {"admitted", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			r.SetBlockCache(missCache{tc.admit})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok, err := r.Get(keys[i%len(keys)]); !ok || err != nil {
+					b.Fatalf("miss on %q: %v", keys[i%len(keys)], err)
+				}
+			}
+		})
+	}
+}
+
+// A refused block is read and checked for each get that lands in it,
+// and the record a get returns owns its bytes: a second get, through
+// the same pooled buffer, leaves the first one's record as it was.
+func TestRefusedGetOwnsItsRecord(t *testing.T) {
+	r := buildTable(t, filepath.Join(t.TempDir(), "t.sst"), seqRecords(2000))
+	defer r.Close()
+	c := newCountingCache()
+	c.refuse = true
+	r.SetBlockCache(c)
+	first, ok, err := r.Get([]byte("key-000100"))
+	if err != nil || !ok {
+		t.Fatalf("Get: ok=%v err=%v", ok, err)
+	}
+	if _, ok, err := r.Get([]byte("key-001900")); err != nil || !ok {
+		t.Fatalf("second Get: ok=%v err=%v", ok, err)
+	}
+	if string(first.Key) != "key-000100" || string(first.Value) != "value-100" || first.Version != 101 {
+		t.Fatalf("first record after a second get = %q %q v%d", first.Key, first.Value, first.Version)
+	}
+	if _, ok, err := r.Get([]byte("key-000100x")); ok || err != nil {
+		t.Fatalf("Get of an absent key = %v, %v", ok, err)
+	}
+	n := 0
+	if err := r.Scan([]byte("key-000100"), []byte("key-000900"), func(record.Record) bool { n++; return true }); err != nil || n != 800 {
+		t.Fatalf("scan over refused blocks = %d records, %v; want 800", n, err)
+	}
+	if c.puts != 0 || len(c.blocks) != 0 || c.refused == 0 {
+		t.Fatalf("a cache refusing every block was asked %d times and holds %d blocks after %d puts", c.refused, len(c.blocks), c.puts)
+	}
+}
+
+// A corrupt frame anywhere in a block fails a get of any key in it
+// when no cache keeps the block, as it does for a cached block.
+func TestRefusedBlockVerified(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.sst")
+	r := buildTable(t, path, seqRecords(1000))
+	off, _ := r.blockExtent(1)
+	b, err := r.readBlock(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := b.Record(b.Len() / 2).Key
+	r.Close()
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range []int{0, b.Len() / 2, b.Len() - 1} {
+		data := bytes.Clone(clean)
+		data[off+uint64(b.offs[frame])] ^= 0xFF // the frame's CRC
+		bad := filepath.Join(dir, fmt.Sprintf("bad-%d.sst", frame))
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, cache := range []BlockCache{nil, missCache{false}} {
+			r, err := Open(bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.SetBlockCache(cache)
+			if _, _, err := r.Get(key); !errors.Is(err, record.ErrCorrupt) {
+				t.Errorf("frame %d corrupt, cache %T: Get(%q) = %v, want ErrCorrupt", frame, cache, key, err)
+			}
+			r.Close()
 		}
 	}
 }

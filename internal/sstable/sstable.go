@@ -29,6 +29,7 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"sync"
 	"sync/atomic"
 
 	"scads/internal/record"
@@ -56,12 +57,18 @@ var ErrOutOfOrder = errors.New("sstable: keys must be strictly ascending")
 
 // BlockCache caches checked data blocks across tables. Implementations
 // must be safe for concurrent use; a cached Block is shared and
-// immutable. The storage engine provides a sharded LRU implementation
-// shared across namespaces, which charges a block its Size: a block
-// has no spare capacity, so that is what the cache holds.
+// immutable. A block Get misses is read whole either way, but only one
+// that Admit accepts is Put: a point read of a refused block reads it
+// into a pooled buffer and keeps nothing but the record it finds. The
+// storage engine provides a sharded LRU implementation shared across
+// namespaces, which charges a block its Size: a block has no spare
+// capacity, so that is what the cache holds.
 type BlockCache interface {
 	// Get returns the cached block, if present.
 	Get(path string, block int) (Block, bool)
+	// Admit reports whether the cache would keep the size-byte block
+	// Get just missed, and may remember that it was asked.
+	Admit(path string, block, size int) bool
 	// Put stores a block.
 	Put(path string, block int, b Block)
 	// DropTable evicts every block of the named table, called when the
@@ -453,28 +460,38 @@ func (r *Reader) blockExtent(i int) (off, length uint64) {
 }
 
 // readBlock returns block i, checked. A cached read consults the
-// attached block cache first and fills it; an uncached one (compaction,
-// the edge check) never touches it, so one-shot sequential sweeps
-// cannot wash the cache of hot read blocks.
+// attached block cache first and fills it with a block it admits; an
+// uncached one (compaction, the edge check) never touches it, so
+// one-shot sequential sweeps cannot wash the cache of hot read blocks.
 func (r *Reader) readBlock(i int, cached bool) (Block, error) {
-	c := r.cache
-	if !cached {
-		c = nil
-	}
-	if c != nil {
-		if b, ok := c.Get(r.path, i); ok {
-			return b, nil
+	if cached {
+		if b, ok, err := r.cachedBlock(i); ok || err != nil {
+			return b, err
 		}
 	}
+	return r.decodeBlock(r.blockExtent(i))
+}
+
+// cachedBlock returns block i from the attached cache, read in and
+// stored when the cache misses but admits it. ok is false when there
+// is no cache or it refused the block, which it then does not hold.
+func (r *Reader) cachedBlock(i int) (b Block, ok bool, err error) {
+	c := r.cache
+	if c == nil {
+		return Block{}, false, nil
+	}
+	if b, ok := c.Get(r.path, i); ok {
+		return b, true, nil
+	}
 	off, length := r.blockExtent(i)
-	b, err := r.decodeBlock(off, length)
-	if err != nil {
-		return Block{}, err
+	if !c.Admit(r.path, i, int(length)) {
+		return Block{}, false, nil
 	}
-	if c != nil {
-		c.Put(r.path, i, b)
+	if b, err = r.decodeBlock(off, length); err != nil {
+		return Block{}, false, err
 	}
-	return b, nil
+	c.Put(r.path, i, b)
+	return b, true, nil
 }
 
 // decodeBlock reads the block at [off, off+length) and checks its
@@ -508,19 +525,71 @@ func (r *Reader) blockFor(key []byte) int {
 
 // Get returns the record stored under key. One bloom probe, one block
 // read (cached or a single ~4 KiB pread), one binary search, one
-// record decoded.
+// record decoded. The record aliases a cached block; read from a block
+// no cache keeps, it is a copy that owns its bytes.
 func (r *Reader) Get(key []byte) (record.Record, bool, error) {
 	if r.count == 0 || !r.bloom.mayContain(key) {
 		return record.Record{}, false, nil
 	}
-	b, err := r.readBlock(r.blockFor(key), true)
+	i := r.blockFor(key)
+	b, ok, err := r.cachedBlock(i)
 	if err != nil {
 		return record.Record{}, false, err
 	}
-	if i := b.search(key); i < b.Len() && bytes.Equal(b.key(i), key) {
-		return b.Record(i), true, nil
+	if !ok {
+		return r.getOnce(i, key)
+	}
+	if j := b.search(key); j < b.Len() && bytes.Equal(b.key(j), key) {
+		return b.Record(j), true, nil
 	}
 	return record.Record{}, false, nil
+}
+
+// blockBufs pools the buffers getOnce reads blocks into.
+var blockBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// getOnce is Get over block i when no cache will keep it: the block is
+// read into a pooled buffer and every frame checked, exactly as
+// NewBlock checks them, so a corrupt block fails the read whether it
+// is cached or not; the record found is copied out, and the buffer
+// never leaves the call.
+func (r *Reader) getOnce(i int, key []byte) (record.Record, bool, error) {
+	off, length := r.blockExtent(i)
+	if length > math.MaxUint32 {
+		return record.Record{}, false, fmt.Errorf("sstable: %d-byte block: %w", length, ErrCorrupt)
+	}
+	buf := blockBufs.Get().(*[]byte)
+	defer blockBufs.Put(buf)
+	if uint64(cap(*buf)) < length {
+		*buf = make([]byte, length)
+	}
+	data := (*buf)[:length]
+	if _, err := r.f.ReadAt(data, int64(off)); err != nil {
+		return record.Record{}, false, fmt.Errorf("sstable: read block: %w", err)
+	}
+	var found []byte
+	for at := 0; at < len(data); {
+		n, err := record.CheckFrame(data[at:])
+		if err != nil {
+			return record.Record{}, false, fmt.Errorf("sstable: %w", err)
+		}
+		if found == nil && bytes.Equal(record.FrameKey(data[at:]), key) {
+			found = data[at : at+n]
+		}
+		at += n
+	}
+	if found == nil {
+		return record.Record{}, false, nil
+	}
+	// One allocation holds the key and the value.
+	rec := record.DecodeFrame(found)
+	k := len(rec.Key)
+	owned := append(append(make([]byte, 0, k+len(rec.Value)), rec.Key...), rec.Value...)
+	rec.Key = owned[:k:k]
+	if rec.Value != nil {
+		rec.Value = owned[k:]
+	}
+	return rec, true, nil
 }
 
 // Scan visits records with start <= key < end in ascending order until

@@ -262,22 +262,11 @@ func sortRecords(recs []record.Record) {
 }
 
 // TestReadAllocs pins what the uncached read path allocates over a
-// 10 000-record table: a point get 2 times (the block's bytes and its
-// offsets), a 100-record scan 5 (two blocks, and its start key).
+// 10 000-record table: a 100-record scan 5 times (two blocks, and its
+// start key). TestRefusedGetAllocs pins an uncached point get.
 func TestReadAllocs(t *testing.T) {
 	r := buildTable(t, filepath.Join(t.TempDir(), "t.sst"), seqRecords(10000))
 	defer r.Close()
-	keys := make([][]byte, 100)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("key-%06d", i*97))
-	}
-	i := 0
-	get := testing.AllocsPerRun(200, func() {
-		if _, ok, err := r.Get(keys[i%len(keys)]); !ok || err != nil {
-			t.Fatalf("miss on %q: %v", keys[i%len(keys)], err)
-		}
-		i++
-	})
 	scan := testing.AllocsPerRun(200, func() {
 		n := 0
 		if err := r.Scan([]byte("key-005000"), nil, func(record.Record) bool {
@@ -287,8 +276,8 @@ func TestReadAllocs(t *testing.T) {
 			t.Fatalf("scan = %d records, %v", n, err)
 		}
 	})
-	if get > 2 || scan > 5 {
-		t.Errorf("get allocates %.0f times, want <= 2; scan of 100 %.0f, want <= 5", get, scan)
+	if scan > 5 {
+		t.Errorf("scan of 100 allocates %.0f times, want <= 5", scan)
 	}
 }
 
@@ -454,7 +443,7 @@ func TestBlockVerifiedAtLoad(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, cache := range []BlockCache{nil, newCountingCache()} {
+	for _, cache := range []BlockCache{nil, newCountingCache(), missCache{false}} {
 		r, err := Open(path)
 		if err != nil {
 			t.Fatal(err)

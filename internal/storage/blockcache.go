@@ -31,6 +31,14 @@ const cacheShards = 16
 // byte budget, but never its last entry: one oversized block is cached
 // rather than thrashed.
 //
+// A shard admits every block it has room for. Once full, it admits a
+// block only on its second miss (Admit), and only while the shard's
+// ghost ring, a FIFO of the blocks it refused that holds no more keys
+// than the shard holds entries, still remembers the first — the ghost
+// queue of 2Q (Johnson & Shasha, VLDB '94). A block read once and
+// never again, the bulk of a working set larger than the cache, then
+// costs no allocation that outlives its read and evicts no block.
+//
 // BlockCache implements sstable.BlockCache.
 type BlockCache struct {
 	shards []blockShard
@@ -43,7 +51,14 @@ type blockShard struct {
 	bytes    int64
 	maxBytes int64
 
-	hits, misses, evictions int64
+	// ghost holds the hashes of refused blocks: a set, and the ring
+	// that ages them out, oldest at ring[head]. A hash shared by two
+	// blocks at most admits one early.
+	ghost        map[uint32]struct{}
+	ring         []uint32
+	head, nGhost int
+
+	hits, misses, evictions, refused int64
 }
 
 type blockEntry struct {
@@ -76,13 +91,18 @@ func NewBlockCache(totalBytes int64, shards int) *BlockCache {
 			order:    list.New(),
 			entries:  make(map[blockKey]*list.Element),
 			maxBytes: max(totalBytes/int64(n), 1),
+			ghost:    make(map[uint32]struct{}),
 		}
 	}
 	return c
 }
 
 func (c *BlockCache) shard(k blockKey) *blockShard {
-	return &c.shards[k.hash()&uint32(len(c.shards)-1)]
+	return c.shardOf(k.hash())
+}
+
+func (c *BlockCache) shardOf(h uint32) *blockShard {
+	return &c.shards[h&uint32(len(c.shards)-1)]
 }
 
 // Get returns the cached block, if present, and marks it most recently
@@ -101,6 +121,26 @@ func (c *BlockCache) Get(path string, block int) (b sstable.Block, ok bool) {
 	}
 	s.mu.Unlock()
 	return b, ok
+}
+
+// Admit reports whether a block of size bytes that Get just missed
+// should be kept: always while its shard has room for it, and once the
+// shard is full only if the shard's ghost ring remembers refusing it
+// before. A refused block is remembered and counted.
+func (c *BlockCache) Admit(path string, block, size int) bool {
+	h := blockKey{path, block}.hash()
+	s := c.shardOf(h)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.order.Len() == 0 || s.bytes+int64(len(path)+size)+blockEntryOverhead <= s.maxBytes {
+		return true
+	}
+	if _, ok := s.ghost[h]; ok {
+		return true
+	}
+	s.refused++
+	s.remember(h)
+	return false
 }
 
 // Put stores a block, charged its Size, replacing any earlier one. The
@@ -130,6 +170,31 @@ func (s *blockShard) drop(el *list.Element) {
 	e := s.order.Remove(el).(*blockEntry)
 	delete(s.entries, e.key)
 	s.bytes -= e.size
+	s.forget()
+}
+
+// remember adds h to the ghost ring. Caller holds s.mu.
+func (s *blockShard) remember(h uint32) {
+	if s.nGhost == len(s.ring) {
+		ring := make([]uint32, max(2*len(s.ring), 8))
+		n := copy(ring, s.ring[s.head:])
+		copy(ring[n:], s.ring[:s.head])
+		s.ring, s.head = ring, 0
+	}
+	s.ring[(s.head+s.nGhost)%len(s.ring)] = h
+	s.nGhost++
+	s.ghost[h] = struct{}{}
+	s.forget()
+}
+
+// forget ages the ghost ring's oldest keys out until it holds no more
+// than the shard's entries. Caller holds s.mu.
+func (s *blockShard) forget() {
+	for s.nGhost > s.order.Len() {
+		delete(s.ghost, s.ring[s.head])
+		s.head = (s.head + 1) % len(s.ring)
+		s.nGhost--
+	}
 }
 
 // DropTable evicts every cached block of the named table. Called when
@@ -153,6 +218,7 @@ type CacheStats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
+	Refused   int64 // misses the cache declined to keep (see BlockCache.Admit)
 	Entries   int
 	Bytes     int64
 }
@@ -169,6 +235,7 @@ func (c *BlockCache) Stats() BlockCacheStats {
 		st.Hits += s.hits
 		st.Misses += s.misses
 		st.Evictions += s.evictions
+		st.Refused += s.refused
 		st.Entries += s.order.Len()
 		st.Bytes += s.bytes
 		s.mu.Unlock()

@@ -32,6 +32,34 @@ func (c blockCacheOps) get(path string, block int) (version uint64, ok bool) {
 	return b.Record(0).Version, ok
 }
 
+// read is a table reader's path to a block: a hit, or a miss read in
+// and stored when the cache admits it.
+func (c blockCacheOps) read(path string, block, size int) (hit, admitted bool) {
+	if _, ok := c.Get(path, block); ok {
+		return true, true
+	}
+	if !c.Admit(path, block, size) {
+		return false, false
+	}
+	c.put(path, block, size, 1)
+	return false, true
+}
+
+// checkGhosts fails unless every shard's ghost ring holds no more keys
+// than the shard holds entries, and its set and ring agree.
+func checkGhosts(t *testing.T, c *BlockCache) {
+	t.Helper()
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n, entries, set := s.nGhost, s.order.Len(), len(s.ghost)
+		s.mu.Unlock()
+		if n > entries || set != n {
+			t.Fatalf("shard %d: ghost ring holds %d keys (set %d) over %d entries", i, n, set, entries)
+		}
+	}
+}
+
 // blockOfSize returns a block of one record tagged version whose Size
 // is n bytes, or an empty block for version 0.
 func blockOfSize(n int, version uint64) sstable.Block {
@@ -204,6 +232,118 @@ func TestLRU(t *testing.T) {
 			t.Run(tc.name, tc.run)
 		}
 	})
+}
+
+func TestAdmission(t *testing.T) {
+	// One shard of 1200 bytes holds two 300-byte blocks (each charged
+	// its path and overhead besides) but not three.
+	const budget, size = 1200, 300
+	full := func() blockCacheOps {
+		c := newBlockCacheOps(budget, 1)
+		for b := 0; b < 2; b++ {
+			if _, admitted := c.read("t.sst", b, size); !admitted {
+				t.Fatalf("a shard with room refused block %d", b)
+			}
+		}
+		return c
+	}
+	t.Run("a shard with room admits a first miss", func(t *testing.T) {
+		c := full()
+		if st := c.Stats(); st.Entries != 2 || st.Refused != 0 || st.Misses != 2 {
+			t.Fatalf("stats = %+v, want 2 entries, 2 misses, none refused", st)
+		}
+	})
+	t.Run("a full shard refuses a first miss and admits the second", func(t *testing.T) {
+		c := full()
+		if _, admitted := c.read("t.sst", 2, size); admitted {
+			t.Fatal("a full shard admitted a first miss")
+		}
+		if _, ok := c.get("t.sst", 2); ok {
+			t.Fatal("a refused block is cached")
+		}
+		if hit, admitted := c.read("t.sst", 2, size); hit || !admitted {
+			t.Fatalf("second miss: hit %v, admitted %v; want an admitted miss", hit, admitted)
+		}
+		if _, ok := c.get("t.sst", 2); !ok {
+			t.Fatal("the block admitted on its second miss is not cached")
+		}
+		if st := c.Stats(); st.Refused != 1 || st.Evictions != 1 || st.Entries != 2 {
+			t.Fatalf("stats = %+v, want 1 refused, 1 eviction, 2 entries", st)
+		}
+	})
+	t.Run("the ghost ring holds no more keys than the shard has entries", func(t *testing.T) {
+		c := full()
+		for b := 10; b < 20; b++ {
+			if _, admitted := c.read("t.sst", b, size); admitted {
+				t.Fatalf("block %d admitted on its first miss", b)
+			}
+			checkGhosts(t, c.BlockCache)
+		}
+		if _, admitted := c.read("t.sst", 10, size); admitted {
+			t.Fatal("block 10 admitted after the ring forgot it")
+		}
+		if _, admitted := c.read("t.sst", 19, size); !admitted {
+			t.Fatal("block 19, the last refused, not admitted on its second miss")
+		}
+		if st := c.Stats(); st.Refused != 11 {
+			t.Fatalf("Refused = %d, want 11", st.Refused)
+		}
+	})
+	t.Run("DropTable empties the cache and the ring", func(t *testing.T) {
+		c := full()
+		c.read("t.sst", 2, size)
+		c.DropTable("t.sst")
+		if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+			t.Fatalf("stats after DropTable = %+v, want empty", st)
+		}
+		checkGhosts(t, c.BlockCache)
+		if _, admitted := c.read("u.sst", 0, size); !admitted {
+			t.Fatal("an emptied shard refused a miss")
+		}
+	})
+	t.Run("an oversized block is admitted to an empty shard", func(t *testing.T) {
+		c := newBlockCacheOps(64, 1)
+		if _, admitted := c.read("t.sst", 0, 4096); !admitted {
+			t.Fatal("an empty shard refused an oversized block")
+		}
+	})
+}
+
+// TestBlockAdmissionHammer: readers admit, get, put and drop tables
+// across shards at once; every shard's accounts and ghost ring hold.
+// Run it under -race.
+func TestBlockAdmissionHammer(t *testing.T) {
+	c := newBlockCacheOps(16<<10, 8)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				path := fmt.Sprintf("t%d.sst", (g+i)%4)
+				if i%250 == 249 {
+					c.DropTable(path)
+					continue
+				}
+				c.read(path, (i*7+g)%64, 256+i%512)
+			}
+		}(g)
+	}
+	wg.Wait()
+	checkGhosts(t, c.BlockCache)
+	for i := range c.shards {
+		s := &c.shards[i]
+		var sum int64
+		for el := s.order.Front(); el != nil; el = el.Next() {
+			sum += el.Value.(*blockEntry).size
+		}
+		if sum != s.bytes || len(s.entries) != s.order.Len() {
+			t.Fatalf("shard %d: %d entries charged %d bytes, accounts say %d map entries and %d bytes", i, s.order.Len(), sum, len(s.entries), s.bytes)
+		}
+	}
+	if st := c.Stats(); st.Refused == 0 || st.Evictions == 0 {
+		t.Fatalf("stats = %+v: the hammer never filled a shard", st)
+	}
 }
 
 // The written-out FNV-1a is hash/fnv's, and a block index is hashed as

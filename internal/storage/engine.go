@@ -17,7 +17,7 @@
 //     cached block never goes stale and no write touches the cache; a
 //     point read resolves the memtables and every table by version, and
 //     a block hit only spares the table read its pread and checksum
-//     pass.
+//     pass. Once full, the cache keeps a block only on its second miss.
 //
 //   - A batched write path: ApplyBatch lands a whole record group with
 //     one lock acquisition and one WAL write, and with

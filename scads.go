@@ -438,10 +438,16 @@ type Stats struct {
 	Migration   migration.Stats  // online range-migration activity
 	Repair      repair.Stats     // self-healing crash-recovery activity
 	Admission   admission.Stats  // front-door quotas / overload shedding
+	// Parked counts maintenance tasks that failed deterministically
+	// (see DrainMaintenance), held until their key is next written;
+	// ParkedErr is the last such failure.
+	Parked    int
+	ParkedErr error
 }
 
 // Stats returns a snapshot.
 func (c *Cluster) Stats() Stats {
+	parked, parkedErr := c.maint.Parked()
 	return Stats{
 		Replication: c.pump.Stats(),
 		Maintenance: c.maint.Len(),
@@ -449,6 +455,8 @@ func (c *Cluster) Stats() Stats {
 		Migration:   c.migrations.Stats(),
 		Repair:      c.repairs.Stats(),
 		Admission:   c.admission.Stats(),
+		Parked:      parked,
+		ParkedErr:   parkedErr,
 	}
 }
 

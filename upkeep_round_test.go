@@ -5,13 +5,17 @@ package scads
 // group, yet upkeep stays exact whatever the round holds.
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"scads/internal/clock"
 	"scads/internal/keycodec"
 	"scads/internal/planner"
 	"scads/internal/rpc"
+	"scads/internal/view"
 )
 
 // TestDeletedFriendshipRetiresEntryOfAChangedFriend: the friendship's
@@ -209,4 +213,70 @@ func TestRoundOfMixedBoundsIsExact(t *testing.T) {
 		t.Errorf("%d index updates due within 2s, want the friendship changes' 12", got)
 	}
 	checkIndexesMatchRebuild(t, lc.Cluster, socialDDL)
+}
+
+// TestOverBoundDeleteDoesNotWedgeUpkeep: alice's four friendships are
+// over f1's declared bound of 2, so retiring one of her view entries
+// fails with ErrCardinalityViolated every time it runs. That task is
+// parked; it holds back no other task (dave's friendship reaches his
+// view), and it runs again once its key is written.
+func TestOverBoundDeleteDoesNotWedgeUpkeep(t *testing.T) {
+	ddl := strings.Replace(socialDDL, "CARDINALITY f1 5000", "CARDINALITY f1 2", 1)
+	lc, err := NewLocalCluster(1, Config{Clock: clock.NewVirtual(t0), ReplicationFactor: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	if err := lc.DefineSchema(ddl); err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range []string{"b1", "b2", "b3", "b4", "carol"} {
+		if err := lc.Insert("users", Row{"id": u, "name": u, "birthday": i + 1}); err != nil {
+			t.Fatal(err)
+		}
+		if u != "carol" {
+			if err := lc.Insert("friendships", Row{"f1": "alice", "f2": u}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := lc.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := lc.Delete("friendships", Row{"f1": "alice", "f2": "b1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.Insert("friendships", Row{"f1": "dave", "f2": "carol"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := lc.DrainMaintenance(1024); err != nil {
+			t.Fatalf("drain %d: %v", i, err)
+		}
+	}
+	rows, err := lc.Query("friendsWithUpcomingBirthdays", map[string]any{"user": "dave"})
+	if err != nil || len(rows) != 1 || rows[0]["id"] != "carol" {
+		t.Fatalf("dave's friends with birthdays = %v, %v; want carol", rows, err)
+	}
+	st := lc.Stats()
+	if st.Maintenance != 0 || st.Parked != 1 || !errors.Is(st.ParkedErr, view.ErrCardinalityViolated) {
+		t.Fatalf("Stats: %d pending, %d parked, last error %v; want 0, 1 and ErrCardinalityViolated",
+			st.Maintenance, st.Parked, st.ParkedErr)
+	}
+
+	// A write to the parked task's key queues it again, ahead of the
+	// write's own task; it still fails and is parked once more.
+	if err := lc.Insert("friendships", Row{"f1": "alice", "f2": "b1"}); err != nil {
+		t.Fatal(err)
+	}
+	if st := lc.Stats(); st.Maintenance != 2 || st.Parked != 0 {
+		t.Fatalf("after a write to its key: %d pending, %d parked; want 2 and 0", st.Maintenance, st.Parked)
+	}
+	if n, err := lc.DrainMaintenance(1024); n != 1 || err != nil {
+		t.Fatalf("DrainMaintenance = %d, %v; want the write's task done and nil", n, err)
+	}
+	if st := lc.Stats(); st.Maintenance != 0 || st.Parked != 1 {
+		t.Fatalf("after the drain: %d pending, %d parked; want 0 and 1", st.Maintenance, st.Parked)
+	}
 }

@@ -1,7 +1,9 @@
 package scads
 
 import (
+	"bytes"
 	"container/heap"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -482,9 +484,14 @@ func (c *Cluster) enqueueReplication(ns string, m *partition.Map, rec record.Rec
 // deadlines and places kept; that index is returned with the error.
 // The index is late, never silently divergent (re-running a
 // half-applied task is harmless, index entries are overwritten by
-// version). Rounds run one at a time: two rounds holding tasks of one
-// key could otherwise commit a row the other has already retired.
-// Simulations call this each tick; FlushAll drains everything.
+// version). A task that fails the same way however often it runs — a
+// declared cardinality exceeded, a row that does not decode — is
+// parked instead: it holds back no other task, fails no round, and is
+// queued again when its key is next written (Stats counts the parked
+// tasks and keeps the last such error). Rounds run one at a time: two
+// rounds holding tasks of one key could otherwise commit a row the
+// other has already retired. Simulations call this each tick; FlushAll
+// drains everything.
 func (c *Cluster) DrainMaintenance(budget int) (int, error) {
 	c.maint.draining.Lock()
 	defer c.maint.draining.Unlock()
@@ -497,15 +504,28 @@ func (c *Cluster) DrainMaintenance(budget int) (int, error) {
 	if err != nil {
 		c.maint.requeue(tasks[done:]...)
 	}
-	return done, err
+	parked := 0
+	for _, p := range r.parked {
+		if p.i < done {
+			c.maint.park(tasks[p.i], p.err)
+			parked++
+		}
+	}
+	return done - parked, err
 }
 
-// currentRows reads the row each task's key holds now (nil when none)
-// from its primary, with one batched read per base namespace that
-// waits out a failover like a write does: a secondary's older row would
-// leave upkeep a row behind.
-func (c *Cluster) currentRows(tasks []maintTask) ([]row.Row, error) {
-	cur := make([]row.Row, len(tasks))
+// deterministic reports whether an upkeep failure recurs however often
+// the task runs.
+func deterministic(err error) bool {
+	return errors.Is(err, view.ErrCardinalityViolated) || errors.Is(err, row.ErrCorrupt)
+}
+
+// currentRows reads what each task's key holds now from its primary,
+// with one batched read per base namespace that waits out a failover
+// like a write does: a secondary's older row would leave upkeep a row
+// behind.
+func (c *Cluster) currentRows(tasks []maintTask) ([]partition.GetResult, error) {
+	cur := make([]partition.GetResult, len(tasks))
 	var read []string // the namespaces read so far
 	for _, task := range tasks {
 		if slices.Contains(read, task.ns) {
@@ -524,12 +544,10 @@ func (c *Cluster) currentRows(tasks []maintTask) ([]row.Row, error) {
 			return nil, err
 		}
 		for j, g := range got {
-			if g.Err == nil {
-				cur[idx[j]], g.Err = decodeRow(g.Value, g.Found, nil)
-			}
 			if g.Err != nil {
 				return nil, g.Err
 			}
+			cur[idx[j]] = g
 		}
 	}
 	return cur, nil
@@ -543,6 +561,13 @@ type upkeepRound struct {
 	c      *Cluster
 	store  coordStore
 	groups []upkeepGroup
+	parked []parkedTask
+}
+
+// parkedTask is a task of the round that failed deterministically.
+type parkedTask struct {
+	i   int
+	err error
 }
 
 // upkeepGroup is the records a round holds for one index namespace
@@ -567,7 +592,10 @@ func (r *upkeepRound) run(tasks []maintTask) (int, error) {
 	r.c.mu.RUnlock()
 	for i, task := range tasks {
 		if err := r.maintain(views, i, task, cur[i]); err != nil {
-			return r.earliest(i), err
+			if !deterministic(err) {
+				return r.earliest(i), err
+			}
+			r.parked = append(r.parked, parkedTask{i, err})
 		}
 	}
 	if err := r.flush(""); err != nil {
@@ -577,9 +605,13 @@ func (r *upkeepRound) run(tasks []maintTask) (int, error) {
 }
 
 // maintain computes the index mutations of task i, whose key now holds
-// cur, and adds them to the round's groups.
-func (r *upkeepRound) maintain(views *view.Engine, i int, task maintTask, cur row.Row) error {
+// now, and adds them to the round's groups.
+func (r *upkeepRound) maintain(views *view.Engine, i int, task maintTask, now partition.GetResult) error {
 	old, err := decodeRow(task.old.Value, !task.old.Tombstone, nil)
+	var cur row.Row
+	if err == nil {
+		cur, err = decodeRow(now.Value, now.Found, nil)
+	}
 	if err != nil {
 		return fmt.Errorf("scads: maintenance for %s: %w", task.table, err)
 	}
@@ -700,12 +732,16 @@ type maintTask struct {
 	seq       int64
 }
 
+func (t maintTask) sameKey(o maintTask) bool { return t.ns == o.ns && bytes.Equal(t.key, o.key) }
+
 type maintQueue struct {
 	draining sync.Mutex // held by a DrainMaintenance round
 
-	mu  sync.Mutex
-	h   maintHeap
-	seq int64
+	mu        sync.Mutex
+	h         maintHeap
+	seq       int64
+	parked    []maintTask // failed deterministically; queued again by a write to their key
+	parkedErr error       // the last such failure
 }
 
 func (q *maintQueue) push(t maintTask) {
@@ -714,6 +750,47 @@ func (q *maintQueue) push(t maintTask) {
 	q.seq++
 	t.seq = q.seq
 	heap.Push(&q.h, t)
+	if len(q.parked) > 0 {
+		q.unpark(t)
+	}
+}
+
+// unpark queues again the parked tasks of t's key. Caller holds q.mu.
+func (q *maintQueue) unpark(t maintTask) {
+	kept := q.parked[:0]
+	for _, p := range q.parked {
+		if t.sameKey(p) {
+			heap.Push(&q.h, p)
+		} else {
+			kept = append(kept, p)
+		}
+	}
+	clear(q.parked[len(kept):])
+	q.parked = kept
+}
+
+// park holds a task that failed with err, which would fail it again,
+// until a write to its key; one already written while it ran is queued
+// again at once.
+func (q *maintQueue) park(t maintTask, err error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.parkedErr = err
+	for _, o := range q.h {
+		if t.sameKey(o) {
+			heap.Push(&q.h, t)
+			return
+		}
+	}
+	q.parked = append(q.parked, t)
+}
+
+// Parked reports how many tasks are parked and the last failure that
+// parked one.
+func (q *maintQueue) Parked() (int, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.parked), q.parkedErr
 }
 
 // requeue puts back popped tasks that could not be completed, keeping
