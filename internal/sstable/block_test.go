@@ -354,7 +354,7 @@ func TestRefusedBlockVerified(t *testing.T) {
 	path := filepath.Join(dir, "t.sst")
 	r := buildTable(t, path, seqRecords(1000))
 	off, _ := r.blockExtent(1)
-	b, err := r.readBlock(1, false)
+	b, err := r.decodeBlock(1)
 	if err != nil {
 		t.Fatal(err)
 	}

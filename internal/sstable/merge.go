@@ -53,6 +53,7 @@ type Source struct {
 	cur  record.Record   // the current record, once next has reported true
 	recs []record.Record // a slice source's records
 	blk  Block           // a table source's current block
+	buf  *blockBuf       // blk's memory when it is borrowed, else nil
 	pos  int             // the next record of recs or blk
 	lim  int             // the end of recs, or of blk's in-range records
 	idx  int             // position among the merge's sources; lower is newer
@@ -71,7 +72,8 @@ func Slice(recs []record.Record) Source { return Source{recs: recs, lim: len(rec
 // (a nil bound is open). cached reads go through the attached block
 // cache, for foreground scans; a compaction is a one-shot sequential
 // sweep and passes false so that it cannot wash hot blocks out of the
-// shared cache. No block is read until the source is merged.
+// shared cache. A block no cache keeps is borrowed from a pool. No
+// block is read until the source is merged.
 func (r *Reader) Range(start, end []byte, cached bool) Source {
 	s := Source{r: r, start: start, end: end, cached: cached}
 	if start != nil {
@@ -80,38 +82,31 @@ func (r *Reader) Range(start, end []byte, cached bool) Source {
 	return s
 }
 
-// load makes pos the source's next record, reading blocks as needed,
-// and reports false once the source is exhausted.
-func (s *Source) load() (bool, error) {
+// next makes cur the source's next record, reading blocks as needed,
+// and reports false once the source is exhausted. A table source
+// decodes each record it visits from its block's checked bytes. A
+// borrowed block the source moves past goes on retired: a record the
+// merge holds may still alias it.
+func (s *Source) next(retired *[]*blockBuf) (bool, error) {
 	for s.pos >= s.lim {
+		if s.buf != nil {
+			*retired = append(*retired, s.buf)
+			s.blk, s.buf = Block{}, nil
+		}
 		if s.r == nil || s.block >= len(s.r.index) {
 			return false, nil
 		}
-		b, err := s.r.readBlock(s.block, s.cached)
+		b, buf, err := s.r.loadBlock(s.block, s.cached)
 		if err != nil {
 			return false, err
 		}
+		s.blk, s.buf = b, buf
 		s.block++
-		s.blk, s.pos, s.lim = b, 0, b.Len()
-		if s.start != nil {
-			s.pos = b.search(s.start)
-			s.start = nil // later blocks lie past the lower bound
-		}
-		if s.end != nil && s.lim > 0 && bytes.Compare(b.key(s.lim-1), s.end) >= 0 {
-			s.lim = b.search(s.end)
+		var last bool
+		s.pos, s.lim, last = b.span(s.start, s.end)
+		s.start = nil // later blocks lie past the lower bound
+		if last {
 			s.block = len(s.r.index)
-		}
-	}
-	return true, nil
-}
-
-// next makes cur the source's next record and reports false once the
-// source is exhausted. A table source decodes each record it visits
-// from its block's checked bytes.
-func (s *Source) next() (bool, error) {
-	if s.pos >= s.lim {
-		if ok, err := s.load(); !ok {
-			return false, err
 		}
 	}
 	if s.r == nil {
@@ -130,41 +125,58 @@ func (s *Source) next() (bool, error) {
 // sources are ordered newest first, matching the storage engine's
 // memtable-then-table stack. Blocks are read only as the iterator
 // advances, so a consumer that stops early pays for what it consumed.
+//
+// A key is resolved whole at the top of the heap before its record is
+// returned, so the merge holds no record between calls. A borrowed
+// block a source moves past is given back to the pool when the next
+// key's resolution starts, by which time no record the merge returned
+// or holds can alias it; Close gives back the rest.
 type MergeIter struct {
-	opts        MergeOptions
-	limiter     rateLimiter
-	heap        sourceHeap // sources with a current record, least (key, idx) first
-	pending     record.Record
-	havePending bool
-	err         error
+	opts    MergeOptions
+	limiter rateLimiter
+	srcs    []Source
+	heap    sourceHeap  // sources with a current record, least (key, idx) first
+	retired []*blockBuf // borrowed blocks sources moved past, not yet given back
+	err     error
 }
 
 // NewMergeIter returns the merge of sources, which it keeps and
 // advances in place.
 func NewMergeIter(opts MergeOptions, sources ...Source) *MergeIter {
-	m := &MergeIter{
+	m := new(MergeIter)
+	m.Reset(opts, sources...)
+	return m
+}
+
+// Reset makes m the merge of sources, as NewMergeIter does, reusing
+// m's memory. A merge that was in use must be Closed first.
+func (m *MergeIter) Reset(opts MergeOptions, sources ...Source) {
+	*m = MergeIter{
 		opts:    opts,
 		limiter: newRateLimiter(opts.RateLimitBytesPerSec, opts.Clock),
-		heap:    make(sourceHeap, 0, len(sources)),
+		srcs:    sources,
+		heap:    m.heap[:0],
+		retired: m.retired[:0],
 	}
 	for i := range sources {
 		s := &sources[i]
 		s.idx = i
-		ok, err := s.next()
+		ok, err := s.next(&m.retired)
 		if err != nil {
 			m.err = err
-			return m
+			return
 		}
 		if ok {
 			m.heap = append(m.heap, s)
 		}
 	}
 	heap.Init(&m.heap)
-	return m
 }
 
 // Next returns the next merged record, or false at the end of the
-// merge or on an error, which Err then reports.
+// merge or on an error, which Err then reports. The record is valid
+// only until the next call of Next or Close: it may alias a borrowed
+// block.
 func (m *MergeIter) Next() (record.Record, bool) {
 	for {
 		rec, ok := m.winner()
@@ -178,19 +190,28 @@ func (m *MergeIter) Next() (record.Record, bool) {
 }
 
 // winner returns the surviving record of the next key, tombstones
-// included.
+// included: it pops every record of the key off the heap and keeps the
+// one that supersedes the rest.
 func (m *MergeIter) winner() (record.Record, bool) {
+	var win record.Record
+	have := false
 	for m.err == nil && len(m.heap) > 0 {
+		s := m.heap[0]
+		if have && !bytes.Equal(s.cur.Key, win.Key) {
+			break
+		}
+		if !have {
+			m.recycle() // no record of the merge's is held
+		}
 		if m.opts.Cancel != nil && closed(m.opts.Cancel) {
 			m.err = ErrMergeCanceled
 			break
 		}
-		s := m.heap[0]
 		rec := s.cur
 		if m.limiter.rate > 0 {
 			m.limiter.wait(rec.EncodedSize(), m.opts.Cancel)
 		}
-		if ok, err := s.next(); err != nil {
+		if ok, err := s.next(&m.retired); err != nil {
 			m.err = err
 			break
 		} else if ok {
@@ -201,25 +222,40 @@ func (m *MergeIter) winner() (record.Record, bool) {
 		if m.opts.Drop != nil && m.opts.Drop(s.idx, rec) {
 			continue
 		}
-		if m.havePending && bytes.Equal(rec.Key, m.pending.Key) {
-			// Equal keys arrive newest source first, so a later one
-			// replaces the pending record only by superseding it.
-			if rec.Supersedes(m.pending) {
-				m.pending = rec
-			}
-			continue
-		}
-		out, emit := m.pending, m.havePending
-		m.pending, m.havePending = rec, true
-		if emit {
-			return out, true
+		// Equal keys arrive newest source first, so a later one
+		// replaces the winner only by superseding it.
+		if !have || rec.Supersedes(win) {
+			win, have = rec, true
 		}
 	}
-	if m.err == nil && m.havePending {
-		m.havePending = false
-		return m.pending, true
+	if m.err != nil {
+		return record.Record{}, false
 	}
-	return record.Record{}, false
+	return win, have
+}
+
+// recycle gives the retired borrowed blocks back to the pool.
+func (m *MergeIter) recycle() {
+	for i, buf := range m.retired {
+		blockBufs.Put(buf)
+		m.retired[i] = nil
+	}
+	m.retired = m.retired[:0]
+}
+
+// Close ends the merge and gives back every block it borrowed: no
+// record it returned may be used afterwards. Next then reports false;
+// Err still reports what ended the merge.
+func (m *MergeIter) Close() {
+	m.recycle()
+	for i := range m.srcs {
+		if s := &m.srcs[i]; s.buf != nil {
+			blockBufs.Put(s.buf)
+			s.blk, s.buf = Block{}, nil
+		}
+	}
+	clear(m.heap[:cap(m.heap)])
+	*m = MergeIter{heap: m.heap[:0], retired: m.retired, err: m.err}
 }
 
 // Err returns the error that ended the merge early: a block read
@@ -256,6 +292,7 @@ func Merge(outPath string, opts MergeOptions, sources ...Source) (*Reader, error
 		return nil, err
 	}
 	it := NewMergeIter(opts, sources...)
+	defer it.Close()
 	for rec, ok := it.Next(); ok; rec, ok = it.Next() {
 		if err := w.Add(rec); err != nil {
 			w.Abort()

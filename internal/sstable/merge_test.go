@@ -126,7 +126,15 @@ func fixedMergeCases() []mergeCase {
 // randomMergeCase draws a stack whose sources collide on keys, on
 // versions and on whole records, so that version order, the stack-order
 // tie-break, tombstones, exclusions, bounds and the early stop all meet.
-func randomMergeCase(rng *rand.Rand) mergeCase {
+// With perBlock, every value is at least a block long, so each record
+// fills a block of its own: a source moves to a new block with every
+// record it yields, and the record it yielded last aliases a block it
+// has moved past.
+func randomMergeCase(rng *rand.Rand, perBlock bool) mergeCase {
+	minValue, maxRecords := 0, 150
+	if perBlock {
+		minValue, maxRecords = blockTargetBytes, 40
+	}
 	key := func() string { return fmt.Sprintf("key-%03d", rng.Intn(120)) }
 	c := mergeCase{
 		sources:        make([][]record.Record, 1+rng.Intn(5)),
@@ -136,8 +144,8 @@ func randomMergeCase(rng *rand.Rand) mergeCase {
 	}
 	for i := range c.sources {
 		byKey := map[string]record.Record{}
-		for n := rng.Intn(150); n > 0; n-- {
-			r := kv(key(), string(bytes.Repeat([]byte{byte('a' + rng.Intn(2))}, 1+rng.Intn(300))), uint64(1+rng.Intn(4)))
+		for n := rng.Intn(maxRecords); n > 0; n-- {
+			r := kv(key(), string(bytes.Repeat([]byte{byte('a' + rng.Intn(2))}, minValue+1+rng.Intn(300))), uint64(1+rng.Intn(4)))
 			if rng.Intn(5) == 0 {
 				r = tomb(string(r.Key), r.Version)
 			}
@@ -169,14 +177,23 @@ func randomMergeCase(rng *rand.Rand) mergeCase {
 
 // The one merge, checked against the map reference through both of its
 // consumers: a scan (the iterator drained over in-memory slices and
-// cached table ranges, as Namespace.scan builds it) and a compaction
-// (Merge of the whole sources into a table that is reopened and
-// scanned).
+// table ranges, as Namespace.scan builds it) and a compaction (Merge of
+// the whole sources into a table that is reopened and scanned). The
+// scan reads its tables through a cache that keeps every block and
+// through one that refuses them all; the compaction reads them
+// uncached. The last two borrow every block, and the cases with a
+// record per block check that none is given back while a record the
+// merge returned or holds still aliases it.
 func TestMergeMatchesReference(t *testing.T) {
 	cases := fixedMergeCases()
 	for seed := int64(1); seed <= 60; seed++ {
-		c := randomMergeCase(rand.New(rand.NewSource(seed)))
+		c := randomMergeCase(rand.New(rand.NewSource(seed)), false)
 		c.name = fmt.Sprintf("seed %d", seed)
+		cases = append(cases, c)
+	}
+	for seed := int64(61); seed <= 80; seed++ {
+		c := randomMergeCase(rand.New(rand.NewSource(seed)), true)
+		c.name = fmt.Sprintf("seed %d, a record per block", seed)
 		cases = append(cases, c)
 	}
 	for _, c := range cases {
@@ -190,36 +207,44 @@ func TestMergeMatchesReference(t *testing.T) {
 				}
 			}
 
-			// Scan: even sources are slices cut to the bounds, as the
-			// memtable snapshot is; odd ones are tables behind a cache.
-			scanSrcs := make([]Source, len(c.sources))
+			tables := make([]*Reader, len(c.sources))
 			wholeSrcs := make([]Source, len(c.sources))
 			for i, recs := range c.sources {
 				r := buildTable(t, filepath.Join(dir, fmt.Sprintf("%d.sst", i)), recs)
 				defer r.Close()
-				r.SetBlockCache(newCountingCache())
+				tables[i] = r
 				wholeSrcs[i] = whole(r)
-				scanSrcs[i] = r.Range(c.start, c.end, true)
-				if i%2 == 0 {
-					lo := keyIndex(recs, c.start)
-					hi := len(recs)
-					if c.end != nil {
-						hi = max(lo, keyIndex(recs, c.end))
-					}
-					scanSrcs[i] = Slice(recs[lo:hi])
-				}
 			}
 			opts := MergeOptions{DropTombstones: c.dropTombstones, KeepTombstone: c.keepTombstone(), Drop: c.drop}
-			var scanned []record.Record
-			it := NewMergeIter(opts, scanSrcs...)
-			emit := collect(&scanned)
-			for rec, ok := it.Next(); ok && emit(rec); rec, ok = it.Next() {
-			}
-			if err := it.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if !sameRecords(scanned, want) {
-				t.Errorf("scan = %v\nwant %v", keysOf(scanned), keysOf(want))
+
+			// Scan: even sources are slices cut to the bounds, as the
+			// memtable snapshot is; odd ones are tables behind a cache.
+			for _, cache := range []BlockCache{newCountingCache(), missCache{false}} {
+				scanSrcs := make([]Source, len(c.sources))
+				for i, recs := range c.sources {
+					tables[i].SetBlockCache(cache)
+					scanSrcs[i] = tables[i].Range(c.start, c.end, true)
+					if i%2 == 0 {
+						lo := keyIndex(recs, c.start)
+						hi := len(recs)
+						if c.end != nil {
+							hi = max(lo, keyIndex(recs, c.end))
+						}
+						scanSrcs[i] = Slice(recs[lo:hi])
+					}
+				}
+				var scanned []record.Record
+				it := NewMergeIter(opts, scanSrcs...)
+				emit := collect(&scanned)
+				for rec, ok := it.Next(); ok && emit(rec); rec, ok = it.Next() {
+				}
+				it.Close()
+				if err := it.Err(); err != nil {
+					t.Fatal(err)
+				}
+				if !sameRecords(scanned, want) {
+					t.Errorf("scan, cache %T = %v\nwant %v", cache, keysOf(scanned), keysOf(want))
+				}
 			}
 
 			// Compaction: merge everything, reopen, read the range back.

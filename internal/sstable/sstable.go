@@ -58,11 +58,10 @@ var ErrOutOfOrder = errors.New("sstable: keys must be strictly ascending")
 // BlockCache caches checked data blocks across tables. Implementations
 // must be safe for concurrent use; a cached Block is shared and
 // immutable. A block Get misses is read whole either way, but only one
-// that Admit accepts is Put: a point read of a refused block reads it
-// into a pooled buffer and keeps nothing but the record it finds. The
-// storage engine provides a sharded LRU implementation shared across
-// namespaces, which charges a block its Size: a block has no spare
-// capacity, so that is what the cache holds.
+// that Admit accepts is Put: a read of a refused block borrows a pooled
+// buffer (see borrowBlock). The storage engine provides a sharded LRU
+// implementation shared across namespaces, which charges a block its
+// Size: a block has no spare capacity, so that is what the cache holds.
 type BlockCache interface {
 	// Get returns the cached block, if present.
 	Get(path string, block int) (Block, bool)
@@ -89,10 +88,16 @@ type Block struct {
 // NewBlock checks every frame of data and returns the block over it,
 // which aliases data. A corrupt frame fails it with record.ErrCorrupt.
 func NewBlock(data []byte) (Block, error) {
+	return checkFrames(data, make([]uint32, 0, record.CountFrames(data)))
+}
+
+// checkFrames checks every frame of data and returns the block over
+// it, appending the frame offsets to offs. It is the one check of a
+// block read from disk, whether a cache keeps it or it is borrowed.
+func checkFrames(data []byte, offs []uint32) (Block, error) {
 	if uint64(len(data)) > math.MaxUint32 {
 		return Block{}, fmt.Errorf("sstable: %d-byte block: %w", len(data), ErrCorrupt)
 	}
-	offs := make([]uint32, 0, record.CountFrames(data))
 	for off := 0; off < len(data); {
 		n, err := record.CheckFrame(data[off:])
 		if err != nil {
@@ -120,6 +125,20 @@ func (b Block) frame(i int) []byte { return b.data[b.offs[i]:] }
 func (b Block) Size() int { return len(b.data) + 4*len(b.offs) }
 
 func (b Block) key(i int) []byte { return record.FrameKey(b.frame(i)) }
+
+// span returns the block's records with start <= key < end as [pos,
+// lim), a nil bound open, and whether the block reaches end, so that no
+// later block holds a record of the range.
+func (b Block) span(start, end []byte) (pos, lim int, last bool) {
+	lim = len(b.offs)
+	if start != nil {
+		pos = b.search(start)
+	}
+	if end != nil && lim > 0 && bytes.Compare(b.key(lim-1), end) >= 0 {
+		return pos, b.search(end), true
+	}
+	return pos, lim, false
+}
 
 // search returns the index of the block's first record whose key is >=
 // key.
@@ -386,21 +405,21 @@ func (r *Reader) checkEdgeBlocks() error {
 	if r.count == 0 {
 		return nil
 	}
-	firstBlock, err := r.readBlock(0, false)
+	if err := r.checkNotEmpty(0); err != nil || r.NumBlocks() == 1 {
+		return err
+	}
+	return r.checkNotEmpty(r.NumBlocks() - 1)
+}
+
+// checkNotEmpty reads and checks block i, which must hold a record.
+func (r *Reader) checkNotEmpty(i int) error {
+	b, buf, err := r.borrowBlock(i)
 	if err != nil {
 		return err
 	}
-	if firstBlock.Len() == 0 {
+	blockBufs.Put(buf)
+	if b.Len() == 0 {
 		return ErrCorrupt
-	}
-	if n := r.NumBlocks(); n > 1 {
-		lastBlock, err := r.readBlock(n-1, false)
-		if err != nil {
-			return err
-		}
-		if lastBlock.Len() == 0 {
-			return ErrCorrupt
-		}
 	}
 	return nil
 }
@@ -459,17 +478,19 @@ func (r *Reader) blockExtent(i int) (off, length uint64) {
 	return off, end - off
 }
 
-// readBlock returns block i, checked. A cached read consults the
-// attached block cache first and fills it with a block it admits; an
-// uncached one (compaction, the edge check) never touches it, so
-// one-shot sequential sweeps cannot wash the cache of hot read blocks.
-func (r *Reader) readBlock(i int, cached bool) (Block, error) {
+// loadBlock returns block i, checked. A cached read consults the
+// attached block cache first and fills it with a block it admits. A
+// block no cache keeps is borrowed: buf is then non-nil, and the block
+// is valid until buf goes back to blockBufs. An uncached read
+// (compaction) never touches the cache, so one-shot sequential sweeps
+// cannot wash it of hot read blocks.
+func (r *Reader) loadBlock(i int, cached bool) (b Block, buf *blockBuf, err error) {
 	if cached {
 		if b, ok, err := r.cachedBlock(i); ok || err != nil {
-			return b, err
+			return b, nil, err
 		}
 	}
-	return r.decodeBlock(r.blockExtent(i))
+	return r.borrowBlock(i)
 }
 
 // cachedBlock returns block i from the attached cache, read in and
@@ -483,25 +504,64 @@ func (r *Reader) cachedBlock(i int) (b Block, ok bool, err error) {
 	if b, ok := c.Get(r.path, i); ok {
 		return b, true, nil
 	}
-	off, length := r.blockExtent(i)
+	_, length := r.blockExtent(i)
 	if !c.Admit(r.path, i, int(length)) {
 		return Block{}, false, nil
 	}
-	if b, err = r.decodeBlock(off, length); err != nil {
+	if b, err = r.decodeBlock(i); err != nil {
 		return Block{}, false, err
 	}
 	c.Put(r.path, i, b)
 	return b, true, nil
 }
 
-// decodeBlock reads the block at [off, off+length) and checks its
-// frames: the only allocations are its bytes and its offsets.
-func (r *Reader) decodeBlock(off, length uint64) (Block, error) {
+// decodeBlock reads block i and checks its frames: the only
+// allocations are its bytes and its offsets.
+func (r *Reader) decodeBlock(i int) (Block, error) {
+	off, length := r.blockExtent(i)
 	buf := make([]byte, length)
 	if _, err := r.f.ReadAt(buf, int64(off)); err != nil {
 		return Block{}, fmt.Errorf("sstable: read block: %w", err)
 	}
 	return NewBlock(buf)
+}
+
+// blockBuf is the memory of a borrowed block: bytes and frame offsets
+// that outlive one read only in the pool.
+type blockBuf struct {
+	data []byte
+	offs []uint32
+}
+
+// blockBufs pools the buffers borrowed blocks are read into.
+var blockBufs = sync.Pool{New: func() any { return new(blockBuf) }}
+
+// borrowBlock reads block i into a pooled buffer and checks every
+// frame, exactly as a cached block is checked, so a corrupt block fails
+// the read whether it is cached or not. The block aliases buf, which
+// the caller puts back into blockBufs once no record it handed out can
+// alias the block.
+func (r *Reader) borrowBlock(i int) (Block, *blockBuf, error) {
+	off, length := r.blockExtent(i)
+	if length > math.MaxUint32 {
+		return Block{}, nil, fmt.Errorf("sstable: %d-byte block: %w", length, ErrCorrupt)
+	}
+	buf := blockBufs.Get().(*blockBuf)
+	if uint64(cap(buf.data)) < length {
+		buf.data = make([]byte, length)
+	}
+	data := buf.data[:length]
+	if _, err := r.f.ReadAt(data, int64(off)); err != nil {
+		blockBufs.Put(buf)
+		return Block{}, nil, fmt.Errorf("sstable: read block: %w", err)
+	}
+	b, err := checkFrames(data, buf.offs[:0])
+	if err != nil {
+		blockBufs.Put(buf)
+		return Block{}, nil, err
+	}
+	buf.offs = b.offs
+	return b, buf, nil
 }
 
 // blockFor returns the index of the block that may contain key: the
@@ -545,44 +605,21 @@ func (r *Reader) Get(key []byte) (record.Record, bool, error) {
 	return record.Record{}, false, nil
 }
 
-// blockBufs pools the buffers getOnce reads blocks into.
-var blockBufs = sync.Pool{New: func() any { return new([]byte) }}
-
 // getOnce is Get over block i when no cache will keep it: the block is
-// read into a pooled buffer and every frame checked, exactly as
-// NewBlock checks them, so a corrupt block fails the read whether it
-// is cached or not; the record found is copied out, and the buffer
-// never leaves the call.
+// borrowed, and the record found is copied out, so the buffer never
+// leaves the call.
 func (r *Reader) getOnce(i int, key []byte) (record.Record, bool, error) {
-	off, length := r.blockExtent(i)
-	if length > math.MaxUint32 {
-		return record.Record{}, false, fmt.Errorf("sstable: %d-byte block: %w", length, ErrCorrupt)
+	b, buf, err := r.borrowBlock(i)
+	if err != nil {
+		return record.Record{}, false, err
 	}
-	buf := blockBufs.Get().(*[]byte)
 	defer blockBufs.Put(buf)
-	if uint64(cap(*buf)) < length {
-		*buf = make([]byte, length)
-	}
-	data := (*buf)[:length]
-	if _, err := r.f.ReadAt(data, int64(off)); err != nil {
-		return record.Record{}, false, fmt.Errorf("sstable: read block: %w", err)
-	}
-	var found []byte
-	for at := 0; at < len(data); {
-		n, err := record.CheckFrame(data[at:])
-		if err != nil {
-			return record.Record{}, false, fmt.Errorf("sstable: %w", err)
-		}
-		if found == nil && bytes.Equal(record.FrameKey(data[at:]), key) {
-			found = data[at : at+n]
-		}
-		at += n
-	}
-	if found == nil {
+	j := b.search(key)
+	if j >= b.Len() || !bytes.Equal(b.key(j), key) {
 		return record.Record{}, false, nil
 	}
 	// One allocation holds the key and the value.
-	rec := record.DecodeFrame(found)
+	rec := record.DecodeFrame(b.frame(j))
 	k := len(rec.Key)
 	owned := append(append(make([]byte, 0, k+len(rec.Value)), rec.Key...), rec.Value...)
 	rec.Key = owned[:k:k]
@@ -593,21 +630,34 @@ func (r *Reader) getOnce(i int, key []byte) (record.Record, bool, error) {
 }
 
 // Scan visits records with start <= key < end in ascending order until
-// fn returns false. A nil end means unbounded.
+// fn returns false. A nil end means unbounded. The record passed to fn
+// is valid only until fn returns: it may alias a borrowed block.
 func (r *Reader) Scan(start, end []byte, fn func(record.Record) bool) error {
-	s := r.Range(start, end, true)
-	for {
-		if ok, err := s.load(); !ok {
+	i := 0
+	if start != nil {
+		i = r.blockFor(start)
+	}
+	for ; i < len(r.index); i++ {
+		b, buf, err := r.loadBlock(i, true)
+		if err != nil {
 			return err
 		}
-		b, lim := s.blk, s.lim
-		for i := s.pos; i < lim; i++ {
-			if !fn(record.DecodeFrame(b.frame(i))) {
-				return nil
+		pos, lim, last := b.span(start, end)
+		start = nil // later blocks lie past the lower bound
+		for j := pos; j < lim; j++ {
+			if !fn(record.DecodeFrame(b.frame(j))) {
+				last = true
+				break
 			}
 		}
-		s.pos = lim
+		if buf != nil {
+			blockBufs.Put(buf)
+		}
+		if last {
+			return nil
+		}
 	}
+	return nil
 }
 
 // --- bloom filter ---

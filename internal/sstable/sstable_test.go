@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -261,26 +262,6 @@ func sortRecords(recs []record.Record) {
 	}
 }
 
-// TestReadAllocs pins what the uncached read path allocates over a
-// 10 000-record table: a 100-record scan 5 times (two blocks, and its
-// start key). TestRefusedGetAllocs pins an uncached point get.
-func TestReadAllocs(t *testing.T) {
-	r := buildTable(t, filepath.Join(t.TempDir(), "t.sst"), seqRecords(10000))
-	defer r.Close()
-	scan := testing.AllocsPerRun(200, func() {
-		n := 0
-		if err := r.Scan([]byte("key-005000"), nil, func(record.Record) bool {
-			n++
-			return n < 100
-		}); err != nil || n != 100 {
-			t.Fatalf("scan = %d records, %v", n, err)
-		}
-	})
-	if scan > 5 {
-		t.Errorf("scan of 100 allocates %.0f times, want <= 5", scan)
-	}
-}
-
 func BenchmarkGet(b *testing.B) {
 	r := buildTable(b, filepath.Join(b.TempDir(), "t.sst"), seqRecords(10000))
 	defer r.Close()
@@ -388,7 +369,7 @@ func TestDecodedBlockIsExact(t *testing.T) {
 		r := buildTable(t, filepath.Join(t.TempDir(), "t.sst"), recs)
 		total := 0
 		for b := 0; b < r.NumBlocks(); b++ {
-			got, err := r.readBlock(b, false)
+			got, err := r.decodeBlock(b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -416,16 +397,18 @@ func TestDecodedBlockIsExact(t *testing.T) {
 
 // A block is checked whole when it is read: a bad CRC in its last frame
 // fails a get of its first key and a scan that stops after one record,
-// through a block cache or not.
+// through a block cache or not, and a compaction over the table, which
+// then leaves no output behind.
 func TestBlockVerifiedAtLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.sst")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.sst")
 	r := buildTable(t, path, seqRecords(1000))
 	if r.NumBlocks() < 3 {
 		t.Fatalf("%d blocks, want >= 3", r.NumBlocks())
 	}
 	// Block 1: Open checks only the edge blocks.
 	off, length := r.blockExtent(1)
-	b, err := r.readBlock(1, false)
+	b, err := r.decodeBlock(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,6 +440,17 @@ func TestBlockVerifiedAtLoad(t *testing.T) {
 			t.Errorf("cache %T: a one-record scan from %q visited %d, err %v, want ErrCorrupt", cache, first, n, err)
 		}
 		r.Close()
+	}
+	r, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := Merge(filepath.Join(dir, "merged.sst"), MergeOptions{}, whole(r)); !errors.Is(err, record.ErrCorrupt) {
+		t.Errorf("a compaction over the corrupt table = %v, want ErrCorrupt", err)
+	}
+	if names := dirNames(t, dir); !reflect.DeepEqual(names, []string{"t.sst"}) {
+		t.Errorf("after the failed compaction the directory holds %v, want only t.sst", names)
 	}
 }
 

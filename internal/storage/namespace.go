@@ -266,13 +266,16 @@ func (ns *Namespace) getLocked(key []byte) (record.Record, bool) {
 // in ascending key order until fn returns false or the range is
 // exhausted. This is the engine's only read path besides point gets —
 // callers are responsible for bounding the range (the analyzer
-// guarantees every query plan does).
+// guarantees every query plan does). The record passed to fn is valid
+// only until fn returns: it may alias a pooled block, so fn copies
+// what it keeps.
 func (ns *Namespace) ScanLive(start, end []byte, fn func(record.Record) bool) error {
 	return ns.scan(start, end, true, fn)
 }
 
 // ScanAll visits records including tombstones; used by replication
-// catch-up and partition moves.
+// catch-up and partition moves. As with ScanLive, a record is valid
+// only until fn returns.
 func (ns *Namespace) ScanAll(start, end []byte, fn func(record.Record) bool) error {
 	return ns.scan(start, end, false, fn)
 }
@@ -364,41 +367,70 @@ const scanSinceByteBudget = 4 << 20
 // [start, end) to fn. The memtables are copied and the tables pinned
 // under the read lock; table blocks are read after it is released, one
 // at a time as the merge advances, so a scan that fn stops early reads
-// no further.
+// no further. What the merge runs on is pooled (scanState), so a scan
+// allocates only what fn keeps.
 func (ns *Namespace) scan(start, end []byte, live bool, fn func(record.Record) bool) error {
+	st := scanStates.Get().(*scanState)
 	ns.mu.RLock()
 	if ns.closed {
 		ns.mu.RUnlock()
+		scanStates.Put(st)
 		return ErrClosed
 	}
-	sources := make([]sstable.Source, 0, 2+len(ns.tables))
-	sources = append(sources, sstable.Slice(snapshotRange(ns.mem, start, end)))
+	st.mem = snapshotRange(st.mem, ns.mem, start, end)
+	st.sources = append(st.sources, sstable.Slice(st.mem))
 	if ns.flushing != nil {
-		sources = append(sources, sstable.Slice(snapshotRange(ns.flushing, start, end)))
+		st.flushing = snapshotRange(st.flushing, ns.flushing, start, end)
+		st.sources = append(st.sources, sstable.Slice(st.flushing))
 	}
+	// The stack is replaced, never modified in place, so the slice
+	// stays what it is once the lock is released.
 	tables := ns.tables
-	opts := sstable.MergeOptions{DropTombstones: live, Drop: ns.dropExcluded(tables, len(sources))}
+	opts := sstable.MergeOptions{DropTombstones: live, Drop: ns.dropExcluded(tables, len(st.sources))}
 	// Pin the tables: a background tier merge may splice them out and
 	// unlink their files while we stream blocks below. The references
 	// keep the files open (and on disk) until released.
 	for _, t := range tables {
 		t.Retain()
-		sources = append(sources, t.Range(start, end, true))
+		st.sources = append(st.sources, t.Range(start, end, true))
 	}
 	ns.mu.RUnlock()
-	defer func() {
-		for _, t := range tables {
-			t.Release()
-		}
-	}()
+	defer st.release(tables)
 
-	it := sstable.NewMergeIter(opts, sources...)
+	it := &st.it
+	it.Reset(opts, st.sources...)
 	for rec, ok := it.Next(); ok && fn(rec); rec, ok = it.Next() {
 	}
 	if err := it.Err(); err != nil {
 		return fmt.Errorf("storage: scan table: %w", err)
 	}
 	return nil
+}
+
+// scanState is what one scan merges through: the memtable snapshots,
+// the merge's sources and the merge itself. It is pooled and empty
+// between scans.
+type scanState struct {
+	mem, flushing []record.Record
+	sources       []sstable.Source
+	it            sstable.MergeIter
+}
+
+var scanStates = sync.Pool{New: func() any { return new(scanState) }}
+
+// release ends the scan st served: it gives back the merge's borrowed
+// blocks, unpins tables, drops every reference st holds and returns st
+// to the pool.
+func (st *scanState) release(tables []*sstable.Reader) {
+	st.it.Close()
+	for _, t := range tables {
+		t.Release()
+	}
+	clear(st.mem)
+	clear(st.flushing)
+	clear(st.sources)
+	st.mem, st.flushing, st.sources = st.mem[:0], st.flushing[:0], st.sources[:0]
+	scanStates.Put(st)
 }
 
 // dropExcluded returns the merge Drop hook that hides the pending
@@ -421,8 +453,8 @@ func (ns *Namespace) dropExcluded(tables []*sstable.Reader, first int) func(int,
 	return func(src int, rec record.Record) bool { return inAny(excl[src], rec.Key) }
 }
 
-func snapshotRange(m *memtable.Memtable, start, end []byte) []record.Record {
-	var out []record.Record
+// snapshotRange appends m's records with start <= key < end to out.
+func snapshotRange(out []record.Record, m *memtable.Memtable, start, end []byte) []record.Record {
 	m.Scan(start, end, func(r record.Record) bool {
 		out = append(out, r)
 		return true
