@@ -11,6 +11,7 @@ import (
 	"scads/internal/clock"
 	"scads/internal/cloudsim"
 	"scads/internal/director"
+	"scads/internal/ledger"
 	"scads/internal/sim"
 	"scads/internal/workload"
 )
@@ -197,18 +198,13 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 		actMu.Unlock()
 	}
 
-	// Two real-op drivers share a last-acked ledger: a synchronous
-	// per-tick driver guarantees coverage of every control interval,
-	// and a concurrent wall-clock writer keeps ops in flight *during*
-	// the migrations scale events trigger. Each owns one key parity
-	// (sync even, concurrent odd), so last-acked-per-key stays well
+	// Two real-op drivers share one ledger: a synchronous per-tick
+	// driver guarantees coverage of every control interval, and a
+	// concurrent wall-clock writer keeps ops in flight *during* the
+	// migrations scale events trigger. Each owns one key parity (sync
+	// even, concurrent odd), so the last acked write of a key is well
 	// defined without cross-goroutine write ordering.
-	type ledger struct {
-		mu    sync.Mutex
-		last  map[string]string // key id → last acked value
-		acked int64
-	}
-	led := &ledger{last: make(map[string]string)}
+	var led ledger.Ledger
 	doOp := func(rnd *rand.Rand, round int64, parity int) {
 		k := keys.Key(rnd, vc.Now())&^1 | parity
 		if k >= keys.Users {
@@ -223,10 +219,7 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 				"birthday": int64(round%365 + 1),
 			})
 			if err == nil {
-				led.mu.Lock()
-				led.last[id] = name
-				led.acked++
-				led.mu.Unlock()
+				led.Put(id, name)
 			}
 		} else {
 			lc.Get("users", Row{"id": id}) // exercise routing under migration
@@ -285,19 +278,14 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 	if err := lc.FlushAll(); err != nil {
 		return res, err
 	}
-	led.mu.Lock()
-	res.AckedWrites = led.acked
-	for id, want := range led.last {
+	res.AckedWrites = led.Acked()
+	// A failed read counts as lost, so Verify meets no error.
+	loss, _ := led.Verify(func(id string) (string, bool, error) {
 		r, found, err := lc.Get("users", Row{"id": id})
-		if err != nil || !found {
-			res.LostWrites++
-			continue
-		}
-		if r["name"] != want {
-			res.CorruptReads++
-		}
-	}
-	led.mu.Unlock()
+		name, _ := r["name"].(string)
+		return name, found && err == nil, nil
+	})
+	res.LostWrites, res.CorruptReads = loss.Lost, loss.Corrupted
 
 	actMu.Lock()
 	defer actMu.Unlock()

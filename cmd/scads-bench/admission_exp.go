@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 	"sync"
 	"time"
 
@@ -195,8 +194,7 @@ namespace users { session: read-your-writes; staleness: 10m; }
 	if total == 0 {
 		log.Fatalf("e18: compliant tenants landed zero writes")
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	p99 := lats[len(lats)*99/100]
+	p99 := percentile(lats, 99)
 
 	adversaryHot := 0.0
 	for _, h := range hot {
@@ -215,19 +213,11 @@ namespace users { session: read-your-writes; staleness: 10m; }
 		"be_scan_sheds":      float64(st.ShedByClass[3]),
 		"quota_rejections":   float64(st.ShedQuota),
 		"adversary_hot":      adversaryHot,
+		"peak_inflight":      float64(st.PeakInFlight),
 	}
 
-	fmt.Printf("%d committed tenants (zipf quotas from %g ops/s) vs 1 best-effort adversary x%d workers; max in-flight %d\n\n",
+	fmt.Printf("%d committed tenants (zipf quotas from %g ops/s) vs 1 best-effort adversary x%d workers; max in-flight %d\n",
 		tenants, quotaOps, advWorkers, maxIF)
-	fmt.Printf("  %-34s %12d\n", "compliant acked writes", total)
-	fmt.Printf("  %-34s %12.2f\n", "compliant p99 (ms, retries incl)", metrics["compliant_p99_ms"])
-	fmt.Printf("  %-34s %12d\n", "lost acked writes", lost)
-	fmt.Printf("  %-34s %12d\n", "committed-class sheds", committedSheds)
-	fmt.Printf("  %-34s %12d\n", "best-effort write sheds", st.ShedByClass[2])
-	fmt.Printf("  %-34s %12d\n", "best-effort scan sheds", st.ShedByClass[3])
-	fmt.Printf("  %-34s %12d\n", "quota rejections", st.ShedQuota)
-	fmt.Printf("  %-34s %12d\n", "peak in-flight", st.PeakInFlight)
-	fmt.Printf("  %-34s %12v\n", "adversary flagged hot", adversaryHot == 1)
 
 	// Hard gates: the paper's SLA story under adversarial traffic.
 	if lost > 0 {
@@ -250,7 +240,7 @@ namespace users { session: read-your-writes; staleness: 10m; }
 		log.Fatalf("e18: hot-tenant detector missed the adversary: %v", hot)
 	}
 
-	fmt.Println("\nthe adversary's demand landed on its own quota, the overload sheds")
+	fmt.Println("the adversary's demand landed on its own quota, the overload sheds")
 	fmt.Println("degraded strictly best-effort-first, and the compliant tenants kept")
 	fmt.Println("their SLO with every acknowledged write intact — per-tenant admission")
 	fmt.Println("turns a noisy neighbor from an outage into that tenant's own problem.")

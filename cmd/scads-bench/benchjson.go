@@ -11,16 +11,12 @@ import (
 	"scads/internal/expgrid"
 )
 
-// BenchMetric is one gated measurement of an experiment run. In a
-// committed baseline file, Direction and Tolerance are the regression
-// policy: "higher" means bigger is better and a run fails when its
-// value drops below baseline*(1-tolerance); "lower" means smaller is
-// better and a run fails when its value exceeds baseline*(1+tolerance);
-// "exact" means a reproduced number with no better side and a run
-// fails when it is off by more than baseline*tolerance either way
-// (tolerance 0 pins the deterministic paper figures bit for bit).
-// A zero-valued lower-is-better baseline with zero tolerance is a hard
-// gate: any non-zero run value fails (the lost-updates / scan-errors
+// BenchMetric is one metric of a BENCH_<row>.json file: in a committed
+// baseline, the expgrid.Baseline policy (value, direction, tolerance;
+// Baseline.Within holds the semantics, shared with the markdown
+// report); in a run summary, the value alone, plus Std. A zero-valued
+// lower-is-better baseline with zero tolerance is a hard gate: any
+// non-zero run value fails (the lost-updates / scan-errors
 // invariants).
 //
 // Grid runs with repeats write grouped summaries: Value is the mean
@@ -28,10 +24,8 @@ import (
 // gate applies to the mean; Std is reported so a pass riding on
 // variance is visible in the verdict table.
 type BenchMetric struct {
-	Value     float64 `json:"value"`
-	Std       float64 `json:"std,omitempty"`
-	Direction string  `json:"direction,omitempty"`
-	Tolerance float64 `json:"tolerance,omitempty"`
+	expgrid.Baseline
+	Std float64 `json:"std,omitempty"`
 }
 
 // BenchSummary is the machine-readable result of one grid row,
@@ -53,7 +47,7 @@ type BenchSummary struct {
 func writeGroupedBenchSummary(dir string, row expgrid.RowResult) {
 	metrics := make(map[string]BenchMetric, len(row.Grouped))
 	for name, a := range row.Grouped {
-		metrics[name] = BenchMetric{Value: a.Mean, Std: a.Std}
+		metrics[name] = BenchMetric{Baseline: expgrid.Baseline{Value: a.Mean}, Std: a.Std}
 	}
 	s := BenchSummary{Experiment: row.Row.ID, Repeats: len(row.Repeats), Metrics: metrics}
 	b, err := json.MarshalIndent(s, "", "  ")
@@ -126,7 +120,7 @@ func compareBenchmarks(runDir, baselineDir string) int {
 				regressions++
 				continue
 			}
-			ok, bound := withinTolerance(bm, rm.Value)
+			ok, bound := bm.Within(rm.Value)
 			verdict := "ok"
 			if !ok {
 				verdict = fmt.Sprintf("REGRESSION (%s bound %g)", bm.Direction, bound)
@@ -140,12 +134,4 @@ func compareBenchmarks(runDir, baselineDir string) int {
 		}
 	}
 	return regressions
-}
-
-// withinTolerance applies a baseline metric's policy to a run value,
-// returning the verdict and the bound that was enforced. The policy
-// semantics live in expgrid.Baseline so the markdown report and this
-// gate can never diverge.
-func withinTolerance(base BenchMetric, got float64) (bool, float64) {
-	return expgrid.Baseline{Value: base.Value, Direction: base.Direction, Tolerance: base.Tolerance}.Within(got)
 }

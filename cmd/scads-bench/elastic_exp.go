@@ -28,17 +28,11 @@ func runE16(expgrid.Params) (expgrid.Metrics, error) {
 		scads.ElasticHotspotShiftScenario(),
 	}
 	metrics := make(expgrid.Metrics)
+	var acked int64
 	lost, corrupt := 0, 0
-	fmt.Printf("%-14s %6s %6s %6s %10s %10s %9s %7s %7s %9s\n",
-		"scenario", "ticks", "peak", "final", "viol-min", "srv-hours", "cost-usd", "ups", "downs", "acked")
 	for _, sc := range scenarios {
 		res, err := scads.RunElasticScenario(sc)
 		must(err)
-		// The scenarios count minutes in violation of any class's SLO
-		// and price the serving fleet's server-hours, not the cloud's
-		// hourly-rounded bill.
-		violationMin := float64(res.Violations) * sc.Tick.Minutes()
-		cost := res.ServerHours * sc.Cloud.PricePerHour
 		ups, downs := 0, 0
 		for _, dec := range res.Decisions {
 			if dec.Added > 0 {
@@ -48,24 +42,26 @@ func runE16(expgrid.Params) (expgrid.Metrics, error) {
 				downs++
 			}
 		}
-		fmt.Printf("%-14s %6d %6d %6d %10.1f %10.2f %9.2f %7d %7d %9d\n",
-			sc.Name, len(res.Ticks), res.PeakServers, res.FinalServers,
-			violationMin, res.ServerHours, cost, ups, downs, res.AckedWrites)
+		acked += res.AckedWrites
 		lost += res.LostWrites
 		corrupt += res.CorruptReads
-		metrics[sc.Name+"_slo_violation_min"] = violationMin
+		// The scenarios count minutes in violation of any class's SLO
+		// and price the serving fleet's server-hours, not the cloud's
+		// hourly-rounded bill.
+		metrics[sc.Name+"_slo_violation_min"] = float64(res.Violations) * sc.Tick.Minutes()
 		metrics[sc.Name+"_server_hours"] = res.ServerHours
-		metrics[sc.Name+"_cost_usd"] = cost
+		metrics[sc.Name+"_cost_usd"] = res.ServerHours * sc.Cloud.PricePerHour
 		metrics[sc.Name+"_peak_servers"] = float64(res.PeakServers)
+		metrics[sc.Name+"_final_servers"] = float64(res.FinalServers)
+		metrics[sc.Name+"_scale_ups"] = float64(ups)
+		metrics[sc.Name+"_scale_downs"] = float64(downs)
 	}
+	metrics["acked_writes"] = float64(acked)
 	metrics["lost_acked_writes"] = float64(lost)
 	metrics["corrupted_acked_writes"] = float64(corrupt)
-	fmt.Println()
-	fmt.Printf("  %-34s %12d\n", "lost acked writes", lost)
-	fmt.Printf("  %-34s %12d\n", "corrupted acked writes", corrupt)
 	if lost > 0 || corrupt > 0 {
 		log.Fatalf("e16: scale events lost acked writes (lost=%d corrupt=%d)", lost, corrupt)
 	}
-	fmt.Println("  zero acked writes lost across all scale events")
+	fmt.Println("zero acked writes lost across all scale events")
 	return metrics, nil
 }

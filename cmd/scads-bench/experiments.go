@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -651,6 +652,27 @@ func must(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// percentile returns the pct-th percentile of lat (pct 100 is the
+// maximum; 0 when lat is empty), sorting lat in place.
+func percentile(lat []time.Duration, pct int) time.Duration {
+	if len(lat) == 0 {
+		return 0
+	}
+	slices.Sort(lat)
+	return lat[min(len(lat)*pct/100, len(lat)-1)]
+}
+
+func mean(lat []time.Duration) time.Duration {
+	if len(lat) == 0 {
+		return 0
+	}
+	var sum time.Duration
+	for _, d := range lat {
+		sum += d
+	}
+	return sum / time.Duration(len(lat))
 }
 
 // b2f reports a held/violated invariant as a gateable 1/0 metric.

@@ -174,7 +174,7 @@ func loadRowBaselines(baselineDir string, res *expgrid.GridResult) map[string]ma
 		}
 		m := make(map[string]expgrid.Baseline, len(s.Metrics))
 		for name, bm := range s.Metrics {
-			m[name] = expgrid.Baseline{Value: bm.Value, Direction: bm.Direction, Tolerance: bm.Tolerance}
+			m[name] = bm.Baseline
 		}
 		out[row.Row.ID] = m
 	}

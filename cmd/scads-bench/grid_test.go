@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -151,7 +152,7 @@ func TestElasticRowsHoldBaselines(t *testing.T) {
 			v, measured := got[name]
 			if !measured {
 				t.Errorf("%s: gated metric %s missing from the run", id, name)
-			} else if ok, bound := withinTolerance(bm, v); !ok {
+			} else if ok, bound := bm.Within(v); !ok {
 				t.Errorf("%s: %s = %g, baseline %g (%s bound %g)", id, name, v, bm.Value, bm.Direction, bound)
 			}
 		}
@@ -212,5 +213,38 @@ func TestGroupedSummaryRoundTrip(t *testing.T) {
 	}
 	if m.Direction != "" || m.Tolerance != 0 {
 		t.Fatalf("run summary must not carry baseline policy: %+v", m)
+	}
+}
+
+// TestBaselinesDecodeThroughBaseline reads every committed baseline
+// through BenchMetric and into plain fields: the embedded
+// expgrid.Baseline must carry exactly the value, direction and
+// tolerance the file spells, and Std its std.
+func TestBaselinesDecodeThroughBaseline(t *testing.T) {
+	files, _ := filepath.Glob("baselines/BENCH_*.json")
+	if len(files) == 0 {
+		t.Fatal("no committed baselines")
+	}
+	for _, f := range files {
+		var plain struct {
+			Metrics map[string]struct {
+				Value, Std, Tolerance float64
+				Direction             string
+			}
+		}
+		data, err := os.ReadFile(f)
+		if err == nil {
+			err = json.Unmarshal(data, &plain)
+		}
+		s, serr := readSummary(f)
+		if err != nil || serr != nil || len(s.Metrics) != len(plain.Metrics) {
+			t.Fatalf("%s: %v, %v; %d metrics decoded of %d", f, err, serr, len(s.Metrics), len(plain.Metrics))
+		}
+		for name, m := range plain.Metrics {
+			want := BenchMetric{Baseline: expgrid.Baseline{Value: m.Value, Direction: m.Direction, Tolerance: m.Tolerance}, Std: m.Std}
+			if got := s.Metrics[name]; got != want {
+				t.Errorf("%s %s: decoded %+v, file spells %+v", f, name, got, want)
+			}
+		}
 	}
 }

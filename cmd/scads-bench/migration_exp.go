@@ -3,13 +3,14 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scads"
 	"scads/internal/expgrid"
+	"scads/internal/ledger"
 	"scads/internal/migration"
 	"scads/internal/planner"
 )
@@ -36,43 +37,57 @@ import (
 // value_size (pads the name column so large-value rows exercise the
 // snapshot/delta page budgets — the e12-bigval grid row).
 func runE12(p expgrid.Params) (expgrid.Metrics, error) {
-	var (
-		nodes        = p.Int("nodes")
-		writers      = p.Int("writers")
-		opsPerWriter = p.Int("ops_per_writer")
-		rounds       = p.Int("migration_rounds")
-		valueSize    = p.Int("value_size")
-	)
-	if nodes < 1 || writers < 1 || writers > 9 || opsPerWriter < 10 || rounds < 1 {
-		return nil, fmt.Errorf("e12: invalid params: nodes=%d writers=%d (1-9) ops_per_writer=%d (>=10) migration_rounds=%d", nodes, writers, opsPerWriter, rounds)
+	c := churn{
+		exp:       "e12",
+		writers:   p.Int("writers"),
+		keys:      50,
+		ops:       p.Int("ops_per_writer"),
+		rounds:    p.Int("migration_rounds"),
+		valueSize: p.Int("value_size"),
 	}
-	// Writer w at round r writes this value into the name column; the
-	// verification pass recomputes it from the key's writer digit and
-	// the last acknowledged round.
-	name := func(w, round int) string {
-		s := fmt.Sprintf("w%d-r%d", w, round)
-		if valueSize > len(s) {
-			s += strings.Repeat(".", valueSize-len(s))
-		}
-		return s
+	nodes := p.Int("nodes")
+	if nodes < 1 || c.writers < 1 || c.writers > 9 || c.ops < 10 || c.rounds < 1 {
+		return nil, fmt.Errorf("e12: invalid params: nodes=%d writers=%d (1-9) ops_per_writer=%d (>=10) migration_rounds=%d", nodes, c.writers, c.ops, c.rounds)
 	}
-
 	lc, err := scads.NewLocalCluster(nodes, scads.Config{})
 	must(err)
 	defer lc.Close()
 	must(lc.DefineSchema(socialDDL))
+	metrics := c.run(lc)
+	fmt.Println("every write acknowledged during the copy window, the delta chase and")
+	fmt.Println("the fence pause is readable after the handoff: rebalance, decommission")
+	fmt.Println("and elastic scale-down are no longer data-loss events under load —")
+	fmt.Println("the precondition for the paper's continuous repartitioning (§3.3).")
+	return metrics, nil
+}
+
+// churn is e12's workload, which e17 reruns on disk-backed, compacting
+// nodes: writers insert, update and delete their own keys of the users
+// table while every one of its four ranges cycles across the node set,
+// then every acknowledged write is read back.
+type churn struct {
+	exp       string // names the experiment in the abort message
+	writers   int    // goroutines; writer w owns keys user<w>000 onwards (1-9)
+	keys      int    // keys per writer, all seeded before the churn starts
+	ops       int    // ops per writer; 0 = until the range cycling ends
+	rounds    int    // cycles of every range across the node set
+	valueSize int    // pads the name column to this many bytes
+}
+
+// run drives the churn on lc, whose schema is socialDDL, and returns
+// e12's metrics. It aborts on any lost, corrupted or resurrected write.
+func (c churn) run(lc *scads.LocalCluster) expgrid.Metrics {
 	must(lc.SplitTable("users", "user1000", "user2000", "user3000"))
 	ns := planner.TableNamespace("users")
 
-	// Track each migration's fence pause from its phase events.
-	type rkey string
+	// Each migration's fence pause, from its fence and flip events.
 	var (
 		pauseMu  sync.Mutex
-		fencedAt = map[rkey]time.Time{}
+		fencedAt = map[string]time.Time{}
 		pauses   []time.Duration
 	)
 	lc.Migrations().OnPhase = func(ev migration.Event) {
-		k := rkey(ev.Namespace + "\x00" + string(ev.Start))
+		k := ev.Namespace + "\x00" + string(ev.Start)
 		pauseMu.Lock()
 		defer pauseMu.Unlock()
 		switch ev.Phase {
@@ -86,63 +101,54 @@ func runE12(p expgrid.Params) (expgrid.Metrics, error) {
 		}
 	}
 
-	type ackedState struct {
-		round   int
-		deleted bool
+	// Writer w's op i writes this into the name column.
+	name := func(w, i int) string {
+		s := fmt.Sprintf("w%d-r%d", w, i)
+		if c.valueSize > len(s) {
+			s += strings.Repeat(".", c.valueSize-len(s))
+		}
+		return s
 	}
-	var (
-		ackMu     sync.Mutex
-		lastAcked = map[string]ackedState{}
-		acked     int
-	)
-
-	// Seed every range before the churn starts, so snapshots ship real
-	// pages rather than migrating empty ranges.
-	for w := 0; w < writers; w++ {
-		for i := 0; i < 50; i++ {
+	// Seed every range, so snapshots ship real pages rather than
+	// migrating empty ranges.
+	var led ledger.Ledger
+	for w := 0; w < c.writers; w++ {
+		for i := 0; i < c.keys; i++ {
 			id := fmt.Sprintf("user%04d", w*1000+i)
-			must(lc.Insert("users", scads.Row{
-				"id": id, "name": name(w, -1), "birthday": 1,
-			}))
-			lastAcked[id] = ackedState{round: -1}
-			acked++
+			must(lc.Insert("users", scads.Row{"id": id, "name": name(w, -1), "birthday": 1}))
+			led.Put(id, name(w, -1))
 		}
 	}
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
+	var (
+		cycled atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for w := 0; w < c.writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < opsPerWriter; i++ {
-				id := fmt.Sprintf("user%04d", w*1000+i%50)
+			for i := 0; i < c.ops || (c.ops == 0 && !cycled.Load()); i++ {
+				id := fmt.Sprintf("user%04d", w*1000+i%c.keys)
 				if i%10 == 9 {
 					must(lc.Delete("users", scads.Row{"id": id}))
-					ackMu.Lock()
-					lastAcked[id] = ackedState{round: i, deleted: true}
-					acked++
-					ackMu.Unlock()
+					led.Delete(id)
 					continue
 				}
-				must(lc.Insert("users", scads.Row{
-					"id": id, "name": name(w, i), "birthday": i%365 + 1,
-				}))
-				ackMu.Lock()
-				lastAcked[id] = ackedState{round: i}
-				acked++
-				ackMu.Unlock()
+				must(lc.Insert("users", scads.Row{"id": id, "name": name(w, i), "birthday": i%365 + 1}))
+				led.Put(id, name(w, i))
 			}
 		}(w)
 	}
 
-	// Concurrently cycle every range across the node set, paced so the
-	// churn spans the writers' whole run — every migration races live
-	// inserts, updates and deletes.
+	// Cycle every range across the node set, paced so the churn spans
+	// the writers' run: every migration races live inserts, updates
+	// and deletes.
 	m, _ := lc.Router().Map(ns)
 	nodeIDs := lc.NodeIDs()
 	migrations := 0
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < c.rounds; r++ {
 		for i, rng := range m.Ranges() {
 			key := rng.Start
 			if key == nil {
@@ -153,76 +159,45 @@ func runE12(p expgrid.Params) (expgrid.Metrics, error) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	cycled.Store(true)
 	wg.Wait()
 	elapsed := time.Since(start)
 	must(lc.FlushAll())
 
-	// Verification: every acknowledged write readable, every
-	// acknowledged delete dead.
-	lost, wrong, resurrected := 0, 0, 0
-	for id, want := range lastAcked {
-		row, found, err := lc.Get("users", scads.Row{"id": id})
-		must(err)
-		switch {
-		case want.deleted && found:
-			resurrected++
-		case !want.deleted && !found:
-			lost++
-		case !want.deleted && found:
-			if row["name"] != name(int(id[4]-'0'), want.round) {
-				wrong++
-			}
-		}
+	loss, err := led.Verify(userName(lc))
+	must(err)
+	if !loss.None() {
+		log.Fatalf("%s: ONLINE MIGRATION LOST DATA: %v", c.exp, loss)
 	}
-
-	st := lc.MigrationStats()
-	var p50Pause time.Duration
-	if len(pauses) > 0 {
-		sorted := append([]time.Duration(nil), pauses...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		p50Pause = sorted[len(sorted)/2]
-	}
-	metrics := expgrid.Metrics{
-		"acked_writes":       float64(acked),
-		"lost_updates":       float64(lost),
-		"corrupted_updates":  float64(wrong),
-		"resurrected_dels":   float64(resurrected),
-		"migrations":         float64(migrations),
-		"fence_pause_p50_us": float64(p50Pause.Microseconds()),
-	}
-	fmt.Printf("%d writers x %d ops against 4 ranges; %d online migrations in %v\n\n",
-		writers, opsPerWriter, migrations, elapsed.Truncate(time.Millisecond))
-	fmt.Printf("  %-34s %12d\n", "acknowledged writes+deletes", acked)
-	fmt.Printf("  %-34s %12d\n", "lost updates", lost)
-	fmt.Printf("  %-34s %12d\n", "corrupted updates", wrong)
-	fmt.Printf("  %-34s %12d\n", "resurrected deletes", resurrected)
-	fmt.Printf("  %-34s %12d\n", "snapshot records shipped", st.SnapshotRecords)
-	fmt.Printf("  %-34s %12d\n", "delta records shipped", st.DeltaRecords)
-	fmt.Printf("  %-34s %12d\n", "delta rounds", st.DeltaRounds)
-	fmt.Printf("  %-34s %12d\n", "write-fence pauses", st.FencePauses)
-	if len(pauses) > 0 {
-		sort.Slice(pauses, func(i, j int) bool { return pauses[i] < pauses[j] })
-		var sum time.Duration
-		for _, p := range pauses {
-			sum += p
-		}
-		fmt.Printf("  %-34s %12v\n", "fence pause p50", pauses[len(pauses)/2].Round(time.Microsecond))
-		fmt.Printf("  %-34s %12v\n", "fence pause max", pauses[len(pauses)-1].Round(time.Microsecond))
-		fmt.Printf("  %-34s %12v\n", "fence pause mean", (sum / time.Duration(len(pauses))).Round(time.Microsecond))
-	}
-
-	if lost > 0 || wrong > 0 || resurrected > 0 {
-		log.Fatalf("e12: ONLINE MIGRATION LOST DATA: lost=%d corrupted=%d resurrected=%d",
-			lost, wrong, resurrected)
-	}
-	fmt.Println("\nevery write acknowledged during the copy window, the delta chase and")
-	fmt.Println("the fence pause is readable after the handoff: rebalance, decommission")
-	fmt.Println("and elastic scale-down are no longer data-loss events under load —")
-	fmt.Println("the precondition for the paper's continuous repartitioning (§3.3).")
-
-	// Sanity check the map after the rounds of churn.
 	must(mapValidate(lc, ns))
-	return metrics, nil
+
+	pauseMu.Lock()
+	defer pauseMu.Unlock()
+	st := lc.MigrationStats()
+	return expgrid.Metrics{
+		"acked_writes":        float64(led.Acked()),
+		"lost_updates":        float64(loss.Lost),
+		"corrupted_updates":   float64(loss.Corrupted),
+		"resurrected_dels":    float64(loss.Resurrected),
+		"migrations":          float64(migrations),
+		"churn_ms":            float64(elapsed.Milliseconds()),
+		"fence_pauses":        float64(st.FencePauses),
+		"fence_pause_p50_us":  float64(percentile(pauses, 50).Microseconds()),
+		"fence_pause_max_us":  float64(percentile(pauses, 100).Microseconds()),
+		"fence_pause_mean_us": float64(mean(pauses).Microseconds()),
+		"snapshot_records":    float64(st.SnapshotRecords),
+		"delta_records":       float64(st.DeltaRecords),
+		"delta_rounds":        float64(st.DeltaRounds),
+	}
+}
+
+// userName reads a users row's name for a ledger check.
+func userName(lc *scads.LocalCluster) func(id string) (string, bool, error) {
+	return func(id string) (string, bool, error) {
+		row, found, err := lc.Get("users", scads.Row{"id": id})
+		name, _ := row["name"].(string)
+		return name, found, err
+	}
 }
 
 func mapValidate(lc *scads.LocalCluster, ns string) error {

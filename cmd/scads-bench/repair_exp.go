@@ -9,6 +9,7 @@ import (
 
 	"scads"
 	"scads/internal/expgrid"
+	"scads/internal/ledger"
 	"scads/internal/planner"
 	"scads/internal/repair"
 )
@@ -42,14 +43,7 @@ func runE13(p expgrid.Params) (expgrid.Metrics, error) {
 	if nodes < 2 || rf < 1 || rf > nodes || writers < 1 || writers > 9 {
 		return nil, fmt.Errorf("e13: invalid params: nodes=%d (>=2) rf=%d (1..nodes) writers=%d (1-9)", nodes, rf, writers)
 	}
-	lc, err := scads.NewLocalCluster(nodes, scads.Config{
-		ReplicationFactor: rf,
-		Repair: repair.Config{
-			SweepInterval:    10 * time.Millisecond,
-			HeartbeatTimeout: 250 * time.Millisecond,
-			ReplaceAfter:     50 * time.Millisecond,
-		},
-	})
+	lc, err := scads.NewLocalCluster(nodes, scads.Config{ReplicationFactor: rf, Repair: fastRepair})
 	must(err)
 	defer lc.Close()
 	must(lc.DefineSchema(socialDDL))
@@ -85,25 +79,15 @@ func runE13(p expgrid.Params) (expgrid.Metrics, error) {
 	lc.StartBackground(4)
 	defer lc.StopBackground()
 
-	type ackedState struct {
-		round   int
-		deleted bool
-	}
 	var (
-		ackMu     sync.Mutex
-		lastAcked = map[string]ackedState{}
-		acked     atomic.Int64
-		stop      atomic.Bool
+		led  ledger.Ledger
+		stop atomic.Bool
 	)
-
 	for w := 0; w < writers; w++ {
 		for i := 0; i < 40; i++ {
-			id := fmt.Sprintf("user%04d", w*1000+i)
-			must(lc.Insert("users", scads.Row{
-				"id": id, "name": fmt.Sprintf("w%d-r%d", w, -1), "birthday": 1,
-			}))
-			lastAcked[id] = ackedState{round: -1}
-			acked.Add(1)
+			id, name := fmt.Sprintf("user%04d", w*1000+i), fmt.Sprintf("w%d-r%d", w, -1)
+			must(lc.Insert("users", scads.Row{"id": id, "name": name, "birthday": 1}))
+			led.Put(id, name)
 		}
 	}
 
@@ -113,21 +97,14 @@ func runE13(p expgrid.Params) (expgrid.Metrics, error) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
-				id := fmt.Sprintf("user%04d", w*1000+i%40)
+				id, name := fmt.Sprintf("user%04d", w*1000+i%40), fmt.Sprintf("w%d-r%d", w, i)
 				if i%10 == 9 {
 					must(lc.Delete("users", scads.Row{"id": id}))
-					ackMu.Lock()
-					lastAcked[id] = ackedState{round: i, deleted: true}
-					ackMu.Unlock()
+					led.Delete(id)
 				} else {
-					must(lc.Insert("users", scads.Row{
-						"id": id, "name": fmt.Sprintf("w%d-r%d", w, i), "birthday": i%365 + 1,
-					}))
-					ackMu.Lock()
-					lastAcked[id] = ackedState{round: i}
-					ackMu.Unlock()
+					must(lc.Insert("users", scads.Row{"id": id, "name": name, "birthday": i%365 + 1}))
+					led.Put(id, name)
 				}
-				acked.Add(1)
 			}
 		}(w)
 	}
@@ -140,9 +117,10 @@ func runE13(p expgrid.Params) (expgrid.Metrics, error) {
 	victim = victimID
 	evMu.Unlock()
 
-	// The prober hammers one key homed in the victim's range and
-	// records the longest gap between consecutive successful acks —
-	// the client-visible write-unavailability window around the crash.
+	// The prober hammers one key homed in the victim's range that no
+	// writer owns (the ledger leaves it out), and records the longest
+	// gap between consecutive successful acks — the client-visible
+	// write-unavailability window around the crash.
 	var (
 		probeStop atomic.Bool
 		windowNs  atomic.Int64
@@ -152,7 +130,7 @@ func runE13(p expgrid.Params) (expgrid.Metrics, error) {
 		defer wg.Done()
 		lastOK := time.Now()
 		for !probeStop.Load() {
-			err := lc.Insert("users", scads.Row{"id": "user0000", "name": "probe", "birthday": 1})
+			err := lc.Insert("users", scads.Row{"id": "user0999", "name": "probe", "birthday": 1})
 			now := time.Now()
 			if err == nil {
 				if gap := now.Sub(lastOK).Nanoseconds(); gap > windowNs.Load() {
@@ -196,74 +174,45 @@ func runE13(p expgrid.Params) (expgrid.Metrics, error) {
 	// Quiesce: repair settles, replication and index maintenance
 	// drain.
 	settle := time.Now().Add(10 * time.Second)
-	for !rfRestoredE13(lc, rf) && time.Now().Before(settle) {
+	for !ledger.RFRestored(lc, rf) && time.Now().Before(settle) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	lc.Repairs().Quiesce(10 * time.Second)
 	must(lc.FlushAll())
 
-	// The probe key's bookkeeping: it was last written by the prober.
-	ackMu.Lock()
-	delete(lastAcked, "user0000")
-	ackMu.Unlock()
-
-	lost, wrong, resurrected := 0, 0, 0
-	for id, want := range lastAcked {
-		row, found, err := lc.Get("users", scads.Row{"id": id})
-		must(err)
-		switch {
-		case want.deleted && found:
-			resurrected++
-		case !want.deleted && !found:
-			lost++
-		case !want.deleted && found:
-			if row["name"] != fmt.Sprintf("w%c-r%d", id[4], want.round) {
-				wrong++
-			}
-		}
-	}
-
+	loss, err := led.Verify(userName(lc))
+	must(err)
 	st := lc.RepairStats()
 	evMu.Lock()
 	detect := detectedAt.Sub(crashedAt)
 	failover := failoverAt.Sub(crashedAt)
 	evMu.Unlock()
 	metrics := expgrid.Metrics{
-		"acked_writes":      float64(acked.Load()),
-		"lost_updates":      float64(lost),
-		"corrupted_updates": float64(wrong),
-		"resurrected_dels":  float64(resurrected),
+		"acked_writes":      float64(led.Acked()),
+		"lost_updates":      float64(loss.Lost),
+		"corrupted_updates": float64(loss.Corrupted),
+		"resurrected_dels":  float64(loss.Resurrected),
 		"failovers":         float64(st.Failovers),
 		"rf_repairs_done":   float64(st.RepairsDone),
+		"rejoins":           float64(st.Rejoins),
+		"demotions":         float64(st.Demotions),
 		"detect_ms":         float64(detect.Milliseconds()),
+		"failover_ms":       float64(failover.Milliseconds()),
 		"write_unavail_ms":  float64(time.Duration(windowNs.Load()).Milliseconds()),
 	}
-	fmt.Printf("%d writers under sustained load; primary %s killed and resurrected; RF=%d over %d nodes\n\n",
+	fmt.Printf("%d writers under sustained load; primary %s killed and resurrected; RF=%d over %d nodes\n",
 		writers, victimID, rf, nodes)
-	fmt.Printf("  %-34s %12d\n", "acknowledged writes+deletes", acked.Load())
-	fmt.Printf("  %-34s %12d\n", "lost updates", lost)
-	fmt.Printf("  %-34s %12d\n", "corrupted updates", wrong)
-	fmt.Printf("  %-34s %12d\n", "resurrected deletes", resurrected)
-	fmt.Printf("  %-34s %12v\n", "crash -> detected", detect.Round(time.Millisecond))
-	fmt.Printf("  %-34s %12v\n", "crash -> failover flip", failover.Round(time.Millisecond))
-	fmt.Printf("  %-34s %12v\n", "write-unavailability window", time.Duration(windowNs.Load()).Round(time.Millisecond))
-	fmt.Printf("  %-34s %12d\n", "failovers", st.Failovers)
-	fmt.Printf("  %-34s %12d\n", "rf repairs completed", st.RepairsDone)
-	fmt.Printf("  %-34s %12d\n", "rejoins of returned nodes", st.Rejoins)
-	fmt.Printf("  %-34s %12d\n", "demotions of stale replicas", st.Demotions)
-
-	if lost > 0 || wrong > 0 || resurrected > 0 {
-		log.Fatalf("e13: CRASH RECOVERY LOST DATA: lost=%d corrupted=%d resurrected=%d",
-			lost, wrong, resurrected)
+	if !loss.None() {
+		log.Fatalf("e13: CRASH RECOVERY LOST DATA: %v", loss)
 	}
 	if st.Failovers == 0 || st.RepairsDone == 0 {
 		log.Fatalf("e13: recovery machinery never engaged: %+v", st)
 	}
-	if !rfRestoredE13(lc, rf) {
+	if !ledger.RFRestored(lc, rf) {
 		log.Fatalf("e13: RF not restored: repair stats %+v", st)
 	}
 
-	fmt.Println("\nevery write acknowledged before, during and after the crash is")
+	fmt.Println("every write acknowledged before, during and after the crash is")
 	fmt.Println("readable with its final content; writes to the dead primary's ranges")
 	fmt.Println("resumed without intervention once the detector fired; and replication")
 	fmt.Println("strength was rebuilt from surviving replicas — node failures are now")
@@ -272,30 +221,10 @@ func runE13(p expgrid.Params) (expgrid.Metrics, error) {
 	return metrics, nil
 }
 
-// rfRestoredE13 reports whether every range of every namespace has rf
-// distinct serving replicas and no repair job is in flight.
-func rfRestoredE13(lc *scads.LocalCluster, rf int) bool {
-	if lc.RepairStats().PendingJobs != 0 {
-		return false
-	}
-	for _, ns := range lc.Router().Namespaces() {
-		m, ok := lc.Router().Map(ns)
-		if !ok {
-			return false
-		}
-		for _, rng := range m.Ranges() {
-			if len(rng.Replicas) < rf {
-				return false
-			}
-			seen := map[string]bool{}
-			for _, id := range rng.Replicas {
-				mem, ok := lc.Directory().Get(id)
-				if !ok || mem.Status.String() != "up" || seen[id] {
-					return false
-				}
-				seen[id] = true
-			}
-		}
-	}
-	return true
+// fastRepair is e13's and e14's failure detector, tuned so a crash is
+// detected, failed over and repaired within a run of seconds.
+var fastRepair = repair.Config{
+	SweepInterval:    10 * time.Millisecond,
+	HeartbeatTimeout: 250 * time.Millisecond,
+	ReplaceAfter:     50 * time.Millisecond,
 }

@@ -12,7 +12,6 @@ import (
 	"scads/internal/keycodec"
 	"scads/internal/partition"
 	"scads/internal/planner"
-	"scads/internal/repair"
 )
 
 // e14DDL declares the scan-heavy workload: a paged listing that
@@ -72,14 +71,7 @@ func runE14(p expgrid.Params) (expgrid.Metrics, error) {
 	case rtt <= 0 || measureScans < 1:
 		return nil, fmt.Errorf("e14: rtt_ms and measure_scans must be positive")
 	}
-	lc, err := scads.NewLocalCluster(5, scads.Config{
-		ReplicationFactor: 2,
-		Repair: repair.Config{
-			SweepInterval:    10 * time.Millisecond,
-			HeartbeatTimeout: 250 * time.Millisecond,
-			ReplaceAfter:     50 * time.Millisecond,
-		},
-	})
+	lc, err := scads.NewLocalCluster(5, scads.Config{ReplicationFactor: 2, Repair: fastRepair})
 	must(err)
 	defer lc.Close()
 	must(lc.DefineSchema(e14DDL(users)))
@@ -257,25 +249,17 @@ func runE14(p expgrid.Params) (expgrid.Metrics, error) {
 	wg.Wait()
 	lc.Repairs().Quiesce(10 * time.Second)
 
-	st := lc.RepairStats()
-	fmt.Printf("scatter-gather scan pipeline over %d ranges (%d users, 5 nodes, RF=2, %v simulated RTT)\n\n",
+	fmt.Printf("scatter-gather scan pipeline over %d ranges (%d users, 5 nodes, RF=2, %v simulated RTT)\n",
 		users/rangeSize, users, rtt)
-	fmt.Printf("  %-34s %12.1f\n", "parallel scans/sec", parRate)
-	fmt.Printf("  %-34s %12d\n", "churn scans verified", scansDone.Load())
-	fmt.Printf("  %-34s %12d\n", "scan errors", scanErrs.Load())
-	fmt.Printf("  %-34s %12d\n", "wrong results", mismatches.Load())
-	fmt.Printf("  %-34s %12d\n", "online migrations during scans", migrations.Load())
-	fmt.Printf("  %-34s %12d\n", "migration errors (non-gating)", migrationErrs.Load())
-	fmt.Printf("  %-34s %12d\n", "failovers", st.Failovers)
-
 	metrics := expgrid.Metrics{
 		"parallel_scans_ps": parRate,
 		"churn_scans":       float64(scansDone.Load()),
 		"scan_errors":       float64(scanErrs.Load()),
 		"wrong_results":     float64(mismatches.Load()),
 		"migrations":        float64(migrations.Load()),
+		"migration_errors":  float64(migrationErrs.Load()),
+		"failovers":         float64(lc.RepairStats().Failovers),
 	}
-
 	if scanErrs.Load() > 0 || mismatches.Load() > 0 {
 		log.Fatalf("e14: SCANS BROKE UNDER RECONFIGURATION: errors=%d wrong=%d",
 			scanErrs.Load(), mismatches.Load())
@@ -284,7 +268,7 @@ func runE14(p expgrid.Params) (expgrid.Metrics, error) {
 		log.Fatalf("e14: churn did not engage: migrations=%d scans=%d", migrations.Load(), scansDone.Load())
 	}
 
-	fmt.Println("\nevery bounded multi-range query kept returning exact, ordered,")
+	fmt.Println("every bounded multi-range query kept returning exact, ordered,")
 	fmt.Println("correctly projected pages while its ranges were mid-handoff and a")
 	fmt.Println("primary was dead: the read path now carries the same resilience")
 	fmt.Println("contract as writes, and fan-out latency no longer grows with the")

@@ -3,9 +3,9 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
 	"math/rand"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -13,8 +13,6 @@ import (
 
 	"scads"
 	"scads/internal/expgrid"
-	"scads/internal/migration"
-	"scads/internal/planner"
 	"scads/internal/record"
 	"scads/internal/storage"
 )
@@ -29,10 +27,11 @@ import (
 //  2. Correctness under churn: acknowledged-write verification while
 //     background tier compaction and range truncation race the
 //     readers. Wrong or missing reads are hard-zero gates.
-//  3. Fence interaction: online migrations over disk-backed,
+//  3. Fence interaction: e12's migration churn over disk-backed,
 //     rate-limited-compaction nodes; the fence pause must stay inside
 //     the e12 bound even with the storage engine compacting under the
-//     handoff.
+//     handoff, and lost, corrupted or resurrected writes abort the
+//     run as they do in e12.
 //
 // Grid parameters: keys, value_size, reads, zipf_s, write_fraction
 // (YCSB-style read/write mix in the measured phase; 0 reproduces the
@@ -63,25 +62,12 @@ func runE17(p expgrid.Params) (expgrid.Metrics, error) {
 		return nil, fmt.Errorf("e17: block_cache_mb must be >= 1")
 	}
 
-	hitRatio, pointP99, scanP99, stallP99 := e17CacheEffectiveness(cfg)
-	wrong, missing := e17CorrectnessChurn(cfg.seed)
-	fenceP50 := e17FenceUnderCompaction()
-
-	metrics := expgrid.Metrics{
-		"block_cache_hit_ratio": hitRatio,
-		"point_read_p99_us":     float64(pointP99.Microseconds()),
-		"scan100_p99_us":        float64(scanP99.Microseconds()),
-		"write_stall_p99_us":    float64(stallP99.Microseconds()),
-		"wrong_reads":           float64(wrong),
-		"missing_reads":         float64(missing),
-		"fence_pause_p50_us":    float64(fenceP50.Microseconds()),
-	}
-	if wrong > 0 || missing > 0 {
-		log.Fatalf("e17: STORAGE ENGINE RETURNED BAD DATA UNDER CHURN: wrong=%d missing=%d", wrong, missing)
-	}
+	metrics := e17CacheEffectiveness(cfg)
+	maps.Copy(metrics, e17CorrectnessChurn(cfg.seed))
+	maps.Copy(metrics, e17FenceUnderCompaction())
 	fmt.Println("\nthe block cache turns the repeated-read hot path into a map")
 	fmt.Println("lookup, size-tiered background compaction keeps write stalls and")
-	fmt.Println("fence pauses bounded, and the churn phase shows the fast path never")
+	fmt.Println("fence pauses bounded, and the churn phases show the fast path never")
 	fmt.Println("trades away read-your-acknowledged-writes correctness.")
 	return metrics, nil
 }
@@ -105,13 +91,13 @@ func e17Value(i, valueSize int) []byte {
 // e17CacheEffectiveness loads a multi-table namespace and runs the
 // zipfian read+scan mix (plus write_fraction in-line writes) against it
 // under a concurrent writer, returning the block-cache hit ratio and
-// the point read, scan and put p99 latencies.
-func e17CacheEffectiveness(cfg e17Config) (hitRatio float64, pointP99, scanP99, stallP99 time.Duration) {
+// the point read, scan and put latencies.
+func e17CacheEffectiveness(cfg e17Config) expgrid.Metrics {
 	if cfg.writeFraction > 0 {
-		fmt.Printf("phase 1: %d zipfian ops (%.0f%% writes) over %d keys, warm block cache\n\n",
+		fmt.Printf("phase 1: %d zipfian ops (%.0f%% writes) over %d keys, warm block cache\n",
 			cfg.reads, cfg.writeFraction*100, cfg.keys)
 	} else {
-		fmt.Printf("phase 1: %d zipfian reads + scans over %d keys, warm block cache\n\n", cfg.reads, cfg.keys)
+		fmt.Printf("phase 1: %d zipfian reads + scans over %d keys, warm block cache\n", cfg.reads, cfg.keys)
 	}
 	dir, err := os.MkdirTemp("", "scads-e17-*")
 	must(err)
@@ -221,44 +207,30 @@ func e17CacheEffectiveness(cfg e17Config) (hitRatio float64, pointP99, scanP99, 
 	close(stop)
 	wg.Wait()
 
+	hitRatio := 0.0
 	if bc := e.BlockCache(); bc != nil {
 		st := bc.Stats()
 		if total := st.Hits + st.Misses; total > 0 {
 			hitRatio = float64(st.Hits) / float64(total)
 		}
 	}
-	pointMean, pointP99 := latSummary(pointLat)
-	scanMean, scanP99 := latSummary(scanLat)
-	_, stallP99 = latSummary(putLat)
-
-	fmt.Printf("  %-34s %12.3f\n", "block-cache hit ratio", hitRatio)
-	fmt.Printf("  %-34s %12v\n", "point read mean", pointMean.Round(time.Nanosecond))
-	fmt.Printf("  %-34s %12v\n", "point read p99", pointP99.Round(time.Nanosecond))
-	fmt.Printf("  %-34s %12v\n", "100-key scan mean", scanMean.Round(time.Nanosecond))
-	fmt.Printf("  %-34s %12v\n", "write stall p99", stallP99.Round(time.Microsecond))
-	return hitRatio, pointP99, scanP99, stallP99
-}
-
-func latSummary(lat []time.Duration) (mean, p99 time.Duration) {
-	if len(lat) == 0 {
-		return 0, 0
+	return expgrid.Metrics{
+		"block_cache_hit_ratio": hitRatio,
+		"point_read_p99_us":     float64(percentile(pointLat, 99).Microseconds()),
+		"point_read_mean_us":    float64(mean(pointLat).Nanoseconds()) / 1000,
+		"scan100_p99_us":        float64(percentile(scanLat, 99).Microseconds()),
+		"scan100_mean_us":       float64(mean(scanLat).Nanoseconds()) / 1000,
+		"write_stall_p99_us":    float64(percentile(putLat, 99).Microseconds()),
 	}
-	sorted := append([]time.Duration(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum time.Duration
-	for _, d := range sorted {
-		sum += d
-	}
-	return sum / time.Duration(len(sorted)), sorted[len(sorted)*99/100]
 }
 
 // e17CorrectnessChurn races verified readers against background tier
 // compaction and range truncation; every read of an acknowledged key
 // must return a value at least as new as its last acknowledged write,
-// and truncated ranges must read empty. Reader RNGs derive from the
-// row seed.
-func e17CorrectnessChurn(seed int64) (wrong, missing int64) {
-	fmt.Println("\nphase 2: acknowledged-read verification under compaction + truncation churn")
+// and truncated ranges must read empty; the run aborts on any wrong or
+// missing read. Reader RNGs derive from the row seed.
+func e17CorrectnessChurn(seed int64) expgrid.Metrics {
+	fmt.Println("phase 2: acknowledged-read verification under compaction + truncation churn")
 	dir, err := os.MkdirTemp("", "scads-e17-*")
 	must(err)
 	defer os.RemoveAll(dir)
@@ -356,19 +328,23 @@ func e17CorrectnessChurn(seed int64) (wrong, missing int64) {
 	wg.Wait()
 	must(e.Close())
 
-	fmt.Printf("  %-34s %12d\n", "verified reads", reads.Load())
-	fmt.Printf("  %-34s %12d\n", "wrong reads", wrongN.Load())
-	fmt.Printf("  %-34s %12d\n", "missing reads", missingN.Load())
-	return wrongN.Load(), missingN.Load()
+	if wrongN.Load() > 0 || missingN.Load() > 0 {
+		log.Fatalf("e17: STORAGE ENGINE RETURNED BAD DATA UNDER CHURN: wrong=%d missing=%d", wrongN.Load(), missingN.Load())
+	}
+	return expgrid.Metrics{
+		"verified_reads": float64(reads.Load()),
+		"wrong_reads":    float64(wrongN.Load()),
+		"missing_reads":  float64(missingN.Load()),
+	}
 }
 
-// e17FenceUnderCompaction reruns the e12 fence-pause measurement over
-// disk-backed nodes whose storage engines are actively flushing and
-// compacting (rate-limited), proving a background tier merge can never
-// stall a migration fence handoff: cancellation is bounded by one
-// rate-limiter slice, not by a merge's runtime.
-func e17FenceUnderCompaction() time.Duration {
-	fmt.Println("\nphase 3: migration fence pause with disk-backed, compacting storage")
+// e17FenceUnderCompaction reruns e12's churn over disk-backed nodes
+// whose storage engines are actively flushing and compacting
+// (rate-limited), proving a background tier merge can never stall a
+// migration fence handoff — cancellation is bounded by one
+// rate-limiter slice, not by a merge's runtime — nor lose a write.
+func e17FenceUnderCompaction() expgrid.Metrics {
+	fmt.Println("phase 3: migration churn with disk-backed, compacting storage")
 	dir, err := os.MkdirTemp("", "scads-e17-*")
 	must(err)
 	defer os.RemoveAll(dir)
@@ -383,75 +359,6 @@ func e17FenceUnderCompaction() time.Duration {
 	must(err)
 	defer lc.Close()
 	must(lc.DefineSchema(socialDDL))
-	must(lc.SplitTable("users", "user1000", "user2000", "user3000"))
-
-	type rkey string
-	var (
-		pauseMu  sync.Mutex
-		fencedAt = map[rkey]time.Time{}
-		pauses   []time.Duration
-	)
-	lc.Migrations().OnPhase = func(ev migration.Event) {
-		k := rkey(ev.Namespace + "\x00" + string(ev.Start))
-		pauseMu.Lock()
-		defer pauseMu.Unlock()
-		switch ev.Phase {
-		case migration.PhaseFence:
-			fencedAt[k] = time.Now()
-		case migration.PhaseFlip:
-			if t0, ok := fencedAt[k]; ok {
-				pauses = append(pauses, time.Since(t0))
-				delete(fencedAt, k)
-			}
-		}
-	}
-
-	// Writers keep every node flushing while ranges move.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				id := fmt.Sprintf("user%04d", w*1000+i%200)
-				must(lc.Insert("users", scads.Row{
-					"id": id, "name": fmt.Sprintf("w%d-r%d", w, i), "birthday": i%365 + 1,
-				}))
-			}
-		}(w)
-	}
-
-	pns := planner.TableNamespace("users")
-	m, _ := lc.Router().Map(pns)
-	nodeIDs := lc.NodeIDs()
-	migrations := 0
-	for r := 0; r < 6; r++ {
-		for i, rng := range m.Ranges() {
-			k := rng.Start
-			if k == nil {
-				k = []byte{}
-			}
-			must(lc.MoveRange(pns, k, []string{nodeIDs[(r+i)%len(nodeIDs)]}))
-			migrations++
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-
-	var p50 time.Duration
-	if len(pauses) > 0 {
-		sort.Slice(pauses, func(i, j int) bool { return pauses[i] < pauses[j] })
-		p50 = pauses[len(pauses)/2]
-		fmt.Printf("  %-34s %12d\n", "migrations under compaction", migrations)
-		fmt.Printf("  %-34s %12v\n", "fence pause p50", p50.Round(time.Microsecond))
-		fmt.Printf("  %-34s %12v\n", "fence pause max", pauses[len(pauses)-1].Round(time.Microsecond))
-	}
-	return p50
+	// Writers keep every node flushing until the ranges stop moving.
+	return churn{exp: "e17", writers: 4, keys: 200, rounds: 6}.run(lc)
 }

@@ -144,11 +144,9 @@ type TenantConfig struct {
 	// admitted whenever the bucket is positive and debit their actual
 	// result size afterwards (post-paid — the size isn't known up
 	// front), so a huge scan can overdraw the bucket once and then
-	// blocks further scans until it refills past zero. 0 = unlimited.
+	// blocks further scans until it refills past zero. The bucket
+	// holds one second's worth of refill. 0 = unlimited.
 	ScanBytesPerSec float64
-	// ScanBurst is the scan-byte bucket capacity; 0 defaults to one
-	// second's worth of refill.
-	ScanBurst float64
 
 	// Priority is the tenant's SLA class (zero value: BestEffort).
 	Priority Priority
@@ -170,14 +168,14 @@ type Config struct {
 	// (empty-name) tenant that plain, sessionless API calls belong to
 	// — run with the zero config: no quota, BestEffort.
 	Tenants map[string]TenantConfig
-
-	// HotWindow is the demand-rate measurement window for hot-tenant
-	// detection (default 1s).
-	HotWindow time.Duration
-	// HotFactor marks a tenant hot when its windowed demand exceeds
-	// HotFactor × the mean across active tenants (default 4).
-	HotFactor float64
 }
+
+// Hot-tenant detection: a tenant is hot when its demand over the last
+// hotWindow reaches hotFactor × the mean of the other active tenants.
+const (
+	hotWindow = time.Second
+	hotFactor = 4
+)
 
 // bucket is a token bucket refilled off the controller's clock.
 type bucket struct {
@@ -239,18 +237,14 @@ func newTenantState(cfg TenantConfig, now time.Time) *tenantState {
 		}
 	}
 	t.ops.tokens = t.ops.burst
-	t.scanBytes = bucket{rate: cfg.ScanBytesPerSec, burst: cfg.ScanBurst, last: now}
-	if t.scanBytes.burst <= 0 {
-		t.scanBytes.burst = cfg.ScanBytesPerSec
-	}
-	t.scanBytes.tokens = t.scanBytes.burst
+	t.scanBytes = bucket{rate: cfg.ScanBytesPerSec, burst: cfg.ScanBytesPerSec, tokens: cfg.ScanBytesPerSec, last: now}
 	return t
 }
 
 // observe rolls the demand window and counts one attempt of the given
 // cost.
-func (t *tenantState) observe(now time.Time, cost float64, window time.Duration) {
-	if elapsed := now.Sub(t.winStart); elapsed >= window {
+func (t *tenantState) observe(now time.Time, cost float64) {
+	if elapsed := now.Sub(t.winStart); elapsed >= hotWindow {
 		t.rate = t.winCount / elapsed.Seconds()
 		t.winStart = now
 		t.winCount = 0
@@ -261,9 +255,7 @@ func (t *tenantState) observe(now time.Time, cost float64, window time.Duration)
 // Controller is the front-door admission gate. Safe for concurrent
 // use.
 type Controller struct {
-	clk       clock.Clock
-	hotWindow time.Duration
-	hotFactor float64
+	clk clock.Clock
 
 	mu          sync.Mutex
 	maxInFlight int
@@ -284,15 +276,7 @@ func New(cfg Config) *Controller {
 	c := &Controller{
 		clk:         clk,
 		maxInFlight: cfg.MaxInFlight,
-		hotWindow:   cfg.HotWindow,
-		hotFactor:   cfg.HotFactor,
 		tenants:     make(map[string]*tenantState),
-	}
-	if c.hotWindow <= 0 {
-		c.hotWindow = time.Second
-	}
-	if c.hotFactor <= 0 {
-		c.hotFactor = 4
 	}
 	now := clk.Now()
 	names := make([]string, 0, len(cfg.Tenants))
@@ -337,7 +321,7 @@ func (c *Controller) Admit(tenant string, op Op, cost float64) (func(), error) {
 	now := c.clk.Now()
 	c.mu.Lock()
 	t := c.tenantLocked(tenant, now)
-	t.observe(now, cost, c.hotWindow)
+	t.observe(now, cost)
 
 	// Quota first: per-tenant fairness applies even when the
 	// coordinator as a whole is idle.

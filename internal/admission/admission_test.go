@@ -98,7 +98,7 @@ func TestQuotaIsolation(t *testing.T) {
 func TestScanBytePostPaidDebit(t *testing.T) {
 	c, clk := newTestController(t, Config{
 		Tenants: map[string]TenantConfig{
-			"a": {ScanBytesPerSec: 1000, ScanBurst: 1000},
+			"a": {ScanBytesPerSec: 1000},
 		},
 	})
 	mustAdmit(t, c, "a", OpScan, 1)()
@@ -209,8 +209,6 @@ func TestReleaseDrainsInFlight(t *testing.T) {
 // needs at least two active tenants.
 func TestHotTenantDetection(t *testing.T) {
 	c, clk := newTestController(t, Config{
-		HotWindow: time.Second,
-		HotFactor: 4,
 		Tenants: map[string]TenantConfig{
 			"hot": {OpsPerSec: 10}, // quota-capped: most attempts shed
 		},

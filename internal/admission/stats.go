@@ -89,7 +89,7 @@ type TenantDemand struct {
 	Rate   float64 // ops/sec over the last completed window
 }
 
-// HotTenants returns tenants whose windowed demand reaches HotFactor
+// HotTenants returns tenants whose windowed demand reaches hotFactor
 // × the mean demand across the *other* active tenants, sorted by rate
 // descending (ties by name). Excluding the candidate from the mean
 // matters: against a self-inclusive mean a single dominant tenant can
@@ -111,7 +111,7 @@ func (c *Controller) HotTenants() []TenantDemand {
 	for _, name := range names {
 		t := c.tenants[name]
 		// Roll windows forward so a tenant that went silent decays.
-		t.observe(now, 0, c.hotWindow)
+		t.observe(now, 0)
 		if t.rate > 0 {
 			sum += t.rate
 			active++
@@ -127,7 +127,7 @@ func (c *Controller) HotTenants() []TenantDemand {
 			continue
 		}
 		othersMean := (sum - t.rate) / float64(active-1)
-		if t.rate >= c.hotFactor*othersMean {
+		if t.rate >= hotFactor*othersMean {
 			hot = append(hot, TenantDemand{Tenant: name, Rate: t.rate})
 		}
 	}

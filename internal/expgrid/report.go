@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// Baseline is one metric's committed regression policy, mirrored from
-// the BENCH_*.json baseline files: a reference value, a direction
+// Baseline is one metric's committed regression policy, as the
+// BENCH_*.json baseline files spell it: a reference value, a direction
 // ("higher" = bigger is better, anything else conservative-higher;
 // "lower" = smaller is better; "exact" = a reproduced number with no
 // better side, off by more than the tolerance either way fails) and
@@ -17,9 +17,9 @@ import (
 // zero tolerance is a hard gate; an exact baseline with zero
 // tolerance pins a deterministic result bit for bit.
 type Baseline struct {
-	Value     float64
-	Direction string
-	Tolerance float64
+	Value     float64 `json:"value"`
+	Direction string  `json:"direction,omitempty"`
+	Tolerance float64 `json:"tolerance,omitempty"`
 }
 
 // Within applies the policy to an observed value, returning the

@@ -48,9 +48,6 @@ type Pump struct {
 
 	// MaxAttempts bounds redelivery of a failing update. Default 5.
 	MaxAttempts int
-	// RetryBackoff delays requeued updates' deadlines by this much so
-	// a dead target does not monopolise the queue head. Default 100ms.
-	RetryBackoff time.Duration
 
 	enqueued   atomic.Int64
 	delivered  atomic.Int64
@@ -68,6 +65,10 @@ type Pump struct {
 	stopCh      chan struct{}
 }
 
+// retryBackoff is how long a failed delivery stays parked per attempt
+// so far, so a dead target does not monopolise the queue head.
+const retryBackoff = 100 * time.Millisecond
+
 type parkedUpdate struct {
 	u       Update
 	retryAt time.Time
@@ -76,16 +77,15 @@ type parkedUpdate struct {
 // NewPump returns a pump draining queue through apply.
 func NewPump(queue *Queue, apply ApplyFunc, clk clock.Clock) *Pump {
 	return &Pump{
-		queue:        queue,
-		apply:        apply,
-		clk:          clk,
-		tracker:      NewTracker(clk),
-		MaxAttempts:  5,
-		RetryBackoff: 100 * time.Millisecond,
-		violationNS:  make(map[string]int64),
-		inflight:     make(map[*Update]struct{}),
-		droppedBy:    make(map[string]int64),
-		stopCh:       make(chan struct{}),
+		queue:       queue,
+		apply:       apply,
+		clk:         clk,
+		tracker:     NewTracker(clk),
+		MaxAttempts: 5,
+		violationNS: make(map[string]int64),
+		inflight:    make(map[*Update]struct{}),
+		droppedBy:   make(map[string]int64),
+		stopCh:      make(chan struct{}),
 	}
 }
 
@@ -312,7 +312,7 @@ func (p *Pump) deliver(group []Update, recs []record.Record) bool {
 			// Park the update until its backoff elapses so a dead target
 			// cannot monopolise the queue head and starve deliverable
 			// updates.
-			backoff := p.RetryBackoff * time.Duration(u.Attempts)
+			backoff := retryBackoff * time.Duration(u.Attempts)
 			p.parked = append(p.parked, parkedUpdate{u: *u, retryAt: now.Add(backoff)})
 			continue
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"scads/internal/balancer"
+	"scads/internal/ledger"
 	"scads/internal/migration"
 	"scads/internal/planner"
 	"scads/internal/row"
@@ -26,6 +27,15 @@ func newRealClockCluster(t testing.TB, nodes, rf int) *LocalCluster {
 		t.Fatal(err)
 	}
 	return lc
+}
+
+// userName reads a users row's name for a ledger check.
+func userName(c *Cluster) func(id string) (string, bool, error) {
+	return func(id string) (string, bool, error) {
+		r, found, err := c.Get("users", Row{"id": id})
+		name, _ := r["name"].(string)
+		return name, found, err
+	}
 }
 
 func encodedUserKey(t testing.TB, id string) []byte {
@@ -55,29 +65,19 @@ func TestMigrationUnderConcurrentWritesNoLoss(t *testing.T) {
 		migrateRounds = 8
 	)
 
-	// lastAcked[key] is the latest acknowledged state: the round whose
-	// write (or delete) the cluster accepted. Writers own disjoint key
-	// sets, so per-key order is the program order.
-	type ackedState struct {
-		round   int
-		deleted bool
-	}
-	var (
-		ackMu     sync.Mutex
-		lastAcked = map[string]ackedState{}
-	)
+	// The ledger holds each key's last acknowledged write. Writers own
+	// disjoint key sets, so per-key order is the program order.
+	var led ledger.Ledger
 
 	// Seed every range so snapshot pages carry real data from the first
 	// migration on.
 	for w := 0; w < writers; w++ {
 		for i := 0; i < 40; i++ {
-			id := fmt.Sprintf("user%04d", w*1000+i)
-			if err := lc.Insert("users", Row{
-				"id": id, "name": fmt.Sprintf("w%d-r%d", w, -1), "birthday": 1,
-			}); err != nil {
+			id, name := fmt.Sprintf("user%04d", w*1000+i), fmt.Sprintf("w%d-r%d", w, -1)
+			if err := lc.Insert("users", Row{"id": id, "name": name, "birthday": 1}); err != nil {
 				t.Fatal(err)
 			}
-			lastAcked[id] = ackedState{round: -1}
+			led.Put(id, name)
 		}
 	}
 
@@ -95,21 +95,15 @@ func TestMigrationUnderConcurrentWritesNoLoss(t *testing.T) {
 						t.Errorf("writer %d: delete %s: %v", w, id, err)
 						return
 					}
-					ackMu.Lock()
-					lastAcked[id] = ackedState{round: i, deleted: true}
-					ackMu.Unlock()
+					led.Delete(id)
 					continue
 				}
-				err := lc.Insert("users", Row{
-					"id": id, "name": fmt.Sprintf("w%d-r%d", w, i), "birthday": i%365 + 1,
-				})
-				if err != nil {
+				name := fmt.Sprintf("w%d-r%d", w, i)
+				if err := lc.Insert("users", Row{"id": id, "name": name, "birthday": i%365 + 1}); err != nil {
 					t.Errorf("writer %d: insert %s: %v", w, id, err)
 					return
 				}
-				ackMu.Lock()
-				lastAcked[id] = ackedState{round: i}
-				ackMu.Unlock()
+				led.Put(id, name)
 			}
 		}(w)
 	}
@@ -152,29 +146,12 @@ func TestMigrationUnderConcurrentWritesNoLoss(t *testing.T) {
 	// Every acknowledged write is readable with exactly its last acked
 	// content; every acknowledged delete stays deleted (nothing
 	// resurrects from a stale snapshot page).
-	lost, wrong, resurrected := 0, 0, 0
-	for id, want := range lastAcked {
-		r, found, err := lc.Get("users", Row{"id": id})
-		if err != nil {
-			t.Fatalf("Get(%s): %v", id, err)
-		}
-		switch {
-		case want.deleted && found:
-			resurrected++
-		case !want.deleted && !found:
-			lost++
-		case !want.deleted && found:
-			// Keys are "user<w><nnn>", so the writer digit plus the
-			// acked round reconstruct the exact value written.
-			wantName := fmt.Sprintf("w%c-r%d", id[4], want.round)
-			if r["name"] != wantName {
-				wrong++
-			}
-		}
+	loss, err := led.Verify(userName(lc.Cluster))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if lost > 0 || resurrected > 0 || wrong > 0 {
-		t.Fatalf("after %d migrations: %d acknowledged writes lost, %d deletes resurrected, %d corrupted (of %d keys)",
-			migrated, lost, resurrected, wrong, len(lastAcked))
+	if !loss.None() {
+		t.Fatalf("after %d migrations of %d acknowledged writes: %v", migrated, led.Acked(), loss)
 	}
 
 	st := lc.MigrationStats()

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"scads/internal/cluster"
+	"scads/internal/ledger"
 	"scads/internal/planner"
 	"scads/internal/record"
 	"scads/internal/repair"
@@ -37,38 +37,10 @@ func newRepairCluster(t *testing.T, nodes, rf int) *LocalCluster {
 	return lc
 }
 
-// rfRestored reports whether every range of every namespace has at
-// least rf distinct serving replicas and no repair job is in flight.
-func rfRestored(lc *LocalCluster, rf int) bool {
-	if lc.RepairStats().PendingJobs != 0 {
-		return false
-	}
-	for _, ns := range lc.Router().Namespaces() {
-		m, ok := lc.Router().Map(ns)
-		if !ok {
-			return false
-		}
-		for _, rng := range m.Ranges() {
-			if len(rng.Replicas) < rf {
-				return false
-			}
-			seen := map[string]bool{}
-			for _, id := range rng.Replicas {
-				mem, ok := lc.Directory().Get(id)
-				if !ok || mem.Status != cluster.StatusUp || seen[id] {
-					return false
-				}
-				seen[id] = true
-			}
-		}
-	}
-	return true
-}
-
 func waitRFRestored(t *testing.T, lc *LocalCluster, rf int, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
-	for !rfRestored(lc, rf) {
+	for !ledger.RFRestored(lc, rf) {
 		if time.Now().After(deadline) {
 			var dump []string
 			for _, ns := range lc.Router().Namespaces() {
@@ -115,15 +87,9 @@ func TestRepairHammerCrashRecovery(t *testing.T) {
 	lc.StartBackground(4)
 	defer lc.StopBackground()
 
-	type ackedState struct {
-		round   int
-		deleted bool
-	}
 	var (
-		ackMu     sync.Mutex
-		lastAcked = map[string]ackedState{}
-		acked     atomic.Int64
-		stop      atomic.Bool
+		led  ledger.Ledger
+		stop atomic.Bool
 	)
 	fail := func(format string, args ...any) {
 		t.Errorf(format, args...)
@@ -134,28 +100,27 @@ func TestRepairHammerCrashRecovery(t *testing.T) {
 	const writers = 4
 	for w := 0; w < writers; w++ {
 		for i := 0; i < 30; i++ {
-			id := fmt.Sprintf("user%04d", w*1000+i)
-			if err := lc.Insert("users", Row{"id": id, "name": fmt.Sprintf("w%d-r%d", w, -1), "birthday": 1}); err != nil {
+			id, name := fmt.Sprintf("user%04d", w*1000+i), fmt.Sprintf("w%d-r%d", w, -1)
+			if err := lc.Insert("users", Row{"id": id, "name": name, "birthday": 1}); err != nil {
 				t.Fatal(err)
 			}
-			lastAcked[id] = ackedState{round: -1}
-			acked.Add(1)
+			led.Put(id, name)
 		}
 	}
 
 	// A surfaced fence error means the coordinator exhausted its whole
 	// rpc.FenceRetry budget while a repair-triggered migration held the
 	// range fenced — possible on a heavily loaded machine. The write
-	// was NOT acknowledged, so skipping the round (no ledger entry, no
-	// acked count) preserves the zero-lost-acked-writes invariant the
-	// final sweep checks; any other error is a real failure.
+	// was NOT acknowledged, so skipping the round (no ledger entry)
+	// preserves the zero-lost-acked-writes invariant the final sweep
+	// checks; any other error is a real failure.
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
-				id := fmt.Sprintf("user%04d", w*1000+i%30)
+				id, name := fmt.Sprintf("user%04d", w*1000+i%30), fmt.Sprintf("w%d-r%d", w, i)
 				switch {
 				case i%10 == 9:
 					if err := lc.Delete("users", Row{"id": id}); err != nil {
@@ -165,15 +130,11 @@ func TestRepairHammerCrashRecovery(t *testing.T) {
 						fail("writer %d delete %s: %v", w, id, err)
 						return
 					}
-					ackMu.Lock()
-					lastAcked[id] = ackedState{round: i, deleted: true}
-					ackMu.Unlock()
+					led.Delete(id)
 				case i%17 == 16:
 					// Exercise the batched write path's failover
 					// fallback too.
-					rows := []Row{
-						{"id": id, "name": fmt.Sprintf("w%d-r%d", w, i), "birthday": i%365 + 1},
-					}
+					rows := []Row{{"id": id, "name": name, "birthday": i%365 + 1}}
 					if err := lc.InsertBatch("users", rows); err != nil {
 						if rpc.IsFenced(err) {
 							continue
@@ -181,22 +142,17 @@ func TestRepairHammerCrashRecovery(t *testing.T) {
 						fail("writer %d batch %s: %v", w, id, err)
 						return
 					}
-					ackMu.Lock()
-					lastAcked[id] = ackedState{round: i}
-					ackMu.Unlock()
+					led.Put(id, name)
 				default:
-					if err := lc.Insert("users", Row{"id": id, "name": fmt.Sprintf("w%d-r%d", w, i), "birthday": i%365 + 1}); err != nil {
+					if err := lc.Insert("users", Row{"id": id, "name": name, "birthday": i%365 + 1}); err != nil {
 						if rpc.IsFenced(err) {
 							continue
 						}
 						fail("writer %d insert %s: %v", w, id, err)
 						return
 					}
-					ackMu.Lock()
-					lastAcked[id] = ackedState{round: i}
-					ackMu.Unlock()
+					led.Put(id, name)
 				}
-				acked.Add(1)
 			}
 		}(w)
 	}
@@ -239,7 +195,7 @@ func TestRepairHammerCrashRecovery(t *testing.T) {
 		// Let the returned node rejoin and RF settle before the next
 		// crash, so two faults never overlap.
 		settled := time.Now().Add(20 * time.Second)
-		for !rfRestored(lc, 2) && time.Now().Before(settled) && !stop.Load() {
+		for !ledger.RFRestored(lc, 2) && time.Now().Before(settled) && !stop.Load() {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
@@ -262,41 +218,14 @@ func TestRepairHammerCrashRecovery(t *testing.T) {
 	// acknowledged content, every acknowledged delete stays dead. Read
 	// twice so replica rotation covers both copies — the rebind path
 	// guarantees secondaries added mid-churn converge too.
-	lost, wrong, resurrected := 0, 0, 0
 	for pass := 0; pass < 2; pass++ {
-		for id, want := range lastAcked {
-			row, found, err := lc.Get("users", Row{"id": id})
-			if err != nil {
-				t.Fatalf("Get(%s): %v", id, err)
-			}
-			switch {
-			case want.deleted && found:
-				resurrected++
-			case !want.deleted && !found:
-				lost++
-			case !want.deleted && found:
-				if row["name"] != fmt.Sprintf("w%c-r%d", id[4], want.round) {
-					wrong++
-					ns := planner.TableNamespace("users")
-					m, _ := lc.Router().Map(ns)
-					key := []byte(nil)
-					{
-						tdef, _, _ := lc.tableDef("users")
-						key, _ = pkKey(tdef, Row{"id": id})
-					}
-					rng := m.Lookup(key)
-					t.Logf("corrupt %s: want r%d got %v; replicas=%v", id, want.round, row["name"], rng.Replicas)
-					for _, rid := range rng.Replicas {
-						v, ver, f2, err := lc.Router().GetFrom(ns, rid, key)
-						t.Logf("  %s: found=%v ver=%d err=%v len=%d", rid, f2, ver, err, len(v))
-					}
-				}
-			}
+		loss, err := led.Verify(userName(lc.Cluster))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if lost > 0 || wrong > 0 || resurrected > 0 {
-		t.Fatalf("CRASH RECOVERY LOST DATA: lost=%d corrupted=%d resurrected=%d (of %d acked)",
-			lost, wrong, resurrected, acked.Load())
+		if !loss.None() {
+			t.Fatalf("CRASH RECOVERY LOST DATA (read pass %d of %d acked): %v", pass, led.Acked(), loss)
+		}
 	}
 
 	st := lc.RepairStats()
@@ -307,7 +236,7 @@ func TestRepairHammerCrashRecovery(t *testing.T) {
 		t.Fatalf("hammer never completed an RF repair: %+v", st)
 	}
 	t.Logf("acked=%d failovers=%d demotions=%d repairs=%d rejoins=%d",
-		acked.Load(), st.Failovers, st.Demotions, st.RepairsDone, st.Rejoins)
+		led.Acked(), st.Failovers, st.Demotions, st.RepairsDone, st.Rejoins)
 }
 
 // TestRepairRestoresWritesAfterPrimaryCrash is the deterministic core
@@ -348,7 +277,7 @@ func TestRepairRestoresWritesAfterPrimaryCrash(t *testing.T) {
 
 	// RF repair then restores two live replicas without intervention.
 	deadline := time.Now().Add(5 * time.Second)
-	for !rfRestored(lc, 2) {
+	for !ledger.RFRestored(lc, 2) {
 		if time.Now().After(deadline) {
 			t.Fatalf("RF not restored: %v (stats %+v)", m.Ranges()[0].Replicas, lc.RepairStats())
 		}
@@ -363,7 +292,7 @@ func TestRepairRestoresWritesAfterPrimaryCrash(t *testing.T) {
 	if !lc.Repairs().Quiesce(5 * time.Second) {
 		t.Fatal("repair did not quiesce after recovery")
 	}
-	if !rfRestored(lc, 2) {
+	if !ledger.RFRestored(lc, 2) {
 		t.Fatalf("RF lost after recovery: %v", m.Ranges()[0].Replicas)
 	}
 }
