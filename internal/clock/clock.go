@@ -9,10 +9,11 @@
 package clock
 
 import (
-	"container/heap"
 	"runtime"
 	"sync"
 	"time"
+
+	"scads/internal/deadline"
 )
 
 // Clock is the minimal time source used throughout SCADS.
@@ -47,13 +48,13 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) } //lint:wallclock-ok Real IS
 func (Real) Since(t time.Time) time.Duration { return time.Since(t) } //lint:wallclock-ok Real IS the sanctioned wall-clock adapter every other package injects
 
 // Virtual is a deterministic, manually advanced Clock. Time moves only
-// when Advance or AdvanceTo is called; timer channels fire in deadline
-// order during the advance. Virtual is safe for concurrent use.
+// when Advance or AdvanceTo is called; timer channels wait in a
+// deadline heap and fire in its order (deadline, then the order of the
+// After calls) during the advance. Virtual is safe for concurrent use.
 type Virtual struct {
 	mu      sync.Mutex
 	now     time.Time
-	waiters waiterHeap
-	seq     int64
+	waiters deadline.Heap[chan time.Time]
 }
 
 // NewVirtual returns a Virtual clock starting at start.
@@ -83,8 +84,7 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time {
 		ch <- v.now
 		return ch
 	}
-	v.seq++
-	heap.Push(&v.waiters, &waiter{at: v.now.Add(d), ch: ch, seq: v.seq})
+	v.waiters.Push(v.now.Add(d), ch)
 	return ch
 }
 
@@ -111,12 +111,12 @@ func (v *Virtual) AdvanceTo(t time.Time) {
 	if t.Before(v.now) {
 		return
 	}
-	for len(v.waiters) > 0 && !v.waiters[0].at.After(t) {
-		w := heap.Pop(&v.waiters).(*waiter)
-		if w.at.After(v.now) {
-			v.now = w.at
+	for w, ok := v.waiters.Peek(); ok && !w.Deadline.After(t); w, ok = v.waiters.Peek() {
+		v.waiters.Pop()
+		if w.Deadline.After(v.now) {
+			v.now = w.Deadline
 		}
-		w.ch <- v.now
+		w.Value <- v.now
 	}
 	v.now = t
 }
@@ -134,31 +134,5 @@ func (v *Virtual) BlockUntilWaiters(n int) {
 func (v *Virtual) PendingTimers() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return len(v.waiters)
-}
-
-type waiter struct {
-	at  time.Time
-	ch  chan time.Time
-	seq int64
-}
-
-type waiterHeap []*waiter
-
-func (h waiterHeap) Len() int { return len(h) }
-func (h waiterHeap) Less(i, j int) bool {
-	if h[i].at.Equal(h[j].at) {
-		return h[i].seq < h[j].seq
-	}
-	return h[i].at.Before(h[j].at)
-}
-func (h waiterHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *waiterHeap) Push(x any)   { *h = append(*h, x.(*waiter)) }
-func (h *waiterHeap) Pop() any {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return w
+	return v.waiters.Len()
 }

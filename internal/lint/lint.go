@@ -18,6 +18,9 @@ var (
 		"scads/internal/cloudsim",
 		"scads/internal/sim",
 		"scads/internal/clock",
+		// The one deadline heap: the virtual clock fires its timers and
+		// e16's pump delivers in the heap's pop order.
+		"scads/internal/deadline",
 		// The experiment-grid harness: fixed-seed rows must replay to
 		// bit-identical runs.csv / summary_grouped.csv bytes, so no
 		// wall-clock or unseeded randomness in parse/aggregate/report

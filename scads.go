@@ -432,7 +432,7 @@ func (c *Cluster) record(start time.Time, err error) {
 // Stats summarises coordinator state.
 type Stats struct {
 	Replication replication.Stats
-	Maintenance int // pending asynchronous index-maintenance tasks
+	Maintenance int // pending asynchronous index-maintenance tasks, a round in flight included
 	SLA         sla.Summary
 	Batching    rpc.BatcherStats // always zero; the benchmark module reads it
 	Migration   migration.Stats  // online range-migration activity
@@ -447,10 +447,10 @@ type Stats struct {
 
 // Stats returns a snapshot.
 func (c *Cluster) Stats() Stats {
-	parked, parkedErr := c.maint.Parked()
+	pending, _, parked, parkedErr := c.maint.backlog(c.clk.Now(), 0)
 	return Stats{
 		Replication: c.pump.Stats(),
-		Maintenance: c.maint.Len(),
+		Maintenance: pending,
 		SLA:         c.monitor.Summary(),
 		Migration:   c.migrations.Stats(),
 		Repair:      c.repairs.Stats(),

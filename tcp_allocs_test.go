@@ -153,10 +153,29 @@ func TestMaintainedInsertAllocsOverTCP(t *testing.T) {
 		}
 	}
 	insert() // dial
-	// Measured 21; 24 when the old row was a get of its own before the
-	// apply.
-	if allocs := testing.AllocsPerRun(200, insert); allocs > 23 {
-		t.Errorf("maintained Cluster.Insert over TCP allocates %.1f times per call, want <= 23", allocs)
+	// Measured 17; 18 when the upkeep queue boxed each task, 24 when the
+	// old row was a get of its own before the apply.
+	if allocs := testing.AllocsPerRun(200, insert); allocs > 19 {
+		t.Errorf("maintained Cluster.Insert over TCP allocates %.1f times per call, want <= 19", allocs)
+	}
+}
+
+// TestUpkeepQueueAllocs pins the upkeep queue's own cost: pushing a
+// task, popping it into a round and settling the round allocate only
+// the slice of tasks popN returns.
+func TestUpkeepQueueAllocs(t *testing.T) {
+	var q maintQueue
+	task := maintTask{table: "users", ns: "tbl.users", key: []byte("k")}
+	cycle := func() {
+		q.push(task, t0)
+		if len(q.popN(1)) != 1 {
+			t.Fatal("popN(1) took no task")
+		}
+		q.settle(1, nil)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(200, cycle); allocs > 1 {
+		t.Errorf("push + popN(1) + settle allocates %.1f times per task, want <= 1", allocs)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -278,5 +280,69 @@ func TestOverBoundDeleteDoesNotWedgeUpkeep(t *testing.T) {
 	}
 	if st := lc.Stats(); st.Maintenance != 0 || st.Parked != 1 {
 		t.Fatalf("after the drain: %d pending, %d parked; want 0 and 1", st.Maintenance, st.Parked)
+	}
+}
+
+// commitGate, once armed, holds the first apply to a namespace other
+// than a table's (a round's index commit) until release is closed;
+// held is closed when it does.
+type commitGate struct {
+	next    rpc.Transport
+	armed   atomic.Bool
+	once    sync.Once
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (h *commitGate) Call(addr string, req rpc.Request) (rpc.Response, error) {
+	if h.armed.Load() && req.Method == rpc.MethodApply && !strings.HasPrefix(req.Namespace, planner.TableNamespace("")) {
+		h.once.Do(func() {
+			close(h.held)
+			<-h.release
+		})
+	}
+	return h.next.Call(addr, req)
+}
+
+// TestBacklogCountsRoundInFlight: the tasks a round popped stay pending
+// while it commits them, as the pump's deliveries in flight do; the
+// backlog does not read 0 mid-round and jump back up if the round fails.
+func TestBacklogCountsRoundInFlight(t *testing.T) {
+	hold := &commitGate{held: make(chan struct{}), release: make(chan struct{})}
+	c := newWrappedCluster(t, 1, socialDDL, func(next rpc.Transport) rpc.Transport {
+		hold.next = next
+		return hold
+	})
+	for _, u := range []string{"bob", "carol", "dave"} {
+		if err := c.Insert("users", Row{"id": u, "name": u, "birthday": 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []string{"bob", "carol", "dave"} {
+		if err := c.Insert("friendships", Row{"f1": "alice", "f2": u}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hold.armed.Store(true)
+	drained := make(chan error, 1)
+	go func() {
+		_, err := c.DrainMaintenance(1024)
+		drained <- err
+	}()
+	<-hold.held
+	pending, _ := c.MaintenanceBacklog(0)
+	stats := c.Stats().Maintenance
+	close(hold.release)
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	if pending != 3 || stats != 3 {
+		t.Fatalf("mid-round backlog %d, Stats().Maintenance %d; want the round's 3 tasks", pending, stats)
+	}
+	if pending, _ := c.MaintenanceBacklog(0); pending != 0 {
+		t.Fatalf("backlog after the round = %d, want 0", pending)
 	}
 }

@@ -2,7 +2,6 @@ package scads
 
 import (
 	"bytes"
-	"container/heap"
 	"errors"
 	"fmt"
 	"slices"
@@ -11,6 +10,7 @@ import (
 
 	"scads/internal/admission"
 	"scads/internal/consistency"
+	"scads/internal/deadline"
 	"scads/internal/partition"
 	"scads/internal/query"
 	"scads/internal/record"
@@ -434,7 +434,7 @@ func (c *Cluster) commit(ns string, recs []record.Record, bound time.Duration, h
 		c.loads.Record(ns, acked[i].Start, rec.Key)
 		c.enqueueReplication(ns, m, rec, acked[i], bound)
 		if how.upkeep != "" {
-			c.maint.push(maintTask{table: how.upkeep, ns: ns, key: rec.Key, old: displaced[i], deadline: c.clk.Now().Add(bound)})
+			c.maint.push(maintTask{table: how.upkeep, ns: ns, key: rec.Key, old: displaced[i]}, c.clk.Now().Add(bound))
 		}
 	}
 	return displaced, nil
@@ -499,19 +499,9 @@ func (c *Cluster) DrainMaintenance(budget int) (int, error) {
 	if len(tasks) == 0 {
 		return 0, nil
 	}
-	r := &upkeepRound{c: c, store: coordStore{c}}
+	r := &upkeepRound{coordStore: coordStore{c}}
 	done, err := r.run(tasks)
-	if err != nil {
-		c.maint.requeue(tasks[done:]...)
-	}
-	parked := 0
-	for _, p := range r.parked {
-		if p.i < done {
-			c.maint.park(tasks[p.i], p.err)
-			parked++
-		}
-	}
-	return done - parked, err
+	return done - c.maint.settle(done, r.parked), err
 }
 
 // deterministic reports whether an upkeep failure recurs however often
@@ -558,10 +548,9 @@ func (c *Cluster) currentRows(tasks []maintTask) ([]partition.GetResult, error) 
 // Store for the round, so that a read of an index namespace first
 // commits what the round holds for it.
 type upkeepRound struct {
-	c      *Cluster
-	store  coordStore
-	groups []upkeepGroup
-	parked []parkedTask
+	coordStore // the round's reads, after it commits what it holds there
+	groups     []upkeepGroup
+	parked     []parkedTask
 }
 
 // parkedTask is a task of the round that failed deterministically.
@@ -669,21 +658,21 @@ func (r *upkeepRound) GetRow(namespace string, key []byte) (row.Row, bool, error
 	if err := r.flush(namespace); err != nil {
 		return nil, false, err
 	}
-	return r.store.GetRow(namespace, key)
+	return r.coordStore.GetRow(namespace, key)
 }
 
 func (r *upkeepRound) ScanRows(namespace string, start, end []byte, limit int) ([]row.Row, error) {
 	if err := r.flush(namespace); err != nil {
 		return nil, err
 	}
-	return r.store.ScanRows(namespace, start, end, limit)
+	return r.coordStore.ScanRows(namespace, start, end, limit)
 }
 
 func (r *upkeepRound) ScanKeys(namespace string, start, end []byte, limit int) ([][]byte, error) {
 	if err := r.flush(namespace); err != nil {
 		return nil, err
 	}
-	return r.store.ScanKeys(namespace, start, end, limit)
+	return r.coordStore.ScanKeys(namespace, start, end, limit)
 }
 
 // FlushAll drains all pending maintenance and replication — the "wait
@@ -714,10 +703,12 @@ func (c *Cluster) FlushAll() error {
 	}
 }
 
-// MaintenanceBacklog reports pending maintenance tasks and how many
-// are at risk of missing their deadline within margin.
+// MaintenanceBacklog reports pending maintenance tasks, those of a
+// round in flight included, and how many queued ones are at risk of
+// missing their deadline within margin.
 func (c *Cluster) MaintenanceBacklog(margin time.Duration) (pending, atRisk int) {
-	return c.maint.Len(), c.maint.AtRisk(c.clk.Now(), margin)
+	pending, atRisk, _, _ = c.maint.backlog(c.clk.Now(), margin)
+	return pending, atRisk
 }
 
 // --- deadline-ordered maintenance queue ---
@@ -728,39 +719,32 @@ type maintTask struct {
 	table, ns string
 	key       []byte
 	old       record.Record // what a write displaced there: a tombstone when no row
-	deadline  time.Time
-	seq       int64
 }
 
 func (t maintTask) sameKey(o maintTask) bool { return t.ns == o.ns && bytes.Equal(t.key, o.key) }
 
+// maintQueue is the deadline heap of upkeep tasks (see package
+// deadline), the round in flight and the parked tasks.
 type maintQueue struct {
 	draining sync.Mutex // held by a DrainMaintenance round
 
 	mu        sync.Mutex
-	h         maintHeap
-	seq       int64
-	parked    []maintTask // failed deterministically; queued again by a write to their key
-	parkedErr error       // the last such failure
+	h         deadline.Heap[maintTask]
+	round     []deadline.Item[maintTask] // popped by the round in flight, in order
+	parked    []deadline.Item[maintTask] // failed deterministically; queued again by a write to their key
+	parkedErr error                      // the last such failure
 }
 
-func (q *maintQueue) push(t maintTask) {
+// push queues t with deadline due and queues again the parked tasks of
+// its key.
+func (q *maintQueue) push(t maintTask, due time.Time) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.seq++
-	t.seq = q.seq
-	heap.Push(&q.h, t)
-	if len(q.parked) > 0 {
-		q.unpark(t)
-	}
-}
-
-// unpark queues again the parked tasks of t's key. Caller holds q.mu.
-func (q *maintQueue) unpark(t maintTask) {
+	q.h.Push(due, t)
 	kept := q.parked[:0]
 	for _, p := range q.parked {
-		if t.sameKey(p) {
-			heap.Push(&q.h, p)
+		if t.sameKey(p.Value) {
+			q.h.Requeue(p)
 		} else {
 			kept = append(kept, p)
 		}
@@ -769,89 +753,63 @@ func (q *maintQueue) unpark(t maintTask) {
 	q.parked = kept
 }
 
-// park holds a task that failed with err, which would fail it again,
-// until a write to its key; one already written while it ran is queued
-// again at once.
-func (q *maintQueue) park(t maintTask, err error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.parkedErr = err
-	for _, o := range q.h {
-		if t.sameKey(o) {
-			heap.Push(&q.h, t)
-			return
-		}
-	}
-	q.parked = append(q.parked, t)
-}
-
-// Parked reports how many tasks are parked and the last failure that
-// parked one.
-func (q *maintQueue) Parked() (int, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.parked), q.parkedErr
-}
-
-// requeue puts back popped tasks that could not be completed, keeping
-// their deadlines and seqs so they run next in their original order.
-func (q *maintQueue) requeue(ts ...maintTask) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for _, t := range ts {
-		heap.Push(&q.h, t)
-	}
-}
-
-// popN pops up to n tasks in deadline order.
+// popN pops up to n tasks in deadline order as the round in flight,
+// whose tasks stay pending until settle.
 func (q *maintQueue) popN(n int) []maintTask {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var out []maintTask
-	for len(q.h) > 0 && len(out) < n {
-		out = append(out, heap.Pop(&q.h).(maintTask))
+	out := make([]maintTask, min(n, q.h.Len()))
+	for i := range out {
+		it, _ := q.h.Pop()
+		q.round = append(q.round, it)
+		out[i] = it.Value
 	}
 	return out
 }
 
-// Len reports queue depth.
-func (q *maintQueue) Len() int {
+// settle ends the round in flight, of which the first done tasks
+// completed: the others go back to their places, and the completed
+// ones in parked are parked. It returns how many it parked.
+func (q *maintQueue) settle(done int, parked []parkedTask) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.h)
-}
-
-// AtRisk counts tasks whose deadline is within margin of now.
-func (q *maintQueue) AtRisk(now time.Time, margin time.Duration) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	limit := now.Add(margin)
+	for _, it := range q.round[done:] {
+		q.h.Requeue(it)
+	}
 	n := 0
-	for _, t := range q.h {
-		if !t.deadline.After(limit) {
+	for _, p := range parked {
+		if p.i < done {
+			q.park(q.round[p.i], p.err)
 			n++
 		}
 	}
+	clear(q.round)
+	q.round = q.round[:0]
 	return n
 }
 
-type maintHeap []maintTask
-
-func (h maintHeap) Len() int { return len(h) }
-func (h maintHeap) Less(i, j int) bool {
-	if !h[i].deadline.Equal(h[j].deadline) {
-		return h[i].deadline.Before(h[j].deadline)
+// park holds a task that failed with err, which would fail it again,
+// until a write to its key; one already written while it ran is queued
+// again at once. Caller holds q.mu.
+func (q *maintQueue) park(it deadline.Item[maintTask], err error) {
+	q.parkedErr = err
+	for o := range q.h.Visit {
+		if it.Value.sameKey(o) {
+			q.h.Requeue(it)
+			return
+		}
 	}
-	return h[i].seq < h[j].seq
+	q.parked = append(q.parked, it)
 }
-func (h maintHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *maintHeap) Push(x any)   { *h = append(*h, x.(maintTask)) }
-func (h *maintHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	*h = old[:n-1]
-	return t
+
+// backlog counts the tasks queued or in the round in flight, the
+// queued ones due within margin of now (the round's are being served,
+// as the pump's in flight are) and the parked ones, with the last
+// failure that parked one.
+func (q *maintQueue) backlog(now time.Time, margin time.Duration) (pending, atRisk, parked int, parkedErr error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.h.Len() + len(q.round), q.h.Due(now, margin), len(q.parked), q.parkedErr
 }
 
 // tableDef resolves a table by name to its definition and its storage
