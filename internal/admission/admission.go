@@ -312,14 +312,54 @@ func (c *Controller) tenantLocked(name string, now time.Time) *tenantState {
 // admits its length in one call). On admission it returns a release
 // func the caller must invoke when the operation finishes — the
 // release closes the in-flight accounting that overload shedding
-// watches. On rejection the error wraps rpc.ErrOverloaded and carries
-// a retry-after hint.
+// watches, and calling it again does nothing. On rejection the error
+// wraps rpc.ErrOverloaded and carries a retry-after hint. It is Enter
+// and Leave behind an idempotent closure; a caller that pairs them
+// itself saves the closure's allocations.
 func (c *Controller) Admit(tenant string, op Op, cost float64) (func(), error) {
+	if rej, ok := c.Enter(tenant, op, cost); !ok {
+		return nil, rej.Err()
+	}
+	var once sync.Once
+	return func() { once.Do(c.Leave) }, nil
+}
+
+// Rejection is why Enter turned an operation away. It stays a plain
+// value until Err, so a rejection allocates only when its error is
+// built.
+type Rejection struct {
+	wait time.Duration
+	// quota names the tenant's bucket that refused the operation ("ops"
+	// or "scan-byte"); empty for an overload shed.
+	quota    string
+	tenant   string
+	inFlight int
+	max      int
+	class    int
+}
+
+// Err is the rejection as Admit reports it: an error wrapping
+// rpc.ErrOverloaded with the retry-after hint.
+func (r Rejection) Err() error {
+	if r.quota != "" {
+		return rpc.Overloaded(r.wait, fmt.Sprintf("tenant %q over %s quota", r.tenant, r.quota))
+	}
+	return rpc.Overloaded(r.wait,
+		fmt.Sprintf("coordinator overloaded (%d/%d in flight), shedding %s", r.inFlight, r.max, ClassNames[r.class]))
+}
+
+// Enter gates one operation as Admit does, without allocating. It
+// reports true on admission, and the caller must then call Leave
+// exactly once when the operation finishes; a Leave missed or repeated
+// skews the in-flight count overload shedding watches. On rejection it
+// reports false and why.
+func (c *Controller) Enter(tenant string, op Op, cost float64) (Rejection, bool) {
 	if cost <= 0 {
 		cost = 1
 	}
 	now := c.clk.Now()
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	t := c.tenantLocked(tenant, now)
 	t.observe(now, cost)
 
@@ -327,22 +367,18 @@ func (c *Controller) Admit(tenant string, op Op, cost float64) (func(), error) {
 	// coordinator as a whole is idle.
 	t.ops.advance(now)
 	if t.ops.rate > 0 && t.ops.tokens < cost {
-		wait := t.ops.until(cost)
 		t.shedQuota++
 		c.shedQuota++
-		c.mu.Unlock()
-		return nil, rpc.Overloaded(wait, fmt.Sprintf("tenant %q over ops quota", tenant))
+		return Rejection{wait: t.ops.until(cost), quota: "ops", tenant: tenant}, false
 	}
 	if op == OpScan {
 		t.scanBytes.advance(now)
 		if t.scanBytes.rate > 0 && t.scanBytes.tokens <= 0 {
 			// Post-paid scan bytes: a previous scan overdrew the
 			// bucket; block scans until it refills past zero.
-			wait := t.scanBytes.until(1)
 			t.shedQuota++
 			c.shedQuota++
-			c.mu.Unlock()
-			return nil, rpc.Overloaded(wait, fmt.Sprintf("tenant %q over scan-byte quota", tenant))
+			return Rejection{wait: t.scanBytes.until(1), quota: "scan-byte", tenant: tenant}, false
 		}
 	}
 
@@ -351,10 +387,7 @@ func (c *Controller) Admit(tenant string, op Op, cost float64) (func(), error) {
 	if c.maxInFlight > 0 && class >= shedFloor(c.inFlight, c.maxInFlight) {
 		t.shedOverload++
 		c.shedByClass[class]++
-		inFlight, max := c.inFlight, c.maxInFlight
-		c.mu.Unlock()
-		return nil, rpc.Overloaded(overloadRetryAfter,
-			fmt.Sprintf("coordinator overloaded (%d/%d in flight), shedding %s", inFlight, max, ClassNames[class]))
+		return Rejection{wait: overloadRetryAfter, inFlight: c.inFlight, max: c.maxInFlight, class: class}, false
 	}
 
 	if t.ops.rate > 0 {
@@ -366,16 +399,14 @@ func (c *Controller) Admit(tenant string, op Op, cost float64) (func(), error) {
 	if c.inFlight > c.peak {
 		c.peak = c.inFlight
 	}
-	c.mu.Unlock()
+	return Rejection{}, true
+}
 
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			c.mu.Lock()
-			c.inFlight--
-			c.mu.Unlock()
-		})
-	}, nil
+// Leave ends one operation Enter admitted.
+func (c *Controller) Leave() {
+	c.mu.Lock()
+	c.inFlight--
+	c.mu.Unlock()
 }
 
 // DebitScanBytes charges a completed scan's actual result size

@@ -278,3 +278,46 @@ func TestStatsDescribe(t *testing.T) {
 		}
 	}
 }
+
+// TestEnterRejectsAsAdmit: Enter sheds what Admit sheds, for the same
+// reason, and its rejection's Err is the error Admit returns; Leave
+// reopens what Enter took.
+func TestEnterRejectsAsAdmit(t *testing.T) {
+	newCtl := func() *Controller {
+		c, _ := newTestController(t, Config{MaxInFlight: 8, Tenants: map[string]TenantConfig{
+			"capped":  {OpsPerSec: 1, Burst: 1},
+			"scanner": {ScanBytesPerSec: 10},
+		}})
+		c.DebitScanBytes("scanner", 100)
+		return c
+	}
+	byAdmit, byEnter := newCtl(), newCtl()
+	for _, op := range []struct {
+		tenant string
+		op     Op
+	}{
+		{"capped", OpRead}, {"capped", OpRead}, {"scanner", OpScan},
+		{"", OpScan}, {"", OpScan}, {"", OpScan}, {"", OpScan}, {"", OpScan}, {"", OpScan},
+	} {
+		_, admitErr := byAdmit.Admit(op.tenant, op.op, 1)
+		rej, ok := byEnter.Enter(op.tenant, op.op, 1)
+		if ok != (admitErr == nil) {
+			t.Fatalf("%q %v: Enter admitted=%v, Admit err=%v", op.tenant, op.op, ok, admitErr)
+		}
+		if !ok && rej.Err().Error() != admitErr.Error() {
+			t.Fatalf("%q %v: Enter's rejection %q, Admit's %q", op.tenant, op.op, rej.Err(), admitErr)
+		}
+	}
+	if got, want := byEnter.Stats().InFlight, byAdmit.Stats().InFlight; got != want || got == 0 {
+		t.Fatalf("in flight after Enter %d, after Admit %d; want equal and above 0", got, want)
+	}
+	for n := byEnter.Stats().InFlight; n > 0; n-- {
+		byEnter.Leave()
+	}
+	if st := byEnter.Stats(); st.InFlight != 0 {
+		t.Fatalf("in flight after every Leave = %d, want 0", st.InFlight)
+	}
+	if _, ok := byEnter.Enter("", OpScan, 1); !ok {
+		t.Fatal("Enter still sheds once every admitted op has left")
+	}
+}

@@ -194,6 +194,9 @@ func (n *Node) scan(req rpc.Request) rpc.Response {
 				return false
 			}
 			if match {
+				if recs == nil {
+					recs = make([]record.Record, 0, page.first)
+				}
 				recs = append(recs, out)
 				bytes += out.MarshaledSize()
 			}

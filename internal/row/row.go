@@ -314,18 +314,26 @@ func readZigzag(b []byte) (int64, int, error) {
 // r, widening each value as Normalize does. The key is built in one
 // buffer, sized for the common short key and grown only by a long one.
 func EncodeKey(r Row, cols []string) ([]byte, error) {
-	key := make([]byte, 0, 48)
+	key, err := AppendKey(make([]byte, 0, 48), r, cols)
+	if err != nil {
+		return nil, err
+	}
+	return key, nil
+}
+
+// AppendKey appends EncodeKey's key for r's named columns to dst.
+func AppendKey(dst []byte, r Row, cols []string) ([]byte, error) {
 	for _, c := range cols {
 		v, ok := r[c]
 		if !ok {
-			return nil, fmt.Errorf("row: key column %q missing from row", c)
+			return dst, fmt.Errorf("row: key column %q missing from row", c)
 		}
 		var err error
-		if key, err = keycodec.Append(key, Normalize(v)); err != nil {
-			return nil, err
+		if dst, err = keycodec.Append(dst, Normalize(v)); err != nil {
+			return dst, err
 		}
 	}
-	return key, nil
+	return dst, nil
 }
 
 // Project returns a new row with only the named columns (all columns

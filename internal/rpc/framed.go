@@ -132,11 +132,12 @@ func (f *framedConn) readOwned() ([]byte, error) {
 
 // readBorrowed reads one frame payload without giving it away: the
 // bytes are valid until the next read on f. It is for the server side,
-// where request decode detaches every retained byte. A frame that fits
-// the read buffer is returned in place; a larger one goes through a
-// scratch buffer that is reused, unless it grew past maxPooledFrame —
-// the rule putFrameBuf applies to encode buffers — so one snapshot
-// page does not pin its size for the connection's lifetime.
+// which serves a point read before it reads again and detaches every
+// other request's bytes. A frame that fits the read buffer is returned
+// in place; a larger one goes through a scratch buffer that is reused,
+// unless it grew past maxPooledFrame — the rule putFrameBuf applies to
+// encode buffers — so one snapshot page does not pin its size for the
+// connection's lifetime.
 func (f *framedConn) readBorrowed() ([]byte, error) {
 	n, err := f.frameLen()
 	if err != nil {

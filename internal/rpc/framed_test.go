@@ -23,9 +23,15 @@ func readFrame(rd io.Reader) ([]byte, error) {
 	return (&framedConn{br: bufio.NewReaderSize(rd, readBufSize)}).readOwned()
 }
 
-// decodeRequest decodes without an intern table, as the codec tests
-// want it.
-func decodeRequest(b []byte) (Request, error) { return decodeRequestInterning(b, nil) }
+// decodeRequest decodes without an intern table and detaches, as the
+// codec tests want it.
+func decodeRequest(b []byte) (Request, error) {
+	req, err := decodeRequestBorrowed(b, nil)
+	if err == nil {
+		detachRequest(&req)
+	}
+	return req, err
+}
 
 // TestRequestDecodeInternsNames: with a connection's intern table a
 // request whose only strings are a namespace and a tenant already seen
@@ -43,7 +49,7 @@ func TestRequestDecodeInternsNames(t *testing.T) {
 	names := make(map[string]string)
 	payload := frame("tbl.users")
 	if n := testing.AllocsPerRun(100, func() {
-		req, err := decodeRequestInterning(payload, names)
+		req, err := decodeRequestBorrowed(payload, names)
 		if err != nil || req.Namespace != "tbl.users" || req.Tenant != "tenant-a" {
 			t.Fatalf("decode = %+v, %v", req, err)
 		}
@@ -52,7 +58,7 @@ func TestRequestDecodeInternsNames(t *testing.T) {
 	}
 	for i := 0; i < 3*maxInternedNames; i++ {
 		ns := fmt.Sprintf("ns-%d", i)
-		if req, err := decodeRequestInterning(frame(ns), names); err != nil || req.Namespace != ns {
+		if req, err := decodeRequestBorrowed(frame(ns), names); err != nil || req.Namespace != ns {
 			t.Fatalf("decode %q = %+v, %v", ns, req, err)
 		}
 	}

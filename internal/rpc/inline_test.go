@@ -6,11 +6,15 @@ package rpc
 // goroutine.
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"scads/internal/record"
 )
 
 // keyEcho answers a get (alone or in a batch) with its key as the value.
@@ -19,6 +23,22 @@ func keyEcho(req Request) Response {
 		return ServeBatch(HandlerFunc(keyEcho), req)
 	}
 	return Response{Found: true, Value: req.Key}
+}
+
+// echoes reports whether resp is keyEcho's answer to req.
+func echoes(req Request, resp Response) bool {
+	if req.Method != MethodBatch {
+		return bytes.Equal(resp.Value, req.Key)
+	}
+	if len(resp.Batch) != len(req.Batch) {
+		return false
+	}
+	for i := range req.Batch {
+		if !bytes.Equal(resp.Batch[i].Value, req.Batch[i].Key) {
+			return false
+		}
+	}
+	return true
 }
 
 func getFrame(t *testing.T, id int) []byte {
@@ -243,5 +263,116 @@ func TestServerCloseJoinsInlineServe(t *testing.T) {
 	case <-closed:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Server.Close never returned after the inline Serve finished")
+	}
+}
+
+// TestInlineGetsKeepParkedRequestIntact: a request served on a handler
+// goroutine owns its bytes, while point reads borrow theirs from the
+// read buffer. With an apply — or a batch holding a put — parked in its
+// handler, pipelined point reads with distinct keys (single gets, or
+// batches of gets) refill the connection's read buffer over the frame
+// it arrived in; released, the handler still sees exactly what was
+// sent.
+func TestInlineGetsKeepParkedRequestIntact(t *testing.T) {
+	long := func(s string) []byte { return bytes.Repeat([]byte(s), 100) }
+	for _, c := range []struct {
+		name   string
+		parked Request
+		flood  func(i int) Request
+	}{
+		{
+			name: "apply",
+			parked: Request{Method: MethodApply, Namespace: "users", Key: []byte("apply-key"), Value: long("v"),
+				Records: []record.Record{
+					{Key: []byte("rec-key-1"), Value: long("a"), Version: 7},
+					{Key: []byte("rec-key-2"), Version: 8, Tombstone: true},
+					{Key: []byte("rec-key-3"), Value: long("b"), Version: 9},
+				}},
+			flood: func(i int) Request {
+				return Request{Method: MethodGet, Namespace: "users", Key: []byte(fmt.Sprintf("flood-get-%03d", i))}
+			},
+		},
+		{
+			name: "batch",
+			parked: Request{Method: MethodBatch, Batch: []Request{
+				{Method: MethodGet, Namespace: "users", Key: []byte("batch-get")},
+				{Method: MethodPut, Namespace: "users", Key: []byte("batch-put"), Value: long("p")},
+			}},
+			flood: func(i int) Request {
+				return Request{Method: MethodBatch, Batch: []Request{
+					{Method: MethodGet, Namespace: "users", Key: []byte(fmt.Sprintf("flood-batch-%03d-a", i))},
+					{Method: MethodGet, Namespace: "users", Key: []byte(fmt.Sprintf("flood-batch-%03d-b", i))},
+				}}
+			},
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			entered, release := make(chan struct{}), make(chan struct{})
+			seen := make(chan Request, 1)
+			s := NewServer(HandlerFunc(func(req Request) Response {
+				if isPointRead(&req) {
+					return keyEcho(req)
+				}
+				close(entered)
+				<-release
+				seen <- req
+				return Response{Found: true}
+			}))
+			addr, err := s.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			releaseOnce := sync.OnceFunc(func() { close(release) })
+			defer releaseOnce() // a failure below must not leave Close waiting on the handler
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			peer := newFramedConn(conn, time.Minute, nil)
+			send := func(reqs ...Request) {
+				t.Helper()
+				var out []byte
+				for i := range reqs {
+					bp, err := encodeRequestFrame(&reqs[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, *bp...)
+					putFrameBuf(bp)
+				}
+				if _, err := conn.Write(out); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			want := c.parked
+			want.ID = 1
+			send(want)
+			<-entered
+			const n = 64
+			flood := make([]Request, n)
+			for i := range flood {
+				flood[i] = c.flood(i)
+				flood[i].ID = uint64(i + 2)
+			}
+			send(flood...)
+			for i := range flood {
+				payload, err := peer.readOwned()
+				if err != nil {
+					t.Fatalf("reading point read %d: %v", i, err)
+				}
+				resp, err := decodeResponse(payload)
+				if err != nil || resp.ID != flood[i].ID || !echoes(flood[i], resp) {
+					t.Fatalf("point read %d = %+v, %v; want its keys echoed", i, resp, err)
+				}
+			}
+			releaseOnce()
+			if got := <-seen; !reflect.DeepEqual(got, want) {
+				t.Fatalf("parked %s saw other bytes than were sent:\n have %+v\n want %+v", c.name, got, want)
+			}
+		})
 	}
 }

@@ -81,7 +81,8 @@ func IsControlMethod(method string) bool { return controlMethods[method] }
 // isPointRead reports whether req is a point read: a MethodGet, or a
 // MethodBatch whose every sub-request is one (the router's GetBatch
 // envelope). The server serves point reads on the connection's read
-// loop instead of on a handler goroutine of their own.
+// loop instead of on a handler goroutine of their own, with their byte
+// fields borrowed from its read buffer (see Handler).
 func isPointRead(req *Request) bool {
 	switch req.Method {
 	case MethodGet:
@@ -202,7 +203,11 @@ func (r *Response) Error() error {
 }
 
 // Handler processes one request. Implementations must be safe for
-// concurrent use.
+// concurrent use. A point read's byte fields (isPointRead: a get, or a
+// batch of gets only) are lent for the call: the TCP server decodes
+// them in place in its read buffer, which it reads into again once
+// Serve returns, so Serve must copy any of them it keeps. The response
+// may alias them. Every other request owns its bytes.
 type Handler interface {
 	Serve(req Request) Response
 }
@@ -418,7 +423,8 @@ func (p ScanPred) Match(encoded []byte) bool {
 // ServeBatch dispatches each sub-request of a MethodBatch envelope
 // through h and assembles the positionally matched replies. Handlers
 // add batch support with a single `case MethodBatch: return
-// rpc.ServeBatch(h, req)`.
+// rpc.ServeBatch(h, req)`. It keeps nothing of req, so an all-get
+// batch stays within the Handler contract when h does.
 func ServeBatch(h Handler, req Request) Response {
 	out := Response{ID: req.ID, Found: true, Batch: make([]Response, len(req.Batch))}
 	for i, sub := range req.Batch {

@@ -181,13 +181,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		if len(inline) > 0 && (len(inline) >= inlineFlushBytes || !fc.frameBuffered()) {
 			flushInline()
 		}
-		// Request decode detaches every retained byte, so the payload
-		// is only borrowed from the read buffer.
+		// The payload is borrowed from the read buffer, and so are the
+		// decoded request's byte fields: a point read is served and its
+		// response copied into inline before the next read; any other
+		// request is detached before it leaves the loop.
 		payload, err := fc.readBorrowed()
 		if err != nil {
 			return // EOF or broken peer
 		}
-		req, err := decodeRequestInterning(payload, names)
+		req, err := decodeRequestBorrowed(payload, names)
 		if err != nil {
 			// A desynchronised or hostile byte stream cannot be
 			// recovered; drop the connection.
@@ -199,6 +201,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			inline = appendResponseFrame(inline, &resp, maxFrameSize)
 			continue
 		}
+		detachRequest(&req)
 		sem := dataSem
 		if IsControlMethod(req.Method) {
 			sem = ctrlSem

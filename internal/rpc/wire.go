@@ -22,15 +22,19 @@ package rpc
 // Memory ownership is deliberately asymmetric between the two
 // directions:
 //
-//   - Requests (decoded by the server) are DETACHED: every byte field
-//     is copied into one per-request arena sized from the frame, so
-//     handlers — and the storage engine behind them, which retains
-//     applied records in the memtable and apply log — own what they
-//     keep, and the server decodes each frame in place in its
-//     connection's read buffer, which the next read overwrites. Cost:
-//     one arena allocation per request that carries any bytes,
-//     regardless of how many records; namespace and tenant strings
-//     come from a per-connection intern table.
+//   - Requests (decoded by the server) are decoded in place in the
+//     connection's read buffer, which the next read overwrites. A
+//     point read (isPointRead) BORROWS its byte fields from it: the
+//     read loop serves it and appends the response to its outgoing
+//     buffer before it reads again, so a get allocates nothing here.
+//     Every other request is DETACHED before it goes to its handler
+//     goroutine: its byte fields are copied into one per-request arena
+//     sized to their total, so handlers — and the storage engine
+//     behind them, which retains applied records in the memtable and
+//     apply log — own what they keep. Cost: one arena allocation per
+//     such request that carries any bytes, regardless of how many
+//     records. Namespace and tenant strings come from a
+//     per-connection intern table either way.
 //
 //   - Responses (decoded by the client) ALIAS their frame buffer (one
 //     exactly-sized allocation per frame, copied out of the read
@@ -171,16 +175,10 @@ func appendVarint(dst []byte, v int64) []byte {
 }
 
 // wireReader walks a frame buffer. Every accessor validates lengths
-// against the bytes remaining before touching them. When detaching,
-// byte fields are copied into an arena; otherwise they alias b. The
-// arena is made at the first field that needs it (a ping never does),
-// sized to that field plus everything still unread, and the total
-// copied after that point can never exceed it, so it never
-// reallocates.
+// against the bytes remaining before touching them; byte fields alias
+// b.
 type wireReader struct {
-	b         []byte
-	detaching bool
-	arena     []byte
+	b []byte
 	// names, when non-nil, interns namespace and tenant strings: the
 	// server's per-connection table of the few it keeps seeing.
 	names map[string]string
@@ -189,20 +187,6 @@ type wireReader struct {
 // maxInternedNames bounds a connection's intern table, so a peer
 // cycling through names cannot grow it.
 const maxInternedNames = 64
-
-// detach copies v into the arena when detaching; otherwise returns v
-// (an alias of the frame) unchanged.
-func (r *wireReader) detach(v []byte) []byte {
-	if !r.detaching || v == nil {
-		return v
-	}
-	if r.arena == nil {
-		r.arena = make([]byte, 0, len(v)+len(r.b))
-	}
-	start := len(r.arena)
-	r.arena = append(r.arena, v...)
-	return r.arena[start:len(r.arena):len(r.arena)]
-}
 
 func (r *wireReader) len() int { return len(r.b) }
 
@@ -232,9 +216,9 @@ func (r *wireReader) byteVal() (byte, error) {
 	return v, nil
 }
 
-// rawBlob returns the next length-prefixed byte field as an alias of
-// the frame buffer. Zero length decodes as nil.
-func (r *wireReader) rawBlob() ([]byte, error) {
+// blob returns the next length-prefixed byte field as an alias of the
+// frame buffer. Zero length decodes as nil.
+func (r *wireReader) blob() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -250,27 +234,17 @@ func (r *wireReader) rawBlob() ([]byte, error) {
 	return out, nil
 }
 
-// blob is rawBlob under the reader's ownership mode: detached into
-// the arena when one is set, aliasing otherwise.
-func (r *wireReader) blob() ([]byte, error) {
-	b, err := r.rawBlob()
-	if err != nil {
-		return nil, err
-	}
-	return r.detach(b), nil
-}
-
 // str converts straight from the frame alias — the string conversion
-// is itself the copy, so it never goes through the arena.
+// is itself the copy.
 func (r *wireReader) str() (string, error) {
-	b, err := r.rawBlob()
+	b, err := r.blob()
 	return string(b), err
 }
 
 // name is str for the fields that repeat from request to request: with
 // an intern table, a string seen before is returned without a copy.
 func (r *wireReader) name() (string, error) {
-	b, err := r.rawBlob()
+	b, err := r.blob()
 	if r.names == nil || err != nil {
 		return string(b), err
 	}
@@ -497,10 +471,6 @@ func readRecords(r *wireReader) ([]record.Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: record %d: %v", errCorruptFrame, i, err)
 		}
-		// Detach before advancing: a first-use arena is sized from
-		// r.b, which must still cover this record's value.
-		rec.Key = r.detach(rec.Key)
-		rec.Value = r.detach(rec.Value)
 		r.b = rest
 		recs = append(recs, rec)
 	}
@@ -615,19 +585,17 @@ func checkFramePayload(b []byte) ([]byte, error) {
 	return b[1:], nil
 }
 
-// decodeRequestInterning decodes one frame payload (version byte
-// included) into a Request. Byte fields are detached into a
-// per-request arena (see the package ownership rules above): handlers
-// retain what they like and the caller may reuse b for the next frame.
-// Namespace and tenant strings are taken from (and added to) names
-// when it is non-nil; the caller owns it and must not share it between
-// goroutines.
-func decodeRequestInterning(b []byte, names map[string]string) (Request, error) {
+// decodeRequestBorrowed decodes one frame payload (version byte
+// included) into a Request whose byte fields alias b, so the request is
+// valid only while b is (detachRequest ends that). Namespace and tenant
+// strings are taken from (and added to) names when it is non-nil; the
+// caller owns it and must not share it between goroutines.
+func decodeRequestBorrowed(b []byte, names map[string]string) (Request, error) {
 	msg, err := checkFramePayload(b)
 	if err != nil {
 		return Request{}, err
 	}
-	r := wireReader{b: msg, detaching: true, names: names}
+	r := wireReader{b: msg, names: names}
 	var req Request
 	if err := readRequest(&r, 0, &req); err != nil {
 		return Request{}, err
@@ -636,6 +604,63 @@ func decodeRequestInterning(b []byte, names map[string]string) (Request, error) 
 		return Request{}, fmt.Errorf("%w: %d trailing bytes", errCorruptFrame, r.len())
 	}
 	return req, nil
+}
+
+// detachRequest copies every byte field of req, its batch's included,
+// into one arena of exactly their total size, so the request no longer
+// aliases the frame it was decoded from. A request without byte fields
+// allocates nothing.
+func detachRequest(req *Request) {
+	if n := requestBytes(req); n > 0 {
+		a := arena(make([]byte, 0, n))
+		a.detachFields(req)
+	}
+}
+
+// requestBytes is the total length of req's byte fields.
+func requestBytes(req *Request) int {
+	n := len(req.Key) + len(req.Value) + len(req.Start) + len(req.End)
+	for _, p := range req.Preds {
+		n += len(p.Value)
+	}
+	for _, rec := range req.Records {
+		n += len(rec.Key) + len(rec.Value)
+	}
+	for i := range req.Batch {
+		n += requestBytes(&req.Batch[i])
+	}
+	return n
+}
+
+// arena is the buffer detachRequest copies into; it is made with room
+// for every field, so it never reallocates.
+type arena []byte
+
+func (a *arena) detachFields(req *Request) {
+	req.Key = a.copy(req.Key)
+	req.Value = a.copy(req.Value)
+	req.Start = a.copy(req.Start)
+	req.End = a.copy(req.End)
+	for i := range req.Preds {
+		req.Preds[i].Value = a.copy(req.Preds[i].Value)
+	}
+	for i := range req.Records {
+		req.Records[i].Key = a.copy(req.Records[i].Key)
+		req.Records[i].Value = a.copy(req.Records[i].Value)
+	}
+	for i := range req.Batch {
+		a.detachFields(&req.Batch[i])
+	}
+}
+
+// copy appends v to the arena and returns the copy; nil stays nil.
+func (a *arena) copy(v []byte) []byte {
+	if v == nil {
+		return nil
+	}
+	start := len(*a)
+	*a = append(*a, v...)
+	return (*a)[start:len(*a):len(*a)]
 }
 
 // decodeResponse decodes one frame payload (version byte included)

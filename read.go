@@ -3,6 +3,7 @@ package scads
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"time"
 
 	"scads/internal/admission"
@@ -58,7 +59,12 @@ func (c *Cluster) getSession(table string, pk row.Row, sess *session.Session, st
 	if err != nil {
 		return nil, false, err
 	}
-	key, err := pkKey(t, pk)
+	// The key lives only until the row is decoded: everything that
+	// keeps it (the load tracker, the session, the wire) copies it.
+	kp := keyPool.Get().(*[]byte)
+	defer keyPool.Put(kp)
+	key, err := row.AppendKey((*kp)[:0], pk, t.PrimaryKey)
+	*kp = key
 	if err != nil {
 		return nil, false, err
 	}
@@ -72,6 +78,12 @@ func (c *Cluster) getSession(table string, pk row.Row, sess *session.Session, st
 	r, err := decodeRow(val, found, nil)
 	return r, found, err
 }
+
+// keyPool holds the buffers point reads build their primary keys in.
+var keyPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 48)
+	return &b
+}}
 
 // staged is the read side's twin of write.go's admitted: every read
 // records its load against each range it touches and then passes the

@@ -147,6 +147,8 @@ type Cluster struct {
 
 	loads     *balancer.Tracker
 	admission *admission.Controller
+	// leave is admission.Leave, bound once: what admit hands back.
+	leave func()
 
 	// versions stamps every write this coordinator commits.
 	versions *clock.HLC
@@ -201,6 +203,7 @@ func Open(cfg Config) (*Cluster, error) {
 	admCfg := cfg.Admission
 	admCfg.Clock = cfg.Clock
 	c.admission = admission.New(admCfg)
+	c.leave = c.admission.Leave
 	// Online range migrations share the transport with the router. The
 	// router's maps back the manager's ownership checks, so a journaled
 	// teardown can never truncate a range its node has since regained.
@@ -351,16 +354,17 @@ func (c *Cluster) HotTenants() []admission.TenantDemand {
 }
 
 // admit gates one front-door operation through the admission
-// controller. The returned release must be called when the operation
-// finishes (it closes the in-flight accounting overload shedding
-// watches); on rejection the error wraps rpc.ErrOverloaded with a
-// retry-after hint and release is a no-op.
+// controller. On admission it returns the release that ends the
+// operation's in-flight accounting, which overload shedding watches:
+// the caller calls it exactly once, on every path, as it is the same
+// func for every operation and not idempotent. On rejection the error
+// wraps rpc.ErrOverloaded with a retry-after hint and there is nothing
+// to release.
 func (c *Cluster) admit(tenant string, op admission.Op, cost float64) (func(), error) {
-	release, err := c.admission.Admit(tenant, op, cost)
-	if err != nil {
-		return func() {}, err
+	if rej, ok := c.admission.Enter(tenant, op, cost); !ok {
+		return nil, rej.Err()
 	}
-	return release, nil
+	return c.leave, nil
 }
 
 // Clock exposes the cluster's time source.

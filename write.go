@@ -71,6 +71,7 @@ func (c *Cluster) admitted(table, tenant string, write func(t *query.TableDef, n
 		if err = terr; err == nil {
 			ver, err = write(t, ns)
 		}
+		release()
 	} else if m, ok := c.router.Map(ns); ok && terr == nil {
 		for _, r := range rows {
 			if key, kerr := pkKey(t, r); kerr == nil {
@@ -78,7 +79,6 @@ func (c *Cluster) admitted(table, tenant string, write func(t *query.TableDef, n
 			}
 		}
 	}
-	release()
 	c.record(start, err)
 	return ver, err
 }
