@@ -17,7 +17,7 @@ import (
 )
 
 // This file closes the paper's Figure 2 loop end to end against a real
-// LocalCluster. The loop itself is sim.Run — trace, per-class
+// LocalCluster. The loop itself is sim.Run — trace, synthetic
 // telemetry, SLA monitor, director, boot-delay fleet, all on a virtual
 // clock — and a scenario is one of its configurations; what this file
 // adds is the data plane behind it. Every tick the cluster is resized
@@ -62,11 +62,9 @@ type ElasticScenario struct {
 	sim.Config
 }
 
-// What every scenario shares. The per-class SLO defended is the
-// loop's (the paper's running example).
+// What every scenario shares. The SLO defended is the loop's (the
+// paper's running example).
 const (
-	// elasticWriteFraction is the write class's share of the trace.
-	elasticWriteFraction = 0.1
 	// elasticOpsPerTick is how many real cluster operations the control
 	// loop drives synchronously each tick — guaranteed ledger coverage
 	// across every tick; the concurrent writer adds interleaving on top.
@@ -78,44 +76,18 @@ const (
 	elasticUsers = 240
 )
 
-// elasticService is the scenarios' telemetry source: the per-class
-// service curve — reads cost 2ms and writes 8ms of server time over a
-// 5ms base latency — under a fixed mix, elasticWriteFraction of the
-// trace's rate being writes.
-type elasticService struct{ cloudsim.ClassServiceModel }
-
-var elasticTelemetry = elasticService{cloudsim.ClassServiceModel{
-	Demand: map[string]float64{"read": 0.002, "write": 0.008},
-	Base:   5 * time.Millisecond,
-}}
-
-func (s elasticService) Serve(rate float64, servers int) cloudsim.Load {
-	return s.serve(rate, elasticWriteFraction, servers)
-}
-
-func (s elasticService) serve(rate, writeFraction float64, servers int) cloudsim.Load {
-	classRates := map[string]float64{"read": rate * (1 - writeFraction), "write": rate * writeFraction}
-	return cloudsim.Load{
-		Rate: rate, ClassRates: classRates,
-		Latency: s.Latency(classRates, servers), SuccessPct: s.SuccessRate(classRates, servers),
-	}
-}
-
-// Profile is the history the director's models arrive fit on, the way
-// a production deployment would fit them offline (§4's "use of machine
-// learning models"): one server from 7% to 84% utilisation. Two
-// interleaved mixes make the per-class regression well-posed.
-func (s elasticService) Profile() []cloudsim.Load {
-	var history []cloudsim.Load
-	for i := 1; i <= 12; i++ {
-		wf := elasticWriteFraction
-		if i%2 == 0 {
-			wf = elasticWriteFraction / 2
-		}
-		mean := wf*s.Demand["write"] + (1-wf)*s.Demand["read"]
-		history = append(history, s.serve(0.07*float64(i)/mean, wf, 1)) // the rate that loads one server to 0.07·i
-	}
-	return history
+// elasticTelemetry is the scenarios' telemetry source: reads cost 2ms
+// and writes 8ms of server time over a 5ms base latency, and a tenth
+// of the trace's rate is writes, so an op costs D̄ = 2.6ms on average.
+// At that fixed mix the queueing latency 5ms + D̄/(1−ρ) is one curve:
+// Base 5ms + D̄, K = D̄, one server saturating at 1/D̄ req/s. Its
+// Profile is the history the director's capacity model arrives fit on,
+// the way a production deployment would fit it offline (§4's "use of
+// machine learning models").
+var elasticTelemetry = cloudsim.ServiceModel{
+	CapacityPerServer: 1 / 0.0026,
+	Base:              7600 * time.Microsecond,
+	K:                 2600 * time.Microsecond,
 }
 
 // elasticConfig is the loop configuration the scenarios share: capacity

@@ -24,8 +24,38 @@ func shortElasticScenario() ElasticScenario {
 	}
 }
 
-// TestElasticScenarioEndToEnd runs the full loop — trace → per-class
-// SLO telemetry → fleet-model director → real node adds/decommissions
+// TestElasticTelemetryIsTheClassClosedForm pins the scenarios' one
+// curve to the read/write form it stands for: reads at 2ms and writes
+// at 8ms of server time, a tenth of the rate writes, over a 5ms base,
+// so latency = 5ms + 2.6ms/(1−ρ) until the servers saturate at ρ ≥ 0.99
+// and requests time out at 10s.
+func TestElasticTelemetryIsTheClassClosedForm(t *testing.T) {
+	const servers = 4
+	rate := func(rho float64) float64 { // the 90/10 rate loading servers to rho
+		return rho * servers / (0.9*0.002 + 0.1*0.008)
+	}
+	for _, rho := range []float64{0.1, 0.5, 0.9} {
+		want := 5*time.Millisecond + time.Duration(0.0026/(1-rho)*float64(time.Second))
+		got := elasticTelemetry.Latency(rate(rho), servers)
+		if d := got - want; d < -2 || d > 2 {
+			t.Errorf("ρ=%v: latency %v, want %v", rho, got, want)
+		}
+		if sr := elasticTelemetry.SuccessRate(rate(rho), servers); sr != 100 {
+			t.Errorf("ρ=%v: success %v%%, want 100", rho, sr)
+		}
+	}
+	for _, rho := range []float64{0.99, 1, 2} {
+		if got := elasticTelemetry.Latency(rate(rho), servers); got != 10*time.Second {
+			t.Errorf("ρ=%v: latency %v, want the 10s timeout", rho, got)
+		}
+	}
+	if sr := elasticTelemetry.SuccessRate(rate(2), servers); sr < 49.99 || sr > 50.01 {
+		t.Errorf("ρ=2: success %v%%, want half the load shed", sr)
+	}
+}
+
+// TestElasticScenarioEndToEnd runs the full loop — trace → SLO
+// telemetry → model-driven director → real node adds/decommissions
 // — under a concurrent writer, and checks the paper's core claims:
 // capacity follows the surge up and back down, and no acked write is
 // lost or corrupted across any scale event.

@@ -14,7 +14,7 @@ import (
 // action moving data through the lossless migration path while a
 // background writer hammers acked writes. Control-plane metrics
 // (SLO-violation minutes, server-hours, cost) are deterministic —
-// synthetic per-class telemetry on a virtual clock — and gated via
+// synthetic telemetry on a virtual clock — and gated via
 // the committed BENCH_e16.json baseline; lost/corrupted acked writes
 // are a hard zero on every run.
 //
@@ -45,8 +45,8 @@ func runE16(expgrid.Params) (expgrid.Metrics, error) {
 		acked += res.AckedWrites
 		lost += res.LostWrites
 		corrupt += res.CorruptReads
-		// The scenarios count minutes in violation of any class's SLO
-		// and price the serving fleet's server-hours, not the cloud's
+		// The scenarios count minutes in violation of the SLO and price
+		// the serving fleet's server-hours, not the cloud's
 		// hourly-rounded bill.
 		metrics[sc.Name+"_slo_violation_min"] = float64(res.Violations) * sc.Tick.Minutes()
 		metrics[sc.Name+"_server_hours"] = res.ServerHours

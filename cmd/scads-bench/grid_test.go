@@ -131,8 +131,9 @@ func TestDeterministicHooksReplay(t *testing.T) {
 // TestElasticRowsHoldBaselines is the control loop's safety net inside
 // go test: the rows that run sim.Run and fit in a second each — e2
 // (both director policies), e7 (a director against none) and e16 (the
-// per-class loop with a real cluster behind it) — run once and must
-// hold their committed baselines under the policy -compare applies.
+// same loop on one fitted curve with a real cluster behind it) — run
+// once and must hold their committed baselines under the policy
+// -compare applies.
 func TestElasticRowsHoldBaselines(t *testing.T) {
 	reg := gridRegistry()
 	for _, id := range []string{"e2", "e7", "e16"} {

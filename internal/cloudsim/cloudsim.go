@@ -1,7 +1,7 @@
 // Package cloudsim simulates the utility-computing substrate the paper
 // builds on (§1, §2.1): an elastic pool of instances with realistic
 // boot delay and per-machine-hour billing, driven by a virtual clock,
-// plus the synthetic service curves that turn an offered rate into the
+// plus the synthetic service curve that turns an offered rate into the
 // latency and success the SLA monitor sees. Every economics experiment
 // (Animoto scale-up, diurnal scale-down) and the end-to-end elastic
 // scenarios run against this one boot-delay and billing model.
@@ -157,9 +157,6 @@ func (c *Cloud) CostUSD() float64 {
 type Load struct {
 	// Rate is the offered request rate (req/s).
 	Rate float64
-	// ClassRates splits Rate by request class; nil from a model with
-	// one undifferentiated class.
-	ClassRates map[string]float64
 	// Latency is the SLA-percentile latency every request saw.
 	Latency time.Duration
 	// SuccessPct is the percentage of requests that succeeded.

@@ -153,13 +153,13 @@ func TestServiceModelSuccessRate(t *testing.T) {
 	}
 }
 
-// TestServeAndProfile: Serve is the curve at one point, with no class
-// breakdown from the single-curve model, and Profile walks one server
-// up its utilisation range without reaching saturation.
+// TestServeAndProfile: Serve is the curve at one point, and Profile
+// walks one server up its utilisation range without reaching
+// saturation.
 func TestServeAndProfile(t *testing.T) {
 	sm := ServiceModel{CapacityPerServer: 1000, Base: 5 * time.Millisecond, K: 20 * time.Millisecond}
 	l := sm.Serve(1500, 3)
-	if l.Rate != 1500 || l.ClassRates != nil || l.Latency != sm.Latency(1500, 3) || l.SuccessPct != 100 {
+	if l.Rate != 1500 || l.Latency != sm.Latency(1500, 3) || l.SuccessPct != 100 {
 		t.Fatalf("Serve = %+v", l)
 	}
 	profile := sm.Profile()

@@ -60,11 +60,6 @@ type Actuator interface {
 type Observation struct {
 	// Rate is the observed request rate (req/s).
 	Rate float64
-	// ClassRates breaks Rate down by request class (view-profile,
-	// update-profile, …) when per-class SLO accounting is in place.
-	// Feeds the fleet model's per-op cost curves; nil keeps the
-	// single-curve capacity model in charge.
-	ClassRates map[string]float64
 	// CommittedServers is the capacity floor the currently committed
 	// ranges demand (replication factor × data footprint): scale-down
 	// may never size below what the stored data itself requires.
@@ -147,7 +142,6 @@ type Director struct {
 	actuator Actuator
 
 	Capacity   *mlmodel.CapacityModel
-	Fleet      *mlmodel.FleetModel
 	Forecaster *mlmodel.Forecaster
 
 	mu            sync.Mutex
@@ -163,7 +157,6 @@ func New(clk clock.Clock, actuator Actuator, cfg Config) *Director {
 		clk:        clk,
 		actuator:   actuator,
 		Capacity:   &mlmodel.CapacityModel{},
-		Fleet:      &mlmodel.FleetModel{},
 		Forecaster: mlmodel.NewForecaster(),
 	}
 }
@@ -185,13 +178,6 @@ func (d *Director) Step(obs Observation) Decision {
 		saturated := d.cfg.SLALatency > 0 && obs.Latency > 2*d.cfg.SLALatency
 		if !saturated {
 			d.Capacity.Observe(obs.Rate/float64(running), obs.Latency.Seconds())
-			if len(obs.ClassRates) > 0 {
-				perServer := make(map[string]float64, len(obs.ClassRates))
-				for c, r := range obs.ClassRates {
-					perServer[c] = r / float64(running)
-				}
-				d.Fleet.Observe(perServer, obs.Latency.Seconds())
-			}
 		}
 	}
 	d.Forecaster.Observe(now, obs.Rate)
@@ -272,11 +258,9 @@ func (d *Director) Step(obs Observation) Decision {
 	return dec
 }
 
-// modelTarget sizes the cluster from the learned models applied to the
-// forecast demand. The fleet model's analytical per-class capacity is
-// preferred once fit; the single-curve capacity model backs it up, and
-// before either is fit the reactive baseline keeps the system
-// controlled.
+// modelTarget sizes the cluster by inverting the capacity model's
+// fitted curve at the forecast demand; until the curve fits, the
+// reactive baseline keeps the system controlled.
 func (d *Director) modelTarget(obs Observation, running int) (int, float64, string) {
 	now := d.clk.Now()
 	forecast := d.Forecaster.Forecast(now, d.cfg.ForecastHorizon)
@@ -285,14 +269,6 @@ func (d *Director) modelTarget(obs Observation, running int) (int, float64, stri
 	if forecast > demand {
 		demand = forecast
 		horizon = "forecast"
-	}
-	if len(obs.ClassRates) > 0 && d.Fleet.Fit() {
-		floor := obs.CommittedServers
-		if floor < 1 {
-			floor = 1
-		}
-		target := d.Fleet.ServersNeeded(demand, obs.ClassRates, d.cfg.SLALatency.Seconds(), headroom, floor)
-		return target, forecast, "fleet:" + horizon
 	}
 	curve, ok := d.Capacity.Curve()
 	if !ok {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"scads/internal/clock"
+	"scads/internal/workload"
 )
 
 var t0 = time.Date(2009, 1, 4, 0, 0, 0, 0, time.UTC)
@@ -135,19 +136,29 @@ func TestReplicationBacklogBoost(t *testing.T) {
 	}
 }
 
+// curveLatency is the ground-truth server curve the synthetic
+// telemetry below is generated from: base+k·ρ/(1-ρ) with base 5ms,
+// k 20ms and capacity 1000/s, at a rate per server.
+func curveLatency(ratePerServer float64) time.Duration {
+	rho := ratePerServer / 1000
+	return 5*time.Millisecond + time.Duration(float64(20*time.Millisecond)*rho/(1-rho))
+}
+
+// stepCurve feeds one interval of telemetry on the true curve: total
+// rate spread over the running fleet, then the booting capacity joins.
+func stepCurve(d *Director, act *fakeActuator, rate float64) Decision {
+	dec := d.Step(Observation{Rate: rate, Latency: curveLatency(rate / float64(act.running)), SuccessRate: 100, SLAMet: true})
+	act.finishBoot()
+	return dec
+}
+
 // trainModel feeds the director observations until the capacity model
-// fits: rate per server r gives latency base+k·ρ/(1-ρ) with cap 1000.
+// fits.
 func trainModel(t *testing.T, d *Director, act *fakeActuator, vc *clock.Virtual) {
 	t.Helper()
-	latency := func(ratePerServer float64) time.Duration {
-		rho := ratePerServer / 1000
-		return 5*time.Millisecond + time.Duration(float64(20*time.Millisecond)*rho/(1-rho))
-	}
 	for i := 0; i < 40; i++ {
 		rate := 100 + float64(i)*20 // per server, ramping to 880
-		total := rate * float64(act.running)
-		d.Step(Observation{Rate: total, Latency: latency(rate), SuccessRate: 100, SLAMet: true})
-		act.finishBoot()
+		stepCurve(d, act, rate*float64(act.running))
 		vc.Advance(30 * time.Second)
 	}
 	if _, ok := d.Capacity.Curve(); !ok {
@@ -188,6 +199,102 @@ func TestModelDrivenProvisionsAheadOfRamp(t *testing.T) {
 	if lastDec.Target <= needCurrent {
 		t.Fatalf("target %d does not provision ahead (current need %d)", lastDec.Target, needCurrent)
 	}
+}
+
+func TestFleetHysteresisNoFlapOnNoisyTrace(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	act := &fakeActuator{running: 10}
+	d := New(vc, act, cfg(ModelDriven))
+	// A long trend window smooths symmetric noise out of the forecast;
+	// what remains tests the scale-down hysteresis proper.
+	d.Forecaster.TrendWindow = 30 * time.Minute
+	trainModel(t, d, act, vc)
+
+	// A ±5% noisy trace straddling the learned 10-server boundary keeps
+	// nudging the target between 10 and 11; hysteresis must absorb it —
+	// after the settle window (which also flushes the training ramp from
+	// the forecaster), zero adds and removes.
+	curve, _ := d.Capacity.Curve()
+	trace := workload.Noisy{T: workload.Constant(10 * curve.UsableRate(0.1, headroom)), Seed: 17, Frac: 0.05}
+	settle := 0
+	flaps, holds := 0, 0
+	for i := 0; i < 240; i++ {
+		dec := stepCurve(d, act, trace.Rate(vc.Now()))
+		vc.Advance(time.Minute)
+		if i < 45 {
+			settle = act.running
+			continue
+		}
+		if dec.Added > 0 || dec.Removed > 0 {
+			flaps++
+		}
+		if strings.Contains(dec.Reason, "hysteresis-hold") {
+			holds++
+		}
+	}
+	if flaps > 0 {
+		t.Fatalf("%d scale actions on a noisy steady trace (settled at %d servers)", flaps, settle)
+	}
+	if holds == 0 {
+		t.Fatal("hysteresis never engaged — the trace did not test it")
+	}
+}
+
+func TestFleetCommittedFloorBlocksScaleDown(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	act := &fakeActuator{running: 12}
+	d := New(vc, act, cfg(ModelDriven))
+	d.Forecaster.TrendWindow = 5 * time.Minute
+	trainModel(t, d, act, vc)
+	if act.running <= 5 {
+		t.Fatalf("training left %d servers: the floor below would block nothing", act.running)
+	}
+
+	// Near-zero demand, but the committed ranges still need 5 nodes to
+	// hold replication factor: the target may never go below 5.
+	for i := 0; i < 30; i++ {
+		dec := d.Step(Observation{
+			Rate:             50,
+			Latency:          curveLatency(50 / float64(act.running)),
+			SuccessRate:      100,
+			SLAMet:           true,
+			CommittedServers: 5,
+		})
+		act.finishBoot()
+		if dec.Target < 5 {
+			t.Fatalf("target %d below committed floor at step %d", dec.Target, i)
+		}
+		vc.Advance(2 * time.Minute)
+	}
+	if act.running != 5 {
+		t.Fatalf("running = %d, want exactly the committed floor 5", act.running)
+	}
+}
+
+// TestFleetBootingPreventsDoubleProvision: while requested capacity is
+// still booting, an identical forecast breach must not request again.
+func TestFleetBootingPreventsDoubleProvision(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	act := &fakeActuator{running: 4}
+	d := New(vc, act, cfg(ModelDriven))
+	trainModel(t, d, act, vc)
+
+	// Twice what the running fleet serves at the learned curve.
+	curve, _ := d.Capacity.Curve()
+	surge := 2 * float64(act.running) * curve.UsableRate(0.1, headroom)
+	obs := Observation{Rate: surge, Latency: 50 * time.Millisecond, SuccessRate: 100, SLAMet: true}
+	first := d.Step(obs)
+	if first.Added == 0 {
+		t.Fatal("surge did not provision")
+	}
+	// Boot has not finished: booting counts toward `have`, so the same
+	// surge must not double-provision.
+	vc.Advance(time.Minute)
+	second := d.Step(obs)
+	if second.Added != 0 {
+		t.Fatalf("double-provision while booting: %+v (booting=%d)", second, act.booting)
+	}
+	act.finishBoot()
 }
 
 func TestModelDrivenFallsBackWhenUnfit(t *testing.T) {

@@ -24,20 +24,6 @@ import (
 // example, 99.9% of requests under 100ms at 99.9% availability.
 var paperSLA = consistency.PerformanceSLA{Percentile: 99.9, LatencyBound: 100 * time.Millisecond, SuccessRate: 99.9}
 
-// Service is the telemetry source: the synthetic service curve that
-// stands in for measuring real requests. cloudsim.ServiceModel (one
-// aggregate curve) implements it, as does the elastic scenarios'
-// cloudsim.ClassServiceModel under their read/write mix; a Load with
-// ClassRates is what puts the director's fleet model in charge instead
-// of its single-curve capacity model.
-type Service interface {
-	// Serve returns the telemetry of rate req/s over n servers.
-	Serve(rate float64, servers int) cloudsim.Load
-	// Profile returns the one-server history the director's models are
-	// trained on before the run.
-	Profile() []cloudsim.Load
-}
-
 // Config parameterises one run.
 type Config struct {
 	// Start is when the seed fleet is requested: it boots for
@@ -48,8 +34,12 @@ type Config struct {
 	// Tick is the control interval (default 1m).
 	Tick time.Duration
 
-	Trace   workload.Trace
-	Service Service
+	Trace workload.Trace
+	// Service is the telemetry source: the synthetic service curve that
+	// stands in for measuring real requests. Its Profile is the
+	// one-server history the director's capacity model is trained on
+	// before the run.
+	Service cloudsim.ServiceModel
 	Cloud   cloudsim.Options
 
 	// InitialServers is the seed fleet (default 2) — and the whole
@@ -112,18 +102,12 @@ func Run(cfg Config) Result {
 	}
 	clk := clock.NewVirtual(cfg.Start)
 	cloud := cloudsim.New(clk, cfg.Cloud)
-	// The latency window is pinned by the exact baselines: a batch feeds
-	// at most 64 samples, so a single curve's percentile covers the last
-	// two intervals and a per-class one the last sixteen.
-	perClass := cfg.Service.Serve(0, 1).ClassRates != nil
-	window := 128
-	if perClass {
-		window = 1024
-	}
-	monitor := sla.NewClasses(clk, paperSLA, window)
-
 	cloud.Request(cfg.InitialServers)
 	clk.Advance(cfg.Cloud.BootDelay)
+	// The first interval opens once the seed fleet is up. The latency
+	// window is pinned by the exact baselines: a batch feeds at most 64
+	// samples, so the percentile covers the last two intervals.
+	monitor := sla.NewMonitor(clk, paperSLA, 128)
 
 	var dir *director.Director
 	if cfg.Director != nil {
@@ -133,9 +117,6 @@ func Run(cfg Config) Result {
 		dir = director.New(clk, cloud, dcfg)
 		for _, past := range cfg.Service.Profile() {
 			dir.Capacity.Observe(past.Rate, past.Latency.Seconds())
-			if perClass {
-				dir.Fleet.Observe(past.ClassRates, past.Latency.Seconds())
-			}
 		}
 	}
 
@@ -150,32 +131,20 @@ func Run(cfg Config) Result {
 		}
 
 		load := cfg.Service.Serve(stat.Rate, running)
-		classRates := load.ClassRates
-		if !perClass {
-			classRates = map[string]float64{"": load.Rate}
-		}
-		for class, rate := range classRates {
-			total := int64(rate * cfg.Tick.Seconds())
-			succeeded := int64(float64(total) * load.SuccessPct / 100)
-			monitor.RecordBatch(class, succeeded, load.Latency, true)
-			monitor.RecordBatch(class, total-succeeded, load.Latency, false)
-		}
+		total := int64(load.Rate * cfg.Tick.Seconds())
+		succeeded := int64(float64(total) * load.SuccessPct / 100)
+		monitor.RecordBatch(succeeded, load.Latency, true)
+		monitor.RecordBatch(total-succeeded, load.Latency, false)
 		clk.Advance(cfg.Tick)
-		up := monitor.Roll()
-		stat.Latency, stat.SuccessRate, stat.Met = up.Latency, up.SuccessRate, up.Met
+		iv := monitor.Roll()
+		stat.Latency, stat.SuccessRate, stat.Met = iv.Latency, iv.SuccessRate, iv.Met
 
 		if dir != nil {
-			obs := director.Observation{Rate: up.Rate, Latency: up.Latency, SuccessRate: up.SuccessRate, SLAMet: up.Met}
-			if perClass {
-				// Only a per-class source reports a mix: class rates from
-				// a single curve would fit the fleet model eight ticks in
-				// and silently take sizing away from the capacity model.
-				obs.ClassRates = up.ClassRates
-			}
+			obs := director.Observation{Rate: iv.Rate, Latency: iv.Latency, SuccessRate: iv.SuccessRate, SLAMet: iv.Met}
 			stat.Target = dir.Step(obs).Target
 		}
 		res.Ticks = append(res.Ticks, stat)
-		if !up.Met {
+		if !iv.Met {
 			res.Violations++
 		}
 		if running > res.PeakServers {

@@ -43,8 +43,8 @@ func baseConfig(tr workload.Trace, dcfg *director.Config) sim.Config {
 var ramp = workload.Viral{Start: t0, InitialRate: 1000, DoublingTime: 45 * time.Minute}
 
 // TestElasticLoopConfigurations drives the one loop through every kind
-// of run it has: no director, each director policy on the single
-// service curve, and the per-class curve with a real cluster following
+// of run it has: no director, each director policy on a service
+// curve, and the model-driven director with a real cluster following
 // the fleet. The bookkeeping every Result must satisfy is checked on
 // all of them; what each configuration is for is checked per row.
 func TestElasticLoopConfigurations(t *testing.T) {
@@ -123,8 +123,8 @@ func TestElasticLoopConfigurations(t *testing.T) {
 			},
 		},
 		{
-			name:   "model-driven, per class, real cluster",
-			reason: "fleet:",
+			name:   "model-driven, real cluster",
+			reason: "model:",
 			run: func(t *testing.T) sim.Result {
 				// The flash crowd compressed into 150 minutes, with a
 				// shifting hotspot under the writers.
@@ -150,11 +150,6 @@ func TestElasticLoopConfigurations(t *testing.T) {
 			check: func(t *testing.T, res sim.Result) {
 				if res.PeakServers <= 3 || res.FinalServers >= res.PeakServers {
 					t.Fatalf("fleet did not follow the surge up and back: peak=%d final=%d", res.PeakServers, res.FinalServers)
-				}
-				for _, dec := range res.Decisions {
-					if len(dec.Observed.ClassRates) != 2 {
-						t.Fatalf("decision at %v observed classes %v", dec.At, dec.Observed.ClassRates)
-					}
 				}
 			},
 		},
@@ -227,28 +222,6 @@ func checkBookkeeping(t *testing.T, res sim.Result) {
 	// The bill runs from request, boot time included, and rounds up.
 	if res.MachineHours < res.ServerHours || res.CostUSD <= 0 {
 		t.Fatalf("billed %v machine-hours ($%v) for %v server-hours", res.MachineHours, res.CostUSD, res.ServerHours)
-	}
-}
-
-// TestSingleCurveRunNeverReportsClassRates guards the model selection:
-// the director sizes with its fleet model once observations carry
-// class rates and eight of them have been fit. A single-curve run has
-// no mix to report; if its one class leaked into the observations, e1,
-// e2 and e7 would change models eight ticks in.
-func TestSingleCurveRunNeverReportsClassRates(t *testing.T) {
-	cfg := baseConfig(workload.Diurnal{Base: 3000, Amplitude: 2500, PeakHour: 14}, &director.Config{})
-	cfg.Duration = 2 * time.Hour
-	res := sim.Run(cfg)
-	if len(res.Decisions) < 100 {
-		t.Fatalf("%d decisions", len(res.Decisions))
-	}
-	for i, dec := range res.Decisions {
-		if dec.Observed.ClassRates != nil {
-			t.Fatalf("decision %d observed class rates %v", i, dec.Observed.ClassRates)
-		}
-		if strings.HasPrefix(dec.Reason, "fleet:") {
-			t.Fatalf("decision %d sized by the fleet model: %q", i, dec.Reason)
-		}
 	}
 }
 
