@@ -175,3 +175,74 @@ func TestServeAndProfile(t *testing.T) {
 		}
 	}
 }
+
+// mixModel is the one curve a fixed request mix stands for: each class
+// costs demand[c] server-seconds per op, so at the mix's shares an op
+// costs D̄ on average and the queueing latency base + D̄/(1−ρ) is
+// Base = base + D̄, K = D̄, one server saturating at 1/D̄ req/s.
+func mixModel(demand, rates map[string]float64, base time.Duration) ServiceModel {
+	var rate, work float64
+	for c, r := range rates {
+		rate += r
+		work += r * demand[c]
+	}
+	mean := work / rate
+	d := time.Duration(mean * float64(time.Second))
+	return ServiceModel{CapacityPerServer: 1 / mean, Base: base + d, K: d}
+}
+
+var classDemand = map[string]float64{"read": 0.002, "write": 0.008}
+
+// TestClassServiceModelClosedForm: at a fixed read/write mix the single
+// curve reproduces the per-class queueing closed form.
+func TestClassServiceModelClosedForm(t *testing.T) {
+	// rho = (400·0.002 + 100·0.008) / 4 = 0.4; mean demand = 1.6/500 =
+	// 0.0032; latency = base + 0.0032/(1-0.4).
+	rates := map[string]float64{"read": 400, "write": 100}
+	s := mixModel(classDemand, rates, 5*time.Millisecond)
+	if rho := 500 / (s.CapacityPerServer * 4); rho < 0.4-1e-12 || rho > 0.4+1e-12 {
+		t.Fatalf("rho = %v, want 0.4", rho)
+	}
+	queue := 0.0032 / 0.6
+	want := 5*time.Millisecond + time.Duration(queue*float64(time.Second))
+	if got := s.Latency(500, 4); got != want {
+		t.Fatalf("latency = %v, want %v", got, want)
+	}
+	if sr := s.SuccessRate(500, 4); sr != 100 {
+		t.Fatalf("below saturation success = %v, want 100", sr)
+	}
+}
+
+// TestClassServiceModelSaturation: the mix's curve times out and sheds
+// load past saturation exactly as the per-class form does.
+func TestClassServiceModelSaturation(t *testing.T) {
+	over := map[string]float64{"read": 1000} // 2 server-seconds/s of work
+	s := mixModel(classDemand, over, 5*time.Millisecond)
+	if lat := s.Latency(1000, 1); lat != 10*time.Second {
+		t.Fatalf("saturated latency = %v, want 10s", lat)
+	}
+	if sr := s.SuccessRate(1000, 1); sr != 50 {
+		t.Fatalf("shed success at rho=2 = %v, want 50", sr)
+	}
+	if lat := s.Latency(1000, 0); lat != 10*time.Second {
+		t.Fatalf("zero servers latency = %v, want 10s", lat)
+	}
+	if sr := s.SuccessRate(1000, 0); sr != 0 {
+		t.Fatalf("zero servers success = %v, want 0", sr)
+	}
+}
+
+// TestClassServiceModelMixMatters: at the same aggregate rate a heavier
+// write mix costs more per op, so its curve saturates sooner and is
+// slower — the mix fixes which curve a deployment runs on.
+func TestClassServiceModelMixMatters(t *testing.T) {
+	readHeavy := mixModel(classDemand, map[string]float64{"read": 900, "write": 100}, 5*time.Millisecond)
+	writeHeavy := mixModel(classDemand, map[string]float64{"read": 100, "write": 900}, 5*time.Millisecond)
+	if readHeavy.CapacityPerServer <= writeHeavy.CapacityPerServer {
+		t.Fatalf("write-heavy mix should saturate sooner: read-heavy %v/s write-heavy %v/s",
+			readHeavy.CapacityPerServer, writeHeavy.CapacityPerServer)
+	}
+	if lr, lw := readHeavy.Latency(1000, 10), writeHeavy.Latency(1000, 10); lr >= lw {
+		t.Fatalf("write-heavy mix should be slower: %v vs %v", lr, lw)
+	}
+}

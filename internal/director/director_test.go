@@ -201,6 +201,85 @@ func TestModelDrivenProvisionsAheadOfRamp(t *testing.T) {
 	}
 }
 
+func TestFleetScaleUpOnForecastBreach(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	act := &fakeActuator{running: 4}
+	c := cfg(ModelDriven)
+	c.ForecastHorizon = 10 * time.Minute
+	d := New(vc, act, c)
+	trainModel(t, d, act, vc)
+	// A short trend window lets the forecast follow the ramp rather
+	// than the training history.
+	d.Forecaster.TrendWindow = 5 * time.Minute
+
+	// Demand ramps 15%/minute from half the fleet's usable rate, on the
+	// true curve. Every interval still meets the SLA — the director
+	// must provision on the forecast breach, before the violation
+	// materialises.
+	curve, _ := d.Capacity.Curve()
+	rate := 0.5 * float64(act.running) * curve.UsableRate(0.1, headroom)
+	added := 0
+	var last Decision
+	for i := 0; i < 15; i++ {
+		if l := curveLatency(rate / float64(act.running)); l > 100*time.Millisecond {
+			t.Fatalf("step %d: latency %v breached the SLA before capacity came", i, l)
+		}
+		last = stepCurve(d, act, rate)
+		added += last.Added
+		vc.Advance(time.Minute)
+		rate *= 1.15
+	}
+	if added == 0 {
+		t.Fatal("no capacity added ahead of the ramp")
+	}
+	if last.Forecast <= last.Observed.Rate {
+		t.Fatalf("forecast %v did not lead the ramp (rate %v)", last.Forecast, last.Observed.Rate)
+	}
+	if !strings.Contains(last.Reason, "model:forecast") {
+		t.Fatalf("Reason = %q, want model:forecast", last.Reason)
+	}
+	// The sizing must cover the forecast at the curve as learned by
+	// now: target ≥ forecast / usable-per-server.
+	curve, _ = d.Capacity.Curve()
+	if need := int(last.Forecast / curve.UsableRate(0.1, headroom)); last.Target < need {
+		t.Fatalf("target %d below forecast need %d", last.Target, need)
+	}
+}
+
+func TestFleetScaleDownCooldownRespected(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	act := &fakeActuator{running: 12}
+	d := New(vc, act, cfg(ModelDriven))
+	d.Forecaster.TrendWindow = 5 * time.Minute
+	trainModel(t, d, act, vc)
+
+	// Demand collapses to ~2 servers' worth. Let the forecast adapt,
+	// then expect exactly one release per cooldown window.
+	curve, _ := d.Capacity.Curve()
+	low := 1.5 * curve.UsableRate(0.1, headroom)
+	var first, inside, after Decision
+	for i := 0; i < 10; i++ {
+		first = stepCurve(d, act, low)
+		if first.Removed > 0 {
+			break
+		}
+		vc.Advance(time.Minute)
+	}
+	if first.Removed == 0 {
+		t.Fatalf("no scale-down on collapsed demand: %+v", first)
+	}
+	vc.Advance(time.Minute)
+	inside = stepCurve(d, act, low)
+	if inside.Removed != 0 || !strings.Contains(inside.Reason, "cooldown-hold") {
+		t.Fatalf("release inside cooldown: %+v", inside)
+	}
+	vc.Advance(11 * time.Minute)
+	after = stepCurve(d, act, low)
+	if after.Removed == 0 {
+		t.Fatalf("release after cooldown blocked: %+v", after)
+	}
+}
+
 func TestFleetHysteresisNoFlapOnNoisyTrace(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	act := &fakeActuator{running: 10}
