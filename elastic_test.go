@@ -35,10 +35,9 @@ func TestElasticActuatorGrowsAndShrinksRealCluster(t *testing.T) {
 	act := NewElasticActuator(lc)
 	act.OnError = func(err error) { t.Fatalf("actuator: %v", err) }
 	d := director.New(vc, act, director.Config{
-		SLALatency:        100 * time.Millisecond,
-		Policy:            director.Reactive,
-		MinServers:        2,
-		ScaleDownCooldown: time.Minute,
+		SLALatency: 100 * time.Millisecond,
+		Policy:     director.Reactive,
+		MinServers: 2,
 	})
 
 	if act.Running() != 2 {

@@ -3,6 +3,8 @@ package advisor
 import (
 	"math"
 	"time"
+
+	"scads/internal/consistency"
 )
 
 // CurveInput parameterises the downtime-vs-cost exploration of §3.3.1:
@@ -79,7 +81,7 @@ func DowntimeCostCurve(in CurveInput) []CurvePoint {
 			Replicas:                r,
 			Availability:            1 - unavailable,
 			DowntimeMinutesPerMonth: unavailable * minutesPerMonth,
-			Durability:              1 - math.Pow(pFailWindow, float64(r)),
+			Durability:              consistency.SurvivalProbability(pFailWindow, r),
 		}
 		nodes := in.Servers * r
 		p.MonthlyUSD = float64(nodes)*in.Pricing.PricePerHour*hoursPerMonth +

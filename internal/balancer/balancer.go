@@ -81,45 +81,33 @@ func (a Action) String() string {
 
 // Config tunes the planner.
 type Config struct {
-	// ImbalanceRatio triggers moves when the most loaded node exceeds
-	// the mean node load by this factor (default 1.5).
-	ImbalanceRatio float64
 	// SplitFraction proposes splitting any single range carrying more
 	// than this fraction of the mean node load (default 0.5) — a range
 	// that hot cannot be balanced by moving it whole.
 	SplitFraction float64
-	// MaxMoves bounds moves per plan so rebalancing is incremental
-	// (default 4).
-	MaxMoves int
-	// MinOps is the total-operation floor below which no plan is made:
-	// an idle window carries no signal (default 100).
-	MinOps float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.ImbalanceRatio <= 1 {
-		c.ImbalanceRatio = 1.5
-	}
-	if c.SplitFraction <= 0 {
-		c.SplitFraction = 0.5
-	}
-	if c.MaxMoves <= 0 {
-		c.MaxMoves = 4
-	}
-	if c.MinOps <= 0 {
-		c.MinOps = 100
-	}
-	return c
-}
+const (
+	// imbalanceRatio triggers moves when the most loaded node exceeds
+	// the mean node load by this factor.
+	imbalanceRatio = 1.5
+	// maxMoves bounds moves per plan so rebalancing is incremental.
+	maxMoves = 4
+	// minOps is the total-operation floor below which no plan is made:
+	// an idle window carries no signal.
+	minOps = 100
+)
 
 // Plan proposes rebalancing actions for the observed loads across the
 // serving nodes. It is deterministic: identical inputs produce the
 // identical plan. Splits are proposed first (they unlock finer moves
 // on the next round); moves then shift whole ranges from the most
 // loaded node to the least loaded until the imbalance ratio is met or
-// MaxMoves is exhausted.
+// maxMoves is exhausted.
 func Plan(loads []RangeLoad, nodes []string, cfg Config) []Action {
-	cfg = cfg.withDefaults()
+	if cfg.SplitFraction <= 0 {
+		cfg.SplitFraction = 0.5
+	}
 	if len(nodes) < 2 {
 		return nil
 	}
@@ -127,7 +115,7 @@ func Plan(loads []RangeLoad, nodes []string, cfg Config) []Action {
 	for _, rl := range loads {
 		total += rl.Ops
 	}
-	if total < cfg.MinOps {
+	if total < minOps {
 		return nil
 	}
 	mean := total / float64(len(nodes))
@@ -179,12 +167,12 @@ func Plan(loads []RangeLoad, nodes []string, cfg Config) []Action {
 	}
 
 	moved := make(map[int]bool)
-	for moves := 0; moves < cfg.MaxMoves; moves++ {
+	for moves := 0; moves < maxMoves; moves++ {
 		hot, cold := extremes(nodeLoad, nodes)
 		if hot == "" || cold == "" || hot == cold {
 			break
 		}
-		if nodeLoad[hot] <= cfg.ImbalanceRatio*mean {
+		if nodeLoad[hot] <= imbalanceRatio*mean {
 			break
 		}
 		// Hottest unmoved range on the hot node whose transfer helps.
@@ -212,7 +200,7 @@ func Plan(loads []RangeLoad, nodes []string, cfg Config) []Action {
 			Kind: ActionMove, Namespace: rl.Namespace,
 			Start: rl.Start, Target: target,
 			Reason: fmt.Sprintf("node %s at %.0f ops > %.1fx mean %.0f; %s at %.0f",
-				hot, nodeLoad[hot], cfg.ImbalanceRatio, mean, cold, nodeLoad[cold]),
+				hot, nodeLoad[hot], imbalanceRatio, mean, cold, nodeLoad[cold]),
 		})
 		moved[best] = true
 		nodeLoad[hot] -= rl.Ops

@@ -31,7 +31,7 @@ func TestPlanIdleWindowNoActions(t *testing.T) {
 	loads := []RangeLoad{
 		{Namespace: "tbl_a", Start: nil, Replicas: []string{"node-001"}, Ops: 50},
 	}
-	if plan := Plan(loads, nodes(3), Config{MinOps: 100}); len(plan) != 0 {
+	if plan := Plan(loads, nodes(3), Config{}); len(plan) != 0 {
 		t.Fatalf("idle window produced plan: %v", plan)
 	}
 }
@@ -147,15 +147,15 @@ func TestPlanRespectsMaxMoves(t *testing.T) {
 			Replicas: []string{"node-001"}, Ops: 100,
 		})
 	}
-	plan := Plan(loads, nodes(4), Config{MaxMoves: 3, SplitFraction: 10})
+	plan := Plan(loads, nodes(4), Config{SplitFraction: 10})
 	moves := 0
 	for _, a := range plan {
 		if a.Kind == ActionMove {
 			moves++
 		}
 	}
-	if moves > 3 {
-		t.Fatalf("%d moves, want <= 3", moves)
+	if moves != maxMoves {
+		t.Fatalf("%d moves, want the bound %d", moves, maxMoves)
 	}
 }
 

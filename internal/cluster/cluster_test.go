@@ -309,9 +309,9 @@ func TestNodeScanByteBudgetPages(t *testing.T) {
 }
 
 // TestNodeRangeSnapshotByteBudgetPages: a snapshot page cut short by
-// the byte budget must flag More so the migration manager keeps
-// paging instead of declaring the snapshot complete (which would
-// silently lose the tail of the range).
+// the byte budget must flag More and carry Resume so the migration
+// manager keeps paging instead of declaring the snapshot complete
+// (which would silently lose the tail of the range).
 func TestNodeRangeSnapshotByteBudgetPages(t *testing.T) {
 	n := newTestNode(t, "n1")
 	const count, valSize = 30, 256 << 10
@@ -327,19 +327,63 @@ func TestNodeRangeSnapshotByteBudgetPages(t *testing.T) {
 		}
 		pages++
 		total += len(resp.Records)
-		if len(resp.Records) < count+10 && !resp.More {
+		if !resp.More {
 			break
 		}
-		if len(resp.Records) == 0 {
-			t.Fatal("More set on empty page")
+		if resp.Resume == nil {
+			t.Fatal("More without Resume")
 		}
-		last := resp.Records[len(resp.Records)-1].Key
-		cur = append(append([]byte(nil), last...), 0x00)
+		cur = resp.Resume
 	}
 	if pages < 2 {
 		t.Fatalf("snapshot served in %d page(s); byte budget did not page", pages)
 	}
 	if total != count {
 		t.Fatalf("paged snapshot returned %d records, want %d", total, count)
+	}
+}
+
+// TestNodeRangeDeltaByteBudgetPages: a delta page of large values must
+// stop at the byte budget — not assemble a page past the RPC frame cap
+// — while More and the advancing watermark let the caller page to
+// completion exactly once per record.
+func TestNodeRangeDeltaByteBudgetPages(t *testing.T) {
+	n := newTestNode(t, "n1")
+	ns, err := n.Engine().Namespace("blobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch, wm := ns.ApplyWatermark()
+	const count, valSize = 30, 256 << 10 // ~7.5 MiB of values, budget 4 MiB
+	seedBigValues(t, n, count, valSize)
+
+	seen := map[string]bool{}
+	pages := 0
+	for {
+		resp := n.Serve(rpc.Request{Method: rpc.MethodRangeDelta, Namespace: "blobs", Epoch: epoch, Since: wm, Limit: count + 10})
+		if resp.Error() != nil {
+			t.Fatal(resp.Error())
+		}
+		pages++
+		bytes := 0
+		for _, r := range resp.Records {
+			if seen[string(r.Key)] {
+				t.Fatalf("key %q served twice", r.Key)
+			}
+			seen[string(r.Key)] = true
+			bytes += r.MarshaledSize()
+		}
+		// One record of grace past the budget is allowed (checked
+		// between records); far more means the budget is not applied.
+		if bytes > pageByteBudget+2*valSize {
+			t.Fatalf("page carries %d encoded bytes, budget %d", bytes, pageByteBudget)
+		}
+		wm = resp.Watermark
+		if !resp.More {
+			break
+		}
+	}
+	if len(seen) != count || pages < 2 {
+		t.Fatalf("byte-budget paging saw %d keys in %d pages", len(seen), pages)
 	}
 }

@@ -142,22 +142,71 @@ func versioned(ver uint64, err error) rpc.Response {
 	return rpc.Response{Found: true, Version: ver}
 }
 
-// scanRawCap bounds how many stored records one scan request may visit
-// regardless of how selective its pushed-down filters are — scale
-// independence means a node never serves an unbounded scan. A request
-// stopped by either cap reports More plus a Resume cursor so the
-// coordinator can page on.
-const scanRawCap = 10000
+// pageRecordCap bounds how many stored records one range read may visit,
+// whatever it asks for and however selective its pushed-down filters
+// are: scale independence means a node never serves an unbounded read.
+const pageRecordCap = 10000
 
-// pageByteBudget bounds the encoded payload of one scan or snapshot
-// page. Record-count limits alone let 10000 large values assemble a
-// response past the wire's frame cap (which would surface as a
-// semantic too-big error, not data); stopping at a byte budget turns
-// big-value ranges into more, smaller pages through the exact same
-// More/Resume (scan) and More (snapshot) continuation contracts.
-// One record larger than the budget still travels alone — the budget
-// is checked between records, so progress is always made.
+// pageByteBudget bounds the encoded payload of one page. A record count
+// alone lets large values assemble a response past the wire's frame cap
+// (which would surface as a semantic too-big error, not data); stopping
+// at a byte budget turns big-value ranges into more, smaller pages
+// through the same More continuation.
 const pageByteBudget = 4 << 20
+
+// page is one bounded range read; scan, snapshot and delta requests all
+// fill one. It takes at most limit records, visits at most
+// pageRecordCap and stops once the records it holds reach
+// pageByteBudget. The budget is checked between records, so one record
+// larger than it still travels alone and every page makes progress.
+// The first record that does not fit proves data remains, so More is
+// exact: it is set only when a continuation will find something, and
+// that record's key is the resume point.
+type page struct {
+	pageBuf
+	recs    []record.Record
+	limit   int
+	visited int
+	bytes   int
+	more    bool
+	resume  []byte
+}
+
+func newPage(limit int) *page {
+	if limit <= 0 || limit > pageRecordCap {
+		limit = pageRecordCap
+	}
+	return &page{pageBuf: pageBuf{first: min(limit, 16)}, limit: limit}
+}
+
+// full reports whether r lies beyond the page, keeping its key as the
+// resume point if it does; otherwise r counts as visited.
+func (p *page) full(r record.Record) bool {
+	if len(p.recs) >= p.limit || p.visited >= pageRecordCap || p.bytes >= pageByteBudget {
+		p.more, p.resume = true, append([]byte(nil), r.Key...)
+		return true
+	}
+	p.visited++
+	return false
+}
+
+// add appends r, whose bytes are already in the page.
+func (p *page) add(r record.Record) {
+	if p.recs == nil {
+		p.recs = make([]record.Record, 0, p.first)
+	}
+	p.recs = append(p.recs, r)
+	p.bytes += r.MarshaledSize()
+}
+
+// take is the visitor of a read that returns every record it visits.
+func (p *page) take(r record.Record) bool {
+	if p.full(r) {
+		return false
+	}
+	p.add(p.record(r))
+	return true
+}
 
 func (n *Node) scan(req rpc.Request) rpc.Response {
 	n.reads.Add(1)
@@ -165,40 +214,23 @@ func (n *Node) scan(req rpc.Request) rpc.Response {
 	if !ok {
 		return errResp
 	}
-	limit := req.Limit
-	if limit <= 0 || limit > scanRawCap {
-		limit = scanRawCap
-	}
 	var (
-		recs     []record.Record
-		page     = pageBuf{first: min(limit, 16)}
-		visited  int
-		bytes    int
-		resume   []byte
+		p        = newPage(req.Limit)
 		xformErr error
 		err      error
 	)
 	read := func() {
 		err = ns.ScanLive(req.Start, req.End, func(r record.Record) bool {
-			if len(recs) >= limit || visited >= scanRawCap || bytes >= pageByteBudget {
-				// This record proves data remains beyond the page, so More
-				// is exact: it is set only when a continuation will find
-				// something, and the record itself is the resume point.
-				resume = append([]byte(nil), r.Key...)
+			if p.full(r) {
 				return false
 			}
-			visited++
-			out, match, err := scanTransform(r, req.Projection, req.Preds, &page)
+			out, match, err := scanTransform(r, req.Projection, req.Preds, &p.pageBuf)
 			if err != nil {
 				xformErr = err
 				return false
 			}
 			if match {
-				if recs == nil {
-					recs = make([]record.Record, 0, page.first)
-				}
-				recs = append(recs, out)
-				bytes += out.MarshaledSize()
+				p.add(out)
 			}
 			return true
 		})
@@ -217,14 +249,14 @@ func (n *Node) scan(req rpc.Request) rpc.Response {
 	if err != nil {
 		return rpc.Response{Err: rpc.ErrString(err)}
 	}
-	return rpc.Response{Found: true, Records: recs, More: resume != nil, Resume: resume}
+	return rpc.Response{Found: true, Records: p.recs, More: p.more, Resume: p.resume}
 }
 
-// pageBuf holds the bytes of one scan page: every record the page
-// returns is copied into it, so the page aliases no engine memory and
-// costs a few allocations instead of two per record. It is only ever
-// appended to, or replaced by a fresh array when full, so bytes a
-// record already points at are never written again.
+// pageBuf holds the bytes of one page: every record the page returns is
+// copied into it, so the page aliases no engine memory and costs a few
+// allocations instead of two per record. It is only ever appended to,
+// or replaced by a fresh array when full, so bytes a record already
+// points at are never written again.
 type pageBuf struct {
 	buf   []byte
 	first int // records the first array is sized for
@@ -367,60 +399,34 @@ func (n *Node) rangeSnapshot(req rpc.Request) rpc.Response {
 	if req.Limit < 0 {
 		return resp
 	}
-	limit := req.Limit
-	if limit == 0 || limit > 10000 {
-		limit = 10000
-	}
-	// More reports a page cut short by the count limit or the byte
-	// budget; the migration manager keeps paging (from the last key)
-	// until a page arrives with More unset, so a short-by-bytes page
-	// can never be mistaken for the end of the range.
-	bytes := 0
-	err := ns.ScanAll(req.Start, req.End, func(r record.Record) bool {
-		if len(resp.Records) >= limit || bytes >= pageByteBudget {
-			resp.More = true
-			return false
-		}
-		c := r.Clone()
-		resp.Records = append(resp.Records, c)
-		bytes += c.MarshaledSize()
-		return true
-	})
-	if err != nil {
+	p := newPage(req.Limit)
+	if err := ns.ScanAll(req.Start, req.End, p.take); err != nil {
 		return rpc.Response{Err: rpc.ErrString(err)}
 	}
+	resp.Records, resp.More, resp.Resume = p.recs, p.more, p.resume
 	return resp
 }
 
-// rangeDelta serves the records modified after the caller's watermark.
-// A baseline the node cannot serve (restart, or older than the
-// retained delta log) returns ErrSnapshotGap and the caller restarts
-// from a full snapshot.
+// rangeDelta serves one page of the records modified after the caller's
+// watermark, with the watermark covering them: a More page continues
+// from that watermark. A baseline the node cannot serve (restart, or
+// older than the retained delta log) returns ErrSnapshotGap and the
+// caller restarts from a full snapshot.
 func (n *Node) rangeDelta(req rpc.Request) rpc.Response {
 	n.reads.Add(1)
 	ns, errResp, ok := n.namespace(req.Namespace)
 	if !ok {
 		return errResp
 	}
-	limit := req.Limit
-	if limit <= 0 || limit > 10000 {
-		limit = 10000
-	}
-	recs, wm, more, ok2, err := ns.ScanSince(req.Epoch, req.Since, req.Start, req.End, limit)
+	p := newPage(req.Limit)
+	wm, ok, err := ns.ScanSince(req.Epoch, req.Since, req.Start, req.End, p.take)
 	if err != nil {
 		return rpc.Response{Err: rpc.ErrString(err)}
 	}
-	if !ok2 {
+	if !ok {
 		return rpc.Response{Err: rpc.ErrString(rpc.ErrSnapshotGap)}
 	}
-	out := make([]record.Record, len(recs))
-	for i, r := range recs {
-		out[i] = r.Clone()
-	}
-	// More is the delta continuation contract: retained log entries
-	// remain beyond the returned watermark (the page hit its count
-	// limit or byte budget), so the caller must page again.
-	return rpc.Response{Found: true, Records: out, Epoch: req.Epoch, Watermark: wm, More: more}
+	return rpc.Response{Found: true, Records: p.recs, Epoch: req.Epoch, Watermark: wm, More: p.more}
 }
 
 // rangeFence installs (req.Fence) or lifts a write fence over

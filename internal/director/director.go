@@ -107,9 +107,6 @@ type Config struct {
 	MinServers int
 	// MaxServers caps it (0 = uncapped).
 	MaxServers int
-	// ScaleDownCooldown is the minimum time between scale-down steps,
-	// preventing thrash (default 10m).
-	ScaleDownCooldown time.Duration
 	// Policy selects model-driven or reactive control.
 	Policy Policy
 }
@@ -120,6 +117,9 @@ const (
 	// scaleDownSlack is the hysteresis on release: servers go only
 	// when the target is below running by at least this fraction.
 	scaleDownSlack = 0.1
+	// scaleDownCooldown is the minimum time between scale-down steps,
+	// preventing thrash.
+	scaleDownCooldown = 10 * time.Minute
 )
 
 func (c Config) withDefaults() Config {
@@ -128,9 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinServers < 1 {
 		c.MinServers = 1
-	}
-	if c.ScaleDownCooldown <= 0 {
-		c.ScaleDownCooldown = 10 * time.Minute
 	}
 	return c
 }
@@ -237,7 +234,7 @@ func (d *Director) Step(obs Observation) Decision {
 		d.actuator.Request(dec.Added)
 	case target < running:
 		// Scale down, rate-limited and hysteretic.
-		if now.Sub(d.lastScaleDown) < d.cfg.ScaleDownCooldown {
+		if now.Sub(d.lastScaleDown) < scaleDownCooldown {
 			dec.Reason += "+cooldown-hold"
 			break
 		}

@@ -35,11 +35,10 @@ func (f *fakeActuator) finishBoot() {
 
 func cfg(policy Policy) Config {
 	return Config{
-		SLALatency:        100 * time.Millisecond,
-		ForecastHorizon:   5 * time.Minute,
-		MinServers:        1,
-		ScaleDownCooldown: 10 * time.Minute,
-		Policy:            policy,
+		SLALatency:      100 * time.Millisecond,
+		ForecastHorizon: 5 * time.Minute,
+		MinServers:      1,
+		Policy:          policy,
 	}
 }
 

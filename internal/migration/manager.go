@@ -89,11 +89,6 @@ type Manager struct {
 	transport rpc.Transport
 	dir       *cluster.Directory
 
-	// PageSize bounds records per snapshot page and per delta fetch.
-	// Default 1024; capped at the nodes' per-request limit of 10000 —
-	// a larger value would make the server's clamped reply look like
-	// a final short page and silently truncate the snapshot.
-	PageSize int
 	// OnPhase, when set, receives one Event per phase transition
 	// (synchronously, on the migrating goroutine).
 	OnPhase func(Event)
@@ -444,91 +439,78 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 
 // --- phases ---
 
+// pageRecords is how many records the manager asks a donor for per
+// snapshot or delta page.
+const pageRecords = 1024
+
 // snapshot pages the full range from the donor to the targets and
 // returns the delta baseline captured before the first page.
 func (m *Manager) snapshot(namespace string, rng partition.Range, donorAddr string, targets []nodeAddr, replicaTarget []string) (epoch, watermark uint64, err error) {
 	m.event(Event{Phase: PhaseSnapshot, Namespace: namespace, Start: rng.Start, End: rng.End, Target: replicaTarget})
-	cur := rng.Start
-	first := true
-	page := m.pageSize()
-	for {
-		resp, err := m.transport.Call(donorAddr, rpc.Request{
-			Method: rpc.MethodRangeSnapshot, Namespace: namespace,
-			Start: cur, End: rng.End, Limit: page,
-		})
-		if err == nil {
-			// A semantic error travels in resp.Err (storage failure,
-			// frame-overflow substitute): it must fail the phase, not
-			// read as a clean terminal page.
-			err = resp.Error()
-		}
-		if err != nil {
-			return 0, 0, fmt.Errorf("migration: snapshot %s %s: %w", namespace, rng, err)
-		}
-		if first {
-			epoch, watermark = resp.Epoch, resp.Watermark
-			first = false
-		}
-		if len(resp.Records) > 0 {
-			if err := m.applyTo(targets, namespace, resp.Records); err != nil {
-				return 0, 0, fmt.Errorf("migration: install snapshot %s %s: %w", namespace, rng, err)
-			}
-			m.snapshotRecords.Add(int64(len(resp.Records)))
-		}
-		// A page short of the count limit still continues when the node
-		// flags More (it stopped at its byte budget, not the end of the
-		// range); an empty page is always terminal — no key to advance
-		// from means no progress is possible.
-		if len(resp.Records) == 0 || (len(resp.Records) < page && !resp.More) {
-			return epoch, watermark, nil
-		}
-		last := resp.Records[len(resp.Records)-1].Key
-		cur = append(append([]byte(nil), last...), 0x00)
+	first, _, _, err := m.ship(donorAddr, targets, rpc.Request{
+		Method: rpc.MethodRangeSnapshot, Namespace: namespace, Start: rng.Start, End: rng.End,
+	}, &m.snapshotRecords)
+	if err != nil {
+		return 0, 0, fmt.Errorf("migration: snapshot %s %s: %w", namespace, rng, err)
 	}
+	return first.Epoch, first.Watermark, nil
 }
 
 // deltaOnce fetches and installs every record modified after the
-// watermark (paging as needed) and returns how many were shipped plus
-// the advanced watermark.
+// watermark and returns how many were shipped plus the advanced
+// watermark.
 func (m *Manager) deltaOnce(namespace string, rng partition.Range, donorAddr string, targets []nodeAddr, epoch, since uint64) (int, uint64, error) {
 	m.event(Event{Phase: PhaseDelta, Namespace: namespace, Start: rng.Start, End: rng.End})
-	total := 0
-	page := m.pageSize()
-	wm := since
-	for {
-		resp, err := m.transport.Call(donorAddr, rpc.Request{
-			Method: rpc.MethodRangeDelta, Namespace: namespace,
-			Start: rng.Start, End: rng.End, Since: wm, Epoch: epoch, Limit: page,
-		})
+	_, last, n, err := m.ship(donorAddr, targets, rpc.Request{
+		Method: rpc.MethodRangeDelta, Namespace: namespace,
+		Start: rng.Start, End: rng.End, Since: since, Epoch: epoch,
+	}, &m.deltaRecords)
+	if err != nil {
+		return n, since, err
+	}
+	m.deltaRoundsRun.Add(1)
+	return n, last.Watermark, nil
+}
+
+// ship pages req from the donor to the targets and returns the first
+// and last pages plus the records shipped. A snapshot page resumes from
+// the donor's Resume key, a delta page from its watermark. Paging stops
+// only when a page arrives with More unset: a short page may have
+// stopped at the donor's byte budget (stopping there in the fenced
+// final drain would leave applied writes behind on the donor), and
+// watermark progress is no signal either — writes to *other* ranges of
+// the namespace advance it every round, which would spin the drain,
+// with the fence up, for as long as the namespace takes traffic.
+func (m *Manager) ship(donorAddr string, targets []nodeAddr, req rpc.Request, shipped *atomic.Int64) (first, last rpc.Response, n int, err error) {
+	req.Limit = pageRecords
+	for page := 0; ; page++ {
+		resp, err := m.transport.Call(donorAddr, req)
 		if err == nil {
-			// ErrSnapshotGap (and any other semantic failure) arrives
-			// in resp.Err — materialise it so the caller's resnapshot
-			// branch actually fires instead of mistaking the gap for a
-			// converged delta.
+			// A semantic failure (storage error, frame-overflow
+			// substitute, ErrSnapshotGap) travels in resp.Err: it must
+			// fail the phase, not read as a clean terminal page.
 			err = resp.Error()
 		}
 		if err != nil {
-			return total, wm, err
+			return first, last, n, err
+		}
+		if page == 0 {
+			first = resp
 		}
 		if len(resp.Records) > 0 {
-			if err := m.applyTo(targets, namespace, resp.Records); err != nil {
-				return total, wm, err
+			if err := m.applyTo(targets, req.Namespace, resp.Records); err != nil {
+				return first, last, n, err
 			}
-			m.deltaRecords.Add(int64(len(resp.Records)))
+			shipped.Add(int64(len(resp.Records)))
+			n += len(resp.Records)
 		}
-		total += len(resp.Records)
-		wm = resp.Watermark
-		// Page exactly while the node reports retained log entries
-		// beyond the watermark. A short page alone is not terminal (it
-		// may have stopped at the byte budget — stopping there in the
-		// fenced final drain would leave applied writes behind on the
-		// donor), and raw watermark progress is not a termination
-		// signal either: writes to *other* ranges of the namespace
-		// advance it every round, which would spin this loop — with
-		// the fence up — for as long as the namespace takes traffic.
 		if !resp.More {
-			m.deltaRoundsRun.Add(1)
-			return total, wm, nil
+			return first, resp, n, nil
+		}
+		if req.Method == rpc.MethodRangeSnapshot {
+			req.Start = resp.Resume
+		} else {
+			req.Since = resp.Watermark
 		}
 	}
 }
@@ -744,18 +726,6 @@ func (m *Manager) event(ev Event) {
 	if m.OnPhase != nil {
 		m.OnPhase(ev)
 	}
-}
-
-// nodePageLimit mirrors the storage nodes' per-request record clamp.
-// Snapshot pagination terminates on a short page, so the requested
-// page size must never exceed what a node is willing to return.
-const nodePageLimit = 10000
-
-func (m *Manager) pageSize() int {
-	if m.PageSize > 0 {
-		return min(m.PageSize, nodePageLimit)
-	}
-	return 1024
 }
 
 // diff returns the members of a not in b, in a's order.

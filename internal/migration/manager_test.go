@@ -379,13 +379,11 @@ func TestRegainAfterSplitLiftsResidualFence(t *testing.T) {
 	}
 }
 
-// TestPageSizeClampedToNodeLimit: a PageSize above the nodes'
-// per-request clamp must not make a clamped reply look like the final
-// short page (which would silently truncate the snapshot).
-func TestPageSizeClampedToNodeLimit(t *testing.T) {
+// TestRangeLargerThanOnePageMigrates: a range of many donor pages
+// migrates completely — every page but the last flags More.
+func TestRangeLargerThanOnePageMigrates(t *testing.T) {
 	h := newHarness(t, "a", "b")
-	h.mgr.PageSize = 50000
-	const n = 12000 // more than one nodePageLimit page
+	const n = 12000 // more than one page even at the node's record cap
 	ns, err := h.nodes["a"].Engine().Namespace(testNS)
 	if err != nil {
 		t.Fatal(err)

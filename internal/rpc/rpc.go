@@ -173,11 +173,11 @@ type Response struct {
 	// Fenced reports the node's installed fence count (MethodStats).
 	Fenced int
 
-	// More and Resume are the MethodScan continuation cursor: More is
-	// set when the node stopped before exhausting [Start, End) — the
-	// per-request limit filled, or the raw-visit cap was hit while
-	// filters were rejecting rows — and Resume is the key the caller
-	// should restart from to continue exactly where this page ended.
+	// More and Resume continue a range read (MethodScan,
+	// MethodRangeSnapshot, MethodRangeDelta): More is set exactly when
+	// a record lies beyond the page — its limit, visit clamp or byte
+	// budget filled — and Resume is that record's key, where a scan or
+	// snapshot continues. A delta continues from Watermark instead.
 	More   bool
 	Resume []byte
 

@@ -70,10 +70,9 @@ const (
 	// prefix does not get to allocate gigabytes, and both encode
 	// paths enforce the same bound (a response that would overflow it
 	// is replaced by an error response; an oversized request fails
-	// the call with a semantic error, not ErrUnreachable). Node-side
-	// page byte budgets (cluster.Node scan/snapshot, storage
-	// ScanSince deltas) keep real pages an order of magnitude below
-	// this.
+	// the call with a semantic error, not ErrUnreachable). The node's
+	// page byte budget (cluster.Node scan, snapshot and delta pages)
+	// keeps real pages an order of magnitude below this.
 	maxFrameSize = 64 << 20
 
 	// maxPooledFrame bounds what goes back into framePool: buffers

@@ -265,7 +265,7 @@ func TestOnTickSeesTheServingFleet(t *testing.T) {
 func TestScaleDownSavesMoney(t *testing.T) {
 	// Diurnal day: elastic vs static-peak provisioning (E7's shape).
 	tr := workload.Diurnal{Base: 3000, Amplitude: 2500, PeakHour: 14}
-	cfg := baseConfig(tr, &director.Config{ScaleDownCooldown: 5 * time.Minute})
+	cfg := baseConfig(tr, &director.Config{})
 	cfg.Duration = 24 * time.Hour
 	cfg.Cloud.BillingGranularity = time.Minute
 	elastic := sim.Run(cfg)

@@ -167,7 +167,7 @@ func lwwMatrix(t *testing.T, cacheBytes int64, rng *rand.Rand) {
 			t.Errorf("%s: ScanLive = %v\nwant %v", stage, got, live)
 		}
 		matches("ScanAll", scan(func(fn func(record.Record) bool) error { return ns.ScanAll(nil, nil, fn) }))
-		since, _, more, ok, err := ns.ScanSince(epoch, 0, nil, nil, 0)
+		since, _, more, ok, err := scanSince(ns, epoch, 0, nil, nil, 0)
 		if err != nil || ok != sameEpoch || more {
 			t.Fatalf("%s: ScanSince ok=%v more=%v err=%v", stage, ok, more, err)
 		}

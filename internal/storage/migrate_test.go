@@ -49,6 +49,20 @@ func TestApplyWatermarkAdvancesPerAcceptedRecord(t *testing.T) {
 	}
 }
 
+// scanSince collects a ScanSince delta of at most limit records (0: no
+// limit); more reports that a record lay beyond the limit.
+func scanSince(ns *Namespace, epoch, since uint64, start, end []byte, limit int) (recs []record.Record, wm uint64, more, ok bool, err error) {
+	wm, ok, err = ns.ScanSince(epoch, since, start, end, func(r record.Record) bool {
+		if limit > 0 && len(recs) >= limit {
+			more = true
+			return false
+		}
+		recs = append(recs, r.Clone())
+		return true
+	})
+	return recs, wm, more, ok, err
+}
+
 func TestScanSinceReturnsChangesAfterWatermark(t *testing.T) {
 	ns := openMemNS(t)
 	for i := 0; i < 10; i++ {
@@ -68,7 +82,7 @@ func TestScanSinceReturnsChangesAfterWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, newWM, _, ok, err := ns.ScanSince(epoch, wm, nil, nil, 0)
+	recs, newWM, _, ok, err := scanSince(ns, epoch, wm, nil, nil, 0)
 	if err != nil || !ok {
 		t.Fatalf("ScanSince: ok=%v err=%v", ok, err)
 	}
@@ -93,7 +107,7 @@ func TestScanSinceReturnsChangesAfterWatermark(t *testing.T) {
 	}
 
 	// Nothing changed since: empty delta, watermark stable.
-	recs, again, _, ok, err := ns.ScanSince(epoch, newWM, nil, nil, 0)
+	recs, again, _, ok, err := scanSince(ns, epoch, newWM, nil, nil, 0)
 	if err != nil || !ok || len(recs) != 0 || again != newWM {
 		t.Fatalf("idle delta: recs=%d wm=%d ok=%v err=%v", len(recs), again, ok, err)
 	}
@@ -110,7 +124,7 @@ func TestScanSincePagesWithLimit(t *testing.T) {
 	seen := map[string]bool{}
 	pages := 0
 	for {
-		recs, newWM, _, ok, err := ns.ScanSince(epoch, wm, nil, nil, 4)
+		recs, newWM, _, ok, err := scanSince(ns, epoch, wm, nil, nil, 4)
 		if err != nil || !ok {
 			t.Fatalf("page: ok=%v err=%v", ok, err)
 		}
@@ -136,7 +150,7 @@ func TestScanSinceRangeFilter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, newWM, _, ok, err := ns.ScanSince(epoch, wm, []byte("b"), []byte("d"), 0)
+	recs, newWM, _, ok, err := scanSince(ns, epoch, wm, []byte("b"), []byte("d"), 0)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -145,7 +159,7 @@ func TestScanSinceRangeFilter(t *testing.T) {
 	}
 	// Out-of-range entries still advance the watermark: the next call
 	// must not resend anything.
-	if recs2, _, _, _, _ := ns.ScanSince(epoch, newWM, []byte("b"), []byte("d"), 0); len(recs2) != 0 {
+	if recs2, _, _, _, _ := scanSince(ns, epoch, newWM, []byte("b"), []byte("d"), 0); len(recs2) != 0 {
 		t.Fatalf("watermark did not cover out-of-range entries: %d resent", len(recs2))
 	}
 }
@@ -157,11 +171,11 @@ func TestScanSinceRejectsUnusableBaselines(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wrong epoch (node restarted between snapshot and delta).
-	if _, _, _, ok, _ := ns.ScanSince(epoch+1, 0, nil, nil, 0); ok {
+	if _, _, _, ok, _ := scanSince(ns, epoch+1, 0, nil, nil, 0); ok {
 		t.Fatal("wrong epoch accepted")
 	}
 	// Future watermark.
-	if _, _, _, ok, _ := ns.ScanSince(epoch, 99, nil, nil, 0); ok {
+	if _, _, _, ok, _ := scanSince(ns, epoch, 99, nil, nil, 0); ok {
 		t.Fatal("future watermark accepted")
 	}
 	// Watermark older than the retained log: overflow the apply log.
@@ -178,12 +192,12 @@ func TestScanSinceRejectsUnusableBaselines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, _, ok, _ := ns.ScanSince(epoch, 1, nil, nil, 0); ok {
+	if _, _, _, ok, _ := scanSince(ns, epoch, 1, nil, nil, 0); ok {
 		t.Fatal("pre-floor watermark accepted after apply-log overflow")
 	}
 	// A current watermark still works.
 	_, cur := ns.ApplyWatermark()
-	if _, _, _, ok, err := ns.ScanSince(epoch, cur, nil, nil, 0); !ok || err != nil {
+	if _, _, _, ok, err := scanSince(ns, epoch, cur, nil, nil, 0); !ok || err != nil {
 		t.Fatalf("current watermark rejected: ok=%v err=%v", ok, err)
 	}
 }
@@ -307,51 +321,6 @@ func TestTruncateRangePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestScanSincePagesWithByteBudget: a delta page of large values must
-// stop at the byte budget — not assemble a page past the RPC frame
-// cap — while the advancing watermark lets callers page to completion
-// exactly once per record.
-func TestScanSincePagesWithByteBudget(t *testing.T) {
-	ns := openMemNS(t)
-	epoch, wm := ns.ApplyWatermark()
-	const count, valSize = 30, 256 << 10 // ~7.5 MiB of values, budget 4 MiB
-	big := make([]byte, valSize)
-	for i := 0; i < count; i++ {
-		if _, err := ns.Put([]byte(fmt.Sprintf("big%02d", i)), big); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seen := map[string]bool{}
-	pages := 0
-	for {
-		recs, newWM, more, ok, err := ns.ScanSince(epoch, wm, nil, nil, count+10)
-		if err != nil || !ok {
-			t.Fatalf("page: ok=%v err=%v", ok, err)
-		}
-		pages++
-		bytes := 0
-		for _, r := range recs {
-			if seen[string(r.Key)] {
-				t.Fatalf("key %q served twice", r.Key)
-			}
-			seen[string(r.Key)] = true
-			bytes += r.MarshaledSize()
-		}
-		// One record of grace past the budget is allowed (checked
-		// between records); far more means the budget is not applied.
-		if bytes > scanSinceByteBudget+2*valSize {
-			t.Fatalf("page carries %d encoded bytes, budget %d", bytes, scanSinceByteBudget)
-		}
-		wm = newWM
-		if !more {
-			break
-		}
-	}
-	if len(seen) != count || pages < 2 {
-		t.Fatalf("byte-budget paging saw %d keys in %d pages", len(seen), pages)
-	}
-}
-
 // TestScanSinceOutOfRangeChurnIsTerminal pins the delta termination
 // contract: writes to *other* ranges of the namespace advance the
 // returned watermark but must report more=false once the retained log
@@ -366,7 +335,7 @@ func TestScanSinceOutOfRangeChurnIsTerminal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, newWM, more, ok, err := ns.ScanSince(epoch, wm, []byte("b"), []byte("d"), 10)
+	recs, newWM, more, ok, err := scanSince(ns, epoch, wm, []byte("b"), []byte("d"), 10)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}

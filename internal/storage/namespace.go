@@ -302,66 +302,44 @@ func (ns *Namespace) MaxVersion() uint64 {
 	return ns.maxVersion
 }
 
-// ScanSince returns the current record (tombstones included) of every
-// key in [start, end) modified after watermark `since`, up to limit
-// distinct keys, together with the new watermark covering the returned
-// changes. more reports that the page stopped at the count limit or
-// byte budget with retained log entries still beyond the watermark —
-// the caller's only reliable continuation signal: neither a short page
-// (byte budget) nor an advancing watermark (out-of-range entries also
-// advance it) distinguishes "keep paging" from "drained". ok=false
-// means the baseline is unusable — wrong epoch (the node restarted) or
-// older than the retained delta log — and the caller must restart from
-// a full snapshot. Records reference internal storage; callers that
-// retain them across writes must Clone.
-func (ns *Namespace) ScanSince(epoch, since uint64, start, end []byte, limit int) (recs []record.Record, watermark uint64, more, ok bool, err error) {
-	if limit <= 0 {
-		limit = maxApplyLog
-	}
+// ScanSince streams to fn the current record (tombstones included) of
+// every key in [start, end) modified after watermark `since`, once per
+// key, in apply order, until fn returns false or the retained log is
+// walked. It returns the watermark covering every record fn took: a
+// record fn refuses stays beyond it, so a call from the returned
+// watermark resumes there. ok=false means the baseline is unusable —
+// wrong epoch (the node restarted) or older than the retained delta log
+// — and the caller must restart from a full snapshot. As with ScanAll,
+// a record is valid only until fn returns; fn runs under the
+// namespace's read lock and must not call back into the namespace.
+func (ns *Namespace) ScanSince(epoch, since uint64, start, end []byte, fn func(record.Record) bool) (watermark uint64, ok bool, err error) {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
 	if ns.closed {
-		return nil, 0, false, false, ErrClosed
+		return 0, false, ErrClosed
 	}
 	if epoch != ns.applyEpoch || since > ns.applySeq || since < ns.applyFloor {
-		return nil, 0, false, false, nil
+		return 0, false, nil
 	}
 	bounds := keyRange{start: start, end: end}
 	watermark = since
-	bytes := 0
 	seen := make(map[string]bool)
 	for _, e := range ns.applyLog {
 		if e.seq <= since {
 			continue
 		}
-		if !bounds.contains(e.key) || seen[string(e.key)] {
-			// Nothing new to resend for this entry; the watermark still
-			// advances past it.
-			watermark = e.seq
-			continue
-		}
-		if len(recs) >= limit || bytes >= scanSinceByteBudget {
-			// Page full (by count or encoded bytes): later entries stay
-			// beyond the watermark so the next call picks them up.
-			// A full page always carries >=1 record, so the watermark
-			// strictly advances and paging always makes progress.
-			more = true
-			break
-		}
-		seen[string(e.key)] = true
-		if rec, found := ns.getLocked(e.key); found {
-			recs = append(recs, rec)
-			bytes += rec.MarshaledSize()
+		// An entry out of range, or of a key already sent, has nothing
+		// new to send; the watermark still advances past it.
+		if bounds.contains(e.key) && !seen[string(e.key)] {
+			if rec, found := ns.getLocked(e.key); found && !fn(rec) {
+				break
+			}
+			seen[string(e.key)] = true
 		}
 		watermark = e.seq
 	}
-	return recs, watermark, more, true, nil
+	return watermark, true, nil
 }
-
-// scanSinceByteBudget bounds the encoded payload of one delta page,
-// mirroring the scan/snapshot page budgets: a count limit alone would
-// let a page of large values exceed the RPC frame cap.
-const scanSinceByteBudget = 4 << 20
 
 // scan streams the last-write-wins merge of the whole stack over
 // [start, end) to fn. The memtables are copied and the tables pinned
