@@ -12,6 +12,7 @@ import (
 	"scads/internal/expgrid"
 	"scads/internal/ledger"
 	"scads/internal/migration"
+	"scads/internal/partition"
 	"scads/internal/planner"
 )
 
@@ -150,11 +151,7 @@ func (c churn) run(lc *scads.LocalCluster) expgrid.Metrics {
 	migrations := 0
 	for r := 0; r < c.rounds; r++ {
 		for i, rng := range m.Ranges() {
-			key := rng.Start
-			if key == nil {
-				key = []byte{}
-			}
-			must(lc.MoveRange(ns, key, []string{nodeIDs[(r+i)%len(nodeIDs)]}))
+			must(lc.MoveRange(ns, rng.Start, partition.Spread(r+i, nodeIDs, 1)))
 			migrations++
 		}
 		time.Sleep(2 * time.Millisecond)

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -198,12 +199,7 @@ func runE14(p expgrid.Params) (expgrid.Metrics, error) {
 			if !ok {
 				return
 			}
-			live := map[string]bool{}
-			var liveIDs []string
-			for _, mem := range lc.Directory().Up() {
-				live[mem.ID] = true
-				liveIDs = append(liveIDs, mem.ID)
-			}
+			liveIDs := lc.Directory().Up()
 			if len(liveIDs) < 2 {
 				time.Sleep(10 * time.Millisecond)
 				continue
@@ -212,21 +208,10 @@ func runE14(p expgrid.Params) (expgrid.Metrics, error) {
 				if stop.Load() {
 					return
 				}
-				skip := false
-				for _, id := range rng.Replicas {
-					if !live[id] {
-						skip = true // don't migrate ranges holding the crashed node
-					}
+				if slices.ContainsFunc(rng.Replicas, func(id string) bool { return !slices.Contains(liveIDs, id) }) {
+					continue // don't migrate ranges holding the crashed node
 				}
-				if skip {
-					continue
-				}
-				key := rng.Start
-				if key == nil {
-					key = []byte{}
-				}
-				want := []string{liveIDs[(r+i)%len(liveIDs)], liveIDs[(r+i+1)%len(liveIDs)]}
-				if err := lc.MoveRange(ns, key, want); err != nil {
+				if err := lc.MoveRange(ns, rng.Start, partition.Spread(r+i, liveIDs, 2)); err != nil {
 					migrationErrs.Add(1)
 					continue
 				}

@@ -2,8 +2,10 @@ package scads
 
 import (
 	"fmt"
+	"slices"
 
 	"scads/internal/consistency"
+	"scads/internal/partition"
 	"scads/internal/planner"
 )
 
@@ -70,48 +72,32 @@ func (c *Cluster) PlanDurability(pFailPerWindow float64) ([]DurabilityPlan, erro
 
 // EnforceDurability raises the replication factor of every
 // under-replicated namespace (per PlanDurability) by copying each
-// deficient range onto additional serving nodes. Returns the plans
-// after enforcement.
+// deficient range onto the least-loaded serving nodes outside its
+// group (Router.Spares). Returns the plans after enforcement.
 func (c *Cluster) EnforceDurability(pFailPerWindow float64) ([]DurabilityPlan, error) {
 	plans, err := c.PlanDurability(pFailPerWindow)
 	if err != nil {
 		return nil, err
 	}
+	up := c.dir.Up()
 	for i, plan := range plans {
 		if plan.Satisfied() {
 			continue
 		}
-		ns := planner.TableNamespace(plan.Table)
-		m, _ := c.router.Map(ns)
-		for _, rng := range m.Ranges() {
+		err := c.reconfigure(planner.TableNamespace(plan.Table), func(_ int, rng partition.Range) ([]string, error) {
 			deficit := plan.RequiredReplicas - len(rng.Replicas)
 			if deficit <= 0 {
-				continue
+				return rng.Replicas, nil
 			}
-			var adds []string
-			have := map[string]bool{}
-			for _, id := range rng.Replicas {
-				have[id] = true
-			}
-			for _, mem := range c.dir.Up() {
-				if len(adds) == deficit {
-					break
-				}
-				if !have[mem.ID] {
-					adds = append(adds, mem.ID)
-				}
-			}
+			adds := c.router.Spares(up, rng.Replicas)
 			if len(adds) < deficit {
-				return plans, fmt.Errorf("scads: durability for %q needs %d replicas but only %d nodes are serving",
-					plan.Table, plan.RequiredReplicas, len(c.dir.Up()))
+				return nil, fmt.Errorf("scads: durability for %q needs %d replicas but only %d nodes are serving",
+					plan.Table, plan.RequiredReplicas, len(up))
 			}
-			key := rng.Start
-			if key == nil {
-				key = []byte{}
-			}
-			if err := c.ReplicateRangeTo(ns, key, adds); err != nil {
-				return plans, err
-			}
+			return append(slices.Clone(rng.Replicas), adds[:deficit]...), nil
+		})
+		if err != nil {
+			return plans, err
 		}
 		plans[i].CurrentReplicas = plan.RequiredReplicas
 	}

@@ -2,6 +2,7 @@ package scads
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"scads/internal/planner"
@@ -53,6 +54,38 @@ namespace users { durability: 99.999%; }
 		id := fmt.Sprintf("user%04d", i)
 		if _, found, err := lc.Get("users", Row{"id": id}); err != nil || !found {
 			t.Fatalf("Get(%s) with 2 replicas dead: found=%v err=%v", id, found, err)
+		}
+	}
+}
+
+// TestEnforceDurabilityAddsLeastLoadedNodes: the added replicas are
+// the serving nodes holding the fewest ranges, even when others come
+// first by ID.
+func TestEnforceDurabilityAddsLeastLoadedNodes(t *testing.T) {
+	// Four namespaces on three nodes at RF 1, then two empty nodes.
+	lc, _ := newSocialCluster(t, 3, 1)
+	if err := lc.ApplyConsistency(`namespace users { durability: 99.999%; }`); err != nil {
+		t.Fatal(err)
+	}
+	seedUsers(t, lc.Cluster, 20)
+	lc.FlushAll()
+	for i := 0; i < 2; i++ {
+		if _, err := lc.AddStorageNode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := lc.EnforceDurability(0.01); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := lc.Router().Map(planner.TableNamespace("users"))
+	if got, want := m.Ranges()[0].Replicas, []string{"node-001", "node-004", "node-005"}; !slices.Equal(got, want) {
+		t.Fatalf("users replicas = %v, want %v", got, want)
+	}
+	lc.CrashNode("node-001")
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("user%04d", i)
+		if _, found, err := lc.Get("users", Row{"id": id}); err != nil || !found {
+			t.Fatalf("Get(%s) with the primary dead: found=%v err=%v", id, found, err)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package scads
 
 import (
 	"log"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,21 +132,12 @@ func (a *ElasticActuator) Wait() { a.wg.Wait() }
 // there.
 func (a *ElasticActuator) Release(n int) {
 	a.Wait()
-	up := a.lc.Directory().Up()
-	if len(up)-n < 1 {
-		n = len(up) - 1 // never go below one node
+	ids := a.lc.Directory().Up() // sorted: node-### sorts by creation order
+	if len(ids)-n < 1 {
+		n = len(ids) - 1 // never go below one node
 	}
-	ids := make([]string, len(up))
-	for i, m := range up {
-		ids[i] = m.ID
-	}
-	sort.Strings(ids) // node-### sorts by creation order
 	for i := 0; i < n; i++ {
-		victim := ids[len(ids)-1-i]
-		var survivors []string
-		for _, id := range ids[:len(ids)-1-i] {
-			survivors = append(survivors, id)
-		}
+		victim, survivors := ids[len(ids)-1-i], ids[:len(ids)-1-i]
 		// A repair job rebuilding one of the victim's ranges may still
 		// be in flight; decommissioning now would race its replacement
 		// choice. Repair jobs always terminate, so wait for the journal

@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"scads"
@@ -67,12 +68,7 @@ namespace accounts {
 	fmt.Printf("recovered %s\n", victim)
 
 	// --- 2. Decommission before scale-down --------------------------
-	survivors := []string{}
-	for _, mem := range cluster.Directory().Up() {
-		if mem.ID != victim {
-			survivors = append(survivors, mem.ID)
-		}
-	}
+	survivors := slices.DeleteFunc(cluster.Directory().Up(), func(id string) bool { return id == victim })
 	must(cluster.DecommissionNode(victim, survivors))
 	fmt.Printf("\ndecommissioned %s: its ranges re-replicated onto survivors;\n", victim)
 	r, _, err = cluster.Get("accounts", scads.Row{"id": "acct0007"})

@@ -180,7 +180,7 @@ func TestDirectoryLifecycle(t *testing.T) {
 	}
 
 	d.MarkDown("n2")
-	if up := d.Up(); len(up) != 1 || up[0].ID != "n1" {
+	if up := d.Up(); len(up) != 1 || up[0] != "n1" {
 		t.Fatalf("Up after MarkDown = %v", up)
 	}
 
@@ -212,7 +212,7 @@ func TestDirectoryExpireStale(t *testing.T) {
 	if len(expired) != 1 || expired[0] != "n2" {
 		t.Fatalf("expired = %v, want [n2]", expired)
 	}
-	if up := d.Up(); len(up) != 1 || up[0].ID != "n1" {
+	if up := d.Up(); len(up) != 1 || up[0] != "n1" {
 		t.Fatalf("Up after expiry = %v", up)
 	}
 	// Booting nodes are never expired.

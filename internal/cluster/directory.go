@@ -151,12 +151,12 @@ func (d *Directory) Members() []Member {
 	return out
 }
 
-// Up returns the members currently serving, sorted by ID.
-func (d *Directory) Up() []Member {
-	var out []Member
+// Up returns the IDs of the members currently serving, sorted.
+func (d *Directory) Up() []string {
+	var out []string
 	for _, m := range d.Members() {
 		if m.Status == StatusUp {
-			out = append(out, m)
+			out = append(out, m.ID)
 		}
 	}
 	return out

@@ -64,6 +64,13 @@ func TestSplitAndLookup(t *testing.T) {
 	if got := m.Lookup([]byte("m")); !bytes.Equal(got.Start, []byte("m")) {
 		t.Fatalf("Lookup(m) = %v", got)
 	}
+	// A nil key is the start of the keyspace: the first range, as an
+	// empty key is.
+	for _, key := range [][]byte{nil, {}} {
+		if got := m.Lookup(key); got.Start != nil || !bytes.Equal(got.End, []byte("m")) {
+			t.Fatalf("Lookup(%q) = %v, want the first range", key, got)
+		}
+	}
 	// Splitting at an existing boundary fails.
 	if err := m.Split([]byte("m")); err != ErrBadSplit {
 		t.Fatalf("double split = %v", err)

@@ -47,11 +47,7 @@ func TestScanParallelMatchesSequential(t *testing.T) {
 	}
 	nodes := []string{"n1", "n2", "n3"}
 	for i, rng := range m.Ranges() {
-		key := rng.Start
-		if key == nil {
-			key = []byte{}
-		}
-		m.SetReplicas(key, []string{nodes[i%3]})
+		m.SetReplicas(rng.Start, Spread(i, nodes, 1))
 	}
 	tc.router.SetMap("ns", m)
 	loadScanData(t, tc, "ns", 800)

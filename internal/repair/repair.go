@@ -521,8 +521,7 @@ func (m *Manager) demoteStale(node string) {
 				// availability arbitration).
 				continue
 			}
-			key := keyFor(rng)
-			if err := pm.CompareAndSetReplicas(key, rng.Replicas, target); err != nil {
+			if err := pm.CompareAndSetReplicas(rng.Start, rng.Replicas, target); err != nil {
 				continue // racing reconfiguration; next sweep re-derives
 			}
 			rk := rangeKey(ns, rng.Start)
@@ -586,7 +585,7 @@ func (m *Manager) failoverPass() {
 				continue
 			}
 			ordered := append(m.rankByFreshness(ns, live, probes), dead...)
-			if err := pm.CompareAndSetReplicas(keyFor(rng), rng.Replicas, ordered); err != nil {
+			if err := pm.CompareAndSetReplicas(rng.Start, rng.Replicas, ordered); err != nil {
 				continue // racing flip; re-derived next sweep
 			}
 			m.mu.Lock()
@@ -660,7 +659,7 @@ func (m *Manager) rankByFreshness(ns string, ids []string, probes map[string]uin
 // asynchronously under the parallelism bound.
 func (m *Manager) repairPass() {
 	now := m.clk.Now()
-	upTotal := len(m.dir.Up())
+	rf := min(m.rf, len(m.dir.Up()))
 	under := 0
 	for _, ns := range m.router.Namespaces() {
 		pm, ok := m.router.Map(ns)
@@ -669,10 +668,6 @@ func (m *Manager) repairPass() {
 		}
 		for _, rng := range pm.Ranges() {
 			rk := rangeKey(ns, rng.Start)
-			rf := m.rf
-			if rf > upTotal {
-				rf = upTotal
-			}
 			if rf < 1 {
 				continue
 			}
@@ -731,7 +726,7 @@ func (m *Manager) repairPass() {
 			m.jobs[rk] = true
 			m.mu.Unlock()
 			m.jobWg.Add(1)
-			go m.runJob(ns, pm, rk, keyFor(rng))
+			go m.runJob(ns, pm, rk, rng.Start)
 		}
 	}
 	m.underGauge.Store(int64(under))
@@ -813,10 +808,8 @@ func (m *Manager) reconcileTarget(ns, rk string, rng partition.Range) (target, r
 		return nil, nil
 	}
 	target = append(append([]string(nil), live...), inGrace...)
-	rf := m.rf
-	if up := len(m.dir.Up()); rf > up {
-		rf = up
-	}
+	up := m.dir.Up()
+	rf := min(m.rf, len(up))
 	for _, id := range lost {
 		if len(target) >= rf {
 			break
@@ -827,12 +820,8 @@ func (m *Manager) reconcileTarget(ns, rk string, rng partition.Range) (target, r
 		}
 	}
 	if len(target) < rf {
-		for _, id := range m.sparesByLoad(target) {
-			target = append(target, id)
-			if len(target) >= rf {
-				break
-			}
-		}
+		spares := m.router.Spares(up, target)
+		target = append(target, spares[:min(len(spares), rf-len(target))]...)
 	}
 	// A down member past its grace is dropped only when a replacement
 	// actually backfilled: if the cluster has no spare, keeping the
@@ -848,34 +837,6 @@ func (m *Manager) reconcileTarget(ns, rk string, rng partition.Range) (target, r
 		}
 	}
 	return target, rejoined
-}
-
-// sparesByLoad returns serving nodes not in exclude, least-loaded
-// first (by how many ranges they already carry across all namespaces).
-func (m *Manager) sparesByLoad(exclude []string) []string {
-	load := make(map[string]int)
-	for _, ns := range m.router.Namespaces() {
-		if pm, ok := m.router.Map(ns); ok {
-			for _, rng := range pm.Ranges() {
-				for _, id := range rng.Replicas {
-					load[id]++
-				}
-			}
-		}
-	}
-	var out []string
-	for _, mem := range m.dir.Up() {
-		if !slices.Contains(exclude, mem.ID) {
-			out = append(out, mem.ID)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if load[out[i]] != load[out[j]] {
-			return load[out[i]] < load[out[j]]
-		}
-		return out[i] < out[j]
-	})
-	return out
 }
 
 // --- helpers ---
@@ -927,11 +888,4 @@ func splitRangeKey(rk string) (ns, start string) {
 		return rk[:i], rk[i+1:]
 	}
 	return rk, ""
-}
-
-func keyFor(rng partition.Range) []byte {
-	if rng.Start == nil {
-		return []byte{}
-	}
-	return rng.Start
 }

@@ -146,24 +146,11 @@ func (lc *LocalCluster) HealReplica(id string) {
 // Writes keep flowing throughout — a write arriving during the fence
 // pause bounces, is re-routed, and lands on the new primary. This is
 // the data-movement primitive behind Rebalance, SpreadNamespace,
-// DecommissionNode and the elastic actuator.
+// DecommissionNode, EnforceDurability and the elastic actuator.
 func (c *Cluster) MoveRange(namespace string, key []byte, newReplicas []string) error {
 	m, ok := c.router.Map(namespace)
 	if !ok {
 		return fmt.Errorf("scads: no partition map for %s", namespace)
 	}
 	return c.migrations.MoveRange(m, namespace, key, newReplicas)
-}
-
-// ReplicateRangeTo adds targets as additional replicas of the range
-// containing key (used when raising the replication factor to meet a
-// durability SLA — Figure 4 row 5).
-func (c *Cluster) ReplicateRangeTo(namespace string, key []byte, targets []string) error {
-	m, ok := c.router.Map(namespace)
-	if !ok {
-		return fmt.Errorf("scads: no partition map for %s", namespace)
-	}
-	rng := m.Lookup(key)
-	newReplicas := append(append([]string(nil), rng.Replicas...), targets...)
-	return c.MoveRange(namespace, key, newReplicas)
 }

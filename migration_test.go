@@ -9,6 +9,7 @@ import (
 	"scads/internal/balancer"
 	"scads/internal/ledger"
 	"scads/internal/migration"
+	"scads/internal/partition"
 	"scads/internal/planner"
 	"scads/internal/row"
 )
@@ -117,12 +118,9 @@ func TestMigrationUnderConcurrentWritesNoLoss(t *testing.T) {
 	migrated := 0
 	for r := 0; r < migrateRounds; r++ {
 		for i, rng := range m.Ranges() {
-			key := rng.Start
-			if key == nil {
-				key = []byte{}
-			}
-			target := []string{nodeIDs[(r+i)%len(nodeIDs)]}
-			if err := lc.MoveRange(ns, key, target); err != nil {
+			// The first range moves by its nil Start: Lookup(nil) is
+			// the first range.
+			if err := lc.MoveRange(ns, rng.Start, partition.Spread(r+i, nodeIDs, 1)); err != nil {
 				t.Fatalf("migration round %d range %d: %v", r, i, err)
 			}
 			migrated++

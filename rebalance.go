@@ -1,12 +1,13 @@
 package scads
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
 
 	"scads/internal/balancer"
-	"scads/internal/cluster"
+	"scads/internal/partition"
 )
 
 // Re-exported balancer types: load-aware rebalancing plans.
@@ -25,22 +26,13 @@ type (
 // configure system parameters such as partitioning". The plan is
 // returned without being executed.
 func (c *Cluster) RebalancePlan(cfg BalanceConfig) []BalanceAction {
-	up := c.dir.Up()
-	nodeIDs := make([]string, len(up))
-	for i, m := range up {
-		nodeIDs[i] = m.ID
-	}
 	var loads []balancer.RangeLoad
 	for _, obs := range c.loads.Snapshot() {
 		m, ok := c.router.Map(obs.Namespace)
 		if !ok {
 			continue
 		}
-		start := obs.Start
-		if len(start) == 0 {
-			start = []byte{}
-		}
-		rng := m.Lookup(start)
+		rng := m.Lookup(obs.Start)
 		loads = append(loads, balancer.RangeLoad{
 			Namespace: obs.Namespace,
 			Start:     rng.Start,
@@ -49,7 +41,7 @@ func (c *Cluster) RebalancePlan(cfg BalanceConfig) []BalanceAction {
 			SplitKey:  obs.MedianKey,
 		})
 	}
-	return balancer.Plan(loads, nodeIDs, cfg)
+	return balancer.Plan(loads, c.dir.Up(), cfg)
 }
 
 // Rebalance plans against the tracked workload window and executes the
@@ -89,11 +81,7 @@ func (c *Cluster) executePlan(plan []BalanceAction) ([]BalanceAction, error) {
 			// left half — the range still containing a.Start — moves.
 			// The right half stays where the split left it and gets its
 			// own action in a later plan if it is still hot.
-			key := a.Start
-			if key == nil {
-				key = []byte{}
-			}
-			if err := c.MoveRange(a.Namespace, key, a.Target); err != nil {
+			if err := c.MoveRange(a.Namespace, a.Start, a.Target); err != nil {
 				return executed, fmt.Errorf("scads: rebalance move %s: %w", a.Namespace, err)
 			}
 		}
@@ -109,70 +97,56 @@ func (c *Cluster) LoadSnapshot() []balancer.RangeObservation {
 }
 
 // SpreadNamespace redistributes a namespace's ranges round-robin over
-// the currently serving nodes (preserving the replication factor),
-// migrating data online as needed. The director calls this after
-// adding or removing capacity so new machines actually take load —
-// the data-movement half of "scaling up and down" (§1.1). Per-range
-// migrations run concurrently, bounded by migrationParallelism.
+// the currently serving nodes (partition.Spread, preserving the
+// replication factor), migrating data online as needed. The director
+// calls this after adding or removing capacity so new machines
+// actually take load — the data-movement half of "scaling up and
+// down" (§1.1).
 func (c *Cluster) SpreadNamespace(namespace string) error {
-	m, ok := c.router.Map(namespace)
-	if !ok {
-		return fmt.Errorf("scads: no partition map for %s", namespace)
-	}
 	up := c.dir.Up()
 	if len(up) == 0 {
 		return fmt.Errorf("scads: no serving nodes")
 	}
-	ids := make([]string, len(up))
-	for i, mem := range up {
-		ids[i] = mem.ID
+	return c.reconfigure(namespace, func(i int, _ partition.Range) ([]string, error) {
+		return partition.Spread(i, up, c.cfg.ReplicationFactor), nil
+	})
+}
+
+// reconfigure is the one range loop behind SpreadNamespace,
+// DecommissionNode and EnforceDurability: it asks target for every
+// range's replica set first, so a refusal moves nothing, then migrates
+// the ranges whose set changed concurrently — the migration manager's
+// semaphore bounds how many are in flight.
+func (c *Cluster) reconfigure(namespace string, target func(i int, rng partition.Range) ([]string, error)) error {
+	m, ok := c.router.Map(namespace)
+	if !ok {
+		return fmt.Errorf("scads: no partition map for %s", namespace)
 	}
-	rf := c.cfg.ReplicationFactor
-	if rf > len(ids) {
-		rf = len(ids)
-	}
-	type move struct {
-		idx  int
-		key  []byte
-		want []string
-	}
-	var moves []move
-	for i, rng := range m.Ranges() {
-		want := make([]string, rf)
-		for j := 0; j < rf; j++ {
-			want[j] = ids[(i+j)%len(ids)]
+	ranges := m.Ranges()
+	wants := make([][]string, len(ranges))
+	for i, rng := range ranges {
+		want, err := target(i, rng)
+		if err != nil {
+			return err
 		}
-		if slices.Equal(rng.Replicas, want) {
+		wants[i] = want
+	}
+	errs := make([]error, len(ranges))
+	var wg sync.WaitGroup
+	for i, rng := range ranges {
+		if slices.Equal(rng.Replicas, wants[i]) {
 			continue
 		}
-		key := rng.Start
-		if key == nil {
-			key = []byte{}
-		}
-		moves = append(moves, move{idx: i, key: key, want: want})
-	}
-	// Distinct ranges migrate independently; the manager's semaphore
-	// bounds how many are actually in flight.
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for _, mv := range moves {
 		wg.Add(1)
-		go func(mv move) {
+		go func() {
 			defer wg.Done()
-			if err := c.MoveRange(namespace, mv.key, mv.want); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("scads: spread %s range %d: %w", namespace, mv.idx, err)
-				}
-				errMu.Unlock()
+			if err := c.MoveRange(namespace, rng.Start, wants[i]); err != nil {
+				errs[i] = fmt.Errorf("scads: move %s range %d: %w", namespace, i, err)
 			}
-		}(mv)
+		}()
 	}
 	wg.Wait()
-	return firstErr
+	return errors.Join(errs...)
 }
 
 // SpreadAll runs SpreadNamespace over every namespace with a partition
@@ -187,70 +161,34 @@ func (c *Cluster) SpreadAll() error {
 }
 
 // DecommissionNode removes a (possibly dead) node from every replica
-// group, re-replicating each affected range onto the first candidate
-// not already in the group via online migration from the surviving
-// replicas, so this is the recovery path after a crash as well as the
-// scale-down path before terminating an instance.
+// group, replacing it with the least-loaded serving candidate not
+// already in the group (Router.Spares) via online migration from the
+// surviving replicas, so this is the recovery path after a crash as
+// well as the scale-down path before terminating an instance. With no
+// such candidate the group shrinks.
 func (c *Cluster) DecommissionNode(nodeID string, candidates []string) error {
+	up := c.dir.Up()
+	pool := slices.DeleteFunc(slices.Clone(candidates), func(id string) bool { return !slices.Contains(up, id) })
 	for _, ns := range c.router.Namespaces() {
-		m, ok := c.router.Map(ns)
-		if !ok {
-			continue
-		}
-		for _, rng := range m.Ranges() {
-			idx := -1
-			for i, id := range rng.Replicas {
-				if id == nodeID {
-					idx = i
-					break
-				}
-			}
+		err := c.reconfigure(ns, func(_ int, rng partition.Range) ([]string, error) {
+			idx := slices.Index(rng.Replicas, nodeID)
 			if idx < 0 {
-				continue
+				return rng.Replicas, nil
 			}
-			replacement, err := pickReplacement(rng.Replicas, candidates, c.dir)
-			if err != nil {
-				return fmt.Errorf("scads: decommission %s from %s: %w", nodeID, ns, err)
+			want := slices.Clone(rng.Replicas)
+			if spares := c.router.Spares(pool, want); len(spares) > 0 {
+				want[idx] = spares[0]
+				return want, nil
 			}
-			want := append([]string(nil), rng.Replicas...)
-			if replacement == "" {
-				// No candidate: shrink the group (still ≥1 survivor).
-				want = append(want[:idx], want[idx+1:]...)
-				if len(want) == 0 {
-					return fmt.Errorf("scads: decommission %s would leave %s with no replicas", nodeID, ns)
-				}
-			} else {
-				want[idx] = replacement
+			if len(want) == 1 {
+				return nil, fmt.Errorf("scads: decommission %s would leave %s with no replicas", nodeID, ns)
 			}
-			key := rng.Start
-			if key == nil {
-				key = []byte{}
-			}
-			if err := c.MoveRange(ns, key, want); err != nil {
-				return err
-			}
+			return slices.Delete(want, idx, idx+1), nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	c.dir.MarkDown(nodeID)
 	return nil
-}
-
-// pickReplacement returns the first serving candidate not already in
-// the replica group ("" when none qualifies).
-func pickReplacement(current, candidates []string, dir *cluster.Directory) (string, error) {
-	in := make(map[string]bool, len(current))
-	for _, id := range current {
-		in[id] = true
-	}
-	for _, cand := range candidates {
-		if in[cand] {
-			continue
-		}
-		m, ok := dir.Get(cand)
-		if !ok || m.Status != cluster.StatusUp {
-			continue
-		}
-		return cand, nil
-	}
-	return "", nil
 }

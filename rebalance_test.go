@@ -2,6 +2,8 @@ package scads
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"scads/internal/planner"
@@ -126,5 +128,124 @@ func TestSpreadAllCoversIndexNamespaces(t *testing.T) {
 	rows, err := lc.Query("friendsWithUpcomingBirthdays", map[string]any{"user": "alice"})
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("view after SpreadAll: %v %v", rows, err)
+	}
+}
+
+// layout renders every namespace's replica sets in keyspace order.
+func layout(lc *LocalCluster) string {
+	var b strings.Builder
+	nss := lc.Router().Namespaces()
+	slices.Sort(nss)
+	for _, ns := range nss {
+		m, _ := lc.Router().Map(ns)
+		b.WriteString(ns + ":")
+		for _, rng := range m.Ranges() {
+			fmt.Fprintf(&b, " %v", rng.Replicas)
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// TestSpreadLayoutsArePinned pins where DefineSchema, then SplitTable
+// and SpreadAll put every range, for the (nodes, RF) shapes the
+// benchmark and the grid boot: their setups depend on these layouts.
+func TestSpreadLayoutsArePinned(t *testing.T) {
+	for _, tc := range []struct {
+		nodes, rf      int
+		define, spread string
+	}{
+		{2, 1, `
+idx.rev_friendships_f2: [node-002]
+idx.view_friendsWithUpcomingBirthdays: [node-001]
+tbl.friendships: [node-002]
+tbl.users: [node-001]
+`, `
+idx.rev_friendships_f2: [node-001]
+idx.view_friendsWithUpcomingBirthdays: [node-001]
+tbl.friendships: [node-001] [node-002]
+tbl.users: [node-001] [node-002] [node-001] [node-002]
+`},
+		{2, 2, `
+idx.rev_friendships_f2: [node-002 node-001]
+idx.view_friendsWithUpcomingBirthdays: [node-001 node-002]
+tbl.friendships: [node-002 node-001]
+tbl.users: [node-001 node-002]
+`, `
+idx.rev_friendships_f2: [node-001 node-002]
+idx.view_friendsWithUpcomingBirthdays: [node-001 node-002]
+tbl.friendships: [node-001 node-002] [node-002 node-001]
+tbl.users: [node-001 node-002] [node-002 node-001] [node-001 node-002] [node-002 node-001]
+`},
+		{4, 2, `
+idx.rev_friendships_f2: [node-004 node-001]
+idx.view_friendsWithUpcomingBirthdays: [node-003 node-004]
+tbl.friendships: [node-002 node-003]
+tbl.users: [node-001 node-002]
+`, `
+idx.rev_friendships_f2: [node-001 node-002]
+idx.view_friendsWithUpcomingBirthdays: [node-001 node-002]
+tbl.friendships: [node-001 node-002] [node-002 node-003]
+tbl.users: [node-001 node-002] [node-002 node-003] [node-003 node-004] [node-004 node-001]
+`},
+		{5, 3, `
+idx.rev_friendships_f2: [node-004 node-005 node-001]
+idx.view_friendsWithUpcomingBirthdays: [node-003 node-004 node-005]
+tbl.friendships: [node-002 node-003 node-004]
+tbl.users: [node-001 node-002 node-003]
+`, `
+idx.rev_friendships_f2: [node-001 node-002 node-003]
+idx.view_friendsWithUpcomingBirthdays: [node-001 node-002 node-003]
+tbl.friendships: [node-001 node-002 node-003] [node-002 node-003 node-004]
+tbl.users: [node-001 node-002 node-003] [node-002 node-003 node-004] [node-003 node-004 node-005] [node-004 node-005 node-001]
+`},
+	} {
+		lc, _ := newSocialCluster(t, tc.nodes, tc.rf)
+		if got := layout(lc); got != tc.define[1:] {
+			t.Errorf("(%d nodes, RF %d) after DefineSchema:\n%swant:\n%s", tc.nodes, tc.rf, got, tc.define[1:])
+		}
+		if err := lc.SplitTable("users", "user0010", "user0020", "user0030"); err != nil {
+			t.Fatal(err)
+		}
+		if err := lc.SplitTable("friendships", "user0020"); err != nil {
+			t.Fatal(err)
+		}
+		if err := lc.SpreadAll(); err != nil {
+			t.Fatal(err)
+		}
+		if got := layout(lc); got != tc.spread[1:] {
+			t.Errorf("(%d nodes, RF %d) after SpreadAll:\n%swant:\n%s", tc.nodes, tc.rf, got, tc.spread[1:])
+		}
+	}
+}
+
+// TestDecommissionPicksLeastLoadedCandidate: the replacement is the
+// serving candidate holding the fewest ranges, even when a loaded one
+// is listed first.
+func TestDecommissionPicksLeastLoadedCandidate(t *testing.T) {
+	// Four namespaces on four nodes at RF 1: one range each.
+	lc, _ := newSocialCluster(t, 4, 1)
+	seedUsers(t, lc.Cluster, 20)
+	lc.FlushAll()
+	fresh, err := lc.AddStorageNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := lc.Router().Map(planner.TableNamespace("users"))
+	if got := m.Ranges()[0].Replicas; !slices.Equal(got, []string{"node-001"}) {
+		t.Fatalf("users on %v, want [node-001]", got)
+	}
+	// node-002 holds friendships; the fresh node holds nothing.
+	if err := lc.DecommissionNode("node-001", []string{"node-002", fresh}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Ranges()[0].Replicas; !slices.Equal(got, []string{fresh}) {
+		t.Fatalf("users moved to %v, want [%s]", got, fresh)
+	}
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("user%04d", i)
+		if _, found, err := lc.Get("users", Row{"id": id}); err != nil || !found {
+			t.Fatalf("Get(%s) after decommission: found=%v err=%v", id, found, err)
+		}
 	}
 }

@@ -243,11 +243,7 @@ func TestScanDuringMigrationHammer(t *testing.T) {
 	deadline := time.Now().Add(20 * time.Second)
 	for r := 0; scans.Load() < 30 && time.Now().Before(deadline); r++ {
 		for i, rng := range m.Ranges() {
-			key := rng.Start
-			if key == nil {
-				key = []byte{}
-			}
-			if err := lc.MoveRange(ns, key, []string{nodeIDs[(r+i)%len(nodeIDs)]}); err != nil {
+			if err := lc.MoveRange(ns, rng.Start, partition.Spread(r+i, nodeIDs, 1)); err != nil {
 				t.Errorf("migration round %d range %d: %v", r, i, err)
 			}
 			migrations++

@@ -40,10 +40,6 @@ func (c *Cluster) DefineSchema(ddl string) error {
 	if len(up) == 0 {
 		return fmt.Errorf("scads: no serving nodes to place namespaces on")
 	}
-	nodeIDs := make([]string, len(up))
-	for i, m := range up {
-		nodeIDs[i] = m.ID
-	}
 	namespaces := make([]string, 0, len(schema.TableOrder)+len(plans.Indexes))
 	tableNS := make(map[string]string, len(schema.TableOrder))
 	for _, t := range schema.TableOrder {
@@ -56,19 +52,11 @@ func (c *Cluster) DefineSchema(ddl string) error {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rf := c.cfg.ReplicationFactor
-	if rf > len(nodeIDs) {
-		rf = len(nodeIDs)
-	}
 	for i, ns := range namespaces {
 		if _, exists := c.router.Map(ns); exists {
 			continue
 		}
-		replicas := make([]string, rf)
-		for j := 0; j < rf; j++ {
-			replicas[j] = nodeIDs[(i+j)%len(nodeIDs)]
-		}
-		m, err := partition.NewMap(replicas)
+		m, err := partition.NewMap(partition.Spread(i, up, c.cfg.ReplicationFactor))
 		if err != nil {
 			return err
 		}
