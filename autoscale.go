@@ -20,8 +20,8 @@ import (
 // LocalCluster. The loop itself is sim.Run — trace, synthetic
 // telemetry, SLA monitor, director, boot-delay fleet, all on a virtual
 // clock — and a scenario is one of its configurations; what this file
-// adds is the data plane behind it. Every tick the cluster is resized
-// to the simulated fleet through ElasticActuator, so every scale
+// adds is the data plane behind it. Every tick LocalCluster.Resize
+// sets the cluster to the simulated fleet's size, so every scale
 // action moves real data through the lossless migration path
 // (AddStorageNode/SpreadAll/DecommissionNode), while a background
 // writer hammers acknowledged writes throughout. The run proves the
@@ -118,8 +118,8 @@ type ElasticResult struct {
 }
 
 // RunElasticScenario executes one autoscaling scenario end to end and
-// returns its metrics. It is an error for the actuator to fail a
-// scale action; lost or corrupted acked writes are reported in the
+// returns its metrics. It is an error for Resize to fail a scale
+// action; lost or corrupted acked writes are reported in the
 // result, not as an error, so callers can gate on them explicitly.
 func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 	var res ElasticResult
@@ -157,17 +157,6 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 	}
 	if err := lc.SpreadAll(); err != nil {
 		return res, err
-	}
-
-	var (
-		actMu   sync.Mutex
-		actErrs []error
-	)
-	act := NewElasticActuator(lc)
-	act.OnError = func(err error) {
-		actMu.Lock()
-		actErrs = append(actErrs, err)
-		actMu.Unlock()
 	}
 
 	// Two real-op drivers share one ledger: a synchronous per-tick
@@ -217,6 +206,7 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 	}()
 	syncRnd := rand.New(rand.NewSource(sc.Seed + 1))
 	var syncRound int64
+	var resizeErrs []error
 
 	cfg := sc.Config
 	// The loop spends its first BootDelay booting the seed fleet; the
@@ -230,11 +220,8 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 		// and takes its share of every namespace, released nodes drain
 		// to the survivors. Settled before the tick's telemetry, so the
 		// fleet size a tick is served with is deterministic.
-		if grow := running - act.Running(); grow > 0 {
-			act.Request(grow)
-			act.Wait()
-		} else if grow < 0 {
-			act.Release(-grow)
+		if err := lc.Resize(running); err != nil {
+			resizeErrs = append(resizeErrs, err)
 		}
 		for i := 0; i < elasticOpsPerTick; i++ {
 			syncRound++
@@ -259,9 +246,7 @@ func RunElasticScenario(sc ElasticScenario) (ElasticResult, error) {
 	})
 	res.LostWrites, res.CorruptReads = loss.Lost, loss.Corrupted
 
-	actMu.Lock()
-	defer actMu.Unlock()
-	return res, errors.Join(actErrs...)
+	return res, errors.Join(resizeErrs...)
 }
 
 // elasticStart is 8am: the scenarios ride the diurnal rising edge

@@ -2,20 +2,21 @@ package scads
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"scads/internal/clock"
+	"scads/internal/cloudsim"
 	"scads/internal/director"
 	"scads/internal/migration"
 	"scads/internal/repair"
 )
 
-func TestElasticActuatorGrowsAndShrinksRealCluster(t *testing.T) {
-	vc := clock.NewVirtual(t0)
-	lc, err := NewLocalCluster(2, Config{Clock: vc, ReplicationFactor: 2})
+func TestResizeGrowsAndShrinksRealCluster(t *testing.T) {
+	lc, err := NewLocalCluster(2, Config{Clock: clock.NewVirtual(t0), ReplicationFactor: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,28 +32,21 @@ func TestElasticActuatorGrowsAndShrinksRealCluster(t *testing.T) {
 	if err := lc.SplitTable("users", "user0020", "user0040"); err != nil {
 		t.Fatal(err)
 	}
-
-	act := NewElasticActuator(lc)
-	act.OnError = func(err error) { t.Fatalf("actuator: %v", err) }
-	d := director.New(vc, act, director.Config{
-		SLALatency: 100 * time.Millisecond,
-		Policy:     director.Reactive,
-		MinServers: 2,
-	})
-
-	if act.Running() != 2 {
-		t.Fatalf("running = %d", act.Running())
+	readAll := func(phase string) {
+		t.Helper()
+		for i := 0; i < 60; i++ {
+			id := fmt.Sprintf("user%04d", i)
+			if _, found, err := lc.Get("users", Row{"id": id}); err != nil || !found {
+				t.Fatalf("Get(%s) after %s: found=%v err=%v", id, phase, found, err)
+			}
+		}
 	}
 
-	// Violation: the reactive policy must add a real node. Request is
-	// asynchronous; Wait blocks until the boot and the spread settle.
-	d.Step(director.Observation{Rate: 5000, Latency: time.Second, SuccessRate: 90, SLAMet: false})
-	act.Wait()
-	if act.Running() != 3 {
-		t.Fatalf("running after violation = %d", act.Running())
+	if err := lc.Resize(3); err != nil {
+		t.Fatal(err)
 	}
-	if act.Booting() != 0 {
-		t.Fatalf("booting after settle = %d", act.Booting())
+	if up := lc.Directory().Up(); len(up) != 3 {
+		t.Fatalf("serving after grow = %v", up)
 	}
 	// The new node actually carries ranges after the spread.
 	usedNodes := map[string]bool{}
@@ -65,98 +59,32 @@ func TestElasticActuatorGrowsAndShrinksRealCluster(t *testing.T) {
 	if len(usedNodes) != 3 {
 		t.Fatalf("only %d nodes carry data after grow: %v", len(usedNodes), usedNodes)
 	}
-	// All data still readable after the migration.
-	for i := 0; i < 60; i++ {
-		id := fmt.Sprintf("user%04d", i)
-		if _, found, err := lc.Get("users", Row{"id": id}); err != nil || !found {
-			t.Fatalf("Get(%s) after grow: found=%v err=%v", id, found, err)
-		}
-	}
+	readAll("grow")
 
-	// Deep underload: the director eventually shrinks back, draining
-	// the released node's data to survivors first.
-	vc.Advance(2 * time.Minute)
-	d.Step(director.Observation{Rate: 1, Latency: time.Millisecond, SuccessRate: 100, SLAMet: true})
-	if act.Running() != 2 {
-		t.Fatalf("running after shrink = %d", act.Running())
+	// Shrinking drains the newest node to the survivors and forgets it.
+	if err := lc.Resize(2); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 60; i++ {
-		id := fmt.Sprintf("user%04d", i)
-		if _, found, err := lc.Get("users", Row{"id": id}); err != nil || !found {
-			t.Fatalf("Get(%s) after shrink: found=%v err=%v", id, found, err)
-		}
+	if up := lc.Directory().Up(); !slices.Equal(up, []string{"node-001", "node-002"}) {
+		t.Fatalf("serving after shrink = %v, want the newest node gone", up)
 	}
+	if _, ok := lc.Directory().Get("node-003"); ok {
+		t.Fatal("released node still in the directory")
+	}
+	readAll("shrink")
 	// Writes still work after both transitions.
 	if err := lc.Insert("users", Row{"id": "after", "name": "A", "birthday": 9}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestBootingPreventsDoubleProvision pins the Actuator contract the
-// director sizes against: while a Request is in flight its instances
-// count as booting, so a control step during the boot window must not
-// request capacity again (the repair-storm double-provision bug —
-// Booting used to be hardcoded to 0).
-func TestBootingPreventsDoubleProvision(t *testing.T) {
-	vc := clock.NewVirtual(t0)
-	lc, err := NewLocalCluster(2, Config{Clock: vc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	if err := lc.DefineSchema(socialDDL); err != nil {
-		t.Fatal(err)
-	}
-
-	act := NewElasticActuator(lc)
-	act.OnError = func(err error) { t.Errorf("actuator: %v", err) }
-	// Hold the requested nodes in the booting state until released.
-	hold := make(chan struct{})
-	booting := make(chan int, 1)
-	act.testHookBooting = func() {
-		booting <- act.Booting()
-		<-hold
-	}
-	d := director.New(vc, act, director.Config{
-		SLALatency: 100 * time.Millisecond,
-		Policy:     director.Reactive,
-		MinServers: 2,
-	})
-
-	violation := director.Observation{Rate: 5000, Latency: time.Second, SuccessRate: 90, SLAMet: false}
-	dec := d.Step(violation)
-	if dec.Added != 1 {
-		t.Fatalf("first step added %d, want 1", dec.Added)
-	}
-	if got := <-booting; got != 1 {
-		t.Fatalf("Booting during request = %d, want 1", got)
-	}
-
-	// A second violation step while the first request is still booting:
-	// running(2) + booting(1) covers the target(3), so the director
-	// must not double-provision.
-	dec = d.Step(violation)
-	if dec.Added != 0 {
-		t.Fatalf("second step double-provisioned: added %d, booting %d", dec.Added, dec.Booting)
-	}
-	if dec.Booting != 1 {
-		t.Fatalf("director observed booting = %d, want 1", dec.Booting)
-	}
-
-	close(hold)
-	act.Wait()
-	if act.Running() != 3 || act.Booting() != 0 {
-		t.Fatalf("after settle: running=%d booting=%d, want 3/0", act.Running(), act.Booting())
-	}
-}
-
-// TestReleaseBlockedWhileRepairInFlight pins the decommission/repair
-// interlock: a scale-down may not tear a node out while a repair job
-// is still re-replicating a range onto (or off) it — the repair's flip
-// would land on an unregistered node and strand the range. The repair
-// migration is held at its snapshot phase on a channel, so the
-// ordering is forced, not timed.
-func TestReleaseBlockedWhileRepairInFlight(t *testing.T) {
+// TestDecommissionWaitsForInFlightRepair pins the decommission/repair
+// exclusion: a direct DecommissionNode may not move data while a
+// repair job is re-replicating a range onto the victim — the repair's
+// flip would land on a drained node. The repair migration is held at
+// its snapshot phase on a channel, so the ordering is forced, not
+// timed; only the check that the decommission stays put is a wait.
+func TestDecommissionWaitsForInFlightRepair(t *testing.T) {
 	lc, err := NewLocalCluster(3, Config{
 		ReplicationFactor: 2,
 		Repair: repair.Config{
@@ -184,8 +112,12 @@ func TestReleaseBlockedWhileRepairInFlight(t *testing.T) {
 	}
 
 	// Hold the first migration that enters its snapshot phase after
-	// arming — that will be the repair's re-replication.
-	var armed atomic.Bool
+	// arming — that will be the repair's re-replication. While it is
+	// held, a phase whose target drops the victim is the
+	// decommission's, and none may start.
+	const victim = "node-003"
+	var armed, watching atomic.Bool
+	var early atomic.Int64
 	gate := make(chan struct{})
 	blocked := make(chan struct{}, 1)
 	lc.Migrations().OnPhase = func(ev migration.Event) {
@@ -193,70 +125,69 @@ func TestReleaseBlockedWhileRepairInFlight(t *testing.T) {
 			blocked <- struct{}{}
 			<-gate
 		}
+		if watching.Load() && len(ev.Target) > 0 && !slices.Contains(ev.Target, victim) {
+			early.Add(1)
+		}
 	}
 
 	// Crash a middle node: every degraded range repairs onto the only
-	// spare — node-003, exactly the node Release will pick as victim.
+	// spare, node-003 — the victim.
 	lc.CrashNode("node-002")
 	armed.Store(true)
 	// Sweep until the replacement grace elapses and a re-replication
 	// job reaches its (held) snapshot phase; the deadline only bounds
 	// test failure, the ordering comes from the channel.
 	deadline := time.Now().Add(10 * time.Second)
-	for held := false; !held; {
+	for waiting := true; waiting; {
 		lc.RepairNow()
 		select {
 		case <-blocked:
-			held = true
+			waiting = false
 		case <-time.After(5 * time.Millisecond):
 			if time.Now().After(deadline) {
 				t.Fatalf("repair never scheduled: %+v", lc.RepairStats())
 			}
 		}
 	}
-
-	act := NewElasticActuator(lc)
-	act.OnError = func(err error) { t.Errorf("actuator: %v", err) }
-	waiting := make(chan string, 1)
-	act.testHookReleaseWaiting = func(victim string) { waiting <- victim }
-
-	released := make(chan struct{})
-	go func() {
-		defer close(released)
-		act.Release(1)
-	}()
-
-	// Release observed the in-flight repair and is waiting — only then
-	// let the repair finish.
-	if victim := <-waiting; victim != "node-003" {
-		t.Errorf("release waited on %q, want node-003", victim)
+	// Let the other degraded ranges finish repairing, so the held job
+	// is the only one in flight.
+	for lc.RepairStats().PendingJobs > 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("other repairs never drained: %+v", lc.RepairStats())
+		}
+		time.Sleep(time.Millisecond)
 	}
+
+	survivors := slices.DeleteFunc(lc.Directory().Up(), func(id string) bool { return id == victim })
+	done := make(chan error, 1)
+	watching.Store(true)
+	go func() { done <- lc.DecommissionNode(victim, survivors) }()
 	select {
-	case <-released:
-		t.Fatal("Release completed while the repair was still in flight")
-	default:
+	case err := <-done:
+		close(gate)
+		t.Fatalf("DecommissionNode returned (%v) while the repair was in flight", err)
+	case <-time.After(100 * time.Millisecond):
 	}
+	watching.Store(false)
 	close(gate)
-	<-released
+	if n := early.Load(); n > 0 {
+		t.Fatalf("%d decommission migration phases started while the repair was in flight", n)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 
-	// The repair completed before the decommission: nothing failed, and
-	// every range is routed to live, registered nodes only.
 	if !lc.Repairs().Quiesce(10 * time.Second) {
 		t.Fatal("repairs never drained")
 	}
 	if st := lc.RepairStats(); st.RepairsFailed != 0 {
-		t.Fatalf("repairs failed during scale-down: %+v", st)
-	}
-	if _, ok := lc.Node("node-003"); !ok {
-		t.Fatal("victim node handle missing")
+		t.Fatalf("repairs failed during decommission: %+v", st)
 	}
 	for _, ns := range lc.Router().Namespaces() {
 		m, _ := lc.Router().Map(ns)
 		for _, rng := range m.Ranges() {
-			for _, id := range rng.Replicas {
-				if id == "node-003" {
-					t.Fatalf("range %q still routed to decommissioned node: %v", rng.Start, rng.Replicas)
-				}
+			if slices.Contains(rng.Replicas, victim) {
+				t.Fatalf("range %q still routed to decommissioned node: %v", rng.Start, rng.Replicas)
 			}
 		}
 	}
@@ -269,9 +200,8 @@ func TestReleaseBlockedWhileRepairInFlight(t *testing.T) {
 	}
 }
 
-func TestElasticActuatorNeverBelowOneNode(t *testing.T) {
-	vc := clock.NewVirtual(t0)
-	lc, err := NewLocalCluster(2, Config{Clock: vc})
+func TestResizeNeverBelowOneNode(t *testing.T) {
+	lc, err := NewLocalCluster(2, Config{Clock: clock.NewVirtual(t0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,10 +209,11 @@ func TestElasticActuatorNeverBelowOneNode(t *testing.T) {
 	if err := lc.DefineSchema(socialDDL); err != nil {
 		t.Fatal(err)
 	}
-	act := NewElasticActuator(lc)
-	act.Release(10)
-	if act.Running() != 1 {
-		t.Fatalf("running = %d, want floor of 1", act.Running())
+	if err := lc.Resize(-10); err != nil {
+		t.Fatal(err)
+	}
+	if up := lc.Directory().Up(); len(up) != 1 {
+		t.Fatalf("serving = %v, want the floor of one node", up)
 	}
 }
 
@@ -310,8 +241,8 @@ func TestObserveFeedsDirector(t *testing.T) {
 	lc, _ := partitionedCluster(t, "read-consistency > availability")
 	lc.Get("users", Row{"id": "a"})
 
-	act := NewElasticActuator(lc)
-	d := director.New(lc.Clock(), act, director.Config{
+	cloud := cloudsim.New(lc.Clock(), cloudsim.Options{})
+	d := director.New(lc.Clock(), cloud, director.Config{
 		SLALatency: 100 * time.Millisecond,
 		Policy:     director.Reactive,
 	})

@@ -94,7 +94,7 @@ namespace accounts {
 		obs.Rate, 99.9, obs.Latency.Round(time.Microsecond), obs.SuccessRate, obs.SLAMet)
 	fmt.Printf("replication at risk: %d, contentions: %d\n",
 		obs.ReplicationAtRisk, obs.Contentions)
-	fmt.Println("\n(the director feeds this into its capacity model + forecast and")
-	fmt.Println("requests/releases nodes through the ElasticActuator — see")
-	fmt.Println("examples/autoscale for that loop riding a viral ramp)")
+	fmt.Println("\n(the director feeds this into its capacity model + forecast, and")
+	fmt.Println("scads.RunElasticScenario resizes a real cluster to its fleet every")
+	fmt.Println("tick — experiment e16)")
 }

@@ -41,9 +41,9 @@ func (p Policy) String() string {
 }
 
 // Actuator is the director's lever on cluster size. The simulated
-// cloud (cloudsim.Cloud) implements it, as does the root package's
-// ElasticActuator over real storage nodes; a production deployment
-// would call a cloud API.
+// cloud (cloudsim.Cloud) implements it; a real cluster follows that
+// fleet through the root package's LocalCluster.Resize, and a
+// production deployment would call a cloud API.
 type Actuator interface {
 	// Running returns the number of serving instances.
 	Running() int

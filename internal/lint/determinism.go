@@ -28,7 +28,7 @@ var forbiddenTimeFuncs = map[string]bool{
 // NewDeterminism builds the determinism analyzer. packages are the
 // import paths checked in full; files are additional "pkgpath:base"
 // entries for individual files of otherwise-unscoped packages (the
-// root package's elastic actuator, elastic.go).
+// root package's elastic.go, which holds LocalCluster.Resize).
 //
 // Suppression keys: "wallclock" for time/randomness findings
 // (the sanctioned real-clock adapter and deliberately wall-clock data

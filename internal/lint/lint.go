@@ -6,9 +6,8 @@ import "scads/internal/lint/analysis"
 // outputs the e16 gate requires to be bit-identical across runs (the
 // elastic control plane runs entirely on the virtual clock), plus the
 // root-package file that resizes a real cluster on that loop's behalf
-// (the elastic actuator: which nodes it releases must not depend on
-// map order, and its one deliberate wall-clock wait carries a reasoned
-// suppression).
+// (LocalCluster.Resize: which nodes it releases must not depend on map
+// order or the wall clock).
 var (
 	DeterminismPackages = []string{
 		"scads/internal/director",

@@ -12,8 +12,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestDeterminismFileScope checks the "pkgpath:basename" scoping used
-// for the root package's elastic actuator file: only scoped.go
-// is examined.
+// for the root package's elastic.go: only scoped.go is examined.
 func TestDeterminismFileScope(t *testing.T) {
 	analysistest.Run(t, NewDeterminism(nil, []string{"determfiles:scoped.go"}), "determfiles")
 }

@@ -167,8 +167,12 @@ type Manager struct {
 	lost       map[string]map[string]bool // range key -> former members preferred for rejoin
 	underSince map[string]time.Time       // range key -> first observed degraded
 	jobs       map[string]bool            // range key -> repair job in flight
-	jobTargets map[string][]string        // range key -> chosen target replica set
 	unavail    map[string]bool            // ranges currently without any live replica
+
+	// moveMu keeps repair jobs and planned moves apart: a job holds it
+	// shared while it picks its target and moves data, Pause holds it
+	// exclusively.
+	moveMu sync.RWMutex
 
 	runMu  sync.Mutex
 	stopCh chan struct{}
@@ -212,7 +216,6 @@ func NewManager(cfg Config, clk clock.Clock, dir *cluster.Directory, transport r
 		lost:       make(map[string]map[string]bool),
 		underSince: make(map[string]time.Time),
 		jobs:       make(map[string]bool),
-		jobTargets: make(map[string][]string),
 		unavail:    make(map[string]bool),
 		sem:        make(chan struct{}, repairParallelism),
 	}
@@ -307,32 +310,14 @@ func (m *Manager) Quiesce(timeout time.Duration) bool {
 	}
 }
 
-// RangeInFlight reports whether a repair job for the range of ns
-// starting at start is journaled as in flight. The elastic actuator
-// consults it before decommissioning: tearing a replica group apart
-// while a repair is rebuilding that same range would race the repair's
-// replacement choice.
-func (m *Manager) RangeInFlight(ns string, start []byte) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.jobs[rangeKey(ns, start)]
-}
-
-// InFlightOn reports whether any journaled repair job has chosen node
-// in its target replica set — the window in which the partition map
-// does not yet name the node but repair data is already flowing onto
-// it. Decommissioning the node then would strand the repair's flip.
-func (m *Manager) InFlightOn(node string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, target := range m.jobTargets {
-		for _, id := range target {
-			if id == node {
-				return true
-			}
-		}
-	}
-	return false
+// Pause runs fn while no repair job moves data: it waits for the jobs
+// in flight to finish, and a job scheduled meanwhile waits for fn to
+// return. Planned moves (decommission, spread, durability, rebalance)
+// run inside it, so they never race a repair's choice of target.
+func (m *Manager) Pause(fn func() error) error {
+	m.moveMu.Lock()
+	defer m.moveMu.Unlock()
+	return fn()
 }
 
 // Stats returns a snapshot of repair counters.
@@ -735,15 +720,17 @@ func (m *Manager) repairPass() {
 // runJob executes one journaled repair: it re-derives the target
 // replica set from current state (so a node that returned since the
 // job was scheduled re-targets the repair at itself — the rejoin path)
-// and moves the range through the migration manager.
+// and moves the range through the migration manager, both outside any
+// Pause.
 func (m *Manager) runJob(ns string, pm *partition.Map, rk string, key []byte) {
 	defer m.jobWg.Done()
 	m.sem <- struct{}{}
 	defer func() { <-m.sem }()
+	m.moveMu.RLock()
+	defer m.moveMu.RUnlock()
 	defer func() {
 		m.mu.Lock()
 		delete(m.jobs, rk)
-		delete(m.jobTargets, rk)
 		m.mu.Unlock()
 	}()
 
@@ -752,9 +739,6 @@ func (m *Manager) runJob(ns string, pm *partition.Map, rk string, key []byte) {
 	if target == nil || slices.Equal(target, rng.Replicas) {
 		return
 	}
-	m.mu.Lock()
-	m.jobTargets[rk] = target
-	m.mu.Unlock()
 	m.repairsStarted.Add(1)
 	m.emit(Event{Kind: EventRepairStart, Namespace: ns, Start: rng.Start, End: rng.End, Replicas: target})
 	if err := m.migrations.MoveRange(pm, ns, key, target); err != nil {

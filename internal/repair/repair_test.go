@@ -2,8 +2,10 @@ package repair_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -582,5 +584,81 @@ func TestDescribeRendersState(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Describe missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestPauseExcludesRepairJobs: Pause waits for a repair job that is
+// moving data, and a job scheduled while fn runs moves nothing until
+// fn returns.
+func TestPauseExcludesRepairJobs(t *testing.T) {
+	f := newFixture(t, 4, 2, repair.Config{
+		HeartbeatTimeout: 10 * time.Second,
+		ReplaceAfter:     time.Second,
+	})
+	f.put("a", 100, "n1", "n2")
+
+	var armed atomic.Bool
+	gate := make(chan struct{})
+	snapshots := make(chan []string, 4)
+	f.mig.OnPhase = func(ev migration.Event) {
+		if ev.Phase != migration.PhaseSnapshot {
+			return
+		}
+		snapshots <- ev.Target
+		if armed.CompareAndSwap(true, false) {
+			<-gate
+		}
+	}
+
+	// n2 dies; past the grace its replacement job starts and is held
+	// in its snapshot phase.
+	f.crash("n2")
+	f.dir.MarkDown("n2")
+	f.mgr.Sweep()
+	f.clk.Advance(2 * time.Second)
+	armed.Store(true)
+	f.mgr.Sweep()
+	<-snapshots
+
+	entered := make(chan struct{})
+	paused := make(chan error, 1)
+	go func() {
+		paused <- f.mgr.Pause(func() error {
+			close(entered)
+			if got := f.replicas(); !slices.Equal(got, []string{"n1", "n3"}) {
+				return fmt.Errorf("replicas inside Pause = %v, want the held repair done: [n1 n3]", got)
+			}
+			// n3 dies too: past the grace a job is journaled, but it
+			// must not move data until fn returns.
+			f.crash("n3")
+			f.dir.MarkDown("n3")
+			f.mgr.Sweep()
+			f.clk.Advance(2 * time.Second)
+			f.mgr.Sweep()
+			if st := f.mgr.Stats(); st.PendingJobs != 1 {
+				return fmt.Errorf("pending jobs inside Pause = %d, want 1", st.PendingJobs)
+			}
+			select {
+			case got := <-snapshots:
+				return fmt.Errorf("a repair snapshot onto %v started inside Pause", got)
+			case <-time.After(50 * time.Millisecond):
+			}
+			return nil
+		})
+	}()
+	select {
+	case <-entered:
+		t.Fatal("Pause ran fn while a repair job was moving data")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-paused; err != nil {
+		t.Fatal(err)
+	}
+	if !f.mgr.Quiesce(5 * time.Second) {
+		t.Fatal("repair did not quiesce")
+	}
+	if got := f.replicas(); !slices.Equal(got, []string{"n1", "n4"}) {
+		t.Fatalf("replicas after Pause = %v, want [n1 n4]", got)
 	}
 }

@@ -146,7 +146,8 @@ func (lc *LocalCluster) HealReplica(id string) {
 // Writes keep flowing throughout — a write arriving during the fence
 // pause bounces, is re-routed, and lands on the new primary. This is
 // the data-movement primitive behind Rebalance, SpreadNamespace,
-// DecommissionNode, EnforceDurability and the elastic actuator.
+// DecommissionNode and EnforceDurability, and through them
+// LocalCluster.Resize.
 func (c *Cluster) MoveRange(namespace string, key []byte, newReplicas []string) error {
 	m, ok := c.router.Map(namespace)
 	if !ok {

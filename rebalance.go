@@ -53,7 +53,11 @@ func (c *Cluster) RebalancePlan(cfg BalanceConfig) []BalanceAction {
 // retry) knows which splits and moves already hold.
 func (c *Cluster) Rebalance(cfg BalanceConfig) ([]BalanceAction, error) {
 	plan := c.RebalancePlan(cfg)
-	executed, err := c.executePlan(plan)
+	var executed []BalanceAction
+	err := c.repairs.Pause(func() (err error) {
+		executed, err = c.executePlan(plan)
+		return err
+	})
 	if err != nil {
 		return executed, err
 	}
@@ -103,12 +107,14 @@ func (c *Cluster) LoadSnapshot() []balancer.RangeObservation {
 // actually take load — the data-movement half of "scaling up and
 // down" (§1.1).
 func (c *Cluster) SpreadNamespace(namespace string) error {
-	up := c.dir.Up()
-	if len(up) == 0 {
-		return fmt.Errorf("scads: no serving nodes")
-	}
-	return c.reconfigure(namespace, func(i int, _ partition.Range) ([]string, error) {
-		return partition.Spread(i, up, c.cfg.ReplicationFactor), nil
+	return c.repairs.Pause(func() error {
+		up := c.dir.Up()
+		if len(up) == 0 {
+			return fmt.Errorf("scads: no serving nodes")
+		}
+		return c.reconfigure(namespace, func(i int, _ partition.Range) ([]string, error) {
+			return partition.Spread(i, up, c.cfg.ReplicationFactor), nil
+		})
 	})
 }
 
@@ -116,7 +122,8 @@ func (c *Cluster) SpreadNamespace(namespace string) error {
 // DecommissionNode and EnforceDurability: it asks target for every
 // range's replica set first, so a refusal moves nothing, then migrates
 // the ranges whose set changed concurrently — the migration manager's
-// semaphore bounds how many are in flight.
+// semaphore bounds how many are in flight. Callers run it inside
+// repairs.Pause.
 func (c *Cluster) reconfigure(namespace string, target func(i int, rng partition.Range) ([]string, error)) error {
 	m, ok := c.router.Map(namespace)
 	if !ok {
@@ -165,30 +172,33 @@ func (c *Cluster) SpreadAll() error {
 // already in the group (Router.Spares) via online migration from the
 // surviving replicas, so this is the recovery path after a crash as
 // well as the scale-down path before terminating an instance. With no
-// such candidate the group shrinks.
+// such candidate the group shrinks. It waits for in-flight repair jobs
+// and holds new ones back until the node is marked down.
 func (c *Cluster) DecommissionNode(nodeID string, candidates []string) error {
-	up := c.dir.Up()
-	pool := slices.DeleteFunc(slices.Clone(candidates), func(id string) bool { return !slices.Contains(up, id) })
-	for _, ns := range c.router.Namespaces() {
-		err := c.reconfigure(ns, func(_ int, rng partition.Range) ([]string, error) {
-			idx := slices.Index(rng.Replicas, nodeID)
-			if idx < 0 {
-				return rng.Replicas, nil
+	return c.repairs.Pause(func() error {
+		up := c.dir.Up()
+		pool := slices.DeleteFunc(slices.Clone(candidates), func(id string) bool { return !slices.Contains(up, id) })
+		for _, ns := range c.router.Namespaces() {
+			err := c.reconfigure(ns, func(_ int, rng partition.Range) ([]string, error) {
+				idx := slices.Index(rng.Replicas, nodeID)
+				if idx < 0 {
+					return rng.Replicas, nil
+				}
+				want := slices.Clone(rng.Replicas)
+				if spares := c.router.Spares(pool, want); len(spares) > 0 {
+					want[idx] = spares[0]
+					return want, nil
+				}
+				if len(want) == 1 {
+					return nil, fmt.Errorf("scads: decommission %s would leave %s with no replicas", nodeID, ns)
+				}
+				return slices.Delete(want, idx, idx+1), nil
+			})
+			if err != nil {
+				return err
 			}
-			want := slices.Clone(rng.Replicas)
-			if spares := c.router.Spares(pool, want); len(spares) > 0 {
-				want[idx] = spares[0]
-				return want, nil
-			}
-			if len(want) == 1 {
-				return nil, fmt.Errorf("scads: decommission %s would leave %s with no replicas", nodeID, ns)
-			}
-			return slices.Delete(want, idx, idx+1), nil
-		})
-		if err != nil {
-			return err
 		}
-	}
-	c.dir.MarkDown(nodeID)
-	return nil
+		c.dir.MarkDown(nodeID)
+		return nil
+	})
 }
