@@ -179,8 +179,8 @@ func (l *loader) expand(patterns []string) ([]string, error) {
 // goFiles lists the directory's non-test Go files in sorted order,
 // honouring build constraints (//go:build lines and GOOS/GOARCH
 // filename suffixes) for the host platform — without this, paired
-// files like writev_linux.go / writev_other.go would both load and
-// redeclare each other's symbols.
+// files like the benchmark's pin_linux.go / pin_other.go would both
+// load and redeclare each other's symbols.
 func goFiles(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"scads/internal/keycodec"
@@ -154,12 +154,17 @@ const (
 // UTC. Two encodings of the same instant in different zones are
 // byte-identical (a feature for the equality uses above), and
 // comparisons must use time.Time.Equal (as row.Equal does), never ==.
+//
+// Values are widened as Normalize does, so a row of Go literals encodes
+// exactly as its normalized copy would.
 func AppendEncode(dst []byte, r Row) ([]byte, error) {
-	names := make([]string, 0, len(r))
+	// The names of a row of up to 16 columns stay on the stack.
+	var buf [16]string
+	names := buf[:0]
 	for k := range r {
 		names = append(names, k)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	dst = binary.AppendUvarint(dst, uint64(len(names)))
 	for _, n := range names {
 		dst = binary.AppendUvarint(dst, uint64(len(n)))
@@ -170,11 +175,17 @@ func AppendEncode(dst []byte, r Row) ([]byte, error) {
 			dst = binary.AppendUvarint(dst, uint64(len(v)))
 			dst = append(dst, v...)
 		case int64:
-			dst = append(dst, valInt)
-			dst = appendZigzag(dst, v)
+			dst = appendInt(dst, v)
+		case int:
+			dst = appendInt(dst, int64(v))
+		case int32:
+			dst = appendInt(dst, int64(v))
+		case uint32:
+			dst = appendInt(dst, int64(v))
 		case float64:
-			dst = append(dst, valFloat)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+			dst = appendFloat(dst, v)
+		case float32:
+			dst = appendFloat(dst, float64(v))
 		case bool:
 			if v {
 				dst = append(dst, valTrue)
@@ -207,6 +218,14 @@ func encodedSizeHint(r Row) int {
 		}
 	}
 	return n
+}
+
+func appendInt(dst []byte, v int64) []byte {
+	return appendZigzag(append(dst, valInt), v)
+}
+
+func appendFloat(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(append(dst, valFloat), math.Float64bits(v))
 }
 
 func appendZigzag(dst []byte, v int64) []byte {

@@ -283,8 +283,8 @@ func TestCodecAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if encode > 2 {
-		t.Errorf("Encode(mixed4) allocates %.0f times, want <= 2", encode)
+	if encode > 1 {
+		t.Errorf("Encode(mixed4) allocates %.0f times, want <= 1", encode)
 	}
 	for _, tc := range []struct {
 		name string

@@ -115,25 +115,10 @@ func (f *framedConn) frameBuffered() bool {
 	return avail-4 >= int(binary.LittleEndian.Uint32(hdr[f.skip:]))
 }
 
-// readOwned reads one frame payload into a buffer of exactly its size
-// that the caller owns: decoded responses alias it, so it is never
-// pooled.
-func (f *framedConn) readOwned() ([]byte, error) {
-	n, err := f.frameLen()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(f.br, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // readBorrowed reads one frame payload without giving it away: the
-// bytes are valid until the next read on f. It is for the server side,
-// which serves a point read before it reads again and detaches every
-// other request's bytes. A frame that fits the read buffer is returned
+// bytes are valid until the next read on f. The server serves a point
+// read before it reads again and detaches every other request's bytes;
+// the client detaches each response it hands over. A frame that fits the read buffer is returned
 // in place; a larger one goes through a scratch buffer that is reused,
 // unless it grew past maxPooledFrame — the rule putFrameBuf applies to
 // encode buffers — so one snapshot page does not pin its size for the

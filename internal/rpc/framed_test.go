@@ -17,10 +17,10 @@ import (
 	"time"
 )
 
-// readFrame reads one frame from rd through the connection reader's
-// owned-buffer path, for the codec tests that frame by hand.
+// readFrame reads one frame from rd through a connection reader of its
+// own, for the codec tests that frame by hand.
 func readFrame(rd io.Reader) ([]byte, error) {
-	return (&framedConn{br: bufio.NewReaderSize(rd, readBufSize)}).readOwned()
+	return (&framedConn{br: bufio.NewReaderSize(rd, readBufSize)}).readBorrowed()
 }
 
 // decodeRequest decodes without an intern table and detaches, as the
@@ -97,36 +97,31 @@ func checkTestFrame(t *testing.T, payload []byte, size int) int {
 
 // TestFramedReaderBurst: frames of every size class — in place in the
 // read buffer, straddling its end, larger than it, larger than
-// maxPooledFrame — written back to back come out whole and in order
-// from both read paths, and the oversized one does not leave its
-// scratch buffer behind for the connection's lifetime.
+// maxPooledFrame — written back to back come out whole and in order,
+// and the oversized one does not leave its scratch buffer behind for
+// the connection's lifetime.
 func TestFramedReaderBurst(t *testing.T) {
 	sizes := []int{1, 100, readBufSize - 200, 300, readBufSize, readBufSize + 1, 5, maxPooledFrame / 2, 7, maxPooledFrame + 1, 9}
 	var stream []byte
 	for id, size := range sizes {
 		stream = appendTestFrame(t, stream, id, size)
 	}
-	for _, read := range []struct {
-		name string
-		fn   func(*framedConn) ([]byte, error)
-	}{{"owned", (*framedConn).readOwned}, {"borrowed", (*framedConn).readBorrowed}} {
-		f := &framedConn{br: bufio.NewReaderSize(bytes.NewReader(stream), readBufSize)}
-		for id, size := range sizes {
-			payload, err := read.fn(f)
-			if err != nil {
-				t.Fatalf("%s read of frame %d: %v", read.name, id, err)
-			}
-			if got := checkTestFrame(t, payload, size); got != id {
-				t.Fatalf("%s read returned frame %d, want %d", read.name, got, id)
-			}
-			if cap(f.scratch) > maxPooledFrame {
-				t.Fatalf("%s read of a %d-byte frame left a %d-byte scratch buffer on the connection (limit %d)",
-					read.name, size, cap(f.scratch), maxPooledFrame)
-			}
+	f := &framedConn{br: bufio.NewReaderSize(bytes.NewReader(stream), readBufSize)}
+	for id, size := range sizes {
+		payload, err := f.readBorrowed()
+		if err != nil {
+			t.Fatalf("read of frame %d: %v", id, err)
 		}
-		if _, err := read.fn(f); err != io.EOF {
-			t.Fatalf("%s read past the last frame = %v, want io.EOF", read.name, err)
+		if got := checkTestFrame(t, payload, size); got != id {
+			t.Fatalf("read returned frame %d, want %d", got, id)
 		}
+		if cap(f.scratch) > maxPooledFrame {
+			t.Fatalf("read of a %d-byte frame left a %d-byte scratch buffer on the connection (limit %d)",
+				size, cap(f.scratch), maxPooledFrame)
+		}
+	}
+	if _, err := f.readBorrowed(); err != io.EOF {
+		t.Fatalf("read past the last frame = %v, want io.EOF", err)
 	}
 }
 
@@ -404,7 +399,7 @@ func TestParkedSenderWokenAfterStalledWriteHandOff(t *testing.T) {
 	b.SetReadDeadline(time.Now().Add(5 * time.Second))
 	peer := newFramedConn(b, time.Minute, nil)
 	for want := 0; want <= 2; want++ { // the peer resumes reading
-		payload, err := peer.readOwned()
+		payload, err := peer.readBorrowed()
 		if err != nil {
 			t.Fatalf("reading frame %d: %v", want, err)
 		}
@@ -454,7 +449,7 @@ func TestServerCloseJoinsAfterStalledClientResumes(t *testing.T) {
 	peer := newFramedConn(conn, time.Minute, nil)
 	seen := make(map[uint64]bool)
 	for i := 0; i < requests; i++ {
-		payload, err := peer.readOwned()
+		payload, err := peer.readBorrowed()
 		if err != nil {
 			t.Fatalf("reading response %d of %d: %v", i+1, requests, err)
 		}

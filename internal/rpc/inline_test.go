@@ -54,7 +54,7 @@ func getFrame(t *testing.T, id int) []byte {
 // readGetResponse reads one response and checks it answers get id.
 func readGetResponse(t *testing.T, peer *framedConn, id int) {
 	t.Helper()
-	payload, err := peer.readOwned()
+	payload, err := peer.readBorrowed()
 	if err != nil {
 		t.Fatalf("reading the response to get %d: %v", id, err)
 	}
@@ -360,7 +360,7 @@ func TestInlineGetsKeepParkedRequestIntact(t *testing.T) {
 			}
 			send(flood...)
 			for i := range flood {
-				payload, err := peer.readOwned()
+				payload, err := peer.readBorrowed()
 				if err != nil {
 					t.Fatalf("reading point read %d: %v", i, err)
 				}

@@ -219,7 +219,9 @@ type HandlerFunc func(Request) Response
 func (f HandlerFunc) Serve(req Request) Response { return f(req) }
 
 // Transport delivers a request to the node at addr and returns its
-// response.
+// response. Neither Call nor the handler behind it keeps req.Records
+// once Call returns — the records' bytes are given away, the slice is
+// not: the coordinator reuses the one-record slice of a solo commit.
 type Transport interface {
 	Call(addr string, req Request) (Response, error)
 }

@@ -9,13 +9,13 @@ import (
 	"time"
 )
 
-// maxConnHandlers bounds the handler goroutines per server connection;
-// point reads are served on the read loop and take no slot. Data-plane
-// requests past the bound are shed with an ErrOverloaded response
-// carrying a retry-after hint — explicit backpressure the caller's
-// retry budget understands — instead of blocking the read loop, which
-// would silently queue every method (including failure-detection
-// pings) behind bulk work via TCP.
+// maxConnHandlers bounds the requests a server connection has in its
+// handlers at once; point reads are served on the read loop and take no
+// slot. Data-plane requests past the bound are shed with an
+// ErrOverloaded response carrying a retry-after hint — explicit
+// backpressure the caller's retry budget understands — instead of
+// blocking the read loop, which would silently queue every method
+// (including failure-detection pings) behind bulk work via TCP.
 const maxConnHandlers = 256
 
 // controlHandlerReserve is the slice of maxConnHandlers held back for
@@ -46,6 +46,11 @@ const serverWriteTimeout = 2 * time.Minute
 // through the handler bound and TCP instead of growing the queue.
 const serverQueueLimit = 4 << 20
 
+// maxIdleWorkers caps the workers a connection keeps waiting for work
+// once a burst has passed; a worker that would be idle beside this many
+// others exits.
+const maxIdleWorkers = 8
+
 // inlineFlushBytes caps the point-read responses a connection's read
 // loop holds before it writes them, however many more frames are
 // buffered behind them.
@@ -58,13 +63,14 @@ const inlineFlushBytes = 64 << 10
 // the socket in one write once the read buffer holds no complete next
 // frame (or past inlineFlushBytes), so a pipelined burst of gets is
 // answered with one write(2) and no response waits on a read that could
-// block. Every other frame is dispatched to a handler goroutine of its
-// own, so one slow scan never head-of-line-blocks the calls behind it;
-// the handler hands its response frame to the connection's framedConn
-// as it completes — writing it itself when the socket is free,
-// combining it into the next write otherwise. Responses leave in
-// completion order; the correlation ID ties each one back to its
-// request. The cost of inline service: a get waiting on its
+// block. Every other frame is handed to one of the connection's
+// standing workers — an idle one, or one started for it — so one slow
+// scan never head-of-line-blocks the calls behind it, and a worker's
+// stack, grown once, serves request after request; the worker hands its
+// response frame to the connection's framedConn as it completes —
+// writing it itself when the socket is free, combining it into the next
+// write otherwise. Responses leave in completion order; the correlation
+// ID ties each one back to its request. The cost of inline service: a get waiting on its
 // namespace's lock delays the frames behind it on that connection.
 type Server struct {
 	handler Handler
@@ -77,9 +83,11 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	closed   bool
 	// wg tracks the accept loop and every serveConn; each serveConn
-	// joins its own handler goroutines before exiting, so Close
-	// returns only after all in-flight handlers have finished.
+	// joins its own workers before exiting, so Close returns only after
+	// all in-flight handlers have finished.
 	wg sync.WaitGroup
+	// workers counts the live worker goroutines of every connection.
+	workers atomic.Int64
 }
 
 // NewServer returns a Server dispatching to handler.
@@ -140,12 +148,13 @@ func (s *Server) serveConn(conn net.Conn) {
 	// read loop; remaining handlers drain against the dead connection.
 	fc := newFramedConn(conn, s.writeTimeout, func(error) { conn.Close() })
 	fc.queueLimit = s.queueLimit
-	var handlers sync.WaitGroup
+	w := &workers{s: s, fc: fc, work: make(chan job)}
 	defer func() {
-		// Join in-flight handlers before releasing the connection so
+		// Join the workers before releasing the connection so
 		// Server.Close never races handler completion: when wg.Wait
-		// returns, no handler goroutine is left running.
-		handlers.Wait()
+		// returns, no worker goroutine is left running.
+		close(w.work)
+		w.wg.Wait()
 		conn.Close()
 		fc.finisher.Wait()
 		s.mu.Lock()
@@ -159,11 +168,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	// acquire on ctrlSem is safe — only cheap probes hold it.
 	dataSem := make(chan struct{}, maxConnHandlers-controlHandlerReserve)
 	ctrlSem := make(chan struct{}, controlHandlerReserve)
-	writeResp := func(resp *Response) {
-		bp := encodeResponseFrame(resp)
-		fc.send(*bp, time.Now())
-		putFrameBuf(bp)
-	}
 	// A connection carries a handful of namespaces and tenants; their
 	// strings are made once, not per request.
 	names := make(map[string]string)
@@ -217,23 +221,71 @@ func (s *Server) serveConn(conn net.Conn) {
 				// the read loop, so control frames behind this one
 				// still reach their reserved headroom promptly.
 				shed := Response{ID: req.ID, Err: ErrString(Overloaded(shedRetryAfter, "server handler bound saturated"))}
-				writeResp(&shed)
+				writeResponse(fc, &shed)
 				continue
 			}
 		}
-		handlers.Add(1)
-		// The handler's own copy: were the loop's req captured, it would
-		// live on the heap for the inline path too.
-		own := req
-		go func() {
-			defer func() {
-				<-sem
-				handlers.Done()
-			}()
-			resp := s.handler.Serve(own)
-			resp.ID = own.ID
-			writeResp(&resp)
-		}()
+		w.dispatch(job{req: req, slot: sem})
+	}
+}
+
+// writeResponse encodes resp and hands its frame to fc.
+func writeResponse(fc *framedConn, resp *Response) {
+	bp := encodeResponseFrame(resp)
+	fc.send(*bp, time.Now())
+	putFrameBuf(bp)
+}
+
+// job is one detached request and the handler slot it holds.
+type job struct {
+	req  Request
+	slot chan struct{}
+}
+
+// workers are a connection's standing handler goroutines. The read loop
+// hands each job over work, which is unbuffered, so a job goes only to
+// a worker already waiting; when none is, dispatch starts one.
+type workers struct {
+	s    *Server
+	fc   *framedConn
+	work chan job // closed by the read loop when the connection ends
+	idle atomic.Int32
+	wg   sync.WaitGroup
+}
+
+// dispatch hands j to an idle worker, or starts a worker with it.
+func (w *workers) dispatch(j job) {
+	select {
+	case w.work <- j:
+	default:
+		w.wg.Add(1)
+		w.s.workers.Add(1)
+		go w.run(j)
+	}
+}
+
+// run serves j, then each job handed over work, until the connection
+// ends or maxIdleWorkers other workers are idle already.
+func (w *workers) run(j job) {
+	defer func() {
+		w.s.workers.Add(-1)
+		w.wg.Done()
+	}()
+	for {
+		resp := w.s.handler.Serve(j.req)
+		resp.ID = j.req.ID
+		writeResponse(w.fc, &resp)
+		<-j.slot
+		if w.idle.Add(1) > maxIdleWorkers {
+			w.idle.Add(-1)
+			return
+		}
+		j = job{} // an idle worker keeps nothing of the request it served
+		var ok bool
+		if j, ok = <-w.work; !ok {
+			return
+		}
+		w.idle.Add(-1)
 	}
 }
 
@@ -546,13 +598,13 @@ func (t *TCPTransport) remove(addr string, c *muxConn) {
 	t.mu.Unlock()
 }
 
-// readLoop is the connection's single reader: it decodes response
-// frames and hands each to the caller registered under its
-// correlation ID. Responses without a waiter (the caller timed out)
-// are dropped.
+// readLoop is the connection's single reader: it decodes each response
+// frame in place in the read buffer and hands the response, detached,
+// to the caller registered under its correlation ID. Responses without
+// a waiter (the caller timed out) are dropped.
 func (c *muxConn) readLoop() {
 	for {
-		payload, err := c.fc.readOwned()
+		payload, err := c.fc.readBorrowed()
 		if err != nil {
 			c.fail(fmt.Errorf("receive: %v", err))
 			return
@@ -569,6 +621,7 @@ func (c *muxConn) readLoop() {
 		}
 		c.pmu.Unlock()
 		if ok {
+			detachResponse(&resp)
 			pc.ch <- callResult{resp: resp}
 		}
 	}

@@ -27,22 +27,20 @@ package rpc
 //     point read (isPointRead) BORROWS its byte fields from it: the
 //     read loop serves it and appends the response to its outgoing
 //     buffer before it reads again, so a get allocates nothing here.
-//     Every other request is DETACHED before it goes to its handler
-//     goroutine: its byte fields are copied into one per-request arena
-//     sized to their total, so handlers — and the storage engine
-//     behind them, which retains applied records in the memtable and
-//     apply log — own what they keep. Cost: one arena allocation per
-//     such request that carries any bytes, regardless of how many
-//     records. Namespace and tenant strings come from a
-//     per-connection intern table either way.
+//     Every other request is DETACHED before it goes to a worker: its
+//     byte fields are copied into one per-request arena sized to their
+//     total, so handlers — and the storage engine behind them, which
+//     retains applied records in the memtable and apply log — own what
+//     they keep. Cost: one arena allocation per such request that
+//     carries any bytes, regardless of how many records. Namespace and
+//     tenant strings come from a per-connection intern table either
+//     way.
 //
-//   - Responses (decoded by the client) ALIAS their frame buffer (one
-//     exactly-sized allocation per frame, copied out of the read
-//     buffer and never pooled), so a scan page of N records costs O(1)
-//     allocations. Coordinator-side consumers are transient: anything
-//     retained beyond the call is copied at a higher layer (rows
-//     decode into fresh maps, migration re-encodes records onward,
-//     caches clone).
+//   - Responses (decoded by the client) are decoded in place in the
+//     client's read buffer too, and detached the same way before they
+//     go to their caller: one exact arena for a response that carries
+//     bytes, none for one that carries none (an apply's, a ping's), so
+//     a scan page of N records costs O(1) allocations.
 //
 // Encoding buffers are pooled: an encoded frame is built — length
 // prefix included — in a single reusable buffer and handed to the
@@ -612,18 +610,23 @@ func decodeRequestBorrowed(b []byte, names map[string]string) (Request, error) {
 func detachRequest(req *Request) {
 	if n := requestBytes(req); n > 0 {
 		a := arena(make([]byte, 0, n))
-		a.detachFields(req)
+		a.detachRequest(req)
+	}
+}
+
+// detachResponse is detachRequest for a response.
+func detachResponse(resp *Response) {
+	if n := responseBytes(resp); n > 0 {
+		a := arena(make([]byte, 0, n))
+		a.detachResponse(resp)
 	}
 }
 
 // requestBytes is the total length of req's byte fields.
 func requestBytes(req *Request) int {
-	n := len(req.Key) + len(req.Value) + len(req.Start) + len(req.End)
+	n := len(req.Key) + len(req.Value) + len(req.Start) + len(req.End) + recordBytes(req.Records)
 	for _, p := range req.Preds {
 		n += len(p.Value)
-	}
-	for _, rec := range req.Records {
-		n += len(rec.Key) + len(rec.Value)
 	}
 	for i := range req.Batch {
 		n += requestBytes(&req.Batch[i])
@@ -631,11 +634,28 @@ func requestBytes(req *Request) int {
 	return n
 }
 
-// arena is the buffer detachRequest copies into; it is made with room
-// for every field, so it never reallocates.
+// responseBytes is the total length of resp's byte fields.
+func responseBytes(resp *Response) int {
+	n := len(resp.Value) + len(resp.Resume) + recordBytes(resp.Records)
+	for i := range resp.Batch {
+		n += responseBytes(&resp.Batch[i])
+	}
+	return n
+}
+
+func recordBytes(recs []record.Record) int {
+	n := 0
+	for _, rec := range recs {
+		n += len(rec.Key) + len(rec.Value)
+	}
+	return n
+}
+
+// arena is the buffer a detach copies into; it is made with room for
+// every field, so it never reallocates.
 type arena []byte
 
-func (a *arena) detachFields(req *Request) {
+func (a *arena) detachRequest(req *Request) {
 	req.Key = a.copy(req.Key)
 	req.Value = a.copy(req.Value)
 	req.Start = a.copy(req.Start)
@@ -643,12 +663,25 @@ func (a *arena) detachFields(req *Request) {
 	for i := range req.Preds {
 		req.Preds[i].Value = a.copy(req.Preds[i].Value)
 	}
-	for i := range req.Records {
-		req.Records[i].Key = a.copy(req.Records[i].Key)
-		req.Records[i].Value = a.copy(req.Records[i].Value)
-	}
+	a.records(req.Records)
 	for i := range req.Batch {
-		a.detachFields(&req.Batch[i])
+		a.detachRequest(&req.Batch[i])
+	}
+}
+
+func (a *arena) detachResponse(resp *Response) {
+	resp.Value = a.copy(resp.Value)
+	resp.Resume = a.copy(resp.Resume)
+	a.records(resp.Records)
+	for i := range resp.Batch {
+		a.detachResponse(&resp.Batch[i])
+	}
+}
+
+func (a *arena) records(recs []record.Record) {
+	for i := range recs {
+		recs[i].Key = a.copy(recs[i].Key)
+		recs[i].Value = a.copy(recs[i].Value)
 	}
 }
 
@@ -663,7 +696,7 @@ func (a *arena) copy(v []byte) []byte {
 }
 
 // decodeResponse decodes one frame payload (version byte included)
-// into a Response. Byte fields alias b.
+// into a Response whose byte fields alias b (detachResponse ends that).
 func decodeResponse(b []byte) (Response, error) {
 	msg, err := checkFramePayload(b)
 	if err != nil {

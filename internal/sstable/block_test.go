@@ -20,33 +20,35 @@ import (
 // admits nothing.
 type countingCache struct {
 	mu      sync.Mutex
-	blocks  map[string]Block
+	blocks  map[blockID]Block
 	refuse  bool
 	hits    int
 	refused int
 	puts    int
-	dropped []string
+	dropped []uint64
+}
+
+// blockID names a block in a countingCache.
+type blockID struct {
+	table uint64
+	block int
 }
 
 func newCountingCache() *countingCache {
-	return &countingCache{blocks: map[string]Block{}}
+	return &countingCache{blocks: map[blockID]Block{}}
 }
 
-func (c *countingCache) key(path string, block int) string {
-	return fmt.Sprintf("%s#%d", path, block)
-}
-
-func (c *countingCache) Get(path string, block int) (Block, bool) {
+func (c *countingCache) Get(table uint64, block int) (Block, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b, ok := c.blocks[c.key(path, block)]
+	b, ok := c.blocks[blockID{table, block}]
 	if ok {
 		c.hits++
 	}
 	return b, ok
 }
 
-func (c *countingCache) Admit(path string, block, size int) bool {
+func (c *countingCache) Admit(table uint64, block, size int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.refuse {
@@ -55,19 +57,19 @@ func (c *countingCache) Admit(path string, block, size int) bool {
 	return !c.refuse
 }
 
-func (c *countingCache) Put(path string, block int, b Block) {
+func (c *countingCache) Put(table uint64, block int, b Block) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.puts++
-	c.blocks[c.key(path, block)] = b
+	c.blocks[blockID{table, block}] = b
 }
 
-func (c *countingCache) DropTable(path string) {
+func (c *countingCache) DropTable(table uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.dropped = append(c.dropped, path)
+	c.dropped = append(c.dropped, table)
 	for k := range c.blocks {
-		if len(k) > len(path) && k[:len(path)] == path && k[len(path)] == '#' {
+		if k.table == table {
 			delete(c.blocks, k)
 		}
 	}
@@ -76,10 +78,10 @@ func (c *countingCache) DropTable(path string) {
 // missCache holds nothing: every Get misses, and Admit answers admit.
 type missCache struct{ admit bool }
 
-func (c missCache) Get(string, int) (Block, bool) { return Block{}, false }
-func (c missCache) Admit(string, int, int) bool   { return c.admit }
-func (c missCache) Put(string, int, Block)        {}
-func (c missCache) DropTable(string)              {}
+func (c missCache) Get(uint64, int) (Block, bool) { return Block{}, false }
+func (c missCache) Admit(uint64, int, int) bool   { return c.admit }
+func (c missCache) Put(uint64, int, Block)        {}
+func (c missCache) DropTable(uint64)              {}
 
 func TestBlockCacheServesGets(t *testing.T) {
 	r := buildTable(t, filepath.Join(t.TempDir(), "t.sst"), seqRecords(2000))
@@ -125,8 +127,8 @@ func TestBlockCacheDroppedOnRemove(t *testing.T) {
 	if err := r.Remove(); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.dropped) != 1 || c.dropped[0] != path {
-		t.Fatalf("DropTable calls = %v, want [%s]", c.dropped, path)
+	if len(c.dropped) != 1 || c.dropped[0] != r.id {
+		t.Fatalf("DropTable calls = %v, want [%d]", c.dropped, r.id)
 	}
 	if len(c.blocks) != 0 {
 		t.Fatalf("%d blocks still cached after DropTable", len(c.blocks))

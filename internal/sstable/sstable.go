@@ -55,24 +55,24 @@ var ErrCorrupt = errors.New("sstable: corrupt table")
 // ErrOutOfOrder is returned when Writer.Add receives a non-increasing key.
 var ErrOutOfOrder = errors.New("sstable: keys must be strictly ascending")
 
-// BlockCache caches checked data blocks across tables. Implementations
-// must be safe for concurrent use; a cached Block is shared and
-// immutable. A block Get misses is read whole either way, but only one
+// BlockCache caches checked data blocks across tables, a table named by
+// the number Open gave it. Implementations must be safe for concurrent
+// use; a cached Block is shared and immutable. A block Get misses is read whole either way, but only one
 // that Admit accepts is Put: a read of a refused block borrows a pooled
 // buffer (see borrowBlock). The storage engine provides a sharded LRU
 // implementation shared across namespaces, which charges a block its
 // Size: a block has no spare capacity, so that is what the cache holds.
 type BlockCache interface {
 	// Get returns the cached block, if present.
-	Get(path string, block int) (Block, bool)
+	Get(table uint64, block int) (Block, bool)
 	// Admit reports whether the cache would keep the size-byte block
 	// Get just missed, and may remember that it was asked.
-	Admit(path string, block, size int) bool
+	Admit(table uint64, block, size int) bool
 	// Put stores a block.
-	Put(path string, block int, b Block)
-	// DropTable evicts every block of the named table, called when the
-	// table file is removed after compaction.
-	DropTable(path string)
+	Put(table uint64, block int, b Block)
+	// DropTable evicts every block of the numbered table, called when
+	// the table file is removed after compaction.
+	DropTable(table uint64)
 }
 
 // Block is one data block of a table: its bytes, whose every frame's
@@ -295,10 +295,16 @@ type Reader struct {
 	bloom   *bloomFilter
 
 	cache BlockCache // nil = uncached; set once before concurrent use
+	id    uint64     // the table's number in cache, from tableIDs
 
 	refs   atomic.Int32
 	doomed atomic.Bool // unlink the file when the last reference drops
 }
+
+// tableIDs numbers the tables Open opens: a number is never reused in a
+// process, so a block cache keyed by it cannot serve a block of a table
+// unlinked before another was written under its path.
+var tableIDs atomic.Uint64
 
 // Open validates and opens the table at path, loading its index and
 // bloom filter into memory.
@@ -328,6 +334,7 @@ func Open(path string) (*Reader, error) {
 	r := &Reader{
 		f:       f,
 		path:    path,
+		id:      tableIDs.Add(1),
 		dataLen: binary.BigEndian.Uint64(footer[0:8]),
 		size:    st.Size(),
 		count:   binary.BigEndian.Uint64(footer[24:32]),
@@ -447,7 +454,7 @@ func (r *Reader) Release() error {
 	err := r.f.Close()
 	if r.doomed.Load() {
 		if c := r.cache; c != nil {
-			c.DropTable(r.path)
+			c.DropTable(r.id)
 		}
 		if rerr := os.Remove(r.path); rerr != nil && err == nil {
 			err = rerr
@@ -501,17 +508,17 @@ func (r *Reader) cachedBlock(i int) (b Block, ok bool, err error) {
 	if c == nil {
 		return Block{}, false, nil
 	}
-	if b, ok := c.Get(r.path, i); ok {
+	if b, ok := c.Get(r.id, i); ok {
 		return b, true, nil
 	}
 	_, length := r.blockExtent(i)
-	if !c.Admit(r.path, i, int(length)) {
+	if !c.Admit(r.id, i, int(length)) {
 		return Block{}, false, nil
 	}
 	if b, err = r.decodeBlock(i); err != nil {
 		return Block{}, false, err
 	}
-	c.Put(r.path, i, b)
+	c.Put(r.id, i, b)
 	return b, true, nil
 }
 

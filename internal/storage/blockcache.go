@@ -2,7 +2,6 @@ package storage
 
 import (
 	"container/list"
-	"strconv"
 	"sync"
 
 	"scads/internal/sstable"
@@ -13,11 +12,12 @@ const cacheShards = 16
 
 // BlockCache is the engine's read cache: a sharded, byte-bounded LRU
 // of SSTable blocks, shared across every namespace of an engine and
-// keyed (table path, block index). It caches a block as its bytes,
-// every frame's checksum already checked, plus one offset per record
-// (sstable.Block), so a hit skips the pread and the CRC pass — the two
-// costs that dominate an uncached point read — and a block is charged
-// what it holds, its Size.
+// keyed (table number, block index): the number sstable.Open gave the
+// table, so finding a block hashes two integers, not a path. It caches
+// a block as its bytes, every frame's checksum already checked, plus
+// one offset per record (sstable.Block), so a hit skips the pread and
+// the CRC pass — the two costs that dominate an uncached point read —
+// and a block is charged what it holds, its Size.
 //
 // SSTables are immutable, so a cached block can never go stale and no
 // write invalidates anything: entries leave only by LRU eviction or by
@@ -68,11 +68,20 @@ type blockEntry struct {
 }
 
 type blockKey struct {
-	path  string
+	table uint64
 	block int
 }
 
-func (k blockKey) hash() uint32 { return fnvInt(fnvString(fnvOffset32, k.path), k.block) }
+// hash mixes the key's two numbers with MurmurHash3's 64-bit
+// finalizer, so the blocks of one table, and the tables, spread over
+// every shard.
+func (k blockKey) hash() uint32 {
+	h := k.table*0x9e3779b97f4a7c15 ^ uint64(k.block)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return uint32(h)
+}
 
 // blockEntryOverhead approximates per-entry bookkeeping (map slot,
 // list element, entry struct) charged on top of the block's Size.
@@ -107,8 +116,8 @@ func (c *BlockCache) shardOf(h uint32) *blockShard {
 
 // Get returns the cached block, if present, and marks it most recently
 // used.
-func (c *BlockCache) Get(path string, block int) (b sstable.Block, ok bool) {
-	k := blockKey{path, block}
+func (c *BlockCache) Get(table uint64, block int) (b sstable.Block, ok bool) {
+	k := blockKey{table, block}
 	s := c.shard(k)
 	s.mu.Lock()
 	el, ok := s.entries[k]
@@ -127,12 +136,12 @@ func (c *BlockCache) Get(path string, block int) (b sstable.Block, ok bool) {
 // should be kept: always while its shard has room for it, and once the
 // shard is full only if the shard's ghost ring remembers refusing it
 // before. A refused block is remembered and counted.
-func (c *BlockCache) Admit(path string, block, size int) bool {
-	h := blockKey{path, block}.hash()
+func (c *BlockCache) Admit(table uint64, block, size int) bool {
+	h := blockKey{table, block}.hash()
 	s := c.shardOf(h)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.order.Len() == 0 || s.bytes+int64(len(path)+size)+blockEntryOverhead <= s.maxBytes {
+	if s.order.Len() == 0 || s.bytes+int64(size)+blockEntryOverhead <= s.maxBytes {
 		return true
 	}
 	if _, ok := s.ghost[h]; ok {
@@ -145,9 +154,9 @@ func (c *BlockCache) Admit(path string, block, size int) bool {
 
 // Put stores a block, charged its Size, replacing any earlier one. The
 // block is shared with every future Get.
-func (c *BlockCache) Put(path string, block int, b sstable.Block) {
-	k := blockKey{path, block}
-	e := &blockEntry{key: k, b: b, size: int64(len(path)+b.Size()) + blockEntryOverhead}
+func (c *BlockCache) Put(table uint64, block int, b sstable.Block) {
+	k := blockKey{table, block}
+	e := &blockEntry{key: k, b: b, size: int64(b.Size()) + blockEntryOverhead}
 	s := c.shard(k)
 	s.mu.Lock()
 	if el, ok := s.entries[k]; ok {
@@ -197,15 +206,15 @@ func (s *blockShard) forget() {
 	}
 }
 
-// DropTable evicts every cached block of the named table. Called when
-// a compaction unlinks the table file; entries for the dead path would
-// otherwise linger until LRU pressure finds them.
-func (c *BlockCache) DropTable(path string) {
+// DropTable evicts every cached block of the numbered table. Called
+// when a compaction unlinks the table file; entries for the dead table
+// would otherwise linger until LRU pressure finds them.
+func (c *BlockCache) DropTable(table uint64) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for k, el := range s.entries {
-			if k.path == path {
+			if k.table == table {
 				s.drop(el)
 			}
 		}
@@ -241,24 +250,4 @@ func (c *BlockCache) Stats() BlockCacheStats {
 		s.mu.Unlock()
 	}
 	return st
-}
-
-// FNV-1a over a string in place — no []byte conversion, no hash.Hash32
-// — so hashing a key never allocates.
-const (
-	fnvOffset32 = 2166136261
-	fnvPrime32  = 16777619
-)
-
-func fnvString(h uint32, s string) uint32 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * fnvPrime32
-	}
-	return h
-}
-
-// fnvInt folds n's decimal digits into h, from a stack buffer.
-func fnvInt(h uint32, n int) uint32 {
-	var buf [20]byte
-	return fnvString(h, string(strconv.AppendInt(buf[:0], int64(n), 10)))
 }

@@ -2,8 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"hash/fnv"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -12,7 +10,7 @@ import (
 )
 
 // blockCacheOps drives a BlockCache by version: version tags the
-// one-record block stored under (path, block) so a get can tell which
+// one-record block stored under (table, block) so a get can tell which
 // put it sees, and version 0 is an empty block.
 type blockCacheOps struct{ *BlockCache }
 
@@ -20,12 +18,12 @@ func newBlockCacheOps(totalBytes int64, shards int) blockCacheOps {
 	return blockCacheOps{NewBlockCache(totalBytes, shards)}
 }
 
-func (c blockCacheOps) put(path string, block, size int, version uint64) {
-	c.Put(path, block, blockOfSize(size, version))
+func (c blockCacheOps) put(table uint64, block, size int, version uint64) {
+	c.Put(table, block, blockOfSize(size, version))
 }
 
-func (c blockCacheOps) get(path string, block int) (version uint64, ok bool) {
-	b, ok := c.Get(path, block)
+func (c blockCacheOps) get(table uint64, block int) (version uint64, ok bool) {
+	b, ok := c.Get(table, block)
 	if b.Len() == 0 {
 		return 0, ok
 	}
@@ -34,14 +32,14 @@ func (c blockCacheOps) get(path string, block int) (version uint64, ok bool) {
 
 // read is a table reader's path to a block: a hit, or a miss read in
 // and stored when the cache admits it.
-func (c blockCacheOps) read(path string, block, size int) (hit, admitted bool) {
-	if _, ok := c.Get(path, block); ok {
+func (c blockCacheOps) read(table uint64, block, size int) (hit, admitted bool) {
+	if _, ok := c.Get(table, block); ok {
 		return true, true
 	}
-	if !c.Admit(path, block, size) {
+	if !c.Admit(table, block, size) {
 		return false, false
 	}
-	c.put(path, block, size, 1)
+	c.put(table, block, size, 1)
 	return false, true
 }
 
@@ -85,14 +83,14 @@ func TestLRU(t *testing.T) {
 	}{
 		{"hit, miss and stats", func(t *testing.T) {
 			c := newBlockCacheOps(1<<20, 4)
-			if _, ok := c.get("a.sst", 0); ok {
+			if _, ok := c.get(1, 0); ok {
 				t.Fatal("hit on empty cache")
 			}
-			c.put("a.sst", 0, 512, 7)
-			if v, ok := c.get("a.sst", 0); !ok || v != 7 {
+			c.put(1, 0, 512, 7)
+			if v, ok := c.get(1, 0); !ok || v != 7 {
 				t.Fatalf("get = version %d, ok=%v", v, ok)
 			}
-			if _, ok := c.get("a.sst", 1); ok {
+			if _, ok := c.get(1, 1); ok {
 				t.Fatal("hit on an entry never put")
 			}
 			st := c.Stats()
@@ -100,13 +98,13 @@ func TestLRU(t *testing.T) {
 				t.Fatalf("stats = %+v", st)
 			}
 			if st.Bytes <= 512 {
-				t.Fatalf("Bytes = %d, want > payload (key and overhead charged)", st.Bytes)
+				t.Fatalf("Bytes = %d, want > payload (entry overhead charged)", st.Bytes)
 			}
 		}},
 		{"zero value is a hit", func(t *testing.T) {
 			c := newBlockCacheOps(1<<20, 4)
-			c.put("a.sst", 0, 0, 0)
-			if v, ok := c.get("a.sst", 0); !ok || v != 0 {
+			c.put(1, 0, 0, 0)
+			if v, ok := c.get(1, 0); !ok || v != 0 {
 				t.Fatalf("empty block: version %d, ok=%v", v, ok)
 			}
 		}},
@@ -115,20 +113,20 @@ func TestLRU(t *testing.T) {
 			// entry charges payload+key+overhead; the budget fits two of
 			// the three.
 			c := newBlockCacheOps(1200, 1)
-			c.put("t.sst", 0, 300, 1)
-			c.put("t.sst", 1, 300, 1)
+			c.put(1, 0, 300, 1)
+			c.put(1, 1, 300, 1)
 			// Touch entry 0 so entry 1 is the LRU victim.
-			if _, ok := c.get("t.sst", 0); !ok {
+			if _, ok := c.get(1, 0); !ok {
 				t.Fatal("entry 0 missing before eviction")
 			}
-			c.put("t.sst", 2, 300, 1)
-			if _, ok := c.get("t.sst", 1); ok {
+			c.put(1, 2, 300, 1)
+			if _, ok := c.get(1, 1); ok {
 				t.Fatal("LRU victim (entry 1) survived eviction")
 			}
-			if _, ok := c.get("t.sst", 0); !ok {
+			if _, ok := c.get(1, 0); !ok {
 				t.Fatal("recently used entry 0 was evicted")
 			}
-			if _, ok := c.get("t.sst", 2); !ok {
+			if _, ok := c.get(1, 2); !ok {
 				t.Fatal("newly inserted entry 2 missing")
 			}
 			if st := c.Stats(); st.Evictions != 1 {
@@ -137,16 +135,16 @@ func TestLRU(t *testing.T) {
 		}},
 		{"never evicts a shard's sole entry", func(t *testing.T) {
 			c := newBlockCacheOps(64, 1)
-			c.put("t.sst", 0, 4096, 1)
-			if _, ok := c.get("t.sst", 0); !ok {
+			c.put(1, 0, 4096, 1)
+			if _, ok := c.get(1, 0); !ok {
 				t.Fatal("oversized sole entry was rejected")
 			}
 		}},
 		{"re-put replaces and charges the delta", func(t *testing.T) {
 			c := newBlockCacheOps(1<<20, 1)
-			c.put("t.sst", 0, 100, 1)
+			c.put(1, 0, 100, 1)
 			before := c.Stats().Bytes
-			c.put("t.sst", 0, 200, 2)
+			c.put(1, 0, 200, 2)
 			st := c.Stats()
 			if st.Entries != 1 {
 				t.Fatalf("Entries = %d after re-put, want 1", st.Entries)
@@ -154,14 +152,14 @@ func TestLRU(t *testing.T) {
 			if st.Bytes != before+100 {
 				t.Fatalf("Bytes = %d after re-put, want %d", st.Bytes, before+100)
 			}
-			if v, ok := c.get("t.sst", 0); !ok || v != 2 {
+			if v, ok := c.get(1, 0); !ok || v != 2 {
 				t.Fatalf("re-put not visible: version %d, ok=%v", v, ok)
 			}
 		}},
 		{"stays within its byte budget", func(t *testing.T) {
 			c := newBlockCacheOps(4<<10, 4)
 			for i := 0; i < 1000; i++ {
-				c.put("ns", i, 64, 1)
+				c.put(1, i, 64, 1)
 			}
 			st := c.Stats()
 			if st.Bytes > 4<<10 {
@@ -175,22 +173,20 @@ func TestLRU(t *testing.T) {
 			}
 		}},
 		{"dropping a group leaves the others", func(t *testing.T) {
-			// "dead.sst2" extends the dropped table's name: a prefix
-			// match must not take it.
 			c := newBlockCacheOps(1<<20, 4)
 			for i := 0; i < 8; i++ {
-				c.put("dead.sst", i, 64, 1)
-				c.put("dead.sst2", i, 64, 1)
-				c.put("live.sst", i, 64, 1)
+				c.put(1, i, 64, 1)
+				c.put(2, i, 64, 1)
+				c.put(3, i, 64, 1)
 			}
-			c.DropTable("dead.sst")
+			c.DropTable(1)
 			for i := 0; i < 8; i++ {
-				if _, ok := c.get("dead.sst", i); ok {
-					t.Fatalf("dead.sst entry %d survived the drop", i)
+				if _, ok := c.get(1, i); ok {
+					t.Fatalf("table 1 entry %d survived the drop", i)
 				}
-				for _, g := range []string{"dead.sst2", "live.sst"} {
+				for _, g := range []uint64{2, 3} {
 					if _, ok := c.get(g, i); !ok {
-						t.Fatalf("%s entry %d dropped with an unrelated group", g, i)
+						t.Fatalf("table %d entry %d dropped with an unrelated group", g, i)
 					}
 				}
 			}
@@ -205,7 +201,7 @@ func TestLRU(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					group := fmt.Sprintf("t%d.sst", g%4)
+					group := uint64(g%4 + 1)
 					for i := 0; i < 500; i++ {
 						switch i % 3 {
 						case 0:
@@ -236,12 +232,12 @@ func TestLRU(t *testing.T) {
 
 func TestAdmission(t *testing.T) {
 	// One shard of 1200 bytes holds two 300-byte blocks (each charged
-	// its path and overhead besides) but not three.
+	// its entry's overhead besides) but not three.
 	const budget, size = 1200, 300
 	full := func() blockCacheOps {
 		c := newBlockCacheOps(budget, 1)
 		for b := 0; b < 2; b++ {
-			if _, admitted := c.read("t.sst", b, size); !admitted {
+			if _, admitted := c.read(1, b, size); !admitted {
 				t.Fatalf("a shard with room refused block %d", b)
 			}
 		}
@@ -255,16 +251,16 @@ func TestAdmission(t *testing.T) {
 	})
 	t.Run("a full shard refuses a first miss and admits the second", func(t *testing.T) {
 		c := full()
-		if _, admitted := c.read("t.sst", 2, size); admitted {
+		if _, admitted := c.read(1, 2, size); admitted {
 			t.Fatal("a full shard admitted a first miss")
 		}
-		if _, ok := c.get("t.sst", 2); ok {
+		if _, ok := c.get(1, 2); ok {
 			t.Fatal("a refused block is cached")
 		}
-		if hit, admitted := c.read("t.sst", 2, size); hit || !admitted {
+		if hit, admitted := c.read(1, 2, size); hit || !admitted {
 			t.Fatalf("second miss: hit %v, admitted %v; want an admitted miss", hit, admitted)
 		}
-		if _, ok := c.get("t.sst", 2); !ok {
+		if _, ok := c.get(1, 2); !ok {
 			t.Fatal("the block admitted on its second miss is not cached")
 		}
 		if st := c.Stats(); st.Refused != 1 || st.Evictions != 1 || st.Entries != 2 {
@@ -274,15 +270,15 @@ func TestAdmission(t *testing.T) {
 	t.Run("the ghost ring holds no more keys than the shard has entries", func(t *testing.T) {
 		c := full()
 		for b := 10; b < 20; b++ {
-			if _, admitted := c.read("t.sst", b, size); admitted {
+			if _, admitted := c.read(1, b, size); admitted {
 				t.Fatalf("block %d admitted on its first miss", b)
 			}
 			checkGhosts(t, c.BlockCache)
 		}
-		if _, admitted := c.read("t.sst", 10, size); admitted {
+		if _, admitted := c.read(1, 10, size); admitted {
 			t.Fatal("block 10 admitted after the ring forgot it")
 		}
-		if _, admitted := c.read("t.sst", 19, size); !admitted {
+		if _, admitted := c.read(1, 19, size); !admitted {
 			t.Fatal("block 19, the last refused, not admitted on its second miss")
 		}
 		if st := c.Stats(); st.Refused != 11 {
@@ -291,19 +287,19 @@ func TestAdmission(t *testing.T) {
 	})
 	t.Run("DropTable empties the cache and the ring", func(t *testing.T) {
 		c := full()
-		c.read("t.sst", 2, size)
-		c.DropTable("t.sst")
+		c.read(1, 2, size)
+		c.DropTable(1)
 		if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 			t.Fatalf("stats after DropTable = %+v, want empty", st)
 		}
 		checkGhosts(t, c.BlockCache)
-		if _, admitted := c.read("u.sst", 0, size); !admitted {
+		if _, admitted := c.read(2, 0, size); !admitted {
 			t.Fatal("an emptied shard refused a miss")
 		}
 	})
 	t.Run("an oversized block is admitted to an empty shard", func(t *testing.T) {
 		c := newBlockCacheOps(64, 1)
-		if _, admitted := c.read("t.sst", 0, 4096); !admitted {
+		if _, admitted := c.read(1, 0, 4096); !admitted {
 			t.Fatal("an empty shard refused an oversized block")
 		}
 	})
@@ -320,12 +316,12 @@ func TestBlockAdmissionHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				path := fmt.Sprintf("t%d.sst", (g+i)%4)
+				table := uint64((g+i)%4 + 1)
 				if i%250 == 249 {
-					c.DropTable(path)
+					c.DropTable(table)
 					continue
 				}
-				c.read(path, (i*7+g)%64, 256+i%512)
+				c.read(table, (i*7+g)%64, 256+i%512)
 			}
 		}(g)
 	}
@@ -346,45 +342,50 @@ func TestBlockAdmissionHammer(t *testing.T) {
 	}
 }
 
-// The written-out FNV-1a is hash/fnv's, and a block index is hashed as
-// its decimal digits.
-func TestShardHashMatchesFNV(t *testing.T) {
-	for _, k := range []blockKey{{"", 0}, {"n1/000000007.sst", 3}, {"/var/lib/scads/tbl.users/000000007.sst", 1234}, {"t.sst", -5}} {
-		ref := fnv.New32a()
-		ref.Write([]byte(k.path + strconv.Itoa(k.block)))
-		if got, want := k.hash(), ref.Sum32(); got != want {
-			t.Errorf("hash(%q, %d) = %#x, hash/fnv says %#x", k.path, k.block, got, want)
+// The shard hash spreads keys over every shard: the blocks of one
+// table, and the first block of consecutive tables, as a compaction's
+// outputs are numbered.
+func TestShardHashSpreadsKeys(t *testing.T) {
+	c := NewBlockCache(1<<20, cacheShards)
+	for _, keys := range []func(i int) blockKey{
+		func(i int) blockKey { return blockKey{7, i} },
+		func(i int) blockKey { return blockKey{uint64(i + 1), 0} },
+	} {
+		hit := make(map[*blockShard]bool)
+		for i := 0; i < 8*cacheShards; i++ {
+			hit[c.shard(keys(i))] = true
+		}
+		if len(hit) != cacheShards {
+			t.Errorf("%d keys reach %d of %d shards", 8*cacheShards, len(hit), cacheShards)
 		}
 	}
 }
 
-// A cache hit allocates nothing: the key is a struct built and hashed
-// on the caller's stack, free at any path length and block index
-// (hashing the index through strconv.Itoa and hash.Hash32 cost one
-// allocation from block 100 up).
+// A cache hit allocates nothing: the key is a struct of two integers,
+// built and hashed on the caller's stack.
 func TestCacheHitAllocs(t *testing.T) {
 	bc := NewBlockCache(1<<20, cacheShards)
-	for _, path := range []string{"n1/000000007.sst", "/var/lib/scads/node-1/tbl.users/000000007.sst"} {
+	for _, table := range []uint64{7, 1 << 40} {
 		for _, block := range []int{3, 1234} {
-			bc.Put(path, block, blockOfSize(4096, 1))
+			bc.Put(table, block, blockOfSize(4096, 1))
 			if n := testing.AllocsPerRun(200, func() {
-				if _, ok := bc.Get(path, block); !ok {
+				if _, ok := bc.Get(table, block); !ok {
 					t.Fatal("miss")
 				}
 			}); n != 0 {
-				t.Errorf("BlockCache.Get(%q, %d) hit: %v allocs, want 0", path, block, n)
+				t.Errorf("BlockCache.Get(%d, %d) hit: %v allocs, want 0", table, block, n)
 			}
 		}
 	}
 }
 
-// A block is charged what it holds: its Size, plus its path and the
-// entry's bookkeeping.
+// A block is charged what it holds: its Size, plus the entry's
+// bookkeeping.
 func TestBlockCacheChargesSize(t *testing.T) {
 	c := NewBlockCache(1<<20, 1)
 	b := blockOfSize(4096, 1)
-	c.Put("t.sst", 0, b)
-	if got, want := c.Stats().Bytes, int64(len("t.sst")+b.Size()+blockEntryOverhead); got != want {
+	c.Put(1, 0, b)
+	if got, want := c.Stats().Bytes, int64(b.Size()+blockEntryOverhead); got != want {
 		t.Fatalf("a %d-byte block is charged %d bytes, want %d", b.Size(), got, want)
 	}
 }

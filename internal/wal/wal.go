@@ -175,42 +175,46 @@ func (l *Log) AppendGroup(rec record.Record) error {
 	return l.SyncGroup()
 }
 
-// encBufPool recycles per-record encode buffers across appends so the
-// vectored batch write allocates nothing on the steady path.
+// maxPooledBuf bounds what goes back into encBufPool: a buffer that
+// grew past it for one large batch is left for the GC, so the pool does
+// not keep its size.
+const maxPooledBuf = 1 << 20
+
+// encBufPool recycles the buffers batches are encoded into, so an
+// append allocates nothing on the steady path.
 var encBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 1<<10)
+	b := make([]byte, 0, 4<<10)
 	return &b
 }}
 
 func (l *Log) appendRecords(recs []record.Record) error {
-	// Encode outside the lock: one pooled buffer per record, handed to
-	// a single vectored write below, so a batch costs one syscall and
-	// no concatenation copy.
-	bufs := make([]*[]byte, len(recs))
-	iovs := make([][]byte, len(recs))
-	total := 0
-	for i, rec := range recs {
-		bp := encBufPool.Get().(*[]byte)
-		*bp = rec.AppendBinary((*bp)[:0])
-		bufs[i] = bp
-		iovs[i] = *bp
-		total += len(*bp)
+	// Encode outside the lock, the whole batch into one pooled buffer,
+	// so a batch costs one write(2).
+	bp := encBufPool.Get().(*[]byte)
+	buf := (*bp)[:0]
+	for _, rec := range recs {
+		buf = rec.AppendBinary(buf)
 	}
-	defer func() {
-		for _, bp := range bufs {
-			encBufPool.Put(bp)
-		}
-	}()
+	err := l.write(buf, len(recs))
+	if cap(buf) <= maxPooledBuf {
+		*bp = buf
+		encBufPool.Put(bp)
+	}
+	return err
+}
+
+// write appends buf, the encoding of n records, to the active segment.
+func (l *Log) write(buf []byte, n int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	if err := writeVectored(l.active, iovs); err != nil {
+	if _, err := l.active.Write(buf); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	l.activeLen += int64(total)
-	l.appends.Add(int64(len(recs)))
+	l.activeLen += int64(len(buf))
+	l.appends.Add(int64(n))
 	if l.activeLen >= l.opts.SegmentBytes {
 		return l.roll()
 	}

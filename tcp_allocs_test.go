@@ -86,7 +86,7 @@ func TestWarmGetAllocsOverTCP(t *testing.T) {
 		}
 	}
 	get() // dial
-	// Measured 7: the client's response buffer and row.Decode's six (its
+	// Measured 7: the client's response arena and row.Decode's six (its
 	// payload copy, map and boxed values). The server serves the get on
 	// its read loop with the request borrowed from its read buffer, the
 	// key is built in a pooled buffer and admission takes no closure
@@ -112,9 +112,14 @@ func TestInsertAllocsOverTCP(t *testing.T) {
 		}
 	}
 	insert() // dial
-	// Measured 11; 13 when admission's release was a closure.
-	if allocs := testing.AllocsPerRun(200, insert); allocs > 14 {
-		t.Errorf("Cluster.Insert over TCP allocates %.1f times per call, want <= 14", allocs)
+	// Measured 3: the staged record's one buffer, and the server's arena
+	// and records slice for the detached apply. 11 when the row was
+	// normalized into a map of its own, encoded with an escaping names
+	// slice, committed in a one-record slice of its own and served on a
+	// goroutine per request, with the client's response buffer; 13 when
+	// admission's release was a closure.
+	if allocs := testing.AllocsPerRun(200, insert); allocs > 3 {
+		t.Errorf("Cluster.Insert over TCP allocates %.1f times per call, want <= 3", allocs)
 	}
 }
 
@@ -136,9 +141,12 @@ func TestReplicatedInsertAllocsOverTCP(t *testing.T) {
 		}
 	}
 	insert() // dial both nodes
-	// Measured 18; 20 when admission's release was a closure.
-	if allocs := testing.AllocsPerRun(200, insert); allocs > 20 {
-		t.Errorf("replicated Cluster.Insert over TCP allocates %.1f times per call, want <= 20", allocs)
+	// Measured 7: the insert's 3, the replication round's 2 and the
+	// secondary's apply, detached like the primary's. 18 before writes
+	// were staged into one buffer and served by standing workers; 20
+	// when admission's release was a closure.
+	if allocs := testing.AllocsPerRun(200, insert); allocs > 7 {
+		t.Errorf("replicated Cluster.Insert over TCP allocates %.1f times per call, want <= 7", allocs)
 	}
 }
 
@@ -156,11 +164,13 @@ func TestMaintainedInsertAllocsOverTCP(t *testing.T) {
 		}
 	}
 	insert() // dial
-	// Measured 15; 17 when admission's release was a closure, 18 when the
-	// upkeep queue also boxed each task, 24 when the old row was a get of
-	// its own before the apply.
-	if allocs := testing.AllocsPerRun(200, insert); allocs > 17 {
-		t.Errorf("maintained Cluster.Insert over TCP allocates %.1f times per call, want <= 17", allocs)
+	// Measured 8; 15 before writes were staged into one buffer, served
+	// by standing workers and answered in an arena of the displaced
+	// value's size; 17 when admission's release was a closure, 18 when
+	// the upkeep queue also boxed each task, 24 when the old row was a
+	// get of its own before the apply.
+	if allocs := testing.AllocsPerRun(200, insert); allocs > 8 {
+		t.Errorf("maintained Cluster.Insert over TCP allocates %.1f times per call, want <= 8", allocs)
 	}
 }
 

@@ -19,18 +19,19 @@ import (
 	"scads/internal/view"
 )
 
-// Every write runs one pipeline. Stage: resolve the table, normalize
-// the row, encode its key. Old row: read from the primary only when the
-// new row is computed from it (UpdateFunc, serializable and merge
-// writes). Commit: deliver the versioned records to their primaries as
-// a swap, which answers the record each displaced, whenever something
-// consumes that answer (a bound on the version read, index upkeep,
-// Delete's "was there a row?"), else as an apply; then schedule
-// replication and, for a table with dependents, queue each displaced
-// row for asynchronous index upkeep (§3.2), which reads the key's
-// current row when it runs and goes back through commit. The primary's
-// swap is the only place writers of one key meet: nothing here locks a
-// key.
+// Every write runs one pipeline. Stage: resolve the table, validate
+// the row and encode its key; a last-write-wins write of a whole row is
+// staged straight into its record, key and value in one buffer. Old
+// row: read from the primary only when the new row is computed from it
+// (UpdateFunc, serializable and merge writes). Commit: deliver the
+// versioned records to their primaries as a swap, which answers the
+// record each displaced, whenever something consumes that answer (a
+// bound on the version read, index upkeep, Delete's "was there a
+// row?"), else as an apply; then schedule replication and, for a table
+// with dependents, queue each displaced row for asynchronous index
+// upkeep (§3.2), which reads the key's current row when it runs and
+// goes back through commit. The primary's swap is the only place
+// writers of one key meet: nothing here locks a key.
 
 // Insert stores a new row (or fully replaces an existing one) in a
 // table under the table's declared write mode. A last-write-wins
@@ -90,9 +91,19 @@ func (c *Cluster) Update(table string, r row.Row) error {
 }
 
 // upsert stages one full-row write and sends it down the pipeline under
-// the table's write mode: serializable and merge writes read the old
-// row (merge folds it into the new row), last-write-wins ones do not.
+// the table's write mode: a last-write-wins write is staged into its
+// record and committed as is; serializable and merge writes read the
+// old row (merge folds it into the new row).
 func (c *Cluster) upsert(t *query.TableDef, ns string, r row.Row) (uint64, error) {
+	spec := c.specFor(t.Name)
+	if spec.Write == consistency.LastWriteWins {
+		rec, err := c.stage(t, r)
+		if err != nil {
+			return 0, err
+		}
+		_, err = c.commitOne(ns, rec, c.stalenessBound(t.Name), c.deliveryFor(t.Name))
+		return rec.Version, err
+	}
 	nr, err := c.normalizeRow(t, r)
 	if err != nil {
 		return 0, err
@@ -101,8 +112,7 @@ func (c *Cluster) upsert(t *query.TableDef, ns string, r row.Row) (uint64, error
 	if err != nil {
 		return 0, err
 	}
-	spec := c.specFor(t.Name)
-	return c.writeKey(t, ns, key, spec.Write != consistency.LastWriteWins, func(old row.Row) (row.Row, error) {
+	return c.writeKey(t, ns, key, true, func(old row.Row) (row.Row, error) {
 		if spec.Write == consistency.MergeFunction && old != nil {
 			return c.mergeRows(spec.MergeName, old, nr)
 		}
@@ -111,7 +121,7 @@ func (c *Cluster) upsert(t *query.TableDef, ns string, r row.Row) (uint64, error
 }
 
 // InsertBatch stores many rows in one coordinator pass: rows are
-// normalized and versioned together and delivered as one multi-record
+// staged and versioned together and delivered as one multi-record
 // write per primary (one RPC, one WAL write, and — on engines with
 // synchronous writes — one shared group-commit fsync). Into a table
 // something is derived from that write is a swap, whose displaced rows
@@ -143,15 +153,8 @@ func (c *Cluster) insertBatch(t *query.TableDef, ns string, rows []row.Row) erro
 	}
 	recs := make([]record.Record, len(rows))
 	for i, r := range rows {
-		nr, err := c.normalizeRow(t, r)
-		if err != nil {
-			return err
-		}
-		key, err := pkKey(t, nr)
-		if err != nil {
-			return err
-		}
-		if recs[i], err = c.newRecord(key, nr); err != nil {
+		var err error
+		if recs[i], err = c.stage(t, r); err != nil {
 			return err
 		}
 	}
@@ -215,9 +218,8 @@ func (c *Cluster) deleteAs(table string, pk row.Row, tenant string) (uint64, err
 // primary applies it only if no other write of the key landed since. A
 // refused swap answers the record that did land, and next runs again on
 // it, until rpc.DownRetryBudget has passed on the cluster clock; then
-// the write fails with ErrWriteConflict. A write that does not read its
-// row is one round trip: an apply when nothing consumes the displaced
-// row, else a swap.
+// the write fails with ErrWriteConflict. A delete, which does not read
+// its row, is one swap.
 func (c *Cluster) writeKey(t *query.TableDef, ns string, key []byte, reads bool, next func(old row.Row) (row.Row, error)) (uint64, error) {
 	how := c.deliveryFor(t.Name)
 	var old row.Row
@@ -242,12 +244,11 @@ func (c *Cluster) writeKey(t *query.TableDef, ns string, key []byte, reads bool,
 		if err != nil {
 			return 0, err
 		}
-		how.swap = reads || nr == nil || how.upkeep != ""
-		displaced, err := c.commit(ns, []record.Record{rec}, c.stalenessBound(t.Name), how)
-		if err != nil || !how.swap {
-			return rec.Version, err
+		how.swap = true
+		d, err := c.commitOne(ns, rec, c.stalenessBound(t.Name), how)
+		if err != nil {
+			return 0, err
 		}
-		d := displaced[0]
 		if !how.refuses(d) {
 			if nr == nil && d.Tombstone {
 				return 0, nil // there was no row to delete
@@ -313,6 +314,34 @@ func (c *Cluster) mergeRows(mergeName string, old, new row.Row) (row.Row, error)
 	return merged, nil
 }
 
+// stage versions one last-write-wins write of the whole row r: r is
+// checked in place (see checkRow) and its key and value are encoded into
+// one buffer, which the record's Key and Value share.
+func (c *Cluster) stage(t *query.TableDef, r row.Row) (record.Record, error) {
+	if err := checkRow(t, r); err != nil {
+		return record.Record{}, err
+	}
+	sp := keyPool.Get().(*[]byte)
+	defer keyPool.Put(sp)
+	b, err := row.AppendKey((*sp)[:0], r, t.PrimaryKey)
+	if err != nil {
+		return record.Record{}, err
+	}
+	n := len(b)
+	if b, err = row.AppendEncode(b, r); err != nil {
+		return record.Record{}, err
+	}
+	if cap(b) <= maxPooledStage {
+		*sp = b
+	}
+	buf := bytes.Clone(b)
+	return record.Record{Key: buf[:n:n], Value: buf[n:], Version: c.versions.Next()}, nil
+}
+
+// maxPooledStage bounds the staging buffers kept in keyPool, so one huge
+// row does not pin its size there.
+const maxPooledStage = 1 << 20
+
 // newRecord versions one write of key: val encoded, or a tombstone when
 // val is nil.
 func (c *Cluster) newRecord(key []byte, val row.Row) (record.Record, error) {
@@ -344,6 +373,24 @@ type delivery struct {
 // displaced stored: a record over the bound applies nothing.
 func (how delivery) refuses(displaced record.Record) bool {
 	return how.since != 0 && displaced.Version >= how.since
+}
+
+// solos holds the one-record slices commitOne hands commit, which keeps
+// nothing of recs once it returns.
+var solos = sync.Pool{New: func() any { return new([1]record.Record) }}
+
+// commitOne commits rec alone, answering, for a swap, the record it
+// displaced.
+func (c *Cluster) commitOne(ns string, rec record.Record, bound time.Duration, how delivery) (record.Record, error) {
+	one := solos.Get().(*[1]record.Record)
+	defer solos.Put(one)
+	one[0] = rec
+	displaced, err := c.commit(ns, one[:], bound, how)
+	one[0] = record.Record{}
+	if err != nil || !how.swap {
+		return record.Record{}, err
+	}
+	return displaced[0], nil
 }
 
 // commit is the one way records reach storage: base-table writes and
@@ -827,26 +874,38 @@ func (c *Cluster) tableDef(table string) (*query.TableDef, string, error) {
 	return t, c.tableNS[table], nil
 }
 
-// normalizeRow widens literal types and validates against the table's
-// columns; unknown columns are rejected, missing non-key columns are
-// allowed (sparse rows).
-func (c *Cluster) normalizeRow(t *query.TableDef, r row.Row) (row.Row, error) {
-	out := make(row.Row, len(r))
+// checkRow validates r against the table's columns, widening literal
+// types as row.Normalize does: unknown columns and values of the wrong
+// type are rejected, and so is a row missing a primary key column;
+// missing non-key columns are allowed (sparse rows).
+func checkRow(t *query.TableDef, r row.Row) error {
 	for col, v := range r {
 		def, ok := t.Column(col)
 		if !ok {
-			return nil, fmt.Errorf("scads: table %s has no column %q", t.Name, col)
+			return fmt.Errorf("scads: table %s has no column %q", t.Name, col)
 		}
-		nv := row.Normalize(v)
-		if err := row.CheckType(def.Type, nv); err != nil {
-			return nil, fmt.Errorf("scads: table %s: %w", t.Name, err)
+		if err := row.CheckType(def.Type, row.Normalize(v)); err != nil {
+			return fmt.Errorf("scads: table %s: %w", t.Name, err)
 		}
-		out[col] = nv
 	}
 	for _, pk := range t.PrimaryKey {
-		if _, ok := out[pk]; !ok {
-			return nil, fmt.Errorf("scads: table %s: primary key column %q missing", t.Name, pk)
+		if _, ok := r[pk]; !ok {
+			return fmt.Errorf("scads: table %s: primary key column %q missing", t.Name, pk)
 		}
+	}
+	return nil
+}
+
+// normalizeRow is checkRow and a copy of r with literal types widened,
+// for the writes that keep the row as a map: serializable and merge
+// upserts, and UpdateFunc.
+func (c *Cluster) normalizeRow(t *query.TableDef, r row.Row) (row.Row, error) {
+	if err := checkRow(t, r); err != nil {
+		return nil, err
+	}
+	out := make(row.Row, len(r))
+	for col, v := range r {
+		out[col] = row.Normalize(v)
 	}
 	return out, nil
 }
