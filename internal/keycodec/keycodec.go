@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -89,25 +90,43 @@ func AppendTime(dst []byte, v time.Time) []byte {
 
 // AppendString appends an encoded string to dst.
 func AppendString(dst []byte, v string) []byte {
-	dst = append(dst, tagString)
-	return appendEscaped(dst, []byte(v))
+	return appendEscaped(append(dst, tagString), v)
 }
 
 // AppendBytes appends an encoded byte slice to dst.
 func AppendBytes(dst []byte, v []byte) []byte {
-	dst = append(dst, tagBytes)
-	return appendEscaped(dst, v)
+	return appendEscaped(append(dst, tagBytes), v)
 }
 
-func appendEscaped(dst, v []byte) []byte {
-	for _, b := range v {
-		if b == 0x00 {
-			dst = append(dst, 0x00, 0xFF)
-		} else {
-			dst = append(dst, b)
+// appendEscaped copies v up to each 0x00 in one append, escaping the
+// 0x00 as 0x00 0xFF, so a value holding none is one copy.
+func appendEscaped[T string | []byte](dst []byte, v T) []byte {
+	from := 0
+	for i := 0; i < len(v); i++ {
+		if v[i] == 0x00 {
+			dst = append(append(dst, v[from:i+1]...), 0xFF)
+			from = i + 1
 		}
 	}
+	dst = append(dst, v[from:]...)
 	return append(dst, 0x00, 0x01)
+}
+
+// SizeHint returns how many bytes Append adds for elem, exact unless
+// elem is a string or byte slice holding 0x00 (each escape adds one),
+// and 0 for an unsupported type. Callers size a key's buffer with it.
+func SizeHint(elem any) int {
+	switch v := elem.(type) {
+	case nil, bool:
+		return 1
+	case int, int32, int64, uint64, float64, time.Time:
+		return 9
+	case string:
+		return len(v) + 3
+	case []byte:
+		return len(v) + 3
+	}
+	return 0
 }
 
 // Encode encodes the given tuple elements into a single ordered key.
@@ -258,14 +277,23 @@ func decodeEscaped(b []byte) (raw, rest []byte, err error) {
 // Desc-encoded elements of the same type. Indexes use this for ORDER BY
 // ... DESC columns so that every scan stays a forward scan.
 func AppendDesc(dst []byte, elem any) ([]byte, error) {
-	tmp, err := Append(nil, elem)
+	n := len(dst)
+	dst, err := Append(dst, elem)
 	if err != nil {
 		return nil, err
 	}
-	for _, b := range tmp {
-		dst = append(dst, ^b)
+	for i := n; i < len(dst); i++ {
+		dst[i] = ^dst[i]
 	}
 	return dst, nil
+}
+
+// AppendElem appends elem with Append, or with AppendDesc when desc.
+func AppendElem(dst []byte, elem any, desc bool) ([]byte, error) {
+	if desc {
+		return AppendDesc(dst, elem)
+	}
+	return Append(dst, elem)
 }
 
 // ElemLen returns the length of the element encoded at the start of
@@ -308,13 +336,22 @@ func ElemLen(key []byte, desc bool) (int, error) {
 // given prefix, suitable as an exclusive upper bound for a range scan.
 // It returns nil when no such bound exists (prefix is all 0xFF).
 func PrefixEnd(prefix []byte) []byte {
-	end := make([]byte, len(prefix))
-	copy(end, prefix)
-	for i := len(end) - 1; i >= 0; i-- {
-		if end[i] < 0xFF {
-			end[i]++
-			return end[:i+1]
+	_, end := AppendPrefixEnd(nil, prefix)
+	return end
+}
+
+// AppendPrefixEnd appends PrefixEnd(prefix) to dst and returns the
+// extended dst and the bound alone, capped so that appending to it
+// cannot write into dst's array; the bound is nil, and nothing is
+// appended, when none exists. prefix may lie in dst's array before
+// len(dst), so one buffer can hold a key and its end.
+func AppendPrefixEnd(dst, prefix []byte) (grown, end []byte) {
+	for i := len(prefix) - 1; i >= 0; i-- {
+		if prefix[i] < 0xFF {
+			n := len(dst)
+			dst = append(append(slices.Grow(dst, i+1), prefix[:i]...), prefix[i]+1)
+			return dst, dst[n:len(dst):len(dst)]
 		}
 	}
-	return nil
+	return dst, nil
 }

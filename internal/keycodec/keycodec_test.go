@@ -3,7 +3,9 @@ package keycodec
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -394,5 +396,98 @@ func TestElemLenSplitsMixedKeys(t *testing.T) {
 			}
 			rest = rest[n:]
 		}
+	}
+}
+
+// escapeByByte is the byte-at-a-time escaping loop appendEscaped
+// replaced; the encoding must not change.
+func escapeByByte(dst, v []byte) []byte {
+	for _, b := range v {
+		if b == 0x00 {
+			dst = append(dst, 0x00, 0xFF)
+		} else {
+			dst = append(dst, b)
+		}
+	}
+	return append(dst, 0x00, 0x01)
+}
+
+// Property: for random strings and byte slices rich in 0x00 and 0xFF,
+// AppendString and AppendBytes encode exactly as the byte-at-a-time
+// loop did, after whatever dst already holds; SizeHint is exact when
+// the value holds no 0x00; and the encodings sort as their values do.
+func TestEscapingMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1984))
+	alphabet := []byte{0x00, 0x00, 0xFF, 0xFF, 0x01, 0xFE, 'a'}
+	values := make([][]byte, 400)
+	for i := range values {
+		v := make([]byte, rng.Intn(24))
+		for j := range v {
+			v[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		values[i] = v
+	}
+	values = append(values, nil, []byte{0}, []byte{0, 0}, []byte{0xFF})
+	dst := []byte{tagInt, 0xAB}
+	for _, v := range values {
+		want := escapeByByte(append(slices.Clone(dst), tagString), v)
+		if got := AppendString(slices.Clone(dst), string(v)); !bytes.Equal(got, want) {
+			t.Fatalf("AppendString(%x, %x) = %x, want %x", dst, v, got, want)
+		}
+		if got := AppendBytes(nil, v); !bytes.Equal(got, escapeByByte([]byte{tagBytes}, v)) {
+			t.Fatalf("AppendBytes(%x) = %x, want %x", v, got, escapeByByte([]byte{tagBytes}, v))
+		}
+		if !bytes.Contains(v, []byte{0}) {
+			if n := len(AppendString(nil, string(v))); SizeHint(string(v)) != n || SizeHint(v) != n {
+				t.Fatalf("SizeHint(%x) = %d, encoding is %d bytes", v, SizeHint(v), n)
+			}
+		}
+	}
+	sort.Slice(values, func(i, j int) bool { return bytes.Compare(values[i], values[j]) < 0 })
+	for i := 1; i < len(values); i++ {
+		a, b := AppendString(nil, string(values[i-1])), AppendString(nil, string(values[i]))
+		if c := bytes.Compare(values[i-1], values[i]); bytes.Compare(a, b) != c {
+			t.Fatalf("%x vs %x compare %d, encodings %x vs %x do not", values[i-1], values[i], c, a, b)
+		}
+		a, b = AppendBytes(nil, values[i-1]), AppendBytes(nil, values[i])
+		if c := bytes.Compare(values[i-1], values[i]); bytes.Compare(a, b) != c {
+			t.Fatalf("bytes %x vs %x compare %d, encodings do not", values[i-1], values[i], c)
+		}
+	}
+}
+
+// TestSizeHintFixedWidth: SizeHint is exact for every fixed-width
+// element and 0 for an unsupported one.
+func TestSizeHintFixedWidth(t *testing.T) {
+	for _, e := range []any{nil, true, false, 7, int32(7), int64(-7), uint64(7), 2.5, time.Unix(9, 0)} {
+		enc, err := Encode(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if SizeHint(e) != len(enc) {
+			t.Errorf("SizeHint(%#v) = %d, encoding is %d bytes", e, SizeHint(e), len(enc))
+		}
+	}
+	if SizeHint(struct{}{}) != 0 {
+		t.Error("SizeHint of an unsupported type is not 0")
+	}
+}
+
+// TestAppendPrefixEnd: AppendPrefixEnd appends PrefixEnd's bound after
+// dst, leaves dst's bytes alone, appends nothing when there is no
+// bound, and reads a prefix held earlier in dst's own array.
+func TestAppendPrefixEnd(t *testing.T) {
+	for _, prefix := range [][]byte{{0x01}, {0x01, 0xFF}, {0xFF, 0xFF}, {}, {0x00, 0x01, 0xFE}} {
+		dst := []byte{0x7A}
+		got, end := AppendPrefixEnd(dst, prefix)
+		if !bytes.Equal(got[:1], dst) || !bytes.Equal(got[1:], PrefixEnd(prefix)) || !bytes.Equal(end, PrefixEnd(prefix)) || (end == nil) != (PrefixEnd(prefix) == nil) {
+			t.Errorf("AppendPrefixEnd(%x, %x) = %x, %x; want %x then %x", dst, prefix, got, end, dst, PrefixEnd(prefix))
+		}
+	}
+	buf := make([]byte, 0, 16)
+	buf = append(buf, 0x30, 'a', 0xFF)
+	grown, end := AppendPrefixEnd(buf, buf)
+	if !bytes.Equal(end, []byte{0x30, 'b'}) || !bytes.Equal(grown, []byte{0x30, 'a', 0xFF, 0x30, 'b'}) || cap(end) != len(end) {
+		t.Errorf("in-buffer AppendPrefixEnd = %x, %x (cap %d)", grown, end, cap(end))
 	}
 }

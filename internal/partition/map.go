@@ -139,6 +139,16 @@ func (m *Map) Overlapping(start, end []byte) []Range {
 	return out
 }
 
+// spansOne reports whether [start, end) meets at most one range: the
+// range holding start reaches end. It is len(Overlapping(start, end))
+// <= 1 without building the slice.
+func (m *Map) spansOne(start, end []byte) bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	rEnd := m.ranges[m.indexOf(start)].End
+	return rEnd == nil || end != nil && bytes.Compare(end, rEnd) <= 0
+}
+
 // Ranges returns a copy of all ranges in keyspace order.
 func (m *Map) Ranges() []Range {
 	m.mu.RLock()

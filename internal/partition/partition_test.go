@@ -208,6 +208,16 @@ func TestOverlapping(t *testing.T) {
 	if got := m.Overlapping(nil, nil); len(got) != 3 {
 		t.Errorf("Overlapping(nil,nil) = %d, want 3", len(got))
 	}
+	// spansOne is len(Overlapping) <= 1 for every pair of bounds, nil
+	// (unbounded) and reversed ones included.
+	bounds := [][]byte{nil, []byte("a"), []byte("g"), []byte("g\x00"), []byte("h"), []byte("p"), []byte("z")}
+	for _, start := range bounds {
+		for _, end := range bounds {
+			if got, want := m.spansOne(start, end), len(m.Overlapping(start, end)) <= 1; got != want {
+				t.Errorf("spansOne(%q,%q) = %v, Overlapping has %d ranges", start, end, got, len(m.Overlapping(start, end)))
+			}
+		}
+	}
 }
 
 // TestOverlappingRangesSurviveMutations: ranges taken from Overlapping

@@ -168,12 +168,34 @@ func (r *Router) GetBatch(namespace string, keys [][]byte, policy ReadPolicy) ([
 		return nil, err
 	}
 	out := make([]GetResult, len(keys))
-	groups := make(map[string][]int) // node -> indices into keys
+	// node is the first key's node; groups (node -> indices into keys)
+	// is built only once a key has another.
+	var node string
+	var groups map[string][]int
 	for i, key := range keys {
 		// Never empty: every Map constructor and mutator refuses an
 		// empty replica list (ErrNeedReplicas).
 		replicas, first := r.order(m.Lookup(key).Replicas, policy)
-		groups[replicas[first]] = append(groups[replicas[first]], i)
+		n := replicas[first]
+		if i == 0 {
+			node = n
+		}
+		if groups == nil && n != node {
+			groups = make(map[string][]int)
+			for j := range i {
+				groups[node] = append(groups[node], j)
+			}
+		}
+		if groups != nil {
+			groups[n] = append(groups[n], i)
+		}
+	}
+	if groups == nil {
+		// Every key has one node: one flight, sent inline.
+		if len(keys) > 0 {
+			r.getGroup(namespace, node, keys, nil, policy, out)
+		}
+		return out, nil
 	}
 	// One flight per node, all in parallel; each goroutine writes a
 	// disjoint set of out indices.
@@ -182,30 +204,45 @@ func (r *Router) GetBatch(namespace string, keys [][]byte, policy ReadPolicy) ([
 		wg.Add(1)
 		go func(node string, idxs []int) {
 			defer wg.Done()
-			subs := make([]rpc.Request, len(idxs))
-			for j, i := range idxs {
-				subs[j] = rpc.Request{Method: rpc.MethodGet, Namespace: namespace, Key: keys[i]}
-			}
-			var resps []rpc.Response
-			if len(subs) == 1 {
-				if resp, err := r.sendTo(node, subs[0]); err == nil {
-					resps = []rpc.Response{resp}
-				}
-			} else if resp, err := r.sendTo(node, rpc.Request{Method: rpc.MethodBatch, Batch: subs}); err == nil && len(resp.Batch) == len(subs) {
-				resps = resp.Batch
-			}
-			var b budget
-			for j, i := range idxs {
-				if resps == nil || resps[j].Err != "" {
-					out[i] = r.get(namespace, keys[i], policy, &b, nil)
-					continue
-				}
-				out[i] = GetResult{Value: resps[j].Value, Version: resps[j].Version, Found: resps[j].Found}
-			}
+			r.getGroup(namespace, node, keys, idxs, policy, out)
 		}(node, idxs)
 	}
 	wg.Wait()
 	return out, nil
+}
+
+// getGroup reads the keys at idxs (every key when idxs is nil), whose
+// node is node, in one request to it, and writes their results to out.
+// A key the request did not answer cleanly falls back to the single-key
+// path under policy; the group's fallbacks share one retry budget.
+func (r *Router) getGroup(namespace, node string, keys [][]byte, idxs []int, policy ReadPolicy, out []GetResult) {
+	n, at := len(keys), func(j int) int { return j }
+	if idxs != nil {
+		n, at = len(idxs), func(j int) int { return idxs[j] }
+	}
+	var resps []rpc.Response
+	if n == 1 {
+		if resp, err := r.sendTo(node, rpc.Request{Method: rpc.MethodGet, Namespace: namespace, Key: keys[at(0)]}); err == nil {
+			resps = []rpc.Response{resp}
+		}
+	} else {
+		subs := make([]rpc.Request, n)
+		for j := range subs {
+			subs[j] = rpc.Request{Method: rpc.MethodGet, Namespace: namespace, Key: keys[at(j)]}
+		}
+		if resp, err := r.sendTo(node, rpc.Request{Method: rpc.MethodBatch, Batch: subs}); err == nil && len(resp.Batch) == n {
+			resps = resp.Batch
+		}
+	}
+	var b budget
+	for j := range n {
+		i := at(j)
+		if resps == nil || resps[j].Err != "" {
+			out[i] = r.get(namespace, keys[i], policy, &b, nil)
+			continue
+		}
+		out[i] = GetResult{Value: resps[j].Value, Version: resps[j].Version, Found: resps[j].Found}
+	}
 }
 
 // GetFrom reads key from one specific replica — what a replica

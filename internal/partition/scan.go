@@ -91,13 +91,12 @@ func (r *Router) ScanOpts(namespace string, start, end []byte, o ScanOptions) ([
 	if err != nil {
 		return nil, err
 	}
-	ranges := m.Overlapping(start, end)
-
-	if len(ranges) <= 1 {
+	if m.spansOne(start, end) {
 		// Single-range fast path: no fan-out machinery.
 		var b budget
 		return r.gatherInterval(namespace, start, end, o, &b, nil)
 	}
+	ranges := m.Overlapping(start, end)
 
 	subs := make([]*scanSub, len(ranges))
 	for i, rng := range ranges {

@@ -699,25 +699,24 @@ func FormatMaintenanceTable(entries []MaintenanceEntry) string {
 // --- key encoding shared by the executor and the view engine ---
 
 // EncodeEntryKey builds an index entry's key from the source rows
-// (effective name → row).
+// (effective name → row), in one buffer sized from the key's values.
 func EncodeEntryKey(def *IndexDef, rows map[string]row.Row) ([]byte, error) {
-	var key []byte
-	var err error
+	// The values of a key of up to eight columns stay on the stack.
+	var vbuf [8]any
+	vals := vbuf[:0]
+	size := 0
 	for _, kc := range def.KeyCols {
-		r, ok := rows[kc.Source]
-		if !ok {
-			return nil, fmt.Errorf("planner: index %s: no row for source %q", def.Name, kc.Source)
-		}
-		v, ok := r[kc.Column]
-		if !ok {
-			return nil, fmt.Errorf("planner: index %s: row for %q lacks column %q", def.Name, kc.Source, kc.Column)
-		}
-		if kc.Desc {
-			key, err = keycodec.AppendDesc(key, v)
-		} else {
-			key, err = keycodec.Append(key, v)
-		}
+		v, err := sourceValue(def, rows, kc.Source, kc.Column)
 		if err != nil {
+			return nil, err
+		}
+		vals = append(vals, v)
+		size += keycodec.SizeHint(v)
+	}
+	key := make([]byte, 0, size)
+	var err error
+	for i, kc := range def.KeyCols {
+		if key, err = keycodec.AppendElem(key, vals[i], kc.Desc); err != nil {
 			return nil, err
 		}
 	}
@@ -728,58 +727,63 @@ func EncodeEntryKey(def *IndexDef, rows map[string]row.Row) ([]byte, error) {
 func BuildEntryValue(def *IndexDef, rows map[string]row.Row) (row.Row, error) {
 	out := make(row.Row, len(def.Project))
 	for _, pc := range def.Project {
-		r, ok := rows[pc.Source]
-		if !ok {
-			return nil, fmt.Errorf("planner: index %s: no row for source %q", def.Name, pc.Source)
-		}
-		v, ok := r[pc.Column]
-		if !ok {
-			return nil, fmt.Errorf("planner: index %s: row for %q lacks column %q", def.Name, pc.Source, pc.Column)
+		v, err := sourceValue(def, rows, pc.Source, pc.Column)
+		if err != nil {
+			return nil, err
 		}
 		out[pc.Column] = v
 	}
 	return out, nil
 }
 
+// sourceValue is column of the source row named source.
+func sourceValue(def *IndexDef, rows map[string]row.Row, source, column string) (any, error) {
+	r, ok := rows[source]
+	if !ok {
+		return nil, fmt.Errorf("planner: index %s: no row for source %q", def.Name, source)
+	}
+	v, ok := r[column]
+	if !ok {
+		return nil, fmt.Errorf("planner: index %s: row for %q lacks column %q", def.Name, source, column)
+	}
+	return v, nil
+}
+
 // ComputeBounds resolves a plan's bindings against the caller's
-// parameters and returns the [start, end) scan range.
+// parameters and returns the [start, end) scan range. Both bounds are
+// built in one buffer sized from the bound values; neither may be
+// written through.
 func ComputeBounds(p *Plan, params map[string]any) (start, end []byte, err error) {
-	var prefix []byte
-	for i, b := range p.EqBindings {
+	// The values of a key of up to eight columns stay on the stack.
+	var vbuf [8]any
+	vals := vbuf[:0]
+	prefixLen := 0
+	for _, b := range p.EqBindings {
 		v, err := resolveBinding(b, params)
 		if err != nil {
 			return nil, nil, fmt.Errorf("planner: query %s: %w", p.Query, err)
 		}
-		if p.KeyCols[i].Desc {
-			prefix, err = keycodec.AppendDesc(prefix, v)
-		} else {
-			prefix, err = keycodec.Append(prefix, v)
+		vals = append(vals, v)
+		prefixLen += keycodec.SizeHint(v)
+	}
+	if p.Range == nil {
+		if len(vals) == 0 {
+			return nil, nil, nil // full (LIMIT-bounded) scan
 		}
+		buf, err := appendElems(make([]byte, 0, 2*prefixLen), p, vals)
 		if err != nil {
 			return nil, nil, err
 		}
-	}
-	if p.Range == nil {
-		if len(prefix) == 0 {
-			return nil, nil, nil // full (LIMIT-bounded) scan
-		}
-		return prefix, keycodec.PrefixEnd(prefix), nil
+		prefix := buf[:len(buf):len(buf)]
+		_, end := keycodec.AppendPrefixEnd(buf, prefix)
+		return prefix, end, nil
 	}
 
 	v, err := resolveBinding(p.Range.Bind, params)
 	if err != nil {
 		return nil, nil, fmt.Errorf("planner: query %s: %w", p.Query, err)
 	}
-	var bound []byte
-	if p.Range.Desc {
-		bound, err = keycodec.AppendDesc(append([]byte(nil), prefix...), v)
-	} else {
-		bound, err = keycodec.Append(append([]byte(nil), prefix...), v)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-
+	boundLen := prefixLen + keycodec.SizeHint(v)
 	op := p.Range.Op
 	if p.Range.Desc {
 		// Complement encoding flips the comparison direction.
@@ -794,18 +798,54 @@ func ComputeBounds(p *Plan, params map[string]any) (start, end []byte, err error
 			op = query.OpLe
 		}
 	}
+	// The buffer holds the bound (the prefix, then the range value),
+	// then whichever prefix ends the op needs.
+	size := boundLen
 	switch op {
 	case query.OpGe:
-		return bound, keycodec.PrefixEnd(prefix), nil
+		size += prefixLen
 	case query.OpGt:
-		return keycodec.PrefixEnd(bound), keycodec.PrefixEnd(prefix), nil
+		size += boundLen + prefixLen
+	case query.OpLe:
+		size += boundLen
+	}
+	buf, err := appendElems(make([]byte, 0, size), p, vals)
+	if err != nil {
+		return nil, nil, err
+	}
+	prefix := buf[:len(buf):len(buf)]
+	if buf, err = keycodec.AppendElem(buf, v, p.Range.Desc); err != nil {
+		return nil, nil, err
+	}
+	bound := buf[:len(buf):len(buf)]
+
+	switch op {
+	case query.OpGe:
+		_, end := keycodec.AppendPrefixEnd(buf, prefix)
+		return bound, end, nil
+	case query.OpGt:
+		buf, start := keycodec.AppendPrefixEnd(buf, bound)
+		_, end := keycodec.AppendPrefixEnd(buf, prefix)
+		return start, end, nil
 	case query.OpLt:
 		return prefix, bound, nil
 	case query.OpLe:
-		return prefix, keycodec.PrefixEnd(bound), nil
+		_, end := keycodec.AppendPrefixEnd(buf, bound)
+		return prefix, end, nil
 	default:
 		return nil, nil, fmt.Errorf("planner: query %s: unexpected range op %v", p.Query, op)
 	}
+}
+
+// appendElems appends the encodings of the equality prefix's values.
+func appendElems(buf []byte, p *Plan, vals []any) ([]byte, error) {
+	var err error
+	for i, v := range vals {
+		if buf, err = keycodec.AppendElem(buf, v, p.KeyCols[i].Desc); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // Filter is one resolved pushdown predicate: the named column compared
@@ -830,7 +870,7 @@ func ComputeFilters(p *Plan, params map[string]any) ([]Filter, error) {
 		if err != nil {
 			return nil, fmt.Errorf("planner: query %s: %w", p.Query, err)
 		}
-		enc, err := keycodec.Append(nil, row.Normalize(v))
+		enc, err := keycodec.Append(nil, v)
 		if err != nil {
 			return nil, fmt.Errorf("planner: query %s: filter on %s: %w", p.Query, rf.Column, err)
 		}

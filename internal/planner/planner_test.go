@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"scads/internal/analyzer"
+	"scads/internal/keycodec"
 	"scads/internal/query"
 	"scads/internal/row"
 )
@@ -312,6 +313,7 @@ QUERY after SELECT * FROM msgs WHERE channel = ?c AND ts > ?since LIMIT 50
 QUERY atLeast SELECT * FROM msgs WHERE channel = ?c AND ts >= ?since LIMIT 50
 QUERY before SELECT * FROM msgs WHERE channel = ?c AND ts < ?until LIMIT 50
 QUERY atMost SELECT * FROM msgs WHERE channel = ?c AND ts <= ?until LIMIT 50
+QUERY inChannel SELECT * FROM msgs WHERE channel = ?c LIMIT 50
 `
 	s := query.MustParse(src)
 	results, err := analyzer.Analyze(s, analyzer.Config{})
@@ -349,6 +351,32 @@ QUERY atMost SELECT * FROM msgs WHERE channel = ?c AND ts <= ?until LIMIT 50
 	for _, c := range cases {
 		if got := contains(out.Plans[c.plan], c.ts); got != c.expected {
 			t.Errorf("%s contains ts=%d: %v, want %v", c.plan, c.ts, got, c.expected)
+		}
+	}
+	// The bounds are the prefix, the bound and their PrefixEnds, built in
+	// one allocation — also for a value whose 0x00 bytes outgrow the
+	// buffer's size hint, at the cost of growing it.
+	for _, channel := range []string{"c1", "c\x00\x00"} {
+		params := map[string]any{"c": channel, "since": 100, "until": 100}
+		prefix := keycodec.MustEncode(channel)
+		bound := keycodec.MustEncode(channel, int64(100))
+		for plan, want := range map[string][2][]byte{
+			"after":     {keycodec.PrefixEnd(bound), keycodec.PrefixEnd(prefix)},
+			"atLeast":   {bound, keycodec.PrefixEnd(prefix)},
+			"before":    {prefix, bound},
+			"atMost":    {prefix, keycodec.PrefixEnd(bound)},
+			"inChannel": {prefix, keycodec.PrefixEnd(prefix)},
+		} {
+			start, end, err := ComputeBounds(out.Plans[plan], params)
+			if err != nil || !bytes.Equal(start, want[0]) || !bytes.Equal(end, want[1]) {
+				t.Errorf("%s(%q) = [%x, %x), %v; want [%x, %x)", plan, channel, start, end, err, want[0], want[1])
+			}
+			if channel != "c1" {
+				continue
+			}
+			if allocs := testing.AllocsPerRun(100, func() { ComputeBounds(out.Plans[plan], params) }); allocs != 1 {
+				t.Errorf("%s: ComputeBounds allocates %.0f times, want 1", plan, allocs)
+			}
 		}
 	}
 }

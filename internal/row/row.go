@@ -11,9 +11,11 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"time"
 
 	"scads/internal/keycodec"
+	"scads/internal/record"
 )
 
 // Type enumerates column types.
@@ -243,6 +245,54 @@ func appendZigzag(dst []byte, v int64) []byte {
 // boxing of its values), and keeping any one column alive keeps the
 // whole encoded row alive.
 func Decode(b []byte) (Row, error) {
+	return parse(b, string(b), nil)
+}
+
+// DecodeAll decodes the values of recs, one result's records, as Decode
+// decodes each, into rows that share what rows of one result can: all
+// their names and strings are substrings of one copy of the result's
+// bytes, and a string or int value equal to the previous row's value in
+// the same column is that row's boxed value, not a box of its own. Each
+// row is still its own map, so changing one row leaves the others
+// alone. The cost of the sharing: keeping any one column of a result
+// alive keeps the whole result's bytes alive, where Decode keeps one
+// row's.
+func DecodeAll(recs []record.Record) ([]Row, error) {
+	size := 0
+	for i := range recs {
+		size += len(recs[i].Value)
+	}
+	var copied strings.Builder
+	copied.Grow(size)
+	for i := range recs {
+		copied.Write(recs[i].Value)
+	}
+	text := copied.String()
+	// prev holds the previous row's first columns with their boxed values.
+	var prev [16]column
+	out := make([]Row, len(recs))
+	for i := range recs {
+		b := recs[i].Value
+		var err error
+		if out[i], err = parse(b, text[:len(b)], prev[:]); err != nil {
+			return nil, err
+		}
+		text = text[len(b):]
+	}
+	return out, nil
+}
+
+// column is one decoded column and its boxed value.
+type column struct {
+	name string
+	v    any
+}
+
+// parse decodes the encoded row b, whose bytes text holds, taking every
+// name and string from text. When prev is non-empty, column i's string
+// or int value reuses prev[i]'s box when prev[i] is the same column
+// holding an equal value, and is left in prev[i] for the next row.
+func parse(b []byte, text string, prev []column) (Row, error) {
 	count, n := binary.Uvarint(b)
 	// A column costs at least two bytes (name length + type tag), so a
 	// count past remaining/2 is corrupt; the map size hint is capped so
@@ -251,8 +301,7 @@ func Decode(b []byte) (Row, error) {
 		return nil, fmt.Errorf("row: decode: bad column count: %w", ErrCorrupt)
 	}
 	b = b[n:]
-	// text mirrors b; text[len(text)-len(b):] is always what b has left.
-	text := string(b)
+	// text[len(text)-len(b):] is always what b has left.
 	hint := count
 	if hint > 4096 {
 		hint = 4096
@@ -280,7 +329,7 @@ func Decode(b []byte) (Row, error) {
 			}
 			b = b[n:]
 			at := len(text) - len(b)
-			r[name] = text[at : at+int(slen)]
+			r[name] = box(prev, i, name, text[at:at+int(slen)])
 			b = b[slen:]
 		case valInt:
 			v, n, err := readZigzag(b)
@@ -288,7 +337,7 @@ func Decode(b []byte) (Row, error) {
 				return nil, fmt.Errorf("row: decode: bad int for %q: %w", name, err)
 			}
 			b = b[n:]
-			r[name] = v
+			r[name] = box(prev, i, name, v)
 		case valFloat:
 			if len(b) < 8 {
 				return nil, fmt.Errorf("row: decode: short float for %q: %w", name, ErrCorrupt)
@@ -319,6 +368,21 @@ func Decode(b []byte) (Row, error) {
 		return nil, fmt.Errorf("row: decode: %d trailing bytes: %w", len(b), ErrCorrupt)
 	}
 	return r, nil
+}
+
+// box returns v boxed: prev[i]'s box when that is column name holding
+// v, else a new box, which it leaves in prev[i] (when there is one).
+func box[T string | int64](prev []column, i uint64, name string, v T) any {
+	if i >= uint64(len(prev)) {
+		return v
+	}
+	if p := &prev[i]; p.name == name {
+		if pv, ok := p.v.(T); ok && pv == v {
+			return p.v
+		}
+	}
+	prev[i] = column{name, v}
+	return prev[i].v
 }
 
 func readZigzag(b []byte) (int64, int, error) {

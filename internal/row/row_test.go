@@ -3,11 +3,15 @@ package row
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"scads/internal/record"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -271,9 +275,173 @@ func TestDecodeProperty(t *testing.T) {
 	}
 }
 
+// randomResult draws the records of one result: up to eight rows, most
+// of one shape whose values repeat from row to row or not, over every
+// column type, with now and then a row of another shape.
+func randomResult(rng *rand.Rand) []record.Record {
+	shape := randomRow(rng)
+	recs := make([]record.Record, rng.Intn(9))
+	for i := range recs {
+		r := shape.Clone()
+		if rng.Intn(6) == 0 {
+			r = randomRow(rng)
+		}
+		for k := range r {
+			if rng.Intn(3) != 0 {
+				continue
+			}
+			switch v := r[k].(type) { // a distinct value in this row
+			case string:
+				r[k] = v + "'"
+			case int64:
+				r[k] = v + 1
+			case float64:
+				r[k] = v + 1
+			case bool:
+				r[k] = !v
+			case time.Time:
+				r[k] = v.Add(time.Second)
+			}
+		}
+		enc, err := Encode(r)
+		if err != nil {
+			panic(err)
+		}
+		recs[i] = record.Record{Key: []byte{byte(i)}, Value: enc}
+	}
+	return recs
+}
+
+// decodeEach decodes recs one row at a time, as DecodeAll must agree.
+func decodeEach(recs []record.Record) ([]Row, error) {
+	out := make([]Row, len(recs))
+	for i, rec := range recs {
+		var err error
+		if out[i], err = Decode(rec.Value); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// Property: DecodeAll equals Decode row by row over random results —
+// repeated and distinct values, every column type, empty results — and
+// owns its memory like Decode does.
+func TestDecodeAllMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(20100110))
+	for i := 0; i < 500; i++ {
+		recs := randomResult(rng)
+		want, err := decodeEach(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeAll(recs)
+		if err != nil {
+			t.Fatalf("result %d: DecodeAll: %v", i, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("result %d: DecodeAll = %d rows, want %d", i, len(got), len(want))
+		}
+		for _, rec := range recs {
+			for j := range rec.Value {
+				rec.Value[j] ^= 0xA5
+			}
+		}
+		for j := range want {
+			if !Equal(got[j], want[j]) {
+				t.Fatalf("result %d row %d: DecodeAll %v, Decode %v", i, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestDecodeAllRowsAreSeparate: rows that share their bytes and their
+// boxed values are still separate maps.
+func TestDecodeAllRowsAreSeparate(t *testing.T) {
+	var recs []record.Record
+	for _, f2 := range []string{"bob", "carol"} {
+		enc, err := Encode(Row{"f1": "alice", "f2": f2, "since": int64(2009)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, record.Record{Value: enc})
+	}
+	rows, err := DecodeAll(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows[0]["f1"] = "zed"
+	rows[0]["since"] = int64(1)
+	delete(rows[0], "f2")
+	rows[0]["extra"] = true
+	if want := (Row{"f1": "alice", "f2": "carol", "since": int64(2009)}); !Equal(rows[1], want) {
+		t.Fatalf("rows[1] = %v after changing rows[0], want %v", rows[1], want)
+	}
+}
+
+// TestDecodeAllCorrupt: a corrupt or truncated row anywhere in a
+// result fails the whole result with ErrCorrupt.
+func TestDecodeAllCorrupt(t *testing.T) {
+	good, err := Encode(Row{"id": "user:1", "n": int64(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(good); n++ {
+		for _, recs := range [][]record.Record{
+			{{Value: good[:n]}},
+			{{Value: good}, {Value: good[:n]}},
+			{{Value: good[:n]}, {Value: good}},
+		} {
+			if _, err := DecodeAll(recs); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%d-byte prefix of a %d-byte row: err = %v, want ErrCorrupt", n, len(good), err)
+			}
+		}
+	}
+	for _, bad := range [][]byte{append(slices.Clone(good), 0), {1, 1, 'a', 0x7F}, {200, 1, 'a', valTrue}} {
+		if _, err := DecodeAll([]record.Record{{Value: good}, {Value: bad}}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("DecodeAll with % x = %v, want ErrCorrupt", bad, err)
+		}
+	}
+}
+
+// FuzzDecodeAll: a two-row result decodes exactly when each row does on
+// its own, to the rows Decode gives, and fails with ErrCorrupt when not.
+func FuzzDecodeAll(f *testing.F) {
+	mixed4, _ := Encode(Row{"id": "user:12345", "name": "Alice Smith", "birthday": int64(19840105), "active": true})
+	friend := func(f2 string) []byte {
+		enc, _ := Encode(Row{"f1": "user000", "f2": f2, "at": time.Unix(1230768000, 5).UTC(), "w": 0.5})
+		return enc
+	}
+	f.Add(mixed4, mixed4)
+	f.Add(friend("user001"), friend("user002"))
+	f.Add(friend("user001"), mixed4)
+	f.Add([]byte{0}, []byte{})
+	f.Add([]byte{1, 1, 'a', valString, 9, 'x'}, mixed4)
+	f.Add(mixed4[:len(mixed4)-1], []byte{200, 1, 'a', valTrue})
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		recs := []record.Record{{Value: a}, {Value: b}}
+		want, wantErr := decodeEach(recs)
+		got, err := DecodeAll(recs)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("DecodeAll err = %v, Decode err = %v", err, wantErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeAll err = %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		for i := range want {
+			if !Equal(got[i], want[i]) {
+				t.Fatalf("row %d: DecodeAll %v, Decode %v", i, got[i], want[i])
+			}
+		}
+	})
+}
+
 // TestCodecAllocs pins the row codec's allocations at their counts:
-// Encode of a 4-column row, and Decode of it and of the ledger's users
-// row (see BenchmarkDecode).
+// Encode of a 4-column row, Decode of it and of the ledger's users row
+// (see BenchmarkDecode), and DecodeAll of a ten-row result.
 func TestCodecAllocs(t *testing.T) {
 	mixed4 := Row{"id": "user:12345", "name": "Alice Smith", "birthday": int64(19840105), "active": true}
 	users5 := Row{"id": "user00001234", "name": "User Number 1234", "birthday": int64(19840105),
@@ -303,6 +471,25 @@ func TestCodecAllocs(t *testing.T) {
 		if decode > tc.max {
 			t.Errorf("Decode(%s) allocates %.0f times, want <= %.0f", tc.name, decode, tc.max)
 		}
+	}
+	// A result of ten friendships of one user, measured 33: its bytes,
+	// its slice, and per row the map's two allocations and the f2 box;
+	// the repeated f1 is boxed once. Ten Decodes into a slice make 51.
+	friends := make([]record.Record, 10)
+	for i := range friends {
+		enc, err := Encode(Row{"f1": "user000", "f2": fmt.Sprintf("user%03d", i+1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		friends[i].Value = enc
+	}
+	decodeAll := testing.AllocsPerRun(200, func() {
+		if _, err := DecodeAll(friends); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if decodeAll > 33 {
+		t.Errorf("DecodeAll(10 friends) allocates %.0f times, want <= 33", decodeAll)
 	}
 }
 

@@ -205,6 +205,20 @@ func (e *Engine) retireDriving(def *planner.IndexDef, old row.Row, acc *mutation
 		return nil
 	}
 	driving := e.schema.Tables[def.Driving]
+	// One buffer holds old's encoding of each driving key column, the
+	// leading ones first, which form the scan's prefix, then its end.
+	size := 0
+	for _, kc := range def.KeyCols {
+		if kc.Source != def.DrivingEff {
+			continue
+		}
+		v, ok := old[kc.Column]
+		if !ok {
+			return nil // no entry was built without its key column
+		}
+		size += keycodec.SizeHint(v)
+	}
+	buf := make([]byte, 0, 2*size)
 	// want[i] is key column i's encoding under old when it is one of the
 	// driving table's primary-key columns.
 	want := make([][]byte, len(def.KeyCols))
@@ -216,22 +230,14 @@ func (e *Engine) retireDriving(def *planner.IndexDef, old row.Row, acc *mutation
 			lead = false
 			continue
 		}
-		v, ok := old[kc.Column]
-		if !ok {
-			return nil // no entry was built without its key column
-		}
-		var enc []byte
+		at := len(buf)
 		var err error
-		if kc.Desc {
-			enc, err = keycodec.AppendDesc(nil, v)
-		} else {
-			enc, err = keycodec.Append(nil, v)
-		}
-		if err != nil {
+		if buf, err = keycodec.AppendElem(buf, old[kc.Column], kc.Desc); err != nil {
 			return err
 		}
+		enc := buf[at:len(buf):len(buf)]
 		if lead {
-			prefix = append(prefix, enc...)
+			prefix = buf[:len(buf):len(buf)]
 			prefixCols = append(prefixCols, kc.Column)
 		}
 		if slices.Contains(driving.PrimaryKey, kc.Column) {
@@ -242,7 +248,8 @@ func (e *Engine) retireDriving(def *planner.IndexDef, old row.Row, acc *mutation
 	if bound <= 0 {
 		return fmt.Errorf("view: %s: no cardinality bound for the entries under %s's key prefix", def.Name, def.Driving)
 	}
-	keys, err := ks.ScanKeys(def.Namespace, prefix, keycodec.PrefixEnd(prefix), bound+1)
+	_, end := keycodec.AppendPrefixEnd(buf, prefix)
+	keys, err := ks.ScanKeys(def.Namespace, prefix, end, bound+1)
 	if err != nil {
 		return err
 	}

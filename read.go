@@ -265,11 +265,7 @@ func (c *Cluster) query(name string, params map[string]any, tenant string) ([]ro
 	if plan == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownQuery, name)
 	}
-	norm := make(map[string]any, len(params))
-	for k, v := range params {
-		norm[k] = row.Normalize(v)
-	}
-	startKey, endKey, err := planner.ComputeBounds(plan, norm)
+	startKey, endKey, err := planner.ComputeBounds(plan, params)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +297,7 @@ func (c *Cluster) query(name string, params map[string]any, tenant string) ([]ro
 	// plan narrows stored rows) the projection travel with the request,
 	// so storage nodes return pre-filtered, pre-projected rows instead
 	// of the coordinator decoding every base row.
-	filters, err := planner.ComputeFilters(plan, norm)
+	filters, err := planner.ComputeFilters(plan, params)
 	if err != nil {
 		return nil, err
 	}
@@ -312,16 +308,16 @@ func (c *Cluster) query(name string, params map[string]any, tenant string) ([]ro
 	if err != nil {
 		return nil, err
 	}
+	out, err := row.DecodeAll(recs)
+	if err != nil {
+		return nil, err
+	}
 	// Scan-byte quotas are post-paid: the result size isn't known
 	// until the fan-out returns, so the tenant's bucket is debited
 	// after the fact and an overdraw blocks the *next* scan.
 	var scanBytes int64
-	out := make([]row.Row, len(recs))
-	for i, rec := range recs {
+	for _, rec := range recs {
 		scanBytes += int64(len(rec.Value))
-		if out[i], err = row.Decode(rec.Value); err != nil {
-			return nil, err
-		}
 	}
 	c.admission.DebitScanBytes(tenant, scanBytes)
 	return out, nil

@@ -225,15 +225,7 @@ func (s *coordStore) ScanRows(namespace string, start, end []byte, limit int) ([
 	if err != nil {
 		return nil, err
 	}
-	out := make([]row.Row, 0, len(recs))
-	for _, rec := range recs {
-		r, err := row.Decode(rec.Value)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return row.DecodeAll(recs)
 }
 
 func (s *coordStore) ScanKeys(namespace string, start, end []byte, limit int) ([][]byte, error) {

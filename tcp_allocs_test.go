@@ -174,6 +174,38 @@ func TestMaintainedInsertAllocsOverTCP(t *testing.T) {
 	}
 }
 
+// TestUpkeepRoundAllocs pins a maintained users insert together with
+// the upkeep round that follows it: the round reads the user's current
+// row from its primary, finds the one friend through the reverse index
+// and moves the friend's join-view entry to the new birthday.
+func TestUpkeepRoundAllocs(t *testing.T) {
+	c := openOverTCP(t, 1, socialDDL)
+	if err := c.Insert("friendships", Row{"f1": "user000002", "f2": "user000001"}); err != nil {
+		t.Fatal(err)
+	}
+	birthday := int64(1)
+	round := func() {
+		birthday = 3 - birthday // 1, 2, 1, ...: every round moves the entry
+		if err := c.Insert("users", Row{"id": "user000001", "name": "User One", "birthday": birthday}); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := c.DrainMaintenance(256); n != 1 || err != nil {
+			t.Fatalf("DrainMaintenance = %d, %v; want 1 task", n, err)
+		}
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	round() // dial
+	// Measured 59: the insert's 8 and the round's 51. 65 when the round's
+	// read of the user's row grouped its one key by node in a map and
+	// sent it from a goroutine; 71 when keys were also escaped byte by
+	// byte into buffers grown on the way.
+	if allocs := testing.AllocsPerRun(200, round); allocs > 59 {
+		t.Errorf("maintained insert + upkeep round over TCP allocates %.1f times per call, want <= 59", allocs)
+	}
+}
+
 // TestUpkeepQueueAllocs pins the upkeep queue's own cost: pushing a
 // task, popping it into a round and settling the round allocate only
 // the slice of tasks popN returns.
@@ -211,8 +243,10 @@ func TestEmptyDrainAllocs(t *testing.T) {
 // allocates end to end over a TCP node, on the social schema with one
 // user who has ten friends: a primary-key get (findUser), a base-table
 // scan (friends) and a join-view scan (friendsWithUpcomingBirthdays).
-// findUser is pinned at its measured count (10), the two scans 8 above
-// theirs (64). The trailing comments give the earlier pins: before
+// findUser is pinned at its measured count (8), the two scans 8 above
+// theirs (41 and 50). The trailing comments give the earlier pins:
+// before a query's rows were decoded as one result (row.DecodeAll) and
+// its parameters were no longer copied into a map of their own; before
 // admission took no closure, the point read's key was pooled and a node
 // scan sized its record slice once; and before that, when a whole-row
 // SELECT still carried a projection, the coordinator narrowed scanned
@@ -239,9 +273,9 @@ func TestQueryAllocsOverTCP(t *testing.T) {
 		rows  int
 		limit float64
 	}{
-		{"findUser", 1, 10},                      // was 13, 18
-		{"friends", 10, 72},                      // was 78, 184
-		{"friendsWithUpcomingBirthdays", 10, 72}, // was 78, 99
+		{"findUser", 1, 8},                       // was 10, 13, 18
+		{"friends", 10, 49},                      // was 72, 78, 184
+		{"friendsWithUpcomingBirthdays", 10, 58}, // was 72, 78, 99
 	} {
 		run := func() {
 			rows, err := c.Query(q.name, params)
