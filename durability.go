@@ -79,30 +79,27 @@ func (c *Cluster) EnforceDurability(pFailPerWindow float64) ([]DurabilityPlan, e
 	if err != nil {
 		return nil, err
 	}
-	err = c.repairs.Pause(func() error {
-		up := c.dir.Up()
-		for i, plan := range plans {
-			if plan.Satisfied() {
-				continue
-			}
-			err := c.reconfigure(planner.TableNamespace(plan.Table), func(_ int, rng partition.Range) ([]string, error) {
-				deficit := plan.RequiredReplicas - len(rng.Replicas)
-				if deficit <= 0 {
-					return rng.Replicas, nil
-				}
-				adds := c.router.Spares(up, rng.Replicas)
-				if len(adds) < deficit {
-					return nil, fmt.Errorf("scads: durability for %q needs %d replicas but only %d nodes are serving",
-						plan.Table, plan.RequiredReplicas, len(up))
-				}
-				return append(slices.Clone(rng.Replicas), adds[:deficit]...), nil
-			})
-			if err != nil {
-				return err
-			}
-			plans[i].CurrentReplicas = plan.RequiredReplicas
+	up := c.dir.Up()
+	for i, plan := range plans {
+		if plan.Satisfied() {
+			continue
 		}
-		return nil
-	})
-	return plans, err
+		err := c.reconfigure(planner.TableNamespace(plan.Table), func(_ int, rng partition.Range) ([]string, error) {
+			deficit := plan.RequiredReplicas - len(rng.Replicas)
+			if deficit <= 0 {
+				return rng.Replicas, nil
+			}
+			adds := c.router.Spares(up, rng.Replicas)
+			if len(adds) < deficit {
+				return nil, fmt.Errorf("scads: durability for %q needs %d replicas but only %d nodes are serving",
+					plan.Table, plan.RequiredReplicas, len(up))
+			}
+			return append(slices.Clone(rng.Replicas), adds[:deficit]...), nil
+		})
+		if err != nil {
+			return plans, err
+		}
+		plans[i].CurrentReplicas = plan.RequiredReplicas
+	}
+	return plans, nil
 }

@@ -1,6 +1,7 @@
 package scads
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"scads/internal/cloudsim"
 	"scads/internal/director"
 	"scads/internal/migration"
+	"scads/internal/planner"
 	"scads/internal/repair"
 )
 
@@ -78,13 +80,14 @@ func TestResizeGrowsAndShrinksRealCluster(t *testing.T) {
 	}
 }
 
-// TestDecommissionWaitsForInFlightRepair pins the decommission/repair
-// exclusion: a direct DecommissionNode may not move data while a
-// repair job is re-replicating a range onto the victim — the repair's
-// flip would land on a drained node. The repair migration is held at
-// its snapshot phase on a channel, so the ordering is forced, not
-// timed; only the check that the decommission stays put is a wait.
-func TestDecommissionWaitsForInFlightRepair(t *testing.T) {
+// TestDecommissionNeverAddsTheDrainingNode pins the decommission/repair
+// interlock: a repair job re-replicating a range onto the victim is
+// held at its snapshot while DecommissionNode drains the victim. The
+// held move keeps its range's lock, so the decommission's move of that
+// range waits and then sees the victim the repair added; no move
+// planned after the drain may target the victim. The ordering comes
+// from channels; only the deadlines are timed.
+func TestDecommissionNeverAddsTheDrainingNode(t *testing.T) {
 	lc, err := NewLocalCluster(3, Config{
 		ReplicationFactor: 2,
 		Repair: repair.Config{
@@ -112,21 +115,24 @@ func TestDecommissionWaitsForInFlightRepair(t *testing.T) {
 	}
 
 	// Hold the first migration that enters its snapshot phase after
-	// arming — that will be the repair's re-replication. While it is
-	// held, a phase whose target drops the victim is the
-	// decommission's, and none may start.
+	// arming — that will be the repair's re-replication. A snapshot
+	// that starts while the victim is out of Up (draining, then down)
+	// and targets it is a violation.
 	const victim = "node-003"
-	var armed, watching atomic.Bool
-	var early atomic.Int64
+	var armed atomic.Bool
+	var late atomic.Int64
 	gate := make(chan struct{})
 	blocked := make(chan struct{}, 1)
 	lc.Migrations().OnPhase = func(ev migration.Event) {
-		if ev.Phase == migration.PhaseSnapshot && armed.CompareAndSwap(true, false) {
+		if ev.Phase != migration.PhaseSnapshot {
+			return
+		}
+		if !slices.Contains(lc.Directory().Up(), victim) && slices.Contains(ev.Target, victim) {
+			late.Add(1)
+		}
+		if armed.CompareAndSwap(true, false) {
 			blocked <- struct{}{}
 			<-gate
-		}
-		if watching.Load() && len(ev.Target) > 0 && !slices.Contains(ev.Target, victim) {
-			early.Add(1)
 		}
 	}
 
@@ -134,9 +140,6 @@ func TestDecommissionWaitsForInFlightRepair(t *testing.T) {
 	// spare, node-003 — the victim.
 	lc.CrashNode("node-002")
 	armed.Store(true)
-	// Sweep until the replacement grace elapses and a re-replication
-	// job reaches its (held) snapshot phase; the deadline only bounds
-	// test failure, the ordering comes from the channel.
 	deadline := time.Now().Add(10 * time.Second)
 	for waiting := true; waiting; {
 		lc.RepairNow()
@@ -160,21 +163,20 @@ func TestDecommissionWaitsForInFlightRepair(t *testing.T) {
 
 	survivors := slices.DeleteFunc(lc.Directory().Up(), func(id string) bool { return id == victim })
 	done := make(chan error, 1)
-	watching.Store(true)
 	go func() { done <- lc.DecommissionNode(victim, survivors) }()
-	select {
-	case err := <-done:
-		close(gate)
-		t.Fatalf("DecommissionNode returned (%v) while the repair was in flight", err)
-	case <-time.After(100 * time.Millisecond):
+	for slices.Contains(lc.Directory().Up(), victim) {
+		if time.Now().After(deadline) {
+			close(gate)
+			t.Fatal("the victim never drained")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	watching.Store(false)
 	close(gate)
-	if n := early.Load(); n > 0 {
-		t.Fatalf("%d decommission migration phases started while the repair was in flight", n)
-	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if n := late.Load(); n > 0 {
+		t.Fatalf("%d snapshots targeting the victim started after its drain", n)
 	}
 
 	if !lc.Repairs().Quiesce(10 * time.Second) {
@@ -197,6 +199,140 @@ func TestDecommissionWaitsForInFlightRepair(t *testing.T) {
 		if _, found, err := lc.Get("users", Row{"id": id}); err != nil || !found {
 			t.Fatalf("Get(%s) after repair+decommission: found=%v err=%v", id, found, err)
 		}
+	}
+}
+
+// TestDecommissionRefusedMovesNothing: a decommission that would leave
+// a range with no replicas is refused before any move, and the node it
+// drained is placeable again.
+func TestDecommissionRefusedMovesNothing(t *testing.T) {
+	lc, _ := newSocialCluster(t, 2, 1)
+	seedUsers(t, lc.Cluster, 10)
+	layout := func() string {
+		var b strings.Builder
+		for _, ns := range slices.Sorted(slices.Values(lc.Router().Namespaces())) {
+			m, _ := lc.Router().Map(ns)
+			for _, rng := range m.Ranges() {
+				fmt.Fprintf(&b, "%s %q %v\n", ns, rng.Start, rng.Replicas)
+			}
+		}
+		return b.String()
+	}
+	before := layout()
+	err := lc.DecommissionNode("node-002", nil)
+	if err == nil || !strings.Contains(err.Error(), "would leave") {
+		t.Fatalf("DecommissionNode = %v, want the no-replicas refusal", err)
+	}
+	if after := layout(); after != before {
+		t.Fatalf("a refused decommission moved ranges:\nbefore\n%safter\n%s", before, after)
+	}
+	if st := lc.MigrationStats(); st.Started != 0 {
+		t.Fatalf("a refused decommission started migrations: %+v", st)
+	}
+	if up := lc.Directory().Up(); !slices.Contains(up, "node-002") {
+		t.Fatalf("Up after a refused decommission = %v, want node-002 back", up)
+	}
+}
+
+// TestRepairRunsWhileAPlannedMoveIsHeld: a spread migration held at its
+// snapshot keeps only its own range; a crash elsewhere is failed over
+// and repaired meanwhile, and the spread completes once released.
+func TestRepairRunsWhileAPlannedMoveIsHeld(t *testing.T) {
+	lc, err := NewLocalCluster(4, Config{
+		ReplicationFactor: 2,
+		Repair: repair.Config{
+			SweepInterval:    time.Hour, // manual sweeps only
+			HeartbeatTimeout: 250 * time.Millisecond,
+			ReplaceAfter:     20 * time.Millisecond,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	if err := lc.DefineSchema(socialDDL); err != nil {
+		t.Fatal(err)
+	}
+	seedUsers(t, lc.Cluster, 40)
+	if err := lc.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.SplitTable("users", "user0010", "user0020", "user0030"); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.SpreadAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lc.AddStorageNode(); err != nil {
+		t.Fatal(err)
+	}
+
+	var armed atomic.Bool
+	armed.Store(true)
+	gate := make(chan struct{})
+	held := make(chan migration.Event, 1)
+	lc.Migrations().OnPhase = func(ev migration.Event) {
+		if ev.Phase == migration.PhaseSnapshot && armed.CompareAndSwap(true, false) {
+			held <- ev
+			<-gate
+		}
+	}
+	ns := planner.TableNamespace("users")
+	done := make(chan error, 1)
+	go func() { done <- lc.SpreadNamespace(ns) }()
+	ev := <-held
+	m, _ := lc.Router().Map(ns)
+	heldRange := m.Lookup(ev.Start)
+
+	// Crash a node outside the held move's range and target.
+	var crashed string
+	for _, id := range lc.Directory().Up() {
+		if !slices.Contains(ev.Target, id) && !slices.Contains(heldRange.Replicas, id) {
+			crashed = id
+			break
+		}
+	}
+	if crashed == "" {
+		t.Fatalf("no node outside the held move %v of %v", ev.Target, heldRange.Replicas)
+	}
+	lc.CrashNode(crashed)
+
+	// Every other range regains two replicas without the crashed node
+	// while the spread is still held.
+	restored := func() bool {
+		for _, name := range lc.Router().Namespaces() {
+			pm, _ := lc.Router().Map(name)
+			for _, rng := range pm.Ranges() {
+				if name == ns && bytes.Equal(rng.Start, heldRange.Start) {
+					continue
+				}
+				if len(rng.Replicas) != 2 || slices.Contains(rng.Replicas, crashed) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !restored() || lc.RepairStats().PendingJobs > 0 {
+		if time.Now().After(deadline) {
+			close(gate)
+			t.Fatalf("no repair while the spread was held: %+v", lc.RepairStats())
+		}
+		lc.RepairNow()
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(gate)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the spread never returned")
+	}
+	if got := m.Lookup(ev.Start).Replicas; !slices.Equal(got, ev.Target) {
+		t.Fatalf("held range = %v after the spread, want %v", got, ev.Target)
 	}
 }
 

@@ -42,6 +42,8 @@ type Member struct {
 	Status        Status
 	LastHeartbeat time.Time
 	JoinedAt      time.Time
+
+	draining bool // leaving: serves as before, but Up leaves it out
 }
 
 // Directory tracks cluster membership. The SCADS director and routers
@@ -88,6 +90,19 @@ func (d *Directory) MarkDown(id string) {
 	defer d.mu.Unlock()
 	if m, ok := d.members[id]; ok {
 		m.Status = StatusDown
+	}
+}
+
+// Drain marks a member as leaving (on) or lifts the mark. A draining
+// member keeps serving — Addr, routing and liveness are unchanged — but
+// Up, the pool every placement draws from, leaves it out. The mark
+// outlives MarkDown, so a decommissioned node that heartbeats back is
+// never placed again.
+func (d *Directory) Drain(id string, on bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if m, ok := d.members[id]; ok {
+		m.draining = on
 	}
 }
 
@@ -139,6 +154,18 @@ func (d *Directory) Get(id string) (Member, bool) {
 	return *m, true
 }
 
+// Addr returns the address of id if the member is serving: up,
+// draining or not.
+func (d *Directory) Addr(id string) (string, bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	m, ok := d.members[id]
+	if !ok || m.Status != StatusUp {
+		return "", false
+	}
+	return m.Addr, true
+}
+
 // Members returns copies of all members, sorted by ID.
 func (d *Directory) Members() []Member {
 	d.mu.RLock()
@@ -151,11 +178,12 @@ func (d *Directory) Members() []Member {
 	return out
 }
 
-// Up returns the IDs of the members currently serving, sorted.
+// Up returns the IDs of the members a placement may use — serving and
+// not draining — sorted.
 func (d *Directory) Up() []string {
 	var out []string
 	for _, m := range d.Members() {
-		if m.Status == StatusUp {
+		if m.Status == StatusUp && !m.draining {
 			out = append(out, m.ID)
 		}
 	}

@@ -123,8 +123,7 @@ func RFRestored(c Cluster, rf int) bool {
 			}
 			seen := make(map[string]bool, len(rng.Replicas))
 			for _, id := range rng.Replicas {
-				mem, ok := c.Directory().Get(id)
-				if !ok || mem.Status != cluster.StatusUp || seen[id] {
+				if _, ok := c.Directory().Addr(id); !ok || seen[id] {
 					return false
 				}
 				seen[id] = true

@@ -173,31 +173,49 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// MoveRange migrates the range of pm containing key to the target
-// replica group (target[0] becomes the primary), losslessly with
+// ErrTargetDown refuses a move whose target adds a node that is not
+// in Directory.Up: down, booting, unknown or draining — a plan made
+// before the directory changed.
+var ErrTargetDown = errors.New("migration: target adds a node that is not up")
+
+// MoveRange migrates the range of pm containing key to the replica
+// group plan returns (target[0] becomes the primary), losslessly with
 // respect to writes acknowledged at any point: snapshot, delta
-// catch-up, brief write-fence drain, routing flip, teardown. Safe for
-// concurrent use; migrations of distinct ranges run in parallel up to
-// the manager's parallelism bound, migrations of the same range
-// serialise. Re-invoking with the same arguments after a partial
-// failure resumes idempotently (including pending teardown of old
-// replicas after a post-flip failure).
-func (m *Manager) MoveRange(pm *partition.Map, namespace string, key []byte, target []string) error {
-	if len(target) == 0 {
-		return partition.ErrNeedReplicas
-	}
+// catch-up, brief write-fence drain, routing flip, teardown. plan runs
+// in a migration slot under the range's lock, on the range as it
+// stands then: every mover of a range — repair, spread, decommission,
+// rebalance, an operator — plans against the state its move starts
+// from. An empty target is partition.ErrNeedReplicas; a target equal
+// to the current set moves nothing, counts nothing and only retries
+// the range's pending teardown; a target adding a node not in
+// Directory.Up is ErrTargetDown. Migrations of distinct ranges run in
+// parallel up to the manager's parallelism bound, migrations of the
+// same range serialise.
+func (m *Manager) MoveRange(pm *partition.Map, namespace string, key []byte, plan func(partition.Range) ([]string, error)) error {
 	m.sem <- struct{}{}
 	defer func() { <-m.sem }()
-
-	rng := pm.Lookup(key)
-	unlock := m.lockRange(namespace, rng.Start)
+	unlock := m.lockRange(namespace, pm.Lookup(key).Start)
 	defer unlock()
-	// Re-read under the range lock: a racing migration may have
-	// already flipped the replicas.
-	rng = pm.Lookup(key)
+	rng := pm.Lookup(key)
+	target, err := plan(rng)
+	switch {
+	case err != nil:
+		return err
+	case len(target) == 0:
+		return partition.ErrNeedReplicas
+	case slices.Equal(rng.Replicas, target):
+		m.retryPendingFor(namespace, rng)
+		return nil
+	}
+	up := m.dir.Up()
+	for _, id := range diff(target, rng.Replicas) {
+		if !slices.Contains(up, id) {
+			return fmt.Errorf("migration: %s %s: %s: %w", namespace, rng, id, ErrTargetDown)
+		}
+	}
 
 	m.started.Add(1)
-	err := m.migrate(pm, namespace, key, rng, target)
+	err = m.migrate(pm, namespace, key, rng, target)
 	if err != nil {
 		m.failed.Add(1)
 		m.event(Event{Phase: PhaseDone, Namespace: namespace, Start: rng.Start, End: rng.End, Target: target, Err: err})
@@ -242,17 +260,9 @@ func (c *cleanup) pendingNodes() []string {
 }
 
 // migrate runs the state machine for one range. rng is the range as
-// looked up under the per-range lock.
+// looked up under the per-range lock; target differs from its replicas.
 func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng partition.Range, target []string) error {
 	old := rng.Replicas
-
-	// Idempotent re-entry: the routing already points at the target —
-	// nothing to move, but a previous attempt may have left teardown
-	// pending.
-	if slices.Equal(old, target) {
-		m.retryPendingFor(namespace, rng)
-		return nil
-	}
 
 	// Catch-up targets: every target node without a full copy. A node
 	// already in the replica set only has the (bounded-staleness)
@@ -356,7 +366,7 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 	// Fence the write primary for the handoff. If the primary is
 	// unreachable no write can be acknowledged through it, so the
 	// drain below already sees the final state.
-	primaryAddr, primaryUp := m.addrOf(old[0])
+	primaryAddr, primaryUp := m.dir.Addr(old[0])
 	fenced := false
 	var fencedAt time.Time
 	if primaryUp {
@@ -533,7 +543,7 @@ func (m *Manager) runCleanup(namespace string, rng partition.Range, nodes []stri
 			m.forgetCleanup(namespace, rng, id)
 			continue
 		}
-		addr, up := m.addrOf(id)
+		addr, up := m.dir.Addr(id)
 		if !up {
 			continue // stays journaled
 		}
@@ -646,7 +656,7 @@ type nodeAddr struct {
 func (m *Manager) pickDonor(replicas []string) (string, string, error) {
 	// Prefer the primary: it holds every acknowledged write.
 	for _, id := range replicas {
-		if addr, ok := m.addrOf(id); ok {
+		if addr, ok := m.dir.Addr(id); ok {
 			return id, addr, nil
 		}
 	}
@@ -656,21 +666,13 @@ func (m *Manager) pickDonor(replicas []string) (string, string, error) {
 func (m *Manager) resolveAll(ids []string) ([]nodeAddr, error) {
 	out := make([]nodeAddr, 0, len(ids))
 	for _, id := range ids {
-		addr, ok := m.addrOf(id)
+		addr, ok := m.dir.Addr(id)
 		if !ok {
 			return nil, fmt.Errorf("catch-up target %s is not serving", id)
 		}
 		out = append(out, nodeAddr{id: id, addr: addr})
 	}
 	return out, nil
-}
-
-func (m *Manager) addrOf(nodeID string) (string, bool) {
-	mem, ok := m.dir.Get(nodeID)
-	if !ok || mem.Status != cluster.StatusUp {
-		return "", false
-	}
-	return mem.Addr, true
 }
 
 func (m *Manager) applyTo(targets []nodeAddr, namespace string, recs []record.Record) error {

@@ -1,6 +1,7 @@
 package migration
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -69,6 +70,11 @@ func (h *harness) seed(node string, n int) {
 	}
 }
 
+// to is a fixed plan: move the range to target whatever it holds.
+func to(target ...string) func(partition.Range) ([]string, error) {
+	return func(partition.Range) ([]string, error) { return target, nil }
+}
+
 func key(i int) []byte { return []byte(fmt.Sprintf("user%04d", i)) }
 
 func (h *harness) liveCount(node string) int {
@@ -101,7 +107,7 @@ func TestMoveRangeCopiesFlipsAndTearsDown(t *testing.T) {
 	h := newHarness(t, "a", "b")
 	h.seed("a", 100)
 
-	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, []string{"b"}); err != nil {
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,7 +164,7 @@ func TestMoveRangeShipsWritesDuringCopy(t *testing.T) {
 			}
 		}
 	}
-	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, []string{"b"}); err != nil {
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")); err != nil {
 		t.Fatal(err)
 	}
 	if !injected {
@@ -195,7 +201,7 @@ func TestMoveRangeFenceBouncesWritesBeforeFlip(t *testing.T) {
 			fencedErr = resp.Error()
 		}
 	}
-	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, []string{"b"}); err != nil {
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")); err != nil {
 		t.Fatal(err)
 	}
 	if !rpc.IsFenced(fencedErr) {
@@ -215,7 +221,7 @@ func TestMoveRangeRetriesCleanupIdempotently(t *testing.T) {
 			h.dir.MarkDown("a")
 		}
 	}
-	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, []string{"b"}); err != nil {
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")); err != nil {
 		t.Fatal(err)
 	}
 	h.mgr.OnPhase = nil
@@ -245,13 +251,13 @@ func TestMoveRangeRetriesCleanupIdempotently(t *testing.T) {
 	}
 
 	// Re-running the same migration is a no-op.
-	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, []string{"b"}); err != nil {
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")); err != nil {
 		t.Fatal(err)
 	}
 
 	// And the range can migrate back onto the former donor (its
 	// residual fence lifts for the new copy).
-	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, []string{"a"}); err != nil {
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("a")); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.liveCount("a"); got != 30 {
@@ -267,7 +273,7 @@ func TestMoveRangePrimarySwapCatchesUpNewPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, []string{"b", "a"}); err != nil {
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b", "a")); err != nil {
 		t.Fatal(err)
 	}
 	// The promoted primary holds every acknowledged write even though
@@ -306,7 +312,7 @@ func TestRegainedRangeSurvivesStaleCleanup(t *testing.T) {
 			h.dir.MarkDown("a")
 		}
 	}
-	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, []string{"b"}); err != nil {
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")); err != nil {
 		t.Fatal(err)
 	}
 	h.mgr.OnPhase = nil
@@ -317,7 +323,7 @@ func TestRegainedRangeSurvivesStaleCleanup(t *testing.T) {
 	// a recovers and regains the range before the cleanup ever ran.
 	h.transport.SetDown("local://a", false)
 	h.dir.MarkUp("a")
-	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, []string{"a"}); err != nil {
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("a")); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.liveCount("a"); got != 25 {
@@ -346,7 +352,7 @@ func TestRegainedRangeSurvivesStaleCleanup(t *testing.T) {
 func TestRegainAfterSplitLiftsResidualFence(t *testing.T) {
 	h := newHarness(t, "a", "b")
 	h.seed("a", 40)
-	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, []string{"b"}); err != nil {
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")); err != nil {
 		t.Fatal(err)
 	}
 	// a now holds a permanent fence over the whole keyspace. Split,
@@ -354,7 +360,7 @@ func TestRegainAfterSplitLiftsResidualFence(t *testing.T) {
 	if err := h.pm.Split(key(20)); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, []string{"a"}); err != nil {
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("a")); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.liveCount("a"); got != 20 {
@@ -393,7 +399,7 @@ func TestRangeLargerThanOnePageMigrates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, []string{"b"}); err != nil {
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.liveCount("b"); got != n {
@@ -430,7 +436,7 @@ func TestMoveRangeBigValuesPagesByBytes(t *testing.T) {
 	const count, valSize = 30, 256 << 10 // ~7.5 MiB, budget 4 MiB
 	h.seedBig("a", count, valSize)
 
-	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, []string{"b"}); err != nil {
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.liveCount("b"); got != count {
@@ -481,7 +487,7 @@ func TestDeltaSnapshotGapTriggersResnapshot(t *testing.T) {
 		},
 	})
 
-	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, []string{"b"}); err != nil {
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")); err != nil {
 		t.Fatal(err)
 	}
 	if gaps != 1 {
@@ -513,7 +519,7 @@ func TestSnapshotErrorFailsMigration(t *testing.T) {
 		},
 	})
 
-	err := h.mgr.MoveRange(h.pm, testNS, []byte{}, []string{"b"})
+	err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b"))
 	if err == nil {
 		t.Fatal("migration succeeded over an erroring snapshot")
 	}
@@ -561,7 +567,7 @@ func TestMoveRangeTerminatesUnderOtherRangeChurn(t *testing.T) {
 	}()
 
 	done := make(chan error, 1)
-	go func() { done <- h.mgr.MoveRange(h.pm, testNS, key(20), []string{"b"}) }()
+	go func() { done <- h.mgr.MoveRange(h.pm, testNS, key(20), to("b")) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -576,5 +582,81 @@ func TestMoveRangeTerminatesUnderOtherRangeChurn(t *testing.T) {
 	rng := h.pm.Lookup(key(20))
 	if len(rng.Replicas) != 1 || rng.Replicas[0] != "b" {
 		t.Fatalf("map not flipped: %v", rng.Replicas)
+	}
+}
+
+// TestMoveRangeRefusesATargetNotUp: a target that adds a down or a
+// draining node is refused before anything moves, while a draining
+// current holder still serves as the donor of its range's move away.
+func TestMoveRangeRefusesATargetNotUp(t *testing.T) {
+	h := newHarness(t, "a", "b", "c")
+	h.seed("a", 20)
+
+	h.dir.MarkDown("b")
+	h.dir.Drain("c", true)
+	for _, target := range []string{"b", "c"} {
+		if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("a", target)); !errors.Is(err, ErrTargetDown) {
+			t.Fatalf("move adding %s: err = %v, want ErrTargetDown", target, err)
+		}
+	}
+	if st := h.mgr.Stats(); st.Started != 0 {
+		t.Fatalf("a refused move started: %+v", st)
+	}
+
+	// Draining the holder leaves its reads and its donor role alone.
+	h.dir.MarkUp("b")
+	h.dir.Drain("a", true)
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.liveCount("b"); got != 20 {
+		t.Fatalf("target has %d records, want 20", got)
+	}
+}
+
+// TestMoveRangePlansUnderTheRangeLock: a second mover of a range plans
+// only once the first has flipped, on the replicas the first installed,
+// and a plan that keeps them moves and counts nothing.
+func TestMoveRangePlansUnderTheRangeLock(t *testing.T) {
+	h := newHarness(t, "a", "b")
+	h.seed("a", 20)
+
+	gate := make(chan struct{})
+	held := make(chan struct{})
+	h.mgr.OnPhase = func(ev Event) {
+		if ev.Phase == PhaseSnapshot {
+			close(held)
+			<-gate
+		}
+	}
+	first := make(chan error, 1)
+	go func() { first <- h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")) }()
+	<-held
+
+	seen := make(chan []string, 1)
+	second := make(chan error, 1)
+	go func() {
+		second <- h.mgr.MoveRange(h.pm, testNS, []byte{}, func(rng partition.Range) ([]string, error) {
+			seen <- rng.Replicas
+			return rng.Replicas, nil
+		})
+	}()
+	select {
+	case got := <-seen:
+		t.Fatalf("second plan ran on %v while the first move held the range", got)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+	if got := <-seen; len(got) != 1 || got[0] != "b" {
+		t.Fatalf("second plan saw %v, want the first move's [b]", got)
+	}
+	if st := h.mgr.Stats(); st.Started != 1 || st.Succeeded != 1 {
+		t.Fatalf("stats = %+v, want one move counted", st)
 	}
 }

@@ -278,7 +278,7 @@ func (r *Router) order(replicas []string, policy ReadPolicy) ([]string, int) {
 // the whole execution of a request pinned to a node (GetFrom, Apply),
 // where failing over or waiting would defeat the pinning.
 func (r *Router) tryNode(nodeID string, rng Range, try attempt) (rpc.Response, outcome) {
-	addr, ok := r.addrOf(nodeID)
+	addr, ok := r.dir.Addr(nodeID)
 	if !ok {
 		return rpc.Response{}, outcome{class: classDown}
 	}

@@ -91,15 +91,6 @@ func (r *Router) mapFor(namespace string) (*Map, error) {
 	return m, nil
 }
 
-// addrOf resolves a node ID to its address if the node is serving.
-func (r *Router) addrOf(nodeID string) (string, bool) {
-	m, ok := r.dir.Get(nodeID)
-	if !ok || m.Status != cluster.StatusUp {
-		return "", false
-	}
-	return m.Addr, true
-}
-
 // Get reads key, trying replicas according to policy with failover.
 // It returns the value, its version, and whether it was found. Reads —
 // including the primary reads the write path depends on — ride through

@@ -169,11 +169,6 @@ type Manager struct {
 	jobs       map[string]bool            // range key -> repair job in flight
 	unavail    map[string]bool            // ranges currently without any live replica
 
-	// moveMu keeps repair jobs and planned moves apart: a job holds it
-	// shared while it picks its target and moves data, Pause holds it
-	// exclusively.
-	moveMu sync.RWMutex
-
 	runMu  sync.Mutex
 	stopCh chan struct{}
 	loopWg sync.WaitGroup
@@ -308,16 +303,6 @@ func (m *Manager) Quiesce(timeout time.Duration) bool {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// Pause runs fn while no repair job moves data: it waits for the jobs
-// in flight to finish, and a job scheduled meanwhile waits for fn to
-// return. Planned moves (decommission, spread, durability, rebalance)
-// run inside it, so they never race a repair's choice of target.
-func (m *Manager) Pause(fn func() error) error {
-	m.moveMu.Lock()
-	defer m.moveMu.Unlock()
-	return fn()
 }
 
 // Stats returns a snapshot of repair counters.
@@ -500,7 +485,7 @@ func (m *Manager) demoteStale(node string) {
 				continue
 			}
 			target := slices.Delete(slices.Clone(rng.Replicas), idx, idx+1)
-			if !m.anyUp(target) {
+			if !slices.ContainsFunc(target, m.isUp) {
 				// Never leave a range with no live member: serving
 				// stale data beats serving nothing (§3.3.1's
 				// availability arbitration).
@@ -644,7 +629,8 @@ func (m *Manager) rankByFreshness(ns string, ids []string, probes map[string]uin
 // asynchronously under the parallelism bound.
 func (m *Manager) repairPass() {
 	now := m.clk.Now()
-	rf := min(m.rf, len(m.dir.Up()))
+	up := m.dir.Up()
+	rf := min(m.rf, len(up))
 	under := 0
 	for _, ns := range m.router.Namespaces() {
 		pm, ok := m.router.Map(ns)
@@ -699,7 +685,7 @@ func (m *Manager) repairPass() {
 				}
 				// Anti-flap: recruit a brand-new replica only after the
 				// grace; a returned former member rejoins immediately.
-				if !m.hasRejoinCandidateLocked(rk, rng.Replicas) && now.Sub(us) < m.cfg.ReplaceAfter {
+				if !m.hasRejoinCandidateLocked(rk, rng.Replicas, up) && now.Sub(us) < m.cfg.ReplaceAfter {
 					m.mu.Unlock()
 					continue
 				}
@@ -717,31 +703,39 @@ func (m *Manager) repairPass() {
 	m.underGauge.Store(int64(under))
 }
 
-// runJob executes one journaled repair: it re-derives the target
-// replica set from current state (so a node that returned since the
-// job was scheduled re-targets the repair at itself — the rejoin path)
-// and moves the range through the migration manager, both outside any
-// Pause.
+// runJob executes one journaled repair: its plan re-derives the target
+// replica set under the range's migration lock (so a node that
+// returned since the job was scheduled re-targets the repair at itself
+// — the rejoin path — and a planned move of the range in flight is
+// waited out, never raced), and the migration manager moves the range.
+// A plan that keeps the replicas as they are counts as no repair.
 func (m *Manager) runJob(ns string, pm *partition.Map, rk string, key []byte) {
 	defer m.jobWg.Done()
 	m.sem <- struct{}{}
 	defer func() { <-m.sem }()
-	m.moveMu.RLock()
-	defer m.moveMu.RUnlock()
 	defer func() {
 		m.mu.Lock()
 		delete(m.jobs, rk)
 		m.mu.Unlock()
 	}()
 
-	rng := pm.Lookup(key)
-	target, rejoined := m.reconcileTarget(ns, rk, rng)
-	if target == nil || slices.Equal(target, rng.Replicas) {
+	var rng partition.Range
+	var target, rejoined []string
+	err := m.migrations.MoveRange(pm, ns, key, func(cur partition.Range) ([]string, error) {
+		rng = cur
+		if target, rejoined = m.reconcileTarget(ns, rk, cur); target == nil {
+			target = cur.Replicas
+		}
+		if !slices.Equal(target, cur.Replicas) {
+			m.repairsStarted.Add(1)
+			m.emit(Event{Kind: EventRepairStart, Namespace: ns, Start: cur.Start, End: cur.End, Replicas: target})
+		}
+		return target, nil
+	})
+	if slices.Equal(target, rng.Replicas) {
 		return
 	}
-	m.repairsStarted.Add(1)
-	m.emit(Event{Kind: EventRepairStart, Namespace: ns, Start: rng.Start, End: rng.End, Replicas: target})
-	if err := m.migrations.MoveRange(pm, ns, key, target); err != nil {
+	if err != nil {
 		m.repairsFailed.Add(1)
 		m.emit(Event{Kind: EventRepairFailed, Namespace: ns, Start: rng.Start, End: rng.End, Replicas: target, Err: err})
 		return
@@ -767,7 +761,8 @@ func (m *Manager) runJob(ns string, pm *partition.Map, rk string, key []byte) {
 // freshest-first primary stays primary), down members still within
 // grace kept at the tail, then additions up to the target RF —
 // preferring returned former members (rejoins), then the least-loaded
-// serving spares. Returns nil when the range has no live member.
+// serving spares — both drawn from Directory.Up, so a draining node is
+// never added. Returns nil when the range has no live member.
 func (m *Manager) reconcileTarget(ns, rk string, rng partition.Range) (target, rejoined []string) {
 	now := m.clk.Now()
 	m.mu.Lock()
@@ -798,7 +793,7 @@ func (m *Manager) reconcileTarget(ns, rk string, rng partition.Range) (target, r
 		if len(target) >= rf {
 			break
 		}
-		if m.isUp(id) && !slices.Contains(target, id) {
+		if slices.Contains(up, id) && !slices.Contains(target, id) {
 			target = append(target, id)
 			rejoined = append(rejoined, id)
 		}
@@ -825,9 +820,9 @@ func (m *Manager) reconcileTarget(ns, rk string, rng partition.Range) (target, r
 
 // --- helpers ---
 
-func (m *Manager) hasRejoinCandidateLocked(rk string, current []string) bool {
+func (m *Manager) hasRejoinCandidateLocked(rk string, current, up []string) bool {
 	for id := range m.lost[rk] {
-		if !slices.Contains(current, id) && m.isUp(id) {
+		if !slices.Contains(current, id) && slices.Contains(up, id) {
 			return true
 		}
 	}
@@ -844,17 +839,8 @@ func (m *Manager) noteLostLocked(rk, node string) {
 }
 
 func (m *Manager) isUp(id string) bool {
-	mem, ok := m.dir.Get(id)
-	return ok && mem.Status == cluster.StatusUp
-}
-
-func (m *Manager) anyUp(ids []string) bool {
-	for _, id := range ids {
-		if m.isUp(id) {
-			return true
-		}
-	}
-	return false
+	_, ok := m.dir.Addr(id)
+	return ok
 }
 
 func (m *Manager) emit(ev Event) {

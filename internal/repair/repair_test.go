@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -587,78 +586,67 @@ func TestDescribeRendersState(t *testing.T) {
 	}
 }
 
-// TestPauseExcludesRepairJobs: Pause waits for a repair job that is
-// moving data, and a job scheduled while fn runs moves nothing until
-// fn returns.
-func TestPauseExcludesRepairJobs(t *testing.T) {
-	f := newFixture(t, 4, 2, repair.Config{
-		HeartbeatTimeout: 10 * time.Second,
-		ReplaceAfter:     time.Second,
-	})
+// demoteDraining makes n2 a former member of [n1 n2] that is still
+// serving but draining: its replication link drops a delivery, it
+// drains, and the next sweep's staleness audit demotes it.
+func demoteDraining(f *fixture) {
+	f.t.Helper()
+	f.pump.MaxAttempts = 1
 	f.put("a", 100, "n1", "n2")
+	f.mgr.Sweep() // baseline drop marks
 
-	var armed atomic.Bool
-	gate := make(chan struct{})
-	snapshots := make(chan []string, 4)
-	f.mig.OnPhase = func(ev migration.Event) {
-		if ev.Phase != migration.PhaseSnapshot {
-			return
-		}
-		snapshots <- ev.Target
-		if armed.CompareAndSwap(true, false) {
-			<-gate
-		}
+	f.lt.SetApplyDown("local://n2", true)
+	f.put("b", 200, "n1")
+	f.pump.Enqueue("ns", record.Record{Key: []byte("b"), Value: []byte("v"), Version: 200}, []string{"n2"}, time.Second)
+	if n := f.pump.Drain(10); n != 1 {
+		f.t.Fatalf("drained %d", n)
 	}
-
-	// n2 dies; past the grace its replacement job starts and is held
-	// in its snapshot phase.
-	f.crash("n2")
-	f.dir.MarkDown("n2")
+	f.lt.SetApplyDown("local://n2", false)
+	f.dir.Drain("n2", true)
 	f.mgr.Sweep()
-	f.clk.Advance(2 * time.Second)
-	armed.Store(true)
-	f.mgr.Sweep()
-	<-snapshots
+	if got := f.replicas(); !slices.Equal(got, []string{"n1"}) {
+		f.t.Fatalf("replicas after demotion = %v, want [n1]", got)
+	}
+}
 
-	entered := make(chan struct{})
-	paused := make(chan error, 1)
-	go func() {
-		paused <- f.mgr.Pause(func() error {
-			close(entered)
-			if got := f.replicas(); !slices.Equal(got, []string{"n1", "n3"}) {
-				return fmt.Errorf("replicas inside Pause = %v, want the held repair done: [n1 n3]", got)
-			}
-			// n3 dies too: past the grace a job is journaled, but it
-			// must not move data until fn returns.
-			f.crash("n3")
-			f.dir.MarkDown("n3")
-			f.mgr.Sweep()
-			f.clk.Advance(2 * time.Second)
-			f.mgr.Sweep()
-			if st := f.mgr.Stats(); st.PendingJobs != 1 {
-				return fmt.Errorf("pending jobs inside Pause = %d, want 1", st.PendingJobs)
-			}
-			select {
-			case got := <-snapshots:
-				return fmt.Errorf("a repair snapshot onto %v started inside Pause", got)
-			case <-time.After(50 * time.Millisecond):
-			}
-			return nil
-		})
-	}()
-	select {
-	case <-entered:
-		t.Fatal("Pause ran fn while a repair job was moving data")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(gate)
-	if err := <-paused; err != nil {
-		t.Fatal(err)
-	}
+// TestDrainingFormerMemberKeepsTheGrace: a demoted member that is
+// draining is no rejoin candidate, so it does not cut the anti-flap
+// grace short — no repair starts before ReplaceAfter.
+func TestDrainingFormerMemberKeepsTheGrace(t *testing.T) {
+	f := newFixture(t, 3, 2, repair.Config{
+		HeartbeatTimeout: 10 * time.Second,
+		ReplaceAfter:     time.Hour,
+	})
+	demoteDraining(f)
+	f.mgr.Sweep()
 	if !f.mgr.Quiesce(5 * time.Second) {
 		t.Fatal("repair did not quiesce")
 	}
-	if got := f.replicas(); !slices.Equal(got, []string{"n1", "n4"}) {
-		t.Fatalf("replicas after Pause = %v, want [n1 n4]", got)
+	if st := f.mgr.Stats(); st.RepairsStarted != 0 || st.Rejoins != 0 {
+		t.Fatalf("a draining former member triggered a repair inside the grace: %+v", st)
+	}
+	if got := f.replicas(); !slices.Equal(got, []string{"n1"}) {
+		t.Fatalf("replicas = %v, want [n1]", got)
+	}
+}
+
+// TestDrainingFormerMemberIsNotReadded: past the grace the repair
+// recruits a spare, never the draining former member.
+func TestDrainingFormerMemberIsNotReadded(t *testing.T) {
+	f := newFixture(t, 3, 2, repair.Config{
+		HeartbeatTimeout: 10 * time.Second,
+		ReplaceAfter:     5 * time.Second,
+	})
+	demoteDraining(f)
+	f.clk.Advance(6 * time.Second)
+	f.mgr.Sweep()
+	if !f.mgr.Quiesce(5 * time.Second) {
+		t.Fatal("repair did not quiesce")
+	}
+	if got := f.replicas(); !slices.Equal(got, []string{"n1", "n3"}) {
+		t.Fatalf("replicas after repair = %v, want the spare: [n1 n3]", got)
+	}
+	if st := f.mgr.Stats(); st.RepairsDone != 1 || st.Rejoins != 0 {
+		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"scads/internal/cluster"
+	"scads/internal/partition"
 	"scads/internal/rpc"
 	"scads/internal/storage"
 )
@@ -153,5 +154,7 @@ func (c *Cluster) MoveRange(namespace string, key []byte, newReplicas []string) 
 	if !ok {
 		return fmt.Errorf("scads: no partition map for %s", namespace)
 	}
-	return c.migrations.MoveRange(m, namespace, key, newReplicas)
+	return c.migrations.MoveRange(m, namespace, key, func(partition.Range) ([]string, error) {
+		return newReplicas, nil
+	})
 }

@@ -52,12 +52,7 @@ func (c *Cluster) RebalancePlan(cfg BalanceConfig) []BalanceAction {
 // returned prefix is exactly what took effect, so the operator (or a
 // retry) knows which splits and moves already hold.
 func (c *Cluster) Rebalance(cfg BalanceConfig) ([]BalanceAction, error) {
-	plan := c.RebalancePlan(cfg)
-	var executed []BalanceAction
-	err := c.repairs.Pause(func() (err error) {
-		executed, err = c.executePlan(plan)
-		return err
-	})
+	executed, err := c.executePlan(c.RebalancePlan(cfg))
 	if err != nil {
 		return executed, err
 	}
@@ -107,47 +102,41 @@ func (c *Cluster) LoadSnapshot() []balancer.RangeObservation {
 // actually take load — the data-movement half of "scaling up and
 // down" (§1.1).
 func (c *Cluster) SpreadNamespace(namespace string) error {
-	return c.repairs.Pause(func() error {
-		up := c.dir.Up()
-		if len(up) == 0 {
-			return fmt.Errorf("scads: no serving nodes")
-		}
-		return c.reconfigure(namespace, func(i int, _ partition.Range) ([]string, error) {
-			return partition.Spread(i, up, c.cfg.ReplicationFactor), nil
-		})
+	up := c.dir.Up()
+	if len(up) == 0 {
+		return fmt.Errorf("scads: no serving nodes")
+	}
+	return c.reconfigure(namespace, func(i int, _ partition.Range) ([]string, error) {
+		return partition.Spread(i, up, c.cfg.ReplicationFactor), nil
 	})
 }
 
 // reconfigure is the one range loop behind SpreadNamespace,
 // DecommissionNode and EnforceDurability: it asks target for every
-// range's replica set first, so a refusal moves nothing, then migrates
-// the ranges whose set changed concurrently — the migration manager's
-// semaphore bounds how many are in flight. Callers run it inside
-// repairs.Pause.
+// range's replica set first, so a refusal moves nothing, then moves
+// every range concurrently with target as its plan, which the
+// migration manager runs again under the range's lock on the range as
+// it then stands — the manager's semaphore bounds how many are in
+// flight.
 func (c *Cluster) reconfigure(namespace string, target func(i int, rng partition.Range) ([]string, error)) error {
 	m, ok := c.router.Map(namespace)
 	if !ok {
 		return fmt.Errorf("scads: no partition map for %s", namespace)
 	}
 	ranges := m.Ranges()
-	wants := make([][]string, len(ranges))
 	for i, rng := range ranges {
-		want, err := target(i, rng)
-		if err != nil {
+		if _, err := target(i, rng); err != nil {
 			return err
 		}
-		wants[i] = want
 	}
 	errs := make([]error, len(ranges))
 	var wg sync.WaitGroup
 	for i, rng := range ranges {
-		if slices.Equal(rng.Replicas, wants[i]) {
-			continue
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := c.MoveRange(namespace, rng.Start, wants[i]); err != nil {
+			plan := func(cur partition.Range) ([]string, error) { return target(i, cur) }
+			if err := c.migrations.MoveRange(m, namespace, rng.Start, plan); err != nil {
 				errs[i] = fmt.Errorf("scads: move %s range %d: %w", namespace, i, err)
 			}
 		}()
@@ -172,33 +161,35 @@ func (c *Cluster) SpreadAll() error {
 // already in the group (Router.Spares) via online migration from the
 // surviving replicas, so this is the recovery path after a crash as
 // well as the scale-down path before terminating an instance. With no
-// such candidate the group shrinks. It waits for in-flight repair jobs
-// and holds new ones back until the node is marked down.
+// such candidate the group shrinks. The node drains first: it keeps
+// serving while its ranges move, but no placement — repair included —
+// adds it again. On success it is marked down; on a refusal or a
+// failed move the drain is lifted.
 func (c *Cluster) DecommissionNode(nodeID string, candidates []string) error {
-	return c.repairs.Pause(func() error {
-		up := c.dir.Up()
-		pool := slices.DeleteFunc(slices.Clone(candidates), func(id string) bool { return !slices.Contains(up, id) })
-		for _, ns := range c.router.Namespaces() {
-			err := c.reconfigure(ns, func(_ int, rng partition.Range) ([]string, error) {
-				idx := slices.Index(rng.Replicas, nodeID)
-				if idx < 0 {
-					return rng.Replicas, nil
-				}
-				want := slices.Clone(rng.Replicas)
-				if spares := c.router.Spares(pool, want); len(spares) > 0 {
-					want[idx] = spares[0]
-					return want, nil
-				}
-				if len(want) == 1 {
-					return nil, fmt.Errorf("scads: decommission %s would leave %s with no replicas", nodeID, ns)
-				}
-				return slices.Delete(want, idx, idx+1), nil
-			})
-			if err != nil {
-				return err
+	c.dir.Drain(nodeID, true)
+	up := c.dir.Up()
+	pool := slices.DeleteFunc(slices.Clone(candidates), func(id string) bool { return !slices.Contains(up, id) })
+	for _, ns := range c.router.Namespaces() {
+		err := c.reconfigure(ns, func(_ int, rng partition.Range) ([]string, error) {
+			idx := slices.Index(rng.Replicas, nodeID)
+			if idx < 0 {
+				return rng.Replicas, nil
 			}
+			want := slices.Clone(rng.Replicas)
+			if spares := c.router.Spares(pool, want); len(spares) > 0 {
+				want[idx] = spares[0]
+				return want, nil
+			}
+			if len(want) == 1 {
+				return nil, fmt.Errorf("scads: decommission %s would leave %s with no replicas", nodeID, ns)
+			}
+			return slices.Delete(want, idx, idx+1), nil
+		})
+		if err != nil {
+			c.dir.Drain(nodeID, false)
+			return err
 		}
-		c.dir.MarkDown(nodeID)
-		return nil
-	})
+	}
+	c.dir.MarkDown(nodeID)
+	return nil
 }
