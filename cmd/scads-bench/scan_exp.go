@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"scads"
 	"scads/internal/expgrid"
 	"scads/internal/keycodec"
+	"scads/internal/migration"
 	"scads/internal/partition"
 	"scads/internal/planner"
 )
@@ -185,12 +187,16 @@ func runE14(p expgrid.Params) (expgrid.Metrics, error) {
 	}
 
 	// Migration churn: continuously cycle ranges across the node set,
-	// skipping any range that currently involves the crashed node.
+	// skipping any range that currently involves the crashed node. Each
+	// move reads the serving nodes afresh; a move whose target node went
+	// down after that read is refused (migration.ErrTargetDown), and any
+	// other error is a failed move — such as an unreachable node in the
+	// window before the crash is detected.
 	victim := ""
 	if m, ok := lc.Router().Map(ns); ok {
 		victim = m.Ranges()[0].Replicas[0]
 	}
-	var migrations, migrationErrs atomic.Int64
+	var migrations, movesRefused, movesFailed atomic.Int64
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -199,23 +205,22 @@ func runE14(p expgrid.Params) (expgrid.Metrics, error) {
 			if !ok {
 				return
 			}
-			liveIDs := lc.Directory().Up()
-			if len(liveIDs) < 2 {
-				time.Sleep(10 * time.Millisecond)
-				continue
-			}
 			for i, rng := range m.Ranges() {
 				if stop.Load() {
 					return
 				}
-				if slices.ContainsFunc(rng.Replicas, func(id string) bool { return !slices.Contains(liveIDs, id) }) {
+				liveIDs := lc.Directory().Up()
+				if len(liveIDs) < 2 || slices.ContainsFunc(rng.Replicas, func(id string) bool { return !slices.Contains(liveIDs, id) }) {
 					continue // don't migrate ranges holding the crashed node
 				}
-				if err := lc.MoveRange(ns, rng.Start, partition.Spread(r+i, liveIDs, 2)); err != nil {
-					migrationErrs.Add(1)
-					continue
+				switch err := lc.MoveRange(ns, rng.Start, partition.Spread(r+i, liveIDs, 2)); {
+				case err == nil:
+					migrations.Add(1)
+				case errors.Is(err, migration.ErrTargetDown):
+					movesRefused.Add(1)
+				default:
+					movesFailed.Add(1)
 				}
-				migrations.Add(1)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -242,7 +247,8 @@ func runE14(p expgrid.Params) (expgrid.Metrics, error) {
 		"scan_errors":       float64(scanErrs.Load()),
 		"wrong_results":     float64(mismatches.Load()),
 		"migrations":        float64(migrations.Load()),
-		"migration_errors":  float64(migrationErrs.Load()),
+		"moves_refused":     float64(movesRefused.Load()),
+		"moves_failed":      float64(movesFailed.Load()),
 		"failovers":         float64(lc.RepairStats().Failovers),
 	}
 	if scanErrs.Load() > 0 || mismatches.Load() > 0 {

@@ -175,8 +175,9 @@ func (m *Manager) Stats() Stats {
 
 // ErrTargetDown refuses a move whose target adds a node that is not
 // in Directory.Up: down, booting, unknown or draining — a plan made
-// before the directory changed.
-var ErrTargetDown = errors.New("migration: target adds a node that is not up")
+// before the directory changed. A catch-up target found not serving
+// once the move has begun fails the move with the same error.
+var ErrTargetDown = errors.New("migration: target node is not up")
 
 // MoveRange migrates the range of pm containing key to the replica
 // group plan returns (target[0] becomes the primary), losslessly with
@@ -668,7 +669,7 @@ func (m *Manager) resolveAll(ids []string) ([]nodeAddr, error) {
 	for _, id := range ids {
 		addr, ok := m.dir.Addr(id)
 		if !ok {
-			return nil, fmt.Errorf("catch-up target %s is not serving", id)
+			return nil, fmt.Errorf("catch-up target %s: %w", id, ErrTargetDown)
 		}
 		out = append(out, nodeAddr{id: id, addr: addr})
 	}

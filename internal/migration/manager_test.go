@@ -614,6 +614,33 @@ func TestMoveRangeRefusesATargetNotUp(t *testing.T) {
 	}
 }
 
+// TestMoveRangeTargetDownAtCatchUp: a target node that goes down after
+// the plan, once the move has begun, fails it at catch-up with the
+// same ErrTargetDown as a plan refused up front, and the range keeps
+// its replicas.
+func TestMoveRangeTargetDownAtCatchUp(t *testing.T) {
+	h := newHarness(t, "a", "b")
+	h.seed("a", 20)
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("a", "b")); err != nil {
+		t.Fatal(err)
+	}
+
+	// Promoting b adds no node, so only the catch-up meets it down.
+	err := h.mgr.MoveRange(h.pm, testNS, []byte{}, func(partition.Range) ([]string, error) {
+		h.dir.MarkDown("b")
+		return []string{"b", "a"}, nil
+	})
+	if !errors.Is(err, ErrTargetDown) {
+		t.Fatalf("err = %v, want ErrTargetDown", err)
+	}
+	if got := h.pm.Lookup([]byte{}).Replicas; len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("replicas = %v, want [a b] kept", got)
+	}
+	if st := h.mgr.Stats(); st.Started != 2 || st.Failed != 1 {
+		t.Fatalf("stats = %+v, want the second move started and failed", st)
+	}
+}
+
 // TestMoveRangePlansUnderTheRangeLock: a second mover of a range plans
 // only once the first has flipped, on the replicas the first installed,
 // and a plan that keeps them moves and counts nothing.

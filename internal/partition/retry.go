@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -143,9 +144,30 @@ func (o outcome) giveUp() error {
 // on the cluster's clock). Only GetIf sets it, on a budget nothing
 // shares.
 type budget struct {
-	deadline atomic.Int64 // give-up time in Unix nanoseconds; 0 until the first lost round
+	deadline deadline // give-up time of the lost rounds
 	stall    time.Duration
-	staleBy  atomic.Int64 // give-up time of a stalling read; 0 until the first stale round
+	staleBy  deadline // give-up time of a stalling read
+}
+
+// deadline is a give-up time, set at a request's first lost round. It
+// keeps the clock's own time.Time, so on the wall clock the allowance
+// is measured on the monotonic reading: a slewed or stepped wall clock
+// neither shortens nor stretches it.
+type deadline struct {
+	state atomic.Int32 // unset, being set, set
+	at    time.Time
+}
+
+// from returns the deadline, first setting it to allowance after now.
+func (d *deadline) from(now time.Time, allowance time.Duration) time.Time {
+	if d.state.CompareAndSwap(0, 1) {
+		d.at = now.Add(allowance)
+		d.state.Store(2)
+	}
+	for d.state.Load() != 2 {
+		runtime.Gosched()
+	}
+	return d.at
 }
 
 // stalePoll is how often a stalling read asks again for a fresh replica.
@@ -165,10 +187,9 @@ func (b *budget) wait(clk clock.Clock, round outcome) bool {
 // to allowance from now at a request's first lost round, so the time the
 // rounds' attempts take is charged like the sleeps — and reports false
 // once nothing is left.
-func lapse(clk clock.Clock, deadline *atomic.Int64, allowance, pause time.Duration) bool {
-	now := clk.Now().UnixNano()
-	deadline.CompareAndSwap(0, now+int64(allowance))
-	left := time.Duration(deadline.Load() - now)
+func lapse(clk clock.Clock, d *deadline, allowance, pause time.Duration) bool {
+	now := clk.Now()
+	left := d.from(now, allowance).Sub(now)
 	if left <= 0 {
 		return false
 	}

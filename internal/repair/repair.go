@@ -2,54 +2,57 @@
 // missing half of the SCADS director's promise to keep data served
 // "despite node failures".
 //
-// A Manager sweeps on a clock and, each sweep, walks three passes:
+// A Manager sweeps on a clock. Each sweep first detects failures:
+// every directory member is probed with a ping, responsive members
+// heartbeat into the directory, Directory.ExpireStale marks silent ones
+// down, and status transitions become node-down / node-up events. A
+// serving member is also audited against the replication pump's
+// per-target drop counter: one to which a delivery was abandoned since
+// the last sweep (while it was away, or over a severed replication
+// link while it still answered pings) is irrecoverably stale. It must
+// be rebuilt through the migration protocol's truncate → snapshot →
+// delta catch-up, not patched: compaction garbage-collects tombstones,
+// so merging over a stale copy could resurrect deletes.
 //
-//  1. Failure detection. Every directory member is probed with a ping;
-//     responsive members heartbeat into the directory, then
-//     Directory.ExpireStale marks silent ones down. Status transitions
-//     become node-down / node-up events. A node that returns is
-//     compared against the replication pump's per-target drop counter:
-//     if no delivery to it was abandoned while it was away, its parked
-//     updates will still converge and it rejoins as-is; otherwise it
-//     is irrecoverably stale and is demoted from every replica group
-//     it serves as a secondary, to be re-added through the migration
-//     protocol's truncate → snapshot → delta catch-up (compaction
-//     garbage-collects tombstones, so merging over a stale copy could
-//     resurrect deletes — a returned stale replica must be rebuilt,
-//     not patched).
+// The sweep then walks every range once, in this order:
 //
-//  2. Primary failover. A range whose primary is down but which has a
-//     live replica is flipped — atomically, via the partition map's
-//     compare-and-set — to the surviving replicas ordered freshest
-//     first. Freshness ranks each candidate by its probed maximum
+//  1. Demote. A stale node serving the range as a secondary leaves its
+//     replica group and is remembered as a former member. Never the
+//     primary (authoritative by definition), and never the last live
+//     member (serving stale data beats serving nothing).
+//  2. Fail over. A range whose primary is down but which has a live
+//     replica is flipped, by the partition map's compare-and-set, to its
+//     live members ordered freshest first, its dead members kept at the
+//     tail. Freshness ranks each candidate by its probed maximum
 //     accepted record version (a coordinator HLC stamp, comparable
-//     across nodes) and breaks ties with the replication tracker's
-//     staleness bound. Writes blocked on the dead primary are already
-//     spinning in the coordinator's down-retry loop; the first retry
-//     after the flip lands on the promoted replica. Nothing is copied:
-//     failover is a metadata operation and completes in one sweep.
+//     across nodes), ties broken by the replication tracker's staleness
+//     bound. Nothing is copied: failover completes within the sweep,
+//     and writes spinning in the coordinator's down-retry loop land on
+//     the promoted replica.
+//  3. Repair. reconcileTarget, the one repair rule, names the replica
+//     set the range should have. If that differs from the current set,
+//     a journaled job (at most one per range, bounded parallelism)
+//     moves the range through migration.Manager, whose plan asks the
+//     same rule again under the range's lock.
 //
-//  3. Replication-factor repair. Ranges left under-replicated (by a
-//     failover, a demotion, or an operator action) are re-replicated
-//     through migration.Manager — the donor is any live replica, the
-//     fenced handoff guarantees the new copy is complete — with
-//     bounded parallelism and an idempotent per-range job journal (a
-//     sweep never double-schedules a range, and a failed job is simply
-//     rescheduled by a later sweep). Anti-flap hysteresis: a brand-new
-//     replica is only recruited after the range has been degraded for
-//     ReplaceAfter, but a *former* member that heartbeats back is
-//     re-added immediately (its pending replacement job re-targets it
-//     — the node "cancels its own repairs and rejoins"), catching up
-//     through the usual snapshot/delta protocol.
+// The rule keeps every live member, and every down member within
+// ReplaceAfter, in its slot. It rejoins a returned former member at
+// once (its copy is rebuilt by the usual catch-up), recruits a
+// brand-new spare only after the range has been short for
+// ReplaceAfter or to replace a member past its grace, and drops a
+// member past its grace only when a replacement takes its place. A
+// range with nothing to add or drop keeps its replicas as they are, so
+// no job starts for it.
 //
-// The loop is level-triggered: every pass re-derives its work from the
-// current directory and partition maps, so races with concurrent
-// migrations (both sides flip with compare-and-set) or with operator
-// actions converge within a sweep or two instead of corrupting state.
+// The loop is level-triggered: every decision is re-derived from the
+// current directory and partition maps, so races with concurrent moves
+// (a flip is a compare-and-set, a move plans under the range's lock)
+// or with operator actions converge within a sweep or two.
 package repair
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -160,14 +163,10 @@ type Manager struct {
 
 	sweepMu sync.Mutex // serialises sweeps
 
-	mu         sync.Mutex
-	known      map[string]cluster.Status // last observed member status
-	downSince  map[string]time.Time
-	dropMark   map[string]int64           // pump drop counter at down transition
-	lost       map[string]map[string]bool // range key -> former members preferred for rejoin
-	underSince map[string]time.Time       // range key -> first observed degraded
-	jobs       map[string]bool            // range key -> repair job in flight
-	unavail    map[string]bool            // ranges currently without any live replica
+	mu     sync.Mutex
+	nodes  map[string]*nodeState  // directory member ID -> what the sweeps saw
+	ranges map[string]*rangeState // range key -> bookkeeping of a degraded range
+	jobs   map[string]bool        // range key -> repair job in flight
 
 	runMu  sync.Mutex
 	stopCh chan struct{}
@@ -188,6 +187,21 @@ type Manager struct {
 	underGauge     atomic.Int64
 }
 
+// nodeState is what the sweeps observed of one directory member.
+type nodeState struct {
+	status    cluster.Status
+	downSince time.Time // when it was last observed going down
+	dropMark  int64     // pump drop counter at first sight, then when last observed up
+}
+
+// rangeState is the bookkeeping of one range that is not fully live at
+// the target RF.
+type rangeState struct {
+	lost       []string  // former members, preferred for rejoin
+	underSince time.Time // when it was first seen short; zero if it is not
+	unavail    bool      // its no-live-replica event was emitted
+}
+
 // NewManager returns a repair manager over the given cluster plumbing.
 // rf is the target replication factor (clamped per range to the number
 // of serving nodes).
@@ -205,13 +219,9 @@ func NewManager(cfg Config, clk clock.Clock, dir *cluster.Directory, transport r
 		migrations: migrations,
 		pump:       pump,
 		rf:         rf,
-		known:      make(map[string]cluster.Status),
-		downSince:  make(map[string]time.Time),
-		dropMark:   make(map[string]int64),
-		lost:       make(map[string]map[string]bool),
-		underSince: make(map[string]time.Time),
+		nodes:      make(map[string]*nodeState),
+		ranges:     make(map[string]*rangeState),
 		jobs:       make(map[string]bool),
-		unavail:    make(map[string]bool),
 		sem:        make(chan struct{}, repairParallelism),
 	}
 }
@@ -258,11 +268,11 @@ func (m *Manager) Stop() {
 	m.jobWg.Wait()
 }
 
-// Sweep runs one full detector + failover + repair pass. Repair jobs
-// it schedules run asynchronously (see Quiesce); everything else —
-// probing, expiry, membership events, failover flips, demotions — is
-// synchronous, so a test driving Sweep on a fake clock observes
-// deterministic detection behavior.
+// Sweep runs failure detection, then one walk over every range:
+// demote, fail over, repair. Repair jobs it schedules run
+// asynchronously (see Quiesce); everything else — probing, expiry,
+// membership events, demotions, failover flips — is synchronous, so a
+// test driving Sweep on a fake clock observes deterministic behavior.
 func (m *Manager) Sweep() {
 	m.sweepMu.Lock()
 	defer m.sweepMu.Unlock()
@@ -279,11 +289,39 @@ func (m *Manager) Sweep() {
 			m.migrations.RetryCleanups()
 		}()
 	}
-	for _, id := range stale {
-		m.demoteStale(id)
+	rf := min(m.rf, len(m.dir.Up()))
+	probes := make(map[string]uint64) // freshness probe memo for this sweep
+	var unavailable, under int
+	for _, ns := range m.router.Namespaces() {
+		pm, ok := m.router.Map(ns)
+		if !ok {
+			continue
+		}
+		for _, rng := range pm.Ranges() {
+			rk := rangeKey(ns, rng.Start)
+			rng = m.demote(ns, rk, pm, rng, stale)
+			if len(rng.Replicas) < rf {
+				under++
+			}
+			if rng, ok = m.failover(ns, rk, pm, rng, probes); !ok {
+				unavailable++
+				continue
+			}
+			if target, _ := m.reconcileTarget(rk, rng); target == nil || slices.Equal(target, rng.Replicas) {
+				continue
+			}
+			m.mu.Lock()
+			busy := m.jobs[rk]
+			m.jobs[rk] = true
+			m.mu.Unlock()
+			if !busy {
+				m.jobWg.Add(1)
+				go m.runJob(ns, pm, rk, rng.Start)
+			}
+		}
 	}
-	m.failoverPass()
-	m.repairPass()
+	m.unavailGauge.Store(int64(unavailable))
+	m.underGauge.Store(int64(under))
 }
 
 // Quiesce blocks until no repair job is in flight or timeout elapses,
@@ -339,30 +377,15 @@ func (m *Manager) Describe() string {
 		st.RangesUnavailable, st.UnderReplicated)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var keys []string
-	for rk := range m.jobs {
-		keys = append(keys, rk)
-	}
-	sort.Strings(keys)
-	for _, rk := range keys {
+	for _, rk := range slices.Sorted(maps.Keys(m.jobs)) {
 		ns, start := splitRangeKey(rk)
 		fmt.Fprintf(&b, "job: %s start=%q\n", ns, start)
 	}
-	keys = keys[:0]
-	for rk, nodes := range m.lost {
-		if len(nodes) > 0 {
-			keys = append(keys, rk)
+	for _, rk := range slices.Sorted(maps.Keys(m.ranges)) {
+		if lost := m.ranges[rk].lost; len(lost) > 0 {
+			ns, start := splitRangeKey(rk)
+			fmt.Fprintf(&b, "awaiting-rejoin: %s start=%q lost=%v\n", ns, start, slices.Sorted(slices.Values(lost)))
 		}
-	}
-	sort.Strings(keys)
-	for _, rk := range keys {
-		ns, start := splitRangeKey(rk)
-		ids := make([]string, 0, len(m.lost[rk]))
-		for id := range m.lost[rk] {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		fmt.Fprintf(&b, "awaiting-rejoin: %s start=%q lost=%v\n", ns, start, ids)
 	}
 	return b.String()
 }
@@ -400,9 +423,9 @@ func (m *Manager) probe() {
 // leaving the up state, and must be demoted and rebuilt all the same —
 // otherwise a later failover onto it would permanently lose the
 // dropped acknowledged writes. Down members are never demoted (a dead
-// tail member is the failover pass's last-resort copy); their drop
-// mark is frozen while they are away, so the evidence survives until
-// the return sweep and the rebuild happens then.
+// tail member is failover's last-resort copy); their drop mark is
+// frozen while they are away, so the evidence survives until the
+// return sweep and the rebuild happens then.
 func (m *Manager) observeMembership() (returned, stale []string) {
 	now := m.clk.Now()
 	members := m.dir.Members()
@@ -411,52 +434,39 @@ func (m *Manager) observeMembership() (returned, stale []string) {
 	seen := make(map[string]bool, len(members))
 	for _, mem := range members {
 		seen[mem.ID] = true
-		prev, knew := m.known[mem.ID]
-		m.known[mem.ID] = mem.Status
 		drops := m.pump.DroppedTo(mem.ID)
-		mark, marked := m.dropMark[mem.ID]
+		n, knew := m.nodes[mem.ID]
+		if !knew {
+			n = &nodeState{status: mem.Status, dropMark: drops}
+			m.nodes[mem.ID] = n
+		}
 		if mem.Status == cluster.StatusUp {
-			if marked && drops != mark {
+			if drops != n.dropMark {
 				stale = append(stale, mem.ID)
 			}
-			m.dropMark[mem.ID] = drops
-		} else if !marked {
-			m.dropMark[mem.ID] = drops
+			n.dropMark = drops
 		}
-		if !knew {
-			if mem.Status == cluster.StatusDown {
-				// First sighting and already down (crashed before any
-				// sweep recorded it as up): that is still a down
-				// observation — count it and tell listeners, or a
-				// crash in the sweep loop's startup window would be
-				// acted on (failover, repair) without ever being
-				// reported.
-				m.downSince[mem.ID] = now
-				m.nodesDown.Add(1)
-				events = append(events, Event{Kind: EventNodeDown, Node: mem.ID})
-			}
-			continue
-		}
-		if prev == mem.Status {
-			continue
-		}
+		prev := n.status
+		n.status = mem.Status
 		switch {
+		case knew && prev == mem.Status:
 		case mem.Status == cluster.StatusDown:
-			m.downSince[mem.ID] = now
+			// A first sighting already down (crashed before any sweep
+			// recorded it as up) is still a down observation — count it
+			// and tell listeners, or a crash in the sweep loop's startup
+			// window would be acted on without ever being reported.
+			n.downSince = now
 			m.nodesDown.Add(1)
 			events = append(events, Event{Kind: EventNodeDown, Node: mem.ID})
 		case mem.Status == cluster.StatusUp && prev == cluster.StatusDown:
-			delete(m.downSince, mem.ID)
 			m.nodesUp.Add(1)
 			returned = append(returned, mem.ID)
 			events = append(events, Event{Kind: EventNodeUp, Node: mem.ID})
 		}
 	}
-	for id := range m.known {
+	for id := range m.nodes {
 		if !seen[id] {
-			delete(m.known, id)
-			delete(m.downSince, id)
-			delete(m.dropMark, id)
+			delete(m.nodes, id)
 		}
 	}
 	m.mu.Unlock()
@@ -466,106 +476,85 @@ func (m *Manager) observeMembership() (returned, stale []string) {
 	return returned, stale
 }
 
-// demoteStale removes a returned-but-stale node from every replica
-// group where it serves as a secondary (never from a primary slot: a
-// primary is authoritative by definition). The removal is recorded as
-// a lost membership, so the repair pass re-adds the node immediately
-// — via the migration protocol's truncate + snapshot + delta, which
-// rebuilds the copy instead of merging over it.
-func (m *Manager) demoteStale(node string) {
-	now := m.clk.Now()
-	for _, ns := range m.router.Namespaces() {
-		pm, ok := m.router.Map(ns)
-		if !ok {
+// --- the walk ---
+
+// demote removes the stale nodes that serve rng as secondaries and
+// remembers each as a lost member, so the repair rule re-adds it at
+// once — via the migration protocol's truncate + snapshot + delta,
+// which rebuilds the copy instead of merging over it. It returns the
+// range as the demotions left it.
+func (m *Manager) demote(ns, rk string, pm *partition.Map, rng partition.Range, stale []string) partition.Range {
+	for _, id := range stale {
+		i := slices.Index(rng.Replicas, id)
+		if i <= 0 {
+			continue // not a member, or the authoritative primary
+		}
+		target := slices.Delete(slices.Clone(rng.Replicas), i, i+1)
+		// Never leave a range with no live member: serving stale data
+		// beats serving nothing (§3.3.1's availability arbitration). A
+		// lost flip races a reconfiguration; the next sweep re-derives.
+		if !slices.ContainsFunc(target, m.isUp) || pm.CompareAndSetReplicas(rng.Start, rng.Replicas, target) != nil {
 			continue
 		}
-		for _, rng := range pm.Ranges() {
-			idx := slices.Index(rng.Replicas, node)
-			if idx <= 0 {
-				continue
-			}
-			target := slices.Delete(slices.Clone(rng.Replicas), idx, idx+1)
-			if !slices.ContainsFunc(target, m.isUp) {
-				// Never leave a range with no live member: serving
-				// stale data beats serving nothing (§3.3.1's
-				// availability arbitration).
-				continue
-			}
-			if err := pm.CompareAndSetReplicas(rng.Start, rng.Replicas, target); err != nil {
-				continue // racing reconfiguration; next sweep re-derives
-			}
-			rk := rangeKey(ns, rng.Start)
-			m.mu.Lock()
-			m.noteLostLocked(rk, node)
-			if _, ok := m.underSince[rk]; !ok {
-				m.underSince[rk] = now
-			}
-			m.mu.Unlock()
-			m.demotions.Add(1)
-			m.emit(Event{Kind: EventDemote, Node: node, Namespace: ns, Start: rng.Start, End: rng.End, Replicas: target})
+		rng.Replicas = target
+		m.mu.Lock()
+		rs := m.rangeLocked(rk)
+		if !slices.Contains(rs.lost, id) {
+			rs.lost = append(rs.lost, id)
 		}
+		m.mu.Unlock()
+		m.demotions.Add(1)
+		m.emit(Event{Kind: EventDemote, Node: id, Namespace: ns, Start: rng.Start, End: rng.End, Replicas: target})
 	}
+	return rng
 }
 
-// --- failover ---
-
-// failoverPass promotes the freshest live replica of every range whose
-// primary is down. Pure metadata: one compare-and-set flip per range.
-// Down members are kept at the tail of the group, not dropped: they
-// still hold a copy (the dead ex-primary in fact holds the freshest
-// one), so if the promoted survivor also dies and a dead member
-// returns, the next sweep can promote it instead of declaring the
-// range permanently unavailable. Replacement of long-dead tail members
-// is the repair pass's job, after the grace; convergence of a
-// briefly-dead tail member is the pump's (parked deliveries flush on
-// return, and abandoned ones trigger the demote-and-rebuild audit).
-func (m *Manager) failoverPass() {
-	probes := make(map[string]uint64) // freshness probe memo for this sweep
-	unavailable := 0
-	for _, ns := range m.router.Namespaces() {
-		pm, ok := m.router.Map(ns)
-		if !ok {
-			continue
+// failover promotes the freshest live replica of rng if its primary is
+// down. Pure metadata: one compare-and-set flip. Down members are kept
+// at the tail of the group, not dropped: they still hold a copy (the
+// dead ex-primary in fact holds the freshest one), so if the promoted
+// survivor also dies and a dead member returns, a later sweep can
+// promote it instead of declaring the range permanently unavailable.
+// Replacing long-dead tail members is the repair rule's job, after the
+// grace; convergence of a briefly-dead one is the pump's (parked
+// deliveries flush on return, and abandoned ones trigger the
+// demote-and-rebuild audit). It returns the range as it left it, and
+// false if the range has no live replica.
+func (m *Manager) failover(ns, rk string, pm *partition.Map, rng partition.Range, probes map[string]uint64) (partition.Range, bool) {
+	if !m.isUp(rng.Replicas[0]) {
+		var live, dead []string
+		for _, id := range rng.Replicas {
+			if m.isUp(id) {
+				live = append(live, id)
+			} else {
+				dead = append(dead, id)
+			}
 		}
-		for _, rng := range pm.Ranges() {
-			rk := rangeKey(ns, rng.Start)
-			if m.isUp(rng.Replicas[0]) {
-				m.mu.Lock()
-				delete(m.unavail, rk)
-				m.mu.Unlock()
-				continue
-			}
-			var live, dead []string
-			for _, id := range rng.Replicas {
-				if m.isUp(id) {
-					live = append(live, id)
-				} else {
-					dead = append(dead, id)
-				}
-			}
-			if len(live) == 0 {
-				unavailable++
-				m.mu.Lock()
-				first := !m.unavail[rk]
-				m.unavail[rk] = true
-				m.mu.Unlock()
-				if first {
-					m.emit(Event{Kind: EventUnavailable, Node: rng.Replicas[0], Namespace: ns, Start: rng.Start, End: rng.End, Replicas: rng.Replicas})
-				}
-				continue
-			}
-			ordered := append(m.rankByFreshness(ns, live, probes), dead...)
-			if err := pm.CompareAndSetReplicas(rng.Start, rng.Replicas, ordered); err != nil {
-				continue // racing flip; re-derived next sweep
-			}
+		if len(live) == 0 {
 			m.mu.Lock()
-			delete(m.unavail, rk)
+			rs := m.rangeLocked(rk)
+			first := !rs.unavail
+			rs.unavail = true
 			m.mu.Unlock()
-			m.failovers.Add(1)
-			m.emit(Event{Kind: EventFailover, Node: rng.Replicas[0], Namespace: ns, Start: rng.Start, End: rng.End, Replicas: ordered})
+			if first {
+				m.emit(Event{Kind: EventUnavailable, Node: rng.Replicas[0], Namespace: ns, Start: rng.Start, End: rng.End, Replicas: rng.Replicas})
+			}
+			return rng, false
 		}
+		ordered := append(m.rankByFreshness(ns, live, probes), dead...)
+		if pm.CompareAndSetReplicas(rng.Start, rng.Replicas, ordered) != nil {
+			return rng, true // racing flip; re-derived next sweep
+		}
+		m.failovers.Add(1)
+		m.emit(Event{Kind: EventFailover, Node: rng.Replicas[0], Namespace: ns, Start: rng.Start, End: rng.End, Replicas: ordered})
+		rng.Replicas = ordered
 	}
-	m.unavailGauge.Store(int64(unavailable))
+	m.mu.Lock()
+	if rs := m.ranges[rk]; rs != nil {
+		rs.unavail = false
+	}
+	m.mu.Unlock()
+	return rng, true
 }
 
 // rankByFreshness orders candidate replicas freshest first: highest
@@ -621,94 +610,14 @@ func (m *Manager) rankByFreshness(ns string, ids []string, probes map[string]uin
 	return out
 }
 
-// --- RF repair ---
+// --- the repair rule ---
 
-// repairPass schedules re-replication jobs for degraded ranges:
-// under-replicated (below the target RF) or carrying a down member
-// past the replacement grace. One journaled job per range; jobs run
-// asynchronously under the parallelism bound.
-func (m *Manager) repairPass() {
-	now := m.clk.Now()
-	up := m.dir.Up()
-	rf := min(m.rf, len(up))
-	under := 0
-	for _, ns := range m.router.Namespaces() {
-		pm, ok := m.router.Map(ns)
-		if !ok {
-			continue
-		}
-		for _, rng := range pm.Ranges() {
-			rk := rangeKey(ns, rng.Start)
-			if rf < 1 {
-				continue
-			}
-			var liveCount int
-			var pastGrace bool
-			m.mu.Lock()
-			for _, id := range rng.Replicas {
-				if m.isUp(id) {
-					liveCount++
-					continue
-				}
-				ds, ok := m.downSince[id]
-				if !ok {
-					ds = now
-					m.downSince[id] = ds
-				}
-				if now.Sub(ds) >= m.cfg.ReplaceAfter {
-					pastGrace = true
-				}
-			}
-			needAdd := len(rng.Replicas) < rf
-			if needAdd {
-				under++
-			}
-			if liveCount == 0 || (!needAdd && !pastGrace) {
-				// Forget degraded-state bookkeeping only at the true
-				// (unclamped) target RF: a range shrunk by failover is
-				// "satisfied" while the cluster is short of nodes, but
-				// its lost-member memory must survive until the range
-				// is fully replicated again — it is what lets the old
-				// primary rejoin instead of being treated as a spare.
-				if liveCount == len(rng.Replicas) && len(rng.Replicas) >= m.rf {
-					delete(m.underSince, rk)
-					delete(m.lost, rk)
-				}
-				m.mu.Unlock()
-				continue
-			}
-			if needAdd && !pastGrace {
-				us, ok := m.underSince[rk]
-				if !ok {
-					us = now
-					m.underSince[rk] = us
-				}
-				// Anti-flap: recruit a brand-new replica only after the
-				// grace; a returned former member rejoins immediately.
-				if !m.hasRejoinCandidateLocked(rk, rng.Replicas, up) && now.Sub(us) < m.cfg.ReplaceAfter {
-					m.mu.Unlock()
-					continue
-				}
-			}
-			if m.jobs[rk] {
-				m.mu.Unlock()
-				continue
-			}
-			m.jobs[rk] = true
-			m.mu.Unlock()
-			m.jobWg.Add(1)
-			go m.runJob(ns, pm, rk, rng.Start)
-		}
-	}
-	m.underGauge.Store(int64(under))
-}
-
-// runJob executes one journaled repair: its plan re-derives the target
-// replica set under the range's migration lock (so a node that
-// returned since the job was scheduled re-targets the repair at itself
-// — the rejoin path — and a planned move of the range in flight is
-// waited out, never raced), and the migration manager moves the range.
-// A plan that keeps the replicas as they are counts as no repair.
+// runJob executes one journaled repair. Its plan asks reconcileTarget
+// again under the range's migration lock, so a node that returned
+// since the job was scheduled re-targets the repair at itself — the
+// rejoin path — and a planned move of the range in flight is waited
+// out, never raced; the migration manager then moves the range. A plan
+// that keeps the replicas as they are counts as no repair.
 func (m *Manager) runJob(ns string, pm *partition.Map, rk string, key []byte) {
 	defer m.jobWg.Done()
 	m.sem <- struct{}{}
@@ -723,7 +632,7 @@ func (m *Manager) runJob(ns string, pm *partition.Map, rk string, key []byte) {
 	var target, rejoined []string
 	err := m.migrations.MoveRange(pm, ns, key, func(cur partition.Range) ([]string, error) {
 		rng = cur
-		if target, rejoined = m.reconcileTarget(ns, rk, cur); target == nil {
+		if target, rejoined = m.reconcileTarget(rk, cur); target == nil {
 			target = cur.Replicas
 		}
 		if !slices.Equal(target, cur.Replicas) {
@@ -742,100 +651,94 @@ func (m *Manager) runJob(ns string, pm *partition.Map, rk string, key []byte) {
 	}
 	m.repairsDone.Add(1)
 	m.rejoins.Add(int64(len(rejoined)))
-	m.mu.Lock()
-	if lost := m.lost[rk]; lost != nil {
-		for _, id := range target {
-			delete(lost, id)
-		}
-		if len(lost) == 0 {
-			delete(m.lost, rk)
-		}
-	}
-	delete(m.underSince, rk)
-	m.mu.Unlock()
 	m.emit(Event{Kind: EventRepairDone, Namespace: ns, Start: rng.Start, End: rng.End, Replicas: target})
 }
 
-// reconcileTarget computes the replica set a repair should install:
-// live members first (preserving order, so a failover's
-// freshest-first primary stays primary), down members still within
-// grace kept at the tail, then additions up to the target RF —
-// preferring returned former members (rejoins), then the least-loaded
-// serving spares — both drawn from Directory.Up, so a draining node is
-// never added. Returns nil when the range has no live member.
-func (m *Manager) reconcileTarget(ns, rk string, rng partition.Range) (target, rejoined []string) {
-	now := m.clk.Now()
-	m.mu.Lock()
-	lost := make([]string, 0, len(m.lost[rk]))
-	for id := range m.lost[rk] {
-		lost = append(lost, id)
-	}
-	sort.Strings(lost)
-	var live, inGrace []string
-	for _, id := range rng.Replicas {
-		if m.isUp(id) {
-			live = append(live, id)
-			continue
-		}
-		ds, ok := m.downSince[id]
-		if ok && now.Sub(ds) < m.cfg.ReplaceAfter {
-			inGrace = append(inGrace, id)
-		}
-	}
-	m.mu.Unlock()
-	if len(live) == 0 {
+// reconcileTarget is the one repair rule: the replica set rng should
+// have. The sweep asks it whether a range needs a job, and the job's
+// plan asks it, under the range's lock, what to install. Every live
+// member, and every down member within ReplaceAfter, keeps its slot,
+// so a failover's freshest-first primary stays primary. Additions up
+// to the target RF (clamped to Directory.Up) follow: returned former
+// members at once (rejoined), then the least-loaded serving spares —
+// but a brand-new spare only once the range has been short for
+// ReplaceAfter, or to replace a member past its grace. Both are drawn
+// from Directory.Up, so a draining node is never added. A member past
+// its grace (observed down for ReplaceAfter, or gone from the
+// directory) is dropped only when a replacement takes its place: with
+// no spare, its copy (torn down on return) is still the range's only
+// other one should the survivors fail too. So a range with nothing to
+// add or drop gets its current replicas back. Returns nil while the
+// primary is down: that is failover's case.
+//
+// The range's bookkeeping lives here too: it is forgotten once the
+// range is fully live at the true (unclamped) RF. A range shrunk while
+// the cluster is short of nodes keeps its lost members until then —
+// that memory is what lets an old primary rejoin instead of being
+// treated as a spare.
+func (m *Manager) reconcileTarget(rk string, rng partition.Range) (target, rejoined []string) {
+	if !m.isUp(rng.Replicas[0]) {
 		return nil, nil
 	}
-	target = append(append([]string(nil), live...), inGrace...)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(rng.Replicas) >= m.rf && !slices.ContainsFunc(rng.Replicas, func(id string) bool { return !m.isUp(id) }) {
+		delete(m.ranges, rk)
+		return rng.Replicas, nil
+	}
+	now := m.clk.Now()
 	up := m.dir.Up()
 	rf := min(m.rf, len(up))
-	for _, id := range lost {
-		if len(target) >= rf {
-			break
+	keep := make([]bool, len(rng.Replicas))
+	kept := 0
+	for i, id := range rng.Replicas {
+		if n := m.nodes[id]; !m.isUp(id) && (n == nil || n.status == cluster.StatusDown && now.Sub(n.downSince) >= m.cfg.ReplaceAfter) {
+			continue
 		}
-		if slices.Contains(up, id) && !slices.Contains(target, id) {
-			target = append(target, id)
-			rejoined = append(rejoined, id)
+		keep[i] = true
+		kept++
+	}
+	rs := m.rangeLocked(rk)
+	rs.lost = slices.DeleteFunc(rs.lost, func(id string) bool { return slices.Contains(rng.Replicas, id) })
+	if kept >= rf {
+		rs.underSince = time.Time{}
+	} else if rs.underSince.IsZero() {
+		rs.underSince = now
+	}
+	var add []string
+	for _, id := range rs.lost {
+		if kept+len(add) < rf && slices.Contains(up, id) {
+			add = append(add, id)
 		}
 	}
-	if len(target) < rf {
-		spares := m.router.Spares(up, target)
-		target = append(target, spares[:min(len(spares), rf-len(target))]...)
+	rejoined = slices.Clip(add)
+	if need := rf - kept - len(add); need > 0 && (kept < len(rng.Replicas) || now.Sub(rs.underSince) >= m.cfg.ReplaceAfter) {
+		spares := m.router.Spares(up, append(slices.Clone(rng.Replicas), add...))
+		add = append(add, spares[:min(len(spares), need)]...)
 	}
-	// A down member past its grace is dropped only when a replacement
-	// actually backfilled: if the cluster has no spare, keeping the
-	// (stale, torn down on return) copy in the group is still better
-	// than journaling its destruction — it remains the range's only
-	// other copy should the survivors fail too.
-	for _, id := range rng.Replicas {
-		if len(target) >= m.rf {
-			break
+	retain := m.rf - kept - len(add) // members past their grace still needed
+	for i, id := range rng.Replicas {
+		if !keep[i] {
+			if retain <= 0 {
+				continue
+			}
+			retain--
 		}
-		if !slices.Contains(target, id) && !m.isUp(id) {
-			target = append(target, id)
-		}
+		target = append(target, id)
 	}
-	return target, rejoined
+	return append(target, add...), rejoined
 }
 
 // --- helpers ---
 
-func (m *Manager) hasRejoinCandidateLocked(rk string, current, up []string) bool {
-	for id := range m.lost[rk] {
-		if !slices.Contains(current, id) && slices.Contains(up, id) {
-			return true
-		}
+// rangeLocked returns rk's bookkeeping, creating it. Callers hold m.mu.
+func (m *Manager) rangeLocked(rk string) *rangeState {
+	rs := m.ranges[rk]
+	if rs == nil {
+		rs = &rangeState{}
+		m.ranges[rk] = rs
 	}
-	return false
-}
-
-func (m *Manager) noteLostLocked(rk, node string) {
-	set := m.lost[rk]
-	if set == nil {
-		set = make(map[string]bool)
-		m.lost[rk] = set
-	}
-	set[node] = true
+	return rs
 }
 
 func (m *Manager) isUp(id string) bool {

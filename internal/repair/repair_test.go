@@ -111,6 +111,15 @@ func (f *fixture) eventKinds() []repair.EventKind {
 	return out
 }
 
+// wantKinds fails the test unless the events emitted so far are exactly
+// want, in order.
+func (f *fixture) wantKinds(want ...repair.EventKind) {
+	f.t.Helper()
+	if got := f.eventKinds(); !slices.Equal(got, want) {
+		f.t.Fatalf("events = %v, want %v", got, want)
+	}
+}
+
 func (f *fixture) countKind(k repair.EventKind) int {
 	n := 0
 	for _, got := range f.eventKinds() {
@@ -304,9 +313,12 @@ func TestRFRepairReplacesDeadReplicaAfterGrace(t *testing.T) {
 			t.Fatalf("replacement n3 missing %q", key)
 		}
 	}
-	if st := f.mgr.Stats(); st.RepairsDone != 1 || st.Rejoins != 0 {
+	if st := f.mgr.Stats(); st != (repair.Stats{
+		Sweeps: 2, NodesDown: 1, RepairsStarted: 1, RepairsDone: 1,
+	}) {
 		t.Fatalf("stats = %+v", st)
 	}
+	f.wantKinds(repair.EventNodeDown, repair.EventRepairStart, repair.EventRepairDone)
 }
 
 // TestAntiFlapHoldsBeforeGrace: a node that returns before the grace
@@ -364,9 +376,14 @@ func TestStaleReturnDemotedAndRejoins(t *testing.T) {
 	if !f.mgr.Quiesce(5 * time.Second) {
 		t.Fatal("rejoin did not quiesce")
 	}
-	if st := f.mgr.Stats(); st.Demotions != 1 || st.Rejoins != 1 || st.RepairsDone != 1 {
+	if st := f.mgr.Stats(); st != (repair.Stats{
+		Sweeps: 2, NodesDown: 1, NodesUp: 1, Demotions: 1,
+		RepairsStarted: 1, RepairsDone: 1, Rejoins: 1, UnderReplicated: 1,
+	}) {
 		t.Fatalf("stats = %+v", st)
 	}
+	f.wantKinds(repair.EventNodeDown, repair.EventNodeUp, repair.EventDemote,
+		repair.EventRepairStart, repair.EventRepairDone)
 	if got := f.replicas(); len(got) != 2 || got[0] != "n1" || got[1] != "n2" {
 		t.Fatalf("replicas after rejoin = %v", got)
 	}
@@ -485,9 +502,14 @@ func TestFailoverThenRejoin(t *testing.T) {
 	if _, ok, _ := ns.GetRecord([]byte("b")); !ok {
 		t.Fatal("rejoined n1 missing the write it was away for")
 	}
-	if st := f.mgr.Stats(); st.Failovers != 1 || st.Demotions != 1 || st.Rejoins != 1 {
+	if st := f.mgr.Stats(); st != (repair.Stats{
+		Sweeps: 2, NodesDown: 1, NodesUp: 1, Failovers: 1, Demotions: 1,
+		RepairsStarted: 1, RepairsDone: 1, Rejoins: 1, UnderReplicated: 1,
+	}) {
 		t.Fatalf("stats = %+v", st)
 	}
+	f.wantKinds(repair.EventNodeDown, repair.EventFailover, repair.EventNodeUp,
+		repair.EventDemote, repair.EventRepairStart, repair.EventRepairDone)
 }
 
 // TestPartitionedReplicaDemotedWhileUp covers the asymmetric-fault
@@ -562,9 +584,13 @@ func TestSurvivorDiesAndOldPrimaryReturns(t *testing.T) {
 	if got[0] != "n1" {
 		t.Fatalf("returned old primary not promoted: %v", got)
 	}
-	if st := f.mgr.Stats(); st.RangesUnavailable != 0 || st.Failovers != 2 {
+	if st := f.mgr.Stats(); st != (repair.Stats{
+		Sweeps: 3, NodesDown: 2, NodesUp: 1, Failovers: 2,
+	}) {
 		t.Fatalf("stats = %+v", st)
 	}
+	f.wantKinds(repair.EventNodeDown, repair.EventFailover, repair.EventNodeDown,
+		repair.EventUnavailable, repair.EventNodeUp, repair.EventFailover)
 	// Its data still serves.
 	ns, err := f.nodes["n1"].Engine().Namespace("ns")
 	if err != nil {
@@ -648,5 +674,44 @@ func TestDrainingFormerMemberIsNotReadded(t *testing.T) {
 	}
 	if st := f.mgr.Stats(); st.RepairsDone != 1 || st.Rejoins != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestDeadSecondaryWithoutSpareIsNotMoved: a secondary dead past its
+// grace, with no spare to replace it, keeps its slot. Nothing is
+// copied, no write is fenced and no repair is counted: a plan with
+// nothing to add or drop is no move, and no job starts for it.
+func TestDeadSecondaryWithoutSpareIsNotMoved(t *testing.T) {
+	f := newFixture(t, 3, 3, repair.Config{
+		HeartbeatTimeout: 10 * time.Second,
+		ReplaceAfter:     5 * time.Second,
+	})
+	var mu sync.Mutex
+	var phases []migration.Phase
+	f.mig.OnPhase = func(ev migration.Event) {
+		mu.Lock()
+		phases = append(phases, ev.Phase)
+		mu.Unlock()
+	}
+	f.crash("n2")
+	f.dir.MarkDown("n2")
+	f.mgr.Sweep()
+	f.clk.Advance(6 * time.Second)
+	for range 3 {
+		f.mgr.Sweep()
+		if !f.mgr.Quiesce(5 * time.Second) {
+			t.Fatal("repair did not quiesce")
+		}
+	}
+	if got := f.replicas(); !slices.Equal(got, []string{"n1", "n2", "n3"}) {
+		t.Fatalf("replicas = %v, want [n1 n2 n3] unmoved", got)
+	}
+	if st := f.mgr.Stats(); st.RepairsStarted != 0 || st.RepairsDone != 0 {
+		t.Fatalf("a dead member with no spare counted a repair: %+v", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(phases) != 0 {
+		t.Fatalf("migration phases %v for a move with nothing to copy", phases)
 	}
 }
