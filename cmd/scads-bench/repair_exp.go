@@ -171,13 +171,13 @@ func runE13(p expgrid.Params) (expgrid.Metrics, error) {
 	stop.Store(true)
 	wg.Wait()
 
-	// Quiesce: repair settles, replication and index maintenance
+	// Settle: repair finishes, replication and index maintenance
 	// drain.
 	settle := time.Now().Add(10 * time.Second)
 	for !ledger.RFRestored(lc, rf) && time.Now().Before(settle) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	lc.Repairs().Quiesce(10 * time.Second)
+	waitRepairJobs(lc, 10*time.Second)
 	must(lc.FlushAll())
 
 	loss, err := led.Verify(userName(lc))
@@ -227,4 +227,12 @@ var fastRepair = repair.Config{
 	SweepInterval:    10 * time.Millisecond,
 	HeartbeatTimeout: 250 * time.Millisecond,
 	ReplaceAfter:     50 * time.Millisecond,
+}
+
+// waitRepairJobs waits, up to timeout, until no repair job the
+// background driver started is still running.
+func waitRepairJobs(lc *scads.LocalCluster, timeout time.Duration) {
+	for deadline := time.Now().Add(timeout); lc.RepairStats().PendingJobs > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -237,7 +237,7 @@ func runE14(p expgrid.Params) (expgrid.Metrics, error) {
 
 	stop.Store(true)
 	wg.Wait()
-	lc.Repairs().Quiesce(10 * time.Second)
+	waitRepairJobs(lc, 10*time.Second)
 
 	fmt.Printf("scatter-gather scan pipeline over %d ranges (%d users, 5 nodes, RF=2, %v simulated RTT)\n",
 		users/rangeSize, users, rtt)

@@ -140,25 +140,24 @@ func TestDecommissionNeverAddsTheDrainingNode(t *testing.T) {
 	// spare, node-003 — the victim.
 	lc.CrashNode("node-002")
 	armed.Store(true)
+	// Sweep until the repair is held. RepairNow runs its jobs before it
+	// returns, so the sweeper waits in the held job, and the jobs after
+	// it run once the gate opens.
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		for armed.Load() {
+			lc.RepairNow()
+			time.Sleep(time.Millisecond)
+		}
+	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for waiting := true; waiting; {
-		lc.RepairNow()
-		select {
-		case <-blocked:
-			waiting = false
-		case <-time.After(5 * time.Millisecond):
-			if time.Now().After(deadline) {
-				t.Fatalf("repair never scheduled: %+v", lc.RepairStats())
-			}
-		}
-	}
-	// Let the other degraded ranges finish repairing, so the held job
-	// is the only one in flight.
-	for lc.RepairStats().PendingJobs > 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("other repairs never drained: %+v", lc.RepairStats())
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-blocked:
+	case <-time.After(10 * time.Second):
+		armed.Store(false)
+		<-swept
+		t.Fatalf("repair never scheduled: %+v", lc.RepairStats())
 	}
 
 	survivors := slices.DeleteFunc(lc.Directory().Up(), func(id string) bool { return id == victim })
@@ -179,9 +178,7 @@ func TestDecommissionNeverAddsTheDrainingNode(t *testing.T) {
 		t.Fatalf("%d snapshots targeting the victim started after its drain", n)
 	}
 
-	if !lc.Repairs().Quiesce(10 * time.Second) {
-		t.Fatal("repairs never drained")
-	}
+	<-swept
 	if st := lc.RepairStats(); st.RepairsFailed != 0 {
 		t.Fatalf("repairs failed during decommission: %+v", st)
 	}

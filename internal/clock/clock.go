@@ -121,6 +121,29 @@ func (v *Virtual) AdvanceTo(t time.Time) {
 	v.now = t
 }
 
+// Loop runs step on clk until stop is closed: first once wait has
+// elapsed, then after whatever delay each step returns, at once when it
+// returns zero. It is the one background loop: every periodic task of
+// a coordinator is a step that reports when it next wants to run, and
+// on a Virtual clock a test moves the loop by advancing time.
+func Loop(clk Clock, stop <-chan struct{}, wait time.Duration, step func() time.Duration) {
+	for {
+		if wait > 0 {
+			select {
+			case <-stop:
+				return
+			case <-clk.After(wait):
+			}
+		}
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		wait = step()
+	}
+}
+
 // BlockUntilWaiters spins until at least n timers are pending on the
 // clock — the synchronisation point for tests that must let another
 // goroutine reach its Sleep/After before calling Advance.

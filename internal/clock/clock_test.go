@@ -72,10 +72,7 @@ func TestVirtualSleepWakesOnAdvance(t *testing.T) {
 		v.Sleep(10 * time.Second)
 		close(done)
 	}()
-	// Wait for the sleeper to register.
-	for v.PendingTimers() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	v.BlockUntilWaiters(1) // the sleeper has registered
 	v.Advance(10 * time.Second)
 	select {
 	case <-done:
@@ -114,9 +111,7 @@ func TestVirtualConcurrentAfter(t *testing.T) {
 			fired <- struct{}{}
 		}(i)
 	}
-	for v.PendingTimers() < n {
-		time.Sleep(time.Millisecond)
-	}
+	v.BlockUntilWaiters(n)
 	v.Advance(10 * time.Second)
 	wg.Wait()
 	if len(fired) != n {

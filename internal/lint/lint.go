@@ -29,6 +29,12 @@ var (
 		// hot-tenant windows run off the injected clock so the e18
 		// shed-order gates replay deterministically.
 		"scads/internal/admission",
+		// The coordinator's background subsystems: repair sweeps,
+		// migrations and pump rounds are steps a virtual clock replays,
+		// so crash → failover → re-replicate runs the same every time.
+		"scads/internal/repair",
+		"scads/internal/migration",
+		"scads/internal/replication",
 	}
 	DeterminismFiles = []string{
 		"scads:elastic.go",

@@ -30,11 +30,13 @@ package migration
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"scads/internal/clock"
 	"scads/internal/cluster"
 	"scads/internal/partition"
 	"scads/internal/record"
@@ -88,6 +90,7 @@ type Stats struct {
 type Manager struct {
 	transport rpc.Transport
 	dir       *cluster.Directory
+	clk       clock.Clock // stamps fence pauses
 
 	// OnPhase, when set, receives one Event per phase transition
 	// (synchronously, on the migrating goroutine).
@@ -137,13 +140,15 @@ type cleanup struct {
 	nodes      map[string]bool
 }
 
-// NewManager returns a manager calling through transport and resolving
-// node addresses through dir. parallelism bounds concurrently running
-// migrations and must be at least 1.
-func NewManager(transport rpc.Transport, dir *cluster.Directory, parallelism int) *Manager {
+// NewManager returns a manager calling through transport, resolving
+// node addresses through dir and timing fence pauses on clk.
+// parallelism bounds concurrently running migrations and must be at
+// least 1.
+func NewManager(transport rpc.Transport, dir *cluster.Directory, clk clock.Clock, parallelism int) *Manager {
 	return &Manager{
 		transport: transport,
 		dir:       dir,
+		clk:       clk,
 		sem:       make(chan struct{}, parallelism),
 		inflight:  make(map[string]*rangeLock),
 		pending:   make(map[string]*cleanup),
@@ -232,16 +237,19 @@ func (m *Manager) MoveRange(pm *partition.Map, namespace string, key []byte, pla
 // Nodes that have left the directory entirely are forgotten. Returns
 // how many nodes still await teardown.
 func (m *Manager) RetryCleanups() int {
+	// Each entry's nodes are read under m.mu: a migration may journal
+	// or forget nodes of the same entry meanwhile.
 	m.mu.Lock()
 	work := make([]*cleanup, 0, len(m.pending))
-	for _, c := range m.pending {
-		work = append(work, c)
+	nodes := make([][]string, 0, len(m.pending))
+	for _, k := range slices.Sorted(maps.Keys(m.pending)) {
+		work = append(work, m.pending[k])
+		nodes = append(nodes, m.pending[k].pendingNodes())
 	}
 	m.mu.Unlock()
-	for _, c := range work {
+	for i, c := range work {
 		m.cleanupRetries.Add(1)
-		rng := partition.Range{Start: c.start, End: c.end}
-		m.runCleanup(c.namespace, rng, c.pendingNodes())
+		m.runCleanup(c.namespace, partition.Range{Start: c.start, End: c.end}, nodes[i])
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -253,11 +261,7 @@ func (m *Manager) RetryCleanups() int {
 }
 
 func (c *cleanup) pendingNodes() []string {
-	out := make([]string, 0, len(c.nodes))
-	for id := range c.nodes {
-		out = append(out, id)
-	}
-	return out
+	return slices.Sorted(maps.Keys(c.nodes))
 }
 
 // migrate runs the state machine for one range. rng is the range as
@@ -376,7 +380,7 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 			return fmt.Errorf("migration: fence %s: %w", old[0], err)
 		}
 		fenced = true
-		fencedAt = time.Now()
+		fencedAt = m.clk.Now()
 		m.fencePauses.Add(1)
 	}
 	// Any error between fence and flip must lift the fence — the old
@@ -384,7 +388,7 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 	unfencePrimary := func() {
 		if fenced {
 			_ = m.fence(primaryAddr, namespace, rng, false)
-			m.fenceNanos.Add(time.Since(fencedAt).Nanoseconds())
+			m.fenceNanos.Add(m.clk.Since(fencedAt).Nanoseconds())
 			fenced = false
 		}
 	}
@@ -429,7 +433,7 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 		// write routed before the flip must bounce to the new primary,
 		// never land invisibly here. Account the pause as ending now —
 		// writers were unblocked by the flip.
-		m.fenceNanos.Add(time.Since(fencedAt).Nanoseconds())
+		m.fenceNanos.Add(m.clk.Since(fencedAt).Nanoseconds())
 	}
 
 	// Teardown: tombstone the range on every node that lost it, plus

@@ -143,9 +143,10 @@ type Stats struct {
 	PendingJobs       int   // repair jobs journaled as in flight
 }
 
-// Manager is the self-healing control loop. Create with NewManager,
-// drive with Run (background) or Sweep (deterministic tests and
-// operator tooling). Safe for concurrent use.
+// Manager is the self-healing control loop. Create with NewManager and
+// call Sweep every SweepInterval: the coordinator's background driver
+// does, and tests and operator tooling call it directly. Safe for
+// concurrent use.
 type Manager struct {
 	cfg        Config
 	clk        clock.Clock
@@ -156,8 +157,8 @@ type Manager struct {
 	pump       *replication.Pump
 	rf         int
 
-	// OnEvent, when set (before Run), receives one Event per phase
-	// transition, synchronously on the sweeping or repairing
+	// OnEvent, when set (before the first Sweep), receives one Event
+	// per phase transition, synchronously on the sweeping or repairing
 	// goroutine.
 	OnEvent func(Event)
 
@@ -168,11 +169,7 @@ type Manager struct {
 	ranges map[string]*rangeState // range key -> bookkeeping of a degraded range
 	jobs   map[string]bool        // range key -> repair job in flight
 
-	runMu  sync.Mutex
-	stopCh chan struct{}
-	loopWg sync.WaitGroup
-	jobWg  sync.WaitGroup
-	sem    chan struct{}
+	sem chan struct{} // bounds running repair jobs
 
 	sweeps         atomic.Int64
 	nodesDown      atomic.Int64
@@ -226,54 +223,21 @@ func NewManager(cfg Config, clk clock.Clock, dir *cluster.Directory, transport r
 	}
 }
 
-// Run starts the background sweep loop on the manager's clock. Safe to
-// call once per Stop; redundant calls are no-ops.
-func (m *Manager) Run() {
-	m.runMu.Lock()
-	defer m.runMu.Unlock()
-	if m.stopCh != nil {
-		return
-	}
-	stop := make(chan struct{})
-	m.stopCh = stop
-	m.loopWg.Add(1)
-	go func() {
-		defer m.loopWg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-m.clk.After(m.cfg.SweepInterval):
-			}
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			m.Sweep()
-		}
-	}()
-}
-
-// Stop halts the background loop and waits for it and any in-flight
-// repair jobs to finish.
-func (m *Manager) Stop() {
-	m.runMu.Lock()
-	if m.stopCh != nil {
-		close(m.stopCh)
-		m.stopCh = nil
-	}
-	m.runMu.Unlock()
-	m.loopWg.Wait()
-	m.jobWg.Wait()
-}
+// SweepInterval is how long the background driver waits between
+// sweeps.
+func (m *Manager) SweepInterval() time.Duration { return m.cfg.SweepInterval }
 
 // Sweep runs failure detection, then one walk over every range:
-// demote, fail over, repair. Repair jobs it schedules run
-// asynchronously (see Quiesce); everything else — probing, expiry,
-// membership events, demotions, failover flips — is synchronous, so a
-// test driving Sweep on a fake clock observes deterministic behavior.
-func (m *Manager) Sweep() {
+// demote, fail over, repair. Probing, expiry, membership events,
+// demotions and failover flips happen within the call; the repair jobs
+// it decides on, and a retry of journaled teardowns when a node
+// returned, are returned for the caller to run — on goroutines of its
+// own (the background driver) or one after another before the next
+// Sweep (RepairNow, tests). Sweep starts no goroutine that outlives
+// it, so a test driving it on a virtual clock observes deterministic
+// behavior. Every returned job must be run: a range's job stays in
+// flight, and no other is started for it, until its job has run.
+func (m *Manager) Sweep() (jobs []func()) {
 	m.sweepMu.Lock()
 	defer m.sweepMu.Unlock()
 	m.sweeps.Add(1)
@@ -282,12 +246,8 @@ func (m *Manager) Sweep() {
 	returned, stale := m.observeMembership()
 	if len(returned) > 0 {
 		// A returned node may hold ranges whose teardown was journaled
-		// while it was unreachable; retry those in the background.
-		m.jobWg.Add(1)
-		go func() {
-			defer m.jobWg.Done()
-			m.migrations.RetryCleanups()
-		}()
+		// while it was unreachable.
+		jobs = append(jobs, func() { m.migrations.RetryCleanups() })
 	}
 	rf := min(m.rf, len(m.dir.Up()))
 	probes := make(map[string]uint64) // freshness probe memo for this sweep
@@ -315,32 +275,13 @@ func (m *Manager) Sweep() {
 			m.jobs[rk] = true
 			m.mu.Unlock()
 			if !busy {
-				m.jobWg.Add(1)
-				go m.runJob(ns, pm, rk, rng.Start)
+				jobs = append(jobs, func() { m.runJob(ns, pm, rk, rng.Start) })
 			}
 		}
 	}
 	m.unavailGauge.Store(int64(unavailable))
 	m.underGauge.Store(int64(under))
-}
-
-// Quiesce blocks until no repair job is in flight or timeout elapses,
-// returning whether the manager went idle. Uses wall time: jobs run on
-// real goroutines regardless of the configured clock.
-func (m *Manager) Quiesce(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		m.mu.Lock()
-		idle := len(m.jobs) == 0
-		m.mu.Unlock()
-		if idle {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return jobs
 }
 
 // Stats returns a snapshot of repair counters.
@@ -619,7 +560,6 @@ func (m *Manager) rankByFreshness(ns string, ids []string, probes map[string]uin
 // out, never raced; the migration manager then moves the range. A plan
 // that keeps the replicas as they are counts as no repair.
 func (m *Manager) runJob(ns string, pm *partition.Map, rk string, key []byte) {
-	defer m.jobWg.Done()
 	m.sem <- struct{}{}
 	defer func() { <-m.sem }()
 	defer func() {

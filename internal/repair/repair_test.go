@@ -47,7 +47,7 @@ func newFixture(t *testing.T, n, rf int, cfg repair.Config) *fixture {
 	f.lt = rpc.NewLocalTransport()
 	f.dir = cluster.NewDirectory(f.clk)
 	f.router = partition.NewRouter(f.lt, f.dir)
-	f.mig = migration.NewManager(f.lt, f.dir, 2)
+	f.mig = migration.NewManager(f.lt, f.dir, f.clk, 2)
 	f.mig.Resolver = f.router.Map
 	queue := replication.NewQueue(replication.ByDeadline)
 	f.pump = replication.NewPump(queue, f.router.Apply, f.clk)
@@ -80,6 +80,42 @@ func newFixture(t *testing.T, n, rf int, cfg repair.Config) *fixture {
 		f.mu.Unlock()
 	}
 	return f
+}
+
+// sweep runs one Sweep and then, one after another, the jobs it
+// returned, as RepairNow does.
+func (f *fixture) sweep() {
+	for _, job := range f.mgr.Sweep() {
+		job()
+	}
+}
+
+// runLoop runs sweep every SweepInterval under clock.Loop on the
+// fixture's virtual clock, as the coordinator's background driver
+// does, and returns the function that stops the loop and waits for it.
+func (f *fixture) runLoop() (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		clock.Loop(f.clk, quit, f.mgr.SweepInterval(), func() time.Duration {
+			f.sweep()
+			return f.mgr.SweepInterval()
+		})
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
+}
+
+// step lets the loop run n sweeps, one interval of virtual time each,
+// and returns once the last has finished.
+func (f *fixture) step(n int) {
+	for range n {
+		f.clk.BlockUntilWaiters(1)
+		f.clk.Advance(f.mgr.SweepInterval())
+	}
+	f.clk.BlockUntilWaiters(1)
 }
 
 func (f *fixture) crash(id string)   { f.lt.SetDown("local://"+id, true) }
@@ -135,7 +171,7 @@ func (f *fixture) countKind(k repair.EventKind) int {
 // exactly once.
 func TestDetectorFlapping(t *testing.T) {
 	f := newFixture(t, 2, 1, repair.Config{HeartbeatTimeout: 10 * time.Second})
-	f.mgr.Sweep() // baseline: everyone heartbeats, no events
+	f.sweep() // baseline: everyone heartbeats, no events
 	if st := f.mgr.Stats(); st.NodesDown != 0 || st.NodesUp != 0 {
 		t.Fatalf("baseline transitions: %+v", st)
 	}
@@ -143,7 +179,7 @@ func TestDetectorFlapping(t *testing.T) {
 	// n2 goes silent: after the timeout the sweep expires it.
 	f.crash("n2")
 	f.clk.Advance(11 * time.Second)
-	f.mgr.Sweep()
+	f.sweep()
 	if st := f.mgr.Stats(); st.NodesDown != 1 {
 		t.Fatalf("NodesDown = %d after expiry, want 1", st.NodesDown)
 	}
@@ -153,7 +189,7 @@ func TestDetectorFlapping(t *testing.T) {
 
 	// It heartbeats back: the probe resurrects it.
 	f.recover("n2")
-	f.mgr.Sweep()
+	f.sweep()
 	if st := f.mgr.Stats(); st.NodesUp != 1 {
 		t.Fatalf("NodesUp = %d after return, want 1", st.NodesUp)
 	}
@@ -164,7 +200,7 @@ func TestDetectorFlapping(t *testing.T) {
 	// And goes silent again.
 	f.crash("n2")
 	f.clk.Advance(11 * time.Second)
-	f.mgr.Sweep()
+	f.sweep()
 	if st := f.mgr.Stats(); st.NodesDown != 2 || st.NodesUp != 1 {
 		t.Fatalf("after flap: down=%d up=%d, want 2/1", st.NodesDown, st.NodesUp)
 	}
@@ -175,53 +211,95 @@ func TestDetectorFlapping(t *testing.T) {
 // than), one instant past it is.
 func TestExpireBoundary(t *testing.T) {
 	f := newFixture(t, 1, 1, repair.Config{HeartbeatTimeout: 10 * time.Second})
-	f.mgr.Sweep() // heartbeat at t0
+	f.sweep()     // heartbeat at t0
 	f.crash("n1") // silence the probe without marking anything
 
 	f.clk.Advance(10 * time.Second)
-	f.mgr.Sweep()
+	f.sweep()
 	if m, _ := f.dir.Get("n1"); m.Status != cluster.StatusUp {
 		t.Fatalf("expired at exactly the timeout; want up")
 	}
 	f.clk.Advance(1)
-	f.mgr.Sweep()
+	f.sweep()
 	if m, _ := f.dir.Get("n1"); m.Status != cluster.StatusDown {
 		t.Fatalf("not expired just past the timeout")
 	}
 }
 
-// TestRunSweepsOnFakeClock checks the background loop paces itself on
-// the injected clock: sweeps fire only as virtual time crosses the
-// interval, and Stop halts them.
+// TestRunSweepsOnFakeClock checks that clock.Loop paces sweeps on the
+// injected clock: none before an interval of virtual time has passed,
+// one for each interval after, and none once the loop is stopped.
+// Virtual time is the only thing that moves the loop: BlockUntilWaiters
+// returns once the loop has finished a sweep and waits for the next.
 func TestRunSweepsOnFakeClock(t *testing.T) {
 	f := newFixture(t, 1, 1, repair.Config{SweepInterval: 100 * time.Millisecond})
-	f.mgr.Run()
+	stop := f.runLoop()
 
-	// Less than one interval of virtual time never fires, no matter
-	// how much real time passes.
+	f.clk.BlockUntilWaiters(1)
 	f.clk.Advance(99 * time.Millisecond)
-	time.Sleep(30 * time.Millisecond)
 	if got := f.mgr.Stats().Sweeps; got != 0 {
 		t.Fatalf("sweeps after partial interval = %d, want 0", got)
 	}
-
-	// Advancing virtual time drives sweeps.
-	deadline := time.Now().Add(5 * time.Second)
-	for f.mgr.Stats().Sweeps < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("sweeps = %d, want >= 3", f.mgr.Stats().Sweeps)
+	f.clk.Advance(time.Millisecond)
+	for want := int64(1); want <= 3; want++ {
+		f.clk.BlockUntilWaiters(1)
+		if got := f.mgr.Stats().Sweeps; got != want {
+			t.Fatalf("sweeps = %d, want %d", got, want)
 		}
 		f.clk.Advance(100 * time.Millisecond)
-		time.Sleep(2 * time.Millisecond)
 	}
+	f.clk.BlockUntilWaiters(1)
 
-	// Stop halts the loop: further advances never sweep again.
-	f.mgr.Stop()
-	n := f.mgr.Stats().Sweeps
+	stop()
 	f.clk.Advance(time.Second)
-	time.Sleep(30 * time.Millisecond)
-	if got := f.mgr.Stats().Sweeps; got != n {
-		t.Fatalf("swept after Stop: %d -> %d", n, got)
+	if got := f.mgr.Stats().Sweeps; got != 4 {
+		t.Fatalf("sweeps after stop = %d, want the 4 before it", got)
+	}
+}
+
+// TestCrashReplaysOnVirtualClock runs RF 2 through crash → detect →
+// failover → re-replicate with nothing but virtual time driving the
+// sweep loop, twice, and requires both runs to emit the same events
+// and end with the same Stats and replicas.
+func TestCrashReplaysOnVirtualClock(t *testing.T) {
+	run := func() (events []string, st repair.Stats, replicas []string) {
+		f := newFixture(t, 3, 2, repair.Config{
+			HeartbeatTimeout: time.Second,
+			SweepInterval:    100 * time.Millisecond,
+			ReplaceAfter:     500 * time.Millisecond,
+		})
+		f.put("a", 100, "n1", "n2")
+		stop := f.runLoop()
+		f.step(3)
+		f.crash("n1")
+		f.step(20)
+		stop()
+		ns, err := f.nodes["n3"].Engine().Namespace("ns")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, _ := ns.GetRecord([]byte("a")); !ok {
+			t.Fatal("re-replicated n3 missing the record")
+		}
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		for _, ev := range f.events {
+			events = append(events, fmt.Sprintf("%s %s %v %v", ev.Kind, ev.Node, ev.Replicas, ev.Err))
+		}
+		return events, f.mgr.Stats(), f.replicas()
+	}
+	events, st, replicas := run()
+	want := []string{"node-down n1 [] <nil>", "failover n1 [n2 n1] <nil>",
+		"repair-start  [n2 n3] <nil>", "repair-done  [n2 n3] <nil>"}
+	if !slices.Equal(events, want) {
+		t.Fatalf("events = %q, want %q", events, want)
+	}
+	if !slices.Equal(replicas, []string{"n2", "n3"}) {
+		t.Fatalf("replicas = %v, want [n2 n3]", replicas)
+	}
+	again, st2, replicas2 := run()
+	if !slices.Equal(again, events) || st2 != st || !slices.Equal(replicas2, replicas) {
+		t.Fatalf("replay differs:\n%q %+v %v\n%q %+v %v", events, st, replicas, again, st2, replicas2)
 	}
 }
 
@@ -235,7 +313,7 @@ func TestFailoverPromotesFreshestSurvivor(t *testing.T) {
 
 	f.crash("n1")
 	f.dir.MarkDown("n1")
-	f.mgr.Sweep()
+	f.sweep()
 
 	// Freshest survivor first; the dead ex-primary is kept at the tail
 	// (it still holds a copy — if both survivors die and it returns, it
@@ -258,8 +336,8 @@ func TestUnavailableRangeReported(t *testing.T) {
 	f := newFixture(t, 1, 1, repair.Config{HeartbeatTimeout: 10 * time.Second})
 	f.crash("n1")
 	f.dir.MarkDown("n1")
-	f.mgr.Sweep()
-	f.mgr.Sweep() // second sweep must not re-emit
+	f.sweep()
+	f.sweep() // second sweep must not re-emit
 	if st := f.mgr.Stats(); st.RangesUnavailable != 1 {
 		t.Fatalf("RangesUnavailable = %d, want 1", st.RangesUnavailable)
 	}
@@ -267,7 +345,7 @@ func TestUnavailableRangeReported(t *testing.T) {
 		t.Fatalf("unavailable events = %d, want 1 (deduplicated)", n)
 	}
 	f.recover("n1")
-	f.mgr.Sweep()
+	f.sweep()
 	if st := f.mgr.Stats(); st.RangesUnavailable != 0 {
 		t.Fatalf("RangesUnavailable after recovery = %d, want 0", st.RangesUnavailable)
 	}
@@ -286,19 +364,13 @@ func TestRFRepairReplacesDeadReplicaAfterGrace(t *testing.T) {
 
 	f.crash("n2")
 	f.dir.MarkDown("n2")
-	f.mgr.Sweep()
-	if !f.mgr.Quiesce(5 * time.Second) {
-		t.Fatal("repair did not quiesce")
-	}
+	f.sweep()
 	if got := f.replicas(); len(got) != 2 || got[1] != "n2" {
 		t.Fatalf("replaced before grace: %v", got)
 	}
 
 	f.clk.Advance(6 * time.Second)
-	f.mgr.Sweep()
-	if !f.mgr.Quiesce(5 * time.Second) {
-		t.Fatal("repair did not quiesce")
-	}
+	f.sweep()
 	got := f.replicas()
 	if len(got) != 2 || got[0] != "n1" || got[1] != "n3" {
 		t.Fatalf("replicas after replacement = %v, want [n1 n3]", got)
@@ -331,12 +403,11 @@ func TestAntiFlapHoldsBeforeGrace(t *testing.T) {
 	})
 	f.crash("n2")
 	f.dir.MarkDown("n2")
-	f.mgr.Sweep()
+	f.sweep()
 	f.clk.Advance(2 * time.Second) // still inside the grace
-	f.mgr.Sweep()
+	f.sweep()
 	f.recover("n2")
-	f.mgr.Sweep()
-	f.mgr.Quiesce(time.Second)
+	f.sweep()
 	if got := f.replicas(); len(got) != 2 || got[0] != "n1" || got[1] != "n2" {
 		t.Fatalf("flap changed membership: %v", got)
 	}
@@ -359,7 +430,7 @@ func TestStaleReturnDemotedAndRejoins(t *testing.T) {
 
 	f.crash("n2")
 	f.dir.MarkDown("n2")
-	f.mgr.Sweep()
+	f.sweep()
 
 	// A write lands on the primary; its replication to n2 is dropped.
 	f.put("b", 200, "n1")
@@ -372,10 +443,7 @@ func TestStaleReturnDemotedAndRejoins(t *testing.T) {
 	}
 
 	f.recover("n2")
-	f.mgr.Sweep()
-	if !f.mgr.Quiesce(5 * time.Second) {
-		t.Fatal("rejoin did not quiesce")
-	}
+	f.sweep()
 	if st := f.mgr.Stats(); st != (repair.Stats{
 		Sweeps: 2, NodesDown: 1, NodesUp: 1, Demotions: 1,
 		RepairsStarted: 1, RepairsDone: 1, Rejoins: 1, UnderReplicated: 1,
@@ -421,34 +489,22 @@ func TestResurrectionMidRepair(t *testing.T) {
 
 	f.crash("n2")
 	f.dir.MarkDown("n2")
-	f.mgr.Sweep()              // observe the down transition
+	f.sweep()                  // observe the down transition
 	f.clk.Advance(time.Second) // past the tiny grace
-	f.mgr.Sweep()              // schedules the replacement
-	if !f.mgr.Quiesce(5 * time.Second) {
-		t.Fatal("repair did not quiesce")
-	}
+	f.sweep()                  // schedules the replacement
 	got := f.replicas()
 	if len(got) != 2 || got[0] != "n1" || got[1] != "n3" {
 		t.Fatalf("replicas = %v, want [n1 n3]", got)
 	}
-	// Subsequent sweeps settle: n2's up transition is observed, the
-	// journaled teardown of its copy retries now that it is reachable.
-	f.mgr.Sweep()
-	f.mgr.Quiesce(5 * time.Second)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ns, err := f.nodes["n2"].Engine().Namespace("ns")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok, _ := ns.GetRecord([]byte("a")); !ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("stale copy on resurrected n2 never torn down")
-		}
-		f.mgr.Sweep()
-		time.Sleep(5 * time.Millisecond)
+	// The next sweep observes n2's up transition, and the journaled
+	// teardown of its copy is retried now that it is reachable.
+	f.sweep()
+	ns, err := f.nodes["n2"].Engine().Namespace("ns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := ns.GetRecord([]byte("a")); ok {
+		t.Fatal("stale copy on resurrected n2 never torn down")
 	}
 	if st := f.mgr.Stats(); st.RepairsDone < 1 {
 		t.Fatalf("stats = %+v", st)
@@ -469,7 +525,7 @@ func TestFailoverThenRejoin(t *testing.T) {
 
 	f.crash("n1")
 	f.dir.MarkDown("n1")
-	f.mgr.Sweep()
+	f.sweep()
 	// Promoted survivor first, dead ex-primary kept at the tail.
 	if got := f.replicas(); len(got) != 2 || got[0] != "n2" || got[1] != "n1" {
 		t.Fatalf("replicas after failover = %v, want [n2 n1]", got)
@@ -487,10 +543,7 @@ func TestFailoverThenRejoin(t *testing.T) {
 	}
 
 	f.recover("n1")
-	f.mgr.Sweep()
-	if !f.mgr.Quiesce(5 * time.Second) {
-		t.Fatal("rejoin did not quiesce")
-	}
+	f.sweep()
 	got := f.replicas()
 	if len(got) != 2 || got[0] != "n2" || got[1] != "n1" {
 		t.Fatalf("replicas after rejoin = %v, want [n2 n1]", got)
@@ -524,7 +577,7 @@ func TestPartitionedReplicaDemotedWhileUp(t *testing.T) {
 	})
 	f.pump.MaxAttempts = 1
 	f.put("a", 100, "n1", "n2")
-	f.mgr.Sweep() // baseline drop marks
+	f.sweep() // baseline drop marks
 
 	// Sever only the replication link: pings still answer.
 	f.lt.SetApplyDown("local://n2", true)
@@ -535,10 +588,7 @@ func TestPartitionedReplicaDemotedWhileUp(t *testing.T) {
 	}
 	f.lt.SetApplyDown("local://n2", false)
 
-	f.mgr.Sweep()
-	if !f.mgr.Quiesce(5 * time.Second) {
-		t.Fatal("rebuild did not quiesce")
-	}
+	f.sweep()
 	if m, _ := f.dir.Get("n2"); m.Status != cluster.StatusUp {
 		t.Fatalf("n2 went %v; the fault was replication-only", m.Status)
 	}
@@ -570,16 +620,16 @@ func TestSurvivorDiesAndOldPrimaryReturns(t *testing.T) {
 
 	f.crash("n1")
 	f.dir.MarkDown("n1")
-	f.mgr.Sweep() // failover to [n2 n1]
+	f.sweep() // failover to [n2 n1]
 	f.crash("n2")
 	f.dir.MarkDown("n2")
-	f.mgr.Sweep()
+	f.sweep()
 	if st := f.mgr.Stats(); st.RangesUnavailable != 1 {
 		t.Fatalf("expected unavailable range, stats %+v", st)
 	}
 
 	f.recover("n1")
-	f.mgr.Sweep()
+	f.sweep()
 	got := f.replicas()
 	if got[0] != "n1" {
 		t.Fatalf("returned old primary not promoted: %v", got)
@@ -603,7 +653,7 @@ func TestSurvivorDiesAndOldPrimaryReturns(t *testing.T) {
 
 func TestDescribeRendersState(t *testing.T) {
 	f := newFixture(t, 2, 2, repair.Config{})
-	f.mgr.Sweep()
+	f.sweep()
 	out := f.mgr.Describe()
 	for _, want := range []string{"sweeps=1", "repairs:", "ranges:"} {
 		if !strings.Contains(out, want) {
@@ -619,7 +669,7 @@ func demoteDraining(f *fixture) {
 	f.t.Helper()
 	f.pump.MaxAttempts = 1
 	f.put("a", 100, "n1", "n2")
-	f.mgr.Sweep() // baseline drop marks
+	f.sweep() // baseline drop marks
 
 	f.lt.SetApplyDown("local://n2", true)
 	f.put("b", 200, "n1")
@@ -629,7 +679,7 @@ func demoteDraining(f *fixture) {
 	}
 	f.lt.SetApplyDown("local://n2", false)
 	f.dir.Drain("n2", true)
-	f.mgr.Sweep()
+	f.sweep()
 	if got := f.replicas(); !slices.Equal(got, []string{"n1"}) {
 		f.t.Fatalf("replicas after demotion = %v, want [n1]", got)
 	}
@@ -644,10 +694,7 @@ func TestDrainingFormerMemberKeepsTheGrace(t *testing.T) {
 		ReplaceAfter:     time.Hour,
 	})
 	demoteDraining(f)
-	f.mgr.Sweep()
-	if !f.mgr.Quiesce(5 * time.Second) {
-		t.Fatal("repair did not quiesce")
-	}
+	f.sweep()
 	if st := f.mgr.Stats(); st.RepairsStarted != 0 || st.Rejoins != 0 {
 		t.Fatalf("a draining former member triggered a repair inside the grace: %+v", st)
 	}
@@ -665,10 +712,7 @@ func TestDrainingFormerMemberIsNotReadded(t *testing.T) {
 	})
 	demoteDraining(f)
 	f.clk.Advance(6 * time.Second)
-	f.mgr.Sweep()
-	if !f.mgr.Quiesce(5 * time.Second) {
-		t.Fatal("repair did not quiesce")
-	}
+	f.sweep()
 	if got := f.replicas(); !slices.Equal(got, []string{"n1", "n3"}) {
 		t.Fatalf("replicas after repair = %v, want the spare: [n1 n3]", got)
 	}
@@ -695,13 +739,10 @@ func TestDeadSecondaryWithoutSpareIsNotMoved(t *testing.T) {
 	}
 	f.crash("n2")
 	f.dir.MarkDown("n2")
-	f.mgr.Sweep()
+	f.sweep()
 	f.clk.Advance(6 * time.Second)
 	for range 3 {
-		f.mgr.Sweep()
-		if !f.mgr.Quiesce(5 * time.Second) {
-			t.Fatal("repair did not quiesce")
-		}
+		f.sweep()
 	}
 	if got := f.replicas(); !slices.Equal(got, []string{"n1", "n2", "n3"}) {
 		t.Fatalf("replicas = %v, want [n1 n2 n3] unmoved", got)

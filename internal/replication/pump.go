@@ -26,9 +26,8 @@ type Stats struct {
 }
 
 // Pump drains the update queue, delivering each update to its target
-// replica. It can run as a background goroutine pool (Run) or be
-// driven synchronously by a simulation loop (Drain); both work in
-// rounds. A round pops up to maxRound updates, the most urgent first —
+// replica. A background driver runs its Worker steps, and a simulation
+// loop calls Drain; both work in rounds. A round pops up to maxRound updates, the most urgent first —
 // so which updates leave per unit of budget is the queue's order, as
 // if they were popped one by one — groups them by destination
 // (namespace, target) and sends each group as one apply: an applied
@@ -60,9 +59,6 @@ type Pump struct {
 	violationNS map[string]int64
 	inflight    map[*Update]struct{} // popped, delivery in progress; keys point into a roundBuf
 	droppedBy   map[string]int64     // per-target gave-up deliveries
-	stopOnce    sync.Once
-	wg          sync.WaitGroup
-	stopCh      chan struct{}
 }
 
 // retryBackoff is how long a failed delivery stays parked per attempt
@@ -85,7 +81,6 @@ func NewPump(queue *Queue, apply ApplyFunc, clk clock.Clock) *Pump {
 		violationNS: make(map[string]int64),
 		inflight:    make(map[*Update]struct{}),
 		droppedBy:   make(map[string]int64),
-		stopCh:      make(chan struct{}),
 	}
 }
 
@@ -127,8 +122,8 @@ const (
 	maxRoundBytes = 1 << 20
 )
 
-// roundBuf is the scratch one driver of rounds (a Drain call, a Run
-// worker) reuses from round to round.
+// roundBuf is the scratch one driver of rounds (a Drain call, a
+// Worker) reuses from round to round.
 type roundBuf struct {
 	batch []Update
 	recs  []record.Record
@@ -245,37 +240,18 @@ func (p *Pump) popTracked(max int, buf *roundBuf) []Update {
 	return batch
 }
 
-// Run starts workers background goroutines that drain the queue until
-// Stop is called. Intended for real (non-simulated) deployments.
-func (p *Pump) Run(workers int) {
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			var buf roundBuf
-			for {
-				select {
-				case <-p.stopCh:
-					return
-				default:
-				}
-				if p.round(maxRound, &buf) > 0 {
-					continue
-				}
-				select {
-				case <-p.stopCh:
-					return
-				case <-p.clk.After(5 * time.Millisecond):
-				}
-			}
-		}()
+// Worker returns one background worker's step: a round on a buffer
+// the step keeps from round to round, then 5ms of rest once a round
+// finds the queue empty. The coordinator's driver runs each worker
+// under clock.Loop.
+func (p *Pump) Worker() func() time.Duration {
+	var buf roundBuf
+	return func() time.Duration {
+		if p.round(maxRound, &buf) > 0 {
+			return 0
+		}
+		return 5 * time.Millisecond
 	}
-}
-
-// Stop terminates Run workers and waits for them.
-func (p *Pump) Stop() {
-	p.stopOnce.Do(func() { close(p.stopCh) })
-	p.wg.Wait()
 }
 
 // deliver sends one destination's group (recs[i] is group[i]'s record)

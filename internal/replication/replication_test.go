@@ -208,19 +208,33 @@ func TestTrackerOldestPendingWins(t *testing.T) {
 	}
 }
 
+// TestPumpRunWorkers runs two Worker steps under clock.Loop, as the
+// coordinator's background driver does: idle workers rest 5ms of
+// virtual time, and woken they deliver the whole queue between them.
 func TestPumpRunWorkers(t *testing.T) {
-	rc := clock.NewReal()
+	vc := clock.NewVirtual(t0)
 	sink := newApplySink()
-	p := NewPump(NewQueue(ByDeadline), sink.apply, rc)
-	p.Run(2)
+	p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			clock.Loop(vc, stop, 0, p.Worker())
+		}()
+	}
+	vc.BlockUntilWaiters(2)
 	for i := 0; i < 50; i++ {
 		p.Enqueue("ns", record.Record{Key: []byte(fmt.Sprintf("k%d", i)), Version: uint64(i + 1)}, []string{"n"}, time.Minute)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for sink.count("n") < 50 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	if sink.count("n") != 0 {
+		t.Fatal("a resting worker delivered before its rest was over")
 	}
-	p.Stop()
+	vc.Advance(5 * time.Millisecond)
+	vc.BlockUntilWaiters(2)
+	close(stop)
+	wg.Wait()
 	if sink.count("n") != 50 {
 		t.Fatalf("workers delivered %d/50", sink.count("n"))
 	}

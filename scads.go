@@ -207,7 +207,7 @@ func Open(cfg Config) (*Cluster, error) {
 	// Online range migrations share the transport with the router. The
 	// router's maps back the manager's ownership checks, so a journaled
 	// teardown can never truncate a range its node has since regained.
-	c.migrations = migration.NewManager(cfg.Transport, cfg.Directory, migrationParallelism)
+	c.migrations = migration.NewManager(cfg.Transport, cfg.Directory, cfg.Clock, migrationParallelism)
 	c.migrations.Resolver = c.router.Map
 	c.pump = replication.NewPump(replication.NewQueue(replication.ByDeadline), c.router.Apply, cfg.Clock)
 	// Flip-time rebind: while the donor's fence is still held, clone
@@ -225,14 +225,14 @@ func Open(cfg Config) (*Cluster, error) {
 	}
 	// The self-healing loop: failure detection driving
 	// Directory.ExpireStale, primary failover, and RF repair through
-	// the migration manager. Runs under StartBackground; Sweep/
-	// RepairNow drives it deterministically.
+	// the migration manager. Swept under StartBackground; RepairNow
+	// drives it deterministically.
 	c.repairs = repair.NewManager(cfg.Repair, cfg.Clock, cfg.Directory, cfg.Transport,
 		c.router, c.migrations, c.pump, cfg.ReplicationFactor)
 	return c, nil
 }
 
-// Close marks the cluster closed and stops background pumps.
+// Close marks the cluster closed and stops the background driver.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -242,53 +242,67 @@ func (c *Cluster) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	c.StopBackground()
-	c.pump.Stop()
 	return nil
 }
 
-// StartBackground launches replication workers and a maintenance
-// drainer so index updates and replica propagation proceed without the
-// caller driving DrainMaintenance/FlushAll. Intended for real (wall
-// clock) deployments; simulations and deterministic tests drive the
-// queues explicitly instead. Safe to call once; Close stops it.
+// StartBackground starts the background driver, so index upkeep,
+// replica propagation and self-healing proceed without the caller
+// driving DrainMaintenance, FlushAll or RepairNow. Each subsystem is a
+// step that reports when it next wants to run, and each step runs on
+// its own goroutine under clock.Loop on the cluster clock: an upkeep
+// round of up to 256 tasks, replicationWorkers pump workers, and a
+// repair sweep every Repair.SweepInterval, whose jobs run on goroutines
+// of their own. Intended for real (wall clock) deployments;
+// simulations and deterministic tests call the steps instead. Calling
+// it again before StopBackground does nothing.
 func (c *Cluster) StartBackground(replicationWorkers int) {
 	c.bgMu.Lock()
 	defer c.bgMu.Unlock()
 	if c.bgStop != nil {
 		return
 	}
-	stop := make(chan struct{})
-	c.bgStop = stop
+	c.bgStop = make(chan struct{})
 	if replicationWorkers < 1 {
 		replicationWorkers = 2
 	}
-	c.pump.Run(replicationWorkers)
-	c.repairs.Run()
+	c.background(0, func() time.Duration {
+		// A round reads its tasks' current rows in one batch, so a
+		// round that did not fill its budget waits for more tasks to
+		// share the next round's read.
+		if n, err := c.DrainMaintenance(256); err != nil || n < 256 {
+			return 2 * time.Millisecond
+		}
+		return 0
+	})
+	for range replicationWorkers {
+		c.background(0, c.pump.Worker())
+	}
+	interval := c.repairs.SweepInterval()
+	c.background(interval, func() time.Duration {
+		for _, job := range c.repairs.Sweep() {
+			c.bgDone.Add(1)
+			go func() {
+				defer c.bgDone.Done()
+				job()
+			}()
+		}
+		return interval
+	})
+}
+
+// background runs step under clock.Loop on a goroutine StopBackground
+// joins. Callers hold c.bgMu.
+func (c *Cluster) background(wait time.Duration, step func() time.Duration) {
+	stop := c.bgStop
 	c.bgDone.Add(1)
 	go func() {
 		defer c.bgDone.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			// A round reads its tasks' current rows in one batch, so a
-			// round that did not fill its budget waits for more tasks
-			// to share the next round's read.
-			n, err := c.DrainMaintenance(256)
-			if err != nil || n < 256 {
-				select {
-				case <-stop:
-					return
-				case <-c.clk.After(2 * time.Millisecond):
-				}
-			}
-		}
+		clock.Loop(c.clk, stop, wait, step)
 	}()
 }
 
-// StopBackground halts goroutines started by StartBackground.
+// StopBackground stops the background driver and waits for every
+// goroutine it started, repair jobs included.
 func (c *Cluster) StopBackground() {
 	c.bgMu.Lock()
 	if c.bgStop == nil {
@@ -298,7 +312,6 @@ func (c *Cluster) StopBackground() {
 	close(c.bgStop)
 	c.bgStop = nil
 	c.bgMu.Unlock()
-	c.repairs.Stop()
 	c.bgDone.Wait()
 }
 
@@ -328,10 +341,15 @@ func (c *Cluster) Repairs() *repair.Manager { return c.repairs }
 // returned replicas, and RF-repair job outcomes.
 func (c *Cluster) RepairStats() repair.Stats { return c.repairs.Stats() }
 
-// RepairNow runs one synchronous failure-detection + failover + repair
-// sweep (re-replication jobs it schedules still run asynchronously;
-// Repairs().Quiesce waits for those).
-func (c *Cluster) RepairNow() { c.repairs.Sweep() }
+// RepairNow runs one failure-detection + failover + repair sweep and
+// then, one after another, the re-replication jobs and teardown
+// retries it decided on: when it returns, nothing it started is still
+// running.
+func (c *Cluster) RepairNow() {
+	for _, job := range c.repairs.Sweep() {
+		job()
+	}
+}
 
 // Monitor exposes the SLA monitor.
 func (c *Cluster) Monitor() *sla.Monitor { return c.monitor }

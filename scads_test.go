@@ -3,6 +3,7 @@ package scads
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -804,6 +805,43 @@ func TestStartBackgroundDrainsWithoutManualFlush(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("background workers never drained the queues")
+}
+
+// TestStopBackgroundStopsEveryWorker checks that StopBackground stops
+// everything StartBackground started, the replication workers
+// included: the goroutine count returns to what it was, twice over,
+// and a write made after the stop is not replicated.
+func TestStopBackgroundStopsEveryWorker(t *testing.T) {
+	lc, err := NewLocalCluster(2, Config{ReplicationFactor: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	if err := lc.DefineSchema(socialDDL); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for range 2 {
+		lc.StartBackground(2)
+		lc.StopBackground()
+		// A joined goroutine may still be on its way out. Fewer than
+		// before is no fault: another test's goroutine may have ended.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("goroutines = %d after StopBackground, want %d as before StartBackground", n, before)
+		}
+	}
+	delivered := lc.Stats().Replication.Delivered
+	if err := lc.Insert("users", Row{"id": "bob", "name": "Bob", "birthday": 5}); err != nil {
+		t.Fatal(err)
+	}
+	// Give a worker left running time to deliver the write.
+	time.Sleep(50 * time.Millisecond)
+	if got := lc.Stats().Replication.Delivered; got != delivered {
+		t.Fatalf("Replication.Delivered went %d -> %d after StopBackground", delivered, got)
+	}
 }
 
 func TestRowMergeFunction(t *testing.T) {
