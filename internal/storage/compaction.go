@@ -6,23 +6,26 @@ import (
 	"scads/internal/sstable"
 )
 
-// Size-tiered background compaction.
+// Background work: the flusher and the size-tiered compactor.
 //
-// A flush that pushes a namespace past Options.MaxTables no longer
-// merges the whole stack inline: it kicks a background pass that picks
-// contiguous runs of similar-sized tables ("tiers") and merges each
-// run into one table, concurrently across independent runs, bounded by
-// the engine-wide compactionParallelism semaphore and throttled by
-// Options.CompactionRateBytes. Runs must be contiguous in the stack:
-// the stack order is the last-write-wins tie-break between equal
-// versions, and merging non-adjacent tables would reorder it.
+// A disk engine's flusher wakes when a write leaves a memtable at or
+// past Options.MemtableBytes, and flushes every namespace in that
+// state; a flush failure is kept in bgErr and the flush is retried at
+// the next wake-up. A flush that leaves a namespace over
+// Options.MaxTables wakes the compactor, which runs one tier merge at a
+// time, throttled by Options.CompactionRateBytes, until no namespace
+// has a run left to merge. A tier merge holds no lock while it writes,
+// so a flush never waits behind one. A run is a contiguous stretch of
+// similar-sized tables ("a tier"): the stack order is the
+// last-write-wins tie-break between equal versions, and merging
+// non-adjacent tables would reorder it.
 //
-// Foreground paths that need the table set to themselves — TruncateRange
-// (its major compaction rewrites the whole stack) and close — cancel
-// in-flight tier merges (the merge polls a stop channel between records,
-// and the channel wakes a rate-limited merge's sleep) and wait them out
-// before proceeding, so a background merge can never stall a fence
-// handoff for longer than one record's merge.
+// Foreground paths that need the table set to themselves —
+// TruncateRange (its major compaction rewrites the whole stack) and
+// Close — cancel the merge in flight (it polls its stop channel between
+// records, and the channel wakes a rate-limited merge's sleep) and wait
+// it out, so a merge can never stall a fence handoff for longer than
+// one record's merge.
 
 const (
 	// tierSizeRatio bounds how dissimilar table sizes within one
@@ -33,66 +36,150 @@ const (
 	maxTierRun = 8
 )
 
-// tierJob is one background merge of a contiguous run of tables.
-type tierJob struct {
-	ns             *Namespace
-	tables         []*sstable.Reader // contiguous run, newest first
-	seq            uint64
-	dropTombstones bool
-	stop           chan struct{}
-}
-
-// kickCompaction starts a background pass that drains table-count
-// pressure. Called after a flush; returns immediately.
-func (ns *Namespace) kickCompaction() {
-	go ns.compactTiers()
-}
-
-// compactTiers picks eligible tier runs and launches one merge
-// goroutine per run until no further run is eligible (no pressure, or
-// every candidate is already being compacted).
-func (ns *Namespace) compactTiers() {
-	for {
-		job := ns.pickTierJob()
-		if job == nil {
-			return
+// flusher flushes, each time a write wakes it, every namespace whose
+// memtable has reached MemtableBytes.
+func (e *Engine) flusher() {
+	defer e.workers.Done()
+	for e.sleep(e.flushWake) {
+		for _, ns := range e.open() {
+			ns.mu.RLock()
+			full := ns.mem.Bytes() >= e.opts.MemtableBytes
+			ns.mu.RUnlock()
+			if full {
+				ns.compactMu.Lock()
+				ns.keepBgErr(ns.flushLocked())
+				ns.compactMu.Unlock()
+			}
 		}
-		go func(j *tierJob) {
-			j.run()
-			// Done strictly before re-checking pressure: the re-check's
-			// pick blocks on compactMu, which a canceller may hold while
-			// waiting on the WaitGroup.
-			ns.tierWG.Done()
-			ns.compactTiers()
-		}(job)
 	}
 }
 
-// pickTierJob selects and claims the next tier run under compactMu (so
-// selection can never race a major compaction's whole-stack snapshot)
-// and ns.mu. Returns nil when nothing is eligible.
-func (ns *Namespace) pickTierJob() *tierJob {
+// compactor runs the due tier merges one at a time each time it is
+// woken, and goes idle once a pass finds none and no wake-up is
+// pending. A merge failure ends the pass: it is retried at the next
+// wake-up.
+func (e *Engine) compactor() {
+	defer e.workers.Done()
+	defer e.endPass(true)
+	for e.sleep(e.compactWake) {
+		for e.mergeNext() {
+		}
+		e.endPass(false)
+	}
+}
+
+// endPass marks the compactor idle, unless it is to run again for a
+// wake-up sent during the pass, and wakes WaitCompaction to look.
+// After the last pass it is idle for good.
+func (e *Engine) endPass(last bool) {
+	e.cmu.Lock()
+	e.idle = last || len(e.compactWake) == 0
+	e.mergeDone.Broadcast()
+	e.cmu.Unlock()
+}
+
+// sleep waits for a wake-up on wake and reports false once the engine
+// stops its workers.
+func (e *Engine) sleep(wake chan struct{}) bool {
+	select {
+	case <-wake:
+		return true
+	case <-e.stop:
+		return false
+	}
+}
+
+// wakeCompactor marks the compactor busy and wakes it, unless the
+// workers are stopped. A wake-up is sent under e.cmu, so the compactor
+// sees it before it declares itself idle.
+func (e *Engine) wakeCompactor() {
+	e.cmu.Lock()
+	defer e.cmu.Unlock()
+	select {
+	case <-e.stop:
+	default:
+		e.idle = false
+		select {
+		case e.compactWake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// stopWorkers stops the flusher and the compactor, cancelling the merge
+// in flight, and joins them. Nothing is flushed.
+func (e *Engine) stopWorkers() {
+	if e.stop == nil {
+		return
+	}
+	e.cmu.Lock()
+	select {
+	case <-e.stop:
+	default:
+		close(e.stop)
+	}
+	e.cancelMergeLocked()
+	e.cmu.Unlock()
+	e.workers.Wait()
+}
+
+// cancelMergeLocked closes the stop channel of the merge in flight.
+// Caller holds e.cmu.
+func (e *Engine) cancelMergeLocked() {
+	if e.mergeStop != nil {
+		close(e.mergeStop)
+		e.mergeStop = nil
+	}
+}
+
+// mergeNext runs the next due tier merge, splices its output into the
+// stack and reports whether there was one and it did not fail; a
+// failure is kept for the next Flush or Close.
+func (e *Engine) mergeNext() bool {
+	for _, ns := range e.open() {
+		tables, seq, opts := ns.pickTierJob()
+		if tables == nil {
+			continue
+		}
+		err := ns.installTable(seq, opts, tables, nil)
+		e.cmu.Lock()
+		e.merging, e.mergeStop = nil, nil
+		e.mergeDone.Broadcast()
+		e.cmu.Unlock()
+		ns.keepBgErr(err)
+		return err == nil || errors.Is(err, sstable.ErrMergeCanceled)
+	}
+	return false
+}
+
+// pickTierJob selects the namespace's next tier run and the options of
+// its merge under compactMu (so selection can never race a major
+// compaction's whole-stack snapshot), and registers the merge as the
+// one in flight. It returns no tables when nothing is due or the
+// workers are stopping.
+func (ns *Namespace) pickTierJob() ([]*sstable.Reader, uint64, sstable.MergeOptions) {
 	ns.compactMu.Lock()
 	defer ns.compactMu.Unlock()
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if ns.closed || ns.dir == "" {
-		return nil
+	e := ns.engine
+	if len(ns.tables) <= e.opts.MaxTables {
+		return nil, 0, sstable.MergeOptions{}
 	}
-	if len(ns.tables) <= ns.engine.opts.MaxTables {
-		return nil
+	run := pickTierRun(ns.tables)
+	e.cmu.Lock()
+	defer e.cmu.Unlock()
+	select {
+	case <-e.stop:
+		return nil, 0, sstable.MergeOptions{}
+	default:
 	}
-	run := pickTierRun(ns.tables, ns.compacting)
-	if run[1] < 2 {
-		return nil
-	}
-	start := run[0]
-	tables := append([]*sstable.Reader(nil), ns.tables[start:start+run[1]]...)
-	job := &tierJob{
-		ns:     ns,
-		tables: tables,
-		seq:    ns.tableSeq,
-		stop:   make(chan struct{}),
+	e.merging, e.mergeStop = ns, make(chan struct{})
+	seq := ns.tableSeq
+	ns.tableSeq++
+	// The stack is replaced, never modified in place: the run stays as
+	// it is.
+	return ns.tables[run[0] : run[0]+run[1]], seq, sstable.MergeOptions{
 		// Consuming the entire stack makes this a de-facto major merge:
 		// no older table can hold a value a dropped tombstone shadows.
 		// A memtable, or a table flushed meanwhile, can — Apply stores a
@@ -100,46 +187,30 @@ func (ns *Namespace) pickTierJob() *tierJob {
 		// tombstones that could be shadowing one. A put that arrives after
 		// its tombstone was dropped still comes back to life, as it always
 		// did: tombstones have no grace period here.
-		dropTombstones: len(tables) == len(ns.tables),
+		DropTombstones:       run[1] == len(ns.tables),
+		RateLimitBytesPerSec: e.opts.CompactionRateBytes,
+		Clock:                e.opts.Clock,
+		Cancel:               e.mergeStop,
 	}
-	ns.tableSeq++
-	for _, t := range tables {
-		if ns.compacting == nil {
-			ns.compacting = make(map[*sstable.Reader]bool)
-		}
-		ns.compacting[t] = true
-	}
-	if ns.tierStops == nil {
-		ns.tierStops = make(map[chan struct{}]struct{})
-	}
-	ns.tierStops[job.stop] = struct{}{}
-	ns.tierWG.Add(1)
-	return job
 }
 
 // pickTierRun returns {start index, length} of the best contiguous run
-// of >=2 unmarked tables whose file sizes are within tierSizeRatio of
+// of >=2 tables whose file sizes are within tierSizeRatio of
 // each other, preferring the run with the smallest total bytes (the
 // cheapest merge first, classic size-tiered policy). If no such run
-// exists it falls back to the smallest adjacent unmarked pair, so a
-// stack of pairwise-dissimilar tables still converges under pressure.
-// Returns nil when no two adjacent tables are free.
-func pickTierRun(tables []*sstable.Reader, marked map[*sstable.Reader]bool) [2]int {
+// exists it falls back to the smallest adjacent pair, so a stack of
+// pairwise-dissimilar tables still converges under pressure. Returns
+// a zero run when there are fewer than two tables.
+func pickTierRun(tables []*sstable.Reader) [2]int {
 	bestTotal := int64(-1)
 	var best [2]int
 	pairTotal := int64(-1)
 	var pair [2]int
 	for start := 0; start < len(tables)-1; start++ {
-		if marked[tables[start]] {
-			continue
-		}
 		minSz := tables[start].SizeBytes()
 		maxSz := minSz
 		total := minSz
 		for end := start + 1; end < len(tables) && end-start < maxTierRun; end++ {
-			if marked[tables[end]] {
-				break
-			}
 			sz := tables[end].SizeBytes()
 			if end == start+1 {
 				if pairTotal < 0 || total+sz < pairTotal {
@@ -147,12 +218,7 @@ func pickTierRun(tables []*sstable.Reader, marked map[*sstable.Reader]bool) [2]i
 					pair = [2]int{start, 2}
 				}
 			}
-			if sz < minSz {
-				minSz = sz
-			}
-			if sz > maxSz {
-				maxSz = sz
-			}
+			minSz, maxSz = min(minSz, sz), max(maxSz, sz)
 			if maxSz > minSz*tierSizeRatio {
 				break
 			}
@@ -166,82 +232,50 @@ func pickTierRun(tables []*sstable.Reader, marked map[*sstable.Reader]bool) [2]i
 	if bestTotal >= 0 {
 		return best
 	}
-	if pairTotal >= 0 {
-		return pair
-	}
-	return [2]int{}
+	return pair
 }
 
-// run executes the merge and splices the result into the table stack.
-func (j *tierJob) run() {
-	ns := j.ns
-	// Bounded engine-wide parallelism; give up promptly if cancelled
-	// while queued behind other merges.
-	select {
-	case ns.engine.compactSem <- struct{}{}:
-	case <-j.stop:
-		j.finish(nil)
+// keepBgErr records err, unless nil or a cancelled merge's, as the
+// namespace's background failure if none is pending.
+func (ns *Namespace) keepBgErr(err error) {
+	if err == nil || errors.Is(err, sstable.ErrMergeCanceled) {
 		return
 	}
-	defer func() { <-ns.engine.compactSem }()
-
-	j.finish(ns.installTable(j.seq, sstable.MergeOptions{
-		DropTombstones:       j.dropTombstones,
-		RateLimitBytesPerSec: ns.engine.opts.CompactionRateBytes,
-		Clock:                ns.engine.opts.Clock,
-		Cancel:               j.stop,
-	}, j.tables, nil))
-}
-
-// finish releases the job's claims and records a failure of the merge
-// other than its cancellation.
-func (j *tierJob) finish(err error) {
-	ns := j.ns
 	ns.mu.Lock()
-	for _, t := range j.tables {
-		delete(ns.compacting, t)
-	}
-	delete(ns.tierStops, j.stop)
-	if err != nil && !errors.Is(err, sstable.ErrMergeCanceled) && ns.bgErr == nil {
+	if ns.bgErr == nil {
 		ns.bgErr = err
 	}
 	ns.mu.Unlock()
 }
 
-// takeBgErr returns and clears the first background compaction error.
-func (ns *Namespace) takeBgErr() error {
-	ns.mu.Lock()
-	err := ns.bgErr
-	ns.bgErr = nil
-	ns.mu.Unlock()
-	return err
-}
-
-// cancelTierMerges stops every in-flight background tier merge and
-// waits for them to unwind. Callers hold compactMu (so no new job can
-// be picked concurrently) but not ns.mu.
-func (ns *Namespace) cancelTierMerges() {
-	ns.mu.Lock()
-	for ch := range ns.tierStops {
-		close(ch)
+// cancelTierMerge stops the compactor's merge of ns, if one is in
+// flight, and waits for it to unwind. Callers hold compactMu, so no new
+// merge of ns can start meanwhile.
+func (ns *Namespace) cancelTierMerge() {
+	e := ns.engine
+	e.cmu.Lock()
+	defer e.cmu.Unlock()
+	if e.merging == ns {
+		e.cancelMergeLocked()
 	}
-	ns.tierStops = nil
-	ns.mu.Unlock()
-	ns.tierWG.Wait()
+	for e.merging == ns {
+		e.mergeDone.Wait()
+	}
 }
 
-// WaitCompaction blocks until every background tier merge in flight at
-// call time has finished. Tests and benchmarks use it to observe a
-// settled table stack; new merges may start afterwards.
+// WaitCompaction wakes the engine's compactor and blocks until it is
+// idle: the merge in flight at call time has finished, and so has every
+// merge due after it, unless one failed (Flush reports the failure).
+// Tests and benchmarks use it to observe a settled table stack.
 func (ns *Namespace) WaitCompaction() {
-	ns.tierWG.Wait()
-}
-
-func tableIndex(tables []*sstable.Reader, t *sstable.Reader) int {
-	for i, cur := range tables {
-		if cur == t {
-			return i
-		}
+	e := ns.engine
+	if e.stop == nil {
+		return
 	}
-	return -1
+	e.wakeCompactor()
+	e.cmu.Lock()
+	defer e.cmu.Unlock()
+	for !e.idle {
+		e.mergeDone.Wait()
+	}
 }

@@ -177,6 +177,7 @@ func TestCrashBetweenWALRotateAndTruncate(t *testing.T) {
 	// if the process died after writing the SSTable but before the
 	// truncate's removals hit the disk. The old engine is abandoned
 	// without Close, exactly like a crash.
+	crash(e)
 	for name, data := range snap {
 		if err := os.WriteFile(filepath.Join(walDir, name), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -539,6 +540,7 @@ func TestReopenAfterTornTable(t *testing.T) {
 			// has some records and no footer. Producing it with the real
 			// Writer keeps the test honest about where such a file lands.
 			// The engine is abandoned without Close, as a crash would.
+			crash(e)
 			ns.mu.RLock()
 			torn := ns.tablePath(ns.tableSeq)
 			ns.mu.RUnlock()

@@ -26,6 +26,15 @@
 //     Replication and index upkeep ship a node's records in one
 //     multi-record MethodApply, which cluster.Node lands here as one
 //     batch.
+//
+// A disk engine does its background work on exactly two goroutines,
+// both started by Open and both stopped and joined by Close (see
+// compaction.go): a flusher, which writes out every memtable that has
+// reached Options.MemtableBytes, and a compactor, which runs one tier
+// merge at a time while a namespace holds more than Options.MaxTables
+// tables. A write never flushes: the one that fills a memtable only
+// wakes the flusher, and is acknowledged on its own WAL append. An
+// in-memory engine starts no goroutine.
 package storage
 
 import (
@@ -86,12 +95,7 @@ type Options struct {
 	SyncWrites bool
 }
 
-const (
-	defaultCacheBytes = 32 << 20
-	// compactionParallelism bounds how many background tier merges run
-	// concurrently across the whole engine.
-	compactionParallelism = 2
-)
+const defaultCacheBytes = 32 << 20
 
 func (o Options) withDefaults() Options {
 	if o.MemtableBytes <= 0 {
@@ -119,14 +123,27 @@ type Engine struct {
 	opts       Options
 	blockCache *BlockCache // nil when disabled
 
-	// compactSem bounds concurrent background tier merges engine-wide.
-	compactSem chan struct{}
-
 	mu         sync.RWMutex
 	namespaces map[string]*Namespace
 	closed     bool
 
 	hlc *clock.HLC
+
+	// The flusher and the compactor of a disk engine (nil channels in
+	// memory): woken through flushWake and compactWake, stopped by
+	// closing stop, joined through workers.
+	flushWake, compactWake, stop chan struct{}
+	workers                      sync.WaitGroup
+
+	// cmu guards the compactor's state: the namespace whose merge is in
+	// flight and the channel that cancels it, and whether the compactor
+	// sleeps with nothing left to merge. mergeDone is broadcast when a
+	// merge ends and when the compactor goes idle.
+	cmu       sync.Mutex
+	mergeDone sync.Cond
+	merging   *Namespace
+	mergeStop chan struct{}
+	idle      bool
 }
 
 // Open creates an Engine, recovering any namespaces present in the
@@ -136,9 +153,10 @@ func Open(opts Options) (*Engine, error) {
 	e := &Engine{
 		opts:       opts,
 		namespaces: make(map[string]*Namespace),
-		compactSem: make(chan struct{}, compactionParallelism),
 		hlc:        clock.NewHLC(opts.Clock, opts.NodeID),
+		idle:       true,
 	}
+	e.mergeDone.L = &e.cmu
 	if opts.Dir == "" {
 		return e, nil
 	}
@@ -160,6 +178,10 @@ func Open(opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("storage: recover namespace %q: %w", ent.Name(), err)
 		}
 	}
+	e.flushWake, e.compactWake, e.stop = make(chan struct{}, 1), make(chan struct{}, 1), make(chan struct{})
+	e.workers.Add(2)
+	go e.flusher()
+	go e.compactor()
 	return e, nil
 }
 
@@ -200,14 +222,25 @@ func (e *Engine) Namespace(name string) (*Namespace, error) {
 
 // Namespaces returns the names of all open namespaces, sorted.
 func (e *Engine) Namespaces() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	names := make([]string, 0, len(e.namespaces))
-	for n := range e.namespaces {
-		names = append(names, n)
+	open := e.open()
+	names := make([]string, 0, len(open))
+	for _, ns := range open {
+		names = append(names, ns.name)
 	}
 	sort.Strings(names)
 	return names
+}
+
+// open returns the open namespaces, for the workers to walk without
+// holding e.mu.
+func (e *Engine) open() []*Namespace {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	out := make([]*Namespace, 0, len(e.namespaces))
+	for _, ns := range e.namespaces {
+		out = append(out, ns)
+	}
+	return out
 }
 
 // NextVersion returns the next stamp of the node's hybrid logical
@@ -217,8 +250,10 @@ func (e *Engine) NextVersion() uint64 { return e.hlc.Next() }
 // Clock is the clock the engine was opened with (Options.Clock).
 func (e *Engine) Clock() clock.Clock { return e.opts.Clock }
 
-// Close flushes and closes every namespace.
+// Close stops and joins the engine's flusher and compactor, then
+// flushes and closes every namespace.
 func (e *Engine) Close() error {
+	e.stopWorkers()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -280,11 +315,11 @@ func (e *Engine) openNamespace(name string) (*Namespace, error) {
 	}
 	sort.Slice(tableSeqs, func(i, j int) bool { return tableSeqs[i] > tableSeqs[j] })
 	for _, seq := range tableSeqs {
-		r, err := ns.openTable(ns.tablePath(seq))
+		r, err := sstable.Open(ns.tablePath(seq))
 		if err != nil {
 			return nil, err
 		}
-		ns.tables = append(ns.tables, r)
+		ns.tables = append(ns.tables, e.cached(r))
 		if seq >= ns.tableSeq {
 			ns.tableSeq = seq + 1
 		}
@@ -300,6 +335,15 @@ func (e *Engine) openNamespace(name string) (*Namespace, error) {
 		ns.mem.Put(rec)
 	}
 	return ns, nil
+}
+
+// cached gives rd the engine's block cache, if it has one, and returns
+// it.
+func (e *Engine) cached(rd *sstable.Reader) *sstable.Reader {
+	if e.blockCache != nil {
+		rd.SetBlockCache(e.blockCache)
+	}
+	return rd
 }
 
 // BlockCache exposes the engine's block cache (nil when
@@ -321,14 +365,12 @@ type Stats struct {
 
 // Stats returns aggregate statistics across namespaces.
 func (e *Engine) Stats() Stats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var s Stats
-	s.Namespaces = len(e.namespaces)
+	open := e.open()
+	s := Stats{Namespaces: len(open)}
 	if e.blockCache != nil {
 		s.BlockCache = e.blockCache.Stats()
 	}
-	for _, ns := range e.namespaces {
+	for _, ns := range open {
 		ns.mu.RLock()
 		s.MemtableBytes += ns.mem.Bytes()
 		s.TableCount += len(ns.tables)

@@ -14,6 +14,11 @@ import (
 	"scads/internal/record"
 )
 
+// crash drops e as a crash would: its flusher and compactor stop, so
+// they write nothing more into its directory, and nothing is flushed
+// or closed.
+func crash(e *Engine) { e.stopWorkers() }
+
 func openTest(t testing.TB, dir string) *Engine {
 	t.Helper()
 	e, err := Open(Options{Dir: dir, MemtableBytes: 16 << 10, MaxTables: 3, NodeID: 1})
@@ -184,6 +189,11 @@ func TestAutoFlushOnThreshold(t *testing.T) {
 		if _, err := ns.Put([]byte(fmt.Sprintf("k-%04d", i)), bytes.Repeat([]byte("v"), 256)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The write that fills the memtable wakes the flusher; it does not
+	// flush.
+	for deadline := time.Now().Add(5 * time.Second); ns.TableCount() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if ns.TableCount() == 0 {
 		t.Fatal("memtable never auto-flushed")
@@ -573,6 +583,7 @@ func TestQuickCrashRecoveryDurability(t *testing.T) {
 			if o.Crash {
 				// Crash: drop the engine without flushing or closing,
 				// then recover from disk (WAL + SSTables).
+				crash(e)
 				e2, err := Open(Options{Dir: runDir, MemtableBytes: 2 << 10, NodeID: 1})
 				if err != nil {
 					return false

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"scads/internal/memtable"
@@ -56,17 +57,11 @@ type Namespace struct {
 	// that is not in it may hold any version.
 	flushedFloor map[*sstable.Reader]uint64
 
-	// Background size-tiered compaction state (see compaction.go).
-	// compacting marks tables claimed by an in-flight tier merge;
-	// tierStops holds the stop channel of each in-flight merge so
-	// foreground paths can cancel them; bgErr is the first background
-	// merge failure, surfaced on the next Flush or close.
-	compacting map[*sstable.Reader]bool
-	tierStops  map[chan struct{}]struct{}
-	tierWG     sync.WaitGroup
-	bgErr      error
+	// bgErr is the first failure of a background flush or tier merge
+	// (see compaction.go), surfaced on the next Flush or close.
+	bgErr error
 
-	compactMu sync.Mutex // serialises flush+compaction
+	compactMu sync.Mutex // serialises flushes, tier picks and major compactions
 }
 
 type keyRange struct {
@@ -107,31 +102,22 @@ const maxApplyLog = 1 << 16
 // Put stores value under key with a freshly generated version and
 // returns that version.
 func (ns *Namespace) Put(key, value []byte) (uint64, error) {
-	ver := ns.engine.NextVersion()
-	rec := record.Record{
-		Key:     append([]byte(nil), key...),
-		Value:   append([]byte(nil), value...),
-		Version: ver,
-	}
-	if err := ns.Apply(rec); err != nil {
-		return 0, err
-	}
-	return ver, nil
+	return ns.write(record.Record{Key: bytes.Clone(key), Value: bytes.Clone(value)})
 }
 
 // Delete writes a tombstone for key with a fresh version and returns
 // that version.
 func (ns *Namespace) Delete(key []byte) (uint64, error) {
-	ver := ns.engine.NextVersion()
-	rec := record.Record{
-		Key:       append([]byte(nil), key...),
-		Version:   ver,
-		Tombstone: true,
-	}
+	return ns.write(record.Record{Key: bytes.Clone(key), Tombstone: true})
+}
+
+// write stamps rec with a fresh version and applies it.
+func (ns *Namespace) write(rec record.Record) (uint64, error) {
+	rec.Version = ns.engine.NextVersion()
 	if err := ns.Apply(rec); err != nil {
 		return 0, err
 	}
-	return ver, nil
+	return rec.Version, nil
 }
 
 // Apply lands an externally versioned record (for example one arriving
@@ -193,7 +179,7 @@ func (ns *Namespace) ApplyBatch(recs []record.Record) error {
 		clear(ns.applyLog[n:]) // the moved-out entries' keys, for the GC
 		ns.applyLog = ns.applyLog[:n]
 	}
-	needFlush := ns.dir != "" && ns.mem.Bytes() >= ns.engine.opts.MemtableBytes && ns.flushing == nil
+	full := ns.dir != "" && ns.mem.Bytes() >= ns.engine.opts.MemtableBytes
 	ns.mu.Unlock()
 
 	// Durability outside the namespace lock: the fsync is shared via
@@ -204,8 +190,13 @@ func (ns *Namespace) ApplyBatch(recs []record.Record) error {
 			return err
 		}
 	}
-	if needFlush {
-		return ns.Flush()
+	if full {
+		// The write is acknowledged on its own WAL append; the flush is
+		// the flusher's.
+		select {
+		case ns.engine.flushWake <- struct{}{}:
+		default:
+		}
 	}
 	return nil
 }
@@ -451,7 +442,11 @@ func (ns *Namespace) Flush() error {
 	if err := ns.flushLocked(); err != nil {
 		return err
 	}
-	return ns.takeBgErr()
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	err := ns.bgErr
+	ns.bgErr = nil
+	return err
 }
 
 func (ns *Namespace) flushLocked() error {
@@ -463,37 +458,43 @@ func (ns *Namespace) flushLocked() error {
 		ns.mu.Unlock()
 		return ErrClosed
 	}
-	if ns.mem.Len() == 0 {
+	// Roll the log first: if that fails, the memtable stays where it
+	// is. An empty memtable leaves nothing to write, only segments to
+	// drop: records already flushed, or truncated away.
+	keep, err := ns.log.Rotate()
+	if err != nil || ns.mem.Len() == 0 {
 		ns.mu.Unlock()
-		return nil
+		if err != nil {
+			return err
+		}
+		return ns.log.Truncate(keep)
 	}
 	// Swap in a fresh memtable; the old one stays readable via
 	// ns.flushing while we write it out.
-	ns.flushing = ns.mem
+	frozen := ns.mem
+	ns.flushing = frozen
 	ns.mem = memtable.New(int64(ns.engine.opts.NodeID) + int64(ns.tableSeq) + 2)
-	if err := ns.log.Rotate(); err != nil {
-		ns.flushing = nil
-		ns.mu.Unlock()
-		return err
-	}
-	frozen := ns.flushing
 	seq := ns.tableSeq
 	ns.tableSeq++
 	ns.mu.Unlock()
 
 	if err := ns.installTable(seq, sstable.MergeOptions{}, nil, frozen); err != nil {
-		ns.clearFlushing()
+		// Merge the frozen entries back so no write is lost.
+		ns.mu.Lock()
+		for _, rec := range frozen.All() {
+			ns.mem.Put(rec)
+		}
+		ns.flushing = nil
+		ns.mu.Unlock()
 		return err
 	}
-	// The flushed data is durable; older WAL segments are obsolete.
-	if err := ns.log.Truncate(); err != nil {
+	// The flushed data is durable; the segments before the rotation are
+	// obsolete. Those written since hold the new memtable and stay.
+	if err := ns.log.Truncate(keep); err != nil {
 		return err
 	}
 	if ns.TableCount() > ns.engine.opts.MaxTables {
-		// Size-tiered compaction drains the pressure in the background;
-		// the write that triggered the flush is not stalled behind a
-		// whole-stack merge.
-		ns.kickCompaction()
+		ns.engine.wakeCompactor()
 	}
 	return nil
 }
@@ -503,7 +504,7 @@ func (ns *Namespace) flushLocked() error {
 // splices it in where its inputs were: on top, retiring the frozen
 // memtable, or in place of the run, whose pending truncations the merge
 // applied and whose files it removes. Every table the namespace creates
-// comes from here. The caller holds compactMu or has claimed old, so
+// comes from here. The caller holds compactMu or is the compactor, so
 // nothing else consumes the inputs meanwhile.
 //
 // With opts.DropTombstones, old is the whole table stack, but not all
@@ -541,19 +542,17 @@ func (ns *Namespace) installTable(seq uint64, opts sstable.MergeOptions, old []*
 	if err != nil {
 		return err
 	}
-	if bc := ns.engine.blockCache; bc != nil {
-		rd.SetBlockCache(bc)
-	}
+	ns.engine.cached(rd)
 
 	ns.mu.Lock()
 	i := 0
 	if len(old) > 0 {
-		i = tableIndex(ns.tables, old[0])
+		i = slices.Index(ns.tables, old[0])
 	}
 	if i < 0 || i+len(old) > len(ns.tables) {
-		// The run vanished from the stack — cannot happen while it is
-		// claimed, but fail safe rather than corrupt the stack: drop the
-		// merge output and walk away.
+		// The run vanished from the stack — cannot happen while its
+		// merge is the one in flight, but fail safe rather than corrupt
+		// the stack: drop the merge output and walk away.
 		ns.mu.Unlock()
 		return rd.Remove()
 	}
@@ -604,31 +603,6 @@ func (ns *Namespace) unmergedFloor(above int) uint64 {
 	return floor
 }
 
-// openTable opens a recovered SSTable and attaches the engine's shared
-// block cache.
-func (ns *Namespace) openTable(path string) (*sstable.Reader, error) {
-	rd, err := sstable.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	if bc := ns.engine.blockCache; bc != nil {
-		rd.SetBlockCache(bc)
-	}
-	return rd, nil
-}
-
-func (ns *Namespace) clearFlushing() {
-	ns.mu.Lock()
-	if ns.flushing != nil {
-		// Flush failed: merge frozen entries back so no write is lost.
-		for _, rec := range ns.flushing.All() {
-			ns.mem.Put(rec)
-		}
-		ns.flushing = nil
-	}
-	ns.mu.Unlock()
-}
-
 // TruncateRange physically removes every record with start <= key <
 // end (nil bounds are infinite) and returns how many were unlinked
 // from the memtable. Matching memtable entries are unlinked, matching
@@ -641,11 +615,11 @@ func (ns *Namespace) clearFlushing() {
 func (ns *Namespace) TruncateRange(start, end []byte) (int, error) {
 	ns.compactMu.Lock()
 	defer ns.compactMu.Unlock()
-	// Stop in-flight tier merges before installing exclusions: a merge
-	// selected before the exclusion existed would splice in an output
-	// that still contains the truncated records while deleting the
-	// consumed tables' exclusion entries — resurrecting the range.
-	ns.cancelTierMerges()
+	// Stop the tier merge in flight before installing exclusions: a
+	// merge selected before the exclusion existed would splice in an
+	// output that still contains the truncated records while deleting
+	// the consumed tables' exclusion entries — resurrecting the range.
+	ns.cancelTierMerge()
 	ns.mu.Lock()
 	if ns.closed {
 		ns.mu.Unlock()
@@ -654,7 +628,7 @@ func (ns *Namespace) TruncateRange(start, end []byte) (int, error) {
 	// compactMu is held, so no flush is in flight and ns.flushing is
 	// nil: the memtable unlink covers all unflushed state.
 	removed := ns.mem.DeleteRange(start, end)
-	excl := keyRange{start: cloneBound(start), end: cloneBound(end)}
+	excl := keyRange{start: bytes.Clone(start), end: bytes.Clone(end)}
 	hasTables := len(ns.tables) > 0
 	for _, t := range ns.tables {
 		if ns.excluded == nil {
@@ -667,33 +641,12 @@ func (ns *Namespace) TruncateRange(start, end []byte) (int, error) {
 	if ns.dir == "" {
 		return removed, nil
 	}
-	// The WAL still holds the truncated records; reset it so recovery
-	// cannot resurrect them. A non-empty memtable is flushed first
-	// (the surviving entries need a durable home before their log
-	// segments go away); an empty one just rotates the log out. The
-	// emptiness check and the rotate+truncate share one critical
-	// section — a write accepted between them would lose its WAL
-	// segment while still memtable-only.
-	ns.mu.Lock()
-	memEmpty := ns.mem.Len() == 0
-	if memEmpty {
-		err := ns.log.Rotate()
-		if err == nil {
-			err = ns.log.Truncate()
-		}
-		ns.mu.Unlock()
-		if err != nil {
-			return removed, err
-		}
-	} else {
-		ns.mu.Unlock()
-		// Concurrent writes can only add entries; flushLocked persists
-		// everything present when it re-acquires the lock, rotating
-		// before and truncating after, so no accepted write loses its
-		// log segment.
-		if err := ns.flushLocked(); err != nil {
-			return removed, err
-		}
+	// The WAL still holds the truncated records; the flush resets it
+	// past them, so recovery cannot resurrect them, and gives the
+	// surviving memtable entries a durable home first. Writes accepted
+	// meanwhile land in segments the flush keeps.
+	if err := ns.flushLocked(); err != nil {
+		return removed, err
 	}
 	if hasTables {
 		// Rewrite the tables without the excluded records now, so the
@@ -703,23 +656,15 @@ func (ns *Namespace) TruncateRange(start, end []byte) (int, error) {
 	return removed, nil
 }
 
-func cloneBound(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
 // compactLocked is the major compaction: it merges the whole stack into
 // one table without tombstones or truncated records, unthrottled (it
 // sits on the critical path of migration teardown). Caller holds
 // compactMu.
 func (ns *Namespace) compactLocked() error {
-	// In-flight background tier merges have claimed parts of the stack;
-	// stop and drain them first (they poll for cancellation between
-	// records, so this is bounded by one poll interval, not by a merge's
-	// full runtime).
-	ns.cancelTierMerges()
+	// A tier merge in flight holds part of the stack; stop it first (it
+	// polls for cancellation between records, so this is bounded by one
+	// poll interval, not by a merge's full runtime).
+	ns.cancelTierMerge()
 	ns.mu.Lock()
 	tables := ns.tables
 	seq := ns.tableSeq
@@ -749,23 +694,22 @@ func (ns *Namespace) tablePath(seq uint64) string {
 	return fmt.Sprintf("%s/%09d.sst", ns.dir, seq)
 }
 
+// close flushes and closes the namespace once the engine's workers are
+// joined. A failed flush does not stop the close; its error is returned
+// first, then any background failure.
 func (ns *Namespace) close() error {
 	ns.compactMu.Lock()
 	defer ns.compactMu.Unlock()
-	if err := ns.flushLocked(); err != nil && err != ErrClosed {
-		return err
-	}
-	// The final flush may have kicked a background pass; its pick will
-	// block on compactMu and bail on ns.closed, but merges already in
-	// flight must unwind before their tables are closed under them.
-	ns.cancelTierMerges()
+	firstErr := ns.flushLocked()
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	if ns.closed {
 		return nil
 	}
 	ns.closed = true
-	firstErr := ns.bgErr
+	if firstErr == nil {
+		firstErr = ns.bgErr
+	}
 	ns.bgErr = nil
 	if ns.log != nil {
 		if err := ns.log.Close(); err != nil && firstErr == nil {

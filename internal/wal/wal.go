@@ -279,10 +279,11 @@ func (l *Log) SyncGroup() error {
 	return <-done
 }
 
-// Truncate removes every segment older than the active one. The engine
-// calls this after a memtable flush: everything up to the flush point
-// is now durable in an SSTable.
-func (l *Log) Truncate() error {
+// Truncate removes every segment before segment keep, the one a Rotate
+// returned. The engine calls it once a memtable flush has made durable
+// in an SSTable everything appended before that Rotate; segments the
+// log has rolled to since then stay.
+func (l *Log) Truncate(keep uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -294,8 +295,8 @@ func (l *Log) Truncate() error {
 	}
 	removed := false
 	for _, id := range ids {
-		if id == l.activeID {
-			continue
+		if id >= keep {
+			break
 		}
 		if err := os.Remove(l.segmentPath(id)); err != nil {
 			return fmt.Errorf("wal: truncate segment %d: %w", id, err)
@@ -311,15 +312,21 @@ func (l *Log) Truncate() error {
 	return nil
 }
 
-// Rotate rolls to a fresh segment, so a following Truncate removes all
-// previously appended data. Used at flush boundaries.
-func (l *Log) Rotate() error {
+// Rotate rolls to a fresh segment, unless the active one is still
+// empty, and returns its id: a following Truncate of that id removes
+// everything appended before the call. Used at flush boundaries.
+func (l *Log) Rotate() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	return l.roll()
+	if l.activeLen > 0 {
+		if err := l.roll(); err != nil {
+			return 0, err
+		}
+	}
+	return l.activeID, nil
 }
 
 // Close syncs and closes the log.
@@ -340,14 +347,19 @@ func (l *Log) Close() error {
 	return l.active.Close()
 }
 
+// roll opens the next segment before it syncs and closes the active
+// one: a segment that cannot be opened leaves the log appending where
+// it was.
 func (l *Log) roll() error {
-	if err := l.active.Sync(); err != nil {
+	old := l.active
+	if err := l.openSegment(l.activeID + 1); err != nil {
 		return err
 	}
-	if err := l.active.Close(); err != nil {
-		return err
+	err := old.Sync()
+	if cerr := old.Close(); err == nil {
+		err = cerr
 	}
-	return l.openSegment(l.activeID + 1)
+	return err
 }
 
 // openSegment creates a fresh segment file (segment IDs are never
@@ -366,11 +378,15 @@ func (l *Log) openSegment(id uint64) error {
 		f.Close()
 		return fmt.Errorf("wal: preallocate segment %d: %w", id, err)
 	}
-	l.active, l.activeID, l.activeLen = f, id, 0
 	// The segment's directory entry must survive a crash: recovery
 	// silently skips a segment whose entry was lost, replaying a hole
 	// into the middle of the log.
-	return l.syncDir()
+	if err := l.syncDir(); err != nil {
+		f.Close()
+		return err
+	}
+	l.active, l.activeID, l.activeLen = f, id, 0
+	return nil
 }
 
 // syncDir fsyncs the log directory, making segment creates and removes

@@ -164,10 +164,11 @@ func TestRotateAndTruncate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Rotate(); err != nil {
+	keep, err := l.Rotate()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Truncate(); err != nil {
+	if err := l.Truncate(keep); err != nil {
 		t.Fatal(err)
 	}
 	if n := segmentCount(t, l); n != 1 {
@@ -440,6 +441,66 @@ func BenchmarkAppend(b *testing.B) {
 	}
 }
 
+// A Truncate removes only what was appended before its Rotate: records
+// appended while a flush runs stay, even once the log has rolled past
+// the segment the Rotate opened.
+func TestTruncateKeepsSegmentsRolledAfterRotate(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, &Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendOne(l, rec("before", "v", 1)); err != nil {
+		t.Fatal(err)
+	}
+	keep, err := l.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ { // rolls several times
+		if err := appendOne(l, rec(fmt.Sprintf("after-%02d", i), "v", uint64(i+2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Truncate(keep); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	_, recovered, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 20 || string(recovered[0].Key) != "after-00" {
+		t.Fatalf("recovered %d records after truncate, want the 20 appended after the rotate", len(recovered))
+	}
+}
+
+// A roll that cannot open the next segment leaves the log appending to
+// the active one.
+func TestFailedRollKeepsLogUsable(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := appendOne(l, rec("a", "1", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Rotate(); err == nil {
+		t.Fatal("Rotate without a log directory reported no error")
+	}
+	if err := appendOne(l, rec("b", "2", 2)); err != nil {
+		t.Fatalf("append after a failed roll: %v", err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("sync after a failed roll: %v", err)
+	}
+}
+
 // Segment creation and removal must be made durable with a directory
 // fsync, or a crash can lose a freshly created segment's dirent (losing
 // acked writes) or resurrect truncated segments (replaying records the
@@ -459,14 +520,15 @@ func TestDirectoryFsyncOnSegmentLifecycle(t *testing.T) {
 	if err := appendOne(l, rec("a", "1", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Rotate(); err != nil {
+	keep, err := l.Rotate()
+	if err != nil {
 		t.Fatal(err)
 	}
 	afterRotate := l.Stats().DirSyncs
 	if afterRotate <= base {
 		t.Fatalf("Rotate created a segment with no directory fsync (DirSyncs %d -> %d)", base, afterRotate)
 	}
-	if err := l.Truncate(); err != nil {
+	if err := l.Truncate(keep); err != nil {
 		t.Fatal(err)
 	}
 	afterTruncate := l.Stats().DirSyncs
@@ -474,7 +536,7 @@ func TestDirectoryFsyncOnSegmentLifecycle(t *testing.T) {
 		t.Fatalf("Truncate removed segments with no directory fsync (DirSyncs %d -> %d)", afterRotate, afterTruncate)
 	}
 	// A Truncate with nothing to remove must not pay for a sync.
-	if err := l.Truncate(); err != nil {
+	if err := l.Truncate(keep); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Stats().DirSyncs; got != afterTruncate {

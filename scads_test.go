@@ -844,6 +844,40 @@ func TestStopBackgroundStopsEveryWorker(t *testing.T) {
 	}
 }
 
+// Without StartBackground a local cluster runs no goroutine of its
+// own: booting it, a write, a query and Close leave the count where it
+// was.
+func TestLocalClusterWithoutBackgroundStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	lc, err := NewLocalCluster(2, Config{ReplicationFactor: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.DefineSchema(socialDDL); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.Insert("users", Row{"id": "bob", "name": "Bob", "birthday": 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.FlushAll(); err != nil { // replicate without the driver
+		t.Fatal(err)
+	}
+	if rows, err := lc.Query("findUser", map[string]any{"user": "bob"}); err != nil || len(rows) != 1 {
+		t.Fatalf("findUser: %v rows, err %v", rows, err)
+	}
+	if err := lc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A goroutine a call started may still be on its way out. Fewer
+	// than before is no fault: another test's goroutine may have ended.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines %d -> %d after a local cluster's Close", before, n)
+	}
+}
+
 func TestRowMergeFunction(t *testing.T) {
 	// Row-level merges (§3.3.1: "a function that will merge
 	// conflicting writes") see both whole rows; here the smaller
