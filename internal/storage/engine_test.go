@@ -561,6 +561,7 @@ func TestQuickCrashRecoveryDurability(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		defer func() { e.Close() }() // the engine recovered last
 		ns, err := e.Namespace("m")
 		if err != nil {
 			return false

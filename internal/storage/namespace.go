@@ -432,10 +432,10 @@ func snapshotRange(out []record.Record, m *memtable.Memtable, start, end []byte)
 }
 
 // Flush persists the current memtable to a new SSTable and truncates
-// the WAL. No-op for in-memory namespaces and empty memtables. A
-// pending background-compaction failure is surfaced here (writes keep
-// succeeding into the memtable, but the condition must not stay
-// silent).
+// the WAL, before it returns. No-op for in-memory namespaces and empty
+// memtables. A pending failure of a background flush or merge is
+// surfaced here (writes keep succeeding into the memtable, but the
+// condition must not stay silent).
 func (ns *Namespace) Flush() error {
 	ns.compactMu.Lock()
 	defer ns.compactMu.Unlock()
