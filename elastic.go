@@ -38,7 +38,8 @@ func (c *Cluster) Observe(margin time.Duration) director.Observation {
 // Resize grows or shrinks the cluster to n serving nodes, never fewer
 // than one. New nodes boot and take their share of every namespace
 // (SpreadAll); the newest nodes leave first, each drained to the
-// survivors by DecommissionNode before it is unregistered. Both
+// survivors by DecommissionNode before it is unregistered and its
+// storage engine closed. Both
 // directions move data through the online migration manager, so a
 // resize under write load never drops an acknowledged write. This is
 // the actuate edge of the Figure 2 loop against data-bearing nodes:
@@ -62,6 +63,9 @@ func (lc *LocalCluster) Resize(n int) error {
 		}
 		lc.Transport.Unregister("local://" + victim)
 		lc.dir.Remove(victim)
+		if err := lc.dropNode(victim); err != nil {
+			return err
+		}
 	}
 	return nil
 }

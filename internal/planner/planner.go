@@ -3,11 +3,15 @@
 // query reads, the bounded range-scan plan that executes it, and the
 // table of index-maintenance triggers — Figure 3 of the paper — that
 // tells the update path exactly which structures to refresh when a
-// base table changes.
+// base table changes. An IndexDef is also the one recipe of its
+// entries: AppendEntryKey and AppendEntryValue encode an entry
+// straight from its driving and looked rows.
 package planner
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -196,7 +200,9 @@ func Compile(s *query.Schema, results map[string]*analyzer.Result) (*Output, err
 		return !indexByName[order[i]].Aux && indexByName[order[j]].Aux
 	})
 	for _, n := range order {
-		out.Indexes = append(out.Indexes, indexByName[n])
+		def := indexByName[n]
+		def.Project = entryColumns(def.Project)
+		out.Indexes = append(out.Indexes, def)
 	}
 	out.Maintenance = maintenanceTable(out.Indexes)
 	return out, nil
@@ -517,20 +523,8 @@ func residualFilters(res *analyzer.Result) []ResidualFilter {
 func residualColsMissing(project []ProjectCol, residual []ResidualFilter) []string {
 	var out []string
 	for _, rf := range residual {
-		present := false
-		for _, pc := range project {
-			if pc.Column == rf.Column {
-				present = true
-				break
-			}
-		}
-		for _, c := range out {
-			if c == rf.Column {
-				present = true
-				break
-			}
-		}
-		if !present {
+		stored := slices.ContainsFunc(project, func(pc ProjectCol) bool { return pc.Column == rf.Column })
+		if !stored && !slices.Contains(out, rf.Column) {
 			out = append(out, rf.Column)
 		}
 	}
@@ -696,57 +690,67 @@ func FormatMaintenanceTable(entries []MaintenanceEntry) string {
 	return b.String()
 }
 
-// --- key encoding shared by the executor and the view engine ---
+// --- index entries, built by the view engine ---
 
-// EncodeEntryKey builds an index entry's key from the source rows
-// (effective name → row), in one buffer sized from the key's values.
-func EncodeEntryKey(def *IndexDef, rows map[string]row.Row) ([]byte, error) {
-	// The values of a key of up to eight columns stay on the stack.
-	var vbuf [8]any
-	vals := vbuf[:0]
-	size := 0
+// AppendEntryKey appends to dst the key of def's entry for the driving
+// row d and the looked row l (nil for a single-table index): each key
+// column's value, taken from the row its Source names.
+func AppendEntryKey(dst []byte, def *IndexDef, d, l row.Row) ([]byte, error) {
 	for _, kc := range def.KeyCols {
-		v, err := sourceValue(def, rows, kc.Source, kc.Column)
+		v, err := def.value(kc.Source, kc.Column, d, l)
 		if err != nil {
 			return nil, err
 		}
-		vals = append(vals, v)
-		size += keycodec.SizeHint(v)
-	}
-	key := make([]byte, 0, size)
-	var err error
-	for i, kc := range def.KeyCols {
-		if key, err = keycodec.AppendElem(key, vals[i], kc.Desc); err != nil {
+		if dst, err = keycodec.AppendElem(dst, v, kc.Desc); err != nil {
 			return nil, err
 		}
 	}
-	return key, nil
+	return dst, nil
 }
 
-// BuildEntryValue materialises the index entry's stored row.
-func BuildEntryValue(def *IndexDef, rows map[string]row.Row) (row.Row, error) {
-	out := make(row.Row, len(def.Project))
+// AppendEntryValue appends to dst the stored row of def's entry for d
+// and l, encoded as row.Encode encodes the projected row: Compile left
+// Project in the codec's column order.
+func AppendEntryValue(dst []byte, def *IndexDef, d, l row.Row) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(def.Project))) // the codec's column count
 	for _, pc := range def.Project {
-		v, err := sourceValue(def, rows, pc.Source, pc.Column)
+		v, err := def.value(pc.Source, pc.Column, d, l)
 		if err != nil {
 			return nil, err
 		}
-		out[pc.Column] = v
+		if dst, err = row.AppendColumn(dst, pc.Column, v); err != nil {
+			return nil, err
+		}
 	}
-	return out, nil
+	return dst, nil
 }
 
-// sourceValue is column of the source row named source.
-func sourceValue(def *IndexDef, rows map[string]row.Row, source, column string) (any, error) {
-	r, ok := rows[source]
-	if !ok {
-		return nil, fmt.Errorf("planner: index %s: no row for source %q", def.Name, source)
+// value is column of the row source names: d on the driving side, l on
+// the looked one.
+func (def *IndexDef) value(source, column string, d, l row.Row) (any, error) {
+	r := d
+	if source != def.DrivingEff {
+		if source != def.LookedEff || l == nil {
+			return nil, fmt.Errorf("planner: index %s: no row for source %q", def.Name, source)
+		}
+		r = l
 	}
 	v, ok := r[column]
 	if !ok {
 		return nil, fmt.Errorf("planner: index %s: row for %q lacks column %q", def.Name, source, column)
 	}
 	return v, nil
+}
+
+// entryColumns is project in the order an encoded row holds its
+// columns: sorted by name, each name once, the last of a repeated name
+// winning as it would in a row map. It leaves project as it was: a
+// plan's read-time projection may share its array.
+func entryColumns(project []ProjectCol) []ProjectCol {
+	out := slices.Clone(project)
+	slices.Reverse(out) // the last of a repeated name sorts first and stays
+	slices.SortStableFunc(out, func(a, b ProjectCol) int { return strings.Compare(a.Column, b.Column) })
+	return slices.CompactFunc(out, func(a, b ProjectCol) bool { return a.Column == b.Column })
 }
 
 // ComputeBounds resolves a plan's bindings against the caller's

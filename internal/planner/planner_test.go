@@ -201,10 +201,9 @@ func TestEncodeEntryKeyOrdering(t *testing.T) {
 	def := out.Plans["friendsWithUpcomingBirthdays"].Index
 
 	mk := func(user, friend string, bday int64) []byte {
-		key, err := EncodeEntryKey(def, map[string]row.Row{
-			"f": {"f1": user, "f2": friend},
-			"p": {"id": friend, "birthday": bday},
-		})
+		key, err := AppendEntryKey(nil, def,
+			row.Row{"f1": user, "f2": friend},
+			row.Row{"id": friend, "birthday": bday})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,9 +222,7 @@ func TestEncodeEntryKeyDesc(t *testing.T) {
 	_, out := compile(t)
 	def := out.Plans["recentFriends"].Index
 	mk := func(since int64, f2 string) []byte {
-		key, err := EncodeEntryKey(def, map[string]row.Row{
-			"friendships": {"f1": "alice", "f2": f2, "since": since},
-		})
+		key, err := AppendEntryKey(nil, def, row.Row{"f1": "alice", "f2": f2, "since": since}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,23 +238,27 @@ func TestEncodeEntryKeyDesc(t *testing.T) {
 func TestEncodeEntryKeyErrors(t *testing.T) {
 	_, out := compile(t)
 	def := out.Plans["friendsWithUpcomingBirthdays"].Index
-	if _, err := EncodeEntryKey(def, map[string]row.Row{"f": {"f1": "a"}}); err == nil {
+	if _, err := AppendEntryKey(nil, def, row.Row{"f1": "a"}, nil); err == nil {
 		t.Fatal("missing source row accepted")
 	}
-	if _, err := EncodeEntryKey(def, map[string]row.Row{
-		"f": {"f1": "a"}, "p": {"id": "b"},
-	}); err == nil {
+	if _, err := AppendEntryKey(nil, def, row.Row{"f1": "a"}, row.Row{"id": "b"}); err == nil {
 		t.Fatal("missing column accepted")
+	}
+	if _, err := AppendEntryValue(nil, def, row.Row{"f1": "a"}, nil); err == nil {
+		t.Fatal("missing source row accepted for the value")
 	}
 }
 
 func TestBuildEntryValue(t *testing.T) {
 	_, out := compile(t)
 	def := out.Plans["friendsWithUpcomingBirthdays"].Index
-	val, err := BuildEntryValue(def, map[string]row.Row{
-		"f": {"f1": "alice", "f2": "bob", "since": int64(1)},
-		"p": {"id": "bob", "name": "Bob", "birthday": int64(321)},
-	})
+	enc, err := AppendEntryValue(nil, def,
+		row.Row{"f1": "alice", "f2": "bob", "since": int64(1)},
+		row.Row{"id": "bob", "name": "Bob", "birthday": int64(321)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	val, err := row.Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +267,79 @@ func TestBuildEntryValue(t *testing.T) {
 	}
 	if _, ok := val["f1"]; ok {
 		t.Fatal("driving columns leaked into p.* projection")
+	}
+}
+
+// TestEntryValueIsRowEncoding: an entry value appended column by column
+// is byte for byte row.Encode of the projected row map, for every index
+// of the schemas here, a repeated SELECT column and a widened residual
+// filter column included.
+func TestEntryValueIsRowEncoding(t *testing.T) {
+	const extra = `
+ENTITY msgs (
+    channel string,
+    ts int,
+    body string,
+    score float,
+    pinned bool,
+    PRIMARY KEY (channel, ts),
+    CARDINALITY channel 100
+)
+QUERY pinnedBodies SELECT body, pinned, body FROM msgs WHERE pinned = ?p ORDER BY score LIMIT 10
+QUERY topScores SELECT body FROM msgs WHERE channel = ?c AND score >= ?min ORDER BY ts DESC LIMIT 10
+`
+	s := query.MustParse(socialSchema + extra)
+	results, err := analyzer.Analyze(s, analyzer.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Compile(s, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]row.Row{
+		"users":       {"id": "bob", "name": "Bob", "birthday": int64(321)},
+		"friendships": {"f1": "alice", "f2": "bob", "since": int64(7)},
+		"msgs":        {"channel": "c1", "ts": int64(5), "body": "hi", "score": 2.5, "pinned": true},
+	}
+	seen := map[string]bool{}
+	for _, def := range out.Indexes {
+		seen[def.Name] = true
+		d := rows[def.Driving]
+		var l row.Row
+		if def.Looked != "" {
+			l = rows[def.Looked]
+		}
+		projected := row.Row{}
+		for _, pc := range def.Project {
+			src := d
+			if pc.Source != def.DrivingEff {
+				src = l
+			}
+			projected[pc.Column] = src[pc.Column]
+		}
+		want, err := row.Encode(projected)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendEntryValue([]byte("prefix"), def, d, l)
+		if err != nil {
+			t.Fatalf("%s: %v", def.Name, err)
+		}
+		if !bytes.Equal(got[len("prefix"):], want) {
+			t.Errorf("%s: entry value %x, row.Encode %x", def.Name, got[len("prefix"):], want)
+		}
+	}
+	for _, name := range []string{"idx_pinnedBodies", "idx_topScores", "view_friendsWithUpcomingBirthdays"} {
+		if !seen[name] {
+			t.Errorf("schema compiled no index %s: %v", name, seen)
+		}
+	}
+	if p := out.Plans["pinnedBodies"].Index.Project; len(p) != 2 {
+		t.Errorf("repeated SELECT column kept twice: %+v", p)
+	}
+	if top := out.Plans["topScores"]; len(top.Index.Project) != 2 || len(top.Project) != 1 {
+		t.Errorf("topScores stores %+v and reads %+v, want body and score stored, body read", top.Index.Project, top.Project)
 	}
 }
 
@@ -280,12 +354,9 @@ func TestComputeBoundsEquality(t *testing.T) {
 		t.Fatalf("bounds = %x .. %x", start, end)
 	}
 	// A key for alice falls inside; bob outside.
-	aliceKey, _ := EncodeEntryKey(&IndexDef{KeyCols: plan.KeyCols}, map[string]row.Row{
-		"friendships": {"f1": "alice", "f2": "m"},
-	})
-	bobKey, _ := EncodeEntryKey(&IndexDef{KeyCols: plan.KeyCols}, map[string]row.Row{
-		"friendships": {"f1": "bob", "f2": "a"},
-	})
+	def := &IndexDef{DrivingEff: "friendships", KeyCols: plan.KeyCols}
+	aliceKey, _ := AppendEntryKey(nil, def, row.Row{"f1": "alice", "f2": "m"}, nil)
+	bobKey, _ := AppendEntryKey(nil, def, row.Row{"f1": "bob", "f2": "a"}, nil)
 	if !(bytes.Compare(start, aliceKey) <= 0 && bytes.Compare(aliceKey, end) < 0) {
 		t.Fatal("alice key outside bounds")
 	}
@@ -325,8 +396,8 @@ QUERY inChannel SELECT * FROM msgs WHERE channel = ?c LIMIT 50
 		t.Fatal(err)
 	}
 	key := func(ts int64) []byte {
-		k, _ := EncodeEntryKey(&IndexDef{KeyCols: out.Plans["after"].KeyCols},
-			map[string]row.Row{"msgs": {"channel": "c1", "ts": ts}})
+		k, _ := AppendEntryKey(nil, &IndexDef{DrivingEff: "msgs", KeyCols: out.Plans["after"].KeyCols},
+			row.Row{"channel": "c1", "ts": ts}, nil)
 		return k
 	}
 	params := map[string]any{"c": "c1", "since": 100, "until": 100}
@@ -409,7 +480,7 @@ QUERY recent SELECT * FROM msgs WHERE channel = ?c AND ts > ?since ORDER BY ts D
 		t.Fatal(err)
 	}
 	key := func(ts int64) []byte {
-		k, _ := EncodeEntryKey(plan.Index, map[string]row.Row{"msgs": {"channel": "c1", "ts": ts}})
+		k, _ := AppendEntryKey(nil, plan.Index, row.Row{"channel": "c1", "ts": ts}, nil)
 		return k
 	}
 	in := func(k []byte) bool {

@@ -169,38 +169,50 @@ func AppendEncode(dst []byte, r Row) ([]byte, error) {
 	slices.Sort(names)
 	dst = binary.AppendUvarint(dst, uint64(len(names)))
 	for _, n := range names {
-		dst = binary.AppendUvarint(dst, uint64(len(n)))
-		dst = append(dst, n...)
-		switch v := r[n].(type) {
-		case string:
-			dst = append(dst, valString)
-			dst = binary.AppendUvarint(dst, uint64(len(v)))
-			dst = append(dst, v...)
-		case int64:
-			dst = appendInt(dst, v)
-		case int:
-			dst = appendInt(dst, int64(v))
-		case int32:
-			dst = appendInt(dst, int64(v))
-		case uint32:
-			dst = appendInt(dst, int64(v))
-		case float64:
-			dst = appendFloat(dst, v)
-		case float32:
-			dst = appendFloat(dst, float64(v))
-		case bool:
-			if v {
-				dst = append(dst, valTrue)
-			} else {
-				dst = append(dst, valFalse)
-			}
-		case time.Time:
-			dst = append(dst, valTime)
-			dst = appendZigzag(dst, v.Unix())
-			dst = binary.AppendUvarint(dst, uint64(v.Nanosecond()))
-		default:
-			return nil, fmt.Errorf("row: encode: column %q has unsupported type %T", n, r[n])
+		var err error
+		if dst, err = AppendColumn(dst, n, r[n]); err != nil {
+			return nil, err
 		}
+	}
+	return dst, nil
+}
+
+// AppendColumn appends one column of AppendEncode's encoding, its name
+// and its value, to dst. A caller that holds a row's columns in sorted
+// name order, each once, encodes the row without building its map: the
+// uvarint column count, then AppendColumn for each column.
+func AppendColumn(dst []byte, name string, v any) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(name)))
+	dst = append(dst, name...)
+	switch v := v.(type) {
+	case string:
+		dst = append(dst, valString)
+		dst = binary.AppendUvarint(dst, uint64(len(v)))
+		dst = append(dst, v...)
+	case int64:
+		dst = appendInt(dst, v)
+	case int:
+		dst = appendInt(dst, int64(v))
+	case int32:
+		dst = appendInt(dst, int64(v))
+	case uint32:
+		dst = appendInt(dst, int64(v))
+	case float64:
+		dst = appendFloat(dst, v)
+	case float32:
+		dst = appendFloat(dst, float64(v))
+	case bool:
+		if v {
+			dst = append(dst, valTrue)
+		} else {
+			dst = append(dst, valFalse)
+		}
+	case time.Time:
+		dst = append(dst, valTime)
+		dst = appendZigzag(dst, v.Unix())
+		dst = binary.AppendUvarint(dst, uint64(v.Nanosecond()))
+	default:
+		return nil, fmt.Errorf("row: encode: column %q has unsupported type %T", name, v)
 	}
 	return dst, nil
 }

@@ -3,9 +3,11 @@
 // index set (the Figure 3 table, in executable form) and produces the
 // exact set of index-entry mutations required — each computed with a
 // bounded number of lookups, honouring the O(K) update-work guarantee
-// the analyzer proved. The coordinator versions these mutations and
-// pushes them through the deadline-ordered replication pump, making
-// index maintenance asynchronous exactly as the paper prescribes.
+// the analyzer proved, its key and encoded value appended from the
+// rows by the planner's entry recipe. The coordinator's upkeep rounds,
+// run after the write they follow, stamp each mutation's version and
+// commit it, making index maintenance asynchronous as the paper
+// prescribes.
 package view
 
 import (
@@ -40,11 +42,12 @@ type KeyScanner interface {
 	ScanKeys(namespace string, start, end []byte, limit int) ([][]byte, error)
 }
 
-// Mutation is one index-entry change. A nil Value deletes the entry.
+// Mutation is one index-entry change: Value is the entry's encoded
+// row, and a nil Value deletes the entry.
 type Mutation struct {
 	Namespace string
 	Key       []byte
-	Value     row.Row
+	Value     []byte
 }
 
 // ErrCardinalityViolated is returned when a bounded lookup finds more
@@ -59,9 +62,8 @@ var ErrCardinalityViolated = fmt.Errorf("view: declared cardinality bound exceed
 // (which index entries does this base change imply?) when the queued
 // change is drained.
 type Engine struct {
-	schema  *query.Schema
-	indexes []*planner.IndexDef
-	store   Store
+	schema *query.Schema
+	store  Store
 
 	byDriving map[string][]*planner.IndexDef
 	byLooked  map[string][]*planner.IndexDef
@@ -72,7 +74,6 @@ type Engine struct {
 func NewEngine(schema *query.Schema, indexes []*planner.IndexDef, store Store) *Engine {
 	e := &Engine{
 		schema:    schema,
-		indexes:   indexes,
 		store:     store,
 		byDriving: make(map[string][]*planner.IndexDef),
 		byLooked:  make(map[string][]*planner.IndexDef),
@@ -107,9 +108,11 @@ func (e *Engine) Maintains(table string) bool {
 
 // Mutations computes every index-entry change implied by a base-table
 // change. oldRow is nil for inserts, newRow nil for deletes; for
-// updates the primary key of both rows must match.
+// updates the primary key of both rows must match. The keys and values
+// of one call's mutations share one buffer.
 func (e *Engine) Mutations(table string, oldRow, newRow row.Row) ([]Mutation, error) {
-	acc := newMutationSet()
+	// Sized for a few entries of a few columns each.
+	acc := &mutationSet{buf: make([]byte, 0, 256), muts: make([]Mutation, 0, 4)}
 	for _, def := range e.byDriving[table] {
 		if def.Looked == "" {
 			if err := e.singleTable(def, oldRow, newRow, acc); err != nil {
@@ -126,28 +129,18 @@ func (e *Engine) Mutations(table string, oldRow, newRow row.Row) ([]Mutation, er
 			return nil, err
 		}
 	}
-	return acc.list(), nil
+	return acc.muts, nil
 }
 
 // singleTable maintains a plain secondary (or aux reverse) index.
 func (e *Engine) singleTable(def *planner.IndexDef, oldRow, newRow row.Row, acc *mutationSet) error {
 	if oldRow != nil {
-		key, err := planner.EncodeEntryKey(def, map[string]row.Row{def.DrivingEff: oldRow})
-		if err != nil {
+		if err := acc.delete(def, oldRow, nil); err != nil {
 			return err
 		}
-		acc.delete(def.Namespace, key)
 	}
 	if newRow != nil {
-		key, err := planner.EncodeEntryKey(def, map[string]row.Row{def.DrivingEff: newRow})
-		if err != nil {
-			return err
-		}
-		val, err := planner.BuildEntryValue(def, map[string]row.Row{def.DrivingEff: newRow})
-		if err != nil {
-			return err
-		}
-		acc.put(def.Namespace, key, val)
+		return acc.put(def, newRow, nil)
 	}
 	return nil
 }
@@ -167,15 +160,9 @@ func (e *Engine) drivingSide(def *planner.IndexDef, oldRow, newRow row.Row, acc 
 			return err
 		}
 		for _, lr := range joined {
-			key, err := planner.EncodeEntryKey(def, map[string]row.Row{def.DrivingEff: newRow, def.LookedEff: lr})
-			if err != nil {
+			if err := acc.put(def, newRow, lr); err != nil {
 				return err
 			}
-			val, err := planner.BuildEntryValue(def, map[string]row.Row{def.DrivingEff: newRow, def.LookedEff: lr})
-			if err != nil {
-				return err
-			}
-			acc.put(def.Namespace, key, val)
 		}
 	}
 	return nil
@@ -196,11 +183,9 @@ func (e *Engine) retireDriving(def *planner.IndexDef, old row.Row, acc *mutation
 			return err
 		}
 		for _, lr := range joined {
-			key, err := planner.EncodeEntryKey(def, map[string]row.Row{def.DrivingEff: old, def.LookedEff: lr})
-			if err != nil {
+			if err := acc.delete(def, old, lr); err != nil {
 				return err
 			}
-			acc.delete(def.Namespace, key)
 		}
 		return nil
 	}
@@ -268,7 +253,7 @@ func (e *Engine) retireDriving(def *planner.IndexDef, old row.Row, acc *mutation
 			rest = rest[n:]
 		}
 		if match {
-			acc.delete(def.Namespace, key)
+			acc.add(Mutation{Namespace: def.Namespace, Key: key})
 		}
 	}
 	return nil
@@ -308,22 +293,14 @@ func (e *Engine) lookedSide(def *planner.IndexDef, oldRow, newRow row.Row, acc *
 	}
 	for _, dr := range drivers {
 		if oldRow != nil {
-			key, err := planner.EncodeEntryKey(def, map[string]row.Row{def.DrivingEff: dr, def.LookedEff: oldRow})
-			if err != nil {
+			if err := acc.delete(def, dr, oldRow); err != nil {
 				return err
 			}
-			acc.delete(def.Namespace, key)
 		}
 		if newRow != nil {
-			key, err := planner.EncodeEntryKey(def, map[string]row.Row{def.DrivingEff: dr, def.LookedEff: newRow})
-			if err != nil {
+			if err := acc.put(def, dr, newRow); err != nil {
 				return err
 			}
-			val, err := planner.BuildEntryValue(def, map[string]row.Row{def.DrivingEff: dr, def.LookedEff: newRow})
-			if err != nil {
-				return err
-			}
-			acc.put(def.Namespace, key, val)
 		}
 	}
 	return nil
@@ -378,11 +355,14 @@ func (e *Engine) lookupDrivers(def *planner.IndexDef, joinVal any) ([]row.Row, e
 }
 
 func (e *Engine) boundedPrefixScan(namespace string, prefixVal any, bound int, indexName string) ([]row.Row, error) {
-	prefix, err := keycodec.Encode(prefixVal)
+	// One buffer holds the prefix, then its end.
+	buf, err := keycodec.Append(make([]byte, 0, 2*keycodec.SizeHint(prefixVal)), prefixVal)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := e.store.ScanRows(namespace, prefix, keycodec.PrefixEnd(prefix), bound+1)
+	prefix := buf[:len(buf):len(buf)]
+	_, end := keycodec.AppendPrefixEnd(buf, prefix)
+	rows, err := e.store.ScanRows(namespace, prefix, end, bound+1)
 	if err != nil {
 		return nil, err
 	}
@@ -393,39 +373,75 @@ func (e *Engine) boundedPrefixScan(namespace string, prefixVal any, bound int, i
 	return rows, nil
 }
 
-// mutationSet deduplicates mutations by (namespace, key); puts win
-// over deletes so an update whose old and new rows share a key becomes
-// a single overwrite.
+// mutationSet is one Mutations call's output: its mutations, one per
+// (namespace, key) in the order each key first came, and the buffer
+// their keys and values are appended to. A put wins over a delete, and
+// a later put over an earlier one, so an update whose old and new rows
+// share a key becomes a single overwrite.
 type mutationSet struct {
-	order []string
-	byKey map[string]Mutation
+	buf  []byte
+	muts []Mutation
+	// at indexes muts by namespace and key once there are too many to
+	// search one by one.
+	at map[string]int
 }
 
-func newMutationSet() *mutationSet {
-	return &mutationSet{byKey: make(map[string]Mutation)}
-}
-
-func (ms *mutationSet) delete(ns string, key []byte) {
-	id := ns + "\x00" + string(key)
-	if _, ok := ms.byKey[id]; ok {
-		return // existing put or delete stands
+// delete adds the deletion of def's entry for the driving row d and the
+// looked row l.
+func (ms *mutationSet) delete(def *planner.IndexDef, d, l row.Row) error {
+	start := len(ms.buf)
+	buf, err := planner.AppendEntryKey(ms.buf, def, d, l)
+	if err != nil {
+		return err
 	}
-	ms.byKey[id] = Mutation{Namespace: ns, Key: key}
-	ms.order = append(ms.order, id)
+	ms.buf = buf
+	ms.add(Mutation{Namespace: def.Namespace, Key: buf[start:len(buf):len(buf)]})
+	return nil
 }
 
-func (ms *mutationSet) put(ns string, key []byte, val row.Row) {
-	id := ns + "\x00" + string(key)
-	if _, ok := ms.byKey[id]; !ok {
-		ms.order = append(ms.order, id)
+// put adds def's entry for d and l.
+func (ms *mutationSet) put(def *planner.IndexDef, d, l row.Row) error {
+	start := len(ms.buf)
+	buf, err := planner.AppendEntryKey(ms.buf, def, d, l)
+	if err != nil {
+		return err
 	}
-	ms.byKey[id] = Mutation{Namespace: ns, Key: key, Value: val}
+	mid := len(buf)
+	if buf, err = planner.AppendEntryValue(buf, def, d, l); err != nil {
+		return err
+	}
+	ms.buf = buf
+	ms.add(Mutation{Namespace: def.Namespace, Key: buf[start:mid:mid], Value: buf[mid:len(buf):len(buf)]})
+	return nil
 }
 
-func (ms *mutationSet) list() []Mutation {
-	out := make([]Mutation, 0, len(ms.order))
-	for _, id := range ms.order {
-		out = append(out, ms.byKey[id])
+func (ms *mutationSet) add(m Mutation) {
+	if i, ok := ms.find(m); ok {
+		if m.Value != nil {
+			ms.muts[i] = m
+		}
+		return
 	}
-	return out
+	ms.muts = append(ms.muts, m)
+	if ms.at != nil {
+		ms.at[id(m)] = len(ms.muts) - 1
+	}
 }
+
+// find is the index of m's namespace and key in ms.muts.
+func (ms *mutationSet) find(m Mutation) (int, bool) {
+	if ms.at == nil && len(ms.muts) < 16 {
+		i := slices.IndexFunc(ms.muts, func(o Mutation) bool { return o.Namespace == m.Namespace && bytes.Equal(o.Key, m.Key) })
+		return i, i >= 0
+	}
+	if ms.at == nil {
+		ms.at = make(map[string]int, 2*len(ms.muts))
+		for i, o := range ms.muts {
+			ms.at[id(o)] = i
+		}
+	}
+	i, ok := ms.at[id(m)]
+	return i, ok
+}
+
+func id(m Mutation) string { return m.Namespace + "\x00" + string(m.Key) }

@@ -1,10 +1,11 @@
 package view
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"testing"
 
 	"scads/internal/analyzer"
@@ -55,7 +56,8 @@ func (s *mapStore) ScanKeys(ns string, start, end []byte, limit int) ([][]byte, 
 	return out, nil
 }
 
-func (s *mapStore) apply(muts []Mutation) {
+func (s *mapStore) apply(t testing.TB, muts []Mutation) {
+	t.Helper()
 	for _, m := range muts {
 		ns := s.data[m.Namespace]
 		if ns == nil {
@@ -65,7 +67,11 @@ func (s *mapStore) apply(muts []Mutation) {
 		if m.Value == nil {
 			delete(ns, string(m.Key))
 		} else {
-			ns[string(m.Key)] = m.Value
+			r, err := row.Decode(m.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ns[string(m.Key)] = r
 		}
 	}
 }
@@ -95,7 +101,7 @@ func (s *mapStore) putBase(t *testing.T, e *Engine, table *query.TableDef, oldRo
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.apply(muts)
+	s.apply(t, muts)
 	return muts
 }
 
@@ -300,8 +306,8 @@ func TestUpdateSameKeyBecomesSinglePut(t *testing.T) {
 	if len(muts) != 1 || muts[0].Value == nil {
 		t.Fatalf("muts = %+v, want single put", muts)
 	}
-	if muts[0].Value["name"] != "Bobby" {
-		t.Fatalf("value not refreshed: %v", muts[0].Value)
+	if v, err := row.Decode(muts[0].Value); err != nil || v["name"] != "Bobby" {
+		t.Fatalf("value not refreshed: %v, %v", v, err)
 	}
 }
 
@@ -349,16 +355,13 @@ func TestMutationsForUnindexedTable(t *testing.T) {
 func TestIndexesAccessor(t *testing.T) {
 	store := newMapStore()
 	_, out, e := buildEngine(t, store)
-	if len(e.indexes) != len(out.Indexes) {
-		t.Fatal("engine does not hold every planned index")
+	for _, def := range out.Indexes {
+		if !slices.Contains(e.byDriving[def.Driving], def) {
+			t.Fatalf("engine does not hold planned index %s", def.Name)
+		}
 	}
-	names := make([]string, 0)
-	for _, d := range e.indexes {
-		names = append(names, d.Name)
-	}
-	joined := strings.Join(names, ",")
-	if !strings.Contains(joined, "view_friendsWithUpcomingBirthdays") {
-		t.Fatalf("indexes = %v", names)
+	if !e.Maintains("users") || len(e.byLooked["users"]) == 0 {
+		t.Fatal("view_friendsWithUpcomingBirthdays is not maintained from its looked table")
 	}
 }
 
@@ -381,7 +384,7 @@ func BenchmarkFriendshipInsertMaintenance(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		store.apply(muts)
+		store.apply(b, muts)
 	}
 }
 
@@ -504,7 +507,7 @@ func TestDrivingDeleteRetiresEntryOfAChangedLookedRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.apply(muts)
+	store.apply(t, muts)
 	if len(store.data[bdNS]) != 1 {
 		t.Fatalf("birthday view has %d entries after the delete, want carol's only", len(store.data[bdNS]))
 	}
@@ -520,5 +523,48 @@ func TestDrivingDeleteRetiresEntryOfAChangedLookedRow(t *testing.T) {
 	store.putBase(t, rowsOnly, friendships, edge, nil)
 	if len(store.data[bdNS]) != 1 {
 		t.Fatalf("birthday view has %d entries after a re-insert and delete, want carol's only", len(store.data[bdNS]))
+	}
+}
+
+// TestMutationSetKeepsOnePerKey: below and past the length the set
+// searches one by one, it keeps one mutation per namespace and key in
+// first-seen order, a put winning over a delete and a later put over an
+// earlier one.
+func TestMutationSetKeepsOnePerKey(t *testing.T) {
+	for _, n := range []int{5, 20} {
+		var ms mutationSet
+		for i := range n {
+			key := []byte{byte(i)}
+			if i%2 == 0 {
+				ms.add(Mutation{Namespace: "a", Key: key})
+			} else {
+				ms.add(Mutation{Namespace: "a", Key: key, Value: []byte{0}})
+			}
+			ms.add(Mutation{Namespace: "b", Key: key, Value: []byte{0}})
+		}
+		for i := range n {
+			key := []byte{byte(i)}
+			ms.add(Mutation{Namespace: "a", Key: key})
+			ms.add(Mutation{Namespace: "b", Key: key, Value: []byte{1}})
+		}
+		ms.add(Mutation{Namespace: "a", Key: []byte{0}, Value: []byte{2}})
+		if len(ms.muts) != 2*n {
+			t.Fatalf("n=%d: %d mutations, want %d", n, len(ms.muts), 2*n)
+		}
+		for i, m := range ms.muts {
+			var want []byte
+			switch {
+			case m.Namespace == "b":
+				want = []byte{1}
+			case i == 0:
+				want = []byte{2}
+			case i/2%2 == 1:
+				want = []byte{0}
+			}
+			ns := []string{"a", "b"}[i%2]
+			if m.Namespace != ns || m.Key[0] != byte(i/2) || !bytes.Equal(m.Value, want) {
+				t.Fatalf("n=%d: mutation %d = %+v, want %s/%d = %v", n, i, m, ns, i/2, want)
+			}
+		}
 	}
 }

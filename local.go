@@ -1,7 +1,10 @@
 package scads
 
 import (
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"scads/internal/cluster"
@@ -90,6 +93,30 @@ func (lc *LocalCluster) AddStorageNode() (string, error) {
 	lc.dir.Join(id, addr)
 	lc.dir.MarkUp(id)
 	return id, nil
+}
+
+// Close closes the cluster, then each node's storage engine, which
+// joins a disk-backed engine's flusher and compactor.
+func (lc *LocalCluster) Close() error {
+	err := lc.Cluster.Close()
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	for _, id := range slices.Sorted(maps.Keys(lc.nodes)) {
+		err = errors.Join(err, lc.nodes[id].Engine().Close())
+	}
+	return err
+}
+
+// dropNode forgets node id and closes its storage engine.
+func (lc *LocalCluster) dropNode(id string) error {
+	lc.mu.Lock()
+	n, ok := lc.nodes[id]
+	delete(lc.nodes, id)
+	lc.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	return n.Engine().Close()
 }
 
 // Node returns the in-process node by ID (tests reach into storage

@@ -332,8 +332,8 @@ func TestRepairGetRidesThroughFailover(t *testing.T) {
 		c, gate := open(t)
 		down := func() (rpc.Response, error) { return rpc.Response{}, rpc.ErrUnreachable }
 		gate.fault.Store(&down)
+		start := time.Now() // before the outage end is armed, so no Get can beat the bound
 		time.AfterFunc(10*rpc.DownRetryPause, func() { gate.fault.Store(nil) })
-		start := time.Now()
 		r, found, err := c.Get("users", Row{"id": "a"})
 		if err != nil || !found || r["name"] != "A" {
 			t.Fatalf("Get across the outage = %v, %v, %v", r, found, err)

@@ -13,6 +13,7 @@ import (
 	"scads/internal/planner"
 	"scads/internal/record"
 	"scads/internal/rpc"
+	"scads/internal/storage"
 )
 
 var t0 = time.Date(2009, 1, 4, 0, 0, 0, 0, time.UTC)
@@ -846,35 +847,45 @@ func TestStopBackgroundStopsEveryWorker(t *testing.T) {
 
 // Without StartBackground a local cluster runs no goroutine of its
 // own: booting it, a write, a query and Close leave the count where it
-// was.
+// was. On disk, Close joins each node engine's flusher and compactor.
 func TestLocalClusterWithoutBackgroundStartsNoGoroutine(t *testing.T) {
-	before := runtime.NumGoroutine()
-	lc, err := NewLocalCluster(2, Config{ReplicationFactor: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lc.DefineSchema(socialDDL); err != nil {
-		t.Fatal(err)
-	}
-	if err := lc.Insert("users", Row{"id": "bob", "name": "Bob", "birthday": 5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := lc.FlushAll(); err != nil { // replicate without the driver
-		t.Fatal(err)
-	}
-	if rows, err := lc.Query("findUser", map[string]any{"user": "bob"}); err != nil || len(rows) != 1 {
-		t.Fatalf("findUser: %v rows, err %v", rows, err)
-	}
-	if err := lc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A goroutine a call started may still be on its way out. Fewer
-	// than before is no fault: another test's goroutine may have ended.
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
-		runtime.Gosched()
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("goroutines %d -> %d after a local cluster's Close", before, n)
+	for _, tc := range []struct {
+		name string
+		dir  func(t *testing.T) string
+	}{
+		{"in memory", func(*testing.T) string { return "" }},
+		{"disk backed", func(t *testing.T) string { return t.TempDir() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			lc, err := NewLocalCluster(2, Config{ReplicationFactor: 2, NodeStorage: storage.Options{Dir: tc.dir(t)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lc.DefineSchema(socialDDL); err != nil {
+				t.Fatal(err)
+			}
+			if err := lc.Insert("users", Row{"id": "bob", "name": "Bob", "birthday": 5}); err != nil {
+				t.Fatal(err)
+			}
+			if err := lc.FlushAll(); err != nil { // replicate without the driver
+				t.Fatal(err)
+			}
+			if rows, err := lc.Query("findUser", map[string]any{"user": "bob"}); err != nil || len(rows) != 1 {
+				t.Fatalf("findUser: %v rows, err %v", rows, err)
+			}
+			if err := lc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// A goroutine a call started may still be on its way out. Fewer
+			// than before is no fault: another test's goroutine may have ended.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("goroutines %d -> %d after a local cluster's Close", before, n)
+			}
+		})
 	}
 }
 

@@ -197,12 +197,13 @@ func TestUpkeepRoundAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	round() // dial
-	// Measured 59: the insert's 8 and the round's 51. 65 when the round's
-	// read of the user's row grouped its one key by node in a map and
-	// sent it from a goroutine; 71 when keys were also escaped byte by
-	// byte into buffers grown on the way.
-	if allocs := testing.AllocsPerRun(200, round); allocs > 59 {
-		t.Errorf("maintained insert + upkeep round over TCP allocates %.1f times per call, want <= 59", allocs)
+	// Measured 45: the insert's 8 and the round's 37. 59 when each entry
+	// went through a map of its source rows and a row map of its value,
+	// encoded apart; 65 when the round's read of the user's row grouped
+	// its one key by node in a map and sent it from a goroutine; 71 when
+	// keys were also escaped byte by byte into buffers grown on the way.
+	if allocs := testing.AllocsPerRun(200, round); allocs > 45 {
+		t.Errorf("maintained insert + upkeep round over TCP allocates %.1f times per call, want <= 45", allocs)
 	}
 }
 

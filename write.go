@@ -240,10 +240,13 @@ func (c *Cluster) writeKey(t *query.TableDef, ns string, key []byte, reads bool,
 		if err != nil || (reads && old == nil && nr == nil) {
 			return 0, err
 		}
-		rec, err := c.newRecord(key, nr)
-		if err != nil {
-			return 0, err
+		rec := record.Record{Key: key, Tombstone: nr == nil}
+		if nr != nil {
+			if rec.Value, err = row.Encode(nr); err != nil {
+				return 0, err
+			}
 		}
+		rec.Version = c.versions.Next()
 		how.swap = true
 		d, err := c.commitOne(ns, rec, c.stalenessBound(t.Name), how)
 		if err != nil {
@@ -341,21 +344,6 @@ func (c *Cluster) stage(t *query.TableDef, r row.Row) (record.Record, error) {
 // maxPooledStage bounds the staging buffers kept in keyPool, so one huge
 // row does not pin its size there.
 const maxPooledStage = 1 << 20
-
-// newRecord versions one write of key: val encoded, or a tombstone when
-// val is nil.
-func (c *Cluster) newRecord(key []byte, val row.Row) (record.Record, error) {
-	rec := record.Record{Key: key, Tombstone: val == nil}
-	if val != nil {
-		enc, err := row.Encode(val)
-		if err != nil {
-			return rec, err
-		}
-		rec.Value = enc
-	}
-	rec.Version = c.versions.Next()
-	return rec, nil
-}
 
 // delivery is how commit hands records to their primaries.
 type delivery struct {
@@ -563,17 +551,17 @@ func deterministic(err error) bool {
 // behind.
 func (c *Cluster) currentRows(tasks []maintTask) ([]partition.GetResult, error) {
 	cur := make([]partition.GetResult, len(tasks))
-	var read []string // the namespaces read so far
-	for _, task := range tasks {
-		if slices.Contains(read, task.ns) {
-			continue
+	// One namespace's task indices and keys at a time.
+	idx := make([]int, 0, len(tasks))
+	keys := make([][]byte, 0, len(tasks))
+	for i, task := range tasks {
+		if slices.ContainsFunc(tasks[:i], func(t maintTask) bool { return t.ns == task.ns }) {
+			continue // read with an earlier task's
 		}
-		read = append(read, task.ns)
-		var idx []int
-		var keys [][]byte
-		for i := range tasks {
-			if tasks[i].ns == task.ns {
-				idx, keys = append(idx, i), append(keys, tasks[i].key)
+		idx, keys = idx[:0], keys[:0]
+		for j := i; j < len(tasks); j++ {
+			if tasks[j].ns == task.ns {
+				idx, keys = append(idx, j), append(keys, tasks[j].key)
 			}
 		}
 		got, err := c.router.GetBatch(task.ns, keys, partition.WritePrimary)
@@ -660,14 +648,11 @@ func (r *upkeepRound) maintain(views *view.Engine, i int, task maintTask, now pa
 	}
 	bound := r.c.stalenessBound(task.table)
 	for _, mut := range muts {
-		rec, err := r.c.newRecord(mut.Key, mut.Value)
-		if err != nil {
-			return err
-		}
+		rec := record.Record{Key: mut.Key, Value: mut.Value, Tombstone: mut.Value == nil, Version: r.c.versions.Next()}
 		g := slices.IndexFunc(r.groups, func(g upkeepGroup) bool { return g.ns == mut.Namespace && g.bound == bound })
 		if g < 0 {
 			g = len(r.groups)
-			r.groups = append(r.groups, upkeepGroup{ns: mut.Namespace, bound: bound, first: i})
+			r.groups = append(r.groups, upkeepGroup{ns: mut.Namespace, bound: bound, first: i, recs: make([]record.Record, 0, len(muts))})
 		}
 		r.groups[g].recs = append(r.groups[g].recs, rec)
 	}
