@@ -217,7 +217,7 @@ func TestConcurrentGetsTravelUnwrapped(t *testing.T) {
 	}
 	for _, req := range held.seen {
 		if req.Method != rpc.MethodGet {
-			t.Errorf("transport saw a %q call carrying %d sub-requests, want only gets", req.Method, len(req.Batch))
+			t.Errorf("transport saw a %q call carrying %d records, want only gets", req.Method, len(req.Records))
 		}
 	}
 	if st := c.Stats().Batching; st != (rpc.BatcherStats{}) {

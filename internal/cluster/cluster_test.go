@@ -50,6 +50,48 @@ func TestNodeServeCRUD(t *testing.T) {
 	}
 }
 
+// TestNodeGetMany: a multi-get answers each key in order with what a get
+// would — a live key's value and version, a tombstone at version 0 for a
+// key never written, a tombstone at the delete's version for a deleted
+// one — counts one read per key, and fails whole on an unknown
+// namespace.
+func TestNodeGetMany(t *testing.T) {
+	n := newTestNode(t, "n1")
+	put := n.Serve(rpc.Request{Method: rpc.MethodPut, Namespace: "users", Key: []byte("alice"), Value: []byte("p")})
+	n.Serve(rpc.Request{Method: rpc.MethodPut, Namespace: "users", Key: []byte("carol"), Value: []byte("q")})
+	del := n.Serve(rpc.Request{Method: rpc.MethodDelete, Namespace: "users", Key: []byte("carol")})
+	if put.Error() != nil || del.Error() != nil {
+		t.Fatalf("put = %v, delete = %v", put.Error(), del.Error())
+	}
+	keys := []record.Record{{Key: []byte("alice")}, {Key: []byte("bob")}, {Key: []byte("carol")}}
+	reads := n.ReadCount()
+	resp := n.Serve(rpc.Request{Method: rpc.MethodBatch, Namespace: "users", Records: keys})
+	if resp.Error() != nil {
+		t.Fatal(resp.Error())
+	}
+	want := []record.Record{
+		{Value: []byte("p"), Version: put.Version},
+		{Tombstone: true},
+		{Version: del.Version, Tombstone: true},
+	}
+	if len(resp.Records) != len(want) {
+		t.Fatalf("multi-get of %d keys answered %d records", len(keys), len(resp.Records))
+	}
+	for i, w := range want {
+		got := resp.Records[i]
+		if !bytes.Equal(got.Value, w.Value) || got.Version != w.Version || got.Tombstone != w.Tombstone {
+			t.Errorf("key %q = %+v, want %+v", keys[i].Key, got, w)
+		}
+	}
+	if got := n.ReadCount() - reads; got != int64(len(keys)) {
+		t.Errorf("multi-get of %d keys counted %d reads", len(keys), got)
+	}
+	resp = n.Serve(rpc.Request{Method: rpc.MethodBatch, Namespace: "../bad", Records: keys})
+	if resp.Error() == nil || resp.Records != nil {
+		t.Fatalf("multi-get of an unknown namespace = %+v, want one error", resp)
+	}
+}
+
 func TestNodeScanBoundedAndOrdered(t *testing.T) {
 	n := newTestNode(t, "n1")
 	for i := 0; i < 50; i++ {

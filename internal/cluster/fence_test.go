@@ -57,15 +57,6 @@ func TestFenceRejectsWritesInRangeOnly(t *testing.T) {
 		t.Fatalf("read through fence: %v", resp.Error())
 	}
 
-	// Batched sub-requests are checked individually.
-	resp = n.Serve(rpc.Request{Method: rpc.MethodBatch, Batch: []rpc.Request{
-		{Method: rpc.MethodPut, Namespace: ns, Key: []byte("c"), Value: []byte("v")},
-		{Method: rpc.MethodPut, Namespace: ns, Key: []byte("e"), Value: []byte("v")},
-	}})
-	if !rpc.IsFenced(resp.Batch[0].Error()) || resp.Batch[1].Error() != nil {
-		t.Fatalf("batch = [%v, %v]", resp.Batch[0].Error(), resp.Batch[1].Error())
-	}
-
 	// Lift: writes flow again; lifting twice is harmless.
 	for i := 0; i < 2; i++ {
 		resp = n.Serve(rpc.Request{

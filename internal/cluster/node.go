@@ -71,7 +71,7 @@ func (n *Node) Serve(req rpc.Request) rpc.Response {
 	case rpc.MethodStats:
 		return n.stats(req)
 	case rpc.MethodBatch:
-		return rpc.ServeBatch(n, req)
+		return n.getMany(req)
 	default:
 		return rpc.Unimplemented(req)
 	}
@@ -101,6 +101,32 @@ func (n *Node) get(req rpc.Request) rpc.Response {
 		return rpc.Response{Found: false, Version: rec.Version}
 	}
 	return rpc.Response{Found: true, Value: rec.Value, Version: rec.Version}
+}
+
+// getMany serves a multi-get: each key of req.Records is answered in
+// order with what get would return, a key with no live row as a
+// tombstone at its tombstone's version (0 if it was never written).
+// Any error fails the whole request; the router then reads key by key.
+func (n *Node) getMany(req rpc.Request) rpc.Response {
+	n.reads.Add(int64(len(req.Records)))
+	ns, errResp, ok := n.namespace(req.Namespace)
+	if !ok {
+		return errResp
+	}
+	out := make([]record.Record, len(req.Records))
+	for i, key := range req.Records {
+		rec, found, err := ns.GetRecord(key.Key)
+		if err != nil {
+			return rpc.Response{Err: rpc.ErrString(err)}
+		}
+		out[i].Version = rec.Version
+		if !found || rec.Tombstone {
+			out[i].Tombstone = true
+		} else {
+			out[i].Value = rec.Value
+		}
+	}
+	return rpc.Response{Found: true, Records: out}
 }
 
 func (n *Node) put(req rpc.Request) rpc.Response {

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -385,41 +386,62 @@ func TestGetBatchFallbackSharesOneBudget(t *testing.T) {
 
 // TestGetBatchWritePrimaryNeverReadsASecondary: under WritePrimary a
 // batch whose primary is unreachable waits for it, or gives up after one
-// budget, and never answers from the secondary as ReadPrimary would.
+// budget, and never answers from the secondary as ReadPrimary would. A
+// multi-get the primary answers with an error, or with the wrong number
+// of records, sends every key down the single-key path, where the keys
+// share one budget.
 func TestGetBatchWritePrimaryNeverReadsASecondary(t *testing.T) {
 	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	row := rpc.Response{Found: true, Value: []byte("v"), Version: 1}
+	rows := func(n int) (rpc.Response, error) {
+		return rpc.Response{Found: true, Records: slices.Repeat([]record.Record{{Value: row.Value, Version: row.Version}}, n)}, nil
+	}
 	for _, tc := range []struct {
 		name    string
 		downFor time.Duration // how long n1 stays unreachable
+		multi   func(rpc.Request) (rpc.Response, error)
 		wantOK  bool
 	}{
 		{name: "the primary comes back: the batch waits", downFor: 3 * rpc.DownRetryPause, wantOK: true},
 		{name: "the primary stays down: the batch gives up", downFor: time.Hour},
+		{
+			name:    "the multi-get fails: every key reads alone, under one budget",
+			downFor: time.Hour,
+			multi:   func(rpc.Request) (rpc.Response, error) { return wireErr(errors.New("storage: disk on fire")) },
+		},
+		{
+			name:    "the multi-get answers short: every key reads alone, under one budget",
+			downFor: time.Hour,
+			multi:   func(req rpc.Request) (rpc.Response, error) { return rows(len(req.Records) - 1) },
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var rig *retryRig
+			gets := map[string]int{}
 			rig = newRetryRig(t, func(addr string, req rpc.Request) (rpc.Response, error) {
 				if addr != "n1" {
 					t.Errorf("%s was asked under WritePrimary", addr)
+				}
+				if req.Method == rpc.MethodBatch && tc.multi != nil {
+					return tc.multi(req)
+				}
+				if req.Method == rpc.MethodGet {
+					gets[string(req.Key)]++
 				}
 				if rig.elapsed() < tc.downFor {
 					return rpc.Response{}, rpc.ErrUnreachable
 				}
 				if req.Method == rpc.MethodBatch {
-					out := make([]rpc.Response, len(req.Batch))
-					for i := range out {
-						out[i] = rpc.Response{Found: true, Value: []byte("v"), Version: 1}
-					}
-					return rpc.Response{Batch: out}, nil
+					return rows(len(req.Records))
 				}
-				return rpc.Response{Found: true, Value: []byte("v"), Version: 1}, nil
+				return row, nil
 			})
 			res, err := rig.router.GetBatch("ns", keys, WritePrimary)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, r := range res {
-				if tc.wantOK && (r.Err != nil || !r.Found) {
+				if tc.wantOK && (r.Err != nil || !r.Found || string(r.Value) != "v") {
 					t.Fatalf("key %d: %+v, want the primary's row", i, r)
 				}
 				if !tc.wantOK && !errors.Is(r.Err, ErrNoReplicaAvailable) {
@@ -428,6 +450,13 @@ func TestGetBatchWritePrimaryNeverReadsASecondary(t *testing.T) {
 			}
 			if !tc.wantOK && rig.elapsed() != rpc.DownRetryBudget {
 				t.Fatalf("gave up after %v, want one budget of %v", rig.elapsed(), rpc.DownRetryBudget)
+			}
+			if tc.multi != nil {
+				for _, k := range keys {
+					if gets[string(k)] == 0 {
+						t.Errorf("key %q never read alone after the multi-get failed", k)
+					}
+				}
 			}
 		})
 	}

@@ -140,17 +140,18 @@ type GetResult struct {
 
 // GetBatch reads many keys from their ranges' primaries with at most
 // one request per storage node: keys are grouped by primary and fetched
-// through one MethodBatch envelope per node, so a coordinator-side
+// through one MethodBatch multi-get per node, so a coordinator-side
 // multi-get costs a handful of round-trips instead of one per key.
-// Keys the envelope did not answer cleanly (node down, unreachable or
-// shedding, malformed reply, per-key error) fall back to the single-key
-// path under policy, one retry budget per node group — the keys of a
-// crashed primary typically share its range, and a permanent fault must
-// cost one budget per group, not per key. Under ReadPrimary, between a
-// primary's crash and the failover that flips the map its keys cost one
-// round trip each, to the next replica, instead of one envelope: the
-// envelope is not failed over, because the group shares a primary, not
-// a replica list. Under WritePrimary they wait for the primary instead.
+// When a node's multi-get fails (node down, unreachable or shedding, an
+// error reading any key, a malformed reply), its keys fall back to the
+// single-key path under policy, one retry budget per node group — the
+// keys of a crashed primary typically share its range, and a permanent
+// fault must cost one budget per group, not per key. Under ReadPrimary,
+// between a primary's crash and the failover that flips the map its
+// keys cost one round trip each, to the next replica, instead of one
+// multi-get: the multi-get is not failed over, because the group shares
+// a primary, not a replica list. Under WritePrimary they wait for the
+// primary instead.
 // The returned slice matches keys positionally; per-key failures are
 // reported in GetResult.Err rather than aborting the batch.
 func (r *Router) GetBatch(namespace string, keys [][]byte, policy ReadPolicy) ([]GetResult, error) {
@@ -203,36 +204,35 @@ func (r *Router) GetBatch(namespace string, keys [][]byte, policy ReadPolicy) ([
 }
 
 // getGroup reads the keys at idxs (every key when idxs is nil), whose
-// node is node, in one request to it, and writes their results to out.
-// A key the request did not answer cleanly falls back to the single-key
-// path under policy; the group's fallbacks share one retry budget.
+// node is node, in one request to it — a get for one key, a multi-get
+// for more — and writes their results to out. If the request fails,
+// every key falls back to the single-key path under policy, sharing one
+// retry budget.
 func (r *Router) getGroup(namespace, node string, keys [][]byte, idxs []int, policy ReadPolicy, out []GetResult) {
 	n, at := len(keys), func(j int) int { return j }
 	if idxs != nil {
 		n, at = len(idxs), func(j int) int { return idxs[j] }
 	}
-	var resps []rpc.Response
 	if n == 1 {
 		if resp, err := r.sendTo(node, rpc.Request{Method: rpc.MethodGet, Namespace: namespace, Key: keys[at(0)]}); err == nil {
-			resps = []rpc.Response{resp}
+			out[at(0)] = GetResult{Value: resp.Value, Version: resp.Version, Found: resp.Found}
+			return
 		}
 	} else {
-		subs := make([]rpc.Request, n)
-		for j := range subs {
-			subs[j] = rpc.Request{Method: rpc.MethodGet, Namespace: namespace, Key: keys[at(j)]}
+		req := rpc.Request{Method: rpc.MethodBatch, Namespace: namespace, Records: make([]record.Record, n)}
+		for j := range req.Records {
+			req.Records[j].Key = keys[at(j)]
 		}
-		if resp, err := r.sendTo(node, rpc.Request{Method: rpc.MethodBatch, Batch: subs}); err == nil && len(resp.Batch) == n {
-			resps = resp.Batch
+		if resp, err := r.sendTo(node, req); err == nil && len(resp.Records) == n {
+			for j, rec := range resp.Records {
+				out[at(j)] = GetResult{Value: rec.Value, Version: rec.Version, Found: !rec.Tombstone}
+			}
+			return
 		}
 	}
 	var b budget
 	for j := range n {
-		i := at(j)
-		if resps == nil || resps[j].Err != "" {
-			out[i] = r.get(namespace, keys[i], policy, &b, nil)
-			continue
-		}
-		out[i] = GetResult{Value: resps[j].Value, Version: resps[j].Version, Found: resps[j].Found}
+		out[at(j)] = r.get(namespace, keys[at(j)], policy, &b, nil)
 	}
 }
 

@@ -17,12 +17,17 @@ import (
 	"scads/internal/record"
 )
 
-// keyEcho answers a get (alone or in a batch) with its key as the value.
+// keyEcho answers a get, or each key of a multi-get, with its key as
+// the value.
 func keyEcho(req Request) Response {
-	if req.Method == MethodBatch {
-		return ServeBatch(HandlerFunc(keyEcho), req)
+	if req.Method != MethodBatch {
+		return Response{Found: true, Value: req.Key}
 	}
-	return Response{Found: true, Value: req.Key}
+	recs := make([]record.Record, len(req.Records))
+	for i, key := range req.Records {
+		recs[i].Value = key.Key
+	}
+	return Response{Found: true, Records: recs}
 }
 
 // echoes reports whether resp is keyEcho's answer to req.
@@ -30,11 +35,11 @@ func echoes(req Request, resp Response) bool {
 	if req.Method != MethodBatch {
 		return bytes.Equal(resp.Value, req.Key)
 	}
-	if len(resp.Batch) != len(req.Batch) {
+	if len(resp.Records) != len(req.Records) {
 		return false
 	}
-	for i := range req.Batch {
-		if !bytes.Equal(resp.Batch[i].Value, req.Batch[i].Key) {
+	for i := range req.Records {
+		if !bytes.Equal(resp.Records[i].Value, req.Records[i].Key) {
 			return false
 		}
 	}
@@ -65,22 +70,19 @@ func readGetResponse(t *testing.T, peer *framedConn, id int) {
 }
 
 func TestInlinePointReadRule(t *testing.T) {
-	get := Request{Method: MethodGet}
 	for _, c := range []struct {
-		req  Request
-		want bool
+		method string
+		want   bool
 	}{
-		{get, true},
-		{Request{Method: MethodBatch, Batch: []Request{get, get}}, true},
-		{Request{Method: MethodBatch, Batch: []Request{get, {Method: MethodPut}}}, false},
-		{Request{Method: MethodBatch, Batch: []Request{{Method: MethodBatch, Batch: []Request{get}}}}, false},
-		{Request{Method: MethodPut}, false},
-		{Request{Method: MethodScan}, false},
-		{Request{Method: MethodApply}, false},
-		{Request{Method: MethodPing}, false},
+		{MethodGet, true},
+		{MethodBatch, true},
+		{MethodPut, false},
+		{MethodScan, false},
+		{MethodApply, false},
+		{MethodPing, false},
 	} {
-		if got := isPointRead(&c.req); got != c.want {
-			t.Errorf("isPointRead(%s %v) = %v, want %v", c.req.Method, c.req.Batch, got, c.want)
+		if got := isPointRead(&Request{Method: c.method}); got != c.want {
+			t.Errorf("isPointRead(%s) = %v, want %v", c.method, got, c.want)
 		}
 	}
 }
@@ -151,8 +153,8 @@ func TestInlineGetsOneWriteForBurst(t *testing.T) {
 }
 
 // TestInlineGetsOvertakeParkedScan: with a scan parked in its handler,
-// gets and an all-get batch behind it on the same connection are
-// answered — the scan holds a goroutine, not the read loop.
+// gets and a multi-get behind it on the same connection are answered —
+// the scan holds a goroutine, not the read loop.
 func TestInlineGetsOvertakeParkedScan(t *testing.T) {
 	h := &slowHandler{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	s := NewServer(h)
@@ -177,9 +179,9 @@ func TestInlineGetsOvertakeParkedScan(t *testing.T) {
 			t.Fatalf("get %d behind a parked scan = %+v, %v", i, resp, err)
 		}
 	}
-	batch := Request{Method: MethodBatch, Batch: []Request{{Method: MethodGet}, {Method: MethodGet}}}
-	if resp, err := tr.Call(addr, batch); err != nil || !resp.Found {
-		t.Fatalf("get batch behind a parked scan = %+v, %v", resp, err)
+	multi := Request{Method: MethodBatch, Records: []record.Record{{Key: []byte("a")}, {Key: []byte("b")}}}
+	if resp, err := tr.Call(addr, multi); err != nil || !resp.Found {
+		t.Fatalf("multi-get behind a parked scan = %+v, %v", resp, err)
 	}
 	if n := tr.numConns(); n != 1 {
 		t.Fatalf("calls escaped to %d conns; want overtaking on the 1 shared conn", n)
@@ -192,44 +194,6 @@ func TestInlineGetsOvertakeParkedScan(t *testing.T) {
 	release()
 	if resp := <-slowDone; string(resp.Value) != "slow" {
 		t.Fatalf("parked scan resp = %+v", resp)
-	}
-}
-
-// TestInlineMixedBatchGoesToHandlerGoroutine: a batch with a put in it
-// is not a point read; parked in its handler, it leaves the read loop
-// free to answer a get sent after it.
-func TestInlineMixedBatchGoesToHandlerGoroutine(t *testing.T) {
-	entered, release := make(chan struct{}), make(chan struct{})
-	s := NewServer(HandlerFunc(func(req Request) Response {
-		if req.Method == MethodBatch {
-			close(entered)
-			<-release
-		}
-		return Response{Found: true}
-	}))
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	tr := NewTCPTransport()
-	tr.Timeout = 5 * time.Second
-	defer tr.Close()
-
-	mixed := Request{Method: MethodBatch, Batch: []Request{{Method: MethodGet}, {Method: MethodPut}}}
-	done := make(chan error, 1)
-	go func() {
-		_, err := tr.Call(addr, mixed)
-		done <- err
-	}()
-	<-entered
-	resp, err := tr.Call(addr, Request{Method: MethodGet})
-	close(release)
-	if err != nil || !resp.Found {
-		t.Fatalf("get behind a parked get+put batch = %+v, %v (batch served on the read loop?)", resp, err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("get+put batch: %v", err)
 	}
 }
 
@@ -268,11 +232,10 @@ func TestServerCloseJoinsInlineServe(t *testing.T) {
 
 // TestInlineGetsKeepParkedRequestIntact: a request served on a handler
 // goroutine owns its bytes, while point reads borrow theirs from the
-// read buffer. With an apply — or a batch holding a put — parked in its
-// handler, pipelined point reads with distinct keys (single gets, or
-// batches of gets) refill the connection's read buffer over the frame
-// it arrived in; released, the handler still sees exactly what was
-// sent.
+// read buffer. With an apply parked in its handler, pipelined point
+// reads with distinct keys (gets and multi-gets) refill the
+// connection's read buffer over the frame it arrived in; released, the
+// handler still sees exactly what was sent.
 func TestInlineGetsKeepParkedRequestIntact(t *testing.T) {
 	long := func(s string) []byte { return bytes.Repeat([]byte(s), 100) }
 	for _, c := range []struct {
@@ -289,19 +252,12 @@ func TestInlineGetsKeepParkedRequestIntact(t *testing.T) {
 					{Key: []byte("rec-key-3"), Value: long("b"), Version: 9},
 				}},
 			flood: func(i int) Request {
-				return Request{Method: MethodGet, Namespace: "users", Key: []byte(fmt.Sprintf("flood-get-%03d", i))}
-			},
-		},
-		{
-			name: "batch",
-			parked: Request{Method: MethodBatch, Batch: []Request{
-				{Method: MethodGet, Namespace: "users", Key: []byte("batch-get")},
-				{Method: MethodPut, Namespace: "users", Key: []byte("batch-put"), Value: long("p")},
-			}},
-			flood: func(i int) Request {
-				return Request{Method: MethodBatch, Batch: []Request{
-					{Method: MethodGet, Namespace: "users", Key: []byte(fmt.Sprintf("flood-batch-%03d-a", i))},
-					{Method: MethodGet, Namespace: "users", Key: []byte(fmt.Sprintf("flood-batch-%03d-b", i))},
+				if i%2 == 0 {
+					return Request{Method: MethodGet, Namespace: "users", Key: []byte(fmt.Sprintf("flood-get-%03d", i))}
+				}
+				return Request{Method: MethodBatch, Namespace: "users", Records: []record.Record{
+					{Key: []byte(fmt.Sprintf("flood-multi-%03d-a", i))},
+					{Key: []byte(fmt.Sprintf("flood-multi-%03d-b", i))},
 				}}
 			},
 		},

@@ -10,13 +10,13 @@
 // through the Transport interface, so experiments can swap real sockets
 // for simulated ones without touching any other layer.
 //
-// Envelopes: MethodBatch carries independent sub-requests
-// (Request.Batch) answered positionally (Response.Batch). Handlers
-// support it by delegating to ServeBatch. Callers that hold several
-// requests for one node at once build the envelope themselves (the
-// router's GetBatch sends one per node); every other call travels
-// alone, and concurrent calls to one address share a connection whose
-// writer packs their frames into one socket write.
+// Multi-get: MethodBatch reads many keys of one namespace in one call.
+// The keys ride in Request.Records (key only), and the node answers
+// each in order in Response.Records with the value and version a get
+// would return (a tombstone for a key with no live row). The router's
+// GetBatch sends one per node; every other call travels alone, and
+// concurrent calls to one address share a connection whose writer
+// packs their frames into one socket write.
 package rpc
 
 import (
@@ -40,7 +40,7 @@ const (
 	MethodSwap      = "swap"      // apply pre-versioned records at their primary, answer the record each displaced
 	MethodDropRange = "droprange" // partition move cleanup
 	MethodStats     = "stats"
-	MethodBatch     = "batch" // envelope: independent sub-requests answered positionally
+	MethodBatch     = "batch" // multi-get: Request.Records' keys, answered in order in Response.Records
 
 	// Online range migration (snapshot → delta catch-up → fence):
 	// MethodRangeSnapshot pages a range's records (tombstones included)
@@ -78,24 +78,12 @@ var controlMethods = map[string]bool{
 // entitled to the server's reserved handler headroom.
 func IsControlMethod(method string) bool { return controlMethods[method] }
 
-// isPointRead reports whether req is a point read: a MethodGet, or a
-// MethodBatch whose every sub-request is one (the router's GetBatch
-// envelope). The server serves point reads on the connection's read
+// isPointRead reports whether req is a point read: a get or a
+// multi-get. The server serves point reads on the connection's read
 // loop instead of on a handler goroutine of their own, with their byte
 // fields borrowed from its read buffer (see Handler).
 func isPointRead(req *Request) bool {
-	switch req.Method {
-	case MethodGet:
-		return true
-	case MethodBatch:
-		for i := range req.Batch {
-			if req.Batch[i].Method != MethodGet {
-				return false
-			}
-		}
-		return true
-	}
-	return false
+	return req.Method == MethodGet || req.Method == MethodBatch
 }
 
 // Request is the single request envelope for all methods. Unused
@@ -132,7 +120,7 @@ type Request struct {
 	Preds      []ScanPred
 
 	// Records carries pre-versioned writes for MethodApply and
-	// MethodSwap.
+	// MethodSwap, and the keys of a MethodBatch multi-get.
 	Records []record.Record
 
 	// Since and Epoch carry the delta baseline for MethodRangeDelta:
@@ -145,9 +133,6 @@ type Request struct {
 	// Fence selects install (true) or lift (false) for
 	// MethodRangeFence.
 	Fence bool
-
-	// Batch carries the sub-requests of a MethodBatch envelope.
-	Batch []Request
 }
 
 // Response is the reply envelope.
@@ -180,10 +165,6 @@ type Response struct {
 	// snapshot continues. A delta continues from Watermark instead.
 	More   bool
 	Resume []byte
-
-	// Batch carries the sub-responses of a MethodBatch envelope,
-	// positionally matching Request.Batch.
-	Batch []Response
 }
 
 // ErrString converts an error to the wire representation.
@@ -203,8 +184,8 @@ func (r *Response) Error() error {
 }
 
 // Handler processes one request. Implementations must be safe for
-// concurrent use. A point read's byte fields (isPointRead: a get, or a
-// batch of gets only) are lent for the call: the TCP server decodes
+// concurrent use. A point read's byte fields (isPointRead: a get or a
+// multi-get) are lent for the call: the TCP server decodes
 // them in place in its read buffer, which it reads into again once
 // Serve returns, so Serve must copy any of them it keeps. The response
 // may alias them. Every other request owns its bytes.
@@ -420,21 +401,6 @@ func (p ScanPred) Match(encoded []byte) bool {
 	default:
 		return false
 	}
-}
-
-// ServeBatch dispatches each sub-request of a MethodBatch envelope
-// through h and assembles the positionally matched replies. Handlers
-// add batch support with a single `case MethodBatch: return
-// rpc.ServeBatch(h, req)`. It keeps nothing of req, so an all-get
-// batch stays within the Handler contract when h does.
-func ServeBatch(h Handler, req Request) Response {
-	out := Response{ID: req.ID, Found: true, Batch: make([]Response, len(req.Batch))}
-	for i, sub := range req.Batch {
-		resp := h.Serve(sub)
-		resp.ID = sub.ID
-		out.Batch[i] = resp
-	}
-	return out
 }
 
 // BatcherStats is always zero: no transport coalesces calls. It keeps

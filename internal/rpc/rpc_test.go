@@ -256,26 +256,6 @@ func TestLocalTransportApplyDown(t *testing.T) {
 	}
 }
 
-func TestServeBatchPositional(t *testing.T) {
-	h := HandlerFunc(func(req Request) Response {
-		return Response{Found: true, Value: append([]byte("v:"), req.Key...)}
-	})
-	req := Request{ID: 9, Method: MethodBatch, Batch: []Request{
-		{ID: 1, Method: MethodGet, Key: []byte("a")},
-		{ID: 2, Method: MethodGet, Key: []byte("b")},
-	}}
-	resp := ServeBatch(h, req)
-	if resp.ID != 9 || len(resp.Batch) != 2 {
-		t.Fatalf("resp = %+v", resp)
-	}
-	if resp.Batch[0].ID != 1 || string(resp.Batch[0].Value) != "v:a" {
-		t.Fatalf("sub 0 = %+v", resp.Batch[0])
-	}
-	if resp.Batch[1].ID != 2 || string(resp.Batch[1].Value) != "v:b" {
-		t.Fatalf("sub 1 = %+v", resp.Batch[1])
-	}
-}
-
 func BenchmarkTCPPing(b *testing.B) {
 	h := newEchoHandler()
 	s := NewServer(h)

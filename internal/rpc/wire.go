@@ -16,8 +16,7 @@ package rpc
 // Decoders never trust a length or count before checking it against
 // the bytes actually present, so a truncated or corrupted frame (or a
 // hostile one claiming a multi-gigabyte payload) errors out without
-// over-allocating and without panicking; batch nesting is depth-capped
-// the same way.
+// over-allocating and without panicking.
 //
 // Memory ownership is deliberately asymmetric between the two
 // directions:
@@ -62,7 +61,7 @@ const (
 	// wireVersion is the first byte of every frame; bump on any
 	// incompatible layout change so mismatched peers fail fast with a
 	// clear error instead of a garbled decode.
-	wireVersion = 1
+	wireVersion = 2
 
 	// maxFrameSize bounds one frame: a corrupt or hostile length
 	// prefix does not get to allocate gigabytes, and both encode
@@ -77,11 +76,6 @@ const (
 	// that grew past it are left for the GC so one giant frame does
 	// not permanently inflate the pool.
 	maxPooledFrame = 1 << 20
-
-	// maxBatchDepth bounds MethodBatch nesting so a hostile frame
-	// cannot recurse the decoder into stack exhaustion. Real traffic
-	// nests exactly one envelope deep.
-	maxBatchDepth = 4
 )
 
 // errCorruptFrame is the decode-failure class: the peer spoke the
@@ -263,11 +257,9 @@ func (r *wireReader) name() (string, error) {
 // up-front allocation nor grow memory faster than the attacker
 // supplies actual parseable bytes.
 const (
-	minWireString   = 1  // length byte
-	minWirePred     = 3  // column len + op + value len
-	minWireRecord   = 4  // flags + version + key len + value len
-	minWireRequest  = 16 // every fixed field at its zero encoding
-	minWireResponse = 13
+	minWireString = 1 // length byte
+	minWirePred   = 3 // column len + op + value len
+	minWireRecord = 4 // flags + version + key len + value len
 )
 
 // maxPrealloc caps the capacity hint decode passes to make for
@@ -329,15 +321,9 @@ func appendRequest(dst []byte, req *Request) []byte {
 	dst = binary.AppendUvarint(dst, req.Since)
 	dst = binary.AppendUvarint(dst, req.Epoch)
 	if req.Fence {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
+		return append(dst, 1)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(req.Batch)))
-	for i := range req.Batch {
-		dst = appendRequest(dst, &req.Batch[i])
-	}
-	return dst
+	return append(dst, 0)
 }
 
 func readMethod(r *wireReader) (string, error) {
@@ -354,10 +340,7 @@ func readMethod(r *wireReader) (string, error) {
 	return methodNames[code], nil
 }
 
-func readRequest(r *wireReader, depth int, req *Request) error {
-	if depth > maxBatchDepth {
-		return fmt.Errorf("%w: batch nesting exceeds depth %d", errCorruptFrame, maxBatchDepth)
-	}
+func readRequest(r *wireReader, req *Request) error {
 	var err error
 	if req.ID, err = r.uvarint(); err != nil {
 		return err
@@ -437,19 +420,6 @@ func readRequest(r *wireReader, depth int, req *Request) error {
 		return err
 	}
 	req.Fence = fence != 0
-	if n, err = r.count(minWireRequest); err != nil {
-		return err
-	}
-	if n > 0 {
-		req.Batch = make([]Request, 0, preallocHint(n))
-		for i := 0; i < n; i++ {
-			var sub Request
-			if err := readRequest(r, depth+1, &sub); err != nil {
-				return err
-			}
-			req.Batch = append(req.Batch, sub)
-		}
-	}
 	return nil
 }
 
@@ -497,18 +467,10 @@ func appendResponse(dst []byte, resp *Response) []byte {
 	dst = binary.AppendUvarint(dst, resp.Watermark)
 	dst = binary.AppendUvarint(dst, resp.Epoch)
 	dst = appendVarint(dst, int64(resp.Fenced))
-	dst = appendBlob(dst, resp.Resume)
-	dst = binary.AppendUvarint(dst, uint64(len(resp.Batch)))
-	for i := range resp.Batch {
-		dst = appendResponse(dst, &resp.Batch[i])
-	}
-	return dst
+	return appendBlob(dst, resp.Resume)
 }
 
-func readResponse(r *wireReader, depth int, resp *Response) error {
-	if depth > maxBatchDepth {
-		return fmt.Errorf("%w: batch nesting exceeds depth %d", errCorruptFrame, maxBatchDepth)
-	}
+func readResponse(r *wireReader, resp *Response) error {
 	var err error
 	if resp.ID, err = r.uvarint(); err != nil {
 		return err
@@ -550,24 +512,8 @@ func readResponse(r *wireReader, depth int, resp *Response) error {
 		return err
 	}
 	resp.Fenced = int(fenced)
-	if resp.Resume, err = r.blob(); err != nil {
-		return err
-	}
-	n, err := r.count(minWireResponse)
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		resp.Batch = make([]Response, 0, preallocHint(n))
-		for i := 0; i < n; i++ {
-			var sub Response
-			if err := readResponse(r, depth+1, &sub); err != nil {
-				return err
-			}
-			resp.Batch = append(resp.Batch, sub)
-		}
-	}
-	return nil
+	resp.Resume, err = r.blob()
+	return err
 }
 
 // checkFramePayload validates the version byte and returns the message
@@ -594,7 +540,7 @@ func decodeRequestBorrowed(b []byte, names map[string]string) (Request, error) {
 	}
 	r := wireReader{b: msg, names: names}
 	var req Request
-	if err := readRequest(&r, 0, &req); err != nil {
+	if err := readRequest(&r, &req); err != nil {
 		return Request{}, err
 	}
 	if r.len() != 0 {
@@ -603,10 +549,9 @@ func decodeRequestBorrowed(b []byte, names map[string]string) (Request, error) {
 	return req, nil
 }
 
-// detachRequest copies every byte field of req, its batch's included,
-// into one arena of exactly their total size, so the request no longer
-// aliases the frame it was decoded from. A request without byte fields
-// allocates nothing.
+// detachRequest copies every byte field of req into one arena of
+// exactly their total size, so the request no longer aliases the frame
+// it was decoded from. A request without byte fields allocates nothing.
 func detachRequest(req *Request) {
 	if n := requestBytes(req); n > 0 {
 		a := arena(make([]byte, 0, n))
@@ -628,19 +573,12 @@ func requestBytes(req *Request) int {
 	for _, p := range req.Preds {
 		n += len(p.Value)
 	}
-	for i := range req.Batch {
-		n += requestBytes(&req.Batch[i])
-	}
 	return n
 }
 
 // responseBytes is the total length of resp's byte fields.
 func responseBytes(resp *Response) int {
-	n := len(resp.Value) + len(resp.Resume) + recordBytes(resp.Records)
-	for i := range resp.Batch {
-		n += responseBytes(&resp.Batch[i])
-	}
-	return n
+	return len(resp.Value) + len(resp.Resume) + recordBytes(resp.Records)
 }
 
 func recordBytes(recs []record.Record) int {
@@ -664,18 +602,12 @@ func (a *arena) detachRequest(req *Request) {
 		req.Preds[i].Value = a.copy(req.Preds[i].Value)
 	}
 	a.records(req.Records)
-	for i := range req.Batch {
-		a.detachRequest(&req.Batch[i])
-	}
 }
 
 func (a *arena) detachResponse(resp *Response) {
 	resp.Value = a.copy(resp.Value)
 	resp.Resume = a.copy(resp.Resume)
 	a.records(resp.Records)
-	for i := range resp.Batch {
-		a.detachResponse(&resp.Batch[i])
-	}
 }
 
 func (a *arena) records(recs []record.Record) {
@@ -704,7 +636,7 @@ func decodeResponse(b []byte) (Response, error) {
 	}
 	r := wireReader{b: msg}
 	var resp Response
-	if err := readResponse(&r, 0, &resp); err != nil {
+	if err := readResponse(&r, &resp); err != nil {
 		return Response{}, err
 	}
 	if r.len() != 0 {

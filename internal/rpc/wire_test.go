@@ -11,8 +11,7 @@ import (
 	"scads/internal/record"
 )
 
-// fullRequest exercises every Request field, including one level of
-// batch nesting.
+// fullRequest exercises every Request field.
 func fullRequest() Request {
 	return Request{
 		ID:         42,
@@ -35,10 +34,6 @@ func fullRequest() Request {
 		Since: 12345,
 		Epoch: 6789,
 		Fence: true,
-		Batch: []Request{
-			{Method: MethodGet, Namespace: "ns", Key: []byte("bk")},
-			{Method: MethodPut, Key: []byte("bk2"), Value: []byte("bv2")},
-		},
 	}
 }
 
@@ -57,10 +52,6 @@ func fullResponse() Response {
 		Fenced:      3,
 		More:        true,
 		Resume:      []byte("resume-key"),
-		Batch: []Response{
-			{Found: true, Value: []byte("b1")},
-			{Err: "sub failure"},
-		},
 	}
 }
 
@@ -149,9 +140,8 @@ func TestWireMethodCodes(t *testing.T) {
 	}
 }
 
-// randomRequest builds a randomized request; depth bounds batch
-// nesting.
-func randomRequest(rng *rand.Rand, depth int) Request {
+// randomRequest builds a randomized request.
+func randomRequest(rng *rand.Rand) Request {
 	blob := func() []byte {
 		n := rng.Intn(16)
 		if n == 0 {
@@ -184,11 +174,6 @@ func randomRequest(rng *rand.Rand, depth int) Request {
 			Key: blob(), Value: blob(), Version: rng.Uint64(), Tombstone: rng.Intn(2) == 0,
 		})
 	}
-	if depth > 0 {
-		for i := rng.Intn(3); i > 0; i-- {
-			req.Batch = append(req.Batch, randomRequest(rng, depth-1))
-		}
-	}
 	return req
 }
 
@@ -197,7 +182,7 @@ func randomRequest(rng *rand.Rand, depth int) Request {
 func TestWireRequestPropertyRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
-		req := randomRequest(rng, 2)
+		req := randomRequest(rng)
 		got := roundTripRequest(t, req)
 		if !reflect.DeepEqual(req, got) {
 			t.Fatalf("iteration %d mismatch:\n have %+v\n want %+v", i, got, req)
@@ -287,24 +272,6 @@ func TestWireCorruptVarints(t *testing.T) {
 	}
 }
 
-// TestWireBatchDepthLimit: a frame nesting batches past maxBatchDepth
-// must be rejected (stack-exhaustion guard).
-func TestWireBatchDepthLimit(t *testing.T) {
-	req := Request{Method: MethodPing}
-	for i := 0; i < maxBatchDepth+2; i++ {
-		req = Request{Method: MethodBatch, Batch: []Request{req}}
-	}
-	bp, err := encodeRequestFrame(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := append([]byte(nil), (*bp)[4:]...)
-	putFrameBuf(bp)
-	if _, err := decodeRequest(payload); err == nil {
-		t.Fatal("over-deep batch nesting decoded")
-	}
-}
-
 // TestWireVersionMismatch: a frame with the wrong version byte fails
 // fast with a version error, not a garbled decode.
 func TestWireVersionMismatch(t *testing.T) {
@@ -330,8 +297,15 @@ func TestWireTrailingJunk(t *testing.T) {
 	}
 }
 
+// multiGet is a multi-get and its answer: one live key, one tombstone.
+func multiGet() (Request, Response) {
+	return Request{Method: MethodBatch, Namespace: "users", Records: []record.Record{{Key: []byte("a")}, {Key: []byte("b")}}},
+		Response{Found: true, Records: []record.Record{{Value: []byte("va"), Version: 3}, {Version: 4, Tombstone: true}}}
+}
+
 func FuzzDecodeRequest(f *testing.F) {
-	for _, req := range []Request{fullRequest(), {Method: MethodPing}, {Method: "x"}} {
+	multi, _ := multiGet()
+	for _, req := range []Request{fullRequest(), multi, {Method: MethodPing}, {Method: "x"}} {
 		bp, err := encodeRequestFrame(&req)
 		if err != nil {
 			f.Fatal(err)
@@ -364,7 +338,8 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 func FuzzDecodeResponse(f *testing.F) {
-	for _, resp := range []Response{fullResponse(), {}} {
+	_, multi := multiGet()
+	for _, resp := range []Response{fullResponse(), multi, {}} {
 		bp := encodeResponseFrame(&resp)
 		f.Add(append([]byte(nil), (*bp)[4:]...))
 		putFrameBuf(bp)
