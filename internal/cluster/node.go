@@ -6,7 +6,6 @@ package cluster
 import (
 	"sync/atomic"
 
-	"scads/internal/keycodec"
 	"scads/internal/record"
 	"scads/internal/row"
 	"scads/internal/rpc"
@@ -190,6 +189,8 @@ const pageByteBudget = 4 << 20
 // that record's key is the resume point.
 type page struct {
 	pageBuf
+	cols    row.Columns // the row a filter or projection reads
+	elem    []byte      // the key element a filter compares
 	recs    []record.Record
 	limit   int
 	visited int
@@ -250,7 +251,7 @@ func (n *Node) scan(req rpc.Request) rpc.Response {
 			if p.full(r) {
 				return false
 			}
-			out, match, err := scanTransform(r, req.Projection, req.Preds, &p.pageBuf)
+			out, match, err := p.transform(r, req.Projection, req.Preds)
 			if err != nil {
 				xformErr = err
 				return false
@@ -318,47 +319,40 @@ func (p *pageBuf) record(r record.Record) record.Record {
 	return record.Record{Key: p.copy(r.Key), Value: p.copy(r.Value), Version: r.Version, Tombstone: r.Tombstone}
 }
 
-// scanTransform applies the pushed-down filter conjuncts and projection
-// to one live record, copying what it returns into page. Filters
+// transform applies the pushed-down filter conjuncts and projection to
+// one live record, copying what it returns into the page. Filters
 // compare keycodec encodings (byte order equals value order); a row
-// lacking a filtered column never matches. With a projection, the
-// returned record carries the narrowed row, encoded straight into the
-// page under the original version; without one the stored value passes
-// through untouched.
-func scanTransform(r record.Record, projection []string, preds []rpc.ScanPred, page *pageBuf) (record.Record, bool, error) {
+// lacking a filtered column never matches. The row is read in place:
+// a filter encodes only the column it tests, into the page's scratch
+// buffer, and a projection copies the columns it keeps, so the
+// returned record carries the narrowed row under the original version;
+// without one the stored value passes through untouched.
+func (p *page) transform(r record.Record, projection []string, preds []rpc.ScanPred) (record.Record, bool, error) {
 	if len(projection) == 0 && len(preds) == 0 {
-		return page.record(r), true, nil
+		return p.record(r), true, nil
 	}
-	decoded, err := row.Decode(r.Value)
-	if err != nil {
+	if err := p.cols.Reset(r.Value); err != nil {
 		return record.Record{}, false, err
 	}
-	for _, p := range preds {
-		v, ok := decoded[p.Column]
+	for _, pred := range preds {
+		v, ok := p.cols.Value(pred.Column)
 		if !ok {
 			return record.Record{}, false, nil
 		}
-		enc, err := keycodec.Append(nil, v)
-		if err != nil {
-			return record.Record{}, false, err
-		}
-		if !p.Match(enc) {
+		p.elem = row.AppendKeyElem(p.elem[:0], v, false)
+		if !pred.Match(p.elem) {
 			return record.Record{}, false, nil
 		}
 	}
 	if len(projection) == 0 {
-		return page.record(r), true, nil
+		return p.record(r), true, nil
 	}
 	// A narrowed row encodes to no more bytes than the stored one.
-	page.reserve(len(r.Key) + len(r.Value))
-	key := page.copy(r.Key)
-	start := len(page.buf)
-	buf, err := row.AppendEncode(page.buf, row.Project(decoded, projection))
-	if err != nil {
-		return record.Record{}, false, err
-	}
-	page.buf = buf
-	return record.Record{Key: key, Value: buf[start:len(buf):len(buf)], Version: r.Version}, true, nil
+	p.reserve(len(r.Key) + len(r.Value))
+	key := p.copy(r.Key)
+	start := len(p.buf)
+	p.buf = p.cols.AppendProject(p.buf, projection)
+	return record.Record{Key: key, Value: p.buf[start:len(p.buf):len(p.buf)], Version: r.Version}, true, nil
 }
 
 func (n *Node) apply(req rpc.Request) rpc.Response {

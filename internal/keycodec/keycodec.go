@@ -93,6 +93,12 @@ func AppendString(dst []byte, v string) []byte {
 	return appendEscaped(append(dst, tagString), v)
 }
 
+// AppendStringBytes appends the string v holds as AppendString does,
+// without making the string.
+func AppendStringBytes(dst, v []byte) []byte {
+	return appendEscaped(append(dst, tagString), v)
+}
+
 // AppendBytes appends an encoded byte slice to dst.
 func AppendBytes(dst []byte, v []byte) []byte {
 	return appendEscaped(append(dst, tagBytes), v)

@@ -28,6 +28,7 @@
 package migration
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -200,7 +201,8 @@ var ErrTargetDown = errors.New("migration: target node is not up")
 func (m *Manager) MoveRange(pm *partition.Map, namespace string, key []byte, plan func(partition.Range) ([]string, error)) error {
 	m.sem <- struct{}{}
 	defer func() { <-m.sem }()
-	unlock := m.lockRange(namespace, pm.Lookup(key).Start)
+	locked := pm.Lookup(key).Start
+	unlock := m.lockRange(namespace, locked)
 	defer unlock()
 	rng := pm.Lookup(key)
 	target, err := plan(rng)
@@ -210,7 +212,7 @@ func (m *Manager) MoveRange(pm *partition.Map, namespace string, key []byte, pla
 	case len(target) == 0:
 		return partition.ErrNeedReplicas
 	case slices.Equal(rng.Replicas, target):
-		m.retryPendingFor(namespace, rng)
+		m.retryPendingFor(namespace, rng, locked)
 		return nil
 	}
 	up := m.dir.Up()
@@ -227,6 +229,7 @@ func (m *Manager) MoveRange(pm *partition.Map, namespace string, key []byte, pla
 		m.event(Event{Phase: PhaseDone, Namespace: namespace, Start: rng.Start, End: rng.End, Target: target, Err: err})
 		return err
 	}
+	m.retryPendingFor(namespace, rng, locked)
 	m.succeeded.Add(1)
 	m.event(Event{Phase: PhaseDone, Namespace: namespace, Start: rng.Start, End: rng.End, Target: target})
 	return nil
@@ -249,7 +252,7 @@ func (m *Manager) RetryCleanups() int {
 	m.mu.Unlock()
 	for i, c := range work {
 		m.cleanupRetries.Add(1)
-		m.runCleanup(c.namespace, partition.Range{Start: c.start, End: c.end}, nodes[i])
+		m.runCleanup(c.namespace, partition.Range{Start: c.start, End: c.end}, nodes[i], false, nil)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -436,10 +439,10 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 		m.fenceNanos.Add(m.clk.Since(fencedAt).Nanoseconds())
 	}
 
-	// Teardown: tombstone the range on every node that lost it, plus
-	// any nodes left over from an earlier failed attempt. Failures are
-	// journaled and retried — the flip has happened, so the migration
-	// itself has succeeded.
+	// Teardown: journal the range's drop on every node that lost it;
+	// MoveRange runs the journal, with any nodes left over from an
+	// earlier failed attempt. Failures stay journaled and are retried —
+	// the flip has happened, so the migration itself has succeeded.
 	drops := diff(old, target)
 	m.event(Event{Phase: PhaseCleanup, Namespace: namespace, Start: rng.Start, End: rng.End, Target: target})
 	// The new owners must drop out of any stale teardown journaled by
@@ -448,7 +451,6 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 		m.forgetCleanup(namespace, rng, id)
 	}
 	m.journalCleanup(namespace, rng, drops)
-	m.retryPendingFor(namespace, rng)
 	return nil
 }
 
@@ -535,8 +537,17 @@ func (m *Manager) ship(donorAddr string, targets []nodeAddr, req rpc.Request, sh
 // and nodes that currently own any part of the range per the routing
 // map are forgotten without teardown — a stale journal entry must
 // never fence and truncate live data on a node that regained the
-// range after the teardown was journaled.
-func (m *Manager) runCleanup(namespace string, rng partition.Range, nodes []string) {
+// range after the teardown was journaled. It runs under the lock of
+// every current range overlapping rng (see lockOverlapping; when
+// holding, the caller holds the lock of the range starting at held),
+// so no move of those ranges can copy onto a node between its
+// ownership check and its drop.
+func (m *Manager) runCleanup(namespace string, rng partition.Range, nodes []string, holding bool, held []byte) {
+	unlock, ok := m.lockOverlapping(namespace, rng.Start, rng.End, holding, held)
+	if !ok {
+		return // stays journaled for RetryCleanups, which takes every lock
+	}
+	defer unlock()
 	for _, id := range nodes {
 		if _, known := m.dir.Get(id); !known {
 			// The node was removed from the cluster; its copy went
@@ -613,7 +624,9 @@ func (m *Manager) forgetCleanup(namespace string, rng partition.Range, node stri
 	}
 }
 
-func (m *Manager) retryPendingFor(namespace string, rng partition.Range) {
+// retryPendingFor runs the journaled teardown of rng's start, if any,
+// for a mover holding the lock of the range that starts at held.
+func (m *Manager) retryPendingFor(namespace string, rng partition.Range, held []byte) {
 	m.mu.Lock()
 	c := m.pending[cleanupKey(namespace, rng)]
 	var nodes []string
@@ -627,8 +640,60 @@ func (m *Manager) retryPendingFor(namespace string, rng partition.Range) {
 	}
 	m.mu.Unlock()
 	if len(nodes) > 0 {
-		m.runCleanup(namespace, stored, nodes)
+		m.runCleanup(namespace, stored, nodes, true, held)
 	}
+}
+
+// lockOverlapping takes the lock of every current range of namespace
+// that overlaps [start, end), in ascending start order: every taker of
+// several range locks takes them in that order, so none waits for one
+// that waits for it. When holding, the caller holds the lock of the
+// range starting at held; a range below it cannot be taken in order, so
+// then nothing is taken and ok is false. A split moves starts, so the
+// ranges are looked up again under their locks, and the locks taken
+// again if they changed. Without a Resolver the one range is start's.
+func (m *Manager) lockOverlapping(namespace string, start, end []byte, holding bool, held []byte) (unlock func(), ok bool) {
+	for {
+		starts := m.overlappingStarts(namespace, start, end)
+		var unlocks []func()
+		unlock = func() {
+			for i := len(unlocks) - 1; i >= 0; i-- {
+				unlocks[i]()
+			}
+		}
+		for _, s := range starts {
+			if holding {
+				if c := bytes.Compare(s, held); c == 0 {
+					continue
+				} else if c < 0 {
+					unlock()
+					return nil, false
+				}
+			}
+			unlocks = append(unlocks, m.lockRange(namespace, s))
+		}
+		if slices.EqualFunc(starts, m.overlappingStarts(namespace, start, end), bytes.Equal) {
+			return unlock, true
+		}
+		unlock()
+	}
+}
+
+// overlappingStarts is the starts of the current ranges of namespace
+// overlapping [start, end), ascending.
+func (m *Manager) overlappingStarts(namespace string, start, end []byte) [][]byte {
+	var pm *partition.Map
+	if m.Resolver != nil {
+		pm, _ = m.Resolver(namespace)
+	}
+	if pm == nil {
+		return [][]byte{start}
+	}
+	var starts [][]byte
+	for _, r := range pm.Overlapping(start, end) {
+		starts = append(starts, r.Start)
+	}
+	return starts
 }
 
 // ownsPartOf reports whether node currently serves any subrange of

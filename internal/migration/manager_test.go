@@ -345,6 +345,77 @@ func TestRegainedRangeSurvivesStaleCleanup(t *testing.T) {
 	}
 }
 
+// TestCleanupRetryWaitsForARegainingMove: a teardown of a, journaled
+// while a was down, is retried while a move gives the range back to a
+// and a already holds the move's copy. The retry waits for the move's
+// range lock, then finds a owning the range and forgets the teardown;
+// run at once, it fenced a and dropped the copy the move then flipped
+// to, leaving no node with the range's rows.
+func TestCleanupRetryWaitsForARegainingMove(t *testing.T) {
+	h := newHarness(t, "a", "b")
+	h.seed("a", 25)
+	h.mgr.OnPhase = func(ev Event) {
+		if ev.Phase == PhaseCleanup {
+			h.transport.SetDown("local://a", true)
+			h.dir.MarkDown("a")
+		}
+	}
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")); err != nil {
+		t.Fatal(err)
+	}
+	h.transport.SetDown("local://a", false)
+	h.dir.MarkUp("a")
+
+	// Once the regain move's snapshot has landed on a, retry the cleanups
+	// and let the move go on when the retry has finished or waits for the
+	// range's lock.
+	retried := make(chan int, 1)
+	h.mgr.OnPhase = func(ev Event) {
+		if ev.Phase != PhaseFence {
+			return
+		}
+		if got := h.liveCount("a"); got != 25 {
+			t.Errorf("a holds %d records at the fence, want the snapshot's 25", got)
+		}
+		go func() { retried <- h.mgr.RetryCleanups() }()
+		for !h.mgr.lockWaited(testNS, nil) {
+			select {
+			case n := <-retried:
+				retried <- n
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("a")); err != nil {
+		t.Fatal(err)
+	}
+	if remaining := <-retried; remaining != 0 {
+		t.Errorf("RetryCleanups left %d pending", remaining)
+	}
+	if got := h.pm.Lookup(nil).Replicas; len(got) != 1 || got[0] != "a" {
+		t.Fatalf("map reads %v, want [a]", got)
+	}
+	if a, b := h.liveCount("a"), h.liveCount("b"); a != 25 || b != 0 {
+		t.Fatalf("a holds %d records and b %d, want 25 and 0", a, b)
+	}
+	resp, err := h.transport.Call("local://a", rpc.Request{
+		Method: rpc.MethodPut, Namespace: testNS, Key: key(1), Value: []byte("post"),
+	})
+	if err != nil || resp.Error() != nil {
+		t.Fatalf("write to the regained range: %v %v", err, resp.Error())
+	}
+}
+
+// lockWaited reports whether a second taker waits for the lock of the
+// range of namespace starting at start.
+func (m *Manager) lockWaited(namespace string, start []byte) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	l := m.inflight[namespace+"\x00"+string(start)]
+	return l != nil && l.refs > 1
+}
+
 // TestRegainAfterSplitLiftsResidualFence: a node that lost [ -inf,
 // +inf ) keeps a fence with those bounds; when it later regains only
 // the left half of a since-split keyspace, the unfence-by-subtraction

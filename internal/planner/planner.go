@@ -4,8 +4,8 @@
 // table of index-maintenance triggers — Figure 3 of the paper — that
 // tells the update path exactly which structures to refresh when a
 // base table changes. An IndexDef is also the one recipe of its
-// entries: AppendEntryKey and AppendEntryValue encode an entry
-// straight from its driving and looked rows.
+// entries: AppendKey and AppendValue encode an entry straight from the
+// encodings of its driving and looked rows.
 package planner
 
 import (
@@ -692,54 +692,95 @@ func FormatMaintenanceTable(entries []MaintenanceEntry) string {
 
 // --- index entries, built by the view engine ---
 
-// AppendEntryKey appends to dst the key of def's entry for the driving
-// row d and the looked row l (nil for a single-table index): each key
-// column's value, taken from the row its Source names.
-func AppendEntryKey(dst []byte, def *IndexDef, d, l row.Row) ([]byte, error) {
+// AppendKey appends to dst the key of def's entry for the encoded
+// driving row d and looked row l (nil for a single-table index): each
+// key column's element, appended from its encoded value in the row its
+// Source names.
+func (def *IndexDef) AppendKey(dst []byte, d, l *row.Columns) ([]byte, error) {
 	for _, kc := range def.KeyCols {
 		v, err := def.value(kc.Source, kc.Column, d, l)
 		if err != nil {
 			return nil, err
 		}
-		if dst, err = keycodec.AppendElem(dst, v, kc.Desc); err != nil {
-			return nil, err
-		}
+		dst = row.AppendKeyElem(dst, v, kc.Desc)
 	}
 	return dst, nil
 }
 
-// AppendEntryValue appends to dst the stored row of def's entry for d
-// and l, encoded as row.Encode encodes the projected row: Compile left
-// Project in the codec's column order.
-func AppendEntryValue(dst []byte, def *IndexDef, d, l row.Row) ([]byte, error) {
+// AppendValue appends to dst the stored row of def's entry for d and l,
+// each Project column's encoded value copied as it stands. Compile left
+// Project in the codec's column order, and stored rows are normalized,
+// so the value is row.Encode of the projected row, byte for byte.
+func (def *IndexDef) AppendValue(dst []byte, d, l *row.Columns) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(def.Project))) // the codec's column count
 	for _, pc := range def.Project {
 		v, err := def.value(pc.Source, pc.Column, d, l)
 		if err != nil {
 			return nil, err
 		}
-		if dst, err = row.AppendColumn(dst, pc.Column, v); err != nil {
-			return nil, err
-		}
+		dst = row.AppendColumnValue(dst, pc.Column, v)
 	}
 	return dst, nil
 }
 
-// value is column of the row source names: d on the driving side, l on
-// the looked one.
-func (def *IndexDef) value(source, column string, d, l row.Row) (any, error) {
+// value is the encoded value of column in the row source names: d on
+// the driving side, l on the looked one.
+func (def *IndexDef) value(source, column string, d, l *row.Columns) ([]byte, error) {
 	r := d
 	if source != def.DrivingEff {
-		if source != def.LookedEff || l == nil {
-			return nil, fmt.Errorf("planner: index %s: no row for source %q", def.Name, source)
-		}
 		r = l
+		if source != def.LookedEff {
+			r = nil
+		}
 	}
-	v, ok := r[column]
+	if r == nil {
+		return nil, fmt.Errorf("planner: index %s: no row for source %q", def.Name, source)
+	}
+	v, ok := r.Value(column)
 	if !ok {
 		return nil, fmt.Errorf("planner: index %s: row for %q lacks column %q", def.Name, source, column)
 	}
 	return v, nil
+}
+
+// AppendEntryKey is AppendKey for the row maps d and l, encoded first.
+func AppendEntryKey(dst []byte, def *IndexDef, d, l row.Row) ([]byte, error) {
+	dc, err := columnsOf(d)
+	if err != nil {
+		return nil, err
+	}
+	lc, err := columnsOf(l)
+	if err != nil {
+		return nil, err
+	}
+	return def.AppendKey(dst, dc, lc)
+}
+
+// AppendEntryValue is AppendValue for the row maps d and l, encoded
+// first.
+func AppendEntryValue(dst []byte, def *IndexDef, d, l row.Row) ([]byte, error) {
+	dc, err := columnsOf(d)
+	if err != nil {
+		return nil, err
+	}
+	lc, err := columnsOf(l)
+	if err != nil {
+		return nil, err
+	}
+	return def.AppendValue(dst, dc, lc)
+}
+
+// columnsOf reads r's encoding; a nil row has none.
+func columnsOf(r row.Row) (*row.Columns, error) {
+	if r == nil {
+		return nil, nil
+	}
+	enc, err := row.Encode(r)
+	if err != nil {
+		return nil, err
+	}
+	c := new(row.Columns)
+	return c, c.Reset(enc)
 }
 
 // entryColumns is project in the order an encoded row holds its

@@ -170,18 +170,16 @@ func AppendEncode(dst []byte, r Row) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(names)))
 	for _, n := range names {
 		var err error
-		if dst, err = AppendColumn(dst, n, r[n]); err != nil {
+		if dst, err = appendColumn(dst, n, r[n]); err != nil {
 			return nil, err
 		}
 	}
 	return dst, nil
 }
 
-// AppendColumn appends one column of AppendEncode's encoding, its name
-// and its value, to dst. A caller that holds a row's columns in sorted
-// name order, each once, encodes the row without building its map: the
-// uvarint column count, then AppendColumn for each column.
-func AppendColumn(dst []byte, name string, v any) ([]byte, error) {
+// appendColumn appends one column of AppendEncode's encoding, its name
+// and its value, to dst.
+func appendColumn(dst []byte, name string, v any) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(name)))
 	dst = append(dst, name...)
 	switch v := v.(type) {
@@ -294,6 +292,122 @@ func DecodeAll(recs []record.Record) ([]Row, error) {
 	return out, nil
 }
 
+// Columns reads an encoded row in place. Reset checks the whole
+// encoding once, as Decode does and with the same ErrCorrupt cases;
+// Value then finds a column's encoded value by name. It builds no map
+// and boxes nothing, and a Columns is reused from one row to the next:
+// what it returns aliases the row it was last Reset to.
+type Columns struct {
+	b    []byte
+	cols []span
+}
+
+// span locates one column of Columns.b: its bytes are b[at:end], its
+// name b[name:val] and its value b[val:end], type tag first.
+type span struct{ at, name, val, end int }
+
+// Reset checks the encoded row b and reads its columns.
+func (c *Columns) Reset(b []byte) error {
+	c.b, c.cols = nil, c.cols[:0]
+	count, at, err := columnCount(b)
+	if err != nil {
+		return err
+	}
+	for i := uint64(0); i < count; i++ {
+		nameAt, valAt, end, err := columnAt(b[at:])
+		if err != nil {
+			c.cols = c.cols[:0]
+			return err
+		}
+		c.cols = append(c.cols, span{at, at + nameAt, at + valAt, at + end})
+		at += end
+	}
+	if at != len(b) {
+		c.cols = c.cols[:0]
+		return fmt.Errorf("row: decode: %d trailing bytes: %w", len(b)-at, ErrCorrupt)
+	}
+	c.b = b
+	return nil
+}
+
+// Value returns the encoded value of the named column, type tag first,
+// for AppendKeyElem or AppendColumnValue. A name the row repeats is
+// its last column of that name, the one Decode keeps.
+func (c *Columns) Value(name string) ([]byte, bool) {
+	for i := len(c.cols) - 1; i >= 0; i-- {
+		if s := c.cols[i]; string(c.b[s.name:s.val]) == name {
+			return c.b[s.val:s.end], true
+		}
+	}
+	return nil, false
+}
+
+// AppendProject appends to dst the encoded row of the columns whose
+// names are in names, each copied as it stands. For a row AppendEncode
+// wrote, as every stored row is, those are the bytes
+// AppendEncode(Project(r, names)) writes; for any row Reset accepts,
+// they decode to Project's row.
+func (c *Columns) AppendProject(dst []byte, names []string) []byte {
+	n := 0
+	for _, s := range c.cols {
+		if named(names, c.b[s.name:s.val]) {
+			n++
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for _, s := range c.cols {
+		if named(names, c.b[s.name:s.val]) {
+			dst = append(dst, c.b[s.at:s.end]...)
+		}
+	}
+	return dst
+}
+
+func named(names []string, name []byte) bool {
+	for _, n := range names {
+		if n == string(name) {
+			return true
+		}
+	}
+	return false
+}
+
+// AppendColumnValue appends one column of AppendEncode's encoding to
+// dst: the name, then v, an encoded value as Columns.Value returns it.
+// A caller that holds a row's columns in sorted name order, each once,
+// encodes the row without building its map: the uvarint column count,
+// then AppendColumnValue for each column.
+func AppendColumnValue(dst []byte, name string, v []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(name)))
+	return append(append(dst, name...), v...)
+}
+
+// AppendKeyElem appends to dst the key element of v, an encoded value
+// as Columns.Value returns it: what keycodec.AppendElem appends for the
+// value Decode gives that column.
+func AppendKeyElem(dst, v []byte, desc bool) []byte {
+	at := len(dst)
+	switch v[0] {
+	case valString:
+		_, n := binary.Uvarint(v[1:])
+		dst = keycodec.AppendStringBytes(dst, v[1+n:])
+	case valInt:
+		dst = keycodec.AppendInt(dst, zigzag(v[1:]))
+	case valFloat:
+		dst = keycodec.AppendFloat(dst, math.Float64frombits(binary.LittleEndian.Uint64(v[1:])))
+	case valFalse, valTrue:
+		dst = keycodec.AppendBool(dst, v[0] == valTrue)
+	case valTime:
+		dst = keycodec.AppendTime(dst, timeOf(v[1:]))
+	}
+	if desc {
+		for i := at; i < len(dst); i++ {
+			dst[i] = ^dst[i]
+		}
+	}
+	return dst
+}
+
 // column is one decoded column and its boxed value.
 type column struct {
 	name string
@@ -305,81 +419,113 @@ type column struct {
 // or int value reuses prev[i]'s box when prev[i] is the same column
 // holding an equal value, and is left in prev[i] for the next row.
 func parse(b []byte, text string, prev []column) (Row, error) {
-	count, n := binary.Uvarint(b)
-	// A column costs at least two bytes (name length + type tag), so a
-	// count past remaining/2 is corrupt; the map size hint is capped so
-	// a hostile count cannot drive a huge allocation either way.
-	if n <= 0 || count > uint64(len(b)-n)/2 {
-		return nil, fmt.Errorf("row: decode: bad column count: %w", ErrCorrupt)
+	count, at, err := columnCount(b)
+	if err != nil {
+		return nil, err
 	}
-	b = b[n:]
-	// text[len(text)-len(b):] is always what b has left.
-	hint := count
-	if hint > 4096 {
-		hint = 4096
-	}
-	r := make(Row, hint)
+	// The map size hint is capped so that a hostile count cannot drive a
+	// huge allocation either way.
+	r := make(Row, min(count, 4096))
 	for i := uint64(0); i < count; i++ {
-		nameLen, n := binary.Uvarint(b)
-		if n <= 0 || nameLen > uint64(len(b)-n) {
-			return nil, fmt.Errorf("row: decode: bad column name length: %w", ErrCorrupt)
+		nameAt, valAt, end, err := columnAt(b[at:])
+		if err != nil {
+			return nil, err
 		}
-		b = b[n:]
-		at := len(text) - len(b)
-		name := text[at : at+int(nameLen)]
-		b = b[nameLen:]
-		if len(b) == 0 {
-			return nil, fmt.Errorf("row: decode: missing value tag for %q: %w", name, ErrCorrupt)
-		}
-		tag := b[0]
-		b = b[1:]
-		switch tag {
+		name := text[at+nameAt : at+valAt]
+		v := b[at+valAt : at+end]
+		switch v[0] {
 		case valString:
-			slen, n := binary.Uvarint(b)
-			if n <= 0 || slen > uint64(len(b)-n) {
-				return nil, fmt.Errorf("row: decode: bad string length for %q: %w", name, ErrCorrupt)
-			}
-			b = b[n:]
-			at := len(text) - len(b)
-			r[name] = box(prev, i, name, text[at:at+int(slen)])
-			b = b[slen:]
+			_, n := binary.Uvarint(v[1:])
+			r[name] = box(prev, i, name, text[at+valAt+1+n:at+end])
 		case valInt:
-			v, n, err := readZigzag(b)
-			if err != nil {
-				return nil, fmt.Errorf("row: decode: bad int for %q: %w", name, err)
-			}
-			b = b[n:]
-			r[name] = box(prev, i, name, v)
+			r[name] = box(prev, i, name, zigzag(v[1:]))
 		case valFloat:
-			if len(b) < 8 {
-				return nil, fmt.Errorf("row: decode: short float for %q: %w", name, ErrCorrupt)
-			}
-			r[name] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-			b = b[8:]
+			r[name] = math.Float64frombits(binary.LittleEndian.Uint64(v[1:]))
 		case valFalse:
 			r[name] = false
 		case valTrue:
 			r[name] = true
 		case valTime:
-			sec, n, err := readZigzag(b)
-			if err != nil {
-				return nil, fmt.Errorf("row: decode: bad time seconds for %q: %w", name, err)
-			}
-			b = b[n:]
-			nsec, n2 := binary.Uvarint(b)
-			if n2 <= 0 || nsec > 999999999 {
-				return nil, fmt.Errorf("row: decode: bad time nanoseconds for %q: %w", name, ErrCorrupt)
-			}
-			b = b[n2:]
-			r[name] = time.Unix(sec, int64(nsec)).UTC()
-		default:
-			return nil, fmt.Errorf("row: decode: unknown value tag 0x%02x for %q: %w", tag, name, ErrCorrupt)
+			r[name] = timeOf(v[1:])
 		}
+		at += end
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("row: decode: %d trailing bytes: %w", len(b), ErrCorrupt)
+	if at != len(b) {
+		return nil, fmt.Errorf("row: decode: %d trailing bytes: %w", len(b)-at, ErrCorrupt)
 	}
 	return r, nil
+}
+
+// columnCount reads an encoded row's column count, which ends at b[n:].
+// A column costs at least two bytes (name length + type tag), so a count
+// past what remains over two is corrupt.
+func columnCount(b []byte) (count uint64, n int, err error) {
+	count, n = binary.Uvarint(b)
+	if n <= 0 || count > uint64(len(b)-n)/2 {
+		return 0, 0, fmt.Errorf("row: decode: bad column count: %w", ErrCorrupt)
+	}
+	return count, n, nil
+}
+
+// columnAt checks the column at the start of b as Decode does and
+// locates it: b[nameAt:valAt] is its name and b[valAt:end] its value,
+// type tag first.
+func columnAt(b []byte) (nameAt, valAt, end int, err error) {
+	nameLen, n := binary.Uvarint(b)
+	if n <= 0 || nameLen > uint64(len(b)-n) {
+		return 0, 0, 0, fmt.Errorf("row: decode: bad column name length: %w", ErrCorrupt)
+	}
+	nameAt, valAt = n, n+int(nameLen)
+	name := b[nameAt:valAt]
+	if valAt == len(b) {
+		return 0, 0, 0, fmt.Errorf("row: decode: missing value tag for %q: %w", name, ErrCorrupt)
+	}
+	v := b[valAt+1:]
+	switch tag := b[valAt]; tag {
+	case valString:
+		slen, n := binary.Uvarint(v)
+		if n <= 0 || slen > uint64(len(v)-n) {
+			return 0, 0, 0, fmt.Errorf("row: decode: bad string length for %q: %w", name, ErrCorrupt)
+		}
+		end = n + int(slen)
+	case valInt:
+		if _, end = binary.Uvarint(v); end <= 0 {
+			return 0, 0, 0, fmt.Errorf("row: decode: bad int for %q: %w", name, ErrCorrupt)
+		}
+	case valFloat:
+		if len(v) < 8 {
+			return 0, 0, 0, fmt.Errorf("row: decode: short float for %q: %w", name, ErrCorrupt)
+		}
+		end = 8
+	case valFalse, valTrue:
+	case valTime:
+		_, n := binary.Uvarint(v)
+		if n <= 0 {
+			return 0, 0, 0, fmt.Errorf("row: decode: bad time seconds for %q: %w", name, ErrCorrupt)
+		}
+		nsec, n2 := binary.Uvarint(v[n:])
+		if n2 <= 0 || nsec > 999999999 {
+			return 0, 0, 0, fmt.Errorf("row: decode: bad time nanoseconds for %q: %w", name, ErrCorrupt)
+		}
+		end = n + n2
+	default:
+		return 0, 0, 0, fmt.Errorf("row: decode: unknown value tag 0x%02x for %q: %w", tag, name, ErrCorrupt)
+	}
+	return nameAt, valAt, valAt + 1 + end, nil
+}
+
+// zigzag decodes the zigzag varint at the start of b, which columnAt
+// has checked.
+func zigzag(b []byte) int64 {
+	u, _ := binary.Uvarint(b)
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// timeOf decodes a checked time value (after its tag), in UTC.
+func timeOf(b []byte) time.Time {
+	_, n := binary.Uvarint(b)
+	nsec, _ := binary.Uvarint(b[n:])
+	return time.Unix(zigzag(b), int64(nsec)).UTC()
 }
 
 // box returns v boxed: prev[i]'s box when that is column name holding
@@ -395,14 +541,6 @@ func box[T string | int64](prev []column, i uint64, name string, v T) any {
 	}
 	prev[i] = column{name, v}
 	return prev[i].v
-}
-
-func readZigzag(b []byte) (int64, int, error) {
-	u, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, 0, ErrCorrupt
-	}
-	return int64(u>>1) ^ -int64(u&1), n, nil
 }
 
 // EncodeKey builds an order-preserving key from the named columns of

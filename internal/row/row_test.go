@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"scads/internal/keycodec"
 	"scads/internal/record"
 )
 
@@ -437,6 +438,103 @@ func FuzzDecodeAll(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzColumns: Columns accepts exactly the rows Decode accepts, failing
+// with Decode's error, and then reads every column Decode gives: its
+// value, the key element and a projection of it decode as Decode's
+// do. name is a column the row may lack.
+func FuzzColumns(f *testing.F) {
+	mixed4, _ := Encode(Row{"id": "user:12345", "name": "Alice Smith", "birthday": int64(-19840105), "active": true})
+	wide, _ := Encode(Row{"f1": "us\x00er", "at": time.Unix(-1230768000, 5).UTC(), "w": -0.5, "off": false, "n": int64(1) << 62})
+	f.Add(mixed4, "name")
+	f.Add(wide, "at")
+	f.Add(wide, "absent")
+	f.Add([]byte{2, 1, 'a', valInt, 2, 1, 'a', valTrue}, "a") // a repeated name
+	f.Add([]byte{1, 1, 'a', valFloat, 0, 0, 0, 0, 0, 0, 0, 0xf8}, "a")
+	f.Add([]byte{0}, "")
+	f.Add([]byte{1, 1, 'a', valString, 9, 'x'}, "a")
+	f.Add(mixed4[:len(mixed4)-1], "id")
+	f.Add(append(slices.Clone(mixed4), 0), "id")
+	f.Add([]byte{1, 1, 'a', valTime, 2, 0x80, 0x94, 0xeb, 0xdc, 0x03}, "a")
+	f.Fuzz(func(t *testing.T, b []byte, name string) {
+		want, wantErr := Decode(b)
+		var c Columns
+		err := c.Reset(b)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("Reset err = %v, Decode err = %v", err, wantErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Reset err = %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		if _, ok := c.Value(name); ok != (want[name] != nil) {
+			t.Fatalf("Value(%q) found %v, Decode's row %v", name, ok, want)
+		}
+		names := []string{name}
+		for n, v := range want {
+			enc, ok := c.Value(n)
+			if !ok {
+				t.Fatalf("Value(%q) not found in %v", n, want)
+			}
+			one, err := Decode(AppendColumnValue([]byte{1}, n, enc))
+			if err != nil || !sameRow(one, Row{n: v}) {
+				t.Fatalf("column %q reads %v, %v; Decode gives %v", n, one, err, v)
+			}
+			for _, desc := range []bool{false, true} {
+				if key, err := keycodec.AppendElem(nil, v, desc); err != nil || !bytes.Equal(AppendKeyElem(nil, enc, desc), key) {
+					t.Fatalf("column %q desc=%v: key element %x, keycodec %x (%v)", n, desc, AppendKeyElem(nil, enc, desc), key, err)
+				}
+			}
+			if len(names) < 3 {
+				names = append(names, n)
+			}
+		}
+		projected, err := Decode(c.AppendProject(nil, names))
+		if err != nil || !sameRow(projected, Project(want, names)) {
+			t.Fatalf("projection on %q = %v, %v; want %v", names, projected, err, Project(want, names))
+		}
+	})
+}
+
+// sameRow reports whether a and b encode alike, which tells a NaN from
+// itself by its bits where Equal cannot.
+func sameRow(a, b Row) bool {
+	ea, err := Encode(a)
+	if err != nil {
+		return false
+	}
+	eb, err := Encode(b)
+	return err == nil && bytes.Equal(ea, eb)
+}
+
+// TestColumnsAllocs: once its span storage has grown, a Columns reads
+// a row and finds, projects and key-encodes its columns allocating
+// nothing.
+func TestColumnsAllocs(t *testing.T) {
+	enc, err := Encode(Row{"id": "user00001234", "name": "User Number 1234", "birthday": int64(19840105),
+		"bio": strings.Repeat("b", 150), "counter": int64(123456)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c Columns
+	buf := make([]byte, 0, 512)
+	read := func() {
+		if err := c.Reset(enc); err != nil {
+			t.Fatal(err)
+		}
+		v, ok := c.Value("birthday")
+		if !ok {
+			t.Fatal("no birthday")
+		}
+		buf = c.AppendProject(AppendKeyElem(buf[:0], v, true), []string{"id", "name"})
+	}
+	read()
+	if allocs := testing.AllocsPerRun(200, read); allocs != 0 {
+		t.Errorf("Columns reads a row in %.0f allocations, want 0", allocs)
+	}
 }
 
 // TestCodecAllocs pins the row codec's allocations at their counts:

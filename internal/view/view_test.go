@@ -518,7 +518,7 @@ func TestDrivingDeleteRetiresEntryOfAChangedLookedRow(t *testing.T) {
 	}
 
 	// Without keys listed, an unchanged looked row still retires.
-	rowsOnly := e.With(struct{ Store }{store})
+	rowsOnly := NewEngine(s, out.Indexes, struct{ Store }{store})
 	store.putBase(t, rowsOnly, friendships, nil, edge)
 	store.putBase(t, rowsOnly, friendships, edge, nil)
 	if len(store.data[bdNS]) != 1 {
@@ -565,6 +565,32 @@ func TestMutationSetKeepsOnePerKey(t *testing.T) {
 			if m.Namespace != ns || m.Key[0] != byte(i/2) || !bytes.Equal(m.Value, want) {
 				t.Fatalf("n=%d: mutation %d = %+v, want %s/%d = %v", n, i, m, ns, i/2, want)
 			}
+		}
+	}
+}
+
+// TestMutationSetResetKeepsWhatItHandedOut: a set reused for the next
+// change forgets the last change's mutations and their index, and never
+// writes over the keys and values it handed out, which the upkeep round
+// holds until it commits them.
+func TestMutationSetResetKeepsWhatItHandedOut(t *testing.T) {
+	var ms mutationSet
+	var kept []Mutation
+	for change := range 300 {
+		ms.reset()
+		for i := range 20 {
+			start := len(ms.buf)
+			ms.buf = fmt.Appendf(ms.buf, "value-%d-%d", change, i)
+			ms.add(Mutation{Namespace: "a", Key: []byte{byte(i)}, Value: ms.buf[start:len(ms.buf):len(ms.buf)]})
+		}
+		if len(ms.muts) != 20 {
+			t.Fatalf("change %d holds %d mutations, want its own 20", change, len(ms.muts))
+		}
+		kept = append(kept, ms.muts...)
+	}
+	for i, m := range kept {
+		if want := fmt.Sprintf("value-%d-%d", i/20, i%20); string(m.Value) != want {
+			t.Fatalf("mutation %d's value reads %q after later changes, want %q", i, m.Value, want)
 		}
 	}
 }

@@ -67,7 +67,7 @@ func (c *Cluster) DefineSchema(ddl string) error {
 	c.tableNS = tableNS
 	c.analysis = results
 	c.plans = plans
-	c.views = view.NewEngine(schema, plans.Indexes, &coordStore{c})
+	c.views = view.NewEngine(schema, plans.Indexes, nil)
 	c.publishBounds()
 	return nil
 }
@@ -202,40 +202,4 @@ func (c *Cluster) AssignRange(table string, value any, replicas []string) error 
 		return err
 	}
 	return m.SetReplicas(key, replicas)
-}
-
-// coordStore adapts the router into the view engine's Store: reads go
-// to primaries so maintenance always sees the freshest base data.
-type coordStore struct{ c *Cluster }
-
-func (s *coordStore) GetRow(namespace string, key []byte) (row.Row, bool, error) {
-	val, _, found, err := s.c.router.Get(namespace, key, partition.ReadPrimary)
-	if err != nil || !found {
-		return nil, false, err
-	}
-	r, err := row.Decode(val)
-	if err != nil {
-		return nil, false, err
-	}
-	return r, true, nil
-}
-
-func (s *coordStore) ScanRows(namespace string, start, end []byte, limit int) ([]row.Row, error) {
-	recs, err := s.c.router.Scan(namespace, start, end, limit, partition.ReadPrimary)
-	if err != nil {
-		return nil, err
-	}
-	return row.DecodeAll(recs)
-}
-
-func (s *coordStore) ScanKeys(namespace string, start, end []byte, limit int) ([][]byte, error) {
-	recs, err := s.c.router.Scan(namespace, start, end, limit, partition.ReadPrimary)
-	if err != nil {
-		return nil, err
-	}
-	keys := make([][]byte, len(recs))
-	for i := range recs {
-		keys[i] = recs[i].Key
-	}
-	return keys, nil
 }

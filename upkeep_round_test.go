@@ -16,6 +16,8 @@ import (
 	"scads/internal/clock"
 	"scads/internal/keycodec"
 	"scads/internal/planner"
+	"scads/internal/record"
+	"scads/internal/row"
 	"scads/internal/rpc"
 	"scads/internal/view"
 )
@@ -280,6 +282,66 @@ func TestOverBoundDeleteDoesNotWedgeUpkeep(t *testing.T) {
 	}
 	if st := lc.Stats(); st.Maintenance != 0 || st.Parked != 1 {
 		t.Fatalf("after the drain: %d pending, %d parked; want 0 and 1", st.Maintenance, st.Parked)
+	}
+}
+
+// TestUndecodableRowParksItsTask: an insert displaces a users row whose
+// stored bytes do not decode, so its upkeep fails with row.ErrCorrupt
+// however often it runs. The task is parked; it holds back no other
+// task (dave's friendship reaches his view).
+func TestUndecodableRowParksItsTask(t *testing.T) {
+	lc, err := NewLocalCluster(1, Config{Clock: clock.NewVirtual(t0), ReplicationFactor: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	if err := lc.DefineSchema(socialDDL); err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range []string{"bob", "carol"} {
+		if err := lc.Insert("users", Row{"id": u, "name": u, "birthday": i + 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lc.Insert("friendships", Row{"f1": "alice", "f2": "bob"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	// bob's stored row becomes bytes that do not decode.
+	node, _ := lc.Node(lc.NodeIDs()[0])
+	users, err := node.Engine().Namespace(planner.TableNamespace("users"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := keycodec.MustEncode("bob")
+	stored, found, err := users.GetRecord(key)
+	if err != nil || !found {
+		t.Fatalf("bob's stored row: %v, %v", found, err)
+	}
+	if err := users.Apply(record.Record{Key: key, Value: []byte{1, 1, 'a', 0x7f}, Version: stored.Version + 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := lc.Insert("users", Row{"id": "bob", "name": "bob", "birthday": 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.Insert("friendships", Row{"f1": "dave", "f2": "carol"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lc.DrainMaintenance(1024); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := lc.Query("friendsWithUpcomingBirthdays", map[string]any{"user": "dave"})
+	if err != nil || len(rows) != 1 || rows[0]["id"] != "carol" {
+		t.Fatalf("dave's friends with birthdays = %v, %v; want carol", rows, err)
+	}
+	st := lc.Stats()
+	if st.Maintenance != 0 || st.Parked != 1 || !errors.Is(st.ParkedErr, row.ErrCorrupt) {
+		t.Fatalf("Stats: %d pending, %d parked, last error %v; want 0, 1 and row.ErrCorrupt",
+			st.Maintenance, st.Parked, st.ParkedErr)
 	}
 }
 

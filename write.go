@@ -534,9 +534,12 @@ func (c *Cluster) DrainMaintenance(budget int) (int, error) {
 	if len(tasks) == 0 {
 		return 0, nil
 	}
-	r := &upkeepRound{coordStore: coordStore{c}}
+	r := &c.maint.upkeep
+	r.c = c
 	done, err := r.run(tasks)
-	return done - c.maint.settle(done, r.parked), err
+	done -= c.maint.settle(done, r.parked)
+	r.reset()
+	return done, err
 }
 
 // deterministic reports whether an upkeep failure recurs however often
@@ -549,22 +552,20 @@ func deterministic(err error) bool {
 // with one batched read per base namespace that waits out a failover
 // like a write does: a secondary's older row would leave upkeep a row
 // behind.
-func (c *Cluster) currentRows(tasks []maintTask) ([]partition.GetResult, error) {
-	cur := make([]partition.GetResult, len(tasks))
-	// One namespace's task indices and keys at a time.
-	idx := make([]int, 0, len(tasks))
-	keys := make([][]byte, 0, len(tasks))
+func (r *upkeepRound) currentRows(tasks []maintTask) ([]partition.GetResult, error) {
+	r.cur = append(r.cur[:0], make([]partition.GetResult, len(tasks))...)
 	for i, task := range tasks {
 		if slices.ContainsFunc(tasks[:i], func(t maintTask) bool { return t.ns == task.ns }) {
 			continue // read with an earlier task's
 		}
-		idx, keys = idx[:0], keys[:0]
+		// One namespace's task indices and keys at a time.
+		r.idx, r.keys = r.idx[:0], r.keys[:0]
 		for j := i; j < len(tasks); j++ {
 			if tasks[j].ns == task.ns {
-				idx, keys = append(idx, j), append(keys, tasks[j].key)
+				r.idx, r.keys = append(r.idx, j), append(r.keys, tasks[j].key)
 			}
 		}
-		got, err := c.router.GetBatch(task.ns, keys, partition.WritePrimary)
+		got, err := r.c.router.GetBatch(task.ns, r.keys, partition.WritePrimary)
 		if err != nil {
 			return nil, err
 		}
@@ -572,20 +573,37 @@ func (c *Cluster) currentRows(tasks []maintTask) ([]partition.GetResult, error) 
 			if g.Err != nil {
 				return nil, g.Err
 			}
-			cur[idx[j]] = g
+			r.cur[r.idx[j]] = g
 		}
 	}
-	return cur, nil
+	return r.cur, nil
 }
 
 // upkeepRound is one DrainMaintenance round: the index mutations its
 // tasks derived and has not committed yet. It is the view engine's
-// Store for the round, so that a read of an index namespace first
-// commits what the round holds for it.
+// Records for the round, reading primaries so that upkeep sees the
+// freshest base data, and a read of an index namespace first commits
+// what the round holds for it. Rounds run one at a time, so one
+// upkeepRound serves them all, its buffers kept from one to the next.
 type upkeepRound struct {
-	coordStore // the round's reads, after it commits what it holds there
-	groups     []upkeepGroup
-	parked     []parkedTask
+	c      *Cluster
+	groups []upkeepGroup
+	parked []parkedTask
+
+	engine *view.Engine          // the schema's engine when views was made
+	views  *view.Round           // its round, reused while the schema stays
+	cur    []partition.GetResult // currentRows' answer
+	idx    []int                 // currentRows' tasks of one namespace
+	keys   [][]byte              // and their keys
+}
+
+// reset readies r for the next round, holding nothing of the last.
+func (r *upkeepRound) reset() {
+	clear(r.groups)
+	clear(r.parked)
+	clear(r.cur)
+	clear(r.keys)
+	r.groups, r.parked, r.cur, r.keys = r.groups[:0], r.parked[:0], r.cur[:0], r.keys[:0]
 }
 
 // parkedTask is a task of the round that failed deterministically.
@@ -607,15 +625,17 @@ type upkeepGroup struct {
 // from the first completed. (A queued task implies a defined schema, so
 // c.views is set.)
 func (r *upkeepRound) run(tasks []maintTask) (int, error) {
-	cur, err := r.c.currentRows(tasks)
+	cur, err := r.currentRows(tasks)
 	if err != nil {
 		return 0, err
 	}
 	r.c.mu.RLock()
-	views := r.c.views.With(r)
+	if r.engine != r.c.views {
+		r.engine, r.views = r.c.views, r.c.views.Round(r)
+	}
 	r.c.mu.RUnlock()
 	for i, task := range tasks {
-		if err := r.maintain(views, i, task, cur[i]); err != nil {
+		if err := r.maintain(r.views, i, task, cur[i]); err != nil {
 			if !deterministic(err) {
 				return r.earliest(i), err
 			}
@@ -630,19 +650,8 @@ func (r *upkeepRound) run(tasks []maintTask) (int, error) {
 
 // maintain computes the index mutations of task i, whose key now holds
 // now, and adds them to the round's groups.
-func (r *upkeepRound) maintain(views *view.Engine, i int, task maintTask, now partition.GetResult) error {
-	old, err := decodeRow(task.old.Value, !task.old.Tombstone, nil)
-	var cur row.Row
-	if err == nil {
-		cur, err = decodeRow(now.Value, now.Found, nil)
-	}
-	if err != nil {
-		return fmt.Errorf("scads: maintenance for %s: %w", task.table, err)
-	}
-	if old == nil && cur == nil {
-		return nil
-	}
-	muts, err := views.Mutations(task.table, old, cur)
+func (r *upkeepRound) maintain(views *view.Round, i int, task maintTask, now partition.GetResult) error {
+	muts, err := views.Mutations(task.table, stored(task.old.Value, !task.old.Tombstone), stored(now.Value, now.Found))
 	if err != nil {
 		return fmt.Errorf("scads: maintenance for %s: %w", task.table, err)
 	}
@@ -686,25 +695,32 @@ func (r *upkeepRound) earliest(i int) int {
 	return i
 }
 
-func (r *upkeepRound) GetRow(namespace string, key []byte) (row.Row, bool, error) {
+func (r *upkeepRound) GetRecord(namespace string, key []byte) ([]byte, bool, error) {
 	if err := r.flush(namespace); err != nil {
 		return nil, false, err
 	}
-	return r.coordStore.GetRow(namespace, key)
+	val, _, found, err := r.c.router.Get(namespace, key, partition.ReadPrimary)
+	return val, found, err
 }
 
-func (r *upkeepRound) ScanRows(namespace string, start, end []byte, limit int) ([]row.Row, error) {
+func (r *upkeepRound) ScanRecords(namespace string, start, end []byte, limit int) ([]record.Record, error) {
 	if err := r.flush(namespace); err != nil {
 		return nil, err
 	}
-	return r.coordStore.ScanRows(namespace, start, end, limit)
+	return r.c.router.Scan(namespace, start, end, limit, partition.ReadPrimary)
 }
 
-func (r *upkeepRound) ScanKeys(namespace string, start, end []byte, limit int) ([][]byte, error) {
-	if err := r.flush(namespace); err != nil {
-		return nil, err
+// stored is the encoded row a read found, nil when there is none; a
+// found empty value is no row encoding, so it stays non-nil and fails
+// to decode.
+func stored(val []byte, found bool) []byte {
+	switch {
+	case !found:
+		return nil
+	case val == nil:
+		return []byte{}
 	}
-	return r.coordStore.ScanKeys(namespace, start, end, limit)
+	return val
 }
 
 // FlushAll drains all pending maintenance and replication — the "wait
@@ -758,7 +774,8 @@ func (t maintTask) sameKey(o maintTask) bool { return t.ns == o.ns && bytes.Equa
 // maintQueue is the deadline heap of upkeep tasks (see package
 // deadline), the round in flight and the parked tasks.
 type maintQueue struct {
-	draining sync.Mutex // held by a DrainMaintenance round
+	draining sync.Mutex  // held by a DrainMaintenance round
+	upkeep   upkeepRound // the round's, under draining
 
 	mu        sync.Mutex
 	h         deadline.Heap[maintTask]
