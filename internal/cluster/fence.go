@@ -8,13 +8,14 @@ import (
 )
 
 // fenceSet tracks the key ranges a node currently rejects writes for.
-// A fence is installed on the donor primary during a migration's final
-// delta drain, and stays on any node that loses a range — a straggling
-// in-flight write routed before the flip must bounce (the coordinator
-// re-reads the map and retries against the new primary) rather than
-// land invisibly on a node that no longer serves the range. A node
-// that regains a range has its fence lifted by the migration manager
-// before the snapshot copy begins.
+// A fence goes up on the donor primary for a migration's handoff — the
+// install answers the range's final delta (Node.rangeFence) — and stays
+// on any node that loses the range: a straggling in-flight write routed
+// before the flip must bounce (the coordinator re-reads the map and
+// retries against the new primary) rather than land invisibly on a node
+// that no longer serves the range. A node that regains a range has its
+// fence lifted by the migration manager before the snapshot copy
+// begins.
 //
 // Fences gate client and replication writes (put, delete, apply) and
 // range scans overlapping a fenced span (a fenced loser may already be
@@ -147,8 +148,8 @@ func (fs *fenceSet) whileClear(ns string, start, end []byte, read func()) bool {
 // apply write through it; a fenced group is rejected whole and the
 // coordinator falls back to per-record routing. As in whileClear, the
 // fences hold still while write runs, so a write cannot pass the check
-// just before a fence goes up and land after the migration's final
-// delta drain, to be lost at teardown.
+// just before a fence goes up and land after the final delta the
+// install answers, to be lost at teardown.
 func (fs *fenceSet) whileKeysClear(ns string, recs []record.Record, write func()) bool {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -109,7 +110,7 @@ func TestFenceWaitsForScanInFlight(t *testing.T) {
 
 // TestFenceWaitsForWriteInFlight: a put, delete or apply writes while
 // the fences hold still, so a write that passed the check cannot land
-// after a fence went up — behind the migration's final delta drain,
+// after a fence went up — behind the final delta the install answers,
 // where teardown would lose it; once the write is done the fence goes
 // up and later writes into the span bounce.
 func TestFenceWaitsForWriteInFlight(t *testing.T) {
@@ -138,6 +139,117 @@ func TestFenceWaitsForWriteInFlight(t *testing.T) {
 	}
 	if !fs.whileKeysClear("ns", []record.Record{{Key: []byte("d")}}, func() {}) {
 		t.Fatal("write beside the fence bounced")
+	}
+}
+
+// TestFenceAnswersFinalDelta: a fence install that asks for a page
+// answers the range's delta since the caller's baseline. The fence goes
+// up only once the writes in flight have landed, so every write the
+// node acked in the range is in the answer — with writers racing the
+// install — and every write into the range after it bounces.
+func TestFenceAnswersFinalDelta(t *testing.T) {
+	n := newTestNode(t, "n1")
+	const ns = "tbl_users"
+	put := func(key string) error {
+		resp := n.Serve(rpc.Request{Method: rpc.MethodPut, Namespace: ns, Key: []byte(key), Value: []byte("v")})
+		return resp.Error()
+	}
+	if err := put("b-below-baseline"); err != nil {
+		t.Fatal(err)
+	}
+	base := n.Serve(rpc.Request{Method: rpc.MethodRangeSnapshot, Namespace: ns, Limit: -1})
+	if base.Error() != nil {
+		t.Fatal(base.Error())
+	}
+	acked := map[string]bool{}
+	for _, k := range []string{"c-acked", "e-outside"} {
+		if err := put(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acked["c-acked"] = true
+
+	// Writers put fresh keys into [b, d) until the fence bounces them.
+	const writers = 4
+	var mu sync.Mutex
+	var done, warm sync.WaitGroup
+	done.Add(writers)
+	warm.Add(writers)
+	for w := range writers {
+		go func() {
+			defer done.Done()
+			warmed := false
+			defer func() {
+				if !warmed {
+					warm.Done()
+				}
+			}()
+			for i := range 5000 {
+				k := fmt.Sprintf("c%d-%04d", w, i)
+				err := put(k)
+				if rpc.IsFenced(err) {
+					return
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				acked[k] = true
+				mu.Unlock()
+				if i == 10 {
+					warm.Done()
+					warmed = true
+				}
+			}
+		}()
+	}
+	warm.Wait()
+
+	// A More page re-sends the (idempotent) install from the advanced
+	// watermark.
+	answer := map[string]bool{}
+	req := rpc.Request{
+		Method: rpc.MethodRangeFence, Namespace: ns, Start: []byte("b"), End: []byte("d"),
+		Fence: true, Epoch: base.Epoch, Since: base.Watermark, Limit: 1024,
+	}
+	for {
+		resp := n.Serve(req)
+		if resp.Error() != nil {
+			t.Fatal(resp.Error())
+		}
+		for _, r := range resp.Records {
+			answer[string(r.Key)] = true
+		}
+		if !resp.More {
+			break
+		}
+		req.Since = resp.Watermark
+	}
+	done.Wait()
+
+	mu.Lock()
+	defer mu.Unlock()
+	var missing, extra []string
+	for k := range acked {
+		if !answer[k] {
+			missing = append(missing, k)
+		}
+	}
+	for k := range answer {
+		if !acked[k] {
+			extra = append(extra, k)
+		}
+	}
+	if len(missing) > 0 || len(extra) > 0 {
+		t.Fatalf("of %d acked writes the fence's answer misses %d (%q…); it carries %q…, outside the range or at its baseline",
+			len(acked), len(missing), missing[:min(3, len(missing))], extra[:min(3, len(extra))])
+	}
+	if err := put("c-after-fence"); !rpc.IsFenced(err) {
+		t.Fatalf("put after the fence = %v, want fence rejection", err)
+	}
+	if st := n.Serve(rpc.Request{Method: rpc.MethodStats}); st.Fenced != 1 {
+		t.Fatalf("node holds %d fences after the install, want 1", st.Fenced)
 	}
 }
 

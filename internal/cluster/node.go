@@ -450,15 +450,21 @@ func (n *Node) rangeDelta(req rpc.Request) rpc.Response {
 }
 
 // rangeFence installs (req.Fence) or lifts a write fence over
-// [Start, End). Both directions are idempotent.
+// [Start, End). Both directions are idempotent. An install that asks
+// for a page (Limit > 0) answers it as rangeDelta does, from the
+// baseline (Epoch, Since): the fence goes up only once the writes in
+// flight have landed, so that delta is the range's last.
 func (n *Node) rangeFence(req rpc.Request) rpc.Response {
 	if req.Namespace == "" {
 		return rpc.Response{Err: "cluster: rangefence needs a namespace"}
 	}
-	if req.Fence {
-		n.fences.add(req.Namespace, req.Start, req.End)
-	} else {
+	if !req.Fence {
 		n.fences.remove(req.Namespace, req.Start, req.End)
+		return rpc.Response{Found: true}
+	}
+	n.fences.add(req.Namespace, req.Start, req.End)
+	if req.Limit > 0 {
+		return n.rangeDelta(req)
 	}
 	return rpc.Response{Found: true}
 }

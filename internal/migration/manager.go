@@ -13,11 +13,12 @@
 //  2. Delta catch-up: repeatedly fetch "everything applied after the
 //     watermark" and forward it, advancing the watermark, until a
 //     round comes back small (the targets are nearly caught up).
-//  3. Fence + final drain: install a write fence on the donor primary
-//     (writes bounce with rpc.ErrFenced; coordinators re-route and
-//     retry), drain the last delta to the targets, flip the partition
-//     map, lift the fence from nodes that keep the range. The fence
-//     pause is bounded by the size of one small delta.
+//  3. Fence + flip: one call installs a write fence on the donor
+//     primary (writes bounce with rpc.ErrFenced; coordinators re-route
+//     and retry) and answers the range's final delta, which goes to
+//     the targets; then flip the partition map and lift the fence from
+//     nodes that keep the range. The fence pause is one round trip
+//     carrying one small delta.
 //
 // Nodes that lose the range keep their fence forever (a straggling
 // in-flight write routed before the flip must bounce to the new
@@ -35,9 +36,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"scads/internal/clock"
 	"scads/internal/cluster"
 	"scads/internal/partition"
 	"scads/internal/record"
@@ -76,11 +75,10 @@ type Stats struct {
 	Succeeded       int64
 	Failed          int64
 	SnapshotRecords int64 // records shipped by snapshot pages
-	DeltaRecords    int64 // records shipped by delta rounds (incl. final drain)
+	DeltaRecords    int64 // records shipped by delta rounds and fence answers
 	DeltaRounds     int64
 	Resnapshots     int64 // snapshot restarts after a delta-baseline gap
 	FencePauses     int64
-	FenceNanos      int64 // total time ranges spent write-fenced
 	CleanupRetries  int64
 	CleanupPending  int // nodes still awaiting range teardown
 }
@@ -91,7 +89,6 @@ type Stats struct {
 type Manager struct {
 	transport rpc.Transport
 	dir       *cluster.Directory
-	clk       clock.Clock // stamps fence pauses
 
 	// OnPhase, when set, receives one Event per phase transition
 	// (synchronously, on the migrating goroutine).
@@ -100,9 +97,9 @@ type Manager struct {
 	// succeeds and *before* the donor's write fence lifts. While the
 	// fence is still held no write can land on the donor, so this is
 	// the one moment the coordinator can enumerate replication updates
-	// the fenced drain provably did not cover (still queued at the
-	// coordinator) and clone them to the replicas the flip added — see
-	// replication.Pump.Rebind. Without it, an in-flight update that
+	// the fence's final delta provably did not cover (still queued at
+	// the coordinator) and clone them to the replicas the flip added —
+	// see replication.Pump.Rebind. Without it, an in-flight update that
 	// lands on the donor after the handoff never reaches the new
 	// replicas.
 	OnFlip func(namespace string, start, end []byte, old, target []string)
@@ -126,7 +123,6 @@ type Manager struct {
 	deltaRoundsRun  atomic.Int64
 	resnapshots     atomic.Int64
 	fencePauses     atomic.Int64
-	fenceNanos      atomic.Int64
 	cleanupRetries  atomic.Int64
 }
 
@@ -141,15 +137,13 @@ type cleanup struct {
 	nodes      map[string]bool
 }
 
-// NewManager returns a manager calling through transport, resolving
-// node addresses through dir and timing fence pauses on clk.
-// parallelism bounds concurrently running migrations and must be at
-// least 1.
-func NewManager(transport rpc.Transport, dir *cluster.Directory, clk clock.Clock, parallelism int) *Manager {
+// NewManager returns a manager calling through transport and resolving
+// node addresses through dir. parallelism bounds concurrently running
+// migrations and must be at least 1.
+func NewManager(transport rpc.Transport, dir *cluster.Directory, parallelism int) *Manager {
 	return &Manager{
 		transport: transport,
 		dir:       dir,
-		clk:       clk,
 		sem:       make(chan struct{}, parallelism),
 		inflight:  make(map[string]*rangeLock),
 		pending:   make(map[string]*cleanup),
@@ -173,7 +167,6 @@ func (m *Manager) Stats() Stats {
 		DeltaRounds:     m.deltaRoundsRun.Load(),
 		Resnapshots:     m.resnapshots.Load(),
 		FencePauses:     m.fencePauses.Load(),
-		FenceNanos:      m.fenceNanos.Load(),
 		CleanupRetries:  m.cleanupRetries.Load(),
 		CleanupPending:  pending,
 	}
@@ -188,16 +181,17 @@ var ErrTargetDown = errors.New("migration: target node is not up")
 // MoveRange migrates the range of pm containing key to the replica
 // group plan returns (target[0] becomes the primary), losslessly with
 // respect to writes acknowledged at any point: snapshot, delta
-// catch-up, brief write-fence drain, routing flip, teardown. plan runs
-// in a migration slot under the range's lock, on the range as it
-// stands then: every mover of a range — repair, spread, decommission,
-// rebalance, an operator — plans against the state its move starts
-// from. An empty target is partition.ErrNeedReplicas; a target equal
-// to the current set moves nothing, counts nothing and only retries
-// the range's pending teardown; a target adding a node not in
-// Directory.Up is ErrTargetDown. Migrations of distinct ranges run in
-// parallel up to the manager's parallelism bound, migrations of the
-// same range serialise.
+// catch-up, a write fence that answers the final delta, routing flip,
+// teardown. plan runs in a migration slot under the range's lock, on
+// the range as it stands then: every mover of a range — repair,
+// spread, decommission, rebalance, an operator — plans against the
+// state its move starts from. An empty target is
+// partition.ErrNeedReplicas; a target equal to the current set moves
+// nothing, counts nothing and only retries the range's pending
+// teardown; a target adding a node not in Directory.Up is
+// ErrTargetDown. Migrations of distinct ranges run in parallel up to
+// the manager's parallelism bound, migrations of the same range
+// serialise.
 func (m *Manager) MoveRange(pm *partition.Map, namespace string, key []byte, plan func(partition.Range) ([]string, error)) error {
 	m.sem <- struct{}{}
 	defer func() { <-m.sem }()
@@ -330,7 +324,7 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 			return err
 		}
 		// Unfenced delta rounds: chase the donor's write stream until
-		// a round comes back small enough to drain under the fence.
+		// a round comes back small enough to ship under the fence.
 		// Resnapshots are bounded too — a namespace written faster
 		// than a full snapshot can complete would otherwise loop here
 		// forever, never fencing and never surfacing an error.
@@ -341,7 +335,7 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 			maxDeltaRounds = 4
 			// deltaThreshold fences as soon as a round returns this
 			// many records or fewer — the targets are close enough
-			// that the fenced drain is short.
+			// that the fence's answer is short.
 			deltaThreshold = 64
 		)
 		rounds, resnapshots := 0, 0
@@ -371,45 +365,39 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 		}
 	}
 
-	// Fence the write primary for the handoff. If the primary is
-	// unreachable no write can be acknowledged through it, so the
-	// drain below already sees the final state.
+	// Fence the write primary for the handoff; the same call answers
+	// the final delta, for the node installs the fence only once the
+	// writes in flight have landed. A More page re-sends the fence, an
+	// idempotent install, from the advanced watermark. If the primary
+	// is unreachable no write can be acknowledged through it, so one
+	// more delta from the donor takes what is left.
 	primaryAddr, primaryUp := m.dir.Addr(old[0])
-	fenced := false
-	var fencedAt time.Time
+	// Any error between fence and flip lifts the fence — the old
+	// primary still owns the range, and a fence whose answer was lost
+	// may be up.
+	unfencePrimary := func() {
+		if primaryUp {
+			_ = m.fence(primaryAddr, namespace, rng, false)
+		}
+	}
+	var err error
 	if primaryUp {
 		m.event(Event{Phase: PhaseFence, Namespace: namespace, Start: rng.Start, End: rng.End, Target: target})
-		if err := m.fence(primaryAddr, namespace, rng, true); err != nil {
-			return fmt.Errorf("migration: fence %s: %w", old[0], err)
-		}
-		fenced = true
-		fencedAt = m.clk.Now()
 		m.fencePauses.Add(1)
-	}
-	// Any error between fence and flip must lift the fence — the old
-	// primary still owns the range.
-	unfencePrimary := func() {
-		if fenced {
-			_ = m.fence(primaryAddr, namespace, rng, false)
-			m.fenceNanos.Add(m.clk.Since(fencedAt).Nanoseconds())
-			fenced = false
+		if len(catchupTargets) > 0 {
+			_, _, _, err = m.ship(primaryAddr, catchupTargets, rpc.Request{
+				Method: rpc.MethodRangeFence, Namespace: namespace, Start: rng.Start, End: rng.End,
+				Fence: true, Since: watermark, Epoch: epoch,
+			}, &m.deltaRecords)
+		} else {
+			err = m.fence(primaryAddr, namespace, rng, true)
 		}
+	} else if len(catchupTargets) > 0 {
+		_, _, err = m.deltaOnce(namespace, rng, donorAddr, catchupTargets, epoch, watermark)
 	}
-
-	if len(catchupTargets) > 0 {
-		// Final drain under the fence: no new write can be accepted on
-		// the donor, so this converges to an empty delta.
-		for {
-			n, wm, err := m.deltaOnce(namespace, rng, donorAddr, catchupTargets, epoch, watermark)
-			if err != nil {
-				unfencePrimary()
-				return fmt.Errorf("migration: final drain %s %s: %w", namespace, rng, err)
-			}
-			watermark = wm
-			if n == 0 {
-				break
-			}
-		}
+	if err != nil {
+		unfencePrimary()
+		return fmt.Errorf("migration: fence %s %s: %w", namespace, rng, err)
 	}
 
 	// Flip the routing: the single atomic step of the handoff. The
@@ -427,16 +415,12 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 		m.OnFlip(namespace, rng.Start, rng.End, old, target)
 	}
 
+	// The old primary keeps the range: writes may flow to it again
+	// (possibly as a secondary via replication). One that lost it keeps
+	// its fence: a straggler write routed before the flip must bounce
+	// to the new primary, never land invisibly here.
 	if slices.Contains(target, old[0]) {
-		// The old primary keeps the range: writes may flow to it again
-		// (possibly as a secondary via replication).
 		unfencePrimary()
-	} else if fenced {
-		// The old primary lost the range. Its fence stays: a straggler
-		// write routed before the flip must bounce to the new primary,
-		// never land invisibly here. Account the pause as ending now —
-		// writers were unblocked by the flip.
-		m.fenceNanos.Add(m.clk.Since(fencedAt).Nanoseconds())
 	}
 
 	// Teardown: journal the range's drop on every node that lost it;
@@ -491,13 +475,14 @@ func (m *Manager) deltaOnce(namespace string, rng partition.Range, donorAddr str
 
 // ship pages req from the donor to the targets and returns the first
 // and last pages plus the records shipped. A snapshot page resumes from
-// the donor's Resume key, a delta page from its watermark. Paging stops
-// only when a page arrives with More unset: a short page may have
-// stopped at the donor's byte budget (stopping there in the fenced
-// final drain would leave applied writes behind on the donor), and
-// watermark progress is no signal either — writes to *other* ranges of
-// the namespace advance it every round, which would spin the drain,
-// with the fence up, for as long as the namespace takes traffic.
+// the donor's Resume key, a delta page — a fence install's too — from
+// its watermark. Paging stops only when a page arrives with More unset:
+// a short page may have stopped at the donor's byte budget (stopping
+// there in the fenced handoff would leave applied writes behind on the
+// donor), and watermark progress is no signal either — writes to
+// *other* ranges of the namespace advance it every round, which would
+// spin the paging, with the fence up, for as long as the namespace
+// takes traffic.
 func (m *Manager) ship(donorAddr string, targets []nodeAddr, req rpc.Request, shipped *atomic.Int64) (first, last rpc.Response, n int, err error) {
 	req.Limit = pageRecords
 	for page := 0; ; page++ {

@@ -21,7 +21,7 @@ const testNS = "tbl_users"
 // coordinator.
 type harness struct {
 	t         *testing.T
-	transport *rpc.LocalTransport
+	transport *lockedTransport
 	dir       *cluster.Directory
 	nodes     map[string]*cluster.Node
 	pm        *partition.Map
@@ -32,7 +32,7 @@ func newHarness(t *testing.T, nodeIDs ...string) *harness {
 	t.Helper()
 	h := &harness{
 		t:         t,
-		transport: rpc.NewLocalTransport(),
+		transport: &lockedTransport{LocalTransport: rpc.NewLocalTransport()},
 		dir:       cluster.NewDirectory(clock.NewReal()),
 		nodes:     make(map[string]*cluster.Node),
 	}
@@ -52,9 +52,40 @@ func newHarness(t *testing.T, nodeIDs ...string) *harness {
 		t.Fatal(err)
 	}
 	h.pm = pm
-	h.mgr = NewManager(h.transport, h.dir, clock.NewReal(), 2)
+	h.mgr = NewManager(h.transport, h.dir, 2)
 	h.mgr.Resolver = func(string) (*partition.Map, bool) { return h.pm, true }
+	h.transport.h = h
 	return h
+}
+
+// lockedTransport is the harness's LocalTransport. Every fence install
+// and range drop it carries must be sent under the lock of each current
+// range it overlaps, so that no move of those ranges runs meanwhile;
+// onCall, when set, sees each request before it is served.
+type lockedTransport struct {
+	*rpc.LocalTransport
+	h      *harness
+	onCall func(addr string, req rpc.Request)
+}
+
+func (lt *lockedTransport) Call(addr string, req rpc.Request) (rpc.Response, error) {
+	if (req.Method == rpc.MethodRangeFence && req.Fence) || req.Method == rpc.MethodDropRange {
+		lt.h.assertLocked(addr, req)
+	}
+	if lt.onCall != nil {
+		lt.onCall(addr, req)
+	}
+	return lt.LocalTransport.Call(addr, req)
+}
+
+func (h *harness) assertLocked(addr string, req rpc.Request) {
+	h.mgr.mu.Lock()
+	defer h.mgr.mu.Unlock()
+	for _, r := range h.pm.Overlapping(req.Start, req.End) {
+		if l := h.mgr.inflight[req.Namespace+"\x00"+string(r.Start)]; l == nil || len(l.ch) != 1 {
+			h.t.Errorf("%s to %s sent without the lock of range %s", req.Method, addr, r)
+		}
+	}
 }
 
 func (h *harness) seed(node string, n int) {
@@ -756,5 +787,134 @@ func TestMoveRangePlansUnderTheRangeLock(t *testing.T) {
 	}
 	if st := h.mgr.Stats(); st.Started != 1 || st.Succeeded != 1 {
 		t.Fatalf("stats = %+v, want one move counted", st)
+	}
+}
+
+// TestFencedHandoffIsOneCall: between the fence and the flip the
+// primary gets one call, the fence install, and its answer carries a
+// write acked just before the fence.
+func TestFencedHandoffIsOneCall(t *testing.T) {
+	h := newHarness(t, "a", "b")
+	h.seed("a", 50)
+
+	fenced, calls := false, 0
+	h.mgr.OnPhase = func(ev Event) {
+		switch ev.Phase {
+		case PhaseFence:
+			ns, err := h.nodes["a"].Engine().Namespace(testNS)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := ns.Put(key(7), []byte("just-before-the-fence")); err != nil {
+				t.Error(err)
+			}
+			fenced = true
+		case PhaseFlip:
+			fenced = false
+		}
+	}
+	h.transport.onCall = func(addr string, req rpc.Request) {
+		if fenced && addr == "local://a" {
+			calls++
+		}
+	}
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("the primary got %d calls between fence and flip, want 1", calls)
+	}
+	if v, ok := h.get("b", key(7)); !ok || string(v) != "just-before-the-fence" {
+		t.Fatalf("write acked before the fence reads %q %v on the new primary", v, ok)
+	}
+}
+
+// TestFenceAnswerPagesUnderTheFence: a final delta larger than one page
+// arrives whole — each More page re-sends the install from the advanced
+// watermark, and the node still holds one fence.
+func TestFenceAnswerPagesUnderTheFence(t *testing.T) {
+	h := newHarness(t, "a", "b")
+	h.seed("a", 10)
+	const late = 3 * pageRecords / 2
+	h.mgr.OnPhase = func(ev Event) {
+		if ev.Phase == PhaseFence {
+			h.seed("a", late)
+		}
+	}
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.liveCount("b"); got != late {
+		t.Fatalf("target has %d live records, want %d", got, late)
+	}
+	if st := h.mgr.Stats(); st.DeltaRecords < late {
+		t.Fatalf("DeltaRecords = %d, want at least %d", st.DeltaRecords, late)
+	}
+	resp, err := h.transport.Call("local://a", rpc.Request{Method: rpc.MethodStats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Fenced != 1 {
+		t.Fatalf("old primary holds %d fences, want 1", resp.Fenced)
+	}
+}
+
+// fenceAnswerFails fails the first fence install it carries after the
+// node has installed it, with a transport error or with the error resp
+// carries.
+type fenceAnswerFails struct {
+	rpc.Transport
+	err    error
+	resp   rpc.Response
+	failed bool
+}
+
+func (f *fenceAnswerFails) Call(addr string, req rpc.Request) (rpc.Response, error) {
+	resp, err := f.Transport.Call(addr, req)
+	if req.Method == rpc.MethodRangeFence && req.Fence && !f.failed {
+		f.failed = true
+		return f.resp, f.err
+	}
+	return resp, err
+}
+
+// TestFenceAnswerLostLiftsFence: a fence install whose answer is lost,
+// or carries a snapshot gap, fails the move, and the move lifts the
+// fence the primary installed — it still owns the range.
+func TestFenceAnswerLostLiftsFence(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fails *fenceAnswerFails
+		want  func(error) bool
+	}{
+		{"lost", &fenceAnswerFails{err: rpc.ErrUnreachable}, func(err error) bool { return errors.Is(err, rpc.ErrUnreachable) }},
+		{"gap", &fenceAnswerFails{resp: rpc.Response{Err: rpc.ErrString(rpc.ErrSnapshotGap)}}, rpc.IsSnapshotGap},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, "a", "b")
+			h.seed("a", 20)
+			tc.fails.Transport = h.transport
+			h.mgr.transport = tc.fails
+			if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b")); !tc.want(err) {
+				t.Fatalf("err = %v", err)
+			}
+			if got := h.pm.Lookup(nil).Replicas; len(got) != 1 || got[0] != "a" {
+				t.Fatalf("map reads %v, want [a]", got)
+			}
+			st, err := h.transport.Call("local://a", rpc.Request{Method: rpc.MethodStats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Fenced != 0 {
+				t.Fatalf("a holds %d fences after the failed move", st.Fenced)
+			}
+			resp, err := h.transport.Call("local://a", rpc.Request{
+				Method: rpc.MethodPut, Namespace: testNS, Key: key(1), Value: []byte("post"),
+			})
+			if err != nil || resp.Error() != nil {
+				t.Fatalf("write to a after the failed move: %v %v", err, resp.Error())
+			}
+		})
 	}
 }

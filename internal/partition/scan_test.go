@@ -134,7 +134,7 @@ func TestScanFenceRetryRidesThroughHandoff(t *testing.T) {
 	tc.router.SetMap("ns", m)
 	loadScanData(t, tc, "ns", 50)
 
-	// Fence the whole keyspace on n1 (as a migration's final drain
+	// Fence the whole keyspace on n1 (as a migration's handoff
 	// would), then lift it shortly after from another goroutine: the
 	// scan must stall and then complete, never error.
 	fence := func(on bool) {

@@ -47,7 +47,7 @@ func newFixture(t *testing.T, n, rf int, cfg repair.Config) *fixture {
 	f.lt = rpc.NewLocalTransport()
 	f.dir = cluster.NewDirectory(f.clk)
 	f.router = partition.NewRouter(f.lt, f.dir)
-	f.mig = migration.NewManager(f.lt, f.dir, f.clk, 2)
+	f.mig = migration.NewManager(f.lt, f.dir, 2)
 	f.mig.Resolver = f.router.Map
 	queue := replication.NewQueue(replication.ByDeadline)
 	f.pump = replication.NewPump(queue, f.router.Apply, f.clk)

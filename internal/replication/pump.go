@@ -316,8 +316,8 @@ func (p *Pump) DroppedTo(node string) int64 {
 // Rebind clones every pending update for a key in [start, end) of the
 // namespace to each of the added replicas. The migration manager calls
 // this (through the coordinator's OnFlip hook) after flipping routing
-// and before lifting the donor's write fence: anything the fenced
-// drain could not have shipped — updates still queued, parked, or in
+// and before lifting the donor's write fence: anything the fence's
+// final delta could not have shipped — updates still queued, parked, or in
 // flight at the coordinator — is duplicated to the replicas that just
 // caught up, so a range's new members can never permanently miss a
 // write that was acknowledged before the handoff. Duplicate deliveries

@@ -46,7 +46,9 @@ const (
 	// MethodRangeSnapshot pages a range's records (tombstones included)
 	// together with the donor's apply watermark; MethodRangeDelta
 	// returns the records modified after a watermark; MethodRangeFence
-	// installs or lifts a write fence over a range.
+	// installs or lifts a write fence over a range, and an install with
+	// a Limit above 0 answers the range's final delta page as
+	// MethodRangeDelta does.
 	MethodRangeSnapshot = "rangesnap"
 	MethodRangeDelta    = "rangedelta"
 	MethodRangeFence    = "rangefence"
@@ -123,7 +125,8 @@ type Request struct {
 	// MethodSwap, and the keys of a MethodBatch multi-get.
 	Records []record.Record
 
-	// Since and Epoch carry the delta baseline for MethodRangeDelta:
+	// Since and Epoch carry the delta baseline for MethodRangeDelta
+	// and for a MethodRangeFence install that asks for a page:
 	// "everything applied after sequence Since of epoch Epoch". On a
 	// MethodSwap, Since is an exclusive bound on each key's stored
 	// version (0: none).
@@ -151,7 +154,8 @@ type Response struct {
 
 	// Watermark and Epoch report the node's apply position for
 	// MethodRangeSnapshot (captured before the snapshot scan) and
-	// MethodRangeDelta (covering the returned records).
+	// for a delta page, MethodRangeDelta's or a fence install's
+	// (covering the returned records).
 	Watermark uint64
 	Epoch     uint64
 

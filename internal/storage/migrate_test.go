@@ -325,8 +325,8 @@ func TestTruncateRangePersistsAcrossReopen(t *testing.T) {
 // contract: writes to *other* ranges of the namespace advance the
 // returned watermark but must report more=false once the retained log
 // is walked — the migration manager pages exactly while more is set,
-// so anything else would spin the fenced final drain for as long as
-// the namespace takes traffic anywhere.
+// so anything else would spin the fenced handoff's paging for as long
+// as the namespace takes traffic anywhere.
 func TestScanSinceOutOfRangeChurnIsTerminal(t *testing.T) {
 	ns := openMemNS(t)
 	epoch, wm := ns.ApplyWatermark()

@@ -169,8 +169,9 @@ func (lc *LocalCluster) HealReplica(id string) {
 // namespace to a new replica group, online and lossless: the
 // migration manager snapshots the range from the current holders,
 // catches the new replicas up through sequence-watermarked deltas,
-// briefly write-fences the donor primary for the final drain, flips
-// the partition map, and tears the range down on nodes that lost it.
+// briefly write-fences the donor primary in one call that answers the
+// final delta, flips the partition map, and tears the range down on
+// nodes that lost it.
 // Writes keep flowing throughout — a write arriving during the fence
 // pause bounces, is re-routed, and lands on the new primary. This is
 // the data-movement primitive behind Rebalance, SpreadNamespace,

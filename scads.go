@@ -207,12 +207,12 @@ func Open(cfg Config) (*Cluster, error) {
 	// Online range migrations share the transport with the router. The
 	// router's maps back the manager's ownership checks, so a journaled
 	// teardown can never truncate a range its node has since regained.
-	c.migrations = migration.NewManager(cfg.Transport, cfg.Directory, cfg.Clock, migrationParallelism)
+	c.migrations = migration.NewManager(cfg.Transport, cfg.Directory, migrationParallelism)
 	c.migrations.Resolver = c.router.Map
 	c.pump = replication.NewPump(replication.NewQueue(replication.ByDeadline), c.router.Apply, cfg.Clock)
 	// Flip-time rebind: while the donor's fence is still held, clone
-	// any replication update the fenced drain provably could not have
-	// shipped (still queued/parked/in-flight at this coordinator) to
+	// any replication update the fence's final delta provably could not
+	// have shipped (still queued/parked/in-flight at this coordinator) to
 	// the replicas the flip added. Without this, a write acknowledged
 	// before a migration could permanently miss the range's new
 	// members — and surface as data loss after a later failover onto
