@@ -47,19 +47,11 @@ func (f fenceRange) equal(o fenceRange) bool {
 	return bytes.Equal(f.start, o.start) && bytes.Equal(f.end, o.end)
 }
 
-// add installs a fence over [start, end); installing an identical
-// fence twice is a no-op, so retried migrations stay idempotent.
+// add installs a fence over [start, end), keeping the slices: a
+// request owns its bytes (rpc.Handler). Installing an identical fence
+// twice is a no-op, so retried migrations stay idempotent.
 func (fs *fenceSet) add(ns string, start, end []byte) {
-	nf := fenceRange{
-		start: append([]byte(nil), start...),
-		end:   append([]byte(nil), end...),
-	}
-	if start == nil {
-		nf.start = nil
-	}
-	if end == nil {
-		nf.end = nil
-	}
+	nf := fenceRange{start: start, end: end}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.byNS == nil {
@@ -90,11 +82,11 @@ func (fs *fenceSet) remove(ns string, start, end []byte) {
 		}
 		// Left remainder: [f.start, start).
 		if start != nil && (f.start == nil || bytes.Compare(f.start, start) < 0) {
-			kept = append(kept, fenceRange{start: f.start, end: cloneFenceBound(start)})
+			kept = append(kept, fenceRange{start: f.start, end: start})
 		}
 		// Right remainder: [end, f.end).
 		if end != nil && (f.end == nil || bytes.Compare(end, f.end) < 0) {
-			kept = append(kept, fenceRange{start: cloneFenceBound(end), end: f.end})
+			kept = append(kept, fenceRange{start: end, end: f.end})
 		}
 	}
 	if len(kept) == 0 {
@@ -114,13 +106,6 @@ func (f fenceRange) overlaps(start, end []byte) bool {
 		return false
 	}
 	return true
-}
-
-func cloneFenceBound(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
 }
 
 // whileClear runs read unless a fence of the namespace overlaps

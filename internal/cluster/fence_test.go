@@ -360,3 +360,46 @@ func TestUnfenceSubtractsRange(t *testing.T) {
 		t.Fatalf("fence count = %d after lifting everything", st.Fenced)
 	}
 }
+
+// TestFenceSurvivesCallerBuffers: a fence installed and cut through a
+// transport keeps the span it was sent, though the caller overwrites
+// its Start and End buffers after each Call. The fence set keeps the
+// request's slices, which the request owns.
+func TestFenceSurvivesCallerBuffers(t *testing.T) {
+	lt := rpc.NewLocalTransport()
+	lt.Register("n1", newTestNode(t, "n1"))
+	const ns = "tbl_users"
+	start, end := []byte("b"), []byte("d")
+	call := func(req rpc.Request) rpc.Response {
+		t.Helper()
+		resp, err := lt.Call("n1", req)
+		if err == nil {
+			err = resp.Error()
+		}
+		if err != nil && !rpc.IsFenced(err) {
+			t.Fatalf("%s: %v", req.Method, err)
+		}
+		copy(start, "z")
+		copy(end, "z")
+		return resp
+	}
+	fenced := func(key string) bool {
+		resp := call(rpc.Request{Method: rpc.MethodPut, Namespace: ns, Key: []byte(key), Value: []byte("v")})
+		return rpc.IsFenced(resp.Error())
+	}
+	check := func(stage string, want map[string]bool) {
+		t.Helper()
+		for key, w := range want {
+			if got := fenced(key); got != w {
+				t.Errorf("%s: put %q fenced = %v, want %v", stage, key, got, w)
+			}
+		}
+	}
+
+	call(rpc.Request{Method: rpc.MethodRangeFence, Namespace: ns, Start: start, End: end, Fence: true})
+	check("installed [b, d)", map[string]bool{"a": false, "b": true, "c": true, "d": false, "z": false})
+
+	start, end = []byte("b"), []byte("c")
+	call(rpc.Request{Method: rpc.MethodRangeFence, Namespace: ns, Start: start, End: end})
+	check("lifted [b, c)", map[string]bool{"b": false, "bz": false, "c": true, "cz": true, "d": false, "z": false})
+}

@@ -89,7 +89,7 @@ func TestCodecAllocs(t *testing.T) {
 	payload := append([]byte(nil), (*bp)[4:]...)
 	putFrameBuf(bp)
 	decode := testing.AllocsPerRun(200, func() {
-		if _, err := decodeResponse(payload); err != nil {
+		if _, err := decodeResp(payload); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -26,11 +26,19 @@ func readFrame(rd io.Reader) ([]byte, error) {
 // decodeRequest decodes without an intern table and detaches, as the
 // codec tests want it.
 func decodeRequest(b []byte) (Request, error) {
-	req, err := decodeRequestBorrowed(b, nil)
+	var req Request
+	err := decodeRequestBorrowed(b, nil, &req)
 	if err == nil {
 		detachRequest(&req)
 	}
 	return req, err
+}
+
+// decodeResp is decodeResponse returning the response, borrowed.
+func decodeResp(b []byte) (Response, error) {
+	var resp Response
+	err := decodeResponse(b, &resp)
+	return resp, err
 }
 
 // TestRequestDecodeInternsNames: with a connection's intern table a
@@ -46,11 +54,11 @@ func TestRequestDecodeInternsNames(t *testing.T) {
 		defer putFrameBuf(bp)
 		return append([]byte(nil), (*bp)[4:]...)
 	}
-	names := make(map[string]string)
+	names := &internTable{}
 	payload := frame("tbl.users")
 	if n := testing.AllocsPerRun(100, func() {
-		req, err := decodeRequestBorrowed(payload, names)
-		if err != nil || req.Namespace != "tbl.users" || req.Tenant != "tenant-a" {
+		var req Request
+		if err := decodeRequestBorrowed(payload, names, &req); err != nil || req.Namespace != "tbl.users" || req.Tenant != "tenant-a" {
 			t.Fatalf("decode = %+v, %v", req, err)
 		}
 	}); n != 0 {
@@ -58,12 +66,13 @@ func TestRequestDecodeInternsNames(t *testing.T) {
 	}
 	for i := 0; i < 3*maxInternedNames; i++ {
 		ns := fmt.Sprintf("ns-%d", i)
-		if req, err := decodeRequestBorrowed(frame(ns), names); err != nil || req.Namespace != ns {
+		var req Request
+		if err := decodeRequestBorrowed(frame(ns), names, &req); err != nil || req.Namespace != ns {
 			t.Fatalf("decode %q = %+v, %v", ns, req, err)
 		}
 	}
-	if len(names) > maxInternedNames {
-		t.Errorf("intern table grew to %d entries, bound %d", len(names), maxInternedNames)
+	if n := len(*names.names.Load()); n > maxInternedNames {
+		t.Errorf("intern table grew to %d entries, bound %d", n, maxInternedNames)
 	}
 }
 
@@ -453,7 +462,7 @@ func TestServerCloseJoinsAfterStalledClientResumes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reading response %d of %d: %v", i+1, requests, err)
 		}
-		resp, err := decodeResponse(payload)
+		resp, err := decodeResp(payload)
 		if err != nil || resp.Err != "" || len(resp.Value) != size || seen[resp.ID] {
 			t.Fatalf("response %d = id %d, %d value bytes, err %q / %v", i+1, resp.ID, len(resp.Value), resp.Err, err)
 		}

@@ -63,7 +63,7 @@ func readGetResponse(t *testing.T, peer *framedConn, id int) {
 	if err != nil {
 		t.Fatalf("reading the response to get %d: %v", id, err)
 	}
-	resp, err := decodeResponse(payload)
+	resp, err := decodeResp(payload)
 	if err != nil || resp.ID != uint64(id) || string(resp.Value) != fmt.Sprintf("key-%d", id) {
 		t.Fatalf("response = %+v, %v; want get %d's key", resp, err, id)
 	}
@@ -320,7 +320,7 @@ func TestInlineGetsKeepParkedRequestIntact(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reading point read %d: %v", i, err)
 				}
-				resp, err := decodeResponse(payload)
+				resp, err := decodeResp(payload)
 				if err != nil || resp.ID != flood[i].ID || !echoes(flood[i], resp) {
 					t.Fatalf("point read %d = %+v, %v; want its keys echoed", i, resp, err)
 				}

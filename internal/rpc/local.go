@@ -7,11 +7,15 @@ import (
 	"scads/internal/clock"
 )
 
-// LocalTransport is an in-process Transport used by the cluster
-// simulator: handlers register under logical addresses, calls dispatch
-// directly (optionally charging simulated latency against a virtual
-// clock), and nodes can be partitioned or crashed for failure
-// experiments.
+// LocalTransport is the in-process Transport of the cluster simulator:
+// handlers register under logical addresses, and nodes can be
+// partitioned or crashed for failure experiments. A call crosses the
+// same wire as a TCP call, minus the socket: its request is encoded
+// into a frame and decoded as the TCP server decodes it (a point read
+// borrowed, anything else detached), served, and its response encoded
+// and decoded as the TCP client decodes it. A point read's frame is
+// overwritten once its response is encoded, so a handler that keeps a
+// borrowed byte field past Serve sees it change.
 type LocalTransport struct {
 	// Clock charges Latency per call when set (nil disables).
 	Clock clock.Clock
@@ -23,6 +27,7 @@ type LocalTransport struct {
 	handlers  map[string]Handler
 	down      map[string]bool
 	applyDown map[string]bool
+	names     internTable
 }
 
 // NewLocalTransport returns an empty registry.
@@ -81,7 +86,25 @@ func (t *LocalTransport) Call(addr string, req Request) (Response, error) {
 	if t.Clock != nil && t.Latency > 0 {
 		t.Clock.Sleep(t.Latency)
 	}
-	resp := h.Serve(req)
-	resp.ID = req.ID
-	return resp, nil
+	frames, err := encodeRequestFrame(&req)
+	if err != nil {
+		return Response{}, err
+	}
+	defer putFrameBuf(frames)
+	reqFrame := *frames
+	var served Request
+	lent, err := receiveRequest(reqFrame[4:], &t.names, &served)
+	if err != nil {
+		return Response{}, err
+	}
+	resp := serve(h, &served)
+	// The response frame follows the request's in the one buffer; a
+	// buffer grown by it leaves the lent bytes in the old array.
+	*frames = appendResponseFrame(reqFrame, &resp, maxFrameSize)
+	if lent {
+		clear(reqFrame)
+	}
+	var out Response
+	err = receiveResponse((*frames)[len(reqFrame)+4:], &out)
+	return out, err
 }

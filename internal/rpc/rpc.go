@@ -1,8 +1,12 @@
 // Package rpc implements the SCADS wire protocol: length-prefixed
 // binary frames carrying hand-rolled, zero-reflection request/response
-// encodings over a pipelined multiplexed TCP transport (see wire.go
-// for the frame layout), plus an in-process transport with injectable
-// latency used by the cluster simulator.
+// encodings (see wire.go for the frame layout). A call has one
+// semantics whichever transport carries it: the request is encoded,
+// decoded at the handler as a server decodes it, served, and the
+// response encoded and decoded as a client decodes it. TCPTransport
+// moves the frames over a pipelined multiplexed connection;
+// LocalTransport, the cluster simulator's, hands them across in
+// process, with injectable latency and failures.
 //
 // The protocol is deliberately small — the paper's storage interface is
 // point get/put/delete, bounded range scan, and the replication apply
@@ -92,9 +96,9 @@ func isPointRead(req *Request) bool {
 // fields stay at their zero values; the wire codec encodes a zero
 // field as a single byte.
 type Request struct {
-	// ID is the transport-assigned correlation ID. Callers leave it
-	// zero; transports stamp their own per-connection IDs on the wire
-	// without mutating the caller's value.
+	// ID is the correlation ID. Callers leave it zero: TCPTransport
+	// stamps its own per-connection IDs on the wire without mutating
+	// the caller's value.
 	ID        uint64
 	Method    string
 	Namespace string
@@ -189,12 +193,20 @@ func (r *Response) Error() error {
 
 // Handler processes one request. Implementations must be safe for
 // concurrent use. A point read's byte fields (isPointRead: a get or a
-// multi-get) are lent for the call: the TCP server decodes
-// them in place in its read buffer, which it reads into again once
-// Serve returns, so Serve must copy any of them it keeps. The response
-// may alias them. Every other request owns its bytes.
+// multi-get) are lent for the call: the transport decodes them in place
+// in its frame, which it overwrites once the response is encoded, so
+// Serve must copy any of them it keeps. The response may alias them.
+// Every other request owns its bytes.
 type Handler interface {
 	Serve(req Request) Response
+}
+
+// serve is the one serve step of every transport: h answers req, and
+// the response carries req's correlation ID.
+func serve(h Handler, req *Request) Response {
+	resp := h.Serve(*req)
+	resp.ID = req.ID
+	return resp
 }
 
 // HandlerFunc adapts a function to a Handler.
@@ -204,9 +216,9 @@ type HandlerFunc func(Request) Response
 func (f HandlerFunc) Serve(req Request) Response { return f(req) }
 
 // Transport delivers a request to the node at addr and returns its
-// response. Neither Call nor the handler behind it keeps req.Records
-// once Call returns — the records' bytes are given away, the slice is
-// not: the coordinator reuses the one-record slice of a solo commit.
+// response. Call keeps nothing of req: the request crosses as an
+// encoded frame, so the caller may reuse every buffer it passed once
+// Call returns. The response is the caller's alone.
 type Transport interface {
 	Call(addr string, req Request) (Response, error)
 }

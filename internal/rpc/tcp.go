@@ -170,7 +170,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	ctrlSem := make(chan struct{}, controlHandlerReserve)
 	// A connection carries a handful of namespaces and tenants; their
 	// strings are made once, not per request.
-	names := make(map[string]string)
+	names := &internTable{}
 	// inline holds the frames of point reads served on this loop until
 	// the loop might block: in the next read, or on the control reserve.
 	var inline []byte
@@ -193,19 +193,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // EOF or broken peer
 		}
-		req, err := decodeRequestBorrowed(payload, names)
+		var req Request
+		lent, err := receiveRequest(payload, names, &req)
 		if err != nil {
 			// A desynchronised or hostile byte stream cannot be
 			// recovered; drop the connection.
 			return
 		}
-		if isPointRead(&req) {
-			resp := s.handler.Serve(req)
-			resp.ID = req.ID
+		if lent {
+			resp := serve(s.handler, &req)
 			inline = appendResponseFrame(inline, &resp, maxFrameSize)
 			continue
 		}
-		detachRequest(&req)
 		sem := dataSem
 		if IsControlMethod(req.Method) {
 			sem = ctrlSem
@@ -272,8 +271,7 @@ func (w *workers) run(j job) {
 		w.wg.Done()
 	}()
 	for {
-		resp := w.s.handler.Serve(j.req)
-		resp.ID = j.req.ID
+		resp := serve(w.s.handler, &j.req)
 		writeResponse(w.fc, &resp)
 		<-j.slot
 		if w.idle.Add(1) > maxIdleWorkers {
@@ -599,9 +597,9 @@ func (t *TCPTransport) remove(addr string, c *muxConn) {
 }
 
 // readLoop is the connection's single reader: it decodes each response
-// frame in place in the read buffer and hands the response, detached,
-// to the caller registered under its correlation ID. Responses without
-// a waiter (the caller timed out) are dropped.
+// frame in place in the read buffer, detaches it (receiveResponse) and
+// hands it to the caller registered under its correlation ID. Responses
+// without a waiter (the caller timed out) are dropped.
 func (c *muxConn) readLoop() {
 	for {
 		payload, err := c.fc.readBorrowed()
@@ -609,8 +607,8 @@ func (c *muxConn) readLoop() {
 			c.fail(fmt.Errorf("receive: %v", err))
 			return
 		}
-		resp, err := decodeResponse(payload)
-		if err != nil {
+		var resp Response
+		if err := receiveResponse(payload, &resp); err != nil {
 			c.fail(err)
 			return
 		}
@@ -621,7 +619,6 @@ func (c *muxConn) readLoop() {
 		}
 		c.pmu.Unlock()
 		if ok {
-			detachResponse(&resp)
 			pc.ch <- callResult{resp: resp}
 		}
 	}

@@ -18,28 +18,28 @@ package rpc
 // hostile one claiming a multi-gigabyte payload) errors out without
 // over-allocating and without panicking.
 //
-// Memory ownership is deliberately asymmetric between the two
-// directions:
+// Memory ownership is the same on both transports (TCPTransport and
+// LocalTransport call the same functions):
 //
-//   - Requests (decoded by the server) are decoded in place in the
-//     connection's read buffer, which the next read overwrites. A
-//     point read (isPointRead) BORROWS its byte fields from it: the
-//     read loop serves it and appends the response to its outgoing
-//     buffer before it reads again, so a get allocates nothing here.
-//     Every other request is DETACHED before it goes to a worker: its
-//     byte fields are copied into one per-request arena sized to their
-//     total, so handlers — and the storage engine behind them, which
-//     retains applied records in the memtable and apply log — own what
-//     they keep. Cost: one arena allocation per such request that
-//     carries any bytes, regardless of how many records. Namespace and
-//     tenant strings come from a per-connection intern table either
-//     way.
+//   - Requests are decoded in place in the frame that carried them
+//     (receiveRequest). A point read (isPointRead) BORROWS its byte
+//     fields from it: it is served and its response encoded before the
+//     frame is reused — the TCP server's next read, LocalTransport's
+//     overwrite — so a get allocates nothing here. Every other request
+//     is DETACHED before it is served: its byte fields are copied into
+//     one per-request arena sized to their total, so handlers — and the
+//     storage engine behind them, which retains applied records in the
+//     memtable and apply log — own what they keep. Cost: one arena
+//     allocation per such request that carries any bytes, regardless of
+//     how many records. Namespace and tenant strings come from an
+//     intern table either way: a TCP connection's, or one LocalTransport
+//     lends a call.
 //
-//   - Responses (decoded by the client) are decoded in place in the
-//     client's read buffer too, and detached the same way before they
-//     go to their caller: one exact arena for a response that carries
-//     bytes, none for one that carries none (an apply's, a ping's), so
-//     a scan page of N records costs O(1) allocations.
+//   - Responses are decoded in place too, and detached the same way
+//     before they go to their caller (receiveResponse): one exact arena
+//     for a response that carries bytes, none for one that carries none
+//     (an apply's, a ping's), so a scan page of N records costs O(1)
+//     allocations.
 //
 // Encoding buffers are pooled: an encoded frame is built — length
 // prefix included — in a single reusable buffer and handed to the
@@ -52,7 +52,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"scads/internal/record"
 )
@@ -92,26 +94,10 @@ const (
 	respFlagMore  byte = 1 << 1
 )
 
-// Method codes keep the hot field to one byte. Code 0 escapes to an
-// inline string for methods the table does not know (forward
-// compatibility for coordinator-served admin methods).
-var methodCodes = map[string]byte{
-	MethodPing:          1,
-	MethodGet:           2,
-	MethodPut:           3,
-	MethodDelete:        4,
-	MethodScan:          5,
-	MethodApply:         6,
-	MethodDropRange:     7,
-	MethodStats:         8,
-	MethodBatch:         9,
-	MethodRangeSnapshot: 10,
-	MethodRangeDelta:    11,
-	MethodRangeFence:    12,
-	MethodRepairs:       13,
-	MethodSwap:          14,
-}
-
+// Method codes keep the hot field to one byte: a method's code is its
+// index in methodNames. Code 0 escapes to an inline string for methods
+// the table does not know (forward compatibility for coordinator-served
+// admin methods).
 var methodNames = [...]string{
 	1:  MethodPing,
 	2:  MethodGet,
@@ -167,86 +153,121 @@ func appendVarint(dst []byte, v int64) []byte {
 
 // wireReader walks a frame buffer. Every accessor validates lengths
 // against the bytes remaining before touching them; byte fields alias
-// b.
+// b. The first failure is kept in err and empties b, so every read
+// after it returns a zero value: a decoder reads its fields straight
+// through and checks err once.
 type wireReader struct {
 	b []byte
-	// names, when non-nil, interns namespace and tenant strings: the
-	// server's per-connection table of the few it keeps seeing.
-	names map[string]string
+	// names, when non-nil, interns namespace and tenant strings.
+	names *internTable
+	err   error
 }
 
-// maxInternedNames bounds a connection's intern table, so a peer
-// cycling through names cannot grow it.
+// internTable holds the namespace and tenant strings a decoder keeps
+// seeing, so each is made once, not per request: a TCP connection keeps
+// one, a LocalTransport one for all its calls. A lookup reads the
+// published map without a lock; a new name publishes a copy that holds
+// it, up to maxInternedNames.
+type internTable struct {
+	mu    sync.Mutex
+	names atomic.Pointer[map[string]string]
+}
+
+// maxInternedNames bounds an intern table, so a peer cycling through
+// names cannot grow it.
 const maxInternedNames = 64
 
-func (r *wireReader) len() int { return len(r.b) }
+func (t *internTable) intern(b []byte) string {
+	if m := t.names.Load(); m != nil {
+		if s, ok := (*m)[string(b)]; ok {
+			return s
+		}
+	}
+	s := string(b)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old := t.names.Load()
+	if old == nil || len(*old) < maxInternedNames {
+		m := map[string]string{s: s}
+		if old != nil {
+			maps.Copy(m, *old)
+		}
+		t.names.Store(&m)
+	}
+	return s
+}
 
-func (r *wireReader) uvarint() (uint64, error) {
+// fail records the frame as corrupt, unless it already is.
+func (r *wireReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s", errCorruptFrame, fmt.Sprintf(format, args...))
+	}
+	r.b = nil
+}
+
+// uvarint reads one byte inline, as most fields of most frames are zero
+// or small, and leaves longer values to uvarintSlow.
+func (r *wireReader) uvarint() uint64 {
+	if b := r.b; len(b) > 0 && b[0] < 0x80 {
+		r.b = b[1:]
+		return uint64(b[0])
+	}
+	return r.uvarintSlow()
+}
+
+func (r *wireReader) uvarintSlow() uint64 {
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint", errCorruptFrame)
+		r.fail("bad uvarint")
+		return 0
 	}
 	r.b = r.b[n:]
-	return v, nil
+	return v
 }
 
-func (r *wireReader) varint() (int64, error) {
-	u, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return int64(u>>1) ^ -int64(u&1), nil
+func (r *wireReader) varint() int64 {
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
-func (r *wireReader) byteVal() (byte, error) {
+func (r *wireReader) byteVal() byte {
 	if len(r.b) == 0 {
-		return 0, fmt.Errorf("%w: truncated", errCorruptFrame)
+		r.fail("truncated")
+		return 0
 	}
 	v := r.b[0]
 	r.b = r.b[1:]
-	return v, nil
+	return v
 }
 
 // blob returns the next length-prefixed byte field as an alias of the
 // frame buffer. Zero length decodes as nil.
-func (r *wireReader) blob() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
+func (r *wireReader) blob() []byte {
+	n := r.uvarint()
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	if n > uint64(len(r.b)) {
-		return nil, fmt.Errorf("%w: blob length %d exceeds %d remaining", errCorruptFrame, n, len(r.b))
+		r.fail("blob length %d exceeds %d remaining", n, len(r.b))
+		return nil
 	}
 	out := r.b[:n:n]
 	r.b = r.b[n:]
-	return out, nil
+	return out
 }
 
 // str converts straight from the frame alias — the string conversion
 // is itself the copy.
-func (r *wireReader) str() (string, error) {
-	b, err := r.blob()
-	return string(b), err
-}
+func (r *wireReader) str() string { return string(r.blob()) }
 
 // name is str for the fields that repeat from request to request: with
 // an intern table, a string seen before is returned without a copy.
-func (r *wireReader) name() (string, error) {
-	b, err := r.blob()
-	if r.names == nil || err != nil {
-		return string(b), err
+func (r *wireReader) name() string {
+	b := r.blob()
+	if len(b) == 0 || r.names == nil {
+		return string(b)
 	}
-	if s, ok := r.names[string(b)]; ok {
-		return s, nil
-	}
-	s := string(b)
-	if len(r.names) < maxInternedNames {
-		r.names[s] = s
-	}
-	return s, nil
+	return r.names.intern(b)
 }
 
 // Minimum encoded size per element type: what each costs on the wire
@@ -277,21 +298,19 @@ func preallocHint(n int) int {
 // count reads an element count for elements of at least minElem
 // encoded bytes, rejecting counts that could not possibly fit in the
 // remaining bytes.
-func (r *wireReader) count(minElem int) (int, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
+func (r *wireReader) count(minElem int) int {
+	n := r.uvarint()
 	if n > uint64(len(r.b)/minElem) {
-		return 0, fmt.Errorf("%w: count %d exceeds %d remaining bytes (min element size %d)", errCorruptFrame, n, len(r.b), minElem)
+		r.fail("count %d exceeds %d remaining bytes (min element size %d)", n, len(r.b), minElem)
+		return 0
 	}
-	return int(n), nil
+	return int(n)
 }
 
 // appendRequest appends the wire encoding of req to dst.
 func appendRequest(dst []byte, req *Request) []byte {
 	dst = binary.AppendUvarint(dst, req.ID)
-	if code, ok := methodCodes[req.Method]; ok {
+	if code := methodCode(req.Method); code != 0 {
 		dst = append(dst, code)
 	} else {
 		dst = append(dst, 0)
@@ -326,122 +345,73 @@ func appendRequest(dst []byte, req *Request) []byte {
 	return append(dst, 0)
 }
 
-func readMethod(r *wireReader) (string, error) {
-	code, err := r.byteVal()
-	if err != nil {
-		return "", err
+// methodCode is method's code, or 0 if methodNames does not list it.
+func methodCode(method string) byte {
+	for code, name := range methodNames {
+		if name == method && code != 0 {
+			return byte(code)
+		}
 	}
+	return 0
+}
+
+func readMethod(r *wireReader) string {
+	code := r.byteVal()
 	if code == 0 {
 		return r.str()
 	}
 	if int(code) >= len(methodNames) || methodNames[code] == "" {
-		return "", fmt.Errorf("%w: unknown method code %d", errCorruptFrame, code)
+		r.fail("unknown method code %d", code)
+		return ""
 	}
-	return methodNames[code], nil
+	return methodNames[code]
 }
 
-func readRequest(r *wireReader, req *Request) error {
-	var err error
-	if req.ID, err = r.uvarint(); err != nil {
-		return err
-	}
-	if req.Method, err = readMethod(r); err != nil {
-		return err
-	}
-	if req.Namespace, err = r.name(); err != nil {
-		return err
-	}
-	if req.Tenant, err = r.name(); err != nil {
-		return err
-	}
-	if req.Key, err = r.blob(); err != nil {
-		return err
-	}
-	if req.Value, err = r.blob(); err != nil {
-		return err
-	}
-	if req.Start, err = r.blob(); err != nil {
-		return err
-	}
-	if req.End, err = r.blob(); err != nil {
-		return err
-	}
-	limit, err := r.varint()
-	if err != nil {
-		return err
-	}
-	req.Limit = int(limit)
-	n, err := r.count(minWireString)
-	if err != nil {
-		return err
-	}
-	if n > 0 {
+func readRequest(r *wireReader, req *Request) {
+	req.ID = r.uvarint()
+	req.Method = readMethod(r)
+	req.Namespace = r.name()
+	req.Tenant = r.name()
+	req.Key = r.blob()
+	req.Value = r.blob()
+	req.Start = r.blob()
+	req.End = r.blob()
+	req.Limit = int(r.varint())
+	if n := r.count(minWireString); n > 0 {
 		req.Projection = make([]string, 0, preallocHint(n))
-		for i := 0; i < n; i++ {
-			s, err := r.str()
-			if err != nil {
-				return err
-			}
-			req.Projection = append(req.Projection, s)
+		for i := 0; i < n && r.err == nil; i++ {
+			req.Projection = append(req.Projection, r.str())
 		}
 	}
-	if n, err = r.count(minWirePred); err != nil {
-		return err
-	}
-	if n > 0 {
+	if n := r.count(minWirePred); n > 0 {
 		req.Preds = make([]ScanPred, 0, preallocHint(n))
-		for i := 0; i < n; i++ {
-			var p ScanPred
-			if p.Column, err = r.str(); err != nil {
-				return err
-			}
-			op, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			p.Op = ScanPredOp(op)
-			if p.Value, err = r.blob(); err != nil {
-				return err
-			}
-			req.Preds = append(req.Preds, p)
+		for i := 0; i < n && r.err == nil; i++ {
+			req.Preds = append(req.Preds, ScanPred{Column: r.str(), Op: ScanPredOp(r.uvarint()), Value: r.blob()})
 		}
 	}
-	if req.Records, err = readRecords(r); err != nil {
-		return err
-	}
-	if req.Since, err = r.uvarint(); err != nil {
-		return err
-	}
-	if req.Epoch, err = r.uvarint(); err != nil {
-		return err
-	}
-	fence, err := r.byteVal()
-	if err != nil {
-		return err
-	}
-	req.Fence = fence != 0
-	return nil
+	req.Records = readRecords(r)
+	req.Since = r.uvarint()
+	req.Epoch = r.uvarint()
+	req.Fence = r.byteVal() != 0
 }
 
-func readRecords(r *wireReader) ([]record.Record, error) {
-	n, err := r.count(minWireRecord)
-	if err != nil {
-		return nil, err
-	}
+func readRecords(r *wireReader) []record.Record {
+	n := r.count(minWireRecord)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	recs := make([]record.Record, 0, preallocHint(n))
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		var rec record.Record
 		rest, err := rec.Unmarshal(r.b)
 		if err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", errCorruptFrame, i, err)
+			r.fail("record %d: %v", i, err)
+			return nil
 		}
 		r.b = rest
 		recs = append(recs, rec)
 	}
-	return recs, nil
+	return recs
 }
 
 // appendResponse appends the wire encoding of resp to dst.
@@ -470,50 +440,30 @@ func appendResponse(dst []byte, resp *Response) []byte {
 	return appendBlob(dst, resp.Resume)
 }
 
-func readResponse(r *wireReader, resp *Response) error {
-	var err error
-	if resp.ID, err = r.uvarint(); err != nil {
-		return err
-	}
-	flags, err := r.byteVal()
-	if err != nil {
-		return err
-	}
+func readResponse(r *wireReader, resp *Response) {
+	resp.ID = r.uvarint()
+	flags := r.byteVal()
 	resp.Found = flags&respFlagFound != 0
 	resp.More = flags&respFlagMore != 0
-	if resp.Err, err = r.str(); err != nil {
-		return err
+	resp.Err = r.str()
+	resp.Value = r.blob()
+	resp.Version = r.uvarint()
+	resp.Records = readRecords(r)
+	resp.RecordCount = r.varint()
+	resp.QueueDepth = int(r.varint())
+	resp.Watermark = r.uvarint()
+	resp.Epoch = r.uvarint()
+	resp.Fenced = int(r.varint())
+	resp.Resume = r.blob()
+}
+
+// end is the decode's verdict: its first failure, or a failure if any
+// bytes are left over.
+func (r *wireReader) end() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("%d trailing bytes", len(r.b))
 	}
-	if resp.Value, err = r.blob(); err != nil {
-		return err
-	}
-	if resp.Version, err = r.uvarint(); err != nil {
-		return err
-	}
-	if resp.Records, err = readRecords(r); err != nil {
-		return err
-	}
-	if resp.RecordCount, err = r.varint(); err != nil {
-		return err
-	}
-	qd, err := r.varint()
-	if err != nil {
-		return err
-	}
-	resp.QueueDepth = int(qd)
-	if resp.Watermark, err = r.uvarint(); err != nil {
-		return err
-	}
-	if resp.Epoch, err = r.uvarint(); err != nil {
-		return err
-	}
-	fenced, err := r.varint()
-	if err != nil {
-		return err
-	}
-	resp.Fenced = int(fenced)
-	resp.Resume, err = r.blob()
-	return err
+	return r.err
 }
 
 // checkFramePayload validates the version byte and returns the message
@@ -529,24 +479,43 @@ func checkFramePayload(b []byte) ([]byte, error) {
 }
 
 // decodeRequestBorrowed decodes one frame payload (version byte
-// included) into a Request whose byte fields alias b, so the request is
+// included) into req, whose byte fields then alias b, so the request is
 // valid only while b is (detachRequest ends that). Namespace and tenant
-// strings are taken from (and added to) names when it is non-nil; the
-// caller owns it and must not share it between goroutines.
-func decodeRequestBorrowed(b []byte, names map[string]string) (Request, error) {
+// strings are taken from (and added to) names when it is non-nil.
+func decodeRequestBorrowed(b []byte, names *internTable, req *Request) error {
 	msg, err := checkFramePayload(b)
 	if err != nil {
-		return Request{}, err
+		return err
 	}
 	r := wireReader{b: msg, names: names}
-	var req Request
-	if err := readRequest(&r, &req); err != nil {
-		return Request{}, err
+	readRequest(&r, req)
+	return r.end()
+}
+
+// receiveRequest decodes a request frame's payload into req as a
+// server takes it: a point read (isPointRead) keeps its byte fields
+// borrowed from payload, and lent reports so; every other request is
+// detached, so its handler owns what it keeps. names is
+// decodeRequestBorrowed's.
+func receiveRequest(payload []byte, names *internTable, req *Request) (lent bool, err error) {
+	if err := decodeRequestBorrowed(payload, names, req); err != nil {
+		return false, err
 	}
-	if r.len() != 0 {
-		return Request{}, fmt.Errorf("%w: %d trailing bytes", errCorruptFrame, r.len())
+	if isPointRead(req) {
+		return true, nil
 	}
-	return req, nil
+	detachRequest(req)
+	return false, nil
+}
+
+// receiveResponse decodes a response frame's payload into resp as a
+// client takes it: detached, so the caller owns every byte of it.
+func receiveResponse(payload []byte, resp *Response) error {
+	if err := decodeResponse(payload, resp); err != nil {
+		return err
+	}
+	detachResponse(resp)
+	return nil
 }
 
 // detachRequest copies every byte field of req into one arena of
@@ -628,21 +597,15 @@ func (a *arena) copy(v []byte) []byte {
 }
 
 // decodeResponse decodes one frame payload (version byte included)
-// into a Response whose byte fields alias b (detachResponse ends that).
-func decodeResponse(b []byte) (Response, error) {
+// into resp, whose byte fields then alias b (detachResponse ends that).
+func decodeResponse(b []byte, resp *Response) error {
 	msg, err := checkFramePayload(b)
 	if err != nil {
-		return Response{}, err
+		return err
 	}
 	r := wireReader{b: msg}
-	var resp Response
-	if err := readResponse(&r, &resp); err != nil {
-		return Response{}, err
-	}
-	if r.len() != 0 {
-		return Response{}, fmt.Errorf("%w: %d trailing bytes", errCorruptFrame, r.len())
-	}
-	return resp, nil
+	readResponse(&r, resp)
+	return r.end()
 }
 
 // errFrameOverflow reports an encoded message that would exceed

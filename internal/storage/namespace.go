@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -36,8 +37,8 @@ type Namespace struct {
 	// mistaken for a valid baseline afterwards.
 	applyEpoch uint64
 	applySeq   uint64
-	applyFloor uint64 // highest seq no longer retained; log covers (floor, seq]
-	applyLog   []applyEntry
+	applyFloor uint64       // highest seq no longer retained; log covers (floor, seq]
+	applyLog   []applyEntry // in seq order: ScanSince searches it
 
 	// maxVersion is the highest record version accepted this process
 	// lifetime — a globally comparable freshness signal (versions are
@@ -315,10 +316,8 @@ func (ns *Namespace) ScanSince(epoch, since uint64, start, end []byte, fn func(r
 	bounds := keyRange{start: start, end: end}
 	watermark = since
 	seen := make(map[string]bool)
-	for _, e := range ns.applyLog {
-		if e.seq <= since {
-			continue
-		}
+	first, _ := slices.BinarySearchFunc(ns.applyLog, since+1, func(e applyEntry, seq uint64) int { return cmp.Compare(e.seq, seq) })
+	for _, e := range ns.applyLog[first:] {
 		// An entry out of range, or of a key already sent, has nothing
 		// new to send; the watermark still advances past it.
 		if bounds.contains(e.key) && !seen[string(e.key)] {
