@@ -16,6 +16,7 @@ import (
 	"scads/internal/consistency"
 	"scads/internal/director"
 	"scads/internal/expgrid"
+	"scads/internal/partition"
 	"scads/internal/planner"
 	"scads/internal/query"
 	"scads/internal/record"
@@ -338,10 +339,20 @@ func mergeLoss() float64 {
 
 // --- E4c ---
 
+// oneRange is a routing map for a bare pump: every key of every
+// namespace in one range, acked by a primary and owed to replica. It
+// returns the map's resolver and the range's published replica set.
+func oneRange(replica string) (func(string) (*partition.Map, bool), []string) {
+	m, err := partition.NewMap([]string{"primary", replica})
+	must(err)
+	return func(string) (*partition.Map, bool) { return m, true }, m.Lookup(nil).Replicas
+}
+
 func runE4c(expgrid.Params) (expgrid.Metrics, error) {
 	vc := clock.NewVirtual(t0)
 	q := replication.NewQueue(replication.ByDeadline)
-	pump := replication.NewPump(q, func(ns, node string, recs []record.Record) error { return nil }, vc)
+	maps, replicas := oneRange("replica")
+	pump := replication.NewPump(q, func(ns, node string, recs []record.Record) error { return nil }, maps, vc)
 
 	const bound = 10 * time.Second
 	var worst time.Duration
@@ -354,7 +365,7 @@ func runE4c(expgrid.Params) (expgrid.Metrics, error) {
 			for w := 0; w < 50; w++ {
 				ver++
 				pump.Enqueue("profiles", record.Record{Key: []byte{byte(w)}, Version: ver},
-					[]string{"replica"}, bound)
+					replicas, bound)
 			}
 		}
 		st := pump.Tracker().Staleness("profiles", "replica")
@@ -594,18 +605,19 @@ type e8Result struct {
 func simulateE8(order replication.Order) e8Result {
 	vc := clock.NewVirtual(t0)
 	q := replication.NewQueue(order)
+	maps, replicas := oneRange("r")
 	pump := replication.NewPump(q, func(ns, node string, recs []record.Record) error {
 		return nil
-	}, vc)
+	}, maps, vc)
 	var res e8Result
 	ver := uint64(0)
 	for tick := 0; tick < 180; tick++ {
 		if tick < 60 {
 			for w := 0; w < 50; w++ {
 				ver++
-				pump.Enqueue("tight", record.Record{Key: []byte{1}, Version: ver}, []string{"r"}, time.Second)
+				pump.Enqueue("tight", record.Record{Key: []byte{1}, Version: ver}, replicas, time.Second)
 				ver++
-				pump.Enqueue("loose", record.Record{Key: []byte{2}, Version: ver}, []string{"r"}, time.Minute)
+				pump.Enqueue("loose", record.Record{Key: []byte{2}, Version: ver}, replicas, time.Minute)
 			}
 		}
 		pump.Drain(80)

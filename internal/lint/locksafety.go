@@ -106,6 +106,10 @@ func reportLockValueRead(pass *analysis.Pass, e ast.Expr, what string) {
 	default:
 		return
 	}
+	// A type expression, as in new(T), names a type; it holds no value.
+	if tv, ok := pass.TypesInfo.Types[e]; ok && tv.IsType() {
+		return
+	}
 	t := pass.TypesInfo.TypeOf(e)
 	if !containsLock(t) {
 		return

@@ -64,6 +64,11 @@ func fresh() *Guarded {
 	return &g
 }
 
+// new names a lock-bearing type, and copies no value.
+func allocated() *Guarded {
+	return new(Guarded)
+}
+
 // leak takes the lock with no release path in this function.
 func (g *Guarded) leak() {
 	g.mu.Lock() // want `g\.mu\.Lock\(\) with no g\.mu\.Unlock\(\)`

@@ -18,7 +18,11 @@
 //     and retry) and answers the range's final delta, which goes to
 //     the targets; then flip the partition map and lift the fence from
 //     nodes that keep the range. The fence pause is one round trip
-//     carrying one small delta.
+//     carrying one small delta. The flip publishes a new replica set,
+//     and a replication update still pending for the range is owed to
+//     every member of it (replication.Pump reads the map), so a write
+//     the coordinator acknowledged before the handoff reaches the new
+//     members whether or not the final delta carried it.
 //
 // Nodes that lose the range keep their fence forever (a straggling
 // in-flight write routed before the flip must bounce to the new
@@ -89,25 +93,15 @@ type Stats struct {
 type Manager struct {
 	transport rpc.Transport
 	dir       *cluster.Directory
+	// maps resolves a namespace to its current partition map. Cleanup
+	// retries consult it so a journaled teardown can never fence and
+	// truncate a range the node has since regained — ownership wins
+	// over a stale journal entry.
+	maps func(namespace string) (*partition.Map, bool)
 
 	// OnPhase, when set, receives one Event per phase transition
 	// (synchronously, on the migrating goroutine).
 	OnPhase func(Event)
-	// OnFlip, when set, is called synchronously after the routing flip
-	// succeeds and *before* the donor's write fence lifts. While the
-	// fence is still held no write can land on the donor, so this is
-	// the one moment the coordinator can enumerate replication updates
-	// the fence's final delta provably did not cover (still queued at
-	// the coordinator) and clone them to the replicas the flip added —
-	// see replication.Pump.Rebind. Without it, an in-flight update that
-	// lands on the donor after the handoff never reaches the new
-	// replicas.
-	OnFlip func(namespace string, start, end []byte, old, target []string)
-	// Resolver, when set, returns the current partition map of a
-	// namespace. Cleanup retries consult it so a journaled teardown
-	// can never fence and truncate a range the node has since
-	// regained — ownership wins over a stale journal entry.
-	Resolver func(namespace string) (*partition.Map, bool)
 
 	sem chan struct{} // bounds concurrently running migrations
 
@@ -137,13 +131,15 @@ type cleanup struct {
 	nodes      map[string]bool
 }
 
-// NewManager returns a manager calling through transport and resolving
-// node addresses through dir. parallelism bounds concurrently running
-// migrations and must be at least 1.
-func NewManager(transport rpc.Transport, dir *cluster.Directory, parallelism int) *Manager {
+// NewManager returns a manager calling through transport, resolving
+// node addresses through dir and namespaces' partition maps through
+// maps (the router's Map method satisfies it). parallelism bounds
+// concurrently running migrations and must be at least 1.
+func NewManager(transport rpc.Transport, dir *cluster.Directory, maps func(namespace string) (*partition.Map, bool), parallelism int) *Manager {
 	return &Manager{
 		transport: transport,
 		dir:       dir,
+		maps:      maps,
 		sem:       make(chan struct{}, parallelism),
 		inflight:  make(map[string]*rangeLock),
 		pending:   make(map[string]*cleanup),
@@ -411,9 +407,6 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 		unfencePrimary()
 		return fmt.Errorf("migration: flip %s %s: %w", namespace, rng, err)
 	}
-	if m.OnFlip != nil {
-		m.OnFlip(namespace, rng.Start, rng.End, old, target)
-	}
 
 	// The old primary keeps the range: writes may flow to it again
 	// (possibly as a secondary via replication). One that lost it keeps
@@ -636,7 +629,7 @@ func (m *Manager) retryPendingFor(namespace string, rng partition.Range, held []
 // range starting at held; a range below it cannot be taken in order, so
 // then nothing is taken and ok is false. A split moves starts, so the
 // ranges are looked up again under their locks, and the locks taken
-// again if they changed. Without a Resolver the one range is start's.
+// again if they changed.
 func (m *Manager) lockOverlapping(namespace string, start, end []byte, holding bool, held []byte) (unlock func(), ok bool) {
 	for {
 		starts := m.overlappingStarts(namespace, start, end)
@@ -667,38 +660,31 @@ func (m *Manager) lockOverlapping(namespace string, start, end []byte, holding b
 // overlappingStarts is the starts of the current ranges of namespace
 // overlapping [start, end), ascending.
 func (m *Manager) overlappingStarts(namespace string, start, end []byte) [][]byte {
-	var pm *partition.Map
-	if m.Resolver != nil {
-		pm, _ = m.Resolver(namespace)
-	}
-	if pm == nil {
-		return [][]byte{start}
-	}
 	var starts [][]byte
-	for _, r := range pm.Overlapping(start, end) {
+	for _, r := range m.overlapping(namespace, start, end) {
 		starts = append(starts, r.Start)
 	}
 	return starts
 }
 
 // ownsPartOf reports whether node currently serves any subrange of
-// [start, end) according to the routing map (false when no Resolver
-// is wired — then only the post-flip forgetCleanup protects regained
-// ranges).
+// [start, end) according to the routing map.
 func (m *Manager) ownsPartOf(namespace string, start, end []byte, node string) bool {
-	if m.Resolver == nil {
-		return false
-	}
-	pm, ok := m.Resolver(namespace)
-	if !ok {
-		return false
-	}
-	for _, r := range pm.Overlapping(start, end) {
+	for _, r := range m.overlapping(namespace, start, end) {
 		if slices.Contains(r.Replicas, node) {
 			return true
 		}
 	}
 	return false
+}
+
+// overlapping is the current ranges of namespace overlapping [start,
+// end): none when the namespace has no map.
+func (m *Manager) overlapping(namespace string, start, end []byte) []partition.Range {
+	if pm, ok := m.maps(namespace); ok {
+		return pm.Overlapping(start, end)
+	}
+	return nil
 }
 
 // --- plumbing ---

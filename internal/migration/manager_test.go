@@ -52,8 +52,7 @@ func newHarness(t *testing.T, nodeIDs ...string) *harness {
 		t.Fatal(err)
 	}
 	h.pm = pm
-	h.mgr = NewManager(h.transport, h.dir, 2)
-	h.mgr.Resolver = func(string) (*partition.Map, bool) { return h.pm, true }
+	h.mgr = NewManager(h.transport, h.dir, func(string) (*partition.Map, bool) { return h.pm, true }, 2)
 	h.transport.h = h
 	return h
 }

@@ -743,46 +743,6 @@ func (def *IndexDef) value(source, column string, d, l *row.Columns) ([]byte, er
 	return v, nil
 }
 
-// AppendEntryKey is AppendKey for the row maps d and l, encoded first.
-func AppendEntryKey(dst []byte, def *IndexDef, d, l row.Row) ([]byte, error) {
-	dc, err := columnsOf(d)
-	if err != nil {
-		return nil, err
-	}
-	lc, err := columnsOf(l)
-	if err != nil {
-		return nil, err
-	}
-	return def.AppendKey(dst, dc, lc)
-}
-
-// AppendEntryValue is AppendValue for the row maps d and l, encoded
-// first.
-func AppendEntryValue(dst []byte, def *IndexDef, d, l row.Row) ([]byte, error) {
-	dc, err := columnsOf(d)
-	if err != nil {
-		return nil, err
-	}
-	lc, err := columnsOf(l)
-	if err != nil {
-		return nil, err
-	}
-	return def.AppendValue(dst, dc, lc)
-}
-
-// columnsOf reads r's encoding; a nil row has none.
-func columnsOf(r row.Row) (*row.Columns, error) {
-	if r == nil {
-		return nil, nil
-	}
-	enc, err := row.Encode(r)
-	if err != nil {
-		return nil, err
-	}
-	c := new(row.Columns)
-	return c, c.Reset(enc)
-}
-
 // entryColumns is project in the order an encoded row holds its
 // columns: sorted by name, each name once, the last of a repeated name
 // winning as it would in a row map. It leaves project as it was: a

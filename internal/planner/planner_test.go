@@ -201,7 +201,7 @@ func TestEncodeEntryKeyOrdering(t *testing.T) {
 	def := out.Plans["friendsWithUpcomingBirthdays"].Index
 
 	mk := func(user, friend string, bday int64) []byte {
-		key, err := AppendEntryKey(nil, def,
+		key, err := appendEntryKey(nil, def,
 			row.Row{"f1": user, "f2": friend},
 			row.Row{"id": friend, "birthday": bday})
 		if err != nil {
@@ -222,7 +222,7 @@ func TestEncodeEntryKeyDesc(t *testing.T) {
 	_, out := compile(t)
 	def := out.Plans["recentFriends"].Index
 	mk := func(since int64, f2 string) []byte {
-		key, err := AppendEntryKey(nil, def, row.Row{"f1": "alice", "f2": f2, "since": since}, nil)
+		key, err := appendEntryKey(nil, def, row.Row{"f1": "alice", "f2": f2, "since": since}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,13 +238,13 @@ func TestEncodeEntryKeyDesc(t *testing.T) {
 func TestEncodeEntryKeyErrors(t *testing.T) {
 	_, out := compile(t)
 	def := out.Plans["friendsWithUpcomingBirthdays"].Index
-	if _, err := AppendEntryKey(nil, def, row.Row{"f1": "a"}, nil); err == nil {
+	if _, err := appendEntryKey(nil, def, row.Row{"f1": "a"}, nil); err == nil {
 		t.Fatal("missing source row accepted")
 	}
-	if _, err := AppendEntryKey(nil, def, row.Row{"f1": "a"}, row.Row{"id": "b"}); err == nil {
+	if _, err := appendEntryKey(nil, def, row.Row{"f1": "a"}, row.Row{"id": "b"}); err == nil {
 		t.Fatal("missing column accepted")
 	}
-	if _, err := AppendEntryValue(nil, def, row.Row{"f1": "a"}, nil); err == nil {
+	if _, err := appendEntryValue(nil, def, row.Row{"f1": "a"}, nil); err == nil {
 		t.Fatal("missing source row accepted for the value")
 	}
 }
@@ -252,7 +252,7 @@ func TestEncodeEntryKeyErrors(t *testing.T) {
 func TestBuildEntryValue(t *testing.T) {
 	_, out := compile(t)
 	def := out.Plans["friendsWithUpcomingBirthdays"].Index
-	enc, err := AppendEntryValue(nil, def,
+	enc, err := appendEntryValue(nil, def,
 		row.Row{"f1": "alice", "f2": "bob", "since": int64(1)},
 		row.Row{"id": "bob", "name": "Bob", "birthday": int64(321)})
 	if err != nil {
@@ -322,7 +322,7 @@ QUERY topScores SELECT body FROM msgs WHERE channel = ?c AND score >= ?min ORDER
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AppendEntryValue([]byte("prefix"), def, d, l)
+		got, err := appendEntryValue([]byte("prefix"), def, d, l)
 		if err != nil {
 			t.Fatalf("%s: %v", def.Name, err)
 		}
@@ -355,8 +355,8 @@ func TestComputeBoundsEquality(t *testing.T) {
 	}
 	// A key for alice falls inside; bob outside.
 	def := &IndexDef{DrivingEff: "friendships", KeyCols: plan.KeyCols}
-	aliceKey, _ := AppendEntryKey(nil, def, row.Row{"f1": "alice", "f2": "m"}, nil)
-	bobKey, _ := AppendEntryKey(nil, def, row.Row{"f1": "bob", "f2": "a"}, nil)
+	aliceKey, _ := appendEntryKey(nil, def, row.Row{"f1": "alice", "f2": "m"}, nil)
+	bobKey, _ := appendEntryKey(nil, def, row.Row{"f1": "bob", "f2": "a"}, nil)
 	if !(bytes.Compare(start, aliceKey) <= 0 && bytes.Compare(aliceKey, end) < 0) {
 		t.Fatal("alice key outside bounds")
 	}
@@ -396,7 +396,7 @@ QUERY inChannel SELECT * FROM msgs WHERE channel = ?c LIMIT 50
 		t.Fatal(err)
 	}
 	key := func(ts int64) []byte {
-		k, _ := AppendEntryKey(nil, &IndexDef{DrivingEff: "msgs", KeyCols: out.Plans["after"].KeyCols},
+		k, _ := appendEntryKey(nil, &IndexDef{DrivingEff: "msgs", KeyCols: out.Plans["after"].KeyCols},
 			row.Row{"channel": "c1", "ts": ts}, nil)
 		return k
 	}
@@ -480,7 +480,7 @@ QUERY recent SELECT * FROM msgs WHERE channel = ?c AND ts > ?since ORDER BY ts D
 		t.Fatal(err)
 	}
 	key := func(ts int64) []byte {
-		k, _ := AppendEntryKey(nil, plan.Index, row.Row{"channel": "c1", "ts": ts}, nil)
+		k, _ := appendEntryKey(nil, plan.Index, row.Row{"channel": "c1", "ts": ts}, nil)
 		return k
 	}
 	in := func(k []byte) bool {
@@ -731,4 +731,44 @@ func TestWholeRowSelectHasNoProjection(t *testing.T) {
 			t.Errorf("%s: Project = %v, want %v", c.query, got, c.want)
 		}
 	}
+}
+
+// appendEntryKey is AppendKey for the row maps d and l, encoded first.
+func appendEntryKey(dst []byte, def *IndexDef, d, l row.Row) ([]byte, error) {
+	dc, err := columnsOf(d)
+	if err != nil {
+		return nil, err
+	}
+	lc, err := columnsOf(l)
+	if err != nil {
+		return nil, err
+	}
+	return def.AppendKey(dst, dc, lc)
+}
+
+// appendEntryValue is AppendValue for the row maps d and l, encoded
+// first.
+func appendEntryValue(dst []byte, def *IndexDef, d, l row.Row) ([]byte, error) {
+	dc, err := columnsOf(d)
+	if err != nil {
+		return nil, err
+	}
+	lc, err := columnsOf(l)
+	if err != nil {
+		return nil, err
+	}
+	return def.AppendValue(dst, dc, lc)
+}
+
+// columnsOf reads r's encoding; a nil row has none.
+func columnsOf(r row.Row) (*row.Columns, error) {
+	if r == nil {
+		return nil, nil
+	}
+	enc, err := row.Encode(r)
+	if err != nil {
+		return nil, err
+	}
+	c := new(row.Columns)
+	return c, c.Reset(enc)
 }

@@ -47,10 +47,9 @@ func newFixture(t *testing.T, n, rf int, cfg repair.Config) *fixture {
 	f.lt = rpc.NewLocalTransport()
 	f.dir = cluster.NewDirectory(f.clk)
 	f.router = partition.NewRouter(f.lt, f.dir)
-	f.mig = migration.NewManager(f.lt, f.dir, 2)
-	f.mig.Resolver = f.router.Map
+	f.mig = migration.NewManager(f.lt, f.dir, f.router.Map, 2)
 	queue := replication.NewQueue(replication.ByDeadline)
-	f.pump = replication.NewPump(queue, f.router.Apply, f.clk)
+	f.pump = replication.NewPump(queue, f.router.Apply, f.router.Map, f.clk)
 	var ids []string
 	for i := 1; i <= n; i++ {
 		id := fmt.Sprintf("n%d", i)
@@ -120,6 +119,13 @@ func (f *fixture) step(n int) {
 
 func (f *fixture) crash(id string)   { f.lt.SetDown("local://"+id, true) }
 func (f *fixture) recover(id string) { f.lt.SetDown("local://"+id, false) }
+
+// set is the published replica set of key's range: what a coordinator
+// passes to Enqueue for a write that range's primary acked.
+func (f *fixture) set(key string) []string {
+	m, _ := f.router.Map("ns")
+	return m.Lookup([]byte(key)).Replicas
+}
 
 func (f *fixture) replicas() []string {
 	m, _ := f.router.Map("ns")
@@ -434,7 +440,7 @@ func TestStaleReturnDemotedAndRejoins(t *testing.T) {
 
 	// A write lands on the primary; its replication to n2 is dropped.
 	f.put("b", 200, "n1")
-	f.pump.Enqueue("ns", record.Record{Key: []byte("b"), Value: []byte("v"), Version: 200}, []string{"n2"}, time.Second)
+	f.pump.Enqueue("ns", record.Record{Key: []byte("b"), Value: []byte("v"), Version: 200}, f.set("b"), time.Second)
 	if n := f.pump.Drain(10); n != 1 {
 		t.Fatalf("drained %d", n)
 	}
@@ -534,7 +540,7 @@ func TestFailoverThenRejoin(t *testing.T) {
 	// A write lands on the promoted primary while n1 is away; its
 	// replication to the dead tail member is abandoned.
 	f.put("b", 200, "n2")
-	f.pump.Enqueue("ns", record.Record{Key: []byte("b"), Value: []byte("v"), Version: 200}, []string{"n1"}, time.Second)
+	f.pump.Enqueue("ns", record.Record{Key: []byte("b"), Value: []byte("v"), Version: 200}, f.set("b"), time.Second)
 	if n := f.pump.Drain(10); n != 1 {
 		t.Fatalf("drained %d", n)
 	}
@@ -582,7 +588,7 @@ func TestPartitionedReplicaDemotedWhileUp(t *testing.T) {
 	// Sever only the replication link: pings still answer.
 	f.lt.SetApplyDown("local://n2", true)
 	f.put("b", 200, "n1")
-	f.pump.Enqueue("ns", record.Record{Key: []byte("b"), Value: []byte("v"), Version: 200}, []string{"n2"}, time.Second)
+	f.pump.Enqueue("ns", record.Record{Key: []byte("b"), Value: []byte("v"), Version: 200}, f.set("b"), time.Second)
 	if n := f.pump.Drain(10); n != 1 {
 		t.Fatalf("drained %d", n)
 	}
@@ -673,7 +679,7 @@ func demoteDraining(f *fixture) {
 
 	f.lt.SetApplyDown("local://n2", true)
 	f.put("b", 200, "n1")
-	f.pump.Enqueue("ns", record.Record{Key: []byte("b"), Value: []byte("v"), Version: 200}, []string{"n2"}, time.Second)
+	f.pump.Enqueue("ns", record.Record{Key: []byte("b"), Value: []byte("v"), Version: 200}, f.set("b"), time.Second)
 	if n := f.pump.Drain(10); n != 1 {
 		f.t.Fatalf("drained %d", n)
 	}

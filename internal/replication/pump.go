@@ -1,13 +1,13 @@
 package replication
 
 import (
-	"bytes"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"scads/internal/clock"
+	"scads/internal/partition"
 	"scads/internal/record"
 )
 
@@ -17,31 +17,40 @@ type ApplyFunc func(namespace, nodeID string, recs []record.Record) error
 
 // Stats summarise pump activity.
 type Stats struct {
-	Enqueued   int64
+	Enqueued   int64 // updates queued: accepted writes some member was owed
 	Delivered  int64
-	Violations int64 // delivered after their deadline
-	Failures   int64 // delivery attempts that errored, per update (a failed group apply is retried per member first)
-	Dropped    int64 // gave up after MaxAttempts
+	Violations int64 // deliveries applied after their deadline
+	Failures   int64 // deliveries that errored on their own to a node still a member (a failed group apply is retried per delivery first)
+	Dropped    int64 // deliveries given up after MaxAttempts
 	Pending    int
 }
 
-// Pump drains the update queue, delivering each update to its target
-// replica. A background driver runs its Worker steps, and a simulation
-// loop calls Drain; both work in rounds. A round pops up to maxRound updates, the most urgent first —
-// so which updates leave per unit of budget is the queue's order, as
-// if they were popped one by one — groups them by destination
-// (namespace, target) and sends each group as one apply: an applied
-// record costs a share of a call, not a call. A group whose apply
-// fails is retried one update at a time, after every other group of
-// the round has had its turn and before anything is charged: a node
-// rejects a whole request when one record of it is fenced, and one
-// such record must not cost its neighbours an attempt, and a dead
-// target must not hold up the other destinations. Attempts, backoff,
-// drops, deadline violations and the staleness tracker are all
-// accounted per update.
+// Pump drains the update queue. It is the one owner of who still
+// needs a record: an update is owed to every member of its key's
+// current replica set that has not received it since that set was
+// published. The pump reads the set from the routing map when an
+// update is enqueued, each time it is popped, and again after its
+// deliveries, before it settles; a member that left is owed nothing,
+// and a newly published set makes every member of it owed again.
+// Applies are last-write-wins by version, so a duplicate is harmless.
+//
+// A background driver runs its Worker steps, and a simulation loop
+// calls Drain; both work in rounds. A round pops up to maxRound
+// updates, the most urgent first — so which updates leave per unit of
+// budget is the queue's order, as if they were popped one by one —
+// groups their deliveries by destination (namespace, member) and sends
+// each group as one apply: an applied record costs a share of a call,
+// not a call. A group whose apply fails is retried one delivery at a
+// time, after every other group of the round has had its turn and
+// before anything is charged: a node rejects a whole request when one
+// record of it is fenced, and one such record must not cost its
+// neighbours an attempt, and a dead member must not hold up the other
+// destinations. Attempts, backoff, drops, deadline violations and the
+// staleness tracker are all accounted per delivery.
 type Pump struct {
 	queue   *Queue
 	apply   ApplyFunc
+	maps    func(namespace string) (*partition.Map, bool)
 	clk     clock.Clock
 	tracker *Tracker
 
@@ -56,13 +65,13 @@ type Pump struct {
 
 	mu          sync.Mutex
 	parked      []parkedUpdate // failed deliveries awaiting retry
+	inflight    int            // popped, not yet settled, parked or queued again
 	violationNS map[string]int64
-	inflight    map[*Update]struct{} // popped, delivery in progress; keys point into a roundBuf
-	droppedBy   map[string]int64     // per-target gave-up deliveries
+	droppedBy   map[string]int64 // per-member gave-up deliveries
 }
 
 // retryBackoff is how long a failed delivery stays parked per attempt
-// so far, so a dead target does not monopolise the queue head.
+// so far, so a dead member does not monopolise the queue head.
 const retryBackoff = 100 * time.Millisecond
 
 type parkedUpdate struct {
@@ -70,16 +79,18 @@ type parkedUpdate struct {
 	retryAt time.Time
 }
 
-// NewPump returns a pump draining queue through apply.
-func NewPump(queue *Queue, apply ApplyFunc, clk clock.Clock) *Pump {
+// NewPump returns a pump draining queue through apply. maps resolves a
+// namespace to its partition map, whose ranges say who is owed each
+// update; the router's Map method satisfies it.
+func NewPump(queue *Queue, apply ApplyFunc, maps func(namespace string) (*partition.Map, bool), clk clock.Clock) *Pump {
 	return &Pump{
 		queue:       queue,
 		apply:       apply,
+		maps:        maps,
 		clk:         clk,
 		tracker:     NewTracker(clk),
 		MaxAttempts: 5,
 		violationNS: make(map[string]int64),
-		inflight:    make(map[*Update]struct{}),
 		droppedBy:   make(map[string]int64),
 	}
 }
@@ -90,26 +101,78 @@ func (p *Pump) Tracker() *Tracker { return p.tracker }
 // Queue exposes the pump's queue (for metrics and the director).
 func (p *Pump) Queue() *Queue { return p.queue }
 
-// Enqueue schedules rec for delivery to each target with the given
-// staleness bound. The write was accepted now; every target must see
-// it by now+bound.
-func (p *Pump) Enqueue(namespace string, rec record.Record, targets []string, bound time.Duration) {
+// Enqueue schedules rec, just applied at replicas[0], for the rest of
+// its key's replica set under the given staleness bound: the write was
+// accepted now, and every member owed it must see it by now+bound.
+// replicas is the Replicas slice of the range that acknowledged the
+// write, as the map published it. If the map still publishes it, the
+// acker has the record and the other members are owed it; if it has
+// published another set since, every member of that one is. An update
+// owed to nobody is not queued.
+func (p *Pump) Enqueue(namespace string, rec record.Record, replicas []string, bound time.Duration) {
 	now := p.clk.Now()
-	deadline := now.Add(bound)
-	for _, target := range targets {
-		// Register with the tracker before the update can be popped: a
-		// worker that delivered it first would find nothing to mark
-		// done, and the late registration would then never be removed.
-		p.tracker.pending(namespace, target, now)
-		p.queue.Push(Update{
-			Namespace:  namespace,
-			Rec:        rec,
-			Target:     target,
-			Deadline:   deadline,
-			EnqueuedAt: now,
-		})
-		p.enqueued.Add(1)
+	u := Update{Namespace: namespace, Rec: rec, Deadline: now.Add(bound), EnqueuedAt: now}
+	u.Replicas = p.members(namespace, rec.Key)
+	u.owed = everyone(len(u.Replicas))
+	if sameSet(u.Replicas, replicas) {
+		u.owed &^= 1
 	}
+	if u.owed == 0 {
+		return
+	}
+	// Register with the tracker before the update can be popped: a
+	// worker that delivered it first would find nothing to mark done,
+	// and the late registration would then never be removed.
+	for i, id := range u.Replicas {
+		if u.owed&(1<<i) != 0 {
+			p.tracker.pending(namespace, id, now)
+		}
+	}
+	p.queue.Push(u)
+	p.enqueued.Add(1)
+}
+
+// members reads the current replica set of key's range: the map's
+// published Replicas slice, or nil when the namespace has no map.
+func (p *Pump) members(namespace string, key []byte) []string {
+	if m, ok := p.maps(namespace); ok {
+		return m.Lookup(key).Replicas
+	}
+	return nil
+}
+
+// sameSet reports whether a and b are one published slice. The map
+// publishes a fresh Replicas slice with every change of a range, so a
+// set that changed back to the same nodes is still a new set.
+func sameSet(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// everyone is the owed mask of a set of n members.
+func everyone(n int) uint64 { return 1<<n - 1 }
+
+// follow reads the current replica set of u's key. When the map has
+// published another since u last read it, every member of the new set
+// is owed u, and a member of the old one that is not in the new one is
+// owed nothing; the tracker follows, and the attempts start over. It
+// reports whether the set was new.
+func (p *Pump) follow(u *Update) bool {
+	cur := p.members(u.Namespace, u.Rec.Key)
+	if sameSet(cur, u.Replicas) {
+		return false
+	}
+	for _, id := range cur {
+		if !u.owes(id) {
+			p.tracker.pending(u.Namespace, id, u.EnqueuedAt)
+		}
+	}
+	for i, id := range u.Replicas {
+		if u.owed&(1<<i) != 0 && !slices.Contains(cur, id) {
+			p.tracker.done(u.Namespace, id, u.EnqueuedAt)
+		}
+	}
+	u.Replicas, u.owed, u.Attempts = cur, everyone(len(cur)), 0
+	return true
 }
 
 const (
@@ -126,18 +189,27 @@ const (
 // Worker) reuses from round to round.
 type roundBuf struct {
 	batch []Update
-	recs  []record.Record
+	sends []send          // the round's deliveries, each destination's adjacent
+	recs  []record.Record // sends[i]'s record
 }
 
-// Drain synchronously processes up to maxOps updates — records, however
-// few applies carry them — and returns how many it attempted.
+// roundBufs keeps Drain's scratch from call to call.
+var roundBufs = sync.Pool{New: func() any { return new(roundBuf) }}
+
+// send is one delivery of a round: batch[u] to its member Replicas[m].
+type send struct{ u, m int }
+
+// Drain synchronously processes up to maxOps updates — records, each
+// sent to every member of its key's current replica set it is owed to,
+// however few applies carry them — and returns how many it attempted.
 // Simulation loops call this once per tick with the tick's delivery
 // budget, which models the replication bandwidth of the cluster.
 func (p *Pump) Drain(maxOps int) int {
-	var buf roundBuf
+	buf := roundBufs.Get().(*roundBuf)
+	defer roundBufs.Put(buf)
 	n := 0
 	for n < maxOps {
-		k := p.round(maxOps-n, &buf)
+		k := p.round(maxOps-n, buf)
 		if k == 0 {
 			break
 		}
@@ -146,52 +218,74 @@ func (p *Pump) Drain(maxOps int) int {
 	return n
 }
 
-// round pops up to budget updates, delivers them grouped by destination
-// and returns how many it popped.
+// round pops up to budget updates, delivers each to the members it is
+// owed to, grouped by destination, settles them and returns how many
+// it popped.
 func (p *Pump) round(budget int, buf *roundBuf) int {
-	batch := p.popTracked(budget, buf)
+	batch := p.pop(budget, buf)
 	if len(batch) == 0 {
 		return 0
 	}
-	recs := buf.recs[:0]
+	sends := buf.sends[:0]
 	for i := range batch {
-		recs = append(recs, batch[i].Rec)
+		u := &batch[i]
+		p.follow(u)
+		for m := range u.Replicas {
+			if u.owed&(1<<m) != 0 {
+				sends = append(sends, send{i, m})
+			}
+		}
 	}
-	buf.recs = recs
-	// popTracked left each destination's updates adjacent. Groups that
-	// fail are set aside; their members go one by one afterwards.
-	var failed [][2]int
-	for i := 0; i < len(batch); {
+	// Gather each destination's deliveries behind the first of them.
+	// Swaps disturb the order of what is yet to be gathered, which
+	// nothing depends on: the whole round leaves now, and applies are
+	// last-write-wins by version.
+	for i := 0; i < len(sends); {
 		j := i + 1
-		for j < len(batch) && sameDestination(&batch[j], &batch[i]) {
+		for k := j; k < len(sends); k++ {
+			if p.sameDestination(batch, sends[k], sends[i]) {
+				sends[j], sends[k] = sends[k], sends[j]
+				j++
+			}
+		}
+		i = j
+	}
+	recs := buf.recs[:0]
+	for _, s := range sends {
+		recs = append(recs, batch[s.u].Rec)
+	}
+	buf.sends, buf.recs = sends, recs
+	// Groups that fail are set aside; their members go one by one
+	// afterwards.
+	var failed [][2]int
+	for i := 0; i < len(sends); {
+		j := i + 1
+		for j < len(sends) && p.sameDestination(batch, sends[j], sends[i]) {
 			j++
 		}
-		if !p.deliver(batch[i:j], recs[i:j]) {
+		if !p.deliver(batch, sends[i:j], recs[i:j]) && j-i > 1 {
 			failed = append(failed, [2]int{i, j})
 		}
 		i = j
 	}
 	for _, g := range failed {
 		for i := g[0]; i < g[1]; i++ {
-			p.deliver(batch[i:i+1], recs[i:i+1])
+			p.deliver(batch, sends[i:i+1], recs[i:i+1])
 		}
 	}
+	p.settle(batch)
 	return len(batch)
 }
 
-func sameDestination(a, b *Update) bool {
-	return a.Target == b.Target && a.Namespace == b.Namespace
+func (p *Pump) sameDestination(batch []Update, a, b send) bool {
+	ua, ub := &batch[a.u], &batch[b.u]
+	return ua.Replicas[a.m] == ub.Replicas[b.m] && ua.Namespace == ub.Namespace
 }
 
-// popTracked moves parked retries whose backoff has elapsed back into
-// the queue, then pops up to max updates in queue order (fewer when
-// their records reach maxRoundBytes), gathers each destination's
-// updates next to one another and registers them as in flight — all
-// under one hold of p.mu, atomically with respect to Rebind: under
-// p.mu every pending update is in exactly one of queue, parked, or
-// inflight, so a flip-time Rebind scan can never miss one
-// mid-transition.
-func (p *Pump) popTracked(max int, buf *roundBuf) []Update {
+// pop moves parked retries whose backoff has elapsed back into the
+// queue, then pops up to max updates in queue order (fewer when their
+// records reach maxRoundBytes) and counts them in flight.
+func (p *Pump) pop(max int, buf *roundBuf) []Update {
 	if max > maxRound {
 		max = maxRound
 	}
@@ -219,23 +313,7 @@ func (p *Pump) popTracked(max int, buf *roundBuf) []Update {
 		size += u.Rec.MarshaledSize()
 		batch = append(batch, u)
 	}
-	// Gather each destination's updates behind the first of them. Swaps
-	// disturb the order of what is yet to be gathered, which nothing
-	// depends on: the whole batch leaves in this round, and applies are
-	// last-write-wins by version.
-	for i := 0; i < len(batch); {
-		j := i + 1
-		for k := j; k < len(batch); k++ {
-			if sameDestination(&batch[k], &batch[i]) {
-				batch[j], batch[k] = batch[k], batch[j]
-				j++
-			}
-		}
-		i = j
-	}
-	for i := range batch {
-		p.inflight[&batch[i]] = struct{}{}
-	}
+	p.inflight += len(batch)
 	buf.batch = batch
 	return batch
 }
@@ -255,49 +333,73 @@ func (p *Pump) Worker() func() time.Duration {
 }
 
 // deliver sends one destination's group (recs[i] is group[i]'s record)
-// as one apply and settles every member by its outcome. It reports
-// false, with nothing settled or charged, when the apply of a group of
-// several failed: the caller then delivers the members one at a time,
-// and a group of one is where an error is final. The post-delivery
-// bookkeeping (deregister, park, drop) of the whole group happens
-// under p.mu in one step, so every update transitions atomically
-// between the states a Rebind scan observes.
-func (p *Pump) deliver(group []Update, recs []record.Record) bool {
-	namespace, target := group[0].Namespace, group[0].Target
-	err := p.apply(namespace, target, recs)
-	if err != nil && len(group) > 1 {
+// as one apply. Applied, every delivery of the group is done: its
+// member has the record. It reports false, with nothing done, when the
+// apply failed; the members stay owed, and settle charges a delivery
+// that failed alone.
+func (p *Pump) deliver(batch []Update, group []send, recs []record.Record) bool {
+	first := &batch[group[0].u]
+	namespace, member := first.Namespace, first.Replicas[group[0].m]
+	if err := p.apply(namespace, member, recs); err != nil {
 		return false
 	}
-	if n := int64(len(group)); err != nil {
-		p.failures.Add(n)
-	} else {
-		p.delivered.Add(n)
-	}
-	p.mu.Lock()
+	p.delivered.Add(int64(len(group)))
 	now := p.clk.Now()
-	for i := range group {
-		u := &group[i]
-		delete(p.inflight, u)
-		u.Attempts++
-		if err != nil && u.Attempts < p.MaxAttempts {
-			// Park the update until its backoff elapses so a dead target
-			// cannot monopolise the queue head and starve deliverable
-			// updates.
-			backoff := retryBackoff * time.Duration(u.Attempts)
-			p.parked = append(p.parked, parkedUpdate{u: *u, retryAt: now.Add(backoff)})
-			continue
-		}
-		if err != nil {
-			p.dropped.Add(1)
-			p.droppedBy[target]++
-		} else if now.After(u.Deadline) {
+	p.mu.Lock()
+	for _, s := range group {
+		u := &batch[s.u]
+		u.owed &^= 1 << s.m
+		if now.After(u.Deadline) {
 			p.violations.Add(1)
 			p.violationNS[namespace]++
 		}
-		p.tracker.done(namespace, target, u.EnqueuedAt)
+		p.tracker.done(namespace, member, u.EnqueuedAt)
 	}
 	p.mu.Unlock()
 	return true
+}
+
+// settle reads each update's set again after the round's deliveries.
+// A member still owed then is one whose delivery failed: if it is
+// still a member, the failure counts. An update owed to a newly
+// published set goes back into the queue at once; one still owed to
+// the set it was delivered to parks for a backoff, or at MaxAttempts
+// is given up on for every member still owed; one owed to nobody is
+// settled.
+func (p *Pump) settle(batch []Update) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	now := p.clk.Now()
+	for i := range batch {
+		u := &batch[i]
+		failed, was := u.owed, u.Replicas
+		moved := p.follow(u)
+		for m, id := range was {
+			if failed&(1<<m) != 0 && (!moved || slices.Contains(u.Replicas, id)) {
+				p.failures.Add(1)
+			}
+		}
+		switch {
+		case u.owed == 0: // settled
+		case moved:
+			p.queue.Push(*u)
+		case u.Attempts+1 < p.MaxAttempts:
+			// Park the update until its backoff elapses so a dead member
+			// cannot monopolise the queue head and starve deliverable
+			// updates.
+			u.Attempts++
+			p.parked = append(p.parked, parkedUpdate{u: *u, retryAt: now.Add(retryBackoff * time.Duration(u.Attempts))})
+		default:
+			for m, id := range u.Replicas {
+				if u.owed&(1<<m) != 0 {
+					p.dropped.Add(1)
+					p.droppedBy[id]++
+					p.tracker.done(u.Namespace, id, u.EnqueuedAt)
+				}
+			}
+		}
+	}
+	p.inflight -= len(batch)
 }
 
 // DroppedTo reports how many deliveries to node the pump has given up
@@ -311,60 +413,6 @@ func (p *Pump) DroppedTo(node string) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.droppedBy[node]
-}
-
-// Rebind clones every pending update for a key in [start, end) of the
-// namespace to each of the added replicas. The migration manager calls
-// this (through the coordinator's OnFlip hook) after flipping routing
-// and before lifting the donor's write fence: anything the fence's
-// final delta could not have shipped — updates still queued, parked, or in
-// flight at the coordinator — is duplicated to the replicas that just
-// caught up, so a range's new members can never permanently miss a
-// write that was acknowledged before the handoff. Duplicate deliveries
-// are harmless (applies are last-write-wins by version).
-func (p *Pump) Rebind(namespace string, start, end []byte, added []string) int {
-	if len(added) == 0 {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var matches []Update
-	seen := make(map[string]bool) // key \x00 version — dedupe multi-target enqueues
-	collect := func(u Update) {
-		if u.Namespace != namespace || start != nil && bytes.Compare(u.Rec.Key, start) < 0 ||
-			end != nil && bytes.Compare(u.Rec.Key, end) >= 0 {
-			return
-		}
-		k := string(u.Rec.Key) + "\x00" + strconv.FormatUint(u.Rec.Version, 36)
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		matches = append(matches, u)
-	}
-	p.queue.ForEach(collect)
-	for _, pu := range p.parked {
-		collect(pu.u)
-	}
-	for u := range p.inflight {
-		collect(*u)
-	}
-	n := 0
-	for _, u := range matches {
-		for _, target := range added {
-			if u.Target == target {
-				continue
-			}
-			clone := u
-			clone.Target = target
-			clone.Attempts = 0
-			p.queue.Push(clone)
-			p.tracker.pending(clone.Namespace, target, clone.EnqueuedAt)
-			p.enqueued.Add(1)
-			n++
-		}
-	}
-	return n
 }
 
 // AtRisk counts undelivered updates — queued or parked awaiting a
@@ -395,11 +443,11 @@ func (p *Pump) ViolationsFor(namespace string) int64 {
 	return p.violationNS[namespace]
 }
 
-// Stats returns a snapshot of pump counters. Pending includes parked
-// retries and deliveries in flight.
+// Stats returns a snapshot of pump counters. Pending counts updates
+// queued, parked for a retry or in flight.
 func (p *Pump) Stats() Stats {
 	p.mu.Lock()
-	parked := len(p.parked) + len(p.inflight)
+	held := len(p.parked) + p.inflight
 	p.mu.Unlock()
 	return Stats{
 		Enqueued:   p.enqueued.Load(),
@@ -407,6 +455,6 @@ func (p *Pump) Stats() Stats {
 		Violations: p.violations.Load(),
 		Failures:   p.failures.Load(),
 		Dropped:    p.dropped.Load(),
-		Pending:    p.queue.Len() + parked,
+		Pending:    p.queue.Len() + held,
 	}
 }

@@ -1,14 +1,20 @@
 // Package replication implements SCADS's asynchronous update
-// propagation (§3.3.2): every accepted write is enqueued once per
-// secondary replica with a deadline derived from the namespace's
-// declared staleness bound, and a pump drains the queue in deadline
-// order. The deadline priority queue is the paper's central mechanism
-// — "not only does the priority queue allow the system to complete
-// important updates first, but it allows us to easily detect when it
-// is in danger of getting behind schedule."
+// propagation (§3.3.2). Every accepted write is owed to the other
+// members of its key's replica set, and one rule says which: an update
+// is owed to every member of the key's current replica set that has
+// not received it since that set was published. The pump reads the set
+// from the routing map, so a range that moves, fails over or splits
+// carries its pending updates along, and a member that left is owed
+// nothing. Updates wait in a deadline priority queue, one per record,
+// with a deadline derived from the namespace's declared staleness
+// bound — the paper's central mechanism: "not only does the priority
+// queue allow the system to complete important updates first, but it
+// allows us to easily detect when it is in danger of getting behind
+// schedule."
 package replication
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -16,15 +22,22 @@ import (
 	"scads/internal/record"
 )
 
-// Update is one pending propagation of a record to one target replica.
-// It is the unit of the queue's order, of a Drain budget and of all
-// accounting (attempts, violations, staleness), but not of delivery:
-// the pump sends the updates of one round that share a (Namespace,
-// Target) in one apply.
+// Update is one accepted write still owed to some members of its
+// key's replica set. It is the unit of the queue's order, of a Drain
+// budget and of the deadline, but not of delivery: the pump sends the
+// deliveries of one round that share a (Namespace, member) in one
+// apply.
 type Update struct {
 	Namespace string
 	Rec       record.Record
-	Target    string // node ID
+	// Replicas is the replica set the update is owed against: the
+	// published Replicas slice of the range holding Rec.Key when the
+	// pump last read the map.
+	Replicas []string
+	// owed marks the members of Replicas that may still lack the
+	// record, bit i for Replicas[i]; a set has far fewer than 64
+	// members.
+	owed uint64
 	// Deadline is when the update must be applied for the namespace's
 	// staleness bound to hold.
 	Deadline time.Time
@@ -32,10 +45,16 @@ type Update struct {
 	// from here.
 	EnqueuedAt time.Time
 
-	// Attempts counts the deliveries of this update that failed on their
-	// own; the failed apply of a group of several is not charged to its
-	// members.
+	// Attempts counts the rounds since the set was published in which
+	// a delivery of this update failed on its own; the failed apply of
+	// a group of several is not charged to its members.
 	Attempts int
+}
+
+// owes reports whether member id of u's set may still lack the record.
+func (u *Update) owes(id string) bool {
+	i := slices.Index(u.Replicas, id)
+	return i >= 0 && u.owed&(1<<i) != 0
 }
 
 // Order selects the queue discipline.
@@ -89,16 +108,4 @@ func (q *Queue) AtRisk(now time.Time, margin time.Duration) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.h.Due(now, margin)
-}
-
-// ForEach visits every pending update under the queue lock (heap
-// order, not priority order). fn must not call back into the queue.
-// The pump's flip-time Rebind uses this to clone in-range updates to
-// replicas a migration just added.
-func (q *Queue) ForEach(fn func(Update)) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for u := range q.h.Visit {
-		fn(u)
-	}
 }

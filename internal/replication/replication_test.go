@@ -3,6 +3,7 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -10,14 +11,69 @@ import (
 	"time"
 
 	"scads/internal/clock"
+	"scads/internal/partition"
 	"scads/internal/record"
 )
 
 var t0 = time.Date(2009, 1, 4, 0, 0, 0, 0, time.UTC)
 
-func upd(ns, target string, deadline time.Time) Update {
-	return Update{Namespace: ns, Target: target, Deadline: deadline, EnqueuedAt: t0,
-		Rec: record.Record{Key: []byte("k"), Value: []byte("v"), Version: 1}}
+func upd(ns, key string, deadline time.Time) Update {
+	return Update{Namespace: ns, Deadline: deadline, EnqueuedAt: t0,
+		Rec: record.Record{Key: []byte(key), Value: []byte("v"), Version: 1}}
+}
+
+// routes is the routing map a test pump reads: a partition map per
+// namespace, each range acked by "p".
+type routes map[string]*partition.Map
+
+func (r routes) resolve(ns string) (*partition.Map, bool) {
+	m, ok := r[ns]
+	return m, ok
+}
+
+// place gives the keys of ns from start up to the next placed start to
+// p and members.
+func (r routes) place(t testing.TB, ns, start string, members ...string) {
+	t.Helper()
+	if r[ns] == nil {
+		m, err := partition.NewMap([]string{"p"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r[ns] = m
+	}
+	if start != "" {
+		if err := r[ns].Split([]byte(start)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.move(t, ns, start, append([]string{"p"}, members...)...)
+}
+
+// move publishes a new replica set for the range of ns holding key.
+func (r routes) move(t testing.TB, ns, key string, replicas ...string) {
+	t.Helper()
+	if err := r[ns].SetReplicas([]byte(key), replicas); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// set is the published replica set of the range of ns holding key: what
+// a coordinator passes to Enqueue for a write its primary acked.
+func (r routes) set(ns, key string) []string { return r[ns].Lookup([]byte(key)).Replicas }
+
+// enqueue queues rec as acked by the primary of its range.
+func (r routes) enqueue(p *Pump, ns string, rec record.Record, bound time.Duration) {
+	p.Enqueue(ns, rec, r.set(ns, string(rec.Key)), bound)
+}
+
+// newPump returns a pump whose every namespace's keys are owed to p and
+// members.
+func newPump(t testing.TB, apply ApplyFunc, clk clock.Clock, order Order, members ...string) (*Pump, routes) {
+	r := routes{}
+	r.place(t, "ns", "", members...)
+	r.place(t, "other", "", members...)
+	return NewPump(NewQueue(order), apply, r.resolve, clk), r
 }
 
 func TestQueuePeekAndLen(t *testing.T) {
@@ -30,7 +86,7 @@ func TestQueuePeekAndLen(t *testing.T) {
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d", q.Len())
 	}
-	if u, ok := q.Pop(); !ok || u.Target != "x" {
+	if u, ok := q.Pop(); !ok || string(u.Rec.Key) != "x" {
 		t.Fatalf("Pop = %+v %v, want the most urgent", u, ok)
 	}
 	if q.Len() != 1 {
@@ -83,18 +139,18 @@ func (s *applySink) count(node string) int {
 func TestPumpDeliversToAllTargets(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	sink := newApplySink()
-	p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
+	p, r := newPump(t, sink.apply, vc, ByDeadline, "n2", "n3")
 
 	rec := record.Record{Key: []byte("k"), Value: []byte("v"), Version: 1}
-	p.Enqueue("ns", rec, []string{"n2", "n3"}, 10*time.Second)
-	if n := p.Drain(10); n != 2 {
-		t.Fatalf("Drain processed %d, want 2", n)
+	r.enqueue(p, "ns", rec, 10*time.Second)
+	if n := p.Drain(10); n != 1 {
+		t.Fatalf("Drain processed %d, want the one update", n)
 	}
-	if sink.count("n2") != 1 || sink.count("n3") != 1 {
-		t.Fatalf("targets got %d/%d records", sink.count("n2"), sink.count("n3"))
+	if sink.count("n2") != 1 || sink.count("n3") != 1 || sink.count("p") != 0 {
+		t.Fatalf("members got %d/%d records, the acker %d", sink.count("n2"), sink.count("n3"), sink.count("p"))
 	}
 	st := p.Stats()
-	if st.Enqueued != 2 || st.Delivered != 2 || st.Violations != 0 || st.Pending != 0 {
+	if st.Enqueued != 1 || st.Delivered != 2 || st.Violations != 0 || st.Pending != 0 {
 		t.Fatalf("Stats = %+v", st)
 	}
 }
@@ -102,8 +158,8 @@ func TestPumpDeliversToAllTargets(t *testing.T) {
 func TestPumpCountsViolations(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	sink := newApplySink()
-	p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
-	p.Enqueue("ns", record.Record{Key: []byte("k"), Version: 1}, []string{"n2"}, time.Second)
+	p, r := newPump(t, sink.apply, vc, ByDeadline, "n2")
+	r.enqueue(p, "ns", record.Record{Key: []byte("k"), Version: 1}, time.Second)
 	vc.Advance(5 * time.Second) // miss the deadline before draining
 	p.Drain(1)
 	if st := p.Stats(); st.Violations != 1 {
@@ -115,9 +171,9 @@ func TestPumpRetriesAndDrops(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	sink := newApplySink()
 	sink.fail["dead"] = true
-	p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
+	p, r := newPump(t, sink.apply, vc, ByDeadline, "dead")
 	p.MaxAttempts = 3
-	p.Enqueue("ns", record.Record{Key: []byte("k"), Version: 1}, []string{"dead"}, time.Second)
+	r.enqueue(p, "ns", record.Record{Key: []byte("k"), Version: 1}, time.Second)
 
 	total := 0
 	for i := 0; i < 10; i++ {
@@ -141,15 +197,16 @@ func TestPumpRetryDoesNotStarve(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	sink := newApplySink()
 	sink.fail["dead"] = true
-	p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
+	p, r := newPump(t, sink.apply, vc, ByDeadline, "dead")
+	r.place(t, "ns", "k2", "live")
 	p.MaxAttempts = 100
-	// The dead target's update has the tightest deadline.
-	p.Enqueue("ns", record.Record{Key: []byte("k1"), Version: 1}, []string{"dead"}, time.Millisecond)
-	p.Enqueue("ns", record.Record{Key: []byte("k2"), Version: 2}, []string{"live"}, time.Hour)
-	// A couple of drain rounds must still deliver to the live target.
+	// The dead member's update has the tightest deadline.
+	r.enqueue(p, "ns", record.Record{Key: []byte("k1"), Version: 1}, time.Millisecond)
+	r.enqueue(p, "ns", record.Record{Key: []byte("k2"), Version: 2}, time.Hour)
+	// A couple of drain rounds must still deliver to the live member.
 	p.Drain(4)
 	if sink.count("live") != 1 {
-		t.Fatal("live target starved by retrying dead target")
+		t.Fatal("live member starved by retrying dead member")
 	}
 }
 
@@ -158,9 +215,9 @@ func TestPumpDeadlineOrderUnderBudget(t *testing.T) {
 	// first — the paper's core argument for the priority queue.
 	vc := clock.NewVirtual(t0)
 	sink := newApplySink()
-	p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
-	p.Enqueue("ns", record.Record{Key: []byte("loose"), Version: 1}, []string{"n"}, time.Hour)
-	p.Enqueue("ns", record.Record{Key: []byte("tight"), Version: 2}, []string{"n"}, time.Second)
+	p, r := newPump(t, sink.apply, vc, ByDeadline, "n")
+	r.enqueue(p, "ns", record.Record{Key: []byte("loose"), Version: 1}, time.Hour)
+	r.enqueue(p, "ns", record.Record{Key: []byte("tight"), Version: 2}, time.Second)
 	p.Drain(1)
 	sink.mu.Lock()
 	first := string(sink.applied["n"][0].Key)
@@ -173,15 +230,18 @@ func TestPumpDeadlineOrderUnderBudget(t *testing.T) {
 func TestTrackerStaleness(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	sink := newApplySink()
-	p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
+	p, r := newPump(t, sink.apply, vc, ByDeadline, "n2")
 
 	if d := p.Tracker().Staleness("ns", "n2"); d != 0 {
 		t.Fatalf("initial staleness = %v", d)
 	}
-	p.Enqueue("ns", record.Record{Key: []byte("k"), Version: 1}, []string{"n2"}, time.Minute)
+	r.enqueue(p, "ns", record.Record{Key: []byte("k"), Version: 1}, time.Minute)
 	vc.Advance(10 * time.Second)
 	if d := p.Tracker().Staleness("ns", "n2"); d != 10*time.Second {
 		t.Fatalf("staleness = %v, want 10s", d)
+	}
+	if d := p.Tracker().Staleness("ns", "p"); d != 0 {
+		t.Fatalf("acker staleness = %v, want 0", d)
 	}
 	p.Drain(1)
 	if d := p.Tracker().Staleness("ns", "n2"); d != 0 {
@@ -192,12 +252,11 @@ func TestTrackerStaleness(t *testing.T) {
 func TestTrackerOldestPendingWins(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	sink := newApplySink()
-	q := NewQueue(FIFO) // control delivery order precisely
-	p := NewPump(q, sink.apply, vc)
+	p, r := newPump(t, sink.apply, vc, FIFO, "n") // FIFO controls delivery order precisely
 
-	p.Enqueue("ns", record.Record{Key: []byte("old"), Version: 1}, []string{"n"}, time.Hour)
+	r.enqueue(p, "ns", record.Record{Key: []byte("old"), Version: 1}, time.Hour)
 	vc.Advance(30 * time.Second)
-	p.Enqueue("ns", record.Record{Key: []byte("new"), Version: 2}, []string{"n"}, time.Hour)
+	r.enqueue(p, "ns", record.Record{Key: []byte("new"), Version: 2}, time.Hour)
 
 	if d := p.Tracker().Staleness("ns", "n"); d != 30*time.Second {
 		t.Fatalf("staleness = %v, want 30s (age of oldest)", d)
@@ -214,7 +273,7 @@ func TestTrackerOldestPendingWins(t *testing.T) {
 func TestPumpRunWorkers(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	sink := newApplySink()
-	p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
+	p, r := newPump(t, sink.apply, vc, ByDeadline, "n")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for range 2 {
@@ -226,7 +285,7 @@ func TestPumpRunWorkers(t *testing.T) {
 	}
 	vc.BlockUntilWaiters(2)
 	for i := 0; i < 50; i++ {
-		p.Enqueue("ns", record.Record{Key: []byte(fmt.Sprintf("k%d", i)), Version: uint64(i + 1)}, []string{"n"}, time.Minute)
+		r.enqueue(p, "ns", record.Record{Key: []byte(fmt.Sprintf("k%d", i)), Version: uint64(i + 1)}, time.Minute)
 	}
 	if sink.count("n") != 0 {
 		t.Fatal("a resting worker delivered before its rest was over")
@@ -246,8 +305,8 @@ func TestQuickTrackerBalance(t *testing.T) {
 	f := func(nTargets uint8, bounds []uint8) bool {
 		vc := clock.NewVirtual(t0)
 		sink := newApplySink()
-		p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
 		targets := []string{"a", "b", "c"}[:nTargets%3+1]
+		p, r := newPump(t, sink.apply, vc, ByDeadline, targets...)
 		worst := func() (w time.Duration) {
 			for _, target := range targets {
 				w = max(w, p.Tracker().Staleness("ns", target))
@@ -255,8 +314,8 @@ func TestQuickTrackerBalance(t *testing.T) {
 			return w
 		}
 		for i, b := range bounds {
-			p.Enqueue("ns", record.Record{Key: []byte{byte(i)}, Version: uint64(i + 1)},
-				targets, time.Duration(b)*time.Second)
+			r.enqueue(p, "ns", record.Record{Key: []byte{byte(i)}, Version: uint64(i + 1)},
+				time.Duration(b)*time.Second)
 		}
 		vc.Advance(time.Second)
 		if len(bounds) > 0 && worst() == 0 {
@@ -275,7 +334,7 @@ func BenchmarkQueuePushPop(b *testing.B) {
 	q := NewQueue(ByDeadline)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.Push(upd("ns", "t", t0.Add(time.Duration(i%1000)*time.Millisecond)))
+		q.Push(upd("ns", "k", t0.Add(time.Duration(i%1000)*time.Millisecond)))
 		if i%2 == 1 {
 			q.Pop()
 		}
@@ -285,26 +344,25 @@ func BenchmarkQueuePushPop(b *testing.B) {
 func BenchmarkPumpDrain(b *testing.B) {
 	vc := clock.NewVirtual(t0)
 	sink := newApplySink()
-	p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
+	p, r := newPump(b, sink.apply, vc, ByDeadline, "n")
 	rec := record.Record{Key: []byte("k"), Value: []byte("v"), Version: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Enqueue("ns", rec, []string{"n"}, time.Minute)
+		r.enqueue(p, "ns", rec, time.Minute)
 		p.Drain(1)
 	}
 }
 
 func TestPumpAtRiskIncludesParked(t *testing.T) {
 	vc := clock.NewVirtual(t0)
-	q := NewQueue(ByDeadline)
 	fail := func(ns, node string, recs []record.Record) error {
 		return errors.New("severed link")
 	}
-	p := NewPump(q, fail, vc)
-	p.Enqueue("ns", record.Record{Key: []byte("k"), Version: 1}, []string{"nodeB"}, 5*time.Second)
+	p, r := newPump(t, fail, vc, ByDeadline, "nodeB")
+	r.enqueue(p, "ns", record.Record{Key: []byte("k"), Version: 1}, 5*time.Second)
 	p.Drain(10) // delivery fails, update parks for retry
-	if got := q.AtRisk(vc.Now(), 10*time.Second); got != 0 {
+	if got := p.Queue().AtRisk(vc.Now(), 10*time.Second); got != 0 {
 		t.Fatalf("queue AtRisk = %d, want 0 (update is parked, not queued)", got)
 	}
 	if got := p.AtRisk(10 * time.Second); got != 1 {
@@ -316,71 +374,83 @@ func TestPumpAtRiskIncludesParked(t *testing.T) {
 	}
 }
 
-// TestRebindClonesPendingToAddedReplicas: a flip-time Rebind must
-// duplicate every pending in-range update — queued or parked — to the
-// replicas a migration just added, deduplicating multi-target
-// enqueues, and leave out-of-range updates alone.
-func TestRebindClonesPendingToAddedReplicas(t *testing.T) {
-	vc := clock.NewVirtual(t0)
-	var mu sync.Mutex
-	delivered := map[string][]string{} // target -> keys
-	failing := map[string]bool{}
-	apply := func(ns, node string, recs []record.Record) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if failing[node] {
-			return errors.New("down")
-		}
-		for _, r := range recs {
-			delivered[node] = append(delivered[node], string(r.Key))
-		}
-		return nil
-	}
-	p := NewPump(NewQueue(ByDeadline), apply, vc)
+// keySink records the keys each node was sent, failing the nodes the
+// test marks down.
+type keySink struct {
+	mu        sync.Mutex
+	delivered map[string][]string // node -> keys
+	down      map[string]bool
+}
 
+func newKeySink() *keySink {
+	return &keySink{delivered: map[string][]string{}, down: map[string]bool{}}
+}
+
+func (s *keySink) apply(ns, node string, recs []record.Record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.down[node] {
+		return errors.New("down")
+	}
+	for _, r := range recs {
+		s.delivered[node] = append(s.delivered[node], string(r.Key))
+	}
+	return nil
+}
+
+func (s *keySink) keys(node string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	got := slices.Clone(s.delivered[node])
+	sort.Strings(got)
+	return fmt.Sprint(got)
+}
+
+func (s *keySink) setDown(node string, down bool) {
+	s.mu.Lock()
+	s.down[node] = down
+	s.mu.Unlock()
+}
+
+// TestJoiningMemberGetsPendingUpdates: a member that joins a range is
+// owed every update of the range still pending — queued or parked —
+// and nothing outside the range or of another namespace.
+func TestJoiningMemberGetsPendingUpdates(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	sink := newKeySink()
+	p, r := newPump(t, sink.apply, vc, ByDeadline, "n1")
+	r.place(t, "ns", "a", "n1", "n2")
+	r.place(t, "ns", "c", "n1")
 	rec := func(key string, ver uint64) record.Record {
 		return record.Record{Key: []byte(key), Value: []byte("v"), Version: ver}
 	}
-	// Multi-target enqueue of the same record: must clone once, not
-	// once per original target.
-	p.Enqueue("ns", rec("b", 1), []string{"n1", "n2"}, time.Minute)
-	// Out of [a, c) range: not cloned.
-	p.Enqueue("ns", rec("x", 2), []string{"n1"}, time.Minute)
-	// Wrong namespace: not cloned.
-	p.Enqueue("other", rec("b", 3), []string{"n1"}, time.Minute)
-	// Parked update (delivery fails once): still visible to Rebind.
-	mu.Lock()
-	failing["n2"] = true
-	mu.Unlock()
-	p.Enqueue("ns", rec("a", 4), []string{"n2"}, time.Minute)
-	p.Drain(10) // delivers the others; parks a/4 for n2
-	mu.Lock()
-	failing["n2"] = false
-	mu.Unlock()
-
-	if n := p.Rebind("ns", []byte("a"), []byte("c"), []string{"n3"}); n != 2 {
-		t.Fatalf("Rebind cloned %d updates, want 2 (b/1 deduped + parked a/4)", n)
+	r.enqueue(p, "ns", rec("b", 1), time.Minute)
+	r.enqueue(p, "ns", rec("x", 2), time.Minute)    // outside [a, c)
+	r.enqueue(p, "other", rec("b", 3), time.Minute) // another namespace
+	r.enqueue(p, "ns", rec("a", 4), time.Minute)
+	// n2 is down: a and b park, owed to n2, and x and other/b are done.
+	sink.setDown("n2", true)
+	p.Drain(10)
+	sink.setDown("n2", false)
+	if st := p.Stats(); st.Pending != 2 {
+		t.Fatalf("pending = %d, want a and b parked", st.Pending)
 	}
+
+	r.move(t, "ns", "a", "p", "n1", "n2", "n3")
 	vc.Advance(time.Second) // backoff elapses
 	p.Drain(10)
-	mu.Lock()
-	defer mu.Unlock()
-	got := map[string]bool{}
-	for _, k := range delivered["n3"] {
-		got[k] = true
-	}
-	if len(delivered["n3"]) != 2 || !got["a"] || !got["b"] {
-		t.Fatalf("n3 deliveries = %v, want exactly {a, b}", delivered["n3"])
+	if got := sink.keys("n3"); got != "[a b]" {
+		t.Fatalf("n3 deliveries = %v, want exactly a and b", got)
 	}
 	if p.Stats().Pending != 0 {
 		t.Fatalf("pending = %d after drain", p.Stats().Pending)
 	}
 }
 
-// TestRebindSeesInflightUpdates: an update popped and mid-delivery
-// during the Rebind scan is still cloned — the pump registers it as in
-// flight before releasing the queue.
-func TestRebindSeesInflightUpdates(t *testing.T) {
+// TestJoiningMemberGetsInflightUpdate: an update mid-delivery when a
+// member joins reaches it too — the pump reads the set again after the
+// delivery, before the update settles.
+func TestJoiningMemberGetsInflightUpdate(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -396,17 +466,15 @@ func TestRebindSeesInflightUpdates(t *testing.T) {
 		mu.Unlock()
 		return nil
 	}
-	p := NewPump(NewQueue(ByDeadline), apply, vc)
-	p.Enqueue("ns", record.Record{Key: []byte("k"), Version: 1}, []string{"n1"}, time.Minute)
+	p, r := newPump(t, apply, vc, ByDeadline, "n1")
+	r.enqueue(p, "ns", record.Record{Key: []byte("k"), Version: 1}, time.Minute)
 	done := make(chan struct{})
 	go func() {
 		p.Drain(1)
 		close(done)
 	}()
 	<-entered // the update is in flight, the queue is empty
-	if n := p.Rebind("ns", nil, nil, []string{"n3"}); n != 1 {
-		t.Fatalf("Rebind cloned %d, want the in-flight update", n)
-	}
+	r.move(t, "ns", "k", "p", "n3")
 	close(release)
 	<-done
 	p.Drain(1)
@@ -415,16 +483,19 @@ func TestRebindSeesInflightUpdates(t *testing.T) {
 	if delivered["n3"] != 1 {
 		t.Fatalf("n3 deliveries = %d", delivered["n3"])
 	}
+	if p.Stats().Pending != 0 {
+		t.Fatalf("pending = %d after drain", p.Stats().Pending)
+	}
 }
 
-// TestDroppedToCountsAbandonedDeliveries: the per-target drop counter
+// TestDroppedToCountsAbandonedDeliveries: the per-member drop counter
 // is the repair manager's staleness criterion for returned nodes.
 func TestDroppedToCountsAbandonedDeliveries(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	apply := func(ns, node string, recs []record.Record) error { return errors.New("down") }
-	p := NewPump(NewQueue(ByDeadline), apply, vc)
+	p, r := newPump(t, apply, vc, ByDeadline, "n1", "n2")
 	p.MaxAttempts = 1
-	p.Enqueue("ns", record.Record{Key: []byte("k"), Version: 1}, []string{"n1", "n2"}, time.Minute)
+	r.enqueue(p, "ns", record.Record{Key: []byte("k"), Version: 1}, time.Minute)
 	p.Drain(10)
 	if got := p.DroppedTo("n1"); got != 1 {
 		t.Fatalf("DroppedTo(n1) = %d", got)
@@ -447,13 +518,13 @@ func TestDroppedToCountsAbandonedDeliveries(t *testing.T) {
 func TestEnqueueRegistersBeforePoppable(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	sink := newApplySink()
-	p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
+	p, r := newPump(t, sink.apply, vc, ByDeadline, "n2")
 
 	p.tracker.mu.Lock()
 	enqueued := make(chan struct{})
 	go func() {
 		defer close(enqueued)
-		p.Enqueue("ns", record.Record{Key: []byte("k"), Version: 1}, []string{"n2"}, time.Minute)
+		r.enqueue(p, "ns", record.Record{Key: []byte("k"), Version: 1}, time.Minute)
 	}()
 	poppable := false
 	for wait := time.Now().Add(50 * time.Millisecond); !poppable && time.Now().Before(wait); {
@@ -477,9 +548,6 @@ func TestEnqueueRegistersBeforePoppable(t *testing.T) {
 	}
 }
 
-// TestPendingSetHeapStaysBounded: the tracker of a (namespace, node)
-// pair nobody asks about must not grow with the records replicated
-// through it.
 func TestPendingSetHeapStaysBounded(t *testing.T) {
 	ps := &pendingSet{live: make(map[int64]int)}
 	const outstanding = 8
@@ -499,14 +567,17 @@ func TestPendingSetHeapStaysBounded(t *testing.T) {
 
 // TestEnqueueDeliverAllocs pins the steady-state cost of one update's
 // trip through the pump: Enqueue, pop, apply, done.
+
+// TestEnqueueDeliverAllocs pins the steady-state cost of one update's
+// trip through the pump: Enqueue, pop, apply, done.
 func TestEnqueueDeliverAllocs(t *testing.T) {
 	vc := clock.NewVirtual(t0)
-	p := NewPump(NewQueue(ByDeadline), func(ns, node string, recs []record.Record) error { return nil }, vc)
+	p, r := newPump(t, func(ns, node string, recs []record.Record) error { return nil }, vc, ByDeadline, "n")
 	rec := record.Record{Key: []byte("k"), Value: []byte("v"), Version: 1}
-	targets := []string{"n"}
+	replicas := r.set("ns", "k")
 	var buf roundBuf
 	cycle := func() {
-		p.Enqueue("ns", rec, targets, time.Minute)
+		p.Enqueue("ns", rec, replicas, time.Minute)
 		if p.round(1, &buf) != 1 {
 			t.Fatal("nothing to deliver")
 		}
@@ -561,10 +632,10 @@ func TestGroupFailureChargesOnlyTheCulprit(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	sink := newFenceSink()
 	sink.refused["c"] = true
-	p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
+	p, r := newPump(t, sink.apply, vc, ByDeadline, "n")
 	p.MaxAttempts = 2
 	for i, k := range []string{"a", "b", "c", "d"} {
-		p.Enqueue("ns", record.Record{Key: []byte(k), Version: uint64(i + 1)}, []string{"n"}, time.Minute)
+		r.enqueue(p, "ns", record.Record{Key: []byte(k), Version: uint64(i + 1)}, time.Minute)
 	}
 	if n := p.Drain(10); n != 4 {
 		t.Fatalf("Drain attempted %d updates, want 4", n)
@@ -595,16 +666,18 @@ func TestGroupFailureChargesOnlyTheCulprit(t *testing.T) {
 
 // TestDeadTargetDoesNotDelayOtherDestinations: the one-by-one retry of
 // a failed group waits until every other destination popped in the same
-// round has had its apply, however urgent the dead target's updates.
+// round has had its apply, however urgent the dead member's updates.
 func TestDeadTargetDoesNotDelayOtherDestinations(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	sink := newFenceSink()
 	sink.down["dead"] = true
-	p := NewPump(NewQueue(ByDeadline), sink.apply, vc)
-	p.Enqueue("ns", record.Record{Key: []byte("a"), Version: 1}, []string{"dead"}, time.Millisecond)
-	p.Enqueue("ns", record.Record{Key: []byte("b"), Version: 2}, []string{"dead"}, time.Millisecond)
-	p.Enqueue("ns", record.Record{Key: []byte("c"), Version: 3}, []string{"live"}, time.Hour)
-	p.Enqueue("other", record.Record{Key: []byte("d"), Version: 4}, []string{"live"}, time.Hour)
+	p, r := newPump(t, sink.apply, vc, ByDeadline, "dead")
+	r.place(t, "ns", "c", "live")
+	r.place(t, "other", "", "live")
+	r.enqueue(p, "ns", record.Record{Key: []byte("a"), Version: 1}, time.Millisecond)
+	r.enqueue(p, "ns", record.Record{Key: []byte("b"), Version: 2}, time.Millisecond)
+	r.enqueue(p, "ns", record.Record{Key: []byte("c"), Version: 3}, time.Hour)
+	r.enqueue(p, "other", record.Record{Key: []byte("d"), Version: 4}, time.Hour)
 	p.Drain(10)
 	want := []string{"dead:a,b", "live:c", "live:d", "dead:a", "dead:b"}
 	if fmt.Sprint(sink.calls) != fmt.Sprint(want) {
@@ -620,12 +693,12 @@ func TestDeadTargetDoesNotDelayOtherDestinations(t *testing.T) {
 func TestGroupAccountsPerUpdate(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	sink := newFenceSink()
-	p := NewPump(NewQueue(FIFO), sink.apply, vc)
-	p.Enqueue("ns", record.Record{Key: []byte("late1"), Version: 1}, []string{"n"}, time.Second)
-	p.Enqueue("ns", record.Record{Key: []byte("intime"), Version: 2}, []string{"n"}, time.Hour)
+	p, r := newPump(t, sink.apply, vc, FIFO, "n")
+	r.enqueue(p, "ns", record.Record{Key: []byte("late1"), Version: 1}, time.Second)
+	r.enqueue(p, "ns", record.Record{Key: []byte("intime"), Version: 2}, time.Hour)
 	vc.Advance(2 * time.Second)
-	p.Enqueue("ns", record.Record{Key: []byte("late2"), Version: 3}, []string{"n"}, -time.Second)
-	p.Enqueue("ns", record.Record{Key: []byte("left"), Version: 4}, []string{"n"}, time.Hour)
+	r.enqueue(p, "ns", record.Record{Key: []byte("late2"), Version: 3}, -time.Second)
+	r.enqueue(p, "ns", record.Record{Key: []byte("left"), Version: 4}, time.Hour)
 	vc.Advance(3 * time.Second)
 	if n := p.Drain(3); n != 3 {
 		t.Fatalf("Drain(3) attempted %d", n)
@@ -645,9 +718,10 @@ func TestGroupAccountsPerUpdate(t *testing.T) {
 	}
 }
 
-// TestRebindClonesEveryMemberOfInflightBatch: every update of a round
-// is registered as in flight before the round's first apply goes out.
-func TestRebindClonesEveryMemberOfInflightBatch(t *testing.T) {
+// TestJoiningMemberGetsEveryMemberOfInflightBatch: a member that joins
+// while a round is on the wire is owed every update of the round in its
+// range, the groups already sent and those not yet sent alike.
+func TestJoiningMemberGetsEveryMemberOfInflightBatch(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -670,12 +744,14 @@ func TestRebindClonesEveryMemberOfInflightBatch(t *testing.T) {
 		}
 		return nil
 	}
-	p := NewPump(NewQueue(ByDeadline), apply, vc)
+	p, r := newPump(t, apply, vc, ByDeadline, "n1")
+	r.place(t, "ns", "d", "n2")
+	r.place(t, "ns", "e", "n2")
 	for i, k := range []string{"a", "b", "c"} {
-		p.Enqueue("ns", record.Record{Key: []byte(k), Version: uint64(i + 1)}, []string{"n1"}, time.Minute)
+		r.enqueue(p, "ns", record.Record{Key: []byte(k), Version: uint64(i + 1)}, time.Minute)
 	}
-	p.Enqueue("ns", record.Record{Key: []byte("d"), Version: 4}, []string{"n2"}, time.Minute)
-	p.Enqueue("ns", record.Record{Key: []byte("z"), Version: 5}, []string{"n2"}, time.Minute) // outside [a, e)
+	r.enqueue(p, "ns", record.Record{Key: []byte("d"), Version: 4}, time.Minute)
+	r.enqueue(p, "ns", record.Record{Key: []byte("z"), Version: 5}, time.Minute) // outside [a, e)
 	done := make(chan struct{})
 	go func() {
 		p.Drain(5)
@@ -685,20 +761,117 @@ func TestRebindClonesEveryMemberOfInflightBatch(t *testing.T) {
 	if st := p.Stats(); st.Pending != 5 {
 		t.Fatalf("pending mid-round = %d, want all 5 in flight", st.Pending)
 	}
-	if n := p.Rebind("ns", []byte("a"), []byte("e"), []string{"n3"}); n != 4 {
-		t.Fatalf("Rebind cloned %d, want a, b, c and d", n)
-	}
+	r.move(t, "ns", "a", "p", "n1", "n3")
+	r.move(t, "ns", "d", "p", "n2", "n3")
 	close(release)
 	<-done
 	p.Drain(10)
 	mu.Lock()
 	defer mu.Unlock()
-	got := append([]string(nil), delivered["n3"]...)
+	got := slices.Clone(delivered["n3"])
 	sort.Strings(got)
 	if fmt.Sprint(got) != "[a b c d]" {
 		t.Fatalf("n3 deliveries = %v", got)
 	}
 	if p.Stats().Pending != 0 {
 		t.Fatalf("pending = %d after drain", p.Stats().Pending)
+	}
+}
+
+// TestLeavingMemberIsOwedNothing: a member that leaves a range before
+// it received an update gets no apply, is charged no failure and no
+// drop, and reads fresh — whether it left while the update was queued
+// or while a delivery to it was failing.
+func TestLeavingMemberIsOwedNothing(t *testing.T) {
+	for _, midDelivery := range []bool{false, true} {
+		t.Run(fmt.Sprintf("midDelivery=%v", midDelivery), func(t *testing.T) {
+			vc := clock.NewVirtual(t0)
+			sink := newKeySink()
+			var r routes
+			apply := func(ns, node string, recs []record.Record) error {
+				if node == "n2" {
+					// The member loses the range while its delivery is
+					// on the wire, and refuses it: its range is fenced.
+					r.move(t, "ns", "k", "p", "n3")
+					return errors.New("range fenced for migration")
+				}
+				return sink.apply(ns, node, recs)
+			}
+			p, r := newPump(t, apply, vc, ByDeadline, "n2")
+			p.MaxAttempts = 1
+			r.enqueue(p, "ns", record.Record{Key: []byte("k"), Version: 1}, time.Minute)
+			vc.Advance(10 * time.Second)
+			if d := p.Tracker().Staleness("ns", "n2"); d != 10*time.Second {
+				t.Fatalf("staleness of n2 while owed = %v", d)
+			}
+			if !midDelivery {
+				r.move(t, "ns", "k", "p", "n3")
+			}
+			for p.Drain(10) > 0 {
+			}
+			if st := p.Stats(); st.Failures != 0 || st.Dropped != 0 || st.Pending != 0 {
+				t.Fatalf("Stats = %+v, want no failure, no drop, nothing pending", st)
+			}
+			if p.DroppedTo("n2") != 0 || p.Tracker().Staleness("ns", "n2") != 0 {
+				t.Fatalf("DroppedTo(n2) = %d, staleness = %v", p.DroppedTo("n2"), p.Tracker().Staleness("ns", "n2"))
+			}
+			if got := sink.keys("n3"); got != "[k]" {
+				t.Fatalf("n3 deliveries = %v, want k", got)
+			}
+		})
+	}
+}
+
+// TestReaddedAckerIsOwed: the member that acked a write has it only for
+// the set it acked in. Once that range has left it and come back, the
+// new set owes it the record like any other member.
+func TestReaddedAckerIsOwed(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	sink := newKeySink()
+	p, r := newPump(t, sink.apply, vc, ByDeadline, "n1")
+	r.enqueue(p, "ns", record.Record{Key: []byte("k"), Version: 1}, time.Minute)
+	if d := p.Tracker().Staleness("ns", "p"); d != 0 {
+		t.Fatalf("acker staleness = %v, want 0", d)
+	}
+	r.move(t, "ns", "k", "n1")
+	r.move(t, "ns", "k", "n1", "p")
+	for p.Drain(10) > 0 {
+	}
+	if got := sink.keys("p"); got != "[k]" {
+		t.Fatalf("re-added acker got %v, want k", got)
+	}
+	if got := sink.keys("n1"); got != "[k]" {
+		t.Fatalf("n1 got %v, want k", got)
+	}
+}
+
+// TestSetChangedBackIsResent: a set that changes and changes back
+// between two reads of the map is a new set: the update is sent again to
+// every member of it, the members it had just reached included.
+func TestSetChangedBackIsResent(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	sink := newKeySink()
+	var r routes
+	moved := false
+	apply := func(ns, node string, recs []record.Record) error {
+		if !moved {
+			moved = true
+			r.move(t, "ns", "k", "p", "n2")
+			r.move(t, "ns", "k", "p", "n1")
+		}
+		return sink.apply(ns, node, recs)
+	}
+	p, r := newPump(t, apply, vc, ByDeadline, "n1")
+	r.enqueue(p, "ns", record.Record{Key: []byte("k"), Version: 1}, time.Minute)
+	for p.Drain(10) > 0 {
+	}
+	if got := sink.keys("n1"); got != "[k k]" {
+		t.Fatalf("n1 got %v, want k twice", got)
+	}
+	if got := sink.keys("p"); got != "[k]" {
+		t.Fatalf("p got %v, want k once", got)
+	}
+	if got := sink.keys("n2"); got != "[]" {
+		t.Fatalf("n2 got %v, want nothing", got)
 	}
 }

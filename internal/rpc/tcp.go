@@ -170,7 +170,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	ctrlSem := make(chan struct{}, controlHandlerReserve)
 	// A connection carries a handful of namespaces and tenants; their
 	// strings are made once, not per request.
-	names := &internTable{}
+	names := new(internTable)
 	// inline holds the frames of point reads served on this loop until
 	// the loop might block: in the next read, or on the control reserve.
 	var inline []byte

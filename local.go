@@ -173,7 +173,10 @@ func (lc *LocalCluster) HealReplica(id string) {
 // final delta, flips the partition map, and tears the range down on
 // nodes that lost it.
 // Writes keep flowing throughout — a write arriving during the fence
-// pause bounces, is re-routed, and lands on the new primary. This is
+// pause bounces, is re-routed, and lands on the new primary — and the
+// replication updates still pending for the range follow it: each is
+// owed to every member of the new replica set, and to no node that
+// left it. This is
 // the data-movement primitive behind Rebalance, SpreadNamespace,
 // DecommissionNode and EnforceDurability, and through them
 // LocalCluster.Resize.

@@ -339,3 +339,52 @@ func TestExecutePlanSplitAwareMove(t *testing.T) {
 		}
 	}
 }
+
+// TestQueuedUpdateFollowsTheMove: an update still queued when its range
+// moves is owed to the range's new replica set, not to the member that
+// left. A pump that kept owing it to that member would deliver it into
+// the member's cleanup fence until it gave up, and the repair loop
+// would read the drop as proof the node was stale — and demote and
+// rebuild it in the ranges it still served correctly.
+func TestQueuedUpdateFollowsTheMove(t *testing.T) {
+	lc, vc := newSocialCluster(t, 3, 2)
+	lc.RepairNow() // the repair loop has seen every node
+	ns := planner.TableNamespace("users")
+	m, _ := lc.Router().Map(ns)
+	if got := m.Lookup(nil).Replicas; fmt.Sprint(got) != "[node-001 node-002]" {
+		t.Fatalf("users on %v, want [node-001 node-002]", got)
+	}
+	if err := lc.Insert("users", Row{"id": "alice", "name": "Alice", "birthday": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if lc.Pump().Stats().Pending != 1 {
+		t.Fatalf("pending = %d, want the insert's update queued", lc.Pump().Stats().Pending)
+	}
+	if err := lc.MoveRange(ns, nil, []string{"node-001", "node-003"}); err != nil {
+		t.Fatal(err)
+	}
+	for range 20 {
+		if err := lc.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		vc.Advance(time.Second) // let any retry backoff elapse
+	}
+	st := lc.Pump().Stats()
+	if drops := lc.Pump().DroppedTo("node-002"); drops != 0 || st.Failures != 0 || st.Pending != 0 {
+		t.Fatalf("DroppedTo(node-002) = %d, pump %+v: want no drop, no failure, nothing pending", drops, st)
+	}
+	lc.RepairNow()
+	if rs := lc.RepairStats(); rs.Demotions != 0 || rs.RepairsStarted != 0 {
+		t.Fatalf("repair after the move: %+v, want no demotion and no repair", rs)
+	}
+	for _, id := range []string{"node-001", "node-003"} {
+		node, _ := lc.Node(id)
+		users, err := node.Engine().Namespace(ns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, _ := users.GetRecord(recordFor(t, lc, "alice").Key); !ok {
+			t.Fatalf("%s lacks alice", id)
+		}
+	}
+}

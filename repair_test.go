@@ -3,6 +3,7 @@ package scads
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -384,9 +385,10 @@ func TestGetAllReplicasStale(t *testing.T) {
 		ns := planner.TableNamespace("users")
 		m, _ := lc.Router().Map(ns)
 		replicas := m.Ranges()[0].Replicas
-		// Park one undelivered update per replica, then age it past the
-		// bound: the tracker now reports BOTH replicas stale.
-		lc.Pump().Enqueue(ns, recordFor(t, lc, "a"), replicas, time.Hour)
+		// Queue an update against a set the map never published — so
+		// every member of the current set is owed it — then age it past
+		// the bound: the tracker now reports BOTH replicas stale.
+		lc.Pump().Enqueue(ns, recordFor(t, lc, "a"), slices.Clone(replicas), time.Hour)
 		vc.Advance(10 * time.Second)
 		for _, id := range replicas {
 			if lc.Pump().Tracker().Staleness(ns, id) <= 5*time.Second {

@@ -25,7 +25,6 @@ package scads
 
 import (
 	"errors"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -206,23 +205,11 @@ func Open(cfg Config) (*Cluster, error) {
 	c.leave = c.admission.Leave
 	// Online range migrations share the transport with the router. The
 	// router's maps back the manager's ownership checks, so a journaled
-	// teardown can never truncate a range its node has since regained.
-	c.migrations = migration.NewManager(cfg.Transport, cfg.Directory, migrationParallelism)
-	c.migrations.Resolver = c.router.Map
-	c.pump = replication.NewPump(replication.NewQueue(replication.ByDeadline), c.router.Apply, cfg.Clock)
-	// Flip-time rebind: while the donor's fence is still held, clone
-	// any replication update the fence's final delta provably could not
-	// have shipped (still queued/parked/in-flight at this coordinator) to
-	// the replicas the flip added. Without this, a write acknowledged
-	// before a migration could permanently miss the range's new
-	// members — and surface as data loss after a later failover onto
-	// one of them.
-	c.migrations.OnFlip = func(ns string, start, end []byte, old, target []string) {
-		added := slices.DeleteFunc(slices.Clone(target), func(id string) bool { return slices.Contains(old, id) })
-		if len(added) > 0 {
-			c.pump.Rebind(ns, start, end, added)
-		}
-	}
+	// teardown can never truncate a range its node has since regained,
+	// and they tell the replication pump who is owed each update, so a
+	// range's pending updates follow it through every move and failover.
+	c.migrations = migration.NewManager(cfg.Transport, cfg.Directory, c.router.Map, migrationParallelism)
+	c.pump = replication.NewPump(replication.NewQueue(replication.ByDeadline), c.router.Apply, c.router.Map, cfg.Clock)
 	// The self-healing loop: failure detection driving
 	// Directory.ExpireStale, primary failover, and RF repair through
 	// the migration manager. Swept under StartBackground; RepairNow

@@ -497,12 +497,12 @@ namespace friendships { staleness: 5s; }`); err != nil {
 				{"friends", rpc.MethodScan, planner.TableNamespace("friendships")},
 				{"friendsWithUpcomingBirthdays", rpc.MethodScan, c.Plan("friendsWithUpcomingBirthdays").Namespace},
 			}
-			// One undelivered update per namespace, pending to the
-			// secondary for ten seconds.
+			// One undelivered update per namespace, acked by the primary
+			// and pending to the secondary for ten seconds.
 			for _, rd := range reads {
 				m, _ := c.Router().Map(rd.ns)
 				c.Pump().Enqueue(rd.ns, record.Record{Key: []byte("k"), Value: []byte("v"), Version: 1},
-					m.Ranges()[0].Replicas[1:], time.Hour)
+					m.Lookup([]byte("k")).Replicas, time.Hour)
 			}
 			c.Clock().(*clock.Virtual).Advance(10 * time.Second)
 

@@ -467,38 +467,12 @@ func (c *Cluster) commit(ns string, recs []record.Record, bound time.Duration, h
 			continue // the primary applied nothing
 		}
 		c.loads.Record(ns, acked[i].Start, rec.Key)
-		c.enqueueReplication(ns, m, rec, acked[i], bound)
+		c.pump.Enqueue(ns, rec, acked[i].Replicas, bound)
 		if how.upkeep != "" {
 			c.maint.push(maintTask{table: how.upkeep, ns: ns, key: rec.Key, old: displaced[i]}, c.clk.Now().Add(bound))
 		}
 	}
 	return displaced, nil
-}
-
-// enqueueReplication schedules rec for delivery to the secondaries of
-// the range that acknowledged it, then re-reads the partition map and
-// also covers any member a racing reconfiguration added in between. A
-// migration's flip-time Rebind clones only updates that are already
-// queued, so an update enqueued just after a flip — against the
-// pre-flip replica set it captured before the apply — would otherwise
-// permanently miss the range's new members; the post-enqueue re-read
-// closes that window from the other side (duplicates are harmless:
-// applies are last-write-wins by version, and a delivery to a node
-// that lost the range bounces off its residual fence).
-func (c *Cluster) enqueueReplication(ns string, m *partition.Map, rec record.Record, acked partition.Range, bound time.Duration) {
-	if len(acked.Replicas) > 1 {
-		c.pump.Enqueue(ns, rec, acked.Replicas[1:], bound)
-	}
-	cur := m.Lookup(rec.Key)
-	var added []string
-	for _, id := range cur.Replicas {
-		if !slices.Contains(acked.Replicas, id) {
-			added = append(added, id)
-		}
-	}
-	if len(added) > 0 {
-		c.pump.Enqueue(ns, rec, added, bound)
-	}
 }
 
 // DrainMaintenance synchronously runs up to budget pending index
