@@ -7,7 +7,8 @@
 //	rpcretry         the router reaches the transport only through
 //	                 the request-execution primitive
 //	panicdiscipline  panic on non-constant data only in Must* funcs
-//	locksafety       no copied locks; no Lock() without an Unlock path
+//	locksafety       no Lock() without an Unlock path (copied locks
+//	                 are go vet's copylocks)
 //
 // Usage:
 //

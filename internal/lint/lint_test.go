@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"os/exec"
 	"testing"
 
 	"scads/internal/lint/analysis"
@@ -27,6 +28,19 @@ func TestPanicDiscipline(t *testing.T) {
 
 func TestLockSafety(t *testing.T) {
 	analysistest.Run(t, NewLockSafety(), "locks")
+}
+
+// TestCopyLocks runs go vet's copylocks over the whole module: a value
+// holding a sync lock (Mutex, RWMutex, Once, WaitGroup, Cond, ...) is
+// never copied — by value receivers, parameters, results, range values
+// or assignments — for a copied mutex guards nothing.
+func TestCopyLocks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("vets the whole module")
+	}
+	if out, err := exec.Command("go", "vet", "-copylocks", "scads/...").CombinedOutput(); err != nil {
+		t.Fatalf("go vet -copylocks: %v\n%s", err, out)
+	}
 }
 
 // TestTreeClean runs every production analyzer over the whole module:

@@ -10,119 +10,29 @@ import (
 	"scads/internal/lint/analysis"
 )
 
-// NewLockSafety builds the locksafety analyzer, two checks in one
-// pass over every package:
+// NewLockSafety builds the locksafety analyzer's deferunlock check: a
+// mu.Lock()/mu.RLock() call whose function body contains no matching
+// mu.Unlock()/mu.RUnlock() (deferred or inline, same receiver
+// expression) leaks the lock on every return path. Copies of
+// lock-bearing values are go vet's copylocks, which tier-1 runs over the
+// module (TestCopyLocks).
 //
-//   - lockcopy: a value containing a sync lock (Mutex, RWMutex, Once,
-//     WaitGroup, Cond — directly or via embedded fields/arrays) must
-//     never be copied: by-value parameters, receivers and results,
-//     range-value copies, and plain value assignments/returns of
-//     existing lock-bearing values are flagged. A copied mutex guards
-//     nothing.
-//
-//   - deferunlock: a mu.Lock()/mu.RLock() call whose function body
-//     contains no matching mu.Unlock()/mu.RUnlock() (deferred or
-//     inline, same receiver expression) leaks the lock on every
-//     return path.
-//
-// Suppression keys: "lockcopy", "deferunlock" (a lock deliberately
-// handed off across functions must say where it is released).
+// Suppression key: "deferunlock" (a lock deliberately handed off across
+// functions must say where it is released).
 func NewLockSafety() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "locksafety",
-		Doc:  "flags copies of lock-bearing values and Lock() calls with no same-function Unlock path",
-		Keys: []string{"lockcopy", "deferunlock"},
+		Doc:  "flags Lock() calls with no same-function Unlock path",
+		Keys: []string{"deferunlock"},
 	}
 	a.Run = func(pass *analysis.Pass) error {
 		for _, f := range pass.Files {
-			checkLockCopies(pass, f)
 			checkDeferUnlock(pass, f)
 		}
 		pass.CheckUnusedSuppressions(pass.Files)
 		return nil
 	}
 	return a
-}
-
-// --- lockcopy ---
-
-func checkLockCopies(pass *analysis.Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.FuncDecl:
-			if v.Recv != nil {
-				reportLockFields(pass, v.Recv, "receiver")
-			}
-			reportLockFields(pass, v.Type.Params, "parameter")
-			reportLockFields(pass, v.Type.Results, "result")
-		case *ast.FuncLit:
-			reportLockFields(pass, v.Type.Params, "parameter")
-			reportLockFields(pass, v.Type.Results, "result")
-		case *ast.RangeStmt:
-			if v.Value != nil && containsLock(pass.TypesInfo.TypeOf(v.Value)) {
-				pass.Report(v.Value.Pos(), "lockcopy",
-					"range copies a lock-bearing value per iteration (%s): range over indices or pointers", typeName(pass.TypesInfo.TypeOf(v.Value)))
-			}
-		case *ast.AssignStmt:
-			for _, rhs := range v.Rhs {
-				reportLockValueRead(pass, rhs, "assignment copies")
-			}
-		case *ast.ReturnStmt:
-			for _, res := range v.Results {
-				reportLockValueRead(pass, res, "return copies")
-			}
-		case *ast.CallExpr:
-			if isBuiltinAppend(pass, v) {
-				return true // append's first arg is the slice itself
-			}
-			for _, arg := range v.Args {
-				reportLockValueRead(pass, arg, "call argument copies")
-			}
-		}
-		return true
-	})
-}
-
-func reportLockFields(pass *analysis.Pass, fl *ast.FieldList, what string) {
-	if fl == nil {
-		return
-	}
-	for _, field := range fl.List {
-		t := pass.TypesInfo.TypeOf(field.Type)
-		if containsLock(t) {
-			pass.Report(field.Type.Pos(), "lockcopy",
-				"%s passes lock-bearing %s by value: use a pointer", what, typeName(t))
-		}
-	}
-}
-
-// reportLockValueRead flags expressions that read an existing
-// lock-bearing value as a copy source: identifiers, field selections,
-// index expressions and pointer dereferences. Fresh values (composite
-// literals, function calls) are births, not copies.
-func reportLockValueRead(pass *analysis.Pass, e ast.Expr, what string) {
-	switch e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-	default:
-		return
-	}
-	// A type expression, as in new(T), names a type; it holds no value.
-	if tv, ok := pass.TypesInfo.Types[e]; ok && tv.IsType() {
-		return
-	}
-	t := pass.TypesInfo.TypeOf(e)
-	if !containsLock(t) {
-		return
-	}
-	// Method values / package selectors have no copyable value.
-	if sel, ok := e.(*ast.SelectorExpr); ok {
-		if _, isVar := pass.TypesInfo.Uses[sel.Sel].(*types.Var); !isVar {
-			if pass.TypesInfo.Selections[sel] == nil {
-				return
-			}
-		}
-	}
-	pass.Report(e.Pos(), "lockcopy", "%s lock-bearing %s: use a pointer", what, typeName(t))
 }
 
 // containsLock reports whether t (by value) carries a sync lock.
@@ -156,13 +66,6 @@ func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
 		return containsLockRec(v.Elem(), seen)
 	}
 	return false
-}
-
-func typeName(t types.Type) string {
-	if t == nil {
-		return "<unknown>"
-	}
-	return t.String()
 }
 
 // --- deferunlock ---

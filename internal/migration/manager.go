@@ -397,13 +397,15 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 	}
 
 	// Flip the routing: the single atomic step of the handoff. The
-	// compare-and-set guards against a concurrent reconfiguration of
-	// the same range — most importantly the repair manager's failover
-	// promotion after the donor primary crashed mid-migration. Losing
-	// the race aborts the migration (the caller re-reads and retries)
-	// rather than silently reinstating a dead primary.
+	// compare-and-set on the epoch the move planned against guards
+	// against a concurrent change of the same range — most importantly
+	// the repair manager's failover promotion after the donor primary
+	// crashed mid-migration, and a split, which leaves the range's other
+	// half on the fenced donor. Losing the race aborts the migration
+	// (the caller re-reads and retries) rather than silently reinstating
+	// a dead primary or stranding a half.
 	m.event(Event{Phase: PhaseFlip, Namespace: namespace, Start: rng.Start, End: rng.End, Target: target})
-	if err := pm.CompareAndSetReplicas(key, old, target); err != nil {
+	if _, err := pm.CompareAndSetReplicas(key, rng.Epoch, target); err != nil {
 		unfencePrimary()
 		return fmt.Errorf("migration: flip %s %s: %w", namespace, rng, err)
 	}

@@ -917,3 +917,45 @@ func TestFenceAnswerLostLiftsFence(t *testing.T) {
 		})
 	}
 }
+
+// TestFlipRefusesASetThatChangedBack: a range whose set goes [a b] →
+// [a c] → [a b] between a move's plan and its flip is not the range the
+// move planned against, though its set reads the same. The flip is
+// refused, the primary's fence lifts, and the move planned again from
+// the range as it stands succeeds.
+func TestFlipRefusesASetThatChangedBack(t *testing.T) {
+	h := newHarness(t, "a", "b", "c", "d")
+	h.seed("a", 20)
+	if err := h.pm.SetReplicas(nil, []string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	h.mgr.OnPhase = func(ev Event) {
+		if ev.Phase != PhaseFlip {
+			return
+		}
+		for _, set := range [][]string{{"a", "c"}, {"a", "b"}} {
+			if err := h.pm.SetReplicas(nil, set); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	if err := h.mgr.MoveRange(h.pm, testNS, nil, to("a", "d")); !errors.Is(err, partition.ErrReplicasChanged) {
+		t.Fatalf("MoveRange = %v, want ErrReplicasChanged", err)
+	}
+	h.mgr.OnPhase = nil
+	if got := h.pm.Lookup(nil).Replicas; fmt.Sprint(got) != "[a b]" {
+		t.Fatalf("map reads %v after the refused flip, want [a b]", got)
+	}
+	if st := h.nodes["a"].Serve(rpc.Request{Method: rpc.MethodStats}); st.Fenced != 0 {
+		t.Fatalf("a holds %d fences after the refused flip", st.Fenced)
+	}
+	if err := h.mgr.MoveRange(h.pm, testNS, nil, to("a", "d")); err != nil {
+		t.Fatalf("re-planned move: %v", err)
+	}
+	if got := h.pm.Lookup(nil).Replicas; fmt.Sprint(got) != "[a d]" {
+		t.Fatalf("map reads %v after the re-planned move, want [a d]", got)
+	}
+	if n := h.liveCount("d"); n != 20 {
+		t.Fatalf("d holds %d records, want 20", n)
+	}
+}

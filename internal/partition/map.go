@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -25,6 +24,11 @@ type Range struct {
 	Start    []byte
 	End      []byte
 	Replicas []string // node IDs; Replicas[0] is the primary
+	// Epoch names this publication of the range. Every change to the
+	// range — a new replica set, or a split — publishes it under a
+	// larger epoch drawn from its map's one counter, so a range that
+	// changed and changed back does not read as unchanged.
+	Epoch uint64
 }
 
 // Overlaps reports whether r intersects [start, end) (nil bounds are
@@ -40,7 +44,7 @@ func (r Range) Overlaps(start, end []byte) bool {
 }
 
 func (r Range) clone() Range {
-	c := Range{Replicas: append([]string(nil), r.Replicas...)}
+	c := Range{Replicas: append([]string(nil), r.Replicas...), Epoch: r.Epoch}
 	if r.Start != nil {
 		c.Start = append([]byte(nil), r.Start...)
 	}
@@ -67,9 +71,10 @@ var (
 	ErrBadSplit     = errors.New("partition: split point at range boundary")
 	ErrNeedReplicas = errors.New("partition: replica set must be non-empty")
 	// ErrReplicasChanged is returned by CompareAndSetReplicas when the
-	// range's replica group no longer matches the caller's expectation
-	// — another actor (a concurrent migration flip, or the repair
-	// manager's failover) got there first. Callers re-read and retry.
+	// range was published again after the epoch the caller planned
+	// against — another actor (a concurrent migration flip, the repair
+	// manager's failover, a split) got there first. Callers re-read and
+	// retry.
 	ErrReplicasChanged = errors.New("partition: replica set changed concurrently")
 )
 
@@ -77,14 +82,15 @@ var (
 // contiguous ranges covering the whole keyspace. Safe for concurrent
 // use.
 //
-// Invariant: a published slice is never written. Every mutation
-// installs fresh Start, End and Replicas slices instead of writing
-// through the ones a reader may hold, which is what lets Lookup hand
-// out the map's own Range without copying it. Readers owe the same: a
-// Range from Lookup or Overlapping is read-only.
+// Invariant: a published slice is never written, so Lookup can hand
+// out the map's own Range without copying it. Every mutation installs
+// fresh slices instead of writing through the ones a reader may hold.
+// Readers owe the same: a Range from Lookup or Overlapping is
+// read-only.
 type Map struct {
 	mu     sync.RWMutex
 	ranges []Range
+	epoch  uint64 // the last epoch drawn
 }
 
 // NewMap returns a map with a single range covering everything,
@@ -184,6 +190,8 @@ func (m *Map) Split(at []byte) error {
 	right := r.clone()
 	left.End = append([]byte(nil), at...)
 	right.Start = append([]byte(nil), at...)
+	m.epoch += 2
+	left.Epoch, right.Epoch = m.epoch-1, m.epoch
 	m.ranges = append(m.ranges[:i:i], append([]Range{left, right}, m.ranges[i+1:]...)...)
 	return nil
 }
@@ -195,30 +203,37 @@ func (m *Map) SetReplicas(key []byte, replicas []string) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := m.indexOf(key)
-	m.ranges[i].Replicas = append([]string(nil), replicas...)
+	m.setReplicas(m.indexOf(key), replicas)
 	return nil
 }
 
+// setReplicas publishes ranges[i] with a copy of replicas under a fresh
+// epoch and returns the epoch. Caller holds the write lock.
+func (m *Map) setReplicas(i int, replicas []string) uint64 {
+	m.epoch++
+	m.ranges[i].Replicas, m.ranges[i].Epoch = append([]string(nil), replicas...), m.epoch
+	return m.epoch
+}
+
 // CompareAndSetReplicas reassigns the replica group of the range
-// containing key only if its current group equals expect. Both the
-// migration manager's routing flip and the repair manager's failover
-// promotion go through this, so two concurrent reconfigurations of the
-// same range can never silently overwrite each other: the loser gets
+// containing key only if that range is still published under epoch,
+// the Epoch of the Range its caller planned against, and returns the
+// range's new epoch. The migration manager's routing flip and the
+// repair manager's demotion and failover all go through this, so no
+// reconfiguration of a range can silently overwrite another, nor land
+// on a range split since it was planned: the loser gets
 // ErrReplicasChanged and must re-read the map.
-func (m *Map) CompareAndSetReplicas(key []byte, expect, replicas []string) error {
+func (m *Map) CompareAndSetReplicas(key []byte, epoch uint64, replicas []string) (uint64, error) {
 	if len(replicas) == 0 {
-		return ErrNeedReplicas
+		return 0, ErrNeedReplicas
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	i := m.indexOf(key)
-	// Order is part of the group: Replicas[0] is the primary.
-	if !slices.Equal(m.ranges[i].Replicas, expect) {
-		return ErrReplicasChanged
+	if m.ranges[i].Epoch != epoch {
+		return 0, ErrReplicasChanged
 	}
-	m.ranges[i].Replicas = append([]string(nil), replicas...)
-	return nil
+	return m.setReplicas(i, replicas), nil
 }
 
 // NodesInUse returns the set of node IDs referenced by any range.

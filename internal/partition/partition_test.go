@@ -93,7 +93,7 @@ func TestSetReplicasAndReplaceNode(t *testing.T) {
 		t.Fatal("empty replica set accepted")
 	}
 	// Replacing a node is a compare-and-set of its range's group.
-	if err := m.CompareAndSetReplicas([]byte("a"), []string{"n1", "n2"}, []string{"n9", "n2"}); err != nil {
+	if _, err := m.CompareAndSetReplicas([]byte("a"), m.Lookup([]byte("a")).Epoch, []string{"n9", "n2"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Lookup([]byte("a")).Replicas[0]; got != "n9" {
@@ -140,7 +140,7 @@ func TestLookupRangeSurvivesMutations(t *testing.T) {
 	want := held.clone()
 	same := func(after string) {
 		t.Helper()
-		if !bytes.Equal(held.Start, want.Start) || !bytes.Equal(held.End, want.End) || !slices.Equal(held.Replicas, want.Replicas) {
+		if !bytes.Equal(held.Start, want.Start) || !bytes.Equal(held.End, want.End) || !slices.Equal(held.Replicas, want.Replicas) || held.Epoch != want.Epoch {
 			t.Fatalf("range held since before %s changed under its reader: %v, was %v", after, held, want)
 		}
 	}
@@ -156,7 +156,7 @@ func TestLookupRangeSurvivesMutations(t *testing.T) {
 			default:
 			}
 			m.SetReplicas(key, []string{"n1", "n9"})
-			m.CompareAndSetReplicas(key, []string{"n1", "n9"}, []string{"n1", "n2"})
+			m.CompareAndSetReplicas(key, m.Lookup(key).Epoch, []string{"n1", "n2"})
 			m.SetReplicas(key, []string{"n1", "n2"})
 		}
 	}()
@@ -177,7 +177,7 @@ func TestLookupRangeSurvivesMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("SetReplicas")
-	if err := m.CompareAndSetReplicas(key, []string{"n3", "n4"}, []string{"n1", "n2"}); err != nil {
+	if _, err := m.CompareAndSetReplicas(key, m.Lookup(key).Epoch, []string{"n1", "n2"}); err != nil {
 		t.Fatal(err)
 	}
 	same("CompareAndSetReplicas")
@@ -242,12 +242,12 @@ func TestOverlappingRangesSurviveMutations(t *testing.T) {
 	same := func(after string) {
 		t.Helper()
 		for i, r := range held {
-			if !bytes.Equal(r.Start, want[i].Start) || !bytes.Equal(r.End, want[i].End) || !slices.Equal(r.Replicas, want[i].Replicas) {
+			if !bytes.Equal(r.Start, want[i].Start) || !bytes.Equal(r.End, want[i].End) || !slices.Equal(r.Replicas, want[i].Replicas) || r.Epoch != want[i].Epoch {
 				t.Fatalf("range %d held since before %s changed under its reader: %v, was %v", i, after, r, want[i])
 			}
 		}
 	}
-	if err := m.CompareAndSetReplicas([]byte("k"), []string{"n1", "n2"}, []string{"n3", "n4"}); err != nil { // held[1], [h, p)
+	if _, err := m.CompareAndSetReplicas([]byte("k"), held[1].Epoch, []string{"n3", "n4"}); err != nil { // held[1], [h, p)
 		t.Fatal(err)
 	}
 	same("CompareAndSetReplicas")
@@ -484,28 +484,93 @@ func TestReplicaOrderRotates(t *testing.T) {
 
 func TestCompareAndSetReplicas(t *testing.T) {
 	m, _ := NewMap([]string{"n1", "n2"})
-	// Wrong expectation: rejected, map untouched.
-	if err := m.CompareAndSetReplicas([]byte("k"), []string{"n2", "n1"}, []string{"n3"}); err != ErrReplicasChanged {
+	planned := m.Lookup([]byte("k")).Epoch
+	// Wrong epoch: rejected, map untouched.
+	if _, err := m.CompareAndSetReplicas([]byte("k"), planned+1, []string{"n3"}); err != ErrReplicasChanged {
 		t.Fatalf("stale CAS = %v, want ErrReplicasChanged", err)
 	}
-	if got := m.Lookup([]byte("k")).Replicas; got[0] != "n1" {
-		t.Fatalf("stale CAS mutated the map: %v", got)
+	if got := m.Lookup([]byte("k")); got.Replicas[0] != "n1" || got.Epoch != planned {
+		t.Fatalf("stale CAS mutated the map: %v epoch %d", got, got.Epoch)
 	}
-	// Matching expectation: applied.
-	if err := m.CompareAndSetReplicas([]byte("k"), []string{"n1", "n2"}, []string{"n3", "n1"}); err != nil {
+	// Matching epoch: applied under the epoch it returns.
+	epoch, err := m.CompareAndSetReplicas([]byte("k"), planned, []string{"n3", "n1"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := m.Lookup([]byte("k")).Replicas
-	if len(got) != 2 || got[0] != "n3" || got[1] != "n1" {
-		t.Fatalf("replicas after CAS = %v", got)
+	got := m.Lookup([]byte("k"))
+	if !slices.Equal(got.Replicas, []string{"n3", "n1"}) || got.Epoch != epoch || epoch <= planned {
+		t.Fatalf("after CAS: %v epoch %d, CAS returned %d (planned %d)", got, got.Epoch, epoch, planned)
 	}
 	// Empty replica set still rejected.
-	if err := m.CompareAndSetReplicas([]byte("k"), []string{"n3", "n1"}, nil); err != ErrNeedReplicas {
+	if _, err := m.CompareAndSetReplicas([]byte("k"), epoch, nil); err != ErrNeedReplicas {
 		t.Fatalf("empty CAS = %v", err)
 	}
-	// A second actor expecting the pre-flip set loses.
-	if err := m.CompareAndSetReplicas([]byte("k"), []string{"n1", "n2"}, []string{"n2"}); err != ErrReplicasChanged {
+	// A second actor that planned against the pre-flip range loses.
+	if _, err := m.CompareAndSetReplicas([]byte("k"), planned, []string{"n2"}); err != ErrReplicasChanged {
 		t.Fatalf("concurrent-loser CAS = %v", err)
+	}
+	// So does one that planned before a split of the range,
+	preSplit := m.Lookup([]byte("k")).Epoch
+	if err := m.Split([]byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CompareAndSetReplicas([]byte("k"), preSplit, []string{"n2"}); err != ErrReplicasChanged {
+		t.Fatalf("CAS with the pre-split epoch = %v, want ErrReplicasChanged", err)
+	}
+	// and one that planned before the set changed and changed back,
+	// though the set reads as it did.
+	planned = m.Lookup([]byte("k")).Epoch
+	for _, set := range [][]string{{"n3", "n2"}, {"n3", "n1"}} {
+		if err := m.SetReplicas([]byte("k"), set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.CompareAndSetReplicas([]byte("k"), planned, []string{"n2"}); err != ErrReplicasChanged {
+		t.Fatalf("CAS planned before [n3 n1] -> [n3 n2] -> [n3 n1] = %v, want ErrReplicasChanged", err)
+	}
+	if got := m.Lookup([]byte("k")).Replicas; !slices.Equal(got, []string{"n3", "n1"}) {
+		t.Fatalf("refused CAS mutated the map: %v", got)
+	}
+}
+
+// TestEveryPublishDrawsALargerEpoch: SetReplicas, CompareAndSetReplicas
+// and both halves of a Split each publish their range under an epoch
+// larger than any before, and every read of the map carries it.
+func TestEveryPublishDrawsALargerEpoch(t *testing.T) {
+	m, _ := NewMap([]string{"n1", "n2"})
+	last := m.Lookup(nil).Epoch
+	bumped := func(what string, got ...uint64) {
+		t.Helper()
+		for _, e := range got {
+			if e <= last {
+				t.Fatalf("%s published epoch %d, not above %d", what, e, last)
+			}
+			last = e
+		}
+	}
+	if err := m.SetReplicas([]byte("k"), []string{"n2", "n1"}); err != nil {
+		t.Fatal(err)
+	}
+	bumped("SetReplicas", m.Lookup([]byte("k")).Epoch)
+	epoch, err := m.CompareAndSetReplicas([]byte("k"), last, []string{"n1", "n2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bumped("CompareAndSetReplicas", epoch)
+	if err := m.Split([]byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	left, right := m.Lookup([]byte("a")), m.Lookup([]byte("z"))
+	if left.Epoch == right.Epoch {
+		t.Fatalf("both halves of the split share epoch %d", left.Epoch)
+	}
+	bumped("Split", min(left.Epoch, right.Epoch), max(left.Epoch, right.Epoch))
+
+	all, over := m.Ranges(), m.Overlapping(nil, nil)
+	for i, r := range []Range{left, right} {
+		if all[i].Epoch != r.Epoch || over[i].Epoch != r.Epoch {
+			t.Fatalf("range %d: Lookup epoch %d, Ranges %d, Overlapping %d", i, r.Epoch, all[i].Epoch, over[i].Epoch)
+		}
 	}
 }
 
@@ -580,7 +645,7 @@ func TestWriteRetriesAcrossFailoverFlip(t *testing.T) {
 	tc.dir.MarkDown("n1")
 	go func() {
 		time.Sleep(30 * time.Millisecond)
-		if err := m.CompareAndSetReplicas([]byte("k"), []string{"n1", "n2"}, []string{"n2"}); err != nil {
+		if _, err := m.CompareAndSetReplicas([]byte("k"), m.Lookup([]byte("k")).Epoch, []string{"n2"}); err != nil {
 			t.Error(err)
 		}
 	}()

@@ -434,10 +434,14 @@ func (m *Manager) demote(ns, rk string, pm *partition.Map, rng partition.Range, 
 		// Never leave a range with no live member: serving stale data
 		// beats serving nothing (§3.3.1's availability arbitration). A
 		// lost flip races a reconfiguration; the next sweep re-derives.
-		if !slices.ContainsFunc(target, m.isUp) || pm.CompareAndSetReplicas(rng.Start, rng.Replicas, target) != nil {
+		if !slices.ContainsFunc(target, m.isUp) {
 			continue
 		}
-		rng.Replicas = target
+		epoch, err := pm.CompareAndSetReplicas(rng.Start, rng.Epoch, target)
+		if err != nil {
+			continue
+		}
+		rng.Replicas, rng.Epoch = target, epoch
 		m.mu.Lock()
 		rs := m.rangeLocked(rk)
 		if !slices.Contains(rs.lost, id) {
@@ -483,12 +487,13 @@ func (m *Manager) failover(ns, rk string, pm *partition.Map, rng partition.Range
 			return rng, false
 		}
 		ordered := append(m.rankByFreshness(ns, live, probes), dead...)
-		if pm.CompareAndSetReplicas(rng.Start, rng.Replicas, ordered) != nil {
+		epoch, err := pm.CompareAndSetReplicas(rng.Start, rng.Epoch, ordered)
+		if err != nil {
 			return rng, true // racing flip; re-derived next sweep
 		}
 		m.failovers.Add(1)
 		m.emit(Event{Kind: EventFailover, Node: rng.Replicas[0], Namespace: ns, Start: rng.Start, End: rng.End, Replicas: ordered})
-		rng.Replicas = ordered
+		rng.Replicas, rng.Epoch = ordered, epoch
 	}
 	m.mu.Lock()
 	if rs := m.ranges[rk]; rs != nil {

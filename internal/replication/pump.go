@@ -27,12 +27,14 @@ type Stats struct {
 
 // Pump drains the update queue. It is the one owner of who still
 // needs a record: an update is owed to every member of its key's
-// current replica set that has not received it since that set was
-// published. The pump reads the set from the routing map when an
-// update is enqueued, each time it is popped, and again after its
-// deliveries, before it settles; a member that left is owed nothing,
-// and a newly published set makes every member of it owed again.
-// Applies are last-write-wins by version, so a duplicate is harmless.
+// current replica set that has not received it since the set last
+// changed. The pump reads the set from the routing map when an update
+// is enqueued, each time it is popped, and again after its deliveries,
+// before it settles, and compares it with the set it last read by
+// value: a member that left is owed nothing, and a set whose members
+// or order changed makes every member of it owed again, while a split
+// alone changes no set. Applies are last-write-wins by version, so a
+// duplicate is harmless.
 //
 // A background driver runs its Worker steps, and a simulation loop
 // calls Drain; both work in rounds. A round pops up to maxRound
@@ -104,17 +106,17 @@ func (p *Pump) Queue() *Queue { return p.queue }
 // Enqueue schedules rec, just applied at replicas[0], for the rest of
 // its key's replica set under the given staleness bound: the write was
 // accepted now, and every member owed it must see it by now+bound.
-// replicas is the Replicas slice of the range that acknowledged the
-// write, as the map published it. If the map still publishes it, the
-// acker has the record and the other members are owed it; if it has
-// published another set since, every member of that one is. An update
-// owed to nobody is not queued.
+// replicas is the replica set of the range that acknowledged the
+// write. If the key's set is still that one, the acker has the record
+// and the other members are owed it; if it has changed since, every
+// member of the current one is. An update owed to nobody is not
+// queued.
 func (p *Pump) Enqueue(namespace string, rec record.Record, replicas []string, bound time.Duration) {
 	now := p.clk.Now()
 	u := Update{Namespace: namespace, Rec: rec, Deadline: now.Add(bound), EnqueuedAt: now}
 	u.Replicas = p.members(namespace, rec.Key)
 	u.owed = everyone(len(u.Replicas))
-	if sameSet(u.Replicas, replicas) {
+	if slices.Equal(u.Replicas, replicas) {
 		u.owed &^= 1
 	}
 	if u.owed == 0 {
@@ -132,8 +134,8 @@ func (p *Pump) Enqueue(namespace string, rec record.Record, replicas []string, b
 	p.enqueued.Add(1)
 }
 
-// members reads the current replica set of key's range: the map's
-// published Replicas slice, or nil when the namespace has no map.
+// members reads the current replica set of key's range, read-only, or
+// nil when the namespace has no map.
 func (p *Pump) members(namespace string, key []byte) []string {
 	if m, ok := p.maps(namespace); ok {
 		return m.Lookup(key).Replicas
@@ -141,24 +143,17 @@ func (p *Pump) members(namespace string, key []byte) []string {
 	return nil
 }
 
-// sameSet reports whether a and b are one published slice. The map
-// publishes a fresh Replicas slice with every change of a range, so a
-// set that changed back to the same nodes is still a new set.
-func sameSet(a, b []string) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
 // everyone is the owed mask of a set of n members.
 func everyone(n int) uint64 { return 1<<n - 1 }
 
-// follow reads the current replica set of u's key. When the map has
-// published another since u last read it, every member of the new set
-// is owed u, and a member of the old one that is not in the new one is
-// owed nothing; the tracker follows, and the attempts start over. It
-// reports whether the set was new.
+// follow reads the current replica set of u's key. When it differs
+// from the set u last read, every member of the new set is owed u, and
+// a member of the old one that is not in the new one is owed nothing;
+// the tracker follows, and the attempts start over. It reports whether
+// the set was new.
 func (p *Pump) follow(u *Update) bool {
 	cur := p.members(u.Namespace, u.Rec.Key)
-	if sameSet(cur, u.Replicas) {
+	if slices.Equal(cur, u.Replicas) {
 		return false
 	}
 	for _, id := range cur {
@@ -361,11 +356,10 @@ func (p *Pump) deliver(batch []Update, group []send, recs []record.Record) bool 
 
 // settle reads each update's set again after the round's deliveries.
 // A member still owed then is one whose delivery failed: if it is
-// still a member, the failure counts. An update owed to a newly
-// published set goes back into the queue at once; one still owed to
-// the set it was delivered to parks for a backoff, or at MaxAttempts
-// is given up on for every member still owed; one owed to nobody is
-// settled.
+// still a member, the failure counts. An update owed to a new set goes
+// back into the queue at once; one still owed to the set it was
+// delivered to parks for a backoff, or at MaxAttempts is given up on
+// for every member still owed; one owed to nobody is settled.
 func (p *Pump) settle(batch []Update) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -2,7 +2,7 @@
 // propagation (§3.3.2). Every accepted write is owed to the other
 // members of its key's replica set, and one rule says which: an update
 // is owed to every member of the key's current replica set that has
-// not received it since that set was published. The pump reads the set
+// not received it since the set last changed. The pump reads the set
 // from the routing map, so a range that moves, fails over or splits
 // carries its pending updates along, and a member that left is owed
 // nothing. Updates wait in a deadline priority queue, one per record,
@@ -30,9 +30,8 @@ import (
 type Update struct {
 	Namespace string
 	Rec       record.Record
-	// Replicas is the replica set the update is owed against: the
-	// published Replicas slice of the range holding Rec.Key when the
-	// pump last read the map.
+	// Replicas is the replica set the update is owed against: that of
+	// the range holding Rec.Key when the pump last read the map.
 	Replicas []string
 	// owed marks the members of Replicas that may still lack the
 	// record, bit i for Replicas[i]; a set has far fewer than 64
@@ -45,7 +44,7 @@ type Update struct {
 	// from here.
 	EnqueuedAt time.Time
 
-	// Attempts counts the rounds since the set was published in which
+	// Attempts counts the rounds since the set last changed in which
 	// a delivery of this update failed on its own; the failed apply of
 	// a group of several is not charged to its members.
 	Attempts int

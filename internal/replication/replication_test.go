@@ -845,10 +845,11 @@ func TestReaddedAckerIsOwed(t *testing.T) {
 	}
 }
 
-// TestSetChangedBackIsResent: a set that changes and changes back
-// between two reads of the map is a new set: the update is sent again to
-// every member of it, the members it had just reached included.
-func TestSetChangedBackIsResent(t *testing.T) {
+// TestSetChangedBackReadsUnchanged: a set that changes and changes back
+// between two reads of the map reads as the set it was: members are
+// compared by value, so the update goes once to each member owed it,
+// and not again to the acker.
+func TestSetChangedBackReadsUnchanged(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	sink := newKeySink()
 	var r routes
@@ -865,13 +866,33 @@ func TestSetChangedBackIsResent(t *testing.T) {
 	r.enqueue(p, "ns", record.Record{Key: []byte("k"), Version: 1}, time.Minute)
 	for p.Drain(10) > 0 {
 	}
-	if got := sink.keys("n1"); got != "[k k]" {
-		t.Fatalf("n1 got %v, want k twice", got)
+	for node, want := range map[string]string{"n1": "[k]", "p": "[]", "n2": "[]"} {
+		if got := sink.keys(node); got != want {
+			t.Fatalf("%s got %v, want %v", node, got, want)
+		}
 	}
-	if got := sink.keys("p"); got != "[k]" {
-		t.Fatalf("p got %v, want k once", got)
+}
+
+// TestSplitOwesNoOneAgain: a split publishes both halves of a range
+// under new epochs but changes no member, so an update queued before it
+// is still owed to its one secondary, and never to its acker.
+func TestSplitOwesNoOneAgain(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	sink := newKeySink()
+	p, r := newPump(t, sink.apply, vc, ByDeadline, "n1")
+	r.enqueue(p, "ns", record.Record{Key: []byte("k"), Version: 1}, time.Minute)
+	if err := r["ns"].Split([]byte("m")); err != nil {
+		t.Fatal(err)
 	}
-	if got := sink.keys("n2"); got != "[]" {
-		t.Fatalf("n2 got %v, want nothing", got)
+	for p.Drain(10) > 0 {
+	}
+	if st := p.Stats(); st.Delivered != 1 || st.Pending != 0 {
+		t.Fatalf("Stats = %+v, want one delivery and nothing pending", st)
+	}
+	if got := sink.keys("n1"); got != "[k]" {
+		t.Fatalf("n1 got %v, want k", got)
+	}
+	if got := sink.keys("p"); got != "[]" {
+		t.Fatalf("acker got %v, want nothing", got)
 	}
 }

@@ -1,6 +1,7 @@
 package scads
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"scads/internal/partition"
 	"scads/internal/planner"
 	"scads/internal/row"
+	"scads/internal/rpc"
 )
 
 // newRealClockCluster is the migration-test variant of
@@ -385,6 +387,54 @@ func TestQueuedUpdateFollowsTheMove(t *testing.T) {
 		}
 		if _, ok, _ := users.GetRecord(recordFor(t, lc, "alice").Key); !ok {
 			t.Fatalf("%s lacks alice", id)
+		}
+	}
+}
+
+// TestSplitDuringMoveRefusesTheFlip: a range split between a move's
+// plan and its flip is not the range the move planned against. The flip
+// is refused, the donor's fence lifts, and both halves stay on the donor
+// and serve: every row reads back and the right half takes writes.
+func TestSplitDuringMoveRefusesTheFlip(t *testing.T) {
+	lc := newRealClockCluster(t, 2, 1)
+	seedUsers(t, lc.Cluster, 40)
+	ns := planner.TableNamespace("users")
+	m, _ := lc.Router().Map(ns)
+	donor := m.Lookup(nil).Replicas[0]
+	target := "node-001"
+	if donor == target {
+		target = "node-002"
+	}
+	lc.Migrations().OnPhase = func(ev migration.Event) {
+		if ev.Phase == migration.PhaseFlip {
+			if err := lc.SplitTable("users", "user0020"); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	err := lc.MoveRange(ns, nil, []string{target})
+	lc.Migrations().OnPhase = nil
+	if !errors.Is(err, partition.ErrReplicasChanged) {
+		t.Errorf("MoveRange = %v, want ErrReplicasChanged", err)
+	}
+	for _, rng := range m.Ranges() {
+		if fmt.Sprint(rng.Replicas) != "["+donor+"]" {
+			t.Errorf("range %v after the refused flip, want it on %s", rng, donor)
+		}
+	}
+	node, _ := lc.Node(donor)
+	if st := node.Serve(rpc.Request{Method: rpc.MethodStats}); st.Fenced != 0 {
+		t.Errorf("donor holds %d fences after the refused flip", st.Fenced)
+	}
+	for i := 0; i < 40; i++ {
+		id := fmt.Sprintf("user%04d", i)
+		if _, found, err := lc.Get("users", Row{"id": id}); err != nil || !found {
+			t.Fatalf("Get(%s) after the refused flip: found=%v err=%v", id, found, err)
+		}
+	}
+	for i := 40; i < 60; i++ {
+		if err := lc.Insert("users", Row{"id": fmt.Sprintf("user%04d", i), "name": "right", "birthday": 1}); err != nil {
+			t.Fatalf("insert into the right half: %v", err)
 		}
 	}
 }

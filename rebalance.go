@@ -100,14 +100,12 @@ func (c *Cluster) LoadSnapshot() []balancer.RangeObservation {
 // replication factor), migrating data online as needed. The director
 // calls this after adding or removing capacity so new machines
 // actually take load — the data-movement half of "scaling up and
-// down" (§1.1).
+// down" (§1.1). Each range is planned over the nodes serving when its
+// move takes the range's lock, so a node lost while earlier ranges
+// move is in no later range's plan.
 func (c *Cluster) SpreadNamespace(namespace string) error {
-	up := c.dir.Up()
-	if len(up) == 0 {
-		return fmt.Errorf("scads: no serving nodes")
-	}
 	return c.reconfigure(namespace, func(i int, _ partition.Range) ([]string, error) {
-		return partition.Spread(i, up, c.cfg.ReplicationFactor), nil
+		return partition.Spread(i, c.dir.Up(), c.cfg.ReplicationFactor), nil
 	})
 }
 
@@ -117,7 +115,8 @@ func (c *Cluster) SpreadNamespace(namespace string) error {
 // every range concurrently with target as its plan, which the
 // migration manager runs again under the range's lock on the range as
 // it then stands — the manager's semaphore bounds how many are in
-// flight.
+// flight. A move whose flip a failover or a split got to first plans
+// once more from the range as that left it.
 func (c *Cluster) reconfigure(namespace string, target func(i int, rng partition.Range) ([]string, error)) error {
 	m, ok := c.router.Map(namespace)
 	if !ok {
@@ -136,7 +135,11 @@ func (c *Cluster) reconfigure(namespace string, target func(i int, rng partition
 		go func() {
 			defer wg.Done()
 			plan := func(cur partition.Range) ([]string, error) { return target(i, cur) }
-			if err := c.migrations.MoveRange(m, namespace, rng.Start, plan); err != nil {
+			err := c.migrations.MoveRange(m, namespace, rng.Start, plan)
+			if errors.Is(err, partition.ErrReplicasChanged) {
+				err = c.migrations.MoveRange(m, namespace, rng.Start, plan)
+			}
+			if err != nil {
 				errs[i] = fmt.Errorf("scads: move %s range %d: %w", namespace, i, err)
 			}
 		}()

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"scads/internal/migration"
+	"scads/internal/partition"
 	"scads/internal/planner"
 )
 
@@ -246,6 +248,109 @@ func TestDecommissionPicksLeastLoadedCandidate(t *testing.T) {
 		id := fmt.Sprintf("user%04d", i)
 		if _, found, err := lc.Get("users", Row{"id": id}); err != nil || !found {
 			t.Fatalf("Get(%s) after decommission: found=%v err=%v", id, found, err)
+		}
+	}
+}
+
+// TestSpreadPlansEachRangeOverTheNodesUpThen: a node that goes down
+// while a spread is under way is in no plan made after it went down. Here
+// a later range's move waits for its lock until node-003 has crashed; a
+// plan made over the nodes up when the spread began would promote
+// node-003 in that range and fail the spread.
+func TestSpreadPlansEachRangeOverTheNodesUpThen(t *testing.T) {
+	lc := newRealClockCluster(t, 3, 1)
+	seedUsers(t, lc.Cluster, 30)
+	if err := lc.SplitTable("users", "user0010", "user0020"); err != nil {
+		t.Fatal(err)
+	}
+	ns := planner.TableNamespace("users")
+	m, _ := lc.Router().Map(ns)
+	last := encodedUserKey(t, "user0020")
+	// Spread over all three nodes puts range i on node i+1 alone: the
+	// first range moves, the second stays, and the last keeps node-003
+	// but makes it its primary.
+	for key, set := range map[string][]string{"": {"node-002"}, "user0010": {"node-002"}, "user0020": {"node-001", "node-003"}} {
+		if err := lc.MoveRange(ns, encodedUserKey(t, key), set); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Hold the last range's lock with a move that plans no change.
+	locked, gate := make(chan struct{}), make(chan struct{})
+	held := make(chan error, 1)
+	go func() {
+		held <- lc.Migrations().MoveRange(m, ns, last, func(cur partition.Range) ([]string, error) {
+			close(locked)
+			<-gate
+			return cur.Replicas, nil
+		})
+	}()
+	<-locked
+	started := make(chan struct{}, 1)
+	lc.Migrations().OnPhase = func(ev migration.Event) {
+		if ev.Phase == migration.PhaseSnapshot && ev.Start == nil {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+		}
+	}
+	spread := make(chan error, 1)
+	go func() { spread <- lc.SpreadNamespace(ns) }()
+	<-started // the spread is moving the first range
+	lc.CrashNode("node-003")
+	close(gate)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-spread; err != nil {
+		t.Fatalf("spread after node-003 crashed: %v", err)
+	}
+	lc.Migrations().OnPhase = nil
+	if got := m.Lookup(last).Replicas; slices.Contains(got, "node-003") {
+		t.Fatalf("last range on %v, still planned over node-003", got)
+	}
+	for i := 20; i < 30; i++ {
+		id := fmt.Sprintf("user%04d", i)
+		if _, found, err := lc.Get("users", Row{"id": id}); err != nil || !found {
+			t.Fatalf("Get(%s) after the spread: found=%v err=%v", id, found, err)
+		}
+	}
+}
+
+// TestSpreadPlansAgainAfterALostFlip: a failover that publishes a range
+// while the spread moves it refuses that move's flip. The spread plans
+// the range once more, from the set the failover left, and finishes.
+func TestSpreadPlansAgainAfterALostFlip(t *testing.T) {
+	lc := newRealClockCluster(t, 3, 2)
+	seedUsers(t, lc.Cluster, 20)
+	ns := planner.TableNamespace("users")
+	m, _ := lc.Router().Map(ns)
+	if err := lc.MoveRange(ns, nil, []string{"node-002", "node-003"}); err != nil {
+		t.Fatal(err)
+	}
+	flips := 0
+	lc.Migrations().OnPhase = func(ev migration.Event) {
+		if ev.Phase == migration.PhaseFlip && ev.Namespace == ns {
+			if flips++; flips == 1 {
+				if err := m.SetReplicas(ev.Start, []string{"node-003", "node-002"}); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+	err := lc.SpreadNamespace(ns)
+	lc.Migrations().OnPhase = nil
+	if err != nil {
+		t.Fatalf("spread after a failover won its flip: %v", err)
+	}
+	if got := m.Lookup(nil).Replicas; fmt.Sprint(got) != "[node-001 node-002]" || flips != 2 {
+		t.Fatalf("range on %v after %d flips, want [node-001 node-002] after 2", got, flips)
+	}
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("user%04d", i)
+		if _, found, err := lc.Get("users", Row{"id": id}); err != nil || !found {
+			t.Fatalf("Get(%s) after the spread: found=%v err=%v", id, found, err)
 		}
 	}
 }
