@@ -168,10 +168,11 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// ErrTargetDown refuses a move whose target adds a node that is not
-// in Directory.Up: down, booting, unknown or draining — a plan made
-// before the directory changed. A catch-up target found not serving
-// once the move has begun fails the move with the same error.
+// ErrTargetDown refuses a move whose target adds, or promotes to
+// primary, a node that is not in Directory.Up: down, booting, unknown
+// or draining — a plan made before the directory changed. A catch-up
+// target found not serving once the move has begun fails the move with
+// the same error.
 var ErrTargetDown = errors.New("migration: target node is not up")
 
 // MoveRange migrates the range of pm containing key to the replica
@@ -184,10 +185,11 @@ var ErrTargetDown = errors.New("migration: target node is not up")
 // state its move starts from. An empty target is
 // partition.ErrNeedReplicas; a target equal to the current set moves
 // nothing, counts nothing and only retries the range's pending
-// teardown; a target adding a node not in Directory.Up is
-// ErrTargetDown. Migrations of distinct ranges run in parallel up to
-// the manager's parallelism bound, migrations of the same range
-// serialise.
+// teardown; a target whose catch-up set (the nodes it adds, and a
+// member it promotes to primary) holds a node not in Directory.Up is
+// ErrTargetDown, and counts nothing. Migrations of distinct ranges run
+// in parallel up to the manager's parallelism bound, migrations of the
+// same range serialise.
 func (m *Manager) MoveRange(pm *partition.Map, namespace string, key []byte, plan func(partition.Range) ([]string, error)) error {
 	m.sem <- struct{}{}
 	defer func() { <-m.sem }()
@@ -205,15 +207,16 @@ func (m *Manager) MoveRange(pm *partition.Map, namespace string, key []byte, pla
 		m.retryPendingFor(namespace, rng, locked)
 		return nil
 	}
+	catchup := catchUpSet(rng.Replicas, target)
 	up := m.dir.Up()
-	for _, id := range diff(target, rng.Replicas) {
+	for _, id := range catchup {
 		if !slices.Contains(up, id) {
 			return fmt.Errorf("migration: %s %s: %s: %w", namespace, rng, id, ErrTargetDown)
 		}
 	}
 
 	m.started.Add(1)
-	err = m.migrate(pm, namespace, key, rng, target)
+	err = m.migrate(pm, namespace, key, rng, target, catchup)
 	if err != nil {
 		m.failed.Add(1)
 		m.event(Event{Phase: PhaseDone, Namespace: namespace, Start: rng.Start, End: rng.End, Target: target, Err: err})
@@ -257,20 +260,25 @@ func (c *cleanup) pendingNodes() []string {
 	return slices.Sorted(maps.Keys(c.nodes))
 }
 
-// migrate runs the state machine for one range. rng is the range as
-// looked up under the per-range lock; target differs from its replicas.
-func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng partition.Range, target []string) error {
-	old := rng.Replicas
-
-	// Catch-up targets: every target node without a full copy. A node
-	// already in the replica set only has the (bounded-staleness)
-	// replicated copy, so a node being *promoted to primary* catches
-	// up too — after the handoff the new primary serves every
-	// acknowledged write, not just the replicated prefix.
+// catchUpSet is the members of target that a move from old must catch
+// up: every target node without a full copy. A node already in the
+// replica set only has the (bounded-staleness) replicated copy, so a
+// node being *promoted to primary* catches up too — after the handoff
+// the new primary serves every acknowledged write, not just the
+// replicated prefix.
+func catchUpSet(old, target []string) []string {
 	catchup := diff(target, old)
-	if target[0] != old[0] && !slices.Contains(catchup, target[0]) && slices.Contains(old, target[0]) {
+	if target[0] != old[0] && slices.Contains(old, target[0]) {
 		catchup = append([]string{target[0]}, catchup...)
 	}
+	return catchup
+}
+
+// migrate runs the state machine for one range. rng is the range as
+// looked up under the per-range lock; target differs from its
+// replicas, and catchup is catchUpSet(rng.Replicas, target).
+func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng partition.Range, target, catchup []string) error {
+	old := rng.Replicas
 
 	var epoch, watermark uint64
 	var donorAddr string

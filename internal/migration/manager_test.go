@@ -715,30 +715,26 @@ func TestMoveRangeRefusesATargetNotUp(t *testing.T) {
 	}
 }
 
-// TestMoveRangeTargetDownAtCatchUp: a target node that goes down after
-// the plan, once the move has begun, fails it at catch-up with the
-// same ErrTargetDown as a plan refused up front, and the range keeps
-// its replicas.
-func TestMoveRangeTargetDownAtCatchUp(t *testing.T) {
+// TestMoveRangeRefusesPromotingADownMember: a plan that only promotes
+// a down secondary adds no node, but that member is in the move's
+// catch-up set, so the move is refused before it starts, like one that
+// adds a down node, and the range keeps its replicas.
+func TestMoveRangeRefusesPromotingADownMember(t *testing.T) {
 	h := newHarness(t, "a", "b")
 	h.seed("a", 20)
-	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("a", "b")); err != nil {
+	h.seed("b", 20)
+	if err := h.pm.SetReplicas([]byte{}, []string{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
-
-	// Promoting b adds no node, so only the catch-up meets it down.
-	err := h.mgr.MoveRange(h.pm, testNS, []byte{}, func(partition.Range) ([]string, error) {
-		h.dir.MarkDown("b")
-		return []string{"b", "a"}, nil
-	})
-	if !errors.Is(err, ErrTargetDown) {
+	h.dir.MarkDown("b")
+	if err := h.mgr.MoveRange(h.pm, testNS, []byte{}, to("b", "a")); !errors.Is(err, ErrTargetDown) {
 		t.Fatalf("err = %v, want ErrTargetDown", err)
 	}
 	if got := h.pm.Lookup([]byte{}).Replicas; len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("replicas = %v, want [a b] kept", got)
 	}
-	if st := h.mgr.Stats(); st.Started != 2 || st.Failed != 1 {
-		t.Fatalf("stats = %+v, want the second move started and failed", st)
+	if st := h.mgr.Stats(); st.Started != 0 || st.Failed != 0 {
+		t.Fatalf("stats = %+v, want a refused move counted nowhere", st)
 	}
 }
 

@@ -5,22 +5,26 @@
 // A Manager sweeps on a clock. Each sweep first detects failures:
 // every directory member is probed with a ping, responsive members
 // heartbeat into the directory, Directory.ExpireStale marks silent ones
-// down, and status transitions become node-down / node-up events. A
-// serving member is also audited against the replication pump's
-// per-target drop counter: one to which a delivery was abandoned since
-// the last sweep (while it was away, or over a severed replication
-// link while it still answered pings) is irrecoverably stale. It must
-// be rebuilt through the migration protocol's truncate → snapshot →
-// delta catch-up, not patched: compaction garbage-collects tombstones,
-// so merging over a stale copy could resurrect deletes.
+// down, and status transitions become node-down / node-up events.
+//
+// The sweep then demotes on the replication pump's drops. A drop names
+// a member that missed a write in one span of a namespace (while it
+// was away, or over a severed replication link while it still answered
+// pings), so its copy of that span is irrecoverably stale: it must be
+// rebuilt through the migration protocol's truncate → snapshot → delta
+// catch-up, not patched, since compaction garbage-collects tombstones
+// and merging over a stale copy could resurrect deletes. The sweep
+// takes the drops of the members that are up, and removes each such
+// member from every current range overlapping the drop's span where it
+// is a secondary, remembering it as a former member of the range.
+// Never the primary (authoritative by definition), and never the last
+// live member (serving stale data beats serving nothing). A down
+// member's drops wait for its return; those of a member gone from the
+// directory are discarded.
 //
 // The sweep then walks every range once, in this order:
 //
-//  1. Demote. A stale node serving the range as a secondary leaves its
-//     replica group and is remembered as a former member. Never the
-//     primary (authoritative by definition), and never the last live
-//     member (serving stale data beats serving nothing).
-//  2. Fail over. A range whose primary is down but which has a live
+//  1. Fail over. A range whose primary is down but which has a live
 //     replica is flipped, by the partition map's compare-and-set, to its
 //     live members ordered freshest first, its dead members kept at the
 //     tail. Freshness ranks each candidate by its probed maximum
@@ -29,7 +33,7 @@
 //     bound. Nothing is copied: failover completes within the sweep,
 //     and writes spinning in the coordinator's down-retry loop land on
 //     the promoted replica.
-//  3. Repair. reconcileTarget, the one repair rule, names the replica
+//  2. Repair. reconcileTarget, the one repair rule, names the replica
 //     set the range should have. If that differs from the current set,
 //     a journaled job (at most one per range, bounded parallelism)
 //     moves the range through migration.Manager, whose plan asks the
@@ -57,7 +61,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"scads/internal/clock"
@@ -168,27 +171,15 @@ type Manager struct {
 	nodes  map[string]*nodeState  // directory member ID -> what the sweeps saw
 	ranges map[string]*rangeState // range key -> bookkeeping of a degraded range
 	jobs   map[string]bool        // range key -> repair job in flight
+	stats  Stats                  // all but PendingJobs, which is len(jobs)
 
 	sem chan struct{} // bounds running repair jobs
-
-	sweeps         atomic.Int64
-	nodesDown      atomic.Int64
-	nodesUp        atomic.Int64
-	failovers      atomic.Int64
-	demotions      atomic.Int64
-	repairsStarted atomic.Int64
-	repairsDone    atomic.Int64
-	repairsFailed  atomic.Int64
-	rejoins        atomic.Int64
-	unavailGauge   atomic.Int64
-	underGauge     atomic.Int64
 }
 
 // nodeState is what the sweeps observed of one directory member.
 type nodeState struct {
 	status    cluster.Status
 	downSince time.Time // when it was last observed going down
-	dropMark  int64     // pump drop counter at first sight, then when last observed up
 }
 
 // rangeState is the bookkeeping of one range that is not fully live at
@@ -227,23 +218,27 @@ func NewManager(cfg Config, clk clock.Clock, dir *cluster.Directory, transport r
 // sweeps.
 func (m *Manager) SweepInterval() time.Duration { return m.cfg.SweepInterval }
 
-// Sweep runs failure detection, then one walk over every range:
-// demote, fail over, repair. Probing, expiry, membership events,
-// demotions and failover flips happen within the call; the repair jobs
-// it decides on, and a retry of journaled teardowns when a node
-// returned, are returned for the caller to run — on goroutines of its
-// own (the background driver) or one after another before the next
-// Sweep (RepairNow, tests). Sweep starts no goroutine that outlives
-// it, so a test driving it on a virtual clock observes deterministic
-// behavior. Every returned job must be run: a range's job stays in
-// flight, and no other is started for it, until its job has run.
+// Sweep runs failure detection, demotes on the pump's drops, then
+// walks every range once: fail over, repair. Probing, expiry,
+// membership events, demotions and failover flips happen within the
+// call; the repair jobs it decides on, and a retry of journaled
+// teardowns when a node returned, are returned for the caller to run —
+// on goroutines of its own (the background driver) or one after
+// another before the next Sweep (RepairNow, tests). Sweep starts no
+// goroutine that outlives it, so a test driving it on a virtual clock
+// observes deterministic behavior. Every returned job must be run: a
+// range's job stays in flight, and no other is started for it, until
+// its job has run.
 func (m *Manager) Sweep() (jobs []func()) {
 	m.sweepMu.Lock()
 	defer m.sweepMu.Unlock()
-	m.sweeps.Add(1)
+	m.count(func(st *Stats) { st.Sweeps++ })
 	m.probe()
 	m.dir.ExpireStale(m.cfg.HeartbeatTimeout)
-	returned, stale := m.observeMembership()
+	returned := m.observeMembership()
+	for _, d := range m.takeDrops() {
+		m.demote(d)
+	}
 	if len(returned) > 0 {
 		// A returned node may hold ranges whose teardown was journaled
 		// while it was unreachable.
@@ -259,7 +254,6 @@ func (m *Manager) Sweep() (jobs []func()) {
 		}
 		for _, rng := range pm.Ranges() {
 			rk := rangeKey(ns, rng.Start)
-			rng = m.demote(ns, rk, pm, rng, stale)
 			if len(rng.Replicas) < rf {
 				under++
 			}
@@ -279,30 +273,24 @@ func (m *Manager) Sweep() (jobs []func()) {
 			}
 		}
 	}
-	m.unavailGauge.Store(int64(unavailable))
-	m.underGauge.Store(int64(under))
+	m.count(func(st *Stats) { st.RangesUnavailable, st.UnderReplicated = unavailable, under })
 	return jobs
 }
 
 // Stats returns a snapshot of repair counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
-	pending := len(m.jobs)
+	defer m.mu.Unlock()
+	st := m.stats
+	st.PendingJobs = len(m.jobs)
+	return st
+}
+
+// count applies f to the manager's counters under its lock.
+func (m *Manager) count(f func(*Stats)) {
+	m.mu.Lock()
+	f(&m.stats)
 	m.mu.Unlock()
-	return Stats{
-		Sweeps:            m.sweeps.Load(),
-		NodesDown:         m.nodesDown.Load(),
-		NodesUp:           m.nodesUp.Load(),
-		Failovers:         m.failovers.Load(),
-		Demotions:         m.demotions.Load(),
-		RepairsStarted:    m.repairsStarted.Load(),
-		RepairsDone:       m.repairsDone.Load(),
-		RepairsFailed:     m.repairsFailed.Load(),
-		Rejoins:           m.rejoins.Load(),
-		RangesUnavailable: int(m.unavailGauge.Load()),
-		UnderReplicated:   int(m.underGauge.Load()),
-		PendingJobs:       pending,
-	}
 }
 
 // Describe renders the manager's state for operator tooling
@@ -355,38 +343,20 @@ func (m *Manager) probe() {
 }
 
 // observeMembership diffs member statuses against the previous sweep,
-// emitting node-down/node-up events. It returns the members that
-// transitioned down→up, and every *serving* member that has become
-// irrecoverably stale — the pump abandoned deliveries to it. The
-// staleness audit runs every sweep, not just on a down→up transition:
-// a replica whose replication link is severed while it still answers
-// pings (an asymmetric partition) accumulates drops without ever
-// leaving the up state, and must be demoted and rebuilt all the same —
-// otherwise a later failover onto it would permanently lose the
-// dropped acknowledged writes. Down members are never demoted (a dead
-// tail member is failover's last-resort copy); their drop mark is
-// frozen while they are away, so the evidence survives until the
-// return sweep and the rebuild happens then.
-func (m *Manager) observeMembership() (returned, stale []string) {
+// emitting node-down/node-up events, and returns the members that
+// transitioned down→up.
+func (m *Manager) observeMembership() (returned []string) {
 	now := m.clk.Now()
 	members := m.dir.Members()
 	var events []Event
 	m.mu.Lock()
-	seen := make(map[string]bool, len(members))
+	nodes := make(map[string]*nodeState, len(members)) // a member gone from the directory is forgotten
 	for _, mem := range members {
-		seen[mem.ID] = true
-		drops := m.pump.DroppedTo(mem.ID)
 		n, knew := m.nodes[mem.ID]
 		if !knew {
-			n = &nodeState{status: mem.Status, dropMark: drops}
-			m.nodes[mem.ID] = n
+			n = &nodeState{status: mem.Status}
 		}
-		if mem.Status == cluster.StatusUp {
-			if drops != n.dropMark {
-				stale = append(stale, mem.ID)
-			}
-			n.dropMark = drops
-		}
+		nodes[mem.ID] = n
 		prev := n.status
 		n.status = mem.Status
 		switch {
@@ -397,62 +367,82 @@ func (m *Manager) observeMembership() (returned, stale []string) {
 			// and tell listeners, or a crash in the sweep loop's startup
 			// window would be acted on without ever being reported.
 			n.downSince = now
-			m.nodesDown.Add(1)
+			m.stats.NodesDown++
 			events = append(events, Event{Kind: EventNodeDown, Node: mem.ID})
 		case mem.Status == cluster.StatusUp && prev == cluster.StatusDown:
-			m.nodesUp.Add(1)
+			m.stats.NodesUp++
 			returned = append(returned, mem.ID)
 			events = append(events, Event{Kind: EventNodeUp, Node: mem.ID})
 		}
 	}
-	for id := range m.nodes {
-		if !seen[id] {
-			delete(m.nodes, id)
-		}
-	}
+	m.nodes = nodes
 	m.mu.Unlock()
 	for _, ev := range events {
 		m.emit(ev)
 	}
-	return returned, stale
+	return returned
 }
 
-// --- the walk ---
+// takeDrops takes the pump's drops of the members this sweep observed
+// up, for demote, and discards those of members gone from the
+// directory. It runs every sweep, not only on a return: a replica
+// whose replication link is severed while it still answers pings (an
+// asymmetric partition) misses writes without ever leaving the up
+// state. A member down or booting keeps its drops until it is up, so
+// the rebuild happens at its return: a dead tail member is failover's
+// last-resort copy and is never demoted.
+func (m *Manager) takeDrops() []replication.Drop {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var away []string
+	for _, id := range slices.Sorted(maps.Keys(m.nodes)) {
+		if m.nodes[id].status != cluster.StatusUp {
+			away = append(away, id)
+		}
+	}
+	drops := m.pump.TakeDrops(away)
+	return slices.DeleteFunc(drops, func(d replication.Drop) bool { return m.nodes[d.Member] == nil })
+}
 
-// demote removes the stale nodes that serve rng as secondaries and
-// remembers each as a lost member, so the repair rule re-adds it at
-// once — via the migration protocol's truncate + snapshot + delta,
-// which rebuilds the copy instead of merging over it. It returns the
-// range as the demotions left it.
-func (m *Manager) demote(ns, rk string, pm *partition.Map, rng partition.Range, stale []string) partition.Range {
-	for _, id := range stale {
-		i := slices.Index(rng.Replicas, id)
+// demote removes d's member from each current range of d's namespace
+// that overlaps d's span (so a split since the drop loses nothing) and
+// holds the member as a secondary, and remembers it as a lost member of
+// that range, so the repair rule re-adds it at once: via the migration
+// protocol's truncate + snapshot + delta, which rebuilds the copy
+// instead of merging over it.
+func (m *Manager) demote(d replication.Drop) {
+	pm, ok := m.router.Map(d.Namespace)
+	if !ok {
+		return
+	}
+	for _, rng := range pm.Overlapping(d.Start, d.End) {
+		i := slices.Index(rng.Replicas, d.Member)
 		if i <= 0 {
 			continue // not a member, or the authoritative primary
 		}
 		target := slices.Delete(slices.Clone(rng.Replicas), i, i+1)
 		// Never leave a range with no live member: serving stale data
 		// beats serving nothing (§3.3.1's availability arbitration). A
-		// lost flip races a reconfiguration; the next sweep re-derives.
+		// lost flip races a reconfiguration of the range; the drop is
+		// not retried.
 		if !slices.ContainsFunc(target, m.isUp) {
 			continue
 		}
-		epoch, err := pm.CompareAndSetReplicas(rng.Start, rng.Epoch, target)
-		if err != nil {
+		if _, err := pm.CompareAndSetReplicas(rng.Start, rng.Epoch, target); err != nil {
 			continue
 		}
-		rng.Replicas, rng.Epoch = target, epoch
 		m.mu.Lock()
-		rs := m.rangeLocked(rk)
-		if !slices.Contains(rs.lost, id) {
-			rs.lost = append(rs.lost, id)
+		rs := m.rangeLocked(rangeKey(d.Namespace, rng.Start))
+		if !slices.Contains(rs.lost, d.Member) {
+			rs.lost = append(rs.lost, d.Member)
 		}
+		m.stats.Demotions++
 		m.mu.Unlock()
-		m.demotions.Add(1)
-		m.emit(Event{Kind: EventDemote, Node: id, Namespace: ns, Start: rng.Start, End: rng.End, Replicas: target})
+		m.emit(Event{Kind: EventDemote, Node: d.Member, Namespace: d.Namespace, Start: rng.Start, End: rng.End, Replicas: target})
 	}
-	return rng
 }
+
+// --- the walk ---
 
 // failover promotes the freshest live replica of rng if its primary is
 // down. Pure metadata: one compare-and-set flip. Down members are kept
@@ -462,8 +452,9 @@ func (m *Manager) demote(ns, rk string, pm *partition.Map, rng partition.Range, 
 // promote it instead of declaring the range permanently unavailable.
 // Replacing long-dead tail members is the repair rule's job, after the
 // grace; convergence of a briefly-dead one is the pump's (parked
-// deliveries flush on return, and abandoned ones trigger the
-// demote-and-rebuild audit). It returns the range as it left it, and
+// deliveries flush on return, and a drop demotes and rebuilds it in
+// its span at its return; a flip that only reorders the set keeps the
+// span, so it keeps the drop). It returns the range as it left it, and
 // false if the range has no live replica.
 func (m *Manager) failover(ns, rk string, pm *partition.Map, rng partition.Range, probes map[string]uint64) (partition.Range, bool) {
 	if !m.isUp(rng.Replicas[0]) {
@@ -491,7 +482,7 @@ func (m *Manager) failover(ns, rk string, pm *partition.Map, rng partition.Range
 		if err != nil {
 			return rng, true // racing flip; re-derived next sweep
 		}
-		m.failovers.Add(1)
+		m.count(func(st *Stats) { st.Failovers++ })
 		m.emit(Event{Kind: EventFailover, Node: rng.Replicas[0], Namespace: ns, Start: rng.Start, End: rng.End, Replicas: ordered})
 		rng.Replicas, rng.Epoch = ordered, epoch
 	}
@@ -581,7 +572,7 @@ func (m *Manager) runJob(ns string, pm *partition.Map, rk string, key []byte) {
 			target = cur.Replicas
 		}
 		if !slices.Equal(target, cur.Replicas) {
-			m.repairsStarted.Add(1)
+			m.count(func(st *Stats) { st.RepairsStarted++ })
 			m.emit(Event{Kind: EventRepairStart, Namespace: ns, Start: cur.Start, End: cur.End, Replicas: target})
 		}
 		return target, nil
@@ -590,12 +581,14 @@ func (m *Manager) runJob(ns string, pm *partition.Map, rk string, key []byte) {
 		return
 	}
 	if err != nil {
-		m.repairsFailed.Add(1)
+		m.count(func(st *Stats) { st.RepairsFailed++ })
 		m.emit(Event{Kind: EventRepairFailed, Namespace: ns, Start: rng.Start, End: rng.End, Replicas: target, Err: err})
 		return
 	}
-	m.repairsDone.Add(1)
-	m.rejoins.Add(int64(len(rejoined)))
+	m.count(func(st *Stats) {
+		st.RepairsDone++
+		st.Rejoins += int64(len(rejoined))
+	})
 	m.emit(Event{Kind: EventRepairDone, Namespace: ns, Start: rng.Start, End: rng.End, Replicas: target})
 }
 

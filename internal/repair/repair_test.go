@@ -143,6 +143,43 @@ func (f *fixture) put(key string, version uint64, nodes ...string) {
 	}
 }
 
+// missWrite writes key at version to its range's primary, and has the
+// pump give up on the delivery to member, whose replication link is
+// severed meanwhile.
+func (f *fixture) missWrite(key string, version uint64, member string) {
+	f.t.Helper()
+	f.pump.MaxAttempts = 1
+	set := f.set(key)
+	f.put(key, version, set[0])
+	f.lt.SetApplyDown("local://"+member, true)
+	f.pump.Enqueue("ns", record.Record{Key: []byte(key), Value: []byte("v"), Version: version}, set, time.Second)
+	for f.pump.Drain(10) > 0 {
+	}
+	f.lt.SetApplyDown("local://"+member, false)
+}
+
+// split divides "ns" at key; both halves keep the range's replicas.
+func (f *fixture) split(key string) *partition.Map {
+	f.t.Helper()
+	m, _ := f.router.Map("ns")
+	if err := m.Split([]byte(key)); err != nil {
+		f.t.Fatal(err)
+	}
+	return m
+}
+
+// holds fails the test unless node holds key at version.
+func (f *fixture) holds(node, key string, version uint64) {
+	f.t.Helper()
+	ns, err := f.nodes[node].Engine().Namespace("ns")
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	if rec, ok, _ := ns.GetRecord([]byte(key)); !ok || rec.Version != version {
+		f.t.Fatalf("%s holds %q as ok=%v %+v, want version %d", node, key, ok, rec, version)
+	}
+}
+
 func (f *fixture) eventKinds() []repair.EventKind {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -444,7 +481,7 @@ func TestStaleReturnDemotedAndRejoins(t *testing.T) {
 	if n := f.pump.Drain(10); n != 1 {
 		t.Fatalf("drained %d", n)
 	}
-	if f.pump.DroppedTo("n2") != 1 {
+	if f.pump.Stats().Dropped != 1 {
 		t.Fatalf("expected a dropped delivery to n2")
 	}
 
@@ -518,9 +555,9 @@ func TestResurrectionMidRepair(t *testing.T) {
 }
 
 // TestFailoverThenRejoin: the crashed primary returns after failover.
-// Deliveries to it were abandoned while it was away, so the staleness
-// audit demotes it and the rejoin path rebuilds its copy — which ends
-// up holding the write it missed.
+// Deliveries to it were abandoned while it was away, so the sweep at
+// its return demotes it and the rejoin path rebuilds its copy — which
+// ends up holding the write it missed.
 func TestFailoverThenRejoin(t *testing.T) {
 	f := newFixture(t, 2, 2, repair.Config{
 		HeartbeatTimeout: 10 * time.Second,
@@ -544,7 +581,7 @@ func TestFailoverThenRejoin(t *testing.T) {
 	if n := f.pump.Drain(10); n != 1 {
 		t.Fatalf("drained %d", n)
 	}
-	if f.pump.DroppedTo("n1") != 1 {
+	if f.pump.Stats().Dropped != 1 {
 		t.Fatal("expected the delivery to dead n1 to be dropped")
 	}
 
@@ -571,11 +608,11 @@ func TestFailoverThenRejoin(t *testing.T) {
 		repair.EventDemote, repair.EventRepairStart, repair.EventRepairDone)
 }
 
-// TestPartitionedReplicaDemotedWhileUp covers the asymmetric-fault
-// audit: a secondary whose replication link is severed keeps answering
-// pings (never leaves the up state) while the pump abandons deliveries
-// to it. The per-sweep drop audit must demote and rebuild it anyway —
-// otherwise a later failover onto it would lose the dropped writes.
+// TestPartitionedReplicaDemotedWhileUp covers the asymmetric fault: a
+// secondary whose replication link is severed keeps answering pings
+// (never leaves the up state) while the pump abandons deliveries to
+// it. The sweep must demote and rebuild it anyway — otherwise a later
+// failover onto it would lose the dropped writes.
 func TestPartitionedReplicaDemotedWhileUp(t *testing.T) {
 	f := newFixture(t, 2, 2, repair.Config{
 		HeartbeatTimeout: 10 * time.Second,
@@ -583,7 +620,6 @@ func TestPartitionedReplicaDemotedWhileUp(t *testing.T) {
 	})
 	f.pump.MaxAttempts = 1
 	f.put("a", 100, "n1", "n2")
-	f.sweep() // baseline drop marks
 
 	// Sever only the replication link: pings still answer.
 	f.lt.SetApplyDown("local://n2", true)
@@ -670,12 +706,11 @@ func TestDescribeRendersState(t *testing.T) {
 
 // demoteDraining makes n2 a former member of [n1 n2] that is still
 // serving but draining: its replication link drops a delivery, it
-// drains, and the next sweep's staleness audit demotes it.
+// drains, and the next sweep demotes it.
 func demoteDraining(f *fixture) {
 	f.t.Helper()
 	f.pump.MaxAttempts = 1
 	f.put("a", 100, "n1", "n2")
-	f.sweep() // baseline drop marks
 
 	f.lt.SetApplyDown("local://n2", true)
 	f.put("b", 200, "n1")
@@ -760,5 +795,127 @@ func TestDeadSecondaryWithoutSpareIsNotMoved(t *testing.T) {
 	defer mu.Unlock()
 	if len(phases) != 0 {
 		t.Fatalf("migration phases %v for a move with nothing to copy", phases)
+	}
+}
+
+// TestDropDemotesOnlyTheRangeThatMissedIt: n2 serves both halves of
+// "ns" and misses one write in the left. The sweep demotes and rebuilds
+// it there alone; the right half keeps its set and starts no job.
+func TestDropDemotesOnlyTheRangeThatMissedIt(t *testing.T) {
+	f := newFixture(t, 3, 2, repair.Config{
+		HeartbeatTimeout: 10 * time.Second,
+		ReplaceAfter:     time.Hour,
+	})
+	m := f.split("m")
+	f.put("x", 100, "n1", "n2")
+	right := m.Lookup([]byte("x"))
+	f.sweep() // a running loop has swept before the fault
+	f.missWrite("b", 200, "n2")
+	f.sweep()
+	if st := f.mgr.Stats(); st != (repair.Stats{
+		Sweeps: 2, Demotions: 1, RepairsStarted: 1, RepairsDone: 1, Rejoins: 1, UnderReplicated: 1,
+	}) {
+		t.Fatalf("stats = %+v", st)
+	}
+	if got := m.Lookup([]byte("x")); got.Epoch != right.Epoch {
+		t.Fatalf("the right half changed: %+v, was %+v", got, right)
+	}
+	if got := f.set("b"); !slices.Equal(got, []string{"n1", "n2"}) {
+		t.Fatalf("left half = %v, want [n1 n2] rebuilt", got)
+	}
+	f.holds("n2", "b", 200)
+	f.holds("n2", "x", 100)
+}
+
+// TestSplitAfterTheDropStillDemotes: the range splits between the drop
+// and the sweep. The drop names the span before the split, which both
+// halves overlap, so the half holding the missed key is rebuilt too.
+func TestSplitAfterTheDropStillDemotes(t *testing.T) {
+	f := newFixture(t, 3, 2, repair.Config{
+		HeartbeatTimeout: 10 * time.Second,
+		ReplaceAfter:     time.Hour,
+	})
+	f.missWrite("b", 200, "n2")
+	f.split("m")
+	f.sweep()
+	var demoted []string
+	for _, ev := range f.events {
+		if ev.Kind == repair.EventDemote {
+			demoted = append(demoted, fmt.Sprintf("%s [%s,%s)", ev.Node, ev.Start, ev.End))
+		}
+	}
+	if want := []string{"n2 [,m)", "n2 [m,)"}; !slices.Equal(demoted, want) {
+		t.Fatalf("demoted %v, want %v", demoted, want)
+	}
+	if got := f.set("b"); !slices.Equal(got, []string{"n1", "n2"}) {
+		t.Fatalf("left half = %v, want [n1 n2] rebuilt", got)
+	}
+	f.holds("n2", "b", 200)
+}
+
+// TestDownMemberDropWaitsForItsReturn: a drop to a member that is down
+// survives every sweep while it stays down, and demotes it once it is
+// back.
+func TestDownMemberDropWaitsForItsReturn(t *testing.T) {
+	f := newFixture(t, 3, 2, repair.Config{
+		HeartbeatTimeout: 10 * time.Second,
+		ReplaceAfter:     time.Hour,
+	})
+	f.crash("n2")
+	f.dir.MarkDown("n2")
+	f.missWrite("b", 200, "n2")
+	for range 3 {
+		f.sweep()
+	}
+	if st := f.mgr.Stats(); st.Demotions != 0 || st.RepairsStarted != 0 {
+		t.Fatalf("a down member was acted on: %+v", st)
+	}
+	f.recover("n2")
+	f.sweep()
+	if st := f.mgr.Stats(); st.Demotions != 1 || st.RepairsDone != 1 || st.Rejoins != 1 {
+		t.Fatalf("stats after the return = %+v", st)
+	}
+	f.holds("n2", "b", 200)
+}
+
+// TestReorderKeepsTheDrop: a flip that only reorders the range's set,
+// as a failover does, between the drop and the sweep leaves the range's
+// span as it was, so the drop still demotes its member.
+func TestReorderKeepsTheDrop(t *testing.T) {
+	f := newFixture(t, 3, 3, repair.Config{
+		HeartbeatTimeout: 10 * time.Second,
+		ReplaceAfter:     time.Hour,
+	})
+	f.missWrite("b", 200, "n3")
+	m, _ := f.router.Map("ns")
+	rng := m.Lookup(nil)
+	if _, err := m.CompareAndSetReplicas(nil, rng.Epoch, []string{"n2", "n1", "n3"}); err != nil {
+		t.Fatal(err)
+	}
+	f.sweep()
+	if st := f.mgr.Stats(); st.Demotions != 1 || st.RepairsDone != 1 || st.Rejoins != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if got := f.replicas(); !slices.Equal(got, []string{"n2", "n1", "n3"}) {
+		t.Fatalf("replicas = %v, want [n2 n1 n3]", got)
+	}
+	f.holds("n3", "b", 200)
+}
+
+// TestGoneMemberDropIsDiscarded: the drop of a member that has left the
+// directory is discarded at the sweep, and demotes nothing.
+func TestGoneMemberDropIsDiscarded(t *testing.T) {
+	f := newFixture(t, 3, 2, repair.Config{
+		HeartbeatTimeout: 10 * time.Second,
+		ReplaceAfter:     time.Hour,
+	})
+	f.missWrite("b", 200, "n2")
+	f.dir.Remove("n2")
+	f.sweep()
+	if st := f.mgr.Stats(); st.Demotions != 0 {
+		t.Fatalf("stats = %+v, want no demotion", st)
+	}
+	if left := f.pump.TakeDrops(nil); len(left) != 0 {
+		t.Fatalf("drops left after the sweep: %+v", left)
 	}
 }

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bytes"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,20 @@ type Stats struct {
 	Failures   int64 // deliveries that errored on their own to a node still a member (a failed group apply is retried per delivery first)
 	Dropped    int64 // deliveries given up after MaxAttempts
 	Pending    int
+}
+
+// Drop is the pump's evidence that Member missed a write: a delivery to
+// it of a key in Namespace's range [Start, End), as the range stood
+// when the pump gave up on the delivery. A member with a drop holds a
+// stale copy of that span until it is rebuilt.
+type Drop struct {
+	Namespace  string
+	Start, End []byte
+	Member     string
+}
+
+func (d Drop) same(o Drop) bool {
+	return d.Namespace == o.Namespace && d.Member == o.Member && bytes.Equal(d.Start, o.Start) && bytes.Equal(d.End, o.End)
 }
 
 // Pump drains the update queue. It is the one owner of who still
@@ -48,7 +63,10 @@ type Stats struct {
 // record of it is fenced, and one such record must not cost its
 // neighbours an attempt, and a dead member must not hold up the other
 // destinations. Attempts, backoff, drops, deadline violations and the
-// staleness tracker are all accounted per delivery.
+// staleness tracker are all accounted per delivery. A delivery given
+// up on at MaxAttempts leaves a Drop naming its member and the span of
+// the range it was owed under; the repair manager takes these to
+// rebuild each such member in that span alone.
 type Pump struct {
 	queue   *Queue
 	apply   ApplyFunc
@@ -59,17 +77,14 @@ type Pump struct {
 	// MaxAttempts bounds redelivery of a failing update. Default 5.
 	MaxAttempts int
 
-	enqueued   atomic.Int64
-	delivered  atomic.Int64
-	violations atomic.Int64
-	failures   atomic.Int64
-	dropped    atomic.Int64
+	enqueued atomic.Int64
 
 	mu          sync.Mutex
+	stats       Stats          // Delivered, Violations, Failures and Dropped
 	parked      []parkedUpdate // failed deliveries awaiting retry
 	inflight    int            // popped, not yet settled, parked or queued again
 	violationNS map[string]int64
-	droppedBy   map[string]int64 // per-member gave-up deliveries
+	drops       []Drop // one per (range span, member) given up on, until taken
 }
 
 // retryBackoff is how long a failed delivery stays parked per attempt
@@ -93,7 +108,6 @@ func NewPump(queue *Queue, apply ApplyFunc, maps func(namespace string) (*partit
 		tracker:     NewTracker(clk),
 		MaxAttempts: 5,
 		violationNS: make(map[string]int64),
-		droppedBy:   make(map[string]int64),
 	}
 }
 
@@ -114,7 +128,7 @@ func (p *Pump) Queue() *Queue { return p.queue }
 func (p *Pump) Enqueue(namespace string, rec record.Record, replicas []string, bound time.Duration) {
 	now := p.clk.Now()
 	u := Update{Namespace: namespace, Rec: rec, Deadline: now.Add(bound), EnqueuedAt: now}
-	u.Replicas = p.members(namespace, rec.Key)
+	u.Replicas = p.lookup(namespace, rec.Key).Replicas
 	u.owed = everyone(len(u.Replicas))
 	if slices.Equal(u.Replicas, replicas) {
 		u.owed &^= 1
@@ -134,40 +148,40 @@ func (p *Pump) Enqueue(namespace string, rec record.Record, replicas []string, b
 	p.enqueued.Add(1)
 }
 
-// members reads the current replica set of key's range, read-only, or
-// nil when the namespace has no map.
-func (p *Pump) members(namespace string, key []byte) []string {
+// lookup reads key's current range, read-only, or a range with no
+// replicas when the namespace has no map.
+func (p *Pump) lookup(namespace string, key []byte) partition.Range {
 	if m, ok := p.maps(namespace); ok {
-		return m.Lookup(key).Replicas
+		return m.Lookup(key)
 	}
-	return nil
+	return partition.Range{}
 }
 
 // everyone is the owed mask of a set of n members.
 func everyone(n int) uint64 { return 1<<n - 1 }
 
-// follow reads the current replica set of u's key. When it differs
-// from the set u last read, every member of the new set is owed u, and
-// a member of the old one that is not in the new one is owed nothing;
-// the tracker follows, and the attempts start over. It reports whether
-// the set was new.
-func (p *Pump) follow(u *Update) bool {
-	cur := p.members(u.Namespace, u.Rec.Key)
-	if slices.Equal(cur, u.Replicas) {
-		return false
+// follow reads the current range of u's key. When its replica set
+// differs from the set u last read, every member of the new set is
+// owed u, and a member of the old one that is not in the new one is
+// owed nothing; the tracker follows, and the attempts start over. It
+// returns the range and whether its set was new.
+func (p *Pump) follow(u *Update) (partition.Range, bool) {
+	rng := p.lookup(u.Namespace, u.Rec.Key)
+	if slices.Equal(rng.Replicas, u.Replicas) {
+		return rng, false
 	}
-	for _, id := range cur {
+	for _, id := range rng.Replicas {
 		if !u.owes(id) {
 			p.tracker.pending(u.Namespace, id, u.EnqueuedAt)
 		}
 	}
 	for i, id := range u.Replicas {
-		if u.owed&(1<<i) != 0 && !slices.Contains(cur, id) {
+		if u.owed&(1<<i) != 0 && !slices.Contains(rng.Replicas, id) {
 			p.tracker.done(u.Namespace, id, u.EnqueuedAt)
 		}
 	}
-	u.Replicas, u.owed, u.Attempts = cur, everyone(len(cur)), 0
-	return true
+	u.Replicas, u.owed, u.Attempts = rng.Replicas, everyone(len(rng.Replicas)), 0
+	return rng, true
 }
 
 const (
@@ -338,14 +352,14 @@ func (p *Pump) deliver(batch []Update, group []send, recs []record.Record) bool 
 	if err := p.apply(namespace, member, recs); err != nil {
 		return false
 	}
-	p.delivered.Add(int64(len(group)))
 	now := p.clk.Now()
 	p.mu.Lock()
+	p.stats.Delivered += int64(len(group))
 	for _, s := range group {
 		u := &batch[s.u]
 		u.owed &^= 1 << s.m
 		if now.After(u.Deadline) {
-			p.violations.Add(1)
+			p.stats.Violations++
 			p.violationNS[namespace]++
 		}
 		p.tracker.done(namespace, member, u.EnqueuedAt)
@@ -359,7 +373,8 @@ func (p *Pump) deliver(batch []Update, group []send, recs []record.Record) bool 
 // still a member, the failure counts. An update owed to a new set goes
 // back into the queue at once; one still owed to the set it was
 // delivered to parks for a backoff, or at MaxAttempts is given up on
-// for every member still owed; one owed to nobody is settled.
+// for every member still owed, each leaving a Drop; one owed to nobody
+// is settled.
 func (p *Pump) settle(batch []Update) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -367,10 +382,10 @@ func (p *Pump) settle(batch []Update) {
 	for i := range batch {
 		u := &batch[i]
 		failed, was := u.owed, u.Replicas
-		moved := p.follow(u)
+		rng, moved := p.follow(u)
 		for m, id := range was {
 			if failed&(1<<m) != 0 && (!moved || slices.Contains(u.Replicas, id)) {
-				p.failures.Add(1)
+				p.stats.Failures++
 			}
 		}
 		switch {
@@ -386,8 +401,11 @@ func (p *Pump) settle(batch []Update) {
 		default:
 			for m, id := range u.Replicas {
 				if u.owed&(1<<m) != 0 {
-					p.dropped.Add(1)
-					p.droppedBy[id]++
+					p.stats.Dropped++
+					d := Drop{Namespace: u.Namespace, Start: rng.Start, End: rng.End, Member: id}
+					if !slices.ContainsFunc(p.drops, d.same) {
+						p.drops = append(p.drops, d)
+					}
 					p.tracker.done(u.Namespace, id, u.EnqueuedAt)
 				}
 			}
@@ -396,17 +414,21 @@ func (p *Pump) settle(batch []Update) {
 	p.inflight -= len(batch)
 }
 
-// DroppedTo reports how many deliveries to node the pump has given up
-// on (MaxAttempts exhausted). The repair manager samples this at a
-// node's down transition and compares on return: an unchanged counter
-// means every update that accumulated while the node was away is still
-// queued and will converge, so the replica can rejoin as-is; a higher
-// counter means it is irrecoverably stale and must be demoted and
-// re-replicated through the migration protocol.
-func (p *Pump) DroppedTo(node string) int64 {
+// TakeDrops removes and returns the drops of every member but those in
+// keep, whose drops stay for a later call. The repair manager takes
+// them once a sweep.
+func (p *Pump) TakeDrops(keep []string) []Drop {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.droppedBy[node]
+	var out []Drop
+	p.drops = slices.DeleteFunc(p.drops, func(d Drop) bool {
+		if slices.Contains(keep, d.Member) {
+			return false
+		}
+		out = append(out, d)
+		return true
+	})
+	return out
 }
 
 // AtRisk counts undelivered updates — queued or parked awaiting a
@@ -441,14 +463,10 @@ func (p *Pump) ViolationsFor(namespace string) int64 {
 // queued, parked for a retry or in flight.
 func (p *Pump) Stats() Stats {
 	p.mu.Lock()
-	held := len(p.parked) + p.inflight
+	st := p.stats
+	st.Pending = len(p.parked) + p.inflight
 	p.mu.Unlock()
-	return Stats{
-		Enqueued:   p.enqueued.Load(),
-		Delivered:  p.delivered.Load(),
-		Violations: p.violations.Load(),
-		Failures:   p.failures.Load(),
-		Dropped:    p.dropped.Load(),
-		Pending:    p.queue.Len() + held,
-	}
+	st.Enqueued = p.enqueued.Load()
+	st.Pending += p.queue.Len()
+	return st
 }

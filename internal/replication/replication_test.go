@@ -488,23 +488,40 @@ func TestJoiningMemberGetsInflightUpdate(t *testing.T) {
 	}
 }
 
-// TestDroppedToCountsAbandonedDeliveries: the per-member drop counter
-// is the repair manager's staleness criterion for returned nodes.
-func TestDroppedToCountsAbandonedDeliveries(t *testing.T) {
+// TestDropEvidenceIsPerRangeAndMember: a delivery given up on leaves
+// one Drop per (range span, member), however many writes that member
+// missed there; a drop in another range is another entry, and
+// TakeDrops keeps the drops of the members it is asked to keep.
+func TestDropEvidenceIsPerRangeAndMember(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	apply := func(ns, node string, recs []record.Record) error { return errors.New("down") }
-	p, r := newPump(t, apply, vc, ByDeadline, "n1", "n2")
+	p, r := newPump(t, apply, vc, ByDeadline)
+	r.place(t, "ns", "", "n1")
+	r.place(t, "ns", "m", "n1", "n2")
 	p.MaxAttempts = 1
-	r.enqueue(p, "ns", record.Record{Key: []byte("k"), Version: 1}, time.Minute)
+	for i := range 1000 {
+		r.enqueue(p, "ns", record.Record{Key: []byte(fmt.Sprintf("a%04d", i)), Version: uint64(i + 1)}, time.Minute)
+	}
+	for p.Drain(100) > 0 {
+	}
+	if st := p.Stats(); st.Dropped != 1000 || len(p.drops) != 1 {
+		t.Fatalf("1000 drops to n1 in one range: Dropped = %d, drops = %+v, want one entry", st.Dropped, p.drops)
+	}
+	r.enqueue(p, "ns", record.Record{Key: []byte("z"), Version: 2000}, time.Minute)
 	p.Drain(10)
-	if got := p.DroppedTo("n1"); got != 1 {
-		t.Fatalf("DroppedTo(n1) = %d", got)
+	want := []Drop{
+		{Namespace: "ns", End: []byte("m"), Member: "n1"},
+		{Namespace: "ns", Start: []byte("m"), Member: "n1"},
+		{Namespace: "ns", Start: []byte("m"), Member: "n2"},
 	}
-	if got := p.DroppedTo("n2"); got != 1 {
-		t.Fatalf("DroppedTo(n2) = %d", got)
+	if fmt.Sprint(p.drops) != fmt.Sprint(want) {
+		t.Fatalf("drops = %+v, want %+v", p.drops, want)
 	}
-	if got := p.DroppedTo("n3"); got != 0 {
-		t.Fatalf("DroppedTo(n3) = %d", got)
+	if got := p.TakeDrops([]string{"n1"}); fmt.Sprint(got) != fmt.Sprint(want[2:]) {
+		t.Fatalf("TakeDrops keeping n1 = %+v, want %+v", got, want[2:])
+	}
+	if fmt.Sprint(p.drops) != fmt.Sprint(want[:2]) {
+		t.Fatalf("drops left = %+v, want n1's: %+v", p.drops, want[:2])
 	}
 }
 
@@ -659,8 +676,8 @@ func TestGroupFailureChargesOnlyTheCulprit(t *testing.T) {
 	if st := p.Stats(); st.Delivered != 3 || st.Failures != 2 || st.Dropped != 1 || st.Pending != 0 {
 		t.Fatalf("after the second round: %+v", st)
 	}
-	if p.DroppedTo("n") != 1 || p.Tracker().Staleness("ns", "n") != 0 {
-		t.Fatalf("DroppedTo = %d, staleness = %v", p.DroppedTo("n"), p.Tracker().Staleness("ns", "n"))
+	if want := []Drop{{Namespace: "ns", Member: "n"}}; fmt.Sprint(p.drops) != fmt.Sprint(want) || p.Tracker().Staleness("ns", "n") != 0 {
+		t.Fatalf("drops = %+v, staleness = %v, want %+v and fresh", p.drops, p.Tracker().Staleness("ns", "n"), want)
 	}
 }
 
@@ -812,8 +829,8 @@ func TestLeavingMemberIsOwedNothing(t *testing.T) {
 			if st := p.Stats(); st.Failures != 0 || st.Dropped != 0 || st.Pending != 0 {
 				t.Fatalf("Stats = %+v, want no failure, no drop, nothing pending", st)
 			}
-			if p.DroppedTo("n2") != 0 || p.Tracker().Staleness("ns", "n2") != 0 {
-				t.Fatalf("DroppedTo(n2) = %d, staleness = %v", p.DroppedTo("n2"), p.Tracker().Staleness("ns", "n2"))
+			if len(p.drops) != 0 || p.Tracker().Staleness("ns", "n2") != 0 {
+				t.Fatalf("drops = %+v, staleness = %v", p.drops, p.Tracker().Staleness("ns", "n2"))
 			}
 			if got := sink.keys("n3"); got != "[k]" {
 				t.Fatalf("n3 deliveries = %v, want k", got)

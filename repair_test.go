@@ -3,6 +3,7 @@ package scads
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -290,6 +291,55 @@ func TestRepairRestoresWritesAfterPrimaryCrash(t *testing.T) {
 	lc.RepairNow()
 	if !ledger.RFRestored(lc, 2) {
 		t.Fatalf("RF lost after recovery: %v", m.Ranges()[0].Replicas)
+	}
+}
+
+// TestRepairDemotesOnlyTheRangeThatMissedAWrite: at RF 2 one node
+// serves both halves of a split table and misses one replicated write
+// in the left half. The sweep demotes and rebuilds it in that half
+// alone; the right half keeps its set and starts no job.
+func TestRepairDemotesOnlyTheRangeThatMissedAWrite(t *testing.T) {
+	lc, _ := newSocialCluster(t, 3, 2)
+	if err := lc.SplitTable("users", "m"); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := lc.Router().Map(planner.TableNamespace("users"))
+	halves := m.Ranges()
+	if len(halves) != 2 || !slices.Equal(halves[0].Replicas, halves[1].Replicas) {
+		t.Fatalf("halves = %+v, want two on one set", halves)
+	}
+	secondary := halves[0].Replicas[1]
+	lc.RepairNow() // a running loop has swept before the fault
+	lc.Pump().MaxAttempts = 1
+	lc.PartitionReplica(secondary)
+	if err := lc.Insert("users", Row{"id": "bob", "name": "Bob", "birthday": 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	lc.HealReplica(secondary)
+	if st := lc.Pump().Stats(); st.Dropped != 1 {
+		t.Fatalf("pump %+v, want one drop", st)
+	}
+	lc.RepairNow()
+	if rs := lc.RepairStats(); rs.Demotions != 1 || rs.RepairsStarted != 1 || rs.RepairsDone != 1 {
+		t.Fatalf("repair %+v, want one demotion and one repair", rs)
+	}
+	now := m.Ranges()
+	if now[1].Epoch != halves[1].Epoch {
+		t.Fatalf("right half changed: %+v, was %+v", now[1], halves[1])
+	}
+	if !slices.Equal(now[0].Replicas, halves[0].Replicas) {
+		t.Fatalf("left half = %v, want %v rebuilt", now[0].Replicas, halves[0].Replicas)
+	}
+	node, _ := lc.Node(secondary)
+	users, err := node.Engine().Namespace(planner.TableNamespace("users"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := users.GetRecord(recordFor(t, lc, "bob").Key); !ok {
+		t.Fatalf("rebuilt %s missing the write it missed", secondary)
 	}
 }
 
