@@ -6,7 +6,7 @@
 //   - Per-tenant token-bucket quotas (ops/sec, and scan-bytes/sec
 //     debited post-paid) so one tenant's demand cannot consume the
 //     coordinator. Buckets refill off an injected clock.Clock, so the
-//     package sits inside the scads-vet determinism scope and the
+//     package sits inside internal/lint's determinism scope and the
 //     unit suite replays refill boundaries exactly.
 //   - Priority-aware shedding under measured overload. Overload is an
 //     in-flight watermark (admitted ops currently executing), never a

@@ -9,7 +9,7 @@
 // mean/std/min/max summaries (summary_grouped.csv plus a markdown
 // report diffed against the committed BENCH_*.json baselines).
 //
-// The package is inside the scads-vet determinism scope: it reads
+// The package is inside internal/lint's determinism scope: it reads
 // time only through an injected clock.Clock, takes randomness only as
 // caller-provided seeds, and never lets map iteration order reach an
 // output — so a grid run with fixed seeds is bit-identical on its

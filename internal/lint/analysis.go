@@ -1,28 +1,4 @@
-// Package analysis is a self-contained miniature of the
-// golang.org/x/tools/go/analysis framework: enough Analyzer / Pass /
-// Diagnostic machinery to write typed static checks against this
-// module without any dependency outside the standard library (the
-// build environment is offline, so x/tools itself is not available).
-//
-// The shape deliberately mirrors the real framework — an Analyzer is
-// a named Run function over a Pass carrying the package's syntax,
-// type information, and a Report method — so the analyzers in
-// internal/lint port mechanically to x/tools if the dependency ever
-// becomes available.
-//
-// Suppressions. A finding can be silenced in place with a line
-// comment of the form
-//
-//	rec.process() //lint:KEY-ok the reason this is deliberate
-//
-// on the flagged line or alone on the line directly above it, where
-// KEY is the finding's suppression key (each analyzer documents its
-// keys). The reason string is mandatory: a bare suppression is itself
-// reported as a finding, so the vet gate fails on any suppression
-// that does not explain why the invariant may be broken there. A
-// suppression that silences nothing is reported as unused, so stale
-// escapes cannot accumulate.
-package analysis
+package lint
 
 import (
 	"fmt"
@@ -36,15 +12,13 @@ import (
 
 // An Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -run filters.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the one-paragraph description printed by scads-vet -list.
-	Doc string
 	// Keys lists the suppression keys this analyzer honours (for most
 	// analyzers a single key equal to Name).
 	Keys []string
 	// Run executes the check against one package.
-	Run func(*Pass) error
+	Run func(*Pass)
 }
 
 // A Diagnostic is one finding, positioned and ready to print.
@@ -188,13 +162,11 @@ func (p *Pass) CheckUnusedSuppressions(files []*ast.File) {
 
 // Run executes one analyzer over one loaded package and returns its
 // findings sorted by position.
-func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
+func Run(a *Analyzer, pkg *Package) []Diagnostic {
 	p := newPass(a, pkg)
-	if err := a.Run(p); err != nil {
-		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-	}
+	a.Run(p)
 	sort.Slice(p.diags, func(i, j int) bool { return posLess(p.diags[i].Pos, p.diags[j].Pos) })
-	return p.diags, nil
+	return p.diags
 }
 
 func posLess(a, b token.Position) bool {

@@ -1,7 +1,3 @@
-// Package lint holds the scads-vet analyzers: mechanical enforcement
-// of the correctness invariants earlier PRs established by
-// convention. See ARCHITECTURE.md "Static invariants" for the
-// contract each analyzer guards and how to suppress a finding.
 package lint
 
 import (
@@ -9,8 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"scads/internal/lint/analysis"
 )
 
 // Wall-clock and ambient-randomness functions forbidden in the
@@ -33,17 +27,14 @@ var forbiddenTimeFuncs = map[string]bool{
 // Suppression keys: "wallclock" for time/randomness findings
 // (the sanctioned real-clock adapter and deliberately wall-clock data
 // planes), "maporder" for map-iteration-order findings.
-func NewDeterminism(packages, files []string) *analysis.Analyzer {
+func NewDeterminism(packages, files []string) *Analyzer {
 	pkgSet := stringSet(packages)
 	fileSet := stringSet(files)
-	a := &analysis.Analyzer{
+	a := &Analyzer{
 		Name: "determinism",
-		Doc: "forbids wall-clock reads (time.Now/Since/Sleep/After/...), global math/rand state, " +
-			"and map iteration feeding ordered or floating-point-accumulated output " +
-			"in the deterministic control-plane packages",
 		Keys: []string{"wallclock", "maporder"},
 	}
-	a.Run = func(pass *analysis.Pass) error {
+	a.Run = func(pass *Pass) {
 		var examined []*ast.File
 		for _, f := range pass.Files {
 			base := pass.Fset.Position(f.Package).Filename
@@ -58,7 +49,6 @@ func NewDeterminism(packages, files []string) *analysis.Analyzer {
 			checkMapOrder(pass, f)
 		}
 		pass.CheckUnusedSuppressions(examined)
-		return nil
 	}
 	return a
 }
@@ -73,7 +63,7 @@ func stringSet(ss []string) map[string]bool {
 
 // checkWallClock flags every use (call or value reference) of a
 // forbidden time function or of math/rand package-level state.
-func checkWallClock(pass *analysis.Pass, f *ast.File) {
+func checkWallClock(pass *Pass, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
@@ -111,7 +101,7 @@ func checkWallClock(pass *analysis.Pass, f *ast.File) {
 // (ordered output) unless the function later sorts it, and compound
 // float/string accumulation (neither is associative, so the sum or
 // concatenation is bit-dependent on map order).
-func checkMapOrder(pass *analysis.Pass, f *ast.File) {
+func checkMapOrder(pass *Pass, f *ast.File) {
 	// Walk function by function so absolution (a later sort call) can
 	// be resolved within the enclosing function body.
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -131,7 +121,7 @@ func checkMapOrder(pass *analysis.Pass, f *ast.File) {
 	})
 }
 
-func checkMapOrderFunc(pass *analysis.Pass, body *ast.BlockStmt) {
+func checkMapOrderFunc(pass *Pass, body *ast.BlockStmt) {
 	sorted := sortedObjects(pass, body)
 	ast.Inspect(body, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
@@ -209,7 +199,7 @@ func checkMapOrderFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 // sortedObjects collects objects passed to a sort.*/slices.Sort* call
 // anywhere in the function: their final order is imposed explicitly,
 // so map-order appends into them are fine.
-func sortedObjects(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]bool {
+func sortedObjects(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
 	out := make(map[types.Object]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -240,7 +230,7 @@ func sortedObjects(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]bo
 	return out
 }
 
-func isBuiltinAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
+func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok {
 		return false
@@ -252,7 +242,7 @@ func isBuiltinAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
 // exprObject resolves the variable object a simple lvalue refers to
 // (x, s.f — resolved to the root identifier's object for field
 // selectors so `up.Rate += v` tracks `up`).
-func exprObject(pass *analysis.Pass, e ast.Expr) types.Object {
+func exprObject(pass *Pass, e ast.Expr) types.Object {
 	for {
 		switch v := e.(type) {
 		case *ast.Ident:

@@ -1,6 +1,19 @@
+// Package lint is the repository's static-invariant gate: four
+// analyzers over code loaded through the go command, run by
+// TestTreeClean over this module and the benchmark module. See
+// ARCHITECTURE.md "Static invariants" for the contract each analyzer
+// guards.
+//
+// A finding is silenced in place with a line comment of the form
+//
+//	rec.process() //lint:KEY-ok the reason this is deliberate
+//
+// on the flagged line or alone on the line directly above it, where
+// KEY is the finding's suppression key (each analyzer documents its
+// keys). The reason is mandatory: a bare suppression is itself
+// reported, and so is a suppression that silences nothing, so stale
+// escapes cannot accumulate.
 package lint
-
-import "scads/internal/lint/analysis"
 
 // Production scope for the determinism pass: the packages whose
 // outputs the e16 gate requires to be bit-identical across runs (the
@@ -46,9 +59,9 @@ var (
 	RetryCheckedPackages = []string{"scads/internal/partition"}
 )
 
-// Analyzers returns the production-configured scads-vet suite.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
+// Analyzers returns the production-configured suite.
+func Analyzers() []*Analyzer {
+	return []*Analyzer{
 		NewDeterminism(DeterminismPackages, DeterminismFiles),
 		NewRPCRetry(RetryCheckedPackages),
 		NewPanicDiscipline(),

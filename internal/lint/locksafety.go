@@ -6,8 +6,6 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
-
-	"scads/internal/lint/analysis"
 )
 
 // NewLockSafety builds the locksafety analyzer's deferunlock check: a
@@ -19,18 +17,16 @@ import (
 //
 // Suppression key: "deferunlock" (a lock deliberately handed off across
 // functions must say where it is released).
-func NewLockSafety() *analysis.Analyzer {
-	a := &analysis.Analyzer{
+func NewLockSafety() *Analyzer {
+	a := &Analyzer{
 		Name: "locksafety",
-		Doc:  "flags Lock() calls with no same-function Unlock path",
 		Keys: []string{"deferunlock"},
 	}
-	a.Run = func(pass *analysis.Pass) error {
+	a.Run = func(pass *Pass) {
 		for _, f := range pass.Files {
 			checkDeferUnlock(pass, f)
 		}
 		pass.CheckUnusedSuppressions(pass.Files)
-		return nil
 	}
 	return a
 }
@@ -79,7 +75,7 @@ type lockSite struct {
 	lockFn string
 }
 
-func checkDeferUnlock(pass *analysis.Pass, f *ast.File) {
+func checkDeferUnlock(pass *Pass, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		var body *ast.BlockStmt
 		switch fn := n.(type) {
@@ -130,7 +126,7 @@ func checkDeferUnlock(pass *analysis.Pass, f *ast.File) {
 // isLockReceiver reports whether expr is a sync lock (or pointer to
 // one), including types embedding one — anything whose Lock/Unlock
 // come from a sync primitive.
-func isLockReceiver(pass *analysis.Pass, e ast.Expr) bool {
+func isLockReceiver(pass *Pass, e ast.Expr) bool {
 	t := pass.TypesInfo.TypeOf(e)
 	if t == nil {
 		return false

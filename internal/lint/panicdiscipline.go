@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
-
-	"scads/internal/lint/analysis"
 )
 
 // NewPanicDiscipline builds the panicdiscipline analyzer. The repo's
@@ -18,13 +16,12 @@ import (
 // Re-panicking a recovered value is allowed (the goroutine-join idiom).
 //
 // Suppression key: "panic".
-func NewPanicDiscipline() *analysis.Analyzer {
-	a := &analysis.Analyzer{
+func NewPanicDiscipline() *Analyzer {
+	a := &Analyzer{
 		Name: "panicdiscipline",
-		Doc:  "panic on non-constant data is only legal inside Must* functions",
 		Keys: []string{"panic"},
 	}
-	a.Run = func(pass *analysis.Pass) error {
+	a.Run = func(pass *Pass) {
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				fd, ok := n.(*ast.FuncDecl)
@@ -36,12 +33,11 @@ func NewPanicDiscipline() *analysis.Analyzer {
 			})
 		}
 		pass.CheckUnusedSuppressions(pass.Files)
-		return nil
 	}
 	return a
 }
 
-func checkPanics(pass *analysis.Pass, fd *ast.FuncDecl) {
+func checkPanics(pass *Pass, fd *ast.FuncDecl) {
 	if strings.HasPrefix(fd.Name.Name, "Must") {
 		return
 	}
@@ -98,7 +94,7 @@ func checkPanics(pass *analysis.Pass, fd *ast.FuncDecl) {
 
 // assignedObject resolves the object an assignment LHS binds or
 // writes (Defs for :=, Uses for =; blank gives nil).
-func assignedObject(pass *analysis.Pass, e ast.Expr) types.Object {
+func assignedObject(pass *Pass, e ast.Expr) types.Object {
 	id, ok := e.(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return nil

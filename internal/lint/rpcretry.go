@@ -3,8 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"scads/internal/lint/analysis"
 )
 
 // rpcPkgPath is the transport package whose Request/Response types the
@@ -24,27 +22,25 @@ const rpcPkgPath = "scads/internal/rpc"
 // coordinator path reading transport or node errors for itself.
 //
 // Suppression key: "rpcretry".
-func NewRPCRetry(packages []string) *analysis.Analyzer {
+func NewRPCRetry(packages []string) *Analyzer {
 	pkgSet := stringSet(packages)
-	a := &analysis.Analyzer{
+	a := &Analyzer{
 		Name: "rpcretry",
-		Doc:  "coordinator packages reach the transport only through attempts handed to the request-execution primitive",
 		Keys: []string{"rpcretry"},
 	}
-	a.Run = func(pass *analysis.Pass) error {
+	a.Run = func(pass *Pass) {
 		if !pkgSet[pass.Pkg.Path()] {
-			return nil
+			return
 		}
 		for _, f := range pass.Files {
 			checkRetryFile(pass, f)
 		}
 		pass.CheckUnusedSuppressions(pass.Files)
-		return nil
 	}
 	return a
 }
 
-func checkRetryFile(pass *analysis.Pass, f *ast.File) {
+func checkRetryFile(pass *Pass, f *ast.File) {
 	attempts := make(map[*ast.FuncLit]bool)
 	var stack []ast.Node // ancestors of the node being visited, outermost first
 	// within reports whether the visited node sits inside an attempt
@@ -101,7 +97,7 @@ func isAttempt(t types.Type) bool {
 	return ok && named.Obj().Name() == "attempt"
 }
 
-func takesAttempt(pass *analysis.Pass, fd *ast.FuncDecl) bool {
+func takesAttempt(pass *Pass, fd *ast.FuncDecl) bool {
 	fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
 	if !ok {
 		return false
@@ -119,7 +115,7 @@ func takesAttempt(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 // with the transport signature func(string, rpc.Request)
 // (rpc.Response, error) — the rpc.Transport interface or any concrete
 // transport.
-func isTransportCall(pass *analysis.Pass, call *ast.CallExpr) bool {
+func isTransportCall(pass *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Call" {
 		return false
@@ -141,7 +137,7 @@ func isTransportCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 
 // isResponseError reports whether call is resp.Error() on an
 // rpc.Response.
-func isResponseError(pass *analysis.Pass, call *ast.CallExpr) bool {
+func isResponseError(pass *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Error" || len(call.Args) != 0 {
 		return false

@@ -59,7 +59,7 @@ type Bounds interface {
 // addr, which currently serves rng, and returns the transport's answer
 // verbatim (GetIf's turns an answer its caller refuses into the
 // replica's fault). Attempts are the only code in this package that touches the
-// transport (scads-vet's rpcretry rule); what the answer means is
+// transport (internal/lint's rpcretry analyzer); what the answer means is
 // decided here, once.
 type attempt func(rng Range, addr string) (rpc.Response, error)
 

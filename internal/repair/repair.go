@@ -18,9 +18,11 @@
 // member from every current range overlapping the drop's span where it
 // is a secondary, remembering it as a former member of the range.
 // Never the primary (authoritative by definition), and never the last
-// live member (serving stale data beats serving nothing). A down
-// member's drops wait for its return; those of a member gone from the
-// directory are discarded.
+// live member (serving stale data beats serving nothing). A range the
+// member cannot leave yet, for that reason or because its flip lost to
+// a concurrent reconfiguration, keeps its part of the drop for the next
+// sweep. A down member's drops wait for its return; those of a member
+// gone from the directory are discarded.
 //
 // The sweep then walks every range once, in this order:
 //
@@ -409,7 +411,8 @@ func (m *Manager) takeDrops() []replication.Drop {
 // holds the member as a secondary, and remembers it as a lost member of
 // that range, so the repair rule re-adds it at once: via the migration
 // protocol's truncate + snapshot + delta, which rebuilds the copy
-// instead of merging over it.
+// instead of merging over it. A range it cannot demote the member from
+// now hands its part of d back to the pump.
 func (m *Manager) demote(d replication.Drop) {
 	pm, ok := m.router.Map(d.Namespace)
 	if !ok {
@@ -423,12 +426,16 @@ func (m *Manager) demote(d replication.Drop) {
 		target := slices.Delete(slices.Clone(rng.Replicas), i, i+1)
 		// Never leave a range with no live member: serving stale data
 		// beats serving nothing (§3.3.1's availability arbitration). A
-		// lost flip races a reconfiguration of the range; the drop is
-		// not retried.
-		if !slices.ContainsFunc(target, m.isUp) {
-			continue
+		// lost flip races a reconfiguration of the range. Either way the
+		// range keeps its part of the drop for the next sweep; ranges
+		// only split, so that part is the range's own span.
+		demoted := slices.ContainsFunc(target, m.isUp)
+		if demoted {
+			_, err := pm.CompareAndSetReplicas(rng.Start, rng.Epoch, target)
+			demoted = err == nil
 		}
-		if _, err := pm.CompareAndSetReplicas(rng.Start, rng.Epoch, target); err != nil {
+		if !demoted {
+			m.pump.ReturnDrop(replication.Drop{Namespace: d.Namespace, Start: rng.Start, End: rng.End, Member: d.Member})
 			continue
 		}
 		m.mu.Lock()

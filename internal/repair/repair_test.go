@@ -919,3 +919,42 @@ func TestGoneMemberDropIsDiscarded(t *testing.T) {
 		t.Fatalf("drops left after the sweep: %+v", left)
 	}
 }
+
+// TestLostFlipKeepsTheDrop: a demotion whose flip loses to a concurrent
+// reconfiguration of its range keeps the drop for that range, so a
+// later sweep demotes the member there and rebuilds its copy.
+func TestLostFlipKeepsTheDrop(t *testing.T) {
+	f := newFixture(t, 3, 2, repair.Config{
+		HeartbeatTimeout: 10 * time.Second,
+		ReplaceAfter:     time.Hour,
+	})
+	f.missWrite("x", 200, "n2")
+	m := f.split("m")
+	record := f.mgr.OnEvent
+	bumped := false
+	f.mgr.OnEvent = func(ev repair.Event) {
+		record(ev)
+		if ev.Kind == repair.EventDemote && ev.Start == nil && !bumped {
+			// A flip of the right half lands between the sweep's read of
+			// the map and its demotion there.
+			bumped = true
+			right := m.Lookup([]byte("m"))
+			if _, err := m.CompareAndSetReplicas(right.Start, right.Epoch, right.Replicas); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	for range 3 {
+		f.sweep()
+	}
+	if !bumped {
+		t.Fatal("the left half was never demoted")
+	}
+	if got := f.set("x"); !slices.Equal(got, []string{"n1", "n2"}) {
+		t.Fatalf("right half = %v, want [n1 n2] rebuilt", got)
+	}
+	f.holds("n2", "x", 200)
+	if st := f.mgr.Stats(); st.Demotions != 2 {
+		t.Fatalf("demotions = %d, want 2: one per half", st.Demotions)
+	}
+}

@@ -402,16 +402,27 @@ func (p *Pump) settle(batch []Update) {
 			for m, id := range u.Replicas {
 				if u.owed&(1<<m) != 0 {
 					p.stats.Dropped++
-					d := Drop{Namespace: u.Namespace, Start: rng.Start, End: rng.End, Member: id}
-					if !slices.ContainsFunc(p.drops, d.same) {
-						p.drops = append(p.drops, d)
-					}
+					p.addDrop(Drop{Namespace: u.Namespace, Start: rng.Start, End: rng.End, Member: id})
 					p.tracker.done(u.Namespace, id, u.EnqueuedAt)
 				}
 			}
 		}
 	}
 	p.inflight -= len(batch)
+}
+
+func (p *Pump) addDrop(d Drop) {
+	if !slices.ContainsFunc(p.drops, d.same) {
+		p.drops = append(p.drops, d)
+	}
+}
+
+// ReturnDrop hands back a drop taken by TakeDrops that could not be
+// acted on yet, for a later call to take again.
+func (p *Pump) ReturnDrop(d Drop) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.addDrop(d)
 }
 
 // TakeDrops removes and returns the drops of every member but those in
