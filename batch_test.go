@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"scads/internal/keycodec"
+	"scads/internal/planner"
 	"scads/internal/rpc"
 )
 
@@ -79,6 +81,54 @@ func TestInsertBatchAndGetMulti(t *testing.T) {
 	}
 	if len(res) != 2 {
 		t.Fatalf("query over batch-inserted rows returned %d rows, want 2", len(res))
+	}
+}
+
+// TestInsertBatchAcrossPrimariesFollowsUpEveryGroup: one maintained
+// batch whose rows span two primaries is delivered as one group per
+// primary, and every row of every group is still queued for index
+// upkeep and replication: the view equals a rebuild and every replica
+// holds every row.
+func TestInsertBatchAcrossPrimariesFollowsUpEveryGroup(t *testing.T) {
+	lc, _ := newSocialCluster(t, 2, 2)
+	users := planner.TableNamespace("users")
+	split := keycodec.MustEncode("m")
+	m, _ := lc.Router().Map(users)
+	if err := m.Split(split); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetReplicas(nil, []string{"node-001", "node-002"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetReplicas(split, []string{"node-002", "node-001"}); err != nil {
+		t.Fatal(err)
+	}
+	var rows []Row
+	for i, id := range []string{"amy", "bob", "cat", "nat", "pat", "sam"} {
+		if err := lc.Insert("friendships", Row{"f1": "alice", "f2": id}); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, Row{"id": id, "name": id, "birthday": i + 1})
+	}
+	// The friendships' upkeep finds no user: the view's entries are
+	// the batch's upkeep to install.
+	if err := lc.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.InsertBatch("users", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	checkIndexesMatchRebuild(t, lc.Cluster, socialDDL)
+	for _, r := range rows {
+		key := encodedUserKey(t, r["id"].(string))
+		for _, node := range []string{"node-001", "node-002"} {
+			if _, _, found, err := lc.Router().GetFrom(users, node, key); err != nil || !found {
+				t.Errorf("%s on %s: found %v, %v; want every replica to hold every row", r["id"], node, found, err)
+			}
+		}
 	}
 }
 

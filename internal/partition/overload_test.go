@@ -47,7 +47,7 @@ func TestWriteWaitsOutOverloadedPrimary(t *testing.T) {
 	if got := shed.sheds.Load(); got != 3 {
 		t.Fatalf("sheds consumed = %d, want 3", got)
 	}
-	if _, _, found, err := r.Get("ns", []byte("k"), ReadPrimary); err != nil || !found {
+	if _, _, found, err := r.Get("ns", []byte("k"), Primary); err != nil || !found {
 		t.Fatalf("write lost after overload retries: found=%v err=%v", found, err)
 	}
 }
@@ -65,7 +65,7 @@ func TestScanWaitsOutOverloadedReplica(t *testing.T) {
 	r := NewRouter(shed, tc.dir)
 	r.SetMap("ns", m)
 
-	recs, err := r.ScanOpts("ns", nil, nil, ScanOptions{Limit: 100, Policy: ReadPrimary})
+	recs, err := r.ScanOpts("ns", nil, nil, ScanOptions{Limit: 100, Policy: Primary})
 	if err != nil {
 		t.Fatalf("scan through transient overload: %v", err)
 	}
@@ -101,18 +101,20 @@ func TestGetFailsOverFromOverloadedReplica(t *testing.T) {
 	}
 
 	// Shed every get aimed at the primary: only failover to the
-	// second replica can succeed. ReadPrimary orders the shed replica
-	// first deterministically.
+	// second replica can succeed. ReadAny rotates, so of two reads one
+	// starts at the shed replica.
 	shed := &shedGetFirstReplica{next: tc.transport, shedAddr: "addr-n1"}
 	r := NewRouter(shed, tc.dir)
 	r.SetMap("ns", m)
 
-	val, _, found, err := r.Get("ns", []byte("k"), ReadPrimary)
-	if err != nil || !found {
-		t.Fatalf("read did not fail over from overloaded replica: found=%v err=%v", found, err)
-	}
-	if string(val) != "v" {
-		t.Fatalf("read returned %q, want v", val)
+	for range 2 {
+		val, _, found, err := r.Get("ns", []byte("k"), ReadAny)
+		if err != nil || !found {
+			t.Fatalf("read did not fail over from overloaded replica: found=%v err=%v", found, err)
+		}
+		if string(val) != "v" {
+			t.Fatalf("read returned %q, want v", val)
+		}
 	}
 	if shed.sheds.Load() == 0 {
 		t.Fatal("first replica was never tried")

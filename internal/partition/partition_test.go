@@ -355,7 +355,7 @@ func TestRouterPutGet(t *testing.T) {
 		t.Fatal("write synchronously appeared on secondary (should be async)")
 	}
 	// Primary reads see it.
-	v, _, found, err = tc.router.Get("users", []byte("alice"), ReadPrimary)
+	v, _, found, err = tc.router.Get("users", []byte("alice"), Primary)
 	if err != nil || !found || string(v) != "profile" {
 		t.Fatalf("Get primary: %q %v %v", v, found, err)
 	}
@@ -427,7 +427,7 @@ func TestRouterScanAcrossPartitions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, err := tc.router.Scan("ns", []byte("k-40"), []byte("k-60"), 100, ReadPrimary)
+	recs, err := tc.router.Scan("ns", []byte("k-40"), []byte("k-60"), 100, Primary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestRouterScanAcrossPartitions(t *testing.T) {
 		}
 	}
 	// Limit is respected across partitions.
-	recs, err = tc.router.Scan("ns", []byte("k-40"), []byte("k-60"), 7, ReadPrimary)
+	recs, err = tc.router.Scan("ns", []byte("k-40"), []byte("k-60"), 7, Primary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestRouterScanAcrossPartitions(t *testing.T) {
 		t.Fatalf("limited scan returned %d records, want 7", len(recs))
 	}
 	// Unbounded scans are rejected.
-	if _, err := tc.router.Scan("ns", nil, nil, 0, ReadPrimary); err == nil {
+	if _, err := tc.router.Scan("ns", nil, nil, 0, Primary); err == nil {
 		t.Fatal("unbounded scan accepted")
 	}
 }
@@ -474,11 +474,8 @@ func TestReplicaOrderRotates(t *testing.T) {
 	if len(seenFirst) != 3 {
 		t.Fatalf("ReadAny never rotated: %v", seenFirst)
 	}
-	if order, first := tc.router.order(replicas, ReadPrimary); order[first] != "n1" || len(order) != 3 {
-		t.Fatal("ReadPrimary does not start at primary with the rest to fail over to")
-	}
-	if order, first := tc.router.order(replicas, WritePrimary); order[first] != "n1" || len(order) != 1 {
-		t.Fatal("WritePrimary offers more than the primary")
+	if order, first := tc.router.order(replicas, Primary); order[first] != "n1" || len(order) != 1 {
+		t.Fatal("Primary offers more than the primary")
 	}
 }
 
@@ -574,44 +571,57 @@ func TestEveryPublishDrawsALargerEpoch(t *testing.T) {
 	}
 }
 
-// TestGetBatchFallbackUnderCrashedNode covers the per-node-envelope
-// fallback: the directory still lists the primary as up, but its
-// transport is dead, so the batched read fails and every key must fall
-// back to the single-key path with replica failover.
+// multiGet is a Deliver of a multi-get of keys in ns, answering the
+// rows read and the ranges that served them.
+func multiGet(r *Router, ns string, keys ...string) ([]record.Record, []Range, error) {
+	recs := make([]record.Record, len(keys))
+	for i, k := range keys {
+		recs[i].Key = []byte(k)
+	}
+	served := make([]Range, len(keys))
+	got, err := r.Deliver(rpc.Request{Method: rpc.MethodBatch, Namespace: ns}, recs, served)
+	return got, served, err
+}
+
+// TestGetBatchFallbackUnderCrashedNode covers a multi-get's fallback:
+// the directory still lists the primary as up, but its transport is
+// dead, so the batched read fails and every key falls back to a get of
+// its own, which waits for the primary to come back rather than
+// answering the secondary's older copy.
 func TestGetBatchFallbackUnderCrashedNode(t *testing.T) {
 	tc := newTestCluster(t, "n1", "n2")
 	m, _ := NewMap([]string{"n1", "n2"})
 	tc.router.SetMap("ns", m)
-	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
-	for i, k := range keys {
-		ver, _, err := tc.router.Put("ns", k, []byte("v"))
-		if err != nil {
+	keys := []string{"a", "b", "c"}
+	for _, k := range keys {
+		if _, _, err := tc.router.Put("ns", []byte(k), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		// Replicate so the secondary can answer the failover read.
-		if err := tc.router.Apply("ns", "n2", []record.Record{{Key: k, Value: []byte("v"), Version: ver}}); err != nil {
+		if err := tc.router.Apply("ns", "n2", []record.Record{{Key: []byte(k), Value: []byte("old"), Version: 1}}); err != nil {
 			t.Fatal(err)
 		}
-		_ = i
 	}
-	// Crash the primary's transport without telling the directory: the
-	// batch envelope to n1 errors and the fallback must recover every
-	// key from n2.
+	// Crash the primary's transport without telling the directory,
+	// and bring it back while the keys wait.
 	tc.transport.SetDown("addr-n1", true)
-	res, err := tc.router.GetBatch("ns", keys, ReadPrimary)
+	go func() {
+		time.Sleep(30 * time.Millisecond)
+		tc.transport.SetDown("addr-n1", false)
+	}()
+	got, served, err := multiGet(tc.router, "ns", keys...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range res {
-		if r.Err != nil || !r.Found || string(r.Value) != "v" {
-			t.Fatalf("key %d after fallback: %+v", i, r)
+	for i, r := range got {
+		if r.Tombstone || string(r.Value) != "v" || served[i].Replicas[0] != "n1" {
+			t.Fatalf("key %d after fallback: %+v from %v, want the primary's row", i, r, served[i].Replicas)
 		}
 	}
 }
 
 // TestGetBatchUnroutedKeysRetryThroughGet covers the other fallback
-// entry: no replica is reachable at grouping time (directory marks
-// everything down), but the down-retry loop inside Get rides through a
+// entry: the directory marks the primary down at grouping time, and
+// the one-key multi-get, which goes as a get, rides through a
 // concurrent recovery.
 func TestGetBatchUnroutedKeysRetryThroughGet(t *testing.T) {
 	tc := newTestCluster(t, "n1")
@@ -625,12 +635,9 @@ func TestGetBatchUnroutedKeysRetryThroughGet(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		tc.dir.MarkUp("n1")
 	}()
-	res, err := tc.router.GetBatch("ns", [][]byte{[]byte("a")}, ReadPrimary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Err != nil || !res[0].Found {
-		t.Fatalf("unrouted key did not recover: %+v", res[0])
+	got, _, err := multiGet(tc.router, "ns", "a")
+	if err != nil || got[0].Tombstone {
+		t.Fatalf("unrouted key did not recover: %+v, %v", got, err)
 	}
 }
 
@@ -656,7 +663,7 @@ func TestWriteRetriesAcrossFailoverFlip(t *testing.T) {
 	if ver == 0 || len(replicas) != 1 || replicas[0] != "n2" {
 		t.Fatalf("write landed on %v", replicas)
 	}
-	if v, _, found, err := tc.router.Get("ns", []byte("k"), ReadPrimary); err != nil || !found || string(v) != "v" {
+	if v, _, found, err := tc.router.Get("ns", []byte("k"), Primary); err != nil || !found || string(v) != "v" {
 		t.Fatalf("read-back: %q %v %v", v, found, err)
 	}
 }

@@ -127,12 +127,13 @@ func (o outcome) giveUp() error {
 // overloaded replicas. Its deadline starts at the first lost round, so
 // a request that succeeds first time never reads the clock; the zero
 // value is a fresh budget. One budget may be shared by the parts of one
-// client request (a batch fallback's keys, a scan's concurrent
-// sub-intervals): a permanent fault then costs the request one budget,
-// not one per part. The clock is wall-clock even under a simulated
-// cluster clock, because recovery is driven by the repair and migration
-// goroutines, not by time — over TCP a single attempt can burn a whole
-// dial timeout, which is also why the allowance is not attempt-counted.
+// client request (the records a failed Deliver group sends alone, a
+// scan's concurrent sub-intervals): a permanent fault then costs the
+// request one budget, not one per part. The clock is wall-clock even
+// under a simulated cluster clock, because recovery is driven by the
+// repair and migration goroutines, not by time — over TCP a single
+// attempt can burn a whole dial timeout, which is also why the
+// allowance is not attempt-counted.
 //
 // Fence pauses are deliberately not charged here: execute counts them
 // per call, so a write that waited out a crash failover still gets its
@@ -287,9 +288,9 @@ func (r *Router) offer(namespace string, rng Range, policy ReadPolicy, try attem
 // and the index to start from.
 func (r *Router) order(replicas []string, policy ReadPolicy) ([]string, int) {
 	switch {
-	case policy == WritePrimary:
+	case policy == Primary:
 		return replicas[:1], 0
-	case policy == ReadAny && len(replicas) > 1:
+	case len(replicas) > 1:
 		return replicas, int(r.rr.Add(1) % uint64(len(replicas)))
 	}
 	return replicas, 0
@@ -311,15 +312,6 @@ func (r *Router) tryNode(nodeID string, rng Range, try attempt) (rpc.Response, o
 		return rpc.Response{}, classify(resp.Error(), false)
 	}
 	return resp, outcome{}
-}
-
-// send executes a write: req goes to the primary of key's range,
-// whichever node that turns out to be.
-func (r *Router) send(key []byte, req rpc.Request) (rpc.Response, Range, error) {
-	var b budget
-	return r.execute(req.Namespace, key, WritePrimary, &b, func(_ Range, addr string) (rpc.Response, error) {
-		return r.transport.Call(addr, req)
-	})
 }
 
 // sendTo makes req's one attempt against a pinned node.

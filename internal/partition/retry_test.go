@@ -83,7 +83,7 @@ var retryOps = []struct {
 	{"get", func(r *Router) error { _, _, _, err := r.Get("ns", []byte("k"), ReadAny); return err }},
 	{"put", func(r *Router) error { _, _, err := r.Put("ns", []byte("k"), []byte("v")); return err }},
 	{"apply", func(r *Router) error {
-		_, err := r.ApplyToPrimary("ns", []byte("k"), []record.Record{{Key: []byte("k"), Version: 1}})
+		_, err := r.Deliver(rpc.Request{Method: rpc.MethodApply, Namespace: "ns"}, []record.Record{{Key: []byte("k"), Version: 1}}, make([]Range, 1))
 		return err
 	}},
 	{"scan", func(r *Router) error {
@@ -272,10 +272,10 @@ func TestStaleAndRefusedRounds(t *testing.T) {
 			wantVer: 2, served: 1, calls: map[string]int{"n2": 1},
 		},
 		{
-			name:    "ReadPrimary holds nothing back",
+			name:    "Primary holds nothing back",
 			n1:      func(time.Duration, int) (rpc.Response, error) { return rpc.Response{Found: true, Version: 1}, nil },
 			stale:   func(string, time.Duration) bool { return true },
-			policy:  ReadPrimary,
+			policy:  Primary,
 			wantVer: 1, calls: map[string]int{"n1": 1},
 		},
 		{
@@ -307,8 +307,8 @@ func TestStaleAndRefusedRounds(t *testing.T) {
 			}
 			var ver uint64
 			var err error
-			if row.policy == ReadPrimary {
-				_, ver, _, err = rig.router.Get("ns", []byte("k"), ReadPrimary)
+			if row.policy == Primary {
+				_, ver, _, err = rig.router.Get("ns", []byte("k"), Primary)
 			} else {
 				_, ver, _, err = rig.router.GetIf("ns", []byte("k"), row.stall, row.accept)
 			}
@@ -360,7 +360,7 @@ func TestFenceAllowanceSurvivesSpentDownBudget(t *testing.T) {
 	}
 }
 
-// TestGetBatchFallbackSharesOneBudget: a batch whose keys have no
+// TestGetBatchFallbackSharesOneBudget: a multi-get whose keys have no
 // serving replica costs one down-retry budget, not one per key.
 func TestGetBatchFallbackSharesOneBudget(t *testing.T) {
 	rig := newRetryRig(t, func(string, rpc.Request) (rpc.Response, error) {
@@ -369,14 +369,14 @@ func TestGetBatchFallbackSharesOneBudget(t *testing.T) {
 	})
 	rig.dir.MarkDown("n1")
 	rig.dir.MarkDown("n2")
-	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d"), []byte("e")}
-	res, err := rig.router.GetBatch("ns", keys, ReadPrimary)
-	if err != nil {
-		t.Fatal(err)
+	keys := []string{"a", "b", "c", "d", "e"}
+	_, served, err := multiGet(rig.router, "ns", keys...)
+	if !errors.Is(err, ErrNoReplicaAvailable) {
+		t.Fatalf("multi-get = %v, want %v", err, ErrNoReplicaAvailable)
 	}
-	for i, r := range res {
-		if !errors.Is(r.Err, ErrNoReplicaAvailable) {
-			t.Fatalf("key %d: %v", i, r.Err)
+	for i, rng := range served {
+		if rng.Replicas != nil {
+			t.Fatalf("key %d reports being served by %v", i, rng.Replicas)
 		}
 	}
 	if rig.elapsed() != rpc.DownRetryBudget {
@@ -384,14 +384,14 @@ func TestGetBatchFallbackSharesOneBudget(t *testing.T) {
 	}
 }
 
-// TestGetBatchWritePrimaryNeverReadsASecondary: under WritePrimary a
-// batch whose primary is unreachable waits for it, or gives up after one
-// budget, and never answers from the secondary as ReadPrimary would. A
-// multi-get the primary answers with an error, or with the wrong number
-// of records, sends every key down the single-key path, where the keys
+// TestGetBatchWritePrimaryNeverReadsASecondary: a multi-get, which runs
+// under Primary, whose primary is unreachable waits for it, or gives up
+// after one budget, and never answers from the secondary. A multi-get
+// the primary answers with an error, or with the wrong number of
+// records, sends every key down the single-key path, where the keys
 // share one budget.
 func TestGetBatchWritePrimaryNeverReadsASecondary(t *testing.T) {
-	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	keys := []string{"a", "b", "c"}
 	row := rpc.Response{Found: true, Value: []byte("v"), Version: 1}
 	rows := func(n int) (rpc.Response, error) {
 		return rpc.Response{Found: true, Records: slices.Repeat([]record.Record{{Value: row.Value, Version: row.Version}}, n)}, nil
@@ -420,7 +420,7 @@ func TestGetBatchWritePrimaryNeverReadsASecondary(t *testing.T) {
 			gets := map[string]int{}
 			rig = newRetryRig(t, func(addr string, req rpc.Request) (rpc.Response, error) {
 				if addr != "n1" {
-					t.Errorf("%s was asked under WritePrimary", addr)
+					t.Errorf("%s was asked under Primary", addr)
 				}
 				if req.Method == rpc.MethodBatch && tc.multi != nil {
 					return tc.multi(req)
@@ -436,24 +436,23 @@ func TestGetBatchWritePrimaryNeverReadsASecondary(t *testing.T) {
 				}
 				return row, nil
 			})
-			res, err := rig.router.GetBatch("ns", keys, WritePrimary)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range res {
-				if tc.wantOK && (r.Err != nil || !r.Found || string(r.Value) != "v") {
-					t.Fatalf("key %d: %+v, want the primary's row", i, r)
+			got, served, err := multiGet(rig.router, "ns", keys...)
+			if tc.wantOK {
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !tc.wantOK && !errors.Is(r.Err, ErrNoReplicaAvailable) {
-					t.Fatalf("key %d: %+v, want %v", i, r, ErrNoReplicaAvailable)
+				for i, r := range got {
+					if r.Tombstone || string(r.Value) != "v" || served[i].Replicas[0] != "n1" {
+						t.Fatalf("key %d: %+v from %v, want the primary's row", i, r, served[i].Replicas)
+					}
 				}
 			}
-			if !tc.wantOK && rig.elapsed() != rpc.DownRetryBudget {
-				t.Fatalf("gave up after %v, want one budget of %v", rig.elapsed(), rpc.DownRetryBudget)
+			if !tc.wantOK && (!errors.Is(err, ErrNoReplicaAvailable) || rig.elapsed() != rpc.DownRetryBudget) {
+				t.Fatalf("gave up with %v after %v, want %v after one budget of %v", err, rig.elapsed(), ErrNoReplicaAvailable, rpc.DownRetryBudget)
 			}
 			if tc.multi != nil {
 				for _, k := range keys {
-					if gets[string(k)] == 0 {
+					if gets[k] == 0 {
 						t.Errorf("key %q never read alone after the multi-get failed", k)
 					}
 				}
@@ -495,7 +494,7 @@ func TestFirstAttemptAllocs(t *testing.T) {
 	if _, _, err := tc.router.Put("ns", key, val); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(200, func() { tc.router.Get("ns", key, ReadPrimary) }); n > 1 {
+	if n := testing.AllocsPerRun(200, func() { tc.router.Get("ns", key, Primary) }); n > 1 {
 		t.Errorf("Get allocates %v per call, want <= 1", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { tc.router.Put("ns", key, val) }); n > 4 {

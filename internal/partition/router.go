@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -14,7 +15,7 @@ import (
 	"scads/internal/rpc"
 )
 
-// ReadPolicy selects which replica serves reads.
+// ReadPolicy selects which replicas a request may be offered to.
 type ReadPolicy int
 
 const (
@@ -25,16 +26,13 @@ const (
 	// namespace's priority order decides between serving from it and
 	// ErrStaleReplicas (offer, retry.go).
 	ReadAny ReadPolicy = iota
-	// ReadPrimary always reads the primary — used when the
-	// consistency spec demands read-your-writes without session state
-	// or serializable access.
-	ReadPrimary
-	// WritePrimary offers a request to the primary alone, waiting out a
-	// failover rather than failing over: a write has nowhere else to go
-	// until the map says so, and neither has the read a
-	// read-modify-write computes its new row from (a secondary's older
-	// image would make the write lose an update).
-	WritePrimary
+	// Primary offers a request to the primary alone, waiting out a
+	// failover or overload rather than asking another replica: a write
+	// has nowhere else to go until the map says so, and neither has a
+	// read that must be fresh — the read a read-modify-write computes
+	// its new row from, GetMulti's and index upkeep's (a secondary's
+	// older image would lose an update or leave an index behind).
+	Primary
 )
 
 // Router maps (namespace, key) to replica groups and performs the
@@ -98,8 +96,7 @@ func (r *Router) mapFor(namespace string) (*Map, error) {
 // request-execution contract (retry.go).
 func (r *Router) Get(namespace string, key []byte, policy ReadPolicy) ([]byte, uint64, bool, error) {
 	var b budget
-	g := r.get(namespace, key, policy, &b, nil)
-	return g.Value, g.Version, g.Found, g.Err
+	return r.get(namespace, key, policy, &b, nil)
 }
 
 // GetIf is the coordinator's point read: Get under ReadAny with the
@@ -112,13 +109,11 @@ func (r *Router) Get(namespace string, key []byte, policy ReadPolicy) ([]byte, u
 // stall until the updates can be confirmed").
 func (r *Router) GetIf(namespace string, key []byte, stall time.Duration, accept func(version uint64, found bool) bool) ([]byte, uint64, bool, error) {
 	b := budget{stall: stall}
-	g := r.get(namespace, key, ReadAny, &b, accept)
-	return g.Value, g.Version, g.Found, g.Err
+	return r.get(namespace, key, ReadAny, &b, accept)
 }
 
-// get is Get under a caller-supplied budget, so a batch's fallback
-// keys share one, and acceptance test.
-func (r *Router) get(namespace string, key []byte, policy ReadPolicy, b *budget, accept func(uint64, bool) bool) GetResult {
+// get is Get under budget b and an acceptance test.
+func (r *Router) get(namespace string, key []byte, policy ReadPolicy, b *budget, accept func(uint64, bool) bool) ([]byte, uint64, bool, error) {
 	req := rpc.Request{Method: rpc.MethodGet, Namespace: namespace, Key: key}
 	resp, _, err := r.execute(namespace, key, policy, b, func(_ Range, addr string) (rpc.Response, error) {
 		resp, err := r.transport.Call(addr, req)
@@ -127,113 +122,131 @@ func (r *Router) get(namespace string, key []byte, policy ReadPolicy, b *budget,
 		}
 		return resp, err
 	})
-	return GetResult{Value: resp.Value, Version: resp.Version, Found: resp.Found, Err: err}
+	return resp.Value, resp.Version, resp.Found, err
 }
 
-// GetResult is one key's outcome from GetBatch.
-type GetResult struct {
-	Value   []byte
-	Version uint64
-	Found   bool
-	Err     error
-}
-
-// GetBatch reads many keys from their ranges' primaries with at most
-// one request per storage node: keys are grouped by primary and fetched
-// through one MethodBatch multi-get per node, so a coordinator-side
-// multi-get costs a handful of round-trips instead of one per key.
-// When a node's multi-get fails (node down, unreachable or shedding, an
-// error reading any key, a malformed reply), its keys fall back to the
-// single-key path under policy, one retry budget per node group — the
-// keys of a crashed primary typically share its range, and a permanent
-// fault must cost one budget per group, not per key. Under ReadPrimary,
-// between a primary's crash and the failover that flips the map its
-// keys cost one round trip each, to the next replica, instead of one
-// multi-get: the multi-get is not failed over, because the group shares
-// a primary, not a replica list. Under WritePrimary they wait for the
-// primary instead.
-// The returned slice matches keys positionally; per-key failures are
-// reported in GetResult.Err rather than aborting the batch.
-func (r *Router) GetBatch(namespace string, keys [][]byte, policy ReadPolicy) ([]GetResult, error) {
-	m, err := r.mapFor(namespace)
+// Deliver is the one request that carries several records to their
+// primaries: req is a multi-get, a swap or an apply, and recs go as its
+// Records. Each record goes to the primary of its key's range, in one
+// request per primary, the groups in parallel and each in recs' order.
+// A group whose request fails, or answers the wrong number of records,
+// sends each of its records alone under Primary, sharing one retry
+// budget — a record the request did land is then answered from the
+// primary's swap memory; a group of one record goes that way at once,
+// so a one-key multi-get is a get. Deliver sets served[i] to the range
+// that took recs[i], or to a zero Range when it was not delivered, and
+// answers in recs' order what the nodes answered — the record a swap
+// displaced, the row a multi-get read (a tombstone for none), nothing
+// for an apply — with an entry for every record served names, and the
+// first error met.
+func (r *Router) Deliver(req rpc.Request, recs []record.Record, served []Range) ([]record.Record, error) {
+	m, err := r.mapFor(req.Namespace)
 	if err != nil {
+		clear(served)
 		return nil, err
 	}
-	out := make([]GetResult, len(keys))
-	// node is the first key's node; groups (node -> indices into keys)
-	// is built only once a key has another.
-	var node string
-	var groups map[string][]int
-	for i, key := range keys {
-		// Never empty: every Map constructor and mutator refuses an
-		// empty replica list (ErrNeedReplicas).
-		replicas, first := r.order(m.Lookup(key).Replicas, policy)
-		n := replicas[first]
-		if i == 0 {
-			node = n
-		}
-		if groups == nil && n != node {
-			groups = make(map[string][]int)
-			for j := range i {
-				groups[node] = append(groups[node], j)
-			}
-		}
-		if groups != nil {
-			groups[n] = append(groups[n], i)
-		}
+	single := true
+	for i, rec := range recs {
+		served[i] = m.Lookup(rec.Key)
+		single = single && served[i].Replicas[0] == served[0].Replicas[0]
 	}
-	if groups == nil {
-		// Every key has one node: one flight, sent inline.
-		if len(keys) > 0 {
-			r.getGroup(namespace, node, keys, nil, policy, out)
-		}
-		return out, nil
+	if single {
+		return r.deliverGroup(req, recs, served)
 	}
-	// One flight per node, all in parallel; each goroutine writes a
-	// disjoint set of out indices.
-	var wg sync.WaitGroup
-	for node, idxs := range groups {
-		wg.Add(1)
-		go func(node string, idxs []int) {
-			defer wg.Done()
-			r.getGroup(namespace, node, keys, idxs, policy, out)
-		}(node, idxs)
-	}
-	wg.Wait()
-	return out, nil
+	return r.deliverGroups(req, recs, served)
 }
 
-// getGroup reads the keys at idxs (every key when idxs is nil), whose
-// node is node, in one request to it — a get for one key, a multi-get
-// for more — and writes their results to out. If the request fails,
-// every key falls back to the single-key path under policy, sharing one
-// retry budget.
-func (r *Router) getGroup(namespace, node string, keys [][]byte, idxs []int, policy ReadPolicy, out []GetResult) {
-	n, at := len(keys), func(j int) int { return j }
-	if idxs != nil {
-		n, at = len(idxs), func(j int) int { return idxs[j] }
+// deliverGroups is Deliver of recs that span primaries, whose ranges
+// served holds: each primary's group is delivered concurrently into its
+// own slices, gathered into recs' order once every group is back (no
+// goroutine touches served, which a caller may keep on its stack).
+func (r *Router) deliverGroups(req rpc.Request, recs []record.Record, served []Range) ([]record.Record, error) {
+	type group struct {
+		idx       []int
+		recs, out []record.Record
+		served    []Range
+		err       error
 	}
-	if n == 1 {
-		if resp, err := r.sendTo(node, rpc.Request{Method: rpc.MethodGet, Namespace: namespace, Key: keys[at(0)]}); err == nil {
-			out[at(0)] = GetResult{Value: resp.Value, Version: resp.Version, Found: resp.Found}
-			return
+	var groups []group
+	for i, rec := range recs {
+		k := slices.IndexFunc(groups, func(g group) bool { return g.served[0].Replicas[0] == served[i].Replicas[0] })
+		if k < 0 {
+			k, groups = len(groups), append(groups, group{})
 		}
-	} else {
-		req := rpc.Request{Method: rpc.MethodBatch, Namespace: namespace, Records: make([]record.Record, n)}
-		for j := range req.Records {
-			req.Records[j].Key = keys[at(j)]
-		}
-		if resp, err := r.sendTo(node, req); err == nil && len(resp.Records) == n {
-			for j, rec := range resp.Records {
-				out[at(j)] = GetResult{Value: rec.Value, Version: rec.Version, Found: !rec.Tombstone}
+		g := &groups[k]
+		g.idx, g.recs, g.served = append(g.idx, i), append(g.recs, rec), append(g.served, served[i])
+	}
+	var wg sync.WaitGroup
+	for k := range groups {
+		g := &groups[k]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.out, g.err = r.deliverGroup(req, g.recs, g.served)
+		}()
+	}
+	wg.Wait()
+	var out []record.Record
+	if req.Method != rpc.MethodApply {
+		out = make([]record.Record, len(recs))
+	}
+	var err error
+	for _, g := range groups {
+		for j, i := range g.idx {
+			served[i] = g.served[j]
+			if g.out != nil {
+				out[i] = g.out[j]
 			}
-			return
+		}
+		err = cmp.Or(err, g.err)
+	}
+	return out, err
+}
+
+// deliverGroup is Deliver of recs, whose primary is served[0]'s.
+func (r *Router) deliverGroup(req rpc.Request, recs []record.Record, served []Range) ([]record.Record, error) {
+	if len(recs) > 1 {
+		req.Records = recs
+		if resp, err := r.sendTo(served[0].Replicas[0], req); err == nil && (req.Method == rpc.MethodApply || len(resp.Records) == len(recs)) {
+			return resp.Records, nil
 		}
 	}
+	clear(served)
+	var out []record.Record
+	var first error
 	var b budget
-	for j := range n {
-		out[at(j)] = r.get(namespace, keys[at(j)], policy, &b, nil)
+	for i := range recs {
+		one := req
+		one.Records = recs[i : i+1]
+		if req.Method == rpc.MethodBatch {
+			one = rpc.Request{Method: rpc.MethodGet, Namespace: req.Namespace, Key: recs[i].Key}
+		}
+		resp, rng, err := r.execute(req.Namespace, recs[i].Key, Primary, &b, func(_ Range, addr string) (rpc.Response, error) {
+			return r.transport.Call(addr, one)
+		})
+		if err == nil && req.Method == rpc.MethodSwap && len(resp.Records) != 1 {
+			err = fmt.Errorf("partition: a swap of one record answered %d", len(resp.Records))
+		}
+		if err != nil {
+			first = cmp.Or(first, err)
+			continue
+		}
+		served[i] = rng
+		switch {
+		case req.Method == rpc.MethodApply:
+			continue
+		case req.Method == rpc.MethodSwap && len(recs) == 1:
+			return resp.Records, nil // the answer as decoded, not copied
+		case out == nil:
+			out = make([]record.Record, len(recs))
+		}
+		if req.Method == rpc.MethodSwap {
+			out[i] = resp.Records[0]
+		} else {
+			out[i] = record.Record{Value: resp.Value, Version: resp.Version, Tombstone: !resp.Found}
+		}
 	}
+	return out, first
 }
 
 // GetFrom reads key from one specific replica — what a replica
@@ -250,43 +263,12 @@ func (r *Router) GetFrom(namespace, nodeID string, key []byte) ([]byte, uint64, 
 // assigned version together with the replica group, so the caller can
 // schedule asynchronous propagation to the remaining replicas.
 func (r *Router) Put(namespace string, key, value []byte) (version uint64, replicas []string, err error) {
-	return r.write(key, rpc.Request{Method: rpc.MethodPut, Namespace: namespace, Key: key, Value: value})
-}
-
-func (r *Router) write(key []byte, req rpc.Request) (uint64, []string, error) {
-	resp, rng, err := r.send(key, req)
+	req := rpc.Request{Method: rpc.MethodPut, Namespace: namespace, Key: key, Value: value}
+	var b budget
+	resp, rng, err := r.execute(namespace, key, Primary, &b, func(_ Range, addr string) (rpc.Response, error) {
+		return r.transport.Call(addr, req)
+	})
 	return resp.Version, rng.Replicas, err
-}
-
-// ApplyToPrimary delivers pre-versioned records to the primary of
-// key's range, waiting out fences, failovers and overload like any
-// other write. It returns the range that accepted the write, so callers
-// enqueue replication to the replica set that is actually serving it.
-func (r *Router) ApplyToPrimary(namespace string, key []byte, recs []record.Record) (Range, error) {
-	_, rng, err := r.send(key, rpc.Request{Method: rpc.MethodApply, Namespace: namespace, Records: recs})
-	return rng, err
-}
-
-// Swap delivers recs, which share a primary, and answers in order the
-// record each displaced there (cluster.Node's swap); since, when
-// non-zero, bounds the stored versions. With nodeID set the envelope
-// makes one attempt against that node, like Apply. With nodeID empty it
-// goes to the primary of recs[0]'s range, waiting out fences, failovers
-// and overload like any other write, and the range that accepted it is
-// returned. A re-delivery whose answer the primary has forgotten fails
-// with rpc.ErrSwapAnswerLost.
-func (r *Router) Swap(namespace, nodeID string, recs []record.Record, since uint64) (displaced []record.Record, acked Range, err error) {
-	req := rpc.Request{Method: rpc.MethodSwap, Namespace: namespace, Records: recs, Since: since}
-	var resp rpc.Response
-	if nodeID != "" {
-		resp, err = r.sendTo(nodeID, req)
-	} else {
-		resp, acked, err = r.send(recs[0].Key, req)
-	}
-	if err == nil && len(resp.Records) != len(recs) {
-		err = fmt.Errorf("partition: a swap of %d records answered %d", len(recs), len(resp.Records))
-	}
-	return resp.Records, acked, err
 }
 
 // Apply delivers pre-versioned records to one specific node in a

@@ -53,11 +53,11 @@ func TestScanParallelMatchesSequential(t *testing.T) {
 	loadScanData(t, tc, "ns", 800)
 
 	for _, limit := range []int{1, 37, 100, 101, 799, 800, 4000} {
-		seq, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: limit, Policy: ReadPrimary, parallelism: 1})
+		seq, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: limit, Policy: Primary, parallelism: 1})
 		if err != nil {
 			t.Fatalf("sequential limit=%d: %v", limit, err)
 		}
-		par, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: limit, Policy: ReadPrimary, parallelism: 8})
+		par, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: limit, Policy: Primary, parallelism: 8})
 		if err != nil {
 			t.Fatalf("parallel limit=%d: %v", limit, err)
 		}
@@ -90,7 +90,7 @@ func TestScanLimitCutoffAtRangeBoundaries(t *testing.T) {
 	// Limits landing exactly on, just before, and just after the range
 	// boundary must return exactly that many records, in order.
 	for _, limit := range []int{49, 50, 51} {
-		recs, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: limit, Policy: ReadPrimary})
+		recs, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: limit, Policy: Primary})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestScanAdaptiveRefetchOnSkew(t *testing.T) {
 	tc.router.SetMap("ns", m)
 	loadScanData(t, tc, "ns", 600) // 500 rows in range 1, 100 in range 2
 
-	recs, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: 550, Policy: ReadPrimary, parallelism: 2})
+	recs, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: 550, Policy: Primary, parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +208,8 @@ func TestScanCrashedPrimaryFailsOverToReplica(t *testing.T) {
 	tc.router.SetMap("ns", m)
 	keys := loadScanData(t, tc, "ns", 30)
 
-	// Replicate to the secondary, then kill the primary: scans (even
-	// primary-preferring ones) must fail over.
+	// Replicate to the secondary, then kill the primary: a scan under
+	// ReadAny must fail over.
 	var recs []record.Record
 	for _, key := range keys {
 		v, ver, _, err := tc.router.GetFrom("ns", "n1", key)
@@ -223,14 +223,12 @@ func TestScanCrashedPrimaryFailsOverToReplica(t *testing.T) {
 	}
 	tc.transport.SetDown("addr-n1", true)
 
-	for _, policy := range []ReadPolicy{ReadAny, ReadPrimary} {
-		out, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: 100, Policy: policy})
-		if err != nil {
-			t.Fatalf("policy %v: scan with crashed primary: %v", policy, err)
-		}
-		if len(out) != 30 {
-			t.Fatalf("policy %v: scan returned %d records, want 30", policy, len(out))
-		}
+	out, err := tc.router.ScanOpts("ns", nil, nil, ScanOptions{Limit: 100, Policy: ReadAny})
+	if err != nil {
+		t.Fatalf("scan with crashed primary: %v", err)
+	}
+	if len(out) != 30 {
+		t.Fatalf("scan returned %d records, want 30", len(out))
 	}
 }
 
@@ -273,7 +271,7 @@ func TestScanPushdownReachesNodes(t *testing.T) {
 	}
 	recs, err := router.ScanOpts("ns", nil, nil, ScanOptions{
 		Limit:      100,
-		Policy:     ReadPrimary,
+		Policy:     Primary,
 		Projection: []string{"name"},
 		Preds:      []rpc.ScanPred{{Column: "age", Op: rpc.PredGe, Value: ge}},
 	})
@@ -312,7 +310,7 @@ func TestScanFirstErrorAbandonsUnstartedSiblings(t *testing.T) {
 	loadScanData(t, tc, "ns", 40) // opaque values: a projecting node cannot decode them
 
 	_, err := router.ScanOpts("ns", nil, nil, ScanOptions{
-		Limit: 100, Policy: ReadPrimary, parallelism: 1, Projection: []string{"name"},
+		Limit: 100, Policy: Primary, parallelism: 1, Projection: []string{"name"},
 	})
 	if err == nil {
 		t.Fatal("scan over undecodable rows succeeded")

@@ -18,7 +18,7 @@
 // The keys ride in Request.Records (key only), and the node answers
 // each in order in Response.Records with the value and version a get
 // would return (a tombstone for a key with no live row). The router's
-// GetBatch sends one per node; every other call travels alone, and
+// Deliver sends one per primary; every other call travels alone, and
 // concurrent calls to one address share a connection whose writer
 // packs their frames into one socket write.
 package rpc

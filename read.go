@@ -10,6 +10,7 @@ import (
 	"scads/internal/partition"
 	"scads/internal/planner"
 	"scads/internal/query"
+	"scads/internal/record"
 	"scads/internal/row"
 	"scads/internal/rpc"
 	"scads/internal/session"
@@ -145,12 +146,14 @@ func decodeRow(val []byte, found bool, cols []string) (row.Row, error) {
 }
 
 // GetMulti reads many rows by primary key in one coordinator pass:
-// keys are grouped by node and fetched through one batched request
-// per node (partition.Router.GetBatch), so a page assembling N rows
-// costs a handful of round-trips instead of N. Reads go to each
-// range's primary, so neither the staleness bound nor a session floor
-// has anything to hold back: every result is at least as fresh as
-// Get's. Results are positional: rows[i] and found[i] answer pks[i].
+// keys are grouped by primary and fetched through one multi-get per
+// node (partition.Router.Deliver), so a page assembling N rows costs a
+// handful of round-trips instead of N. Reads go to each range's primary
+// alone, so neither the staleness bound nor a session floor has anything
+// to hold back: every result is at least as fresh as Get's. During a
+// primary's outage its keys wait for the failover, as a write does,
+// rather than being served by a secondary. Results are positional:
+// rows[i] and found[i] answer pks[i].
 func (c *Cluster) GetMulti(table string, pks []row.Row) (rows []row.Row, found []bool, err error) {
 	start := c.clk.Now()
 	rows, found, err = c.getMulti(table, pks)
@@ -167,30 +170,29 @@ func (c *Cluster) getMulti(table string, pks []row.Row) ([]row.Row, []bool, erro
 		return nil, nil, err
 	}
 	keys := make([][]byte, len(pks))
+	recs := make([]record.Record, len(pks))
 	for i, pk := range pks {
 		if keys[i], err = pkKey(t, pk); err != nil {
 			return nil, nil, err
 		}
+		recs[i].Key = keys[i]
 	}
 	release, err := c.staged(ns, "", admission.OpRead, float64(len(keys)), keys...)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer release()
-	res, err := c.router.GetBatch(ns, keys, partition.ReadPrimary)
+	got, err := c.router.Deliver(rpc.Request{Method: rpc.MethodBatch, Namespace: ns}, recs, make([]partition.Range, len(recs)))
 	if err != nil {
 		return nil, nil, err
 	}
 	rows := make([]row.Row, len(pks))
 	found := make([]bool, len(pks))
-	for i, gr := range res {
-		if gr.Err != nil {
-			return nil, nil, gr.Err
-		}
-		if rows[i], err = decodeRow(gr.Value, gr.Found, nil); err != nil {
+	for i, rec := range got {
+		found[i] = !rec.Tombstone
+		if rows[i], err = decodeRow(rec.Value, found[i], nil); err != nil {
 			return nil, nil, err
 		}
-		found[i] = gr.Found
 	}
 	return rows, found, nil
 }

@@ -54,6 +54,58 @@ func TestDeletedFriendshipRetiresEntryOfAChangedFriend(t *testing.T) {
 	checkIndexesMatchRebuild(t, lc.Cluster, socialDDL)
 }
 
+// TestJoinUpkeepReadsTheLookedRowsPrimary: a friendship's upkeep looks
+// up bob's row while bob's primary is cut off from the coordinator but
+// still listed up, and bob's secondary holds his older row. The lookup
+// must wait for the primary; read from the secondary, the join view
+// would keep bob's old birthday for good.
+func TestJoinUpkeepReadsTheLookedRowsPrimary(t *testing.T) {
+	lc, _ := newSocialCluster(t, 3, 2)
+	users := planner.TableNamespace("users")
+	for _, ns := range lc.Router().Namespaces() {
+		replicas := []string{"node-003", "node-002"}
+		if ns == users {
+			replicas = []string{"node-001", "node-002"}
+		}
+		m, _ := lc.Router().Map(ns)
+		if err := m.SetReplicas(nil, replicas); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lc.Insert("users", Row{"id": "bob", "name": "Bob", "birthday": 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	// Bob's new row reaches his primary, not yet his secondary.
+	if err := lc.Insert("users", Row{"id": "bob", "name": "Bob", "birthday": 20}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lc.DrainMaintenance(1024); err != nil {
+		t.Fatal(err)
+	}
+	lc.Transport.SetDown("local://node-001", true)
+	healed := make(chan struct{})
+	go func() {
+		defer close(healed)
+		time.Sleep(50 * time.Millisecond)
+		lc.Transport.SetDown("local://node-001", false)
+	}()
+	if err := lc.Insert("friendships", Row{"f1": "alice", "f2": "bob"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lc.DrainMaintenance(1024); err != nil {
+		t.Fatal(err)
+	}
+	<-healed
+	checkIndexesMatchRebuild(t, lc.Cluster, socialDDL)
+	rows, err := lc.Query("friendsWithUpcomingBirthdays", map[string]any{"user": "alice"})
+	if err != nil || len(rows) != 1 || rows[0]["birthday"] != int64(20) {
+		t.Fatalf("alice's friends with birthdays = %v, %v; want bob's new birthday (20)", rows, err)
+	}
+}
+
 // TestDrainRoundAppliesOncePerNamespaceAndPrimary: one round of 60
 // friendship inserts, whose index namespaces are each split over two
 // primaries, costs one apply per (index namespace, primary), not one

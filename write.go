@@ -225,7 +225,7 @@ func (c *Cluster) writeKey(t *query.TableDef, ns string, key []byte, reads bool,
 	var old row.Row
 	var giveUp time.Time
 	if reads {
-		val, ver, found, err := c.router.Get(ns, key, partition.WritePrimary)
+		val, ver, found, err := c.router.Get(ns, key, partition.Primary)
 		if err != nil {
 			return 0, err
 		}
@@ -383,96 +383,37 @@ func (c *Cluster) commitOne(ns string, rec record.Record, bound time.Duration, h
 
 // commit is the one way records reach storage: base-table writes and
 // the index mutations derived from them alike. recs are in version
-// order and stay so within each primary's group. All of them usually
-// share a primary; that group goes out inline as one multi-record
-// apply or swap (one RPC, one WAL write). Records spanning several
-// primaries are split per primary and the groups committed
-// concurrently, so a failure of one node's group never strands another
-// group's records without follow-up. When recs share a primary, a
-// swap's answers, the records each of recs displaced, are returned in
-// recs' order; a split commit (only a batch's, which consumes none)
-// returns none. Each record its primary applied is scheduled for
-// replication under bound and, under how.upkeep, the row it displaced
-// is queued for index maintenance with bound as the deadline.
+// order and go in one router call (partition.Router.Deliver): one apply
+// or swap per primary (one RPC, one WAL write), in that order within
+// each primary's group, each record sent alone if its group's request
+// fails. A swap's answers, the records each of recs displaced, are
+// returned in recs' order. Every record a primary applied is scheduled
+// for replication under bound to the range that took it and, under
+// how.upkeep, the row it displaced is queued for index maintenance with
+// bound as the deadline — also when another primary's group failed, so
+// no delivered record is stranded without follow-up.
 func (c *Cluster) commit(ns string, recs []record.Record, bound time.Duration, how delivery) ([]record.Record, error) {
-	m, ok := c.router.Map(ns)
-	if !ok {
-		return nil, fmt.Errorf("scads: no partition map for %s", ns)
-	}
 	var solo [1]partition.Range
-	acked := solo[:]
+	served := solo[:]
 	if len(recs) > 1 {
-		acked = make([]partition.Range, len(recs))
+		served = make([]partition.Range, len(recs))
 	}
-	single := true
-	for i, rec := range recs {
-		acked[i] = m.Lookup(rec.Key)
-		single = single && acked[i].Replicas[0] == acked[0].Replicas[0]
-	}
-	if !single {
-		// Split off the records that share the first one's primary and
-		// commit them here while the rest, split the same way, commit
-		// concurrently.
-		var mine, rest []record.Record
-		for i, rec := range recs {
-			if acked[i].Replicas[0] == acked[0].Replicas[0] {
-				mine = append(mine, rec)
-			} else {
-				rest = append(rest, rec)
-			}
-		}
-		restErr := make(chan error, 1)
-		go func() {
-			_, err := c.commit(ns, rest, bound, how)
-			restErr <- err
-		}()
-		_, err := c.commit(ns, mine, bound, how)
-		if rerr := <-restErr; err == nil {
-			err = rerr
-		}
-		return nil, err
-	}
-
-	// When the group's one-shot delivery fails, each record goes through
-	// the request-execution core, which re-reads the map and waits out a
-	// handoff, failover or overload — or reports why it cannot; a record
-	// the group did land is answered from the primary's swap memory.
-	// Replicas are re-captured from the ranges that accepted the writes
-	// so replication follows them.
-	var displaced []record.Record
-	var err error
+	req := rpc.Request{Method: rpc.MethodApply, Namespace: ns}
 	if how.swap {
-		if displaced, _, err = c.router.Swap(ns, acked[0].Replicas[0], recs, how.since); err != nil {
-			displaced = make([]record.Record, len(recs))
-		}
-	} else {
-		err = c.router.Apply(ns, acked[0].Replicas[0], recs)
+		req.Method, req.Since = rpc.MethodSwap, how.since
 	}
+	displaced, err := c.router.Deliver(req, recs, served)
 	for i, rec := range recs {
-		if err != nil {
-			var ferr error
-			if how.swap {
-				var one []record.Record
-				if one, acked[i], ferr = c.router.Swap(ns, "", recs[i:i+1], how.since); ferr == nil {
-					displaced[i] = one[0]
-				}
-			} else {
-				acked[i], ferr = c.router.ApplyToPrimary(ns, rec.Key, recs[i:i+1])
-			}
-			if ferr != nil {
-				return nil, ferr
-			}
+		if served[i].Replicas == nil || how.swap && (how.refuses(displaced[i]) || rec.Tombstone && displaced[i].Tombstone) {
+			continue // not delivered, or the primary applied nothing
 		}
-		if how.swap && (how.refuses(displaced[i]) || rec.Tombstone && displaced[i].Tombstone) {
-			continue // the primary applied nothing
-		}
-		c.loads.Record(ns, acked[i].Start, rec.Key)
-		c.pump.Enqueue(ns, rec, acked[i].Replicas, bound)
+		c.loads.Record(ns, served[i].Start, rec.Key)
+		c.pump.Enqueue(ns, rec, served[i].Replicas, bound)
 		if how.upkeep != "" {
 			c.maint.push(maintTask{table: how.upkeep, ns: ns, key: rec.Key, old: displaced[i]}, c.clk.Now().Add(bound))
 		}
 	}
-	return displaced, nil
+	return displaced, err
 }
 
 // DrainMaintenance synchronously runs up to budget pending index
@@ -523,11 +464,11 @@ func deterministic(err error) bool {
 }
 
 // currentRows reads what each task's key holds now from its primary,
-// with one batched read per base namespace that waits out a failover
+// with one router call per base namespace that waits out a failover
 // like a write does: a secondary's older row would leave upkeep a row
 // behind.
-func (r *upkeepRound) currentRows(tasks []maintTask) ([]partition.GetResult, error) {
-	r.cur = append(r.cur[:0], make([]partition.GetResult, len(tasks))...)
+func (r *upkeepRound) currentRows(tasks []maintTask) ([]record.Record, error) {
+	r.cur = append(r.cur[:0], make([]record.Record, len(tasks))...)
 	for i, task := range tasks {
 		if slices.ContainsFunc(tasks[:i], func(t maintTask) bool { return t.ns == task.ns }) {
 			continue // read with an earlier task's
@@ -536,17 +477,15 @@ func (r *upkeepRound) currentRows(tasks []maintTask) ([]partition.GetResult, err
 		r.idx, r.keys = r.idx[:0], r.keys[:0]
 		for j := i; j < len(tasks); j++ {
 			if tasks[j].ns == task.ns {
-				r.idx, r.keys = append(r.idx, j), append(r.keys, tasks[j].key)
+				r.idx, r.keys = append(r.idx, j), append(r.keys, record.Record{Key: tasks[j].key})
 			}
 		}
-		got, err := r.c.router.GetBatch(task.ns, r.keys, partition.WritePrimary)
+		r.served = append(r.served[:0], make([]partition.Range, len(r.keys))...)
+		got, err := r.c.router.Deliver(rpc.Request{Method: rpc.MethodBatch, Namespace: task.ns}, r.keys, r.served)
 		if err != nil {
 			return nil, err
 		}
 		for j, g := range got {
-			if g.Err != nil {
-				return nil, g.Err
-			}
 			r.cur[r.idx[j]] = g
 		}
 	}
@@ -564,11 +503,12 @@ type upkeepRound struct {
 	groups []upkeepGroup
 	parked []parkedTask
 
-	engine *view.Engine          // the schema's engine when views was made
-	views  *view.Round           // its round, reused while the schema stays
-	cur    []partition.GetResult // currentRows' answer
-	idx    []int                 // currentRows' tasks of one namespace
-	keys   [][]byte              // and their keys
+	engine *view.Engine      // the schema's engine when views was made
+	views  *view.Round       // its round, reused while the schema stays
+	cur    []record.Record   // currentRows' answer
+	idx    []int             // currentRows' tasks of one namespace
+	keys   []record.Record   // and their keys
+	served []partition.Range // and the ranges that read them
 }
 
 // reset readies r for the next round, holding nothing of the last.
@@ -577,7 +517,8 @@ func (r *upkeepRound) reset() {
 	clear(r.parked)
 	clear(r.cur)
 	clear(r.keys)
-	r.groups, r.parked, r.cur, r.keys = r.groups[:0], r.parked[:0], r.cur[:0], r.keys[:0]
+	clear(r.served)
+	r.groups, r.parked, r.cur, r.keys, r.served = r.groups[:0], r.parked[:0], r.cur[:0], r.keys[:0], r.served[:0]
 }
 
 // parkedTask is a task of the round that failed deterministically.
@@ -624,8 +565,8 @@ func (r *upkeepRound) run(tasks []maintTask) (int, error) {
 
 // maintain computes the index mutations of task i, whose key now holds
 // now, and adds them to the round's groups.
-func (r *upkeepRound) maintain(views *view.Round, i int, task maintTask, now partition.GetResult) error {
-	muts, err := views.Mutations(task.table, stored(task.old.Value, !task.old.Tombstone), stored(now.Value, now.Found))
+func (r *upkeepRound) maintain(views *view.Round, i int, task maintTask, now record.Record) error {
+	muts, err := views.Mutations(task.table, stored(task.old.Value, !task.old.Tombstone), stored(now.Value, !now.Tombstone))
 	if err != nil {
 		return fmt.Errorf("scads: maintenance for %s: %w", task.table, err)
 	}
@@ -673,7 +614,7 @@ func (r *upkeepRound) GetRecord(namespace string, key []byte) ([]byte, bool, err
 	if err := r.flush(namespace); err != nil {
 		return nil, false, err
 	}
-	val, _, found, err := r.c.router.Get(namespace, key, partition.ReadPrimary)
+	val, _, found, err := r.c.router.Get(namespace, key, partition.Primary)
 	return val, found, err
 }
 
@@ -681,7 +622,7 @@ func (r *upkeepRound) ScanRecords(namespace string, start, end []byte, limit int
 	if err := r.flush(namespace); err != nil {
 		return nil, err
 	}
-	return r.c.router.Scan(namespace, start, end, limit, partition.ReadPrimary)
+	return r.c.router.Scan(namespace, start, end, limit, partition.Primary)
 }
 
 // stored is the encoded row a read found, nil when there is none; a

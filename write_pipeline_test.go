@@ -532,43 +532,72 @@ func (s *swapShimTransport) Call(addr string, req rpc.Request) (rpc.Response, er
 // TestSwapRedeliveryKeepsIndexExact: a swap whose answer is lost is
 // re-sent, finds its own record stored, and must still hand index
 // maintenance the row it displaced the first time — else the old row's
-// view entries would never be retired.
+// view entries would never be retired. A batch's group swap whose
+// answer is lost is re-sent one record at a time, each answered from
+// the primary's memory of the group swap.
 func TestSwapRedeliveryKeepsIndexExact(t *testing.T) {
-	shim := &swapShimTransport{namespace: planner.TableNamespace("users")}
-	c := newWrappedCluster(t, 1, socialDDL, func(next rpc.Transport) rpc.Transport {
-		shim.next = next
-		return shim
-	})
-	if err := c.Insert("users", Row{"id": "bob", "name": "Bob", "birthday": 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Insert("friendships", Row{"f1": "alice", "f2": "bob"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	shim.mu.Lock()
-	shim.armed = true
-	shim.mu.Unlock()
+	for _, tc := range []struct {
+		name  string
+		users []string
+		write func(c *Cluster, rows []Row) error
+		swaps int // reaching the transport: the lost one and its re-deliveries
+	}{
+		{"one insert", []string{"bob"}, func(c *Cluster, rows []Row) error { return c.Insert("users", rows[0]) }, 2},
+		{"a batch of three", []string{"bob", "carol", "dave"}, func(c *Cluster, rows []Row) error { return c.InsertBatch("users", rows) }, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shim := &swapShimTransport{namespace: planner.TableNamespace("users")}
+			c := newWrappedCluster(t, 1, socialDDL, func(next rpc.Transport) rpc.Transport {
+				shim.next = next
+				return shim
+			})
+			rows := func(birthday int) []Row {
+				out := make([]Row, len(tc.users))
+				for i, id := range tc.users {
+					out[i] = Row{"id": id, "name": id, "birthday": birthday}
+				}
+				return out
+			}
+			if err := c.InsertBatch("users", rows(10)); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range tc.users {
+				if err := c.Insert("friendships", Row{"f1": "alice", "f2": id}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			shim.mu.Lock()
+			shim.armed = true
+			shim.mu.Unlock()
 
-	if err := c.Insert("users", Row{"id": "bob", "name": "Bob", "birthday": 20}); err != nil {
-		t.Fatal(err)
-	}
-	shim.mu.Lock()
-	swaps := shim.swaps
-	shim.mu.Unlock()
-	if swaps != 2 {
-		t.Fatalf("%d swaps reached the transport, want the lost one and its re-delivery", swaps)
-	}
-	if err := c.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := c.Query("friendsWithUpcomingBirthdays", map[string]any{"user": "alice"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0]["birthday"] != int64(20) {
-		t.Fatalf("view holds %v, want bob's new birthday (20) only", rows)
+			if err := tc.write(c, rows(20)); err != nil {
+				t.Fatal(err)
+			}
+			shim.mu.Lock()
+			swaps := shim.swaps
+			shim.mu.Unlock()
+			if swaps != tc.swaps {
+				t.Fatalf("%d swaps reached the transport, want %d", swaps, tc.swaps)
+			}
+			if err := c.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Query("friendsWithUpcomingBirthdays", map[string]any{"user": "alice"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(tc.users) {
+				t.Fatalf("view holds %v, want %d rows", got, len(tc.users))
+			}
+			for _, r := range got {
+				if r["birthday"] != int64(20) {
+					t.Fatalf("view holds %v, want the new birthday (20) only", got)
+				}
+			}
+			checkIndexesMatchRebuild(t, c, socialDDL)
+		})
 	}
 }

@@ -27,7 +27,7 @@ import (
 // the primaries.
 func namespaceContents(t *testing.T, c *Cluster, ns string) map[string]string {
 	t.Helper()
-	recs, err := c.router.Scan(ns, nil, nil, 1<<20, partition.ReadPrimary)
+	recs, err := c.router.Scan(ns, nil, nil, 1<<20, partition.Primary)
 	if err != nil {
 		t.Fatal(err)
 	}
